@@ -37,7 +37,7 @@ use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use elsm_crypto::hmac::hmac_sha256;
+use elsm_crypto::hmac::{verify_tag, HmacKey};
 use elsm_crypto::Digest;
 use lsm_store::Timestamp;
 use parking_lot::Mutex;
@@ -145,7 +145,7 @@ const ENTRY_OVERHEAD: usize = 64;
 #[derive(Debug)]
 pub struct VerifiedCache {
     platform: Arc<Platform>,
-    mac_key: Digest,
+    mac_key: HmacKey,
     capacity: usize,
     inner: Mutex<Inner>,
     metrics: CacheMetrics,
@@ -168,7 +168,7 @@ impl VerifiedCache {
     ) -> Arc<Self> {
         // Stands in for a key derived inside the enclave at startup; the
         // host never holds it, so it cannot forge entry tags.
-        let mac_key = elsm_crypto::sha256(b"elsm/verified-cache key v1");
+        let mac_key = HmacKey::new(elsm_crypto::sha256(b"elsm/verified-cache key v1").as_bytes());
         Arc::new(VerifiedCache {
             platform,
             mac_key,
@@ -181,24 +181,14 @@ impl VerifiedCache {
 
     fn record_tag(&self, key: &[u8], epoch: u64, ts: Timestamp, value: &[u8]) -> Digest {
         self.platform.charge_hash(key.len() + value.len() + 16);
-        let mut msg = Vec::with_capacity(key.len() + value.len() + 17);
-        msg.push(0x01); // domain: record entry
-        msg.extend_from_slice(&epoch.to_le_bytes());
-        msg.extend_from_slice(&ts.to_le_bytes());
-        msg.extend_from_slice(key);
-        msg.extend_from_slice(value);
-        hmac_sha256(self.mac_key.as_bytes(), &msg)
+        // 0x01: domain of record entries.
+        self.mac_key.mac(&[&[0x01], &epoch.to_le_bytes(), &ts.to_le_bytes(), key, value])
     }
 
     fn vlog_tag(&self, file_no: u64, offset: u64, mac: &[u8; 32], payload: &[u8]) -> Digest {
         self.platform.charge_hash(payload.len() + 48);
-        let mut msg = Vec::with_capacity(payload.len() + 49);
-        msg.push(0x02); // domain: value-log slot
-        msg.extend_from_slice(&file_no.to_le_bytes());
-        msg.extend_from_slice(&offset.to_le_bytes());
-        msg.extend_from_slice(mac);
-        msg.extend_from_slice(payload);
-        hmac_sha256(self.mac_key.as_bytes(), &msg)
+        // 0x02: domain of value-log slots.
+        self.mac_key.mac(&[&[0x02], &file_no.to_le_bytes(), &offset.to_le_bytes(), mac, payload])
     }
 
     /// Looks up the verified answer for `key` under `epoch`.
@@ -235,7 +225,7 @@ impl VerifiedCache {
             self.metrics.record_misses.inc();
             return Ok(None);
         };
-        if entry.tag != expect {
+        if !verify_tag(&expect, &entry.tag) {
             let tick = entry.tick;
             let bytes = entry.bytes;
             inner.records.remove(key);
@@ -288,7 +278,7 @@ impl VerifiedCache {
             self.metrics.vlog_misses.inc();
             return None;
         };
-        if &slot.mac != mac {
+        if !verify_tag(&Digest::from_bytes(slot.mac), &Digest::from_bytes(*mac)) {
             self.metrics.vlog_misses.inc();
             return None;
         }
@@ -300,7 +290,7 @@ impl VerifiedCache {
             self.metrics.vlog_misses.inc();
             return None;
         };
-        if slot.tag != expect {
+        if !verify_tag(&expect, &slot.tag) {
             let (tick, bytes) = (slot.tick, slot.bytes);
             inner.vlog.remove(&(file_no, offset));
             inner.vlog_lru.remove(&tick);
@@ -553,6 +543,49 @@ mod tests {
         assert_eq!(c.lookup_vlog(3, 64, &mac), None, "wrong offset must miss");
         let s = c.stats();
         assert_eq!((s.vlog_hits, s.vlog_misses), (1, 2));
+    }
+
+    fn flip(digest: Digest, bit: usize) -> Digest {
+        let mut bytes = digest.into_bytes();
+        bytes[bit / 8] ^= 1 << (bit % 8);
+        Digest::from_bytes(bytes)
+    }
+
+    /// The three tag/MAC comparisons run through `verify_tag`; a tag one
+    /// bit away from the right one — first bit, last bit — is a mismatch
+    /// at each of them.
+    #[test]
+    fn one_bit_off_tags_are_rejected_at_every_site() {
+        for bit in [0usize, 255] {
+            // Record entry tag.
+            let c = cache(4096);
+            c.insert_record(b"k", 3, 9, Bytes::from_static(b"honest"));
+            {
+                let mut inner = c.inner.lock();
+                let entry = inner.records.get_mut(b"k".as_slice()).unwrap();
+                entry.tag = flip(entry.tag, bit);
+            }
+            assert_eq!(
+                c.lookup_record(b"k", 3),
+                Err(VerificationFailure::CacheTampered { epoch: 3 }),
+                "record tag, bit {bit}"
+            );
+            // Value-log slot tag.
+            let mac = [0xAA; 32];
+            c.insert_vlog(3, 128, mac, Bytes::from_static(b"payload"));
+            {
+                let mut inner = c.inner.lock();
+                let slot = inner.vlog.get_mut(&(3, 128)).unwrap();
+                slot.tag = flip(slot.tag, bit);
+            }
+            assert_eq!(c.lookup_vlog(3, 128, &mac), None, "slot tag, bit {bit}");
+            assert_eq!(c.stats().tamper_detected, 2);
+            // Pointer MAC presented by the caller.
+            c.insert_vlog(3, 128, mac, Bytes::from_static(b"payload"));
+            let wrong = flip(Digest::from_bytes(mac), bit).into_bytes();
+            assert_eq!(c.lookup_vlog(3, 128, &wrong), None, "pointer mac, bit {bit}");
+            assert_eq!(c.lookup_vlog(3, 128, &mac), Some(Bytes::from_static(b"payload")));
+        }
     }
 
     #[test]

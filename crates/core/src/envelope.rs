@@ -13,85 +13,117 @@
 //! with its **bare** application value (the proof cannot be part of what it
 //! proves).
 
+use std::ops::Range;
+
 use bytes::Bytes;
 use lsm_store::Record;
-use merkle::RecordProof;
+use merkle::RecordProofRef;
 
 use crate::error::VerificationFailure;
 
+const TAG_PLAIN: u8 = 0x00;
+const TAG_PROOF: u8 = 0x01;
+
 /// Wraps a fresh application value (no proof).
 pub fn wrap_plain(value: &[u8]) -> Bytes {
-    let mut out = Vec::with_capacity(value.len() + 6);
-    out.push(0x00);
+    let mut out = Vec::with_capacity(wrapped_len(value, 0));
+    out.push(TAG_PLAIN);
     push_varint(&mut out, value.len() as u64);
     out.extend_from_slice(value);
     Bytes::from(out)
 }
 
 /// Wraps an application value together with its embedded proof.
-pub fn wrap_with_proof(value: &[u8], proof: &RecordProof) -> Bytes {
-    let mut out = Vec::with_capacity(value.len() + 6);
-    out.push(0x01);
+/// `write_proof` appends the proof's `proof_len` encoded bytes
+/// ([`merkle::LevelDigest::encode_proof_into`], or a
+/// [`merkle::RecordProof::encode`] copy): the proof is serialized once,
+/// straight after the value, into a buffer sized for both.
+pub fn wrap_with_proof(
+    value: &[u8],
+    proof_len: usize,
+    write_proof: impl FnOnce(&mut Vec<u8>),
+) -> Bytes {
+    let mut out = Vec::with_capacity(wrapped_len(value, proof_len));
+    out.push(TAG_PROOF);
     push_varint(&mut out, value.len() as u64);
     out.extend_from_slice(value);
-    out.extend_from_slice(&proof.encode());
+    write_proof(&mut out);
     Bytes::from(out)
 }
 
-/// Parses an envelope into `(application value, optional proof)`.
+/// A stored value read in place: nothing is copied or allocated, the
+/// proof stays a view of the stored bytes.
+#[derive(Debug, Clone, Copy)]
+pub struct Opened<'a> {
+    /// The bare application value.
+    pub value: &'a [u8],
+    /// The embedded proof (`None` until a flush or compaction adds one).
+    pub proof: Option<RecordProofRef<'a>>,
+    /// Offset of `value` in the stored bytes.
+    value_start: usize,
+}
+
+impl Opened<'_> {
+    /// Where the application value sits in the stored bytes — what a
+    /// zero-copy `Bytes::slice` of the stored value takes.
+    pub fn value_range(&self) -> Range<usize> {
+        self.value_start..self.value_start + self.value.len()
+    }
+
+    /// Encoded size of the embedded proof (0 without one).
+    pub fn proof_bytes(&self) -> usize {
+        self.proof.map_or(0, |p| p.encoded_len())
+    }
+}
+
+/// Parses an envelope into its application value and optional proof.
 ///
 /// Returns `None` on malformed envelopes (which verification treats as
-/// forgery).
-pub fn unwrap(stored: &[u8]) -> Option<(Bytes, Option<RecordProof>)> {
-    if stored.is_empty() {
+/// forgery): unknown tag, truncated value, malformed proof, or bytes
+/// after the end.
+pub fn open(stored: &[u8]) -> Option<Opened<'_>> {
+    let Some((&tag, rest)) = stored.split_first() else {
         // Tombstones carry no value at all; treat as plain-empty.
-        return Some((Bytes::new(), None));
-    }
-    let (&tag, rest) = stored.split_first()?;
+        return Some(Opened { value: &[], proof: None, value_start: 0 });
+    };
     let (len, n) = read_varint(rest)?;
     let len = usize::try_from(len).ok()?;
-    let value = rest.get(n..n + len)?;
+    let value = rest.get(n..n.checked_add(len)?)?;
     let tail = &rest[n + len..];
-    match tag {
-        0x00 => tail.is_empty().then(|| (Bytes::copy_from_slice(value), None)),
-        0x01 => {
-            let (proof, used) = RecordProof::decode(tail)?;
-            (used == tail.len()).then(|| (Bytes::copy_from_slice(value), Some(proof)))
-        }
-        _ => None,
-    }
-}
-
-/// The canonical bytes of a record — bare application value, no envelope —
-/// the input to every chain and Merkle digest.
-pub fn canonical_bytes(record: &Record, bare_value: &[u8]) -> Vec<u8> {
-    let bare = Record {
-        key: record.key.clone(),
-        ts: record.ts,
-        kind: record.kind,
-        value: Bytes::copy_from_slice(bare_value),
+    let proof = match tag {
+        TAG_PLAIN if tail.is_empty() => None,
+        TAG_PROOF => Some(RecordProofRef::parse(tail).filter(|p| p.encoded_len() == tail.len())?),
+        _ => return None,
     };
-    bare.digest_bytes()
+    Some(Opened { value, proof, value_start: 1 + n })
 }
 
-/// Unwraps a stored record into `(bare record bytes, app value, proof)`,
-/// mapping malformed envelopes to a verification failure at `level`.
+/// Appends the canonical bytes of a record — bare application value, no
+/// envelope — the input to every chain and Merkle digest.
+pub fn append_canonical(record: &Record, bare_value: &[u8], out: &mut Vec<u8>) {
+    record.encode_with_value_into(bare_value, out);
+}
+
+/// Opens a stored record's envelope, mapping a malformed one to a
+/// verification failure at `level`.
 ///
 /// # Errors
 ///
 /// Returns [`VerificationFailure::ForgedRecord`]-class errors on malformed
 /// envelopes.
-pub fn open_record(
-    record: &Record,
-    level: u32,
-) -> Result<(Vec<u8>, Bytes, Option<RecordProof>), VerificationFailure> {
-    let Some((value, proof)) = unwrap(&record.value) else {
-        return Err(VerificationFailure::ForgedRecord {
-            level,
-            source: merkle::VerifyError::BadAuditPath,
-        });
-    };
-    Ok((canonical_bytes(record, &value), value, proof))
+pub fn open_record(record: &Record, level: u32) -> Result<Opened<'_>, VerificationFailure> {
+    open(&record.value).ok_or(VerificationFailure::ForgedRecord {
+        level,
+        source: merkle::VerifyError::BadAuditPath,
+    })
+}
+
+/// Exact size of an envelope around `value` and `proof_len` proof bytes
+/// (an exactly sized `Vec` converts to `Bytes` without a shrinking
+/// reallocation).
+fn wrapped_len(value: &[u8], proof_len: usize) -> usize {
+    let len_bits = (64 - (value.len() as u64).leading_zeros()).max(1) as usize;
+    1 + len_bits.div_ceil(7) + value.len() + proof_len
 }
 
 fn push_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -121,7 +153,7 @@ fn read_varint(buf: &[u8]) -> Option<(u64, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use merkle::ChainPosition;
+    use merkle::{ChainPosition, RecordProof};
 
     fn proof() -> RecordProof {
         RecordProof {
@@ -133,51 +165,81 @@ mod tests {
         }
     }
 
+    fn wrap_with(value: &[u8], proof: &RecordProof) -> Bytes {
+        wrap_with_proof(value, proof.encoded_len(), |out| out.extend_from_slice(&proof.encode()))
+    }
+
+    fn canonical(record: &Record, bare_value: &[u8]) -> Vec<u8> {
+        let mut out = Vec::new();
+        append_canonical(record, bare_value, &mut out);
+        out
+    }
+
     #[test]
     fn plain_round_trip() {
         let w = wrap_plain(b"value bytes");
-        let (v, p) = unwrap(&w).unwrap();
-        assert_eq!(&v[..], b"value bytes");
-        assert!(p.is_none());
+        let opened = open(&w).unwrap();
+        assert_eq!(opened.value, b"value bytes");
+        assert!(opened.proof.is_none());
+        assert_eq!(&w[opened.value_range()], b"value bytes");
+        assert_eq!(opened.proof_bytes(), 0);
     }
 
     #[test]
     fn proof_round_trip() {
-        let w = wrap_with_proof(b"value", &proof());
-        let (v, p) = unwrap(&w).unwrap();
-        assert_eq!(&v[..], b"value");
-        assert_eq!(p.unwrap(), proof());
+        let w = wrap_with(b"value", &proof());
+        let opened = open(&w).unwrap();
+        assert_eq!(opened.value, b"value");
+        assert_eq!(&w[opened.value_range()], b"value");
+        assert_eq!(opened.proof.unwrap().to_owned(), proof());
+        assert_eq!(opened.proof_bytes(), proof().encoded_len());
+    }
+
+    #[test]
+    fn wrapped_buffers_are_sized_exactly() {
+        for len in [0usize, 1, 127, 128, 16_383, 16_384, 70_000] {
+            let value = vec![7u8; len];
+            assert_eq!(wrap_plain(&value).len(), wrapped_len(&value, 0), "len {len}");
+            let p = proof();
+            assert_eq!(wrap_with(&value, &p).len(), wrapped_len(&value, p.encoded_len()));
+        }
     }
 
     #[test]
     fn empty_value_round_trips() {
         let w = wrap_plain(b"");
-        let (v, p) = unwrap(&w).unwrap();
-        assert!(v.is_empty() && p.is_none());
+        let opened = open(&w).unwrap();
+        assert!(opened.value.is_empty() && opened.proof.is_none());
     }
 
     #[test]
     fn empty_stored_value_is_plain_empty() {
-        let (v, p) = unwrap(b"").unwrap();
-        assert!(v.is_empty() && p.is_none());
+        let opened = open(b"").unwrap();
+        assert!(opened.value.is_empty() && opened.proof.is_none());
+        assert_eq!(opened.value_range(), 0..0);
     }
 
     #[test]
     fn garbage_rejected() {
-        assert!(unwrap(&[0x02, 1, b'x']).is_none());
-        assert!(unwrap(&[0x00, 5, b'x']).is_none(), "declared length too long");
+        assert!(open(&[0x02, 1, b'x']).is_none());
+        assert!(open(&[0x00, 5, b'x']).is_none(), "declared length too long");
         let mut w = wrap_plain(b"v").to_vec();
         w.push(0xff);
-        assert!(unwrap(&w).is_none(), "trailing bytes rejected");
+        assert!(open(&w).is_none(), "trailing bytes rejected");
+        let mut w = wrap_with(b"v", &proof()).to_vec();
+        w.push(0xff);
+        assert!(open(&w).is_none(), "bytes after the proof rejected");
+        w.truncate(w.len() - 2);
+        assert!(open(&w).is_none(), "truncated proof rejected");
     }
 
     #[test]
     fn canonical_bytes_ignore_envelope() {
         let bare = Record::put(b"k".as_slice(), b"v".as_slice(), 3);
         let enveloped = Record::put(b"k".as_slice(), wrap_plain(b"v"), 3);
-        let enveloped2 = Record::put(b"k".as_slice(), wrap_with_proof(b"v", &proof()), 3);
-        assert_eq!(canonical_bytes(&enveloped, b"v"), bare.digest_bytes());
-        assert_eq!(canonical_bytes(&enveloped2, b"v"), bare.digest_bytes());
+        let enveloped2 = Record::put(b"k".as_slice(), wrap_with(b"v", &proof()), 3);
+        assert_eq!(canonical(&enveloped, b"v"), bare.digest_bytes());
+        assert_eq!(canonical(&enveloped2, b"v"), bare.digest_bytes());
     }
 
     #[test]

@@ -35,7 +35,7 @@ use sgx_sim::Platform;
 
 use crate::cache::VerifiedCache;
 use crate::digests::UntrustedDigests;
-use crate::envelope::{open_record, wrap_plain, wrap_with_proof};
+use crate::envelope::{append_canonical, open_record, wrap_plain, wrap_with_proof};
 use crate::trusted::{CompactionDelta, TrustedState};
 
 /// State a finished merge stages for its install (commit happens under
@@ -61,6 +61,9 @@ struct Scratch {
     pending_outputs: HashMap<usize, LevelDigest>,
     /// Deltas staged by `on_compaction_end`, committed at install.
     staged: HashMap<usize, StagedCommit>,
+    /// Reused buffer for an input record's canonical bytes (the builders
+    /// copy out of it).
+    canonical: Vec<u8>,
 }
 
 /// eLSM's authentication layer, attached to the vanilla store as a
@@ -138,25 +141,29 @@ impl AuthListener {
         let _world = sgx_sim::enclave_scope();
         // 1. Build the output level's digest over canonical record bytes.
         //    Unchanged records (incremental mode) reuse their stored leaf
-        //    work: the enclave pays a digest move, not a rehash.
+        //    work: the enclave pays a digest move, not a rehash. Each
+        //    record's old proof is validated in place and dropped.
         let mut builder = LevelDigestBuilder::new(output_level as u32);
-        let mut opened = Vec::with_capacity(records.len());
+        let mut values: Vec<&[u8]> = Vec::with_capacity(records.len());
+        let mut canonical = Vec::new();
         for (i, record) in records.iter().enumerate() {
-            match open_record(record, output_level as u32) {
-                Ok((canonical, value, _old_proof)) => {
-                    if self.incremental && unchanged.get(i).copied().unwrap_or(false) {
-                        self.platform.dram_access(32);
-                    } else {
-                        self.platform.charge_hash(canonical.len());
-                    }
-                    builder.add(&record.key, canonical);
-                    opened.push(value);
-                }
-                Err(_) => {
-                    self.trusted.poison();
-                    opened.push(record.value.clone());
-                }
+            let Ok(opened) = open_record(record, output_level as u32) else {
+                // A malformed envelope among the outputs: nothing this job
+                // produces may be signed. Hand the records back as they
+                // are; with no pending digest `on_compaction_end` clears
+                // the level instead of committing it.
+                self.trusted.poison();
+                return records;
+            };
+            canonical.clear();
+            append_canonical(record, opened.value, &mut canonical);
+            if self.incremental && unchanged.get(i).copied().unwrap_or(false) {
+                self.platform.dram_access(32);
+            } else {
+                self.platform.charge_hash(canonical.len());
             }
+            builder.add(&record.key, &canonical);
+            values.push(opened.value);
         }
         let digest = builder.finish();
         // 2. Embed a fresh proof in every output record
@@ -165,7 +172,7 @@ impl AuthListener {
         let mut leaf_idx = 0usize;
         let mut version_idx = 0usize;
         let mut prev_key: Option<&[u8]> = None;
-        for (record, value) in records.iter().zip(&opened) {
+        for (record, value) in records.iter().zip(values) {
             match prev_key {
                 Some(k) if k == &record.key[..] => version_idx += 1,
                 Some(_) => {
@@ -176,14 +183,17 @@ impl AuthListener {
             }
             prev_key = Some(&record.key[..]);
             // Proof material was already hashed while building the tree;
-            // serialization is a plain memory copy.
-            let proof = digest.prove_version(leaf_idx, version_idx);
-            self.platform.dram_access(proof.encoded_len());
+            // serialization is a plain memory copy, written once into the
+            // output value.
+            let proof_len = digest.proof_encoded_len(leaf_idx, version_idx);
+            self.platform.dram_access(proof_len);
             out.push(Record {
                 key: record.key.clone(),
                 ts: record.ts,
                 kind: record.kind,
-                value: wrap_with_proof(value, &proof),
+                value: wrap_with_proof(value, proof_len, |buf| {
+                    digest.encode_proof_into(leaf_idx, version_idx, buf)
+                }),
             });
         }
         self.scratch.lock().pending_outputs.insert(output_level, digest);
@@ -194,7 +204,9 @@ impl AuthListener {
 impl StoreListener for AuthListener {
     fn on_wal_append(&self, record: &Record) {
         // Records enter the WAL with a plain envelope; digest bare bytes.
-        if let Ok((canonical, _, _)) = open_record(record, 0) {
+        if let Ok(opened) = open_record(record, 0) {
+            let mut canonical = Vec::new();
+            append_canonical(record, opened.value, &mut canonical);
             self.trusted.absorb_wal(&canonical);
         }
         if let Some(cache) = &self.cache {
@@ -206,11 +218,20 @@ impl StoreListener for AuthListener {
         // One digest-lock acquisition folds the whole commit group, in
         // commit order (the store's leader serializes groups). The digest
         // value is identical to per-record absorbs.
-        let canonicals: Vec<Vec<u8>> = records
-            .iter()
-            .filter_map(|record| open_record(record, 0).ok().map(|(canonical, _, _)| canonical))
-            .collect();
-        self.trusted.absorb_wal_batch(canonicals.iter().map(Vec::as_slice));
+        let mut canonicals = Vec::new();
+        let mut ends = Vec::with_capacity(records.len());
+        for record in records {
+            if let Ok(opened) = open_record(record, 0) {
+                append_canonical(record, opened.value, &mut canonicals);
+                ends.push(canonicals.len());
+            }
+        }
+        let mut start = 0;
+        self.trusted.absorb_wal_batch(ends.iter().map(|&end| {
+            let canonical = &canonicals[start..end];
+            start = end;
+            canonical
+        }));
         if let Some(cache) = &self.cache {
             for record in records {
                 cache.invalidate_key(&record.key);
@@ -229,7 +250,7 @@ impl StoreListener for AuthListener {
     }
 
     fn unwrap_vlog_pointer(&self, stored: &[u8]) -> Option<bytes::Bytes> {
-        crate::envelope::unwrap(stored).map(|(value, _)| value)
+        crate::envelope::open(stored).map(|opened| bytes::Bytes::copy_from_slice(opened.value))
     }
 
     fn on_compaction_input(&self, source: RecordSource, record: &Record) {
@@ -237,15 +258,17 @@ impl StoreListener for AuthListener {
         // (Figure 4, auth_filter → MHT_add on the input trees).
         let _world = sgx_sim::enclave_scope();
         let level = source.level as u32;
-        let Ok((canonical, _, _)) = open_record(record, level) else {
+        let Ok(opened) = open_record(record, level) else {
             // Malformed envelope in an input: the level can never match.
             self.trusted.poison();
             return;
         };
-        self.platform.charge_hash(canonical.len());
         let mut scratch = self.scratch.lock();
-        scratch
-            .input_builders
+        let Scratch { input_builders, canonical, .. } = &mut *scratch;
+        canonical.clear();
+        append_canonical(record, opened.value, canonical);
+        self.platform.charge_hash(canonical.len());
+        input_builders
             .entry(level)
             .or_insert_with(|| LevelDigestBuilder::new(level))
             .add(&record.key, canonical);
@@ -419,8 +442,7 @@ mod tests {
         assert_eq!(digests.len(), 1);
         // Output records now carry proofs.
         for r in &out {
-            let (_, _, proof) = open_record(r, 1).unwrap();
-            assert!(proof.is_some());
+            assert!(open_record(r, 1).unwrap().proof.is_some());
         }
         assert!(!trusted.is_poisoned());
     }
@@ -482,6 +504,23 @@ mod tests {
         listener.transform_output(2, Vec::new());
         listener.on_compaction_end(&info(vec![1, 2], 2, 0));
         assert!(trusted.is_poisoned(), "hiding a non-empty input level must poison");
+    }
+
+    /// A malformed envelope among a job's outputs poisons the store and is
+    /// handed back untouched — it must not reach the proof-embedding loop,
+    /// whose leaf positions assume every record entered the digest.
+    #[test]
+    fn malformed_output_record_poisons_without_panicking() {
+        let (listener, trusted, digests) = setup();
+        let garbage =
+            Record::put(Bytes::from_static(b"z"), Bytes::from_static(b"\x07not an envelope"), 9);
+        let records = vec![record("a", 2, "va"), garbage.clone()];
+        let out = listener.transform_output(1, records.clone());
+        assert!(trusted.is_poisoned());
+        assert_eq!(out, records, "nothing is signed once an output failed to open");
+        finish(&listener, &info(vec![0], 1, 2));
+        assert!(trusted.commitment(1).is_empty(), "a poisoned job commits no level");
+        assert_eq!(digests.len(), 0);
     }
 
     #[test]

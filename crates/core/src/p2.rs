@@ -21,10 +21,10 @@ use sim_disk::{Placement, SimDisk, SimFs};
 use crate::api::{AuthenticatedKv, VerifiedRecord};
 use crate::cache::{CacheStats, VerifiedCache};
 use crate::digests::UntrustedDigests;
-use crate::envelope::{open_record, wrap_plain};
+use crate::envelope::{append_canonical, open_record, wrap_plain};
 use crate::error::{ElsmError, VerificationFailure};
 use crate::listener::{vlog_entry_mac, AuthListener};
-use crate::trusted::{RangeProver, TrustedState, VerifyStats};
+use crate::trusted::{RangeProver, TrustedState, VerifiedHit, VerifyStats};
 
 /// File holding the sealed enclave state between runs.
 const STATE_FILE: &str = "ENCLAVE_STATE";
@@ -345,9 +345,12 @@ impl ElsmP2 {
                 continue;
             }
             let mut builder = merkle::LevelDigestBuilder::new(level);
+            let mut canonical = Vec::new();
             for record in &records {
-                if let Ok((canonical, _, _)) = open_record(record, level) {
-                    builder.add(&record.key, canonical);
+                if let Ok(opened) = open_record(record, level) {
+                    canonical.clear();
+                    append_canonical(record, opened.value, &mut canonical);
+                    builder.add(&record.key, &canonical);
                 }
             }
             self.digests.install(builder.finish());
@@ -465,18 +468,31 @@ impl ElsmP2 {
 
     /// Assembles the verified answer from a GET trace, resolving
     /// key-value-separated pointer records through the authenticated
-    /// value log.
-    fn answer_from_trace(&self, trace: &GetTrace) -> Result<Option<VerifiedRecord>, ElsmError> {
+    /// value log. `hit` is what verification already read out of a
+    /// disk-level answer's envelope; a memtable answer (plain envelope,
+    /// trusted memory) is opened here. Either way the envelope is parsed
+    /// once per GET and the value is a view of the stored bytes.
+    fn answer_from_trace(
+        &self,
+        trace: &GetTrace,
+        hit: Option<VerifiedHit>,
+    ) -> Result<Option<VerifiedRecord>, ElsmError> {
         let Some(record) = trace.memtable.as_ref().or(trace.result.as_ref()) else {
             return Ok(None);
         };
         if !record.kind.is_value() {
             return Ok(None); // verified tombstone: key absent
         }
-        let Ok((_, value, proof)) = open_record(record, 0) else {
-            return Ok(None);
+        let (value_range, proof_bytes) = match hit {
+            Some(hit) => (hit.value, hit.proof_bytes),
+            None => {
+                let Ok(opened) = open_record(record, 0) else {
+                    return Ok(None);
+                };
+                (opened.value_range(), opened.proof_bytes())
+            }
         };
-        let proof_bytes = proof.map_or(0, |p| p.encoded_len());
+        let value = record.value.slice(value_range);
         let value = if record.kind == ValueKind::VlogPut {
             self.resolve_vlog_value(record, &value)?
         } else {
@@ -538,9 +554,9 @@ impl ElsmP2 {
                 payload
             }
         };
-        let (value, _) =
-            crate::envelope::unwrap(&payload).ok_or_else(|| tamper("entry envelope malformed"))?;
-        Ok(value)
+        let opened =
+            crate::envelope::open(&payload).ok_or_else(|| tamper("entry envelope malformed"))?;
+        Ok(payload.slice(opened.value_range()))
     }
 
     /// Verified-cache counters (zeroed stats when caching is disabled).
@@ -666,8 +682,7 @@ impl ElsmP2 {
                 self.db.get_with_trace_sync(key, Timestamp::MAX >> 1, |trace| {
                     self.trusted.verify_get(key, trace)
                 })?;
-            verdict?;
-            let answer = self.answer_from_trace(&trace)?;
+            let answer = self.answer_from_trace(&trace, verdict?)?;
             if let (Some(cache), Some(rec)) = (&self.cache, &answer) {
                 cache.insert_record(
                     key,
@@ -689,7 +704,8 @@ impl ElsmP2 {
         verdict?;
         let mut out = Vec::with_capacity(trace.merged.len());
         for record in &trace.merged {
-            let (_, value, proof) = open_record(record, 0).map_err(ElsmError::Verification)?;
+            let opened = open_record(record, 0).map_err(ElsmError::Verification)?;
+            let value = record.value.slice(opened.value_range());
             let value = if record.kind == ValueKind::VlogPut {
                 self.resolve_vlog_value(record, &value)?
             } else {
@@ -699,7 +715,7 @@ impl ElsmP2 {
                 record.key.clone(),
                 value,
                 record.ts,
-                proof.map_or(0, |p| p.encoded_len()),
+                opened.proof_bytes(),
                 trace.levels.len(),
             ));
         }
@@ -720,7 +736,7 @@ impl ElsmP2 {
         key: &[u8],
         trace: &GetTrace,
     ) -> Result<(), VerificationFailure> {
-        let verdict = self.trusted.verify_get(key, trace);
+        let verdict = self.trusted.verify_get(key, trace).map(|_| ());
         if let Err(failure) = &verdict {
             self.audit_failure(failure);
         }

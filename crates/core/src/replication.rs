@@ -19,8 +19,8 @@
 //!   still be held against the primary — which is what makes both the
 //!   replica's fork check and the monitor's divergence check binding.
 
-use elsm_crypto::hmac::hmac_sha256;
-use elsm_crypto::{sha256, Digest};
+use elsm_crypto::hmac::{verify_tag, HmacKey};
+use elsm_crypto::{sha256_concat, Digest};
 use sgx_sim::Platform;
 
 use crate::trusted::TrustedState;
@@ -30,8 +30,12 @@ use crate::trusted::TrustedState;
 /// Used for two separable purposes, domain-tagged apart: transport
 /// authentication of shipped envelopes (the channel MAC) and signing of
 /// version-install announcements.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct SessionKey([u8; 32]);
+///
+/// Holds the key as a prepared [`HmacKey`] (pad midstates), so MACing an
+/// envelope or an announcement costs the message's blocks, not a key
+/// schedule per call. Its `Debug` prints no key material.
+#[derive(Debug, Clone)]
+pub struct SessionKey(HmacKey);
 
 /// Domain tag for channel-envelope MACs.
 const DOMAIN_CHANNEL: u8 = 0x01;
@@ -42,7 +46,7 @@ impl SessionKey {
     /// Derives a group key from a seed (stands in for the attested key
     /// exchange).
     pub fn derive(seed: &[u8]) -> Self {
-        SessionKey(*sha256(&[b"elsm-replica session v1/", seed].concat()).as_bytes())
+        SessionKey(HmacKey::new(sha256_concat(&[b"elsm-replica session v1/", seed]).as_bytes()))
     }
 
     /// MACs one transport envelope: `tag = HMAC(key, 0x01 ‖ seq ‖ payload)`.
@@ -50,20 +54,16 @@ impl SessionKey {
     /// replay into detectable tampering.
     pub fn mac_envelope(&self, platform: &Platform, seq: u64, payload: &[u8]) -> Digest {
         platform.charge_hash(payload.len() + 9 + 64);
-        let mut msg = Vec::with_capacity(payload.len() + 9);
-        msg.push(DOMAIN_CHANNEL);
-        msg.extend_from_slice(&seq.to_le_bytes());
-        msg.extend_from_slice(payload);
-        hmac_sha256(&self.0, &msg)
+        self.0.mac(&[&[DOMAIN_CHANNEL], &seq.to_le_bytes(), payload])
     }
 
     fn mac_announcement(&self, node: u32, epoch: u64, commitments: &Digest) -> Digest {
-        let mut msg = Vec::with_capacity(45);
-        msg.push(DOMAIN_ANNOUNCE);
-        msg.extend_from_slice(&node.to_le_bytes());
-        msg.extend_from_slice(&epoch.to_le_bytes());
-        msg.extend_from_slice(commitments.as_bytes());
-        hmac_sha256(&self.0, &msg)
+        self.0.mac(&[
+            &[DOMAIN_ANNOUNCE],
+            &node.to_le_bytes(),
+            &epoch.to_le_bytes(),
+            commitments.as_bytes(),
+        ])
     }
 }
 
@@ -120,7 +120,7 @@ impl Announcement {
     /// Verifies the signature. Charges hashing to `platform`.
     pub fn verify(&self, platform: &Platform, key: &SessionKey) -> bool {
         platform.charge_hash(ANNOUNCEMENT_BYTES + 64);
-        key.mac_announcement(self.node, self.epoch, &self.commitments) == self.mac
+        verify_tag(&key.mac_announcement(self.node, self.epoch, &self.commitments), &self.mac)
     }
 
     /// Serializes for shipping/relaying.
@@ -173,6 +173,20 @@ mod tests {
         forged.epoch = 7;
         assert!(!forged.verify(&platform, &key));
         assert!(Announcement::sign(&platform, &state, 0, 99, &key).is_none());
+    }
+
+    #[test]
+    fn one_bit_off_signature_rejected() {
+        let platform = Platform::with_defaults();
+        let key = SessionKey::derive(b"group-1");
+        let honest = Announcement::sign_digest(&platform, 1, 7, elsm_crypto::sha256(b"c"), &key);
+        assert!(honest.verify(&platform, &key));
+        for bit in [0usize, 7, 128, 255] {
+            let mut mac = honest.mac.into_bytes();
+            mac[bit / 8] ^= 1 << (bit % 8);
+            let forged = Announcement { mac: Digest::from_bytes(mac), ..honest.clone() };
+            assert!(!forged.verify(&platform, &key), "bit {bit}");
+        }
     }
 
     #[test]

@@ -31,11 +31,11 @@ use std::sync::Arc;
 
 use elsm_crypto::{sha256_concat, Digest};
 use lsm_store::{GetTrace, LevelOutcome, Record, ScanTrace};
-use merkle::{verify_range, ChainPosition, LevelCommitment, RangeProof, RecordProof};
+use merkle::{verify_range, LevelCommitment, RangeProof, RecordProofRef};
 use parking_lot::Mutex;
 use sgx_sim::Platform;
 
-use crate::envelope::open_record;
+use crate::envelope::{append_canonical, open_record, Opened};
 use crate::error::VerificationFailure;
 
 /// Supplies range proofs for a level — implemented by the untrusted host's
@@ -89,6 +89,19 @@ pub struct VerifyStats {
     /// Levels checked across all queries (proof-size proxy: the early stop
     /// keeps this small).
     pub levels_checked: u64,
+}
+
+/// What [`TrustedState::verify_get`] learned about the record a disk-level
+/// hit answered with: where the application value sits inside the stored
+/// value and how large its proof was. The caller assembles the reply from
+/// this instead of opening the envelope a second time.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct VerifiedHit {
+    /// Range of the bare application value within the hit record's stored
+    /// value.
+    pub value: std::ops::Range<usize>,
+    /// Encoded size of the proof that was checked.
+    pub proof_bytes: usize,
 }
 
 /// The commitment vector plus its epoch-tagged published snapshots.
@@ -386,11 +399,11 @@ impl TrustedState {
     fn check_proof(
         &self,
         commitment: &LevelCommitment,
-        proof: &RecordProof,
+        proof: &RecordProofRef<'_>,
         canonical: &[u8],
     ) -> Result<(), VerificationFailure> {
-        let newer_bytes: usize = proof.chain.exposed_newer().iter().map(Vec::len).sum();
-        self.platform.charge_hash(canonical.len() + newer_bytes + 64 * proof.audit_path.len());
+        let newer_bytes: usize = proof.exposed_newer().map(<[u8]>::len).sum();
+        self.platform.charge_hash(canonical.len() + newer_bytes + 64 * proof.audit_path_len());
         self.proofs_verified.fetch_add(1, Ordering::Relaxed);
         self.proof_bytes.fetch_add(proof.encoded_len() as u64, Ordering::Relaxed);
         proof
@@ -398,18 +411,36 @@ impl TrustedState {
             .map_err(|source| VerificationFailure::ForgedRecord { level: commitment.level, source })
     }
 
+    /// [`open_proved`], then checks the proof against `commitment`.
+    fn open_and_check<'r>(
+        &self,
+        commitment: &LevelCommitment,
+        record: &'r Record,
+        canonical: &mut Vec<u8>,
+    ) -> Result<(Opened<'r>, RecordProofRef<'r>), VerificationFailure> {
+        let (opened, proof) = open_proved(commitment.level, record, canonical)?;
+        self.check_proof(commitment, &proof, canonical)?;
+        Ok((opened, proof))
+    }
+
     // ----- GET verification (Theorem 5.3) ---------------------------------
 
     /// Verifies a traced point query for `key` against the commitment
-    /// snapshot of the trace's epoch.
+    /// snapshot of the trace's epoch. On success, says where the verified
+    /// answer's value sits when a disk level supplied it (`None`: served
+    /// from the memtable, or verified absent).
     ///
     /// # Errors
     ///
     /// Returns the [`VerificationFailure`] naming the attack detected.
-    pub fn verify_get(&self, key: &[u8], trace: &GetTrace) -> Result<(), VerificationFailure> {
+    pub fn verify_get(
+        &self,
+        key: &[u8],
+        trace: &GetTrace,
+    ) -> Result<Option<VerifiedHit>, VerificationFailure> {
         if trace.memtable.is_some() {
             // Served from trusted enclave memory; nothing to verify.
-            return Ok(());
+            return Ok(None);
         }
         let snapshot = self
             .commitments_at(trace.epoch)
@@ -425,12 +456,14 @@ impl TrustedState {
         let stacked = self.is_stacked();
         let mut expected: i64 = if stacked { epoch_levels as i64 } else { 1 };
         let step: i64 = if stacked { -1 } else { 1 };
-        let mut hit = false;
+        let mut hit = None;
+        // One buffer for every record's canonical bytes in this query.
+        let mut canonical = Vec::new();
         for search in &trace.levels {
             if search.level as i64 != expected {
                 return Err(VerificationFailure::LevelSkipped { expected: expected.max(0) as u32 });
             }
-            if hit {
+            if hit.is_some() {
                 // Nothing may follow the hit level (early stop).
                 return Err(VerificationFailure::LevelSkipped { expected: expected.max(0) as u32 });
             }
@@ -442,21 +475,26 @@ impl TrustedState {
                     }
                 }
                 LevelOutcome::Miss { left, right } => {
-                    self.verify_non_membership(&commitment, key, left.as_ref(), right.as_ref())?;
+                    self.verify_non_membership(
+                        &commitment,
+                        key,
+                        left.as_ref(),
+                        right.as_ref(),
+                        &mut canonical,
+                    )?;
                 }
                 LevelOutcome::Hit(record) => {
-                    self.verify_hit(&commitment, key, record)?;
-                    hit = true;
+                    hit = Some(self.verify_hit(&commitment, key, record, &mut canonical)?);
                 }
             }
             expected += step;
         }
         let exhausted = if stacked { expected < 1 } else { expected as usize > epoch_levels };
-        if !hit && !exhausted {
+        if hit.is_none() && !exhausted {
             // The store must account for every level when nothing is found.
             return Err(VerificationFailure::LevelSkipped { expected: expected.max(0) as u32 });
         }
-        Ok(())
+        Ok(hit)
     }
 
     fn verify_hit(
@@ -464,7 +502,8 @@ impl TrustedState {
         commitment: &LevelCommitment,
         key: &[u8],
         record: &Record,
-    ) -> Result<(), VerificationFailure> {
+        canonical: &mut Vec<u8>,
+    ) -> Result<VerifiedHit, VerificationFailure> {
         let level = commitment.level;
         if record.key != key {
             return Err(VerificationFailure::BadNonMembership {
@@ -472,21 +511,17 @@ impl TrustedState {
                 reason: "hit record key differs from query",
             });
         }
-        let (canonical, _value, proof) = open_record(record, level)?;
-        let Some(proof) = proof else {
-            return Err(VerificationFailure::MissingProof { level });
-        };
-        self.check_proof(commitment, &proof, &canonical)?;
+        let (opened, proof) = self.open_and_check(commitment, record, canonical)?;
         // Freshness: the answer must be the newest version at its level
         // (any newer version would appear in the chain position — the
         // paper's ⟨Z,6⟩/⟨Z,7⟩ detection).
-        if let ChainPosition::Older { newer_records, .. } = &proof.chain {
+        if !proof.is_newest() {
             return Err(VerificationFailure::StaleRecord {
                 level,
-                newer_versions: newer_records.len(),
+                newer_versions: proof.exposed_newer().len(),
             });
         }
-        Ok(())
+        Ok(VerifiedHit { value: opened.value_range(), proof_bytes: proof.encoded_len() })
     }
 
     fn verify_non_membership(
@@ -495,6 +530,7 @@ impl TrustedState {
         key: &[u8],
         left: Option<&Record>,
         right: Option<&Record>,
+        canonical: &mut Vec<u8>,
     ) -> Result<(), VerificationFailure> {
         let level = commitment.level;
         if commitment.is_empty() {
@@ -515,10 +551,7 @@ impl TrustedState {
                         reason: "left neighbor not below query key",
                     });
                 }
-                let (canonical, _, proof) = open_record(rec, level)?;
-                let proof = proof.ok_or(VerificationFailure::MissingProof { level })?;
-                self.check_proof(commitment, &proof, &canonical)?;
-                Some(proof)
+                Some(self.open_and_check(commitment, rec, canonical)?.1)
             }
             None => None,
         };
@@ -530,10 +563,7 @@ impl TrustedState {
                         reason: "right neighbor not above query key",
                     });
                 }
-                let (canonical, _, proof) = open_record(rec, level)?;
-                let proof = proof.ok_or(VerificationFailure::MissingProof { level })?;
-                self.check_proof(commitment, &proof, &canonical)?;
-                Some(proof)
+                Some(self.open_and_check(commitment, rec, canonical)?.1)
             }
             None => None,
         };
@@ -616,6 +646,21 @@ impl TrustedState {
         Ok(())
     }
 
+    /// The leaf (chain head) a range-query record hashes to at the position
+    /// its embedded proof claims, charging the record's hash. The leaf's
+    /// path to the root is the range proof's business, so the audit path
+    /// is not walked here.
+    fn leaf_from_record<'r>(
+        &self,
+        level: u32,
+        record: &'r Record,
+        canonical: &mut Vec<u8>,
+    ) -> Result<(RecordProofRef<'r>, Digest), VerificationFailure> {
+        let (_, proof) = open_proved(level, record, canonical)?;
+        self.platform.charge_hash(canonical.len());
+        Ok((proof, proof.chain_head(canonical)))
+    }
+
     fn verify_level_range(
         &self,
         commitment: &LevelCommitment,
@@ -631,22 +676,20 @@ impl TrustedState {
         // Group in-range records by key; compute each group's leaf hash
         // from the newest version's chain position.
         let mut leaf_seq: Vec<(u64, Digest)> = Vec::new();
+        let mut canonical = Vec::new();
         let mut idx = 0usize;
         while idx < range.records.len() {
             let newest = &range.records[idx];
             if newest.key[..] < *from || newest.key[..] > *to {
                 return Err(fail("record outside the queried range"));
             }
-            let (canonical, _, proof) = open_record(newest, level)?;
-            let proof = proof.ok_or(VerificationFailure::MissingProof { level })?;
+            let (proof, leaf_hash) = self.leaf_from_record(level, newest, &mut canonical)?;
             if proof.leaf_count != commitment.leaf_count {
                 return Err(fail("proof leaf count mismatch"));
             }
-            if matches!(proof.chain, ChainPosition::Older { .. }) {
+            if !proof.is_newest() {
                 return Err(VerificationFailure::StaleRecord { level, newer_versions: 1 });
             }
-            self.platform.charge_hash(canonical.len());
-            let leaf_hash = proof.chain.chain_head(&canonical);
             leaf_seq.push((proof.leaf_index, leaf_hash));
             // Verify the older versions of this key individually.
             let mut j = idx + 1;
@@ -655,9 +698,7 @@ impl TrustedState {
                 if older.ts >= range.records[j - 1].ts {
                     return Err(fail("versions not in descending timestamp order"));
                 }
-                let (canon_old, _, proof_old) = open_record(older, level)?;
-                let proof_old = proof_old.ok_or(VerificationFailure::MissingProof { level })?;
-                self.check_proof(commitment, &proof_old, &canon_old)?;
+                self.open_and_check(commitment, older, &mut canonical)?;
                 j += 1;
             }
             if j < range.records.len() && range.records[j].key < newest.key {
@@ -671,19 +712,15 @@ impl TrustedState {
             if rec.key[..] >= *from {
                 return Err(fail("left boundary not below range"));
             }
-            let (canonical, _, proof) = open_record(rec, level)?;
-            let proof = proof.ok_or(VerificationFailure::MissingProof { level })?;
-            self.platform.charge_hash(canonical.len());
-            leaf_seq.insert(0, (proof.leaf_index, proof.chain.chain_head(&canonical)));
+            let (proof, leaf_hash) = self.leaf_from_record(level, rec, &mut canonical)?;
+            leaf_seq.insert(0, (proof.leaf_index, leaf_hash));
         }
         if let Some(rec) = &range.right {
             if rec.key[..] <= *to {
                 return Err(fail("right boundary not above range"));
             }
-            let (canonical, _, proof) = open_record(rec, level)?;
-            let proof = proof.ok_or(VerificationFailure::MissingProof { level })?;
-            self.platform.charge_hash(canonical.len());
-            leaf_seq.push((proof.leaf_index, proof.chain.chain_head(&canonical)));
+            let (proof, leaf_hash) = self.leaf_from_record(level, rec, &mut canonical)?;
+            leaf_seq.push((proof.leaf_index, leaf_hash));
         }
 
         if leaf_seq.is_empty() {
@@ -721,6 +758,21 @@ impl TrustedState {
         }
         Ok(())
     }
+}
+
+/// Opens a level record's envelope in place and requires the embedded
+/// proof every flushed or compacted record carries; `canonical` is
+/// replaced with the record's canonical bytes.
+fn open_proved<'r>(
+    level: u32,
+    record: &'r Record,
+    canonical: &mut Vec<u8>,
+) -> Result<(Opened<'r>, RecordProofRef<'r>), VerificationFailure> {
+    let opened = open_record(record, level)?;
+    let proof = opened.proof.ok_or(VerificationFailure::MissingProof { level })?;
+    canonical.clear();
+    append_canonical(record, opened.value, canonical);
+    Ok((opened, proof))
 }
 
 /// Convenience: interprets a verified GET trace as the final user-visible

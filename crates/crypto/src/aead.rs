@@ -17,7 +17,7 @@
 use std::fmt;
 
 use crate::digest::Digest;
-use crate::hmac::{hmac_sha256, verify_tag, HmacSha256};
+use crate::hmac::{hmac_sha256, verify_tag, HmacKey};
 use crate::sha256::sha256_concat;
 
 /// Byte length of AEAD nonces.
@@ -32,7 +32,7 @@ pub const TAG_LEN: usize = 32;
 #[derive(Clone)]
 pub struct AeadKey {
     enc_key: [u8; 32],
-    mac_key: [u8; 32],
+    mac_key: HmacKey,
 }
 
 impl fmt::Debug for AeadKey {
@@ -47,7 +47,12 @@ impl AeadKey {
     pub fn derive(master: &[u8]) -> Self {
         let enc = hmac_sha256(master, b"elsm/aead/enc");
         let mac = hmac_sha256(master, b"elsm/aead/mac");
-        AeadKey { enc_key: enc.into_bytes(), mac_key: mac.into_bytes() }
+        AeadKey { enc_key: enc.into_bytes(), mac_key: HmacKey::new(mac.as_bytes()) }
+    }
+
+    /// The encrypt-then-MAC tag over `nonce ‖ len(aad) ‖ aad ‖ ciphertext`.
+    fn tag(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], ciphertext: &[u8]) -> Digest {
+        self.mac_key.mac(&[nonce, &(aad.len() as u64).to_be_bytes(), aad, ciphertext])
     }
 
     fn keystream_block(&self, nonce: &[u8; NONCE_LEN], counter: u64) -> Digest {
@@ -70,12 +75,7 @@ impl AeadKey {
     pub fn seal(&self, nonce: &[u8; NONCE_LEN], aad: &[u8], plaintext: &[u8]) -> Vec<u8> {
         let mut out = plaintext.to_vec();
         self.xor_keystream(nonce, &mut out);
-        let mut mac = HmacSha256::new(&self.mac_key);
-        mac.update(nonce);
-        mac.update(&(aad.len() as u64).to_be_bytes());
-        mac.update(aad);
-        mac.update(&out);
-        let tag = mac.finalize();
+        let tag = self.tag(nonce, aad, &out);
         out.extend_from_slice(tag.as_bytes());
         out
     }
@@ -98,12 +98,7 @@ impl AeadKey {
         }
         let split = ciphertext_and_tag.len() - TAG_LEN;
         let (ct, tag_bytes) = ciphertext_and_tag.split_at(split);
-        let mut mac = HmacSha256::new(&self.mac_key);
-        mac.update(nonce);
-        mac.update(&(aad.len() as u64).to_be_bytes());
-        mac.update(aad);
-        mac.update(ct);
-        let expect = mac.finalize();
+        let expect = self.tag(nonce, aad, ct);
         let mut tag = [0u8; 32];
         tag.copy_from_slice(tag_bytes);
         if !verify_tag(&expect, &Digest::from_bytes(tag)) {

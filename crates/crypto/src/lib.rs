@@ -9,8 +9,14 @@
 //! contains no cryptography, so every primitive is implemented here from its
 //! specification:
 //!
-//! * [`sha256`](mod@crate::sha256) — FIPS 180-4 SHA-256 (NIST vectors in tests),
-//! * [`hmac`] — RFC 2104 HMAC-SHA256 (RFC 4231 vectors in tests),
+//! * [`sha256`](mod@crate::sha256) — FIPS 180-4 SHA-256 (NIST vectors in
+//!   tests). The portable scalar code is the reference; on x86 CPUs that
+//!   report the SHA extensions the block-compression step runs on a SHA-NI
+//!   kernel instead, chosen once at run time from the CPU's feature bits
+//!   ([`sha256::backend`] names the choice for logs). Digests are identical
+//!   either way and there is no option, env var or feature to set.
+//! * [`hmac`] — RFC 2104 HMAC-SHA256 (RFC 4231 vectors in tests), with
+//!   [`hmac::HmacKey`] holding a long-lived key's pad midstates,
 //! * [`aead`] — encrypt-then-MAC AEAD (stream cipher from SHA-256-CTR),
 //! * [`det`] — deterministic encryption via a 4-round Feistel PRP,
 //! * [`ope`] — keyed order-preserving encoding for range-queryable keys.
@@ -28,7 +34,10 @@
 //! assert_eq!(tag.as_bytes().len(), 32);
 //! ```
 
-#![forbid(unsafe_code)]
+// `deny`, not `forbid`: exactly one module (`sha256/x86.rs`, the SHA-NI
+// kernel and its dispatch call) carries `#![allow(unsafe_code)]`. CI fails
+// on any other `allow(unsafe_code)` in the workspace.
+#![deny(unsafe_code)]
 #![warn(missing_docs)]
 
 pub mod aead;

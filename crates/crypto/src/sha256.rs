@@ -1,10 +1,21 @@
 //! SHA-256 as specified in FIPS 180-4.
 //!
 //! Implemented from the specification because the reproduction is restricted
-//! to the offline crate set (no `sha2`). Verified against the NIST
-//! short-message test vectors in the unit tests below.
+//! to the offline crate set (no `sha2`). There is one hasher ([`Sha256`])
+//! and one two-way choice underneath it: the function that compresses whole
+//! 64-byte blocks. The portable scalar kernel is written from the standard
+//! and runs everywhere; on x86 CPUs that report the SHA extensions a SHA-NI
+//! kernel (`sha256/x86.rs`, the workspace's only `unsafe` code) replaces it.
+//! The choice is made once per process from `is_x86_feature_detected!`, never
+//! from an option. The unit tests below run the NIST vectors on each kernel
+//! directly and hold the two against each other.
+
+use std::sync::OnceLock;
 
 use crate::digest::Digest;
+
+#[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+mod x86;
 
 /// Initial hash values: first 32 bits of the fractional parts of the square
 /// roots of the first 8 primes.
@@ -24,6 +35,37 @@ const K: [u32; 64] = [
     0x19a4c116, 0x1e376c08, 0x2748774c, 0x34b0bcb5, 0x391c0cb3, 0x4ed8aa4a, 0x5b9cca4f, 0x682e6ff3,
     0x748f82ee, 0x78a5636f, 0x84c87814, 0x8cc70208, 0x90befffa, 0xa4506ceb, 0xbef9a3f7, 0xc67178f2,
 ];
+
+/// A compression kernel: folds the whole 64-byte blocks of `blocks` (its
+/// length is a multiple of 64) into `state`.
+type Kernel = fn(&mut [u32; 8], &[u8]);
+
+/// The kernel this process hashes with, chosen once from what the CPU
+/// reports: the SHA-NI kernel where the `sha` extension (and the SSE levels
+/// its shuffles need) is present, the scalar FIPS 180-4 code everywhere
+/// else. Both produce the same digests; there is nothing to configure.
+fn kernel() -> Kernel {
+    static KERNEL: OnceLock<Kernel> = OnceLock::new();
+    *KERNEL.get_or_init(|| accelerated_kernel().unwrap_or(compress_scalar))
+}
+
+/// The hardware kernel, when this CPU has one.
+fn accelerated_kernel() -> Option<Kernel> {
+    #[cfg(any(target_arch = "x86", target_arch = "x86_64"))]
+    return x86::kernel();
+    #[cfg(not(any(target_arch = "x86", target_arch = "x86_64")))]
+    None
+}
+
+/// Name of the selected compression kernel (`"sha-ni"` or `"scalar"`), for
+/// logs and benchmark headers. Nothing may branch on it.
+pub fn backend() -> &'static str {
+    if accelerated_kernel().is_some() {
+        "sha-ni"
+    } else {
+        "scalar"
+    }
+}
 
 /// Incremental SHA-256 hasher.
 ///
@@ -45,9 +87,11 @@ pub struct Sha256 {
     state: [u32; 8],
     /// Bytes processed so far (for the length suffix).
     len: u64,
-    /// Partially filled block.
+    /// Partially filled block. Bytes from `buf_len` on are always zero, so
+    /// padding never has to clear them.
     buf: [u8; 64],
     buf_len: usize,
+    kernel: Kernel,
 }
 
 impl Default for Sha256 {
@@ -59,10 +103,15 @@ impl Default for Sha256 {
 impl Sha256 {
     /// Creates a fresh hasher.
     pub fn new() -> Self {
-        Sha256 { state: H0, len: 0, buf: [0u8; 64], buf_len: 0 }
+        Self::with_kernel(kernel())
     }
 
-    /// Absorbs `data` into the hash state.
+    fn with_kernel(kernel: Kernel) -> Self {
+        Sha256 { state: H0, len: 0, buf: [0u8; 64], buf_len: 0, kernel }
+    }
+
+    /// Absorbs `data` into the hash state. Whole blocks are compressed
+    /// straight from `data`; only a trailing partial block is buffered.
     pub fn update(&mut self, data: &[u8]) {
         self.len = self.len.wrapping_add(data.len() as u64);
         let mut rest = data;
@@ -71,68 +120,47 @@ impl Sha256 {
             self.buf[self.buf_len..self.buf_len + take].copy_from_slice(&rest[..take]);
             self.buf_len += take;
             rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
+            if self.buf_len < 64 {
+                return;
             }
+            (self.kernel)(&mut self.state, &self.buf);
+            self.buf = [0u8; 64];
+            self.buf_len = 0;
         }
-        while rest.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&rest[..64]);
-            self.compress(&block);
-            rest = &rest[64..];
+        let (blocks, tail) = rest.split_at(rest.len() & !63);
+        if !blocks.is_empty() {
+            (self.kernel)(&mut self.state, blocks);
         }
-        if !rest.is_empty() {
-            self.buf[..rest.len()].copy_from_slice(rest);
-            self.buf_len = rest.len();
-        }
+        self.buf[..tail.len()].copy_from_slice(tail);
+        self.buf_len = tail.len();
     }
 
     /// Completes the hash and returns the 32-byte digest.
     pub fn finalize(mut self) -> Digest {
+        // Pad in place: 0x80, zeros to 56 (mod 64) — already there, see
+        // `buf` — then the 64-bit big-endian bit length. `buf_len < 64`.
         let bit_len = self.len.wrapping_mul(8);
-        // Append 0x80 then zero padding then the 64-bit big-endian length.
-        self.update_padding(bit_len);
+        self.buf[self.buf_len] = 0x80;
+        if self.buf_len >= 56 {
+            (self.kernel)(&mut self.state, &self.buf);
+            self.buf = [0u8; 64];
+        }
+        self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
+        (self.kernel)(&mut self.state, &self.buf);
         let mut out = [0u8; 32];
         for (i, word) in self.state.iter().enumerate() {
             out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
         }
         Digest::from_bytes(out)
     }
+}
 
-    fn update_padding(&mut self, bit_len: u64) {
-        let mut pad = [0u8; 72];
-        pad[0] = 0x80;
-        // Pad so that total length ≡ 56 (mod 64), then 8 bytes of length.
-        let pad_len = if self.buf_len < 56 { 56 - self.buf_len } else { 120 - self.buf_len };
-        pad[pad_len..pad_len + 8].copy_from_slice(&bit_len.to_be_bytes());
-        // Manual absorb that must not touch self.len again.
-        let data = &pad[..pad_len + 8];
-        let mut rest = data;
-        if self.buf_len > 0 {
-            let take = (64 - self.buf_len).min(rest.len());
-            let start = self.buf_len;
-            self.buf[start..start + take].copy_from_slice(&rest[..take]);
-            self.buf_len += take;
-            rest = &rest[take..];
-            if self.buf_len == 64 {
-                let block = self.buf;
-                self.compress(&block);
-                self.buf_len = 0;
-            }
-        }
-        while rest.len() >= 64 {
-            let mut block = [0u8; 64];
-            block.copy_from_slice(&rest[..64]);
-            self.compress(&block);
-            rest = &rest[64..];
-        }
-        debug_assert!(rest.is_empty());
-    }
-
-    #[inline]
-    fn compress(&mut self, block: &[u8; 64]) {
+/// The portable kernel, written from FIPS 180-4 §6.2.2. It is what runs on
+/// CPUs without a hardware kernel and the reference the tests hold the
+/// hardware kernel against.
+fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
+    debug_assert_eq!(blocks.len() % 64, 0);
+    for block in blocks.chunks_exact(64) {
         let mut w = [0u32; 64];
         for i in 0..16 {
             w[i] = u32::from_be_bytes([
@@ -147,7 +175,7 @@ impl Sha256 {
             let s1 = w[i - 2].rotate_right(17) ^ w[i - 2].rotate_right(19) ^ (w[i - 2] >> 10);
             w[i] = w[i - 16].wrapping_add(s0).wrapping_add(w[i - 7]).wrapping_add(s1);
         }
-        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = self.state;
+        let [mut a, mut b, mut c, mut d, mut e, mut f, mut g, mut h] = *state;
         for i in 0..64 {
             let s1 = e.rotate_right(6) ^ e.rotate_right(11) ^ e.rotate_right(25);
             let ch = (e & f) ^ ((!e) & g);
@@ -164,14 +192,14 @@ impl Sha256 {
             b = a;
             a = t1.wrapping_add(t2);
         }
-        self.state[0] = self.state[0].wrapping_add(a);
-        self.state[1] = self.state[1].wrapping_add(b);
-        self.state[2] = self.state[2].wrapping_add(c);
-        self.state[3] = self.state[3].wrapping_add(d);
-        self.state[4] = self.state[4].wrapping_add(e);
-        self.state[5] = self.state[5].wrapping_add(f);
-        self.state[6] = self.state[6].wrapping_add(g);
-        self.state[7] = self.state[7].wrapping_add(h);
+        state[0] = state[0].wrapping_add(a);
+        state[1] = state[1].wrapping_add(b);
+        state[2] = state[2].wrapping_add(c);
+        state[3] = state[3].wrapping_add(d);
+        state[4] = state[4].wrapping_add(e);
+        state[5] = state[5].wrapping_add(f);
+        state[6] = state[6].wrapping_add(g);
+        state[7] = state[7].wrapping_add(h);
     }
 }
 
@@ -205,40 +233,110 @@ pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
 mod tests {
     use super::*;
 
-    fn hex(data: &[u8]) -> String {
-        sha256(data).to_hex()
+    /// Every kernel this CPU can run, each named for failure messages. The
+    /// tests call them directly — not through [`kernel`]'s choice — so the
+    /// scalar code is exercised on SHA-NI hosts too.
+    fn kernels() -> Vec<(&'static str, Kernel)> {
+        let mut all = vec![("scalar", compress_scalar as Kernel)];
+        match accelerated_kernel() {
+            Some(k) => all.push(("sha-ni", k)),
+            None => println!("sha256: this CPU has no hardware kernel; accelerated half skipped"),
+        }
+        all
+    }
+
+    fn hash_with(kernel: Kernel, data: &[u8]) -> Digest {
+        let mut h = Sha256::with_kernel(kernel);
+        h.update(data);
+        h.finalize()
+    }
+
+    /// Deterministic byte stream / split points (the crate has no `rand`).
+    fn lcg(state: &mut u64) -> u64 {
+        *state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        *state >> 33
     }
 
     #[test]
-    fn nist_empty() {
-        assert_eq!(hex(b""), "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855");
+    fn reports_the_selected_backend() {
+        let name = backend();
+        println!("sha256 backend: {name}");
+        assert_eq!(name == "sha-ni", accelerated_kernel().is_some());
+        assert!(name == "sha-ni" || name == "scalar");
     }
 
     #[test]
-    fn nist_abc() {
-        assert_eq!(hex(b"abc"), "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad");
+    fn nist_vectors_on_every_kernel() {
+        let vectors: [(&[u8], &str); 4] = [
+            (b"", "e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855"),
+            (b"abc", "ba7816bf8f01cfea414140de5dae2223b00361a396177a9cb410ff61f20015ad"),
+            (
+                b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq",
+                "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1",
+            ),
+            (
+                b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu",
+                "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1",
+            ),
+        ];
+        for (name, kernel) in kernels() {
+            for (msg, want) in vectors {
+                assert_eq!(hash_with(kernel, msg).to_hex(), want, "{name}, {} bytes", msg.len());
+            }
+        }
     }
 
     #[test]
-    fn nist_448_bits() {
-        assert_eq!(
-            hex(b"abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"),
-            "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1"
-        );
-    }
-
-    #[test]
-    fn nist_896_bits() {
-        assert_eq!(
-            hex(b"abcdefghbcdefghicdefghijdefghijkefghijklfghijklmghijklmnhijklmnoijklmnopjklmnopqklmnopqrlmnopqrsmnopqrstnopqrstu"),
-            "cf5b16a778af8380036ce59e7b0492370b249b11e8f07a51afac45037afee9d1"
-        );
-    }
-
-    #[test]
-    fn million_a() {
+    fn million_a_on_every_kernel() {
         let data = vec![b'a'; 1_000_000];
-        assert_eq!(hex(&data), "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
+        for (name, kernel) in kernels() {
+            assert_eq!(
+                hash_with(kernel, &data).to_hex(),
+                "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0",
+                "{name}"
+            );
+        }
+    }
+
+    /// Every length across the 55/56/63/64/119/120-byte padding boundaries
+    /// and a few blocks beyond: each kernel equals the scalar reference, and
+    /// the public one-shot (whatever kernel it selected) equals both.
+    #[test]
+    fn kernels_agree_on_every_length_to_300() {
+        let mut seed = 7;
+        let data: Vec<u8> = (0..300).map(|_| lcg(&mut seed) as u8).collect();
+        for n in 0..=data.len() {
+            let reference = hash_with(compress_scalar, &data[..n]);
+            assert_eq!(sha256(&data[..n]), reference, "dispatch, length {n}");
+            for (name, kernel) in kernels() {
+                assert_eq!(hash_with(kernel, &data[..n]), reference, "{name}, length {n}");
+            }
+        }
+    }
+
+    /// Incremental = one-shot = scalar, for random cuts of a 10 kB message
+    /// (exercises the buffered-partial-block and multi-block paths of
+    /// `update` in every combination).
+    #[test]
+    fn kernels_agree_under_random_split_points() {
+        let mut seed = 42;
+        let data: Vec<u8> = (0..10_000).map(|_| lcg(&mut seed) as u8).collect();
+        let reference = hash_with(compress_scalar, &data);
+        for round in 0..200 {
+            for (name, kernel) in kernels() {
+                let mut h = Sha256::with_kernel(kernel);
+                let mut at = 0;
+                while at < data.len() {
+                    // Mostly short pieces, sometimes several blocks.
+                    let span = if lcg(&mut seed) % 4 == 0 { 700 } else { 70 };
+                    let take = (lcg(&mut seed) as usize % span).min(data.len() - at);
+                    h.update(&data[at..at + take]);
+                    at += take;
+                }
+                assert_eq!(h.finalize(), reference, "{name}, round {round}");
+            }
+        }
+        assert_eq!(sha256(&data), reference);
     }
 
     #[test]
@@ -258,18 +356,5 @@ mod tests {
         let a = b"hello ".as_slice();
         let b = b"world".as_slice();
         assert_eq!(sha256_concat(&[a, b]), sha256(b"hello world"));
-    }
-
-    #[test]
-    fn boundary_lengths() {
-        // Lengths straddling the 55/56/63/64-byte padding boundaries must
-        // round-trip through the incremental path identically.
-        for n in [54usize, 55, 56, 57, 63, 64, 65, 119, 120, 121, 128] {
-            let data = vec![0xabu8; n];
-            let mut h = Sha256::new();
-            h.update(&data[..n / 2]);
-            h.update(&data[n / 2..]);
-            assert_eq!(h.finalize(), sha256(&data), "length {n}");
-        }
     }
 }

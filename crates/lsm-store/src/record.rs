@@ -107,11 +107,20 @@ impl Record {
 
     /// Serializes the record (length-prefixed key and value, fixed suffix).
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::with_capacity(self.key.len() + self.value.len() + 16);
-        put_length_prefixed(&mut buf, &self.key);
-        put_fixed_u64(&mut buf, pack(self.ts, self.kind));
-        put_length_prefixed(&mut buf, &self.value);
+        let mut buf = Vec::new();
+        self.encode_with_value_into(&self.value, &mut buf);
         buf
+    }
+
+    /// Appends to `buf` the serialization this record would have with
+    /// `value` in place of its own. Layers that store an enveloped value
+    /// but digest the bare one (eLSM's embedded proofs) get the record's
+    /// canonical bytes this way without building a second `Record`.
+    pub fn encode_with_value_into(&self, value: &[u8], buf: &mut Vec<u8>) {
+        buf.reserve(self.key.len() + value.len() + 16);
+        put_length_prefixed(buf, &self.key);
+        put_fixed_u64(buf, pack(self.ts, self.kind));
+        put_length_prefixed(buf, value);
     }
 
     /// Parses a record serialized by [`Record::encode`].

@@ -6,22 +6,73 @@
 //! [`LevelDigestBuilder`] consumes the level's records in exactly the
 //! order a compaction emits them — key ascending, timestamp descending —
 //! which is the paper's streaming `MHT_add` construction (Figure 4).
+//!
+//! # Layout
+//!
+//! A [`LevelDigest`] is the prover's copy of a level and can hold millions
+//! of records, so it is stored flat: all keys in one byte arena, all record
+//! bytes in another (each with an end-offset table), the first record
+//! index of every leaf, and **one suffix digest per record** — the chain
+//! digest of that record and every older version of its key. `finish`
+//! computes those digests anyway on its way to each chain head; keeping
+//! them makes a proof for version *v* a table lookup (`older_digest` is the
+//! suffix digest of version *v + 1*) instead of a re-hash of the whole
+//! older suffix, which was quadratic in a key's version count — and
+//! versions are never dropped. [`LevelDigest::encode_proof_into`] writes a
+//! proof's wire bytes straight from these tables.
 
 use elsm_crypto::Digest;
 
-use crate::chain::{chain_digest, ChainPosition};
-use crate::proof::{LevelCommitment, RecordProof};
+use crate::chain::{chain_link, ChainPosition};
+use crate::proof::{encode_parts, encoded_len_parts, LevelCommitment, RecordProof};
 use crate::range::{prove_range, RangeProof};
 use crate::tree::MerkleTree;
+
+/// Byte strings stored back to back, addressed by index: one allocation
+/// for the bytes and one for the end offsets, however many items.
+#[derive(Debug, Clone, Default)]
+struct Arena {
+    bytes: Vec<u8>,
+    /// `ends[i]` is where item `i` stops; it starts where `i - 1` stopped.
+    ends: Vec<usize>,
+}
+
+impl Arena {
+    fn push(&mut self, item: &[u8]) {
+        self.bytes.extend_from_slice(item);
+        self.ends.push(self.bytes.len());
+    }
+
+    fn len(&self) -> usize {
+        self.ends.len()
+    }
+
+    fn start(&self, index: usize) -> usize {
+        index.checked_sub(1).map_or(0, |prev| self.ends[prev])
+    }
+
+    fn get(&self, index: usize) -> &[u8] {
+        &self.bytes[self.start(index)..self.ends[index]]
+    }
+
+    fn last(&self) -> Option<&[u8]> {
+        self.len().checked_sub(1).map(|i| self.get(i))
+    }
+
+    /// Items `range`, in order.
+    fn iter(&self, range: std::ops::Range<usize>) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        range.map(|i| self.get(i))
+    }
+}
 
 /// Streaming builder for a level digest (the paper's `MHT_add`).
 #[derive(Debug, Default)]
 pub struct LevelDigestBuilder {
     level: u32,
-    keys: Vec<Vec<u8>>,
-    chains: Vec<Vec<Vec<u8>>>,
-    cur_key: Option<Vec<u8>>,
-    cur_records: Vec<Vec<u8>>,
+    keys: Arena,
+    records: Arena,
+    /// Index in `records` of each leaf's newest version.
+    leaf_first: Vec<usize>,
 }
 
 impl LevelDigestBuilder {
@@ -30,54 +81,54 @@ impl LevelDigestBuilder {
         LevelDigestBuilder { level, ..Default::default() }
     }
 
-    /// Adds the next record of the sorted stream.
+    /// Adds the next record of the sorted stream. The bytes are copied
+    /// into the builder, so the caller may reuse its buffer.
     ///
     /// # Panics
     ///
     /// Panics if keys arrive out of ascending order (a correctness bug in
     /// the feeding compaction, never data-dependent).
-    pub fn add(&mut self, user_key: &[u8], record_bytes: Vec<u8>) {
-        match &self.cur_key {
-            Some(k) if k.as_slice() == user_key => {
-                self.cur_records.push(record_bytes);
-            }
+    pub fn add(&mut self, user_key: &[u8], record_bytes: &[u8]) {
+        let same_key = match self.keys.last() {
             Some(k) => {
-                assert!(
-                    k.as_slice() < user_key,
-                    "level records must arrive in ascending key order"
-                );
-                self.seal_current();
-                self.cur_key = Some(user_key.to_vec());
-                self.cur_records.push(record_bytes);
+                assert!(k <= user_key, "level records must arrive in ascending key order");
+                k == user_key
             }
-            None => {
-                self.cur_key = Some(user_key.to_vec());
-                self.cur_records.push(record_bytes);
-            }
+            None => false,
+        };
+        if !same_key {
+            self.keys.push(user_key);
+            self.leaf_first.push(self.records.len());
         }
-    }
-
-    fn seal_current(&mut self) {
-        if let Some(k) = self.cur_key.take() {
-            self.keys.push(k);
-            self.chains.push(std::mem::take(&mut self.cur_records));
-        }
+        self.records.push(record_bytes);
     }
 
     /// Number of records added so far.
     pub fn record_count(&self) -> usize {
-        self.chains.iter().map(Vec::len).sum::<usize>() + self.cur_records.len()
+        self.records.len()
     }
 
-    /// Finishes the digest.
+    /// Finishes the digest: one chain fold per key, oldest version first,
+    /// keeping every intermediate (suffix) digest.
     pub fn finish(mut self) -> LevelDigest {
-        self.seal_current();
-        let leaves: Vec<Digest> = self.chains.iter().map(|c| chain_digest(c)).collect();
+        self.leaf_first.push(self.records.len());
+        let mut suffix_digests = vec![Digest::ZERO; self.records.len()];
+        let mut leaves = Vec::with_capacity(self.keys.len());
+        for chain in self.leaf_first.windows(2) {
+            let mut acc = Digest::ZERO;
+            for r in (chain[0]..chain[1]).rev() {
+                acc = chain_link(self.records.get(r), &acc);
+                suffix_digests[r] = acc;
+            }
+            leaves.push(acc);
+        }
         LevelDigest {
             level: self.level,
             tree: MerkleTree::from_leaves(leaves),
             keys: self.keys,
-            chains: self.chains,
+            records: self.records,
+            leaf_first: self.leaf_first,
+            suffix_digests,
         }
     }
 }
@@ -99,13 +150,23 @@ pub enum LeafLookup {
 }
 
 /// The digest of one LSM level plus the prover-side material (leaf keys and
-/// chain bytes) the *untrusted* host keeps to answer queries.
+/// chain bytes) the *untrusted* host keeps to answer queries. See the
+/// module docs for the layout.
 #[derive(Debug, Clone)]
 pub struct LevelDigest {
     level: u32,
     tree: MerkleTree,
-    keys: Vec<Vec<u8>>,
-    chains: Vec<Vec<Vec<u8>>>,
+    /// Leaf keys, ascending.
+    keys: Arena,
+    /// Every version's canonical bytes: leaves in order, newest first
+    /// within a leaf.
+    records: Arena,
+    /// `leaf_first[i]..leaf_first[i + 1]` are leaf `i`'s records (one
+    /// trailing sentinel).
+    leaf_first: Vec<usize>,
+    /// `suffix_digests[r]` = chain digest of record `r` and all older
+    /// versions of its key; a leaf's first entry is its chain head.
+    suffix_digests: Vec<Digest>,
 }
 
 impl LevelDigest {
@@ -117,7 +178,7 @@ impl LevelDigest {
     ) -> Self {
         let mut b = LevelDigestBuilder::new(level);
         for (k, r) in records {
-            b.add(k, r);
+            b.add(k, &r);
         }
         b.finish()
     }
@@ -141,39 +202,75 @@ impl LevelDigest {
         self.tree.leaf_count()
     }
 
-    /// Leaf keys in order.
-    pub fn keys(&self) -> &[Vec<u8>] {
-        &self.keys
-    }
-
     /// Locates `key` among the leaves.
     pub fn lookup(&self, key: &[u8]) -> LeafLookup {
-        match self.keys.binary_search_by(|k| k.as_slice().cmp(key)) {
-            Ok(index) => LeafLookup::Found { index },
-            Err(successor) => LeafLookup::Absent { successor },
+        let (mut lo, mut hi) = (0, self.keys.len());
+        while lo < hi {
+            let mid = lo + (hi - lo) / 2;
+            match self.keys.get(mid).cmp(key) {
+                std::cmp::Ordering::Less => lo = mid + 1,
+                std::cmp::Ordering::Equal => return LeafLookup::Found { index: mid },
+                std::cmp::Ordering::Greater => hi = mid,
+            }
+        }
+        LeafLookup::Absent { successor: lo }
+    }
+
+    /// Number of versions leaf `leaf_idx` holds.
+    pub fn chain_len(&self, leaf_idx: usize) -> usize {
+        self.leaf_first[leaf_idx + 1] - self.leaf_first[leaf_idx]
+    }
+
+    /// Canonical bytes of version `version_idx` (0 = newest) of leaf
+    /// `leaf_idx`.
+    pub fn record(&self, leaf_idx: usize, version_idx: usize) -> &[u8] {
+        self.records.get(self.record_index(leaf_idx, version_idx))
+    }
+
+    /// Position in the record tables of `(leaf, version)`.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range indices.
+    fn record_index(&self, leaf_idx: usize, version_idx: usize) -> usize {
+        assert!(version_idx < self.chain_len(leaf_idx), "version index out of range");
+        self.leaf_first[leaf_idx] + version_idx
+    }
+
+    /// Chain digest of the versions strictly older than record `r` of
+    /// leaf `leaf_idx`: the next record's suffix digest, or the empty
+    /// chain's when `r` is the oldest.
+    fn older_digest(&self, leaf_idx: usize, r: usize) -> &Digest {
+        if r + 1 < self.leaf_first[leaf_idx + 1] {
+            &self.suffix_digests[r + 1]
+        } else {
+            &Digest::ZERO
         }
     }
 
     /// Proof for the version at `version_idx` (0 = newest) of leaf
-    /// `leaf_idx`.
+    /// `leaf_idx`, in owned form.
     ///
     /// # Panics
     ///
     /// Panics on out-of-range indices.
     pub fn prove_version(&self, leaf_idx: usize, version_idx: usize) -> RecordProof {
-        let chain = &self.chains[leaf_idx];
-        assert!(version_idx < chain.len(), "version index out of range");
-        let older_digest = chain_digest(&chain[version_idx + 1..]);
-        let position = if version_idx == 0 {
+        let r = self.record_index(leaf_idx, version_idx);
+        let older_digest = *self.older_digest(leaf_idx, r);
+        let chain = if version_idx == 0 {
             ChainPosition::Newest { older_digest }
         } else {
-            ChainPosition::Older { newer_records: chain[..version_idx].to_vec(), older_digest }
+            let newer = self.records.iter(self.leaf_first[leaf_idx]..r);
+            ChainPosition::Older {
+                newer_records: newer.map(<[u8]>::to_vec).collect(),
+                older_digest,
+            }
         };
         RecordProof {
             level: self.level,
             leaf_index: leaf_idx as u64,
             leaf_count: self.tree.leaf_count() as u64,
-            chain: position,
+            chain,
             audit_path: self.tree.audit_path(leaf_idx),
         }
     }
@@ -184,6 +281,41 @@ impl LevelDigest {
         self.prove_version(leaf_idx, 0)
     }
 
+    /// Appends the wire encoding of the proof for `(leaf_idx,
+    /// version_idx)` to `out` — byte for byte
+    /// `prove_version(..).encode()`, written once from the digest's own
+    /// tables with no intermediate proof object.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range indices.
+    pub fn encode_proof_into(&self, leaf_idx: usize, version_idx: usize, out: &mut Vec<u8>) {
+        let r = self.record_index(leaf_idx, version_idx);
+        let newer = (version_idx > 0).then(|| self.records.iter(self.leaf_first[leaf_idx]..r));
+        encode_parts(
+            out,
+            (self.level, leaf_idx as u64, self.tree.leaf_count() as u64),
+            newer,
+            self.older_digest(leaf_idx, r),
+            self.tree.siblings(leaf_idx),
+        );
+    }
+
+    /// Exactly the number of bytes [`LevelDigest::encode_proof_into`]
+    /// appends for `(leaf_idx, version_idx)`, from the offset tables.
+    ///
+    /// # Panics
+    ///
+    /// Panics on out-of-range indices.
+    pub fn proof_encoded_len(&self, leaf_idx: usize, version_idx: usize) -> usize {
+        let r = self.record_index(leaf_idx, version_idx);
+        let newer = (version_idx > 0).then(|| {
+            let first = self.leaf_first[leaf_idx];
+            (version_idx, self.records.start(r) - self.records.start(first))
+        });
+        encoded_len_parts(newer, self.tree.siblings(leaf_idx).count())
+    }
+
     /// Range proof covering leaves `lo..=hi` (§5.4 segment-tree view).
     pub fn prove_leaf_range(&self, lo: usize, hi: usize) -> RangeProof {
         prove_range(&self.tree, lo, hi)
@@ -192,11 +324,6 @@ impl LevelDigest {
     /// The leaf digests (chain heads), for range verification.
     pub fn leaf_digests(&self) -> &[Digest] {
         self.tree.leaves()
-    }
-
-    /// All versions' bytes of leaf `leaf_idx`, newest first.
-    pub fn chain_records(&self, leaf_idx: usize) -> &[Vec<u8>] {
-        &self.chains[leaf_idx]
     }
 }
 
@@ -297,9 +424,9 @@ mod tests {
     #[test]
     fn builder_rejects_unsorted_keys() {
         let mut b = LevelDigestBuilder::new(1);
-        b.add(b"b", b"1".to_vec());
+        b.add(b"b", b"1");
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            b.add(b"a", b"2".to_vec());
+            b.add(b"a", b"2");
         }));
         assert!(result.is_err());
     }
@@ -325,7 +452,7 @@ mod tests {
         let one_shot = LevelDigest::from_records(1, records.clone());
         let mut b = LevelDigestBuilder::new(1);
         for (k, r) in records {
-            b.add(k, r);
+            b.add(k, &r);
         }
         let streamed = b.finish();
         assert_eq!(one_shot.commitment(), streamed.commitment());

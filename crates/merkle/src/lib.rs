@@ -5,9 +5,10 @@
 //! * [`tree`] — RFC 6962-style Merkle hash trees with audit paths,
 //! * [`chain`] — temporal hash chains over record versions (§5.2),
 //! * [`level`] — per-LSM-level digests: chains at the leaves of a tree,
-//!   built streaming in compaction order (Figure 4's `MHT_add`),
-//! * [`proof`] — embedded record proofs and the per-level commitments the
-//!   enclave stores,
+//!   built streaming in compaction order (Figure 4's `MHT_add`), stored
+//!   flat with one suffix digest per record so proof generation is linear,
+//! * [`proof`] — embedded record proofs (owned, and borrowed in place from
+//!   stored bytes) and the per-level commitments the enclave stores,
 //! * [`range`] — segment-tree range proofs for query completeness (§5.4),
 //! * [`mbt`] — the conventional update-in-place Merkle B-tree baseline
 //!   (§3.4).
@@ -42,6 +43,6 @@ pub mod tree;
 pub use chain::{chain_digest, chain_link, ChainPosition};
 pub use level::{LeafLookup, LevelDigest, LevelDigestBuilder};
 pub use mbt::{MerkleBTree, UpdateStats};
-pub use proof::{LevelCommitment, RecordProof, VerifyError};
+pub use proof::{LevelCommitment, NewerRecords, RecordProof, RecordProofRef, VerifyError};
 pub use range::{prove_range, verify_range, RangeProof};
 pub use tree::{leaf_hash, node_hash, MerkleTree};

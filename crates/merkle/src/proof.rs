@@ -9,7 +9,7 @@
 
 use elsm_crypto::{sha256_concat, Digest};
 
-use crate::chain::ChainPosition;
+use crate::chain::{chain_link, ChainPosition};
 use crate::tree::MerkleTree;
 
 /// What the enclave stores per level: `(level, root, leaf_count)`.
@@ -73,6 +73,11 @@ impl std::fmt::Display for VerifyError {
 impl std::error::Error for VerifyError {}
 
 /// The proof embedded in a record: chain position + Merkle audit path.
+///
+/// This is the *owned* form, built by provers and tests. Stored values are
+/// read through [`RecordProofRef`], which parses and verifies the same
+/// bytes without allocating; [`RecordProof::decode`] is that parser plus a
+/// copy.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordProof {
     /// Level the record resides at.
@@ -99,123 +104,325 @@ impl RecordProof {
         commitment: &LevelCommitment,
         record_bytes: &[u8],
     ) -> Result<(), VerifyError> {
-        if self.level != commitment.level {
-            return Err(VerifyError::LevelMismatch);
-        }
-        if self.leaf_count != commitment.leaf_count {
-            return Err(VerifyError::LeafCountMismatch);
-        }
-        let chain_head = self.chain.chain_head(record_bytes);
-        let ok = MerkleTree::verify(
-            commitment.root,
-            commitment.leaf_count as usize,
-            self.leaf_index as usize,
-            chain_head,
-            &self.audit_path,
-        );
-        if ok {
-            Ok(())
-        } else {
-            Err(VerifyError::BadAuditPath)
-        }
+        verify_parts(
+            commitment,
+            (self.level, self.leaf_index, self.leaf_count),
+            || self.chain.chain_head(record_bytes),
+            self.audit_path.iter().copied(),
+        )
     }
 
     /// Serializes the proof (for embedding in stored values).
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::new();
-        push_u32(&mut out, self.level);
-        push_u64(&mut out, self.leaf_index);
-        push_u64(&mut out, self.leaf_count);
-        match &self.chain {
-            ChainPosition::Newest { older_digest } => {
-                out.push(0);
-                out.extend_from_slice(older_digest.as_bytes());
-            }
+        let mut out = Vec::with_capacity(self.encoded_len());
+        let (newer, older_digest) = match &self.chain {
+            ChainPosition::Newest { older_digest } => (None, older_digest),
             ChainPosition::Older { newer_records, older_digest } => {
-                out.push(1);
-                push_u32(&mut out, newer_records.len() as u32);
-                for r in newer_records {
-                    push_u32(&mut out, r.len() as u32);
-                    out.extend_from_slice(r);
-                }
-                out.extend_from_slice(older_digest.as_bytes());
+                (Some(newer_records.iter().map(Vec::as_slice)), older_digest)
             }
-        }
-        push_u32(&mut out, self.audit_path.len() as u32);
-        for d in &self.audit_path {
-            out.extend_from_slice(d.as_bytes());
-        }
+        };
+        encode_parts(
+            &mut out,
+            (self.level, self.leaf_index, self.leaf_count),
+            newer,
+            older_digest,
+            self.audit_path.iter(),
+        );
         out
     }
 
-    /// Parses a proof serialized by [`RecordProof::encode`].
+    /// Parses a proof serialized by [`RecordProof::encode`], returning it
+    /// with the number of bytes it occupied.
     pub fn decode(buf: &[u8]) -> Option<(Self, usize)> {
-        let mut pos = 0usize;
-        let level = read_u32(buf, &mut pos)?;
-        let leaf_index = read_u64(buf, &mut pos)?;
-        let leaf_count = read_u64(buf, &mut pos)?;
-        let tag = *buf.get(pos)?;
-        pos += 1;
-        let chain = match tag {
-            0 => ChainPosition::Newest { older_digest: read_digest(buf, &mut pos)? },
-            1 => {
-                let n = read_u32(buf, &mut pos)? as usize;
-                if n > buf.len() {
-                    return None;
+        let proof = RecordProofRef::parse(buf)?;
+        Some((proof.to_owned(), proof.encoded_len()))
+    }
+
+    /// Serialized size in bytes (computed, not serialized to measure).
+    pub fn encoded_len(&self) -> usize {
+        let newer = match &self.chain {
+            ChainPosition::Newest { .. } => None,
+            ChainPosition::Older { newer_records, .. } => {
+                Some((newer_records.len(), newer_records.iter().map(Vec::len).sum()))
+            }
+        };
+        encoded_len_parts(newer, self.audit_path.len())
+    }
+}
+
+/// Bytes before the chain position: level, leaf index, leaf count, tag.
+const HEADER_LEN: usize = 4 + 8 + 8 + 1;
+const TAG_NEWEST: u8 = 0;
+const TAG_OLDER: u8 = 1;
+
+/// Size of an encoded proof whose chain position exposes `newer`
+/// = `(record count, total record bytes)` (`None`: newest version) and
+/// whose audit path holds `siblings` digests.
+pub(crate) fn encoded_len_parts(newer: Option<(usize, usize)>, siblings: usize) -> usize {
+    let chain = match newer {
+        None => 32,
+        Some((count, bytes)) => 4 + 4 * count + bytes + 32,
+    };
+    HEADER_LEN + chain + 4 + 32 * siblings
+}
+
+/// The one encoder of the proof format; [`RecordProof::encode`] and
+/// [`crate::LevelDigest::encode_proof_into`] both write through it.
+pub(crate) fn encode_parts<'r, 'd>(
+    out: &mut Vec<u8>,
+    (level, leaf_index, leaf_count): (u32, u64, u64),
+    newer_records: Option<impl ExactSizeIterator<Item = &'r [u8]>>,
+    older_digest: &Digest,
+    siblings: impl Iterator<Item = &'d Digest> + Clone,
+) {
+    out.extend_from_slice(&level.to_le_bytes());
+    out.extend_from_slice(&leaf_index.to_le_bytes());
+    out.extend_from_slice(&leaf_count.to_le_bytes());
+    match newer_records {
+        None => out.push(TAG_NEWEST),
+        Some(records) => {
+            out.push(TAG_OLDER);
+            out.extend_from_slice(&(records.len() as u32).to_le_bytes());
+            for r in records {
+                out.extend_from_slice(&(r.len() as u32).to_le_bytes());
+                out.extend_from_slice(r);
+            }
+        }
+    }
+    out.extend_from_slice(older_digest.as_bytes());
+    out.extend_from_slice(&(siblings.clone().count() as u32).to_le_bytes());
+    for d in siblings {
+        out.extend_from_slice(d.as_bytes());
+    }
+}
+
+/// The checks shared by the owned and the borrowed proof.
+fn verify_parts(
+    commitment: &LevelCommitment,
+    (level, leaf_index, leaf_count): (u32, u64, u64),
+    chain_head: impl FnOnce() -> Digest,
+    siblings: impl Iterator<Item = Digest>,
+) -> Result<(), VerifyError> {
+    if level != commitment.level {
+        return Err(VerifyError::LevelMismatch);
+    }
+    if leaf_count != commitment.leaf_count {
+        return Err(VerifyError::LeafCountMismatch);
+    }
+    let ok = MerkleTree::verify_siblings(
+        commitment.root,
+        commitment.leaf_count as usize,
+        leaf_index as usize,
+        chain_head(),
+        siblings,
+    );
+    if ok {
+        Ok(())
+    } else {
+        Err(VerifyError::BadAuditPath)
+    }
+}
+
+/// A proof read in place from a stored value: the only decoder of the
+/// format. Parsing validates the whole structure (so a malformed tail is
+/// rejected exactly as the owned decoder rejected it) and reserves
+/// nothing — every count in the input is checked against the bytes that
+/// are actually there, never used as a capacity.
+#[derive(Debug, Clone, Copy)]
+pub struct RecordProofRef<'a> {
+    /// Level the record resides at.
+    pub level: u32,
+    /// Leaf index of the record's key within the level.
+    pub leaf_index: u64,
+    /// Leaf count of the level at proof-generation time.
+    pub leaf_count: u64,
+    /// `None`: the record claims to be the newest version of its key.
+    newer: Option<NewerRecords<'a>>,
+    older_digest: Digest,
+    /// Sibling digests, 32 bytes each, bottom-up.
+    audit_path: &'a [u8],
+    encoded_len: usize,
+}
+
+/// The newer versions an older record's proof exposes, newest first:
+/// `count` frames of `[len u32][bytes]`, validated when the proof parsed.
+#[derive(Debug, Clone, Copy)]
+pub struct NewerRecords<'a> {
+    count: usize,
+    frames: &'a [u8],
+}
+
+impl<'a> Iterator for NewerRecords<'a> {
+    type Item = &'a [u8];
+
+    fn next(&mut self) -> Option<&'a [u8]> {
+        if self.count == 0 {
+            return None;
+        }
+        let (record, rest) = split_frame(self.frames)?;
+        self.count -= 1;
+        self.frames = rest;
+        Some(record)
+    }
+
+    fn size_hint(&self) -> (usize, Option<usize>) {
+        (self.count, Some(self.count))
+    }
+}
+
+impl ExactSizeIterator for NewerRecords<'_> {}
+
+/// Splits one `[len u32][bytes]` frame off the front of `buf`.
+fn split_frame(buf: &[u8]) -> Option<(&[u8], &[u8])> {
+    let (len, rest) = split_u32(buf)?;
+    let len = len as usize;
+    (len <= rest.len()).then(|| rest.split_at(len))
+}
+
+fn split_array<const N: usize>(buf: &[u8]) -> Option<([u8; N], &[u8])> {
+    if buf.len() < N {
+        return None;
+    }
+    let (head, rest) = buf.split_at(N);
+    Some((head.try_into().expect("split_at(N)"), rest))
+}
+
+fn split_u32(buf: &[u8]) -> Option<(u32, &[u8])> {
+    split_array(buf).map(|(head, rest)| (u32::from_le_bytes(head), rest))
+}
+
+fn split_u64(buf: &[u8]) -> Option<(u64, &[u8])> {
+    split_array(buf).map(|(head, rest)| (u64::from_le_bytes(head), rest))
+}
+
+fn split_digest(buf: &[u8]) -> Option<(Digest, &[u8])> {
+    split_array(buf).map(|(head, rest)| (Digest::from_bytes(head), rest))
+}
+
+impl<'a> RecordProofRef<'a> {
+    /// Parses the proof at the front of `buf`. `None` on any malformed or
+    /// truncated input; bytes after the proof are left to the caller
+    /// ([`RecordProofRef::encoded_len`] says where it ended).
+    pub fn parse(buf: &'a [u8]) -> Option<Self> {
+        let (level, rest) = split_u32(buf)?;
+        let (leaf_index, rest) = split_u64(rest)?;
+        let (leaf_count, rest) = split_u64(rest)?;
+        let (&tag, rest) = rest.split_first()?;
+        let (newer, rest) = match tag {
+            TAG_NEWEST => (None, rest),
+            TAG_OLDER => {
+                let (count, frames) = split_u32(rest)?;
+                // Walk the frames: the count is believed only as far as
+                // the bytes bear it out.
+                let mut after = frames;
+                for _ in 0..count {
+                    after = split_frame(after)?.1;
                 }
-                let mut newer = Vec::with_capacity(n);
-                for _ in 0..n {
-                    let len = read_u32(buf, &mut pos)? as usize;
-                    let bytes = buf.get(pos..pos + len)?.to_vec();
-                    pos += len;
-                    newer.push(bytes);
-                }
-                ChainPosition::Older {
-                    newer_records: newer,
-                    older_digest: read_digest(buf, &mut pos)?,
-                }
+                let frames = &frames[..frames.len() - after.len()];
+                (Some(NewerRecords { count: count as usize, frames }), after)
             }
             _ => return None,
         };
-        let n = read_u32(buf, &mut pos)? as usize;
-        if n > buf.len() {
-            return None;
-        }
-        let mut audit_path = Vec::with_capacity(n);
-        for _ in 0..n {
-            audit_path.push(read_digest(buf, &mut pos)?);
-        }
-        Some((RecordProof { level, leaf_index, leaf_count, chain, audit_path }, pos))
+        let (older_digest, rest) = split_digest(rest)?;
+        let (siblings, rest) = split_u32(rest)?;
+        let path_len = (siblings as usize).checked_mul(32)?;
+        let audit_path = rest.get(..path_len)?;
+        let encoded_len = buf.len() - rest.len() + path_len;
+        Some(RecordProofRef {
+            level,
+            leaf_index,
+            leaf_count,
+            newer,
+            older_digest,
+            audit_path,
+            encoded_len,
+        })
     }
 
-    /// Serialized size in bytes.
+    /// Bytes the proof occupies in the buffer it was parsed from.
     pub fn encoded_len(&self) -> usize {
-        self.encode().len()
+        self.encoded_len
     }
-}
 
-fn push_u32(out: &mut Vec<u8>, v: u32) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn push_u64(out: &mut Vec<u8>, v: u64) {
-    out.extend_from_slice(&v.to_le_bytes());
-}
-fn read_u32(buf: &[u8], pos: &mut usize) -> Option<u32> {
-    let b = buf.get(*pos..*pos + 4)?;
-    *pos += 4;
-    Some(u32::from_le_bytes([b[0], b[1], b[2], b[3]]))
-}
-fn read_u64(buf: &[u8], pos: &mut usize) -> Option<u64> {
-    let b = buf.get(*pos..*pos + 8)?;
-    *pos += 8;
-    Some(u64::from_le_bytes([b[0], b[1], b[2], b[3], b[4], b[5], b[6], b[7]]))
-}
-fn read_digest(buf: &[u8], pos: &mut usize) -> Option<Digest> {
-    let b = buf.get(*pos..*pos + 32)?;
-    *pos += 32;
-    let mut d = [0u8; 32];
-    d.copy_from_slice(b);
-    Some(Digest::from_bytes(d))
+    /// Whether the proof places its record as the newest version of its
+    /// key at the level. An older position — even one that lists no newer
+    /// record — is a stale answer to a point query.
+    pub fn is_newest(&self) -> bool {
+        self.newer.is_none()
+    }
+
+    /// The newer versions' bytes this position exposes, newest first
+    /// (empty for the newest).
+    pub fn exposed_newer(&self) -> NewerRecords<'a> {
+        self.newer.unwrap_or(NewerRecords { count: 0, frames: &[] })
+    }
+
+    /// Number of sibling digests in the audit path.
+    pub fn audit_path_len(&self) -> usize {
+        self.audit_path.len() / 32
+    }
+
+    fn siblings(&self) -> impl Iterator<Item = Digest> + 'a {
+        self.audit_path
+            .chunks_exact(32)
+            .map(|d| Digest::from_bytes(d.try_into().expect("chunks_exact(32)")))
+    }
+
+    /// Recomputes the chain-head digest for `record_bytes` at this
+    /// position (see [`ChainPosition::chain_head`]).
+    pub fn chain_head(&self, record_bytes: &[u8]) -> Digest {
+        let mut acc = chain_link(record_bytes, &self.older_digest);
+        if let Some(newer) = self.newer {
+            // Frames only read forwards; the chain folds oldest first.
+            let newest_first: Vec<&[u8]> = newer.collect();
+            for record in newest_first.into_iter().rev() {
+                acc = chain_link(record, &acc);
+            }
+        }
+        acc
+    }
+
+    /// Verifies the proof for a record's canonical bytes against the
+    /// enclave's commitment for the level — [`RecordProof::verify`] on the
+    /// stored bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns a [`VerifyError`] naming the first check that failed.
+    pub fn verify(
+        &self,
+        commitment: &LevelCommitment,
+        record_bytes: &[u8],
+    ) -> Result<(), VerifyError> {
+        verify_parts(
+            commitment,
+            (self.level, self.leaf_index, self.leaf_count),
+            || self.chain_head(record_bytes),
+            self.siblings(),
+        )
+    }
+
+    /// Copies the proof out of its buffer. Capacities come from counts
+    /// the parser already checked against the buffer, so they are bounded
+    /// by its length (at most one newer record per 4 bytes, one sibling
+    /// per 32).
+    pub fn to_owned(&self) -> RecordProof {
+        let older_digest = self.older_digest;
+        let chain = match self.newer {
+            None => ChainPosition::Newest { older_digest },
+            Some(newer) => ChainPosition::Older {
+                newer_records: newer.map(<[u8]>::to_vec).collect(),
+                older_digest,
+            },
+        };
+        RecordProof {
+            level: self.level,
+            leaf_index: self.leaf_index,
+            leaf_count: self.leaf_count,
+            chain,
+            audit_path: self.siblings().collect(),
+        }
+    }
 }
 
 #[cfg(test)]

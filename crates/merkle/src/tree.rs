@@ -87,17 +87,22 @@ impl MerkleTree {
     ///
     /// Panics if `index` is out of range.
     pub fn audit_path(&self, index: usize) -> Vec<Digest> {
+        self.siblings(index).copied().collect()
+    }
+
+    /// The audit path of [`MerkleTree::audit_path`], borrowed from the
+    /// tree node by node (proof encoders write it out without collecting).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `index` is out of range.
+    pub(crate) fn siblings(&self, index: usize) -> impl Iterator<Item = &Digest> + Clone + '_ {
         assert!(index < self.leaf_count(), "leaf index out of range");
-        let mut path = Vec::new();
-        let mut idx = index;
-        for level in &self.levels[..self.levels.len().saturating_sub(1)] {
-            let sibling = idx ^ 1;
-            if sibling < level.len() {
-                path.push(level[sibling]);
-            }
-            idx /= 2;
-        }
-        path
+        let below_root = &self.levels[..self.levels.len().saturating_sub(1)];
+        below_root
+            .iter()
+            .enumerate()
+            .filter_map(move |(height, level)| level.get((index >> height) ^ 1))
     }
 
     /// Verifies an audit path: does `leaf` at `index` (of `leaf_count`
@@ -109,23 +114,34 @@ impl MerkleTree {
         leaf: Digest,
         path: &[Digest],
     ) -> bool {
+        Self::verify_siblings(root, leaf_count, index, leaf, path.iter().copied())
+    }
+
+    /// [`MerkleTree::verify`] over any source of sibling digests (a
+    /// borrowed proof reads them straight out of the stored bytes).
+    pub(crate) fn verify_siblings(
+        root: Digest,
+        leaf_count: usize,
+        index: usize,
+        leaf: Digest,
+        mut path: impl Iterator<Item = Digest>,
+    ) -> bool {
         if index >= leaf_count || leaf_count == 0 {
             return false;
         }
         let mut h = leaf;
         let mut idx = index;
         let mut count = leaf_count;
-        let mut it = path.iter();
         while count > 1 {
             let sibling_exists = idx ^ 1 < count;
             if sibling_exists {
-                let Some(sib) = it.next() else { return false };
-                h = if idx % 2 == 0 { node_hash(&h, sib) } else { node_hash(sib, &h) };
+                let Some(sib) = path.next() else { return false };
+                h = if idx % 2 == 0 { node_hash(&h, &sib) } else { node_hash(&sib, &h) };
             }
             idx /= 2;
             count = count.div_ceil(2);
         }
-        it.next().is_none() && h == root
+        path.next().is_none() && h == root
     }
 
     /// Internal levels (used by range proofs).

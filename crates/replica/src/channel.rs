@@ -22,6 +22,7 @@ use std::sync::Arc;
 
 use elsm::replication::SessionKey;
 use elsm::VerificationFailure;
+use elsm_crypto::hmac::verify_tag;
 use elsm_crypto::Digest;
 use parking_lot::Mutex;
 use sgx_sim::Platform;
@@ -121,7 +122,9 @@ pub fn open_envelope<'a>(
     if envelope.seq != expected_seq {
         return Err(tampered);
     }
-    if key.mac_envelope(platform, envelope.seq, &envelope.payload) != envelope.mac {
+    // Constant-time: the transport host can resubmit an envelope with
+    // guessed MACs as often as it likes.
+    if !verify_tag(&key.mac_envelope(platform, envelope.seq, &envelope.payload), &envelope.mac) {
         return Err(tampered);
     }
     Ok(&envelope.payload)
@@ -156,6 +159,24 @@ mod tests {
             open_envelope(&p, &key, &envs[0], 0),
             Err(VerificationFailure::ChannelTampered { seq: 0 })
         );
+    }
+
+    #[test]
+    fn one_bit_off_mac_rejected() {
+        let (p, key, ch) = setup();
+        ch.send(&p, &key, b"payload".to_vec());
+        let honest = ch.drain().remove(0);
+        assert!(open_envelope(&p, &key, &honest, 0).is_ok());
+        for bit in [0usize, 7, 128, 255] {
+            let mut mac = honest.mac.into_bytes();
+            mac[bit / 8] ^= 1 << (bit % 8);
+            let forged = Envelope { mac: Digest::from_bytes(mac), ..honest.clone() };
+            assert_eq!(
+                open_envelope(&p, &key, &forged, 0),
+                Err(VerificationFailure::ChannelTampered { seq: 0 }),
+                "bit {bit}"
+            );
+        }
     }
 
     #[test]

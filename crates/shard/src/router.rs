@@ -143,7 +143,7 @@ impl ShardedTrustedState {
         trace: &GetTrace,
     ) -> Result<(), VerificationFailure> {
         self.check_owned(claimed_shard, key)?;
-        let verdict = self.shards[claimed_shard].verify_get(key, trace);
+        let verdict = self.shards[claimed_shard].verify_get(key, trace).map(|_| ());
         if let Err(failure) = &verdict {
             self.audit_failure(failure, claimed_shard as u32);
         }

@@ -35,6 +35,8 @@
 //! # }
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub use ct_log;
 pub use elsm;
 pub use elsm_baselines as baselines;
