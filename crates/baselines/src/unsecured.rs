@@ -129,7 +129,6 @@ impl UnsecuredLsm {
             level_multiplier: options.level_multiplier,
             max_levels: options.max_levels,
             compaction_enabled: options.compaction_enabled,
-            purge_tombstones_at_bottom: true,
             keep_old_versions: true,
             vlog: options.vlog,
             ..Options::default()

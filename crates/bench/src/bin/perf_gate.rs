@@ -94,17 +94,11 @@ fn main() {
 
     // Every baseline row must still exist and hold its throughput. A row
     // vanishing is a failure too: a silently dropped measurement would
-    // let a regression hide by deleting its own evidence. Exception:
-    // `*_prechange` sections are historical anchors hand-preserved in
-    // the committed baseline (captured before a pipeline change landed,
-    // see fig10's notes) — the current sweep legitimately never
-    // regenerates those, so their absence is reported, not failed.
+    // let a regression hide by deleting its own evidence.
     let mut deltas: Vec<(f64, Key, f64, f64)> = Vec::new();
     let mut missing = Vec::new();
-    let mut historical = 0usize;
     for (key, &base_ops) in &baseline {
         match fresh.get(key) {
-            None if key.0.ends_with("_prechange") => historical += 1,
             None => missing.push(key.clone()),
             Some(&fresh_ops) => {
                 let rel = if base_ops > 0.0 { fresh_ops / base_ops - 1.0 } else { 0.0 };
@@ -141,11 +135,6 @@ fn main() {
     let new_rows = fresh.keys().filter(|k| !baseline.contains_key(*k)).count();
     if new_rows > 0 {
         println!("({new_rows} new rows in {fresh_path} not present in baseline — not gated)");
-    }
-    if historical > 0 {
-        println!(
-            "({historical} historical *_prechange rows not regenerated by sweeps — not gated)"
-        );
     }
     if failed {
         println!("perf gate FAILED: throughput regressed beyond tolerance (or rows vanished)");

@@ -6,40 +6,43 @@
 //! committed full baseline.
 
 use elsm_bench::figures::*;
-use elsm_bench::{opts_from_args, Scale};
+use elsm_bench::{opts_from_args, results, telemetry, FigOpts, Scale};
 use ycsb::Table;
+
+type FigureFn = fn(&Scale, FigOpts) -> Table;
+
+/// Every figure, in sweep order.
+const FIGURES: &[(&str, FigureFn)] = &[
+    ("table1", table1),
+    ("fig2", fig2),
+    ("fig5a", fig5a),
+    ("fig5b", fig5b),
+    ("fig5c", fig5c),
+    ("fig6a", fig6a),
+    ("fig6b", fig6b),
+    ("fig6c", fig6c),
+    ("fig7a", fig7a),
+    ("fig7b", fig7b),
+    ("fig7", fig7),
+    ("fig8", fig8),
+    ("ablation_proofs", ablation_proofs),
+    ("ablation_bloom", ablation_bloom),
+    ("ablation_update_in_place", ablation_update_in_place),
+    ("ablation_rollback", ablation_rollback),
+    ("fig9", fig9),
+    ("fig10", fig10),
+    ("fig11", fig11),
+    ("fig12", fig12),
+    ("fig14", fig14),
+];
 
 fn main() {
     let scale = Scale::default();
     let opts = opts_from_args();
     let markdown = std::env::args().any(|a| a == "--markdown");
-    type FigureFn = Box<dyn Fn() -> Table>;
-    let figures: Vec<(&str, FigureFn)> = vec![
-        ("table1", Box::new(table1)),
-        ("fig2", Box::new(move || fig2(&scale, opts))),
-        ("fig5a", Box::new(move || fig5a(&scale, opts))),
-        ("fig5b", Box::new(move || fig5b(&scale, opts))),
-        ("fig5c", Box::new(move || fig5c(&scale, opts))),
-        ("fig6a", Box::new(move || fig6a(&scale, opts))),
-        ("fig6b", Box::new(move || fig6b(&scale, opts))),
-        ("fig6c", Box::new(move || fig6c(&scale, opts))),
-        ("fig7a", Box::new(move || fig7a(&scale, opts))),
-        ("fig7b", Box::new(move || fig7b(&scale, opts))),
-        ("fig7", Box::new(move || fig7(&scale, opts))),
-        ("fig8", Box::new(move || fig8(&scale, opts))),
-        ("ablation_proofs", Box::new(move || ablation_proofs(&scale, opts))),
-        ("ablation_bloom", Box::new(move || ablation_bloom(&scale, opts))),
-        ("ablation_update_in_place", Box::new(move || ablation_update_in_place(&scale, opts))),
-        ("ablation_rollback", Box::new(move || ablation_rollback(&scale, opts))),
-        ("fig9", Box::new(move || fig9(&scale, opts))),
-        ("fig10", Box::new(move || fig10(&scale, opts))),
-        ("fig11", Box::new(move || fig11(&scale, opts))),
-        ("fig12", Box::new(move || fig12(&scale, opts))),
-        ("fig14", Box::new(move || fig14(&scale, opts))),
-    ];
     let usage_and_exit = |problem: &str| -> ! {
         eprintln!("{problem}; available figures:");
-        for (n, _) in &figures {
+        for (n, _) in FIGURES {
             eprintln!("  {n}");
         }
         std::process::exit(2);
@@ -60,59 +63,43 @@ fn main() {
             only_arg = Some(value.to_string());
         }
     }
-    let only: Option<Vec<String>> = only_arg.map(|list| {
-        let mut names = Vec::new();
+    let only: Option<Vec<&str>> = only_arg.as_deref().map(|list| {
         for name in list.split(',') {
             if name.is_empty() {
                 usage_and_exit(&format!("empty figure name in `--only {list}`"));
             }
-            if !figures.iter().any(|(n, _)| n == &name) {
+            if !FIGURES.iter().any(|(n, _)| *n == name) {
                 usage_and_exit(&format!("unknown figure `{name}`"));
             }
-            if !names.iter().any(|n| n == name) {
-                names.push(name.to_string());
-            }
         }
-        names
+        list.split(',').collect()
     });
     let mode = if opts.quick { "smoke" } else { "full" };
-    let emit = |table: &Table| {
+    // Telemetry rotates per figure: each gets its own registry and its own
+    // TELEMETRY.<figure>.json snapshot and TRACES.<figure>.json dump.
+    for (name, figure) in FIGURES {
+        if only.as_ref().is_some_and(|names| !names.contains(name)) {
+            continue;
+        }
+        let start = results::len();
+        telemetry::begin_figure();
+        let table = figure(&scale, opts);
         if markdown {
             println!("{}", table.to_markdown());
         } else {
             table.print();
             println!();
         }
-    };
-    match &only {
         // A subset: one output file per selected figure, holding exactly
         // that figure's entries.
-        Some(names) => {
-            for name in names {
-                let (_, figure) = figures.iter().find(|(n, _)| n == name).expect("validated above");
-                let start = elsm_bench::results::len();
-                elsm_bench::telemetry::begin_figure();
-                emit(&figure());
-                elsm_bench::results::write_results_from(
-                    &format!("BENCH_results.{name}.json"),
-                    mode,
-                    start,
-                );
-                elsm_bench::telemetry::write_snapshot(name);
-                elsm_bench::telemetry::write_traces(name);
-            }
+        if only.is_some() {
+            results::write_results(&format!("BENCH_results.{name}.json"), mode, start);
         }
-        // The full sweep owns the committed baseline. Telemetry still
-        // rotates per figure: every bin gets its own registry and its
-        // own TELEMETRY.<figure>.json snapshot (and TRACES dump).
-        None => {
-            for (name, figure) in &figures {
-                elsm_bench::telemetry::begin_figure();
-                emit(&figure());
-                elsm_bench::telemetry::write_snapshot(name);
-                elsm_bench::telemetry::write_traces(name);
-            }
-            elsm_bench::results::write_results("BENCH_results.json", mode);
-        }
+        telemetry::write_snapshot(name);
+        telemetry::write_traces(name);
+    }
+    // Only the full sweep owns the committed baseline.
+    if only.is_none() {
+        results::write_results("BENCH_results.json", mode, 0);
     }
 }

@@ -1,4 +1,5 @@
-//! [`ycsb::KvDriver`] adapters for every system under test.
+//! [`ycsb::KvDriver`] adapters for every system under test: one per
+//! store API shape.
 //!
 //! Every adapter forwards [`ycsb::KvDriver::put_batch`] to its store's
 //! real batch entry point, so fig10's batch-size sweeps measure each
@@ -6,277 +7,84 @@
 //! the eLSM designs; honest per-record loops for the update-in-place
 //! baselines, which have nothing to amortize).
 
-use std::sync::Arc;
-
-use elsm::{AuthenticatedKv, ElsmP1, ElsmP2};
+use elsm::AuthenticatedKv;
 use elsm_baselines::{EleosStore, MbtStore, ReplicatedUnsecured, ShardedUnsecured, UnsecuredLsm};
-use elsm_replica::ReplicationGroup;
-use elsm_shard::ShardedKv;
-use sgx_sim::Platform;
-use ycsb::ShardedKvDriver;
+use ycsb::KvDriver;
 
 fn as_refs(items: &[(Vec<u8>, Vec<u8>)]) -> Vec<(&[u8], &[u8])> {
     items.iter().map(|(k, v)| (k.as_slice(), v.as_slice())).collect()
 }
 
-/// Driver over eLSM-P2.
+/// Driver over any authenticated store — `ElsmP2`, `ElsmP1`, a
+/// `ShardedKv` cluster, a `ReplicationGroup` (writes go to the primary,
+/// verified reads round-robin across the replicas). A read that fails
+/// verification fails the run.
 #[derive(Debug)]
-pub struct P2Driver(pub ElsmP2);
+pub struct Verified<S>(pub S);
 
-impl ycsb::KvDriver for P2Driver {
+impl<S: AuthenticatedKv> KvDriver for Verified<S> {
     fn put(&self, key: &[u8], value: &[u8]) {
-        self.0.put(key, value).expect("p2 put");
+        self.0.put(key, value).expect("put");
     }
     fn get(&self, key: &[u8]) -> bool {
-        self.0.get(key).expect("p2 get verifies").is_some()
+        self.0.get(key).expect("get verifies").is_some()
     }
     fn scan(&self, from: &[u8], to: &[u8]) -> usize {
-        self.0.scan(from, to).expect("p2 scan verifies").len()
+        self.0.scan(from, to).expect("scan verifies").len()
     }
     fn put_batch(&self, items: &[(Vec<u8>, Vec<u8>)]) {
-        self.0.put_batch(&as_refs(items)).expect("p2 put_batch");
+        self.0.put_batch(&as_refs(items)).expect("put_batch");
     }
 }
 
-/// A plain eLSM-P2 store presented as a one-shard cluster: the
-/// pre-sharding anchor series of fig11 runs the unsharded code path
-/// under the same per-machine scheduler as the sharded lines.
-impl ShardedKvDriver for P2Driver {
-    fn shard_count(&self) -> usize {
-        1
-    }
-    fn shard_platform(&self, _shard: usize) -> &Arc<Platform> {
-        self.0.platform()
-    }
-    fn router_platform(&self) -> &Arc<Platform> {
-        self.0.platform()
-    }
-}
-
-/// Driver over eLSM-P1.
+/// Driver over the unsecured LSM baselines — one store, a sharded
+/// cluster, a replicated group — which share a `Result`-returning API
+/// but no trait.
 #[derive(Debug)]
-pub struct P1Driver(pub ElsmP1);
+pub struct Unsecured<S>(pub S);
 
-impl ycsb::KvDriver for P1Driver {
-    fn put(&self, key: &[u8], value: &[u8]) {
-        self.0.put(key, value).expect("p1 put");
-    }
-    fn get(&self, key: &[u8]) -> bool {
-        self.0.get(key).expect("p1 get").is_some()
-    }
-    fn scan(&self, from: &[u8], to: &[u8]) -> usize {
-        self.0.scan(from, to).expect("p1 scan").len()
-    }
-    fn put_batch(&self, items: &[(Vec<u8>, Vec<u8>)]) {
-        self.0.put_batch(&as_refs(items)).expect("p1 put_batch");
-    }
-}
-
-/// Driver over the unsecured LSM configurations.
-#[derive(Debug)]
-pub struct UnsecuredDriver(pub UnsecuredLsm);
-
-impl ycsb::KvDriver for UnsecuredDriver {
-    fn put(&self, key: &[u8], value: &[u8]) {
-        self.0.put(key, value).expect("unsecured put");
-    }
-    fn get(&self, key: &[u8]) -> bool {
-        self.0.get(key).expect("unsecured get").is_some()
-    }
-    fn scan(&self, from: &[u8], to: &[u8]) -> usize {
-        self.0.scan(from, to).expect("unsecured scan").len()
-    }
-    fn put_batch(&self, items: &[(Vec<u8>, Vec<u8>)]) {
-        self.0.put_batch(&as_refs(items)).expect("unsecured put_batch");
-    }
-}
-
-/// Driver over the sharded authenticated cluster.
-#[derive(Debug)]
-pub struct ShardedP2Driver(pub ShardedKv);
-
-impl ycsb::KvDriver for ShardedP2Driver {
-    fn put(&self, key: &[u8], value: &[u8]) {
-        self.0.put(key, value).expect("sharded put");
-    }
-    fn get(&self, key: &[u8]) -> bool {
-        self.0.get(key).expect("sharded get verifies").is_some()
-    }
-    fn scan(&self, from: &[u8], to: &[u8]) -> usize {
-        self.0.scan(from, to).expect("sharded scan verifies").len()
-    }
-    fn put_batch(&self, items: &[(Vec<u8>, Vec<u8>)]) {
-        self.0.put_batch(&as_refs(items)).expect("sharded put_batch");
-    }
-}
-
-impl ShardedKvDriver for ShardedP2Driver {
-    fn shard_count(&self) -> usize {
-        self.0.shard_count()
-    }
-    fn shard_platform(&self, shard: usize) -> &Arc<Platform> {
-        self.0.shard_platform(shard)
-    }
-    fn router_platform(&self) -> &Arc<Platform> {
-        self.0.router_platform()
-    }
-}
-
-/// Driver over the sharded unsecured cluster.
-#[derive(Debug)]
-pub struct ShardedUnsecuredDriver(pub ShardedUnsecured);
-
-impl ycsb::KvDriver for ShardedUnsecuredDriver {
-    fn put(&self, key: &[u8], value: &[u8]) {
-        self.0.put(key, value).expect("sharded unsecured put");
-    }
-    fn get(&self, key: &[u8]) -> bool {
-        self.0.get(key).expect("sharded unsecured get").is_some()
-    }
-    fn scan(&self, from: &[u8], to: &[u8]) -> usize {
-        self.0.scan(from, to).expect("sharded unsecured scan").len()
-    }
-    fn put_batch(&self, items: &[(Vec<u8>, Vec<u8>)]) {
-        self.0.put_batch(&as_refs(items)).expect("sharded unsecured put_batch");
-    }
-}
-
-impl ShardedKvDriver for ShardedUnsecuredDriver {
-    fn shard_count(&self) -> usize {
-        self.0.shard_count()
-    }
-    fn shard_platform(&self, shard: usize) -> &Arc<Platform> {
-        self.0.shard_platform(shard)
-    }
-    fn router_platform(&self) -> &Arc<Platform> {
-        self.0.router_platform()
-    }
-}
-
-/// Driver over a replicated authenticated group: writes go to the
-/// primary (which ships them before acknowledging), verified reads
-/// round-robin across the replicas. For the scheduler, each **replica**
-/// is one machine and the primary plays the router role — fig12's read
-/// phase never touches it, so read scaling is purely the replicas'.
-#[derive(Debug)]
-pub struct ReplicatedP2Driver {
-    group: ReplicationGroup,
-    replicas: Vec<Arc<Platform>>,
-    primary: Arc<Platform>,
-}
-
-impl ReplicatedP2Driver {
-    /// Wraps a group, caching each node's platform for the scheduler.
-    pub fn new(group: ReplicationGroup) -> Self {
-        let replicas = (0..group.replica_count()).map(|i| group.replica_platform(i)).collect();
-        let primary = group.primary_store().platform().clone();
-        ReplicatedP2Driver { group, replicas, primary }
-    }
-
-    /// The wrapped group.
-    pub fn group(&self) -> &ReplicationGroup {
-        &self.group
-    }
-}
-
-impl ycsb::KvDriver for ReplicatedP2Driver {
-    fn put(&self, key: &[u8], value: &[u8]) {
-        self.group.put(key, value).expect("replicated put");
-    }
-    fn get(&self, key: &[u8]) -> bool {
-        self.group.get(key).expect("replica get verifies").is_some()
-    }
-    fn scan(&self, from: &[u8], to: &[u8]) -> usize {
-        self.group.scan(from, to).expect("replica scan verifies").len()
-    }
-    fn put_batch(&self, items: &[(Vec<u8>, Vec<u8>)]) {
-        self.group.put_batch(&as_refs(items)).expect("replicated put_batch");
-    }
-}
-
-impl ShardedKvDriver for ReplicatedP2Driver {
-    fn shard_count(&self) -> usize {
-        self.replicas.len().max(1)
-    }
-    fn shard_platform(&self, shard: usize) -> &Arc<Platform> {
-        self.replicas.get(shard).unwrap_or(&self.primary)
-    }
-    fn router_platform(&self) -> &Arc<Platform> {
-        &self.primary
-    }
-}
-
-/// Driver over the unsecured replicated baseline, machine-modelled the
-/// same way as [`ReplicatedP2Driver`].
-#[derive(Debug)]
-pub struct ReplicatedUnsecuredDriver(pub ReplicatedUnsecured);
-
-impl ycsb::KvDriver for ReplicatedUnsecuredDriver {
-    fn put(&self, key: &[u8], value: &[u8]) {
-        self.0.put(key, value).expect("replicated unsecured put");
-    }
-    fn get(&self, key: &[u8]) -> bool {
-        self.0.get(key).expect("replicated unsecured get").is_some()
-    }
-    fn scan(&self, from: &[u8], to: &[u8]) -> usize {
-        self.0.scan(from, to).expect("replicated unsecured scan").len()
-    }
-    fn put_batch(&self, items: &[(Vec<u8>, Vec<u8>)]) {
-        self.0.put_batch(&as_refs(items)).expect("replicated unsecured put_batch");
-    }
-}
-
-impl ShardedKvDriver for ReplicatedUnsecuredDriver {
-    fn shard_count(&self) -> usize {
-        self.0.replica_count().max(1)
-    }
-    fn shard_platform(&self, shard: usize) -> &Arc<Platform> {
-        if shard < self.0.replica_count() {
-            self.0.replica_platform(shard)
-        } else {
-            self.0.primary_platform()
+macro_rules! unsecured_driver {
+    ($($store:ty),*) => {$(
+        impl KvDriver for Unsecured<$store> {
+            fn put(&self, key: &[u8], value: &[u8]) {
+                self.0.put(key, value).expect("unsecured put");
+            }
+            fn get(&self, key: &[u8]) -> bool {
+                self.0.get(key).expect("unsecured get").is_some()
+            }
+            fn scan(&self, from: &[u8], to: &[u8]) -> usize {
+                self.0.scan(from, to).expect("unsecured scan").len()
+            }
+            fn put_batch(&self, items: &[(Vec<u8>, Vec<u8>)]) {
+                self.0.put_batch(&as_refs(items)).expect("unsecured put_batch");
+            }
         }
-    }
-    fn router_platform(&self) -> &Arc<Platform> {
-        self.0.primary_platform()
-    }
+    )*};
 }
+unsecured_driver!(UnsecuredLsm, ShardedUnsecured, ReplicatedUnsecured);
 
-/// Driver over the Eleos baseline. Puts beyond the capacity limit are
-/// dropped (the paper stops Eleos' curves at 1 GB).
+/// Driver over the update-in-place baselines, Eleos and the Merkle
+/// B-tree store. Eleos puts beyond its capacity limit are dropped (the
+/// paper stops Eleos' curves at 1 GB).
 #[derive(Debug)]
-pub struct EleosDriver(pub EleosStore);
+pub struct InPlace<S>(pub S);
 
-impl ycsb::KvDriver for EleosDriver {
-    fn put(&self, key: &[u8], value: &[u8]) {
-        let _ = self.0.put(key.to_vec(), value.to_vec());
-    }
-    fn get(&self, key: &[u8]) -> bool {
-        self.0.get(key).is_some()
-    }
-    fn scan(&self, from: &[u8], to: &[u8]) -> usize {
-        self.0.range(from, to).len()
-    }
-    fn put_batch(&self, items: &[(Vec<u8>, Vec<u8>)]) {
-        let _ = self.0.put_batch(&as_refs(items));
-    }
+macro_rules! in_place_driver {
+    ($($store:ty),*) => {$(
+        impl KvDriver for InPlace<$store> {
+            fn put(&self, key: &[u8], value: &[u8]) {
+                let _ = self.0.put(key.to_vec(), value.to_vec());
+            }
+            fn get(&self, key: &[u8]) -> bool {
+                self.0.get(key).is_some()
+            }
+            fn scan(&self, from: &[u8], to: &[u8]) -> usize {
+                self.0.range(from, to).len()
+            }
+            fn put_batch(&self, items: &[(Vec<u8>, Vec<u8>)]) {
+                let _ = self.0.put_batch(&as_refs(items));
+            }
+        }
+    )*};
 }
-
-/// Driver over the update-in-place Merkle B-tree store.
-#[derive(Debug)]
-pub struct MbtDriver(pub MbtStore);
-
-impl ycsb::KvDriver for MbtDriver {
-    fn put(&self, key: &[u8], value: &[u8]) {
-        self.0.put(key.to_vec(), value.to_vec());
-    }
-    fn get(&self, key: &[u8]) -> bool {
-        self.0.get(key).is_some()
-    }
-    fn scan(&self, from: &[u8], to: &[u8]) -> usize {
-        self.0.range(from, to).len()
-    }
-    fn put_batch(&self, items: &[(Vec<u8>, Vec<u8>)]) {
-        self.0.put_batch(&as_refs(items));
-    }
-}
+in_place_driver!(EleosStore, MbtStore);

@@ -1,33 +1,27 @@
 //! One regeneration function per table/figure of the paper.
 //!
-//! Each function builds the systems under test on their own simulated
-//! platform, loads the scaled dataset, drives the paper's workload and
-//! returns a [`Table`] whose rows mirror the figure's series. Latencies
-//! are *simulated microseconds* on the virtual clock; size axes are paper
-//! units (see [`crate::scale::Scale`]).
-
-use std::sync::Arc;
+//! Each function is a sweep table and its columns: every cell builds a
+//! system under test (`systems::Sut`) on its own simulated machines, loads the
+//! scaled dataset, drives the paper's workload through the one YCSB
+//! scheduler ([`ycsb::run_phase`]) and records the measurement
+//! ([`crate::results`]); the function returns a [`Table`] whose rows
+//! mirror the figure's series. Latencies are *simulated microseconds* on
+//! the virtual clock; size axes are paper units (see
+//! [`crate::scale::Scale`]).
 
 use elsm::{ElsmP1, ElsmP2, P1Options, P2Options, ReadMode};
-use elsm_baselines::{
-    EleosOptions, EleosStore, MbtStore, ReplicatedUnsecured, ShardedUnsecured, UnsecuredLsm,
-    UnsecuredOptions,
-};
-use elsm_replica::{ReplicationGroup, ReplicationOptions};
-use elsm_shard::{PartitionSpec, ShardedKv, ShardedOptions};
-use sgx_sim::Platform;
+use elsm_baselines::{MbtStore, UnsecuredLsm, UnsecuredOptions};
 use sim_disk::{SimDisk, SimFs};
-use ycsb::{
-    load_phase, run_phase_concurrent, run_phase_concurrent_with_telemetry,
-    run_phase_with_telemetry, run_sharded_concurrent, run_write_batches_concurrent,
-    BatchWritePhase, ShardPhase, Table, Workload,
-};
+use ycsb::{KvDriver, Phase, Table, Workload, CLIENT_SEED_MIX};
 
-use crate::drivers::{
-    EleosDriver, MbtDriver, P1Driver, P2Driver, ReplicatedP2Driver, ReplicatedUnsecuredDriver,
-    ShardedP2Driver, ShardedUnsecuredDriver, UnsecuredDriver,
-};
+use crate::drivers::{InPlace, Verified};
+use crate::results::{note_concurrent, note_concurrent_gauges, note_run_gauges, set_figure};
 use crate::scale::{Scale, VALUE_BYTES};
+use crate::systems::{
+    eleos, leveldb_outside, machine, mix, open_p1, open_p2, open_unsecured, p1, p1_options, p2,
+    p2_options, reads, replicated_p2, replicated_unsecured, sharded_p2, sharded_unsecured, sut_p1,
+    sut_p2, sut_unsecured, unsecured_options, writes, Cell, Sut,
+};
 
 /// Run-size knobs (quick mode keeps CI fast; full mode for the record).
 #[derive(Debug, Clone, Copy)]
@@ -46,137 +40,6 @@ impl FigOpts {
     }
 }
 
-fn p2_options(scale: &Scale, read_mode: ReadMode, cache_paper_mb: u64) -> P2Options {
-    P2Options {
-        telemetry: crate::telemetry::current(),
-        read_mode,
-        block_cache_bytes: scale.mb(cache_paper_mb) as usize,
-        write_buffer_bytes: scale.write_buffer_bytes(),
-        level1_max_bytes: scale.level1_bytes(),
-        level_multiplier: 10,
-        max_levels: 7,
-        target_file_bytes: scale.file_bytes(),
-        block_size: 4096,
-        bloom_bits_per_key: 10,
-        compaction_enabled: true,
-        compaction_strategy: lsm_store::CompactionStrategyKind::Leveled,
-        compaction_parallelism: 1,
-        incremental_commitments: false,
-        rollback: None,
-        wal_sync: lsm_store::WalSyncPolicy::Always,
-        retired_epoch_floor: 8,
-        shard_id: None,
-        vlog: None,
-        verified_cache_bytes: 0,
-    }
-}
-
-fn p1_options(scale: &Scale, buffer_paper_mb: u64) -> P1Options {
-    P1Options {
-        buffer_bytes: scale.mb(buffer_paper_mb) as usize,
-        write_buffer_bytes: scale.write_buffer_bytes(),
-        level1_max_bytes: scale.level1_bytes(),
-        level_multiplier: 10,
-        max_levels: 7,
-        target_file_bytes: scale.file_bytes(),
-        block_size: 4096,
-        bloom_bits_per_key: 10,
-        compaction_enabled: true,
-    }
-}
-
-fn unsecured_options(
-    scale: &Scale,
-    in_enclave: bool,
-    mmap: bool,
-    cache_paper_mb: u64,
-) -> UnsecuredOptions {
-    UnsecuredOptions {
-        in_enclave,
-        use_mmap: mmap,
-        block_cache_bytes: scale.mb(cache_paper_mb) as usize,
-        write_buffer_bytes: scale.write_buffer_bytes(),
-        level1_max_bytes: scale.level1_bytes(),
-        level_multiplier: 10,
-        max_levels: 7,
-        target_file_bytes: scale.file_bytes(),
-        compaction_enabled: true,
-        vlog: None,
-    }
-}
-
-fn eleos_options(scale: &Scale) -> EleosOptions {
-    EleosOptions {
-        capacity_limit_bytes: scale.gb(1.0) * 2, // 1 GB of live data ≈ 2× raw
-        resident_bytes: scale.mb(128) as usize,
-        page_bytes: 4096,
-        monitor_ns: 150,
-        persist_buffer_bytes: scale.write_buffer_bytes(),
-        slack_percent: 30,
-    }
-}
-
-/// Builds an eLSM-P2 store on a fresh platform.
-pub fn build_p2(
-    scale: &Scale,
-    read_mode: ReadMode,
-    cache_paper_mb: u64,
-) -> (ElsmP2, Arc<Platform>) {
-    let platform = Platform::new(scale.cost_model());
-    let store = ElsmP2::open(platform.clone(), p2_options(scale, read_mode, cache_paper_mb))
-        .expect("open p2");
-    (store, platform)
-}
-
-/// Builds an eLSM-P1 store on a fresh platform.
-pub fn build_p1(scale: &Scale, buffer_paper_mb: u64) -> (ElsmP1, Arc<Platform>) {
-    let platform = Platform::new(scale.cost_model());
-    let store =
-        ElsmP1::open(platform.clone(), p1_options(scale, buffer_paper_mb)).expect("open p1");
-    (store, platform)
-}
-
-fn measured_reads(
-    driver: &dyn ycsb::KvDriver,
-    platform: &Arc<Platform>,
-    records: u64,
-    ops: u64,
-    dist: &str,
-) -> f64 {
-    let w = Workload::read_ratio(100).with_distribution(dist);
-    let report = run_phase_with_telemetry(
-        driver,
-        platform,
-        &w,
-        records,
-        ops,
-        0xf16,
-        &crate::telemetry::current(),
-    );
-    crate::results::note_run(&report);
-    report.overall.mean_us
-}
-
-fn measured_mix(
-    driver: &dyn ycsb::KvDriver,
-    platform: &Arc<Platform>,
-    w: &Workload,
-    records: u64,
-    ops: u64,
-) -> f64 {
-    let report = run_phase_with_telemetry(
-        driver,
-        platform,
-        w,
-        records,
-        ops,
-        0xf17,
-        &crate::telemetry::current(),
-    );
-    crate::results::note_run(&report);
-    report.overall.mean_us
-}
-
 // ---------------------------------------------------------------------------
 // Figure 2
 // ---------------------------------------------------------------------------
@@ -184,47 +47,33 @@ fn measured_mix(
 /// Figure 2: read latency with the read buffer inside vs. outside the
 /// enclave, 5 GB disk-resident dataset, buffer swept 4 MB → 2048 MB.
 pub fn fig2(scale: &Scale, opts: FigOpts) -> Table {
-    crate::results::set_figure("fig2");
+    set_figure("fig2");
     let buffers: &[u64] = if opts.quick {
         &[4, 32, 128, 600, 2000]
     } else {
         &[4, 8, 16, 32, 64, 128, 200, 400, 600, 800, 1000, 1500, 2000]
     };
-    let records = scale.records_for_gb(5.0);
+    let cell = reads(scale.records_for_gb(5.0), opts.ops());
     let mut table = Table::new(
         "Figure 2: buffer placement, 5 GB disk-resident data (latency µs/op)",
         &["buffer_mb", "outside_enclave", "inside_enclave_p1"],
     );
+    // 5 GB ≫ memory: reads hit disk.
+    let small_memory_machine = || {
+        let platform = machine(scale);
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        fs.set_os_cache_limit(scale.mb(64));
+        (platform, fs)
+    };
     for &buf in buffers {
         // Outside: code in enclave, user-space buffer in untrusted memory.
-        let outside = {
-            let platform = Platform::new(scale.cost_model());
-            let fs = SimFs::new(SimDisk::new(platform.clone()));
-            fs.set_os_cache_limit(scale.mb(64)); // 5 GB ≫ memory: reads hit disk
-            let store = UnsecuredLsm::open_with(
-                platform.clone(),
-                fs,
-                unsecured_options(scale, true, false, buf),
-            )
-            .expect("open");
-            let driver = UnsecuredDriver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            driver.0.db().flush().expect("flush");
-            measured_reads(&driver, &platform, records, opts.ops(), "uniform")
-        };
+        let (platform, fs) = small_memory_machine();
+        let options = unsecured_options(scale, true, false, buf);
+        let outside = sut_unsecured(UnsecuredLsm::open_with(platform, fs, options).expect("open"));
         // Inside: eLSM-P1's enclave buffer (plus SDK file protection).
-        let inside = {
-            let platform = Platform::new(scale.cost_model());
-            let fs = SimFs::new(SimDisk::new(platform.clone()));
-            fs.set_os_cache_limit(scale.mb(64));
-            let store =
-                ElsmP1::open_with(platform.clone(), fs, p1_options(scale, buf)).expect("open");
-            let driver = P1Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            driver.0.db().flush().expect("flush");
-            measured_reads(&driver, &platform, records, opts.ops(), "uniform")
-        };
-        table.row_f64(buf, &[outside, inside]);
+        let (platform, fs) = small_memory_machine();
+        let inside = sut_p1(ElsmP1::open_with(platform, fs, p1_options(scale, buf)).expect("open"));
+        table.row_f64(buf, &[outside.latency(&cell), inside.latency(&cell)]);
     }
     table
 }
@@ -234,7 +83,7 @@ pub fn fig2(scale: &Scale, opts: FigOpts) -> Table {
 // ---------------------------------------------------------------------------
 
 /// Table 1: the design-choice matrix (descriptive).
-pub fn table1() -> Table {
+pub fn table1(_scale: &Scale, _opts: FigOpts) -> Table {
     let mut t = Table::new(
         "Table 1: design choices of eLSM-P1 and eLSM-P2",
         &["design", "code placement", "data placement", "digest structure"],
@@ -258,114 +107,74 @@ pub fn table1() -> Table {
 // Figure 5
 // ---------------------------------------------------------------------------
 
+/// Eleos' latency column; the paper's Eleos scales only to 1 GB.
+fn eleos_column(scale: &Scale, within_capacity: bool, cell: &Cell) -> String {
+    if within_capacity {
+        format!("{:.1}", eleos(scale).latency(cell))
+    } else {
+        "n/a (>1GB)".to_string()
+    }
+}
+
 /// Figure 5a: operation latency vs. read percentage (uniform keys, 3 GB).
 pub fn fig5a(scale: &Scale, opts: FigOpts) -> Table {
-    crate::results::set_figure("fig5a");
+    set_figure("fig5a");
     let points: &[u32] =
         if opts.quick { &[0, 30, 70, 100] } else { &[0, 10, 20, 30, 40, 50, 60, 70, 80, 90, 100] };
-    let data_gb = if opts.quick { 1.0 } else { 3.0 };
-    let records = scale.records_for_gb(data_gb);
+    let records = scale.records_for_gb(if opts.quick { 1.0 } else { 3.0 });
     let mut table = Table::new(
         "Figure 5a: latency vs read ratio, 3 GB uniform (µs/op)",
         &["read_pct", "elsm_p2_mmap", "elsm_p1", "leveldb_unsecure"],
     );
     for &pct in points {
-        let w = Workload::read_ratio(pct);
-        let p2 = {
-            let (store, platform) = build_p2(scale, ReadMode::Mmap, 8);
-            let driver = P2Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            driver.0.db().flush().expect("flush");
-            measured_mix(&driver, &platform, &w, records, opts.ops())
-        };
-        let p1 = {
-            let (store, platform) = build_p1(scale, 64);
-            let driver = P1Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            driver.0.db().flush().expect("flush");
-            measured_mix(&driver, &platform, &w, records, opts.ops())
-        };
-        let unsec = {
-            let platform = Platform::new(scale.cost_model());
-            let store =
-                UnsecuredLsm::open(platform.clone(), unsecured_options(scale, false, true, 8))
-                    .expect("open");
-            let driver = UnsecuredDriver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            driver.0.db().flush().expect("flush");
-            measured_mix(&driver, &platform, &w, records, opts.ops())
-        };
-        table.row_f64(pct, &[p2, p1, unsec]);
+        let cell = mix(&Workload::read_ratio(pct), records, opts.ops());
+        table.row_f64(
+            pct,
+            &[
+                p2(scale, ReadMode::Mmap, 8).latency(&cell),
+                p1(scale, 64).latency(&cell),
+                leveldb_outside(scale).latency(&cell),
+            ],
+        );
     }
     table
 }
 
 /// Figure 5b: latency vs. data size under YCSB-A (zipfian 50/50).
 pub fn fig5b(scale: &Scale, opts: FigOpts) -> Table {
-    crate::results::set_figure("fig5b");
+    set_figure("fig5b");
     let sizes: &[f64] = if opts.quick { &[0.6, 1.0, 3.0] } else { &[0.6, 0.8, 1.0, 2.0, 3.0] };
     let mut table = Table::new(
         "Figure 5b: YCSB-A latency vs data size (µs/op)",
         &["data_gb", "elsm_p2_mmap", "elsm_p1", "eleos"],
     );
-    let w = Workload::a();
     for &gb in sizes {
-        let records = scale.records_for_gb(gb);
-        let p2 = {
-            let (store, platform) = build_p2(scale, ReadMode::Mmap, 8);
-            let driver = P2Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            driver.0.db().flush().expect("flush");
-            measured_mix(&driver, &platform, &w, records, opts.ops())
-        };
-        let p1 = {
-            let (store, platform) = build_p1(scale, 64);
-            let driver = P1Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            driver.0.db().flush().expect("flush");
-            measured_mix(&driver, &platform, &w, records, opts.ops())
-        };
-        let eleos = if gb <= 1.0 {
-            let platform = Platform::new(scale.cost_model());
-            let fs = SimFs::new(SimDisk::new(platform.clone()));
-            let store = EleosStore::new(platform.clone(), fs, eleos_options(scale));
-            let driver = EleosDriver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            format!("{:.1}", measured_mix(&driver, &platform, &w, records, opts.ops()))
-        } else {
-            "n/a (>1GB)".to_string() // the paper: Eleos scales only to 1 GB
-        };
-        table.row(vec![format!("{gb:.1}"), format!("{p2:.1}"), format!("{p1:.1}"), eleos]);
+        let cell = mix(&Workload::a(), scale.records_for_gb(gb), opts.ops());
+        table.row(vec![
+            format!("{gb:.1}"),
+            format!("{:.1}", p2(scale, ReadMode::Mmap, 8).latency(&cell)),
+            format!("{:.1}", p1(scale, 64).latency(&cell)),
+            eleos_column(scale, gb <= 1.0, &cell),
+        ]);
     }
     table
 }
 
 /// Figure 5c: latency vs. key distribution (3 GB, 50/50 mix).
 pub fn fig5c(scale: &Scale, opts: FigOpts) -> Table {
-    crate::results::set_figure("fig5c");
-    let data_gb = if opts.quick { 1.0 } else { 3.0 };
-    let records = scale.records_for_gb(data_gb);
+    set_figure("fig5c");
+    let records = scale.records_for_gb(if opts.quick { 1.0 } else { 3.0 });
     let mut table = Table::new(
         "Figure 5c: latency vs key distribution, 3 GB (µs/op)",
         &["distribution", "elsm_p2_mmap", "elsm_p1"],
     );
     for dist in ["uniform", "zipfian", "latest"] {
         let w = Workload::read_ratio(50).with_distribution(dist);
-        let p2 = {
-            let (store, platform) = build_p2(scale, ReadMode::Mmap, 8);
-            let driver = P2Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            driver.0.db().flush().expect("flush");
-            measured_mix(&driver, &platform, &w, records, opts.ops())
-        };
-        let p1 = {
-            let (store, platform) = build_p1(scale, 64);
-            let driver = P1Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            driver.0.db().flush().expect("flush");
-            measured_mix(&driver, &platform, &w, records, opts.ops())
-        };
-        table.row_f64(dist, &[p2, p1]);
+        let cell = mix(&w, records, opts.ops());
+        table.row_f64(
+            dist,
+            &[p2(scale, ReadMode::Mmap, 8).latency(&cell), p1(scale, 64).latency(&cell)],
+        );
     }
     table
 }
@@ -376,7 +185,7 @@ pub fn fig5c(scale: &Scale, opts: FigOpts) -> Table {
 
 /// Figure 6a: read latency vs. data size, all systems.
 pub fn fig6a(scale: &Scale, opts: FigOpts) -> Table {
-    crate::results::set_figure("fig6a");
+    set_figure("fig6a");
     let sizes_mb: &[u64] =
         if opts.quick { &[8, 128, 1024, 3072] } else { &[8, 64, 128, 256, 512, 1024, 2048, 3072] };
     let mut table = Table::new(
@@ -384,49 +193,18 @@ pub fn fig6a(scale: &Scale, opts: FigOpts) -> Table {
         &["data_mb", "elsm_p2_mmap", "elsm_p1", "eleos", "outside_unsecured"],
     );
     for &mb in sizes_mb {
-        let records = scale.records_for_mb(mb).max(100);
-        let p2 = {
-            let (store, platform) = build_p2(scale, ReadMode::Mmap, 8);
-            let driver = P2Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            driver.0.db().flush().expect("flush");
-            measured_reads(&driver, &platform, records, opts.ops(), "uniform")
-        };
-        let p1 = {
-            // The paper gives P1 a buffer sized to the dataset (its design
-            // keeps data in enclave memory).
-            let (store, platform) = build_p1(scale, mb.max(8));
-            let driver = P1Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            driver.0.db().flush().expect("flush");
-            measured_reads(&driver, &platform, records, opts.ops(), "uniform")
-        };
-        let eleos = if mb <= 1024 {
-            let platform = Platform::new(scale.cost_model());
-            let fs = SimFs::new(SimDisk::new(platform.clone()));
-            let store = EleosStore::new(platform.clone(), fs, eleos_options(scale));
-            let driver = EleosDriver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            format!("{:.1}", measured_reads(&driver, &platform, records, opts.ops(), "uniform"))
-        } else {
-            "n/a (>1GB)".to_string()
-        };
-        let ideal = {
-            let platform = Platform::new(scale.cost_model());
-            let store =
-                UnsecuredLsm::open(platform.clone(), unsecured_options(scale, true, true, 8))
-                    .expect("open");
-            let driver = UnsecuredDriver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            driver.0.db().flush().expect("flush");
-            measured_reads(&driver, &platform, records, opts.ops(), "uniform")
-        };
+        let cell = reads(scale.records_for_mb(mb).max(100), opts.ops());
         table.row(vec![
             mb.to_string(),
-            format!("{p2:.1}"),
-            format!("{p1:.1}"),
-            eleos,
-            format!("{ideal:.1}"),
+            format!("{:.1}", p2(scale, ReadMode::Mmap, 8).latency(&cell)),
+            // The paper gives P1 a buffer sized to the dataset (its design
+            // keeps data in enclave memory).
+            format!("{:.1}", p1(scale, mb.max(8)).latency(&cell)),
+            eleos_column(scale, mb <= 1024, &cell),
+            format!(
+                "{:.1}",
+                open_unsecured(scale, unsecured_options(scale, true, true, 8)).latency(&cell)
+            ),
         ]);
     }
     table
@@ -434,7 +212,7 @@ pub fn fig6a(scale: &Scale, opts: FigOpts) -> Table {
 
 /// Figure 6b: eLSM-P2 mmap vs. user-space buffer reads.
 pub fn fig6b(scale: &Scale, opts: FigOpts) -> Table {
-    crate::results::set_figure("fig6b");
+    set_figure("fig6b");
     let sizes_mb: &[u64] = if opts.quick {
         &[8, 128, 1024, 3072]
     } else {
@@ -445,46 +223,33 @@ pub fn fig6b(scale: &Scale, opts: FigOpts) -> Table {
         &["data_mb", "p2_mmap", "p2_buffer"],
     );
     for &mb in sizes_mb {
-        let records = scale.records_for_mb(mb).max(100);
-        let run = |mode: ReadMode| {
-            let (store, platform) = build_p2(scale, mode, 8);
-            let driver = P2Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            driver.0.db().flush().expect("flush");
-            measured_reads(&driver, &platform, records, opts.ops(), "uniform")
-        };
-        table.row_f64(mb, &[run(ReadMode::Mmap), run(ReadMode::Buffer)]);
+        let cell = reads(scale.records_for_mb(mb).max(100), opts.ops());
+        table.row_f64(
+            mb,
+            &[
+                p2(scale, ReadMode::Mmap, 8).latency(&cell),
+                p2(scale, ReadMode::Buffer, 8).latency(&cell),
+            ],
+        );
     }
     table
 }
 
 /// Figure 6c: read latency vs. buffer size at fixed 2 GB data.
 pub fn fig6c(scale: &Scale, opts: FigOpts) -> Table {
-    crate::results::set_figure("fig6c");
+    set_figure("fig6c");
     let buffers: &[u64] =
         if opts.quick { &[32, 128, 512, 2048] } else { &[32, 64, 128, 256, 512, 1024, 1536, 2048] };
-    let data_gb = if opts.quick { 1.0 } else { 2.0 };
-    let records = scale.records_for_gb(data_gb);
+    let cell = reads(scale.records_for_gb(if opts.quick { 1.0 } else { 2.0 }), opts.ops());
     let mut table = Table::new(
         "Figure 6c: read latency vs buffer size, 2 GB data (µs/op)",
         &["buffer_mb", "p2_buffer", "elsm_p1"],
     );
     for &buf in buffers {
-        let p2 = {
-            let (store, platform) = build_p2(scale, ReadMode::Buffer, buf);
-            let driver = P2Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            driver.0.db().flush().expect("flush");
-            measured_reads(&driver, &platform, records, opts.ops(), "uniform")
-        };
-        let p1 = {
-            let (store, platform) = build_p1(scale, buf);
-            let driver = P1Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            driver.0.db().flush().expect("flush");
-            measured_reads(&driver, &platform, records, opts.ops(), "uniform")
-        };
-        table.row_f64(buf, &[p2, p1]);
+        table.row_f64(
+            buf,
+            &[p2(scale, ReadMode::Buffer, buf).latency(&cell), p1(scale, buf).latency(&cell)],
+        );
     }
     table
 }
@@ -493,90 +258,42 @@ pub fn fig6c(scale: &Scale, opts: FigOpts) -> Table {
 // Figure 7
 // ---------------------------------------------------------------------------
 
-fn write_only(
-    driver: &dyn ycsb::KvDriver,
-    platform: &Arc<Platform>,
-    records: u64,
-    ops: u64,
-) -> f64 {
-    let w = Workload::read_ratio(0);
-    let report = run_phase_with_telemetry(
-        driver,
-        platform,
-        &w,
-        records,
-        ops,
-        0x717,
-        &crate::telemetry::current(),
-    );
-    crate::results::note_run(&report);
-    report.overall.mean_us
-}
-
 /// Figure 7a: write latency (with compaction) vs. data size.
 pub fn fig7a(scale: &Scale, opts: FigOpts) -> Table {
-    crate::results::set_figure("fig7a");
+    set_figure("fig7a");
     let sizes: &[f64] = if opts.quick { &[0.2, 1.0, 2.0] } else { &[0.2, 1.0, 2.0, 3.0, 4.0] };
     let mut table = Table::new(
         "Figure 7a: write latency w/ compaction vs data size (µs/op)",
         &["data_gb", "elsm_p2_mmap", "elsm_p1", "eleos"],
     );
     for &gb in sizes {
-        let records = scale.records_for_gb(gb);
-        let p2 = {
-            let (store, platform) = build_p2(scale, ReadMode::Mmap, 8);
-            let driver = P2Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            write_only(&driver, &platform, records, opts.ops())
-        };
-        let p1 = {
-            let (store, platform) = build_p1(scale, 64);
-            let driver = P1Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            write_only(&driver, &platform, records, opts.ops())
-        };
-        let eleos = if gb <= 1.0 {
-            let platform = Platform::new(scale.cost_model());
-            let fs = SimFs::new(SimDisk::new(platform.clone()));
-            let store = EleosStore::new(platform.clone(), fs, eleos_options(scale));
-            let driver = EleosDriver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            format!("{:.1}", write_only(&driver, &platform, records, opts.ops()))
-        } else {
-            "n/a (>1GB)".to_string()
-        };
-        table.row(vec![format!("{gb:.1}"), format!("{p2:.1}"), format!("{p1:.1}"), eleos]);
+        let cell = writes(scale.records_for_gb(gb), opts.ops());
+        table.row(vec![
+            format!("{gb:.1}"),
+            format!("{:.1}", p2(scale, ReadMode::Mmap, 8).latency(&cell)),
+            format!("{:.1}", p1(scale, 64).latency(&cell)),
+            eleos_column(scale, gb <= 1.0, &cell),
+        ]);
     }
     table
 }
 
 /// Figure 7b: writes with vs. without compaction.
 pub fn fig7b(scale: &Scale, opts: FigOpts) -> Table {
-    crate::results::set_figure("fig7b");
+    set_figure("fig7b");
     let sizes: &[f64] = if opts.quick { &[0.2, 1.0] } else { &[0.2, 1.0, 2.0, 3.0, 4.0] };
     let mut table = Table::new(
         "Figure 7b: write latency with/without compaction (µs/op)",
         &["data_gb", "p2_w_compaction", "p1_w_compaction", "p2_wo_compaction", "p1_wo_compaction"],
     );
     for &gb in sizes {
-        let records = scale.records_for_gb(gb);
-        let p2_run = |compaction: bool| {
-            let platform = Platform::new(scale.cost_model());
-            let mut options = p2_options(scale, ReadMode::Mmap, 8);
-            options.compaction_enabled = compaction;
-            let store = ElsmP2::open(platform.clone(), options).expect("open");
-            let driver = P2Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            write_only(&driver, &platform, records, opts.ops())
+        let cell = writes(scale.records_for_gb(gb), opts.ops());
+        let p2_run = |compaction_enabled: bool| {
+            let options = P2Options { compaction_enabled, ..p2_options(scale, ReadMode::Mmap, 8) };
+            open_p2(scale, options).latency(&cell)
         };
-        let p1_run = |compaction: bool| {
-            let platform = Platform::new(scale.cost_model());
-            let mut options = p1_options(scale, 64);
-            options.compaction_enabled = compaction;
-            let store = ElsmP1::open(platform.clone(), options).expect("open");
-            let driver = P1Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            write_only(&driver, &platform, records, opts.ops())
+        let p1_run = |compaction_enabled: bool| {
+            open_p1(scale, P1Options { compaction_enabled, ..p1_options(scale, 64) }).latency(&cell)
         };
         table.row_f64(
             format!("{gb:.1}"),
@@ -595,12 +312,11 @@ pub fn fig7b(scale: &Scale, opts: FigOpts) -> Table {
 /// (leveled vs. size-tiered) and one wave parallelism (1 vs. 4 enclave
 /// compaction slots), with incremental level-commitment recomputation
 /// ([`elsm::P2Options::incremental_commitments`]) on, then drives YCSB-A
-/// (update-heavy) and YCSB-E (scan-heavy, inserts) with
-/// [`ycsb::run_phase_concurrent`]. Parallel waves overlap merge IO and
-/// hashing across compaction slots; the incremental path folds a
-/// [`elsm::CompactionDelta`] instead of re-hashing every surviving
-/// record, so the enclave's serial compaction time shrinks — which is
-/// what lets writers keep flowing.
+/// (update-heavy) and YCSB-E (scan-heavy, inserts) from 8 clients.
+/// Parallel waves overlap merge IO and hashing across compaction slots;
+/// the incremental path folds a [`elsm::CompactionDelta`] instead of
+/// re-hashing every surviving record, so the enclave's serial compaction
+/// time shrinks — which is what lets writers keep flowing.
 ///
 /// The `serial_full(pre)` row is the pre-change anchor — the serial
 /// leveled compactor with full commitment recomputation, the code path
@@ -614,6 +330,7 @@ pub fn fig7(scale: &Scale, opts: FigOpts) -> Table {
     const CLIENTS: usize = 8;
     let records = scale.records_for_mb(if opts.quick { 128 } else { 512 }).max(500);
     let ops = if opts.quick { 4_000 } else { 16_000 };
+    let phase = Phase { record_count: records, total_ops: ops, clients: CLIENTS, seed: 0xf07 };
     let workloads = [Workload::a(), Workload::e()];
 
     // Each run returns (throughput, leftover debt bytes) and records the
@@ -623,41 +340,33 @@ pub fn fig7(scale: &Scale, opts: FigOpts) -> Table {
                parallelism: usize,
                incremental: bool,
                w: &Workload| {
-        let platform = Platform::new(scale.cost_model());
-        let mut options = p2_options(scale, ReadMode::Mmap, 8);
-        options.compaction_strategy = strategy;
-        options.compaction_parallelism = parallelism;
-        options.incremental_commitments = incremental;
-        let store = ElsmP2::open(platform.clone(), options).expect("open");
-        let driver = P2Driver(store);
-        load_phase(&driver, records, VALUE_BYTES);
-        let report = run_phase_concurrent_with_telemetry(
-            &driver,
-            &platform,
-            w,
-            records,
-            ops,
-            0xf07,
-            CLIENTS,
-            &crate::telemetry::current(),
+        let sut = open_p2(
+            scale,
+            P2Options {
+                compaction_strategy: strategy,
+                compaction_parallelism: parallelism,
+                incremental_commitments: incremental,
+                ..p2_options(scale, ReadMode::Mmap, 8)
+            },
         );
-        let stats = driver.0.db().stats();
-        crate::results::note_concurrent_debt(
+        sut.load(records, VALUE_BYTES, false);
+        let report = sut.run(w, phase);
+        let stats = sut.driver.0.db().stats();
+        note_concurrent_gauges(
             &format!("{label}_{}", w.name),
             &report,
-            stats.debt_bytes,
-            stats.pending_compaction_jobs,
+            &[("debt_bytes", stats.debt_bytes), ("pending_jobs", stats.pending_compaction_jobs)],
         );
         (report.kops_per_sec, stats.debt_bytes)
     };
 
     use lsm_store::CompactionStrategyKind::{Leveled, Tiered};
     // Pre-change anchor: serial leveled compaction, full recompute.
-    crate::results::set_figure("fig7_prechange");
+    set_figure("fig7_prechange");
     let anchor: Vec<f64> =
         workloads.iter().map(|w| run("serial_full", Leveled, 1, false, w).0).collect();
 
-    crate::results::set_figure("fig7_compaction");
+    set_figure("fig7_compaction");
     let mut table = Table::new(
         "Figure 7 (ext): verified write throughput vs compaction strategy & parallelism, \
          8 clients (kops/s, simulated)",
@@ -701,34 +410,22 @@ pub fn fig7(scale: &Scale, opts: FigOpts) -> Table {
 /// Figure 8: write-buffer placement — write-only latency vs. write-buffer
 /// size, P1 vs. unsecured-outside.
 pub fn fig8(scale: &Scale, opts: FigOpts) -> Table {
-    crate::results::set_figure("fig8");
+    set_figure("fig8");
     let buffers: &[u64] =
         if opts.quick { &[4, 64, 512] } else { &[4, 8, 16, 32, 64, 128, 256, 512] };
-    let records = scale.records_for_gb(0.5);
+    let cell = writes(scale.records_for_gb(0.5), opts.ops());
     let mut table = Table::new(
         "Figure 8: write-buffer placement (write-only, µs/op)",
         &["write_buffer_mb", "elsm_p1", "outside_unsecured"],
     );
     for &buf in buffers {
-        let p1 = {
-            let platform = Platform::new(scale.cost_model());
-            let mut options = p1_options(scale, 64);
-            options.write_buffer_bytes = scale.mb(buf) as usize;
-            let store = ElsmP1::open(platform.clone(), options).expect("open");
-            let driver = P1Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            write_only(&driver, &platform, records, opts.ops())
-        };
-        let outside = {
-            let platform = Platform::new(scale.cost_model());
-            let mut options = unsecured_options(scale, true, false, 8);
-            options.write_buffer_bytes = scale.mb(buf) as usize;
-            let store = UnsecuredLsm::open(platform.clone(), options).expect("open");
-            let driver = UnsecuredDriver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            write_only(&driver, &platform, records, opts.ops())
-        };
-        table.row_f64(buf, &[p1, outside]);
+        let write_buffer_bytes = scale.mb(buf) as usize;
+        let p1 = open_p1(scale, P1Options { write_buffer_bytes, ..p1_options(scale, 64) });
+        let outside = open_unsecured(
+            scale,
+            UnsecuredOptions { write_buffer_bytes, ..unsecured_options(scale, true, false, 8) },
+        );
+        table.row_f64(buf, &[p1.latency(&cell), outside.latency(&cell)]);
     }
     table
 }
@@ -740,22 +437,21 @@ pub fn fig8(scale: &Scale, opts: FigOpts) -> Table {
 /// Ablation: early-stop proofs (eLSM) vs. all-level verification
 /// (Speicher-style) — measured as levels checked and proof bytes per GET.
 pub fn ablation_proofs(scale: &Scale, opts: FigOpts) -> Table {
-    crate::results::set_figure("ablation_proofs");
-    let records = scale.records_for_gb(1.0);
-    let (store, platform) = build_p2(scale, ReadMode::Mmap, 8);
-    let driver = P2Driver(store);
-    load_phase(&driver, records, VALUE_BYTES);
-    driver.0.db().flush().expect("flush");
-    let before = driver.0.verify_stats();
-    let lat_hit = measured_reads(&driver, &platform, records, opts.ops(), "uniform");
-    let after = driver.0.verify_stats();
+    set_figure("ablation_proofs");
+    let cell = reads(scale.records_for_gb(1.0), opts.ops());
+    let sut = p2(scale, ReadMode::Mmap, 8);
+    let store = &sut.driver.0;
+    sut.load(cell.records, VALUE_BYTES, cell.flush);
+    let before = store.verify_stats();
+    let lat_hit = sut.measure(&cell);
+    let after = store.verify_stats();
     let gets = opts.ops().max(1);
     let proofs_per_get = (after.proofs_verified - before.proofs_verified) as f64 / gets as f64;
     let proof_bytes_per_get = (after.proof_bytes - before.proof_bytes) as f64 / gets as f64;
     // All-level (Speicher-style) verification checks every occupied level
     // per GET: two neighbor proofs per non-hit level plus the hit proof.
     let occupied_levels =
-        driver.0.db().level_bytes().iter().skip(1).filter(|&&b| b > 0).count() as f64;
+        store.db().level_bytes().iter().skip(1).filter(|&&b| b > 0).count() as f64;
     let all_level_proofs = 2.0 * (occupied_levels - 1.0).max(0.0) + 1.0;
     let bytes_per_proof = proof_bytes_per_get / proofs_per_get.max(0.01);
     let mut table = Table::new(
@@ -778,30 +474,25 @@ pub fn ablation_proofs(scale: &Scale, opts: FigOpts) -> Table {
 
 /// Ablation: Bloom filters on/off for present and absent keys.
 pub fn ablation_bloom(scale: &Scale, opts: FigOpts) -> Table {
-    crate::results::set_figure("ablation_bloom");
+    set_figure("ablation_bloom");
     let records = scale.records_for_gb(0.5);
     let mut table = Table::new(
         "Ablation: Bloom filter effect on GET latency (µs/op)",
         &["config", "present_keys", "absent_keys"],
     );
-    for (label, bits) in [("bloom_10bits", 10usize), ("bloom_off", 0)] {
-        let platform = Platform::new(scale.cost_model());
-        let mut options = p2_options(scale, ReadMode::Mmap, 8);
-        options.bloom_bits_per_key = bits;
-        let store = ElsmP2::open(platform.clone(), options).expect("open");
-        let driver = P2Driver(store);
-        load_phase(&driver, records, VALUE_BYTES);
-        driver.0.db().flush().expect("flush");
-        let present = measured_reads(&driver, &platform, records, opts.ops(), "uniform");
-        // Absent keys: probe beyond the loaded keyspace.
-        let sw = platform.clock().stopwatch();
+    for (label, bloom_bits_per_key) in [("bloom_10bits", 10usize), ("bloom_off", 0)] {
+        let options = P2Options { bloom_bits_per_key, ..p2_options(scale, ReadMode::Mmap, 8) };
+        let sut = open_p2(scale, options);
+        let present = sut.latency(&reads(records, opts.ops()));
+        // Absent keys *inside* the populated range, so table Bloom
+        // filters actually get probed.
+        let clock = sut.topology.router.clock();
+        let sw = clock.stopwatch();
         let absent_ops = opts.ops() / 2;
         for i in 0..absent_ops {
-            // Absent keys *inside* the populated range, so table Bloom
-            // filters actually get probed.
-            ycsb::KvDriver::get(&driver, format!("user{:012}x", i % records).as_bytes());
+            sut.driver.get(format!("user{:012}x", i % records).as_bytes());
         }
-        let absent = sw.elapsed_us(platform.clock()) / absent_ops as f64;
+        let absent = sw.elapsed_us(clock) / absent_ops as f64;
         table.row_f64(label, &[present, absent]);
     }
     table
@@ -810,40 +501,33 @@ pub fn ablation_bloom(scale: &Scale, opts: FigOpts) -> Table {
 /// Ablation: the §3.4 motivation — update-in-place Merkle B-tree vs. LSM
 /// writes.
 pub fn ablation_update_in_place(scale: &Scale, opts: FigOpts) -> Table {
-    crate::results::set_figure("ablation_update_in_place");
+    set_figure("ablation_update_in_place");
     let records = scale.records_for_gb(0.25);
     let mut table = Table::new(
         "Ablation: update-in-place ADS vs eLSM (write latency µs/op)",
         &["system", "write_latency_us"],
     );
-    let mbt = {
-        let platform = Platform::new(scale.cost_model());
-        let driver = MbtDriver(MbtStore::new(platform.clone()));
-        load_phase(&driver, records / 4, VALUE_BYTES);
-        write_only(&driver, &platform, records / 4, opts.ops() / 4)
-    };
-    let p2 = {
-        let (store, platform) = build_p2(scale, ReadMode::Mmap, 8);
-        let driver = P2Driver(store);
-        load_phase(&driver, records, VALUE_BYTES);
-        write_only(&driver, &platform, records, opts.ops())
-    };
-    table.row_f64("merkle_btree_update_in_place", &[mbt]);
-    table.row_f64("elsm_p2", &[p2]);
+    let platform = machine(scale);
+    let mbt = Sut::single(&platform, InPlace(MbtStore::new(platform.clone())), |_| ());
+    table.row_f64(
+        "merkle_btree_update_in_place",
+        &[mbt.latency(&writes(records / 4, opts.ops() / 4))],
+    );
+    table.row_f64("elsm_p2", &[p2(scale, ReadMode::Mmap, 8).latency(&writes(records, opts.ops()))]);
     table
 }
 
 /// Ablation: rollback-defence overhead vs. counter write-buffer size.
 pub fn ablation_rollback(scale: &Scale, opts: FigOpts) -> Table {
-    crate::results::set_figure("ablation_rollback");
+    set_figure("ablation_rollback");
     use sgx_sim::MonotonicCounter;
-    let records = scale.records_for_gb(0.25);
+    let cell = writes(scale.records_for_gb(0.25), opts.ops());
     let mut table = Table::new(
         "Ablation: rollback defence overhead vs counter buffer (µs/write)",
         &["counter_buffer", "write_latency_us"],
     );
     for buffer in [0usize, 64, 512, 4096] {
-        let platform = Platform::new(scale.cost_model());
+        let platform = machine(scale);
         let fs = SimFs::new(SimDisk::new(platform.clone()));
         let mut options = p2_options(scale, ReadMode::Mmap, 8);
         let counter = if buffer > 0 {
@@ -852,12 +536,9 @@ pub fn ablation_rollback(scale: &Scale, opts: FigOpts) -> Table {
         } else {
             None
         };
-        let store = ElsmP2::open_with(platform.clone(), fs, options, counter).expect("open");
-        let driver = P2Driver(store);
-        load_phase(&driver, records, VALUE_BYTES);
-        let lat = write_only(&driver, &platform, records, opts.ops());
+        let sut = sut_p2(ElsmP2::open_with(platform, fs, options, counter).expect("open"));
         let label = if buffer == 0 { "off".to_string() } else { buffer.to_string() };
-        table.row_f64(label, &[lat]);
+        table.row_f64(label, &[sut.latency(&cell)]);
     }
     table
 }
@@ -869,15 +550,14 @@ pub fn ablation_rollback(scale: &Scale, opts: FigOpts) -> Table {
 /// Figure 9: read throughput vs. client threads, eLSM-P2 vs. the
 /// unsecured baseline.
 ///
-/// Uses the virtual-thread scheduler ([`ycsb::run_phase_concurrent`]):
-/// virtual time charged inside store critical sections serializes across
+/// One machine with a core per client ([`ycsb::Topology::single`]): virtual
+/// time charged inside store critical sections serializes across
 /// clients, the rest overlaps. With snapshot-isolated reads the serial
 /// fraction of a GET is only the brief snapshot acquisition, so
 /// throughput scales near-linearly; a store holding a global mutex across
-/// block IO and verification stays flat (the pre-snapshot baseline
-/// recorded in `BENCH_results.json` under `fig9_prechange`).
+/// block IO and verification stays flat.
 pub fn fig9(scale: &Scale, opts: FigOpts) -> Table {
-    crate::results::set_figure("fig9_thread_scaling");
+    set_figure("fig9_thread_scaling");
     let records = scale.records_for_mb(if opts.quick { 512 } else { 2048 }).max(1_000);
     let ops = if opts.quick { 4_000 } else { 16_000 };
     let w = Workload::c();
@@ -894,24 +574,18 @@ pub fn fig9(scale: &Scale, opts: FigOpts) -> Table {
     );
     // Build each system once: workload C is read-only, so every thread
     // count sweeps over an identical store state.
-    let (p2_store, p2_platform) = build_p2(scale, ReadMode::Mmap, 8);
-    let p2 = P2Driver(p2_store);
-    load_phase(&p2, records, VALUE_BYTES);
-    p2.0.db().flush().expect("flush");
-    let unsec_platform = Platform::new(scale.cost_model());
-    let unsec = UnsecuredDriver(
-        UnsecuredLsm::open(unsec_platform.clone(), unsecured_options(scale, false, true, 8))
-            .expect("open"),
-    );
-    load_phase(&unsec, records, VALUE_BYTES);
-    unsec.0.db().flush().expect("flush");
+    let verified = p2(scale, ReadMode::Mmap, 8);
+    verified.load(records, VALUE_BYTES, true);
+    let unsec = leveldb_outside(scale);
+    unsec.load(records, VALUE_BYTES, true);
     let mut p2_base = 0.0f64;
     let mut unsec_base = 0.0f64;
     for threads in [1usize, 2, 4, 8] {
-        let r_p2 = run_phase_concurrent(&p2, &p2_platform, &w, records, ops, 0xf19, threads);
-        let r_un = run_phase_concurrent(&unsec, &unsec_platform, &w, records, ops, 0xf19, threads);
-        crate::results::note_concurrent("elsm_p2_mmap", &r_p2);
-        crate::results::note_concurrent("unsecured", &r_un);
+        let phase = Phase { record_count: records, total_ops: ops, clients: threads, seed: 0xf19 };
+        let r_p2 = verified.run(&w, phase);
+        let r_un = unsec.run(&w, phase);
+        note_concurrent("elsm_p2_mmap", &r_p2);
+        note_concurrent("unsecured", &r_un);
         if threads == 1 {
             p2_base = r_p2.kops_per_sec;
             unsec_base = r_un.kops_per_sec;
@@ -937,19 +611,19 @@ pub fn fig9(scale: &Scale, opts: FigOpts) -> Table {
 ///
 /// Each cell builds a fresh store, loads the keyspace, then drives a
 /// write-only phase where every virtual client issues `put_batch` calls of
-/// the given size ([`ycsb::run_write_batches_concurrent`]). The headline
-/// eLSM-P2 series runs with compaction disabled so the figure isolates the
+/// the given size ([`ycsb::run_write_batches`]). The headline eLSM-P2
+/// series runs with compaction disabled so the figure isolates the
 /// *write pipeline* — enclave transitions, WAL appends, trusted-state
 /// updates and flush — whose per-operation taxes batching amortizes;
 /// compaction write-amplification is an orthogonal cost measured by fig7.
 /// The `p2_compact_1w` column keeps one compaction-on series for the
 /// end-to-end picture, and `unsecured_1w` is the no-enclave roofline.
 ///
-/// The committed `BENCH_results.json` carries a `fig10_prechange` section
+/// `BENCH_history.json` carries a frozen `fig10_prechange` section
 /// captured before the group-commit pipeline landed: with every `put`
 /// paying a full enclave transition, throughput was flat in batch size.
 pub fn fig10(scale: &Scale, opts: FigOpts) -> Table {
-    crate::results::set_figure("fig10_write_batching");
+    set_figure("fig10_write_batching");
     let records = scale.records_for_mb(if opts.quick { 128 } else { 256 }).max(500);
     let total = if opts.quick { 3_000 } else { 8_000 };
     let batches: &[usize] = if opts.quick { &[1, 8, 32] } else { &[1, 4, 8, 32, 128] };
@@ -963,36 +637,19 @@ pub fn fig10(scale: &Scale, opts: FigOpts) -> Table {
         "Figure 10: write throughput vs batch size and writer threads (krec/s, simulated)",
         &col_refs,
     );
-    let phase = |batch: usize, nthreads: usize| BatchWritePhase {
-        record_count: records,
-        total_records: total,
-        batch_size: batch,
-        threads: nthreads,
-        value_len: VALUE_BYTES,
-        seed: 0xf10,
-    };
-    let run_p2 = |batch: usize, nthreads: usize, compaction: bool| {
-        let platform = Platform::new(scale.cost_model());
-        let mut options = p2_options(scale, ReadMode::Mmap, 8);
-        options.compaction_enabled = compaction;
-        let store = ElsmP2::open(platform.clone(), options).expect("open");
-        let driver = P2Driver(store);
-        load_phase(&driver, records, VALUE_BYTES);
-        let report = run_write_batches_concurrent(&driver, &platform, &phase(batch, nthreads));
-        let label = if compaction { "elsm_p2_compact" } else { "elsm_p2" };
-        crate::results::note_concurrent(&format!("{label}_b{batch}"), &report);
-        report.kops_per_sec
+    let phase =
+        |clients: usize| Phase { record_count: records, total_ops: total, clients, seed: 0xf10 };
+    let run_p2 = |batch: usize, writers: usize, compaction_enabled: bool| {
+        let options = P2Options { compaction_enabled, ..p2_options(scale, ReadMode::Mmap, 8) };
+        let label = if compaction_enabled { "elsm_p2_compact" } else { "elsm_p2" };
+        open_p2(scale, options).batched_writes(label, phase(writers), batch)
     };
     let run_unsec = |batch: usize| {
-        let platform = Platform::new(scale.cost_model());
-        let mut options = unsecured_options(scale, false, true, 8);
-        options.compaction_enabled = false;
-        let store = UnsecuredLsm::open(platform.clone(), options).expect("open");
-        let driver = UnsecuredDriver(store);
-        load_phase(&driver, records, VALUE_BYTES);
-        let report = run_write_batches_concurrent(&driver, &platform, &phase(batch, 1));
-        crate::results::note_concurrent(&format!("unsecured_b{batch}"), &report);
-        report.kops_per_sec
+        let options = UnsecuredOptions {
+            compaction_enabled: false,
+            ..unsecured_options(scale, false, true, 8)
+        };
+        open_unsecured(scale, options).batched_writes("unsecured", phase(1), batch)
     };
     for &batch in batches {
         let mut row = vec![batch.to_string()];
@@ -1007,7 +664,7 @@ pub fn fig10(scale: &Scale, opts: FigOpts) -> Table {
 }
 
 // ---------------------------------------------------------------------------
-// Figure 11 (new in this reproduction): shard scaling
+// Figures 11 and 12 (new in this reproduction): shard and replica scaling
 // ---------------------------------------------------------------------------
 
 /// Figure 11: aggregate cluster throughput vs. shard count, YCSB A and C.
@@ -1015,19 +672,17 @@ pub fn fig10(scale: &Scale, opts: FigOpts) -> Table {
 /// Each cell builds a fresh hash-partitioned cluster
 /// ([`elsm_shard::ShardedKv`], one enclave platform per shard), loads the
 /// keyspace through the router, and drives a fixed cluster-wide offered
-/// load of 32 virtual clients with
-/// [`ycsb::run_sharded_concurrent`]. Unlike fig9's single-machine model
-/// (unbounded cores), each shard here is its own machine with
-/// `CORES_PER_SHARD` enclave cores: a single store saturates at one
-/// machine's capacity however many clients offer load — horizontal
-/// partitioning is what adds capacity, which is exactly the LSKV-style
-/// scale-out story this figure quantifies. YCSB-C shows the pure
-/// capacity effect; YCSB-A additionally splits the write path's serial
-/// sections (group commit, trusted folds, flushes/compactions) across
-/// shard enclaves.
+/// load of 32 virtual clients. Unlike fig9's single machine with a core
+/// per client, each shard here is its own machine with `CORES_PER_SHARD`
+/// enclave cores: a single store saturates at one machine's capacity
+/// however many clients offer load — horizontal partitioning is what adds
+/// capacity, which is exactly the LSKV-style scale-out story this figure
+/// quantifies. YCSB-C shows the pure capacity effect; YCSB-A additionally
+/// splits the write path's serial sections (group commit, trusted folds,
+/// flushes/compactions) across shard enclaves.
 ///
 /// The `single(pre)` row is the pre-sharding anchor: a plain `ElsmP2`
-/// (no router, no shard binding) under the same scheduler, recorded in
+/// (no router, no shard binding) on one such machine, recorded in
 /// `BENCH_results.json` as `fig11_prechange` — it shows the shard
 /// layer's 1-shard overhead (routing hash + stitching) is noise.
 pub fn fig11(scale: &Scale, opts: FigOpts) -> Table {
@@ -1035,59 +690,38 @@ pub fn fig11(scale: &Scale, opts: FigOpts) -> Table {
     const CORES_PER_SHARD: usize = 4;
     let records = scale.records_for_mb(if opts.quick { 256 } else { 1024 }).max(1_000);
     let ops = if opts.quick { 6_000 } else { 24_000 };
-    let phase = ShardPhase {
-        record_count: records,
-        total_ops: ops,
-        threads: CLIENTS,
-        cores_per_shard: CORES_PER_SHARD,
-        seed: 0xf11,
-    };
+    let phase = Phase { record_count: records, total_ops: ops, clients: CLIENTS, seed: 0xf11 };
     let workloads = [Workload::c(), Workload::a()];
 
     let run_p2 = |shards: usize, w: &Workload| {
-        let cluster = ShardedKv::open(
-            Platform::new(scale.cost_model()),
-            ShardedOptions::hash(shards, p2_options(scale, ReadMode::Mmap, 8)),
+        sharded_p2(scale, shards, CORES_PER_SHARD).throughput(
+            &format!("elsm_p2_{shards}s_{}", w.name),
+            w,
+            phase,
         )
-        .expect("open sharded p2");
-        let driver = ShardedP2Driver(cluster);
-        load_phase(&driver, records, VALUE_BYTES);
-        driver.0.flush().expect("flush");
-        let report = run_sharded_concurrent(&driver, w, &phase);
-        crate::results::note_concurrent(&format!("elsm_p2_{shards}s_{}", w.name), &report);
-        report
     };
     let run_unsec = |shards: usize, w: &Workload| {
-        let cluster = ShardedUnsecured::open(
-            Platform::new(scale.cost_model()),
-            PartitionSpec::Hash { shards },
-            unsecured_options(scale, false, true, 8),
+        sharded_unsecured(scale, shards, CORES_PER_SHARD).throughput(
+            &format!("unsecured_{shards}s_{}", w.name),
+            w,
+            phase,
         )
-        .expect("open sharded unsecured");
-        let driver = ShardedUnsecuredDriver(cluster);
-        load_phase(&driver, records, VALUE_BYTES);
-        driver.0.flush().expect("flush");
-        let report = run_sharded_concurrent(&driver, w, &phase);
-        crate::results::note_concurrent(&format!("unsecured_{shards}s_{}", w.name), &report);
-        report
     };
 
     // Pre-sharding anchor: the plain single store, same machine model.
-    crate::results::set_figure("fig11_prechange");
+    set_figure("fig11_prechange");
     let anchor: Vec<f64> = workloads
         .iter()
         .map(|w| {
-            let (store, _platform) = build_p2(scale, ReadMode::Mmap, 8);
-            let driver = P2Driver(store);
-            load_phase(&driver, records, VALUE_BYTES);
-            driver.0.db().flush().expect("flush");
-            let report = run_sharded_concurrent(&driver, w, &phase);
-            crate::results::note_concurrent(&format!("single_store_{}", w.name), &report);
-            report.kops_per_sec
+            p2(scale, ReadMode::Mmap, 8).with_cores(CORES_PER_SHARD).throughput(
+                &format!("single_store_{}", w.name),
+                w,
+                phase,
+            )
         })
         .collect();
 
-    crate::results::set_figure("fig11_shard_scaling");
+    set_figure("fig11_shard_scaling");
     let mut table = Table::new(
         "Figure 11: aggregate throughput vs shards, 32 clients, 4 cores/shard (kops/s, simulated)",
         &[
@@ -1100,21 +734,20 @@ pub fn fig11(scale: &Scale, opts: FigOpts) -> Table {
             "unsec_A_kops",
         ],
     );
-    let sweep: [usize; 4] = [1, 2, 4, 8];
     let mut base = [0.0f64; 2];
     let mut rows: Vec<Vec<String>> = Vec::new();
-    for shards in sweep {
+    for shards in [1usize, 2, 4, 8] {
         let mut row = vec![shards.to_string()];
         for (i, w) in workloads.iter().enumerate() {
-            let r = run_p2(shards, w);
+            let kops = run_p2(shards, w);
             if shards == 1 {
-                base[i] = r.kops_per_sec;
+                base[i] = kops;
             }
-            row.push(format!("{:.1}", r.kops_per_sec));
-            row.push(format!("{:.2}x", r.kops_per_sec / base[i].max(1e-9)));
+            row.push(format!("{kops:.1}"));
+            row.push(format!("{:.2}x", kops / base[i].max(1e-9)));
         }
         for w in &workloads {
-            row.push(format!("{:.1}", run_unsec(shards, w).kops_per_sec));
+            row.push(format!("{:.1}", run_unsec(shards, w)));
         }
         rows.push(row);
     }
@@ -1137,9 +770,10 @@ pub fn fig11(scale: &Scale, opts: FigOpts) -> Table {
 /// group as replicas are added, under a fixed 32-client offered load with
 /// 4 enclave cores per node (the fig11 machine model, applied to the
 /// replication axis: one store cannot scale reads past its own machine,
-/// a group fans them out). The `fig12_prechange` anchor is the plain
-/// unreplicated store — the pre-replication code path — under the same
-/// scheduler; the unsecured replicated baseline is the no-verification
+/// a group fans them out; each replica is one machine, see
+/// `systems::replicated_p2`). The `fig12_prechange` anchor is
+/// the plain unreplicated store — the pre-replication code path — on one
+/// such machine; the unsecured replicated baseline is the no-verification
 /// roofline, so the remaining gap is per-replica verification, not the
 /// replication layer.
 pub fn fig12(scale: &Scale, opts: FigOpts) -> Table {
@@ -1147,28 +781,18 @@ pub fn fig12(scale: &Scale, opts: FigOpts) -> Table {
     const CORES_PER_NODE: usize = 4;
     let records = scale.records_for_mb(if opts.quick { 256 } else { 1024 }).max(1_000);
     let ops = if opts.quick { 6_000 } else { 24_000 };
-    let phase = ShardPhase {
-        record_count: records,
-        total_ops: ops,
-        threads: CLIENTS,
-        cores_per_shard: CORES_PER_NODE,
-        seed: 0xf12,
-    };
+    let phase = Phase { record_count: records, total_ops: ops, clients: CLIENTS, seed: 0xf12 };
     let workload = Workload::c();
 
     // Pre-replication anchor: the plain single store, same machine model.
-    crate::results::set_figure("fig12_prechange");
-    let anchor = {
-        let (store, _platform) = build_p2(scale, ReadMode::Mmap, 8);
-        let driver = P2Driver(store);
-        load_phase(&driver, records, VALUE_BYTES);
-        driver.0.db().flush().expect("flush");
-        let report = run_sharded_concurrent(&driver, &workload, &phase);
-        crate::results::note_concurrent("single_store_C", &report);
-        report.kops_per_sec
-    };
+    set_figure("fig12_prechange");
+    let anchor = p2(scale, ReadMode::Mmap, 8).with_cores(CORES_PER_NODE).throughput(
+        "single_store_C",
+        &workload,
+        phase,
+    );
 
-    crate::results::set_figure("fig12_replica_scaling");
+    set_figure("fig12_replica_scaling");
     let mut table = Table::new(
         "Figure 12: aggregate verified read throughput vs replicas, 32 clients, \
          4 cores/node (kops/s, simulated)",
@@ -1183,38 +807,25 @@ pub fn fig12(scale: &Scale, opts: FigOpts) -> Table {
     ]);
     let mut unsec_base = 0.0f64;
     for replicas in [1usize, 2, 4, 8] {
-        let group = ReplicationGroup::open(
-            Platform::new(scale.cost_model()),
-            p2_options(scale, ReadMode::Mmap, 8),
-            ReplicationOptions { replicas, ..Default::default() },
-        )
-        .expect("open replication group");
-        let driver = ReplicatedP2Driver::new(group);
-        load_phase(&driver, records, VALUE_BYTES);
-        driver.group().flush().expect("flush");
-        let report = run_sharded_concurrent(&driver, &workload, &phase);
-        crate::results::note_concurrent(&format!("elsm_p2_{replicas}r_C"), &report);
-
-        let unsec = ReplicatedUnsecured::open(
-            Platform::new(scale.cost_model()),
-            replicas,
-            unsecured_options(scale, false, true, 8),
-        )
-        .expect("open replicated unsecured");
-        let udriver = ReplicatedUnsecuredDriver(unsec);
-        load_phase(&udriver, records, VALUE_BYTES);
-        udriver.0.flush().expect("flush");
-        let ureport = run_sharded_concurrent(&udriver, &workload, &phase);
-        crate::results::note_concurrent(&format!("unsecured_{replicas}r_C"), &ureport);
+        let kops = replicated_p2(scale, replicas, CORES_PER_NODE).throughput(
+            &format!("elsm_p2_{replicas}r_C"),
+            &workload,
+            phase,
+        );
+        let unsec_kops = replicated_unsecured(scale, replicas, CORES_PER_NODE).throughput(
+            &format!("unsecured_{replicas}r_C"),
+            &workload,
+            phase,
+        );
         if replicas == 1 {
-            unsec_base = ureport.kops_per_sec;
+            unsec_base = unsec_kops;
         }
         table.row(vec![
             replicas.to_string(),
-            format!("{:.1}", report.kops_per_sec),
-            format!("{:.2}x", report.kops_per_sec / anchor.max(1e-9)),
-            format!("{:.1}", ureport.kops_per_sec),
-            format!("{:.2}x", ureport.kops_per_sec / unsec_base.max(1e-9)),
+            format!("{kops:.1}"),
+            format!("{:.2}x", kops / anchor.max(1e-9)),
+            format!("{unsec_kops:.1}"),
+            format!("{:.2}x", unsec_kops / unsec_base.max(1e-9)),
         ]);
     }
     table
@@ -1243,62 +854,59 @@ pub fn fig12(scale: &Scale, opts: FigOpts) -> Table {
 /// so throughput tracks the measured hit ratio (`hit_ratio_bp` gauge,
 /// basis points).
 pub fn fig14(scale: &Scale, opts: FigOpts) -> Table {
-    let separated_options = |cache_bytes: usize| {
-        let mut options = p2_options(scale, ReadMode::Mmap, 8);
-        options.write_buffer_bytes = scale.mb(16) as usize;
-        options.level1_max_bytes = scale.mb(64);
-        options.vlog = Some(lsm_store::VlogConfig {
+    let separated_options = |verified_cache_bytes: usize| P2Options {
+        write_buffer_bytes: scale.mb(16) as usize,
+        level1_max_bytes: scale.mb(64),
+        vlog: Some(lsm_store::VlogConfig {
             value_threshold: 512,
             target_file_bytes: scale.mb(64),
             gc_garbage_ratio: 0.5,
             gc_enabled: true,
-        });
-        options.verified_cache_bytes = cache_bytes;
-        options
+        }),
+        verified_cache_bytes,
+        ..p2_options(scale, ReadMode::Mmap, 8)
     };
-    let inline_options = || {
-        let mut options = separated_options(0);
-        options.vlog = None;
-        options
-    };
-
-    // One write-path run: YCSB-A at the given value size, returning the
-    // write-side throughput in kops/s and recording it with the store's
-    // value-log gauges.
-    let write_run = |options: P2Options, label: &str, value_len: usize, records: u64, ops: u64| {
-        let platform = Platform::new(scale.cost_model());
-        let store = ElsmP2::open(platform.clone(), options).expect("open");
-        let driver = P2Driver(store);
-        load_phase(&driver, records, value_len);
-        driver.0.db().flush().expect("flush");
-        let w = Workload::a().with_value_len(value_len);
-        let report = run_phase_with_telemetry(
-            &driver,
-            &platform,
-            &w,
-            records,
-            ops,
-            0xf14,
-            &crate::telemetry::current(),
-        );
-        let stats = driver.0.db().stats();
-        let kops = if report.writes.mean_us > 0.0 { 1_000.0 / report.writes.mean_us } else { 0.0 };
-        crate::results::note_run_gauges(
-            &report,
-            &[
-                ("write_kops_x10", (kops * 10.0) as u64),
-                ("value_bytes", value_len as u64),
-                ("vlog_bytes", stats.vlog_bytes),
-                ("vlog_garbage_bytes", stats.vlog_garbage_bytes),
-            ],
-        );
-        let _ = label;
-        kops
+    let inline_options = || P2Options { vlog: None, ..separated_options(0) };
+    let kops_of = |mean_us: f64| if mean_us > 0.0 { 1_000.0 / mean_us } else { 0.0 };
+    // One client on disk-resident data of `value_len`-byte values.
+    let measure = |sut: &Sut<Verified<ElsmP2>>, w: Workload, records: u64, ops: u64, seed: u64| {
+        let value_len = w.value_len;
+        sut.load(records, value_len, true);
+        let seed = seed ^ CLIENT_SEED_MIX;
+        sut.run(&w, Phase { record_count: records, total_ops: ops, clients: 1, seed })
     };
 
     let sizes_kb: &[usize] = if opts.quick { &[1, 16, 64] } else { &[1, 4, 16, 64, 100] };
     let ops = if opts.quick { 400 } else { 1_200 };
     let budget = scale.mb(if opts.quick { 512 } else { 1024 });
+
+    // One write-path run per value size: YCSB-A, returning the write-side
+    // throughput in kops/s and recording it with the store's value-log
+    // gauges.
+    let write_series = |options: &dyn Fn() -> P2Options| -> Vec<f64> {
+        sizes_kb
+            .iter()
+            .map(|&kb| {
+                let value_len = kb * 1024;
+                let records = (budget / value_len as u64).clamp(32, 512);
+                let sut = open_p2(scale, options());
+                let w = Workload::a().with_value_len(value_len);
+                let report = measure(&sut, w, records, ops, 0xf14);
+                let stats = sut.driver.0.db().stats();
+                let kops = kops_of(report.writes.mean_us);
+                note_run_gauges(
+                    &report,
+                    &[
+                        ("write_kops_x10", (kops * 10.0) as u64),
+                        ("value_bytes", value_len as u64),
+                        ("vlog_bytes", stats.vlog_bytes),
+                        ("vlog_garbage_bytes", stats.vlog_garbage_bytes),
+                    ],
+                );
+                kops
+            })
+            .collect()
+    };
 
     let mut table = Table::new(
         "Figure 14 (ext): key-value separation and verified caching — write kops/s vs value \
@@ -1306,24 +914,11 @@ pub fn fig14(scale: &Scale, opts: FigOpts) -> Table {
         &["series", "x", "kops", "vs_baseline", "cache_hit_pct"],
     );
 
-    let records_for = |value_len: usize| (budget / value_len as u64).clamp(32, 512);
     // Pre-change anchor: every value inline in the LSM.
-    crate::results::set_figure("fig14_prechange");
-    let inline_kops: Vec<f64> = sizes_kb
-        .iter()
-        .map(|&kb| {
-            let value_len = kb * 1024;
-            write_run(inline_options(), "inline", value_len, records_for(value_len), ops)
-        })
-        .collect();
-    crate::results::set_figure("fig14_separation");
-    let separated_kops: Vec<f64> = sizes_kb
-        .iter()
-        .map(|&kb| {
-            let value_len = kb * 1024;
-            write_run(separated_options(0), "separated", value_len, records_for(value_len), ops)
-        })
-        .collect();
+    set_figure("fig14_prechange");
+    let inline_kops = write_series(&inline_options);
+    set_figure("fig14_separation");
+    let separated_kops = write_series(&|| separated_options(0));
 
     for (i, &kb) in sizes_kb.iter().enumerate() {
         let (inline, separated) = (inline_kops[i], separated_kops[i]);
@@ -1345,7 +940,7 @@ pub fn fig14(scale: &Scale, opts: FigOpts) -> Table {
 
     // Cache series: read-only zipfian over 4 KB separated values, cache
     // budget swept from off to dataset-sized.
-    crate::results::set_figure("fig14_cache");
+    set_figure("fig14_cache");
     let value_len = 4 * 1024;
     let records = (budget / value_len as u64).clamp(64, 512);
     let read_ops = if opts.quick { 2_000 } else { 6_000 };
@@ -1353,33 +948,19 @@ pub fn fig14(scale: &Scale, opts: FigOpts) -> Table {
         if opts.quick { &[0, 64, 256, 1024] } else { &[0, 32, 64, 128, 256, 512, 1024] };
     let mut base_kops = 0.0f64;
     for &cache_kb in budgets_kb {
-        let platform = Platform::new(scale.cost_model());
-        let store =
-            ElsmP2::open(platform.clone(), separated_options(cache_kb * 1024)).expect("open");
-        let driver = P2Driver(store);
+        let sut = open_p2(scale, separated_options(cache_kb * 1024));
         // Every config's store shares the figure's registry, so per-store
         // cache accounting is the delta from this store's open.
-        let cache0 = driver.0.cache_stats();
-        load_phase(&driver, records, value_len);
-        driver.0.db().flush().expect("flush");
+        let cache0 = sut.driver.0.cache_stats();
         let w = Workload::c().with_value_len(value_len);
-        let report = run_phase_with_telemetry(
-            &driver,
-            &platform,
-            &w,
-            records,
-            read_ops,
-            0xf14c,
-            &crate::telemetry::current(),
-        );
-        let kops =
-            if report.overall.mean_us > 0.0 { 1_000.0 / report.overall.mean_us } else { 0.0 };
-        let stats = driver.0.cache_stats();
+        let report = measure(&sut, w, records, read_ops, 0xf14c);
+        let kops = kops_of(report.overall.mean_us);
+        let stats = sut.driver.0.cache_stats();
         let hits = stats.record_hits - cache0.record_hits;
         let misses = stats.record_misses - cache0.record_misses;
         let looked = hits + misses;
         let hit_ratio = if looked > 0 { hits as f64 / looked as f64 } else { 0.0 };
-        crate::results::note_run_gauges(
+        note_run_gauges(
             &report,
             &[
                 ("read_kops_x10", (kops * 10.0) as u64),

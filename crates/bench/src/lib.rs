@@ -1,8 +1,11 @@
 //! # elsm-bench
 //!
-//! The figure-regeneration harness: one function (and one binary) per
-//! table/figure of the eLSM paper, plus ablation studies. See DESIGN.md §3
-//! for the experiment index and EXPERIMENTS.md for recorded results.
+//! The figure-regeneration harness: one function per table/figure of the
+//! eLSM paper plus ablation studies ([`figures`]), all run by the
+//! `run_all` binary (`--only <figures>` for a subset). `perf_gate` diffs
+//! two result files; `trace_report` renders a request-tracing report. See
+//! DESIGN.md §3 for the experiment index and EXPERIMENTS.md for recorded
+//! results.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
@@ -10,39 +13,16 @@ pub mod drivers;
 pub mod figures;
 pub mod results;
 pub mod scale;
+mod systems;
 pub mod telemetry;
 
 pub use figures::FigOpts;
 pub use scale::Scale;
 
-/// Parses the common flags of the figure binaries: `--quick` (or its
-/// alias `--smoke`) selects the reduced sweep used by CI; `--full` (the
-/// default) regenerates the recorded figures.
+/// Parses `run_all`'s sweep-size flag: `--quick` (or its alias `--smoke`)
+/// selects the reduced sweep used by CI; `--full` (the default)
+/// regenerates the recorded figures.
 pub fn opts_from_args() -> FigOpts {
     let quick = std::env::args().any(|a| a == "--quick" || a == "--smoke");
     FigOpts { quick }
-}
-
-/// The shared tail of every figure binary: prints the table (markdown
-/// when `--markdown` was passed) and writes the machine-readable results
-/// of the run to `path`.
-pub fn emit_figure_to(table: &ycsb::Table, opts: FigOpts, path: &str) {
-    if std::env::args().any(|a| a == "--markdown") {
-        println!("{}", table.to_markdown());
-    } else {
-        table.print();
-        println!();
-    }
-    results::write_results(path, if opts.quick { "smoke" } else { "full" });
-}
-
-/// [`emit_figure_to`] writing to `BENCH_results.<figure>.json` — the
-/// same name `run_all --only <figure>` uses, so both ways of running one
-/// figure produce one file. Only `run_all`'s full sweep writes the
-/// committed `BENCH_results.json` baseline — a single figure is always
-/// a partial result set and must never clobber it.
-pub fn emit_figure(figure: &str, table: &ycsb::Table, opts: FigOpts) {
-    emit_figure_to(table, opts, &format!("BENCH_results.{figure}.json"));
-    telemetry::write_snapshot(figure);
-    telemetry::write_traces(figure);
 }

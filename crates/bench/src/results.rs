@@ -1,17 +1,18 @@
 //! Machine-readable benchmark results.
 //!
 //! Every YCSB measurement the figure functions take is also recorded here
-//! and written to `BENCH_results.json` by the figure binaries and
-//! `run_all`, so the performance trajectory of the repository is tracked
-//! by commits and CI artifacts rather than by eyeballing text tables. The
-//! committed `BENCH_results.json` at the repository root is the baseline
-//! from the `--smoke` sweep; regenerate and compare before landing
-//! performance-sensitive changes.
+//! and written by `run_all` — the full sweep to `BENCH_results.json`, a
+//! `--only` subset to one `BENCH_results.<figure>.json` per figure — so
+//! the performance trajectory of the repository is tracked by commits and
+//! CI artifacts rather than by eyeballing text tables. The committed
+//! `BENCH_results.json` at the repository root is the `--smoke` sweep,
+//! byte for byte: the virtual clock is deterministic, so regenerate it and
+//! `git diff` before landing a change.
 
 use std::fmt::Write as _;
 use std::sync::Mutex;
 
-use ycsb::{ConcurrentReport, RunReport};
+use ycsb::RunReport;
 
 /// One measured configuration.
 #[derive(Debug, Clone)]
@@ -54,8 +55,9 @@ pub fn set_figure(name: &str) {
     s.seq = 0;
 }
 
-/// Records a single-threaded run-phase measurement under the current
-/// figure.
+/// Records a single-client latency measurement under the current figure,
+/// labeled by its position in the figure; throughput is the reciprocal of
+/// the mean latency.
 pub fn note_run(report: &RunReport) {
     note_run_gauges(report, &[]);
 }
@@ -64,43 +66,22 @@ pub fn note_run(report: &RunReport) {
 /// hit/miss counters, …) attached to the same entry.
 pub fn note_run_gauges(report: &RunReport, gauges: &[(&str, u64)]) {
     let ops_per_sec = if report.overall.mean_us > 0.0 { 1e6 / report.overall.mean_us } else { 0.0 };
-    push_entry(None, &report.workload, ops_per_sec, &report.overall, gauges);
+    push_entry(None, report, ops_per_sec, gauges);
 }
 
-/// Records a multi-client thread-scaling measurement under the current
-/// figure, labeled with the system under test and the thread count.
-pub fn note_concurrent(system: &str, report: &ConcurrentReport) {
+/// Records a multi-client scaling measurement under the current figure,
+/// labeled with the system under test and the client count; throughput is
+/// operations over the phase's makespan.
+pub fn note_concurrent(system: &str, report: &RunReport) {
     note_concurrent_gauges(system, report, &[]);
 }
 
-/// [`note_concurrent`] plus the store's compaction-debt gauge at the end
-/// of the measured phase — how the fig7 sweep records whether a
-/// configuration kept up with its own write amplification. The gauge
-/// rides the named-gauges vector like every other one.
-pub fn note_concurrent_debt(
-    system: &str,
-    report: &ConcurrentReport,
-    debt_bytes: u64,
-    pending_jobs: u64,
-) {
-    note_concurrent_gauges(
-        system,
-        report,
-        &[("debt_bytes", debt_bytes), ("pending_jobs", pending_jobs)],
-    );
-}
-
-/// [`note_concurrent`] plus extra named gauges (value-log residency,
-/// cache hit/miss counters, …) attached to the same entry.
-pub fn note_concurrent_gauges(system: &str, report: &ConcurrentReport, gauges: &[(&str, u64)]) {
-    let config = format!("{system}@{}threads", report.threads);
-    push_entry(
-        Some(config),
-        &report.workload,
-        report.kops_per_sec * 1_000.0,
-        &report.overall,
-        gauges,
-    );
+/// [`note_concurrent`] plus extra named gauges — how the fig7 sweep
+/// records the store's end-of-phase compaction debt next to the
+/// throughput it explains.
+pub fn note_concurrent_gauges(system: &str, report: &RunReport, gauges: &[(&str, u64)]) {
+    let config = format!("{system}@{}threads", report.clients);
+    push_entry(Some(config), report, report.kops_per_sec * 1_000.0, gauges);
 }
 
 /// The one entry-recording path every `note_*` helper funnels through.
@@ -108,9 +89,8 @@ pub fn note_concurrent_gauges(system: &str, report: &ConcurrentReport, gauges: &
 /// `None` and get the figure's sequence-numbered label.
 fn push_entry(
     config: Option<String>,
-    workload: &str,
+    report: &RunReport,
     ops_per_sec: f64,
-    latency: &ycsb::LatencySummary,
     gauges: &[(&str, u64)],
 ) {
     let mut s = SINK.lock().unwrap();
@@ -123,11 +103,11 @@ fn push_entry(
     s.entries.push(ResultEntry {
         figure,
         config,
-        workload: workload.to_string(),
+        workload: report.workload.clone(),
         ops_per_sec,
-        p50_us: latency.p50_us,
-        p99_us: latency.p99_us,
-        p999_us: latency.p999_us,
+        p50_us: report.overall.p50_us,
+        p99_us: report.overall.p99_us,
+        p999_us: report.overall.p999_us,
         gauges: gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
     });
 }
@@ -170,27 +150,11 @@ fn render_json(mode: &str, start: usize) -> String {
     out
 }
 
-/// Renders all recorded entries as a JSON document.
-pub fn to_json(mode: &str) -> String {
-    render_json(mode, 0)
-}
-
-/// Writes all recorded entries to `path` (called by the figure binaries
-/// after printing their tables). Errors are reported, not fatal — result
-/// tracking must never fail a benchmark run.
-pub fn write_results(path: &str, mode: &str) {
-    write_from(path, mode, 0);
-}
-
-/// Writes only the entries recorded from index `start` on — how
-/// `run_all --only fig11,fig12` gives each selected figure its own
-/// output file: snapshot [`len`] before running a figure, write its
-/// slice after.
-pub fn write_results_from(path: &str, mode: &str, start: usize) {
-    write_from(path, mode, start);
-}
-
-fn write_from(path: &str, mode: &str, start: usize) {
+/// Writes the entries recorded from index `start` on to `path`: 0 for
+/// the whole sweep; `run_all --only fig11,fig12` snapshots [`len`] before
+/// each figure and writes that figure's slice to its own file. Errors are
+/// reported, not fatal — result tracking must never fail a benchmark run.
+pub fn write_results(path: &str, mode: &str, start: usize) {
     if let Err(e) = std::fs::write(path, render_json(mode, start)) {
         eprintln!("warning: could not write {path}: {e}");
     } else {
@@ -198,7 +162,7 @@ fn write_from(path: &str, mode: &str, start: usize) {
     }
 }
 
-/// Number of entries currently recorded (for tests).
+/// Number of entries currently recorded.
 pub fn len() -> usize {
     SINK.lock().unwrap().entries.len()
 }
@@ -208,11 +172,13 @@ mod tests {
     use super::*;
     use ycsb::LatencySummary;
 
-    #[test]
-    fn json_round_trip_shape() {
-        set_figure("figX");
-        let report = RunReport {
-            workload: "C".into(),
+    fn report(workload: &str, clients: usize) -> RunReport {
+        RunReport {
+            workload: workload.into(),
+            clients,
+            ops: 10,
+            elapsed_us: 1.0,
+            kops_per_sec: 5.0,
             overall: LatencySummary {
                 count: 10,
                 mean_us: 2.0,
@@ -224,52 +190,30 @@ mod tests {
             },
             reads: LatencySummary::default(),
             writes: LatencySummary::default(),
-            ops: 10,
             read_hit_rate: 1.0,
-        };
-        note_run(&report);
-        let json = to_json("test");
+            serial_fraction: 0.1,
+        }
+    }
+
+    // One test: the sink is process-global, so two tests would race on
+    // the current figure.
+    #[test]
+    fn rows_render_by_kind() {
+        // Single-client rows are positional and use the mean latency.
+        set_figure("figX");
+        note_run(&report("C", 1));
+        let json = render_json("test", 0);
         assert!(json.contains("\"figure\": \"figX\""));
         assert!(json.contains("\"config\": \"figX#0\""));
         assert!(json.contains("\"ops_per_sec\": 500000.0"));
         assert!(len() >= 1);
-    }
 
-    #[test]
-    fn debt_gauges_render_when_recorded() {
+        // Multi-client rows are labeled and use makespan throughput.
         set_figure("figY");
-        let report = ConcurrentReport {
-            workload: "A".into(),
-            threads: 8,
-            ops: 10,
-            elapsed_us: 1.0,
-            kops_per_sec: 5.0,
-            overall: LatencySummary::default(),
-            read_hit_rate: 1.0,
-            serial_fraction: 0.1,
-        };
-        note_concurrent_debt("p2", &report, 4096, 2);
-        let json = to_json("test");
-        assert!(json.contains("\"debt_bytes\": 4096"));
-        assert!(json.contains("\"pending_jobs\": 2"));
-    }
-
-    #[test]
-    fn named_gauges_render_when_recorded() {
-        set_figure("figZ");
-        let report = ConcurrentReport {
-            workload: "A".into(),
-            threads: 4,
-            ops: 10,
-            elapsed_us: 1.0,
-            kops_per_sec: 5.0,
-            overall: LatencySummary::default(),
-            read_hit_rate: 1.0,
-            serial_fraction: 0.1,
-        };
-        note_concurrent_gauges("p2", &report, &[("vlog_bytes", 123_456), ("cache_hits", 77)]);
-        let json = to_json("test");
-        assert!(json.contains("\"vlog_bytes\": 123456"));
-        assert!(json.contains("\"cache_hits\": 77"));
+        note_concurrent_gauges("p2", &report("A", 8), &[("debt_bytes", 4096), ("cache_hits", 77)]);
+        let json = render_json("test", 0);
+        assert!(json.contains("\"config\": \"p2@8threads\""));
+        assert!(json.contains("\"ops_per_sec\": 5000.0"));
+        assert!(json.contains("\"debt_bytes\": 4096, \"cache_hits\": 77"));
     }
 }

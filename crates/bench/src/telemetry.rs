@@ -1,9 +1,9 @@
 //! Per-figure telemetry registries.
 //!
-//! Every store a figure builds reports into the **current** registry
-//! ([`current`], handed out by `p2_options`), and `run_all` rotates it
-//! with [`begin_figure`] before each figure bin so the bins don't bleed
-//! into each other. After a figure runs, [`write_snapshot`] dumps the
+//! Every store a figure builds, and every YCSB phase it runs, reports
+//! into the **current** registry ([`current`]), and `run_all` rotates it
+//! with [`begin_figure`] before each figure so figures don't bleed into
+//! each other. After a figure runs, [`write_snapshot`] dumps the
 //! registry — the enclave/host virtual-time split and ecall/ocall
 //! transition counts of every platform the figure's stores attached,
 //! plus all `db.*` / `cache.*` / `commit.*` / `ycsb.*` series — to
@@ -30,8 +30,8 @@ pub fn begin_figure() -> Telemetry {
 }
 
 /// The registry of the figure currently running, lazily created enabled
-/// on first use — a standalone figure binary gets instrumented stores
-/// without calling [`begin_figure`] itself.
+/// on first use, so a figure function called outside `run_all` still gets
+/// instrumented stores.
 pub fn current() -> Telemetry {
     CURRENT.lock().unwrap().get_or_insert_with(Telemetry::new).clone()
 }
@@ -72,6 +72,6 @@ mod tests {
         let b = begin_figure();
         assert_eq!(b.counter_value("x"), 0, "fresh registry per figure");
         assert_eq!(current().counter_value("x"), 0);
-        assert_eq!(a.counter_value("x"), 1, "old bin keeps its data");
+        assert_eq!(a.counter_value("x"), 1, "old figure keeps its data");
     }
 }

@@ -126,7 +126,6 @@ impl ElsmP1 {
             level_multiplier: options.level_multiplier,
             max_levels: options.max_levels,
             compaction_enabled: options.compaction_enabled,
-            purge_tombstones_at_bottom: true,
             keep_old_versions: true,
             ..Options::default()
         };

@@ -255,7 +255,6 @@ impl ElsmP2 {
         const PROOF_INFLATION: u64 = 6;
         let db_options = Options {
             wal_sync: options.wal_sync,
-            max_group_commit_bytes: 1 << 20,
             retired_epoch_floor: options.retired_epoch_floor,
             env: env.config().clone(),
             table: lsm_store::TableOptions {
@@ -272,7 +271,6 @@ impl ElsmP2 {
                 strategy: options.compaction_strategy.clone(),
                 parallelism: options.compaction_parallelism,
             },
-            purge_tombstones_at_bottom: true,
             keep_old_versions: true,
             vlog: options.vlog,
             telemetry: options.telemetry.clone(),
@@ -678,10 +676,9 @@ impl ElsmP2 {
                     )));
                 }
             }
-            let (trace, verdict) =
-                self.db.get_with_trace_sync(key, Timestamp::MAX >> 1, |trace| {
-                    self.trusted.verify_get(key, trace)
-                })?;
+            let (trace, verdict) = self.db.get_with_trace(key, Timestamp::MAX >> 1, |trace| {
+                self.trusted.verify_get(key, trace)
+            })?;
             let answer = self.answer_from_trace(&trace, verdict?)?;
             if let (Some(cache), Some(rec)) = (&self.cache, &answer) {
                 cache.insert_record(
@@ -697,7 +694,7 @@ impl ElsmP2 {
 
     fn scan_inner(&self, from: &[u8], to: &[u8]) -> Result<Vec<VerifiedRecord>, ElsmError> {
         let (trace, verdict) = self.platform.ecall(|| {
-            self.db.scan_with_trace_sync(from, to, Timestamp::MAX >> 1, |trace| {
+            self.db.scan_with_trace(from, to, Timestamp::MAX >> 1, |trace| {
                 self.trusted.verify_scan(from, to, trace, self.digests.as_ref())
             })
         })?;
@@ -768,7 +765,7 @@ impl ElsmP2 {
     ///
     /// Returns [`ElsmError::Io`] on storage errors.
     pub fn raw_get_trace(&self, key: &[u8]) -> Result<GetTrace, ElsmError> {
-        Ok(self.db.get_with_trace(key, Timestamp::MAX >> 1)?)
+        Ok(self.db.get_with_trace(key, Timestamp::MAX >> 1, |_| ())?.0)
     }
 
     /// Produces a raw (unverified) scan trace.
@@ -777,7 +774,7 @@ impl ElsmP2 {
     ///
     /// Returns [`ElsmError::Io`] on storage errors.
     pub fn raw_scan_trace(&self, from: &[u8], to: &[u8]) -> Result<ScanTrace, ElsmError> {
-        Ok(self.db.scan_with_trace(from, to, Timestamp::MAX >> 1)?)
+        Ok(self.db.scan_with_trace(from, to, Timestamp::MAX >> 1, |_| ())?.0)
     }
 
     /// Reference to a trace's hit record (handy in tests).

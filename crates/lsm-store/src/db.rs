@@ -53,7 +53,7 @@
 //! All writes — singleton puts included — flow through a LevelDB-style
 //! **group commit**: a writer enqueues its [`WriteBatch`] and the first
 //! writer to find no leader active becomes the leader, drains the queue
-//! (up to [`Options::max_group_commit_bytes`]), and commits the whole
+//! (up to `MAX_GROUP_COMMIT_BYTES`), and commits the whole
 //! group under one write-lock acquisition: timestamps assigned in arrival
 //! order, one WAL frame appended per batch (the frame is the crash
 //! atomicity unit), every record installed in the memtable. Followers
@@ -94,6 +94,10 @@ use crate::vlog::{decode_pointer, encode_pointer, parse_vlog_name, vlog_name, Vl
 use crate::wal::{recover, WalWriter};
 
 const MANIFEST: &str = "MANIFEST";
+
+/// Upper bound on the bytes one group-commit leader coalesces before
+/// handing leadership on (keeps follower latency bounded under bursts).
+const MAX_GROUP_COMMIT_BYTES: usize = 1 << 20;
 
 /// Cumulative operation counters.
 ///
@@ -757,7 +761,7 @@ impl Db {
             let mut group_bytes = 0usize;
             while let Some(front) = q.pending.front() {
                 let bytes: usize = front.ops.iter().map(|o| o.key.len() + o.value.len() + 24).sum();
-                if !group.is_empty() && group_bytes + bytes > self.options.max_group_commit_bytes {
+                if !group.is_empty() && group_bytes + bytes > MAX_GROUP_COMMIT_BYTES {
                     break;
                 }
                 group_bytes += bytes;
@@ -1028,28 +1032,18 @@ impl Db {
     /// The trace is collected against an immutable [`Version`] snapshot;
     /// no store lock is held during level IO. [`GetTrace::epoch`] names
     /// the snapshot so verifiers check against the matching commitments.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError`] on IO errors.
-    pub fn get_with_trace(&self, key: &[u8], ts_q: Timestamp) -> Result<GetTrace, FsError> {
-        let (mem_hit, version) = self.read_view(key, ts_q);
-        self.get_on_version(&version, mem_hit, key, ts_q, NeighborPolicy::Required)
-    }
-
-    /// Like [`Db::get_with_trace`], but runs `check` on the trace while the
-    /// version snapshot is still pinned. Pinning guarantees the trace's
-    /// epoch has not been retired, so `check` can verify against the
-    /// epoch's published commitments even while concurrent
-    /// flushes/compactions install new versions — the §5.5.2
-    /// read/compaction synchronization, without holding any store lock
-    /// across block IO or verification.
+    /// `check` runs on the trace while the snapshot is still pinned:
+    /// pinning guarantees the trace's epoch has not been retired, so
+    /// `check` can verify against the epoch's published commitments even
+    /// while concurrent flushes/compactions install new versions — the
+    /// §5.5.2 read/compaction synchronization, without holding any store
+    /// lock across block IO or verification.
     ///
     /// # Errors
     ///
     /// Returns [`FsError`] on IO errors; `check`'s verdict is returned
     /// alongside the trace.
-    pub fn get_with_trace_sync<T>(
+    pub fn get_with_trace<T>(
         &self,
         key: &[u8],
         ts_q: Timestamp,
@@ -1143,30 +1137,14 @@ impl Db {
 
     /// Range query with the full per-level trace. Unlike GET, every level
     /// is visited (§5.4). Collected against a pinned version with no store
-    /// lock held.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError`] on IO errors.
-    pub fn scan_with_trace(
-        &self,
-        from: &[u8],
-        to: &[u8],
-        ts_q: Timestamp,
-    ) -> Result<ScanTrace, FsError> {
-        let (mem, version) = self.scan_view(from, to);
-        self.scan_on_version(&version, mem, from, to, ts_q, NeighborPolicy::Required)
-    }
-
-    /// Like [`Db::scan_with_trace`], but runs `check` while the version
-    /// snapshot is pinned — the scan counterpart of
-    /// [`Db::get_with_trace_sync`].
+    /// lock held; `check` runs while the version is still pinned — the
+    /// scan counterpart of [`Db::get_with_trace`].
     ///
     /// # Errors
     ///
     /// Returns [`FsError`] on IO errors; `check`'s verdict is returned
     /// alongside the trace.
-    pub fn scan_with_trace_sync<T>(
+    pub fn scan_with_trace<T>(
         &self,
         from: &[u8],
         to: &[u8],
@@ -1755,8 +1733,8 @@ impl Db {
     ) -> Result<MergeOutput, FsError> {
         // Tombstones may only be purged when a merge observes every live
         // version of its keys (bottom level, or a major pass over all
-        // populated levels); stacked (no-compaction) runs must keep them.
-        let allow_purge = purge && self.options.purge_tombstones_at_bottom;
+        // populated levels); stacked (no-compaction) runs must keep them
+        // (§5.4 "Handling Deletes").
         let mut output: Vec<Record> = Vec::new();
         // `unchanged[i]`: output record i's whole key chain came from one
         // input *run* with nothing dropped — its authenticated leaf is
@@ -1795,7 +1773,7 @@ impl Db {
                 self.note_vlog_drop(&record);
                 continue;
             }
-            if allow_purge && record.kind == ValueKind::Delete && !seen_version {
+            if purge && record.kind == ValueKind::Delete && !seen_version {
                 // Newest surviving version is a tombstone at the bottom:
                 // the key disappears entirely (§5.4).
                 drop_rest = true;
@@ -2095,11 +2073,11 @@ mod tests {
         db.flush().unwrap();
         // New write of k0000 stays in the memtable.
         db.put(b"k0000", b"new").unwrap();
-        let trace = db.get_with_trace(b"k0000", Timestamp::MAX >> 1).unwrap();
+        let trace = db.get_with_trace(b"k0000", Timestamp::MAX >> 1, |_| ()).unwrap().0;
         assert!(trace.memtable.is_some(), "memtable hit must not search levels");
         assert!(trace.levels.is_empty());
 
-        let trace = db.get_with_trace(b"k0001", Timestamp::MAX >> 1).unwrap();
+        let trace = db.get_with_trace(b"k0001", Timestamp::MAX >> 1, |_| ()).unwrap().0;
         assert!(trace.memtable.is_none());
         assert!(matches!(trace.levels.last().unwrap().outcome, LevelOutcome::Hit(_)));
     }
@@ -2110,7 +2088,7 @@ mod tests {
         db.put(b"b", b"1").unwrap();
         db.put(b"d", b"2").unwrap();
         db.flush().unwrap();
-        let trace = db.get_with_trace(b"c", Timestamp::MAX >> 1).unwrap();
+        let trace = db.get_with_trace(b"c", Timestamp::MAX >> 1, |_| ()).unwrap().0;
         let hit_level = trace
             .levels
             .iter()
@@ -2148,7 +2126,7 @@ mod tests {
         db.flush().unwrap();
         let e1 = db.current_epoch();
         assert!(e1 >= e0 + 2, "freeze + install must advance the epoch twice: {e0} -> {e1}");
-        let trace = db.get_with_trace(b"k", Timestamp::MAX >> 1).unwrap();
+        let trace = db.get_with_trace(b"k", Timestamp::MAX >> 1, |_| ()).unwrap().0;
         assert_eq!(trace.epoch, db.current_epoch());
     }
 
@@ -2506,9 +2484,9 @@ mod tests {
         let db = open_db(Options { compaction_enabled: false, ..small_options() });
         let t1 = db.put(b"k", b"v1").unwrap();
         let t2 = db.put(b"k", b"v2").unwrap();
-        let tr1 = db.get_with_trace(b"k", t1).unwrap();
+        let tr1 = db.get_with_trace(b"k", t1, |_| ()).unwrap().0;
         assert_eq!(&tr1.result.unwrap().value[..], b"v1");
-        let tr2 = db.get_with_trace(b"k", t2).unwrap();
+        let tr2 = db.get_with_trace(b"k", t2, |_| ()).unwrap().0;
         assert_eq!(&tr2.result.unwrap().value[..], b"v2");
     }
 

@@ -18,7 +18,8 @@
 //! The traced read APIs ([`db::Db::get_with_trace`],
 //! [`db::Db::scan_with_trace`]) expose per-level outcomes including miss
 //! neighbors, which is exactly the information the paper's modified GET
-//! path returns (§5.5.1).
+//! path returns (§5.5.1), and run the caller's check while the version
+//! the trace was collected on is still pinned.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

@@ -92,18 +92,12 @@ pub struct Options {
     /// Compaction strategy and scheduler parallelism (ignored while
     /// `compaction_enabled` is false).
     pub compaction: CompactionConfig,
-    /// Drop tombstones (and the versions they shadow) when merging into the
-    /// bottom level (§5.4 "Handling Deletes").
-    pub purge_tombstones_at_bottom: bool,
     /// Keep shadowed old versions (the paper's hash chains digest them;
     /// transparency-log deployments retain full history).
     pub keep_old_versions: bool,
     /// When acknowledged writes become durable in the host-side WAL (see
     /// [`WalSyncPolicy`] for the durability/throughput trade-off).
     pub wal_sync: WalSyncPolicy,
-    /// Upper bound on the bytes one group-commit leader coalesces before
-    /// handing leadership on (keeps follower latency bounded under bursts).
-    pub max_group_commit_bytes: usize,
     /// How many of the most recent epochs stay verifiable even with no
     /// live reader pinning them. Detached trace-then-verify flows
     /// (adversary harnesses, replication cross-checks, tests) collect a
@@ -138,10 +132,8 @@ impl Default for Options {
             max_levels: 7,
             compaction_enabled: true,
             compaction: CompactionConfig::default(),
-            purge_tombstones_at_bottom: true,
             keep_old_versions: true,
             wal_sync: WalSyncPolicy::default(),
-            max_group_commit_bytes: 1 << 20,
             retired_epoch_floor: 8,
             vlog: None,
             telemetry: telemetry::Telemetry::default(),

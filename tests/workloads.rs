@@ -1,46 +1,37 @@
 //! Cross-crate workload integration: the YCSB harness driving every
 //! system under test, verifying measured behaviour (not just liveness).
 
+use std::sync::Arc;
+
+use elsm_bench::drivers::{Unsecured, Verified};
 use elsm_repro::baselines::{EleosOptions, EleosStore, UnsecuredLsm, UnsecuredOptions};
-use elsm_repro::elsm::{AuthenticatedKv, ElsmP1, ElsmP2, P1Options, P2Options};
+use elsm_repro::elsm::{ElsmP1, ElsmP2, P1Options, P2Options};
 use elsm_repro::sgx_sim::Platform;
 use elsm_repro::sim_disk::{SimDisk, SimFs};
-use elsm_repro::ycsb::{load_phase, run_phase, KvDriver, Workload};
+use elsm_repro::telemetry::Telemetry;
+use elsm_repro::ycsb::{load_phase, run_phase, KvDriver, Phase, RunReport, Topology, Workload};
 
-struct P2Driver(ElsmP2);
-impl KvDriver for P2Driver {
-    fn put(&self, key: &[u8], value: &[u8]) {
-        self.0.put(key, value).unwrap();
-    }
-    fn get(&self, key: &[u8]) -> bool {
-        self.0.get(key).unwrap().is_some()
-    }
-    fn scan(&self, from: &[u8], to: &[u8]) -> usize {
-        self.0.scan(from, to).unwrap().len()
-    }
+/// One client on the store's own platform.
+fn run_single(
+    driver: &dyn KvDriver,
+    platform: &Arc<Platform>,
+    w: &Workload,
+    records: u64,
+    ops: u64,
+    seed: u64,
+) -> RunReport {
+    let phase = Phase { record_count: records, total_ops: ops, clients: 1, seed };
+    run_phase(driver, &Topology::single(platform), w, &phase, &Telemetry::default())
 }
 
-struct P1Driver(ElsmP1);
-impl KvDriver for P1Driver {
-    fn put(&self, key: &[u8], value: &[u8]) {
-        self.0.put(key, value).unwrap();
-    }
-    fn get(&self, key: &[u8]) -> bool {
-        self.0.get(key).unwrap().is_some()
-    }
-    fn scan(&self, from: &[u8], to: &[u8]) -> usize {
-        self.0.scan(from, to).unwrap().len()
-    }
-}
-
-fn p2() -> (P2Driver, std::sync::Arc<Platform>) {
+fn p2() -> (Verified<ElsmP2>, Arc<Platform>) {
     let platform = Platform::with_defaults();
     let store = ElsmP2::open(
         platform.clone(),
         P2Options { write_buffer_bytes: 8 * 1024, ..P2Options::default() },
     )
     .unwrap();
-    (P2Driver(store), platform)
+    (Verified(store), platform)
 }
 
 #[test]
@@ -50,7 +41,7 @@ fn every_standard_workload_runs_verified_on_p2() {
     {
         let (driver, platform) = p2();
         load_phase(&driver, 300, w.value_len);
-        let report = run_phase(&driver, &platform, &w, 300, 600, 42);
+        let report = run_single(&driver, &platform, &w, 300, 600, 42);
         assert_eq!(report.ops, 600, "workload {}", w.workload_name());
         assert!(
             report.read_hit_rate > 0.95,
@@ -85,10 +76,10 @@ fn p2_reads_beat_p1_beyond_the_epc() {
             P2Options { write_buffer_bytes: 8 * 1024, ..P2Options::default() },
         )
         .unwrap();
-        let driver = P2Driver(store);
+        let driver = Verified(store);
         load_phase(&driver, records, 100);
         driver.0.db().flush().unwrap();
-        run_phase(&driver, &platform, &Workload::read_ratio(100), records, 1000, 7).overall.mean_us
+        run_single(&driver, &platform, &Workload::read_ratio(100), records, 1000, 7).overall.mean_us
     };
     let p1_lat = {
         let platform = Platform::new(cost);
@@ -101,10 +92,10 @@ fn p2_reads_beat_p1_beyond_the_epc() {
             },
         )
         .unwrap();
-        let driver = P1Driver(store);
+        let driver = Verified(store);
         load_phase(&driver, records, 100);
         driver.0.db().flush().unwrap();
-        run_phase(&driver, &platform, &Workload::read_ratio(100), records, 1000, 7).overall.mean_us
+        run_single(&driver, &platform, &Workload::read_ratio(100), records, 1000, 7).overall.mean_us
     };
     assert!(p2_lat < p1_lat, "P2 must beat P1 beyond the EPC: {p2_lat:.1}µs vs {p1_lat:.1}µs");
 }
@@ -120,25 +111,13 @@ fn unsecured_is_fastest_p1_pays_paging_p2_pays_proofs() {
             UnsecuredOptions { write_buffer_bytes: 8 * 1024, ..UnsecuredOptions::default() },
         )
         .unwrap();
-        struct D(UnsecuredLsm);
-        impl KvDriver for D {
-            fn put(&self, k: &[u8], v: &[u8]) {
-                self.0.put(k, v).unwrap();
-            }
-            fn get(&self, k: &[u8]) -> bool {
-                self.0.get(k).unwrap().is_some()
-            }
-            fn scan(&self, a: &[u8], b: &[u8]) -> usize {
-                self.0.scan(a, b).unwrap().len()
-            }
-        }
-        let d = D(store);
+        let d = Unsecured(store);
         load_phase(&d, records, 100);
-        run_phase(&d, &platform, &Workload::read_ratio(70), records, 800, 3).overall.mean_us
+        run_single(&d, &platform, &Workload::read_ratio(70), records, 800, 3).overall.mean_us
     };
     let (p2_driver, p2_platform) = p2();
     load_phase(&p2_driver, records, 100);
-    let p2 = run_phase(&p2_driver, &p2_platform, &Workload::read_ratio(70), records, 800, 3)
+    let p2 = run_single(&p2_driver, &p2_platform, &Workload::read_ratio(70), records, 800, 3)
         .overall
         .mean_us;
     let unsec = run_unsec();
