@@ -8,6 +8,7 @@
 
 use bytes::Bytes;
 use lsm_store::{GetTrace, LevelOutcome, Record, ScanTrace};
+use merkle::{ChainPosition, RecordProof};
 
 /// Replaces the hit record's value bytes (query-integrity attack).
 pub fn forge_hit_value(trace: &mut GetTrace, forged_value: &[u8]) {
@@ -64,6 +65,48 @@ pub fn substitute_stale(trace: &mut GetTrace, stale: Record) {
             trace.result = Some(stale.clone());
         }
     }
+}
+
+/// The proof `record` is stored with, in owned form.
+///
+/// # Panics
+///
+/// Panics if `record` carries no well-formed proof (a test-setup error).
+pub fn embedded_proof(record: &Record) -> RecordProof {
+    let opened = crate::envelope::open(&record.value).expect("a well-formed envelope");
+    opened.proof.expect("a record with an embedded proof").to_owned()
+}
+
+/// Re-embeds `proof` in `record`, keeping the application value — the
+/// host rewriting the proof bytes it stores.
+///
+/// # Panics
+///
+/// Panics if `record`'s envelope is malformed (a test-setup error).
+pub fn with_proof(record: &Record, proof: &RecordProof) -> Record {
+    let opened = crate::envelope::open(&record.value).expect("a well-formed envelope");
+    let value = crate::envelope::wrap_with_proof(opened.value, proof.encoded_len(), |out| {
+        out.extend_from_slice(&proof.encode())
+    });
+    Record { value, ..record.clone() }
+}
+
+/// Relabels an older version as its key's newest: its chain link becomes
+/// a newest-position claim over the same older digest, with the audit
+/// path lifted from the chain's real `head` — the strongest forgery a host
+/// holding the whole level can make for a stale answer.
+///
+/// # Panics
+///
+/// Panics if `head` is not a newest version (a test-setup error).
+pub fn relabel_as_newest(stale: &Record, head: &Record) -> Record {
+    let ChainPosition::Newest { audit_path, .. } = embedded_proof(head).chain else {
+        panic!("`head` must be its chain's newest version");
+    };
+    let mut proof = embedded_proof(stale);
+    let older_digest = *proof.chain.older_digest();
+    proof.chain = ChainPosition::Newest { older_digest, audit_path };
+    with_proof(stale, &proof)
 }
 
 /// Drops one record (all its versions) from a scan's level slice — a
@@ -232,7 +275,7 @@ mod tests {
         substitute_stale(&mut trace, stale);
         let err = store.verify_get_trace(b"zkey", &trace).unwrap_err();
         assert!(
-            matches!(err, VerificationFailure::StaleRecord { .. }),
+            matches!(err, VerificationFailure::StaleRecord { newer_versions: 1, .. }),
             "freshness violation must be detected: {err:?}"
         );
     }

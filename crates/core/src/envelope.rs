@@ -160,8 +160,10 @@ mod tests {
             level: 2,
             leaf_index: 5,
             leaf_count: 9,
-            chain: ChainPosition::Newest { older_digest: elsm_crypto::Digest::ZERO },
-            audit_path: vec![elsm_crypto::sha256(b"sib")],
+            chain: ChainPosition::Newest {
+                older_digest: elsm_crypto::Digest::ZERO,
+                audit_path: vec![elsm_crypto::sha256(b"sib")],
+            },
         }
     }
 

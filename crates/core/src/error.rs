@@ -17,12 +17,13 @@ pub enum VerificationFailure {
         /// The underlying proof error.
         source: VerifyError,
     },
-    /// The returned record verifies but is not the newest version — the
-    /// chain position exposed newer records (query-freshness violation).
+    /// The returned record is not the newest version of its key at its
+    /// level — its own proof is a chain link (query-freshness violation).
     StaleRecord {
         /// Level the stale record resides at.
         level: u32,
-        /// How many newer versions exist at that level.
+        /// How many newer versions the record's link says exist at that
+        /// level (its claimed chain position).
         newer_versions: usize,
     },
     /// A record lacks an embedded proof where one is required.

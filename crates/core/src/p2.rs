@@ -248,10 +248,13 @@ impl ElsmP2 {
             None,
         );
         let recovering = fs.open("MANIFEST").is_ok();
-        // Embedded proofs inflate stored records ~6x (audit path + chain
-        // digest versus a 100-byte value). Level budgets are configured in
-        // *logical* bytes, so physical budgets scale by the overhead
-        // factor — otherwise proof bytes would trigger spurious cascades.
+        // Embedded proofs inflate stored records: a key's newest version
+        // carries an audit path (57 + 32·depth bytes, ~6x a 100-byte value
+        // in a 2^15-leaf level), every older version a 57-byte chain link
+        // (~1.5x). Level budgets are configured in *logical* bytes, so
+        // physical budgets scale by the newest-version factor — otherwise
+        // proof bytes would trigger spurious cascades; update-heavy levels
+        // simply sit below budget for longer.
         const PROOF_INFLATION: u64 = 6;
         let db_options = Options {
             wal_sync: options.wal_sync,

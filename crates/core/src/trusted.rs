@@ -24,6 +24,23 @@
 //! every earlier level, early stop justified by Lemma 5.4.
 //! [`TrustedState::verify_scan`] implements the §5.4 range completeness
 //! check using segment-tree range proofs.
+//!
+//! # Version chains
+//!
+//! Only the newest version of a key at a level (the chain head) stores an
+//! audit path; every older version stores a fixed-size chain link
+//! ([`merkle::proof`]). Three rules follow, one place each:
+//!
+//! * a GET answered with a link is a stale answer *by its own claim* —
+//!   rejected before anything is hashed; the same record relabelled as a
+//!   head fails its audit path (`verify_hit`);
+//! * a scan presents every version of every in-range key, so after a
+//!   key's head the older versions are walked down the chain, one hash
+//!   each ([`merkle::ChainWalk`]): the accepted versions are a prefix of
+//!   the committed chain, in order (`verify_level_range`);
+//! * a non-membership neighbour or a range boundary must be a chain head:
+//!   a link offered as either is rejected (`verify_non_membership`,
+//!   `leaf_from_record`).
 
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -394,33 +411,38 @@ impl TrustedState {
         }
     }
 
-    /// Verifies one record proof against a level commitment, charging the
-    /// hashing work.
+    fn count_proof(&self, proof: &RecordProofRef<'_>) {
+        self.proofs_verified.fetch_add(1, Ordering::Relaxed);
+        self.proof_bytes.fetch_add(proof.encoded_len() as u64, Ordering::Relaxed);
+    }
+
+    /// Verifies one chain-head proof against a level commitment, charging
+    /// the hashing work. A link is not a head: it fails as
+    /// [`merkle::VerifyError::NotChainHead`].
     fn check_proof(
         &self,
         commitment: &LevelCommitment,
         proof: &RecordProofRef<'_>,
         canonical: &[u8],
     ) -> Result<(), VerificationFailure> {
-        let newer_bytes: usize = proof.exposed_newer().map(<[u8]>::len).sum();
-        self.platform.charge_hash(canonical.len() + newer_bytes + 64 * proof.audit_path_len());
-        self.proofs_verified.fetch_add(1, Ordering::Relaxed);
-        self.proof_bytes.fetch_add(proof.encoded_len() as u64, Ordering::Relaxed);
+        self.platform.charge_hash(canonical.len() + 64 * proof.audit_path_len());
+        self.count_proof(proof);
         proof
             .verify(commitment, canonical)
             .map_err(|source| VerificationFailure::ForgedRecord { level: commitment.level, source })
     }
 
-    /// [`open_proved`], then checks the proof against `commitment`.
+    /// [`open_proved`], then checks the proof against `commitment`: what a
+    /// non-membership neighbour must pass, so a neighbour is a chain head.
     fn open_and_check<'r>(
         &self,
         commitment: &LevelCommitment,
         record: &'r Record,
         canonical: &mut Vec<u8>,
-    ) -> Result<(Opened<'r>, RecordProofRef<'r>), VerificationFailure> {
-        let (opened, proof) = open_proved(commitment.level, record, canonical)?;
+    ) -> Result<RecordProofRef<'r>, VerificationFailure> {
+        let (_, proof) = open_proved(commitment.level, record, canonical)?;
         self.check_proof(commitment, &proof, canonical)?;
-        Ok((opened, proof))
+        Ok(proof)
     }
 
     // ----- GET verification (Theorem 5.3) ---------------------------------
@@ -511,16 +533,14 @@ impl TrustedState {
                 reason: "hit record key differs from query",
             });
         }
-        let (opened, proof) = self.open_and_check(commitment, record, canonical)?;
+        let (opened, proof) = open_proved(level, record, canonical)?;
         // Freshness: the answer must be the newest version at its level
-        // (any newer version would appear in the chain position — the
-        // paper's ⟨Z,6⟩/⟨Z,7⟩ detection).
-        if !proof.is_newest() {
-            return Err(VerificationFailure::StaleRecord {
-                level,
-                newer_versions: proof.exposed_newer().len(),
-            });
-        }
+        // (the paper's ⟨Z,6⟩/⟨Z,7⟩ detection). A link says how many newer
+        // versions it sits below, so it is stale by its own claim; had the
+        // host relabelled it as the newest, the audit path below would not
+        // reach the root.
+        require_newest(level, &proof)?;
+        self.check_proof(commitment, &proof, canonical)?;
         Ok(VerifiedHit { value: opened.value_range(), proof_bytes: proof.encoded_len() })
     }
 
@@ -551,7 +571,7 @@ impl TrustedState {
                         reason: "left neighbor not below query key",
                     });
                 }
-                Some(self.open_and_check(commitment, rec, canonical)?.1)
+                Some(self.open_and_check(commitment, rec, canonical)?)
             }
             None => None,
         };
@@ -563,7 +583,7 @@ impl TrustedState {
                         reason: "right neighbor not above query key",
                     });
                 }
-                Some(self.open_and_check(commitment, rec, canonical)?.1)
+                Some(self.open_and_check(commitment, rec, canonical)?)
             }
             None => None,
         };
@@ -646,10 +666,11 @@ impl TrustedState {
         Ok(())
     }
 
-    /// The leaf (chain head) a range-query record hashes to at the position
-    /// its embedded proof claims, charging the record's hash. The leaf's
-    /// path to the root is the range proof's business, so the audit path
-    /// is not walked here.
+    /// The leaf (chain head) a range-query record hashes to, charging the
+    /// record's hash. The record must claim to be its key's newest version
+    /// — in-range group heads and both boundaries alike; a link is stale by
+    /// its own claim. The leaf's path to the root is the range proof's
+    /// business, so the audit path is not walked here.
     fn leaf_from_record<'r>(
         &self,
         level: u32,
@@ -657,8 +678,9 @@ impl TrustedState {
         canonical: &mut Vec<u8>,
     ) -> Result<(RecordProofRef<'r>, Digest), VerificationFailure> {
         let (_, proof) = open_proved(level, record, canonical)?;
+        require_newest(level, &proof)?;
         self.platform.charge_hash(canonical.len());
-        Ok((proof, proof.chain_head(canonical)))
+        Ok((proof, proof.suffix_digest(canonical)))
     }
 
     fn verify_level_range(
@@ -674,7 +696,9 @@ impl TrustedState {
         let fail = |reason: &'static str| VerificationFailure::IncompleteRange { level, reason };
 
         // Group in-range records by key; compute each group's leaf hash
-        // from the newest version's chain position.
+        // from the newest version, then walk the older versions down its
+        // chain. The range proof below authenticates the leaves, and with
+        // them everything the walks accepted.
         let mut leaf_seq: Vec<(u64, Digest)> = Vec::new();
         let mut canonical = Vec::new();
         let mut idx = 0usize;
@@ -687,18 +711,21 @@ impl TrustedState {
             if proof.leaf_count != commitment.leaf_count {
                 return Err(fail("proof leaf count mismatch"));
             }
-            if !proof.is_newest() {
-                return Err(VerificationFailure::StaleRecord { level, newer_versions: 1 });
-            }
             leaf_seq.push((proof.leaf_index, leaf_hash));
-            // Verify the older versions of this key individually.
+            let mut walk = proof
+                .walk()
+                .map_err(|source| VerificationFailure::ForgedRecord { level, source })?;
             let mut j = idx + 1;
             while j < range.records.len() && range.records[j].key == newest.key {
                 let older = &range.records[j];
                 if older.ts >= range.records[j - 1].ts {
                     return Err(fail("versions not in descending timestamp order"));
                 }
-                self.open_and_check(commitment, older, &mut canonical)?;
+                let (_, link) = open_proved(level, older, &mut canonical)?;
+                self.platform.charge_hash(canonical.len() + 32);
+                self.count_proof(&link);
+                walk.step(&link, &canonical)
+                    .map_err(|source| VerificationFailure::ForgedRecord { level, source })?;
                 j += 1;
             }
             if j < range.records.len() && range.records[j].key < newest.key {
@@ -773,6 +800,17 @@ fn open_proved<'r>(
     canonical.clear();
     append_canonical(record, opened.value, canonical);
     Ok((opened, proof))
+}
+
+/// Refuses a proof that is a chain link: by its own claim its record sits
+/// below `position` newer versions of the key at `level`.
+fn require_newest(level: u32, proof: &RecordProofRef<'_>) -> Result<(), VerificationFailure> {
+    match proof.link_position() {
+        None => Ok(()),
+        Some(position) => {
+            Err(VerificationFailure::StaleRecord { level, newer_versions: position as usize })
+        }
+    }
 }
 
 /// Convenience: interprets a verified GET trace as the final user-visible

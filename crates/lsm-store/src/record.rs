@@ -193,6 +193,11 @@ fn split_suffix(k: &[u8]) -> (&[u8], &[u8]) {
     k.split_at(k.len().saturating_sub(8))
 }
 
+/// The user key of an *encoded* internal key, in place.
+pub(crate) fn user_key_of(encoded: &[u8]) -> &[u8] {
+    split_suffix(encoded).0
+}
+
 /// An internal key: user key plus `(timestamp, kind)` suffix.
 ///
 /// The encoded form is `user_key ‖ be_bytes(!packed)`; ordering is defined

@@ -27,7 +27,7 @@ use crate::block::{Block, BlockBuilder};
 use crate::bloom::BloomFilter;
 use crate::encoding::{get_fixed_u64, get_length_prefixed, put_fixed_u64, put_length_prefixed};
 use crate::env::StorageEnv;
-use crate::record::{InternalKey, Record, Timestamp, ValueKind};
+use crate::record::{user_key_of, InternalKey, Record, Timestamp, ValueKind};
 
 const FOOTER_LEN: usize = 56;
 const MAGIC: u64 = 0xe15a_5700_ab1e_d157;
@@ -192,7 +192,7 @@ impl TableBuilder {
             Vec::new()
         };
         let bloom_offset = self.offset;
-        self.write(&bloom.clone());
+        self.write(&bloom);
         // Index block.
         let mut index_block = BlockBuilder::new();
         for (key, off, len) in &self.index {
@@ -203,7 +203,7 @@ impl TableBuilder {
         }
         let index_bytes = index_block.finish();
         let index_offset = self.offset;
-        self.write(&index_bytes.clone());
+        self.write(&index_bytes);
         // Props.
         let mut props = Vec::new();
         let smallest = self.smallest.clone().expect("non-empty table");
@@ -212,7 +212,7 @@ impl TableBuilder {
         put_length_prefixed(&mut props, &largest);
         put_fixed_u64(&mut props, self.count);
         let props_offset = self.offset;
-        self.write(&props.clone());
+        self.write(&props);
         // Footer.
         let mut footer = Vec::with_capacity(FOOTER_LEN);
         put_fixed_u64(&mut footer, bloom_offset);
@@ -223,8 +223,7 @@ impl TableBuilder {
         put_fixed_u64(&mut footer, props.len() as u64);
         debug_assert_eq!(footer.len() + 8, FOOTER_LEN);
         put_fixed_u64(&mut footer, MAGIC);
-        let footer_bytes = footer.clone();
-        self.write(&footer_bytes);
+        self.write(&footer);
         self.flush_pending();
         TableMeta {
             file_no: self.file_no,
@@ -493,13 +492,44 @@ impl TableReader {
                 }
             }
             if let Some(b) = best {
-                return Ok(Some(b));
+                return self.chain_head(b, block_idx, ts_q).map(Some);
             }
             if block_idx == 0 {
                 return Ok(None);
             }
             block_idx -= 1;
         }
+    }
+
+    /// The newest version visible at `ts_q` of `found`'s key, where
+    /// `found` is the newest one within block `block_idx`. Versions of a
+    /// key never straddle files but do straddle blocks; the index says so
+    /// without IO (an earlier block ends with the same user key), and only
+    /// then are the blocks the chain started in read.
+    fn chain_head(
+        &self,
+        found: Record,
+        block_idx: usize,
+        ts_q: Timestamp,
+    ) -> Result<Record, FsError> {
+        let mut first = block_idx;
+        while first > 0 && found.key == user_key_of(&self.index[first - 1].0) {
+            first -= 1;
+        }
+        if first == block_idx {
+            return Ok(found);
+        }
+        let seek = InternalKey::new(&found.key, ts_q, ValueKind::Put);
+        for earlier in first..block_idx {
+            let block = self.read_block(earlier)?;
+            if let Some((ik_bytes, value)) = block.seek(seek.encoded()).next() {
+                match InternalKey::from_encoded(&ik_bytes) {
+                    Some(ik) if found.key == ik.user_key() => return Ok(record_from(ik, value)),
+                    _ => {}
+                }
+            }
+        }
+        Ok(found)
     }
 
     /// Newest record of the smallest user key strictly `> key`.
@@ -751,6 +781,62 @@ mod tests {
             }
             _ => panic!("expected miss"),
         }
+    }
+
+    /// Versions of one key fill several blocks: whichever block the scan
+    /// for the left neighbour lands in, the neighbour is the chain's head.
+    #[test]
+    fn neighbor_below_is_the_chain_head_across_blocks() {
+        let (env, fs) = test_env(EnvConfig { block_cache_bytes: 0, ..EnvConfig::default() });
+        let mut recs = vec![Record::put(b"a".as_slice(), b"first".as_slice(), 1)];
+        for v in 0..60u64 {
+            recs.push(Record::put(b"hot".as_slice(), vec![v as u8; 200], 1000 - v));
+        }
+        recs.push(Record::put(b"next".as_slice(), b"x".as_slice(), 5));
+        let reader = build_table(&env, &fs, &recs);
+        let hot_blocks = reader.index.iter().filter(|(last, _, _)| user_key_of(last) == b"hot");
+        assert!(hot_blocks.count() >= 3, "the chain must straddle blocks");
+        let ts_max = Timestamp::MAX >> 1;
+        let head = reader.newest_before(b"next", ts_max).unwrap().expect("a left neighbour");
+        assert_eq!((&head.key[..], head.ts), (&b"hot"[..], 1000), "the max-ts version");
+        // A snapshot below the head's timestamp sees the newest version it
+        // admits, also from an earlier block than the scanned one.
+        let at_990 = reader.newest_before(b"next", 990).unwrap().unwrap();
+        assert_eq!((&at_990.key[..], at_990.ts), (&b"hot"[..], 990));
+        match reader.get(b"i", ts_max, NeighborPolicy::Required).unwrap() {
+            TableGet::Miss { left, right } => {
+                assert_eq!(left, Some(head.clone()));
+                assert_eq!(&right.unwrap().key[..], b"next");
+            }
+            TableGet::Hit(_) => panic!("expected miss"),
+        }
+        let run = crate::version::Run::new(vec![Arc::new(reader)]);
+        assert_eq!(run.neighbor_below(b"next", ts_max).unwrap(), Some(head.clone()));
+        assert_eq!(run.neighbor_below(b"zz", ts_max).unwrap().unwrap().key, &b"next"[..]);
+        assert_eq!(run.neighbor_above(b"a", ts_max).unwrap(), Some(head));
+    }
+
+    /// The chain-head check reads the index only: on a table of
+    /// single-version keys every left-neighbour lookup reads one block,
+    /// two when the key opens its block — what it read before the check.
+    #[test]
+    fn single_version_neighbor_lookups_read_no_extra_block() {
+        let (env, fs) = test_env(EnvConfig { block_cache_bytes: 0, ..EnvConfig::default() });
+        let recs: Vec<Record> = (0..400u64)
+            .map(|i| Record::put(format!("k{i:04}").into_bytes(), vec![7u8; 64], i + 1))
+            .collect();
+        let reader = build_table(&env, &fs, &recs);
+        let blocks = reader.index.len() as u64;
+        assert!(blocks >= 4);
+        let before = env.platform().stats();
+        for (i, r) in recs.iter().enumerate() {
+            let left = reader.newest_before(&r.key, Timestamp::MAX >> 1).unwrap();
+            assert_eq!(left.as_ref(), i.checked_sub(1).map(|prev| &recs[prev]));
+        }
+        let after = env.platform().stats();
+        // No read for the table's first key, two for each later block's
+        // first key.
+        assert_eq!(after.ocalls - before.ocalls, (recs.len() as u64 - 1) + (blocks - 1));
     }
 
     #[test]

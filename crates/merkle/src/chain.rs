@@ -1,13 +1,23 @@
 //! Temporal hash chains over record versions (§5.2, design 2).
 //!
 //! Within one LSM level, all records sharing a data key are chained in
-//! temporal order: the chain *digest* covers the newest record outermost,
-//! so any proof about an older version necessarily exposes the full bytes
-//! of every newer version — which is exactly how the verifier detects a
-//! stale-record attack (the paper's ⟨Z,6⟩ vs ⟨Z,7⟩ example).
+//! temporal order, newest outermost. Writing `rⱼ` for version *j*
+//! (0 = newest) and `dⱼ` for the digest of version *j* and everything
+//! older:
 //!
-//! `chain_digest([r_newest, …, r_oldest]) =
-//!     H(0x02 ‖ r_newest ‖ H(0x02 ‖ r_next ‖ … H(0x02 ‖ r_oldest ‖ ⊥)))`
+//! `dⱼ = link(rⱼ, dⱼ₊₁) = H(0x02 ‖ rⱼ ‖ dⱼ₊₁)`, with `⊥` (all zeroes)
+//! after the oldest version. `d₀` is the *chain head*, the key's Merkle
+//! leaf.
+//!
+//! Every `dⱼ` binds the whole older suffix, and only `d₀` is bound to
+//! the level root. An older version can therefore be authenticated in one
+//! way only: start at the head and hash down through every newer version —
+//! which is exactly how the verifier detects a stale-record attack (the
+//! paper's ⟨Z,6⟩ vs ⟨Z,7⟩ example). The newer versions are exposed by
+//! *presenting* the chain at query time (a range query already returns
+//! every version of a key); they are never stored a second time inside an
+//! older version's proof. What each version stores is its
+//! [`ChainPosition`].
 
 use elsm_crypto::{sha256_concat, Digest};
 
@@ -29,48 +39,42 @@ pub fn chain_digest<B: AsRef<[u8]>>(records_newest_first: &[B]) -> Digest {
     acc
 }
 
-/// Where a record sits in its key's version chain, with the material needed
-/// to recompute the chain digest.
+/// What a record stores about its place in its key's version chain.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ChainPosition {
-    /// The record is the newest version at this level: only the digest of
-    /// the (possibly empty) older suffix is needed.
+    /// The record is the newest version at this level — the chain head,
+    /// the one version the level root authenticates directly.
     Newest {
-        /// Digest of the chain of strictly older versions.
+        /// Digest of the chain of strictly older versions (`d₁`).
         older_digest: Digest,
+        /// Sibling hashes from the chain head to the level root.
+        audit_path: Vec<Digest>,
     },
-    /// The record is not the newest: every newer record's bytes must be
-    /// exposed (newest first), which is what makes staleness detectable.
-    Older {
-        /// Full bytes of all newer versions, newest first.
-        newer_records: Vec<Vec<u8>>,
-        /// Digest of the chain of strictly older versions.
+    /// The record is version `position` of its chain. A link carries no
+    /// newer records and no audit path: it verifies only as a step of a
+    /// walk down from the head, never alone.
+    Link {
+        /// Number of newer versions of the key at the level (≥ 1).
+        position: u32,
+        /// Digest of the chain of strictly older versions (`d_{position+1}`).
         older_digest: Digest,
     },
 }
 
 impl ChainPosition {
-    /// Recomputes the chain-head digest for `record_bytes` at this
-    /// position.
-    pub fn chain_head(&self, record_bytes: &[u8]) -> Digest {
+    /// Digest of the chain of strictly older versions.
+    pub fn older_digest(&self) -> &Digest {
         match self {
-            ChainPosition::Newest { older_digest } => chain_link(record_bytes, older_digest),
-            ChainPosition::Older { newer_records, older_digest } => {
-                let mut acc = chain_link(record_bytes, older_digest);
-                for newer in newer_records.iter().rev() {
-                    acc = chain_link(newer, &acc);
-                }
-                acc
-            }
+            ChainPosition::Newest { older_digest, .. }
+            | ChainPosition::Link { older_digest, .. } => older_digest,
         }
     }
 
-    /// The newer-record bytes this position exposes (empty for the newest).
-    pub fn exposed_newer(&self) -> &[Vec<u8>] {
-        match self {
-            ChainPosition::Newest { .. } => &[],
-            ChainPosition::Older { newer_records, .. } => newer_records,
-        }
+    /// Chain digest of `record_bytes` at this position and everything
+    /// older: the chain head for the newest version, `d_position` for a
+    /// link.
+    pub fn suffix_digest(&self, record_bytes: &[u8]) -> Digest {
+        chain_link(record_bytes, self.older_digest())
     }
 }
 
@@ -81,6 +85,10 @@ mod tests {
     fn recs(n: usize) -> Vec<Vec<u8>> {
         // newest first: ts descending
         (0..n).map(|i| format!("rec-ts{}", n - i).into_bytes()).collect()
+    }
+
+    fn newest(older_digest: Digest) -> ChainPosition {
+        ChainPosition::Newest { older_digest, audit_path: Vec::new() }
     }
 
     #[test]
@@ -97,31 +105,24 @@ mod tests {
     #[test]
     fn newest_position_recomputes_head() {
         let r = recs(3);
-        let full = chain_digest(&r);
-        let older = chain_digest(&r[1..]);
-        let pos = ChainPosition::Newest { older_digest: older };
-        assert_eq!(pos.chain_head(&r[0]), full);
+        let pos = newest(chain_digest(&r[1..]));
+        assert_eq!(pos.suffix_digest(&r[0]), chain_digest(&r));
     }
 
     #[test]
-    fn older_position_recomputes_head() {
+    fn link_recomputes_what_its_predecessor_committed_to() {
         let r = recs(4);
-        let full = chain_digest(&r);
-        // Proving position 2 (third newest).
-        let pos = ChainPosition::Older {
-            newer_records: vec![r[0].clone(), r[1].clone()],
-            older_digest: chain_digest(&r[3..]),
-        };
-        assert_eq!(pos.chain_head(&r[2]), full);
-        assert_eq!(pos.exposed_newer().len(), 2);
+        // Version 2 (third newest): its digest is version 1's older digest.
+        let pos = ChainPosition::Link { position: 2, older_digest: chain_digest(&r[3..]) };
+        assert_eq!(pos.suffix_digest(&r[2]), chain_digest(&r[2..]));
+        assert_ne!(pos.suffix_digest(&r[2]), chain_digest(&r), "a link is not the head");
     }
 
     #[test]
     fn tampered_record_changes_head() {
         let r = recs(2);
-        let older = chain_digest(&r[1..]);
-        let pos = ChainPosition::Newest { older_digest: older };
-        assert_ne!(pos.chain_head(&r[0]), pos.chain_head(b"forged"));
+        let pos = newest(chain_digest(&r[1..]));
+        assert_ne!(pos.suffix_digest(&r[0]), pos.suffix_digest(b"forged"));
     }
 
     #[test]
@@ -132,19 +133,13 @@ mod tests {
     }
 
     #[test]
-    fn stale_claim_exposes_newer_bytes() {
-        // A prover claiming r[1] is the answer must supply r[0]'s bytes in
-        // the position — there is no valid ChainPosition for r[1] that
-        // hides r[0].
+    fn stale_record_cannot_pose_as_the_head() {
+        // Whatever older digest a prover pairs r[1] with, claiming it is
+        // the newest version yields a different head: the real head hashes
+        // r[0] outermost.
         let r = recs(2);
         let full = chain_digest(&r);
-        let honest =
-            ChainPosition::Older { newer_records: vec![r[0].clone()], older_digest: Digest::ZERO };
-        assert_eq!(honest.chain_head(&r[1]), full);
-        // Claiming "newest" for the stale record yields a different head.
-        let lying = ChainPosition::Newest { older_digest: Digest::ZERO };
-        assert_ne!(lying.chain_head(&r[1]), full);
-        let lying2 = ChainPosition::Newest { older_digest: chain_digest(&r[..1]) };
-        assert_ne!(lying2.chain_head(&r[1]), full);
+        assert_ne!(newest(Digest::ZERO).suffix_digest(&r[1]), full);
+        assert_ne!(newest(chain_digest(&r[..1])).suffix_digest(&r[1]), full);
     }
 }

@@ -10,21 +10,22 @@
 //! # Layout
 //!
 //! A [`LevelDigest`] is the prover's copy of a level and can hold millions
-//! of records, so it is stored flat: all keys in one byte arena, all record
-//! bytes in another (each with an end-offset table), the first record
-//! index of every leaf, and **one suffix digest per record** — the chain
-//! digest of that record and every older version of its key. `finish`
-//! computes those digests anyway on its way to each chain head; keeping
-//! them makes a proof for version *v* a table lookup (`older_digest` is the
-//! suffix digest of version *v + 1*) instead of a re-hash of the whole
-//! older suffix, which was quadratic in a key's version count — and
-//! versions are never dropped. [`LevelDigest::encode_proof_into`] writes a
-//! proof's wire bytes straight from these tables.
+//! of records, so it is stored flat: all keys in one byte arena with an
+//! end-offset table, the first record index of every leaf, and **one
+//! suffix digest per record** — the chain digest of that record and every
+//! older version of its key. `finish` computes those digests anyway on its
+//! way to each chain head; they are all a proof needs from the chain
+//! (`older_digest` of version *v* is the suffix digest of version *v + 1*),
+//! so the record bytes themselves are dropped once hashed.
+//! [`LevelDigest::encode_proof_into`] writes a proof's wire bytes straight
+//! from these tables: the audit path for a key's newest version, a
+//! fixed-size link ([`crate::proof::LINK_LEN`]) for every older one —
+//! a level's stored proof bytes are linear in its record count.
 
 use elsm_crypto::Digest;
 
 use crate::chain::{chain_link, ChainPosition};
-use crate::proof::{encode_parts, encoded_len_parts, LevelCommitment, RecordProof};
+use crate::proof::{encode_parts, head_encoded_len, LevelCommitment, RecordProof, LINK_LEN};
 use crate::range::{prove_range, RangeProof};
 use crate::tree::MerkleTree;
 
@@ -47,21 +48,13 @@ impl Arena {
         self.ends.len()
     }
 
-    fn start(&self, index: usize) -> usize {
-        index.checked_sub(1).map_or(0, |prev| self.ends[prev])
-    }
-
     fn get(&self, index: usize) -> &[u8] {
-        &self.bytes[self.start(index)..self.ends[index]]
+        let start = index.checked_sub(1).map_or(0, |prev| self.ends[prev]);
+        &self.bytes[start..self.ends[index]]
     }
 
     fn last(&self) -> Option<&[u8]> {
         self.len().checked_sub(1).map(|i| self.get(i))
-    }
-
-    /// Items `range`, in order.
-    fn iter(&self, range: std::ops::Range<usize>) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
-        range.map(|i| self.get(i))
     }
 }
 
@@ -126,7 +119,6 @@ impl LevelDigestBuilder {
             level: self.level,
             tree: MerkleTree::from_leaves(leaves),
             keys: self.keys,
-            records: self.records,
             leaf_first: self.leaf_first,
             suffix_digests,
         }
@@ -150,7 +142,7 @@ pub enum LeafLookup {
 }
 
 /// The digest of one LSM level plus the prover-side material (leaf keys and
-/// chain bytes) the *untrusted* host keeps to answer queries. See the
+/// chain digests) the *untrusted* host keeps to answer queries. See the
 /// module docs for the layout.
 #[derive(Debug, Clone)]
 pub struct LevelDigest {
@@ -158,11 +150,8 @@ pub struct LevelDigest {
     tree: MerkleTree,
     /// Leaf keys, ascending.
     keys: Arena,
-    /// Every version's canonical bytes: leaves in order, newest first
-    /// within a leaf.
-    records: Arena,
-    /// `leaf_first[i]..leaf_first[i + 1]` are leaf `i`'s records (one
-    /// trailing sentinel).
+    /// `leaf_first[i]..leaf_first[i + 1]` are leaf `i`'s records, newest
+    /// first (one trailing sentinel).
     leaf_first: Vec<usize>,
     /// `suffix_digests[r]` = chain digest of record `r` and all older
     /// versions of its key; a leaf's first entry is its chain head.
@@ -221,62 +210,52 @@ impl LevelDigest {
         self.leaf_first[leaf_idx + 1] - self.leaf_first[leaf_idx]
     }
 
-    /// Canonical bytes of version `version_idx` (0 = newest) of leaf
-    /// `leaf_idx`.
-    pub fn record(&self, leaf_idx: usize, version_idx: usize) -> &[u8] {
-        self.records.get(self.record_index(leaf_idx, version_idx))
-    }
-
-    /// Position in the record tables of `(leaf, version)`.
+    /// What version `version_idx` (0 = newest) of leaf `leaf_idx` stores
+    /// about its chain: `None` for the head, its position for a link; and
+    /// the chain digest of the strictly older versions — the next record's
+    /// suffix digest, or the empty chain's for the oldest version.
     ///
     /// # Panics
     ///
     /// Panics on out-of-range indices.
-    fn record_index(&self, leaf_idx: usize, version_idx: usize) -> usize {
+    fn chain_parts(&self, leaf_idx: usize, version_idx: usize) -> (Option<u32>, &Digest) {
         assert!(version_idx < self.chain_len(leaf_idx), "version index out of range");
-        self.leaf_first[leaf_idx] + version_idx
-    }
-
-    /// Chain digest of the versions strictly older than record `r` of
-    /// leaf `leaf_idx`: the next record's suffix digest, or the empty
-    /// chain's when `r` is the oldest.
-    fn older_digest(&self, leaf_idx: usize, r: usize) -> &Digest {
-        if r + 1 < self.leaf_first[leaf_idx + 1] {
+        let r = self.leaf_first[leaf_idx] + version_idx;
+        let older_digest = if r + 1 < self.leaf_first[leaf_idx + 1] {
             &self.suffix_digests[r + 1]
         } else {
             &Digest::ZERO
-        }
+        };
+        let link_position = (version_idx > 0)
+            .then(|| u32::try_from(version_idx).expect("a chain holds fewer than 2^32 versions"));
+        (link_position, older_digest)
+    }
+
+    fn header(&self, leaf_idx: usize) -> (u32, u64, u64) {
+        (self.level, leaf_idx as u64, self.tree.leaf_count() as u64)
     }
 
     /// Proof for the version at `version_idx` (0 = newest) of leaf
-    /// `leaf_idx`, in owned form.
+    /// `leaf_idx`, in owned form: the audit path for the newest version,
+    /// the chain link for every other.
     ///
     /// # Panics
     ///
     /// Panics on out-of-range indices.
     pub fn prove_version(&self, leaf_idx: usize, version_idx: usize) -> RecordProof {
-        let r = self.record_index(leaf_idx, version_idx);
-        let older_digest = *self.older_digest(leaf_idx, r);
-        let chain = if version_idx == 0 {
-            ChainPosition::Newest { older_digest }
-        } else {
-            let newer = self.records.iter(self.leaf_first[leaf_idx]..r);
-            ChainPosition::Older {
-                newer_records: newer.map(<[u8]>::to_vec).collect(),
-                older_digest,
+        let (link_position, &older_digest) = self.chain_parts(leaf_idx, version_idx);
+        let chain = match link_position {
+            None => {
+                ChainPosition::Newest { older_digest, audit_path: self.tree.audit_path(leaf_idx) }
             }
+            Some(position) => ChainPosition::Link { position, older_digest },
         };
-        RecordProof {
-            level: self.level,
-            leaf_index: leaf_idx as u64,
-            leaf_count: self.tree.leaf_count() as u64,
-            chain,
-            audit_path: self.tree.audit_path(leaf_idx),
-        }
+        let (level, leaf_index, leaf_count) = self.header(leaf_idx);
+        RecordProof { level, leaf_index, leaf_count, chain }
     }
 
-    /// Proof for the newest version of leaf `leaf_idx` — the common case
-    /// embedded in records.
+    /// Proof for the newest version of leaf `leaf_idx` — the one proof of
+    /// a chain that verifies on its own.
     pub fn prove_newest(&self, leaf_idx: usize) -> RecordProof {
         self.prove_version(leaf_idx, 0)
     }
@@ -290,30 +269,27 @@ impl LevelDigest {
     ///
     /// Panics on out-of-range indices.
     pub fn encode_proof_into(&self, leaf_idx: usize, version_idx: usize, out: &mut Vec<u8>) {
-        let r = self.record_index(leaf_idx, version_idx);
-        let newer = (version_idx > 0).then(|| self.records.iter(self.leaf_first[leaf_idx]..r));
+        let (link_position, older_digest) = self.chain_parts(leaf_idx, version_idx);
         encode_parts(
             out,
-            (self.level, leaf_idx as u64, self.tree.leaf_count() as u64),
-            newer,
-            self.older_digest(leaf_idx, r),
+            self.header(leaf_idx),
+            link_position,
+            older_digest,
             self.tree.siblings(leaf_idx),
         );
     }
 
     /// Exactly the number of bytes [`LevelDigest::encode_proof_into`]
-    /// appends for `(leaf_idx, version_idx)`, from the offset tables.
+    /// appends for `(leaf_idx, version_idx)`, by arithmetic.
     ///
     /// # Panics
     ///
     /// Panics on out-of-range indices.
     pub fn proof_encoded_len(&self, leaf_idx: usize, version_idx: usize) -> usize {
-        let r = self.record_index(leaf_idx, version_idx);
-        let newer = (version_idx > 0).then(|| {
-            let first = self.leaf_first[leaf_idx];
-            (version_idx, self.records.start(r) - self.records.start(first))
-        });
-        encoded_len_parts(newer, self.tree.siblings(leaf_idx).count())
+        match self.chain_parts(leaf_idx, version_idx).0 {
+            None => head_encoded_len(self.tree.siblings(leaf_idx).count()),
+            Some(_) => LINK_LEN,
+        }
     }
 
     /// Range proof covering leaves `lo..=hi` (§5.4 segment-tree view).
@@ -330,6 +306,7 @@ impl LevelDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::proof::{RecordProofRef, VerifyError};
     use crate::range::verify_range;
 
     /// The paper's Figure 3 example: level L2 = [⟨T,4⟩, ⟨Z,7⟩, ⟨Z,6⟩],
@@ -377,16 +354,27 @@ mod tests {
         let l2 = level2();
         let c = l2.commitment();
         let LeafLookup::Found { index } = l2.lookup(b"Z") else { panic!() };
-        // The only verifying proof for Z,6 exposes Z,7's bytes.
+        // What Z,6 stores is its link: no copy of Z,7, no path, and no
+        // proof of anything on its own.
         let honest = l2.prove_version(index, 1);
-        assert_eq!(honest.verify(&c, b"Z,6"), Ok(()));
-        assert_eq!(honest.chain.exposed_newer(), &[b"Z,7".to_vec()]);
-        // A "Newest" claim for Z,6 fails.
-        let lying = RecordProof {
-            chain: ChainPosition::Newest { older_digest: Digest::ZERO },
-            ..honest.clone()
+        assert_eq!(honest.chain, ChainPosition::Link { position: 1, older_digest: Digest::ZERO });
+        assert_eq!(honest.verify(&c, b"Z,6"), Err(VerifyError::NotChainHead));
+        assert_eq!(l2.proof_encoded_len(index, 1), LINK_LEN);
+        // Z,6 verifies by walking down from Z,7 ...
+        let (head, link) = (l2.prove_newest(index).encode(), honest.encode());
+        let head = RecordProofRef::parse(&head).unwrap();
+        assert_eq!(head.verify(&c, b"Z,7"), Ok(()));
+        let mut walk = head.walk().unwrap();
+        assert_eq!(walk.step(&RecordProofRef::parse(&link).unwrap(), b"Z,6"), Ok(()));
+        // ... and a "Newest" claim for it fails.
+        let ChainPosition::Newest { audit_path, .. } = l2.prove_newest(index).chain else {
+            unreachable!()
         };
-        assert!(lying.verify(&c, b"Z,6").is_err());
+        let lying = RecordProof {
+            chain: ChainPosition::Newest { older_digest: Digest::ZERO, audit_path },
+            ..honest
+        };
+        assert_eq!(lying.verify(&c, b"Z,6"), Err(VerifyError::BadAuditPath));
     }
 
     #[test]

@@ -8,7 +8,9 @@
 //!   built streaming in compaction order (Figure 4's `MHT_add`), stored
 //!   flat with one suffix digest per record so proof generation is linear,
 //! * [`proof`] — embedded record proofs (owned, and borrowed in place from
-//!   stored bytes) and the per-level commitments the enclave stores,
+//!   stored bytes): an audit path for a key's newest version, a fixed-size
+//!   chain link for every older one, the walk that verifies a chain from
+//!   its head, and the per-level commitments the enclave stores,
 //! * [`range`] — segment-tree range proofs for query completeness (§5.4),
 //! * [`mbt`] — the conventional update-in-place Merkle B-tree baseline
 //!   (§3.4).
@@ -43,6 +45,6 @@ pub mod tree;
 pub use chain::{chain_digest, chain_link, ChainPosition};
 pub use level::{LeafLookup, LevelDigest, LevelDigestBuilder};
 pub use mbt::{MerkleBTree, UpdateStats};
-pub use proof::{LevelCommitment, NewerRecords, RecordProof, RecordProofRef, VerifyError};
+pub use proof::{ChainWalk, LevelCommitment, RecordProof, RecordProofRef, VerifyError, LINK_LEN};
 pub use range::{prove_range, verify_range, RangeProof};
 pub use tree::{leaf_hash, node_hash, MerkleTree};

@@ -4,8 +4,25 @@
 //! Merkle root, the leaf count (needed for boundary non-membership) and
 //! the level number. A [`RecordProof`] is what travels *embedded inside a
 //! record's value* (§5.2: "each record ⟨k, v‖πᵢ⟩ is augmented with its
-//! proof"): the record's position in its version chain plus the audit path
-//! from its chain head to the level root.
+//! proof"). It comes in two sizes:
+//!
+//! ```text
+//! newest version  [level u32][leaf index u64][leaf count u64][0]
+//!                 [older digest 32][n u32][n × sibling 32]      57 + 32·depth B
+//! older version   [level u32][leaf index u64][leaf count u64][1]
+//!                 [position u32][older digest 32]               LINK_LEN = 57 B
+//! ```
+//!
+//! The newest version of a key — the chain head — carries the audit path
+//! from its chain head to the level root and verifies on its own
+//! ([`RecordProofRef::verify`]). Every older version stores one fixed-size
+//! **link**: where it sits in the chain and the digest of what is older
+//! still. A link names no newer record and has no path; alone it proves
+//! nothing ([`VerifyError::NotChainHead`]). Older versions verify by
+//! *walking*: [`RecordProofRef::walk`] starts at an authenticated head and
+//! [`ChainWalk::step`] checks, one hash per version, that each presented
+//! record is the next one the chain committed to. A key's stored proof
+//! bytes are therefore linear in its version count.
 
 use elsm_crypto::{sha256_concat, Digest};
 
@@ -56,23 +73,31 @@ pub enum VerifyError {
     LeafCountMismatch,
     /// The audit path does not reach the committed root.
     BadAuditPath,
+    /// The proof is a chain link: it places its record below a newer
+    /// version and proves nothing without the chain above it.
+    NotChainHead,
+    /// A presented version is not the next one its chain committed to:
+    /// wrong position, wrong leaf, or its bytes and older digest do not
+    /// hash to what the version above it names.
+    BrokenChain,
 }
 
 impl std::fmt::Display for VerifyError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            VerifyError::LevelMismatch => f.write_str("proof level does not match commitment"),
-            VerifyError::LeafCountMismatch => {
-                f.write_str("proof leaf count does not match commitment")
-            }
-            VerifyError::BadAuditPath => f.write_str("audit path does not reach committed root"),
-        }
+        f.write_str(match self {
+            VerifyError::LevelMismatch => "proof level does not match commitment",
+            VerifyError::LeafCountMismatch => "proof leaf count does not match commitment",
+            VerifyError::BadAuditPath => "audit path does not reach committed root",
+            VerifyError::NotChainHead => "proof is a chain link, not a chain head",
+            VerifyError::BrokenChain => "version is not the next link of its chain",
+        })
     }
 }
 
 impl std::error::Error for VerifyError {}
 
-/// The proof embedded in a record: chain position + Merkle audit path.
+/// The proof embedded in a record: its level, leaf and chain position
+/// (which, for the newest version, includes the Merkle audit path).
 ///
 /// This is the *owned* form, built by provers and tests. Stored values are
 /// read through [`RecordProofRef`], which parses and verifies the same
@@ -88,8 +113,6 @@ pub struct RecordProof {
     pub leaf_count: u64,
     /// Position within the key's version chain.
     pub chain: ChainPosition,
-    /// Sibling hashes from the chain head to the level root.
-    pub audit_path: Vec<Digest>,
 }
 
 impl RecordProof {
@@ -98,35 +121,37 @@ impl RecordProof {
     ///
     /// # Errors
     ///
-    /// Returns a [`VerifyError`] naming the first check that failed.
+    /// Returns a [`VerifyError`] naming the first check that failed; a
+    /// link is [`VerifyError::NotChainHead`] whatever the bytes.
     pub fn verify(
         &self,
         commitment: &LevelCommitment,
         record_bytes: &[u8],
     ) -> Result<(), VerifyError> {
-        verify_parts(
+        let ChainPosition::Newest { audit_path, .. } = &self.chain else {
+            return Err(VerifyError::NotChainHead);
+        };
+        verify_head(
             commitment,
             (self.level, self.leaf_index, self.leaf_count),
-            || self.chain.chain_head(record_bytes),
-            self.audit_path.iter().copied(),
+            || self.chain.suffix_digest(record_bytes),
+            audit_path.iter().copied(),
         )
     }
 
     /// Serializes the proof (for embedding in stored values).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.encoded_len());
-        let (newer, older_digest) = match &self.chain {
-            ChainPosition::Newest { older_digest } => (None, older_digest),
-            ChainPosition::Older { newer_records, older_digest } => {
-                (Some(newer_records.iter().map(Vec::as_slice)), older_digest)
-            }
+        let (link_position, audit_path) = match &self.chain {
+            ChainPosition::Newest { audit_path, .. } => (None, audit_path.as_slice()),
+            ChainPosition::Link { position, .. } => (Some(*position), [].as_slice()),
         };
         encode_parts(
             &mut out,
             (self.level, self.leaf_index, self.leaf_count),
-            newer,
-            older_digest,
-            self.audit_path.iter(),
+            link_position,
+            self.chain.older_digest(),
+            audit_path.iter(),
         );
         out
     }
@@ -140,64 +165,62 @@ impl RecordProof {
 
     /// Serialized size in bytes (computed, not serialized to measure).
     pub fn encoded_len(&self) -> usize {
-        let newer = match &self.chain {
-            ChainPosition::Newest { .. } => None,
-            ChainPosition::Older { newer_records, .. } => {
-                Some((newer_records.len(), newer_records.iter().map(Vec::len).sum()))
-            }
-        };
-        encoded_len_parts(newer, self.audit_path.len())
+        match &self.chain {
+            ChainPosition::Newest { audit_path, .. } => head_encoded_len(audit_path.len()),
+            ChainPosition::Link { .. } => LINK_LEN,
+        }
     }
 }
 
 /// Bytes before the chain position: level, leaf index, leaf count, tag.
 const HEADER_LEN: usize = 4 + 8 + 8 + 1;
 const TAG_NEWEST: u8 = 0;
-const TAG_OLDER: u8 = 1;
+const TAG_LINK: u8 = 1;
 
-/// Size of an encoded proof whose chain position exposes `newer`
-/// = `(record count, total record bytes)` (`None`: newest version) and
-/// whose audit path holds `siblings` digests.
-pub(crate) fn encoded_len_parts(newer: Option<(usize, usize)>, siblings: usize) -> usize {
-    let chain = match newer {
-        None => 32,
-        Some((count, bytes)) => 4 + 4 * count + bytes + 32,
-    };
-    HEADER_LEN + chain + 4 + 32 * siblings
+/// Encoded size of every older version's proof: header, position, older
+/// digest.
+pub const LINK_LEN: usize = HEADER_LEN + 4 + 32;
+
+/// Encoded size of a newest version's proof whose audit path holds
+/// `siblings` digests.
+pub(crate) fn head_encoded_len(siblings: usize) -> usize {
+    HEADER_LEN + 32 + 4 + 32 * siblings
 }
 
 /// The one encoder of the proof format; [`RecordProof::encode`] and
 /// [`crate::LevelDigest::encode_proof_into`] both write through it.
-pub(crate) fn encode_parts<'r, 'd>(
+/// `link_position` selects the form: `None` writes a newest-version proof
+/// with `siblings` as its audit path, `Some(v)` writes the link for
+/// version `v` (which has no path; `siblings` is not read).
+pub(crate) fn encode_parts<'d>(
     out: &mut Vec<u8>,
     (level, leaf_index, leaf_count): (u32, u64, u64),
-    newer_records: Option<impl ExactSizeIterator<Item = &'r [u8]>>,
+    link_position: Option<u32>,
     older_digest: &Digest,
     siblings: impl Iterator<Item = &'d Digest> + Clone,
 ) {
     out.extend_from_slice(&level.to_le_bytes());
     out.extend_from_slice(&leaf_index.to_le_bytes());
     out.extend_from_slice(&leaf_count.to_le_bytes());
-    match newer_records {
-        None => out.push(TAG_NEWEST),
-        Some(records) => {
-            out.push(TAG_OLDER);
-            out.extend_from_slice(&(records.len() as u32).to_le_bytes());
-            for r in records {
-                out.extend_from_slice(&(r.len() as u32).to_le_bytes());
-                out.extend_from_slice(r);
+    match link_position {
+        None => {
+            out.push(TAG_NEWEST);
+            out.extend_from_slice(older_digest.as_bytes());
+            out.extend_from_slice(&(siblings.clone().count() as u32).to_le_bytes());
+            for d in siblings {
+                out.extend_from_slice(d.as_bytes());
             }
         }
-    }
-    out.extend_from_slice(older_digest.as_bytes());
-    out.extend_from_slice(&(siblings.clone().count() as u32).to_le_bytes());
-    for d in siblings {
-        out.extend_from_slice(d.as_bytes());
+        Some(position) => {
+            out.push(TAG_LINK);
+            out.extend_from_slice(&position.to_le_bytes());
+            out.extend_from_slice(older_digest.as_bytes());
+        }
     }
 }
 
-/// The checks shared by the owned and the borrowed proof.
-fn verify_parts(
+/// The head checks shared by the owned and the borrowed proof.
+fn verify_head(
     commitment: &LevelCommitment,
     (level, leaf_index, leaf_count): (u32, u64, u64),
     chain_head: impl FnOnce() -> Digest,
@@ -237,46 +260,11 @@ pub struct RecordProofRef<'a> {
     /// Leaf count of the level at proof-generation time.
     pub leaf_count: u64,
     /// `None`: the record claims to be the newest version of its key.
-    newer: Option<NewerRecords<'a>>,
+    link_position: Option<u32>,
     older_digest: Digest,
-    /// Sibling digests, 32 bytes each, bottom-up.
+    /// Sibling digests, 32 bytes each, bottom-up (empty for a link).
     audit_path: &'a [u8],
     encoded_len: usize,
-}
-
-/// The newer versions an older record's proof exposes, newest first:
-/// `count` frames of `[len u32][bytes]`, validated when the proof parsed.
-#[derive(Debug, Clone, Copy)]
-pub struct NewerRecords<'a> {
-    count: usize,
-    frames: &'a [u8],
-}
-
-impl<'a> Iterator for NewerRecords<'a> {
-    type Item = &'a [u8];
-
-    fn next(&mut self) -> Option<&'a [u8]> {
-        if self.count == 0 {
-            return None;
-        }
-        let (record, rest) = split_frame(self.frames)?;
-        self.count -= 1;
-        self.frames = rest;
-        Some(record)
-    }
-
-    fn size_hint(&self) -> (usize, Option<usize>) {
-        (self.count, Some(self.count))
-    }
-}
-
-impl ExactSizeIterator for NewerRecords<'_> {}
-
-/// Splits one `[len u32][bytes]` frame off the front of `buf`.
-fn split_frame(buf: &[u8]) -> Option<(&[u8], &[u8])> {
-    let (len, rest) = split_u32(buf)?;
-    let len = len as usize;
-    (len <= rest.len()).then(|| rest.split_at(len))
 }
 
 fn split_array<const N: usize>(buf: &[u8]) -> Option<([u8; N], &[u8])> {
@@ -308,31 +296,30 @@ impl<'a> RecordProofRef<'a> {
         let (leaf_index, rest) = split_u64(rest)?;
         let (leaf_count, rest) = split_u64(rest)?;
         let (&tag, rest) = rest.split_first()?;
-        let (newer, rest) = match tag {
-            TAG_NEWEST => (None, rest),
-            TAG_OLDER => {
-                let (count, frames) = split_u32(rest)?;
-                // Walk the frames: the count is believed only as far as
-                // the bytes bear it out.
-                let mut after = frames;
-                for _ in 0..count {
-                    after = split_frame(after)?.1;
-                }
-                let frames = &frames[..frames.len() - after.len()];
-                (Some(NewerRecords { count: count as usize, frames }), after)
+        let (link_position, older_digest, audit_path) = match tag {
+            TAG_NEWEST => {
+                let (older_digest, rest) = split_digest(rest)?;
+                let (siblings, rest) = split_u32(rest)?;
+                let path_len = (siblings as usize).checked_mul(32)?;
+                (None, older_digest, rest.get(..path_len)?)
+            }
+            TAG_LINK => {
+                // Position 0 is the head's; a link claiming it is malformed.
+                let (position, rest) = split_u32(rest).filter(|(position, _)| *position > 0)?;
+                let (older_digest, rest) = split_digest(rest)?;
+                (Some(position), older_digest, &rest[..0])
             }
             _ => return None,
         };
-        let (older_digest, rest) = split_digest(rest)?;
-        let (siblings, rest) = split_u32(rest)?;
-        let path_len = (siblings as usize).checked_mul(32)?;
-        let audit_path = rest.get(..path_len)?;
-        let encoded_len = buf.len() - rest.len() + path_len;
+        let encoded_len = match link_position {
+            None => head_encoded_len(audit_path.len() / 32),
+            Some(_) => LINK_LEN,
+        };
         Some(RecordProofRef {
             level,
             leaf_index,
             leaf_count,
-            newer,
+            link_position,
             older_digest,
             audit_path,
             encoded_len,
@@ -344,17 +331,12 @@ impl<'a> RecordProofRef<'a> {
         self.encoded_len
     }
 
-    /// Whether the proof places its record as the newest version of its
-    /// key at the level. An older position — even one that lists no newer
-    /// record — is a stale answer to a point query.
-    pub fn is_newest(&self) -> bool {
-        self.newer.is_none()
-    }
-
-    /// The newer versions' bytes this position exposes, newest first
-    /// (empty for the newest).
-    pub fn exposed_newer(&self) -> NewerRecords<'a> {
-        self.newer.unwrap_or(NewerRecords { count: 0, frames: &[] })
+    /// `None` when the proof places its record as the newest version of
+    /// its key at the level; `Some(v)` when it is the link of version `v`,
+    /// below `v ≥ 1` newer ones — by its own claim a stale answer to a
+    /// point query.
+    pub fn link_position(&self) -> Option<u32> {
+        self.link_position
     }
 
     /// Number of sibling digests in the audit path.
@@ -368,18 +350,11 @@ impl<'a> RecordProofRef<'a> {
             .map(|d| Digest::from_bytes(d.try_into().expect("chunks_exact(32)")))
     }
 
-    /// Recomputes the chain-head digest for `record_bytes` at this
-    /// position (see [`ChainPosition::chain_head`]).
-    pub fn chain_head(&self, record_bytes: &[u8]) -> Digest {
-        let mut acc = chain_link(record_bytes, &self.older_digest);
-        if let Some(newer) = self.newer {
-            // Frames only read forwards; the chain folds oldest first.
-            let newest_first: Vec<&[u8]> = newer.collect();
-            for record in newest_first.into_iter().rev() {
-                acc = chain_link(record, &acc);
-            }
-        }
-        acc
+    /// Chain digest of `record_bytes` at this position and everything
+    /// older (see [`ChainPosition::suffix_digest`]): the key's Merkle leaf
+    /// when the proof is a newest claim.
+    pub fn suffix_digest(&self, record_bytes: &[u8]) -> Digest {
+        chain_link(record_bytes, &self.older_digest)
     }
 
     /// Verifies the proof for a record's canonical bytes against the
@@ -388,40 +363,102 @@ impl<'a> RecordProofRef<'a> {
     ///
     /// # Errors
     ///
-    /// Returns a [`VerifyError`] naming the first check that failed.
+    /// Returns a [`VerifyError`] naming the first check that failed; a
+    /// link is [`VerifyError::NotChainHead`] before anything is hashed.
     pub fn verify(
         &self,
         commitment: &LevelCommitment,
         record_bytes: &[u8],
     ) -> Result<(), VerifyError> {
-        verify_parts(
+        if self.link_position.is_some() {
+            return Err(VerifyError::NotChainHead);
+        }
+        verify_head(
             commitment,
             (self.level, self.leaf_index, self.leaf_count),
-            || self.chain_head(record_bytes),
+            || self.suffix_digest(record_bytes),
             self.siblings(),
         )
     }
 
-    /// Copies the proof out of its buffer. Capacities come from counts
-    /// the parser already checked against the buffer, so they are bounded
-    /// by its length (at most one newer record per 4 bytes, one sibling
-    /// per 32).
+    /// Starts the walk down this proof's chain. The caller authenticates
+    /// the head itself — by [`RecordProofRef::verify`], or by proving the
+    /// leaf [`RecordProofRef::suffix_digest`] gives within a range — and
+    /// then every version [`ChainWalk::step`] accepts is authentic too.
+    ///
+    /// # Errors
+    ///
+    /// [`VerifyError::NotChainHead`] when this proof is a link.
+    pub fn walk(&self) -> Result<ChainWalk, VerifyError> {
+        if self.link_position.is_some() {
+            return Err(VerifyError::NotChainHead);
+        }
+        Ok(ChainWalk {
+            header: (self.level, self.leaf_index, self.leaf_count),
+            position: 1,
+            expected: self.older_digest,
+        })
+    }
+
+    /// Copies the proof out of its buffer. The audit path's capacity comes
+    /// from a count the parser already checked against the buffer, so it
+    /// is bounded by its length (one sibling per 32 bytes).
     pub fn to_owned(&self) -> RecordProof {
         let older_digest = self.older_digest;
-        let chain = match self.newer {
-            None => ChainPosition::Newest { older_digest },
-            Some(newer) => ChainPosition::Older {
-                newer_records: newer.map(<[u8]>::to_vec).collect(),
-                older_digest,
-            },
+        let chain = match self.link_position {
+            None => ChainPosition::Newest { older_digest, audit_path: self.siblings().collect() },
+            Some(position) => ChainPosition::Link { position, older_digest },
         };
         RecordProof {
             level: self.level,
             leaf_index: self.leaf_index,
             leaf_count: self.leaf_count,
             chain,
-            audit_path: self.siblings().collect(),
         }
+    }
+}
+
+/// The one chain-walk: checks the older versions of a key, newest first,
+/// against what the version above each committed to. Collision resistance
+/// makes every chain digest bind the whole older suffix, so walking down
+/// from an authenticated head authenticates each accepted version *and its
+/// position* — the accept set is a prefix of the committed chain, in
+/// order, at one hash per version.
+#[derive(Debug, Clone)]
+pub struct ChainWalk {
+    /// `(level, leaf index, leaf count)` of the head; every link must
+    /// repeat them.
+    header: (u32, u64, u64),
+    /// Position the next presented version must claim.
+    position: u32,
+    /// What the next version must hash to: the older digest of the one
+    /// above it.
+    expected: Digest,
+}
+
+impl ChainWalk {
+    /// Accepts `record_bytes` as the next older version of the chain if
+    /// `link` is its link: same level, leaf and leaf count as the head,
+    /// the next position, and `link(record_bytes, link's older digest)`
+    /// equal to the digest the previous version named.
+    ///
+    /// # Errors
+    ///
+    /// [`VerifyError::BrokenChain`] otherwise; the walk does not advance.
+    pub fn step(
+        &mut self,
+        link: &RecordProofRef<'_>,
+        record_bytes: &[u8],
+    ) -> Result<(), VerifyError> {
+        if link.link_position != Some(self.position)
+            || (link.level, link.leaf_index, link.leaf_count) != self.header
+            || link.suffix_digest(record_bytes) != self.expected
+        {
+            return Err(VerifyError::BrokenChain);
+        }
+        self.position = self.position.checked_add(1).ok_or(VerifyError::BrokenChain)?;
+        self.expected = link.older_digest;
+        Ok(())
     }
 }
 
@@ -430,9 +467,13 @@ mod tests {
     use super::*;
     use crate::chain::chain_digest;
 
+    /// Level with 4 keys; key index 2 has a 3-version chain.
+    fn k2_chain() -> Vec<Vec<u8>> {
+        vec![b"k2-new".to_vec(), b"k2-mid".to_vec(), b"k2-old".to_vec()]
+    }
+
     fn setup() -> (LevelCommitment, RecordProof, Vec<u8>) {
-        // Level with 4 keys; key index 2 has a 2-version chain.
-        let recs2 = vec![b"k2-new".to_vec(), b"k2-old".to_vec()];
+        let recs2 = k2_chain();
         let leaves = vec![
             chain_digest(&[b"k0".to_vec()]),
             chain_digest(&[b"k1".to_vec()]),
@@ -445,10 +486,34 @@ mod tests {
             level: 2,
             leaf_index: 2,
             leaf_count: 4,
-            chain: ChainPosition::Newest { older_digest: chain_digest(&recs2[1..]) },
-            audit_path: tree.audit_path(2),
+            chain: ChainPosition::Newest {
+                older_digest: chain_digest(&recs2[1..]),
+                audit_path: tree.audit_path(2),
+            },
         };
         (commitment, proof, recs2[0].clone())
+    }
+
+    /// The honest link of version `position` of key 2.
+    fn link(position: u32) -> RecordProof {
+        let (_, head, _) = setup();
+        let older_digest = chain_digest(&k2_chain()[position as usize + 1..]);
+        RecordProof { chain: ChainPosition::Link { position, older_digest }, ..head }
+    }
+
+    /// Walks `versions` (`(link, bytes)`, newest first) down from the
+    /// honest head, returning the first failure.
+    fn walk(versions: &[(RecordProof, &[u8])]) -> Result<(), VerifyError> {
+        let (commitment, head, head_bytes) = setup();
+        let encoded = head.encode();
+        let head = RecordProofRef::parse(&encoded).unwrap();
+        head.verify(&commitment, &head_bytes)?;
+        let mut walk = head.walk()?;
+        for (link, bytes) in versions {
+            let encoded = link.encode();
+            walk.step(&RecordProofRef::parse(&encoded).unwrap(), bytes)?;
+        }
+        Ok(())
     }
 
     #[test]
@@ -480,56 +545,106 @@ mod tests {
     #[test]
     fn stale_version_claiming_newest_rejected() {
         let (c, p, _) = setup();
-        // The old version with a "Newest" chain position cannot verify.
-        let lying =
-            RecordProof { chain: ChainPosition::Newest { older_digest: Digest::ZERO }, ..p };
-        assert_eq!(lying.verify(&c, b"k2-old"), Err(VerifyError::BadAuditPath));
+        // An old version relabelled as the head cannot verify, whichever
+        // older digest it is paired with.
+        let ChainPosition::Newest { audit_path, .. } = p.chain.clone() else { unreachable!() };
+        for older_digest in [Digest::ZERO, *link(1).chain.older_digest()] {
+            let chain = ChainPosition::Newest { older_digest, audit_path: audit_path.clone() };
+            let lying = RecordProof { chain, ..p.clone() };
+            assert_eq!(lying.verify(&c, b"k2-mid"), Err(VerifyError::BadAuditPath));
+            assert_eq!(lying.verify(&c, b"k2-old"), Err(VerifyError::BadAuditPath));
+        }
     }
 
     #[test]
-    fn stale_version_with_honest_position_exposes_newer() {
-        let (c, p, _) = setup();
-        let honest_old = RecordProof {
-            chain: ChainPosition::Older {
-                newer_records: vec![b"k2-new".to_vec()],
-                older_digest: Digest::ZERO,
-            },
-            ..p
-        };
-        // It verifies — but the verifier can now see the newer record's
-        // bytes and detect staleness (the enclave-side check in elsm).
-        assert_eq!(honest_old.verify(&c, b"k2-old"), Ok(()));
-        assert_eq!(honest_old.chain.exposed_newer().len(), 1);
+    fn lone_link_never_verifies() {
+        let (c, _, _) = setup();
+        let honest = link(1);
+        assert_eq!(honest.verify(&c, b"k2-mid"), Err(VerifyError::NotChainHead));
+        let encoded = honest.encode();
+        assert_eq!(encoded.len(), LINK_LEN);
+        let borrowed = RecordProofRef::parse(&encoded).unwrap();
+        assert_eq!(borrowed.link_position(), Some(1));
+        assert_eq!(borrowed.verify(&c, b"k2-mid"), Err(VerifyError::NotChainHead));
+        assert_eq!(borrowed.walk().err(), Some(VerifyError::NotChainHead));
+    }
+
+    #[test]
+    fn walk_accepts_the_chain_and_every_prefix_of_it() {
+        assert_eq!(walk(&[]), Ok(()));
+        assert_eq!(walk(&[(link(1), b"k2-mid")]), Ok(()));
+        assert_eq!(walk(&[(link(1), b"k2-mid"), (link(2), b"k2-old")]), Ok(()));
+    }
+
+    #[test]
+    fn walk_rejects_anything_but_the_next_version() {
+        let broken = Err(VerifyError::BrokenChain);
+        // A middle version dropped, two versions swapped, one repeated.
+        assert_eq!(walk(&[(link(2), b"k2-old")]), broken);
+        assert_eq!(walk(&[(link(2), b"k2-old"), (link(1), b"k2-mid")]), broken);
+        assert_eq!(walk(&[(link(1), b"k2-mid"), (link(1), b"k2-mid")]), broken);
+        // The right link around the wrong bytes.
+        assert_eq!(walk(&[(link(1), b"k2-MID")]), broken);
+        // The right digest under the wrong position, and the reverse.
+        let mid_older = *link(1).chain.older_digest();
+        let relabelled = ChainPosition::Link { position: 2, older_digest: mid_older };
+        assert_eq!(walk(&[(RecordProof { chain: relabelled, ..link(1) }, b"k2-mid")]), broken);
+        let altered = ChainPosition::Link { position: 1, older_digest: Digest::ZERO };
+        assert_eq!(walk(&[(RecordProof { chain: altered, ..link(1) }, b"k2-mid")]), broken);
+        // A link that names another leaf, level or leaf count than its head.
+        for other in [
+            RecordProof { leaf_index: 1, ..link(1) },
+            RecordProof { level: 3, ..link(1) },
+            RecordProof { leaf_count: 5, ..link(1) },
+        ] {
+            assert_eq!(walk(&[(other, b"k2-mid")]), broken);
+        }
+        // A head offered as a step.
+        let (_, head, head_bytes) = setup();
+        assert_eq!(walk(&[(head, &head_bytes)]), broken);
+    }
+
+    #[test]
+    fn failed_step_leaves_the_walk_where_it_was() {
+        let (_, head, _) = setup();
+        let encoded = head.encode();
+        let mut walk = RecordProofRef::parse(&encoded).unwrap().walk().unwrap();
+        let (mid, old) = (link(1).encode(), link(2).encode());
+        let (mid, old) =
+            (RecordProofRef::parse(&mid).unwrap(), RecordProofRef::parse(&old).unwrap());
+        assert_eq!(walk.step(&old, b"k2-old"), Err(VerifyError::BrokenChain));
+        assert_eq!(walk.step(&mid, b"k2-mid"), Ok(()));
+        assert_eq!(walk.step(&old, b"k2-old"), Ok(()));
     }
 
     #[test]
     fn encode_decode_round_trip() {
         let (_, p, _) = setup();
-        let bytes = p.encode();
-        let (decoded, used) = RecordProof::decode(&bytes).unwrap();
-        assert_eq!(decoded, p);
-        assert_eq!(used, bytes.len());
-
-        // Older variant too.
-        let older = RecordProof {
-            chain: ChainPosition::Older {
-                newer_records: vec![b"a".to_vec(), b"bb".to_vec()],
-                older_digest: Digest::ZERO,
-            },
-            ..p
-        };
-        let bytes = older.encode();
-        let (decoded, _) = RecordProof::decode(&bytes).unwrap();
-        assert_eq!(decoded, older);
+        for proof in [p, link(1), link(2)] {
+            let bytes = proof.encode();
+            assert_eq!(bytes.len(), proof.encoded_len());
+            assert_eq!(RecordProof::decode(&bytes), Some((proof, bytes.len())));
+        }
     }
 
     #[test]
     fn decode_rejects_truncation() {
         let (_, p, _) = setup();
-        let bytes = p.encode();
-        for cut in [0, 1, 5, bytes.len() - 1] {
-            assert!(RecordProof::decode(&bytes[..cut]).is_none(), "cut={cut}");
+        for bytes in [p.encode(), link(1).encode()] {
+            for cut in [0, 1, 5, 21, 25, bytes.len() - 1] {
+                assert!(RecordProof::decode(&bytes[..cut]).is_none(), "cut={cut}");
+            }
         }
+    }
+
+    #[test]
+    fn decode_rejects_unknown_tags_and_position_zero() {
+        let mut bytes = link(1).encode();
+        bytes[HEADER_LEN - 1] = 2;
+        assert!(RecordProofRef::parse(&bytes).is_none(), "tag 2");
+        bytes[HEADER_LEN - 1] = TAG_LINK;
+        bytes[HEADER_LEN..HEADER_LEN + 4].fill(0);
+        assert!(RecordProofRef::parse(&bytes).is_none(), "a link cannot be version 0");
     }
 
     #[test]

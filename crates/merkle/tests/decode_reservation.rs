@@ -1,8 +1,9 @@
 //! A stored proof is host-controlled bytes: a count field in it must never
-//! become a reservation. The previous decoder checked `n > buf.len()` and
-//! then called `Vec::with_capacity(n)` for 32-byte digests (24-byte `Vec`s
-//! for newer records), so a value could make the verifier reserve 24–32×
-//! its own length before the first bounds check failed.
+//! become a reservation. An earlier decoder checked `n > buf.len()` and
+//! then called `Vec::with_capacity(n)` for 32-byte digests, so a value
+//! could make the verifier reserve 32× its own length before the first
+//! bounds check failed. A chain link has no count at all: it is a fixed 57
+//! bytes or it is rejected.
 //!
 //! This file owns its process's allocator to watch for that: a small
 //! wrapper around the system allocator that records, per thread, the
@@ -75,63 +76,75 @@ fn header(tag: u8) -> Vec<u8> {
 
 #[test]
 fn inflated_counts_are_rejected_without_reserving() {
-    // An older-position proof claiming the maximum number of newer
-    // records, with bytes for none of them ...
-    let mut newer_bomb = header(1);
-    newer_bomb.extend_from_slice(&u32::MAX.to_le_bytes());
-    newer_bomb.extend_from_slice(&[0u8; 40]);
-    // ... a count that passes the old `n > buf.len()` guard but still
-    // outruns the bytes (each record frame needs 4) ...
-    let mut newer_guard = header(1);
-    newer_guard.extend_from_slice(&60u32.to_le_bytes());
-    newer_guard.extend_from_slice(&[0u8; 64]);
-    // ... and a newest-position proof doing both with the audit path.
+    // A newest-position proof claiming the maximum number of siblings,
+    // with bytes for none of them ...
     let mut path_bomb = header(0);
     path_bomb.extend_from_slice(&[7u8; 32]);
     path_bomb.extend_from_slice(&u32::MAX.to_le_bytes());
+    // ... a count that passes the old `n > buf.len()` guard but still
+    // outruns the bytes (each sibling needs 32) ...
     let mut path_guard = header(0);
     path_guard.extend_from_slice(&[7u8; 32]);
     path_guard.extend_from_slice(&40u32.to_le_bytes());
     path_guard.extend_from_slice(&[0u8; 64]);
+    // ... and links: the retired tag-1 layout (`[count][len][bytes]…`)
+    // with its count at the maximum is, read as a link, a position with
+    // the digest cut short; a link claiming position 0; a link whose
+    // position is the maximum but whose digest is not all there.
+    let mut old_layout_bomb = header(1);
+    old_layout_bomb.extend_from_slice(&u32::MAX.to_le_bytes());
+    old_layout_bomb.extend_from_slice(&[0u8; 31]);
+    let mut position_zero = header(1);
+    position_zero.extend_from_slice(&0u32.to_le_bytes());
+    position_zero.extend_from_slice(&[7u8; 32]);
+    let mut short_link = header(1);
+    short_link.extend_from_slice(&u32::MAX.to_le_bytes());
+    short_link.extend_from_slice(&[7u8; 8]);
 
     for (name, buf) in [
-        ("newer count = u32::MAX", &newer_bomb),
-        ("newer count within buf.len()", &newer_guard),
         ("audit path = u32::MAX", &path_bomb),
         ("audit path within buf.len()", &path_guard),
+        ("link position = u32::MAX, digest cut short", &old_layout_bomb),
+        ("link position = 0", &position_zero),
+        ("link truncated", &short_link),
     ] {
         let (parsed, largest) = largest_allocation(|| RecordProofRef::parse(buf).is_some());
         assert!(!parsed, "{name}: borrowed parser must reject");
         assert_eq!(largest, 0, "{name}: the borrowed parser allocates nothing");
         let (decoded, largest) = largest_allocation(|| RecordProof::decode(buf).is_some());
         assert!(!decoded, "{name}: owned decoder must reject");
-        assert!(largest <= buf.len(), "{name}: reserved {largest} B for a {} B input", buf.len());
+        assert_eq!(largest, 0, "{name}: a rejected proof is never copied out");
     }
 }
 
 #[test]
 fn owned_conversion_is_bounded_by_the_bytes_present() {
-    // A well-formed proof: 3 newer records, 2 siblings.
-    let proof = RecordProof {
+    // A well-formed newest-version proof with 2 siblings, and a link.
+    let head = RecordProof {
         level: 3,
         leaf_index: 5,
         leaf_count: 9,
-        chain: ChainPosition::Older {
-            newer_records: vec![vec![1u8; 40], vec![2u8; 35], vec![3u8; 50]],
+        chain: ChainPosition::Newest {
             older_digest: Digest::ZERO,
+            audit_path: vec![Digest::from_bytes([4u8; 32]), Digest::from_bytes([5u8; 32])],
         },
-        audit_path: vec![Digest::from_bytes([4u8; 32]), Digest::from_bytes([5u8; 32])],
     };
-    let bytes = proof.encode();
-    let (parsed, largest) =
-        largest_allocation(|| RecordProofRef::parse(&bytes).map(|p| p.encoded_len()));
-    assert_eq!(parsed, Some(bytes.len()));
-    assert_eq!(largest, 0, "parsing and measuring a valid proof allocates nothing");
-    let (decoded, largest) = largest_allocation(|| RecordProof::decode(&bytes));
-    assert_eq!(decoded, Some((proof, bytes.len())));
-    assert!(
-        largest <= bytes.len(),
-        "largest single allocation {largest} B > input {} B",
-        bytes.len()
-    );
+    let link = RecordProof {
+        chain: ChainPosition::Link { position: u32::MAX, older_digest: Digest::ZERO },
+        ..head.clone()
+    };
+    for proof in [head, link] {
+        let bytes = proof.encode();
+        let (parsed, largest) =
+            largest_allocation(|| RecordProofRef::parse(&bytes).map(|p| p.encoded_len()));
+        assert_eq!(parsed, Some(bytes.len()));
+        assert_eq!(largest, 0, "parsing and measuring a valid proof allocates nothing");
+        let (decoded, largest) = largest_allocation(|| RecordProof::decode(&bytes));
+        assert_eq!(decoded, Some((proof, bytes.len())));
+        assert!(
+            largest <= bytes.len(),
+            "largest single allocation {largest} B > input {} B",
+            bytes.len()
+        );
+    }
 }

@@ -1,78 +1,70 @@
-//! Proof bytes and digests are pinned across the flat `LevelDigest` /
-//! borrowed-proof rewrite: what the store writes and what it accepts must
-//! be exactly what it wrote and accepted before.
+//! Proof bytes and digests are pinned: what the store writes for a key's
+//! newest version and what it commits to must be exactly what it wrote and
+//! committed to before older versions shrank to chain links, and the bytes
+//! a level stores in proofs must be linear in its record count.
 //!
-//! The reference side of every comparison is the previous implementation,
-//! kept here in its plainest form: a proof's `older_digest` recomputed
-//! with `chain_digest(&chain[v + 1..])` (the definition the per-record
-//! suffix digests replaced), and the field-by-field encoder and decoder
-//! the shared parser replaced.
+//! The reference side of every comparison is kept here in its plainest
+//! form: a newest-version proof's `older_digest` recomputed with
+//! `chain_digest(&chain[1..])` and serialized by the field-by-field encoder
+//! the shared one replaced (both as they were at the commit before the
+//! links went in), and a field-by-field decoder of the whole format —
+//! newest tag and link tag — for the shared parser to agree with.
 
 use elsm_repro::crypto::{sha256, Digest};
 use elsm_repro::elsm::{AuthenticatedKv, ElsmP2, P2Options};
 use elsm_repro::merkle::{
     chain_digest, ChainPosition, LevelCommitment, LevelDigest, MerkleTree, RecordProof,
-    RecordProofRef,
+    RecordProofRef, VerifyError, LINK_LEN,
 };
 use elsm_repro::sgx_sim::Platform;
 use proptest::prelude::*;
 
-// ----- the previous implementation, as the reference ---------------------
+// ----- the reference implementation ---------------------------------------
 
-/// `prove_version` as it was: the whole older suffix re-hashed per proof.
-fn reference_proof(
+/// `prove_version(leaf, 0)` as it was: the older suffix re-hashed.
+fn reference_head_proof(
     level: u32,
     chains: &[Vec<Vec<u8>>],
     tree: &MerkleTree,
     leaf: usize,
-    version: usize,
 ) -> RecordProof {
-    let chain = &chains[leaf];
-    let older_digest = chain_digest(&chain[version + 1..]);
-    let position = if version == 0 {
-        ChainPosition::Newest { older_digest }
-    } else {
-        ChainPosition::Older { newer_records: chain[..version].to_vec(), older_digest }
-    };
     RecordProof {
         level,
         leaf_index: leaf as u64,
         leaf_count: tree.leaf_count() as u64,
-        chain: position,
-        audit_path: tree.audit_path(leaf),
+        chain: ChainPosition::Newest {
+            older_digest: chain_digest(&chains[leaf][1..]),
+            audit_path: tree.audit_path(leaf),
+        },
     }
 }
 
-/// `RecordProof::encode` as it was.
+/// `RecordProof::encode` as it was for a newest version; a link is its
+/// header, tag 1, position and older digest.
 fn reference_encode(proof: &RecordProof) -> Vec<u8> {
     let mut out = Vec::new();
     out.extend_from_slice(&proof.level.to_le_bytes());
     out.extend_from_slice(&proof.leaf_index.to_le_bytes());
     out.extend_from_slice(&proof.leaf_count.to_le_bytes());
     match &proof.chain {
-        ChainPosition::Newest { older_digest } => {
+        ChainPosition::Newest { older_digest, audit_path } => {
             out.push(0);
             out.extend_from_slice(older_digest.as_bytes());
-        }
-        ChainPosition::Older { newer_records, older_digest } => {
-            out.push(1);
-            out.extend_from_slice(&(newer_records.len() as u32).to_le_bytes());
-            for r in newer_records {
-                out.extend_from_slice(&(r.len() as u32).to_le_bytes());
-                out.extend_from_slice(r);
+            out.extend_from_slice(&(audit_path.len() as u32).to_le_bytes());
+            for d in audit_path {
+                out.extend_from_slice(d.as_bytes());
             }
+        }
+        ChainPosition::Link { position, older_digest } => {
+            out.push(1);
+            out.extend_from_slice(&position.to_le_bytes());
             out.extend_from_slice(older_digest.as_bytes());
         }
-    }
-    out.extend_from_slice(&(proof.audit_path.len() as u32).to_le_bytes());
-    for d in &proof.audit_path {
-        out.extend_from_slice(d.as_bytes());
     }
     out
 }
 
-/// `RecordProof::decode` as it was, minus its `Vec::with_capacity(n)`
-/// reservations (which never affected what it accepted).
+/// The format decoded field by field, reserving nothing.
 fn reference_decode(buf: &[u8]) -> Option<(RecordProof, usize)> {
     fn u32_at(buf: &[u8], pos: &mut usize) -> Option<u32> {
         let b = buf.get(*pos..*pos + 4)?;
@@ -96,31 +88,28 @@ fn reference_decode(buf: &[u8]) -> Option<(RecordProof, usize)> {
     let tag = *buf.get(pos)?;
     pos += 1;
     let chain = match tag {
-        0 => ChainPosition::Newest { older_digest: digest_at(buf, &mut pos)? },
-        1 => {
+        0 => {
+            let older_digest = digest_at(buf, &mut pos)?;
             let n = u32_at(buf, &mut pos)? as usize;
             if n > buf.len() {
                 return None;
             }
-            let mut newer = Vec::new();
+            let mut audit_path = Vec::new();
             for _ in 0..n {
-                let len = u32_at(buf, &mut pos)? as usize;
-                newer.push(buf.get(pos..pos + len)?.to_vec());
-                pos += len;
+                audit_path.push(digest_at(buf, &mut pos)?);
             }
-            ChainPosition::Older { newer_records: newer, older_digest: digest_at(buf, &mut pos)? }
+            ChainPosition::Newest { older_digest, audit_path }
+        }
+        1 => {
+            let position = u32_at(buf, &mut pos)?;
+            if position == 0 {
+                return None;
+            }
+            ChainPosition::Link { position, older_digest: digest_at(buf, &mut pos)? }
         }
         _ => return None,
     };
-    let n = u32_at(buf, &mut pos)? as usize;
-    if n > buf.len() {
-        return None;
-    }
-    let mut audit_path = Vec::new();
-    for _ in 0..n {
-        audit_path.push(digest_at(buf, &mut pos)?);
-    }
-    Some((RecordProof { level, leaf_index, leaf_count, chain, audit_path }, pos))
+    Some((RecordProof { level, leaf_index, leaf_count, chain }, pos))
 }
 
 // ----- helpers -------------------------------------------------------------
@@ -174,12 +163,15 @@ fn assert_same_verdict(buf: &[u8]) {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
-    /// For every `(leaf, version)` of random multi-version levels, the
-    /// bytes written straight from the flat tables equal the previous
-    /// `prove_version(..).encode()`, the arithmetic length is that
-    /// length, and the borrowed view verifies exactly like the owned one.
+    /// Over random levels of 1–40 keys × 1–60 versions: every key's
+    /// newest-version proof is byte for byte the reference's, every older
+    /// version stores exactly `LINK_LEN` bytes — so the level's proof
+    /// bytes are `Σ heads + (N − K)·LINK_LEN` — the arithmetic length is
+    /// the written length, every version verifies by walking down from its
+    /// head, and neither a lone link nor a newest-claim on an older version
+    /// ever verifies.
     #[test]
-    fn proofs_are_byte_identical(
+    fn chain_proofs_are_linear_and_heads_byte_identical(
         shape in prop::collection::vec(1usize..61, 1..41),
         salt in any::<u8>(),
     ) {
@@ -190,43 +182,86 @@ proptest! {
         let wrong_root = LevelCommitment { root: sha256(b"elsewhere"), ..commitment };
         let wrong_level = LevelCommitment { level: 4, ..commitment };
         let wrong_count = LevelCommitment { leaf_count: commitment.leaf_count + 1, ..commitment };
+        let (mut stored_bytes, mut head_bytes) = (0usize, 0usize);
+        let mut head_written = Vec::new();
         let mut written = Vec::new();
         for (leaf, chain) in chains.iter().enumerate() {
             prop_assert_eq!(digest.chain_len(leaf), chain.len());
-            for (version, record) in chain.iter().enumerate() {
-                let reference = reference_proof(3, &chains, &tree, leaf, version);
-                let expect = reference_encode(&reference);
+
+            // The head: the reference's bytes, verifying like the owned form.
+            let reference = reference_head_proof(3, &chains, &tree, leaf);
+            let expect = reference_encode(&reference);
+            head_written.clear();
+            digest.encode_proof_into(leaf, 0, &mut head_written);
+            prop_assert_eq!(&head_written, &expect, "leaf {}", leaf);
+            prop_assert_eq!(digest.proof_encoded_len(leaf, 0), expect.len());
+            prop_assert_eq!(&digest.prove_version(leaf, 0), &reference);
+            prop_assert_eq!(&reference.encode(), &expect);
+            let head = RecordProofRef::parse(&head_written).expect("own encoding parses");
+            prop_assert_eq!(head.encoded_len(), head_written.len());
+            prop_assert_eq!(head.link_position(), None);
+            prop_assert_eq!(&head.to_owned(), &reference);
+            for c in [&commitment, &wrong_root, &wrong_level, &wrong_count] {
+                prop_assert_eq!(head.verify(c, &chain[0]), reference.verify(c, &chain[0]));
+                prop_assert_eq!(head.verify(c, b"forged"), reference.verify(c, b"forged"));
+            }
+            prop_assert_eq!(head.verify(&commitment, &chain[0]), Ok(()));
+            head_bytes += expect.len();
+            stored_bytes += digest.proof_encoded_len(leaf, 0);
+
+            // The older versions: one link each, accepted by the walk in
+            // order and in no other way.
+            let ChainPosition::Newest { audit_path, .. } = reference.chain else { unreachable!() };
+            let mut walk = head.walk().expect("a head starts a walk");
+            for (version, record) in chain.iter().enumerate().skip(1) {
+                let owned = digest.prove_version(leaf, version);
+                let older_digest = chain_digest(&chain[version + 1..]);
+                prop_assert_eq!(
+                    &owned.chain,
+                    &ChainPosition::Link { position: version as u32, older_digest }
+                );
                 written.clear();
                 digest.encode_proof_into(leaf, version, &mut written);
-                prop_assert_eq!(&written, &expect, "leaf {} version {}", leaf, version);
-                prop_assert_eq!(digest.proof_encoded_len(leaf, version), expect.len());
-                prop_assert_eq!(digest.record(leaf, version), record.as_slice());
-                let owned = digest.prove_version(leaf, version);
-                prop_assert_eq!(&owned, &reference);
-                prop_assert_eq!(owned.encode(), expect);
-                prop_assert_eq!(owned.encoded_len(), written.len());
+                prop_assert_eq!(&written, &reference_encode(&owned));
+                prop_assert_eq!(&written, &owned.encode());
+                prop_assert_eq!(written.len(), LINK_LEN);
+                prop_assert_eq!(digest.proof_encoded_len(leaf, version), LINK_LEN);
+                prop_assert_eq!(owned.encoded_len(), LINK_LEN);
+                stored_bytes += LINK_LEN;
 
-                let borrowed = RecordProofRef::parse(&written).expect("own encoding parses");
-                prop_assert_eq!(borrowed.encoded_len(), written.len());
-                prop_assert_eq!(borrowed.is_newest(), version == 0);
-                prop_assert_eq!(borrowed.exposed_newer().len(), version);
-                prop_assert_eq!(borrowed.to_owned(), reference);
-                for c in [&commitment, &wrong_root, &wrong_level, &wrong_count] {
-                    prop_assert_eq!(borrowed.verify(c, record), owned.verify(c, record));
-                    prop_assert_eq!(
-                        borrowed.verify(c, b"forged"),
-                        owned.verify(c, b"forged")
-                    );
+                let link = RecordProofRef::parse(&written).expect("own encoding parses");
+                prop_assert_eq!(link.link_position(), Some(version as u32));
+                prop_assert_eq!(&link.to_owned(), &owned);
+                prop_assert_eq!(link.verify(&commitment, record), Err(VerifyError::NotChainHead));
+                prop_assert_eq!(owned.verify(&commitment, record), Err(VerifyError::NotChainHead));
+                let lying = RecordProof {
+                    chain: ChainPosition::Newest { older_digest, audit_path: audit_path.clone() },
+                    ..owned
+                };
+                prop_assert_eq!(lying.verify(&commitment, record), Err(VerifyError::BadAuditPath));
+
+                // Out of turn (the version after this one) it is refused;
+                // in turn, accepted — once.
+                if let Some(next) = chain.get(version + 1) {
+                    let mut skipped = Vec::new();
+                    digest.encode_proof_into(leaf, version + 1, &mut skipped);
+                    let skipped = RecordProofRef::parse(&skipped).unwrap();
+                    prop_assert_eq!(walk.step(&skipped, next), Err(VerifyError::BrokenChain));
                 }
-                prop_assert_eq!(borrowed.verify(&commitment, record), Ok(()));
+                prop_assert_eq!(walk.step(&link, b"forged"), Err(VerifyError::BrokenChain));
+                prop_assert_eq!(walk.step(&link, record), Ok(()));
+                prop_assert_eq!(walk.step(&link, record), Err(VerifyError::BrokenChain));
             }
         }
+        let (keys, records) = (chains.len(), shape.iter().sum::<usize>());
+        prop_assert_eq!(stored_bytes, head_bytes + (records - keys) * LINK_LEN);
     }
 
-    /// Mutate-and-splice over valid encodings: the borrowed parser accepts
-    /// exactly what the previous decoder accepted, with the same result.
+    /// Mutate-and-splice over valid encodings, heads and links alike: the
+    /// borrowed parser accepts exactly what the field-by-field decoder
+    /// accepts, with the same result.
     #[test]
-    fn parser_accepts_what_the_decoder_accepted(
+    fn parser_accepts_what_the_decoder_accepts(
         shape in prop::collection::vec(1usize..6, 1..9),
         salt in any::<u8>(),
         edits in prop::collection::vec((any::<u16>(), any::<u8>(), 0usize..5), 1..40),
@@ -250,16 +285,21 @@ proptest! {
                 1 => buf.truncate(at),                                  // cut short
                 2 => buf.extend_from_slice(&other[..at.min(other.len())]), // trailing bytes
                 3 => {
-                    // Splice another proof's tail on.
+                    // Splice another proof's tail on (a link's onto a
+                    // head, a head's onto a link).
                     buf.truncate(at);
                     buf.extend_from_slice(&other[at.min(other.len())..]);
                 }
-                _ => {
-                    // Inflate a count field to the maximum.
-                    let field = [21usize, 20 + 1 + 32][*byte as usize % 2].min(buf.len() - 1);
-                    let end = (field + 4).min(buf.len());
-                    buf[field..end].fill(0xff);
-                }
+                // Flip the tag, or inflate a count field to the maximum: a
+                // link's position, a head's sibling count.
+                _ => match *byte % 3 {
+                    0 => buf[20] ^= 1,
+                    1 => buf[21..25].fill(0xff),
+                    _ => {
+                        let end = buf.len().min(21 + 32 + 4);
+                        buf[end.min(21 + 32)..end].fill(0xff);
+                    }
+                },
             }
             assert_same_verdict(&buf);
             assert_same_verdict(base);
@@ -267,29 +307,15 @@ proptest! {
     }
 }
 
-/// An "older" position that lists no newer record is still not a newest
-/// claim: the tag is what counts, as it did for the owned decoder.
-#[test]
-fn empty_older_position_is_not_newest() {
-    let proof = RecordProof {
-        level: 1,
-        leaf_index: 0,
-        leaf_count: 1,
-        chain: ChainPosition::Older { newer_records: Vec::new(), older_digest: Digest::ZERO },
-        audit_path: Vec::new(),
-    };
-    let bytes = proof.encode();
-    assert_eq!(bytes, reference_encode(&proof));
-    let borrowed = RecordProofRef::parse(&bytes).unwrap();
-    assert!(!borrowed.is_newest());
-    assert_eq!(borrowed.exposed_newer().len(), 0);
-    assert_eq!(borrowed.to_owned(), proof);
-}
-
-/// Commitment roots and WAL digest of a small three-level store, captured
-/// at the commit before the SHA-NI kernel, the flat `LevelDigest` and the
-/// borrowed proofs went in. Any change to a digest, a canonical byte or
-/// the order records are hashed in moves these.
+/// Commitment roots and WAL digest of a small three-level store. The WAL
+/// digest and level 1 were captured at the commit before the SHA-NI
+/// kernel, the flat `LevelDigest` and the borrowed proofs went in; any
+/// change to a digest, a canonical byte or the order records are hashed in
+/// moves them. The deeper levels hold the same records but were re-pinned
+/// when older versions shrank to chain links: with fewer stored bytes the
+/// same writes trigger compactions at different points (what was L2 + L3
+/// is now all in L3). `golden_level_digest_roots` pins the digests
+/// themselves independently of that shape.
 #[test]
 fn golden_three_level_store_digests() {
     let store = ElsmP2::open(
@@ -325,9 +351,33 @@ fn golden_three_level_store_digests() {
     assert!(store.get(b"user000025").unwrap().is_none(), "deleted last");
 }
 
-const GOLDEN_LEVELS: [&str; 3] = [
+const GOLDEN_LEVELS: [&str; 2] = [
     "L1 n=92 c0a212c43bf3386f2be0d7329726341e76ce0c15416201b073bb2761bc48c4ea",
-    "L2 n=167 ea4e7c60b1facc9ce9a97aedf139b0fd32be5f17aab17bd0577e8bb726b1535f",
-    "L3 n=300 566053dfea130984e79d8574ae773ca826ba04a7662b0910897da9d0f0a92307",
+    "L3 n=300 9c5208f51ba52921d1e5fe2f49a4108bcb33cc5726ea3db5455e22bdc3f2d4fe",
 ];
 const GOLDEN_WAL: &str = "27cfc90b66f695d2bc5e731a8f475fcad4418812fac6519fedc55182d1f04a24";
+
+/// Roots of `LevelDigest::from_records` over fixed multi-version record
+/// lists, captured at the commit before older versions shrank to links.
+/// Unlike the store golden above these do not depend on where compaction
+/// puts a level boundary: they move only if a chain link, a leaf hash, a
+/// node hash or the order records are hashed in changes.
+#[test]
+fn golden_level_digest_roots() {
+    let inputs: [(u32, &[usize], u8); 3] =
+        [(1, &[1], 0), (2, &[3, 1, 60, 2, 17, 1, 1, 40, 5, 9, 1, 33], 7), (5, &[2; 37], 201)];
+    let roots: Vec<String> = inputs
+        .iter()
+        .map(|&(level, shape, salt)| {
+            let c = build_level(level, shape, salt).1.commitment();
+            format!("L{} n={} {}", c.level, c.leaf_count, c.root.to_hex())
+        })
+        .collect();
+    assert_eq!(roots, GOLDEN_DIGEST_ROOTS);
+}
+
+const GOLDEN_DIGEST_ROOTS: [&str; 3] = [
+    "L1 n=1 0e2fb4232ab4229c19bbce5ca6caaddc4f3aa20280aa8c8e8cea9d6e20378f54",
+    "L2 n=12 9771a5ba479d86245fcf540764437e2ae7088aab17e3f32114bf7fe948bad996",
+    "L5 n=37 b61b41aa4f076e1c33f905c12dbb389da3cbc1be6761edeeaf7a6e10704678e7",
+];

@@ -4,7 +4,8 @@
 use elsm_repro::crypto::{AeadKey, DetKey, OpeKey};
 use elsm_repro::merkle::tree::leaf_hash;
 use elsm_repro::merkle::{
-    chain_digest, prove_range, verify_range, LevelDigest, MerkleTree, RecordProof,
+    chain_digest, prove_range, verify_range, ChainPosition, LevelDigest, MerkleTree, RecordProof,
+    RecordProofRef, VerifyError,
 };
 use proptest::prelude::*;
 
@@ -57,12 +58,13 @@ proptest! {
         }
     }
 
-    /// Level digests: every version of every key proves against the
-    /// commitment; a newest-claim on an older version never verifies.
+    /// Level digests: every version of every key verifies by walking down
+    /// from its key's head; a link alone, a newest-claim on an older
+    /// version and a walk that skips a version never verify.
     #[test]
     fn level_digest_proofs_sound(keys in prop::collection::btree_map(
         prop::collection::vec(any::<u8>(), 1..8),
-        1usize..4,
+        1usize..6,
         1..12,
     )) {
         let mut records = Vec::new();
@@ -77,39 +79,60 @@ proptest! {
         );
         let commitment = digest.commitment();
         prop_assert_eq!(digest.leaf_count(), keys.len());
-        for (leaf, (_k, versions)) in keys.iter().enumerate() {
-            for v in 0..(*versions).min(3) {
-                let proof = digest.prove_version(leaf, v);
-                let bytes = digest.record(leaf, v);
-                prop_assert_eq!(proof.verify(&commitment, bytes), Ok(()));
+        let mut chains = records.chunk_by(|a, b| a.0 == b.0);
+        for leaf in 0..keys.len() {
+            let chain = chains.next().expect("one chain per leaf");
+            let head = digest.prove_newest(leaf);
+            prop_assert_eq!(head.verify(&commitment, &chain[0].1), Ok(()));
+            let ChainPosition::Newest { audit_path, .. } = head.chain.clone() else {
+                unreachable!()
+            };
+            let head = head.encode();
+            let head = RecordProofRef::parse(&head).expect("own encoding parses");
+            let mut walk = head.walk().expect("a head starts a walk");
+            let mut skipping = walk.clone();
+            for (v, (_, bytes)) in chain.iter().enumerate().skip(1) {
+                let link = digest.prove_version(leaf, v);
+                prop_assert_eq!(link.verify(&commitment, bytes), Err(VerifyError::NotChainHead));
+                let lying = RecordProof {
+                    chain: ChainPosition::Newest {
+                        older_digest: *link.chain.older_digest(),
+                        audit_path: audit_path.clone(),
+                    },
+                    ..link.clone()
+                };
+                prop_assert!(lying.verify(&commitment, bytes).is_err());
+                let link = link.encode();
+                let link = RecordProofRef::parse(&link).expect("own encoding parses");
+                prop_assert_eq!(walk.step(&link, bytes), Ok(()));
+                if v > 1 {
+                    prop_assert_eq!(skipping.step(&link, bytes), Err(VerifyError::BrokenChain));
+                }
             }
         }
     }
 
-    /// RecordProof serialization round-trips for arbitrary shapes.
+    /// RecordProof serialization round-trips for arbitrary shapes, heads
+    /// and links.
     #[test]
     fn record_proof_codec_round_trips(
         level in 0u32..10,
         leaf_index in 0u64..1000,
         leaf_count in 1u64..1000,
-        newer in prop::collection::vec(prop::collection::vec(any::<u8>(), 0..16), 0..4),
+        position in 0u32..5,
         path_len in 0usize..12,
     ) {
-        use elsm_repro::merkle::ChainPosition;
         use elsm_repro::crypto::sha256;
-        let chain = if newer.is_empty() {
-            ChainPosition::Newest { older_digest: sha256(b"older") }
+        let older_digest = sha256(b"older");
+        let chain = if position == 0 {
+            let audit_path = (0..path_len).map(|i| sha256(&[i as u8])).collect();
+            ChainPosition::Newest { older_digest, audit_path }
         } else {
-            ChainPosition::Older { newer_records: newer, older_digest: sha256(b"older") }
+            ChainPosition::Link { position, older_digest }
         };
-        let proof = RecordProof {
-            level,
-            leaf_index,
-            leaf_count,
-            chain,
-            audit_path: (0..path_len).map(|i| sha256(&[i as u8])).collect(),
-        };
+        let proof = RecordProof { level, leaf_index, leaf_count, chain };
         let encoded = proof.encode();
+        prop_assert_eq!(encoded.len(), proof.encoded_len());
         let (decoded, used) = RecordProof::decode(&encoded).unwrap();
         prop_assert_eq!(decoded, proof);
         prop_assert_eq!(used, encoded.len());

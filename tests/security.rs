@@ -326,3 +326,223 @@ fn wal_corruption_truncates_but_never_fabricates() {
         }
     }
 }
+
+// ----- version chains: links, walks, chain heads --------------------------
+
+mod chain {
+    //! The rules older versions verify by, attacked on a real store: a key
+    //! with many versions compacted into one level, whose chain straddles
+    //! data blocks.
+
+    use super::*;
+    use elsm_repro::elsm::adversary;
+    use elsm_repro::lsm_store::{LevelOutcome, Record};
+    use elsm_repro::merkle::{ChainPosition, VerifyError};
+
+    const HOT: &[u8] = b"key0020";
+    const OTHER: &[u8] = b"key0010";
+
+    /// 40 keys, of which [`HOT`] is then updated to `versions` versions
+    /// (200-byte values) and [`OTHER`] to a few, flushed every ten updates
+    /// so the chains are compaction output, all at one level. Returns the store,
+    /// that level, and `HOT`'s stored chain, newest first.
+    fn chain_store(versions: usize) -> (ElsmP2, usize, Vec<Record>) {
+        let options = P2Options { write_buffer_bytes: 1 << 20, ..P2Options::default() };
+        let store = ElsmP2::open(Platform::with_defaults(), options).unwrap();
+        for i in 0..40u32 {
+            store.put(format!("key{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
+        }
+        for v in 1..versions {
+            store.put(HOT, &[v as u8; 200]).unwrap();
+            if v % 10 == 9 {
+                store.put(OTHER, format!("other-{v}").as_bytes()).unwrap();
+                store.db().flush().unwrap();
+            }
+        }
+        store.db().flush().unwrap();
+        let levels: Vec<usize> = (1..=store.trusted().max_levels())
+            .filter(|&level| !store.db().level_record_dump(level).unwrap().is_empty())
+            .collect();
+        assert_eq!(levels.len(), 1, "the fixture keeps everything at one level");
+        let mut chain: Vec<Record> = store
+            .db()
+            .level_record_dump(levels[0])
+            .unwrap()
+            .into_iter()
+            .filter(|r| r.key == HOT)
+            .collect();
+        chain.sort_by_key(|r| std::cmp::Reverse(r.ts));
+        assert_eq!(chain.len(), versions);
+        (store, levels[0], chain)
+    }
+
+    #[test]
+    fn chain_stale_hit_is_rejected_by_its_own_claim() {
+        let (store, level, chain) = chain_store(30);
+        assert_eq!(store.get(HOT).unwrap().expect("present").value(), &[29u8; 200][..]);
+        for position in [1usize, 7, 29] {
+            // The stale version with the link it is stored with: refused
+            // on what the link says, with nothing hashed.
+            let mut trace = store.raw_get_trace(HOT).unwrap();
+            adversary::substitute_stale(&mut trace, chain[position].clone());
+            let hashed = store.platform().stats().hash_blocks;
+            match store.verify_get_trace(HOT, &trace) {
+                Err(VerificationFailure::StaleRecord { level: at, newer_versions }) => {
+                    assert_eq!((at as usize, newer_versions), (level, position));
+                }
+                other => panic!("stale version {position} must be refused, got {other:?}"),
+            }
+            assert_eq!(store.platform().stats().hash_blocks, hashed, "refused before hashing");
+            // The same record relabelled as the newest, under the real
+            // head's audit path: the path does not reach the root.
+            let relabelled = adversary::relabel_as_newest(&chain[position], &chain[0]);
+            adversary::substitute_stale(&mut trace, relabelled);
+            match store.verify_get_trace(HOT, &trace) {
+                Err(VerificationFailure::ForgedRecord {
+                    source: VerifyError::BadAuditPath,
+                    ..
+                }) => {}
+                other => panic!("relabelled version {position} must be forged, got {other:?}"),
+            }
+        }
+        assert!(store.telemetry().audit_count("StaleRecord") >= 3);
+    }
+
+    /// Verifies a scan over the hot key's neighbourhood after `edit`
+    /// rewrote the chain's level slice (`at` = index of the chain's head).
+    fn scan_verdict(
+        store: &ElsmP2,
+        level: usize,
+        edit: impl FnOnce(&mut Vec<Record>, usize),
+    ) -> Result<(), VerificationFailure> {
+        let (from, to) = (b"key0005".as_slice(), b"key0025".as_slice());
+        let mut trace = store.raw_scan_trace(from, to).unwrap();
+        let slice = trace.levels.iter_mut().find(|l| l.level == level).expect("the level");
+        let at = slice.records.iter().position(|r| r.key == HOT).expect("the chain's head");
+        edit(&mut slice.records, at);
+        store.verify_scan_trace(from, to, &trace)
+    }
+
+    #[test]
+    fn chain_scan_accepts_the_chain_and_nothing_else() {
+        let (store, level, chain) = chain_store(30);
+        assert_eq!(scan_verdict(&store, level, |_, _| {}), Ok(()));
+        let broken = Err(VerificationFailure::ForgedRecord {
+            level: level as u32,
+            source: VerifyError::BrokenChain,
+        });
+        // A middle version dropped.
+        assert_eq!(scan_verdict(&store, level, |r, at| drop(r.remove(at + 12))), broken);
+        // One byte of one value flipped.
+        let flip = |r: &mut Vec<Record>, at: usize| {
+            let mut value = r[at + 5].value.to_vec();
+            value[10] ^= 0x01;
+            r[at + 5].value = value.into();
+        };
+        assert_eq!(scan_verdict(&store, level, flip), broken);
+        // One link's older digest altered.
+        let alter = |r: &mut Vec<Record>, at: usize| {
+            let mut proof = adversary::embedded_proof(&r[at + 5]);
+            let ChainPosition::Link { older_digest, .. } = &mut proof.chain else {
+                panic!("an older version stores a link");
+            };
+            *older_digest = elsm_repro::crypto::sha256(b"elsewhere");
+            r[at + 5] = adversary::with_proof(&r[at + 5], &proof);
+        };
+        assert_eq!(scan_verdict(&store, level, alter), broken);
+        // The link of another key's chain (same position) spliced in.
+        let splice = |r: &mut Vec<Record>, at: usize| {
+            let other = r.iter().position(|r| r.key == OTHER).expect("the other chain");
+            let theirs = adversary::embedded_proof(&r[other + 2]);
+            r[at + 2] = adversary::with_proof(&r[at + 2], &theirs);
+        };
+        assert_eq!(scan_verdict(&store, level, splice), broken);
+        // A link whose leaf index disagrees with its head's.
+        let relocate = |r: &mut Vec<Record>, at: usize| {
+            let mut proof = adversary::embedded_proof(&r[at + 2]);
+            proof.leaf_index += 1;
+            r[at + 2] = adversary::with_proof(&r[at + 2], &proof);
+        };
+        assert_eq!(scan_verdict(&store, level, relocate), broken);
+        // Two versions swapped: the first of them arrives out of turn.
+        assert_eq!(scan_verdict(&store, level, |r, at| r.swap(at + 3, at + 4)), broken);
+        // The head missing: what leads the group is a link.
+        assert_eq!(
+            scan_verdict(&store, level, |r, at| drop(r.remove(at))),
+            Err(VerificationFailure::StaleRecord { level: level as u32, newer_versions: 1 })
+        );
+        // An older version relabelled as a second head inside the group.
+        let relabel = |r: &mut Vec<Record>, at: usize| {
+            r[at + 1] = adversary::relabel_as_newest(&chain[1], &chain[0]);
+        };
+        assert_eq!(scan_verdict(&store, level, relabel), broken);
+    }
+
+    #[test]
+    fn chain_link_offered_as_neighbor_or_boundary_is_rejected() {
+        let (store, level, chain) = chain_store(30);
+        let not_a_head = |failure: &VerificationFailure| {
+            matches!(
+                failure,
+                VerificationFailure::ForgedRecord { source: VerifyError::NotChainHead, .. }
+            )
+        };
+        // Non-membership just above the hot key: the honest left neighbour
+        // is the chain's head, though the chain fills several blocks.
+        let absent = b"key0020x";
+        let mut trace = store.raw_get_trace(absent).unwrap();
+        assert_eq!(store.verify_get_trace(absent, &trace), Ok(()));
+        let search = trace.levels.iter_mut().find(|l| l.level == level).expect("the level");
+        let LevelOutcome::Miss { left, .. } = &mut search.outcome else { panic!("a miss") };
+        assert_eq!(left.as_ref(), Some(&chain[0]), "the left neighbour is the chain head");
+        *left = Some(chain[9].clone());
+        let failure = store.verify_get_trace(absent, &trace).expect_err("a link is no neighbour");
+        assert!(not_a_head(&failure), "{failure:?}");
+        // ... and just below it, on the right.
+        let absent = b"key0019x";
+        let mut trace = store.raw_get_trace(absent).unwrap();
+        assert_eq!(store.verify_get_trace(absent, &trace), Ok(()));
+        let search = trace.levels.iter_mut().find(|l| l.level == level).expect("the level");
+        let LevelOutcome::Miss { right, .. } = &mut search.outcome else { panic!("a miss") };
+        assert_eq!(right.as_ref(), Some(&chain[0]));
+        *right = Some(chain[29].clone());
+        let failure = store.verify_get_trace(absent, &trace).expect_err("a link is no neighbour");
+        assert!(not_a_head(&failure), "{failure:?}");
+
+        // Range boundaries: the hot key just outside the range on either
+        // side.
+        for (from, to, hot_is_left) in
+            [(&b"key0021"[..], &b"key0025"[..], true), (&b"key0015"[..], &b"key0019"[..], false)]
+        {
+            let mut trace = store.raw_scan_trace(from, to).unwrap();
+            assert_eq!(store.verify_scan_trace(from, to, &trace), Ok(()));
+            let slice = trace.levels.iter_mut().find(|l| l.level == level).expect("the level");
+            let boundary = if hot_is_left { &mut slice.left } else { &mut slice.right };
+            assert_eq!(boundary.as_ref(), Some(&chain[0]), "the boundary is the chain head");
+            *boundary = Some(chain[4].clone());
+            assert_eq!(
+                store.verify_scan_trace(from, to, &trace),
+                Err(VerificationFailure::StaleRecord { level: level as u32, newer_versions: 4 })
+            );
+        }
+    }
+
+    /// An honest scan hashes every version of a chain once: the enclave's
+    /// hash blocks grow linearly in the version count (with every older
+    /// version re-exposing all newer ones they grew quadratically).
+    #[test]
+    fn chain_scan_hashes_each_version_once() {
+        let blocks_for = |versions: usize| {
+            let (store, _, _) = chain_store(versions);
+            let trace = store.raw_scan_trace(HOT, HOT).unwrap();
+            let before = store.platform().stats().hash_blocks;
+            assert_eq!(store.verify_scan_trace(HOT, HOT, &trace), Ok(()));
+            store.platform().stats().hash_blocks - before
+        };
+        let (b10, b20, b40) = (blocks_for(10), blocks_for(20), blocks_for(40));
+        let per_version = (b20 - b10) / 10;
+        assert!(per_version >= 4, "a 200-byte record and a digest are at least 4 blocks");
+        assert_eq!(b20 - b10, 10 * per_version, "every version costs the same");
+        assert_eq!(b40 - b20, 20 * per_version, "twice the versions, twice the blocks");
+    }
+}
