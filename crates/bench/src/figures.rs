@@ -448,6 +448,8 @@ pub fn ablation_proofs(scale: &Scale, opts: FigOpts) -> Table {
     let gets = opts.ops().max(1);
     let proofs_per_get = (after.proofs_verified - before.proofs_verified) as f64 / gets as f64;
     let proof_bytes_per_get = (after.proof_bytes - before.proof_bytes) as f64 / gets as f64;
+    let per_get =
+        |later: u64, earlier: u64| format!("{:.2}", (later - earlier) as f64 / gets as f64);
     // All-level (Speicher-style) verification checks every occupied level
     // per GET: two neighbor proofs per non-hit level plus the hit proof.
     let occupied_levels =
@@ -467,6 +469,19 @@ pub fn ablation_proofs(scale: &Scale, opts: FigOpts) -> Table {
         "proof bytes".into(),
         format!("{proof_bytes_per_get:.0}"),
         format!("{:.0}", bytes_per_proof * all_level_proofs),
+    ]);
+    // What the proofs cost the enclave: path rows hashed below the levels'
+    // crowns, and path rows compared against them instead (root-only
+    // verification hashed both).
+    table.row(vec![
+        "tree nodes hashed".into(),
+        per_get(after.nodes_hashed, before.nodes_hashed),
+        "-".into(),
+    ]);
+    table.row(vec![
+        "tree nodes compared to a crown".into(),
+        per_get(after.nodes_compared, before.nodes_compared),
+        "-".into(),
     ]);
     table.row(vec!["GET latency µs".into(), format!("{lat_hit:.1}"), "-".into()]);
     table

@@ -4,8 +4,8 @@
 //! eLSM paper plus ablation studies ([`figures`]), all run by the
 //! `run_all` binary (`--only <figures>` for a subset). `perf_gate` diffs
 //! two result files; `trace_report` renders a request-tracing report. See
-//! DESIGN.md §3 for the experiment index and EXPERIMENTS.md for recorded
-//! results.
+//! DESIGN.md §3 for the experiment index and `BENCH_results.json` for the
+//! recorded results.
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 

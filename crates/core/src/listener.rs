@@ -11,7 +11,8 @@
 //!   single input run reuse their stored leaf work instead of rehashing,
 //! * `on_compaction_end` (merging thread, possibly a scheduler worker):
 //!   checks the rebuilt input roots against the enclave's commitments and
-//!   **stages** the job's [`CompactionDelta`] keyed by output level — a
+//!   **stages** the job's [`CompactionDelta`] — the output commitment with
+//!   the crown (top rows) of the tree just built — keyed by output level: a
 //!   parallel wave's jobs never share a level, so staging is race-free
 //!   and the expensive digest work overlaps across jobs,
 //! * `on_compaction_install` (store write lock, deterministic job order):
@@ -321,7 +322,11 @@ impl StoreListener for AuthListener {
         let mut digest_clears = Vec::new();
         let output_digest = match scratch.pending_outputs.remove(&info.output_level) {
             Some(digest) if !self.trusted.is_poisoned() && digest.leaf_count() > 0 => {
-                delta.runs_added.push(digest.commitment());
+                // Root, leaf count and crown are read off the one tree the
+                // transform built inside the enclave; the digest itself
+                // goes to the untrusted store.
+                let crown = digest.crown(self.trusted.crown_row_max());
+                delta.runs_added.push((digest.commitment(), crown));
                 Some(digest)
             }
             _ => {
@@ -348,7 +353,7 @@ impl StoreListener for AuthListener {
         };
         // Commit under the store's write lock, in deterministic job
         // order: the incremental delta fold replaces the full recompute.
-        self.trusted.apply_compaction_delta(&staged.delta);
+        self.trusted.apply_compaction_delta(staged.delta);
         for level in staged.digest_clears {
             self.digests.clear(level);
         }

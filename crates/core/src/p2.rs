@@ -213,8 +213,12 @@ impl ElsmP2 {
         counter: Option<Arc<MonotonicCounter>>,
     ) -> Result<Self, ElsmError> {
         options.telemetry.attach_platform("platform", &platform);
-        let trusted =
-            TrustedState::new_in_domain(platform.clone(), options.max_levels, options.shard_id);
+        let trusted = TrustedState::with_telemetry(
+            platform.clone(),
+            options.max_levels,
+            options.shard_id,
+            &options.telemetry,
+        );
         let digests = UntrustedDigests::new(platform.clone());
         let cache = (options.verified_cache_bytes > 0).then(|| {
             VerifiedCache::with_telemetry(
@@ -297,7 +301,8 @@ impl ElsmP2 {
 
     /// Restores enclave state after a power cycle: unseal commitments,
     /// check the monotonic counter, verify the WAL digest and rebuild the
-    /// untrusted digest store from the (now re-verified) level contents.
+    /// untrusted digest store — and, from the same trees, the crowns —
+    /// from the level contents.
     fn recover_trusted_state(&self) -> Result<(), ElsmError> {
         let state_file = self.fs.open(STATE_FILE).map_err(|_| VerificationFailure::SealBroken)?;
         let raw = state_file.read_at(0, state_file.len())?;
@@ -330,7 +335,9 @@ impl ElsmP2 {
         }
         // Rebuild the host's digest trees from the stored levels. If the
         // host tampered with them, proofs will fail against the restored
-        // commitments at query time.
+        // commitments at query time — and the level's crown is not
+        // re-derived: only a rebuilt tree whose root is the unsealed one
+        // gives its top rows to the enclave.
         self.rebuild_untrusted_digests()?;
         // Re-publish the rebuilt trees for the recovered store's current
         // epoch, mirroring the restored commitment snapshot.
@@ -354,7 +361,10 @@ impl ElsmP2 {
                     builder.add(&record.key, &canonical);
                 }
             }
-            self.digests.install(builder.finish());
+            let digest = builder.finish();
+            let crown = digest.crown(self.trusted.crown_row_max());
+            self.trusted.adopt_crown(&digest.commitment(), crown);
+            self.digests.install(digest);
         }
         Ok(())
     }

@@ -1,9 +1,14 @@
 //! The enclave-resident trusted state and the VRFY algorithms (§5.3).
 //!
-//! [`TrustedState`] holds exactly what the paper keeps inside the enclave:
-//! one Merkle commitment per LSM level (root + leaf count), the running
-//! WAL digest, and the poisoned flag set when a compaction's inputs fail
-//! digest verification.
+//! [`TrustedState`] holds what the paper keeps inside the enclave — one
+//! Merkle commitment per LSM level (root + leaf count), the running WAL
+//! digest, and the poisoned flag set when a compaction's inputs fail
+//! digest verification — plus, beside every commitment, the level's
+//! **crown**: the top rows of the tree the root commits to
+//! ([`merkle::crown`]). A proof is hashed up to the crown's lowest row and
+//! compared from there on, so a verified read hashes only the rows below
+//! it. Crowns are derived state: they enter no digest and are never
+//! sealed (see `DESIGN.md`, trusted-state inventory).
 //!
 //! # Epoch-versioned commitments
 //!
@@ -42,15 +47,19 @@
 //!   a link offered as either is rejected (`verify_non_membership`,
 //!   `leaf_from_record`).
 
+use std::borrow::Cow;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use elsm_crypto::{sha256_concat, Digest};
 use lsm_store::{GetTrace, LevelOutcome, Record, ScanTrace};
-use merkle::{verify_range, LevelCommitment, RangeProof, RecordProofRef};
+use merkle::{
+    verify_range_anchored, Crown, LevelCommitment, RangeProof, RecordProofRef, Work, CROWN_ROW_MAX,
+};
 use parking_lot::Mutex;
-use sgx_sim::Platform;
+use sgx_sim::{EnclaveRegion, Platform};
+use telemetry::{Counter, Gauge, Telemetry};
 
 use crate::envelope::{append_canonical, open_record, Opened};
 use crate::error::VerificationFailure;
@@ -79,9 +88,10 @@ pub trait RangeProver {
 pub struct CompactionDelta {
     /// Levels whose runs the job consumed; their commitments clear.
     pub runs_removed: Vec<u32>,
-    /// Commitments of the runs the job produced (installed after the
-    /// removals, so a level appearing in both ends up installed).
-    pub runs_added: Vec<LevelCommitment>,
+    /// Commitments of the runs the job produced, each with the crown of
+    /// the tree the enclave built it from (installed after the removals,
+    /// so a level appearing in both ends up installed).
+    pub runs_added: Vec<(LevelCommitment, Crown)>,
 }
 
 impl CompactionDelta {
@@ -106,6 +116,11 @@ pub struct VerifyStats {
     /// Levels checked across all queries (proof-size proxy: the early stop
     /// keeps this small).
     pub levels_checked: u64,
+    /// Interior Merkle nodes computed by hashing (the rows of audit paths
+    /// and range proofs below the crowns).
+    pub nodes_hashed: u64,
+    /// Nodes compared against crown nodes instead of being hashed to.
+    pub nodes_compared: u64,
 }
 
 /// What [`TrustedState::verify_get`] learned about the record a disk-level
@@ -121,13 +136,81 @@ pub struct VerifiedHit {
     pub proof_bytes: usize,
 }
 
+/// The share of the EPC one level's crown may take: 1/2048, which on the
+/// paper's 128 MB is the 64 KiB of a [`CROWN_ROW_MAX`]-wide crown. An
+/// enclave with less EPC keeps proportionally fewer rows (a crown that
+/// does not stay resident costs a 30 µs page fault to save 160 ns hashes);
+/// one with more keeps no more than `CROWN_ROW_MAX`.
+const CROWN_EPC_SHARE: usize = 2048;
+
+/// A crown held in enclave memory: the rows and the EPC region that
+/// models them. Immutable once built and shared by `Arc` between the
+/// working vector and every epoch snapshot that keeps the level, so
+/// lock-free readers only ever read it; the region is freed with the last
+/// snapshot that names it.
+#[derive(Debug)]
+struct ResidentCrown {
+    crown: Crown,
+    /// `None` for the one-row crown: the root is the commitment's own
+    /// field, which the enclave held — uncharged — before crowns existed.
+    region: Option<EnclaveRegion>,
+    platform: Arc<Platform>,
+}
+
+impl ResidentCrown {
+    fn new(platform: &Arc<Platform>, crown: Crown) -> Arc<Self> {
+        let region = (crown.node_count() > 1).then(|| platform.enclave_alloc(crown.byte_len()));
+        Arc::new(ResidentCrown { crown, region, platform: platform.clone() })
+    }
+}
+
+impl Drop for ResidentCrown {
+    fn drop(&mut self) {
+        if let Some(region) = self.region {
+            self.platform.enclave_free(region);
+        }
+    }
+}
+
+/// One slot of the commitment vector: what is sealed, digested and
+/// announced (`commitment`), and what verification additionally reads
+/// (`crown`, always of the tree `commitment.root` is the root of — the
+/// one-row crown when nothing more was derived).
+#[derive(Debug, Clone)]
+struct TrustedLevel {
+    commitment: LevelCommitment,
+    crown: Arc<ResidentCrown>,
+}
+
+impl TrustedLevel {
+    /// `commitment` with the one-row crown: its root and nothing else.
+    fn root_only(platform: &Arc<Platform>, commitment: LevelCommitment) -> Self {
+        let crown = Crown::root_only(commitment.root, commitment.leaf_count as usize);
+        TrustedLevel { commitment, crown: ResidentCrown::new(platform, crown) }
+    }
+}
+
 /// The commitment vector plus its epoch-tagged published snapshots.
 #[derive(Debug)]
 struct CommitmentStore {
     /// The working vector compactions mutate before their install.
-    current: Vec<LevelCommitment>,
+    current: Vec<TrustedLevel>,
     /// Published snapshots, oldest first; verification reads these.
-    epochs: VecDeque<(u64, Arc<[LevelCommitment]>)>,
+    epochs: VecDeque<(u64, Arc<[TrustedLevel]>)>,
+}
+
+impl CommitmentStore {
+    /// Bytes of every distinct crown held, working vector and snapshots.
+    fn crown_bytes(&self) -> u64 {
+        let held = self.epochs.iter().flat_map(|(_, s)| s.iter()).chain(&self.current);
+        let mut distinct: Vec<&Arc<ResidentCrown>> = Vec::new();
+        for level in held {
+            if !distinct.iter().any(|seen| Arc::ptr_eq(seen, &level.crown)) {
+                distinct.push(&level.crown);
+            }
+        }
+        distinct.iter().map(|c| c.crown.byte_len() as u64).sum()
+    }
 }
 
 /// Enclave-held state of an eLSM-P2 store.
@@ -150,6 +233,11 @@ pub struct TrustedState {
     proofs_verified: AtomicU64,
     proof_bytes: AtomicU64,
     levels_checked: AtomicU64,
+    /// `core.verify.nodes_hashed` / `core.verify.nodes_compared`.
+    nodes_hashed: Counter,
+    nodes_compared: Counter,
+    /// `core.trusted.crown_bytes`: bytes of every distinct crown held.
+    crown_bytes: Gauge,
 }
 
 impl TrustedState {
@@ -167,11 +255,23 @@ impl TrustedState {
         max_levels: usize,
         shard: Option<u32>,
     ) -> Arc<Self> {
-        let current: Vec<LevelCommitment> =
-            (0..=max_levels as u32).map(LevelCommitment::empty).collect();
+        Self::with_telemetry(platform, max_levels, shard, &Telemetry::default())
+    }
+
+    /// [`TrustedState::new_in_domain`] with its `core.verify.*` counters
+    /// and the `core.trusted.crown_bytes` gauge registered in `telemetry`.
+    pub fn with_telemetry(
+        platform: Arc<Platform>,
+        max_levels: usize,
+        shard: Option<u32>,
+        telemetry: &Telemetry,
+    ) -> Arc<Self> {
+        let current: Vec<TrustedLevel> = (0..=max_levels as u32)
+            .map(|level| TrustedLevel::root_only(&platform, LevelCommitment::empty(level)))
+            .collect();
         let mut epochs = VecDeque::new();
         epochs.push_back((0, Arc::from(current.as_slice())));
-        Arc::new(TrustedState {
+        let state = TrustedState {
             platform,
             max_levels,
             shard,
@@ -182,7 +282,20 @@ impl TrustedState {
             proofs_verified: AtomicU64::new(0),
             proof_bytes: AtomicU64::new(0),
             levels_checked: AtomicU64::new(0),
-        })
+            nodes_hashed: telemetry.counter("core.verify.nodes_hashed"),
+            nodes_compared: telemetry.counter("core.verify.nodes_compared"),
+            crown_bytes: telemetry.gauge("core.trusted.crown_bytes"),
+        };
+        state.crown_bytes.set(state.commitments.lock().crown_bytes());
+        Arc::new(state)
+    }
+
+    /// Widest crown row this enclave keeps per level: what
+    /// [`CROWN_EPC_SHARE`] of its EPC holds (a crown is under 64 bytes per
+    /// node of its widest row), at most [`CROWN_ROW_MAX`]. Whoever builds
+    /// a level's tree inside the enclave takes the crown with this.
+    pub fn crown_row_max(&self) -> usize {
+        (self.platform.cost().epc_bytes / CROWN_EPC_SHARE / 64).min(CROWN_ROW_MAX)
     }
 
     /// Number of on-disk levels currently tracked (grows when the store
@@ -196,16 +309,18 @@ impl TrustedState {
     /// reads epoch snapshots instead.
     pub fn commitment(&self, level: u32) -> LevelCommitment {
         let c = self.commitments.lock();
-        c.current.get(level as usize).copied().unwrap_or_else(|| LevelCommitment::empty(level))
+        c.current
+            .get(level as usize)
+            .map_or_else(|| LevelCommitment::empty(level), |l| l.commitment)
     }
 
     /// Installs a commitment into the working vector (the
     /// compaction-completion ECall of §5.5.2), growing the level table if
-    /// needed. It becomes visible to verification when the owning store
-    /// version's epoch is published.
+    /// needed, with the one-row crown — its root. It becomes visible to
+    /// verification when the owning store version's epoch is published.
     pub fn set_commitment(&self, commitment: LevelCommitment) {
-        let mut c = self.commitments.lock();
-        Self::set_commitment_locked(&mut c, commitment);
+        let level = TrustedLevel::root_only(&self.platform, commitment);
+        self.set_level_locked(&mut self.commitments.lock(), level);
     }
 
     /// Clears a level's commitment (its run was consumed by compaction).
@@ -214,74 +329,117 @@ impl TrustedState {
     }
 
     /// Folds one compaction job's [`CompactionDelta`] into the working
-    /// vector: removals clear, then additions install — one lock
-    /// acquisition, touching only the job's levels. The enclave work is
-    /// charged per touched slot (a 32-byte root move each) under
+    /// vector: removals clear, then additions install — commitment and
+    /// crown together — under one lock acquisition, touching only the
+    /// job's levels. The enclave work is charged per touched slot (a
+    /// 32-byte root move each; a crown's rows were hashed, and charged,
+    /// when the job built the tree) under
     /// [`sgx_sim::SerialClass::DeltaFold`], the incremental-recomputation
     /// class, so concurrent jobs' folds serialize against each other but
     /// overlap with query verification and WAL folding.
-    pub fn apply_compaction_delta(&self, delta: &CompactionDelta) {
+    ///
+    /// # Panics
+    ///
+    /// Panics if an added crown's root is not its commitment's: both come
+    /// from the one tree the enclave built, so a mismatch is a bug here,
+    /// never something the host can cause.
+    pub fn apply_compaction_delta(&self, delta: CompactionDelta) {
         if delta.is_empty() {
             return;
         }
         let _serial = self.platform.serial_section(sgx_sim::SerialClass::DeltaFold);
         self.platform.charge_hash(32 * delta.touched_levels());
         let mut c = self.commitments.lock();
-        for &level in &delta.runs_removed {
-            Self::set_commitment_locked(&mut c, LevelCommitment::empty(level));
+        for level in delta.runs_removed {
+            let cleared = TrustedLevel::root_only(&self.platform, LevelCommitment::empty(level));
+            self.set_level_locked(&mut c, cleared);
         }
-        for commitment in &delta.runs_added {
-            Self::set_commitment_locked(&mut c, *commitment);
+        for (commitment, crown) in delta.runs_added {
+            assert_eq!(crown.root(), commitment.root, "a crown is of its commitment's tree");
+            let crown = ResidentCrown::new(&self.platform, crown);
+            self.set_level_locked(&mut c, TrustedLevel { commitment, crown });
         }
     }
 
-    fn set_commitment_locked(c: &mut CommitmentStore, commitment: LevelCommitment) {
-        let idx = commitment.level as usize;
+    fn set_level_locked(&self, c: &mut CommitmentStore, level: TrustedLevel) {
+        let idx = level.commitment.level as usize;
         while c.current.len() <= idx {
-            let next = c.current.len() as u32;
-            c.current.push(LevelCommitment::empty(next));
+            let next = LevelCommitment::empty(c.current.len() as u32);
+            c.current.push(TrustedLevel::root_only(&self.platform, next));
         }
-        c.current[idx] = commitment;
+        c.current[idx] = level;
     }
 
     /// All working commitments (for sealing).
     pub fn commitments(&self) -> Vec<LevelCommitment> {
-        self.commitments.lock().current.clone()
+        self.commitments.lock().current.iter().map(|l| l.commitment).collect()
     }
 
     /// Restores commitments from sealed state, re-publishing the newest
     /// epoch snapshot so recovered traces verify against the restored
-    /// roots.
+    /// roots. Sealed state holds no crowns: every level restarts with its
+    /// root alone until [`TrustedState::adopt_crown`] re-derives more.
     pub fn restore_commitments(&self, commitments: Vec<LevelCommitment>) {
         let mut c = self.commitments.lock();
-        let snapshot: Arc<[LevelCommitment]> = Arc::from(commitments.as_slice());
-        c.current = commitments;
-        match c.epochs.back_mut() {
-            Some(back) => back.1 = snapshot,
-            None => c.epochs.push_back((0, snapshot)),
+        c.current =
+            commitments.into_iter().map(|c| TrustedLevel::root_only(&self.platform, c)).collect();
+        self.republish_newest_locked(&mut c);
+    }
+
+    /// Recovery: adopts `crown` — the top rows of a tree the enclave just
+    /// rebuilt from the host's copy of `commitment.level` — if and only if
+    /// that tree is the one the working commitment names (same root, same
+    /// leaf count), and re-publishes the newest snapshot with it. The
+    /// rebuilt rows hash to the rebuilt root by construction, so equal
+    /// roots mean equal rows unless SHA-256 collides; a level the host
+    /// tampered with rebuilds to another root and keeps the one-row crown,
+    /// against which its reads fail as they always did. Says whether the
+    /// crown was adopted.
+    pub fn adopt_crown(&self, commitment: &LevelCommitment, crown: Crown) -> bool {
+        let mut c = self.commitments.lock();
+        let adopt = crown.root() == commitment.root
+            && c.current.get(commitment.level as usize).map(|l| &l.commitment) == Some(commitment);
+        if adopt {
+            c.current[commitment.level as usize].crown = ResidentCrown::new(&self.platform, crown);
+            self.republish_newest_locked(&mut c);
         }
+        adopt
+    }
+
+    /// Replaces the newest snapshot with the working vector.
+    fn republish_newest_locked(&self, c: &mut CommitmentStore) {
+        let newest = c.epochs.back().map_or(0, |(epoch, _)| *epoch);
+        self.publish_locked(c, newest);
     }
 
     /// Publishes the working commitment vector as the snapshot for
     /// `epoch` (called under the store's write lock, *before* the version
     /// becomes visible — no reader can name an epoch without a snapshot).
+    /// Levels the install did not touch share their crown with the
+    /// previous snapshot.
     pub fn publish_epoch(&self, epoch: u64) {
-        let mut c = self.commitments.lock();
-        let snapshot: Arc<[LevelCommitment]> = Arc::from(c.current.as_slice());
+        self.publish_locked(&mut self.commitments.lock(), epoch);
+    }
+
+    fn publish_locked(&self, c: &mut CommitmentStore, epoch: u64) {
+        let snapshot: Arc<[TrustedLevel]> = Arc::from(c.current.as_slice());
         match c.epochs.back_mut() {
             Some(back) if back.0 == epoch => back.1 = snapshot,
             _ => c.epochs.push_back((epoch, snapshot)),
         }
+        self.crown_bytes.set(c.crown_bytes());
     }
 
     /// Drops snapshots for epochs no longer in the live set (their
     /// readers have drained) — interior drained epochs included, so one
     /// long-pinned old snapshot cannot make the history grow without
-    /// bound. The newest snapshot always survives.
+    /// bound. The newest snapshot always survives. A crown goes with the
+    /// last snapshot that holds it.
     pub fn prune_epochs(&self, live_epochs: &[u64]) {
         let mut c = self.commitments.lock();
         let newest = c.epochs.back().map(|(e, _)| *e);
         c.epochs.retain(|(e, _)| Some(*e) == newest || live_epochs.contains(e));
+        self.crown_bytes.set(c.crown_bytes());
     }
 
     /// Number of epoch snapshots currently held (diagnostics/tests).
@@ -289,8 +447,16 @@ impl TrustedState {
         self.commitments.lock().epochs.len()
     }
 
-    /// The commitment snapshot published for `epoch`, if still held.
-    fn commitments_at(&self, epoch: u64) -> Option<Arc<[LevelCommitment]>> {
+    /// Digests in the working crown of `level`, all rows together: 1 when
+    /// the level holds its root alone, 0 for a level never installed
+    /// (diagnostics/tests).
+    pub fn crown_nodes(&self, level: u32) -> usize {
+        let c = self.commitments.lock();
+        c.current.get(level as usize).map_or(0, |l| l.crown.crown.node_count())
+    }
+
+    /// The snapshot published for `epoch`, if still held.
+    fn levels_at(&self, epoch: u64) -> Option<Arc<[TrustedLevel]>> {
         let c = self.commitments.lock();
         c.epochs.iter().find(|(e, _)| *e == epoch).map(|(_, s)| s.clone())
     }
@@ -303,8 +469,8 @@ impl TrustedState {
     /// cross-check — and inequality is a fork. The shard binding is
     /// folded in, exactly as in [`TrustedState::dataset_digest`].
     pub fn snapshot_digest(&self, epoch: u64) -> Option<Digest> {
-        let snapshot = self.commitments_at(epoch)?;
-        let digests: Vec<Digest> = snapshot.iter().map(|c| c.digest()).collect();
+        let snapshot = self.levels_at(epoch)?;
+        let digests: Vec<Digest> = snapshot.iter().map(|l| l.commitment.digest()).collect();
         let shard_tag = self.shard.map(|id| id.to_le_bytes());
         let epoch_le = epoch.to_le_bytes();
         let mut parts: Vec<&[u8]> = vec![&[0x09], &epoch_le];
@@ -366,7 +532,8 @@ impl TrustedState {
     /// two shards never shares a dataset digest.
     pub fn dataset_digest(&self) -> Digest {
         let commitments = self.commitments.lock();
-        let digests: Vec<Digest> = commitments.current.iter().map(|c| c.digest()).collect();
+        let digests: Vec<Digest> =
+            commitments.current.iter().map(|l| l.commitment.digest()).collect();
         let wal = self.wal_digest.lock();
         let shard_tag = self.shard.map(|id| id.to_le_bytes());
         let mut parts: Vec<&[u8]> = vec![&[0x06]];
@@ -408,6 +575,8 @@ impl TrustedState {
             proofs_verified: self.proofs_verified.load(Ordering::Relaxed),
             proof_bytes: self.proof_bytes.load(Ordering::Relaxed),
             levels_checked: self.levels_checked.load(Ordering::Relaxed),
+            nodes_hashed: self.nodes_hashed.value(),
+            nodes_compared: self.nodes_compared.value(),
         }
     }
 
@@ -416,32 +585,50 @@ impl TrustedState {
         self.proof_bytes.fetch_add(proof.encoded_len() as u64, Ordering::Relaxed);
     }
 
-    /// Verifies one chain-head proof against a level commitment, charging
-    /// the hashing work. A link is not a head: it fails as
+    /// Charges one anchored tree walk for what it did: the SHA-256 of
+    /// `hashed_bytes` (a record's canonical bytes, or none) plus the
+    /// interior nodes hashed below the crown, and one batched touch of the
+    /// crown nodes compared — anchored at node `anchor_node` of the crown's
+    /// lowest row, the way bloom and index probes charge their metadata.
+    fn charge_walk(&self, level: &TrustedLevel, hashed_bytes: usize, anchor_node: u64, work: Work) {
+        self.platform.charge_hash(hashed_bytes + 64 * work.hashed);
+        if let Some(region) = &level.crown.region {
+            let len = (32 * work.compared).min(region.len());
+            let offset = (anchor_node as usize).saturating_mul(32).min(region.len() - len);
+            self.platform.enclave_touch(region, offset, len);
+        }
+        self.nodes_hashed.add(work.hashed as u64);
+        self.nodes_compared.add(work.compared as u64);
+    }
+
+    /// Verifies one chain-head proof against a level's commitment and
+    /// crown, charging the work done. A link is not a head: it fails as
     /// [`merkle::VerifyError::NotChainHead`].
     fn check_proof(
         &self,
-        commitment: &LevelCommitment,
+        level: &TrustedLevel,
         proof: &RecordProofRef<'_>,
         canonical: &[u8],
     ) -> Result<(), VerificationFailure> {
-        self.platform.charge_hash(canonical.len() + 64 * proof.audit_path_len());
         self.count_proof(proof);
-        proof
-            .verify(commitment, canonical)
-            .map_err(|source| VerificationFailure::ForgedRecord { level: commitment.level, source })
+        let crown = &level.crown.crown;
+        let work = proof.verify_anchored(&level.commitment, crown.anchor(), canonical).map_err(
+            |source| VerificationFailure::ForgedRecord { level: level.commitment.level, source },
+        )?;
+        self.charge_walk(level, canonical.len(), proof.leaf_index >> crown.base_height(), work);
+        Ok(())
     }
 
-    /// [`open_proved`], then checks the proof against `commitment`: what a
+    /// [`open_proved`], then checks the proof against `level`: what a
     /// non-membership neighbour must pass, so a neighbour is a chain head.
     fn open_and_check<'r>(
         &self,
-        commitment: &LevelCommitment,
+        level: &TrustedLevel,
         record: &'r Record,
         canonical: &mut Vec<u8>,
     ) -> Result<RecordProofRef<'r>, VerificationFailure> {
-        let (_, proof) = open_proved(commitment.level, record, canonical)?;
-        self.check_proof(commitment, &proof, canonical)?;
+        let (_, proof) = open_proved(level.commitment.level, record, canonical)?;
+        self.check_proof(level, &proof, canonical)?;
         Ok(proof)
     }
 
@@ -465,11 +652,8 @@ impl TrustedState {
             return Ok(None);
         }
         let snapshot = self
-            .commitments_at(trace.epoch)
+            .levels_at(trace.epoch)
             .ok_or(VerificationFailure::UnknownEpoch { epoch: trace.epoch })?;
-        let commitment_at = |level: u32| {
-            snapshot.get(level as usize).copied().unwrap_or_else(|| LevelCommitment::empty(level))
-        };
         let epoch_levels = snapshot.len().saturating_sub(1).max(self.max_levels);
         self.levels_checked.fetch_add(trace.levels.len() as u64, Ordering::Relaxed);
         // Expected search order: ascending with compaction (lower =
@@ -489,16 +673,16 @@ impl TrustedState {
                 // Nothing may follow the hit level (early stop).
                 return Err(VerificationFailure::LevelSkipped { expected: expected.max(0) as u32 });
             }
-            let commitment = commitment_at(expected as u32);
+            let level = self.level_of(&snapshot, expected as u32);
             match &search.outcome {
                 LevelOutcome::Empty => {
-                    if !commitment.is_empty() {
+                    if !level.commitment.is_empty() {
                         return Err(VerificationFailure::HiddenLevel { level: expected as u32 });
                     }
                 }
                 LevelOutcome::Miss { left, right } => {
                     self.verify_non_membership(
-                        &commitment,
+                        &level,
                         key,
                         left.as_ref(),
                         right.as_ref(),
@@ -506,7 +690,7 @@ impl TrustedState {
                     )?;
                 }
                 LevelOutcome::Hit(record) => {
-                    hit = Some(self.verify_hit(&commitment, key, record, &mut canonical)?);
+                    hit = Some(self.verify_hit(&level, key, record, &mut canonical)?);
                 }
             }
             expected += step;
@@ -519,14 +703,24 @@ impl TrustedState {
         Ok(hit)
     }
 
+    /// Slot `level` of `snapshot` (the empty level beyond its end).
+    fn level_of<'s>(&self, snapshot: &'s [TrustedLevel], level: u32) -> Cow<'s, TrustedLevel> {
+        match snapshot.get(level as usize) {
+            Some(slot) => Cow::Borrowed(slot),
+            None => {
+                Cow::Owned(TrustedLevel::root_only(&self.platform, LevelCommitment::empty(level)))
+            }
+        }
+    }
+
     fn verify_hit(
         &self,
-        commitment: &LevelCommitment,
+        trusted: &TrustedLevel,
         key: &[u8],
         record: &Record,
         canonical: &mut Vec<u8>,
     ) -> Result<VerifiedHit, VerificationFailure> {
-        let level = commitment.level;
+        let level = trusted.commitment.level;
         if record.key != key {
             return Err(VerificationFailure::BadNonMembership {
                 level,
@@ -540,18 +734,19 @@ impl TrustedState {
         // host relabelled it as the newest, the audit path below would not
         // reach the root.
         require_newest(level, &proof)?;
-        self.check_proof(commitment, &proof, canonical)?;
+        self.check_proof(trusted, &proof, canonical)?;
         Ok(VerifiedHit { value: opened.value_range(), proof_bytes: proof.encoded_len() })
     }
 
     fn verify_non_membership(
         &self,
-        commitment: &LevelCommitment,
+        trusted: &TrustedLevel,
         key: &[u8],
         left: Option<&Record>,
         right: Option<&Record>,
         canonical: &mut Vec<u8>,
     ) -> Result<(), VerificationFailure> {
+        let commitment = &trusted.commitment;
         let level = commitment.level;
         if commitment.is_empty() {
             return if left.is_none() && right.is_none() {
@@ -571,7 +766,7 @@ impl TrustedState {
                         reason: "left neighbor not below query key",
                     });
                 }
-                Some(self.open_and_check(commitment, rec, canonical)?)
+                Some(self.open_and_check(trusted, rec, canonical)?)
             }
             None => None,
         };
@@ -583,7 +778,7 @@ impl TrustedState {
                         reason: "right neighbor not above query key",
                     });
                 }
-                Some(self.open_and_check(commitment, rec, canonical)?)
+                Some(self.open_and_check(trusted, rec, canonical)?)
             }
             None => None,
         };
@@ -637,7 +832,7 @@ impl TrustedState {
         prover: &dyn RangeProver,
     ) -> Result<(), VerificationFailure> {
         let snapshot = self
-            .commitments_at(trace.epoch)
+            .levels_at(trace.epoch)
             .ok_or(VerificationFailure::UnknownEpoch { epoch: trace.epoch })?;
         let epoch_levels = snapshot.len().saturating_sub(1).max(self.max_levels);
         let mut expected: u32 = 1;
@@ -645,19 +840,16 @@ impl TrustedState {
             if range.level as u32 != expected {
                 return Err(VerificationFailure::LevelSkipped { expected });
             }
-            let commitment = snapshot
-                .get(expected as usize)
-                .copied()
-                .unwrap_or_else(|| LevelCommitment::empty(expected));
+            let level = self.level_of(&snapshot, expected);
             self.levels_checked.fetch_add(1, Ordering::Relaxed);
             if range.empty {
-                if !commitment.is_empty() {
+                if !level.commitment.is_empty() {
                     return Err(VerificationFailure::HiddenLevel { level: expected });
                 }
                 expected += 1;
                 continue;
             }
-            self.verify_level_range(&commitment, trace.epoch, from, to, range, prover)?;
+            self.verify_level_range(&level, trace.epoch, from, to, range, prover)?;
             expected += 1;
         }
         if (expected as usize) <= epoch_levels {
@@ -685,13 +877,14 @@ impl TrustedState {
 
     fn verify_level_range(
         &self,
-        commitment: &LevelCommitment,
+        trusted: &TrustedLevel,
         epoch: u64,
         from: &[u8],
         to: &[u8],
         range: &lsm_store::LevelRange,
         prover: &dyn RangeProver,
     ) -> Result<(), VerificationFailure> {
+        let commitment = &trusted.commitment;
         let level = commitment.level;
         let fail = |reason: &'static str| VerificationFailure::IncompleteRange { level, reason };
 
@@ -772,17 +965,13 @@ impl TrustedState {
         let proof = prover
             .prove_range(epoch, level, lo, hi)
             .ok_or(fail("host failed to produce a range proof"))?;
-        let leaves: Vec<Digest> = leaf_seq.iter().map(|(_, d)| *d).collect();
-        self.platform.charge_hash(64 * (leaves.len() + proof.len()));
-        if !verify_range(
-            commitment.root,
-            commitment.leaf_count as usize,
-            lo as usize,
-            &leaves,
-            &proof,
-        ) {
-            return Err(fail("range proof does not reach the committed root"));
-        }
+        let mut leaves: Vec<Digest> = leaf_seq.iter().map(|(_, d)| *d).collect();
+        let crown = &trusted.crown.crown;
+        let leaf_count = commitment.leaf_count as usize;
+        let work =
+            verify_range_anchored(crown.anchor(), leaf_count, lo as usize, &mut leaves, &proof)
+                .ok_or(fail("range proof does not reach the committed root"))?;
+        self.charge_walk(trusted, 0, lo >> crown.base_height(), work);
         Ok(())
     }
 }
@@ -832,6 +1021,11 @@ mod tests {
         }
     }
 
+    /// A made-up commitment as a delta carries it: with its one-row crown.
+    fn added(c: LevelCommitment) -> (LevelCommitment, Crown) {
+        (c, Crown::root_only(c.root, c.leaf_count as usize))
+    }
+
     /// The incremental path must be indistinguishable from the full
     /// set/clear recompute — the snapshot digest (what replication
     /// announcements bind) is compared bit for bit.
@@ -855,13 +1049,13 @@ mod tests {
         full.set_commitment(out2);
         full.set_commitment(out3);
         full.publish_epoch(2);
-        delta.apply_compaction_delta(&CompactionDelta {
+        delta.apply_compaction_delta(CompactionDelta {
             runs_removed: vec![1],
-            runs_added: vec![out2],
+            runs_added: vec![added(out2)],
         });
-        delta.apply_compaction_delta(&CompactionDelta {
+        delta.apply_compaction_delta(CompactionDelta {
             runs_removed: vec![],
-            runs_added: vec![out3],
+            runs_added: vec![added(out3)],
         });
         delta.publish_epoch(2);
         let d_full = full.snapshot_digest(2).unwrap();
@@ -878,9 +1072,9 @@ mod tests {
         let platform = Platform::with_defaults();
         let state = TrustedState::new(platform, 2);
         state.set_commitment(commitment(1, 1, 4));
-        state.apply_compaction_delta(&CompactionDelta {
+        state.apply_compaction_delta(CompactionDelta {
             runs_removed: vec![1],
-            runs_added: vec![commitment(5, 2, 4)],
+            runs_added: vec![added(commitment(5, 2, 4))],
         });
         assert!(state.commitment(1).is_empty());
         assert_eq!(state.commitment(5).leaf_count, 4);
@@ -888,7 +1082,123 @@ mod tests {
         assert_eq!(state.max_levels(), 5);
         // An empty delta is free and changes nothing.
         let before = state.commitments();
-        state.apply_compaction_delta(&CompactionDelta::default());
+        state.apply_compaction_delta(CompactionDelta::default());
         assert_eq!(state.commitments(), before);
+    }
+
+    /// A real level: `n` single-version keys, as a delta carries it.
+    fn real_level(level: u32, n: usize) -> (LevelCommitment, Crown) {
+        let keys: Vec<Vec<u8>> = (0..n).map(|i| format!("k{i:06}").into_bytes()).collect();
+        let records = keys.iter().map(|k| (k.as_slice(), k.clone()));
+        let digest = merkle::LevelDigest::from_records(level, records);
+        (digest.commitment(), digest.crown(CROWN_ROW_MAX))
+    }
+
+    fn install(state: &TrustedState, run: (LevelCommitment, Crown), epoch: u64) {
+        state.apply_compaction_delta(CompactionDelta {
+            runs_removed: vec![],
+            runs_added: vec![run],
+        });
+        state.publish_epoch(epoch);
+    }
+
+    fn crown_at(state: &TrustedState, epoch: u64, level: usize) -> Arc<ResidentCrown> {
+        state.levels_at(epoch).expect("epoch held")[level].crown.clone()
+    }
+
+    /// Crowns are shared, not copied, by the epochs that keep a level, and
+    /// go — EPC region included — with the last epoch that holds them.
+    #[test]
+    fn crowns_are_shared_across_epochs_and_dropped_with_them() {
+        let platform = Platform::with_defaults();
+        let state = TrustedState::new(platform.clone(), 3);
+        let idle = platform.enclave_allocated_bytes();
+        install(&state, real_level(2, 3000), 1);
+        let l2 = crown_at(&state, 1, 2);
+        let l2_bytes = l2.crown.byte_len() as u64;
+        assert!(l2.crown.node_count() > 1000 && l2_bytes <= 64 * 1024);
+        assert_eq!(state.crown_nodes(2), l2.crown.node_count());
+        // Two installs that leave level 2 alone: three snapshots, one crown.
+        install(&state, real_level(1, 40), 2);
+        install(&state, real_level(1, 50), 3);
+        assert_eq!(state.epochs_tracked(), 4);
+        for epoch in [2, 3] {
+            assert!(Arc::ptr_eq(&l2, &crown_at(&state, epoch, 2)), "epoch {epoch} shares L2");
+        }
+        assert!(!Arc::ptr_eq(&crown_at(&state, 2, 1), &crown_at(&state, 3, 1)));
+        // Counted once however many snapshots hold it.
+        let l1_bytes = |epoch| crown_at(&state, epoch, 1).crown.byte_len() as u64;
+        let root_only = 32;
+        assert_eq!(
+            state.crown_bytes.value(),
+            l2_bytes + l1_bytes(2) + l1_bytes(3) + 4 * root_only,
+            "L2 once, both L1s, the empty levels 0..=3 of epoch 0 (L0 and L3 still shared)"
+        );
+        // Level 2 is replaced; the old crown lives while epoch 3 does.
+        install(&state, real_level(2, 10), 4);
+        let weak = Arc::downgrade(&l2);
+        drop(l2);
+        state.prune_epochs(&[3]);
+        assert_eq!(state.epochs_tracked(), 2);
+        assert!(weak.upgrade().is_some(), "epoch 3 still verifies against the old L2 crown");
+        let with_old = platform.enclave_allocated_bytes();
+        state.prune_epochs(&[]);
+        assert_eq!(state.epochs_tracked(), 1);
+        assert!(weak.upgrade().is_none(), "the crown went with its last epoch");
+        assert!(platform.enclave_allocated_bytes() + l2_bytes <= with_old, "its region too");
+        assert!(platform.enclave_allocated_bytes() > idle);
+        // Whole trees of 10 and 50 leaves (21 and 102 nodes) and two roots.
+        assert_eq!(state.crown_bytes.value(), (21 + 102) * 32 + 2 * root_only);
+    }
+
+    /// A crown is sized to the enclave's EPC, and the root alone occupies
+    /// none of it.
+    #[test]
+    fn crown_width_follows_the_epc() {
+        use sgx_sim::CostModel;
+        let with_epc = |bytes| Platform::new(CostModel::paper_defaults().with_epc_bytes(bytes));
+        let row_max = |bytes| TrustedState::new(with_epc(bytes), 2).crown_row_max();
+        assert_eq!(row_max(128 << 20), CROWN_ROW_MAX, "the paper's EPC: 64 KiB per level");
+        assert_eq!(row_max(1 << 30), CROWN_ROW_MAX, "never wider");
+        assert_eq!(row_max(16 << 20), 128);
+        assert_eq!(row_max(128 << 10), 1, "the figures' scaled EPC of 32 pages: roots only");
+        assert_eq!(row_max(4096), 0, "which `crown` also reads as the root alone");
+
+        let platform = with_epc(128 << 10);
+        let state = TrustedState::new(platform.clone(), 2);
+        let digest = merkle::LevelDigest::from_records(1, [(&b"a"[..], vec![1]), (b"b", vec![2])]);
+        let run = (digest.commitment(), digest.crown(state.crown_row_max()));
+        install(&state, run, 1);
+        assert_eq!(state.crown_nodes(1), 1);
+        assert_eq!(platform.enclave_allocated_bytes(), 0, "no region for a root");
+    }
+
+    /// Recovery adopts a rebuilt crown only for the very tree the unsealed
+    /// commitment names.
+    #[test]
+    fn adopt_crown_requires_the_committed_tree() {
+        let state = TrustedState::new(Platform::with_defaults(), 3);
+        let (c2, crown2) = real_level(2, 2500);
+        let (other, other_crown) = real_level(2, 2501);
+        state.restore_commitments(vec![
+            LevelCommitment::empty(0),
+            LevelCommitment::empty(1),
+            c2,
+            LevelCommitment::empty(3),
+        ]);
+        assert_eq!(state.crown_nodes(2), 1, "sealed state holds roots only");
+        // Another tree of the level; the right rows under a wrong leaf
+        // count or level; a tree for a level the state does not have.
+        assert!(!state.adopt_crown(&other, other_crown.clone()));
+        assert!(!state.adopt_crown(&LevelCommitment { leaf_count: 2501, ..c2 }, crown2.clone()));
+        assert!(!state.adopt_crown(&LevelCommitment { level: 3, ..c2 }, crown2.clone()));
+        assert!(!state.adopt_crown(&LevelCommitment { level: 9, ..c2 }, crown2.clone()));
+        // The committed root claimed over another tree's rows.
+        assert!(!state.adopt_crown(&c2, other_crown));
+        assert_eq!(state.crown_nodes(2), 1);
+        assert!(state.adopt_crown(&c2, crown2.clone()));
+        assert_eq!(state.crown_nodes(2), crown2.node_count());
+        assert_eq!(crown_at(&state, 0, 2).crown, crown2, "the newest snapshot has it too");
+        assert_eq!(state.commitments()[2], c2);
     }
 }

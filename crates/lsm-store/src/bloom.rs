@@ -29,6 +29,17 @@ fn base_hash(data: &[u8], seed: u64) -> u64 {
     h
 }
 
+/// What one [`BloomFilter::probe`] found and read.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Probe {
+    /// Whether the key may be present (false: definitely absent).
+    pub hit: bool,
+    /// Byte offset of the first bit tested.
+    pub first_offset: usize,
+    /// Bits tested before the verdict (at least one, at most `k`).
+    pub bits_tested: usize,
+}
+
 impl BloomFilter {
     /// Builds a filter over `keys` with `bits_per_key` bits per key.
     pub fn from_keys<K: AsRef<[u8]>>(keys: &[K], bits_per_key: usize) -> Self {
@@ -50,28 +61,27 @@ impl BloomFilter {
     }
 
     /// Tests membership. False positives possible, false negatives not.
-    /// Returns the byte offsets probed so the caller can model memory
-    /// touches of the in-enclave filter.
-    pub fn probe(&self, key: &[u8]) -> (bool, Vec<usize>) {
+    /// Reports where the probe started and how many bits it tested so the
+    /// caller can model memory touches of the in-enclave filter.
+    pub fn probe(&self, key: &[u8]) -> Probe {
         let nbits = self.bits.len() * 8;
         let h1 = base_hash(key, 0);
         let h2 = base_hash(key, 0x9e37_79b9);
-        let mut offsets = Vec::with_capacity(self.k as usize);
-        let mut hit = true;
+        let bit_at =
+            |i: u32| (h1.wrapping_add(u64::from(i).wrapping_mul(h2)) % nbits as u64) as usize;
+        let first_offset = bit_at(0) / 8;
         for i in 0..self.k {
-            let bit = (h1.wrapping_add(u64::from(i).wrapping_mul(h2)) % nbits as u64) as usize;
-            offsets.push(bit / 8);
+            let bit = bit_at(i);
             if self.bits[bit / 8] & (1 << (bit % 8)) == 0 {
-                hit = false;
-                break;
+                return Probe { hit: false, first_offset, bits_tested: i as usize + 1 };
             }
         }
-        (hit, offsets)
+        Probe { hit: true, first_offset, bits_tested: self.k as usize }
     }
 
     /// Convenience wrapper discarding probe offsets.
     pub fn may_contain(&self, key: &[u8]) -> bool {
-        self.probe(key).0
+        self.probe(key).hit
     }
 
     /// Size of the bit array in bytes.
@@ -92,8 +102,9 @@ impl BloomFilter {
     pub fn decode(buf: &[u8]) -> Option<Self> {
         let k = get_fixed_u32(buf, 0)?;
         let len = get_fixed_u32(buf, 4)? as usize;
-        let bits = buf.get(8..8 + len)?.to_vec();
-        if k == 0 || k > 30 {
+        let bits = buf.get(8..8usize.checked_add(len)?)?.to_vec();
+        // An empty bit array has nothing to take a probe modulo of.
+        if k == 0 || k > 30 || bits.is_empty() {
             return None;
         }
         Some(BloomFilter { bits, k })
@@ -157,12 +168,21 @@ mod tests {
     }
 
     #[test]
-    fn probe_reports_offsets() {
+    fn probe_reports_what_it_read() {
         let ks = keys(10);
         let f = BloomFilter::from_keys(&ks, 10);
-        let (hit, offsets) = f.probe(ks[0].as_slice());
-        assert!(hit);
-        assert!(!offsets.is_empty());
-        assert!(offsets.iter().all(|&o| o < f.byte_len()));
+        let present = f.probe(ks[0].as_slice());
+        assert!(present.hit && present.first_offset < f.byte_len());
+        assert_eq!(present.bits_tested, 6, "a hit tests all k = 10 * 0.69 bits");
+        let absent = f.probe(b"never-added");
+        assert!(!absent.hit && (1..=6).contains(&absent.bits_tested));
+    }
+
+    /// A zero-length filter from the host would make every probe divide
+    /// by zero.
+    #[test]
+    fn decode_rejects_an_empty_bit_array() {
+        assert!(BloomFilter::decode(&[6, 0, 0, 0, 0, 0, 0, 0]).is_none());
+        assert!(BloomFilter::decode(&[6, 0, 0, 0, 1, 0, 0, 0, 0xff]).is_some());
     }
 }

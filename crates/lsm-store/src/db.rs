@@ -1097,12 +1097,9 @@ impl Db {
         // In stacked layouts — compaction off, or a stacked strategy like
         // size-tiered — runs stack upward as they flush, so the freshest
         // run has the highest index and search order reverses.
-        let order: Vec<usize> = if self.stacked_reads {
-            (1..version.levels().len()).rev().collect()
-        } else {
-            (1..version.levels().len()).collect()
-        };
-        for level in order {
+        let level_count = version.levels().len();
+        for nth in 1..level_count {
+            let level = if self.stacked_reads { level_count - nth } else { nth };
             match version.level(level) {
                 None => levels.push(LevelSearch { level, outcome: LevelOutcome::Empty }),
                 Some(run) => match run.get(key, ts_q, neighbors)? {

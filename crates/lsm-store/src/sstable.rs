@@ -249,6 +249,11 @@ pub enum TableGet {
     },
 }
 
+/// The error for a table whose bytes — the host's — do not hold together.
+fn corrupt_table(file: &SimFile) -> FsError {
+    FsError::OutOfBounds { name: file.name(), requested_end: file.len(), len: file.len() }
+}
+
 /// Reads an SSTable, keeping its metadata (index + Bloom filter) in enclave
 /// memory when the environment runs in enclave mode.
 #[derive(Debug)]
@@ -268,11 +273,11 @@ impl TableReader {
     ///
     /// # Errors
     ///
-    /// Returns [`FsError`] when the file is truncated or corrupt.
+    /// Returns [`FsError`] when the file is truncated or corrupt — an index
+    /// without entries included: every lookup starts from a block.
     pub fn open(env: Arc<StorageEnv>, file: Arc<SimFile>, file_no: u64) -> Result<Self, FsError> {
         let file_len = file.len();
-        let corrupt =
-            || FsError::OutOfBounds { name: file.name(), requested_end: file_len, len: file_len };
+        let corrupt = || corrupt_table(&file);
         if file_len < FOOTER_LEN {
             return Err(corrupt());
         }
@@ -307,6 +312,9 @@ impl TableReader {
             let off = get_fixed_u64(&value, 0).ok_or_else(corrupt)?;
             let len = get_fixed_u64(&value, 8).ok_or_else(corrupt)?;
             index.push((key, off, len));
+        }
+        if index.is_empty() {
+            return Err(corrupt());
         }
 
         let bloom = if bloom_len > 0 {
@@ -384,11 +392,11 @@ impl TableReader {
         self.env.touch_metadata(self.index_region.as_ref(), [(0, 32usize), (off, probes * 32)]);
     }
 
-    fn charge_bloom_probe(&self, offsets: &[usize]) {
+    fn charge_bloom_probe(&self, probe: crate::bloom::Probe) {
         // Same page-granularity argument: the k probed bits are charged as
         // one batch anchored at the first probed offset.
-        let anchor = offsets.first().copied().unwrap_or(0);
-        self.env.touch_metadata(self.bloom_region.as_ref(), [(anchor, offsets.len().max(1))]);
+        self.env
+            .touch_metadata(self.bloom_region.as_ref(), [(probe.first_offset, probe.bits_tested)]);
     }
 
     /// Point lookup: newest record for `key` with `ts <= ts_q`, or the
@@ -409,9 +417,9 @@ impl TableReader {
         neighbors: NeighborPolicy,
     ) -> Result<TableGet, FsError> {
         if let Some(bloom) = &self.bloom {
-            let (maybe, offsets) = bloom.probe(key);
-            self.charge_bloom_probe(&offsets);
-            if !maybe {
+            let probe = bloom.probe(key);
+            self.charge_bloom_probe(probe);
+            if !probe.hit {
                 // Definitely absent. eLSM still needs the neighbors for
                 // non-membership proofs; the plain path returns at once.
                 return self.miss_with_neighbors(key, ts_q, neighbors);
@@ -461,6 +469,7 @@ impl TableReader {
             return Ok(None);
         }
         let seek = InternalKey::seek_to(key);
+        // `open` admits no table without a block.
         let start = self.block_for(seek.encoded()).unwrap_or(self.index.len() - 1);
         // Scan the candidate block (and earlier ones if needed) for the last
         // record with user key < key.
@@ -603,11 +612,12 @@ impl TableReader {
     ///
     /// # Errors
     ///
-    /// Returns [`FsError`] on IO errors.
+    /// Returns [`FsError`] on IO errors, and when the first block holds no
+    /// decodable entry.
     pub fn first_record(&self) -> Result<Record, FsError> {
         let block = self.read_block(0)?;
-        let (ik_bytes, value) = block.iter().next().expect("non-empty table");
-        let ik = InternalKey::from_encoded(&ik_bytes).expect("valid key");
+        let (ik_bytes, value) = block.iter().next().ok_or_else(|| corrupt_table(&self.file))?;
+        let ik = InternalKey::from_encoded(&ik_bytes).ok_or_else(|| corrupt_table(&self.file))?;
         Ok(record_from(ik, value))
     }
 
@@ -615,12 +625,13 @@ impl TableReader {
     ///
     /// # Errors
     ///
-    /// Returns [`FsError`] on IO errors.
+    /// Returns [`FsError`] on IO errors, and when the key the properties
+    /// name as largest is not in the table.
     pub fn last_key_newest(&self) -> Result<Record, FsError> {
         let largest = self.meta.largest.clone();
         match self.get(&largest, Timestamp::MAX >> 1, NeighborPolicy::Skip)? {
             TableGet::Hit(r) => Ok(r),
-            TableGet::Miss { .. } => unreachable!("largest key must be present"),
+            TableGet::Miss { .. } => Err(corrupt_table(&self.file)),
         }
     }
 }
@@ -913,6 +924,117 @@ mod tests {
         let file = fs.create("bad.sst").unwrap();
         file.append(&[0u8; 100]);
         assert!(TableReader::open(env, file, 9).is_err());
+    }
+
+    /// Writes a table file from hand-made sections, with an honest footer.
+    fn assemble(
+        fs: &Arc<SimFs>,
+        name: &str,
+        data_blocks: &[Vec<u8>],
+        index: &[(&[u8], usize)],
+        (smallest, largest): (&[u8], &[u8]),
+    ) -> Arc<SimFile> {
+        let mut bytes = Vec::new();
+        let mut offsets = Vec::new();
+        for block in data_blocks {
+            offsets.push((bytes.len() as u64, block.len() as u64));
+            bytes.extend_from_slice(block);
+        }
+        let bloom_offset = bytes.len() as u64; // no filter: zero length
+        let mut index_block = BlockBuilder::new();
+        for (last_key, block_no) in index {
+            let mut v = Vec::new();
+            put_fixed_u64(&mut v, offsets[*block_no].0);
+            put_fixed_u64(&mut v, offsets[*block_no].1);
+            index_block.add(last_key, &v);
+        }
+        let index_bytes = index_block.finish();
+        let index_offset = bytes.len() as u64;
+        bytes.extend_from_slice(&index_bytes);
+        let mut props = Vec::new();
+        put_length_prefixed(&mut props, smallest);
+        put_length_prefixed(&mut props, largest);
+        put_fixed_u64(&mut props, 1);
+        let props_offset = bytes.len() as u64;
+        bytes.extend_from_slice(&props);
+        let footer = [
+            bloom_offset,
+            0,
+            index_offset,
+            index_bytes.len() as u64,
+            props_offset,
+            props.len() as u64,
+            MAGIC,
+        ];
+        for word in footer {
+            put_fixed_u64(&mut bytes, word);
+        }
+        let file = fs.create(name).unwrap();
+        file.append(&bytes);
+        file
+    }
+
+    fn block_of(records: &[Record]) -> Vec<u8> {
+        let mut block = BlockBuilder::new();
+        for r in records {
+            block.add(r.internal_key().encoded(), &r.value);
+        }
+        block.finish()
+    }
+
+    /// The host owns a table's bytes. Three shapes that parse and used to
+    /// panic — an index without entries, a first block without entries, a
+    /// largest key that is not there — are errors or plain misses now,
+    /// through every read entry point.
+    #[test]
+    fn malformed_tables_are_errors_not_panics() {
+        let (env, fs) = test_env(EnvConfig { block_cache_bytes: 0, ..EnvConfig::default() });
+        let ts_max = Timestamp::MAX >> 1;
+        let recs = [
+            Record::put(b"b".as_slice(), b"1".as_slice(), 1),
+            Record::put(b"d".as_slice(), b"2".as_slice(), 2),
+        ];
+        let last = recs[1].internal_key();
+
+        // An index block that parses and holds nothing: refused at open
+        // (the first traced miss used to index `len() - 1` of it).
+        let file = assemble(&fs, "noindex.sst", &[block_of(&recs)], &[], (b"b", b"d"));
+        assert!(TableReader::open(env.clone(), file, 1).is_err());
+
+        // A first data block with no entries.
+        let empty = BlockBuilder::new().finish();
+        let file = assemble(&fs, "emptyblock.sst", &[empty], &[(last.encoded(), 0)], (b"b", b"d"));
+        let hollow = Arc::new(TableReader::open(env.clone(), file, 2).unwrap());
+        assert!(hollow.first_record().is_err());
+        assert!(hollow.last_key_newest().is_err());
+        for key in [&b"a"[..], b"b", b"c", b"d", b"e"] {
+            let got = hollow.get(key, ts_max, NeighborPolicy::Required).unwrap();
+            assert_eq!(got, TableGet::Miss { left: None, right: None }, "{key:?}");
+        }
+        assert!(hollow.range(b"a", b"z").unwrap().is_empty());
+        let run = crate::version::Run::new(vec![hollow]);
+        assert_eq!(run.neighbor_below(b"z", ts_max).unwrap(), None);
+        assert_eq!(run.neighbor_above(b"a", ts_max).unwrap(), None);
+
+        // Properties naming a largest key the table does not hold.
+        let index = [(last.encoded(), 0)];
+        let file = assemble(&fs, "liar.sst", &[block_of(&recs)], &index, (b"b", b"x"));
+        let liar = Arc::new(TableReader::open(env.clone(), file, 3).unwrap());
+        assert!(liar.last_key_newest().is_err());
+        assert_eq!(liar.first_record().unwrap(), recs[0]);
+        match liar.get(b"x", ts_max, NeighborPolicy::Required).unwrap() {
+            TableGet::Miss { left, right } => {
+                assert_eq!((left, right), (Some(recs[1].clone()), None))
+            }
+            TableGet::Hit(_) => panic!("x is not in the table"),
+        }
+        assert_eq!(liar.range(b"c", b"z").unwrap(), vec![recs[1].clone()]);
+        let run = crate::version::Run::new(vec![liar]);
+        assert_eq!(run.neighbor_below(b"x", ts_max).unwrap(), Some(recs[1].clone()));
+        assert!(matches!(
+            run.get(b"w", ts_max, NeighborPolicy::Required).unwrap(),
+            TableGet::Miss { left: Some(_), right: None }
+        ));
     }
 
     #[test]

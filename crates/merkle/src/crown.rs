@@ -1,0 +1,468 @@
+//! Crowns: the trusted top rows of a Merkle tree.
+//!
+//! The paper keeps one root per LSM level in the enclave and hashes every
+//! audit path all the way up to it. The top rows of those paths are the
+//! same few nodes on every read, so the enclave can keep them too: a
+//! [`Crown`] is the tree's rows from the root down to the widest row of at
+//! most [`CROWN_ROW_MAX`] nodes. A verifier then hashes a proof only up to
+//! the crown's lowest row (the **anchor row**), compares the node it
+//! reached with the trusted one, and compares every remaining proof
+//! sibling with the trusted node beside the path.
+//!
+//! Why the accept set is unchanged: the crown is a copy of rows of the
+//! very tree the root commits to. Below the anchor row the walk is the
+//! old one. At and above it, "equals the trusted node" is what "hashes up
+//! to the root" meant — two different values there that both reach the
+//! root would be a SHA-256 collision — and every proof byte is still
+//! checked, by equality instead of by hashing. The root alone is the
+//! one-row crown ([`Anchor::root`]), so the root-only walk is the same
+//! code with the anchor row at the top.
+
+use elsm_crypto::Digest;
+
+/// Widest row a crown holds. With every narrower row above it a crown is
+/// at most `2 * CROWN_ROW_MAX - 1` digests — under 64 KiB of enclave
+/// memory per level.
+pub const CROWN_ROW_MAX: usize = 1024;
+
+/// Number of rows above the leaves in a tree of `leaf_count` leaves: the
+/// height of its root.
+pub(crate) fn tree_height(leaf_count: usize) -> u32 {
+    match leaf_count {
+        0 | 1 => 0,
+        n => usize::BITS - (n - 1).leading_zeros(),
+    }
+}
+
+/// The top rows of one Merkle tree, owned (see the module docs).
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Crown {
+    /// Height above the leaves of the lowest row held.
+    base_height: u32,
+    /// The rows back to back, lowest (widest) first, the root last.
+    nodes: Vec<Digest>,
+}
+
+impl Crown {
+    /// Copies `rows` (lowest first, the root row last), the lowest of
+    /// which sits `base_height` rows above the leaves.
+    pub(crate) fn from_rows(base_height: u32, rows: &[Vec<Digest>]) -> Self {
+        Crown { base_height, nodes: rows.concat() }
+    }
+
+    /// The one-row crown: what a verifier holds that was given only the
+    /// root of a tree of `leaf_count` leaves.
+    pub fn root_only(root: Digest, leaf_count: usize) -> Self {
+        Crown { base_height: tree_height(leaf_count), nodes: vec![root] }
+    }
+
+    /// The borrowed view the verifiers take.
+    pub fn anchor(&self) -> Anchor<'_> {
+        Anchor { base_height: self.base_height, nodes: &self.nodes }
+    }
+
+    /// The tree's root ([`Digest::ZERO`] for the crown of an empty tree).
+    pub fn root(&self) -> Digest {
+        self.nodes.last().copied().unwrap_or(Digest::ZERO)
+    }
+
+    /// Height above the leaves of the anchor row (0: the crown holds the
+    /// leaf row itself and verification hashes no interior node).
+    pub fn base_height(&self) -> u32 {
+        self.base_height
+    }
+
+    /// Number of digests held, all rows together.
+    pub fn node_count(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Bytes of digests held.
+    pub fn byte_len(&self) -> usize {
+        self.nodes.len() * 32
+    }
+}
+
+/// Trusted rows a proof is verified against: a [`Crown`], borrowed.
+#[derive(Debug, Clone, Copy)]
+pub struct Anchor<'a> {
+    pub(crate) base_height: u32,
+    /// Rows back to back, the anchor row first. Row widths follow from the
+    /// leaf count the verifier is given; a slice that does not match it
+    /// fails verification, it is never indexed out of bounds.
+    pub(crate) nodes: &'a [Digest],
+}
+
+impl<'a> Anchor<'a> {
+    /// The one-row crown over a borrowed root (see [`Crown::root_only`]).
+    pub fn root(root: &'a Digest, leaf_count: usize) -> Self {
+        Anchor { base_height: tree_height(leaf_count), nodes: std::slice::from_ref(root) }
+    }
+}
+
+/// What one anchored verification did, for cost accounting.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Work {
+    /// Interior nodes computed by hashing (rows below the anchor row).
+    pub hashed: usize,
+    /// Nodes compared against trusted crown nodes.
+    pub compared: usize,
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::range::{prove_range, verify_range, verify_range_anchored, RangeProof};
+    use crate::tree::{leaf_hash, node_hash, MerkleTree};
+
+    /// The root-only path walk as it stood before anchors existed, kept as
+    /// the reference the one walk is compared against.
+    fn reference_verify(
+        root: Digest,
+        leaf_count: usize,
+        index: usize,
+        leaf: Digest,
+        path: &[Digest],
+    ) -> bool {
+        if index >= leaf_count || leaf_count == 0 {
+            return false;
+        }
+        let mut path = path.iter();
+        let (mut h, mut idx, mut count) = (leaf, index, leaf_count);
+        while count > 1 {
+            if idx ^ 1 < count {
+                let Some(sib) = path.next() else { return false };
+                h = if idx % 2 == 0 { node_hash(&h, sib) } else { node_hash(sib, &h) };
+            }
+            idx /= 2;
+            count = count.div_ceil(2);
+        }
+        path.next().is_none() && h == root
+    }
+
+    /// The root-only range walk as it stood before anchors existed.
+    fn reference_verify_range(
+        root: Digest,
+        leaf_count: usize,
+        lo: usize,
+        leaves: &[Digest],
+        proof: &RangeProof,
+    ) -> bool {
+        if leaves.is_empty() || lo + leaves.len() > leaf_count {
+            return false;
+        }
+        let (mut a, mut count, mut known) = (lo, leaf_count, leaves.to_vec());
+        let (mut li, mut ri) = (proof.left.iter(), proof.right.iter());
+        while count > 1 {
+            let mut b = a + known.len() - 1;
+            if a % 2 == 1 {
+                let Some(h) = li.next() else { return false };
+                known.insert(0, *h);
+                a -= 1;
+            }
+            if b % 2 == 0 && b + 1 < count {
+                let Some(h) = ri.next() else { return false };
+                known.push(*h);
+                b += 1;
+            }
+            let mut next = Vec::with_capacity(known.len() / 2 + 1);
+            for pair in known.chunks(2) {
+                match pair {
+                    [l, r] => next.push(node_hash(l, r)),
+                    [promoted] if b == count - 1 => next.push(*promoted),
+                    _ => return false,
+                }
+            }
+            known = next;
+            a /= 2;
+            count = count.div_ceil(2);
+        }
+        li.next().is_none() && ri.next().is_none() && known.len() == 1 && known[0] == root
+    }
+
+    fn tree(n: usize) -> (MerkleTree, Vec<Digest>) {
+        let leaves: Vec<Digest> = (0..n).map(|i| leaf_hash(format!("c{i}").as_bytes())).collect();
+        (MerkleTree::from_leaves(leaves.clone()), leaves)
+    }
+
+    /// Crowns of `t` anchored at every row, leaf row to root.
+    fn crowns(t: &MerkleTree) -> Vec<Crown> {
+        (0..=tree_height(t.leaf_count())).map(|h| t.crown_from(h)).collect()
+    }
+
+    /// Every way to damage a digest list that the tests try: the honest
+    /// list, one flipped byte per position in `flips`, every truncation
+    /// and one extension.
+    fn damaged(honest: &[Digest], flips: impl Fn(usize) -> Vec<usize>) -> Vec<Vec<Digest>> {
+        let mut out = vec![honest.to_vec()];
+        for i in 0..honest.len() {
+            for byte in flips(i) {
+                let mut bytes = *honest[i].as_bytes();
+                bytes[byte] ^= 0x40;
+                let mut list = honest.to_vec();
+                list[i] = Digest::from_bytes(bytes);
+                out.push(list);
+            }
+        }
+        for cut in 0..honest.len() {
+            out.push(honest[..cut].to_vec());
+        }
+        let mut longer = honest.to_vec();
+        longer.push(leaf_hash(b"extension"));
+        out.push(longer);
+        out
+    }
+
+    fn every_byte(_: usize) -> Vec<usize> {
+        (0..32).collect()
+    }
+
+    fn one_byte(i: usize) -> Vec<usize> {
+        vec![(i * 7 + 3) % 32]
+    }
+
+    /// Unoptimised SHA-256 is ~20x slower: debug runs cover every shape on
+    /// a smaller sweep, `cargo test --release` (CI) runs all of it.
+    const FULL_SWEEP: bool = !cfg!(debug_assertions);
+
+    /// Anchored ≡ root verification of leaf `i` over `path`, at every
+    /// anchor height; an accepted proof reports work that adds up.
+    fn assert_path_equivalent(t: &MerkleTree, crowns: &[Crown], i: usize, path: &[Digest]) {
+        let (n, leaf) = (t.leaf_count(), t.leaves()[i]);
+        let by_root = reference_verify(t.root(), n, i, leaf, path);
+        assert_eq!(MerkleTree::verify(t.root(), n, i, leaf, path), by_root, "n={n} leaf={i}");
+        for crown in crowns {
+            let work =
+                MerkleTree::verify_siblings(crown.anchor(), n, i, leaf, path.iter().copied());
+            assert_eq!(work.is_some(), by_root, "n={n} leaf={i} anchor={}", crown.base_height());
+            if let Some(work) = work {
+                assert_eq!(work.hashed + work.compared, path.len() + 1);
+                assert!(work.hashed <= crown.base_height() as usize);
+            }
+        }
+    }
+
+    #[test]
+    fn anchored_paths_equal_root_paths_small_trees_exhaustive() {
+        for n in 1..=33 {
+            let (t, leaves) = tree(n);
+            let crowns = crowns(&t);
+            let flips = if FULL_SWEEP || n <= 16 { every_byte } else { one_byte };
+            for (i, &leaf_i) in leaves.iter().enumerate() {
+                for path in damaged(&t.audit_path(i), flips) {
+                    assert_path_equivalent(&t, &crowns, i, &path);
+                }
+                // The right path under the wrong leaf or index.
+                for crown in &crowns {
+                    let path = t.audit_path(i);
+                    let verify = |idx, leaf| {
+                        MerkleTree::verify_siblings(
+                            crown.anchor(),
+                            n,
+                            idx,
+                            leaf,
+                            path.iter().copied(),
+                        )
+                    };
+                    assert!(verify(i, leaf_hash(b"forged")).is_none());
+                    assert!(verify(n, leaf_i).is_none());
+                    if n > 1 {
+                        assert!(verify((i + 1) % n, leaf_i).is_none());
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn anchored_paths_equal_root_paths_large_trees() {
+        for n in [1000, 4097] {
+            let (t, _) = tree(n);
+            let crowns = crowns(&t);
+            // The edges, the promoted nodes' neighbourhood and a spread.
+            let mut picks = vec![0, 1, 2, n / 2 - 1, n / 2, n - 3, n - 2, n - 1];
+            picks.extend((0..24).map(|k| (k * 2_654_435_761usize) % n));
+            for i in picks {
+                for path in damaged(&t.audit_path(i), one_byte) {
+                    assert_path_equivalent(&t, &crowns, i, &path);
+                }
+            }
+        }
+    }
+
+    /// Anchored ≡ root verification of leaves `lo..` over `proof`.
+    fn assert_range_equivalent(
+        t: &MerkleTree,
+        crowns: &[Crown],
+        lo: usize,
+        leaves: &[Digest],
+        proof: &RangeProof,
+    ) {
+        let n = t.leaf_count();
+        let by_root = reference_verify_range(t.root(), n, lo, leaves, proof);
+        assert_eq!(verify_range(t.root(), n, lo, leaves, proof), by_root, "n={n} lo={lo}");
+        for crown in crowns {
+            let mut known = leaves.to_vec();
+            let work = verify_range_anchored(crown.anchor(), n, lo, &mut known, proof);
+            assert_eq!(
+                work.is_some(),
+                by_root,
+                "n={n} lo={lo} len={} anchor={}",
+                leaves.len(),
+                crown.base_height()
+            );
+        }
+    }
+
+    fn assert_range_equivalent_under_damage(
+        t: &MerkleTree,
+        crowns: &[Crown],
+        (lo, hi): (usize, usize),
+        flips: fn(usize) -> Vec<usize>,
+    ) {
+        let leaves = &t.leaves()[lo..=hi];
+        let honest = prove_range(t, lo, hi);
+        for left in damaged(&honest.left, flips) {
+            let proof = RangeProof { left, right: honest.right.clone() };
+            assert_range_equivalent(t, crowns, lo, leaves, &proof);
+        }
+        for right in damaged(&honest.right, flips) {
+            let proof = RangeProof { left: honest.left.clone(), right };
+            assert_range_equivalent(t, crowns, lo, leaves, &proof);
+        }
+        // A sibling moved from one side to the other.
+        if let Some((moved, rest)) = honest.left.split_last() {
+            let mut right = honest.right.clone();
+            right.push(*moved);
+            let proof = RangeProof { left: rest.to_vec(), right };
+            assert_range_equivalent(t, crowns, lo, leaves, &proof);
+        }
+        // The honest proof under damaged, withheld or shifted leaves.
+        let mut forged = leaves.to_vec();
+        forged[(lo + hi) % leaves.len()] = leaf_hash(b"forged");
+        assert_range_equivalent(t, crowns, lo, &forged, &honest);
+        assert_range_equivalent(t, crowns, lo, &leaves[1..], &honest);
+        assert_range_equivalent(t, crowns, lo + 1, leaves, &honest);
+        if lo > 0 {
+            assert_range_equivalent(t, crowns, lo - 1, leaves, &honest);
+        }
+    }
+
+    #[test]
+    fn anchored_ranges_equal_root_ranges_small_trees_exhaustive() {
+        for n in 1..=if FULL_SWEEP { 33 } else { 19 } {
+            let (t, _) = tree(n);
+            let crowns = crowns(&t);
+            // Every byte of every sibling on the smallest trees, one byte
+            // of every sibling on the rest.
+            let flips = if n <= 9 { every_byte } else { one_byte };
+            for lo in 0..n {
+                for hi in lo..n {
+                    assert_range_equivalent_under_damage(&t, &crowns, (lo, hi), flips);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn anchored_ranges_equal_root_ranges_large_trees() {
+        for n in [1000, 4097] {
+            let (t, _) = tree(n);
+            let crowns = crowns(&t);
+            let mut ranges = vec![(0, 0), (0, n - 1), (n - 1, n - 1), (n - 2, n - 1), (0, 1)];
+            for k in 0..if FULL_SWEEP { 16usize } else { 4 } {
+                let lo = (k * 2_654_435_761) % n;
+                ranges.push((lo, (lo + 1 + k * k).min(n - 1)));
+            }
+            for range in ranges {
+                assert_range_equivalent_under_damage(&t, &crowns, range, one_byte);
+            }
+        }
+    }
+
+    /// A tree no wider than the crown's widest row is held whole: the
+    /// verifier hashes the record into its leaf and compares.
+    #[test]
+    fn short_tree_degenerates_to_hash_the_leaf_and_compare() {
+        for n in [1, 2, 5, 700, CROWN_ROW_MAX] {
+            let (t, leaves) = tree(n);
+            let crown = t.crown(CROWN_ROW_MAX);
+            assert_eq!(crown.base_height(), 0);
+            assert_eq!(crown.root(), t.root());
+            let i = n / 2;
+            let path = t.audit_path(i);
+            let work =
+                MerkleTree::verify_siblings(crown.anchor(), n, i, leaves[i], path.iter().copied())
+                    .expect("honest");
+            assert_eq!(work, Work { hashed: 0, compared: path.len() + 1 });
+        }
+    }
+
+    #[test]
+    fn crown_stops_at_the_widest_row_that_fits() {
+        let (t, leaves) = tree(CROWN_ROW_MAX + 1);
+        let crown = t.crown(CROWN_ROW_MAX);
+        assert_eq!(crown.base_height(), 1);
+        assert_eq!(crown.node_count(), 513 + 257 + 129 + 65 + 33 + 17 + 9 + 5 + 3 + 2 + 1);
+        let path = t.audit_path(7);
+        let work = MerkleTree::verify_siblings(
+            crown.anchor(),
+            t.leaf_count(),
+            7,
+            leaves[7],
+            path.iter().copied(),
+        )
+        .expect("honest");
+        assert_eq!(work, Work { hashed: 1, compared: path.len() });
+        let (t, _) = tree(40_000);
+        let crown = t.crown(CROWN_ROW_MAX);
+        assert_eq!(crown.base_height(), 6, "40 000 leaves: rows of 625 and narrower");
+        assert!(crown.byte_len() <= 64 * 1024);
+        assert_eq!(crown.root(), t.root());
+    }
+
+    #[test]
+    fn root_only_crown_is_the_root_walk() {
+        let (t, leaves) = tree(21);
+        let crown = Crown::root_only(t.root(), 21);
+        assert_eq!((crown.node_count(), crown.base_height()), (1, 5));
+        let path = t.audit_path(20);
+        let work =
+            MerkleTree::verify_siblings(crown.anchor(), 21, 20, leaves[20], path.iter().copied())
+                .expect("honest");
+        assert_eq!(work, Work { hashed: path.len(), compared: 1 });
+        assert_eq!(tree_height(0), 0);
+        assert_eq!(tree_height(1), 0);
+        assert_eq!(tree_height(2), 1);
+        assert_eq!(tree_height(3), 2);
+        assert_eq!(tree_height(1024), 10);
+        assert_eq!(tree_height(1025), 11);
+    }
+
+    /// A crown that does not belong to the claimed leaf count rejects; it
+    /// does not index out of bounds.
+    #[test]
+    fn mismatched_crown_rejects() {
+        let (t, leaves) = tree(64);
+        let (other, _) = tree(9);
+        let path = t.audit_path(40);
+        for crown in crowns(&other) {
+            let got = MerkleTree::verify_siblings(
+                crown.anchor(),
+                64,
+                40,
+                leaves[40],
+                path.iter().copied(),
+            );
+            assert!(got.is_none());
+            let mut known = leaves[30..50].to_vec();
+            let proof = prove_range(&t, 30, 49);
+            assert!(verify_range_anchored(crown.anchor(), 64, 30, &mut known, &proof).is_none());
+        }
+        let empty = MerkleTree::from_leaves(Vec::new()).crown(CROWN_ROW_MAX);
+        assert_eq!((empty.node_count(), empty.root()), (0, Digest::ZERO));
+        assert!(
+            MerkleTree::verify_siblings(empty.anchor(), 0, 0, leaves[0], [].into_iter()).is_none()
+        );
+    }
+}

@@ -25,6 +25,7 @@
 use elsm_crypto::Digest;
 
 use crate::chain::{chain_link, ChainPosition};
+use crate::crown::Crown;
 use crate::proof::{encode_parts, head_encoded_len, LevelCommitment, RecordProof, LINK_LEN};
 use crate::range::{prove_range, RangeProof};
 use crate::tree::MerkleTree;
@@ -179,6 +180,13 @@ impl LevelDigest {
             root: self.tree.root(),
             leaf_count: self.tree.leaf_count() as u64,
         }
+    }
+
+    /// The crown the enclave keeps beside the commitment: the tree's top
+    /// rows down to the widest of at most `row_max` nodes, copied (see
+    /// [`crate::crown`]).
+    pub fn crown(&self, row_max: usize) -> Crown {
+        self.tree.crown(row_max)
     }
 
     /// Level number.

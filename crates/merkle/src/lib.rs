@@ -3,6 +3,8 @@
 //! Authenticated data structures for the eLSM reproduction:
 //!
 //! * [`tree`] — RFC 6962-style Merkle hash trees with audit paths,
+//! * [`crown`] — the top rows of a tree, kept by the verifier so a proof
+//!   is hashed only up to them and compared from there on,
 //! * [`chain`] — temporal hash chains over record versions (§5.2),
 //! * [`level`] — per-LSM-level digests: chains at the leaves of a tree,
 //!   built streaming in compaction order (Figure 4's `MHT_add`), stored
@@ -36,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod chain;
+pub mod crown;
 pub mod level;
 pub mod mbt;
 pub mod proof;
@@ -43,8 +46,9 @@ pub mod range;
 pub mod tree;
 
 pub use chain::{chain_digest, chain_link, ChainPosition};
+pub use crown::{Anchor, Crown, Work, CROWN_ROW_MAX};
 pub use level::{LeafLookup, LevelDigest, LevelDigestBuilder};
 pub use mbt::{MerkleBTree, UpdateStats};
 pub use proof::{ChainWalk, LevelCommitment, RecordProof, RecordProofRef, VerifyError, LINK_LEN};
-pub use range::{prove_range, verify_range, RangeProof};
+pub use range::{prove_range, verify_range, verify_range_anchored, RangeProof};
 pub use tree::{leaf_hash, node_hash, MerkleTree};

@@ -27,6 +27,7 @@
 use elsm_crypto::{sha256_concat, Digest};
 
 use crate::chain::{chain_link, ChainPosition};
+use crate::crown::{Anchor, Work};
 use crate::tree::MerkleTree;
 
 /// What the enclave stores per level: `(level, root, leaf_count)`.
@@ -133,10 +134,12 @@ impl RecordProof {
         };
         verify_head(
             commitment,
+            Anchor::root(&commitment.root, commitment.leaf_count as usize),
             (self.level, self.leaf_index, self.leaf_count),
             || self.chain.suffix_digest(record_bytes),
             audit_path.iter().copied(),
         )
+        .map(drop)
     }
 
     /// Serializes the proof (for embedding in stored values).
@@ -219,31 +222,30 @@ pub(crate) fn encode_parts<'d>(
     }
 }
 
-/// The head checks shared by the owned and the borrowed proof.
+/// The head checks shared by the owned and the borrowed proof: the
+/// header against `commitment`, the path against `anchor` — the trusted
+/// top rows of the tree `commitment.root` is the root of.
 fn verify_head(
     commitment: &LevelCommitment,
+    anchor: Anchor<'_>,
     (level, leaf_index, leaf_count): (u32, u64, u64),
     chain_head: impl FnOnce() -> Digest,
     siblings: impl Iterator<Item = Digest>,
-) -> Result<(), VerifyError> {
+) -> Result<Work, VerifyError> {
     if level != commitment.level {
         return Err(VerifyError::LevelMismatch);
     }
     if leaf_count != commitment.leaf_count {
         return Err(VerifyError::LeafCountMismatch);
     }
-    let ok = MerkleTree::verify_siblings(
-        commitment.root,
+    MerkleTree::verify_siblings(
+        anchor,
         commitment.leaf_count as usize,
         leaf_index as usize,
         chain_head(),
         siblings,
-    );
-    if ok {
-        Ok(())
-    } else {
-        Err(VerifyError::BadAuditPath)
-    }
+    )
+    .ok_or(VerifyError::BadAuditPath)
 }
 
 /// A proof read in place from a stored value: the only decoder of the
@@ -370,11 +372,30 @@ impl<'a> RecordProofRef<'a> {
         commitment: &LevelCommitment,
         record_bytes: &[u8],
     ) -> Result<(), VerifyError> {
+        let anchor = Anchor::root(&commitment.root, commitment.leaf_count as usize);
+        self.verify_anchored(commitment, anchor, record_bytes).map(drop)
+    }
+
+    /// [`RecordProofRef::verify`] against `anchor`, the trusted top rows
+    /// of the level's tree (see [`crate::crown`]): same verdicts, with the
+    /// audit path hashed only below the anchor row. Says what was done.
+    ///
+    /// # Errors
+    ///
+    /// As [`RecordProofRef::verify`]. An `anchor` that is not of the tree
+    /// `commitment` commits to rejects every proof.
+    pub fn verify_anchored(
+        &self,
+        commitment: &LevelCommitment,
+        anchor: Anchor<'_>,
+        record_bytes: &[u8],
+    ) -> Result<Work, VerifyError> {
         if self.link_position.is_some() {
             return Err(VerifyError::NotChainHead);
         }
         verify_head(
             commitment,
+            anchor,
             (self.level, self.leaf_index, self.leaf_count),
             || self.suffix_digest(record_bytes),
             self.siblings(),

@@ -9,6 +9,7 @@
 
 use elsm_crypto::Digest;
 
+use crate::crown::{Anchor, Work};
 use crate::tree::{node_hash, MerkleTree};
 
 /// Boundary hashes proving a contiguous leaf range.
@@ -65,44 +66,81 @@ pub fn verify_range(
     leaves: &[Digest],
     proof: &RangeProof,
 ) -> bool {
-    if leaves.is_empty() || lo + leaves.len() > leaf_count {
-        return false;
+    let anchor = Anchor::root(&root, leaf_count);
+    verify_range_anchored(anchor, leaf_count, lo, &mut leaves.to_vec(), proof).is_some()
+}
+
+/// The range walk: are `known` exactly the leaves `lo..lo+known.len()` of
+/// the tree (of `leaf_count` leaves) `anchor` holds the top rows of? The
+/// run is folded upward in place, row by row, taking a boundary sibling
+/// from `proof` wherever an end of the run lacks its pair; at the anchor
+/// row the whole run must equal the trusted nodes, and above it every
+/// sibling left in `proof` must equal the trusted node bounding the run —
+/// all of `proof` is checked, and nothing of it may remain. `known` is
+/// consumed as scratch. `None` rejects.
+pub fn verify_range_anchored(
+    anchor: Anchor<'_>,
+    leaf_count: usize,
+    lo: usize,
+    known: &mut Vec<Digest>,
+    proof: &RangeProof,
+) -> Option<Work> {
+    let end = lo.checked_add(known.len())?;
+    if known.is_empty() || end > leaf_count {
+        return None;
     }
-    let mut a = lo;
-    let mut count = leaf_count;
-    let mut known = leaves.to_vec();
-    let mut li = proof.left.iter();
-    let mut ri = proof.right.iter();
-    while count > 1 {
-        let mut b = a + known.len() - 1;
+    let mut work = Work::default();
+    // The run covers nodes `a..=b` of a row `count` wide.
+    let (mut a, mut b, mut count) = (lo, end - 1, leaf_count);
+    let mut left = proof.left.iter();
+    let mut right = proof.right.iter();
+    for _ in 0..anchor.base_height {
+        let (mut read, mut write) = (0, 0);
         if a % 2 == 1 {
-            let Some(h) = li.next() else { return false };
-            known.insert(0, *h);
-            a -= 1;
+            known[0] = node_hash(left.next()?, &known[0]);
+            (read, write) = (1, 1);
+        }
+        while read + 1 < known.len() {
+            known[write] = node_hash(&known[read], &known[read + 1]);
+            (read, write) = (read + 2, write + 1);
+        }
+        work.hashed += write;
+        if read < known.len() {
+            // The run ends on a left child: pair it with the boundary
+            // sibling, or promote it when it is its row's unpaired last.
+            if b + 1 < count {
+                known[write] = node_hash(&known[read], right.next()?);
+                work.hashed += 1;
+            } else {
+                known[write] = known[read];
+            }
+            write += 1;
+        }
+        known.truncate(write);
+        (a, b, count) = (a / 2, b / 2, count.div_ceil(2));
+    }
+    let mut row = anchor.nodes;
+    if row.get(a..=b)? != known.as_slice() {
+        return None;
+    }
+    work.compared += known.len();
+    while count > 1 {
+        if a % 2 == 1 {
+            if row.get(a - 1)? != left.next()? {
+                return None;
+            }
+            work.compared += 1;
         }
         if b % 2 == 0 && b + 1 < count {
-            let Some(h) = ri.next() else { return false };
-            known.push(*h);
-            b += 1;
-        }
-        let mut next = Vec::with_capacity(known.len() / 2 + 1);
-        let mut i = 0;
-        while i + 1 < known.len() {
-            next.push(node_hash(&known[i], &known[i + 1]));
-            i += 2;
-        }
-        if i < known.len() {
-            // Unpaired trailing node promotes (must be the level's last).
-            if b != count - 1 {
-                return false;
+            if row.get(b + 1)? != right.next()? {
+                return None;
             }
-            next.push(known[i]);
+            work.compared += 1;
         }
-        known = next;
-        a /= 2;
-        count = count.div_ceil(2);
+        row = row.get(count..)?;
+        (a, b, count) = (a / 2, b / 2, count.div_ceil(2));
     }
-    li.next().is_none() && ri.next().is_none() && known.len() == 1 && known[0] == root
+    (left.next().is_none() && right.next().is_none()).then_some(work)
 }
 
 #[cfg(test)]

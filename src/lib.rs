@@ -4,8 +4,9 @@
 //! Hardware Enclaves* (Tang et al., MIDDLEWARE 2021). It re-exports every
 //! subsystem so examples and integration tests can use a single dependency.
 //!
-//! See the workspace [README](https://example.com/elsm-repro) and DESIGN.md
-//! for the system inventory; the interesting entry points are:
+//! See the workspace README for the system inventory and DESIGN.md for
+//! the substitutions, the scaling rules and what the enclave holds; the
+//! interesting entry points are:
 //!
 //! * [`elsm`] — the paper's contribution: eLSM-P1 and eLSM-P2 stores,
 //! * [`shard`] — the sharded cluster layer: partitioner, per-shard

@@ -163,6 +163,54 @@ fn pinned_trace_verifies_across_installs() {
     assert_eq!(rec.value(), b"v2");
 }
 
+/// The same single-stepped race, for the crown: a trace pinned to an old
+/// epoch is verified against *that epoch's* top rows while an install has
+/// already replaced the level's tree and crown — the old crown is shared
+/// with the old snapshot, not overwritten — and a record of the new tree
+/// does not pass under the old epoch.
+#[test]
+fn pinned_trace_verifies_against_its_epochs_crown() {
+    use elsm_repro::elsm::VerificationFailure;
+    use elsm_repro::lsm_store::LevelOutcome;
+
+    let store = ElsmP2::open(Platform::with_defaults(), stress_options(ReadMode::Mmap)).unwrap();
+    for i in 0..120u32 {
+        store.put(format!("key{i:04}").as_bytes(), b"v1").unwrap();
+    }
+    store.db().flush().unwrap();
+    let old = store.raw_get_trace(b"key0042").unwrap();
+    let level =
+        old.levels.iter().find(|l| matches!(l.outcome, LevelOutcome::Hit(_))).unwrap().level;
+    let old_crown = store.trusted().crown_nodes(level as u32);
+    assert!(old_crown > 120, "a 120-leaf tree is held whole: {old_crown} nodes");
+    // An install replaces the level's tree (more leaves, new values) and
+    // with it the working crown.
+    for i in 0..200u32 {
+        store.put(format!("key{i:04}").as_bytes(), b"v2").unwrap();
+    }
+    store.db().flush().unwrap();
+    let new = store.raw_get_trace(b"key0042").unwrap();
+    assert!(new.epoch > old.epoch);
+    assert_ne!(store.trusted().crown_nodes(level as u32), old_crown);
+    // Each trace verifies under its own epoch, leaf compared against the
+    // crown's leaf row — no interior node is hashed for either.
+    let before = store.verify_stats();
+    store.verify_get_trace(b"key0042", &old).expect("old epoch, old crown");
+    store.verify_get_trace(b"key0042", &new).expect("new epoch, new crown");
+    let after = store.verify_stats();
+    assert_eq!(after.nodes_hashed, before.nodes_hashed);
+    assert!(after.nodes_compared > before.nodes_compared);
+    // The new tree's record under the old epoch (or the reverse) names a
+    // leaf count that epoch never committed to.
+    for (mut trace, epoch) in [(new.clone(), old.epoch), (old.clone(), new.epoch)] {
+        trace.epoch = epoch;
+        assert!(matches!(
+            store.verify_get_trace(b"key0042", &trace),
+            Err(VerificationFailure::ForgedRecord { .. })
+        ));
+    }
+}
+
 /// Writes accepted *while a flush is merging* must survive a crash: the
 /// manifest names both the pre-freeze WAL and the active WAL until the
 /// merge installs, so recovery replays the acknowledged write even if the

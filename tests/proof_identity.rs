@@ -381,3 +381,61 @@ const GOLDEN_DIGEST_ROOTS: [&str; 3] = [
     "L2 n=12 9771a5ba479d86245fcf540764437e2ae7088aab17e3f32114bf7fe948bad996",
     "L5 n=37 b61b41aa4f076e1c33f905c12dbb389da3cbc1be6761edeeaf7a6e10704678e7",
 ];
+
+/// Trusted-state hygiene: crowns are derived state. For one fixed history
+/// the dataset digest, the snapshot digest, the signed replication
+/// announcement and the sealed `ENCLAVE_STATE` bytes are what they were at
+/// the commit before the enclave kept crowns (captured there) — a crown
+/// enters no digest and is never sealed.
+#[test]
+fn golden_trusted_state_is_unmoved_by_crowns() {
+    use elsm_repro::elsm::{Announcement, SessionKey};
+    use elsm_repro::sim_disk::{SimDisk, SimFs};
+
+    let platform = Platform::with_defaults();
+    let fs = SimFs::new(SimDisk::new(platform.clone()));
+    let options = P2Options {
+        write_buffer_bytes: 4 * 1024,
+        level1_max_bytes: 8 * 1024,
+        level_multiplier: 4,
+        target_file_bytes: 8 * 1024,
+        shard_id: Some(3),
+        ..P2Options::default()
+    };
+    let store = ElsmP2::open_with(platform.clone(), fs.clone(), options.clone(), None).unwrap();
+    for round in 0..4u32 {
+        for i in 0..700u32 {
+            let key = format!("user{:06}", (i * 37 + round * 11) % 1500);
+            store.put(key.as_bytes(), format!("value-{round}-{i}").as_bytes()).unwrap();
+        }
+        store.delete(format!("user{:06}", round * 5).as_bytes()).unwrap();
+    }
+    let trusted = store.trusted();
+    let epoch = store.db().current_epoch();
+    let announcement =
+        Announcement::sign(&platform, trusted, 0, epoch, &SessionKey::derive(b"golden")).unwrap();
+    let mut got = vec![
+        format!("epoch {epoch}"),
+        format!("dataset {}", trusted.dataset_digest().to_hex()),
+        format!("snapshot {}", trusted.snapshot_digest(epoch).unwrap().to_hex()),
+        format!("announcement {}", sha256(&announcement.encode()).to_hex()),
+    ];
+    store.close().unwrap();
+    let sealed = fs.open("ENCLAVE_STATE").unwrap();
+    let sealed = sealed.read_at(0, sealed.len()).unwrap();
+    got.push(format!("sealed {} {}", sealed.len(), sha256(&sealed).to_hex()));
+    assert_eq!(got, GOLDEN_TRUSTED_STATE);
+    // The same state comes back out of the seal, crowns re-derived beside it.
+    drop(store);
+    let reopened = ElsmP2::open_with(platform, fs, options, None).unwrap();
+    assert_eq!(format!("dataset {}", reopened.trusted().dataset_digest().to_hex()), got[1]);
+    assert!(reopened.get(b"user000123").unwrap().is_some());
+}
+
+const GOLDEN_TRUSTED_STATE: [&str; 5] = [
+    "epoch 106",
+    "dataset ad35d9f7007566cda9ec72ff688beeecf78ee66225050e44c643942654bc167f",
+    "snapshot b22f147d1f68ebd23170d76a1ea810201e15ecd579ab3bf06f4f4a39b8819c43",
+    "announcement df832657f793f8805f7f104c7972f583312cd7c043a0a08a1c2b677938110f15",
+    "sealed 436 0b3775f3d4503ccdb12ccab20239236ee2bf3363a784e84641c7a911e7124f42",
+];

@@ -546,3 +546,164 @@ mod chain {
         assert_eq!(b40 - b20, 20 * per_version, "twice the versions, twice the blocks");
     }
 }
+
+/// Crowns: the enclave keeps each level's top Merkle rows and a read is
+/// hashed only up to them. None of the cases above was touched for it;
+/// these add what only exists with crowns.
+mod crown {
+    use super::*;
+    use elsm_repro::elsm::adversary;
+    use elsm_repro::lsm_store::{GetTrace, LevelOutcome, Record};
+    use elsm_repro::merkle::{ChainPosition, VerifyError};
+
+    const KEYS: u32 = 3000;
+
+    fn key(i: u32) -> Vec<u8> {
+        format!("key{i:05}").into_bytes()
+    }
+
+    fn value(i: u32) -> Vec<u8> {
+        format!("payload-{i:05}-{}", "x".repeat(40)).into_bytes()
+    }
+
+    /// One level of `KEYS` leaves — taller than a crown, so a path has
+    /// rows below the anchor row and rows above it.
+    fn tall_store(platform: &std::sync::Arc<Platform>, fs: &std::sync::Arc<SimFs>) -> ElsmP2 {
+        let store = ElsmP2::open_with(platform.clone(), fs.clone(), P2Options::default(), None)
+            .expect("open");
+        for i in 0..KEYS {
+            store.put(&key(i), &value(i)).unwrap();
+        }
+        store.db().flush().unwrap();
+        store
+    }
+
+    /// The one populated level and its leaf count.
+    fn tall_level(store: &ElsmP2) -> u32 {
+        let populated: Vec<_> =
+            store.trusted().commitments().into_iter().filter(|c| !c.is_empty()).collect();
+        assert_eq!(populated.len(), 1, "the fixture keeps everything in one level");
+        assert_eq!(populated[0].leaf_count, u64::from(KEYS));
+        populated[0].level
+    }
+
+    fn with_hit(trace: &GetTrace, record: Record) -> GetTrace {
+        let mut trace = trace.clone();
+        let slot = trace
+            .levels
+            .iter_mut()
+            .find(|l| matches!(l.outcome, LevelOutcome::Hit(_)))
+            .expect("a hit level");
+        slot.outcome = LevelOutcome::Hit(record.clone());
+        trace.result = Some(record);
+        trace
+    }
+
+    /// One flipped byte anywhere in a hit's audit path is a forged record:
+    /// in the rows the verifier hashes below the crown, and in the rows it
+    /// compares against the crown above.
+    #[test]
+    fn every_audit_path_byte_is_checked_below_and_above_the_anchor_row() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let store = tall_store(&platform, &fs);
+        let level = tall_level(&store);
+        assert!(store.trusted().crown_nodes(level) > 1024, "the level has its crown");
+        for k in [0, 1, 1023, 1024, 1777, KEYS - 1] {
+            let trace = store.raw_get_trace(&key(k)).unwrap();
+            let before = store.verify_stats();
+            store.verify_get_trace(&key(k), &trace).expect("honest");
+            let after = store.verify_stats();
+            let hashed = (after.nodes_hashed - before.nodes_hashed) as usize;
+            let compared = (after.nodes_compared - before.nodes_compared) as usize;
+            let hit = ElsmP2::hit_of(&trace).expect("hit").clone();
+            let honest = adversary::embedded_proof(&hit);
+            let ChainPosition::Newest { audit_path, .. } = &honest.chain else { panic!("a head") };
+            // 3000 leaves: rows of 3000 and 1500 are hashed, 750 and up
+            // are the crown's.
+            assert_eq!(hashed, 2, "key {k}");
+            assert_eq!(hashed + compared, audit_path.len() + 1, "every sibling, and the anchor");
+            for sibling in 0..audit_path.len() {
+                for byte in 0..32 {
+                    let mut proof = honest.clone();
+                    let ChainPosition::Newest { audit_path, .. } = &mut proof.chain else {
+                        unreachable!()
+                    };
+                    let mut bytes = *audit_path[sibling].as_bytes();
+                    bytes[byte] ^= 0x01;
+                    audit_path[sibling] = elsm_repro::crypto::Digest::from_bytes(bytes);
+                    let forged = with_hit(&trace, adversary::with_proof(&hit, &proof));
+                    assert_eq!(
+                        store.verify_get_trace(&key(k), &forged),
+                        Err(VerificationFailure::ForgedRecord {
+                            level,
+                            source: VerifyError::BadAuditPath
+                        }),
+                        "key {k} sibling {sibling} ({}) byte {byte}",
+                        if sibling < hashed { "hashed" } else { "compared" },
+                    );
+                }
+            }
+        }
+    }
+
+    /// Restart: a crown is re-derived only from a rebuilt tree whose root
+    /// is the unsealed one. A level the host tampered with while the store
+    /// was down rebuilds to another root, gets no crown, and its reads
+    /// fail as they did before crowns existed — the altered record is
+    /// never accepted through rows built from the host's bytes.
+    #[test]
+    fn tampered_level_gets_no_crown_at_restart() {
+        let reopen = |tamper: bool| {
+            let platform = Platform::with_defaults();
+            let fs = SimFs::new(SimDisk::new(platform.clone()));
+            let store = tall_store(&platform, &fs);
+            let level = tall_level(&store);
+            let crown_nodes = store.trusted().crown_nodes(level);
+            store.close().unwrap();
+            drop(store);
+            if tamper {
+                // Alter one byte of key 1500's value where it sits on disk.
+                let needle = value(1500);
+                let hit = fs.list().into_iter().filter(|n| n.ends_with(".sst")).find_map(|name| {
+                    let file = fs.open(&name).unwrap();
+                    let bytes = file.read_at(0, file.len()).unwrap();
+                    let at = bytes.windows(needle.len()).position(|w| w == &needle[..])?;
+                    Some((file, at))
+                });
+                let (file, at) = hit.expect("the value is on disk in the clear");
+                file.corrupt(at + 3, 0x20);
+            }
+            let store = ElsmP2::open_with(platform, fs, P2Options::default(), None).unwrap();
+            assert_eq!(tall_level(&store), level, "the unsealed commitment is what was sealed");
+            (store, level, crown_nodes)
+        };
+
+        let (honest, level, crown_nodes) = reopen(false);
+        assert_eq!(honest.trusted().crown_nodes(level), crown_nodes, "re-derived in full");
+        assert_eq!(honest.get(&key(1500)).unwrap().unwrap().value(), &value(1500)[..]);
+
+        let (tampered, level, _) = reopen(true);
+        assert_eq!(tampered.trusted().crown_nodes(level), 1, "the root alone: nothing adopted");
+        match tampered.get(&key(1500)) {
+            Err(ElsmError::Verification(VerificationFailure::ForgedRecord {
+                level: l,
+                source,
+            })) => {
+                assert_eq!((l, source), (level, VerifyError::BadAuditPath));
+            }
+            other => panic!("the altered record must be refused, got {other:?}"),
+        }
+        // Its untouched neighbours still verify, by the whole walk to the
+        // root: nothing is compared against rows the enclave did not adopt.
+        let before = tampered.verify_stats();
+        for k in [0, 1499, 1501, KEYS - 1] {
+            assert_eq!(tampered.get(&key(k)).unwrap().unwrap().value(), &value(k)[..]);
+        }
+        let after = tampered.verify_stats();
+        assert_eq!(after.nodes_compared - before.nodes_compared, 4, "one root each");
+        assert!(after.nodes_hashed - before.nodes_hashed >= 4 * 11);
+        // A scan across the altered record is refused too.
+        assert!(matches!(tampered.scan(&key(1495), &key(1505)), Err(ElsmError::Verification(_))));
+    }
+}
