@@ -51,9 +51,9 @@ impl UntrustedDigests {
     /// Installs the digest for a level into the working map (after a
     /// compaction builds it). Visible to provers once the owning epoch is
     /// published.
-    pub fn install(&self, digest: LevelDigest) {
-        let mut inner = self.levels.lock();
-        inner.current.insert(digest.level(), Arc::new(digest));
+    pub fn install(&self, digest: impl Into<Arc<LevelDigest>>) {
+        let digest = digest.into();
+        self.levels.lock().current.insert(digest.level(), digest);
     }
 
     /// Removes a level's digest from the working map (its run was

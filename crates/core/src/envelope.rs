@@ -16,7 +16,7 @@
 use std::ops::Range;
 
 use bytes::Bytes;
-use lsm_store::Record;
+use lsm_store::RecordView;
 use merkle::RecordProofRef;
 
 use crate::error::VerificationFailure;
@@ -44,11 +44,17 @@ pub fn wrap_with_proof(
     write_proof: impl FnOnce(&mut Vec<u8>),
 ) -> Bytes {
     let mut out = Vec::with_capacity(wrapped_len(value, proof_len));
-    out.push(TAG_PROOF);
-    push_varint(&mut out, value.len() as u64);
-    out.extend_from_slice(value);
-    write_proof(&mut out);
+    append_with_proof(&mut out, value, write_proof);
     Bytes::from(out)
+}
+
+/// Appends to `out` the envelope [`wrap_with_proof`] builds — how a merge
+/// writes a stored value straight into the table block under construction.
+pub fn append_with_proof(out: &mut Vec<u8>, value: &[u8], write_proof: impl FnOnce(&mut Vec<u8>)) {
+    out.push(TAG_PROOF);
+    push_varint(out, value.len() as u64);
+    out.extend_from_slice(value);
+    write_proof(out);
 }
 
 /// A stored value read in place: nothing is copied or allocated, the
@@ -100,8 +106,12 @@ pub fn open(stored: &[u8]) -> Option<Opened<'_>> {
 
 /// Appends the canonical bytes of a record — bare application value, no
 /// envelope — the input to every chain and Merkle digest.
-pub fn append_canonical(record: &Record, bare_value: &[u8], out: &mut Vec<u8>) {
-    record.encode_with_value_into(bare_value, out);
+pub fn append_canonical<'a>(
+    record: impl Into<RecordView<'a>>,
+    bare_value: &[u8],
+    out: &mut Vec<u8>,
+) {
+    record.into().encode_with_value_into(bare_value, out);
 }
 
 /// Opens a stored record's envelope, mapping a malformed one to a
@@ -111,8 +121,11 @@ pub fn append_canonical(record: &Record, bare_value: &[u8], out: &mut Vec<u8>) {
 ///
 /// Returns [`VerificationFailure::ForgedRecord`]-class errors on malformed
 /// envelopes.
-pub fn open_record(record: &Record, level: u32) -> Result<Opened<'_>, VerificationFailure> {
-    open(&record.value).ok_or(VerificationFailure::ForgedRecord {
+pub fn open_record<'a>(
+    record: impl Into<RecordView<'a>>,
+    level: u32,
+) -> Result<Opened<'a>, VerificationFailure> {
+    open(record.into().value).ok_or(VerificationFailure::ForgedRecord {
         level,
         source: merkle::VerifyError::BadAuditPath,
     })
@@ -153,6 +166,7 @@ fn read_varint(buf: &[u8]) -> Option<(u64, usize)> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use lsm_store::Record;
     use merkle::{ChainPosition, RecordProof};
 
     fn proof() -> RecordProof {

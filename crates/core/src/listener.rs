@@ -5,10 +5,13 @@
 //!
 //! * `on_compaction_input` ↔ `auth_filter`: rebuilds each input level's
 //!   Merkle tree incrementally (`MHT_add`),
-//! * `transform_output_tagged` ↔ `auth_onTableFileCreated`: builds the
-//!   output level's digest and embeds a proof in every output record;
-//!   in incremental mode, records whose whole key chain survived from a
-//!   single input run reuse their stored leaf work instead of rehashing,
+//! * `begin_output` ↔ `auth_onTableFileCreated`, in the two passes a
+//!   proof forces: the observer builds the output level's digest from the
+//!   merge's surviving records as they stream by (in incremental mode,
+//!   records whose whole key chain survived from a single input run reuse
+//!   their stored leaf work instead of rehashing), then seals into the
+//!   writer that appends `envelope ‖ proof` for each record straight into
+//!   the table block being built — no output record is ever materialised,
 //! * `on_compaction_end` (merging thread, possibly a scheduler worker):
 //!   checks the rebuilt input roots against the enclave's commitments and
 //!   **stages** the job's [`CompactionDelta`] — the output commitment with
@@ -29,14 +32,17 @@
 use std::collections::HashMap;
 use std::sync::Arc;
 
-use lsm_store::{CompactionInfo, Record, RecordSource, StoreListener};
+use lsm_store::{
+    CompactionInfo, OutputObserver, OutputWriter, Record, RecordSource, RecordView, StoreListener,
+    Verbatim,
+};
 use merkle::{LevelDigest, LevelDigestBuilder};
 use parking_lot::Mutex;
 use sgx_sim::Platform;
 
 use crate::cache::VerifiedCache;
 use crate::digests::UntrustedDigests;
-use crate::envelope::{append_canonical, open_record, wrap_plain, wrap_with_proof};
+use crate::envelope::{append_canonical, append_with_proof, open_record, wrap_plain};
 use crate::trusted::{CompactionDelta, TrustedState};
 
 /// State a finished merge stages for its install (commit happens under
@@ -47,7 +53,7 @@ struct StagedCommit {
     delta: CompactionDelta,
     /// Full output digest for the untrusted store (`None`: the output is
     /// empty — or refused — and the level clears).
-    output_digest: Option<LevelDigest>,
+    output_digest: Option<Arc<LevelDigest>>,
     /// Untrusted-store levels to clear (consumed inputs, empty outputs).
     digest_clears: Vec<u32>,
 }
@@ -57,9 +63,10 @@ struct Scratch {
     /// Input-tree builders keyed by source level. Concurrent jobs of a
     /// wave never share a level, so per-level keying is race-free.
     input_builders: HashMap<u32, LevelDigestBuilder>,
-    /// Output digests built by the transform, keyed by output level,
-    /// consumed by `on_compaction_end`.
-    pending_outputs: HashMap<usize, LevelDigest>,
+    /// Output digests built by the output observer, keyed by output
+    /// level, consumed by `on_compaction_end` (the proof writer of the
+    /// same job shares the tree until its last table is written).
+    pending_outputs: HashMap<usize, Arc<LevelDigest>>,
     /// Deltas staged by `on_compaction_end`, committed at install.
     staged: HashMap<usize, StagedCommit>,
     /// Reused buffer for an input record's canonical bytes (the builders
@@ -128,77 +135,97 @@ impl AuthListener {
             scratch: Mutex::new(Scratch::default()),
         })
     }
+}
 
-    /// Shared transform body; `unchanged` may be shorter than `records`
-    /// (missing tags mean "changed").
-    fn transform(
-        &self,
-        output_level: usize,
-        records: Vec<Record>,
-        unchanged: &[bool],
-    ) -> Vec<Record> {
+/// Pass 1 of a job's output: the output level's digest, built from the
+/// surviving records as the merge hands them over.
+struct OutputDigest<'a> {
+    listener: &'a AuthListener,
+    output_level: usize,
+    builder: LevelDigestBuilder,
+    /// Reused buffer for a record's canonical bytes.
+    canonical: Vec<u8>,
+    /// An output record's envelope did not open: nothing this job produces
+    /// may be signed.
+    refused: bool,
+}
+
+impl OutputObserver for OutputDigest<'_> {
+    fn observe(&mut self, record: RecordView<'_>, unchanged: bool) {
+        if self.refused {
+            return;
+        }
         // Trusted-side work on a flush/compaction worker thread: attribute
         // the hashing to the enclave in the platform's time split.
         let _world = sgx_sim::enclave_scope();
-        // 1. Build the output level's digest over canonical record bytes.
-        //    Unchanged records (incremental mode) reuse their stored leaf
-        //    work: the enclave pays a digest move, not a rehash. Each
-        //    record's old proof is validated in place and dropped.
-        let mut builder = LevelDigestBuilder::new(output_level as u32);
-        let mut values: Vec<&[u8]> = Vec::with_capacity(records.len());
-        let mut canonical = Vec::new();
-        for (i, record) in records.iter().enumerate() {
-            let Ok(opened) = open_record(record, output_level as u32) else {
-                // A malformed envelope among the outputs: nothing this job
-                // produces may be signed. Hand the records back as they
-                // are; with no pending digest `on_compaction_end` clears
-                // the level instead of committing it.
-                self.trusted.poison();
-                return records;
-            };
-            canonical.clear();
-            append_canonical(record, opened.value, &mut canonical);
-            if self.incremental && unchanged.get(i).copied().unwrap_or(false) {
-                self.platform.dram_access(32);
-            } else {
-                self.platform.charge_hash(canonical.len());
-            }
-            builder.add(&record.key, &canonical);
-            values.push(opened.value);
+        let Ok(opened) = open_record(record, self.output_level as u32) else {
+            // A malformed envelope among the outputs. The records are
+            // stored as they are; with no pending digest
+            // `on_compaction_end` clears the level instead of committing
+            // it.
+            self.listener.trusted.poison();
+            self.refused = true;
+            return;
+        };
+        self.canonical.clear();
+        append_canonical(record, opened.value, &mut self.canonical);
+        // Unchanged records (incremental mode) reuse their stored leaf
+        // work: the enclave pays a digest move, not a rehash. The record's
+        // old proof was validated in place by `open_record` and is dropped.
+        if self.listener.incremental && unchanged {
+            self.listener.platform.dram_access(32);
+        } else {
+            self.listener.platform.charge_hash(self.canonical.len());
         }
-        let digest = builder.finish();
-        // 2. Embed a fresh proof in every output record
-        //    (auth_onTableFileCreated).
-        let mut out = Vec::with_capacity(records.len());
-        let mut leaf_idx = 0usize;
-        let mut version_idx = 0usize;
-        let mut prev_key: Option<&[u8]> = None;
-        for (record, value) in records.iter().zip(values) {
-            match prev_key {
-                Some(k) if k == &record.key[..] => version_idx += 1,
-                Some(_) => {
-                    leaf_idx += 1;
-                    version_idx = 0;
-                }
-                None => {}
-            }
-            prev_key = Some(&record.key[..]);
-            // Proof material was already hashed while building the tree;
-            // serialization is a plain memory copy, written once into the
-            // output value.
-            let proof_len = digest.proof_encoded_len(leaf_idx, version_idx);
-            self.platform.dram_access(proof_len);
-            out.push(Record {
-                key: record.key.clone(),
-                ts: record.ts,
-                kind: record.kind,
-                value: wrap_with_proof(value, proof_len, |buf| {
-                    digest.encode_proof_into(leaf_idx, version_idx, buf)
-                }),
-            });
+        self.builder.add(record.key, &self.canonical);
+    }
+
+    fn seal<'a>(self: Box<Self>) -> Box<dyn OutputWriter + 'a>
+    where
+        Self: 'a,
+    {
+        if self.refused {
+            return Box::new(Verbatim);
         }
-        self.scratch.lock().pending_outputs.insert(output_level, digest);
-        out
+        let digest = Arc::new(self.builder.finish());
+        self.listener.scratch.lock().pending_outputs.insert(self.output_level, digest.clone());
+        Box::new(ProofWriter {
+            platform: &self.listener.platform,
+            digest,
+            leaf_idx: 0,
+            version_idx: 0,
+        })
+    }
+}
+
+/// Pass 2 of a job's output: embeds a fresh proof in every output record
+/// (`auth_onTableFileCreated`), in the order pass 1 saw them.
+struct ProofWriter<'a> {
+    platform: &'a Platform,
+    digest: Arc<LevelDigest>,
+    /// Position of the next record: leaf (distinct key) and version
+    /// within the leaf's chain.
+    leaf_idx: usize,
+    version_idx: usize,
+}
+
+impl OutputWriter for ProofWriter<'_> {
+    fn write_value(&mut self, record: RecordView<'_>, out: &mut Vec<u8>) {
+        let _world = sgx_sim::enclave_scope();
+        let (leaf_idx, version_idx) = (self.leaf_idx, self.version_idx);
+        self.version_idx += 1;
+        if self.version_idx == self.digest.chain_len(leaf_idx) {
+            self.leaf_idx += 1;
+            self.version_idx = 0;
+        }
+        let opened = crate::envelope::open(record.value).expect("opened when it was observed");
+        // Proof material was already hashed while building the tree;
+        // serialization is a plain memory copy, written once, straight
+        // after the value into the table block.
+        self.platform.dram_access(self.digest.proof_encoded_len(leaf_idx, version_idx));
+        append_with_proof(out, opened.value, |buf| {
+            self.digest.encode_proof_into(leaf_idx, version_idx, buf)
+        });
     }
 }
 
@@ -254,7 +281,7 @@ impl StoreListener for AuthListener {
         crate::envelope::open(stored).map(|opened| bytes::Bytes::copy_from_slice(opened.value))
     }
 
-    fn on_compaction_input(&self, source: RecordSource, record: &Record) {
+    fn on_compaction_input(&self, source: RecordSource, record: RecordView<'_>) {
         // Rebuild the source level's tree from the streamed records
         // (Figure 4, auth_filter → MHT_add on the input trees).
         let _world = sgx_sim::enclave_scope();
@@ -272,20 +299,17 @@ impl StoreListener for AuthListener {
         input_builders
             .entry(level)
             .or_insert_with(|| LevelDigestBuilder::new(level))
-            .add(&record.key, canonical);
+            .add(record.key, canonical);
     }
 
-    fn transform_output(&self, output_level: usize, records: Vec<Record>) -> Vec<Record> {
-        self.transform(output_level, records, &[])
-    }
-
-    fn transform_output_tagged(
-        &self,
-        output_level: usize,
-        records: Vec<Record>,
-        unchanged: &[bool],
-    ) -> Vec<Record> {
-        self.transform(output_level, records, unchanged)
+    fn begin_output(&self, output_level: usize) -> Box<dyn OutputObserver + '_> {
+        Box::new(OutputDigest {
+            listener: self,
+            output_level,
+            builder: LevelDigestBuilder::new(output_level as u32),
+            canonical: Vec::new(),
+            refused: false,
+        })
     }
 
     fn on_compaction_end(&self, info: &CompactionInfo) {
@@ -430,6 +454,38 @@ mod tests {
         (AuthListener::new(platform, trusted.clone(), digests.clone()), trusted, digests)
     }
 
+    /// Drives the output seam the way a merge does: every record observed,
+    /// then every stored value written. `unchanged` may be shorter than
+    /// `records` (missing tags mean "changed").
+    fn transform_tagged(
+        listener: &AuthListener,
+        output_level: usize,
+        records: Vec<Record>,
+        unchanged: &[bool],
+    ) -> Vec<Record> {
+        let mut observer = listener.begin_output(output_level);
+        for (i, r) in records.iter().enumerate() {
+            observer.observe(r.view(), unchanged.get(i).copied().unwrap_or(false));
+        }
+        let mut writer = observer.seal();
+        records
+            .iter()
+            .map(|r| {
+                let mut stored = Vec::new();
+                writer.write_value(r.view(), &mut stored);
+                Record { value: Bytes::from(stored), ..r.clone() }
+            })
+            .collect()
+    }
+
+    fn transform(
+        listener: &AuthListener,
+        output_level: usize,
+        records: Vec<Record>,
+    ) -> Vec<Record> {
+        transform_tagged(listener, output_level, records, &[])
+    }
+
     /// Runs the end→install pair the way the store does.
     fn finish(listener: &AuthListener, info: &CompactionInfo) {
         listener.on_compaction_end(info);
@@ -440,7 +496,7 @@ mod tests {
     fn flush_installs_level_commitment() {
         let (listener, trusted, digests) = setup();
         let records = vec![record("a", 2, "va"), record("b", 1, "vb")];
-        let out = listener.transform_output(1, records);
+        let out = transform(&listener, 1, records);
         finish(&listener, &info(vec![0], 1, 2));
         assert!(!trusted.commitment(1).is_empty());
         assert_eq!(trusted.commitment(1).leaf_count, 2);
@@ -455,7 +511,7 @@ mod tests {
     #[test]
     fn staged_delta_commits_only_at_install() {
         let (listener, trusted, digests) = setup();
-        listener.transform_output(1, vec![record("a", 2, "va")]);
+        transform(&listener, 1, vec![record("a", 2, "va")]);
         let job = info(vec![0], 1, 1);
         listener.on_compaction_end(&job);
         // Merge done, not yet installed: readers still see the old state.
@@ -470,13 +526,13 @@ mod tests {
     fn matching_input_roots_keep_store_healthy() {
         let (listener, trusted, _) = setup();
         // First "flush" installs level 1.
-        let out1 = listener.transform_output(1, vec![record("a", 2, "va"), record("b", 1, "vb")]);
+        let out1 = transform(&listener, 1, vec![record("a", 2, "va"), record("b", 1, "vb")]);
         finish(&listener, &info(vec![0], 1, 2));
         // Now compact level 1 → 2, replaying the honest level-1 records.
         for r in &out1 {
-            listener.on_compaction_input(RecordSource { level: 1, file_no: 1 }, r);
+            listener.on_compaction_input(RecordSource { level: 1, file_no: 1 }, r.view());
         }
-        let _out2 = listener.transform_output(2, out1.clone());
+        let _out2 = transform(&listener, 2, out1.clone());
         finish(&listener, &info(vec![1, 2], 2, 2));
         assert!(!trusted.is_poisoned());
         assert!(trusted.commitment(1).is_empty(), "input level emptied");
@@ -486,15 +542,15 @@ mod tests {
     #[test]
     fn tampered_input_poisons_store() {
         let (listener, trusted, _) = setup();
-        let out1 = listener.transform_output(1, vec![record("a", 2, "va"), record("b", 1, "vb")]);
+        let out1 = transform(&listener, 1, vec![record("a", 2, "va"), record("b", 1, "vb")]);
         finish(&listener, &info(vec![0], 1, 2));
         // Adversary feeds a modified record stream into the compaction.
         let mut tampered = out1.clone();
         tampered[0] = record("a", 2, "EVIL");
         for r in &tampered {
-            listener.on_compaction_input(RecordSource { level: 1, file_no: 1 }, r);
+            listener.on_compaction_input(RecordSource { level: 1, file_no: 1 }, r.view());
         }
-        listener.transform_output(2, tampered);
+        transform(&listener, 2, tampered);
         listener.on_compaction_end(&info(vec![1, 2], 2, 2));
         assert!(trusted.is_poisoned(), "input digest mismatch must poison");
     }
@@ -502,11 +558,11 @@ mod tests {
     #[test]
     fn hidden_input_level_poisons_store() {
         let (listener, trusted, _) = setup();
-        listener.transform_output(1, vec![record("a", 2, "va")]);
+        transform(&listener, 1, vec![record("a", 2, "va")]);
         finish(&listener, &info(vec![0], 1, 1));
         // The host claims to compact level 1 but streams none of its
         // records — the silent-drop attack.
-        listener.transform_output(2, Vec::new());
+        transform(&listener, 2, Vec::new());
         listener.on_compaction_end(&info(vec![1, 2], 2, 0));
         assert!(trusted.is_poisoned(), "hiding a non-empty input level must poison");
     }
@@ -520,7 +576,7 @@ mod tests {
         let garbage =
             Record::put(Bytes::from_static(b"z"), Bytes::from_static(b"\x07not an envelope"), 9);
         let records = vec![record("a", 2, "va"), garbage.clone()];
-        let out = listener.transform_output(1, records.clone());
+        let out = transform(&listener, 1, records.clone());
         assert!(trusted.is_poisoned());
         assert_eq!(out, records, "nothing is signed once an output failed to open");
         finish(&listener, &info(vec![0], 1, 2));
@@ -543,14 +599,14 @@ mod tests {
     #[test]
     fn empty_output_clears_level() {
         let (listener, trusted, digests) = setup();
-        let out1 = listener.transform_output(1, vec![record("a", 1, "v")]);
+        let out1 = transform(&listener, 1, vec![record("a", 1, "v")]);
         finish(&listener, &info(vec![0], 1, 1));
         // A later compaction reads the level honestly but drops everything
         // (e.g. tombstone purge).
         for r in &out1 {
-            listener.on_compaction_input(RecordSource { level: 1, file_no: 1 }, r);
+            listener.on_compaction_input(RecordSource { level: 1, file_no: 1 }, r.view());
         }
-        let out = listener.transform_output(2, Vec::new());
+        let out = transform(&listener, 2, Vec::new());
         assert!(out.is_empty());
         finish(
             &listener,
@@ -587,7 +643,7 @@ mod tests {
             let digests = UntrustedDigests::new(platform.clone());
             let listener =
                 AuthListener::with_incremental(platform, trusted.clone(), digests, incremental);
-            let out = listener.transform_output_tagged(2, records.clone(), &unchanged);
+            let out = transform_tagged(&listener, 2, records.clone(), &unchanged);
             finish(&listener, &info(vec![1, 2], 2, records.len() as u64));
             outputs.push(out);
             commitments.push(trusted.commitment(2));

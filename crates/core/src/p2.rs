@@ -345,21 +345,28 @@ impl ElsmP2 {
         Ok(())
     }
 
+    /// Streams each stored level, table by table and block by block,
+    /// through a digest builder: nothing of a level is resident but the
+    /// block being read and the tree being built.
     fn rebuild_untrusted_digests(&self) -> Result<(), ElsmError> {
+        let version = self.db.current_version();
+        let mut canonical = Vec::new();
         for level in 1..=self.options.max_levels as u32 {
-            let records = self.db.level_record_dump(level as usize)?;
-            if records.is_empty() {
+            let mut builder = merkle::LevelDigestBuilder::new(level);
+            let mut stored = 0usize;
+            if let Some(run) = version.level(level as usize) {
+                run.for_each_record(|record| {
+                    stored += 1;
+                    if let Ok(opened) = open_record(record, level) {
+                        canonical.clear();
+                        append_canonical(record, opened.value, &mut canonical);
+                        builder.add(record.key, &canonical);
+                    }
+                })?;
+            }
+            if stored == 0 {
                 self.digests.clear(level);
                 continue;
-            }
-            let mut builder = merkle::LevelDigestBuilder::new(level);
-            let mut canonical = Vec::new();
-            for record in &records {
-                if let Ok(opened) = open_record(record, level) {
-                    canonical.clear();
-                    append_canonical(record, opened.value, &mut canonical);
-                    builder.add(&record.key, &canonical);
-                }
             }
             let digest = builder.finish();
             let crown = digest.crown(self.trusted.crown_row_max());

@@ -18,13 +18,15 @@ use crate::record::internal_cmp;
 /// Default number of entries between restart points (LevelDB uses 16).
 pub const RESTART_INTERVAL: usize = 16;
 
-/// Builds one data block.
+/// Builds data blocks, one after another, in the same buffers.
 #[derive(Debug)]
 pub struct BlockBuilder {
     buf: Vec<u8>,
     restarts: Vec<u32>,
     count_since_restart: usize,
     last_key: Vec<u8>,
+    /// The key being added (swapped with `last_key` once it is).
+    key: Vec<u8>,
     entries: usize,
 }
 
@@ -42,6 +44,7 @@ impl BlockBuilder {
             restarts: vec![0],
             count_since_restart: 0,
             last_key: Vec::new(),
+            key: Vec::new(),
             entries: 0,
         }
     }
@@ -53,38 +56,59 @@ impl BlockBuilder {
     /// Panics if `key` is not greater than the previous key (corrupt order
     /// would silently break binary search).
     pub fn add(&mut self, key: &[u8], value: &[u8]) {
+        self.add_with(key, &[], |buf| buf.extend_from_slice(value));
+    }
+
+    /// Appends the entry whose key is `user_key ‖ suffix`, its value
+    /// written by `write_value` straight into the block (it must only
+    /// append). Returns the value's length.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the key is not greater than the previous key.
+    pub fn add_with(
+        &mut self,
+        user_key: &[u8],
+        suffix: &[u8],
+        write_value: impl FnOnce(&mut Vec<u8>),
+    ) -> usize {
+        self.key.clear();
+        self.key.extend_from_slice(user_key);
+        self.key.extend_from_slice(suffix);
         assert!(
             self.entries == 0
-                || internal_cmp(key, self.last_key.as_slice()) == std::cmp::Ordering::Greater,
+                || internal_cmp(&self.key, &self.last_key) == std::cmp::Ordering::Greater,
             "block keys must be strictly increasing"
         );
         let shared = if self.count_since_restart < RESTART_INTERVAL {
-            common_prefix(&self.last_key, key)
+            common_prefix(&self.last_key, &self.key)
         } else {
             self.restarts.push(self.buf.len() as u32);
             self.count_since_restart = 0;
             0
         };
-        let unshared = key.len() - shared;
         put_varint_u32(&mut self.buf, shared as u32);
-        put_varint_u32(&mut self.buf, unshared as u32);
-        put_varint_u32(&mut self.buf, value.len() as u32);
-        self.buf.extend_from_slice(&key[shared..]);
-        self.buf.extend_from_slice(value);
-        self.last_key.clear();
-        self.last_key.extend_from_slice(key);
+        put_varint_u32(&mut self.buf, (self.key.len() - shared) as u32);
+        // The value's length goes before the key delta and is known only
+        // once the value is written: write both, append the length, and
+        // rotate it into place.
+        let len_at = self.buf.len();
+        self.buf.extend_from_slice(&self.key[shared..]);
+        let value_at = self.buf.len();
+        write_value(&mut self.buf);
+        let end = self.buf.len();
+        put_varint_u32(&mut self.buf, (end - value_at) as u32);
+        let varint_len = self.buf.len() - end;
+        self.buf[len_at..].rotate_right(varint_len);
+        std::mem::swap(&mut self.key, &mut self.last_key);
         self.count_since_restart += 1;
         self.entries += 1;
+        end - value_at
     }
 
     /// Current encoded size (data + trailer).
     pub fn size_estimate(&self) -> usize {
         self.buf.len() + self.restarts.len() * 4 + 4
-    }
-
-    /// Number of entries added.
-    pub fn entries(&self) -> usize {
-        self.entries
     }
 
     /// Whether no entries have been added.
@@ -99,11 +123,28 @@ impl BlockBuilder {
 
     /// Finishes the block, returning its encoded bytes.
     pub fn finish(mut self) -> Vec<u8> {
+        self.finish_in_place();
+        self.buf
+    }
+
+    /// Appends the trailer and returns the encoded block, which stays in
+    /// the builder's buffer until [`BlockBuilder::reset`] starts the next.
+    pub fn finish_in_place(&mut self) -> &[u8] {
         for &r in &self.restarts {
             put_fixed_u32(&mut self.buf, r);
         }
         put_fixed_u32(&mut self.buf, self.restarts.len() as u32);
-        self.buf
+        &self.buf
+    }
+
+    /// Empties the builder for the next block, keeping its buffers.
+    pub fn reset(&mut self) {
+        self.buf.clear();
+        self.restarts.clear();
+        self.restarts.push(0);
+        self.count_since_restart = 0;
+        self.last_key.clear();
+        self.entries = 0;
     }
 }
 
@@ -111,12 +152,20 @@ fn common_prefix(a: &[u8], b: &[u8]) -> usize {
     a.iter().zip(b).take_while(|(x, y)| x == y).count()
 }
 
-/// A parsed, immutable data block.
+/// A parsed, immutable data block. Clones share the block's bytes.
 #[derive(Debug, Clone)]
 pub struct Block {
     data: Bytes,
     restarts_offset: usize,
     num_restarts: usize,
+}
+
+/// A block entry's header: where its key delta and value sit.
+struct EntryHeader {
+    shared: usize,
+    key_start: usize,
+    value_start: usize,
+    value_end: usize,
 }
 
 impl Block {
@@ -138,47 +187,60 @@ impl Block {
         get_fixed_u32(&self.data, self.restarts_offset + i * 4).expect("restart in bounds") as usize
     }
 
+    /// Decodes the entry header at `pos`; `None` when it does not fit the
+    /// block's entry area.
+    fn entry_at(&self, pos: usize) -> Option<EntryHeader> {
+        let area = self.data.get(pos..self.restarts_offset)?;
+        let (shared, n1) = get_varint_u32(area)?;
+        let (unshared, n2) = get_varint_u32(&area[n1..])?;
+        let (value_len, n3) = get_varint_u32(&area[n1 + n2..])?;
+        let key_start = pos + n1 + n2 + n3;
+        let value_start = key_start.checked_add(unshared as usize)?;
+        let value_end = value_start.checked_add(value_len as usize)?;
+        (value_end <= self.restarts_offset).then_some(EntryHeader {
+            shared: shared as usize,
+            key_start,
+            value_start,
+            value_end,
+        })
+    }
+
     /// Iterates all entries from the beginning.
-    pub fn iter(&self) -> BlockIter<'_> {
-        BlockIter { block: self, pos: 0, key: Vec::new(), done: false }
+    pub fn iter(&self) -> BlockIter {
+        BlockIter::at(self.clone(), 0)
     }
 
     /// Iterator positioned at the first entry with key `>= target`.
-    pub fn seek(&self, target: &[u8]) -> BlockIter<'_> {
+    pub fn seek(&self, target: &[u8]) -> BlockIter {
         // Binary search the restart array for the last restart whose key
-        // is <= target, then scan forward.
+        // is <= target (a restart entry stores its key whole, so it is
+        // compared in place), then scan forward.
         let (mut lo, mut hi) = (0usize, self.num_restarts - 1);
         while lo < hi {
             let mid = (lo + hi).div_ceil(2);
-            let key = self.key_at_restart(mid);
-            if internal_cmp(key.as_slice(), target) != std::cmp::Ordering::Greater {
+            if internal_cmp(self.key_at_restart(mid), target) != std::cmp::Ordering::Greater {
                 lo = mid;
             } else {
                 hi = mid - 1;
             }
         }
-        let mut iter =
-            BlockIter { block: self, pos: self.restart_point(lo), key: Vec::new(), done: false };
-        // Fix-up: if even the first restart key is > target, start at 0.
-        loop {
-            let save = iter.clone_state();
-            match iter.next() {
-                Some((k, _)) if internal_cmp(k.as_slice(), target) == std::cmp::Ordering::Less => {
-                    continue
-                }
-                Some(_) => {
-                    iter.restore(save);
-                    return iter;
-                }
-                None => return iter,
+        let mut iter = BlockIter::at(self.clone(), self.restart_point(lo));
+        while let Ok(true) = iter.advance() {
+            if internal_cmp(iter.key(), target) != std::cmp::Ordering::Less {
+                // The next `advance` is this entry again.
+                iter.parked = true;
+                break;
             }
         }
+        iter
     }
 
-    fn key_at_restart(&self, i: usize) -> Vec<u8> {
-        let mut it =
-            BlockIter { block: self, pos: self.restart_point(i), key: Vec::new(), done: false };
-        it.next().map(|(k, _)| k).unwrap_or_default()
+    /// The key stored at restart `i` (empty when the entry is malformed).
+    fn key_at_restart(&self, i: usize) -> &[u8] {
+        match self.entry_at(self.restart_point(i)) {
+            Some(e) if e.shared == 0 => &self.data[e.key_start..e.value_start],
+            _ => &[],
+        }
     }
 
     /// Number of restart points.
@@ -187,51 +249,87 @@ impl Block {
     }
 }
 
-/// Iterator over block entries, yielding owned `(key, value)` pairs.
+/// An entry of a block that does not decode: its header runs past the
+/// entry area, or it shares more key bytes than the entry before it has.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct CorruptEntry;
+
+/// Cursor over a block's entries. [`BlockIter::advance`] moves to the next
+/// entry and reports one that does not decode; the key is rebuilt in one
+/// buffer reused from entry to entry and the value is a zero-copy slice of
+/// the block. As an [`Iterator`] it yields owned `(key, value)` pairs and
+/// ends at the first entry that does not decode.
 #[derive(Debug)]
-pub struct BlockIter<'a> {
-    block: &'a Block,
+pub struct BlockIter {
+    block: Block,
     pos: usize,
     key: Vec<u8>,
+    value: Bytes,
+    /// `advance` was already called for the current entry (by `seek`).
+    parked: bool,
     done: bool,
 }
 
-impl<'a> BlockIter<'a> {
-    fn clone_state(&self) -> (usize, Vec<u8>, bool) {
-        (self.pos, self.key.clone(), self.done)
+impl BlockIter {
+    fn at(block: Block, pos: usize) -> Self {
+        BlockIter { block, pos, key: Vec::new(), value: Bytes::new(), parked: false, done: false }
     }
 
-    fn restore(&mut self, state: (usize, Vec<u8>, bool)) {
-        self.pos = state.0;
-        self.key = state.1;
-        self.done = state.2;
+    /// Starts over on another block, keeping the key buffer.
+    pub fn reset(&mut self, block: Block) {
+        self.block = block;
+        self.pos = 0;
+        self.key.clear();
+        self.parked = false;
+        self.done = false;
+    }
+
+    /// Moves to the next entry; `Ok(false)` at the end of the block.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`CorruptEntry`] for an entry that does not decode; the
+    /// cursor is at the end of the block from then on.
+    pub fn advance(&mut self) -> Result<bool, CorruptEntry> {
+        if self.parked {
+            self.parked = false;
+            return Ok(true);
+        }
+        if self.done || self.pos >= self.block.restarts_offset {
+            self.done = true;
+            return Ok(false);
+        }
+        match self.block.entry_at(self.pos) {
+            Some(e) if e.shared <= self.key.len() => {
+                self.key.truncate(e.shared);
+                self.key.extend_from_slice(&self.block.data[e.key_start..e.value_start]);
+                self.value = self.block.data.slice(e.value_start..e.value_end);
+                self.pos = e.value_end;
+                Ok(true)
+            }
+            _ => {
+                self.done = true;
+                Err(CorruptEntry)
+            }
+        }
+    }
+
+    /// The current entry's key (valid after `advance` returned `Ok(true)`).
+    pub fn key(&self) -> &[u8] {
+        &self.key
+    }
+
+    /// The current entry's value, sharing the block's storage.
+    pub fn value(&self) -> &Bytes {
+        &self.value
     }
 }
 
-impl<'a> Iterator for BlockIter<'a> {
+impl Iterator for BlockIter {
     type Item = (Vec<u8>, Bytes);
 
     fn next(&mut self) -> Option<Self::Item> {
-        if self.done || self.pos >= self.block.restarts_offset {
-            self.done = true;
-            return None;
-        }
-        let data = &self.block.data;
-        let (shared, n1) = get_varint_u32(&data[self.pos..])?;
-        let (unshared, n2) = get_varint_u32(&data[self.pos + n1..])?;
-        let (value_len, n3) = get_varint_u32(&data[self.pos + n1 + n2..])?;
-        let key_start = self.pos + n1 + n2 + n3;
-        let value_start = key_start + unshared as usize;
-        let value_end = value_start + value_len as usize;
-        if value_end > self.block.restarts_offset || shared as usize > self.key.len() {
-            self.done = true;
-            return None;
-        }
-        self.key.truncate(shared as usize);
-        self.key.extend_from_slice(&data[key_start..value_start]);
-        let value = data.slice(value_start..value_end);
-        self.pos = value_end;
-        Some((self.key.clone(), value))
+        matches!(self.advance(), Ok(true)).then(|| (self.key.clone(), self.value.clone()))
     }
 }
 
@@ -319,6 +417,63 @@ mod tests {
     fn parse_rejects_garbage() {
         assert!(Block::parse(Bytes::from_static(b"xy")).is_none());
         assert!(Block::parse(Bytes::from_static(&[255, 255, 255, 255])).is_none());
+    }
+
+    /// `add_with` writes what `add` writes — the value length back-patched
+    /// in front of the key delta — and a reset builder builds the next
+    /// block byte for byte like a fresh one.
+    #[test]
+    fn add_with_and_reset_match_add_on_a_fresh_builder() {
+        let entries: Vec<(Vec<u8>, Vec<u8>)> = (0..70u32)
+            .map(|i| {
+                let mut key = format!("key{:03}", i / 2).into_bytes();
+                key.extend_from_slice(&(u64::from(i)).to_be_bytes());
+                (key, vec![i as u8; (i as usize * 37) % 300])
+            })
+            .collect();
+        let mut plain = BlockBuilder::new();
+        let mut parts = BlockBuilder::new();
+        parts.add(b"junk-from-the-block-before", b"x");
+        parts.finish_in_place();
+        parts.reset();
+        for (key, value) in &entries {
+            plain.add(key, value);
+            let (user_key, suffix) = key.split_at(key.len() - 8);
+            let written = parts.add_with(user_key, suffix, |buf| buf.extend_from_slice(value));
+            assert_eq!(written, value.len());
+            assert_eq!(parts.size_estimate(), plain.size_estimate());
+        }
+        assert_eq!(parts.last_key(), plain.last_key());
+        assert_eq!(parts.finish_in_place(), &plain.finish()[..]);
+    }
+
+    /// An entry whose header runs out of the block, or that shares more
+    /// key bytes than its predecessor has, is an error to the cursor and
+    /// the end of the block to the owned iterator.
+    #[test]
+    fn cursor_reports_the_entry_that_does_not_decode() {
+        let mut b = BlockBuilder::new();
+        b.add(b"aaaa", b"1");
+        b.add(b"aabb", b"2");
+        let good = b.finish();
+        // Second entry: shared = 2 -> 9 (more than "aaaa" has).
+        let mut bad = good.clone();
+        let second = 3 + 4 + 1;
+        assert_eq!(bad[second], 2);
+        bad[second] = 9;
+        let block = Block::parse(Bytes::from(bad)).unwrap();
+        let mut it = block.iter();
+        assert_eq!(it.advance(), Ok(true));
+        assert_eq!((it.key(), &it.value()[..]), (&b"aaaa"[..], &b"1"[..]));
+        assert_eq!(it.advance(), Err(CorruptEntry));
+        assert_eq!(it.advance(), Ok(false));
+        assert_eq!(block.iter().count(), 1);
+        // Value length running past the entry area.
+        let mut bad = good;
+        bad[2] = 200;
+        let block = Block::parse(Bytes::from(bad)).unwrap();
+        assert_eq!(block.iter().advance(), Err(CorruptEntry));
+        assert!(block.seek(b"aaaa").next().is_none());
     }
 
     #[test]

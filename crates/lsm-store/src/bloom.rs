@@ -29,6 +29,14 @@ fn base_hash(data: &[u8], seed: u64) -> u64 {
     h
 }
 
+/// The two hashes double hashing derives a key's probe positions from.
+pub type KeyHashes = (u64, u64);
+
+/// Hashes `key` for [`BloomFilter::from_hashes`].
+pub fn key_hashes(key: &[u8]) -> KeyHashes {
+    (base_hash(key, 0), base_hash(key, 0x9e37_79b9))
+}
+
 /// What one [`BloomFilter::probe`] found and read.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Probe {
@@ -43,15 +51,20 @@ pub struct Probe {
 impl BloomFilter {
     /// Builds a filter over `keys` with `bits_per_key` bits per key.
     pub fn from_keys<K: AsRef<[u8]>>(keys: &[K], bits_per_key: usize) -> Self {
+        let hashes: Vec<KeyHashes> = keys.iter().map(|k| key_hashes(k.as_ref())).collect();
+        Self::from_hashes(&hashes, bits_per_key)
+    }
+
+    /// Builds the filter [`BloomFilter::from_keys`] builds, from each
+    /// key's [`key_hashes`] — all a table builder has to keep per key.
+    pub fn from_hashes(hashes: &[KeyHashes], bits_per_key: usize) -> Self {
         // k = bits_per_key * ln2, clamped as LevelDB does.
         let k = ((bits_per_key as f64 * 0.69) as u32).clamp(1, 30);
-        let nbits = (keys.len() * bits_per_key).max(64);
+        let nbits = (hashes.len() * bits_per_key).max(64);
         let nbytes = nbits.div_ceil(8);
         let nbits = nbytes * 8;
         let mut bits = vec![0u8; nbytes];
-        for key in keys {
-            let h1 = base_hash(key.as_ref(), 0);
-            let h2 = base_hash(key.as_ref(), 0x9e37_79b9);
+        for &(h1, h2) in hashes {
             for i in 0..k {
                 let bit = (h1.wrapping_add(u64::from(i).wrapping_mul(h2)) % nbits as u64) as usize;
                 bits[bit / 8] |= 1 << (bit % 8);
@@ -65,8 +78,7 @@ impl BloomFilter {
     /// caller can model memory touches of the in-enclave filter.
     pub fn probe(&self, key: &[u8]) -> Probe {
         let nbits = self.bits.len() * 8;
-        let h1 = base_hash(key, 0);
-        let h2 = base_hash(key, 0x9e37_79b9);
+        let (h1, h2) = key_hashes(key);
         let bit_at =
             |i: u32| (h1.wrapping_add(u64::from(i).wrapping_mul(h2)) % nbits as u64) as usize;
         let first_offset = bit_at(0) / 8;

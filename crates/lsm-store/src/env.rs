@@ -229,14 +229,19 @@ impl StorageEnv {
     }
 
     /// Transforms a block for writing: seals it when file protection is on
-    /// (charging the cryptographic work), otherwise returns it unchanged.
-    pub fn prepare_block(&self, file_no: u64, offset: usize, block: Vec<u8>) -> Vec<u8> {
+    /// (charging the cryptographic work), otherwise returns it as it is.
+    pub fn prepare_block<'a>(
+        &self,
+        file_no: u64,
+        offset: usize,
+        block: &'a [u8],
+    ) -> std::borrow::Cow<'a, [u8]> {
         match self.sealer.as_ref().filter(|_| self.config.sealed_files) {
             Some(sealer) => {
                 self.platform.charge_hash(block.len());
-                sealer.seal(&seal_aad(file_no, offset), &block).to_bytes()
+                sealer.seal(&seal_aad(file_no, offset), block).to_bytes().into()
             }
-            None => block,
+            None => block.into(),
         }
     }
 
@@ -337,7 +342,7 @@ mod tests {
             ..EnvConfig::default()
         });
         let f = fs.create("t").unwrap();
-        let sealed = env.prepare_block(9, 0, b"plain block".to_vec());
+        let sealed = env.prepare_block(9, 0, b"plain block");
         assert_ne!(&sealed[..], b"plain block");
         f.append(&sealed);
         let got = env.read_block(9, &f, None, 0, sealed.len()).unwrap();
@@ -352,7 +357,7 @@ mod tests {
             ..EnvConfig::default()
         });
         let f = fs.create("t").unwrap();
-        let sealed = env.prepare_block(9, 4096, b"block".to_vec());
+        let sealed = env.prepare_block(9, 4096, b"block");
         f.append(&sealed);
         // Stored at offset 0 but sealed for offset 4096: swap detected.
         assert!(env.read_block(9, &f, None, 0, sealed.len()).is_err());

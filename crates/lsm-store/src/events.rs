@@ -8,9 +8,10 @@
 //!   compaction filter API — fires for every record the compaction reads,
 //!   tagged with its source level/file so the listener can rebuild input
 //!   Merkle trees (Figure 4, `auth_filter`);
-//! * [`StoreListener::transform_output`] ↔ `OnTableFileCreated()` — lets
-//!   the listener rewrite output records (embed proofs) before they hit
-//!   disk (Figure 4, `auth_onTableFileCreated`);
+//! * [`StoreListener::begin_output`] ↔ `OnTableFileCreated()` — lets the
+//!   listener see a merge's output records and then write their stored
+//!   values (embed proofs) as they hit disk (Figure 4,
+//!   `auth_onTableFileCreated`);
 //! * [`StoreListener::on_compaction_end`] ↔ `OnCompactionCompleted()` —
 //!   where eLSM checks input roots and installs the output root;
 //! * [`StoreListener::on_flush_record`] ↔ the pluggable-MemTable iterator
@@ -23,7 +24,7 @@ use std::fmt;
 use bytes::Bytes;
 
 use crate::compaction::{CompactionJob, VlogGcJob};
-use crate::record::Record;
+use crate::record::{Record, RecordView};
 use crate::vlog::MAC_BYTES;
 
 /// Identifies where a compaction input record came from.
@@ -33,15 +34,6 @@ pub struct RecordSource {
     pub level: usize,
     /// Source SSTable file number (0 for the memtable).
     pub file_no: u64,
-}
-
-/// Keep or drop a record during compaction (compaction-filter decision).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum FilterDecision {
-    /// Keep the record in the output.
-    Keep,
-    /// Drop it (e.g., application-level TTL expiry).
-    Drop,
 }
 
 /// Summary of a finished compaction, passed to
@@ -73,41 +65,23 @@ pub struct CompactionInfo {
 /// enclave).
 pub trait StoreListener: Send + Sync {
     /// A record was read from a compaction input (Figure 4's `Filter`).
-    fn on_compaction_input(&self, source: RecordSource, record: &Record) {
+    /// The view is lent for the call: what a listener keeps, it copies.
+    fn on_compaction_input(&self, source: RecordSource, record: RecordView<'_>) {
         let _ = (source, record);
     }
 
-    /// Decide whether an output record survives. Runs after the store's own
-    /// version/tombstone logic.
-    fn filter_output(&self, record: &Record) -> FilterDecision {
-        let _ = record;
-        FilterDecision::Keep
-    }
-
-    /// The full output run is assembled; the listener may rewrite values
-    /// (embed proofs) before the files are written
-    /// (Figure 4's `onTableFileCreated`).
-    fn transform_output(&self, output_level: usize, records: Vec<Record>) -> Vec<Record> {
+    /// A merge (flush, compaction or value-log GC) has settled which
+    /// records it keeps and is about to write them as `output_level`'s run
+    /// (Figure 4's `onTableFileCreated`). The returned observer is shown
+    /// every output record in order (pass 1), then
+    /// [`seals`](OutputObserver::seal) into the writer that produces each
+    /// record's stored value as the tables are built (pass 2). Two passes,
+    /// because what a listener stores with a record may depend on all of
+    /// them — eLSM's embedded Merkle proof does. The default stores every
+    /// value as it is ([`Verbatim`]).
+    fn begin_output(&self, output_level: usize) -> Box<dyn OutputObserver + '_> {
         let _ = output_level;
-        records
-    }
-
-    /// Like [`StoreListener::transform_output`], with per-record change
-    /// tags: `unchanged[i]` is true when output record `i`'s whole key
-    /// chain came from a single input run with no version dropped or
-    /// filtered — its authenticated leaf is bit-identical to the input's,
-    /// so an incremental listener can reuse the stored digest instead of
-    /// rehashing (the amortized integrity-metadata maintenance the TEE-KV
-    /// survey names as the enclave-LSM cost lever). The default ignores
-    /// the tags and forwards to `transform_output`.
-    fn transform_output_tagged(
-        &self,
-        output_level: usize,
-        records: Vec<Record>,
-        unchanged: &[bool],
-    ) -> Vec<Record> {
-        let _ = unchanged;
-        self.transform_output(output_level, records)
+        Box::new(Verbatim)
     }
 
     /// A compaction merge finished; its output run is written but **not
@@ -200,6 +174,49 @@ pub trait StoreListener: Send + Sync {
     /// `None` means the stored value does not parse (tampering).
     fn unwrap_vlog_pointer(&self, stored: &[u8]) -> Option<Bytes> {
         Some(Bytes::copy_from_slice(stored))
+    }
+}
+
+/// Pass 1 of a merge's output (see [`StoreListener::begin_output`]).
+pub trait OutputObserver {
+    /// The next output record, in internal-key order. `unchanged` is true
+    /// when the record's whole key chain came from a single input run with
+    /// no version dropped or filtered — its authenticated leaf is
+    /// bit-identical to the input's, so an incremental listener can reuse
+    /// the stored digest instead of rehashing (the amortized
+    /// integrity-metadata maintenance the TEE-KV survey names as the
+    /// enclave-LSM cost lever).
+    fn observe(&mut self, record: RecordView<'_>, unchanged: bool);
+
+    /// Every output record was observed; returns the writer for pass 2.
+    fn seal<'a>(self: Box<Self>) -> Box<dyn OutputWriter + 'a>
+    where
+        Self: 'a;
+}
+
+/// Pass 2 of a merge's output: called once per output record, in the order
+/// they were observed, as each is added to a table.
+pub trait OutputWriter {
+    /// Appends to `out` — the table block under construction — the value
+    /// to store for `record`. Must only append.
+    fn write_value(&mut self, record: RecordView<'_>, out: &mut Vec<u8>);
+}
+
+/// The output seam of a listener that stores values as they are.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Verbatim;
+
+impl OutputObserver for Verbatim {
+    fn observe(&mut self, _: RecordView<'_>, _: bool) {}
+
+    fn seal<'a>(self: Box<Self>) -> Box<dyn OutputWriter + 'a> {
+        self
+    }
+}
+
+impl OutputWriter for Verbatim {
+    fn write_value(&mut self, record: RecordView<'_>, out: &mut Vec<u8>) {
+        out.extend_from_slice(record.value);
     }
 }
 
@@ -298,7 +315,7 @@ mod tests {
     }
 
     impl StoreListener for Counting {
-        fn on_compaction_input(&self, _: RecordSource, _: &Record) {
+        fn on_compaction_input(&self, _: RecordSource, _: RecordView<'_>) {
             self.inputs.fetch_add(1, Ordering::Relaxed);
         }
         fn on_flush_record(&self, _: &Record) {
@@ -313,16 +330,18 @@ mod tests {
     fn defaults_are_noops() {
         let l = NoopListener;
         let r = Record::put(b"k".as_slice(), b"v".as_slice(), 1);
-        assert_eq!(l.filter_output(&r), FilterDecision::Keep);
-        let out = l.transform_output(1, vec![r.clone()]);
-        assert_eq!(out, vec![r]);
+        let mut observer = l.begin_output(1);
+        observer.observe(r.view(), false);
+        let mut stored = Vec::new();
+        observer.seal().write_value(r.view(), &mut stored);
+        assert_eq!(stored, &r.value[..], "the default writer is the identity");
     }
 
     #[test]
     fn custom_listener_observes() {
         let l = Counting::default();
         let r = Record::put(b"k".as_slice(), b"v".as_slice(), 1);
-        l.on_compaction_input(RecordSource { level: 1, file_no: 3 }, &r);
+        l.on_compaction_input(RecordSource { level: 1, file_no: 3 }, r.view());
         l.on_flush_record(&r);
         l.on_wal_append(&r);
         assert_eq!(l.inputs.load(Ordering::Relaxed), 1);

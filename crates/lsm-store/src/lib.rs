@@ -9,8 +9,9 @@
 //! * [`block`]/[`sstable`] — prefix-compressed blocks, Bloom filters,
 //!   block indexes, footers,
 //! * [`version`] — levels as whole sorted runs (the paper's model),
-//! * [`db`] — puts/gets/scans/deletes, flushes and whole-level compactions
-//!   with recovery from manifest + WAL,
+//! * [`db`] — puts/gets/scans/deletes and recovery from manifest + WAL;
+//!   flushes, whole-level compactions and value-log GC live beside it in
+//!   the `maintenance` module, on one streaming merge executor,
 //! * [`events`] — RocksDB-style callbacks through which the `elsm` crate
 //!   adds authentication **without modifying this crate** (§5.5.3),
 //! * [`env`](mod@crate::env) — the placement/cost configuration matrix of Table 1.
@@ -31,6 +32,7 @@ pub mod db;
 pub mod encoding;
 pub mod env;
 pub mod events;
+mod maintenance;
 pub mod memtable;
 pub mod merge;
 pub mod options;
@@ -50,11 +52,11 @@ pub use compaction::{
 pub use db::{Db, DbStats, DbStatsSnapshot};
 pub use env::{EnvConfig, StorageEnv};
 pub use events::{
-    CompactionInfo, FilterDecision, NoopListener, RecordSource, ReplicationEvent, ReplicationSink,
-    StoreListener,
+    CompactionInfo, NoopListener, OutputObserver, OutputWriter, RecordSource, ReplicationEvent,
+    ReplicationSink, StoreListener, Verbatim,
 };
 pub use options::{Options, VlogConfig, WalSyncPolicy};
-pub use record::{internal_cmp, InternalKey, Record, Timestamp, ValueKind};
+pub use record::{internal_cmp, InternalKey, Record, RecordView, Timestamp, ValueKind};
 pub use sstable::{NeighborPolicy, TableBuilder, TableGet, TableMeta, TableOptions, TableReader};
 pub use version::{GetTrace, LevelOutcome, LevelRange, LevelSearch, Run, ScanTrace, Version};
 pub use vlog::{Vlog, VlogEntry, VlogPtr};

@@ -105,22 +105,21 @@ impl Record {
         InternalKey::new(self.key.clone(), self.ts, self.kind)
     }
 
+    /// The record's fields, borrowed.
+    pub fn view(&self) -> RecordView<'_> {
+        RecordView { key: &self.key, ts: self.ts, kind: self.kind, value: &self.value }
+    }
+
     /// Serializes the record (length-prefixed key and value, fixed suffix).
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
-        self.encode_with_value_into(&self.value, &mut buf);
+        self.encode_into(&mut buf);
         buf
     }
 
-    /// Appends to `buf` the serialization this record would have with
-    /// `value` in place of its own. Layers that store an enveloped value
-    /// but digest the bare one (eLSM's embedded proofs) get the record's
-    /// canonical bytes this way without building a second `Record`.
-    pub fn encode_with_value_into(&self, value: &[u8], buf: &mut Vec<u8>) {
-        buf.reserve(self.key.len() + value.len() + 16);
-        put_length_prefixed(buf, &self.key);
-        put_fixed_u64(buf, pack(self.ts, self.kind));
-        put_length_prefixed(buf, value);
+    /// Appends the record's serialization to `buf`.
+    pub fn encode_into(&self, buf: &mut Vec<u8>) {
+        self.view().encode_with_value_into(&self.value, buf);
     }
 
     /// Parses a record serialized by [`Record::encode`].
@@ -166,6 +165,65 @@ impl Record {
     }
 }
 
+/// A record read in place: what the merge pipeline passes around instead
+/// of an owned [`Record`]. The key borrows the producer's buffer (a block
+/// cursor rebuilds prefix-compressed keys in one reused buffer); the value
+/// is a `Bytes` so keeping it is a reference count, not a copy.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordView<'a> {
+    /// User-visible key.
+    pub key: &'a [u8],
+    /// Operation timestamp.
+    pub ts: Timestamp,
+    /// Put, value-log pointer or tombstone.
+    pub kind: ValueKind,
+    /// Stored value bytes.
+    pub value: &'a Bytes,
+}
+
+impl<'a> From<&'a Record> for RecordView<'a> {
+    fn from(record: &'a Record) -> Self {
+        record.view()
+    }
+}
+
+impl RecordView<'_> {
+    /// An owned copy of the record (the key is copied, the value shared).
+    pub fn to_record(&self) -> Record {
+        Record {
+            key: Bytes::copy_from_slice(self.key),
+            ts: self.ts,
+            kind: self.kind,
+            value: self.value.clone(),
+        }
+    }
+
+    /// Appends to `buf` the serialization this record would have with
+    /// `value` in place of its own. Layers that store an enveloped value
+    /// but digest the bare one (eLSM's embedded proofs) get the record's
+    /// canonical bytes this way without building a second record.
+    pub fn encode_with_value_into(&self, value: &[u8], buf: &mut Vec<u8>) {
+        buf.reserve(self.key.len() + value.len() + 16);
+        put_length_prefixed(buf, self.key);
+        put_fixed_u64(buf, pack(self.ts, self.kind));
+        put_length_prefixed(buf, value);
+    }
+
+    /// The internal key's suffix: `(ts, kind)` packed and complemented, so
+    /// that it ascends as timestamps descend.
+    pub(crate) fn suffix(&self) -> u64 {
+        !pack(self.ts, self.kind)
+    }
+}
+
+/// Splits an *encoded* internal key into the user key and the unpacked
+/// suffix; `None` if shorter than the suffix.
+pub(crate) fn parse_internal_key(encoded: &[u8]) -> Option<(&[u8], Timestamp, ValueKind)> {
+    let (user_key, suffix) = encoded.split_at(encoded.len().checked_sub(8)?);
+    let (ts, kind) = unpack(!u64::from_be_bytes(suffix.try_into().expect("8-byte suffix")));
+    Some((user_key, ts, kind))
+}
+
 fn pack(ts: Timestamp, kind: ValueKind) -> u64 {
     (ts << 2) | kind.to_bits()
 }
@@ -205,7 +263,6 @@ pub(crate) fn user_key_of(encoded: &[u8]) -> &[u8] {
 #[derive(Clone, PartialEq, Eq, Hash)]
 pub struct InternalKey {
     encoded: Vec<u8>,
-    key_len: usize,
 }
 
 impl PartialOrd for InternalKey {
@@ -227,7 +284,7 @@ impl InternalKey {
         let mut encoded = Vec::with_capacity(key.len() + 8);
         encoded.extend_from_slice(key);
         encoded.extend_from_slice(&(!pack(ts, kind)).to_be_bytes());
-        InternalKey { encoded, key_len: key.len() }
+        InternalKey { encoded }
     }
 
     /// The smallest internal key for `key`: seeks placed here find the
@@ -236,53 +293,20 @@ impl InternalKey {
         Self::new(key, Timestamp::MAX >> 2, ValueKind::Put)
     }
 
-    /// Reconstructs an internal key from its encoded bytes.
-    ///
-    /// Returns `None` if shorter than the 8-byte suffix.
-    pub fn from_encoded(encoded: &[u8]) -> Option<Self> {
-        if encoded.len() < 8 {
-            return None;
-        }
-        Some(InternalKey { encoded: encoded.to_vec(), key_len: encoded.len() - 8 })
-    }
-
     /// The encoded bytes (comparison form).
     pub fn encoded(&self) -> &[u8] {
         &self.encoded
-    }
-
-    /// The user key portion.
-    pub fn user_key(&self) -> &[u8] {
-        &self.encoded[..self.key_len]
-    }
-
-    /// The record timestamp.
-    pub fn ts(&self) -> Timestamp {
-        let (ts, _) = self.unpacked();
-        ts
-    }
-
-    /// The record kind.
-    pub fn kind(&self) -> ValueKind {
-        let (_, kind) = self.unpacked();
-        kind
-    }
-
-    fn unpacked(&self) -> (Timestamp, ValueKind) {
-        let mut suffix = [0u8; 8];
-        suffix.copy_from_slice(&self.encoded[self.key_len..]);
-        unpack(!u64::from_be_bytes(suffix))
     }
 }
 
 impl fmt::Debug for InternalKey {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (user_key, ts, kind) = parse_internal_key(&self.encoded).expect("built with a suffix");
         write!(
             f,
-            "InternalKey({:?}@{}{})",
-            String::from_utf8_lossy(self.user_key()),
-            self.ts(),
-            match self.kind() {
+            "InternalKey({:?}@{ts}{})",
+            String::from_utf8_lossy(user_key),
+            match kind {
                 ValueKind::Delete => " DEL",
                 ValueKind::VlogPut => " VLOG",
                 ValueKind::Put => "",
@@ -353,16 +377,12 @@ mod tests {
     #[test]
     fn internal_key_round_trips_fields() {
         let ik = InternalKey::new(b"user", 42, ValueKind::Delete);
-        assert_eq!(ik.user_key(), b"user");
-        assert_eq!(ik.ts(), 42);
-        assert_eq!(ik.kind(), ValueKind::Delete);
-        let again = InternalKey::from_encoded(ik.encoded()).unwrap();
-        assert_eq!(again, ik);
+        assert_eq!(parse_internal_key(ik.encoded()), Some((&b"user"[..], 42, ValueKind::Delete)));
     }
 
     #[test]
-    fn from_encoded_rejects_short_input() {
-        assert!(InternalKey::from_encoded(b"short").is_none());
+    fn parse_internal_key_rejects_short_input() {
+        assert!(parse_internal_key(b"short").is_none());
     }
 
     #[test]

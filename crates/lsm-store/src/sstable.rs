@@ -18,16 +18,19 @@
 //! the probed offsets, so metadata becomes a realistic source of EPC
 //! pressure.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
 use sim_disk::{FsError, MmapFile, SimFile};
 
-use crate::block::{Block, BlockBuilder};
-use crate::bloom::BloomFilter;
+use crate::block::{Block, BlockBuilder, BlockIter};
+use crate::bloom::{key_hashes, BloomFilter, KeyHashes};
 use crate::encoding::{get_fixed_u64, get_length_prefixed, put_fixed_u64, put_length_prefixed};
 use crate::env::StorageEnv;
-use crate::record::{user_key_of, InternalKey, Record, Timestamp, ValueKind};
+use crate::record::{
+    parse_internal_key, user_key_of, InternalKey, Record, RecordView, Timestamp, ValueKind,
+};
 
 const FOOTER_LEN: usize = 56;
 const MAGIC: u64 = 0xe15a_5700_ab1e_d157;
@@ -80,21 +83,54 @@ pub struct TableMeta {
     pub file_size: u64,
 }
 
-/// Streams sorted records into an SSTable file.
+/// The output side of a table build: buffers bytes and issues one file
+/// append per chunk, out of one buffer.
 #[derive(Debug)]
-pub struct TableBuilder {
+struct Sink {
     env: Arc<StorageEnv>,
     file: Arc<SimFile>,
+    pending: Vec<u8>,
+    /// Bytes accepted so far (the file offset of the next byte).
+    offset: u64,
+}
+
+impl Sink {
+    fn write(&mut self, bytes: &[u8]) {
+        self.pending.extend_from_slice(bytes);
+        self.offset += bytes.len() as u64;
+        if self.pending.len() >= WRITE_CHUNK {
+            self.flush();
+        }
+    }
+
+    fn flush(&mut self) {
+        if !self.pending.is_empty() {
+            self.env.append(&self.file, &self.pending);
+            self.pending.clear();
+        }
+    }
+}
+
+/// Streams sorted records into an SSTable file. Nothing is allocated per
+/// record: keys and values go straight into the block under construction,
+/// the Bloom filter is built from per-key hashes, and block, index-key and
+/// output buffers are reused from block to block.
+#[derive(Debug)]
+pub struct TableBuilder {
+    sink: Sink,
     file_no: u64,
     options: TableOptions,
     block: BlockBuilder,
-    index: Vec<(Vec<u8>, u64, u64)>,
-    user_keys: Vec<Vec<u8>>,
-    offset: u64,
+    /// Last internal keys of the flushed blocks, back to back.
+    index_keys: Vec<u8>,
+    /// Per flushed block: where its key ends in `index_keys`, its file
+    /// offset and its stored length.
+    index: Vec<(usize, u64, u64)>,
+    /// One entry per record, like the key list it replaces (the filter is
+    /// sized by record count).
+    key_hashes: Vec<KeyHashes>,
     count: u64,
-    smallest: Option<Bytes>,
-    largest: Option<Bytes>,
-    pending: Vec<u8>,
+    smallest: Vec<u8>,
 }
 
 impl TableBuilder {
@@ -106,56 +142,42 @@ impl TableBuilder {
         options: TableOptions,
     ) -> Self {
         TableBuilder {
-            env,
-            file,
+            sink: Sink { env, file, pending: Vec::new(), offset: 0 },
             file_no,
             options,
             block: BlockBuilder::new(),
+            index_keys: Vec::new(),
             index: Vec::new(),
-            user_keys: Vec::new(),
-            offset: 0,
+            key_hashes: Vec::new(),
             count: 0,
-            smallest: None,
-            largest: None,
-            pending: Vec::new(),
+            smallest: Vec::new(),
         }
     }
 
-    /// Buffers output bytes, appending to the file one chunk at a time.
-    fn write(&mut self, bytes: &[u8]) {
-        self.pending.extend_from_slice(bytes);
-        self.offset += bytes.len() as u64;
-        if self.pending.len() >= WRITE_CHUNK {
-            let chunk = std::mem::take(&mut self.pending);
-            self.env.append(&self.file, &chunk);
-        }
+    /// Appends a record as it is. Records must arrive in internal-key
+    /// order.
+    pub fn add(&mut self, record: RecordView<'_>) {
+        self.add_with(record, |buf| buf.extend_from_slice(record.value));
     }
 
-    fn flush_pending(&mut self) {
-        if !self.pending.is_empty() {
-            let chunk = std::mem::take(&mut self.pending);
-            self.env.append(&self.file, &chunk);
+    /// Appends `record` with the stored value `write_value` appends to the
+    /// buffer it is given (the block itself) in place of `record.value`.
+    /// Returns the stored value's length.
+    pub fn add_with(
+        &mut self,
+        record: RecordView<'_>,
+        write_value: impl FnOnce(&mut Vec<u8>),
+    ) -> usize {
+        let stored = self.block.add_with(record.key, &record.suffix().to_be_bytes(), write_value);
+        self.key_hashes.push(key_hashes(record.key));
+        if self.count == 0 {
+            self.smallest.extend_from_slice(record.key);
         }
-    }
-
-    /// Appends a record. Records must arrive in internal-key order.
-    pub fn add(&mut self, record: &Record) {
-        let ik = record.internal_key();
-        self.block.add(ik.encoded(), &record.value);
-        self.user_keys.push(record.key.to_vec());
-        if self.smallest.is_none() {
-            self.smallest = Some(record.key.clone());
-        }
-        self.largest = Some(record.key.clone());
         self.count += 1;
         if self.block.size_estimate() >= self.options.block_size {
             self.flush_block();
         }
-    }
-
-    /// Bytes written so far (flushed blocks only).
-    pub fn written_bytes(&self) -> u64 {
-        self.offset
+        stored
     }
 
     /// Number of records added.
@@ -167,12 +189,16 @@ impl TableBuilder {
         if self.block.is_empty() {
             return;
         }
-        let last_key = self.block.last_key().to_vec();
-        let block = std::mem::take(&mut self.block);
-        let bytes = block.finish();
-        let stored = self.env.prepare_block(self.file_no, self.offset as usize, bytes);
-        self.index.push((last_key, self.offset, stored.len() as u64));
-        self.write(&stored);
+        self.index_keys.extend_from_slice(self.block.last_key());
+        let offset = self.sink.offset;
+        let stored = self.sink.env.prepare_block(
+            self.file_no,
+            offset as usize,
+            self.block.finish_in_place(),
+        );
+        self.index.push((self.index_keys.len(), offset, stored.len() as u64));
+        self.sink.write(&stored);
+        self.block.reset();
     }
 
     /// Finishes the table, writing filter, index, props and footer.
@@ -187,50 +213,52 @@ impl TableBuilder {
         // Bloom filter (plaintext metadata: loaded into the enclave at
         // open; authenticity of metadata is the enclave's job, §5.3).
         let bloom = if self.options.bloom_bits_per_key > 0 {
-            BloomFilter::from_keys(&self.user_keys, self.options.bloom_bits_per_key).encode()
+            BloomFilter::from_hashes(&self.key_hashes, self.options.bloom_bits_per_key).encode()
         } else {
             Vec::new()
         };
-        let bloom_offset = self.offset;
-        self.write(&bloom);
-        // Index block.
-        let mut index_block = BlockBuilder::new();
-        for (key, off, len) in &self.index {
-            let mut v = Vec::with_capacity(16);
-            put_fixed_u64(&mut v, *off);
-            put_fixed_u64(&mut v, *len);
-            index_block.add(key, &v);
+        let bloom_offset = self.sink.offset;
+        self.sink.write(&bloom);
+        // Index block, built in the data blocks' builder.
+        let mut key_start = 0;
+        for &(key_end, off, len) in &self.index {
+            let mut v = [0u8; 16];
+            v[..8].copy_from_slice(&off.to_le_bytes());
+            v[8..].copy_from_slice(&len.to_le_bytes());
+            self.block.add(&self.index_keys[key_start..key_end], &v);
+            key_start = key_end;
         }
-        let index_bytes = index_block.finish();
-        let index_offset = self.offset;
-        self.write(&index_bytes);
-        // Props.
+        let index_offset = self.sink.offset;
+        let index_bytes = self.block.finish_in_place();
+        let index_len = index_bytes.len();
+        self.sink.write(index_bytes);
+        // Props. The largest user key closes the last block.
         let mut props = Vec::new();
-        let smallest = self.smallest.clone().expect("non-empty table");
-        let largest = self.largest.clone().expect("non-empty table");
-        put_length_prefixed(&mut props, &smallest);
-        put_length_prefixed(&mut props, &largest);
+        let last_key_start = self.index.iter().rev().nth(1).map_or(0, |&(end, _, _)| end);
+        let largest = user_key_of(&self.index_keys[last_key_start..]);
+        put_length_prefixed(&mut props, &self.smallest);
+        put_length_prefixed(&mut props, largest);
         put_fixed_u64(&mut props, self.count);
-        let props_offset = self.offset;
-        self.write(&props);
+        let props_offset = self.sink.offset;
+        self.sink.write(&props);
         // Footer.
         let mut footer = Vec::with_capacity(FOOTER_LEN);
         put_fixed_u64(&mut footer, bloom_offset);
         put_fixed_u64(&mut footer, index_offset - bloom_offset);
         put_fixed_u64(&mut footer, index_offset);
-        put_fixed_u64(&mut footer, index_bytes.len() as u64);
+        put_fixed_u64(&mut footer, index_len as u64);
         put_fixed_u64(&mut footer, props_offset);
         put_fixed_u64(&mut footer, props.len() as u64);
         debug_assert_eq!(footer.len() + 8, FOOTER_LEN);
         put_fixed_u64(&mut footer, MAGIC);
-        self.write(&footer);
-        self.flush_pending();
+        self.sink.write(&footer);
+        self.sink.flush();
         TableMeta {
             file_no: self.file_no,
-            smallest,
-            largest,
+            smallest: Bytes::from(self.smallest),
+            largest: Bytes::copy_from_slice(largest),
             count: self.count,
-            file_size: self.offset,
+            file_size: self.sink.offset,
         }
     }
 }
@@ -431,11 +459,10 @@ impl TableReader {
             return self.miss_with_neighbors(key, ts_q, neighbors);
         };
         let block = self.read_block(block_idx)?;
-        if let Some((ik_bytes, value)) = block.seek(seek.encoded()).next() {
-            if let Some(ik) = InternalKey::from_encoded(&ik_bytes) {
-                if ik.user_key() == key {
-                    return Ok(TableGet::Hit(record_from(ik, value)));
-                }
+        let mut found = block.seek(seek.encoded());
+        if let Ok(true) = found.advance() {
+            if let Some(record) = record_at(&found).filter(|r| r.key == key) {
+                return Ok(TableGet::Hit(record.to_record()));
             }
         }
         self.miss_with_neighbors(key, ts_q, neighbors)
@@ -477,21 +504,22 @@ impl TableReader {
         loop {
             let block = self.read_block(block_idx)?;
             let mut best: Option<Record> = None;
-            for (ik_bytes, value) in block.iter() {
-                let Some(ik) = InternalKey::from_encoded(&ik_bytes) else { continue };
-                if ik.user_key() >= key {
+            let mut entries = block.iter();
+            while let Ok(true) = entries.advance() {
+                let Some(r) = record_at(&entries) else { continue };
+                if r.key >= key {
                     break;
                 }
                 match &best {
-                    Some(b) if b.key == ik.user_key() => {
+                    Some(b) if b.key == r.key => {
                         // Keep the newest visible version of this key.
-                        if ik.ts() <= ts_q && b.ts < ik.ts() {
-                            best = Some(record_from(ik, value));
+                        if r.ts <= ts_q && b.ts < r.ts {
+                            best = Some(r.to_record());
                         }
                     }
                     _ => {
-                        if ik.ts() <= ts_q {
-                            best = Some(record_from(ik, value));
+                        if r.ts <= ts_q {
+                            best = Some(r.to_record());
                         } else {
                             // Version too new for the snapshot; remember key
                             // by falling through to older versions later in
@@ -531,10 +559,10 @@ impl TableReader {
         let seek = InternalKey::new(&found.key, ts_q, ValueKind::Put);
         for earlier in first..block_idx {
             let block = self.read_block(earlier)?;
-            if let Some((ik_bytes, value)) = block.seek(seek.encoded()).next() {
-                match InternalKey::from_encoded(&ik_bytes) {
-                    Some(ik) if found.key == ik.user_key() => return Ok(record_from(ik, value)),
-                    _ => {}
+            let mut head = block.seek(seek.encoded());
+            if let Ok(true) = head.advance() {
+                if let Some(r) = record_at(&head).filter(|r| found.key == r.key) {
+                    return Ok(r.to_record());
                 }
             }
         }
@@ -558,14 +586,14 @@ impl TableReader {
         };
         loop {
             let block = self.read_block(block_idx)?;
-            let mut iter = block.seek(after.encoded());
-            for (ik_bytes, value) in iter.by_ref() {
-                let Some(ik) = InternalKey::from_encoded(&ik_bytes) else { continue };
-                if ik.user_key() <= key {
+            let mut entries = block.seek(after.encoded());
+            while let Ok(true) = entries.advance() {
+                let Some(r) = record_at(&entries) else { continue };
+                if r.key <= key {
                     continue;
                 }
-                if ik.ts() <= ts_q {
-                    return Ok(Some(record_from(ik, value)));
+                if r.ts <= ts_q {
+                    return Ok(Some(r.to_record()));
                 }
                 // Newer than snapshot: older versions of the same key follow.
             }
@@ -576,9 +604,9 @@ impl TableReader {
         }
     }
 
-    /// Iterates every record in order.
+    /// Cursor over every record in order, reading one block at a time.
     pub fn iter(&self) -> TableIter<'_> {
-        TableIter { reader: self, block_idx: 0, entries: Vec::new(), pos: 0 }
+        TableIter { reader: self, next_read: 0, ahead: VecDeque::new(), cur: None }
     }
 
     /// All records with user key in `[from, to]` (inclusive), every version.
@@ -594,13 +622,14 @@ impl TableReader {
         let mut out = Vec::new();
         'outer: while block_idx < self.index.len() {
             let block = self.read_block(block_idx)?;
-            for (ik_bytes, value) in block.seek(seek.encoded()) {
-                let Some(ik) = InternalKey::from_encoded(&ik_bytes) else { continue };
-                if ik.user_key() > to {
+            let mut entries = block.seek(seek.encoded());
+            while let Ok(true) = entries.advance() {
+                let Some(r) = record_at(&entries) else { continue };
+                if r.key > to {
                     break 'outer;
                 }
-                if ik.user_key() >= from {
-                    out.push(record_from(ik, value));
+                if r.key >= from {
+                    out.push(r.to_record());
                 }
             }
             block_idx += 1;
@@ -615,10 +644,11 @@ impl TableReader {
     /// Returns [`FsError`] on IO errors, and when the first block holds no
     /// decodable entry.
     pub fn first_record(&self) -> Result<Record, FsError> {
-        let block = self.read_block(0)?;
-        let (ik_bytes, value) = block.iter().next().ok_or_else(|| corrupt_table(&self.file))?;
-        let ik = InternalKey::from_encoded(&ik_bytes).ok_or_else(|| corrupt_table(&self.file))?;
-        Ok(record_from(ik, value))
+        let mut first = self.iter();
+        match first.advance()? {
+            true => Ok(first.view().to_record()),
+            false => Err(corrupt_table(&self.file)),
+        }
     }
 
     /// The newest record of the largest user key in the table.
@@ -636,38 +666,87 @@ impl TableReader {
     }
 }
 
-fn record_from(ik: InternalKey, value: Bytes) -> Record {
-    Record { key: Bytes::copy_from_slice(ik.user_key()), ts: ik.ts(), kind: ik.kind(), value }
+/// The record under a block cursor; `None` when its key is shorter than
+/// an internal key's suffix.
+fn record_at(entry: &BlockIter) -> Option<RecordView<'_>> {
+    let (key, ts, kind) = parse_internal_key(entry.key())?;
+    Some(RecordView { key, ts, kind, value: entry.value() })
 }
 
-/// Sequential iterator over all records of a table.
+/// Cursor over all records of a table, in order: the input of merges,
+/// level dumps and recovery. [`TableIter::advance`] moves to the next
+/// record and [`TableIter::view`] lends it — the key out of the block
+/// cursor's one buffer, the value a slice of the block — so a pass over a
+/// table allocates per block read, never per record. A block that fails to
+/// read or parse, an entry that does not decode and a key too short to be
+/// an internal key are errors, not the end of the table.
 #[derive(Debug)]
 pub struct TableIter<'a> {
     reader: &'a TableReader,
-    block_idx: usize,
-    entries: Vec<(Vec<u8>, Bytes)>,
-    pos: usize,
+    /// The next block to read from the file.
+    next_read: usize,
+    /// Blocks read and not yet iterated, in order.
+    ahead: VecDeque<Block>,
+    cur: Option<BlockIter>,
 }
 
-impl<'a> Iterator for TableIter<'a> {
-    type Item = Record;
-
-    fn next(&mut self) -> Option<Self::Item> {
-        loop {
-            if self.pos < self.entries.len() {
-                let (ik_bytes, value) = &self.entries[self.pos];
-                self.pos += 1;
-                let ik = InternalKey::from_encoded(ik_bytes)?;
-                return Some(record_from(ik, value.clone()));
-            }
-            if self.block_idx >= self.reader.index.len() {
-                return None;
-            }
-            let block = self.reader.read_block(self.block_idx).ok()?;
-            self.entries = block.iter().collect();
-            self.pos = 0;
-            self.block_idx += 1;
+impl<'a> TableIter<'a> {
+    /// Reads the next block of the file, if there is one.
+    fn read_next(&mut self) -> Result<bool, FsError> {
+        if self.next_read == self.reader.index.len() {
+            return Ok(false);
         }
+        self.ahead.push_back(self.reader.read_block(self.next_read)?);
+        self.next_read += 1;
+        Ok(true)
+    }
+
+    /// Reads every block not yet read, now and in file order. A merge
+    /// does this to each input before it starts, so that interleaving the
+    /// inputs' records does not interleave their reads.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError`] when a block fails to read or parse.
+    pub fn read_ahead(mut self) -> Result<Self, FsError> {
+        while self.read_next()? {}
+        Ok(self)
+    }
+
+    /// Moves to the next record; `Ok(false)` after the last.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError`] for a block or entry the host's bytes do not
+    /// hold together for. What the cursor yields after that is not the
+    /// table: the caller stops.
+    pub fn advance(&mut self) -> Result<bool, FsError> {
+        loop {
+            if let Some(cur) = &mut self.cur {
+                match cur.advance() {
+                    Ok(true) if cur.key().len() >= 8 => return Ok(true),
+                    Ok(false) => {}
+                    Ok(true) | Err(_) => return Err(corrupt_table(&self.reader.file)),
+                }
+            }
+            if self.ahead.is_empty() && !self.read_next()? {
+                return Ok(false);
+            }
+            let block = self.ahead.pop_front().expect("a block was read ahead");
+            match &mut self.cur {
+                Some(cur) => cur.reset(block),
+                None => self.cur = Some(block.iter()),
+            }
+        }
+    }
+
+    /// The record the cursor is on.
+    ///
+    /// # Panics
+    ///
+    /// Panics unless the last [`TableIter::advance`] returned `Ok(true)`.
+    pub fn view(&self) -> RecordView<'_> {
+        self.cur.as_ref().and_then(record_at).expect("the cursor is on a record")
     }
 }
 
@@ -689,7 +768,7 @@ mod tests {
         let file = fs.create("1.sst").unwrap();
         let mut b = TableBuilder::new(env.clone(), file.clone(), 1, TableOptions::default());
         for r in records {
-            b.add(r);
+            b.add(r.view());
         }
         let meta = b.finish();
         assert_eq!(meta.count, records.len() as u64);
@@ -855,8 +934,12 @@ mod tests {
         let (env, fs) = test_env(EnvConfig::default());
         let recs = sample_records();
         let reader = build_table(&env, &fs, &recs);
-        let got: Vec<Record> = reader.iter().collect();
-        assert_eq!(got.len(), recs.len());
+        let mut got: Vec<Record> = Vec::new();
+        let mut records = reader.iter();
+        while records.advance().unwrap() {
+            got.push(records.view().to_record());
+        }
+        assert_eq!(got, recs);
         for w in got.windows(2) {
             assert!(
                 w[0].internal_key().encoded() < w[1].internal_key().encoded(),

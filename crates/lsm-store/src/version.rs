@@ -17,7 +17,7 @@ use bytes::Bytes;
 use sim_disk::FsError;
 
 use crate::memtable::MemTable;
-use crate::record::{Record, Timestamp};
+use crate::record::{Record, RecordView, Timestamp};
 use crate::sstable::{NeighborPolicy, TableGet, TableReader};
 
 /// One sorted run: non-overlapping tables in ascending key order.
@@ -178,9 +178,21 @@ impl Run {
         Ok(out)
     }
 
-    /// Iterates every record of the run in key order.
-    pub fn iter_records(&self) -> impl Iterator<Item = Record> + '_ {
-        self.tables.iter().flat_map(|t| t.iter())
+    /// Streams every record of the run through `f` in key order, one
+    /// table and one block at a time.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError`] when a block fails to read or decode; records
+    /// before it have been passed to `f`.
+    pub fn for_each_record(&self, mut f: impl FnMut(RecordView<'_>)) -> Result<(), FsError> {
+        for t in &self.tables {
+            let mut records = t.iter();
+            while records.advance()? {
+                f(records.view());
+            }
+        }
+        Ok(())
     }
 
     /// Releases enclave metadata held by the run's tables.

@@ -26,11 +26,14 @@ fn three_file_run() -> Run {
         let file = fs.create(&format!("{file_no}.sst")).unwrap();
         let mut b = TableBuilder::new(env.clone(), file.clone(), file_no, TableOptions::default());
         for (i, k) in range.enumerate() {
-            b.add(&Record::put(
-                vec![k],
-                format!("v{}", k as char).into_bytes(),
-                i as u64 + file_no * 100,
-            ));
+            b.add(
+                Record::put(
+                    vec![k],
+                    format!("v{}", k as char).into_bytes(),
+                    i as u64 + file_no * 100,
+                )
+                .view(),
+            );
         }
         b.finish();
         tables.push(Arc::new(TableReader::open(env.clone(), file, file_no).unwrap()));
@@ -99,7 +102,9 @@ fn totals_aggregate_files() {
     assert_eq!(run.total_records(), 24);
     assert_eq!(&run.smallest().unwrap()[..], b"a");
     assert_eq!(&run.largest().unwrap()[..], b"x");
-    assert_eq!(run.iter_records().count(), 24);
+    let mut count = 0;
+    run.for_each_record(|_| count += 1).unwrap();
+    assert_eq!(count, 24);
 }
 
 #[test]
@@ -110,7 +115,7 @@ fn overlapping_tables_rejected() {
     for file_no in [1u64, 2] {
         let file = fs.create(&format!("{file_no}.sst")).unwrap();
         let mut b = TableBuilder::new(env.clone(), file.clone(), file_no, TableOptions::default());
-        b.add(&Record::put(b"same".as_slice(), b"v".as_slice(), file_no));
+        b.add(Record::put(b"same".as_slice(), b"v".as_slice(), file_no).view());
         b.finish();
         tables.push(Arc::new(TableReader::open(env.clone(), file, file_no).unwrap()));
     }

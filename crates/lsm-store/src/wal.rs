@@ -24,7 +24,7 @@ use std::sync::Arc;
 
 use sim_disk::{FsError, SimFile};
 
-use crate::encoding::{crc32c, get_fixed_u32, get_varint_u64, put_fixed_u32, put_varint_u64};
+use crate::encoding::{crc32c, get_fixed_u32, get_varint_u64, put_varint_u64};
 use crate::env::StorageEnv;
 use crate::options::WalSyncPolicy;
 use crate::record::Record;
@@ -55,20 +55,24 @@ pub struct WalWriter {
 /// acknowledged frame on recovery. [`crate::Db::write_batch`] rejects such
 /// batches before they reach the committer.
 pub fn encode_frame(records: &[Record]) -> Vec<u8> {
-    let mut payload = Vec::with_capacity(records.len() * 32);
-    put_varint_u64(&mut payload, records.len() as u64);
+    // One buffer: the header's place is held, the payload encoded behind
+    // it, then length and CRC patched in.
+    let payload_bytes: usize = records.iter().map(|r| r.key.len() + r.value.len() + 18).sum();
+    let mut frame = Vec::with_capacity(8 + 10 + payload_bytes);
+    frame.extend_from_slice(&[0u8; 8]);
+    put_varint_u64(&mut frame, records.len() as u64);
     for r in records {
-        payload.extend_from_slice(&r.encode());
+        r.encode_into(&mut frame);
     }
-    assert!(
-        u32::try_from(payload.len()).is_ok(),
-        "WAL batch frame exceeds the u32 length field ({} bytes); split the batch",
-        payload.len()
-    );
-    let mut frame = Vec::with_capacity(payload.len() + 8);
-    put_fixed_u32(&mut frame, payload.len() as u32);
-    put_fixed_u32(&mut frame, crc32c(&payload));
-    frame.extend_from_slice(&payload);
+    let payload_len = u32::try_from(frame.len() - 8).unwrap_or_else(|_| {
+        panic!(
+            "WAL batch frame exceeds the u32 length field ({} bytes); split the batch",
+            frame.len() - 8
+        )
+    });
+    let crc = crc32c(&frame[8..]);
+    frame[..4].copy_from_slice(&payload_len.to_le_bytes());
+    frame[4..8].copy_from_slice(&crc.to_le_bytes());
     frame
 }
 
@@ -249,6 +253,28 @@ mod tests {
                 )
             })
             .collect()
+    }
+
+    use crate::encoding::put_fixed_u32;
+
+    /// A frame's bytes are format: pinned to what `encode_frame` produced
+    /// when it still assembled payload, per-record and frame buffers and
+    /// ran the byte-at-a-time CRC (captured there).
+    #[test]
+    fn golden_frame_bytes() {
+        let records = vec![
+            Record::put(b"alpha".as_slice(), b"one".as_slice(), 7),
+            Record::tombstone(b"beta".as_slice(), 8),
+            Record::vlog_put(b"gamma".as_slice(), vec![0xabu8; 20], 9),
+        ];
+        let frame = encode_frame(&records);
+        let hex: String = frame.iter().map(|b| format!("{b:02x}")).collect();
+        assert_eq!(
+            hex,
+            "44000000568e82380305616c7068611e00000000000000036f6e650462657461200000000000000000\
+             0567616d6d61250000000000000014abababababababababababababababababababab"
+        );
+        assert_eq!(decode_frame(&frame).unwrap(), records);
     }
 
     fn writer(env: &Arc<StorageEnv>, file: Arc<SimFile>) -> WalWriter {

@@ -430,7 +430,139 @@ fn golden_trusted_state_is_unmoved_by_crowns() {
     let reopened = ElsmP2::open_with(platform, fs, options, None).unwrap();
     assert_eq!(format!("dataset {}", reopened.trusted().dataset_digest().to_hex()), got[1]);
     assert!(reopened.get(b"user000123").unwrap().is_some());
+
+    // The same for how the bytes get to disk: the second history below runs
+    // every maintenance path — flushes, a leveled compaction wave down to
+    // the purging bottom level, value separation with a value-log GC, a
+    // tiered run, and a replica replaying the primary's job stream — and
+    // every file either node leaves behind, the sealed state and a signed
+    // announcement are what they were at the commit before the merge
+    // pipeline streamed borrowed records (captured there).
+    assert_eq!(pipeline_fingerprint(), GOLDEN_PIPELINE);
 }
+
+/// One line per `SimFs` file, sorted: name, length, SHA-256.
+fn fs_listing(fs: &elsm_repro::sim_disk::SimFs) -> Vec<String> {
+    let mut names = fs.list();
+    names.sort();
+    names
+        .into_iter()
+        .map(|name| {
+            let file = fs.open(&name).unwrap();
+            let bytes = file.peek(0, file.len()).unwrap();
+            format!("{name} {} {}", bytes.len(), sha256(&bytes).to_hex())
+        })
+        .collect()
+}
+
+fn pipeline_fingerprint() -> Vec<String> {
+    use elsm_repro::elsm::{Announcement, SessionKey};
+    use elsm_repro::lsm_store::{CompactionStrategyKind, TieredConfig, VlogConfig};
+    use elsm_repro::replica::{ReplicationGroup, ReplicationOptions};
+
+    let value = |round: u32, i: u32| -> Vec<u8> {
+        // Every third value is large enough to move to the value log.
+        let len = if i % 3 == 0 { 300 + (i % 7) as usize * 40 } else { 20 + (i % 11) as usize };
+        format!("v{round}-{i}-").into_bytes().into_iter().cycle().take(len).collect()
+    };
+    let leveled = P2Options {
+        write_buffer_bytes: 4 * 1024,
+        level1_max_bytes: 8 * 1024,
+        level_multiplier: 2,
+        max_levels: 3,
+        target_file_bytes: 8 * 1024,
+        incremental_commitments: true,
+        shard_id: Some(5),
+        vlog: Some(VlogConfig {
+            value_threshold: 256,
+            target_file_bytes: 8 * 1024,
+            gc_garbage_ratio: 0.2,
+            gc_enabled: true,
+        }),
+        ..P2Options::default()
+    };
+    let group = ReplicationGroup::open(
+        Platform::with_defaults(),
+        leveled,
+        ReplicationOptions { replicas: 1, leader_check_interval: 1, ..Default::default() },
+    )
+    .unwrap();
+    for round in 0..5u32 {
+        for i in 0..260u32 {
+            let key = format!("user{:05}", (i * 29 + round * 7) % 400);
+            group.put(key.as_bytes(), &value(round, i)).unwrap();
+        }
+        // Deletes reach the purging bottom level and turn the separated
+        // values under them into value-log garbage.
+        for i in 0..60u32 {
+            group.delete(format!("user{:05}", (i * 29 + round * 7) % 400).as_bytes()).unwrap();
+        }
+    }
+    group.flush().unwrap();
+    let primary = group.primary_store();
+    let replica = group.replica_store(0);
+    let stats = primary.db().stats();
+    assert!(stats.compactions > 0 && stats.flushes > 5, "{stats:?}");
+    assert!(
+        !primary.fs().list().contains(&"vlog-000001.vlg".to_string()),
+        "the value-log GC must have rewritten and dropped the first log file"
+    );
+    let epoch = primary.db().current_epoch();
+    let announcement = Announcement::sign(
+        primary.platform(),
+        primary.trusted(),
+        0,
+        epoch,
+        &SessionKey::derive(b"golden"),
+    )
+    .unwrap();
+    let mut got = vec![
+        format!("epoch {epoch}"),
+        format!("dataset {}", primary.trusted().dataset_digest().to_hex()),
+        format!("announcement {}", sha256(&announcement.encode()).to_hex()),
+    ];
+    assert_eq!(replica.trusted().dataset_digest(), primary.trusted().dataset_digest());
+    group.close().unwrap();
+    let files = fs_listing(primary.fs());
+    assert_eq!(fs_listing(replica.fs()), files, "the replica replayed other bytes");
+    got.push(format!("files {} {}", files.len(), sha256(files.join("\n").as_bytes()).to_hex()));
+    got.push(files.iter().find(|f| f.starts_with("ENCLAVE_STATE ")).unwrap().clone());
+
+    // A tiered store: flush runs stack, then merge as one tiered job.
+    let tiered = ElsmP2::open(
+        Platform::with_defaults(),
+        P2Options {
+            write_buffer_bytes: 4 * 1024,
+            target_file_bytes: 8 * 1024,
+            compaction_strategy: CompactionStrategyKind::Tiered(TieredConfig::default()),
+            ..P2Options::default()
+        },
+    )
+    .unwrap();
+    for i in 0..900u32 {
+        let key = format!("user{:05}", (i * 31) % 350);
+        tiered.put(key.as_bytes(), &value(9, i)).unwrap();
+    }
+    tiered.db().flush().unwrap();
+    assert!(tiered.db().stats().compactions > 0, "a tiered merge must have run");
+    tiered.close().unwrap();
+    let files = fs_listing(tiered.fs());
+    got.push(format!(
+        "tiered files {} {}",
+        files.len(),
+        sha256(files.join("\n").as_bytes()).to_hex()
+    ));
+    got
+}
+
+const GOLDEN_PIPELINE: [&str; 6] = [
+    "epoch 152",
+    "dataset 2ba7522c690256572766b340e44a54a569ced0ab6e9ffca9baf6bb1cf57d4273",
+    "announcement 193b1dc4a2cd55c6d203675c562e361b1ecddd1ee162b8c8dd579fce32e8322b",
+    "files 22 4eaed17e6a65c0086b8ed7074415e4639703f4bbc851b613141f77b606b03e48",
+    "ENCLAVE_STATE 260 7d556296348dd577781c78cf87efe140ee6a6abd91c2b6f5f4591deb1cd4b48a",
+    "tiered files 16 6b43e698dedb8b6020190e584d5bcb6b749910ecc8c6b3c6c513a8ca08ec1e37",
+];
 
 const GOLDEN_TRUSTED_STATE: [&str; 5] = [
     "epoch 106",

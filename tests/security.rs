@@ -707,3 +707,198 @@ mod crown {
         assert!(matches!(tampered.scan(&key(1495), &key(1505)), Err(ElsmError::Verification(_))));
     }
 }
+
+mod merge_input {
+    //! The host owns the bytes a compaction reads. A table that stops
+    //! decoding part-way must fail the job; it used to *end the table*, and
+    //! the merge wrote the shorter level it had seen so far.
+
+    use super::*;
+    use elsm_repro::lsm_store::block::Block;
+    use elsm_repro::lsm_store::{Db, EnvConfig, Options, StorageEnv};
+    use elsm_repro::sim_disk::SimFile;
+
+    /// `(offset, stored length)` of every data block of a table file, read
+    /// off its footer and index block.
+    fn data_blocks(file: &SimFile) -> Vec<(usize, usize)> {
+        let word = |at: usize| {
+            let bytes = file.peek(at, 8).unwrap();
+            u64::from_le_bytes(bytes[..].try_into().unwrap()) as usize
+        };
+        let footer = file.len() - 56;
+        let index = file.peek(word(footer + 16), word(footer + 24)).unwrap();
+        Block::parse(index)
+            .unwrap()
+            .iter()
+            .map(|(_, v)| {
+                let at = |i: usize| u64::from_le_bytes(v[i..i + 8].try_into().unwrap()) as usize;
+                (at(0), at(8))
+            })
+            .collect()
+    }
+
+    /// Breaks the first entry header of a block in the middle of the
+    /// level-1 table: the restart entry now claims to share key bytes with
+    /// a predecessor it does not have. Everything before it still decodes.
+    fn corrupt_mid_table_block(fs: &SimFs) -> (String, usize) {
+        let sst = fs.list().into_iter().find(|n| n.ends_with(".sst")).expect("a table");
+        let file = fs.open(&sst).unwrap();
+        let blocks = data_blocks(&file);
+        assert!(blocks.len() >= 4, "the table must have a middle: {} blocks", blocks.len());
+        let (offset, _) = blocks[blocks.len() / 2];
+        assert_eq!(file.peek(offset, 1).unwrap()[0], 0, "a restart entry shares nothing");
+        file.corrupt(offset, 0x05);
+        (sst, blocks.len())
+    }
+
+    #[test]
+    fn a_table_that_stops_decoding_fails_the_compaction() {
+        // A bare store first: nothing above it could notice a short level.
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let options = Options {
+            write_buffer_bytes: 1 << 20, // explicit flushes only
+            max_levels: 3,
+            env: EnvConfig { block_cache_bytes: 0, ..EnvConfig::default() },
+            ..Options::default()
+        };
+        let env = StorageEnv::new(platform, fs.clone(), options.env.clone(), None);
+        let db = Db::open(env, options, None).unwrap();
+        for i in 0..600u32 {
+            db.put(format!("key{i:04}").as_bytes(), &[i as u8; 64]).unwrap();
+        }
+        db.flush().unwrap();
+        let (epoch, records) = (db.current_epoch(), db.level_records());
+        assert_eq!(records[1], 600, "one level-1 run: {records:?}");
+        let files = fs.list();
+        corrupt_mid_table_block(&fs);
+
+        assert!(db.compact(1).is_err(), "a short read of an input must fail the job");
+        assert_eq!(db.current_epoch(), epoch, "nothing installed");
+        assert_eq!(db.level_records(), records, "the level is as long as it was");
+        assert_eq!(fs.list(), files, "and no output file was left behind");
+        assert!(db.level_record_dump(1).is_err(), "a dump does not pass for a shorter level");
+        // The same merge through a flush into the level.
+        db.put(b"key9999", b"late").unwrap();
+        assert!(db.flush().is_err());
+        assert_eq!(db.level_records()[1], 600);
+    }
+
+    #[test]
+    fn an_authenticated_store_never_installs_the_shorter_level() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let options = P2Options {
+            write_buffer_bytes: 1 << 20,
+            block_cache_bytes: 0,
+            max_levels: 3,
+            ..P2Options::default()
+        };
+        let store = ElsmP2::open_with(platform.clone(), fs.clone(), options.clone(), None).unwrap();
+        for i in 0..600u32 {
+            store.put(format!("key{i:04}").as_bytes(), &[i as u8; 64]).unwrap();
+        }
+        store.db().flush().unwrap();
+        let records = store.db().level_records();
+        let commitments = store.trusted().commitments();
+        corrupt_mid_table_block(&fs);
+
+        let compacted = store.db().compact(1);
+        assert!(
+            compacted.is_err() || store.trusted().is_poisoned(),
+            "the job must fail or the store refuse service"
+        );
+        assert_eq!(store.db().level_records(), records, "never a shorter level");
+        assert_eq!(store.trusted().commitments(), commitments, "nothing new was signed");
+        // Reads of the broken block are refused, the others still verify.
+        let mut refused = 0;
+        for i in 0..600u32 {
+            match store.get(format!("key{i:04}").as_bytes()) {
+                Ok(Some(r)) => assert_eq!(r.value(), &[i as u8; 64][..]),
+                Ok(None) => panic!("key{i:04} verified as absent"),
+                Err(_) => refused += 1,
+            }
+        }
+        assert!(refused > 0 && refused < 600, "{refused} reads refused");
+        // Recovery streams the same tables: it reports the table instead
+        // of rebuilding a digest over the part that decodes.
+        store.close().unwrap();
+        drop(store);
+        assert!(ElsmP2::open_with(platform, fs, options, None).is_err());
+    }
+}
+
+mod unclean_shutdown {
+    //! The fail-safe half of ROADMAP item 1's two probes. Today the sealed
+    //! state is written only by `close()`, so a store dropped without it
+    //! comes back refusing service: (A) does not unseal at all, (B) opens
+    //! and fails every read against commitments from the last clean close.
+    //! What must hold already, and what these tests pin, is that no read
+    //! returns anything but the model's value or a verification failure.
+    //! Item 1's PR (seal on install) tightens both to "opens and verifies
+    //! every acknowledged write".
+
+    use super::*;
+    use std::collections::BTreeMap;
+
+    fn options() -> P2Options {
+        P2Options { write_buffer_bytes: 8 * 1024, ..P2Options::default() }
+    }
+
+    fn put_batch(store: &ElsmP2, model: &mut BTreeMap<Vec<u8>, Vec<u8>>, round: u8) {
+        for i in 0..2000u32 {
+            let key = format!("user{:05}", (i * 7) % 1500).into_bytes();
+            let value = vec![round ^ i as u8; 64];
+            store.put(&key, &value).unwrap();
+            model.insert(key, value);
+        }
+    }
+
+    /// Reopens on `fs` and reads the whole model back.
+    fn assert_fail_safe(
+        platform: &std::sync::Arc<Platform>,
+        fs: &std::sync::Arc<SimFs>,
+        model: &BTreeMap<Vec<u8>, Vec<u8>>,
+    ) {
+        let store = match ElsmP2::open_with(platform.clone(), fs.clone(), options(), None) {
+            Ok(store) => store,
+            Err(ElsmError::Verification(_)) => return, // refused as a whole
+            Err(other) => panic!("an unclean shutdown is not an IO error: {other:?}"),
+        };
+        for (key, value) in model {
+            match store.get(key) {
+                Ok(Some(record)) => assert_eq!(record.value(), &value[..], "a different value"),
+                Ok(None) => panic!("an acknowledged write verified as absent"),
+                Err(ElsmError::Verification(_)) => {}
+                Err(other) => panic!("neither the value nor a verification failure: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn probe_a_drop_without_close_is_fail_safe() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let mut model = BTreeMap::new();
+        let store = ElsmP2::open_with(platform.clone(), fs.clone(), options(), None).unwrap();
+        put_batch(&store, &mut model, 0);
+        assert!(store.db().stats().flushes > 0, "the probe must cross flushes");
+        drop(store);
+        assert_fail_safe(&platform, &fs, &model);
+    }
+
+    #[test]
+    fn probe_b_drop_after_a_clean_restart_is_fail_safe() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let mut model = BTreeMap::new();
+        let store = ElsmP2::open_with(platform.clone(), fs.clone(), options(), None).unwrap();
+        put_batch(&store, &mut model, 0);
+        store.close().unwrap();
+        drop(store);
+        let store = ElsmP2::open_with(platform.clone(), fs.clone(), options(), None).unwrap();
+        put_batch(&store, &mut model, 0x5a);
+        drop(store);
+        assert_fail_safe(&platform, &fs, &model);
+    }
+}
