@@ -85,10 +85,11 @@ pub fn embedded_proof(record: &Record) -> RecordProof {
 /// Panics if `record`'s envelope is malformed (a test-setup error).
 pub fn with_proof(record: &Record, proof: &RecordProof) -> Record {
     let opened = crate::envelope::open(&record.value).expect("a well-formed envelope");
-    let value = crate::envelope::wrap_with_proof(opened.value, proof.encoded_len(), |out| {
+    let mut value = Vec::new();
+    crate::envelope::append_with_proof(&mut value, opened.value, |out| {
         out.extend_from_slice(&proof.encode())
     });
-    Record { value, ..record.clone() }
+    Record { value: value.into(), ..record.clone() }
 }
 
 /// Relabels an older version as its key's newest: its chain link becomes

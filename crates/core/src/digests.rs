@@ -51,8 +51,7 @@ impl UntrustedDigests {
     /// Installs the digest for a level into the working map (after a
     /// compaction builds it). Visible to provers once the owning epoch is
     /// published.
-    pub fn install(&self, digest: impl Into<Arc<LevelDigest>>) {
-        let digest = digest.into();
+    pub fn install(&self, digest: Arc<LevelDigest>) {
         self.levels.lock().current.insert(digest.level(), digest);
     }
 
@@ -122,15 +121,15 @@ mod tests {
     use super::*;
     use merkle::LevelDigest;
 
-    fn digest(level: u32) -> LevelDigest {
-        LevelDigest::from_records(
+    fn digest(level: u32) -> Arc<LevelDigest> {
+        Arc::new(LevelDigest::from_records(
             level,
             vec![
                 (b"a".as_slice(), b"a1".to_vec()),
                 (b"b".as_slice(), b"b1".to_vec()),
                 (b"c".as_slice(), b"c1".to_vec()),
             ],
-        )
+        ))
     }
 
     #[test]
@@ -152,7 +151,7 @@ mod tests {
         d.publish_epoch(1);
         // A compaction replaces level 1 with a single-leaf tree at epoch 2.
         let single = LevelDigest::from_records(1, vec![(b"x".as_slice(), b"x1".to_vec())]);
-        d.install(single);
+        d.install(Arc::new(single));
         d.publish_epoch(2);
         // Epoch 1 still proves over the 3-leaf tree; epoch 2 over 1 leaf.
         assert!(d.prove_range(1, 1, 0, 2).is_some());
@@ -179,7 +178,7 @@ mod tests {
         let d = UntrustedDigests::new(Platform::with_defaults());
         d.install(digest(1));
         let single = LevelDigest::from_records(1, vec![(b"x".as_slice(), b"x1".to_vec())]);
-        d.install(single);
+        d.install(Arc::new(single));
         assert_eq!(d.with_level(1, |l| l.leaf_count()), Some(1));
     }
 }

@@ -26,30 +26,18 @@ const TAG_PROOF: u8 = 0x01;
 
 /// Wraps a fresh application value (no proof).
 pub fn wrap_plain(value: &[u8]) -> Bytes {
-    let mut out = Vec::with_capacity(wrapped_len(value, 0));
+    let mut out = Vec::with_capacity(wrapped_len(value));
     out.push(TAG_PLAIN);
     push_varint(&mut out, value.len() as u64);
     out.extend_from_slice(value);
     Bytes::from(out)
 }
 
-/// Wraps an application value together with its embedded proof.
-/// `write_proof` appends the proof's `proof_len` encoded bytes
+/// Appends to `out` an application value together with its embedded
+/// proof — how a merge writes a stored value straight into the table block
+/// under construction. `write_proof` appends the encoded proof
 /// ([`merkle::LevelDigest::encode_proof_into`], or a
-/// [`merkle::RecordProof::encode`] copy): the proof is serialized once,
-/// straight after the value, into a buffer sized for both.
-pub fn wrap_with_proof(
-    value: &[u8],
-    proof_len: usize,
-    write_proof: impl FnOnce(&mut Vec<u8>),
-) -> Bytes {
-    let mut out = Vec::with_capacity(wrapped_len(value, proof_len));
-    append_with_proof(&mut out, value, write_proof);
-    Bytes::from(out)
-}
-
-/// Appends to `out` the envelope [`wrap_with_proof`] builds — how a merge
-/// writes a stored value straight into the table block under construction.
+/// [`merkle::RecordProof::encode`] copy).
 pub fn append_with_proof(out: &mut Vec<u8>, value: &[u8], write_proof: impl FnOnce(&mut Vec<u8>)) {
     out.push(TAG_PROOF);
     push_varint(out, value.len() as u64);
@@ -106,12 +94,8 @@ pub fn open(stored: &[u8]) -> Option<Opened<'_>> {
 
 /// Appends the canonical bytes of a record — bare application value, no
 /// envelope — the input to every chain and Merkle digest.
-pub fn append_canonical<'a>(
-    record: impl Into<RecordView<'a>>,
-    bare_value: &[u8],
-    out: &mut Vec<u8>,
-) {
-    record.into().encode_with_value_into(bare_value, out);
+pub fn append_canonical(record: RecordView<'_>, bare_value: &[u8], out: &mut Vec<u8>) {
+    record.encode_with_value_into(bare_value, out);
 }
 
 /// Opens a stored record's envelope, mapping a malformed one to a
@@ -121,22 +105,18 @@ pub fn append_canonical<'a>(
 ///
 /// Returns [`VerificationFailure::ForgedRecord`]-class errors on malformed
 /// envelopes.
-pub fn open_record<'a>(
-    record: impl Into<RecordView<'a>>,
-    level: u32,
-) -> Result<Opened<'a>, VerificationFailure> {
-    open(record.into().value).ok_or(VerificationFailure::ForgedRecord {
+pub fn open_record(record: RecordView<'_>, level: u32) -> Result<Opened<'_>, VerificationFailure> {
+    open(record.value).ok_or(VerificationFailure::ForgedRecord {
         level,
         source: merkle::VerifyError::BadAuditPath,
     })
 }
 
-/// Exact size of an envelope around `value` and `proof_len` proof bytes
-/// (an exactly sized `Vec` converts to `Bytes` without a shrinking
-/// reallocation).
-fn wrapped_len(value: &[u8], proof_len: usize) -> usize {
+/// Exact size of a plain envelope around `value` (an exactly sized `Vec`
+/// converts to `Bytes` without a shrinking reallocation).
+fn wrapped_len(value: &[u8]) -> usize {
     let len_bits = (64 - (value.len() as u64).leading_zeros()).max(1) as usize;
-    1 + len_bits.div_ceil(7) + value.len() + proof_len
+    1 + len_bits.div_ceil(7) + value.len()
 }
 
 fn push_varint(out: &mut Vec<u8>, mut v: u64) {
@@ -182,12 +162,14 @@ mod tests {
     }
 
     fn wrap_with(value: &[u8], proof: &RecordProof) -> Bytes {
-        wrap_with_proof(value, proof.encoded_len(), |out| out.extend_from_slice(&proof.encode()))
+        let mut out = Vec::new();
+        append_with_proof(&mut out, value, |out| out.extend_from_slice(&proof.encode()));
+        Bytes::from(out)
     }
 
     fn canonical(record: &Record, bare_value: &[u8]) -> Vec<u8> {
         let mut out = Vec::new();
-        append_canonical(record, bare_value, &mut out);
+        append_canonical(record.view(), bare_value, &mut out);
         out
     }
 
@@ -215,9 +197,9 @@ mod tests {
     fn wrapped_buffers_are_sized_exactly() {
         for len in [0usize, 1, 127, 128, 16_383, 16_384, 70_000] {
             let value = vec![7u8; len];
-            assert_eq!(wrap_plain(&value).len(), wrapped_len(&value, 0), "len {len}");
+            assert_eq!(wrap_plain(&value).len(), wrapped_len(&value), "len {len}");
             let p = proof();
-            assert_eq!(wrap_with(&value, &p).len(), wrapped_len(&value, p.encoded_len()));
+            assert_eq!(wrap_with(&value, &p).len(), wrapped_len(&value) + p.encoded_len());
         }
     }
 
@@ -261,6 +243,6 @@ mod tests {
     #[test]
     fn open_record_rejects_malformed() {
         let bad = Record::put(b"k".as_slice(), b"\x07garbage".as_slice(), 3);
-        assert!(open_record(&bad, 1).is_err());
+        assert!(open_record(bad.view(), 1).is_err());
     }
 }

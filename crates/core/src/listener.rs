@@ -82,9 +82,9 @@ pub struct AuthListener {
     trusted: Arc<TrustedState>,
     digests: Arc<UntrustedDigests>,
     /// Reuse stored leaf work for compaction outputs whose key chain is
-    /// bit-identical to a single input run's (no version dropped or
-    /// filtered): the enclave charges a 32-byte digest move per such
-    /// record instead of rehashing the canonical bytes. Digest *values*
+    /// bit-identical to a single input run's (no version dropped): the
+    /// enclave charges a 32-byte digest move per such record instead of
+    /// rehashing the canonical bytes. Digest *values*
     /// are identical either way — this is purely the amortized
     /// integrity-metadata maintenance cost lever.
     incremental: bool,
@@ -232,9 +232,9 @@ impl OutputWriter for ProofWriter<'_> {
 impl StoreListener for AuthListener {
     fn on_wal_append(&self, record: &Record) {
         // Records enter the WAL with a plain envelope; digest bare bytes.
-        if let Ok(opened) = open_record(record, 0) {
+        if let Ok(opened) = open_record(record.view(), 0) {
             let mut canonical = Vec::new();
-            append_canonical(record, opened.value, &mut canonical);
+            append_canonical(record.view(), opened.value, &mut canonical);
             self.trusted.absorb_wal(&canonical);
         }
         if let Some(cache) = &self.cache {
@@ -249,8 +249,8 @@ impl StoreListener for AuthListener {
         let mut canonicals = Vec::new();
         let mut ends = Vec::with_capacity(records.len());
         for record in records {
-            if let Ok(opened) = open_record(record, 0) {
-                append_canonical(record, opened.value, &mut canonicals);
+            if let Ok(opened) = open_record(record.view(), 0) {
+                append_canonical(record.view(), opened.value, &mut canonicals);
                 ends.push(canonicals.len());
             }
         }
@@ -368,6 +368,16 @@ impl StoreListener for AuthListener {
         scratch
             .staged
             .insert(info.output_level, StagedCommit { delta, output_digest, digest_clears });
+    }
+
+    fn on_merge_failed(&self) {
+        // The host served an input that does not decode, or refused an
+        // output file: refuse service. The input trees the job left
+        // part-built go too — a retry streams its levels from the start.
+        // (A wave's other jobs lose theirs as well and fail their root
+        // check, in a store that is poisoned already.)
+        self.trusted.poison();
+        self.scratch.lock().input_builders.clear();
     }
 
     fn on_compaction_install(&self, info: &CompactionInfo) {
@@ -503,7 +513,7 @@ mod tests {
         assert_eq!(digests.len(), 1);
         // Output records now carry proofs.
         for r in &out {
-            assert!(open_record(r, 1).unwrap().proof.is_some());
+            assert!(open_record(r.view(), 1).unwrap().proof.is_some());
         }
         assert!(!trusted.is_poisoned());
     }

@@ -345,9 +345,9 @@ impl ElsmP2 {
         Ok(())
     }
 
-    /// Streams each stored level, table by table and block by block,
-    /// through a digest builder: nothing of a level is resident but the
-    /// block being read and the tree being built.
+    /// Streams each stored level, table by table, through a digest
+    /// builder: nothing of a level is resident but the table being read
+    /// and the tree being built.
     fn rebuild_untrusted_digests(&self) -> Result<(), ElsmError> {
         let version = self.db.current_version();
         let mut canonical = Vec::new();
@@ -371,7 +371,7 @@ impl ElsmP2 {
             let digest = builder.finish();
             let crown = digest.crown(self.trusted.crown_row_max());
             self.trusted.adopt_crown(&digest.commitment(), crown);
-            self.digests.install(digest);
+            self.digests.install(Arc::new(digest));
         }
         Ok(())
     }
@@ -504,7 +504,7 @@ impl ElsmP2 {
         let (value_range, proof_bytes) = match hit {
             Some(hit) => (hit.value, hit.proof_bytes),
             None => {
-                let Ok(opened) = open_record(record, 0) else {
+                let Ok(opened) = open_record(record.view(), 0) else {
                     return Ok(None);
                 };
                 (opened.value_range(), opened.proof_bytes())
@@ -721,7 +721,7 @@ impl ElsmP2 {
         verdict?;
         let mut out = Vec::with_capacity(trace.merged.len());
         for record in &trace.merged {
-            let opened = open_record(record, 0).map_err(ElsmError::Verification)?;
+            let opened = open_record(record.view(), 0).map_err(ElsmError::Verification)?;
             let value = record.value.slice(opened.value_range());
             let value = if record.kind == ValueKind::VlogPut {
                 self.resolve_vlog_value(record, &value)?

@@ -984,10 +984,10 @@ fn open_proved<'r>(
     record: &'r Record,
     canonical: &mut Vec<u8>,
 ) -> Result<(Opened<'r>, RecordProofRef<'r>), VerificationFailure> {
-    let opened = open_record(record, level)?;
+    let opened = open_record(record.view(), level)?;
     let proof = opened.proof.ok_or(VerificationFailure::MissingProof { level })?;
     canonical.clear();
-    append_canonical(record, opened.value, canonical);
+    append_canonical(record.view(), opened.value, canonical);
     Ok((opened, proof))
 }
 

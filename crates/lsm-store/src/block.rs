@@ -267,12 +267,11 @@ pub struct BlockIter {
     value: Bytes,
     /// `advance` was already called for the current entry (by `seek`).
     parked: bool,
-    done: bool,
 }
 
 impl BlockIter {
     fn at(block: Block, pos: usize) -> Self {
-        BlockIter { block, pos, key: Vec::new(), value: Bytes::new(), parked: false, done: false }
+        BlockIter { block, pos, key: Vec::new(), value: Bytes::new(), parked: false }
     }
 
     /// Starts over on another block, keeping the key buffer.
@@ -281,7 +280,6 @@ impl BlockIter {
         self.pos = 0;
         self.key.clear();
         self.parked = false;
-        self.done = false;
     }
 
     /// Moves to the next entry; `Ok(false)` at the end of the block.
@@ -295,8 +293,7 @@ impl BlockIter {
             self.parked = false;
             return Ok(true);
         }
-        if self.done || self.pos >= self.block.restarts_offset {
-            self.done = true;
+        if self.pos >= self.block.restarts_offset {
             return Ok(false);
         }
         match self.block.entry_at(self.pos) {
@@ -308,7 +305,7 @@ impl BlockIter {
                 Ok(true)
             }
             _ => {
-                self.done = true;
+                self.pos = self.block.restarts_offset;
                 Err(CorruptEntry)
             }
         }

@@ -49,14 +49,8 @@ pub struct Probe {
 }
 
 impl BloomFilter {
-    /// Builds a filter over `keys` with `bits_per_key` bits per key.
-    pub fn from_keys<K: AsRef<[u8]>>(keys: &[K], bits_per_key: usize) -> Self {
-        let hashes: Vec<KeyHashes> = keys.iter().map(|k| key_hashes(k.as_ref())).collect();
-        Self::from_hashes(&hashes, bits_per_key)
-    }
-
-    /// Builds the filter [`BloomFilter::from_keys`] builds, from each
-    /// key's [`key_hashes`] — all a table builder has to keep per key.
+    /// Builds a filter with `bits_per_key` bits per key from each key's
+    /// [`key_hashes`] — all a table builder has to keep per key.
     pub fn from_hashes(hashes: &[KeyHashes], bits_per_key: usize) -> Self {
         // k = bits_per_key * ln2, clamped as LevelDB does.
         let k = ((bits_per_key as f64 * 0.69) as u32).clamp(1, 30);
@@ -131,10 +125,15 @@ mod tests {
         (0..n).map(|i| format!("user{i:06}").into_bytes()).collect()
     }
 
+    fn from_keys(keys: &[Vec<u8>], bits_per_key: usize) -> BloomFilter {
+        let hashes: Vec<KeyHashes> = keys.iter().map(|k| key_hashes(k)).collect();
+        BloomFilter::from_hashes(&hashes, bits_per_key)
+    }
+
     #[test]
     fn no_false_negatives() {
         let ks = keys(1000);
-        let f = BloomFilter::from_keys(&ks, 10);
+        let f = from_keys(&ks, 10);
         for k in &ks {
             assert!(f.may_contain(k), "false negative for {k:?}");
         }
@@ -143,7 +142,7 @@ mod tests {
     #[test]
     fn false_positive_rate_reasonable() {
         let ks = keys(1000);
-        let f = BloomFilter::from_keys(&ks, 10);
+        let f = from_keys(&ks, 10);
         let mut fp = 0;
         let trials = 10_000;
         for i in 0..trials {
@@ -158,14 +157,14 @@ mod tests {
 
     #[test]
     fn empty_filter_rejects() {
-        let f = BloomFilter::from_keys::<&[u8]>(&[], 10);
+        let f = from_keys(&[], 10);
         assert!(!f.may_contain(b"anything"));
     }
 
     #[test]
     fn encode_decode_round_trip() {
         let ks = keys(100);
-        let f = BloomFilter::from_keys(&ks, 8);
+        let f = from_keys(&ks, 8);
         let g = BloomFilter::decode(&f.encode()).unwrap();
         assert_eq!(f, g);
         for k in &ks {
@@ -182,7 +181,7 @@ mod tests {
     #[test]
     fn probe_reports_what_it_read() {
         let ks = keys(10);
-        let f = BloomFilter::from_keys(&ks, 10);
+        let f = from_keys(&ks, 10);
         let present = f.probe(ks[0].as_slice());
         assert!(present.hit && present.first_offset < f.byte_len());
         assert_eq!(present.bits_tested, 6, "a hit tests all k = 10 * 0.69 bits");

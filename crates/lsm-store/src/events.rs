@@ -94,6 +94,13 @@ pub trait StoreListener: Send + Sync {
         let _ = info;
     }
 
+    /// A merge failed (an input did not read back or decode, an output file
+    /// could not be written) after the listener may have been shown part of
+    /// it. Nothing of the job installs and no
+    /// [`StoreListener::on_compaction_end`] follows; eLSM refuses further
+    /// service, as it does when an input level does not match its root.
+    fn on_merge_failed(&self) {}
+
     /// The compaction's output version is about to install (fires under
     /// the store's write lock, immediately before the matching
     /// [`StoreListener::on_version_install`]). Installs of a parallel
@@ -181,8 +188,8 @@ pub trait StoreListener: Send + Sync {
 pub trait OutputObserver {
     /// The next output record, in internal-key order. `unchanged` is true
     /// when the record's whole key chain came from a single input run with
-    /// no version dropped or filtered — its authenticated leaf is
-    /// bit-identical to the input's, so an incremental listener can reuse
+    /// no version dropped — its authenticated leaf is bit-identical to the
+    /// input's, so an incremental listener can reuse
     /// the stored digest instead of rehashing (the amortized
     /// integrity-metadata maintenance the TEE-KV survey names as the
     /// enclave-LSM cost lever).

@@ -106,21 +106,6 @@ impl Survivors {
     }
 }
 
-/// Adds `run`'s tables as inputs of a merge, every block read now: table
-/// by table and block by block, whatever order the merge then consumes
-/// their records in.
-fn stream_run<'a>(
-    inputs: &mut Vec<MergeInput<'a>>,
-    run: &'a Run,
-    level: usize,
-) -> Result<(), FsError> {
-    for t in run.tables() {
-        let source = RecordSource { level, file_no: t.meta().file_no };
-        inputs.push(MergeInput::table(source, t.iter().read_ahead()?));
-    }
-    Ok(())
-}
-
 impl Db {
     /// Forces a memtable flush (to the strategy's target level), then lets
     /// the scheduler run any compaction waves the flush made due.
@@ -211,6 +196,19 @@ impl Db {
     }
 
     fn flush_inner(&self, min_bytes: usize, chase: bool) -> Result<(), FsError> {
+        // A flush whose merge failed left its frozen memtable in the
+        // version: still read, still covered by the log before the active
+        // one. A version holds one frozen memtable, so that flush finishes
+        // before another freezes — freezing over it would take acknowledged
+        // writes out of the read path.
+        let pending = {
+            let inner = self.inner.read();
+            let imm = inner.current.imm().cloned();
+            imm.map(|imm| (imm, inner.current.clone(), wal_name(inner.wal_no - 1)))
+        };
+        if let Some((imm, base, old_wal)) = pending {
+            self.flush_frozen(&imm, &base, &old_wal)?;
+        }
         // Phase 1 (write lock): freeze the memtable into the version as an
         // immutable snapshot, rotate the WAL, and publish — readers keep
         // finding the frozen records in trusted memory while the merge
@@ -248,55 +246,7 @@ impl Db {
             self.write_manifest_with(inner.wal_lo, inner.wal_no, &inner.current)?;
             (imm, inner.current.clone(), old_wal)
         };
-
-        // Phase 2 (no store lock): merge the frozen records into the
-        // strategy's target level. Key-value separation happens here —
-        // before the listener observes the records — so levels, proofs and
-        // commitments all cover pointer records, while the WAL and the
-        // memtable (whose replay must restore values without the log)
-        // always carry the full values.
-        let merge_span = self.metrics.flush_merge.start();
-        let mut mem_records: Vec<Record> = imm.iter_records().collect();
-        self.separate_large_values(&mut mem_records)?;
-        for r in &mem_records {
-            self.listener.on_flush_record(r);
-        }
-        let mut inputs =
-            vec![MergeInput::records(RecordSource { level: 0, file_no: 0 }, &mem_records)];
-        let mut input_levels = vec![0];
-        let (target, merge_existing) = if self.options.compaction_enabled {
-            let plan = self.strategy.flush_plan(&LevelsView::from_version(&base), &self.options);
-            (plan.target, plan.merge_existing)
-        } else {
-            // Compaction off: stack the run at the first empty level —
-            // write amplification 1, read cost grows with run count
-            // (Figure 7b's wo-compaction mode).
-            let mut i = 1;
-            while i < base.levels().len() && base.level(i).is_some() {
-                i += 1;
-            }
-            (i, false)
-        };
-        if let Some(run) = base.level(target).filter(|_| merge_existing) {
-            stream_run(&mut inputs, run, target)?;
-            input_levels.push(target);
-        }
-        // A flush may purge tombstones only when it *merges into* the
-        // bottom level (leveled, tiny stores). A stacked flush run — no
-        // matter its slot index — is the newest data with older runs
-        // below, so purging there would resurrect shadowed versions.
-        let purge =
-            self.options.compaction_enabled && merge_existing && target >= self.options.max_levels;
-        let out = self.merge_to_run(inputs, input_levels, target, purge, &[])?;
-        drop(merge_span);
-
-        // Phase 3: install the successor version with the frozen memtable
-        // absorbed into its level; the old WAL goes last, after the
-        // manifest stopped naming it.
-        let install_span = self.metrics.flush_install.start();
-        self.install_output(&out, None)?;
-        let _ = self.env.fs().delete(&old_wal);
-        drop(install_span);
+        self.flush_frozen(&imm, &base, &old_wal)?;
         if self.options.telemetry.is_enabled() {
             // Refresh the registry's gauges at every version boundary so a
             // telemetry snapshot is current even if nobody polls
@@ -309,6 +259,59 @@ impl Db {
         if chase && self.options.vlog.is_some_and(|c| c.gc_enabled) {
             self.vlog_gc_locked()?;
         }
+        Ok(())
+    }
+
+    /// Phases 2 and 3 of a flush: merges the frozen memtable `imm` of
+    /// version `base` into its level and installs the result, after which
+    /// `old_wal` (the log that covered `imm`) goes.
+    fn flush_frozen(&self, imm: &MemTable, base: &Version, old_wal: &str) -> Result<(), FsError> {
+        // Phase 2 (no store lock): merge the frozen records into the
+        // strategy's target level. Key-value separation happens here —
+        // before the listener observes the records — so levels, proofs and
+        // commitments all cover pointer records, while the WAL and the
+        // memtable (whose replay must restore values without the log)
+        // always carry the full values.
+        let merge_span = self.metrics.flush_merge.start();
+        let mut mem_records: Vec<Record> = imm.iter_records().collect();
+        self.separate_large_values(&mut mem_records)?;
+        for r in &mem_records {
+            self.listener.on_flush_record(r);
+        }
+        let mut input_levels = vec![0];
+        let (target, merge_existing) = if self.options.compaction_enabled {
+            let plan = self.strategy.flush_plan(&LevelsView::from_version(base), &self.options);
+            (plan.target, plan.merge_existing)
+        } else {
+            // Compaction off: stack the run at the first empty level —
+            // write amplification 1, read cost grows with run count
+            // (Figure 7b's wo-compaction mode).
+            let mut i = 1;
+            while i < base.levels().len() && base.level(i).is_some() {
+                i += 1;
+            }
+            (i, false)
+        };
+        if merge_existing && base.level(target).is_some() {
+            input_levels.push(target);
+        }
+        // A flush may purge tombstones only when it *merges into* the
+        // bottom level (leveled, tiny stores). A stacked flush run — no
+        // matter its slot index — is the newest data with older runs
+        // below, so purging there would resurrect shadowed versions.
+        let purge =
+            self.options.compaction_enabled && merge_existing && target >= self.options.max_levels;
+        let out = self
+            .merge_to_run(&mem_records, base, input_levels, target, purge, &[])
+            .map_err(|e| self.merge_failed(e))?;
+        drop(merge_span);
+
+        // Phase 3: install the successor version with the frozen memtable
+        // absorbed into its level; the old WAL goes last, after the
+        // manifest stopped naming it.
+        let _install_span = self.metrics.flush_install.start();
+        self.install_output(&out, None)?;
+        let _ = self.env.fs().delete(old_wal);
         Ok(())
     }
 
@@ -461,13 +464,15 @@ impl Db {
         rewrite: &[u64],
     ) -> Result<MergeOutput, FsError> {
         let _span = self.metrics.compaction_merge.start();
-        let mut inputs = Vec::new();
-        for &level in &job.input_levels {
-            if let Some(run) = base.level(level) {
-                stream_run(&mut inputs, run, level)?;
-            }
-        }
-        self.merge_to_run(inputs, job.input_levels.clone(), job.output_level, job.purge, rewrite)
+        self.merge_to_run(&[], base, job.input_levels.clone(), job.output_level, job.purge, rewrite)
+            .map_err(|e| self.merge_failed(e))
+    }
+
+    /// A merge failed: nothing of it installs. The listener hears of it
+    /// (what it gathered for the job is partial) and the error goes on.
+    fn merge_failed(&self, error: FsError) -> FsError {
+        self.listener.on_merge_failed();
+        error
     }
 
     /// Replays one job from a primary's [`ReplicationEvent::Compact`]
@@ -630,12 +635,23 @@ impl Db {
     /// merge before any output file exists.
     fn merge_to_run(
         &self,
-        inputs: Vec<MergeInput<'_>>,
+        mem: &[Record],
+        base: &Version,
         input_levels: Vec<usize>,
         output_level: usize,
         purge: bool,
         rewrite: &[u64],
     ) -> Result<MergeOutput, FsError> {
+        // Level 0 is the frozen memtable (`mem`, empty for a compaction); a
+        // stored level's blocks are all read now, table by table and block
+        // by block, whatever order the merge then consumes their records in.
+        let mut inputs = vec![MergeInput::records(RecordSource { level: 0, file_no: 0 }, mem)];
+        for &level in &input_levels {
+            for t in base.level(level).map_or(&[][..], |run| run.tables()) {
+                let source = RecordSource { level, file_no: t.meta().file_no };
+                inputs.push(MergeInput::table(source, t.iter()?));
+            }
+        }
         // Tombstones may only be purged when a merge observes every live
         // version of its keys (bottom level, or a major pass over all
         // populated levels); stacked (no-compaction) runs must keep them

@@ -20,7 +20,7 @@ use crate::sstable::TableIter;
 /// Where an input's records come from.
 #[derive(Debug)]
 enum Cursor<'a> {
-    /// A table, streamed block by block.
+    /// A table's records, in order.
     Table(TableIter<'a>),
     /// Owned records in internal-key order; `next` is the one after the
     /// current.

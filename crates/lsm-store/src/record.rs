@@ -181,12 +181,6 @@ pub struct RecordView<'a> {
     pub value: &'a Bytes,
 }
 
-impl<'a> From<&'a Record> for RecordView<'a> {
-    fn from(record: &'a Record) -> Self {
-        record.view()
-    }
-}
-
 impl RecordView<'_> {
     /// An owned copy of the record (the key is copied, the value shared).
     pub fn to_record(&self) -> Record {

@@ -18,7 +18,6 @@
 //! the probed offsets, so metadata becomes a realistic source of EPC
 //! pressure.
 
-use std::collections::VecDeque;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -604,9 +603,17 @@ impl TableReader {
         }
     }
 
-    /// Cursor over every record in order, reading one block at a time.
-    pub fn iter(&self) -> TableIter<'_> {
-        TableIter { reader: self, next_read: 0, ahead: VecDeque::new(), cur: None }
+    /// Cursor over every record in order. The table's blocks are all read
+    /// now, in file order: a merge opens each input before it starts, so
+    /// that interleaving the inputs' records does not interleave their reads.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError`] when a block fails to read or parse.
+    pub fn iter(&self) -> Result<TableIter<'_>, FsError> {
+        let blocks: Result<Vec<Block>, FsError> =
+            (0..self.index.len()).map(|i| self.read_block(i)).collect();
+        Ok(TableIter { file: &self.file, blocks: blocks?.into_iter(), cur: None })
     }
 
     /// All records with user key in `[from, to]` (inclusive), every version.
@@ -644,7 +651,7 @@ impl TableReader {
     /// Returns [`FsError`] on IO errors, and when the first block holds no
     /// decodable entry.
     pub fn first_record(&self) -> Result<Record, FsError> {
-        let mut first = self.iter();
+        let mut first = self.iter()?;
         match first.advance()? {
             true => Ok(first.view().to_record()),
             false => Err(corrupt_table(&self.file)),
@@ -682,37 +689,13 @@ fn record_at(entry: &BlockIter) -> Option<RecordView<'_>> {
 /// an internal key are errors, not the end of the table.
 #[derive(Debug)]
 pub struct TableIter<'a> {
-    reader: &'a TableReader,
-    /// The next block to read from the file.
-    next_read: usize,
-    /// Blocks read and not yet iterated, in order.
-    ahead: VecDeque<Block>,
+    file: &'a SimFile,
+    /// Blocks not yet iterated, in order.
+    blocks: std::vec::IntoIter<Block>,
     cur: Option<BlockIter>,
 }
 
-impl<'a> TableIter<'a> {
-    /// Reads the next block of the file, if there is one.
-    fn read_next(&mut self) -> Result<bool, FsError> {
-        if self.next_read == self.reader.index.len() {
-            return Ok(false);
-        }
-        self.ahead.push_back(self.reader.read_block(self.next_read)?);
-        self.next_read += 1;
-        Ok(true)
-    }
-
-    /// Reads every block not yet read, now and in file order. A merge
-    /// does this to each input before it starts, so that interleaving the
-    /// inputs' records does not interleave their reads.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError`] when a block fails to read or parse.
-    pub fn read_ahead(mut self) -> Result<Self, FsError> {
-        while self.read_next()? {}
-        Ok(self)
-    }
-
+impl TableIter<'_> {
     /// Moves to the next record; `Ok(false)` after the last.
     ///
     /// # Errors
@@ -726,13 +709,10 @@ impl<'a> TableIter<'a> {
                 match cur.advance() {
                     Ok(true) if cur.key().len() >= 8 => return Ok(true),
                     Ok(false) => {}
-                    Ok(true) | Err(_) => return Err(corrupt_table(&self.reader.file)),
+                    Ok(true) | Err(_) => return Err(corrupt_table(self.file)),
                 }
             }
-            if self.ahead.is_empty() && !self.read_next()? {
-                return Ok(false);
-            }
-            let block = self.ahead.pop_front().expect("a block was read ahead");
+            let Some(block) = self.blocks.next() else { return Ok(false) };
             match &mut self.cur {
                 Some(cur) => cur.reset(block),
                 None => self.cur = Some(block.iter()),
@@ -935,7 +915,7 @@ mod tests {
         let recs = sample_records();
         let reader = build_table(&env, &fs, &recs);
         let mut got: Vec<Record> = Vec::new();
-        let mut records = reader.iter();
+        let mut records = reader.iter().unwrap();
         while records.advance().unwrap() {
             got.push(records.view().to_record());
         }

@@ -179,7 +179,7 @@ impl Run {
     }
 
     /// Streams every record of the run through `f` in key order, one
-    /// table and one block at a time.
+    /// table at a time.
     ///
     /// # Errors
     ///
@@ -187,7 +187,7 @@ impl Run {
     /// before it have been passed to `f`.
     pub fn for_each_record(&self, mut f: impl FnMut(RecordView<'_>)) -> Result<(), FsError> {
         for t in &self.tables {
-            let mut records = t.iter();
+            let mut records = t.iter()?;
             while records.advance()? {
                 f(records.view());
             }

@@ -740,15 +740,17 @@ mod merge_input {
     /// Breaks the first entry header of a block in the middle of the
     /// level-1 table: the restart entry now claims to share key bytes with
     /// a predecessor it does not have. Everything before it still decodes.
-    fn corrupt_mid_table_block(fs: &SimFs) -> (String, usize) {
+    /// Returns the flip that mends it again.
+    fn corrupt_mid_table_block(fs: &SimFs) -> impl Fn() {
         let sst = fs.list().into_iter().find(|n| n.ends_with(".sst")).expect("a table");
         let file = fs.open(&sst).unwrap();
         let blocks = data_blocks(&file);
         assert!(blocks.len() >= 4, "the table must have a middle: {} blocks", blocks.len());
         let (offset, _) = blocks[blocks.len() / 2];
         assert_eq!(file.peek(offset, 1).unwrap()[0], 0, "a restart entry shares nothing");
-        file.corrupt(offset, 0x05);
-        (sst, blocks.len())
+        let flip = move || file.corrupt(offset, 0x05);
+        flip();
+        flip
     }
 
     #[test]
@@ -771,17 +773,80 @@ mod merge_input {
         let (epoch, records) = (db.current_epoch(), db.level_records());
         assert_eq!(records[1], 600, "one level-1 run: {records:?}");
         let files = fs.list();
-        corrupt_mid_table_block(&fs);
+        let mend = corrupt_mid_table_block(&fs);
 
         assert!(db.compact(1).is_err(), "a short read of an input must fail the job");
         assert_eq!(db.current_epoch(), epoch, "nothing installed");
         assert_eq!(db.level_records(), records, "the level is as long as it was");
         assert_eq!(fs.list(), files, "and no output file was left behind");
         assert!(db.level_record_dump(1).is_err(), "a dump does not pass for a shorter level");
-        // The same merge through a flush into the level.
-        db.put(b"key9999", b"late").unwrap();
+        // The same merge through a flush into the level fails after the
+        // memtable froze. The frozen records stay in the read path, and the
+        // next flush finishes that one instead of freezing over it.
+        db.put(b"key0000", b"late").unwrap();
+        assert!(db.flush().is_err());
+        db.put(b"key0001", b"later").unwrap();
         assert!(db.flush().is_err());
         assert_eq!(db.level_records()[1], 600);
+        assert_eq!(&db.get(b"key0000").unwrap().unwrap().value[..], b"late");
+        assert_eq!(&db.get(b"key0001").unwrap().unwrap().value[..], b"later");
+        // Once the table reads back, one flush completes both.
+        mend();
+        db.flush().unwrap();
+        assert_eq!(db.level_records()[1], 602);
+        assert_eq!(&db.get(b"key0000").unwrap().unwrap().value[..], b"late");
+        assert_eq!(&db.get(b"key0001").unwrap().unwrap().value[..], b"later");
+    }
+
+    /// A flush that fails after its freeze must not let a later flush drop
+    /// the frozen memtable: the level below still proves the old values.
+    #[test]
+    fn a_failed_flush_never_serves_a_stale_read() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let options = P2Options {
+            write_buffer_bytes: 16 * 1024,
+            block_cache_bytes: 0,
+            ..P2Options::default()
+        };
+        let store = ElsmP2::open_with(platform, fs.clone(), options, None).unwrap();
+        let key = |i: u32| format!("key{i:04}").into_bytes();
+        for i in 0..300 {
+            store.put(&key(i), &[1; 64]).unwrap();
+        }
+        store.db().flush().unwrap();
+        assert_eq!(store.db().level_records()[1], 300, "one level-1 run");
+        let _ = corrupt_mid_table_block(&fs);
+
+        // Overwrite the level's keys, several write buffers' worth. A put
+        // whose flush failed was applied all the same: either value is right.
+        let mut acceptable: Vec<Vec<[u8; 64]>> = vec![vec![[1; 64]]; 300];
+        let mut failed_puts = 0;
+        for round in 2..5u8 {
+            for i in 0..300 {
+                match store.put(&key(i), &[round; 64]) {
+                    Ok(_) => acceptable[i as usize] = vec![[round; 64]],
+                    Err(_) => {
+                        acceptable[i as usize].push([round; 64]);
+                        failed_puts += 1;
+                    }
+                }
+            }
+        }
+        assert!(failed_puts > 0, "the flush into the broken level must surface");
+        assert!(store.db().flush().is_err(), "a retry fails again; it does not panic");
+        assert_eq!(store.db().level_records()[1], 300, "never a shorter level");
+        for i in 0..300 {
+            match store.get(&key(i)) {
+                Ok(Some(r)) => assert!(
+                    acceptable[i as usize].iter().any(|v| r.value() == &v[..]),
+                    "key{i:04} read back a value it no longer has"
+                ),
+                Ok(None) => panic!("key{i:04} verified as absent"),
+                Err(ElsmError::Verification(_) | ElsmError::Poisoned) => {}
+                Err(other) => panic!("neither the value nor a refusal: {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -801,25 +866,13 @@ mod merge_input {
         store.db().flush().unwrap();
         let records = store.db().level_records();
         let commitments = store.trusted().commitments();
-        corrupt_mid_table_block(&fs);
+        let _ = corrupt_mid_table_block(&fs);
 
         let compacted = store.db().compact(1);
-        assert!(
-            compacted.is_err() || store.trusted().is_poisoned(),
-            "the job must fail or the store refuse service"
-        );
+        assert!(compacted.is_err() && store.trusted().is_poisoned(), "fails and refuses service");
         assert_eq!(store.db().level_records(), records, "never a shorter level");
         assert_eq!(store.trusted().commitments(), commitments, "nothing new was signed");
-        // Reads of the broken block are refused, the others still verify.
-        let mut refused = 0;
-        for i in 0..600u32 {
-            match store.get(format!("key{i:04}").as_bytes()) {
-                Ok(Some(r)) => assert_eq!(r.value(), &[i as u8; 64][..]),
-                Ok(None) => panic!("key{i:04} verified as absent"),
-                Err(_) => refused += 1,
-            }
-        }
-        assert!(refused > 0 && refused < 600, "{refused} reads refused");
+        assert!(matches!(store.get(b"key0000"), Err(ElsmError::Poisoned)));
         // Recovery streams the same tables: it reports the table instead
         // of rebuilding a digest over the part that decodes.
         store.close().unwrap();
