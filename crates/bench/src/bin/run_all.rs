@@ -36,43 +36,47 @@ const FIGURES: &[(&str, FigureFn)] = &[
     ("fig14", fig14),
 ];
 
+/// The figures `--only <list>` / `--only=<list>` selects (a
+/// comma-separated list), `None` without the flag. Parsing is strict: a
+/// valueless flag, an empty element (`fig11,,fig12`, a trailing comma) or
+/// an unknown name is an error — never a silent fall-through to the full
+/// sweep.
+fn parse_only(args: &[String]) -> Result<Option<Vec<&str>>, String> {
+    let mut list: Option<&str> = None;
+    let mut args = args.iter();
+    while let Some(arg) = args.next() {
+        if arg == "--only" {
+            match args.next() {
+                Some(value) if !value.starts_with('-') => list = Some(value),
+                _ => return Err("--only requires a figure list".into()),
+            }
+        } else if let Some(value) = arg.strip_prefix("--only=") {
+            list = Some(value);
+        }
+    }
+    let Some(list) = list else { return Ok(None) };
+    for name in list.split(',') {
+        if name.is_empty() {
+            return Err(format!("empty figure name in `--only {list}`"));
+        }
+        if !FIGURES.iter().any(|(n, _)| *n == name) {
+            return Err(format!("unknown figure `{name}`"));
+        }
+    }
+    Ok(Some(list.split(',').collect()))
+}
+
 fn main() {
     let scale = Scale::default();
     let opts = opts_from_args();
-    let markdown = std::env::args().any(|a| a == "--markdown");
-    let usage_and_exit = |problem: &str| -> ! {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let markdown = args.iter().any(|a| a == "--markdown");
+    let only = parse_only(&args).unwrap_or_else(|problem| {
         eprintln!("{problem}; available figures:");
         for (n, _) in FIGURES {
             eprintln!("  {n}");
         }
         std::process::exit(2);
-    };
-    // `--only <list>` or `--only=<list>` with a comma-separated figure
-    // list. Parsing is strict: a valueless flag, an empty element
-    // (`fig11,,fig12`, a trailing comma) or an unknown name is an error —
-    // never a silent fall-through to the full sweep.
-    let mut only_arg: Option<String> = None;
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        if arg == "--only" {
-            match args.next() {
-                Some(value) if !value.starts_with('-') => only_arg = Some(value),
-                _ => usage_and_exit("--only requires a figure list"),
-            }
-        } else if let Some(value) = arg.strip_prefix("--only=") {
-            only_arg = Some(value.to_string());
-        }
-    }
-    let only: Option<Vec<&str>> = only_arg.as_deref().map(|list| {
-        for name in list.split(',') {
-            if name.is_empty() {
-                usage_and_exit(&format!("empty figure name in `--only {list}`"));
-            }
-            if !FIGURES.iter().any(|(n, _)| *n == name) {
-                usage_and_exit(&format!("unknown figure `{name}`"));
-            }
-        }
-        list.split(',').collect()
     });
     let mode = if opts.quick { "smoke" } else { "full" };
     // Telemetry rotates per figure: each gets its own registry and its own
@@ -95,11 +99,38 @@ fn main() {
         if only.is_some() {
             results::write_results(&format!("BENCH_results.{name}.json"), mode, start);
         }
-        telemetry::write_snapshot(name);
-        telemetry::write_traces(name);
+        telemetry::write_dumps(name);
     }
     // Only the full sweep owns the committed baseline.
     if only.is_none() {
         results::write_results("BENCH_results.json", mode, 0);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::parse_only;
+
+    fn parse(args: &[&str]) -> Result<Option<Vec<String>>, String> {
+        let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
+        parse_only(&args)
+            .map(|only| only.map(|names| names.iter().map(|n| n.to_string()).collect()))
+    }
+
+    #[test]
+    fn only_selects_a_strict_figure_list() {
+        assert_eq!(parse(&["--smoke", "--markdown"]), Ok(None));
+        let two = Ok(Some(vec!["fig11".to_string(), "fig12".to_string()]));
+        assert_eq!(parse(&["--smoke", "--only", "fig11,fig12"]), two);
+        assert_eq!(parse(&["--only=fig11,fig12", "--quick"]), two);
+        for bad in [
+            &["--only"][..],
+            &["--only", "--smoke"],
+            &["--only", "fig11,,fig12"],
+            &["--only=fig11,"],
+            &["--only", "fig99"],
+        ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be refused");
+        }
     }
 }

@@ -46,10 +46,10 @@ fn main() {
         println!(
             "{:<10} n={:<6} p50={:<10} p99={:<10} p999={:<10} outlier_exemplar_trace={exemplar}",
             c.op_class,
-            c.count,
-            c.p50_ns(),
-            c.p99_ns(),
-            c.p999_ns(),
+            c.durations.count(),
+            c.durations.quantile(0.50),
+            c.durations.quantile(0.99),
+            c.durations.quantile(0.999),
         );
     }
 

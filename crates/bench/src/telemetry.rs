@@ -3,12 +3,12 @@
 //! Every store a figure builds, and every YCSB phase it runs, reports
 //! into the **current** registry ([`current`]), and `run_all` rotates it
 //! with [`begin_figure`] before each figure so figures don't bleed into
-//! each other. After a figure runs, [`write_snapshot`] dumps the
+//! each other. After a figure runs, [`write_dumps`] dumps the
 //! registry — the enclave/host virtual-time split and ecall/ocall
 //! transition counts of every platform the figure's stores attached,
 //! plus all `db.*` / `cache.*` / `commit.*` / `ycsb.*` series — to
-//! `TELEMETRY.<figure>.json`, next to the figure's
-//! `BENCH_results*.json`.
+//! `TELEMETRY.<figure>.json`, and its span records to
+//! `TRACES.<figure>.json`, next to the figure's `BENCH_results*.json`.
 //!
 //! The registry is process-global for the same reason the results sink
 //! is: figure functions build stores many layers below the binary that
@@ -36,27 +36,20 @@ pub fn current() -> Telemetry {
     CURRENT.lock().unwrap().get_or_insert_with(Telemetry::new).clone()
 }
 
-/// Writes the current registry's JSON snapshot to
-/// `TELEMETRY.<figure>.json`. Errors are reported, not fatal — like the
-/// results sink, observability must never fail a benchmark run.
-pub fn write_snapshot(figure: &str) {
-    let path = format!("TELEMETRY.{figure}.json");
-    if let Err(e) = std::fs::write(&path, current().to_json()) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        eprintln!("(telemetry snapshot written to {path})");
-    }
-}
-
-/// Writes the current registry's trace dump (op-class latency
-/// distributions with exemplar trace ids, the slow-op sampler, and the
-/// span ring) to `TRACES.<figure>.json`, beside the telemetry snapshot.
-pub fn write_traces(figure: &str) {
-    let path = format!("TRACES.{figure}.json");
-    if let Err(e) = std::fs::write(&path, current().traces_to_json()) {
-        eprintln!("warning: could not write {path}: {e}");
-    } else {
-        eprintln!("(trace dump written to {path})");
+/// Writes the current registry's two dumps beside the figure's results:
+/// the JSON snapshot to `TELEMETRY.<figure>.json` and the trace dump
+/// (op-class latency distributions with exemplar trace ids, the slow-op
+/// sampler, and the span ring) to `TRACES.<figure>.json`. Errors are
+/// reported, not fatal — like the results sink, observability must never
+/// fail a benchmark run.
+pub fn write_dumps(figure: &str) {
+    let tel = current();
+    for (kind, body) in [("TELEMETRY", tel.to_json()), ("TRACES", tel.traces_to_json())] {
+        let path = format!("{kind}.{figure}.json");
+        match std::fs::write(&path, body) {
+            Ok(()) => eprintln!("({path} written)"),
+            Err(e) => eprintln!("warning: could not write {path}: {e}"),
+        }
     }
 }
 

@@ -116,3 +116,33 @@ pub trait AuthenticatedKv {
         keys.iter().map(|key| self.delete(key)).collect()
     }
 }
+
+/// The spans of the six [`AuthenticatedKv`] entry points, `<prefix>.put` …
+/// `<prefix>.scan`, each in the op class of its operation. Built once at
+/// open by every layer that serves the trait (`ElsmP2` under `op`, the
+/// shard router under `router.op`).
+#[derive(Debug)]
+#[allow(missing_docs)]
+pub struct OpSpans {
+    pub put: telemetry::Span,
+    pub delete: telemetry::Span,
+    pub put_batch: telemetry::Span,
+    pub delete_batch: telemetry::Span,
+    pub get: telemetry::Span,
+    pub scan: telemetry::Span,
+}
+
+impl OpSpans {
+    /// Registers the six spans on `telemetry` under `prefix`.
+    pub fn new(prefix: &str, telemetry: &telemetry::Telemetry) -> Self {
+        let span = |op: &'static str| telemetry.span(&format!("{prefix}.{op}"), op);
+        OpSpans {
+            put: span("put"),
+            delete: span("delete"),
+            put_batch: span("put_batch"),
+            delete_batch: span("delete_batch"),
+            get: span("get"),
+            scan: span("scan"),
+        }
+    }
+}

@@ -53,7 +53,7 @@ pub mod p2;
 pub mod replication;
 pub mod trusted;
 
-pub use api::{AuthenticatedKv, VerifiedRecord};
+pub use api::{AuthenticatedKv, OpSpans, VerifiedRecord};
 pub use cache::{CacheStats, VerifiedCache};
 pub use confidential::ConfidentialStore;
 pub use digests::UntrustedDigests;

@@ -18,7 +18,7 @@ use merkle::LevelCommitment;
 use sgx_sim::{BufferedCounter, MonotonicCounter, Platform, SealedBlob, Sealer};
 use sim_disk::{Placement, SimDisk, SimFs};
 
-use crate::api::{AuthenticatedKv, VerifiedRecord};
+use crate::api::{AuthenticatedKv, OpSpans, VerifiedRecord};
 use crate::cache::{CacheStats, VerifiedCache};
 use crate::digests::UntrustedDigests;
 use crate::envelope::{append_canonical, open_record, wrap_plain};
@@ -170,6 +170,7 @@ impl Default for P2Options {
 /// ```
 #[derive(Debug)]
 pub struct ElsmP2 {
+    spans: OpSpans,
     platform: Arc<Platform>,
     fs: Arc<SimFs>,
     db: Arc<Db>,
@@ -291,7 +292,9 @@ impl ElsmP2 {
             ))
         });
         store_set_stacked(&trusted, &options);
-        let store = ElsmP2 { platform, fs, db, trusted, digests, sealer, counter, cache, options };
+        let spans = OpSpans::new("op", &options.telemetry);
+        let store =
+            ElsmP2 { spans, platform, fs, db, trusted, digests, sealer, counter, cache, options };
         if recovering {
             let recovery = store.recover_trusted_state();
             store.audited(recovery)?;
@@ -596,7 +599,7 @@ impl AuthenticatedKv for ElsmP2 {
         // router or replica span is already active on this thread. The
         // guard drops after `after_write`, so the whole request —
         // including any flush it triggers — lands in one span window.
-        let _trace = self.options.telemetry.trace_op("op.put", "put");
+        let _span = self.spans.put.start();
         self.ensure_healthy()?;
         // The YCSB driver wraps each operation in an ECall (§6.1),
         // marshalling the record across the boundary.
@@ -608,7 +611,7 @@ impl AuthenticatedKv for ElsmP2 {
     }
 
     fn delete(&self, key: &[u8]) -> Result<Timestamp, ElsmError> {
-        let _trace = self.options.telemetry.trace_op("op.delete", "delete");
+        let _span = self.spans.delete.start();
         self.ensure_healthy()?;
         let ts = self.platform.ecall_with_payload(key.len(), || self.db.delete(key))?;
         self.after_write();
@@ -616,7 +619,7 @@ impl AuthenticatedKv for ElsmP2 {
     }
 
     fn put_batch(&self, items: &[(&[u8], &[u8])]) -> Result<Vec<Timestamp>, ElsmError> {
-        let _trace = self.options.telemetry.trace_op("op.put_batch", "put_batch");
+        let _span = self.spans.put_batch.start();
         self.ensure_healthy()?;
         if items.is_empty() {
             return Ok(Vec::new());
@@ -641,7 +644,7 @@ impl AuthenticatedKv for ElsmP2 {
     }
 
     fn delete_batch(&self, keys: &[&[u8]]) -> Result<Vec<Timestamp>, ElsmError> {
-        let _trace = self.options.telemetry.trace_op("op.delete_batch", "delete_batch");
+        let _span = self.spans.delete_batch.start();
         self.ensure_healthy()?;
         if keys.is_empty() {
             return Ok(Vec::new());
@@ -658,14 +661,14 @@ impl AuthenticatedKv for ElsmP2 {
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<VerifiedRecord>, ElsmError> {
-        let _trace = self.options.telemetry.trace_op("op.get", "get");
+        let _span = self.spans.get.start();
         self.ensure_healthy()?;
         let result = self.get_inner(key);
         self.audited(result)
     }
 
     fn scan(&self, from: &[u8], to: &[u8]) -> Result<Vec<VerifiedRecord>, ElsmError> {
-        let _trace = self.options.telemetry.trace_op("op.scan", "scan");
+        let _span = self.spans.scan.start();
         self.ensure_healthy()?;
         let result = self.scan_inner(from, to);
         self.audited(result)

@@ -130,7 +130,7 @@ impl Default for DbStats {
 pub(crate) struct StoreMetrics {
     /// One activation per committed group (leader-side work: WAL frames,
     /// group sync, memtable inserts, trusted fold).
-    pub(crate) commit_group: telemetry::SpanHandle,
+    pub(crate) commit_group: telemetry::Span,
     /// Batches committed through the group pipeline.
     pub(crate) commit_batches: telemetry::Counter,
     /// Coalescing quality: batches riding each group.
@@ -144,19 +144,19 @@ pub(crate) struct StoreMetrics {
     /// Host pushes of buffered WAL frames.
     pub(crate) wal_syncs: telemetry::Counter,
     /// Flush phase 1: freeze + WAL rotation + install (write lock).
-    pub(crate) flush_freeze: telemetry::SpanHandle,
+    pub(crate) flush_freeze: telemetry::Span,
     /// Flush phase 2: separation + merge to the target level (no lock).
-    pub(crate) flush_merge: telemetry::SpanHandle,
+    pub(crate) flush_merge: telemetry::Span,
     /// Flush phase 3: successor install + manifest (write lock).
-    pub(crate) flush_install: telemetry::SpanHandle,
+    pub(crate) flush_install: telemetry::Span,
     /// Compaction waves executed (each wave = one strategy pick).
     pub(crate) compaction_waves: telemetry::Counter,
     /// One activation per compaction job merge (worker-thread side).
-    pub(crate) compaction_merge: telemetry::SpanHandle,
+    pub(crate) compaction_merge: telemetry::Span,
     /// One activation per job install (write-lock side).
-    pub(crate) compaction_install: telemetry::SpanHandle,
+    pub(crate) compaction_install: telemetry::Span,
     /// One activation per value-log GC pass that found victims.
-    pub(crate) vlog_gc: telemetry::SpanHandle,
+    pub(crate) vlog_gc: telemetry::Span,
     /// Instantaneous compaction debt (bytes over per-level budgets).
     pub(crate) debt_bytes: telemetry::Gauge,
     /// Jobs the strategy would schedule right now.
@@ -170,20 +170,20 @@ pub(crate) struct StoreMetrics {
 impl StoreMetrics {
     fn new(tel: &telemetry::Telemetry) -> Self {
         StoreMetrics {
-            commit_group: tel.span("commit.group"),
+            commit_group: tel.span("commit.group", "commit"),
             commit_batches: tel.counter("commit.batches"),
             batches_per_group: tel.histogram("commit.batches_per_group"),
             records_per_group: tel.histogram("commit.records_per_group"),
             wal_frames: tel.counter("wal.frames"),
             wal_bytes: tel.counter("wal.appended_bytes"),
             wal_syncs: tel.counter("wal.syncs"),
-            flush_freeze: tel.span("flush.freeze"),
-            flush_merge: tel.span("flush.merge"),
-            flush_install: tel.span("flush.install"),
+            flush_freeze: tel.span("flush.freeze", "flush"),
+            flush_merge: tel.span("flush.merge", "flush"),
+            flush_install: tel.span("flush.install", "flush"),
             compaction_waves: tel.counter("compaction.waves"),
-            compaction_merge: tel.span("compaction.merge"),
-            compaction_install: tel.span("compaction.install"),
-            vlog_gc: tel.span("vlog.gc"),
+            compaction_merge: tel.span("compaction.merge", "compaction"),
+            compaction_install: tel.span("compaction.install", "compaction"),
+            vlog_gc: tel.span("vlog.gc", "vlog_gc"),
             debt_bytes: tel.gauge("compaction.debt_bytes"),
             pending_jobs: tel.gauge("compaction.pending_jobs"),
             vlog_bytes: tel.gauge("vlog.bytes"),
@@ -790,9 +790,8 @@ impl Db {
         // done map so followers can link it, and it is the innermost
         // active span when frames are shipped below — the wire envelope
         // carries it to replicas.
-        let trace = self.options.telemetry.trace_op("commit.group", "commit");
-        let trace_ctx = trace.ctx();
-        let _span = self.metrics.commit_group.start();
+        let span = self.metrics.commit_group.start();
+        let trace_ctx = span.ctx();
         let total_ops: usize = group.iter().map(|p| p.ops.len()).sum();
         self.metrics.commit_batches.add(group.len() as u64);
         self.metrics.batches_per_group.observe(group.len() as u64);

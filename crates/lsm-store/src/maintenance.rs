@@ -359,10 +359,18 @@ impl Db {
         gc: Option<&VlogGcJob>,
     ) -> Result<(), FsError> {
         let rewrite: &[u64] = gc.map_or(&[], |gc| &gc.rewrite_files);
+        let merge_span = &self.metrics.compaction_merge;
         let outputs: Vec<Result<MergeOutput, FsError>> = if parallelism <= 1 {
-            jobs.iter().map(|job| self.run_merge_job(base, job, rewrite)).collect()
+            let merge = |job| {
+                let _span = merge_span.start();
+                self.run_merge_job(base, job, rewrite)
+            };
+            jobs.iter().map(merge).collect()
         } else {
             let slots = parallelism.min(4);
+            // A worker's merge joins the tree of the request that triggered
+            // the wave as a remote child: its charges land on its own thread.
+            let parent = telemetry::trace::current_context();
             std::thread::scope(|s| {
                 let handles: Vec<_> = jobs
                     .iter()
@@ -373,6 +381,7 @@ impl Db {
                                 .env
                                 .platform()
                                 .serial_section(SerialClass::compaction_slot(i % slots));
+                            let _span = merge_span.start_child_of(parent);
                             self.run_merge_job(base, job, rewrite)
                         })
                     })
@@ -463,7 +472,6 @@ impl Db {
         job: &CompactionJob,
         rewrite: &[u64],
     ) -> Result<MergeOutput, FsError> {
-        let _span = self.metrics.compaction_merge.start();
         self.merge_to_run(&[], base, job.input_levels.clone(), job.output_level, job.purge, rewrite)
             .map_err(|e| self.merge_failed(e))
     }

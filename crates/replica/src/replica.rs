@@ -101,6 +101,8 @@ struct ReplicaMetrics {
     fenced_drops: telemetry::Counter,
     /// Replicated events applied.
     applied_events: telemetry::Counter,
+    /// Replay of one shipped WAL frame.
+    replay_frame: telemetry::Span,
 }
 
 impl ReplicaMetrics {
@@ -110,6 +112,7 @@ impl ReplicaMetrics {
             freshness_refusals: telemetry.counter("replica.freshness_refusals"),
             fenced_drops: telemetry.counter("replica.fenced_drops"),
             applied_events: telemetry.counter("replica.applied_events"),
+            replay_frame: telemetry.span("replay.frame", "replay"),
         }
     }
 }
@@ -280,7 +283,7 @@ impl Replica {
                 // of the shipped group-commit span; the nested replay ops
                 // (and any chained re-broadcast) hang off it via the
                 // thread-local stack.
-                let _trace = self.store.telemetry().trace_child_of(trace, "replay.frame", "replay");
+                let _span = self.metrics.replay_frame.start_child_of(trace);
                 self.store.db().apply_replicated_batch(&records)?
             }
             WireEvent::Flush => self.store.db().apply_replicated_flush()?,

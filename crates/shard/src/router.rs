@@ -19,8 +19,8 @@
 
 use std::sync::Arc;
 
-use elsm::{AuthenticatedKv, ElsmError, ElsmP2, P2Options, TrustedState, VerificationFailure};
-use elsm::{VerifiedRecord, WRONG_SHARD_UNSHARDED};
+use elsm::{AuthenticatedKv, ElsmError, ElsmP2, OpSpans, P2Options, TrustedState};
+use elsm::{VerificationFailure, VerifiedRecord, WRONG_SHARD_UNSHARDED};
 use elsm_replica::{ReplicationGroup, ReplicationOptions};
 use lsm_store::{GetTrace, ScanTrace, Timestamp};
 use sgx_sim::Platform;
@@ -183,8 +183,12 @@ struct RouterMetrics {
     scan_segments: telemetry::Counter,
     /// Records stitched into cross-shard scan results.
     stitched_records: telemetry::Counter,
-    /// The trusted stitching phase (ownership checks + merge).
-    stitch_span: telemetry::SpanHandle,
+    /// The trusted stitching phase (ownership checks + merge): a child
+    /// span, so a scan's critical path tells shard time from merge time.
+    stitch: telemetry::Span,
+    /// The request roots (`router.op.*`); the owning shard's own
+    /// entry-point span nests beneath on the same thread.
+    ops: OpSpans,
 }
 
 impl RouterMetrics {
@@ -193,7 +197,8 @@ impl RouterMetrics {
             routed_ops: telemetry.counter("router.routed_ops"),
             scan_segments: telemetry.counter("router.scan_segments"),
             stitched_records: telemetry.counter("router.stitched_records"),
-            stitch_span: telemetry.span("router.stitch"),
+            stitch: telemetry.span("router.stitch", "stitch"),
+            ops: OpSpans::new("router.op", telemetry),
         }
     }
 }
@@ -240,10 +245,8 @@ pub struct ShardedKv {
     router: Arc<Platform>,
     trusted: Arc<ShardedTrustedState>,
     shards: Vec<Shard>,
+    /// Registered on the root (unscoped) registry handle.
     metrics: RouterMetrics,
-    /// Root (unscoped) registry handle: router-level trace spans open
-    /// here so per-shard/replica op spans nest under them.
-    telemetry: telemetry::Telemetry,
 }
 
 impl ShardedKv {
@@ -344,10 +347,9 @@ impl ShardedKv {
         let metrics = RouterMetrics::new(&telemetry);
         ShardedKv {
             router,
-            trusted: ShardedTrustedState::new(partitioner, states, telemetry.clone()),
+            trusted: ShardedTrustedState::new(partitioner, states, telemetry),
             shards,
             metrics,
-            telemetry,
         }
     }
 
@@ -460,10 +462,7 @@ impl ShardedKv {
         &self,
         segments: Vec<(usize, Vec<VerifiedRecord>)>,
     ) -> Result<Vec<VerifiedRecord>, ElsmError> {
-        // Stitch-back is its own child span so a scan's critical path can
-        // distinguish shard time from router merge time.
-        let _trace = self.telemetry.trace_op("router.stitch", "stitch");
-        let _span = self.metrics.stitch_span.start();
+        let _span = self.metrics.stitch.start();
         self.metrics.scan_segments.add(segments.len() as u64);
         let total: usize = segments.iter().map(|(_, s)| s.len()).sum();
         self.metrics.stitched_records.add(total as u64);
@@ -496,19 +495,19 @@ impl AuthenticatedKv for ShardedKv {
         // The router opens the request's *root* span; the owning shard's
         // own entry-point span (and, under replication, the replica read
         // path) nests beneath it on this thread.
-        let _trace = self.telemetry.trace_op("router.op.put", "put");
+        let _span = self.metrics.ops.put.start();
         self.charge_route(key);
         self.shards[self.shard_of(key)].target().put(key, value)
     }
 
     fn delete(&self, key: &[u8]) -> Result<Timestamp, ElsmError> {
-        let _trace = self.telemetry.trace_op("router.op.delete", "delete");
+        let _span = self.metrics.ops.delete.start();
         self.charge_route(key);
         self.shards[self.shard_of(key)].target().delete(key)
     }
 
     fn get(&self, key: &[u8]) -> Result<Option<VerifiedRecord>, ElsmError> {
-        let _trace = self.telemetry.trace_op("router.op.get", "get");
+        let _span = self.metrics.ops.get.start();
         self.charge_route(key);
         self.shards[self.shard_of(key)].target().get(key)
     }
@@ -517,7 +516,7 @@ impl AuthenticatedKv for ShardedKv {
         // One root span for the fan-out; each shard's verified scan runs
         // as its own child span (opened at the shard store's entry
         // point), and the stitch-back is a further child below.
-        let _trace = self.telemetry.trace_op("router.op.scan", "scan");
+        let _span = self.metrics.ops.scan.start();
         let partitioner = self.trusted.partitioner();
         let mut segments = Vec::new();
         for (id, shard) in self.shards.iter().enumerate() {
@@ -535,7 +534,7 @@ impl AuthenticatedKv for ShardedKv {
     }
 
     fn put_batch(&self, items: &[(&[u8], &[u8])]) -> Result<Vec<Timestamp>, ElsmError> {
-        let _trace = self.telemetry.trace_op("router.op.put_batch", "put_batch");
+        let _span = self.metrics.ops.put_batch.start();
         if items.is_empty() {
             return Ok(Vec::new());
         }
@@ -554,7 +553,7 @@ impl AuthenticatedKv for ShardedKv {
     }
 
     fn delete_batch(&self, keys: &[&[u8]]) -> Result<Vec<Timestamp>, ElsmError> {
-        let _trace = self.telemetry.trace_op("router.op.delete_batch", "delete_batch");
+        let _span = self.metrics.ops.delete_batch.start();
         if keys.is_empty() {
             return Ok(Vec::new());
         }

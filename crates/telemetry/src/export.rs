@@ -9,37 +9,11 @@
 use std::fmt::Write as _;
 use std::sync::Arc;
 
-use sgx_sim::{Platform, StatsSnapshot, TimeSplit};
+use sgx_sim::{Platform, StatsSnapshot, ThreadCharges, TimeSplit};
 
 use crate::audit::AuditEvent;
-use crate::metrics::{bucket_bound, Histogram};
-use crate::span::SpanStats;
-
-/// Point-in-time capture of one histogram.
-#[derive(Debug, Clone)]
-pub struct HistogramSnapshot {
-    /// Registered name.
-    pub name: String,
-    /// Number of recorded values.
-    pub count: u64,
-    /// Sum of recorded values.
-    pub sum: u64,
-    /// Non-empty buckets as `(inclusive upper bound, count)`.
-    pub buckets: Vec<(u64, u64)>,
-}
-
-impl HistogramSnapshot {
-    pub(crate) fn capture(name: &str, h: &Histogram) -> Self {
-        let buckets = h
-            .buckets()
-            .iter()
-            .enumerate()
-            .filter(|(_, c)| **c > 0)
-            .map(|(i, c)| (bucket_bound(i), *c))
-            .collect();
-        HistogramSnapshot { name: name.to_string(), count: h.count(), sum: h.sum(), buckets }
-    }
-}
+use crate::metrics::Buckets;
+use crate::trace::SpanStats;
 
 /// Point-in-time capture of one attached platform.
 #[derive(Debug, Clone)]
@@ -63,6 +37,26 @@ impl PlatformSnapshot {
             stats: p.stats(),
         }
     }
+
+    /// Every field, named as both renderers print it.
+    fn fields(&self) -> [(&'static str, u64); 13] {
+        let (time, stats) = (&self.time, &self.stats);
+        [
+            ("clock_ns", self.clock_ns),
+            ("enclave_ns", time.enclave_ns),
+            ("host_ns", time.host_ns),
+            ("boundary_ns", time.boundary_ns),
+            ("ecalls", stats.ecalls),
+            ("ocalls", stats.ocalls),
+            ("epc_page_ins", stats.epc_page_ins),
+            ("epc_page_outs", stats.epc_page_outs),
+            ("cross_copy_bytes", stats.cross_copy_bytes),
+            ("disk_seeks", stats.disk_seeks),
+            ("disk_bytes", stats.disk_bytes),
+            ("hash_blocks", stats.hash_blocks),
+            ("counter_writes", stats.counter_writes),
+        ]
+    }
 }
 
 /// A full registry capture (see [`crate::Telemetry::snapshot`]).
@@ -72,8 +66,8 @@ pub struct Snapshot {
     pub counters: Vec<(String, u64)>,
     /// All gauges, name-ordered.
     pub gauges: Vec<(String, u64)>,
-    /// All histograms, name-ordered.
-    pub histograms: Vec<HistogramSnapshot>,
+    /// All histograms, name-ordered, each a point-in-time copy.
+    pub histograms: Vec<(String, Buckets)>,
     /// All spans, name-ordered.
     pub spans: Vec<(String, SpanStats)>,
     /// All attached platforms, in attach order.
@@ -98,6 +92,30 @@ pub(crate) fn esc(s: &str) -> String {
     s.replace('\\', "\\\\").replace('"', "\\\"").replace('\n', "\\n").replace('\r', "\\r")
 }
 
+/// The charge fields of a span, named as every renderer prints them
+/// (snapshot JSON, Prometheus, trace JSON).
+fn charge_fields(c: &ThreadCharges) -> [(&'static str, u64); 7] {
+    [
+        ("total_ns", c.ns),
+        ("enclave_ns", c.enclave_ns),
+        ("host_ns", c.host_ns),
+        ("boundary_ns", c.boundary_ns),
+        ("ecalls", c.ecalls),
+        ("ocalls", c.ocalls),
+        ("cross_copy_bytes", c.cross_copy_bytes),
+    ]
+}
+
+/// `"a": 1, "b": 2, ...` — the body of a JSON object of numeric fields.
+fn json_fields<const N: usize>(fields: [(&'static str, u64); N]) -> String {
+    fields.map(|(field, v)| format!("\"{field}\": {v}")).join(", ")
+}
+
+/// A span's charge fields as the body of a JSON object.
+pub(crate) fn charges_json(c: &ThreadCharges) -> String {
+    json_fields(charge_fields(c))
+}
+
 fn opt(v: Option<u64>) -> String {
     v.map_or_else(|| "null".to_string(), |v| v.to_string())
 }
@@ -117,16 +135,16 @@ impl Snapshot {
             let _ = write!(out, "\n    \"{}\": {v}{comma}", esc(name));
         }
         out.push_str("\n  },\n  \"histograms\": {");
-        for (i, h) in self.histograms.iter().enumerate() {
+        for (i, (name, h)) in self.histograms.iter().enumerate() {
             let comma = if i + 1 < self.histograms.len() { "," } else { "" };
             let buckets: Vec<String> =
-                h.buckets.iter().map(|(le, c)| format!("[{le}, {c}]")).collect();
+                h.nonzero().iter().map(|(le, c)| format!("[{le}, {c}]")).collect();
             let _ = write!(
                 out,
                 "\n    \"{}\": {{\"count\": {}, \"sum\": {}, \"buckets\": [{}]}}{comma}",
-                esc(&h.name),
-                h.count,
-                h.sum,
+                esc(name),
+                h.count(),
+                h.sum(),
                 buckets.join(", ")
             );
         }
@@ -135,44 +153,17 @@ impl Snapshot {
             let comma = if i + 1 < self.spans.len() { "," } else { "" };
             let _ = write!(
                 out,
-                "\n    \"{}\": {{\"count\": {}, \"total_ns\": {}, \"enclave_ns\": {}, \
-                 \"host_ns\": {}, \"boundary_ns\": {}, \"ecalls\": {}, \"ocalls\": {}, \
-                 \"cross_copy_bytes\": {}}}{comma}",
+                "\n    \"{}\": {{\"count\": {}, {}}}{comma}",
                 esc(name),
                 s.count,
-                s.total_ns,
-                s.enclave_ns,
-                s.host_ns,
-                s.boundary_ns,
-                s.ecalls,
-                s.ocalls,
-                s.cross_copy_bytes
+                charges_json(&s.charges)
             );
         }
         out.push_str("\n  },\n  \"platforms\": {");
         for (i, p) in self.platforms.iter().enumerate() {
             let comma = if i + 1 < self.platforms.len() { "," } else { "" };
-            let _ = write!(
-                out,
-                "\n    \"{}\": {{\"clock_ns\": {}, \"enclave_ns\": {}, \"host_ns\": {}, \
-                 \"boundary_ns\": {}, \"ecalls\": {}, \"ocalls\": {}, \"epc_page_ins\": {}, \
-                 \"epc_page_outs\": {}, \"cross_copy_bytes\": {}, \"disk_seeks\": {}, \
-                 \"disk_bytes\": {}, \"hash_blocks\": {}, \"counter_writes\": {}}}{comma}",
-                esc(&p.label),
-                p.clock_ns,
-                p.time.enclave_ns,
-                p.time.host_ns,
-                p.time.boundary_ns,
-                p.stats.ecalls,
-                p.stats.ocalls,
-                p.stats.epc_page_ins,
-                p.stats.epc_page_outs,
-                p.stats.cross_copy_bytes,
-                p.stats.disk_seeks,
-                p.stats.disk_bytes,
-                p.stats.hash_blocks,
-                p.stats.counter_writes
-            );
+            let fields = json_fields(p.fields());
+            let _ = write!(out, "\n    \"{}\": {{{fields}}}{comma}", esc(&p.label));
         }
         let _ = write!(
             out,
@@ -221,46 +212,29 @@ impl Snapshot {
             let n = sanitize(name);
             let _ = writeln!(out, "# TYPE elsm_{n} gauge\nelsm_{n} {v}");
         }
-        for h in &self.histograms {
-            let n = sanitize(&h.name);
+        for (name, h) in &self.histograms {
+            let n = sanitize(name);
             let _ = writeln!(out, "# TYPE elsm_{n} histogram");
             let mut cumulative = 0u64;
-            for (le, c) in &h.buckets {
+            for (le, c) in h.nonzero() {
                 cumulative += c;
                 let _ = writeln!(out, "elsm_{n}_bucket{{le=\"{le}\"}} {cumulative}");
             }
-            let _ = writeln!(out, "elsm_{n}_bucket{{le=\"+Inf\"}} {}", h.count);
-            let _ = writeln!(out, "elsm_{n}_sum {}\nelsm_{n}_count {}", h.sum, h.count);
+            let _ = writeln!(out, "elsm_{n}_bucket{{le=\"+Inf\"}} {}", h.count());
+            let _ = writeln!(out, "elsm_{n}_sum {}\nelsm_{n}_count {}", h.sum(), h.count());
         }
         for (name, s) in &self.spans {
             let label = esc(name);
             let _ = writeln!(out, "elsm_span_count{{span=\"{label}\"}} {}", s.count);
-            let _ = writeln!(out, "elsm_span_total_ns{{span=\"{label}\"}} {}", s.total_ns);
-            let _ = writeln!(out, "elsm_span_enclave_ns{{span=\"{label}\"}} {}", s.enclave_ns);
-            let _ = writeln!(out, "elsm_span_host_ns{{span=\"{label}\"}} {}", s.host_ns);
-            let _ = writeln!(out, "elsm_span_boundary_ns{{span=\"{label}\"}} {}", s.boundary_ns);
-            let _ = writeln!(out, "elsm_span_ecalls{{span=\"{label}\"}} {}", s.ecalls);
-            let _ = writeln!(out, "elsm_span_ocalls{{span=\"{label}\"}} {}", s.ocalls);
+            for (field, v) in charge_fields(&s.charges) {
+                let _ = writeln!(out, "elsm_span_{field}{{span=\"{label}\"}} {v}");
+            }
         }
         for p in &self.platforms {
             let label = esc(&p.label);
-            let _ = writeln!(out, "elsm_platform_clock_ns{{platform=\"{label}\"}} {}", p.clock_ns);
-            let _ = writeln!(
-                out,
-                "elsm_platform_enclave_ns{{platform=\"{label}\"}} {}",
-                p.time.enclave_ns
-            );
-            let _ =
-                writeln!(out, "elsm_platform_host_ns{{platform=\"{label}\"}} {}", p.time.host_ns);
-            let _ = writeln!(
-                out,
-                "elsm_platform_boundary_ns{{platform=\"{label}\"}} {}",
-                p.time.boundary_ns
-            );
-            let _ =
-                writeln!(out, "elsm_platform_ecalls{{platform=\"{label}\"}} {}", p.stats.ecalls);
-            let _ =
-                writeln!(out, "elsm_platform_ocalls{{platform=\"{label}\"}} {}", p.stats.ocalls);
+            for (field, v) in p.fields() {
+                let _ = writeln!(out, "elsm_platform_{field}{{platform=\"{label}\"}} {v}");
+            }
         }
         let _ = writeln!(out, "# TYPE elsm_audit_events_total counter");
         for (kind, v) in &self.audit_by_kind {
@@ -292,7 +266,7 @@ mod tests {
         tel.counter("db.puts").add(7);
         tel.gauge("compaction.debt_bytes").set(4096);
         tel.histogram("commit.batches_per_group").observe(3);
-        let span = tel.span("flush.merge");
+        let span = tel.span("flush.merge", "flush");
         p.ecall(|| {
             let _g = span.start();
             p.charge_hash(64);
@@ -340,10 +314,18 @@ mod tests {
         tel.audit(
             AuditEvent::new("ForgedRecord", "core.get").detail("line1\nline2 \"x\" a\\b\rend"),
         );
+        drop(tel.scoped("a\"b\nc").span("op.get", "get").start());
+        for json in [tel.to_json(), tel.traces_to_json()] {
+            assert!(json.contains("a\\\"b\\nc.op.get"), "scoped span name escaped in:\n{json}");
+            assert!(!json.contains("a\"b"), "no raw quote inside a JSON string");
+            assert!(!json.contains("b\nc"), "no raw newline inside a JSON string");
+        }
         let json = tel.to_json();
         assert!(json.contains("line1\\nline2 \\\"x\\\" a\\\\b\\rend"));
         assert!(!json.contains("line1\nline2"), "no raw newline inside a JSON string");
         assert_eq!(super::esc("a\\b\"c\nd\re"), "a\\\\b\\\"c\\nd\\re");
-        assert!(tel.to_prometheus().contains("kind=\"ForgedRecord\""));
+        let prom = tel.to_prometheus();
+        assert!(prom.contains("kind=\"ForgedRecord\""));
+        assert!(prom.contains("elsm_span_count{span=\"a\\\"b\\nc.op.get\"} 1"));
     }
 }

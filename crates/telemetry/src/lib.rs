@@ -1,8 +1,9 @@
 //! # elsm-telemetry
 //!
 //! Unified observability for the eLSM stack: a lock-free metrics registry,
-//! span-based tracing that attributes virtual time to **enclave vs host**,
-//! and a structured security **audit stream**.
+//! one span system that attributes virtual time to **enclave vs host**
+//! and links requests into causal trace trees, and a structured security
+//! **audit stream**.
 //!
 //! One [`Telemetry`] handle is threaded through a store's options and
 //! shared (cheaply, via `Arc`) by every layer that instruments itself:
@@ -12,10 +13,13 @@
 //!   them, so there is exactly one copy of every count and no second
 //!   bookkeeping path to drift from. Counters are sharded atomics; an
 //!   increment costs the same as the plain `AtomicU64` it replaces.
-//! * **Spans / histograms** ([`SpanHandle`], [`Histogram`]) are the
-//!   tracing layer and obey the enabled gate: a disabled registry reduces
-//!   them to a branch on a cached bool, and they charge *zero virtual
-//!   time* either way — telemetry never perturbs the simulation.
+//! * **Spans / histograms** ([`Span`], [`Histogram`]) are the tracing
+//!   layer and obey the enabled gate: a disabled registry reduces them to
+//!   a branch on a cached bool, and they charge *zero virtual time*
+//!   either way — telemetry never perturbs the simulation. A span is
+//!   recorded once; its per-name aggregate, its place in a causal trace
+//!   tree and its op class's latency distribution all derive from that
+//!   record (see [`trace`]).
 //! * **The audit stream** ([`AuditEvent`], [`AuditSink`]) records every
 //!   verification failure with epoch/shard/replica context and fans it
 //!   out to registered sinks (`ct_log::SecurityAuditor` feeds the fork
@@ -23,7 +27,8 @@
 //!
 //! Snapshots export as JSON ([`Telemetry::to_json`]) and Prometheus text
 //! format ([`Telemetry::to_prometheus`]); the bench harness writes one
-//! `TELEMETRY.<figure>.json` per figure bin.
+//! `TELEMETRY.<figure>.json` and one `TRACES.<figure>.json`
+//! ([`Telemetry::traces_to_json`]) per figure.
 //!
 //! # Examples
 //!
@@ -35,13 +40,17 @@
 //! tel.attach_platform("store", &platform);
 //!
 //! let puts = tel.counter("db.puts");
-//! let commit = tel.span("commit.group");
+//! let put = tel.span("op.put", "put");
+//! let commit = tel.span("commit.group", "commit");
 //! {
-//!     let _g = commit.start();
+//!     let _request = put.start();
+//!     let _group = commit.start();
 //!     platform.ecall(|| puts.inc());
 //! }
 //! assert_eq!(puts.value(), 1);
-//! assert_eq!(commit.stats().ecalls, 1);
+//! assert_eq!(commit.stats().charges.ecalls, 1);
+//! let records = tel.trace_records();
+//! assert_eq!(records[0].parent_span, records[1].span_id, "one tree: op.put > commit.group");
 //! assert!(tel.to_json().contains("\"db.puts\": 1"));
 //! ```
 
@@ -51,7 +60,6 @@
 pub mod audit;
 pub mod export;
 pub mod metrics;
-pub mod span;
 pub mod trace;
 
 use std::collections::BTreeMap;
@@ -61,44 +69,26 @@ use parking_lot::Mutex;
 use sgx_sim::Platform;
 
 pub use audit::{AuditEvent, AuditSink, AUDIT_RING_CAPACITY};
-pub use export::{HistogramSnapshot, PlatformSnapshot, Snapshot};
-pub use metrics::{bucket_bound, Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
-pub use span::{SpanGuard, SpanHandle, SpanStats};
+pub use export::{PlatformSnapshot, Snapshot};
+pub use metrics::{Buckets, Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use trace::{
-    OpClassStats, SlowSample, SpanRecord, TraceContext, TraceGuard, SLOW_RESERVOIR, SLOW_TOP_K,
-    TRACE_RING_CAPACITY,
+    ActiveSpan, OpClassStats, SlowSample, Span, SpanRecord, SpanStats, TraceContext,
+    SLOW_RESERVOIR, SLOW_TOP_K, TRACE_RING_CAPACITY,
 };
 
 use audit::AuditStream;
-use metrics::HistogramInner;
-use span::SpanAgg;
 use trace::Tracer;
 
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Registry {
     enabled: bool,
     counters: Mutex<BTreeMap<String, Counter>>,
     gauges: Mutex<BTreeMap<String, Gauge>>,
     histograms: Mutex<BTreeMap<String, Histogram>>,
-    spans: Mutex<BTreeMap<String, SpanHandle>>,
+    spans: Mutex<BTreeMap<String, Span>>,
     platforms: Mutex<Vec<(String, Arc<Platform>)>>,
     audit: AuditStream,
     tracer: Arc<Tracer>,
-}
-
-impl Registry {
-    fn new(enabled: bool) -> Self {
-        Registry {
-            enabled,
-            counters: Mutex::new(BTreeMap::new()),
-            gauges: Mutex::new(BTreeMap::new()),
-            histograms: Mutex::new(BTreeMap::new()),
-            spans: Mutex::new(BTreeMap::new()),
-            platforms: Mutex::new(Vec::new()),
-            audit: AuditStream::default(),
-            tracer: Tracer::new(enabled),
-        }
-    }
 }
 
 /// A handle onto one telemetry registry.
@@ -122,16 +112,21 @@ impl Default for Telemetry {
 }
 
 impl Telemetry {
+    fn with_tracing(enabled: bool) -> Self {
+        let registry = Registry { enabled, ..Default::default() };
+        Telemetry { inner: Arc::new(registry), prefix: String::new() }
+    }
+
     /// A fresh registry with tracing enabled.
     pub fn new() -> Self {
-        Telemetry { inner: Arc::new(Registry::new(true)), prefix: String::new() }
+        Telemetry::with_tracing(true)
     }
 
     /// A fresh registry with tracing disabled: counters, gauges and audit
     /// events still record (they are primary bookkeeping), spans and
     /// histograms become no-ops.
     pub fn disabled() -> Self {
-        Telemetry { inner: Arc::new(Registry::new(false)), prefix: String::new() }
+        Telemetry::with_tracing(false)
     }
 
     /// Whether tracing (spans, histograms, platform retention) is on.
@@ -166,20 +161,22 @@ impl Telemetry {
             .histograms
             .lock()
             .entry(self.name(name))
-            .or_insert_with(|| Histogram {
-                inner: Arc::new(HistogramInner::new(self.inner.enabled)),
-            })
+            .or_insert_with(|| Histogram { enabled: self.inner.enabled, buckets: Arc::default() })
             .clone()
     }
 
-    /// Registers (or finds) the span `name` under this handle's scope.
-    pub fn span(&self, name: &str) -> SpanHandle {
-        self.inner
-            .spans
-            .lock()
-            .entry(self.name(name))
-            .or_insert_with(|| SpanHandle { agg: Arc::new(SpanAgg::new(self.inner.enabled)) })
-            .clone()
+    /// Registers (or finds) the span `name` under this handle's scope, in
+    /// operation class `op_class` (what a root activation's latency is
+    /// aggregated under; the first registration of a name decides it).
+    /// The scoped name is resolved here, once — starting the span
+    /// allocates nothing.
+    pub fn span(&self, name: &str, op_class: &'static str) -> Span {
+        let registry = &self.inner;
+        let mut spans = registry.spans.lock();
+        let span = spans.entry(self.name(name)).or_insert_with_key(|scoped| {
+            Span::new(registry.enabled, &registry.tracer, scoped, op_class)
+        });
+        span.clone()
     }
 
     /// Retains `platform` so snapshots report its clock, enclave/host time
@@ -199,34 +196,6 @@ impl Telemetry {
             n += 1;
         }
         platforms.push((unique, platform.clone()));
-    }
-
-    /// Opens a causal trace span named `name` (scope-prefixed) in
-    /// operation class `op_class`: the root of a fresh trace tree when no
-    /// span is active on the calling thread, a nested child of the
-    /// innermost active span otherwise. Returns an inert guard on a
-    /// disabled registry. Charges zero virtual time either way.
-    pub fn trace_op(&self, name: &str, op_class: &'static str) -> TraceGuard {
-        if !self.inner.enabled {
-            return TraceGuard::inert();
-        }
-        self.inner.tracer.start(self.name(name), op_class)
-    }
-
-    /// Opens a *remote* child span of `ctx` — a causal parent carried
-    /// across a wire or queue boundary (replica replay joining the
-    /// primary's tree). Inert when the registry is disabled or `ctx` is
-    /// [`TraceContext::NONE`].
-    pub fn trace_child_of(
-        &self,
-        ctx: TraceContext,
-        name: &str,
-        op_class: &'static str,
-    ) -> TraceGuard {
-        if !self.inner.enabled || ctx.is_none() {
-            return TraceGuard::inert();
-        }
-        self.inner.tracer.start_child_of(ctx, self.name(name), op_class)
     }
 
     /// Finished spans currently held in the bounded trace ring (oldest
@@ -298,13 +267,8 @@ impl Telemetry {
         let counters =
             self.inner.counters.lock().iter().map(|(k, c)| (k.clone(), c.value())).collect();
         let gauges = self.inner.gauges.lock().iter().map(|(k, g)| (k.clone(), g.value())).collect();
-        let histograms = self
-            .inner
-            .histograms
-            .lock()
-            .iter()
-            .map(|(k, h)| HistogramSnapshot::capture(k, h))
-            .collect();
+        let histograms =
+            self.inner.histograms.lock().iter().map(|(k, h)| (k.clone(), (**h).clone())).collect();
         let spans = self.inner.spans.lock().iter().map(|(k, s)| (k.clone(), s.stats())).collect();
         let platforms = self
             .inner
@@ -368,7 +332,7 @@ mod tests {
         assert!(!tel.is_enabled());
         tel.counter("c").inc();
         assert_eq!(tel.counter_value("c"), 1);
-        let span = tel.span("s");
+        let span = tel.span("s", "op");
         drop(span.start());
         assert_eq!(span.stats().count, 0, "disabled spans record nothing");
         let p = Platform::with_defaults();

@@ -1,4 +1,4 @@
-//! Lock-free metric primitives: counters, gauges, fixed-bucket histograms.
+//! Lock-free metric primitives: counters, gauges, and the one bucket type.
 //!
 //! All three are plain atomics once registered — registration takes a lock
 //! on the registry's name table, but the handles returned are `Arc`s whose
@@ -82,37 +82,17 @@ impl Gauge {
     }
 }
 
-/// Number of buckets in a [`Histogram`] (power-of-two bounds; bucket `i`
-/// counts values with bit length `i`, i.e. `v < 2^i`, cumulative).
+/// Number of buckets in a [`Buckets`] distribution.
 pub const HISTOGRAM_BUCKETS: usize = 40;
 
-#[derive(Debug)]
-pub(crate) struct HistogramInner {
-    pub(crate) enabled: bool,
-    pub(crate) buckets: [AtomicU64; HISTOGRAM_BUCKETS],
-    pub(crate) count: AtomicU64,
-    pub(crate) sum: AtomicU64,
-}
-
-impl HistogramInner {
-    pub(crate) fn new(enabled: bool) -> Self {
-        HistogramInner {
-            enabled,
-            buckets: std::array::from_fn(|_| AtomicU64::new(0)),
-            count: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-        }
-    }
-}
-
 /// Index of the bucket value `v` falls into: its bit length, clamped.
-pub(crate) fn bucket_index(v: u64) -> usize {
+fn bucket_index(v: u64) -> usize {
     ((64 - v.leading_zeros()) as usize).min(HISTOGRAM_BUCKETS - 1)
 }
 
 /// Inclusive upper bound of bucket `i` (`2^i - 1`; the last bucket is
 /// unbounded).
-pub fn bucket_bound(i: usize) -> u64 {
+fn bucket_bound(i: usize) -> u64 {
     if i + 1 >= HISTOGRAM_BUCKETS {
         u64::MAX
     } else {
@@ -120,64 +100,110 @@ pub fn bucket_bound(i: usize) -> u64 {
     }
 }
 
-/// A fixed power-of-two-bucket histogram.
+/// The one distribution type: power-of-two buckets (bucket `i` counts
+/// values of bit length `i`) plus count and sum. It backs [`Histogram`],
+/// every span's duration aggregate and [`crate::OpClassStats`].
+/// Observation is three relaxed atomic adds; `clone` takes a snapshot.
+#[derive(Debug)]
+pub struct Buckets {
+    counts: [AtomicU64; HISTOGRAM_BUCKETS],
+    count: AtomicU64,
+    sum: AtomicU64,
+}
+
+impl Default for Buckets {
+    fn default() -> Self {
+        Buckets {
+            counts: std::array::from_fn(|_| AtomicU64::new(0)),
+            count: AtomicU64::new(0),
+            sum: AtomicU64::new(0),
+        }
+    }
+}
+
+impl Clone for Buckets {
+    fn clone(&self) -> Self {
+        let load = |a: &AtomicU64| AtomicU64::new(a.load(Ordering::Relaxed));
+        Buckets {
+            counts: std::array::from_fn(|i| load(&self.counts[i])),
+            count: load(&self.count),
+            sum: load(&self.sum),
+        }
+    }
+}
+
+impl Buckets {
+    /// Inclusive upper bound of the bucket a value `v` lands in.
+    pub fn bound_of(v: u64) -> u64 {
+        bucket_bound(bucket_index(v))
+    }
+
+    /// Records one value.
+    #[inline]
+    pub fn observe(&self, v: u64) {
+        self.counts[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
+        self.count.fetch_add(1, Ordering::Relaxed);
+        self.sum.fetch_add(v, Ordering::Relaxed);
+    }
+
+    /// Number of recorded values.
+    pub fn count(&self) -> u64 {
+        self.count.load(Ordering::Relaxed)
+    }
+
+    /// Sum of recorded values.
+    pub fn sum(&self) -> u64 {
+        self.sum.load(Ordering::Relaxed)
+    }
+
+    /// Non-empty buckets as `(inclusive upper bound, count)`, ascending.
+    pub fn nonzero(&self) -> Vec<(u64, u64)> {
+        let counts = self.counts.iter().map(|c| c.load(Ordering::Relaxed)).enumerate();
+        counts.filter(|&(_, c)| c > 0).map(|(i, c)| (bucket_bound(i), c)).collect()
+    }
+
+    /// Estimated quantile (`0 < q <= 1`): the inclusive upper bound of
+    /// the bucket containing rank `ceil(q * count)`; zero when empty.
+    pub fn quantile(&self, q: f64) -> u64 {
+        let count = self.count();
+        let rank = ((q * count as f64).ceil() as u64).clamp(1, count.max(1));
+        let buckets = self.nonzero();
+        let mut cumulative = 0u64;
+        let at_rank = buckets.iter().find(|(_, n)| {
+            cumulative += n;
+            cumulative >= rank
+        });
+        at_rank.or(buckets.last()).map_or(0, |&(bound, _)| bound)
+    }
+}
+
+/// A registered distribution metric.
 ///
-/// Observation is two relaxed atomic adds when the owning registry is
-/// enabled, and a branch on a cached bool when it is not — distribution
-/// tracking is part of the *tracing* layer and obeys the enabled gate,
-/// unlike [`Counter`]s which are always live.
+/// Observation is lock-free when the owning registry is enabled, and a
+/// branch on a cached bool when it is not — distribution tracking is part
+/// of the *tracing* layer and obeys the enabled gate, unlike [`Counter`]s
+/// which are always live. Reads go through [`Buckets`] (`Deref`).
 #[derive(Debug, Clone)]
 pub struct Histogram {
-    pub(crate) inner: Arc<HistogramInner>,
+    pub(crate) enabled: bool,
+    pub(crate) buckets: Arc<Buckets>,
 }
 
 impl Histogram {
     /// Records one value.
     #[inline]
     pub fn observe(&self, v: u64) {
-        if !self.inner.enabled {
-            return;
+        if self.enabled {
+            self.buckets.observe(v);
         }
-        self.inner.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.inner.count.fetch_add(1, Ordering::Relaxed);
-        self.inner.sum.fetch_add(v, Ordering::Relaxed);
     }
+}
 
-    /// Number of recorded values.
-    pub fn count(&self) -> u64 {
-        self.inner.count.load(Ordering::Relaxed)
-    }
+impl std::ops::Deref for Histogram {
+    type Target = Buckets;
 
-    /// Sum of recorded values.
-    pub fn sum(&self) -> u64 {
-        self.inner.sum.load(Ordering::Relaxed)
-    }
-
-    /// Per-bucket counts (not cumulative), bucket `i` covering values of
-    /// bit length `i`.
-    pub fn buckets(&self) -> [u64; HISTOGRAM_BUCKETS] {
-        std::array::from_fn(|i| self.inner.buckets[i].load(Ordering::Relaxed))
-    }
-
-    /// Estimated quantile (`0 < q <= 1`): the inclusive upper bound of
-    /// the bucket containing rank `ceil(q * count)`; zero when empty.
-    pub fn quantile(&self, q: f64) -> u64 {
-        crate::trace::quantile_from_buckets(&self.buckets(), self.count(), q)
-    }
-
-    /// Median estimate.
-    pub fn p50(&self) -> u64 {
-        self.quantile(0.50)
-    }
-
-    /// 99th percentile estimate.
-    pub fn p99(&self) -> u64 {
-        self.quantile(0.99)
-    }
-
-    /// 99.9th percentile estimate.
-    pub fn p999(&self) -> u64 {
-        self.quantile(0.999)
+    fn deref(&self) -> &Buckets {
+        &self.buckets
     }
 }
 
@@ -201,6 +227,10 @@ mod tests {
         assert_eq!(c.value(), 4000);
     }
 
+    fn histogram(enabled: bool) -> Histogram {
+        Histogram { enabled, buckets: Arc::default() }
+    }
+
     #[test]
     fn histogram_buckets_by_bit_length() {
         assert_eq!(bucket_index(0), 0);
@@ -209,19 +239,19 @@ mod tests {
         assert_eq!(bucket_index(3), 2);
         assert_eq!(bucket_index(4), 3);
         assert_eq!(bucket_index(u64::MAX), HISTOGRAM_BUCKETS - 1);
-        let h = Histogram { inner: Arc::new(HistogramInner::new(true)) };
+        let h = histogram(true);
         for v in [0, 1, 5, 5, 1000] {
             h.observe(v);
         }
         assert_eq!(h.count(), 5);
         assert_eq!(h.sum(), 1011);
-        assert_eq!(h.buckets()[3], 2, "two values of bit length 3");
+        assert!(h.nonzero().contains(&(7, 2)), "two values of bit length 3");
     }
 
     #[test]
     fn histogram_quantiles_walk_buckets() {
-        let h = Histogram { inner: Arc::new(HistogramInner::new(true)) };
-        assert_eq!(h.p50(), 0, "empty histogram quantiles are zero");
+        let h = histogram(true);
+        assert_eq!(h.quantile(0.5), 0, "empty histogram quantiles are zero");
         for _ in 0..997 {
             h.observe(10);
         }
@@ -229,15 +259,16 @@ mod tests {
             h.observe(1000);
         }
         h.observe(100_000);
-        assert_eq!(h.p50(), bucket_bound(bucket_index(10)));
-        assert_eq!(h.p99(), bucket_bound(bucket_index(10)));
-        assert_eq!(h.p999(), bucket_bound(bucket_index(1000)));
-        assert_eq!(h.quantile(1.0), bucket_bound(bucket_index(100_000)));
+        assert_eq!(h.quantile(0.50), Buckets::bound_of(10));
+        assert_eq!(h.quantile(0.99), Buckets::bound_of(10));
+        assert_eq!(h.quantile(0.999), Buckets::bound_of(1000));
+        assert_eq!(h.quantile(1.0), Buckets::bound_of(100_000));
+        assert_eq!(h.buckets.as_ref().clone().nonzero(), h.nonzero(), "clone is a snapshot");
     }
 
     #[test]
     fn disabled_histogram_records_nothing() {
-        let h = Histogram { inner: Arc::new(HistogramInner::new(false)) };
+        let h = histogram(false);
         h.observe(42);
         assert_eq!(h.count(), 0);
     }

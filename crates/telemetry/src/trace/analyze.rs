@@ -88,7 +88,8 @@ impl TraceTree {
     /// causal path, weighted by the span's exclusive virtual time.
     pub fn folded_stacks(&self) -> Vec<(String, u64)> {
         let mut out = Vec::new();
-        let mut stack: Vec<(u64, String)> = vec![(self.root().span_id, self.root().name.clone())];
+        let mut stack: Vec<(u64, String)> =
+            vec![(self.root().span_id, self.root().name.to_string())];
         self.fold_into(&mut out, &mut stack);
         out
     }
@@ -140,18 +141,6 @@ pub fn run_partition(records: &[SpanRecord]) -> TimeSplit {
         .split()
 }
 
-/// Renders a folded-stack report over every tree (flamegraph input:
-/// `stack value` per line).
-pub fn render_folded(trees: &[TraceTree]) -> String {
-    let mut out = String::new();
-    for tree in trees {
-        for (stack, ns) in tree.folded_stacks() {
-            out.push_str(&format!("{stack} {ns}\n"));
-        }
-    }
-    out
-}
-
 /// Renders one tree's critical path, one span per line with its
 /// exclusive world split.
 pub fn render_critical_path(tree: &TraceTree) -> String {
@@ -190,7 +179,7 @@ mod tests {
             span_id: id,
             parent_span: parent,
             enclosed_by: enclosed,
-            name: name.to_string(),
+            name: name.into(),
             op_class: "op",
             remote: false,
             charges: ThreadCharges { ns, enclave_ns: ns, ..Default::default() },
@@ -231,7 +220,7 @@ mod tests {
             span(1, 4, 3, 3, "leaf", 5),
         ];
         let trees = build_trees(&records);
-        let path: Vec<&str> = trees[0].critical_path().iter().map(|s| s.name.as_str()).collect();
+        let path: Vec<&str> = trees[0].critical_path().iter().map(|s| &*s.name).collect();
         assert_eq!(path, vec!["root", "heavy", "leaf"]);
         let rendered = render_critical_path(&trees[0]);
         assert!(rendered.contains("root"));
@@ -242,9 +231,8 @@ mod tests {
     fn folded_stacks_weight_by_exclusive_time() {
         let records = vec![span(1, 1, 0, 0, "root", 10), span(1, 2, 1, 1, "child", 4)];
         let trees = build_trees(&records);
-        let folded = render_folded(&trees);
-        assert!(folded.contains("root 6\n"));
-        assert!(folded.contains("root;child 4\n"));
+        let folded = trees[0].folded_stacks();
+        assert_eq!(folded, [("root".to_string(), 6), ("root;child".to_string(), 4)]);
     }
 
     #[test]

@@ -1,37 +1,47 @@
-//! Causal request tracing: trace trees across group-commit, shards and
-//! replicas.
+//! The one span system: named regions whose virtual-time charges are
+//! attributed to enclave / host / boundary, aggregated per name, and
+//! linked into causal trace trees across group-commit, shards and replicas.
+//!
+//! A [`Span`] is registered once ([`Telemetry::span`](crate::Telemetry::span):
+//! scoped name and op class resolved there). Starting it snapshots the
+//! calling thread's cumulative platform charges
+//! ([`sgx_sim::thread_charges`]); when the [`ActiveSpan`] guard drops, the
+//! **one** delta is folded into the span's aggregate ([`SpanStats`]),
+//! pushed on the bounded ring as a [`SpanRecord`], and — for a root —
+//! folded into its op class ([`OpClassStats`]) and the slow-op sampler.
+//! So every aggregate is derived from the records: `SpanStats` is the sum
+//! of the records of that name, `OpClassStats` the fold of the root
+//! records of that class. A disabled registry reduces `start()` to a
+//! branch on a cached bool; an enabled one charges zero virtual time.
 //!
 //! A [`TraceContext`] names one request tree (`trace_id`) and one position
 //! inside it (`span_id`). Ids come from a single atomic sequence on the
 //! owning registry — deterministic under a deterministic schedule, and
-//! entirely free of wall-clock input, so tracing never perturbs the
-//! simulation's virtual time.
+//! entirely free of wall-clock input.
 //!
 //! Propagation has two flavours:
 //!
-//! * **Thread-local nesting.** [`Telemetry::trace_op`](crate::Telemetry::trace_op)
-//!   opens a span that becomes a child of whatever span is already active
-//!   on the calling thread (a shard store's `op.put` nests under the
-//!   router's `router.op.put` for free, because the router calls into the
-//!   shard on its own thread).
+//! * **Thread-local nesting.** [`Span::start`] opens a child of whatever
+//!   span is already active on the calling thread, or a root when none is
+//!   (a shard store's `op.put` nests under the router's `router.op.put`,
+//!   and a flush under the `op.put` that crossed the write buffer, for
+//!   free).
 //! * **Explicit causal edges.** When work crosses a thread, queue or wire
 //!   boundary, the producer captures [`current_context`] (16 bytes,
 //!   [`TraceContext::encode`]) and the consumer opens a *remote* child
-//!   with [`Telemetry::trace_child_of`](crate::Telemetry::trace_child_of).
-//!   Replica replay spans join the primary's tree this way. A batched
-//!   boundary that serves *many* requests (one group commit for N
-//!   followers) instead records **span links**: each follower's span
-//!   links to the one shared commit span via [`link_current`].
+//!   with [`Span::start_child_of`]: replica replay and worker-thread
+//!   merges join the request's tree this way. A batched boundary that
+//!   serves *many* requests (one group commit for N followers) instead
+//!   records **span links**: each follower's span links to the one shared
+//!   commit span via [`link_current`].
 //!
-//! Every finished span records the calling thread's platform-charge delta
-//! ([`sgx_sim::thread_charges`]), so a span's time is already split into
-//! enclave / host / boundary worlds. `parent_span` is the *causal* parent;
-//! `enclosed_by` is the span that physically enclosed this one on the same
-//! thread (zero when none) — the latter is what makes exclusive-time
-//! partitions sum exactly to the platform clock (see [`analyze`]).
+//! `parent_span` is the *causal* parent; `enclosed_by` is the span that
+//! physically enclosed this one on the same thread (zero when none) — the
+//! latter is what makes exclusive-time partitions sum exactly to the
+//! platform clock (see [`analyze`]).
 //!
 //! Storage is bounded: a fixed ring of finished spans (drops counted), a
-//! per-op-class power-of-two histogram with max-duration exemplar trace
+//! per-op-class [`Buckets`] distribution with max-duration exemplar trace
 //! ids per bucket, and a bounded slow-op sampler (top-K by duration plus
 //! a deterministic reservoir of the rest).
 
@@ -46,7 +56,8 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use sgx_sim::ThreadCharges;
 
-use crate::metrics::{bucket_bound, bucket_index, HISTOGRAM_BUCKETS};
+use crate::export::{charges_json, esc};
+use crate::metrics::Buckets;
 
 /// Capacity of the finished-span ring. Older spans are dropped (and
 /// counted) so week-long runs cannot grow registry memory without bound.
@@ -115,12 +126,13 @@ pub struct SpanRecord {
     /// children; may differ for remote children that happen to run inside
     /// an unrelated active span.
     pub enclosed_by: u64,
-    /// Scope-prefixed span name (e.g. `shard0.replica1.op.scan`).
-    pub name: String,
+    /// Scope-prefixed span name (e.g. `shard0.replica1.op.scan`), shared
+    /// with the [`Span`] that produced the record.
+    pub name: Arc<str>,
     /// Operation class for latency aggregation (e.g. `"put"`, `"scan"`).
     pub op_class: &'static str,
-    /// Whether the causal parent lives on the far side of a wire or
-    /// queue boundary (replica replay joining the primary's tree).
+    /// Whether the causal parent lives on the far side of a thread, wire
+    /// or queue boundary (replica replay joining the primary's tree).
     pub remote: bool,
     /// Platform charges attributed to this span's thread while it was
     /// open (total plus enclave/host/boundary split, ecalls, ocalls,
@@ -143,6 +155,17 @@ impl SpanRecord {
     }
 }
 
+/// Aggregate over a span's completed activations: the field-wise sum of
+/// the [`SpanRecord::charges`] of every record of that name.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SpanStats {
+    /// Completed activations.
+    pub count: u64,
+    /// Summed charges: total virtual time, its enclave / host / boundary
+    /// split, ecall / ocall transitions and cross-boundary bytes.
+    pub charges: ThreadCharges,
+}
+
 /// One entry in the slow-op sampler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlowSample {
@@ -154,7 +177,7 @@ pub struct SlowSample {
     pub duration_ns: u64,
 }
 
-/// An exemplar trace id attached to one histogram bucket: the slowest
+/// An exemplar trace id attached to one duration bucket: the slowest
 /// root observed in that bucket.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Exemplar {
@@ -170,95 +193,32 @@ pub struct Exemplar {
 pub struct OpClassStats {
     /// The operation class (`"put"`, `"get"`, `"scan"`, ...).
     pub op_class: &'static str,
-    /// Root spans observed.
-    pub count: u64,
-    /// Sum of root durations (virtual ns).
-    pub sum_ns: u64,
-    /// Power-of-two duration buckets (same geometry as
-    /// [`crate::Histogram`]).
-    pub buckets: [u64; HISTOGRAM_BUCKETS],
-    /// Per-bucket exemplar: the slowest root that landed in the bucket.
-    pub exemplars: [Option<Exemplar>; HISTOGRAM_BUCKETS],
-}
-
-impl Default for OpClassStats {
-    fn default() -> Self {
-        OpClassStats {
-            op_class: "",
-            count: 0,
-            sum_ns: 0,
-            buckets: [0; HISTOGRAM_BUCKETS],
-            exemplars: [None; HISTOGRAM_BUCKETS],
-        }
-    }
+    /// Root durations in virtual ns: count, sum and quantiles.
+    pub durations: Buckets,
+    /// The slowest root of each non-empty bucket, keyed by the bucket's
+    /// inclusive upper bound ([`Buckets::bound_of`]).
+    pub exemplars: BTreeMap<u64, Exemplar>,
 }
 
 impl OpClassStats {
+    fn new(op_class: &'static str) -> Self {
+        OpClassStats { op_class, durations: Buckets::default(), exemplars: BTreeMap::new() }
+    }
+
     fn observe(&mut self, duration_ns: u64, trace_id: u64) {
-        self.count += 1;
-        self.sum_ns += duration_ns;
-        let i = bucket_index(duration_ns);
-        self.buckets[i] += 1;
-        let keep = match self.exemplars[i] {
-            Some(e) => duration_ns > e.duration_ns,
-            None => true,
-        };
-        if keep {
-            self.exemplars[i] = Some(Exemplar { trace_id, duration_ns });
+        self.durations.observe(duration_ns);
+        let fresh = Exemplar { trace_id, duration_ns };
+        let kept = self.exemplars.entry(Buckets::bound_of(duration_ns)).or_insert(fresh);
+        if duration_ns > kept.duration_ns {
+            *kept = fresh;
         }
-    }
-
-    /// Estimated quantile (`0 < q <= 1`) as the inclusive upper bound of
-    /// the bucket containing the rank, zero when empty.
-    pub fn quantile_ns(&self, q: f64) -> u64 {
-        quantile_from_buckets(&self.buckets, self.count, q)
-    }
-
-    /// Median duration estimate.
-    pub fn p50_ns(&self) -> u64 {
-        self.quantile_ns(0.50)
-    }
-
-    /// 99th percentile duration estimate.
-    pub fn p99_ns(&self) -> u64 {
-        self.quantile_ns(0.99)
-    }
-
-    /// 99.9th percentile duration estimate.
-    pub fn p999_ns(&self) -> u64 {
-        self.quantile_ns(0.999)
     }
 
     /// The exemplar attached to the bucket at or above quantile `q` — the
     /// trace id an operator drills into for an outlier bucket.
     pub fn exemplar_at(&self, q: f64) -> Option<Exemplar> {
-        if self.count == 0 {
-            return None;
-        }
-        let target = quantile_from_buckets(&self.buckets, self.count, q);
-        (0..HISTOGRAM_BUCKETS)
-            .filter(|&i| bucket_bound(i) >= target)
-            .filter_map(|i| self.exemplars[i])
-            .next()
+        self.exemplars.range(self.durations.quantile(q)..).next().map(|(_, e)| *e)
     }
-}
-
-/// Shared bucket-walk used by [`OpClassStats`] and the registry
-/// histograms: returns the inclusive upper bound of the bucket holding
-/// rank `ceil(q * count)`.
-pub(crate) fn quantile_from_buckets(buckets: &[u64; HISTOGRAM_BUCKETS], count: u64, q: f64) -> u64 {
-    if count == 0 {
-        return 0;
-    }
-    let rank = ((q * count as f64).ceil() as u64).clamp(1, count);
-    let mut cumulative = 0u64;
-    for (i, n) in buckets.iter().enumerate() {
-        cumulative += n;
-        if cumulative >= rank {
-            return bucket_bound(i);
-        }
-    }
-    bucket_bound(HISTOGRAM_BUCKETS - 1)
 }
 
 #[derive(Debug, Default)]
@@ -274,13 +234,12 @@ struct TracerState {
 
 impl TracerState {
     fn note_root(&mut self, sample: SlowSample) {
-        // Exact top-K by duration (stable: earlier trace wins ties).
-        if self.top.len() < SLOW_TOP_K {
-            self.top.push(sample);
-            self.top.sort_by_key(|s| std::cmp::Reverse(s.duration_ns));
-        } else if sample.duration_ns > self.top[SLOW_TOP_K - 1].duration_ns {
-            self.top[SLOW_TOP_K - 1] = sample;
-            self.top.sort_by_key(|s| std::cmp::Reverse(s.duration_ns));
+        // Exact top-K by duration, slowest first (earlier trace wins ties).
+        let faster = |s: &SlowSample| s.duration_ns < sample.duration_ns;
+        let at = self.top.iter().position(faster).unwrap_or(self.top.len());
+        if at < SLOW_TOP_K {
+            self.top.insert(at, sample);
+            self.top.truncate(SLOW_TOP_K);
         }
         // Deterministic reservoir over *all* roots (LCG, no wall clock).
         self.roots_seen += 1;
@@ -296,116 +255,35 @@ impl TracerState {
     }
 }
 
-/// The per-registry trace collector. Private to the crate; reached
-/// through [`crate::Telemetry`] methods and the free functions here.
+/// The per-registry span collector: the id sequence, the bounded ring,
+/// the op-class distributions and the slow-op sampler. Private to the
+/// crate; reached through [`crate::Telemetry`] and [`Span`].
 #[derive(Debug)]
 pub(crate) struct Tracer {
-    enabled: bool,
     next_id: AtomicU64,
     state: Mutex<TracerState>,
 }
 
-impl Tracer {
-    pub(crate) fn new(enabled: bool) -> Arc<Tracer> {
-        Arc::new(Tracer {
-            enabled,
+impl Default for Tracer {
+    fn default() -> Self {
+        Tracer {
             // Id 0 is reserved for "no trace".
             next_id: AtomicU64::new(1),
             state: Mutex::new(TracerState { rng: 0x9E3779B97F4A7C15, ..Default::default() }),
-        })
-    }
-
-    fn next(&self) -> u64 {
-        self.next_id.fetch_add(1, Ordering::Relaxed)
-    }
-
-    /// Opens a span: a root when no span of this registry is active on
-    /// the calling thread, a nested child otherwise.
-    pub(crate) fn start(self: &Arc<Self>, name: String, op_class: &'static str) -> TraceGuard {
-        if !self.enabled {
-            return TraceGuard::inert();
-        }
-        let top = ACTIVE.with(|stack| {
-            stack
-                .borrow()
-                .last()
-                .filter(|f| Arc::ptr_eq(&f.tracer, self))
-                .map(|f| (f.trace_id, f.span_id))
-        });
-        let span_id = self.next();
-        let (trace_id, parent_span, enclosed_by) = match top {
-            Some((t, p)) => (t, p, p),
-            None => (span_id, 0, 0),
-        };
-        self.open(trace_id, span_id, parent_span, enclosed_by, name, op_class, false)
-    }
-
-    /// Opens a *remote* child of an explicit causal parent carried across
-    /// a wire/queue boundary. Inert when `ctx` is absent.
-    pub(crate) fn start_child_of(
-        self: &Arc<Self>,
-        ctx: TraceContext,
-        name: String,
-        op_class: &'static str,
-    ) -> TraceGuard {
-        if !self.enabled || ctx.is_none() {
-            return TraceGuard::inert();
-        }
-        let enclosed_by = ACTIVE.with(|stack| {
-            stack.borrow().last().filter(|f| Arc::ptr_eq(&f.tracer, self)).map_or(0, |f| f.span_id)
-        });
-        let span_id = self.next();
-        self.open(ctx.trace_id, span_id, ctx.span_id, enclosed_by, name, op_class, true)
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn open(
-        self: &Arc<Self>,
-        trace_id: u64,
-        span_id: u64,
-        parent_span: u64,
-        enclosed_by: u64,
-        name: String,
-        op_class: &'static str,
-        remote: bool,
-    ) -> TraceGuard {
-        ACTIVE.with(|stack| {
-            stack.borrow_mut().push(ActiveFrame {
-                tracer: self.clone(),
-                trace_id,
-                span_id,
-                links: Vec::new(),
-            });
-        });
-        TraceGuard {
-            active: Some(Pending {
-                tracer: self.clone(),
-                trace_id,
-                span_id,
-                parent_span,
-                enclosed_by,
-                name,
-                op_class,
-                remote,
-                start: sgx_sim::thread_charges(),
-            }),
-            _not_send: PhantomData,
         }
     }
+}
 
+impl Tracer {
     fn record(&self, rec: SpanRecord) {
-        let mut s = self.state.lock();
+        let s = &mut *self.state.lock();
         if rec.is_root() {
-            s.classes
-                .entry(rec.op_class)
-                .or_insert_with(|| OpClassStats { op_class: rec.op_class, ..Default::default() });
-            // Split borrow: observe needs the class entry, note_root the rest.
-            if let Some(agg) = s.classes.get_mut(rec.op_class) {
-                agg.observe(rec.charges.ns, rec.trace_id);
-            }
+            let class = rec.op_class;
+            let stats = s.classes.entry(class).or_insert_with(|| OpClassStats::new(class));
+            stats.observe(rec.charges.ns, rec.trace_id);
             s.note_root(SlowSample {
                 trace_id: rec.trace_id,
-                op_class: rec.op_class,
+                op_class: class,
                 duration_ns: rec.charges.ns,
             });
         }
@@ -434,10 +312,128 @@ impl Tracer {
     }
 }
 
-struct ActiveFrame {
+#[derive(Debug)]
+struct SpanInner {
+    enabled: bool,
     tracer: Arc<Tracer>,
-    trace_id: u64,
-    span_id: u64,
+    name: Arc<str>,
+    op_class: &'static str,
+    /// Per-activation total virtual ns: the aggregate's count and
+    /// distribution.
+    durations: Buckets,
+    totals: Mutex<ThreadCharges>,
+}
+
+/// A registered, named span (see the [module docs](self)). Cheap to
+/// clone; [`Span::start`] returns the RAII guard of one activation.
+#[derive(Debug, Clone)]
+pub struct Span {
+    inner: Arc<SpanInner>,
+}
+
+impl Span {
+    pub(crate) fn new(
+        enabled: bool,
+        tracer: &Arc<Tracer>,
+        name: &str,
+        op_class: &'static str,
+    ) -> Span {
+        Span {
+            inner: Arc::new(SpanInner {
+                enabled,
+                tracer: tracer.clone(),
+                name: name.into(),
+                op_class,
+                durations: Buckets::default(),
+                totals: Mutex::default(),
+            }),
+        }
+    }
+
+    /// Opens one activation on the calling thread: a nested child of the
+    /// innermost span of this registry active there, the root of a fresh
+    /// trace tree when there is none. Inert on a disabled registry.
+    #[inline]
+    pub fn start(&self) -> ActiveSpan {
+        if !self.inner.enabled {
+            return ActiveSpan::inert();
+        }
+        let enclosing = self.enclosing();
+        let span_id = self.next_id();
+        let (trace_id, parent) = enclosing.map_or((span_id, 0), |c| (c.trace_id, c.span_id));
+        self.open(trace_id, span_id, parent, parent, false)
+    }
+
+    /// Opens one activation as a *remote* child of `ctx` — a causal
+    /// parent carried across a thread, wire or queue boundary (replica
+    /// replay joining the primary's tree, a worker-thread merge joining
+    /// the request that triggered it). With [`TraceContext::NONE`] there
+    /// is no such parent and this is [`Span::start`].
+    pub fn start_child_of(&self, ctx: TraceContext) -> ActiveSpan {
+        if !self.inner.enabled || ctx.is_none() {
+            return self.start();
+        }
+        let enclosed_by = self.enclosing().map_or(0, |c| c.span_id);
+        self.open(ctx.trace_id, self.next_id(), ctx.span_id, enclosed_by, true)
+    }
+
+    /// Aggregate of all completed activations.
+    pub fn stats(&self) -> SpanStats {
+        let totals = self.inner.totals.lock();
+        SpanStats { count: self.inner.durations.count(), charges: *totals }
+    }
+
+    /// Distribution of per-activation total virtual ns.
+    pub fn durations(&self) -> &Buckets {
+        &self.inner.durations
+    }
+
+    fn next_id(&self) -> u64 {
+        self.inner.tracer.next_id.fetch_add(1, Ordering::Relaxed)
+    }
+
+    /// What tells this registry's frames on the thread-local stack from
+    /// another registry's.
+    fn registry(&self) -> usize {
+        Arc::as_ptr(&self.inner.tracer) as usize
+    }
+
+    /// The innermost active span, if it belongs to this registry.
+    fn enclosing(&self) -> Option<TraceContext> {
+        let registry = self.registry();
+        ACTIVE.with(|stack| stack.borrow().last().filter(|f| f.registry == registry).map(|f| f.ctx))
+    }
+
+    fn open(
+        &self,
+        trace_id: u64,
+        span_id: u64,
+        parent_span: u64,
+        enclosed_by: u64,
+        remote: bool,
+    ) -> ActiveSpan {
+        let ctx = TraceContext { trace_id, span_id };
+        let frame = ActiveFrame { registry: self.registry(), ctx, links: Vec::new() };
+        ACTIVE.with(|stack| stack.borrow_mut().push(frame));
+        let record = SpanRecord {
+            trace_id,
+            span_id,
+            parent_span,
+            enclosed_by,
+            name: self.inner.name.clone(),
+            op_class: self.inner.op_class,
+            remote,
+            // Until the guard drops: the thread's cumulative charges at start.
+            charges: sgx_sim::thread_charges(),
+            links: Vec::new(),
+        };
+        ActiveSpan { active: Some((self.clone(), record)), _not_send: PhantomData }
+    }
+}
+
+struct ActiveFrame {
+    registry: usize,
+    ctx: TraceContext,
     links: Vec<TraceContext>,
 }
 
@@ -449,12 +445,7 @@ thread_local! {
 /// thread, or [`TraceContext::NONE`]. This is what producers stamp onto
 /// wire envelopes and queue entries.
 pub fn current_context() -> TraceContext {
-    ACTIVE.with(|stack| {
-        stack.borrow().last().map_or(TraceContext::NONE, |f| TraceContext {
-            trace_id: f.trace_id,
-            span_id: f.span_id,
-        })
-    })
+    ACTIVE.with(|stack| stack.borrow().last().map_or(TraceContext::NONE, |f| f.ctx))
 }
 
 /// Records a span link from the innermost active span to `ctx`: shared
@@ -466,77 +457,55 @@ pub fn link_current(ctx: TraceContext) {
     }
     ACTIVE.with(|stack| {
         if let Some(f) = stack.borrow_mut().last_mut() {
-            if f.span_id != ctx.span_id && !f.links.contains(&ctx) {
+            if f.ctx.span_id != ctx.span_id && !f.links.contains(&ctx) {
                 f.links.push(ctx);
             }
         }
     });
 }
 
-#[derive(Debug)]
-struct Pending {
-    tracer: Arc<Tracer>,
-    trace_id: u64,
-    span_id: u64,
-    parent_span: u64,
-    enclosed_by: u64,
-    name: String,
-    op_class: &'static str,
-    remote: bool,
-    start: ThreadCharges,
-}
-
-/// RAII guard for one trace span (see
-/// [`Telemetry::trace_op`](crate::Telemetry::trace_op)).
+/// RAII guard for one span activation (see [`Span::start`]).
 ///
 /// Not `Send`: the charge delta and the propagation stack are
 /// thread-local, so a guard must drop on the thread that opened it.
 #[derive(Debug)]
-pub struct TraceGuard {
-    active: Option<Pending>,
+pub struct ActiveSpan {
+    active: Option<(Span, SpanRecord)>,
     _not_send: PhantomData<*const ()>,
 }
 
-impl TraceGuard {
-    /// An inert guard (disabled registry or absent parent context).
-    pub(crate) fn inert() -> TraceGuard {
-        TraceGuard { active: None, _not_send: PhantomData }
+impl ActiveSpan {
+    fn inert() -> ActiveSpan {
+        ActiveSpan { active: None, _not_send: PhantomData }
     }
 
     /// This span's context, for stamping onto queue entries or wire
     /// envelopes. [`TraceContext::NONE`] when inert.
     pub fn ctx(&self) -> TraceContext {
-        self.active.as_ref().map_or(TraceContext::NONE, |p| TraceContext {
-            trace_id: p.trace_id,
-            span_id: p.span_id,
-        })
+        self.active.as_ref().map_or(TraceContext::NONE, |(_, record)| record.ctx())
     }
 }
 
-impl Drop for TraceGuard {
+impl Drop for ActiveSpan {
     fn drop(&mut self) {
-        let Some(p) = self.active.take() else {
+        let Some((span, mut record)) = self.active.take() else {
             return;
         };
-        let links = ACTIVE.with(|stack| {
+        record.links = ACTIVE.with(|stack| {
             let mut stack = stack.borrow_mut();
             // Normally ours is the top frame; search defensively so an
             // out-of-order drop cannot corrupt unrelated frames.
-            let idx = stack.iter().rposition(|f| f.span_id == p.span_id);
+            let idx = stack.iter().rposition(|f| f.ctx == record.ctx());
             idx.map(|i| stack.remove(i).links).unwrap_or_default()
         });
-        let charges = sgx_sim::thread_charges().since(&p.start);
-        p.tracer.record(SpanRecord {
-            trace_id: p.trace_id,
-            span_id: p.span_id,
-            parent_span: p.parent_span,
-            enclosed_by: p.enclosed_by,
-            name: p.name,
-            op_class: p.op_class,
-            remote: p.remote,
-            charges,
-            links,
-        });
+        // The one delta, folded once into each place that reads it.
+        record.charges = sgx_sim::thread_charges().since(&record.charges);
+        {
+            let mut totals = span.inner.totals.lock();
+            *totals = totals.plus(&record.charges);
+            span.inner.durations.observe(record.charges.ns);
+        }
+        span.inner.tracer.record(record);
     }
 }
 
@@ -553,42 +522,23 @@ pub(crate) fn to_json(tracer: &Tracer) -> String {
     out.push_str("  \"op_classes\": {\n");
     for (ci, c) in classes.iter().enumerate() {
         let comma = if ci + 1 == classes.len() { "" } else { "," };
-        let _ = write!(
+        // Every non-empty bucket keeps an exemplar, in the same order.
+        let buckets: Vec<String> = (c.durations.nonzero().iter().zip(c.exemplars.values()))
+            .map(|((le, count), e)| {
+                format!("{{\"le\": {le}, \"count\": {count}, \"exemplar_trace\": {}}}", e.trace_id)
+            })
+            .collect();
+        let _ = writeln!(
             out,
-            "    \"{}\": {{\"count\": {}, \"sum_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"buckets\": [",
-            c.op_class,
-            c.count,
-            c.sum_ns,
-            c.p50_ns(),
-            c.p99_ns(),
-            c.p999_ns(),
+            "    \"{}\": {{\"count\": {}, \"sum_ns\": {}, \"p50_ns\": {}, \"p99_ns\": {}, \"p999_ns\": {}, \"buckets\": [{}]}}{comma}",
+            esc(c.op_class),
+            c.durations.count(),
+            c.durations.sum(),
+            c.durations.quantile(0.50),
+            c.durations.quantile(0.99),
+            c.durations.quantile(0.999),
+            buckets.join(", "),
         );
-        let mut first = true;
-        for i in 0..HISTOGRAM_BUCKETS {
-            if c.buckets[i] == 0 {
-                continue;
-            }
-            if !first {
-                out.push_str(", ");
-            }
-            first = false;
-            match c.exemplars[i] {
-                Some(e) => {
-                    let _ = write!(
-                        out,
-                        "{{\"le\": {}, \"count\": {}, \"exemplar_trace\": {}}}",
-                        bucket_bound(i),
-                        c.buckets[i],
-                        e.trace_id
-                    );
-                }
-                None => {
-                    let _ =
-                        write!(out, "{{\"le\": {}, \"count\": {}}}", bucket_bound(i), c.buckets[i]);
-                }
-            }
-        }
-        let _ = writeln!(out, "]}}{comma}");
     }
     out.push_str("  },\n");
     let render_samples = |out: &mut String, samples: &[SlowSample]| {
@@ -597,7 +547,9 @@ pub(crate) fn to_json(tracer: &Tracer) -> String {
             let _ = writeln!(
                 out,
                 "      {{\"trace_id\": {}, \"op_class\": \"{}\", \"duration_ns\": {}}}{comma}",
-                s.trace_id, s.op_class, s.duration_ns
+                s.trace_id,
+                esc(s.op_class),
+                s.duration_ns
             );
         }
     };
@@ -613,21 +565,15 @@ pub(crate) fn to_json(tracer: &Tracer) -> String {
             r.links.iter().map(|l| format!("[{}, {}]", l.trace_id, l.span_id)).collect();
         let _ = writeln!(
             out,
-            "    {{\"trace_id\": {}, \"span_id\": {}, \"parent_span\": {}, \"enclosed_by\": {}, \"name\": \"{}\", \"op_class\": \"{}\", \"remote\": {}, \"total_ns\": {}, \"enclave_ns\": {}, \"host_ns\": {}, \"boundary_ns\": {}, \"ecalls\": {}, \"ocalls\": {}, \"cross_copy_bytes\": {}, \"links\": [{}]}}{comma}",
+            "    {{\"trace_id\": {}, \"span_id\": {}, \"parent_span\": {}, \"enclosed_by\": {}, \"name\": \"{}\", \"op_class\": \"{}\", \"remote\": {}, {}, \"links\": [{}]}}{comma}",
             r.trace_id,
             r.span_id,
             r.parent_span,
             r.enclosed_by,
-            crate::export::esc(&r.name),
-            r.op_class,
+            esc(&r.name),
+            esc(r.op_class),
             r.remote,
-            r.charges.ns,
-            r.charges.enclave_ns,
-            r.charges.host_ns,
-            r.charges.boundary_ns,
-            r.charges.ecalls,
-            r.charges.ocalls,
-            r.charges.cross_copy_bytes,
+            charges_json(&r.charges),
             links.join(", ")
         );
     }
@@ -638,9 +584,93 @@ pub(crate) fn to_json(tracer: &Tracer) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Telemetry;
+    use proptest::prelude::*;
 
-    fn tracer() -> Arc<Tracer> {
-        Tracer::new(true)
+    /// Runs one thread's script of `(op, pick, amount)` steps: open a
+    /// nested span, open a remote child of a context seen earlier, close
+    /// the innermost span, charge the platform (bare or under an ecall),
+    /// or link a context seen earlier. Whatever is still open closes
+    /// innermost-first.
+    fn run_script(
+        script: &[(u8, u8, u16)],
+        spans: &[Span],
+        platform: &sgx_sim::Platform,
+        seed: TraceContext,
+    ) {
+        let mut seen = vec![seed];
+        let mut open: Vec<ActiveSpan> = Vec::new();
+        for &(op, pick, amount) in script {
+            let span = &spans[pick as usize % spans.len()];
+            let ctx = seen[pick as usize % seen.len()];
+            match op {
+                0 => open.push(span.start()),
+                1 => open.push(span.start_child_of(ctx)),
+                2 => drop(open.pop()),
+                3 => platform.charge_hash(amount as usize),
+                4 => platform.ecall(|| platform.charge_hash(amount as usize)),
+                _ => link_current(ctx),
+            }
+            seen.extend(open.last().map(ActiveSpan::ctx));
+        }
+        while open.pop().is_some() {}
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// "Derived" is true: with no ring drops, every span's aggregate
+        /// is the sum of the ring's records of its name, and every op
+        /// class is the fold of the ring's root records of that class —
+        /// for any interleaving of nested, remote and linked spans on one
+        /// to three threads.
+        #[test]
+        fn aggregates_are_the_fold_of_the_records(
+            scripts in prop::collection::vec(
+                prop::collection::vec((0u8..6, any::<u8>(), 1u16..400), 0..40),
+                1..4,
+            ),
+        ) {
+            let tel = Telemetry::new();
+            let platform = sgx_sim::Platform::with_defaults();
+            let spans = [
+                tel.span("op.put", "put"),
+                tel.span("op.get", "get"),
+                tel.scoped("shard0").span("op.put", "put"),
+                tel.span("commit.group", "commit"),
+                tel.span("flush.merge", "flush"),
+            ];
+            let seed = spans[0].start().ctx();
+            std::thread::scope(|s| {
+                for script in &scripts {
+                    s.spawn(|| run_script(script, &spans, &platform, seed));
+                }
+            });
+
+            let records = tel.trace_records();
+            prop_assert_eq!(tel.dropped_spans(), 0);
+            for span in &spans {
+                let name = &span.inner.name;
+                let folded = records.iter().filter(|r| r.name == *name).fold(
+                    SpanStats::default(),
+                    |acc, r| SpanStats { count: acc.count + 1, charges: acc.charges.plus(&r.charges) },
+                );
+                prop_assert_eq!(span.stats(), folded, "aggregate of {}", name);
+                prop_assert_eq!(span.durations().sum(), folded.charges.ns);
+            }
+            let mut folded: BTreeMap<&str, OpClassStats> = BTreeMap::new();
+            for r in records.iter().filter(|r| r.is_root()) {
+                let class = folded.entry(r.op_class).or_insert_with(|| OpClassStats::new(r.op_class));
+                class.observe(r.charges.ns, r.trace_id);
+            }
+            let view = |c: &OpClassStats| {
+                (c.op_class, c.durations.count(), c.durations.sum(), c.durations.nonzero(), c.exemplars.clone())
+            };
+            prop_assert_eq!(
+                tel.op_class_stats().iter().map(view).collect::<Vec<_>>(),
+                folded.values().map(view).collect::<Vec<_>>()
+            );
+        }
     }
 
     #[test]
@@ -653,17 +683,32 @@ mod tests {
     }
 
     #[test]
-    fn nesting_builds_a_tree() {
-        let t = tracer();
+    fn span_attributes_thread_work() {
+        let p = sgx_sim::Platform::with_defaults();
+        let span = Telemetry::new().span("commit.group", "commit");
         {
-            let root = t.start("op.put".into(), "put");
-            let root_ctx = root.ctx();
-            {
-                let child = t.start("commit.group".into(), "commit");
-                assert_eq!(child.ctx().trace_id, root_ctx.trace_id);
-            }
+            let _g = span.start();
+            p.ecall(|| p.charge_hash(128));
         }
-        let recs = t.records();
+        let SpanStats { count, charges } = span.stats();
+        assert_eq!((count, charges.ecalls), (1, 1));
+        assert_eq!(charges.ns, charges.enclave_ns + charges.host_ns + charges.boundary_ns);
+        assert_eq!(charges.enclave_ns, p.cost().hash_cost(128));
+        assert_eq!(charges.boundary_ns, p.cost().ecall_ns);
+        assert_eq!(span.durations().sum(), charges.ns);
+    }
+
+    #[test]
+    fn nesting_builds_a_tree() {
+        let t = Telemetry::new();
+        let (put, commit) = (t.span("op.put", "put"), t.span("commit.group", "commit"));
+        {
+            let root = put.start();
+            let child = commit.start();
+            assert_eq!(child.ctx().trace_id, root.ctx().trace_id);
+            drop(child);
+        }
+        let recs = t.trace_records();
         assert_eq!(recs.len(), 2);
         let child = &recs[0];
         let root = &recs[1];
@@ -672,43 +717,45 @@ mod tests {
         assert_eq!(child.enclosed_by, root.span_id);
         assert_eq!(child.trace_id, root.trace_id);
         assert!(child.span_id > root.span_id, "child ids exceed parents: acyclic");
+        let classes: Vec<_> = t.op_class_stats().iter().map(|c| c.op_class).collect();
+        assert_eq!(classes, ["put"], "only roots fold into an op class");
     }
 
     #[test]
     fn remote_children_join_the_parents_tree() {
-        let t = tracer();
-        let ctx = {
-            let root = t.start("op.put".into(), "put");
-            root.ctx()
-        };
-        drop(t.start_child_of(ctx, "replay.frame".into(), "replay"));
-        let recs = t.records();
-        let replay = recs.iter().find(|r| r.name == "replay.frame").unwrap();
-        assert_eq!(replay.trace_id, ctx.trace_id);
-        assert_eq!(replay.parent_span, ctx.span_id);
-        assert_eq!(replay.enclosed_by, 0, "no physical enclosure");
-        assert!(replay.remote);
+        let t = Telemetry::new();
+        let ctx = t.span("op.put", "put").start().ctx();
+        let replay = t.span("replay.frame", "replay");
+        drop(replay.start_child_of(ctx));
+        drop(replay.start_child_of(TraceContext::NONE));
+        let recs = t.trace_records();
+        let joined = &recs[1];
+        assert_eq!(&*joined.name, "replay.frame");
+        assert_eq!((joined.trace_id, joined.parent_span), (ctx.trace_id, ctx.span_id));
+        assert_eq!(joined.enclosed_by, 0, "no physical enclosure");
+        assert!(joined.remote);
+        assert!(recs[2].is_root() && !recs[2].remote, "no parent to join: an ordinary root");
+        assert_eq!(replay.stats().count, 2);
     }
 
     #[test]
     fn links_record_on_the_active_frame() {
-        let t = tracer();
+        let t = Telemetry::new();
         let commit_ctx = TraceContext { trace_id: 42, span_id: 42 };
         {
-            let _g = t.start("op.put".into(), "put");
+            let _g = t.span("op.put", "put").start();
             link_current(commit_ctx);
             link_current(commit_ctx); // deduplicated
         }
-        let recs = t.records();
-        assert_eq!(recs[0].links, vec![commit_ctx]);
+        assert_eq!(t.trace_records()[0].links, vec![commit_ctx]);
     }
 
     #[test]
     fn current_context_tracks_the_stack() {
-        let t = tracer();
+        let t = Telemetry::new();
         assert!(current_context().is_none());
         {
-            let g = t.start("op.put".into(), "put");
+            let g = t.span("op.put", "put").start();
             assert_eq!(current_context(), g.ctx());
         }
         assert!(current_context().is_none());
@@ -716,30 +763,38 @@ mod tests {
 
     #[test]
     fn ring_bounds_and_counts_drops() {
-        let t = tracer();
+        let t = Telemetry::new();
+        let get = t.span("op.get", "get");
         for _ in 0..(TRACE_RING_CAPACITY + 10) {
-            drop(t.start("op.get".into(), "get"));
+            drop(get.start());
         }
-        assert_eq!(t.records().len(), TRACE_RING_CAPACITY);
-        assert_eq!(t.dropped(), 10);
+        assert_eq!(t.trace_records().len(), TRACE_RING_CAPACITY);
+        assert_eq!(t.dropped_spans(), 10);
+        assert_eq!(
+            get.stats().count,
+            TRACE_RING_CAPACITY as u64 + 10,
+            "aggregates outlive the ring"
+        );
     }
 
     #[test]
     fn op_class_quantiles_and_exemplars() {
-        let mut agg = OpClassStats { op_class: "get", ..Default::default() };
+        let mut agg = OpClassStats::new("get");
+        assert_eq!(agg.exemplar_at(0.5), None);
         for (d, id) in [(1u64, 1u64), (1, 2), (1, 3), (1000, 9)] {
             agg.observe(d, id);
         }
-        assert_eq!(agg.count, 4);
-        assert_eq!(agg.p50_ns(), bucket_bound(bucket_index(1)));
-        assert_eq!(agg.p999_ns(), bucket_bound(bucket_index(1000)));
+        assert_eq!(agg.durations.count(), 4);
+        assert_eq!(agg.durations.quantile(0.50), Buckets::bound_of(1));
+        assert_eq!(agg.durations.quantile(0.999), Buckets::bound_of(1000));
+        assert_eq!(agg.exemplar_at(0.50).unwrap().trace_id, 1, "first of equals is kept");
         let ex = agg.exemplar_at(0.999).unwrap();
         assert_eq!(ex.trace_id, 9, "outlier bucket carries its exemplar trace id");
     }
 
     #[test]
     fn slow_sampler_keeps_top_k_exactly() {
-        let t = tracer();
+        let t = Tracer::default();
         let mut s = t.state.lock();
         for i in 0..200u64 {
             s.note_root(SlowSample { trace_id: i, op_class: "put", duration_ns: i });
@@ -751,11 +806,17 @@ mod tests {
     }
 
     #[test]
-    fn disabled_tracer_records_nothing() {
-        let t = Tracer::new(false);
-        let g = t.start("op.put".into(), "put");
+    fn disabled_span_records_nothing() {
+        let p = sgx_sim::Platform::with_defaults();
+        let t = Telemetry::disabled();
+        let span = t.span("op.put", "put");
+        let g = span.start();
+        p.charge_hash(128);
         assert!(g.ctx().is_none());
+        assert!(current_context().is_none());
         drop(g);
-        assert!(t.records().is_empty());
+        drop(span.start_child_of(TraceContext { trace_id: 1, span_id: 1 }));
+        assert!(t.trace_records().is_empty());
+        assert_eq!(span.stats(), SpanStats::default());
     }
 }

@@ -127,12 +127,12 @@ fn spans_attribute_virtual_time_to_the_enclave() {
         .find(|(name, _)| name == "commit.group")
         .expect("commit span registered");
     assert!(commit.count >= 1);
-    assert!(commit.enclave_ns > 0, "group commit runs inside the enclave");
+    assert!(commit.charges.enclave_ns > 0, "group commit runs inside the enclave");
     // The span opens *inside* the enclave transition — the ecall itself is
     // charged at the store's boundary, so the span's own crossing counters
     // stay zero while its time is pure enclave time.
-    assert_eq!(commit.ecalls, 0, "no nested transitions inside a commit group");
-    assert!(commit.total_ns >= commit.enclave_ns);
+    assert_eq!(commit.charges.ecalls, 0, "no nested transitions inside a commit group");
+    assert!(commit.charges.ns >= commit.charges.enclave_ns);
 
     let flush = snapshot.spans.iter().find(|(name, _)| name == "flush.merge");
     assert!(flush.is_some_and(|(_, s)| s.count >= 1), "flush phases traced");

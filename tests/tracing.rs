@@ -2,10 +2,11 @@
 //! verified op on a sharded + replicated cluster mints exactly one trace
 //! tree; trees are acyclic and physically well-nested; a cross-shard
 //! scan's tree spans router → shards → replica verification with a
-//! non-empty critical path; tracing charges zero virtual time even
-//! through the replication wire; and the per-trace world partitions sum
-//! exactly to the platform's [`time_split`] advance — the
-//! partition-sum identity.
+//! non-empty critical path; a `put` that stalls on a flush (and the
+//! compaction wave behind it) explains the stall in its own tree; tracing
+//! charges zero virtual time even through the replication wire; and the
+//! per-trace world partitions sum exactly to the platform's
+//! [`time_split`] advance — the partition-sum identity.
 //!
 //! [`time_split`]: elsm_repro::sgx_sim::Platform::time_split
 
@@ -122,7 +123,7 @@ fn cross_shard_scan_tree_spans_router_shards_and_replicas() {
     let trees = analyze::build_trees(new_spans);
     assert_eq!(trees.len(), 1, "one cross-shard scan, one trace tree");
     let tree = &trees[0];
-    assert_eq!(tree.root().name, "router.op.scan");
+    assert_eq!(&*tree.root().name, "router.op.scan");
     assert_eq!(tree.root().op_class, "scan");
 
     // The tree spans both shards' replica-verified reads plus the
@@ -138,7 +139,7 @@ fn cross_shard_scan_tree_spans_router_shards_and_replicas() {
     // Critical-path analysis renders a non-empty per-span breakdown.
     let path = tree.critical_path();
     assert!(!path.is_empty());
-    assert_eq!(path[0].name, "router.op.scan");
+    assert_eq!(&*path[0].name, "router.op.scan");
     let rendered = analyze::render_critical_path(tree);
     assert!(rendered.lines().count() >= 2, "path descends below the router:\n{rendered}");
     assert!(rendered.contains("exclusive="));
@@ -214,4 +215,74 @@ fn per_trace_partitions_sum_exactly_to_the_platform_time_split() {
         summed.boundary_ns += p.boundary_ns;
     }
     assert_eq!(summed, delta, "per-trace partitions sum to the same split");
+}
+
+/// A stall is explained: the `put` that crosses the write buffer pays for
+/// the flush — and the compaction wave behind it — in its own window, and
+/// its trace tree says so phase by phase. With two merge workers the
+/// wave's merges run on other threads and join the tree as remote
+/// children. The partition-sum identity holds over the deeper trees.
+#[test]
+fn a_put_that_stalls_on_maintenance_explains_the_stall_in_its_tree() {
+    for parallelism in [1, 2] {
+        let registry = Telemetry::new();
+        let platform = Platform::with_defaults();
+        let options = P2Options {
+            write_buffer_bytes: 4 << 10,
+            level1_max_bytes: 16 << 10,
+            compaction_parallelism: parallelism,
+            ..instrumented_options(&registry)
+        };
+        let store = ElsmP2::open(platform.clone(), options).unwrap();
+        let before = platform.time_split();
+
+        let (mut puts, mut stalls, mut waves) = (0usize, 0, 0);
+        while waves == 0 {
+            let mark = registry.trace_records().len();
+            let counted = |name| registry.counter_value(name);
+            let (flushes0, waves0) = (counted("db.flushes"), counted("compaction.waves"));
+            store.put(format!("key{puts:05}").as_bytes(), &[0x22u8; 96]).unwrap();
+            puts += 1;
+            assert!(puts < 2000, "level 1 must outgrow its budget");
+            if counted("db.flushes") == flushes0 {
+                continue;
+            }
+            stalls += 1;
+            let records = registry.trace_records();
+            let trees = analyze::build_trees(&records[mark..]);
+            assert_eq!(trees.len(), 1, "the stalled put and its maintenance are one tree");
+            let tree = &trees[0];
+            assert_eq!(tree.spans.len(), records.len() - mark);
+            assert!(tree.is_acyclic());
+            assert_eq!((&*tree.root().name, tree.root().op_class), ("op.put", "put"));
+            let has = |name: &str| tree.spans.iter().any(|s| &*s.name == name);
+            for phase in ["commit.group", "flush.freeze", "flush.merge", "flush.install"] {
+                assert!(has(phase), "stalled put's tree lacks {phase}");
+            }
+            let path = tree.critical_path();
+            assert!(path[1].name.ends_with(".merge"), "a merge, not the commit, is the stall");
+            if counted("compaction.waves") > waves0 {
+                waves += 1;
+                assert!(has("compaction.install"));
+                let merge = tree.spans.iter().find(|s| &*s.name == "compaction.merge").unwrap();
+                assert_eq!(merge.remote, parallelism > 1, "worker merges join remotely");
+                assert_eq!(merge.parent_span, tree.root().span_id);
+            }
+        }
+        assert!(stalls > 1, "flush-only stalls came before the wave");
+        assert_eq!(registry.dropped_spans(), 0);
+
+        let delta = platform.time_split().delta(&before);
+        let records = registry.trace_records();
+        assert_eq!(analyze::run_partition(&records), delta);
+        let trees = analyze::build_trees(&records);
+        assert_eq!(trees.len(), puts, "maintenance mints no tree of its own");
+        let mut summed = elsm_repro::sgx_sim::TimeSplit::default();
+        for p in trees.iter().map(|tree| tree.partition()) {
+            summed.enclave_ns += p.enclave_ns;
+            summed.host_ns += p.host_ns;
+            summed.boundary_ns += p.boundary_ns;
+        }
+        assert_eq!(summed, delta, "per-trace partitions still sum exactly to the time split");
+    }
 }

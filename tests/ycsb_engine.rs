@@ -555,8 +555,9 @@ fn every_op_lands_in_the_registry_on_its_documented_side() {
         let r = run_phase(&d, &Topology::single(&d.platform), &w, &phase(100, 600, 3, 9), &tel);
         assert_eq!(tel.counter_value("ycsb.ops"), 600);
         let snapshot = tel.snapshot();
+        let histograms = &snapshot.histograms;
         let count =
-            |name: &str| snapshot.histograms.iter().find(|h| h.name == name).map_or(0, |h| h.count);
+            |name: &str| histograms.iter().find(|(n, _)| n == name).map_or(0, |(_, h)| h.count());
         assert_eq!(count("ycsb.op_ns"), 600, "{}", w.name);
         assert_eq!(count("ycsb.read_ns"), r.reads.count, "{}", w.name);
         assert_eq!(count("ycsb.write_ns"), r.writes.count, "{}", w.name);
