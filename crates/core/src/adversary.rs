@@ -15,7 +15,6 @@ pub fn forge_hit_value(trace: &mut GetTrace, forged_value: &[u8]) {
     for search in &mut trace.levels {
         if let LevelOutcome::Hit(record) = &mut search.outcome {
             record.value = crate::envelope::wrap_plain(forged_value);
-            trace.result = Some(record.clone());
         }
     }
 }
@@ -26,7 +25,6 @@ pub fn splice_hit_record(trace: &mut GetTrace, new_ts: u64) {
     for search in &mut trace.levels {
         if let LevelOutcome::Hit(record) = &mut search.outcome {
             record.ts = new_ts;
-            trace.result = Some(record.clone());
         }
     }
 }
@@ -41,7 +39,6 @@ pub fn suppress_hit(trace: &mut GetTrace) {
             search.outcome = LevelOutcome::Miss { left, right: None };
         }
     }
-    trace.result = None;
 }
 
 /// Claims a searched level was empty (hides an entire level).
@@ -51,10 +48,9 @@ pub fn hide_level(trace: &mut GetTrace, level: usize) {
             search.outcome = LevelOutcome::Empty;
         }
     }
-    trace.result = None;
 }
 
-/// Replaces the result with an older version of the same key, using that
+/// Replaces the hit with an older version of the same key, using that
 /// older version's own (honestly generated) proof — the paper's ⟨Z,6⟩
 /// freshness attack. The caller supplies the stale record as stored at the
 /// same level.
@@ -62,7 +58,6 @@ pub fn substitute_stale(trace: &mut GetTrace, stale: Record) {
     for search in &mut trace.levels {
         if matches!(search.outcome, LevelOutcome::Hit(_)) {
             search.outcome = LevelOutcome::Hit(stale.clone());
-            trace.result = Some(stale.clone());
         }
     }
 }
@@ -118,7 +113,6 @@ pub fn drop_from_scan(trace: &mut ScanTrace, level: usize, key: &[u8]) {
             l.records.retain(|r| r.key != key);
         }
     }
-    trace.merged.retain(|r| r.key != key);
 }
 
 /// Truncates a scan's level slice after `keep` records and drops the right
@@ -129,19 +123,6 @@ pub fn truncate_scan(trace: &mut ScanTrace, level: usize, keep: usize) {
             l.records.truncate(keep);
             l.right = None;
         }
-    }
-}
-
-/// Swaps the merged scan output's values between two indices (tampering
-/// with the aggregation the trusted code would otherwise do — only
-/// possible if the host could intercept it; verification of merged output
-/// derives from level data, so this models an in-transit tamper).
-pub fn swap_merged_values(trace: &mut ScanTrace, i: usize, j: usize) {
-    if i < trace.merged.len() && j < trace.merged.len() {
-        let vi = trace.merged[i].value.clone();
-        let vj = trace.merged[j].value.clone();
-        trace.merged[i].value = vj;
-        trace.merged[j].value = vi;
     }
 }
 

@@ -66,18 +66,6 @@ pub struct CacheStats {
     pub tamper_detected: u64,
 }
 
-impl CacheStats {
-    /// Record-entry hit ratio in `[0, 1]` (0 when no lookups ran).
-    pub fn record_hit_ratio(&self) -> f64 {
-        let total = self.record_hits + self.record_misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.record_hits as f64 / total as f64
-        }
-    }
-}
-
 /// A cached verified GET answer.
 #[derive(Debug)]
 struct RecordEntry {

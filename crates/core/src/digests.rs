@@ -20,8 +20,6 @@ use merkle::{LevelDigest, RangeProof};
 use parking_lot::Mutex;
 use sgx_sim::Platform;
 
-use crate::trusted::RangeProver;
-
 #[derive(Debug)]
 struct DigestsInner {
     /// The working map compactions mutate before their install.
@@ -100,8 +98,10 @@ impl UntrustedDigests {
     }
 }
 
-impl RangeProver for UntrustedDigests {
-    fn prove_range(&self, epoch: u64, level: u32, lo: u64, hi: u64) -> Option<RangeProof> {
+impl UntrustedDigests {
+    /// Produces the proof for leaves `lo..=hi` of `level` as of `epoch`,
+    /// or `None` if the host cannot (treated as a completeness failure).
+    pub fn prove_range(&self, epoch: u64, level: u32, lo: u64, hi: u64) -> Option<RangeProof> {
         let digest = {
             let inner = self.levels.lock();
             let (_, snapshot) = inner.epochs.iter().find(|(e, _)| *e == epoch)?;

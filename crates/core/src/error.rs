@@ -69,6 +69,11 @@ pub enum VerificationFailure {
     /// The sealed enclave state could not be unsealed (tampered or from a
     /// different enclave).
     SealBroken,
+    /// The write-ahead logs the host presents at restart do not fold, from
+    /// the sealed chain value their oldest started at, to the sealed WAL
+    /// digest: a frame was forged, dropped, reordered or cut off after the
+    /// state was sealed — or the store went down without sealing at all.
+    WalMismatch,
     /// A trace names an epoch the enclave holds no commitment snapshot
     /// for — either a fabricated epoch or one that drained long ago (the
     /// host replaying an ancient view).
@@ -164,6 +169,7 @@ impl VerificationFailure {
             VerificationFailure::RolledBack => "RolledBack",
             VerificationFailure::CompactionInputMismatch { .. } => "CompactionInputMismatch",
             VerificationFailure::SealBroken => "SealBroken",
+            VerificationFailure::WalMismatch => "WalMismatch",
             VerificationFailure::UnknownEpoch { .. } => "UnknownEpoch",
             VerificationFailure::WrongShard { .. } => "WrongShard",
             VerificationFailure::ChannelTampered { .. } => "ChannelTampered",
@@ -223,6 +229,9 @@ impl fmt::Display for VerificationFailure {
                 write!(f, "compaction input digest mismatch at level {level}")
             }
             VerificationFailure::SealBroken => f.write_str("sealed enclave state failed to unseal"),
+            VerificationFailure::WalMismatch => {
+                f.write_str("replayed write-ahead log does not reach the sealed WAL digest")
+            }
             VerificationFailure::UnknownEpoch { epoch } => {
                 write!(f, "no commitment snapshot for epoch {epoch}")
             }

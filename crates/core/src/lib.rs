@@ -62,4 +62,4 @@ pub use listener::AuthListener;
 pub use p1::{ElsmP1, P1Options};
 pub use p2::{ElsmP2, P2Options, ReadMode, RollbackOptions};
 pub use replication::{Announcement, SessionKey};
-pub use trusted::{CompactionDelta, RangeProver, TrustedState, VerifyStats};
+pub use trusted::{CompactionDelta, TrustedState, Verified, VerifyStats};

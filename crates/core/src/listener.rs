@@ -27,7 +27,9 @@
 //!   §5.5.2 root replacement, made atomic by versioning instead of a
 //!   store-wide mutex,
 //! * `on_versions_retired`: prunes snapshots whose readers drained,
-//! * `on_wal_append`: maintains the in-enclave WAL digest (step w1).
+//! * `on_wal_append_batch`: maintains the in-enclave WAL digest (step w1);
+//!   `on_wal_rotate` and a flush's install keep the chain value the oldest
+//!   live log starts from, which recovery folds the logs from.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -230,29 +232,19 @@ impl OutputWriter for ProofWriter<'_> {
 }
 
 impl StoreListener for AuthListener {
-    fn on_wal_append(&self, record: &Record) {
-        // Records enter the WAL with a plain envelope; digest bare bytes.
-        if let Ok(opened) = open_record(record.view(), 0) {
-            let mut canonical = Vec::new();
-            append_canonical(record.view(), opened.value, &mut canonical);
-            self.trusted.absorb_wal(&canonical);
-        }
-        if let Some(cache) = &self.cache {
-            cache.invalidate_key(&record.key);
-        }
-    }
-
     fn on_wal_append_batch(&self, records: &[Record]) {
         // One digest-lock acquisition folds the whole commit group, in
-        // commit order (the store's leader serializes groups). The digest
-        // value is identical to per-record absorbs.
+        // commit order (the store's leader serializes groups). Records
+        // enter the WAL with a plain envelope; the digest is over bare
+        // bytes. A value that is no envelope — only a log the host rewrote
+        // can present one, at replay — is folded as it stands: every
+        // record the store takes in moves the digest.
         let mut canonicals = Vec::new();
         let mut ends = Vec::with_capacity(records.len());
         for record in records {
-            if let Ok(opened) = open_record(record.view(), 0) {
-                append_canonical(record.view(), opened.value, &mut canonicals);
-                ends.push(canonicals.len());
-            }
+            let bare = crate::envelope::open(&record.value).map_or(&record.value[..], |o| o.value);
+            append_canonical(record.view(), bare, &mut canonicals);
+            ends.push(canonicals.len());
         }
         let mut start = 0;
         self.trusted.absorb_wal_batch(ends.iter().map(|&end| {
@@ -265,6 +257,10 @@ impl StoreListener for AuthListener {
                 cache.invalidate_key(&record.key);
             }
         }
+    }
+
+    fn on_wal_rotate(&self) {
+        self.trusted.wal_rotated();
     }
 
     fn vlog_mac(&self, record: &Record) -> [u8; lsm_store::vlog::MAC_BYTES] {
@@ -382,6 +378,10 @@ impl StoreListener for AuthListener {
 
     fn on_compaction_install(&self, info: &CompactionInfo) {
         let _world = sgx_sim::enclave_scope();
+        if info.input_levels.contains(&0) {
+            // A flush: the log that covered the frozen memtable goes.
+            self.trusted.wal_truncated();
+        }
         let Some(staged) = self.scratch.lock().staged.remove(&info.output_level) else {
             return;
         };
@@ -442,6 +442,7 @@ mod tests {
     use super::*;
     use crate::envelope::wrap_plain;
     use bytes::Bytes;
+    use elsm_crypto::Digest;
 
     fn record(key: &str, ts: u64, value: &str) -> Record {
         Record::put(Bytes::copy_from_slice(key.as_bytes()), wrap_plain(value.as_bytes()), ts)
@@ -598,12 +599,40 @@ mod tests {
     fn wal_digest_changes_per_append() {
         let (listener, trusted, _) = setup();
         let d0 = trusted.wal_digest();
-        listener.on_wal_append(&record("k", 1, "v"));
+        listener.on_wal_append_batch(&[record("k", 1, "v")]);
         let d1 = trusted.wal_digest();
-        listener.on_wal_append(&record("k", 2, "v2"));
+        listener.on_wal_append_batch(&[record("k", 2, "v2")]);
         let d2 = trusted.wal_digest();
         assert_ne!(d0, d1);
         assert_ne!(d1, d2);
+        // A value that is no envelope (a rewritten log, at replay) moves
+        // the digest too: nothing enters the memtable unfolded.
+        listener.on_wal_append_batch(&[Record::put(b"k".as_slice(), b"\x07raw".as_slice(), 3)]);
+        assert_ne!(trusted.wal_digest(), d2);
+    }
+
+    /// The base follows the oldest live log: it moves to where the active
+    /// log started when — and only when — a flush installs.
+    #[test]
+    fn wal_base_moves_when_a_flush_installs() {
+        let (listener, trusted, _) = setup();
+        listener.on_wal_append_batch(&[record("a", 1, "v")]);
+        let at_rotation = trusted.wal_digest();
+        listener.on_wal_rotate();
+        listener.on_wal_append_batch(&[record("b", 2, "v")]);
+        assert_eq!(trusted.wal_base(), Digest::ZERO, "the frozen log is still live");
+        // A compaction's install leaves the logs alone.
+        listener.on_compaction_install(&info(vec![1], 2, 0));
+        assert_eq!(trusted.wal_base(), Digest::ZERO);
+        listener.on_compaction_install(&info(vec![0, 1], 1, 0));
+        assert_eq!(trusted.wal_base(), at_rotation);
+        // Recovery restarts the chain there; replaying the live log's one
+        // record arrives at the digest.
+        let sealed = trusted.wal_digest();
+        trusted.restore_wal_base(at_rotation);
+        assert_eq!(trusted.wal_digest(), at_rotation);
+        listener.on_wal_append_batch(&[record("b", 2, "v")]);
+        assert_eq!(trusted.wal_digest(), sealed);
     }
 
     #[test]

@@ -11,9 +11,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use elsm_crypto::Digest;
-use lsm_store::{
-    Db, EnvConfig, GetTrace, LevelOutcome, Options, ScanTrace, StorageEnv, Timestamp, ValueKind,
-};
+use lsm_store::{Db, EnvConfig, GetTrace, Options, ScanTrace, StorageEnv, Timestamp, ValueKind};
 use merkle::LevelCommitment;
 use sgx_sim::{BufferedCounter, MonotonicCounter, Platform, SealedBlob, Sealer};
 use sim_disk::{Placement, SimDisk, SimFs};
@@ -24,7 +22,7 @@ use crate::digests::UntrustedDigests;
 use crate::envelope::{append_canonical, open_record, wrap_plain};
 use crate::error::{ElsmError, VerificationFailure};
 use crate::listener::{vlog_entry_mac, AuthListener};
-use crate::trusted::{RangeProver, TrustedState, VerifiedHit, VerifyStats};
+use crate::trusted::{TrustedState, Verified, VerifyStats};
 
 /// File holding the sealed enclave state between runs.
 const STATE_FILE: &str = "ENCLAVE_STATE";
@@ -197,16 +195,18 @@ impl ElsmP2 {
     /// bound to a trusted monotonic counter (required for rollback
     /// protection to survive power cycles).
     ///
-    /// On re-open the enclave unseals its commitments, re-derives the WAL
-    /// digest from the log, and — when a counter is bound — checks the
-    /// dataset digest against the counter's current epoch.
+    /// On re-open the enclave unseals its state, re-derives the WAL digest
+    /// from the logs the host presents, and — when a counter is bound —
+    /// checks the dataset digest against the counter's current epoch
+    /// (`DESIGN.md` §8 lists what recovery checks, in order).
     ///
     /// # Errors
     ///
-    /// Returns [`VerificationFailure::RolledBack`] when the on-disk state
-    /// is an older (but authentic) version than the counter epoch, and
-    /// [`VerificationFailure::SealBroken`] when the sealed state fails to
-    /// unseal.
+    /// Returns [`VerificationFailure::SealBroken`] when the sealed state
+    /// fails to unseal, [`VerificationFailure::WalMismatch`] when the logs
+    /// do not fold to the sealed WAL digest, and
+    /// [`VerificationFailure::RolledBack`] when the on-disk state is an
+    /// older (but authentic) version than the counter epoch.
     pub fn open_with(
         platform: Arc<Platform>,
         fs: Arc<SimFs>,
@@ -252,7 +252,13 @@ impl ElsmP2 {
             },
             None,
         );
-        let recovering = fs.open("MANIFEST").is_ok();
+        let sealer = Sealer::new(elsm_crypto::sha256(b"elsm-p2 enclave v1"), b"machine-0");
+        // Unsealed before the store replays its logs: the replay folds them
+        // into the WAL digest from the sealed base on.
+        let sealed = fs.open("MANIFEST").is_ok().then(|| unseal_state(&fs, &sealer));
+        if let Some(Ok(state)) = &sealed {
+            trusted.restore_wal_base(state.wal_base);
+        }
         // Embedded proofs inflate stored records: a key's newest version
         // carries an audit path (57 + 32·depth bytes, ~6x a 100-byte value
         // in a 2^15-leaf level), every older version a 57-byte chain link
@@ -284,7 +290,6 @@ impl ElsmP2 {
             telemetry: options.telemetry.clone(),
         };
         let db = Arc::new(Db::open(env, db_options, Some(listener))?);
-        let sealer = Sealer::new(elsm_crypto::sha256(b"elsm-p2 enclave v1"), b"machine-0");
         let counter = counter.map(|c| {
             Arc::new(BufferedCounter::new(
                 c,
@@ -295,27 +300,20 @@ impl ElsmP2 {
         let spans = OpSpans::new("op", &options.telemetry);
         let store =
             ElsmP2 { spans, platform, fs, db, trusted, digests, sealer, counter, cache, options };
-        if recovering {
-            let recovery = store.recover_trusted_state();
+        if let Some(sealed) = sealed {
+            let recovery = sealed.and_then(|state| store.recover_trusted_state(state));
             store.audited(recovery)?;
         }
         Ok(store)
     }
 
-    /// Restores enclave state after a power cycle: unseal commitments,
-    /// check the monotonic counter, verify the WAL digest and rebuild the
-    /// untrusted digest store — and, from the same trees, the crowns —
-    /// from the level contents.
-    fn recover_trusted_state(&self) -> Result<(), ElsmError> {
-        let state_file = self.fs.open(STATE_FILE).map_err(|_| VerificationFailure::SealBroken)?;
-        let raw = state_file.read_at(0, state_file.len())?;
-        let blob = SealedBlob::from_bytes(&raw).map_err(|_| VerificationFailure::SealBroken)?;
-        let plain = self
-            .sealer
-            .unseal(b"elsm-p2/state", &blob)
-            .map_err(|_| VerificationFailure::SealBroken)?;
-        let (commitments, wal_digest, sealed_shard) =
-            decode_state(&plain).ok_or(VerificationFailure::SealBroken)?;
+    /// Restores enclave state after a power cycle from the unsealed
+    /// `state`: check its shard binding, compare the WAL digest the log
+    /// replay arrived at with the sealed one, adopt the commitments, check
+    /// the monotonic counter, and rebuild the untrusted digest store —
+    /// and, from the same trees, the crowns — from the level contents.
+    fn recover_trusted_state(&self, state: SealedState) -> Result<(), ElsmError> {
+        let SealedState { commitments, wal_digest, shard: sealed_shard, .. } = state;
         // Shard binding: sealed state from another shard's enclave is
         // authentic (it unseals) but belongs to a different commitment
         // domain — a host swapping per-shard state across a restart.
@@ -327,8 +325,15 @@ impl ElsmP2 {
             }
             .into());
         }
+        // The memtable was rebuilt from the logs the host presented, and
+        // the replay folded every record of them from the sealed base on
+        // (`Db::open`, through the listener). Anything but the sealed
+        // digest means a frame was forged, dropped, reordered or cut off —
+        // or written after the state was sealed.
+        if self.trusted.wal_digest() != wal_digest {
+            return Err(VerificationFailure::WalMismatch.into());
+        }
         self.trusted.restore_commitments(commitments);
-        self.trusted.restore_wal_digest(wal_digest);
         // Rollback check: the dataset digest must match the counter epoch.
         if let Some(counter) = &self.counter {
             let digest = self.trusted.dataset_digest();
@@ -392,11 +397,12 @@ impl ElsmP2 {
         // WAL digest already covers them, so losing their frames across a
         // clean shutdown would fail honest recovery.
         self.db.sync_wal();
-        let plain = encode_state(
-            &self.trusted.commitments(),
-            self.trusted.wal_digest(),
-            self.options.shard_id,
-        );
+        let plain = encode_state(&SealedState {
+            commitments: self.trusted.commitments(),
+            wal_base: self.trusted.wal_base(),
+            wal_digest: self.trusted.wal_digest(),
+            shard: self.options.shard_id,
+        });
         let blob = self.sealer.seal(b"elsm-p2/state", &plain);
         let _ = self.fs.delete(STATE_FILE);
         let file = self.fs.create(STATE_FILE)?;
@@ -487,45 +493,29 @@ impl ElsmP2 {
         }
     }
 
-    /// Assembles the verified answer from a GET trace, resolving
-    /// key-value-separated pointer records through the authenticated
-    /// value log. `hit` is what verification already read out of a
-    /// disk-level answer's envelope; a memtable answer (plain envelope,
-    /// trusted memory) is opened here. Either way the envelope is parsed
-    /// once per GET and the value is a view of the stored bytes.
-    fn answer_from_trace(
+    /// Assembles the reply for one record the verifier handed back,
+    /// resolving a key-value-separated pointer record through the
+    /// authenticated value log. The value is a view of the stored bytes;
+    /// the envelope was opened once, by the verifier.
+    fn reply(
         &self,
-        trace: &GetTrace,
-        hit: Option<VerifiedHit>,
-    ) -> Result<Option<VerifiedRecord>, ElsmError> {
-        let Some(record) = trace.memtable.as_ref().or(trace.result.as_ref()) else {
-            return Ok(None);
-        };
-        if !record.kind.is_value() {
-            return Ok(None); // verified tombstone: key absent
-        }
-        let (value_range, proof_bytes) = match hit {
-            Some(hit) => (hit.value, hit.proof_bytes),
-            None => {
-                let Ok(opened) = open_record(record.view(), 0) else {
-                    return Ok(None);
-                };
-                (opened.value_range(), opened.proof_bytes())
-            }
-        };
-        let value = record.value.slice(value_range);
+        verified: Verified<'_>,
+        levels_checked: usize,
+    ) -> Result<VerifiedRecord, ElsmError> {
+        let record = verified.record;
+        let value = verified.value();
         let value = if record.kind == ValueKind::VlogPut {
             self.resolve_vlog_value(record, &value)?
         } else {
             value
         };
-        Ok(Some(VerifiedRecord::new(
+        Ok(VerifiedRecord::new(
             record.key.clone(),
             value,
             record.ts,
-            proof_bytes,
-            trace.levels.len(),
-        )))
+            verified.proof_bytes,
+            levels_checked,
+        ))
     }
 
     /// Follows a verified pointer record into the authenticated value
@@ -699,82 +689,75 @@ impl ElsmP2 {
                     )));
                 }
             }
-            let (trace, verdict) = self.db.get_with_trace(key, Timestamp::MAX >> 1, |trace| {
-                self.trusted.verify_get(key, trace)
-            })?;
-            let answer = self.answer_from_trace(&trace, verdict?)?;
-            if let (Some(cache), Some(rec)) = (&self.cache, &answer) {
-                cache.insert_record(
-                    key,
-                    trace.epoch,
-                    rec.ts(),
-                    Bytes::copy_from_slice(rec.value()),
-                );
-            }
-            Ok(answer)
+            self.db.get_with_trace(key, Timestamp::MAX >> 1, |trace| {
+                // A verified tombstone reads as absent.
+                let Some(hit) =
+                    self.trusted.verify_get(key, trace)?.filter(|v| v.record.kind.is_value())
+                else {
+                    return Ok(None);
+                };
+                let answer = self.reply(hit, trace.levels.len())?;
+                if let Some(cache) = &self.cache {
+                    cache.insert_record(
+                        key,
+                        trace.epoch,
+                        answer.ts(),
+                        Bytes::copy_from_slice(answer.value()),
+                    );
+                }
+                Ok(Some(answer))
+            })?
         })
     }
 
     fn scan_inner(&self, from: &[u8], to: &[u8]) -> Result<Vec<VerifiedRecord>, ElsmError> {
-        let (trace, verdict) = self.platform.ecall(|| {
-            self.db.scan_with_trace(from, to, Timestamp::MAX >> 1, |trace| {
-                self.trusted.verify_scan(from, to, trace, self.digests.as_ref())
+        self.platform.ecall(|| {
+            self.db.scan_with_trace(from, to, |trace| {
+                let verified = self.trusted.verify_scan(from, to, trace, &self.digests)?;
+                let mut out = Vec::with_capacity(verified.len());
+                for record in verified {
+                    out.push(self.reply(record, trace.levels.len())?);
+                }
+                Ok(out)
             })
-        })?;
-        verdict?;
-        let mut out = Vec::with_capacity(trace.merged.len());
-        for record in &trace.merged {
-            let opened = open_record(record.view(), 0).map_err(ElsmError::Verification)?;
-            let value = record.value.slice(opened.value_range());
-            let value = if record.kind == ValueKind::VlogPut {
-                self.resolve_vlog_value(record, &value)?
-            } else {
-                value
-            };
-            out.push(VerifiedRecord::new(
-                record.key.clone(),
-                value,
-                record.ts,
-                opened.proof_bytes(),
-                trace.levels.len(),
-            ));
-        }
-        Ok(out)
+        })?
     }
 }
 
 /// Exposes trace-level entry points so adversary tests can feed tampered
 /// traces directly into the verifier.
 impl ElsmP2 {
-    /// Runs the GET verifier on an externally supplied trace.
+    /// Runs the GET verifier on an externally supplied trace and hands
+    /// back what it hands `get`: the verified answer.
     ///
     /// # Errors
     ///
     /// Returns the detected [`VerificationFailure`].
-    pub fn verify_get_trace(
+    pub fn verify_get_trace<'t>(
         &self,
         key: &[u8],
-        trace: &GetTrace,
-    ) -> Result<(), VerificationFailure> {
-        let verdict = self.trusted.verify_get(key, trace).map(|_| ());
+        trace: &'t GetTrace,
+    ) -> Result<Option<Verified<'t>>, VerificationFailure> {
+        let verdict = self.trusted.verify_get(key, trace);
         if let Err(failure) = &verdict {
             self.audit_failure(failure);
         }
         verdict
     }
 
-    /// Runs the SCAN verifier on an externally supplied trace.
+    /// Runs the SCAN verifier on an externally supplied trace and hands
+    /// back what it hands `scan`: the verified result.
     ///
     /// # Errors
     ///
     /// Returns the detected [`VerificationFailure`].
-    pub fn verify_scan_trace(
+    pub fn verify_scan_trace<'t>(
         &self,
         from: &[u8],
         to: &[u8],
-        trace: &ScanTrace,
-    ) -> Result<(), VerificationFailure> {
-        let verdict = self.trusted.verify_scan(from, to, trace, self.digests.as_ref());
+        trace: &'t ScanTrace,
+    ) -> Result<Vec<Verified<'t>>, VerificationFailure> {
+        let verdict = self.trusted.verify_scan(from, to, trace, &self.digests);
         if let Err(failure) = &verdict {
             self.audit_failure(failure);
         }
@@ -788,7 +771,7 @@ impl ElsmP2 {
     ///
     /// Returns [`ElsmError::Io`] on storage errors.
     pub fn raw_get_trace(&self, key: &[u8]) -> Result<GetTrace, ElsmError> {
-        Ok(self.db.get_with_trace(key, Timestamp::MAX >> 1, |_| ())?.0)
+        Ok(self.db.get_with_trace(key, Timestamp::MAX >> 1, GetTrace::clone)?)
     }
 
     /// Produces a raw (unverified) scan trace.
@@ -797,15 +780,7 @@ impl ElsmP2 {
     ///
     /// Returns [`ElsmError::Io`] on storage errors.
     pub fn raw_scan_trace(&self, from: &[u8], to: &[u8]) -> Result<ScanTrace, ElsmError> {
-        Ok(self.db.scan_with_trace(from, to, Timestamp::MAX >> 1, |_| ())?.0)
-    }
-
-    /// Reference to a trace's hit record (handy in tests).
-    pub fn hit_of(trace: &GetTrace) -> Option<&lsm_store::Record> {
-        trace.levels.iter().find_map(|l| match &l.outcome {
-            LevelOutcome::Hit(r) => Some(r),
-            _ => None,
-        })
+        Ok(self.db.scan_with_trace(from, to, ScanTrace::clone)?)
     }
 }
 
@@ -823,51 +798,63 @@ fn store_set_stacked(trusted: &Arc<TrustedState>, options: &P2Options) {
     trusted.set_stacked(!options.compaction_enabled || stacked_strategy);
 }
 
-fn encode_state(
-    commitments: &[LevelCommitment],
+/// What `close()` seals and a restart unseals.
+struct SealedState {
+    commitments: Vec<LevelCommitment>,
+    /// The WAL chain value the oldest live log starts from …
+    wal_base: Digest,
+    /// … and the one the live logs, replayed, must arrive at.
     wal_digest: Digest,
     shard: Option<u32>,
-) -> Vec<u8> {
+}
+
+/// Reads and unseals `STATE_FILE`.
+fn unseal_state(fs: &SimFs, sealer: &Sealer) -> Result<SealedState, ElsmError> {
+    let state_file = fs.open(STATE_FILE).map_err(|_| VerificationFailure::SealBroken)?;
+    let raw = state_file.read_at(0, state_file.len())?;
+    let blob = SealedBlob::from_bytes(&raw).map_err(|_| VerificationFailure::SealBroken)?;
+    let plain =
+        sealer.unseal(b"elsm-p2/state", &blob).map_err(|_| VerificationFailure::SealBroken)?;
+    Ok(decode_state(&plain).ok_or(VerificationFailure::SealBroken)?)
+}
+
+fn encode_state(state: &SealedState) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&(commitments.len() as u32).to_le_bytes());
-    for c in commitments {
+    out.extend_from_slice(&(state.commitments.len() as u32).to_le_bytes());
+    for c in &state.commitments {
         out.extend_from_slice(&c.level.to_le_bytes());
         out.extend_from_slice(c.root.as_bytes());
         out.extend_from_slice(&c.leaf_count.to_le_bytes());
     }
-    out.extend_from_slice(wal_digest.as_bytes());
-    out.extend_from_slice(&shard.unwrap_or(crate::error::WRONG_SHARD_UNSHARDED).to_le_bytes());
+    out.extend_from_slice(state.wal_base.as_bytes());
+    out.extend_from_slice(state.wal_digest.as_bytes());
+    let shard = state.shard.unwrap_or(crate::error::WRONG_SHARD_UNSHARDED);
+    out.extend_from_slice(&shard.to_le_bytes());
     out
 }
 
-fn decode_state(buf: &[u8]) -> Option<(Vec<LevelCommitment>, Digest, Option<u32>)> {
+fn decode_state(buf: &[u8]) -> Option<SealedState> {
     let n = u32::from_le_bytes(buf.get(0..4)?.try_into().ok()?) as usize;
     let mut pos = 4;
+    let digest = |pos: &mut usize| {
+        let bytes: [u8; 32] = buf.get(*pos..*pos + 32)?.try_into().ok()?;
+        *pos += 32;
+        Some(Digest::from_bytes(bytes))
+    };
     let mut commitments = Vec::with_capacity(n);
     for _ in 0..n {
         let level = u32::from_le_bytes(buf.get(pos..pos + 4)?.try_into().ok()?);
         pos += 4;
-        let mut root = [0u8; 32];
-        root.copy_from_slice(buf.get(pos..pos + 32)?);
-        pos += 32;
+        let root = digest(&mut pos)?;
         let leaf_count = u64::from_le_bytes(buf.get(pos..pos + 8)?.try_into().ok()?);
         pos += 8;
-        commitments.push(LevelCommitment { level, root: Digest::from_bytes(root), leaf_count });
+        commitments.push(LevelCommitment { level, root, leaf_count });
     }
-    let mut wal = [0u8; 32];
-    wal.copy_from_slice(buf.get(pos..pos + 32)?);
-    pos += 32;
+    let wal_base = digest(&mut pos)?;
+    let wal_digest = digest(&mut pos)?;
     let shard = u32::from_le_bytes(buf.get(pos..pos + 4)?.try_into().ok()?);
     let shard = (shard != crate::error::WRONG_SHARD_UNSHARDED).then_some(shard);
-    Some((commitments, Digest::from_bytes(wal), shard))
-}
-
-// A small accessor used by scan verification; kept here to avoid exposing
-// the prover trait at the API surface.
-impl RangeProver for ElsmP2 {
-    fn prove_range(&self, epoch: u64, level: u32, lo: u64, hi: u64) -> Option<merkle::RangeProof> {
-        self.digests.prove_range(epoch, level, lo, hi)
-    }
+    Some(SealedState { commitments, wal_base, wal_digest, shard })
 }
 
 #[cfg(test)]

@@ -2,7 +2,8 @@
 //!
 //! [`TrustedState`] holds what the paper keeps inside the enclave — one
 //! Merkle commitment per LSM level (root + leaf count), the running WAL
-//! digest, and the poisoned flag set when a compaction's inputs fail
+//! digest with the chain value the oldest live log started at, and the
+//! poisoned flag set when a compaction's inputs fail
 //! digest verification — plus, beside every commitment, the level's
 //! **crown**: the top rows of the tree the root commits to
 //! ([`merkle::crown`]). A proof is hashed up to the crown's lowest row and
@@ -49,28 +50,20 @@
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use elsm_crypto::{sha256_concat, Digest};
 use lsm_store::{GetTrace, LevelOutcome, Record, ScanTrace};
-use merkle::{
-    verify_range_anchored, Crown, LevelCommitment, RangeProof, RecordProofRef, Work, CROWN_ROW_MAX,
-};
+use merkle::{verify_range_anchored, Crown, LevelCommitment, RecordProofRef, Work, CROWN_ROW_MAX};
 use parking_lot::Mutex;
 use sgx_sim::{EnclaveRegion, Platform};
 use telemetry::{Counter, Gauge, Telemetry};
 
+use crate::digests::UntrustedDigests;
 use crate::envelope::{append_canonical, open_record, Opened};
 use crate::error::VerificationFailure;
-
-/// Supplies range proofs for a level — implemented by the untrusted host's
-/// digest store ([`crate::digests::UntrustedDigests`]).
-pub trait RangeProver {
-    /// Produces the proof for leaves `lo..=hi` of `level` as of `epoch`,
-    /// or `None` if the host cannot (treated as a completeness failure).
-    fn prove_range(&self, epoch: u64, level: u32, lo: u64, hi: u64) -> Option<RangeProof>;
-}
 
 /// The commitment-vector mutation one compaction job induces, expressed
 /// as a delta instead of a full recompute: the runs the job consumed
@@ -123,17 +116,41 @@ pub struct VerifyStats {
     pub nodes_compared: u64,
 }
 
-/// What [`TrustedState::verify_get`] learned about the record a disk-level
-/// hit answered with: where the application value sits inside the stored
-/// value and how large its proof was. The caller assembles the reply from
-/// this instead of opening the envelope a second time.
+/// One record of a verified answer, as [`TrustedState::verify_get`] and
+/// [`TrustedState::verify_scan`] hand it back: the very record of the trace
+/// that was checked — membership and freshness against its level's
+/// commitment, or trusted enclave memory for a memtable record — with the
+/// envelope already opened. A reply is assembled from this and from nothing
+/// else, so what is served is what was verified.
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VerifiedHit {
-    /// Range of the bare application value within the hit record's stored
-    /// value.
-    pub value: std::ops::Range<usize>,
-    /// Encoded size of the proof that was checked.
+pub struct Verified<'t> {
+    /// The record the verifier checked (a tombstone is an answer too: the
+    /// key is verifiably absent).
+    pub record: &'t Record,
+    /// Range of the bare application value within `record.value`.
+    pub value_range: Range<usize>,
+    /// Encoded size of the proof that was checked (0 for a memtable
+    /// record).
     pub proof_bytes: usize,
+}
+
+impl<'t> Verified<'t> {
+    /// Opens the envelope of a record that is already vouched for: one out
+    /// of trusted memory (the memtable), or one its level's range check
+    /// covered.
+    fn open(record: &'t Record) -> Result<Self, VerificationFailure> {
+        let opened = open_record(record.view(), 0)?;
+        Ok(Verified {
+            record,
+            value_range: opened.value_range(),
+            proof_bytes: opened.proof_bytes(),
+        })
+    }
+
+    /// The bare application value: a view of the stored bytes.
+    pub fn value(&self) -> bytes::Bytes {
+        self.record.value.slice(self.value_range.clone())
+    }
 }
 
 /// The share of the EPC one level's crown may take: 1/2048, which on the
@@ -213,6 +230,28 @@ impl CommitmentStore {
     }
 }
 
+/// The WAL hash chain (§5.3, step w1): every record ever logged, in order.
+/// The logs still on disk hold only a suffix of them, so recovery can
+/// recompute `digest` from the logs only if it knows where that suffix
+/// starts: `base`.
+#[derive(Debug)]
+struct WalChain {
+    /// The chain over every record so far.
+    digest: Digest,
+    /// The chain value before the first record of the oldest live log.
+    base: Digest,
+    /// The chain value before the first record of the active log — what
+    /// `base` becomes when the flush that rotated to it installs and the
+    /// logs before it go.
+    active_from: Digest,
+}
+
+impl WalChain {
+    fn starting_at(base: Digest) -> Self {
+        WalChain { digest: base, base, active_from: base }
+    }
+}
+
 /// Enclave-held state of an eLSM-P2 store.
 #[derive(Debug)]
 pub struct TrustedState {
@@ -225,7 +264,7 @@ pub struct TrustedState {
     /// another's.
     shard: Option<u32>,
     commitments: Mutex<CommitmentStore>,
-    wal_digest: Mutex<Digest>,
+    wal: Mutex<WalChain>,
     /// Stacked-run mode (compaction disabled): freshness order is highest
     /// level first, and GET traces arrive in that order.
     stacked: AtomicBool,
@@ -276,7 +315,7 @@ impl TrustedState {
             max_levels,
             shard,
             commitments: Mutex::new(CommitmentStore { current, epochs }),
-            wal_digest: Mutex::new(Digest::ZERO),
+            wal: Mutex::new(WalChain::starting_at(Digest::ZERO)),
             stacked: AtomicBool::new(false),
             poisoned: AtomicBool::new(false),
             proofs_verified: AtomicU64::new(0),
@@ -485,13 +524,8 @@ impl TrustedState {
         Some(sha256_concat(&parts))
     }
 
-    /// Folds a WAL append into the running digest (§5.3, step w1).
-    pub fn absorb_wal(&self, record_bytes: &[u8]) {
-        self.absorb_wal_batch(std::iter::once(record_bytes));
-    }
-
-    /// Folds a whole commit group into the running digest with one lock
-    /// acquisition. The digest *value* — and the hashing work charged — is
+    /// Folds a whole commit group into the running WAL digest (§5.3, step
+    /// w1) with one lock acquisition. The digest *value* — and the hashing work charged — is
     /// identical to folding record by record: batching changes who pays
     /// the synchronization, never what the enclave commits to, which is
     /// what keeps batched and singleton writes bit-for-bit comparable.
@@ -502,23 +536,46 @@ impl TrustedState {
     /// but concurrent writers' folds still exclude each other.
     pub fn absorb_wal_batch<'a>(&self, records: impl IntoIterator<Item = &'a [u8]>) {
         let _serial = self.platform.serial_section(sgx_sim::SerialClass::TrustedFold);
-        let mut dig = self.wal_digest.lock();
+        let mut wal = self.wal.lock();
         for record_bytes in records {
             // Each chain step is its own SHA-256 invocation with its own
             // finalization, exactly as in the singleton path.
             self.platform.charge_hash(record_bytes.len() + 32);
-            *dig = sha256_concat(&[&[0x05], record_bytes, dig.as_bytes()]);
+            wal.digest = sha256_concat(&[&[0x05], record_bytes, wal.digest.as_bytes()]);
         }
     }
 
     /// Current WAL digest.
     pub fn wal_digest(&self) -> Digest {
-        *self.wal_digest.lock()
+        self.wal.lock().digest
     }
 
-    /// Overwrites the WAL digest (recovery from sealed state).
-    pub fn restore_wal_digest(&self, digest: Digest) {
-        *self.wal_digest.lock() = digest;
+    /// The WAL digest as it stood before the first record of the oldest
+    /// live log: sealed beside the digest, it is where recovery starts
+    /// folding the logs the host presents.
+    pub fn wal_base(&self) -> Digest {
+        self.wal.lock().base
+    }
+
+    /// The log rotated (a flush froze the memtable): the active log starts
+    /// at the current digest.
+    pub fn wal_rotated(&self) {
+        let mut wal = self.wal.lock();
+        wal.active_from = wal.digest;
+    }
+
+    /// A flush installed: the logs before the active one are gone, and the
+    /// oldest live log is the active one.
+    pub fn wal_truncated(&self) {
+        let mut wal = self.wal.lock();
+        wal.base = wal.active_from;
+    }
+
+    /// Recovery: restarts the chain at the sealed `base`. Replaying the
+    /// live logs must bring [`TrustedState::wal_digest`] to the digest
+    /// sealed with it.
+    pub fn restore_wal_base(&self, base: Digest) {
+        *self.wal.lock() = WalChain::starting_at(base);
     }
 
     /// The shard id this state's commitment domain is bound to, if any.
@@ -534,7 +591,7 @@ impl TrustedState {
         let commitments = self.commitments.lock();
         let digests: Vec<Digest> =
             commitments.current.iter().map(|l| l.commitment.digest()).collect();
-        let wal = self.wal_digest.lock();
+        let wal = self.wal_digest();
         let shard_tag = self.shard.map(|id| id.to_le_bytes());
         let mut parts: Vec<&[u8]> = vec![&[0x06]];
         if let Some(tag) = &shard_tag {
@@ -635,21 +692,22 @@ impl TrustedState {
     // ----- GET verification (Theorem 5.3) ---------------------------------
 
     /// Verifies a traced point query for `key` against the commitment
-    /// snapshot of the trace's epoch. On success, says where the verified
-    /// answer's value sits when a disk level supplied it (`None`: served
-    /// from the memtable, or verified absent).
+    /// snapshot of the trace's epoch and hands back the answer it verified:
+    /// the memtable's record (trusted enclave memory), the hit level's, or
+    /// `None` once every level proved the key absent. A tombstone comes
+    /// back like any record; the caller reads it as absent.
     ///
     /// # Errors
     ///
     /// Returns the [`VerificationFailure`] naming the attack detected.
-    pub fn verify_get(
+    pub fn verify_get<'t>(
         &self,
         key: &[u8],
-        trace: &GetTrace,
-    ) -> Result<Option<VerifiedHit>, VerificationFailure> {
-        if trace.memtable.is_some() {
+        trace: &'t GetTrace,
+    ) -> Result<Option<Verified<'t>>, VerificationFailure> {
+        if let Some(record) = &trace.memtable {
             // Served from trusted enclave memory; nothing to verify.
-            return Ok(None);
+            return Verified::open(record).map(Some);
         }
         let snapshot = self
             .levels_at(trace.epoch)
@@ -666,11 +724,8 @@ impl TrustedState {
         // One buffer for every record's canonical bytes in this query.
         let mut canonical = Vec::new();
         for search in &trace.levels {
-            if search.level as i64 != expected {
-                return Err(VerificationFailure::LevelSkipped { expected: expected.max(0) as u32 });
-            }
-            if hit.is_some() {
-                // Nothing may follow the hit level (early stop).
+            // Levels in order, and nothing after the hit level (early stop).
+            if search.level as i64 != expected || hit.is_some() {
                 return Err(VerificationFailure::LevelSkipped { expected: expected.max(0) as u32 });
             }
             let level = self.level_of(&snapshot, expected as u32);
@@ -713,13 +768,13 @@ impl TrustedState {
         }
     }
 
-    fn verify_hit(
+    fn verify_hit<'t>(
         &self,
         trusted: &TrustedLevel,
         key: &[u8],
-        record: &Record,
+        record: &'t Record,
         canonical: &mut Vec<u8>,
-    ) -> Result<VerifiedHit, VerificationFailure> {
+    ) -> Result<Verified<'t>, VerificationFailure> {
         let level = trusted.commitment.level;
         if record.key != key {
             return Err(VerificationFailure::BadNonMembership {
@@ -735,7 +790,7 @@ impl TrustedState {
         // reach the root.
         require_newest(level, &proof)?;
         self.check_proof(trusted, &proof, canonical)?;
-        Ok(VerifiedHit { value: opened.value_range(), proof_bytes: proof.encoded_len() })
+        Ok(Verified { record, value_range: opened.value_range(), proof_bytes: proof.encoded_len() })
     }
 
     fn verify_non_membership(
@@ -747,90 +802,53 @@ impl TrustedState {
         canonical: &mut Vec<u8>,
     ) -> Result<(), VerificationFailure> {
         let commitment = &trusted.commitment;
-        let level = commitment.level;
+        let fail =
+            |reason| Err(VerificationFailure::BadNonMembership { level: commitment.level, reason });
         if commitment.is_empty() {
-            return if left.is_none() && right.is_none() {
-                Ok(())
-            } else {
-                Err(VerificationFailure::BadNonMembership {
-                    level,
-                    reason: "neighbors presented for an empty level",
-                })
+            return match (left, right) {
+                (None, None) => Ok(()),
+                _ => fail("neighbors presented for an empty level"),
             };
         }
-        let left_proof = match left {
-            Some(rec) => {
-                if rec.key[..] >= *key {
-                    return Err(VerificationFailure::BadNonMembership {
-                        level,
-                        reason: "left neighbor not below query key",
-                    });
-                }
-                Some(self.open_and_check(trusted, rec, canonical)?)
-            }
-            None => None,
-        };
-        let right_proof = match right {
-            Some(rec) => {
-                if rec.key[..] <= *key {
-                    return Err(VerificationFailure::BadNonMembership {
-                        level,
-                        reason: "right neighbor not above query key",
-                    });
-                }
-                Some(self.open_and_check(trusted, rec, canonical)?)
-            }
-            None => None,
-        };
-        match (left_proof, right_proof) {
-            (Some(l), Some(r)) => {
-                if r.leaf_index != l.leaf_index + 1 {
-                    return Err(VerificationFailure::BadNonMembership {
-                        level,
-                        reason: "neighbors are not adjacent leaves",
-                    });
-                }
-            }
-            (None, Some(r)) => {
-                if r.leaf_index != 0 {
-                    return Err(VerificationFailure::BadNonMembership {
-                        level,
-                        reason: "right neighbor is not the first leaf",
-                    });
-                }
-            }
-            (Some(l), None) => {
-                if l.leaf_index + 1 != commitment.leaf_count {
-                    return Err(VerificationFailure::BadNonMembership {
-                        level,
-                        reason: "left neighbor is not the last leaf",
-                    });
-                }
-            }
-            (None, None) => {
-                return Err(VerificationFailure::BadNonMembership {
-                    level,
-                    reason: "no neighbors for a non-empty level",
-                });
-            }
+        if left.is_some_and(|rec| rec.key[..] >= *key) {
+            return fail("left neighbor not below query key");
         }
-        Ok(())
+        let left = left.map(|rec| self.open_and_check(trusted, rec, canonical)).transpose()?;
+        if right.is_some_and(|rec| rec.key[..] <= *key) {
+            return fail("right neighbor not above query key");
+        }
+        let right = right.map(|rec| self.open_and_check(trusted, rec, canonical)).transpose()?;
+        match (left, right) {
+            (Some(l), Some(r)) if r.leaf_index != l.leaf_index + 1 => {
+                fail("neighbors are not adjacent leaves")
+            }
+            (None, Some(r)) if r.leaf_index != 0 => fail("right neighbor is not the first leaf"),
+            (Some(l), None) if l.leaf_index + 1 != commitment.leaf_count => {
+                fail("left neighbor is not the last leaf")
+            }
+            (None, None) => fail("no neighbors for a non-empty level"),
+            _ => Ok(()),
+        }
     }
 
     // ----- SCAN verification (§5.4) ----------------------------------------
 
-    /// Verifies a traced range query over `[from, to]`.
+    /// Verifies a traced range query over `[from, to]` — every level
+    /// complete, range proofs from `prover` — and hands back the result it
+    /// verified: the newest version of each key the trace presents,
+    /// tombstones and what they hide left out ([`ScanTrace::merged`]), each
+    /// with its envelope opened.
     ///
     /// # Errors
     ///
     /// Returns the [`VerificationFailure`] naming the attack detected.
-    pub fn verify_scan(
+    pub fn verify_scan<'t>(
         &self,
         from: &[u8],
         to: &[u8],
-        trace: &ScanTrace,
-        prover: &dyn RangeProver,
-    ) -> Result<(), VerificationFailure> {
+        trace: &'t ScanTrace,
+        prover: &UntrustedDigests,
+    ) -> Result<Vec<Verified<'t>>, VerificationFailure> {
         let snapshot = self
             .levels_at(trace.epoch)
             .ok_or(VerificationFailure::UnknownEpoch { epoch: trace.epoch })?;
@@ -855,7 +873,12 @@ impl TrustedState {
         if (expected as usize) <= epoch_levels {
             return Err(VerificationFailure::LevelSkipped { expected });
         }
-        Ok(())
+        let merged = trace.merged();
+        let mut verified = Vec::with_capacity(merged.len());
+        for record in merged {
+            verified.push(Verified::open(record)?);
+        }
+        Ok(verified)
     }
 
     /// The leaf (chain head) a range-query record hashes to, charging the
@@ -882,7 +905,7 @@ impl TrustedState {
         from: &[u8],
         to: &[u8],
         range: &lsm_store::LevelRange,
-        prover: &dyn RangeProver,
+        prover: &UntrustedDigests,
     ) -> Result<(), VerificationFailure> {
         let commitment = &trusted.commitment;
         let level = commitment.level;
@@ -1000,13 +1023,6 @@ fn require_newest(level: u32, proof: &RecordProofRef<'_>) -> Result<(), Verifica
             Err(VerificationFailure::StaleRecord { level, newer_versions: position as usize })
         }
     }
-}
-
-/// Convenience: interprets a verified GET trace as the final user-visible
-/// answer (tombstones hide).
-pub fn visible_result(trace: &GetTrace) -> Option<&Record> {
-    let r = trace.memtable.as_ref().or(trace.result.as_ref())?;
-    r.kind.is_value().then_some(r)
 }
 
 #[cfg(test)]

@@ -54,11 +54,6 @@ impl DomainMonitor {
         self.certificates_downloaded
     }
 
-    /// Approves an additional key (e.g. after a planned rotation).
-    pub fn approve(&mut self, spki: Digest) {
-        self.approved_spki.insert(spki);
-    }
-
     /// Polls the log: fetches this domain's certificates newer than the
     /// last poll and returns alerts for any issued with unapproved keys.
     ///

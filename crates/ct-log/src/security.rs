@@ -105,11 +105,6 @@ impl SecurityAuditor {
         self.state.lock().monitor.divergences().to_vec()
     }
 
-    /// Announcements rejected as forgeries by the wrapped monitor.
-    pub fn rejected_announcements(&self) -> u64 {
-        self.state.lock().monitor.rejected()
-    }
-
     /// Epochs with at least one verified announcement.
     pub fn epochs_observed(&self) -> usize {
         self.state.lock().monitor.epochs_observed()

@@ -73,16 +73,20 @@ impl CompactionJob {
             1 => true,
             _ => return None,
         };
-        let n = get_fixed_u64(bytes, 16)? as usize;
-        if bytes.len() != 24 + 8 * n {
-            return None;
-        }
-        let mut input_levels = Vec::with_capacity(n);
-        for i in 0..n {
-            input_levels.push(get_fixed_u64(bytes, 24 + 8 * i)? as usize);
-        }
+        let levels = exactly_n_u64s(bytes.get(24..)?, get_fixed_u64(bytes, 16)?)?;
+        let input_levels = levels.into_iter().map(|level| level as usize).collect();
         Some(CompactionJob { input_levels, output_level, purge })
     }
+}
+
+/// The `n` fixed u64s that `body` must be, no more and no less. `n` rides
+/// in bytes the host controls: it is compared with the buffer's length,
+/// never multiplied unchecked and never reserved from.
+fn exactly_n_u64s(body: &[u8], n: u64) -> Option<Vec<u64>> {
+    if n.checked_mul(8)? != body.len() as u64 {
+        return None;
+    }
+    Some(body.chunks_exact(8).filter_map(|word| get_fixed_u64(word, 0)).collect())
 }
 
 /// A value-log garbage collection: one merge job run with the named
@@ -117,18 +121,11 @@ impl VlogGcJob {
     /// malformed buffer (trailing bytes included).
     pub fn decode(bytes: &[u8]) -> Option<VlogGcJob> {
         // The inner job is self-describing: its length is 24 + 8 * n_levels.
-        let n_levels = get_fixed_u64(bytes, 16)? as usize;
-        let job_len = 24 + 8 * n_levels;
+        let n_levels = get_fixed_u64(bytes, 16)?;
+        let job_len = usize::try_from(n_levels.checked_mul(8)?.checked_add(24)?).ok()?;
         let job = CompactionJob::decode(bytes.get(..job_len)?)?;
         let rest = bytes.get(job_len..)?;
-        let n_files = get_fixed_u64(rest, 0)? as usize;
-        if rest.len() != 8 + 8 * n_files {
-            return None;
-        }
-        let mut rewrite_files = Vec::with_capacity(n_files);
-        for i in 0..n_files {
-            rewrite_files.push(get_fixed_u64(rest, 8 + 8 * i)?);
-        }
+        let rewrite_files = exactly_n_u64s(rest.get(8..)?, get_fixed_u64(rest, 0)?)?;
         Some(VlogGcJob { job, rewrite_files })
     }
 }
@@ -257,14 +254,6 @@ impl CompactionConfig {
             CompactionStrategyKind::Tiered(cfg) => Box::new(Tiered::new(cfg.clone())),
         }
     }
-
-    /// The strategy's display name without instantiating it.
-    pub fn strategy_name(&self) -> &'static str {
-        match &self.strategy {
-            CompactionStrategyKind::Leveled => "leveled",
-            CompactionStrategyKind::Tiered(_) => "tiered",
-        }
-    }
 }
 
 /// Instantaneous backlog gauge: how far the store is from its shape
@@ -318,6 +307,15 @@ mod tests {
         let mut bytes = Vec::new();
         empty.encode(&mut bytes);
         assert_eq!(VlogGcJob::decode(&bytes), Some(empty));
+
+        // Counts whose byte length overflows: the inner job's level count
+        // (24 + 8 * n wrapped, or panicked), then the file count.
+        let mut huge_levels = bytes.clone();
+        huge_levels[16..24].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        assert!(VlogGcJob::decode(&huge_levels).is_none(), "level count overflows");
+        let at = bytes.len() - 8;
+        bytes[at..].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        assert!(VlogGcJob::decode(&bytes).is_none(), "file count overflows");
     }
 
     #[test]
@@ -332,6 +330,12 @@ mod tests {
         let mut bad_purge = bytes;
         bad_purge[8] = 7;
         assert!(CompactionJob::decode(&bad_purge).is_none(), "purge flag out of range");
+        // A count whose byte length overflows (8 * n wraps to 0, so the
+        // length check passed in release builds and the reservation
+        // aborted; debug builds panicked on the multiplication).
+        let mut huge = vec![0u8; 24];
+        huge[16..].copy_from_slice(&(1u64 << 61).to_le_bytes());
+        assert!(CompactionJob::decode(&huge).is_none(), "level count overflows");
     }
 
     #[test]

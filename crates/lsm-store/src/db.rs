@@ -10,9 +10,10 @@
 //! * range reads visit every level (§5.4),
 //! * deletes are tombstones, purged at the bottom level.
 //!
-//! This file is the store's front: open/recovery, the commit pipeline, the
-//! read path and the manifest. What rewrites levels — flush, the compaction
-//! scheduler and executor, value-log GC — is `maintenance.rs`.
+//! This file is the store's front: open and the commit pipeline. The read
+//! path is `read.rs`, the manifest and recovery from it `recovery.rs`; what
+//! rewrites levels — flush, the compaction scheduler and executor,
+//! value-log GC — is `maintenance.rs`.
 //!
 //! # Concurrency model
 //!
@@ -57,7 +58,7 @@
 //! Listener hooks must not write back into the same store from the WAL
 //! hooks: they run on the commit leader.
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar, Mutex as StdMutex};
 
@@ -68,18 +69,15 @@ use sim_disk::FsError;
 
 use crate::batch::{BatchOp, WriteBatch};
 use crate::compaction::{CompactionDebt, CompactionStrategy, LevelsView};
-use crate::encoding::{get_fixed_u64, get_varint_u64, put_fixed_u64, put_varint_u64};
 use crate::env::StorageEnv;
 use crate::events::{ReplicationEvent, ReplicationSink, StoreListener};
 use crate::memtable::MemTable;
 use crate::options::{Options, WalSyncPolicy};
 use crate::record::{Record, Timestamp, ValueKind};
-use crate::sstable::{NeighborPolicy, TableGet, TableReader};
-use crate::version::{GetTrace, LevelOutcome, LevelRange, LevelSearch, Run, ScanTrace, Version};
-use crate::vlog::{decode_pointer, parse_vlog_name, vlog_name, Vlog};
-use crate::wal::{recover, WalWriter};
-
-const MANIFEST: &str = "MANIFEST";
+use crate::recovery::MANIFEST;
+use crate::version::Version;
+use crate::vlog::Vlog;
+use crate::wal::WalWriter;
 
 /// Upper bound on the bytes one group-commit leader coalesces before
 /// handing leadership on (keeps follower latency bounded under bursts).
@@ -297,10 +295,14 @@ pub struct Db {
     pub(crate) strategy: Box<dyn CompactionStrategy>,
     /// Point reads search levels bottom-up when runs stack upward
     /// (compaction off, or a stacked strategy such as size-tiered).
-    stacked_reads: bool,
+    pub(crate) stacked_reads: bool,
     commit: Committer,
+    /// Held from a commit's WAL append (under the write lock) until the
+    /// listener has folded its records: whoever takes it under the write
+    /// lock knows that every frame in the log has been folded.
+    pub(crate) wal_fold: Mutex<()>,
     pub(crate) ts: AtomicU64,
-    memtable_region: Option<EnclaveRegion>,
+    pub(crate) memtable_region: Option<EnclaveRegion>,
     pub(crate) stats: DbStats,
     pub(crate) metrics: StoreMetrics,
     /// Replication event sink, if one is attached (see
@@ -340,7 +342,7 @@ impl Db {
             .then(|| env.platform().enclave_alloc(options.write_buffer_bytes * 2));
         let recovering = env.fs().open(MANIFEST).is_ok();
         let (inner, next_file_no, last_ts, vlog_manifest) = if recovering {
-            Self::recover_parts(&env, &options)?
+            Self::recover_parts(&env, &options, listener.as_ref())?
         } else {
             let wal_file = env.fs().create(&wal_name(1))?;
             let current = Arc::new(Version::empty(options.max_levels));
@@ -382,6 +384,7 @@ impl Db {
             strategy,
             stacked_reads,
             commit: Committer::new(),
+            wal_fold: Mutex::new(()),
             ts: AtomicU64::new(last_ts),
             memtable_region,
             stats: DbStats::new(&options.telemetry),
@@ -395,111 +398,6 @@ impl Db {
             db.write_manifest()?;
         }
         Ok(db)
-    }
-
-    #[allow(clippy::type_complexity)]
-    fn recover_parts(
-        env: &Arc<StorageEnv>,
-        options: &Options,
-    ) -> Result<(DbInner, u64, u64, (u64, Vec<(u64, u64, u64)>)), FsError> {
-        let manifest = env.fs().open(MANIFEST)?;
-        let bytes = env.host_call(|| manifest.read_at(0, manifest.len()))?;
-        let corrupt =
-            || FsError::OutOfBounds { name: MANIFEST.to_string(), requested_end: 0, len: 0 };
-        let next_file_no = get_fixed_u64(&bytes, 0).ok_or_else(corrupt)?;
-        let last_ts = get_fixed_u64(&bytes, 8).ok_or_else(corrupt)?;
-        let wal_lo = get_fixed_u64(&bytes, 16).ok_or_else(corrupt)?;
-        let wal_no = get_fixed_u64(&bytes, 24).ok_or_else(corrupt)?;
-        let mut pos = 32usize;
-        let (nlevels, n) = get_varint_u64(&bytes[pos..]).ok_or_else(corrupt)?;
-        pos += n;
-        let mut levels: Vec<Option<Arc<Run>>> =
-            (0..=options.max_levels.max(nlevels as usize)).map(|_| None).collect();
-        let mut named = HashSet::new();
-        for slot in levels.iter_mut().take(nlevels as usize + 1).skip(1) {
-            let (nfiles, n) = get_varint_u64(&bytes[pos..]).ok_or_else(corrupt)?;
-            pos += n;
-            if nfiles == 0 {
-                continue;
-            }
-            let mut tables = Vec::new();
-            for _ in 0..nfiles {
-                let (file_no, n) = get_varint_u64(&bytes[pos..]).ok_or_else(corrupt)?;
-                pos += n;
-                named.insert(file_no);
-                let file = env.fs().open(&table_name(file_no))?;
-                tables.push(Arc::new(TableReader::open(env.clone(), file, file_no)?));
-            }
-            *slot = Some(Arc::new(Run::new(tables)));
-        }
-        // The value-log section follows the levels. Older manifests (no
-        // section) decode as an empty log.
-        let (vlog_next_no, vlog_files) = match crate::vlog::decode_manifest_section(&bytes[pos..]) {
-            Some((next_no, files, _)) => (next_no, files),
-            None => (1, Vec::new()),
-        };
-        // A crash between writing a merge's output files and the manifest
-        // that names them leaves orphaned SSTables. Remove them: they hold
-        // only data still reachable through the manifest's inputs, and
-        // leaving them would collide with reused file numbers (the
-        // recovered `next_file_no` predates the orphans).
-        let named_vlogs: HashSet<u64> = vlog_files.iter().map(|&(no, _, _)| no).collect();
-        for name in env.fs().list() {
-            if let Some(no) = parse_table_name(&name) {
-                if !named.contains(&no) {
-                    let _ = env.fs().delete(&name);
-                }
-            }
-            // Likewise for value-log files the manifest never learned of:
-            // no durable pointer record can name them (pointers reach the
-            // levels only via SSTables the same manifest would name), so
-            // they hold only garbage from a crash mid-flush or mid-GC.
-            if let Some(no) = parse_vlog_name(&name) {
-                if !named_vlogs.contains(&no) {
-                    let _ = env.fs().delete(&name);
-                }
-            }
-        }
-        // Replay every WAL the manifest names, oldest first (a crash
-        // mid-flush leaves both the pre-freeze log and the active log
-        // live; appends are strictly ordered across the rotation).
-        let mut max_ts = last_ts;
-        let mut memtable = MemTable::new();
-        for no in wal_lo..=wal_no {
-            let Ok(file) = env.fs().open(&wal_name(no)) else { continue };
-            for r in recover(env, &file)? {
-                max_ts = max_ts.max(r.ts);
-                memtable.insert(r);
-            }
-        }
-        let wal_file = match env.fs().open(&wal_name(wal_no)) {
-            Ok(f) => f,
-            Err(_) => env.fs().create(&wal_name(wal_no))?,
-        };
-        // Orphaned logs outside the manifest's range (e.g. a rotation the
-        // manifest never learned of) hold no acknowledged data; remove
-        // them so their numbers can be reused.
-        for name in env.fs().list() {
-            if let Some(no) = parse_wal_name(&name) {
-                if !(wal_lo..=wal_no).contains(&no) {
-                    let _ = env.fs().delete(&name);
-                }
-            }
-        }
-        let current = Arc::new(Version::new(0, None, levels));
-        Ok((
-            DbInner {
-                memtable,
-                wal: WalWriter::new(env.clone(), wal_file, options.wal_sync),
-                wal_lo,
-                wal_no,
-                live: vec![current.clone()],
-                current,
-            },
-            next_file_no,
-            max_ts,
-            (vlog_next_no, vlog_files),
-        ))
     }
 
     /// The storage environment.
@@ -798,7 +696,7 @@ impl Db {
         self.metrics.records_per_group.observe(total_ops as u64);
         let mut all_records: Vec<Record> = Vec::with_capacity(total_ops);
         let mut results = Vec::with_capacity(group.len());
-        let flush_needed = {
+        let (flush_needed, folding) = {
             let _serial = self.env.platform().serial_section(SerialClass::StoreWrite);
             // Fixed commit bookkeeping is paid once per group, not per op.
             self.env.platform().charge_op_base();
@@ -807,7 +705,6 @@ impl Db {
                 // Timestamps are assigned under the write lock, so
                 // timestamp order equals commit order even across racing
                 // writers, and a batch's records are always contiguous.
-                let frame_start = all_records.len();
                 let mut timestamps = Vec::with_capacity(p.ops.len());
                 for op in &p.ops {
                     let ts = self.ts.fetch_add(1, Ordering::SeqCst) + 1;
@@ -819,39 +716,57 @@ impl Db {
                         kind: op.kind,
                     });
                 }
-                let frame_bytes = inner.wal.append_batch(&all_records[frame_start..]);
-                self.metrics.wal_frames.inc();
-                self.metrics.wal_bytes.add(frame_bytes as u64);
-                // Ship the frame while the write lock still orders the
-                // stream: a concurrent flush can then never slip its
-                // marker between a committed frame and its shipment.
-                self.emit(ReplicationEvent::Frame { records: &all_records[frame_start..] });
                 results.push(timestamps);
             }
-            if self.options.wal_sync == WalSyncPolicy::EveryBatch {
-                // One host exit carries the whole group's frames.
-                if inner.wal.sync() > 0 {
-                    self.metrics.wal_syncs.inc();
-                }
-            }
-            for record in &all_records {
-                // Model the in-enclave memtable write: touch the insertion
-                // point.
-                if let Some(region) = &self.memtable_region {
-                    let off = inner.memtable.approximate_bytes() % region.len().max(1);
-                    let len =
-                        record.approximate_size().min(region.len() - off.min(region.len())).max(1);
-                    self.env.platform().enclave_touch(region, off.min(region.len() - len), len);
-                }
-                inner.memtable.insert(record.clone());
-            }
-            inner.memtable.approximate_bytes() >= self.options.write_buffer_bytes
+            self.apply_frames_locked(&mut inner, &all_records, results.iter().map(Vec::len));
+            let over = inner.memtable.approximate_bytes() >= self.options.write_buffer_bytes;
+            (over, self.wal_fold.lock())
         };
         // Outside the write lock — leader exclusivity still keeps commit
         // order — the listener folds the group into its order-sensitive
         // trusted state (eLSM's WAL digest), once per group.
         self.listener.on_wal_append_batch(&all_records);
+        drop(folding);
         (results, trace_ctx, flush_needed)
+    }
+
+    /// What every commit does under the write lock, local or replicated:
+    /// one WAL frame per batch (`records` cut at `frame_lens`), one sync
+    /// for the group under [`WalSyncPolicy::EveryBatch`] — one host exit
+    /// carries all its frames — then every record into the memtable.
+    fn apply_frames_locked(
+        &self,
+        inner: &mut DbInner,
+        records: &[Record],
+        frame_lens: impl Iterator<Item = usize>,
+    ) {
+        let mut start = 0;
+        for len in frame_lens {
+            let frame = &records[start..start + len];
+            let frame_bytes = inner.wal.append_batch(frame);
+            self.metrics.wal_frames.inc();
+            self.metrics.wal_bytes.add(frame_bytes as u64);
+            // Ship the frame while the write lock still orders the
+            // stream: a concurrent flush can then never slip its marker
+            // between a committed frame and its shipment. (A replica
+            // ships too: it can itself feed replicas.)
+            self.emit(ReplicationEvent::Frame { records: frame });
+            start += len;
+        }
+        if self.options.wal_sync == WalSyncPolicy::EveryBatch && inner.wal.sync() > 0 {
+            self.metrics.wal_syncs.inc();
+        }
+        for record in records {
+            // Model the in-enclave memtable write: touch the insertion
+            // point.
+            if let Some(region) = &self.memtable_region {
+                let off = inner.memtable.approximate_bytes() % region.len().max(1);
+                let len =
+                    record.approximate_size().min(region.len() - off.min(region.len())).max(1);
+                self.env.platform().enclave_touch(region, off.min(region.len() - len), len);
+            }
+            inner.memtable.insert(record.clone());
+        }
     }
 
     /// Pushes any WAL frames still buffered under a lazy
@@ -893,322 +808,17 @@ impl Db {
                 ValueKind::Delete => self.stats.deletes.inc(),
             };
         }
-        {
+        let folding = {
             let _serial = self.env.platform().serial_section(SerialClass::StoreWrite);
             self.env.platform().charge_op_base();
             let mut inner = self.inner.write();
             let max_ts = records.iter().map(|r| r.ts).max().unwrap_or(0);
             self.ts.fetch_max(max_ts, Ordering::SeqCst);
-            let frame_bytes = inner.wal.append_batch(records);
-            self.metrics.wal_frames.inc();
-            self.metrics.wal_bytes.add(frame_bytes as u64);
-            if self.options.wal_sync == WalSyncPolicy::EveryBatch && inner.wal.sync() > 0 {
-                self.metrics.wal_syncs.inc();
-            }
-            for record in records {
-                if let Some(region) = &self.memtable_region {
-                    let off = inner.memtable.approximate_bytes() % region.len().max(1);
-                    let len =
-                        record.approximate_size().min(region.len() - off.min(region.len())).max(1);
-                    self.env.platform().enclave_touch(region, off.min(region.len() - len), len);
-                }
-                inner.memtable.insert(record.clone());
-            }
-            // Chained replication: a replica can itself feed replicas.
-            self.emit(ReplicationEvent::Frame { records });
-        }
-        self.listener.on_wal_append_batch(records);
-        Ok(())
-    }
-
-    // ----- read path ------------------------------------------------------
-
-    /// Point query at the latest timestamp; tombstones read as absent.
-    ///
-    /// This is the unauthenticated fast path: definite Bloom misses return
-    /// without index/block IO, and misses resolve no bounding neighbors
-    /// ([`NeighborPolicy::Skip`]).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError`] on IO errors.
-    pub fn get(&self, key: &[u8]) -> Result<Option<Record>, FsError> {
-        let ts_q = Timestamp::MAX >> 1;
-        let (mem_hit, version) = self.read_view(key, ts_q);
-        let trace = self.get_on_version(&version, mem_hit, key, ts_q, NeighborPolicy::Skip)?;
-        match trace.result.filter(|r| r.kind.is_value()) {
-            Some(r) => self.resolve_vlog_record(r).map(Some),
-            None => Ok(None),
-        }
-    }
-
-    /// Replaces a pointer record's value with the bytes it points at in
-    /// the value log; non-pointer records pass through. The unauthenticated
-    /// counterpart of eLSM's MAC-checked resolution: a pointer that does
-    /// not resolve (missing file, CRC mismatch, key/ts mismatch) is disk
-    /// corruption and surfaces as an IO error, never as silent garbage or
-    /// a silent miss.
-    fn resolve_vlog_record(&self, record: Record) -> Result<Record, FsError> {
-        if record.kind != ValueKind::VlogPut {
-            return Ok(record);
-        }
-        let corrupt = |name: String| FsError::OutOfBounds { name, requested_end: 0, len: 0 };
-        let vlog = self.vlog.as_ref().ok_or_else(|| corrupt("no value log".to_string()))?;
-        let entry = self
-            .listener
-            .unwrap_vlog_pointer(&record.value)
-            .and_then(|ptr_bytes| decode_pointer(&ptr_bytes))
-            .map(|(ptr, _mac)| vlog.read(ptr).map(|e| (ptr, e)))
-            .transpose()?
-            .and_then(|(ptr, entry)| entry.map(|e| (ptr, e)));
-        match entry {
-            Some((_, e)) if e.key == record.key && e.ts == record.ts => Ok(Record {
-                key: record.key,
-                value: Bytes::from(e.value),
-                ts: record.ts,
-                kind: ValueKind::Put,
-            }),
-            Some((ptr, _)) => Err(corrupt(vlog_name(ptr.file_no))),
-            None => Err(corrupt("vlog pointer".to_string())),
-        }
-    }
-
-    /// Point query returning the full per-level trace (the middleware
-    /// interface eLSM builds proofs from). Search stops at the first level
-    /// with a record for the key — the paper's early stop.
-    ///
-    /// The trace is collected against an immutable [`Version`] snapshot;
-    /// no store lock is held during level IO. [`GetTrace::epoch`] names
-    /// the snapshot so verifiers check against the matching commitments.
-    /// `check` runs on the trace while the snapshot is still pinned:
-    /// pinning guarantees the trace's epoch has not been retired, so
-    /// `check` can verify against the epoch's published commitments even
-    /// while concurrent flushes/compactions install new versions — the
-    /// §5.5.2 read/compaction synchronization, without holding any store
-    /// lock across block IO or verification.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError`] on IO errors; `check`'s verdict is returned
-    /// alongside the trace.
-    pub fn get_with_trace<T>(
-        &self,
-        key: &[u8],
-        ts_q: Timestamp,
-        check: impl FnOnce(&GetTrace) -> T,
-    ) -> Result<(GetTrace, T), FsError> {
-        let (mem_hit, version) = self.read_view(key, ts_q);
-        let trace = self.get_on_version(&version, mem_hit, key, ts_q, NeighborPolicy::Required)?;
-        let verdict = check(&trace);
-        drop(version); // the epoch may drain only after verification
-        Ok((trace, verdict))
-    }
-
-    /// Probes the live memtable and pins the current version: the only
-    /// part of a read that takes (the shared side of) the store lock.
-    fn read_view(&self, key: &[u8], ts_q: Timestamp) -> (Option<Record>, Arc<Version>) {
-        self.stats.gets.inc();
-        self.env.platform().charge_op_base();
-        // Model the in-enclave memtable probe.
-        if let Some(region) = &self.memtable_region {
-            let h = fxhash(key) as usize;
-            let len = region.len().max(2);
-            self.env.platform().enclave_touch(region, h % (len / 2), 32.min(len / 2));
-        }
-        let inner = self.inner.read();
-        (inner.memtable.get(key, ts_q), inner.current.clone())
-    }
-
-    /// Searches a pinned version: frozen memtable first (trusted memory),
-    /// then the levels in freshness order with early stop. No lock held.
-    fn get_on_version(
-        &self,
-        version: &Version,
-        mem_hit: Option<Record>,
-        key: &[u8],
-        ts_q: Timestamp,
-        neighbors: NeighborPolicy,
-    ) -> Result<GetTrace, FsError> {
-        let epoch = version.epoch();
-        let from_memtable = mem_hit.or_else(|| version.imm().and_then(|imm| imm.get(key, ts_q)));
-        if let Some(r) = from_memtable {
-            return Ok(GetTrace {
-                epoch,
-                memtable: Some(r.clone()),
-                levels: Vec::new(),
-                result: Some(r),
-            });
-        }
-        let mut levels = Vec::new();
-        let mut result = None;
-        // Under leveled compaction, lower levels are fresher (Lemma 5.4).
-        // In stacked layouts — compaction off, or a stacked strategy like
-        // size-tiered — runs stack upward as they flush, so the freshest
-        // run has the highest index and search order reverses.
-        let level_count = version.levels().len();
-        for nth in 1..level_count {
-            let level = if self.stacked_reads { level_count - nth } else { nth };
-            match version.level(level) {
-                None => levels.push(LevelSearch { level, outcome: LevelOutcome::Empty }),
-                Some(run) => match run.get(key, ts_q, neighbors)? {
-                    TableGet::Hit(r) => {
-                        levels.push(LevelSearch { level, outcome: LevelOutcome::Hit(r.clone()) });
-                        result = Some(r);
-                        break; // early stop (§5.3)
-                    }
-                    TableGet::Miss { left, right } => {
-                        levels.push(LevelSearch {
-                            level,
-                            outcome: LevelOutcome::Miss { left, right },
-                        });
-                    }
-                },
-            }
-        }
-        Ok(GetTrace { epoch, memtable: None, levels, result })
-    }
-
-    /// Range query at the latest timestamp (Equation 1's SCAN).
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError`] on IO errors.
-    pub fn scan(&self, from: &[u8], to: &[u8]) -> Result<Vec<Record>, FsError> {
-        let ts_q = Timestamp::MAX >> 1;
-        let (mem, version) = self.scan_view(from, to);
-        let trace = self.scan_on_version(&version, mem, from, to, ts_q, NeighborPolicy::Skip)?;
-        trace.merged.into_iter().map(|r| self.resolve_vlog_record(r)).collect()
-    }
-
-    /// Range query with the full per-level trace. Unlike GET, every level
-    /// is visited (§5.4). Collected against a pinned version with no store
-    /// lock held; `check` runs while the version is still pinned — the
-    /// scan counterpart of [`Db::get_with_trace`].
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError`] on IO errors; `check`'s verdict is returned
-    /// alongside the trace.
-    pub fn scan_with_trace<T>(
-        &self,
-        from: &[u8],
-        to: &[u8],
-        ts_q: Timestamp,
-        check: impl FnOnce(&ScanTrace) -> T,
-    ) -> Result<(ScanTrace, T), FsError> {
-        let (mem, version) = self.scan_view(from, to);
-        let trace =
-            self.scan_on_version(&version, mem, from, to, ts_q, NeighborPolicy::Required)?;
-        let verdict = check(&trace);
-        drop(version);
-        Ok((trace, verdict))
-    }
-
-    fn scan_view(&self, from: &[u8], to: &[u8]) -> (Vec<Record>, Arc<Version>) {
-        self.stats.scans.inc();
-        self.env.platform().charge_op_base();
-        let inner = self.inner.read();
-        (inner.memtable.range_records(from, to), inner.current.clone())
-    }
-
-    fn scan_on_version(
-        &self,
-        version: &Version,
-        mut memtable: Vec<Record>,
-        from: &[u8],
-        to: &[u8],
-        ts_q: Timestamp,
-        neighbors: NeighborPolicy,
-    ) -> Result<ScanTrace, FsError> {
-        if let Some(imm) = version.imm() {
-            memtable.extend(imm.range_records(from, to));
-        }
-        memtable.retain(|r| r.ts <= ts_q);
-        let mut levels = Vec::new();
-        for level in 1..version.levels().len() {
-            match version.level(level) {
-                None => levels.push(LevelRange {
-                    level,
-                    empty: true,
-                    records: Vec::new(),
-                    left: None,
-                    right: None,
-                }),
-                Some(run) => {
-                    let (left, right) = if neighbors == NeighborPolicy::Required {
-                        (run.neighbor_below(from, ts_q)?, run.neighbor_above(to, ts_q)?)
-                    } else {
-                        (None, None)
-                    };
-                    levels.push(LevelRange {
-                        level,
-                        empty: false,
-                        records: run.range(from, to)?,
-                        left,
-                        right,
-                    });
-                }
-            }
-        }
-        // Merge: newest visible version per key, tombstones hide.
-        let mut all: Vec<&Record> = memtable
-            .iter()
-            .chain(levels.iter().flat_map(|l| l.records.iter()))
-            .filter(|r| r.ts <= ts_q)
-            .collect();
-        all.sort_by(|a, b| a.key.cmp(&b.key).then(b.ts.cmp(&a.ts)));
-        let mut merged = Vec::new();
-        let mut last_key: Option<&[u8]> = None;
-        for r in all {
-            if last_key == Some(&r.key[..]) {
-                continue;
-            }
-            last_key = Some(&r.key[..]);
-            if r.kind.is_value() {
-                merged.push(r.clone());
-            }
-        }
-        Ok(ScanTrace { epoch: version.epoch(), memtable, levels, merged })
-    }
-
-    // ----- manifest ---------------------------------------------------------
-
-    /// Callers hold the maintenance mutex (manifest writes must not race).
-    pub(crate) fn write_manifest(&self) -> Result<(), FsError> {
-        let (wal_lo, wal_no, version) = {
-            let inner = self.inner.read();
-            (inner.wal_lo, inner.wal_no, inner.current.clone())
+            self.apply_frames_locked(&mut inner, records, std::iter::once(records.len()));
+            self.wal_fold.lock()
         };
-        self.write_manifest_with(wal_lo, wal_no, &version)
-    }
-
-    pub(crate) fn write_manifest_with(
-        &self,
-        wal_lo: u64,
-        wal_hi: u64,
-        version: &Version,
-    ) -> Result<(), FsError> {
-        let mut bytes = Vec::new();
-        put_fixed_u64(&mut bytes, self.file_no.load(Ordering::SeqCst));
-        put_fixed_u64(&mut bytes, self.ts.load(Ordering::SeqCst));
-        put_fixed_u64(&mut bytes, wal_lo);
-        put_fixed_u64(&mut bytes, wal_hi);
-        put_varint_u64(&mut bytes, (version.levels().len() - 1) as u64);
-        for level in 1..version.levels().len() {
-            match version.level(level) {
-                None => put_varint_u64(&mut bytes, 0),
-                Some(run) => {
-                    put_varint_u64(&mut bytes, run.tables().len() as u64);
-                    for t in run.tables() {
-                        put_varint_u64(&mut bytes, t.meta().file_no);
-                    }
-                }
-            }
-        }
-        crate::vlog::encode_manifest_section(self.vlog.as_deref(), &mut bytes);
-        let _ = self.env.fs().delete(MANIFEST);
-        let file = self.env.fs().create(MANIFEST)?;
-        self.env.append(&file, &bytes);
+        self.listener.on_wal_append_batch(records);
+        drop(folding);
         Ok(())
     }
 }
@@ -1217,24 +827,8 @@ pub(crate) fn table_name(file_no: u64) -> String {
     format!("{file_no:06}.sst")
 }
 
-fn parse_table_name(name: &str) -> Option<u64> {
-    name.strip_suffix(".sst")?.parse().ok()
-}
-
 pub(crate) fn wal_name(wal_no: u64) -> String {
     format!("wal-{wal_no:06}.log")
-}
-
-fn parse_wal_name(name: &str) -> Option<u64> {
-    name.strip_prefix("wal-")?.strip_suffix(".log")?.parse().ok()
-}
-
-fn fxhash(data: &[u8]) -> u64 {
-    let mut h = 0xcbf2_9ce4_8422_2325u64;
-    for &b in data {
-        h = (h ^ u64::from(b)).wrapping_mul(0x1000_0000_01b3);
-    }
-    h
 }
 
 #[cfg(test)]
@@ -1295,144 +889,6 @@ pub(crate) mod tests {
         db.put(b"k", b"v").unwrap();
         db.delete(b"k").unwrap();
         assert!(db.get(b"k").unwrap().is_none());
-    }
-
-    #[test]
-    fn get_trace_early_stops() {
-        let db = open_db(Options { compaction_enabled: false, ..small_options() });
-        for i in 0..200 {
-            db.put(format!("k{i:04}").as_bytes(), b"v").unwrap();
-        }
-        db.flush().unwrap();
-        // New write of k0000 stays in the memtable.
-        db.put(b"k0000", b"new").unwrap();
-        let trace = db.get_with_trace(b"k0000", Timestamp::MAX >> 1, |_| ()).unwrap().0;
-        assert!(trace.memtable.is_some(), "memtable hit must not search levels");
-        assert!(trace.levels.is_empty());
-
-        let trace = db.get_with_trace(b"k0001", Timestamp::MAX >> 1, |_| ()).unwrap().0;
-        assert!(trace.memtable.is_none());
-        assert!(matches!(trace.levels.last().unwrap().outcome, LevelOutcome::Hit(_)));
-    }
-
-    #[test]
-    fn get_trace_miss_has_neighbors() {
-        let db = open_db(small_options());
-        db.put(b"b", b"1").unwrap();
-        db.put(b"d", b"2").unwrap();
-        db.flush().unwrap();
-        let trace = db.get_with_trace(b"c", Timestamp::MAX >> 1, |_| ()).unwrap().0;
-        let hit_level = trace
-            .levels
-            .iter()
-            .find(|l| !matches!(l.outcome, LevelOutcome::Empty))
-            .expect("one searched level");
-        match &hit_level.outcome {
-            LevelOutcome::Miss { left, right } => {
-                assert_eq!(&left.as_ref().unwrap().key[..], b"b");
-                assert_eq!(&right.as_ref().unwrap().key[..], b"d");
-            }
-            other => panic!("expected miss, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn plain_get_miss_skips_neighbor_io() {
-        let db = open_db(small_options());
-        db.put(b"b", b"1").unwrap();
-        db.put(b"d", b"2").unwrap();
-        db.flush().unwrap();
-        // A definite Bloom miss on the plain path must not read any block:
-        // disk traffic stays flat (the Bloom filter and index live in
-        // enclave metadata, not on disk).
-        let before = db.env().platform().stats().disk_bytes;
-        assert!(db.get(b"zzz-definitely-absent").unwrap().is_none());
-        let after = db.env().platform().stats().disk_bytes;
-        assert_eq!(after, before, "bloom-filtered plain get must do no block IO");
-    }
-
-    #[test]
-    fn pinned_snapshot_survives_later_installs() {
-        let db = open_db(small_options());
-        for i in 0..50 {
-            db.put(format!("key{i:04}").as_bytes(), b"v1").unwrap();
-        }
-        db.flush().unwrap();
-        let snapshot = db.current_version();
-        // Overwrite everything and flush/compact repeatedly.
-        for round in 0..4 {
-            for i in 0..50 {
-                db.put(format!("key{i:04}").as_bytes(), format!("v{round}").as_bytes()).unwrap();
-            }
-            db.flush().unwrap();
-        }
-        assert!(db.current_epoch() > snapshot.epoch());
-        // The pinned snapshot still reads the old state, including from
-        // runs whose files have since been unlinked.
-        let trace = db
-            .get_on_version(&snapshot, None, b"key0007", Timestamp::MAX >> 1, NeighborPolicy::Skip)
-            .unwrap();
-        assert_eq!(&trace.result.unwrap().value[..], b"v1");
-        assert_eq!(trace.epoch, snapshot.epoch());
-    }
-
-    #[test]
-    fn scan_merges_levels_and_memtable() {
-        let db = open_db(Options { compaction_enabled: false, ..small_options() });
-        db.put(b"a", b"old").unwrap();
-        db.put(b"c", b"1").unwrap();
-        db.flush().unwrap();
-        db.put(b"a", b"new").unwrap();
-        db.put(b"b", b"2").unwrap();
-        let got = db.scan(b"a", b"c").unwrap();
-        let pairs: Vec<(&[u8], &[u8])> = got.iter().map(|r| (&r.key[..], &r.value[..])).collect();
-        assert_eq!(
-            pairs,
-            vec![
-                (b"a".as_slice(), b"new".as_slice()),
-                (b"b".as_slice(), b"2".as_slice()),
-                (b"c".as_slice(), b"1".as_slice())
-            ]
-        );
-    }
-
-    #[test]
-    fn scan_hides_deleted_keys() {
-        let db = open_db(small_options());
-        db.put(b"a", b"1").unwrap();
-        db.put(b"b", b"2").unwrap();
-        db.delete(b"a").unwrap();
-        let got = db.scan(b"a", b"z").unwrap();
-        assert_eq!(got.len(), 1);
-        assert_eq!(&got[0].key[..], b"b");
-    }
-
-    #[test]
-    fn recovery_from_manifest_and_wal() {
-        let platform = Platform::with_defaults();
-        let fs = SimFs::new(SimDisk::new(platform.clone()));
-        let options = small_options();
-        let env = StorageEnv::new(platform.clone(), fs.clone(), options.env.clone(), None);
-        {
-            let db = Db::open(env.clone(), options.clone(), None).unwrap();
-            for i in 0..300 {
-                db.put(format!("key{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
-            }
-            // Some data flushed, some still in WAL/memtable.
-        }
-        // "Power cycle": reopen from the same filesystem.
-        let db2 = Db::open(env, options, None).unwrap();
-        for i in 0..300 {
-            let key = format!("key{i:04}");
-            assert_eq!(
-                &db2.get(key.as_bytes()).unwrap().unwrap().value[..],
-                format!("v{i}").as_bytes(),
-                "lost {key} across restart"
-            );
-        }
-        // Timestamps must continue past the recovered maximum.
-        let t = db2.put(b"post", b"restart").unwrap();
-        assert!(t > 300);
     }
 
     #[test]
@@ -1565,17 +1021,6 @@ pub(crate) mod tests {
             }
         });
         assert!(db.stats().flushes > 0);
-    }
-
-    #[test]
-    fn snapshot_reads_see_history() {
-        let db = open_db(Options { compaction_enabled: false, ..small_options() });
-        let t1 = db.put(b"k", b"v1").unwrap();
-        let t2 = db.put(b"k", b"v2").unwrap();
-        let tr1 = db.get_with_trace(b"k", t1, |_| ()).unwrap().0;
-        assert_eq!(&tr1.result.unwrap().value[..], b"v1");
-        let tr2 = db.get_with_trace(b"k", t2, |_| ()).unwrap().0;
-        assert_eq!(&tr2.result.unwrap().value[..], b"v2");
     }
 
     #[test]

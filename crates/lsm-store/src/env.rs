@@ -245,16 +245,6 @@ impl StorageEnv {
         }
     }
 
-    /// Extra bytes sealing adds per block (nonce + tag), for readers that
-    /// must account for it in offsets.
-    pub fn seal_overhead(&self) -> usize {
-        if self.config.sealed_files && self.sealer.is_some() {
-            12 + 32
-        } else {
-            0
-        }
-    }
-
     /// Allocates `len` bytes of the shared in-enclave metadata heap when
     /// running in enclave mode (file indices, Bloom filters — the paper
     /// keeps them inside).

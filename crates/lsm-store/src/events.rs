@@ -136,6 +136,17 @@ pub trait StoreListener: Send + Sync {
         }
     }
 
+    /// The write-ahead log rotated: every record heard of so far sits in a
+    /// log before the one now active, every record from here on in the
+    /// active one. Fired under the store's write lock when a flush freezes
+    /// the memtable (after the last commit's
+    /// [`StoreListener::on_wal_append_batch`] returned), and between the
+    /// logs recovery replays. The frozen log is gone once the flush
+    /// installs ([`StoreListener::on_compaction_install`] with input level
+    /// 0) — eLSM notes the WAL digest here as what its oldest live log
+    /// will start from then.
+    fn on_wal_rotate(&self) {}
+
     /// A new [`Version`](crate::version::Version) with the given epoch is
     /// about to become visible to readers. Fired *before* the swap, under
     /// the store's write lock, so a listener can publish state keyed by

@@ -9,9 +9,10 @@
 //! * [`block`]/[`sstable`] — prefix-compressed blocks, Bloom filters,
 //!   block indexes, footers,
 //! * [`version`] — levels as whole sorted runs (the paper's model),
-//! * [`db`] — puts/gets/scans/deletes and recovery from manifest + WAL;
-//!   flushes, whole-level compactions and value-log GC live beside it in
-//!   the `maintenance` module, on one streaming merge executor,
+//! * [`db`] — open, puts/deletes and the group-commit pipeline; gets and
+//!   scans (`read`), manifest + WAL recovery (`recovery`) and flushes,
+//!   whole-level compactions and value-log GC (`maintenance`, one
+//!   streaming merge executor) live beside it,
 //! * [`events`] — RocksDB-style callbacks through which the `elsm` crate
 //!   adds authentication **without modifying this crate** (§5.5.3),
 //! * [`env`](mod@crate::env) — the placement/cost configuration matrix of Table 1.
@@ -36,7 +37,9 @@ mod maintenance;
 pub mod memtable;
 pub mod merge;
 pub mod options;
+mod read;
 pub mod record;
+mod recovery;
 pub mod sstable;
 pub mod version;
 #[cfg(test)]
@@ -57,7 +60,7 @@ pub use events::{
 };
 pub use options::{Options, VlogConfig, WalSyncPolicy};
 pub use record::{internal_cmp, InternalKey, Record, RecordView, Timestamp, ValueKind};
-pub use sstable::{NeighborPolicy, TableBuilder, TableGet, TableMeta, TableOptions, TableReader};
+pub use sstable::{NeighborPolicy, TableBuilder, TableMeta, TableOptions, TableReader};
 pub use version::{GetTrace, LevelOutcome, LevelRange, LevelSearch, Run, ScanTrace, Version};
 pub use vlog::{Vlog, VlogEntry, VlogPtr};
 pub use wal::{decode_frame, encode_frame};

@@ -236,6 +236,11 @@ impl Db {
             let old_wal = wal_name(inner.wal_no);
             inner.wal = WalWriter::new(self.env.clone(), wal_file, self.options.wal_sync);
             inner.wal_no = new_wal_no;
+            // A commit folds its records into the listener after it let go
+            // of this lock; the rotation is heard once the closed log's
+            // last frame has been.
+            drop(self.wal_fold.lock());
+            self.listener.on_wal_rotate();
             let next =
                 Arc::new(inner.current.with_imm(inner.current.epoch() + 1, Some(imm.clone())));
             self.install_locked(&mut inner, next);
@@ -820,7 +825,6 @@ impl Db {
     }
 
     fn retire_run(&self, run: &Run) {
-        run.close();
         for t in run.tables() {
             let _ = self.env.fs().delete(&table_name(t.meta().file_no));
         }
@@ -895,7 +899,7 @@ mod tests {
         db.flush().unwrap();
         let e1 = db.current_epoch();
         assert!(e1 >= e0 + 2, "freeze + install must advance the epoch twice: {e0} -> {e1}");
-        let trace = db.get_with_trace(b"k", Timestamp::MAX >> 1, |_| ()).unwrap().0;
+        let trace = db.get_with_trace(b"k", Timestamp::MAX >> 1, crate::GetTrace::clone).unwrap();
         assert_eq!(trace.epoch, db.current_epoch());
     }
 

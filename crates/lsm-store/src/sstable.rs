@@ -37,13 +37,14 @@ const MAGIC: u64 = 0xe15a_5700_ab1e_d157;
 /// like a buffered `fwrite`.
 const WRITE_CHUNK: usize = 64 * 1024;
 
-/// Whether a point lookup must resolve bounding neighbors on a miss.
+/// Whether a run's point lookup must resolve bounding neighbors on a miss
+/// ([`crate::version::Run::get`]; a table only answers hit-or-not).
 ///
 /// eLSM turns the neighbors into non-membership proofs, so its traced
 /// reads require them. The plain, unauthenticated read path never looks
 /// at them — with [`NeighborPolicy::Skip`] a definite Bloom-filter miss
-/// returns immediately with **no index or block IO at all**, and even a
-/// post-search miss skips the neighbor block reads.
+/// costs **no index or block IO at all**, and even a post-search miss
+/// skips the neighbor block reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NeighborPolicy {
     /// Resolve both bounding neighbors (authenticated reads).
@@ -262,20 +263,6 @@ impl TableBuilder {
     }
 }
 
-/// Outcome of a point lookup within one table.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum TableGet {
-    /// Newest record for the key (with `ts <= ts_q`) in this table.
-    Hit(Record),
-    /// No record for the key; bounding neighbors within this table, if any.
-    Miss {
-        /// Newest record of the greatest user key `< key`.
-        left: Option<Record>,
-        /// Newest record of the smallest user key `> key`.
-        right: Option<Record>,
-    },
-}
-
 /// The error for a table whose bytes — the host's — do not hold together.
 fn corrupt_table(file: &SimFile) -> FsError {
     FsError::OutOfBounds { name: file.name(), requested_end: file.len(), len: file.len() }
@@ -377,11 +364,6 @@ impl TableReader {
         &self.meta
     }
 
-    /// Releases enclave metadata (call when the table is replaced by a
-    /// compaction). Arena slices are bump-allocated, so this only exists
-    /// to mirror the real resource lifecycle; residency fades by eviction.
-    pub fn close(&self) {}
-
     fn read_block(&self, block_idx: usize) -> Result<Block, FsError> {
         let (_, off, len) = self.index[block_idx];
         let stored = self.env.read_block(
@@ -426,63 +408,33 @@ impl TableReader {
             .touch_metadata(self.bloom_region.as_ref(), [(probe.first_offset, probe.bits_tested)]);
     }
 
-    /// Point lookup: newest record for `key` with `ts <= ts_q`, or the
-    /// bounding neighbors if absent.
-    ///
-    /// With [`NeighborPolicy::Skip`], a definite Bloom miss returns before
-    /// touching the index or any data block, and post-search misses skip
-    /// the neighbor block reads — the unauthenticated path pays only for
-    /// what it uses.
+    /// Point lookup: the newest record for `key` with `ts <= ts_q`, if the
+    /// table has one. A definite Bloom miss returns before touching the
+    /// index or any data block. Bounding neighbors of a miss are the run's
+    /// business ([`crate::version::Run::get`]).
     ///
     /// # Errors
     ///
     /// Returns [`FsError`] on IO/corruption errors.
-    pub fn get(
-        &self,
-        key: &[u8],
-        ts_q: Timestamp,
-        neighbors: NeighborPolicy,
-    ) -> Result<TableGet, FsError> {
+    pub fn get(&self, key: &[u8], ts_q: Timestamp) -> Result<Option<Record>, FsError> {
         if let Some(bloom) = &self.bloom {
             let probe = bloom.probe(key);
             self.charge_bloom_probe(probe);
             if !probe.hit {
-                // Definitely absent. eLSM still needs the neighbors for
-                // non-membership proofs; the plain path returns at once.
-                return self.miss_with_neighbors(key, ts_q, neighbors);
+                return Ok(None);
             }
         }
         self.charge_index_probe();
         let seek = InternalKey::new(key, ts_q, ValueKind::Put);
         let Some(block_idx) = self.block_for(seek.encoded()) else {
-            return self.miss_with_neighbors(key, ts_q, neighbors);
+            return Ok(None);
         };
         let block = self.read_block(block_idx)?;
         let mut found = block.seek(seek.encoded());
         if let Ok(true) = found.advance() {
-            if let Some(record) = record_at(&found).filter(|r| r.key == key) {
-                return Ok(TableGet::Hit(record.to_record()));
-            }
+            return Ok(record_at(&found).filter(|r| r.key == key).map(|r| r.to_record()));
         }
-        self.miss_with_neighbors(key, ts_q, neighbors)
-    }
-
-    /// Builds the miss outcome with the newest records of the neighboring
-    /// user keys (or, under [`NeighborPolicy::Skip`], without them and
-    /// without the IO to find them).
-    fn miss_with_neighbors(
-        &self,
-        key: &[u8],
-        ts_q: Timestamp,
-        neighbors: NeighborPolicy,
-    ) -> Result<TableGet, FsError> {
-        if neighbors == NeighborPolicy::Skip {
-            return Ok(TableGet::Miss { left: None, right: None });
-        }
-        Ok(TableGet::Miss {
-            left: self.newest_before(key, ts_q)?,
-            right: self.newest_after(key, ts_q)?,
-        })
+        Ok(None)
     }
 
     /// Newest record of the greatest user key strictly `< key`.
@@ -643,34 +595,6 @@ impl TableReader {
         }
         Ok(out)
     }
-
-    /// The first record in the table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError`] on IO errors, and when the first block holds no
-    /// decodable entry.
-    pub fn first_record(&self) -> Result<Record, FsError> {
-        let mut first = self.iter()?;
-        match first.advance()? {
-            true => Ok(first.view().to_record()),
-            false => Err(corrupt_table(&self.file)),
-        }
-    }
-
-    /// The newest record of the largest user key in the table.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError`] on IO errors, and when the key the properties
-    /// name as largest is not in the table.
-    pub fn last_key_newest(&self) -> Result<Record, FsError> {
-        let largest = self.meta.largest.clone();
-        match self.get(&largest, Timestamp::MAX >> 1, NeighborPolicy::Skip)? {
-            TableGet::Hit(r) => Ok(r),
-            TableGet::Miss { .. } => Err(corrupt_table(&self.file)),
-        }
-    }
 }
 
 /// The record under a block cursor; `None` when its key is shorter than
@@ -734,6 +658,7 @@ impl TableIter<'_> {
 mod tests {
     use super::*;
     use crate::env::EnvConfig;
+    use crate::version::LevelOutcome;
     use sgx_sim::{CostModel, Platform};
     use sim_disk::{SimDisk, SimFs};
 
@@ -780,14 +705,10 @@ mod tests {
         let reader = build_table(&env, &fs, &sample_records());
         for i in 0..200 {
             let key = format!("k{i:04}");
-            match reader.get(key.as_bytes(), u64::MAX >> 1, NeighborPolicy::Required).unwrap() {
-                TableGet::Hit(r) => {
-                    assert_eq!(&r.key[..], key.as_bytes());
-                    if i % 10 == 0 {
-                        assert_eq!(&r.value[..], format!("new{i}").as_bytes(), "newest wins");
-                    }
-                }
-                TableGet::Miss { .. } => panic!("missing {key}"),
+            let r = reader.get(key.as_bytes(), u64::MAX >> 1).unwrap().expect("present");
+            assert_eq!(&r.key[..], key.as_bytes());
+            if i % 10 == 0 {
+                assert_eq!(&r.value[..], format!("new{i}").as_bytes(), "newest wins");
             }
         }
     }
@@ -797,10 +718,7 @@ mod tests {
         let (env, fs) = test_env(EnvConfig::default());
         let reader = build_table(&env, &fs, &sample_records());
         // k0000 has versions at ts=1000 (new) and ts=500 (old).
-        match reader.get(b"k0000", 999, NeighborPolicy::Required).unwrap() {
-            TableGet::Hit(r) => assert_eq!(&r.value[..], b"old0"),
-            _ => panic!("expected old version"),
-        }
+        assert_eq!(&reader.get(b"k0000", 999).unwrap().expect("old version").value[..], b"old0");
     }
 
     #[test]
@@ -812,27 +730,16 @@ mod tests {
             Record::put(b"f".as_slice(), b"3".as_slice(), 3),
         ];
         let reader = build_table(&env, &fs, &recs);
-        match reader.get(b"c", u64::MAX >> 1, NeighborPolicy::Required).unwrap() {
-            TableGet::Miss { left, right } => {
-                assert_eq!(&left.unwrap().key[..], b"b");
-                assert_eq!(&right.unwrap().key[..], b"d");
-            }
-            _ => panic!("expected miss"),
-        }
-        match reader.get(b"a", u64::MAX >> 1, NeighborPolicy::Required).unwrap() {
-            TableGet::Miss { left, right } => {
-                assert!(left.is_none());
-                assert_eq!(&right.unwrap().key[..], b"b");
-            }
-            _ => panic!("expected miss"),
-        }
-        match reader.get(b"z", u64::MAX >> 1, NeighborPolicy::Required).unwrap() {
-            TableGet::Miss { left, right } => {
-                assert_eq!(&left.unwrap().key[..], b"f");
-                assert!(right.is_none());
-            }
-            _ => panic!("expected miss"),
-        }
+        let ts_max = u64::MAX >> 1;
+        let neighbors = |key: &[u8]| {
+            assert_eq!(reader.get(key, ts_max).unwrap(), None);
+            let left = reader.newest_before(key, ts_max).unwrap().map(|r| r.key.to_vec());
+            let right = reader.newest_after(key, ts_max).unwrap().map(|r| r.key.to_vec());
+            (left, right)
+        };
+        assert_eq!(neighbors(b"c"), (Some(b"b".to_vec()), Some(b"d".to_vec())));
+        assert_eq!(neighbors(b"a"), (None, Some(b"b".to_vec())));
+        assert_eq!(neighbors(b"z"), (Some(b"f".to_vec()), None));
     }
 
     #[test]
@@ -844,13 +751,9 @@ mod tests {
             Record::put(b"d".as_slice(), b"x".as_slice(), 5),
         ];
         let reader = build_table(&env, &fs, &recs);
-        match reader.get(b"c", u64::MAX >> 1, NeighborPolicy::Required).unwrap() {
-            TableGet::Miss { left, .. } => {
-                let l = left.unwrap();
-                assert_eq!((&l.key[..], l.ts), (b"b".as_slice(), 10));
-            }
-            _ => panic!("expected miss"),
-        }
+        assert_eq!(reader.get(b"c", u64::MAX >> 1).unwrap(), None);
+        let l = reader.newest_before(b"c", u64::MAX >> 1).unwrap().unwrap();
+        assert_eq!((&l.key[..], l.ts), (b"b".as_slice(), 10));
     }
 
     /// Versions of one key fill several blocks: whichever block the scan
@@ -873,14 +776,14 @@ mod tests {
         // admits, also from an earlier block than the scanned one.
         let at_990 = reader.newest_before(b"next", 990).unwrap().unwrap();
         assert_eq!((&at_990.key[..], at_990.ts), (&b"hot"[..], 990));
-        match reader.get(b"i", ts_max, NeighborPolicy::Required).unwrap() {
-            TableGet::Miss { left, right } => {
+        let run = crate::version::Run::new(vec![Arc::new(reader)]);
+        match run.get(b"i", ts_max, NeighborPolicy::Required).unwrap() {
+            LevelOutcome::Miss { left, right } => {
                 assert_eq!(left, Some(head.clone()));
                 assert_eq!(&right.unwrap().key[..], b"next");
             }
-            TableGet::Hit(_) => panic!("expected miss"),
+            other => panic!("expected miss: {other:?}"),
         }
-        let run = crate::version::Run::new(vec![Arc::new(reader)]);
         assert_eq!(run.neighbor_below(b"next", ts_max).unwrap(), Some(head.clone()));
         assert_eq!(run.neighbor_below(b"zz", ts_max).unwrap().unwrap().key, &b"next"[..]);
         assert_eq!(run.neighbor_above(b"a", ts_max).unwrap(), Some(head));
@@ -950,10 +853,11 @@ mod tests {
             ..EnvConfig::default()
         });
         let reader = build_table(&env, &fs, &sample_records());
-        match reader.get(b"k0042", u64::MAX >> 1, NeighborPolicy::Required).unwrap() {
-            TableGet::Hit(r) => assert_eq!(&r.value[..], b"v42"),
-            _ => panic!("sealed table must still serve reads"),
-        }
+        let r = reader
+            .get(b"k0042", u64::MAX >> 1)
+            .unwrap()
+            .expect("sealed table must still serve reads");
+        assert_eq!(&r.value[..], b"v42");
     }
 
     #[test]
@@ -962,10 +866,8 @@ mod tests {
             test_env(EnvConfig { use_mmap: true, block_cache_bytes: 0, ..EnvConfig::default() });
         let reader = build_table(&env, &fs, &sample_records());
         let ocalls_before = env.platform().stats().ocalls;
-        match reader.get(b"k0042", u64::MAX >> 1, NeighborPolicy::Required).unwrap() {
-            TableGet::Hit(r) => assert_eq!(&r.value[..], b"v42"),
-            _ => panic!("mmap table must serve reads"),
-        }
+        let r = reader.get(b"k0042", u64::MAX >> 1).unwrap().expect("mmap table must serve reads");
+        assert_eq!(&r.value[..], b"v42");
         assert_eq!(env.platform().stats().ocalls, ocalls_before, "mmap read has no OCall");
     }
 
@@ -974,7 +876,7 @@ mod tests {
         let (env, fs) = test_env(EnvConfig::default());
         let reader = build_table(&env, &fs, &sample_records());
         let before = env.platform().stats().enclave_copy_bytes;
-        let _ = reader.get(b"absent-key", u64::MAX >> 1, NeighborPolicy::Required).unwrap();
+        let _ = reader.get(b"absent-key", u64::MAX >> 1).unwrap();
         assert!(
             env.platform().stats().enclave_copy_bytes > before,
             "probe must touch enclave metadata"
@@ -1068,14 +970,12 @@ mod tests {
         let empty = BlockBuilder::new().finish();
         let file = assemble(&fs, "emptyblock.sst", &[empty], &[(last.encoded(), 0)], (b"b", b"d"));
         let hollow = Arc::new(TableReader::open(env.clone(), file, 2).unwrap());
-        assert!(hollow.first_record().is_err());
-        assert!(hollow.last_key_newest().is_err());
-        for key in [&b"a"[..], b"b", b"c", b"d", b"e"] {
-            let got = hollow.get(key, ts_max, NeighborPolicy::Required).unwrap();
-            assert_eq!(got, TableGet::Miss { left: None, right: None }, "{key:?}");
-        }
         assert!(hollow.range(b"a", b"z").unwrap().is_empty());
         let run = crate::version::Run::new(vec![hollow]);
+        for key in [&b"a"[..], b"b", b"c", b"d", b"e"] {
+            let got = run.get(key, ts_max, NeighborPolicy::Required).unwrap();
+            assert_eq!(got, LevelOutcome::Miss { left: None, right: None }, "{key:?}");
+        }
         assert_eq!(run.neighbor_below(b"z", ts_max).unwrap(), None);
         assert_eq!(run.neighbor_above(b"a", ts_max).unwrap(), None);
 
@@ -1083,21 +983,17 @@ mod tests {
         let index = [(last.encoded(), 0)];
         let file = assemble(&fs, "liar.sst", &[block_of(&recs)], &index, (b"b", b"x"));
         let liar = Arc::new(TableReader::open(env.clone(), file, 3).unwrap());
-        assert!(liar.last_key_newest().is_err());
-        assert_eq!(liar.first_record().unwrap(), recs[0]);
-        match liar.get(b"x", ts_max, NeighborPolicy::Required).unwrap() {
-            TableGet::Miss { left, right } => {
-                assert_eq!((left, right), (Some(recs[1].clone()), None))
-            }
-            TableGet::Hit(_) => panic!("x is not in the table"),
-        }
+        assert_eq!(liar.get(b"x", ts_max).unwrap(), None, "x is not in the table");
         assert_eq!(liar.range(b"c", b"z").unwrap(), vec![recs[1].clone()]);
         let run = crate::version::Run::new(vec![liar]);
         assert_eq!(run.neighbor_below(b"x", ts_max).unwrap(), Some(recs[1].clone()));
-        assert!(matches!(
-            run.get(b"w", ts_max, NeighborPolicy::Required).unwrap(),
-            TableGet::Miss { left: Some(_), right: None }
-        ));
+        for key in [&b"w"[..], b"x"] {
+            assert_eq!(
+                run.get(key, ts_max, NeighborPolicy::Required).unwrap(),
+                LevelOutcome::Miss { left: Some(recs[1].clone()), right: None },
+                "{key:?}"
+            );
+        }
     }
 
     #[test]

@@ -18,7 +18,7 @@ use sim_disk::FsError;
 
 use crate::memtable::MemTable;
 use crate::record::{Record, RecordView, Timestamp};
-use crate::sstable::{NeighborPolicy, TableGet, TableReader};
+use crate::sstable::{NeighborPolicy, TableReader};
 
 /// One sorted run: non-overlapping tables in ascending key order.
 #[derive(Debug)]
@@ -118,12 +118,14 @@ impl Run {
         Ok(None)
     }
 
-    /// Point lookup across the run with cross-file neighbor resolution.
+    /// Point lookup across the run: a hit from the table covering `key`,
+    /// else a miss with its bounding neighbors.
     ///
-    /// With [`NeighborPolicy::Skip`] a miss returns no bounding neighbors
-    /// and performs no extra IO to find them — the unauthenticated fast
-    /// path. [`NeighborPolicy::Required`] resolves both neighbors (eLSM's
-    /// non-membership proof material).
+    /// With [`NeighborPolicy::Skip`] a miss returns no neighbors and
+    /// performs no IO to find them — the unauthenticated fast path.
+    /// [`NeighborPolicy::Required`] resolves both, across files, exactly as
+    /// a traced scan resolves its boundaries (eLSM's non-membership proof
+    /// material).
     ///
     /// # Errors
     ///
@@ -133,33 +135,19 @@ impl Run {
         key: &[u8],
         ts_q: Timestamp,
         neighbors: NeighborPolicy,
-    ) -> Result<TableGet, FsError> {
-        match self.covering_table(key) {
-            Some(idx) => match self.tables[idx].get(key, ts_q, neighbors)? {
-                TableGet::Hit(r) => Ok(TableGet::Hit(r)),
-                TableGet::Miss { left, right } => {
-                    if neighbors == NeighborPolicy::Skip {
-                        return Ok(TableGet::Miss { left: None, right: None });
-                    }
-                    let left = match left {
-                        Some(l) => Some(l),
-                        None => self.neighbor_below(key, ts_q)?,
-                    };
-                    let right = match right {
-                        Some(r) => Some(r),
-                        None => self.neighbor_above(key, ts_q)?,
-                    };
-                    Ok(TableGet::Miss { left, right })
-                }
-            },
-            None if neighbors == NeighborPolicy::Skip => {
-                Ok(TableGet::Miss { left: None, right: None })
+    ) -> Result<LevelOutcome, FsError> {
+        if let Some(idx) = self.covering_table(key) {
+            if let Some(record) = self.tables[idx].get(key, ts_q)? {
+                return Ok(LevelOutcome::Hit(record));
             }
-            None => Ok(TableGet::Miss {
+        }
+        Ok(match neighbors {
+            NeighborPolicy::Skip => LevelOutcome::Miss { left: None, right: None },
+            NeighborPolicy::Required => LevelOutcome::Miss {
                 left: self.neighbor_below(key, ts_q)?,
                 right: self.neighbor_above(key, ts_q)?,
-            }),
-        }
+            },
+        })
     }
 
     /// All records (every version) with user key in `[from, to]`.
@@ -193,13 +181,6 @@ impl Run {
             }
         }
         Ok(())
-    }
-
-    /// Releases enclave metadata held by the run's tables.
-    pub fn close(&self) {
-        for t in &self.tables {
-            t.close();
-        }
     }
 }
 
@@ -304,9 +285,20 @@ pub struct GetTrace {
     /// Per-level outcomes, in search order. Search stops at the first hit
     /// (the paper's early-stop, §5.3).
     pub levels: Vec<LevelSearch>,
-    /// The record that answers the query (newest visible), if any;
-    /// tombstones appear here and are interpreted by the caller.
-    pub result: Option<Record>,
+}
+
+impl GetTrace {
+    /// The record that answers the query (newest visible), if any: the
+    /// memtable's, else the hit level's. A tombstone is an answer too; the
+    /// caller reads it as absent.
+    pub fn answer(&self) -> Option<&Record> {
+        self.memtable.as_ref().or_else(|| {
+            self.levels.iter().find_map(|search| match &search.outcome {
+                LevelOutcome::Hit(record) => Some(record),
+                _ => None,
+            })
+        })
+    }
 }
 
 /// One level's slice of a traced SCAN.
@@ -335,6 +327,18 @@ pub struct ScanTrace {
     /// Per-level slices, every level included (no early stop for ranges —
     /// §5.4: "it iterates through all levels").
     pub levels: Vec<LevelRange>,
-    /// Merged, newest-version-wins, tombstone-filtered result.
-    pub merged: Vec<Record>,
+}
+
+impl ScanTrace {
+    /// The scan's result: of everything the trace presents, the newest
+    /// version of each key, tombstones (and the keys they hide) left out,
+    /// in key order.
+    pub fn merged(&self) -> Vec<&Record> {
+        let mut all: Vec<&Record> =
+            self.memtable.iter().chain(self.levels.iter().flat_map(|l| &l.records)).collect();
+        all.sort_by(|a, b| a.key.cmp(&b.key).then(b.ts.cmp(&a.ts)));
+        all.dedup_by(|later, first| later.key == first.key);
+        all.retain(|r| r.kind.is_value());
+        all
+    }
 }

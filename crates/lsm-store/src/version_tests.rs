@@ -7,8 +7,8 @@ use std::sync::Arc;
 
 use crate::env::{EnvConfig, StorageEnv};
 use crate::record::{Record, Timestamp};
-use crate::sstable::{NeighborPolicy, TableBuilder, TableGet, TableOptions, TableReader};
-use crate::version::Run;
+use crate::sstable::{NeighborPolicy, TableBuilder, TableOptions, TableReader};
+use crate::version::{LevelOutcome, Run};
 use sgx_sim::Platform;
 use sim_disk::{SimDisk, SimFs};
 
@@ -48,7 +48,7 @@ fn get_hits_in_every_file() {
     let run = three_file_run();
     for k in [b'a', b'h', b'i', b'p', b'q', b'x'] {
         match run.get(&[k], TS, NeighborPolicy::Required).unwrap() {
-            TableGet::Hit(r) => assert_eq!(r.key[0], k),
+            LevelOutcome::Hit(r) => assert_eq!(r.key[0], k),
             other => panic!("expected hit for {}: {other:?}", k as char),
         }
     }
@@ -61,7 +61,7 @@ fn neighbors_cross_file_boundaries() {
     // deleting nothing — keys are contiguous, so probe before 'a' and
     // after 'x' instead, plus the synthetic key "h\x01" between files.
     match run.get(b"h\x01", TS, NeighborPolicy::Required).unwrap() {
-        TableGet::Miss { left, right } => {
+        LevelOutcome::Miss { left, right } => {
             assert_eq!(&left.unwrap().key[..], b"h", "left neighbor from file 1");
             assert_eq!(&right.unwrap().key[..], b"i", "right neighbor from file 2");
         }
@@ -73,16 +73,78 @@ fn neighbors_cross_file_boundaries() {
 fn boundary_misses_have_one_sided_neighbors() {
     let run = three_file_run();
     match run.get(b"A", TS, NeighborPolicy::Required).unwrap() {
-        TableGet::Miss { left, right } => {
+        LevelOutcome::Miss { left, right } => {
             assert!(left.is_none());
             assert_eq!(&right.unwrap().key[..], b"a");
         }
         other => panic!("{other:?}"),
     }
     match run.get(b"z", TS, NeighborPolicy::Required).unwrap() {
-        TableGet::Miss { left, right } => {
+        LevelOutcome::Miss { left, right } => {
             assert_eq!(&left.unwrap().key[..], b"x");
             assert!(right.is_none());
+        }
+        other => panic!("{other:?}"),
+    }
+}
+
+/// `Run::get(.., Required)` as it read while a table answered a miss with
+/// its own neighbours and the run patched the `None`s — kept as the oracle
+/// for the run finding both neighbours itself.
+fn get_as_patched_table_miss(run: &Run, key: &[u8], ts_q: Timestamp) -> LevelOutcome {
+    let tables = run.tables();
+    let idx = tables.partition_point(|t| &t.meta().largest[..] < key);
+    let covering = (idx < tables.len() && &tables[idx].meta().smallest[..] <= key).then_some(idx);
+    match covering {
+        Some(idx) => match tables[idx].get(key, ts_q).unwrap() {
+            Some(r) => LevelOutcome::Hit(r),
+            None => {
+                let left = tables[idx].newest_before(key, ts_q).unwrap();
+                let right = tables[idx].newest_after(key, ts_q).unwrap();
+                let left = match left {
+                    Some(l) => Some(l),
+                    None => run.neighbor_below(key, ts_q).unwrap(),
+                };
+                let right = match right {
+                    Some(r) => Some(r),
+                    None => run.neighbor_above(key, ts_q).unwrap(),
+                };
+                LevelOutcome::Miss { left, right }
+            }
+        },
+        None => LevelOutcome::Miss {
+            left: run.neighbor_below(key, ts_q).unwrap(),
+            right: run.neighbor_above(key, ts_q).unwrap(),
+        },
+    }
+}
+
+/// Every key of the run and every gap — before the first key, between
+/// neighbouring keys within a file and across files, after the last — at
+/// the latest timestamp and at snapshots that hide whole files.
+#[test]
+fn run_finds_the_neighbors_a_patched_table_miss_found() {
+    let run = three_file_run();
+    let mut probes: Vec<Vec<u8>> = vec![b"A".to_vec()];
+    for k in b'a'..=b'x' {
+        probes.push(vec![k]);
+        probes.push(vec![k, 1]);
+    }
+    for ts_q in [TS, 305, 250, 150, 103, 50] {
+        for key in &probes {
+            let got = run.get(key, ts_q, NeighborPolicy::Required).unwrap();
+            assert_eq!(got, get_as_patched_table_miss(&run, key, ts_q), "{key:?} at {ts_q}");
+            if ts_q == TS {
+                let is_key = key.len() == 1 && key[0] >= b'a';
+                assert_eq!(matches!(got, LevelOutcome::Hit(_)), is_key, "{key:?}");
+            }
+        }
+    }
+    // A snapshot from before files 2 and 3 were written: file 1's last key
+    // below, nothing above.
+    match run.get(b"j\x01", 150, NeighborPolicy::Required).unwrap() {
+        LevelOutcome::Miss { left, right } => {
+            assert_eq!((left.map(|r| r.key[0]), right), (Some(b'h'), None));
         }
         other => panic!("{other:?}"),
     }

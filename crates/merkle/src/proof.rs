@@ -341,11 +341,6 @@ impl<'a> RecordProofRef<'a> {
         self.link_position
     }
 
-    /// Number of sibling digests in the audit path.
-    pub fn audit_path_len(&self) -> usize {
-        self.audit_path.len() / 32
-    }
-
     fn siblings(&self) -> impl Iterator<Item = Digest> + 'a {
         self.audit_path
             .chunks_exact(32)

@@ -184,4 +184,19 @@ mod tests {
         shipped.pop();
         assert!(decode_event(&shipped).is_none(), "truncated gc job must reject");
     }
+
+    /// A level count of 2^61 in a shipped job: its byte length overflows,
+    /// which used to panic the replica (debug: the multiplication, release:
+    /// the reservation) instead of rejecting the shipment.
+    #[test]
+    fn overflowing_job_counts_rejected() {
+        let job = CompactionJob { input_levels: vec![], output_level: 2, purge: false };
+        let gc = VlogGcJob { job: job.clone(), rewrite_files: vec![] };
+        for event in [WireEvent::Compact(job), WireEvent::VlogGc(gc)] {
+            let mut shipped = encode_event(1, TraceContext::NONE, &event);
+            // The job's level count sits 16 bytes into the body.
+            shipped[25 + 16..25 + 24].copy_from_slice(&(1u64 << 61).to_le_bytes());
+            assert!(decode_event(&shipped).is_none(), "{event:?}");
+        }
+    }
 }

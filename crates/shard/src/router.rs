@@ -20,7 +20,7 @@
 use std::sync::Arc;
 
 use elsm::{AuthenticatedKv, ElsmError, ElsmP2, OpSpans, P2Options, TrustedState};
-use elsm::{VerificationFailure, VerifiedRecord, WRONG_SHARD_UNSHARDED};
+use elsm::{VerificationFailure, Verified, VerifiedRecord, WRONG_SHARD_UNSHARDED};
 use elsm_replica::{ReplicationGroup, ReplicationOptions};
 use lsm_store::{GetTrace, ScanTrace, Timestamp};
 use sgx_sim::Platform;
@@ -101,11 +101,6 @@ impl ShardedTrustedState {
         self.partitioner.shard_of(key)
     }
 
-    /// Shard `i`'s enclave state.
-    pub fn shard_state(&self, shard: usize) -> &Arc<TrustedState> {
-        &self.shards[shard]
-    }
-
     /// Checks that `key` is owned by `shard` — the core anti-swap rule:
     /// a record (or an absence claim) presented by a shard that does not
     /// own its key is a routed-answer forgery however well it verifies
@@ -129,21 +124,22 @@ impl ShardedTrustedState {
 
     /// Verifies a routed GET answer: the claimed shard must own the key,
     /// and the trace must verify against that shard's commitment
-    /// snapshots. This is the entry the adversary suite drives; the
-    /// honest router routes by the same partitioner, so the first check
-    /// only fires when the host substituted another shard's answer.
+    /// snapshots; hands back the answer that shard's verifier hands back.
+    /// This is the entry the adversary suite drives; the honest router
+    /// routes by the same partitioner, so the first check only fires when
+    /// the host substituted another shard's answer.
     ///
     /// # Errors
     ///
     /// Returns the [`VerificationFailure`] naming the detected attack.
-    pub fn verify_routed_get(
+    pub fn verify_routed_get<'t>(
         &self,
         key: &[u8],
         claimed_shard: usize,
-        trace: &GetTrace,
-    ) -> Result<(), VerificationFailure> {
+        trace: &'t GetTrace,
+    ) -> Result<Option<Verified<'t>>, VerificationFailure> {
         self.check_owned(claimed_shard, key)?;
-        let verdict = self.shards[claimed_shard].verify_get(key, trace).map(|_| ());
+        let verdict = self.shards[claimed_shard].verify_get(key, trace);
         if let Err(failure) = &verdict {
             self.audit_failure(failure, claimed_shard as u32);
         }
@@ -432,24 +428,26 @@ impl ShardedKv {
     }
 
     /// Verifies a routed SCAN answer segment claimed to come from
-    /// `claimed_shard`: every record in the trace's merged output must be
-    /// owned by that shard, and the trace must verify against that
-    /// shard's commitments and digest trees. Adversary-suite entry point.
+    /// `claimed_shard`: the trace must verify against that shard's
+    /// commitments and digest trees, and every record of the result its
+    /// verifier hands back — the segment the stitcher would take — must be
+    /// owned by that shard. Adversary-suite entry point.
     ///
     /// # Errors
     ///
     /// Returns the [`VerificationFailure`] naming the detected attack.
-    pub fn verify_routed_scan(
+    pub fn verify_routed_scan<'t>(
         &self,
         from: &[u8],
         to: &[u8],
         claimed_shard: usize,
-        trace: &ScanTrace,
-    ) -> Result<(), VerificationFailure> {
-        for record in &trace.merged {
-            self.trusted.check_owned(claimed_shard, &record.key)?;
+        trace: &'t ScanTrace,
+    ) -> Result<Vec<Verified<'t>>, VerificationFailure> {
+        let segment = self.shards[claimed_shard].store.verify_scan_trace(from, to, trace)?;
+        for verified in &segment {
+            self.trusted.check_owned(claimed_shard, &verified.record.key)?;
         }
-        self.shards[claimed_shard].store.verify_scan_trace(from, to, trace)
+        Ok(segment)
     }
 
     /// Stitches per-shard verified scan segments into one totally-ordered

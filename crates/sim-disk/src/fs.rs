@@ -342,14 +342,6 @@ impl SimFs {
         self.files.read().values().map(|f| f.len() as u64).sum()
     }
 
-    /// Warms every file (the §6.1 dataset scan), subject to the cache limit.
-    pub fn warm_all(&self) {
-        let files: Vec<_> = self.files.read().values().cloned().collect();
-        for f in files {
-            f.warm();
-        }
-    }
-
     /// The platform used for charging.
     pub fn platform(&self) -> &Arc<Platform> {
         &self.inner.platform

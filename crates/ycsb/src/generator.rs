@@ -22,7 +22,6 @@ pub struct Zipfian {
     alpha: f64,
     zetan: f64,
     eta: f64,
-    zeta2theta: f64,
 }
 
 impl Zipfian {
@@ -42,7 +41,6 @@ impl Zipfian {
             alpha: 1.0 / (1.0 - theta),
             zetan,
             eta: (1.0 - (2.0 / n as f64).powf(1.0 - theta)) / (1.0 - zeta2theta / zetan),
-            zeta2theta,
         }
     }
 
@@ -80,11 +78,6 @@ impl Zipfian {
     /// Number of items.
     pub fn n(&self) -> u64 {
         self.n
-    }
-
-    /// The zeta(2, θ) constant (exposed for tests).
-    pub fn zeta2(&self) -> f64 {
-        self.zeta2theta
     }
 }
 

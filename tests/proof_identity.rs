@@ -384,9 +384,11 @@ const GOLDEN_DIGEST_ROOTS: [&str; 3] = [
 
 /// Trusted-state hygiene: crowns are derived state. For one fixed history
 /// the dataset digest, the snapshot digest, the signed replication
-/// announcement and the sealed `ENCLAVE_STATE` bytes are what they were at
-/// the commit before the enclave kept crowns (captured there) — a crown
-/// enters no digest and is never sealed.
+/// announcement are what they were at the commit before the enclave kept
+/// crowns (captured there) — a crown enters no digest and is never sealed.
+/// The sealed `ENCLAVE_STATE` is those bytes plus the 32-byte `wal_base`
+/// that recovery folds the logs from (re-captured when it was added; no
+/// other line moved).
 #[test]
 fn golden_trusted_state_is_unmoved_by_crowns() {
     use elsm_repro::elsm::{Announcement, SessionKey};
@@ -435,9 +437,11 @@ fn golden_trusted_state_is_unmoved_by_crowns() {
     // every maintenance path — flushes, a leveled compaction wave down to
     // the purging bottom level, value separation with a value-log GC, a
     // tiered run, and a replica replaying the primary's job stream — and
-    // every file either node leaves behind, the sealed state and a signed
-    // announcement are what they were at the commit before the merge
-    // pipeline streamed borrowed records (captured there).
+    // every file either node leaves behind and a signed announcement are
+    // what they were at the commit before the merge pipeline streamed
+    // borrowed records (captured there). `ENCLAVE_STATE` — and with it the
+    // two listing hashes — was re-captured when `wal_base` joined it
+    // (+32 B); every other line of both listings was diffed identical.
     assert_eq!(pipeline_fingerprint(), GOLDEN_PIPELINE);
 }
 
@@ -559,9 +563,9 @@ const GOLDEN_PIPELINE: [&str; 6] = [
     "epoch 152",
     "dataset 2ba7522c690256572766b340e44a54a569ced0ab6e9ffca9baf6bb1cf57d4273",
     "announcement 193b1dc4a2cd55c6d203675c562e361b1ecddd1ee162b8c8dd579fce32e8322b",
-    "files 22 4eaed17e6a65c0086b8ed7074415e4639703f4bbc851b613141f77b606b03e48",
-    "ENCLAVE_STATE 260 7d556296348dd577781c78cf87efe140ee6a6abd91c2b6f5f4591deb1cd4b48a",
-    "tiered files 16 6b43e698dedb8b6020190e584d5bcb6b749910ecc8c6b3c6c513a8ca08ec1e37",
+    "files 22 6446f151a914e4e9cafa71b1698c1c52ed9bd6779603ff6c96c0845ab2038b9e",
+    "ENCLAVE_STATE 292 dd4d3e9eb358c69aac7b4dc72c3c93180979ccffebb10cdc687ffb1cbe035d07",
+    "tiered files 16 81b9b29021c6be71acdaa22f18f6e53d0c99a7b0bbc5881e84fb1bef15ed9ad7",
 ];
 
 const GOLDEN_TRUSTED_STATE: [&str; 5] = [
@@ -569,5 +573,5 @@ const GOLDEN_TRUSTED_STATE: [&str; 5] = [
     "dataset ad35d9f7007566cda9ec72ff688beeecf78ee66225050e44c643942654bc167f",
     "snapshot b22f147d1f68ebd23170d76a1ea810201e15ecd579ab3bf06f4f4a39b8819c43",
     "announcement df832657f793f8805f7f104c7972f583312cd7c043a0a08a1c2b677938110f15",
-    "sealed 436 0b3775f3d4503ccdb12ccab20239236ee2bf3363a784e84641c7a911e7124f42",
+    "sealed 468 87a196d4158b483e698851d7134fe581b19864364ea933dad8570170ff7eebc6",
 ];

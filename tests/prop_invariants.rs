@@ -606,3 +606,132 @@ proptest! {
         }
     }
 }
+
+/// One account of a read: the answer the verifier hands back is the
+/// record of the trace it checked — the same one `GetTrace::answer` /
+/// `ScanTrace::merged` name, which the unauthenticated store serves — and
+/// is the model's. Differential, seeded, over a store in every state a
+/// read can meet at once: a live memtable, a frozen memtable (a flush
+/// whose merge failed and was left pending), three levels, overwrites and
+/// tombstones in all of them.
+#[test]
+fn verified_answer_is_the_traces_and_the_models() {
+    use elsm_repro::elsm::envelope::{open, wrap_plain};
+    use elsm_repro::elsm::{AuthenticatedKv, ElsmP2, P2Options};
+    use elsm_repro::lsm_store::Record;
+    use elsm_repro::sgx_sim::Platform;
+    use std::collections::BTreeMap;
+
+    let mut seed = 0xe15a_2023_u64;
+    let mut next = move |bound: u64| {
+        seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+        (seed >> 33) % bound
+    };
+    let key = |n: u64| format!("key{n:04}").into_bytes();
+    let store = ElsmP2::open(
+        Platform::with_defaults(),
+        P2Options {
+            write_buffer_bytes: 4 * 1024,
+            level1_max_bytes: 8 * 1024,
+            level_multiplier: 4,
+            max_levels: 4,
+            ..P2Options::default()
+        },
+    )
+    .unwrap();
+    // `None` is a deleted key (its tombstone may or may not still be in
+    // the store); a key never written is not in the model.
+    let mut model: BTreeMap<Vec<u8>, Option<Vec<u8>>> = BTreeMap::new();
+    for i in 0..1400u64 {
+        let k = key(next(400));
+        if next(6) == 0 {
+            store.delete(&k).unwrap();
+            model.insert(k, None);
+        } else {
+            let v = format!("v{i}").into_bytes();
+            store.put(&k, &v).unwrap();
+            model.insert(k, Some(v));
+        }
+    }
+    store.db().flush().unwrap();
+    let records = store.db().level_records();
+    assert!(records[1..].iter().filter(|&&n| n > 0).count() >= 2, "levels: {records:?}");
+    assert!(records[1] > 0, "the next flush must merge into level 1: {records:?}");
+
+    // Freeze a memtable and fail its merge: level 1's first block stops
+    // decoding while the flush reads it, and decodes again afterwards.
+    for i in 0..30u64 {
+        let k = key(next(400));
+        if i % 5 == 0 {
+            store.delete(&k).unwrap();
+            model.insert(k, None);
+        } else {
+            store.put(&k, b"frozen").unwrap();
+            model.insert(k, Some(b"frozen".to_vec()));
+        }
+    }
+    let version = store.db().current_version();
+    let file_no = version.level(1).unwrap().tables()[0].meta().file_no;
+    let table = store.fs().open(&format!("{file_no:06}.sst")).unwrap();
+    table.corrupt(0, 0x05);
+    assert!(store.db().flush().is_err());
+    table.corrupt(0, 0x05);
+    assert!(store.db().current_version().imm().is_some(), "the frozen memtable stays");
+    // The enclave refuses service after a failed merge; the store below
+    // still takes writes (as from a replica's stream), and the verifier
+    // still verifies.
+    for i in 0..30u64 {
+        let k = key(next(400));
+        if i % 5 == 0 {
+            store.db().delete(&k).unwrap();
+            model.insert(k, None);
+        } else {
+            store.db().put(&k, &wrap_plain(b"live")).unwrap();
+            model.insert(k, Some(b"live".to_vec()));
+        }
+    }
+
+    let bare = |r: &Record| open(&r.value).unwrap().value.to_vec();
+    let (mut from_memtable, mut from_levels, mut tombstones, mut absent) = (0, 0, 0, 0);
+    for _ in 0..1000 {
+        let k = key(next(440));
+        let trace = store.raw_get_trace(&k).unwrap();
+        let verified = store.verify_get_trace(&k, &trace).expect("an honest trace");
+        assert_eq!(verified.as_ref().map(|v| v.record), trace.answer(), "{k:?}");
+        let got = verified.as_ref().map(|v| v.record.kind.is_value().then(|| v.value().to_vec()));
+        assert_eq!(got.clone().flatten(), model.get(&k).cloned().flatten(), "{k:?}");
+        // ... and the store underneath serves that same record.
+        let plain = store.db().get(&k).unwrap().map(|r| bare(&r));
+        assert_eq!(plain, got.clone().flatten(), "{k:?}");
+        match (&got, trace.memtable.is_some()) {
+            (None, _) => absent += 1,
+            (Some(None), _) => tombstones += 1,
+            (Some(Some(_)), true) => from_memtable += 1,
+            (Some(Some(_)), false) => from_levels += 1,
+        }
+    }
+    assert!(from_memtable > 20 && from_levels > 300 && tombstones > 50 && absent > 20);
+
+    for _ in 0..200 {
+        let lo = next(430);
+        let (from, to) = (key(lo), key(lo + next(25)));
+        let trace = store.raw_scan_trace(&from, &to).unwrap();
+        let verified = store.verify_scan_trace(&from, &to, &trace).expect("an honest trace");
+        assert_eq!(verified.iter().map(|v| v.record).collect::<Vec<_>>(), trace.merged());
+        let got: Vec<(Vec<u8>, Vec<u8>)> =
+            verified.iter().map(|v| (v.record.key.to_vec(), v.value().to_vec())).collect();
+        let expect: Vec<(Vec<u8>, Vec<u8>)> = model
+            .range(from.clone()..=to.clone())
+            .filter_map(|(k, v)| v.clone().map(|v| (k.clone(), v)))
+            .collect();
+        assert_eq!(got, expect, "{from:?}..={to:?}");
+        let plain: Vec<(Vec<u8>, Vec<u8>)> = store
+            .db()
+            .scan(&from, &to)
+            .unwrap()
+            .iter()
+            .map(|r| (r.key.to_vec(), bare(r)))
+            .collect();
+        assert_eq!(plain, expect);
+    }
+}

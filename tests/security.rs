@@ -314,16 +314,353 @@ fn wal_corruption_truncates_but_never_fabricates() {
     // Corrupt the WAL tail.
     let wal = fs.list().into_iter().find(|n| n.starts_with("wal-")).unwrap();
     let f = fs.open(&wal).unwrap();
-    if f.len() > 10 {
-        f.corrupt(f.len() - 5, 0xff);
+    assert!(f.len() > 10);
+    f.corrupt(f.len() - 5, 0xff);
+    // The store underneath truncates the log at the broken frame, as it
+    // does after a crash. The enclave sealed a digest over all ten frames
+    // at the clean close: a log that replays to anything else is refused,
+    // not served shorter.
+    match ElsmP2::open_with(platform, fs, opts(), None) {
+        Err(ElsmError::Verification(VerificationFailure::WalMismatch)) => {}
+        other => panic!("a log altered after a clean close must be refused, got {other:?}"),
     }
-    let store = ElsmP2::open_with(platform, fs, opts(), None).unwrap();
-    // Recovered data is a prefix of what was written: values correct or
-    // absent, never wrong.
-    for i in 0..10 {
-        if let Some(rec) = store.get(format!("k{i}").as_bytes()).unwrap() {
-            assert_eq!(rec.value(), format!("v{i}").as_bytes());
+}
+
+mod wal_replay {
+    //! The memtable a restart serves from is rebuilt from logs the host
+    //! keeps. The enclave sealed the WAL digest (and the chain value the
+    //! oldest live log started from) at the clean close; recovery folds
+    //! what the host presents and refuses anything that does not arrive
+    //! there.
+
+    use super::*;
+    use elsm_repro::elsm::envelope::wrap_plain;
+    use elsm_repro::lsm_store::{encode_frame, Record};
+    use elsm_repro::telemetry::Telemetry;
+    use std::sync::Arc;
+
+    /// Twelve puts, one frame each, cleanly closed. Returns the one live
+    /// log's name and its frames.
+    fn closed_store() -> (Arc<Platform>, Arc<SimFs>, String, Vec<Vec<u8>>) {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let store = ElsmP2::open_with(platform.clone(), fs.clone(), opts(), None).unwrap();
+        store.put(b"balance", b"10").unwrap();
+        for i in 0..11 {
+            store.put(format!("k{i:02}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
         }
+        store.close().unwrap();
+        let logs: Vec<String> = fs.list().into_iter().filter(|n| n.starts_with("wal-")).collect();
+        assert_eq!(logs.len(), 1, "nothing flushed: {logs:?}");
+        let file = fs.open(&logs[0]).unwrap();
+        let bytes = file.peek(0, file.len()).unwrap();
+        let mut frames = Vec::new();
+        let mut at = 0;
+        while at < bytes.len() {
+            let len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
+            frames.push(bytes[at..at + 8 + len].to_vec());
+            at += 8 + len;
+        }
+        assert_eq!(frames.len(), 12);
+        (platform, fs, logs[0].clone(), frames)
+    }
+
+    fn rewrite(fs: &SimFs, log: &str, bytes: &[u8]) {
+        fs.delete(log).unwrap();
+        fs.create(log).unwrap().append(bytes);
+    }
+
+    fn assert_refused(platform: Arc<Platform>, fs: Arc<SimFs>, what: &str) {
+        let registry = Telemetry::new();
+        let options = P2Options { telemetry: registry.clone(), ..opts() };
+        match ElsmP2::open_with(platform, fs, options, None) {
+            Err(ElsmError::Verification(VerificationFailure::WalMismatch)) => {}
+            other => panic!("{what}: the restart must be refused, got {other:?}"),
+        }
+        assert_eq!(registry.audit_count("WalMismatch"), 1, "{what}: refusal must be audited");
+    }
+
+    /// The whole log replaced by one frame the host made with the store's
+    /// own (public, keyless) frame encoder: CRC-valid, and not the log.
+    #[test]
+    fn a_forged_log_is_refused_at_open() {
+        let (platform, fs, log, _) = closed_store();
+        let forged = Record::put(b"balance".as_slice(), wrap_plain(b"1000000"), 13);
+        rewrite(&fs, &log, &encode_frame(&[forged]));
+        assert_refused(platform, fs, "forged log");
+    }
+
+    #[test]
+    fn a_frame_forged_beside_the_honest_ones_is_refused() {
+        let (platform, fs, log, frames) = closed_store();
+        let forged = Record::put(b"balance".as_slice(), wrap_plain(b"1000000"), 13);
+        rewrite(&fs, &log, &[frames.concat(), encode_frame(&[forged])].concat());
+        assert_refused(platform.clone(), fs.clone(), "appended frame");
+        // ... also when its value is no envelope at all (nothing enters
+        // the memtable without moving the digest).
+        let raw = Record::put(b"balance".as_slice(), b"\x07raw".as_slice(), 13);
+        rewrite(&fs, &log, &[frames.concat(), encode_frame(&[raw])].concat());
+        assert_refused(platform, fs, "appended frame without an envelope");
+    }
+
+    #[test]
+    fn a_dropped_last_frame_is_refused() {
+        let (platform, fs, log, frames) = closed_store();
+        rewrite(&fs, &log, &frames[..11].concat());
+        assert_refused(platform, fs, "dropped last frame");
+    }
+
+    #[test]
+    fn a_reordered_pair_of_frames_is_refused() {
+        let (platform, fs, log, mut frames) = closed_store();
+        frames.swap(4, 5);
+        rewrite(&fs, &log, &frames.concat());
+        assert_refused(platform, fs, "reordered frames");
+    }
+
+    #[test]
+    fn a_truncated_tail_is_refused() {
+        let (platform, fs, log, frames) = closed_store();
+        let bytes = frames.concat();
+        rewrite(&fs, &log, &bytes[..bytes.len() - 3]);
+        assert_refused(platform, fs, "truncated tail");
+    }
+
+    /// The honest side: whatever the flushes did to the logs in between —
+    /// rotations, deletions, a restart's own replay — a clean close seals
+    /// a base and a digest the surviving logs fold between, generation
+    /// after generation.
+    #[test]
+    fn honest_restarts_reopen_across_flushes() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let mut model: std::collections::BTreeMap<Vec<u8>, Vec<u8>> = Default::default();
+        for generation in 0..3u32 {
+            let store = ElsmP2::open_with(platform.clone(), fs.clone(), opts(), None).unwrap();
+            for (key, value) in &model {
+                assert_eq!(store.get(key).unwrap().expect("present").value(), &value[..]);
+            }
+            let flushes = store.db().stats().flushes;
+            for i in 0..507u32 {
+                let key = format!("key{:04}", (i * 7 + generation) % 300).into_bytes();
+                let value = format!("g{generation}-{i}").into_bytes();
+                store.put(&key, &value).unwrap();
+                model.insert(key, value);
+            }
+            assert!(store.db().stats().flushes >= flushes + 3, "the run must cross flushes");
+            assert!(store.db().level_records()[0] > 0, "and leave writes in the memtable");
+            store.close().unwrap();
+        }
+        let store = ElsmP2::open_with(platform, fs, opts(), None).unwrap();
+        for (key, value) in &model {
+            assert_eq!(store.get(key).unwrap().expect("present").value(), &value[..]);
+        }
+        assert!(model.keys().any(|k| store.raw_get_trace(k).unwrap().memtable.is_some()));
+    }
+}
+
+mod answer_is_verified {
+    //! What a read returns is what the verifier checked: its answer is a
+    //! view of the record in the trace it was handed, so a trace cannot
+    //! verify as one record and be served as another. Every mutator of
+    //! `elsm::adversary`, applied to honest traces of a store with three
+    //! levels, a memtable, overwrites and tombstones, either fails
+    //! verification or leaves the model's answer — never `Ok` with
+    //! anything else.
+
+    use super::*;
+    use elsm_repro::elsm::adversary;
+    use elsm_repro::lsm_store::{GetTrace, LevelOutcome, Record, ScanTrace};
+    use std::collections::BTreeMap;
+
+    type Model = BTreeMap<Vec<u8>, Vec<u8>>;
+
+    fn key(i: u32) -> Vec<u8> {
+        format!("key{i:04}").into_bytes()
+    }
+
+    /// 150 keys written in five rounds (every 7th slot a delete), the last
+    /// half-round left in the memtable. Returns the store, the model, and
+    /// every stored record by level.
+    fn fixture() -> (ElsmP2, Model, Vec<(usize, Vec<Record>)>) {
+        let options = P2Options { level1_max_bytes: 4 * 1024, ..opts() };
+        let store = ElsmP2::open(Platform::with_defaults(), options).unwrap();
+        let mut model = Model::new();
+        for round in 0..5u32 {
+            for i in 0..if round == 4 { 40 } else { 150 } {
+                let k = key((i * 13 + round) % 150);
+                if (i + round) % 7 == 0 {
+                    store.delete(&k).unwrap();
+                    model.remove(&k);
+                } else {
+                    let v = format!("r{round}-{i}").into_bytes();
+                    store.put(&k, &v).unwrap();
+                    model.insert(k, v);
+                }
+            }
+            if round == 3 {
+                store.db().flush().unwrap();
+            }
+        }
+        let stored: Vec<(usize, Vec<Record>)> = (1..=store.trusted().max_levels())
+            .map(|level| (level, store.db().level_record_dump(level).unwrap()))
+            .filter(|(_, records)| !records.is_empty())
+            .collect();
+        let per_level = store.db().level_records();
+        assert!(stored.len() >= 2, "the fixture must spread over levels: {per_level:?}");
+        assert!(store.db().level_records()[0] > 0, "and keep a memtable");
+        (store, model, stored)
+    }
+
+    fn hit_in(trace: &GetTrace) -> Option<(usize, &Record)> {
+        trace.levels.iter().find_map(|search| match &search.outcome {
+            LevelOutcome::Hit(record) => Some((search.level, record)),
+            _ => None,
+        })
+    }
+
+    #[test]
+    fn no_mutator_yields_a_verified_wrong_answer() {
+        let (store, model, stored) = fixture();
+        let all = || stored.iter().flat_map(|(level, records)| records.iter().map(|r| (*level, r)));
+        // An older version of the hit's key — same level first, any level
+        // else — and the head of some other key's chain.
+        let older = |trace: &GetTrace| {
+            let (level, hit) = hit_in(trace)?;
+            let mut candidates: Vec<(usize, &Record)> =
+                all().filter(|(_, r)| r.key == hit.key && r.ts < hit.ts).collect();
+            candidates.sort_by_key(|(at, r)| (*at != level, std::cmp::Reverse(r.ts)));
+            candidates.first().map(|(_, r)| (*r).clone())
+        };
+        let foreign = |trace: &GetTrace| {
+            let (level, hit) = hit_in(trace)?;
+            all().find(|(at, r)| *at == level && r.key != hit.key).map(|(_, r)| r.clone())
+        };
+        type GetMutator<'a> = (&'static str, Box<dyn Fn(&mut GetTrace) + 'a>);
+        let mut get_mutators: Vec<GetMutator> = vec![
+            ("forge_hit_value", Box::new(|t| adversary::forge_hit_value(t, b"forged"))),
+            ("splice_hit_record", Box::new(|t| adversary::splice_hit_record(t, 999_999))),
+            ("suppress_hit", Box::new(adversary::suppress_hit)),
+            (
+                "substitute_stale(older version)",
+                Box::new(|t| {
+                    if let Some(stale) = older(t) {
+                        adversary::substitute_stale(t, stale);
+                    }
+                }),
+            ),
+            (
+                "substitute_stale(relabel_as_newest)",
+                Box::new(|t| {
+                    if let (Some(stale), Some((_, head))) = (older(t), hit_in(t)) {
+                        let relabelled = adversary::relabel_as_newest(&stale, head);
+                        adversary::substitute_stale(t, relabelled);
+                    }
+                }),
+            ),
+            (
+                "substitute_stale(another key's record)",
+                Box::new(|t| {
+                    if let Some(other) = foreign(t) {
+                        adversary::substitute_stale(t, other);
+                    }
+                }),
+            ),
+            (
+                "substitute_stale(proofless_record)",
+                Box::new(|t| {
+                    if let Some((_, hit)) = hit_in(t) {
+                        let fake = adversary::proofless_record(&hit.key, b"forged", hit.ts);
+                        adversary::substitute_stale(t, fake);
+                    }
+                }),
+            ),
+            (
+                "with_proof(another record's proof)",
+                Box::new(|t| {
+                    if let (Some(other), Some((_, hit))) = (foreign(t), hit_in(t)) {
+                        let theirs = adversary::embedded_proof(&other);
+                        let spliced = adversary::with_proof(hit, &theirs);
+                        adversary::substitute_stale(t, spliced);
+                    }
+                }),
+            ),
+        ];
+        for level in 1..=store.trusted().max_levels() {
+            get_mutators.push(("hide_level", Box::new(move |t| adversary::hide_level(t, level))));
+        }
+
+        let (mut refused, mut unharmed) = (0, 0);
+        for i in 0..160 {
+            let k = key(i);
+            let honest = store.raw_get_trace(&k).unwrap();
+            for (name, mutate) in &get_mutators {
+                let mut trace = honest.clone();
+                mutate(&mut trace);
+                match store.verify_get_trace(&k, &trace) {
+                    Err(_) => refused += 1,
+                    Ok(answer) => {
+                        let answer = answer.filter(|v| v.record.kind.is_value());
+                        if let Some(v) = &answer {
+                            assert_eq!(v.record.key, k, "{name}: another key's record verified");
+                        }
+                        assert_eq!(
+                            answer.map(|v| v.value().to_vec()).as_ref(),
+                            model.get(&k),
+                            "{name} on key{i:04}: verified, and not the model's answer"
+                        );
+                        assert!(
+                            trace == honest || hit_in(&honest).is_none() || *name == "hide_level",
+                            "{name} on key{i:04}: a tampered hit verified"
+                        );
+                        unharmed += 1;
+                    }
+                }
+            }
+        }
+        assert!(refused > 500 && unharmed > 500, "refused {refused}, unharmed {unharmed}");
+
+        type ScanMutator = (&'static str, Box<dyn Fn(&mut ScanTrace)>);
+        let mut scan_mutators: Vec<ScanMutator> = Vec::new();
+        for level in 1..=store.trusted().max_levels() {
+            for victim in [3u32, 41, 77, 120] {
+                scan_mutators.push((
+                    "drop_from_scan",
+                    Box::new(move |t| adversary::drop_from_scan(t, level, &key(victim))),
+                ));
+            }
+            for keep in [0usize, 1, 5] {
+                scan_mutators.push((
+                    "truncate_scan",
+                    Box::new(move |t| adversary::truncate_scan(t, level, keep)),
+                ));
+            }
+        }
+        let (mut refused, mut unharmed) = (0, 0);
+        for (lo, hi) in [(0u32, 10), (35, 50), (70, 80), (110, 125), (140, 160), (0, 160)] {
+            let (from, to) = (key(lo), key(hi));
+            let honest = store.raw_scan_trace(&from, &to).unwrap();
+            let expect: Vec<(&[u8], &[u8])> =
+                model.range(from.clone()..=to.clone()).map(|(k, v)| (&k[..], &v[..])).collect();
+            for (name, mutate) in &scan_mutators {
+                let mut trace = honest.clone();
+                mutate(&mut trace);
+                match store.verify_scan_trace(&from, &to, &trace) {
+                    Err(_) => refused += 1,
+                    Ok(verified) => {
+                        let values: Vec<_> = verified.iter().map(|v| v.value()).collect();
+                        let got: Vec<(&[u8], &[u8])> = verified
+                            .iter()
+                            .zip(&values)
+                            .map(|(v, b)| (&v.record.key[..], &b[..]))
+                            .collect();
+                        assert_eq!(got, expect, "{name} on {lo}..={hi}: verified, not the model's");
+                        unharmed += 1;
+                    }
+                }
+            }
+        }
+        assert!(refused > 20 && unharmed > 20, "refused {refused}, unharmed {unharmed}");
     }
 }
 
@@ -420,7 +757,7 @@ mod chain {
         let slice = trace.levels.iter_mut().find(|l| l.level == level).expect("the level");
         let at = slice.records.iter().position(|r| r.key == HOT).expect("the chain's head");
         edit(&mut slice.records, at);
-        store.verify_scan_trace(from, to, &trace)
+        store.verify_scan_trace(from, to, &trace).map(drop)
     }
 
     #[test]
@@ -491,7 +828,7 @@ mod chain {
         // is the chain's head, though the chain fills several blocks.
         let absent = b"key0020x";
         let mut trace = store.raw_get_trace(absent).unwrap();
-        assert_eq!(store.verify_get_trace(absent, &trace), Ok(()));
+        assert_eq!(store.verify_get_trace(absent, &trace), Ok(None));
         let search = trace.levels.iter_mut().find(|l| l.level == level).expect("the level");
         let LevelOutcome::Miss { left, .. } = &mut search.outcome else { panic!("a miss") };
         assert_eq!(left.as_ref(), Some(&chain[0]), "the left neighbour is the chain head");
@@ -501,7 +838,7 @@ mod chain {
         // ... and just below it, on the right.
         let absent = b"key0019x";
         let mut trace = store.raw_get_trace(absent).unwrap();
-        assert_eq!(store.verify_get_trace(absent, &trace), Ok(()));
+        assert_eq!(store.verify_get_trace(absent, &trace), Ok(None));
         let search = trace.levels.iter_mut().find(|l| l.level == level).expect("the level");
         let LevelOutcome::Miss { right, .. } = &mut search.outcome else { panic!("a miss") };
         assert_eq!(right.as_ref(), Some(&chain[0]));
@@ -515,7 +852,7 @@ mod chain {
             [(&b"key0021"[..], &b"key0025"[..], true), (&b"key0015"[..], &b"key0019"[..], false)]
         {
             let mut trace = store.raw_scan_trace(from, to).unwrap();
-            assert_eq!(store.verify_scan_trace(from, to, &trace), Ok(()));
+            assert_eq!(store.verify_scan_trace(from, to, &trace).map(drop), Ok(()));
             let slice = trace.levels.iter_mut().find(|l| l.level == level).expect("the level");
             let boundary = if hot_is_left { &mut slice.left } else { &mut slice.right };
             assert_eq!(boundary.as_ref(), Some(&chain[0]), "the boundary is the chain head");
@@ -536,7 +873,7 @@ mod chain {
             let (store, _, _) = chain_store(versions);
             let trace = store.raw_scan_trace(HOT, HOT).unwrap();
             let before = store.platform().stats().hash_blocks;
-            assert_eq!(store.verify_scan_trace(HOT, HOT, &trace), Ok(()));
+            assert_eq!(store.verify_scan_trace(HOT, HOT, &trace).map(drop), Ok(()));
             store.platform().stats().hash_blocks - before
         };
         let (b10, b20, b40) = (blocks_for(10), blocks_for(20), blocks_for(40));
@@ -594,8 +931,7 @@ mod crown {
             .iter_mut()
             .find(|l| matches!(l.outcome, LevelOutcome::Hit(_)))
             .expect("a hit level");
-        slot.outcome = LevelOutcome::Hit(record.clone());
-        trace.result = Some(record);
+        slot.outcome = LevelOutcome::Hit(record);
         trace
     }
 
@@ -616,7 +952,7 @@ mod crown {
             let after = store.verify_stats();
             let hashed = (after.nodes_hashed - before.nodes_hashed) as usize;
             let compared = (after.nodes_compared - before.nodes_compared) as usize;
-            let hit = ElsmP2::hit_of(&trace).expect("hit").clone();
+            let hit = trace.answer().expect("hit").clone();
             let honest = adversary::embedded_proof(&hit);
             let ChainPosition::Newest { audit_path, .. } = &honest.chain else { panic!("a head") };
             // 3000 leaves: rows of 3000 and 1500 are hashed, 750 and up
@@ -845,6 +1181,60 @@ mod merge_input {
                 Ok(None) => panic!("key{i:04} verified as absent"),
                 Err(ElsmError::Verification(_) | ElsmError::Poisoned) => {}
                 Err(other) => panic!("neither the value nor a refusal: {other:?}"),
+            }
+        }
+    }
+
+    /// A flush whose merge failed keeps two logs live — the one that covers
+    /// the frozen memtable and the active one. A clean close seals a WAL
+    /// base and digest those logs fold between, both while the flush is
+    /// still pending and after a later flush finished it.
+    #[test]
+    fn a_failed_flush_still_reopens_on_its_logs() {
+        use elsm_repro::elsm::envelope::wrap_plain;
+        let options = P2Options {
+            write_buffer_bytes: 1 << 20, // explicit flushes only
+            block_cache_bytes: 0,
+            ..P2Options::default()
+        };
+        let key = |i: u32| format!("key{i:04}").into_bytes();
+        for finish_the_flush in [false, true] {
+            let platform = Platform::with_defaults();
+            let fs = SimFs::new(SimDisk::new(platform.clone()));
+            let store =
+                ElsmP2::open_with(platform.clone(), fs.clone(), options.clone(), None).unwrap();
+            for i in 0..300 {
+                store.put(&key(i), &[1; 64]).unwrap();
+            }
+            store.db().flush().unwrap();
+            let mend = corrupt_mid_table_block(&fs);
+            for i in 300..310 {
+                store.put(&key(i), b"frozen").unwrap();
+            }
+            assert!(store.db().flush().is_err(), "the merge into the broken level fails");
+            let logs = fs.list().into_iter().filter(|n| n.starts_with("wal-")).count();
+            assert_eq!(logs, 2, "the frozen memtable's log and the active one");
+            mend();
+            // The enclave refuses service from here on; the store below it
+            // still takes writes, as it does from a replica's stream.
+            assert!(matches!(store.put(b"x", b"y"), Err(ElsmError::Poisoned)));
+            store.db().put(&key(400), &wrap_plain(b"active")).unwrap();
+            if finish_the_flush {
+                store.db().flush().unwrap();
+                store.db().put(&key(401), &wrap_plain(b"after")).unwrap();
+            }
+            store.close().unwrap();
+            drop(store);
+
+            let store = ElsmP2::open_with(platform, fs, options.clone(), None)
+                .unwrap_or_else(|e| panic!("finish_the_flush={finish_the_flush}: {e:?}"));
+            // What the replayed logs hold is served from the memtable.
+            let expect: &[(u32, &[u8])] = match finish_the_flush {
+                false => &[(300, b"frozen"), (309, b"frozen"), (400, b"active")],
+                true => &[(401, b"after")],
+            };
+            for &(i, value) in expect {
+                assert_eq!(store.get(&key(i)).unwrap().expect("present").value(), value);
             }
         }
     }

@@ -171,7 +171,7 @@ fn hidden_level_inside_a_shard_detected_through_the_router() {
         .find(|k| {
             let owner = cluster.shard_of(k);
             let trace = cluster.shard(owner).raw_get_trace(k).unwrap();
-            trace.memtable.is_none() && trace.result.is_some()
+            trace.memtable.is_none() && trace.answer().is_some()
         })
         .expect("a key answered from disk");
     let owner = cluster.shard_of(&key);
@@ -195,13 +195,28 @@ fn smuggled_scan_records_detected() {
         cluster.put(format!("key{i:04}").as_bytes(), b"v").unwrap();
     }
     cluster.flush().unwrap();
-    // Shard 1's honest scan segment, presented as shard 0's answer: every
-    // record in it is owned by shard 1, so the stitcher rejects the swap.
-    let trace = cluster.shard(1).raw_scan_trace(b"key0000", b"key9999").unwrap();
-    assert!(!trace.merged.is_empty());
-    cluster.verify_routed_scan(b"key0000", b"key9999", 1, &trace).unwrap();
-    let err = cluster.verify_routed_scan(b"key0000", b"key9999", 0, &trace).unwrap_err();
-    assert!(matches!(err, VerificationFailure::WrongShard { got: 0, .. }), "got {err:?}");
+    // Shard 1's honest scan segment verifies as shard 1's, and what comes
+    // back is the result the ownership check read: the verifier's.
+    let (from, to) = (b"a".as_slice(), b"z".as_slice());
+    let trace = cluster.shard(1).raw_scan_trace(from, to).unwrap();
+    let segment = cluster.verify_routed_scan(from, to, 1, &trace).unwrap();
+    assert!(!segment.is_empty());
+    assert_eq!(segment.iter().map(|v| v.record).collect::<Vec<_>>(), trace.merged());
+    // Presented as shard 0's answer it is refused outright: shard 0's
+    // commitments do not vouch for a record of it.
+    assert!(cluster.verify_routed_scan(from, to, 0, &trace).is_err());
+    // Smuggling that verifies: the host routes a write for a key shard 2
+    // owns to shard 0, whose enclave commits it like any other. Shard 0's
+    // segment then holds up against shard 0's own commitments, and only
+    // the per-record ownership check on the verified result refuses it.
+    let foreign = key_owned_by(&cluster, 2);
+    cluster.shard(0).put(&foreign, b"smuggled").unwrap();
+    cluster.shard(0).db().flush().unwrap();
+    let trace = cluster.shard(0).raw_scan_trace(from, to).unwrap();
+    let verified = cluster.shard(0).verify_scan_trace(from, to, &trace).unwrap();
+    assert!(verified.iter().any(|v| v.record.key == foreign), "it verifies in shard 0's domain");
+    let err = cluster.verify_routed_scan(from, to, 0, &trace).unwrap_err();
+    assert_eq!(err, VerificationFailure::WrongShard { expected: 2, got: 0 });
     // Ownership checking is per record, not per segment.
     let foreign = key_owned_by(&cluster, 2);
     let err = cluster.trusted().check_owned(0, &foreign).unwrap_err();
