@@ -7,6 +7,7 @@
 //! every one is detected by the VRFY algorithms.
 
 use bytes::Bytes;
+use elsm_crypto::Digest;
 use lsm_store::{GetTrace, LevelOutcome, Record, ScanTrace};
 use merkle::{ChainPosition, RecordProof};
 
@@ -123,6 +124,46 @@ pub fn truncate_scan(trace: &mut ScanTrace, level: usize, keep: usize) {
             l.records.truncate(keep);
             l.right = None;
         }
+    }
+}
+
+/// An end of the leaf run a scan presents at one level: the boundary
+/// neighbour where the trace has one, else the first (last) in-range key's
+/// newest version.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ScanEnd {
+    /// The run's first leaf.
+    Lo,
+    /// The run's last leaf.
+    Hi,
+}
+
+/// Flips one bit in the audit path stored with an end record of `level`'s
+/// leaf run — the two paths the level's range proof is read from. `byte`
+/// indexes the path's bytes, wrapping. A trace with no such record (or an
+/// end whose path is empty) is left alone.
+pub fn corrupt_scan_end_path(trace: &mut ScanTrace, level: usize, end: ScanEnd, byte: usize) {
+    for l in trace.levels.iter_mut().filter(|l| l.level == level) {
+        let record = match end {
+            ScanEnd::Lo => l.left.as_mut().or(l.records.first_mut()),
+            ScanEnd::Hi => {
+                // The last key's versions end the slice, newest first.
+                let last_key = l.records.last().map(|r| r.key.clone());
+                let head = l.records.iter_mut().find(|r| Some(&r.key) == last_key.as_ref());
+                l.right.as_mut().or(head)
+            }
+        };
+        let Some(record) = record else { continue };
+        let mut proof = embedded_proof(record);
+        let ChainPosition::Newest { audit_path, .. } = &mut proof.chain else { continue };
+        if audit_path.is_empty() {
+            continue;
+        }
+        let at = byte % (32 * audit_path.len());
+        let mut sibling = *audit_path[at / 32].as_bytes();
+        sibling[at % 32] ^= 0x01;
+        audit_path[at / 32] = Digest::from_bytes(sibling);
+        *record = with_proof(record, &proof);
     }
 }
 

@@ -44,7 +44,6 @@ pub mod adversary;
 pub mod api;
 pub mod cache;
 pub mod confidential;
-pub mod digests;
 pub mod envelope;
 pub mod error;
 pub mod listener;
@@ -56,7 +55,6 @@ pub mod trusted;
 pub use api::{AuthenticatedKv, OpSpans, VerifiedRecord};
 pub use cache::{CacheStats, VerifiedCache};
 pub use confidential::ConfidentialStore;
-pub use digests::UntrustedDigests;
 pub use error::{ElsmError, VerificationFailure, WRONG_SHARD_UNSHARDED};
 pub use listener::AuthListener;
 pub use p1::{ElsmP1, P1Options};

@@ -15,14 +15,15 @@
 //! * `on_compaction_end` (merging thread, possibly a scheduler worker):
 //!   checks the rebuilt input roots against the enclave's commitments and
 //!   **stages** the job's [`CompactionDelta`] — the output commitment with
-//!   the crown (top rows) of the tree just built — keyed by output level: a
-//!   parallel wave's jobs never share a level, so staging is race-free
-//!   and the expensive digest work overlaps across jobs,
+//!   the crown (top rows) of the tree just built, which is dropped here:
+//!   every proof it can give is in the records by now — keyed by output
+//!   level: a parallel wave's jobs never share a level, so staging is
+//!   race-free and the expensive digest work overlaps across jobs,
 //! * `on_compaction_install` (store write lock, deterministic job order):
 //!   folds the staged delta into the enclave's *working* vector
-//!   ([`TrustedState::apply_compaction_delta`]) and the untrusted digest
-//!   store — O(levels-in-job), not a full recompute,
-//! * `on_version_install`: publishes the working commitments/digests as
+//!   ([`TrustedState::apply_compaction_delta`]) — O(levels-in-job), not a
+//!   full recompute,
+//! * `on_version_install`: publishes the working commitments as
 //!   the immutable snapshot for the installing version's epoch — the
 //!   §5.5.2 root replacement, made atomic by versioning instead of a
 //!   store-wide mutex,
@@ -43,22 +44,8 @@ use parking_lot::Mutex;
 use sgx_sim::Platform;
 
 use crate::cache::VerifiedCache;
-use crate::digests::UntrustedDigests;
 use crate::envelope::{append_canonical, append_with_proof, open_record, wrap_plain};
 use crate::trusted::{CompactionDelta, TrustedState};
-
-/// State a finished merge stages for its install (commit happens under
-/// the store's write lock, in job order).
-#[derive(Debug)]
-struct StagedCommit {
-    /// The enclave-side commitment mutation.
-    delta: CompactionDelta,
-    /// Full output digest for the untrusted store (`None`: the output is
-    /// empty — or refused — and the level clears).
-    output_digest: Option<Arc<LevelDigest>>,
-    /// Untrusted-store levels to clear (consumed inputs, empty outputs).
-    digest_clears: Vec<u32>,
-}
 
 #[derive(Debug, Default)]
 struct Scratch {
@@ -69,8 +56,9 @@ struct Scratch {
     /// level, consumed by `on_compaction_end` (the proof writer of the
     /// same job shares the tree until its last table is written).
     pending_outputs: HashMap<usize, Arc<LevelDigest>>,
-    /// Deltas staged by `on_compaction_end`, committed at install.
-    staged: HashMap<usize, StagedCommit>,
+    /// Deltas staged by `on_compaction_end`, keyed by output level and
+    /// committed at install (under the store's write lock, in job order).
+    staged: HashMap<usize, CompactionDelta>,
     /// Reused buffer for an input record's canonical bytes (the builders
     /// copy out of it).
     canonical: Vec<u8>,
@@ -82,7 +70,6 @@ struct Scratch {
 pub struct AuthListener {
     platform: Arc<Platform>,
     trusted: Arc<TrustedState>,
-    digests: Arc<UntrustedDigests>,
     /// Reuse stored leaf work for compaction outputs whose key chain is
     /// bit-identical to a single input run's (no version dropped): the
     /// enclave charges a 32-byte digest move per such record instead of
@@ -97,41 +84,20 @@ pub struct AuthListener {
 }
 
 impl AuthListener {
-    /// Builds the listener around the enclave state and host digest store
-    /// (full rehash on every compaction output — the paper's baseline).
+    /// Builds the listener around the enclave state. `incremental` selects
+    /// incremental commitment recomputation for unchanged compaction
+    /// outputs (`false`: full rehash of every output — the paper's
+    /// baseline); a `cache` is kept coherent: writes invalidate their keys,
+    /// epoch installs and retirements drop superseded entries.
     pub fn new(
         platform: Arc<Platform>,
         trusted: Arc<TrustedState>,
-        digests: Arc<UntrustedDigests>,
-    ) -> Arc<Self> {
-        Self::with_incremental(platform, trusted, digests, false)
-    }
-
-    /// Like [`AuthListener::new`], selecting incremental commitment
-    /// recomputation for unchanged compaction outputs.
-    pub fn with_incremental(
-        platform: Arc<Platform>,
-        trusted: Arc<TrustedState>,
-        digests: Arc<UntrustedDigests>,
-        incremental: bool,
-    ) -> Arc<Self> {
-        Self::with_cache(platform, trusted, digests, incremental, None)
-    }
-
-    /// Like [`AuthListener::with_incremental`], additionally keeping a
-    /// [`VerifiedCache`] coherent: writes invalidate their keys, epoch
-    /// installs and retirements drop superseded entries.
-    pub fn with_cache(
-        platform: Arc<Platform>,
-        trusted: Arc<TrustedState>,
-        digests: Arc<UntrustedDigests>,
         incremental: bool,
         cache: Option<Arc<VerifiedCache>>,
     ) -> Arc<Self> {
         Arc::new(AuthListener {
             platform,
             trusted,
-            digests,
             incremental,
             cache,
             scratch: Mutex::new(Scratch::default()),
@@ -339,41 +305,35 @@ impl StoreListener for AuthListener {
         //    for the output file takes effect").
         let output_level = info.output_level as u32;
         let mut delta = CompactionDelta::default();
-        let mut digest_clears = Vec::new();
-        let output_digest = match scratch.pending_outputs.remove(&info.output_level) {
+        match scratch.pending_outputs.remove(&info.output_level) {
             Some(digest) if !self.trusted.is_poisoned() && digest.leaf_count() > 0 => {
                 // Root, leaf count and crown are read off the one tree the
-                // transform built inside the enclave; the digest itself
-                // goes to the untrusted store.
+                // transform built inside the enclave; the tree goes.
                 let crown = digest.crown(self.trusted.crown_row_max());
                 delta.runs_added.push((digest.commitment(), crown));
-                Some(digest)
             }
-            _ => {
-                delta.runs_removed.push(output_level);
-                digest_clears.push(output_level);
-                None
-            }
-        };
+            _ => delta.runs_removed.push(output_level),
+        }
         for &level in &info.input_levels {
             if level >= 1 && level != info.output_level {
                 delta.runs_removed.push(level as u32);
-                digest_clears.push(level as u32);
             }
         }
-        scratch
-            .staged
-            .insert(info.output_level, StagedCommit { delta, output_digest, digest_clears });
+        scratch.staged.insert(info.output_level, delta);
     }
 
     fn on_merge_failed(&self) {
         // The host served an input that does not decode, or refused an
-        // output file: refuse service. The input trees the job left
-        // part-built go too — a retry streams its levels from the start.
-        // (A wave's other jobs lose theirs as well and fail their root
-        // check, in a store that is poisoned already.)
+        // output file: refuse service. What the job left behind goes too —
+        // part-built input trees (a retry streams its levels from the
+        // start), an output tree sealed before pass 2 failed, a delta that
+        // will never install. (A wave's other jobs lose theirs as well and
+        // fail their root check, in a store that is poisoned already.)
         self.trusted.poison();
-        self.scratch.lock().input_builders.clear();
+        let mut scratch = self.scratch.lock();
+        scratch.input_builders.clear();
+        scratch.pending_outputs.clear();
+        scratch.staged.clear();
     }
 
     fn on_compaction_install(&self, info: &CompactionInfo) {
@@ -382,23 +342,15 @@ impl StoreListener for AuthListener {
             // A flush: the log that covered the frozen memtable goes.
             self.trusted.wal_truncated();
         }
-        let Some(staged) = self.scratch.lock().staged.remove(&info.output_level) else {
-            return;
-        };
         // Commit under the store's write lock, in deterministic job
         // order: the incremental delta fold replaces the full recompute.
-        self.trusted.apply_compaction_delta(staged.delta);
-        for level in staged.digest_clears {
-            self.digests.clear(level);
-        }
-        if let Some(digest) = staged.output_digest {
-            self.digests.install(digest);
+        if let Some(delta) = self.scratch.lock().staged.remove(&info.output_level) {
+            self.trusted.apply_compaction_delta(delta);
         }
     }
 
     fn on_version_install(&self, epoch: u64) {
         self.trusted.publish_epoch(epoch);
-        self.digests.publish_epoch(epoch);
         if let Some(cache) = &self.cache {
             cache.install_epoch(epoch);
         }
@@ -406,7 +358,6 @@ impl StoreListener for AuthListener {
 
     fn on_versions_retired(&self, live_epochs: &[u64]) {
         self.trusted.prune_epochs(live_epochs);
-        self.digests.prune_epochs(live_epochs);
         if let Some(cache) = &self.cache {
             cache.retire_epochs(live_epochs);
         }
@@ -458,11 +409,19 @@ mod tests {
         }
     }
 
-    fn setup() -> (Arc<AuthListener>, Arc<TrustedState>, Arc<UntrustedDigests>) {
+    fn setup() -> (Arc<AuthListener>, Arc<TrustedState>) {
         let platform = Platform::with_defaults();
         let trusted = TrustedState::new(platform.clone(), 4);
-        let digests = UntrustedDigests::new(platform.clone());
-        (AuthListener::new(platform, trusted.clone(), digests.clone()), trusted, digests)
+        (AuthListener::new(platform, trusted.clone(), false, None), trusted)
+    }
+
+    /// Whether the listener holds nothing of any job: no part-built input
+    /// tree, no output tree, no staged delta.
+    fn holds_nothing(listener: &AuthListener) -> bool {
+        let scratch = listener.scratch.lock();
+        scratch.input_builders.is_empty()
+            && scratch.pending_outputs.is_empty()
+            && scratch.staged.is_empty()
     }
 
     /// Drives the output seam the way a merge does: every record observed,
@@ -505,13 +464,13 @@ mod tests {
 
     #[test]
     fn flush_installs_level_commitment() {
-        let (listener, trusted, digests) = setup();
+        let (listener, trusted) = setup();
         let records = vec![record("a", 2, "va"), record("b", 1, "vb")];
         let out = transform(&listener, 1, records);
         finish(&listener, &info(vec![0], 1, 2));
         assert!(!trusted.commitment(1).is_empty());
         assert_eq!(trusted.commitment(1).leaf_count, 2);
-        assert_eq!(digests.len(), 1);
+        assert!(holds_nothing(&listener), "the output tree went with the job");
         // Output records now carry proofs.
         for r in &out {
             assert!(open_record(r.view(), 1).unwrap().proof.is_some());
@@ -521,21 +480,22 @@ mod tests {
 
     #[test]
     fn staged_delta_commits_only_at_install() {
-        let (listener, trusted, digests) = setup();
+        let (listener, trusted) = setup();
         transform(&listener, 1, vec![record("a", 2, "va")]);
         let job = info(vec![0], 1, 1);
         listener.on_compaction_end(&job);
-        // Merge done, not yet installed: readers still see the old state.
+        // Merge done, not yet installed: readers still see the old state,
+        // and the output tree is gone already — only its delta waits.
         assert!(trusted.commitment(1).is_empty());
-        assert_eq!(digests.len(), 0);
+        assert!(listener.scratch.lock().pending_outputs.is_empty());
         listener.on_compaction_install(&job);
         assert!(!trusted.commitment(1).is_empty());
-        assert_eq!(digests.len(), 1);
+        assert!(holds_nothing(&listener));
     }
 
     #[test]
     fn matching_input_roots_keep_store_healthy() {
-        let (listener, trusted, _) = setup();
+        let (listener, trusted) = setup();
         // First "flush" installs level 1.
         let out1 = transform(&listener, 1, vec![record("a", 2, "va"), record("b", 1, "vb")]);
         finish(&listener, &info(vec![0], 1, 2));
@@ -552,7 +512,7 @@ mod tests {
 
     #[test]
     fn tampered_input_poisons_store() {
-        let (listener, trusted, _) = setup();
+        let (listener, trusted) = setup();
         let out1 = transform(&listener, 1, vec![record("a", 2, "va"), record("b", 1, "vb")]);
         finish(&listener, &info(vec![0], 1, 2));
         // Adversary feeds a modified record stream into the compaction.
@@ -568,7 +528,7 @@ mod tests {
 
     #[test]
     fn hidden_input_level_poisons_store() {
-        let (listener, trusted, _) = setup();
+        let (listener, trusted) = setup();
         transform(&listener, 1, vec![record("a", 2, "va")]);
         finish(&listener, &info(vec![0], 1, 1));
         // The host claims to compact level 1 but streams none of its
@@ -583,7 +543,7 @@ mod tests {
     /// whose leaf positions assume every record entered the digest.
     #[test]
     fn malformed_output_record_poisons_without_panicking() {
-        let (listener, trusted, digests) = setup();
+        let (listener, trusted) = setup();
         let garbage =
             Record::put(Bytes::from_static(b"z"), Bytes::from_static(b"\x07not an envelope"), 9);
         let records = vec![record("a", 2, "va"), garbage.clone()];
@@ -592,12 +552,11 @@ mod tests {
         assert_eq!(out, records, "nothing is signed once an output failed to open");
         finish(&listener, &info(vec![0], 1, 2));
         assert!(trusted.commitment(1).is_empty(), "a poisoned job commits no level");
-        assert_eq!(digests.len(), 0);
     }
 
     #[test]
     fn wal_digest_changes_per_append() {
-        let (listener, trusted, _) = setup();
+        let (listener, trusted) = setup();
         let d0 = trusted.wal_digest();
         listener.on_wal_append_batch(&[record("k", 1, "v")]);
         let d1 = trusted.wal_digest();
@@ -615,7 +574,7 @@ mod tests {
     /// log started when — and only when — a flush installs.
     #[test]
     fn wal_base_moves_when_a_flush_installs() {
-        let (listener, trusted, _) = setup();
+        let (listener, trusted) = setup();
         listener.on_wal_append_batch(&[record("a", 1, "v")]);
         let at_rotation = trusted.wal_digest();
         listener.on_wal_rotate();
@@ -637,7 +596,7 @@ mod tests {
 
     #[test]
     fn empty_output_clears_level() {
-        let (listener, trusted, digests) = setup();
+        let (listener, trusted) = setup();
         let out1 = transform(&listener, 1, vec![record("a", 1, "v")]);
         finish(&listener, &info(vec![0], 1, 1));
         // A later compaction reads the level honestly but drops everything
@@ -660,7 +619,34 @@ mod tests {
         assert!(!trusted.is_poisoned());
         assert!(trusted.commitment(2).is_empty());
         assert!(trusted.commitment(1).is_empty());
-        assert_eq!(digests.len(), 0);
+    }
+
+    /// A merge that fails after pass 1 sealed its output tree (the host
+    /// refused an output file, say) leaves nothing resident: a poisoned
+    /// store lives on, and would otherwise carry a whole level's tree.
+    #[test]
+    fn failed_merge_lets_go_of_everything() {
+        let (listener, trusted) = setup();
+        let level1 = transform(&listener, 1, vec![record("a", 2, "va"), record("b", 1, "vb")]);
+        finish(&listener, &info(vec![0], 1, 2));
+        // A compaction streams its input, observes its output and seals ...
+        for r in &level1 {
+            listener.on_compaction_input(RecordSource { level: 1, file_no: 1 }, r.view());
+        }
+        let mut observer = listener.begin_output(2);
+        for r in &level1 {
+            observer.observe(r.view(), false);
+        }
+        let writer = observer.seal();
+        assert!(!holds_nothing(&listener));
+        // ... a sibling job of its wave has staged its delta; then pass 2
+        // fails.
+        transform(&listener, 3, vec![record("z", 3, "vz")]);
+        listener.on_compaction_end(&info(vec![3], 3, 1));
+        drop(writer);
+        listener.on_merge_failed();
+        assert!(trusted.is_poisoned());
+        assert!(holds_nothing(&listener));
     }
 
     /// Incremental and full-rehash listeners must produce identical
@@ -679,9 +665,7 @@ mod tests {
             [(platform_full.clone(), false), (platform_inc.clone(), true)]
         {
             let trusted = TrustedState::new(platform.clone(), 4);
-            let digests = UntrustedDigests::new(platform.clone());
-            let listener =
-                AuthListener::with_incremental(platform, trusted.clone(), digests, incremental);
+            let listener = AuthListener::new(platform, trusted.clone(), incremental, None);
             let out = transform_tagged(&listener, 2, records.clone(), &unchanged);
             finish(&listener, &info(vec![1, 2], 2, records.len() as u64));
             outputs.push(out);

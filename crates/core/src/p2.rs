@@ -18,7 +18,6 @@ use sim_disk::{Placement, SimDisk, SimFs};
 
 use crate::api::{AuthenticatedKv, OpSpans, VerifiedRecord};
 use crate::cache::{CacheStats, VerifiedCache};
-use crate::digests::UntrustedDigests;
 use crate::envelope::{append_canonical, open_record, wrap_plain};
 use crate::error::{ElsmError, VerificationFailure};
 use crate::listener::{vlog_entry_mac, AuthListener};
@@ -92,10 +91,6 @@ pub struct P2Options {
     /// When acknowledged writes become durable in the host-side WAL (see
     /// [`lsm_store::WalSyncPolicy`] for the durability trade-off).
     pub wal_sync: lsm_store::WalSyncPolicy,
-    /// How many of the most recent epochs stay verifiable with no live
-    /// reader (detached trace-then-verify windows — see
-    /// [`lsm_store::Options::retired_epoch_floor`]).
-    pub retired_epoch_floor: u64,
     /// Shard this store's enclave is bound to when it serves as one
     /// partition of a sharded cluster (`None` for a standalone store).
     /// The id is folded into the trusted state's commitment domain and
@@ -140,7 +135,6 @@ impl Default for P2Options {
             incremental_commitments: false,
             rollback: None,
             wal_sync: lsm_store::WalSyncPolicy::Always,
-            retired_epoch_floor: 8,
             shard_id: None,
             vlog: None,
             verified_cache_bytes: 0,
@@ -173,7 +167,6 @@ pub struct ElsmP2 {
     fs: Arc<SimFs>,
     db: Arc<Db>,
     trusted: Arc<TrustedState>,
-    digests: Arc<UntrustedDigests>,
     sealer: Sealer,
     counter: Option<Arc<BufferedCounter>>,
     cache: Option<Arc<VerifiedCache>>,
@@ -220,7 +213,6 @@ impl ElsmP2 {
             options.shard_id,
             &options.telemetry,
         );
-        let digests = UntrustedDigests::new(platform.clone());
         let cache = (options.verified_cache_bytes > 0).then(|| {
             VerifiedCache::with_telemetry(
                 platform.clone(),
@@ -228,10 +220,9 @@ impl ElsmP2 {
                 &options.telemetry,
             )
         });
-        let listener = AuthListener::with_cache(
+        let listener = AuthListener::new(
             platform.clone(),
             trusted.clone(),
-            digests.clone(),
             options.incremental_commitments,
             cache.clone(),
         );
@@ -269,7 +260,6 @@ impl ElsmP2 {
         const PROOF_INFLATION: u64 = 6;
         let db_options = Options {
             wal_sync: options.wal_sync,
-            retired_epoch_floor: options.retired_epoch_floor,
             env: env.config().clone(),
             table: lsm_store::TableOptions {
                 block_size: options.block_size,
@@ -298,8 +288,7 @@ impl ElsmP2 {
         });
         store_set_stacked(&trusted, &options);
         let spans = OpSpans::new("op", &options.telemetry);
-        let store =
-            ElsmP2 { spans, platform, fs, db, trusted, digests, sealer, counter, cache, options };
+        let store = ElsmP2 { spans, platform, fs, db, trusted, sealer, counter, cache, options };
         if let Some(sealed) = sealed {
             let recovery = sealed.and_then(|state| store.recover_trusted_state(state));
             store.audited(recovery)?;
@@ -310,8 +299,8 @@ impl ElsmP2 {
     /// Restores enclave state after a power cycle from the unsealed
     /// `state`: check its shard binding, compare the WAL digest the log
     /// replay arrived at with the sealed one, adopt the commitments, check
-    /// the monotonic counter, and rebuild the untrusted digest store —
-    /// and, from the same trees, the crowns — from the level contents.
+    /// the monotonic counter, and re-derive the crowns from the level
+    /// contents.
     fn recover_trusted_state(&self, state: SealedState) -> Result<(), ElsmError> {
         let SealedState { commitments, wal_digest, shard: sealed_shard, .. } = state;
         // Shard binding: sealed state from another shard's enclave is
@@ -341,45 +330,35 @@ impl ElsmP2 {
                 return Err(VerificationFailure::RolledBack.into());
             }
         }
-        // Rebuild the host's digest trees from the stored levels. If the
-        // host tampered with them, proofs will fail against the restored
-        // commitments at query time — and the level's crown is not
-        // re-derived: only a rebuilt tree whose root is the unsealed one
-        // gives its top rows to the enclave.
-        self.rebuild_untrusted_digests()?;
-        // Re-publish the rebuilt trees for the recovered store's current
-        // epoch, mirroring the restored commitment snapshot.
-        self.digests.publish_epoch(self.db.current_epoch());
-        Ok(())
+        self.rederive_crowns()
     }
 
-    /// Streams each stored level, table by table, through a digest
-    /// builder: nothing of a level is resident but the table being read
-    /// and the tree being built.
-    fn rebuild_untrusted_digests(&self) -> Result<(), ElsmError> {
+    /// Re-derives each level's crown — never sealed — from the stored
+    /// level: its records stream, table by table, through a digest builder
+    /// (nothing of a level is resident but the table being read and the
+    /// tree being built), and only a rebuilt tree whose root is the
+    /// unsealed one gives its top rows to the enclave. If the host tampered
+    /// with a level it gets no crown, and its proofs fail against the
+    /// restored commitment at query time. The tree is dropped level by
+    /// level: every proof it could give is in the stored records.
+    fn rederive_crowns(&self) -> Result<(), ElsmError> {
         let version = self.db.current_version();
         let mut canonical = Vec::new();
         for level in 1..=self.options.max_levels as u32 {
             let mut builder = merkle::LevelDigestBuilder::new(level);
-            let mut stored = 0usize;
-            if let Some(run) = version.level(level as usize) {
-                run.for_each_record(|record| {
-                    stored += 1;
-                    if let Ok(opened) = open_record(record, level) {
-                        canonical.clear();
-                        append_canonical(record, opened.value, &mut canonical);
-                        builder.add(record.key, &canonical);
-                    }
-                })?;
+            let Some(run) = version.level(level as usize) else { continue };
+            run.for_each_record(|record| {
+                if let Ok(opened) = open_record(record, level) {
+                    canonical.clear();
+                    append_canonical(record, opened.value, &mut canonical);
+                    builder.add(record.key, &canonical);
+                }
+            })?;
+            if builder.record_count() > 0 {
+                let digest = builder.finish();
+                let crown = digest.crown(self.trusted.crown_row_max());
+                self.trusted.adopt_crown(&digest.commitment(), crown);
             }
-            if stored == 0 {
-                self.digests.clear(level);
-                continue;
-            }
-            let digest = builder.finish();
-            let crown = digest.crown(self.trusted.crown_row_max());
-            self.trusted.adopt_crown(&digest.commitment(), crown);
-            self.digests.install(Arc::new(digest));
         }
         Ok(())
     }
@@ -432,11 +411,6 @@ impl ElsmP2 {
     /// The enclave state (exposed for adversary unit tests).
     pub fn trusted(&self) -> &Arc<TrustedState> {
         &self.trusted
-    }
-
-    /// The host-side digest store.
-    pub fn digests(&self) -> &Arc<UntrustedDigests> {
-        &self.digests
     }
 
     /// Verification-work counters.
@@ -713,7 +687,7 @@ impl ElsmP2 {
     fn scan_inner(&self, from: &[u8], to: &[u8]) -> Result<Vec<VerifiedRecord>, ElsmError> {
         self.platform.ecall(|| {
             self.db.scan_with_trace(from, to, |trace| {
-                let verified = self.trusted.verify_scan(from, to, trace, &self.digests)?;
+                let verified = self.trusted.verify_scan(from, to, trace)?;
                 let mut out = Vec::with_capacity(verified.len());
                 for record in verified {
                     out.push(self.reply(record, trace.levels.len())?);
@@ -757,7 +731,7 @@ impl ElsmP2 {
         to: &[u8],
         trace: &'t ScanTrace,
     ) -> Result<Vec<Verified<'t>>, VerificationFailure> {
-        let verdict = self.trusted.verify_scan(from, to, trace, &self.digests);
+        let verdict = self.trusted.verify_scan(from, to, trace);
         if let Err(failure) = &verdict {
             self.audit_failure(failure);
         }

@@ -56,12 +56,13 @@ use std::sync::Arc;
 
 use elsm_crypto::{sha256_concat, Digest};
 use lsm_store::{GetTrace, LevelOutcome, Record, ScanTrace};
-use merkle::{verify_range_anchored, Crown, LevelCommitment, RecordProofRef, Work, CROWN_ROW_MAX};
+use merkle::{
+    verify_range_anchored, Crown, LevelCommitment, RangeProof, RecordProofRef, Work, CROWN_ROW_MAX,
+};
 use parking_lot::Mutex;
 use sgx_sim::{EnclaveRegion, Platform};
 use telemetry::{Counter, Gauge, Telemetry};
 
-use crate::digests::UntrustedDigests;
 use crate::envelope::{append_canonical, open_record, Opened};
 use crate::error::VerificationFailure;
 
@@ -329,9 +330,9 @@ impl TrustedState {
         Arc::new(state)
     }
 
-    /// Widest crown row this enclave keeps per level: what
-    /// [`CROWN_EPC_SHARE`] of its EPC holds (a crown is under 64 bytes per
-    /// node of its widest row), at most [`CROWN_ROW_MAX`]. Whoever builds
+    /// Widest crown row this enclave keeps per level: what 1/2048 of its
+    /// EPC holds (`CROWN_EPC_SHARE`; a crown is under 64 bytes per node of
+    /// its widest row), at most [`CROWN_ROW_MAX`]. Whoever builds
     /// a level's tree inside the enclave takes the crown with this.
     pub fn crown_row_max(&self) -> usize {
         (self.platform.cost().epc_bytes / CROWN_EPC_SHARE / 64).min(CROWN_ROW_MAX)
@@ -834,7 +835,8 @@ impl TrustedState {
     // ----- SCAN verification (§5.4) ----------------------------------------
 
     /// Verifies a traced range query over `[from, to]` — every level
-    /// complete, range proofs from `prover` — and hands back the result it
+    /// complete, each level's range proof read off the audit paths the
+    /// run's two end records store — and hands back the result it
     /// verified: the newest version of each key the trace presents,
     /// tombstones and what they hide left out ([`ScanTrace::merged`]), each
     /// with its envelope opened.
@@ -847,7 +849,6 @@ impl TrustedState {
         from: &[u8],
         to: &[u8],
         trace: &'t ScanTrace,
-        prover: &UntrustedDigests,
     ) -> Result<Vec<Verified<'t>>, VerificationFailure> {
         let snapshot = self
             .levels_at(trace.epoch)
@@ -867,7 +868,7 @@ impl TrustedState {
                 expected += 1;
                 continue;
             }
-            self.verify_level_range(&level, trace.epoch, from, to, range, prover)?;
+            self.verify_level_range(&level, from, to, range)?;
             expected += 1;
         }
         if (expected as usize) <= epoch_levels {
@@ -885,7 +886,8 @@ impl TrustedState {
     /// record's hash. The record must claim to be its key's newest version
     /// — in-range group heads and both boundaries alike; a link is stale by
     /// its own claim. The leaf's path to the root is the range proof's
-    /// business, so the audit path is not walked here.
+    /// business, so the audit path is not walked here: the run's two end
+    /// leaves lend theirs to that proof.
     fn leaf_from_record<'r>(
         &self,
         level: u32,
@@ -901,11 +903,9 @@ impl TrustedState {
     fn verify_level_range(
         &self,
         trusted: &TrustedLevel,
-        epoch: u64,
         from: &[u8],
         to: &[u8],
         range: &lsm_store::LevelRange,
-        prover: &UntrustedDigests,
     ) -> Result<(), VerificationFailure> {
         let commitment = &trusted.commitment;
         let level = commitment.level;
@@ -914,8 +914,10 @@ impl TrustedState {
         // Group in-range records by key; compute each group's leaf hash
         // from the newest version, then walk the older versions down its
         // chain. The range proof below authenticates the leaves, and with
-        // them everything the walks accepted.
+        // them everything the walks accepted. The proofs of the run's two
+        // end leaves are kept: their audit paths are that range proof.
         let mut leaf_seq: Vec<(u64, Digest)> = Vec::new();
+        let (mut first, mut last) = (None, None);
         let mut canonical = Vec::new();
         let mut idx = 0usize;
         while idx < range.records.len() {
@@ -928,6 +930,8 @@ impl TrustedState {
                 return Err(fail("proof leaf count mismatch"));
             }
             leaf_seq.push((proof.leaf_index, leaf_hash));
+            first.get_or_insert(proof);
+            last = Some(proof);
             let mut walk = proof
                 .walk()
                 .map_err(|source| VerificationFailure::ForgedRecord { level, source })?;
@@ -957,6 +961,8 @@ impl TrustedState {
             }
             let (proof, leaf_hash) = self.leaf_from_record(level, rec, &mut canonical)?;
             leaf_seq.insert(0, (proof.leaf_index, leaf_hash));
+            first = Some(proof);
+            last.get_or_insert(proof);
         }
         if let Some(rec) = &range.right {
             if rec.key[..] <= *to {
@@ -964,19 +970,20 @@ impl TrustedState {
             }
             let (proof, leaf_hash) = self.leaf_from_record(level, rec, &mut canonical)?;
             leaf_seq.push((proof.leaf_index, leaf_hash));
+            first.get_or_insert(proof);
+            last = Some(proof);
         }
 
-        if leaf_seq.is_empty() {
+        let (Some(first), Some(last)) = (first, last) else {
             return Err(fail("no leaves presented for a non-empty level"));
-        }
+        };
         // Leaf indices must be one consecutive run.
         for w in leaf_seq.windows(2) {
             if w[1].0 != w[0].0 + 1 {
                 return Err(fail("leaf indices not consecutive"));
             }
         }
-        let lo = leaf_seq[0].0;
-        let hi = leaf_seq[leaf_seq.len() - 1].0;
+        let (lo, hi) = (first.leaf_index, last.leaf_index);
         // Edges: no left boundary means the run starts at leaf 0; no right
         // boundary means it ends at the last leaf.
         if range.left.is_none() && lo != 0 {
@@ -985,16 +992,20 @@ impl TrustedState {
         if range.right.is_none() && hi + 1 != commitment.leaf_count {
             return Err(fail("range end not anchored at the last leaf"));
         }
-        let proof = prover
-            .prove_range(epoch, level, lo, hi)
-            .ok_or(fail("host failed to produce a range proof"))?;
+        // The boundary hashes of the run `lo..=hi` are the left siblings
+        // on `lo`'s audit path and the right siblings on `hi`'s; what else
+        // the two paths hold is not read, so it cannot matter.
         let mut leaves: Vec<Digest> = leaf_seq.iter().map(|(_, d)| *d).collect();
         let crown = &trusted.crown.crown;
         let leaf_count = commitment.leaf_count as usize;
+        let (lo, hi) = (lo as usize, hi as usize);
         let work =
-            verify_range_anchored(crown.anchor(), leaf_count, lo as usize, &mut leaves, &proof)
+            RangeProof::from_audit_paths(leaf_count, lo, first.siblings(), hi, last.siblings())
+                .and_then(|proof| {
+                    verify_range_anchored(crown.anchor(), leaf_count, lo, &mut leaves, &proof)
+                })
                 .ok_or(fail("range proof does not reach the committed root"))?;
-        self.charge_walk(trusted, 0, lo >> crown.base_height(), work);
+        self.charge_walk(trusted, 0, (lo >> crown.base_height()) as u64, work);
         Ok(())
     }
 }

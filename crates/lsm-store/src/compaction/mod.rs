@@ -2,7 +2,7 @@
 //!
 //! Compaction is rebuilt here as a subsystem (ROADMAP item 3). A
 //! [`CompactionStrategy`] inspects an immutable [`LevelsView`] of the
-//! current [`Version`](crate::version::Version) and proposes
+//! current [`Version`] and proposes
 //! **non-overlapping** [`CompactionJob`]s — jobs whose input/output level
 //! sets are pairwise disjoint, so the store can merge several of them
 //! concurrently on worker threads against one pinned base version and
@@ -11,10 +11,10 @@
 //!
 //! Two strategies ship:
 //!
-//! * [`Leveled`](leveled::Leveled) — the store's original behavior,
+//! * [`Leveled`] — the store's original behavior,
 //!   extracted: whole-level rolling merges `COMPACTION(Li, Li+1)` when a
 //!   level exceeds its geometric budget (the paper's §5.3 model);
-//! * [`Tiered`](tiered::Tiered) — size-tiered (STCS): flushed runs stack
+//! * [`Tiered`] — size-tiered (STCS): flushed runs stack
 //!   upward, and groups of similar-sized adjacent runs merge into the
 //!   group's oldest slot, trading read fan-out for a much lower write
 //!   amplification (the knob Figure 7 sweeps).
@@ -216,7 +216,7 @@ pub trait CompactionStrategy: Send + Sync + std::fmt::Debug {
     fn major_job(&self, view: &LevelsView, opts: &Options) -> Option<CompactionJob>;
 }
 
-/// The strategy selector carried by [`Options`](crate::options::Options).
+/// The strategy selector carried by [`Options`].
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum CompactionStrategyKind {
     /// Whole-level rolling merges (the store's original behavior).

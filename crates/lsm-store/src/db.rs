@@ -510,9 +510,10 @@ impl Db {
         self.inner.read().current.epoch()
     }
 
-    /// Every record of one on-disk level, in internal-key order. Used by
-    /// recovery paths that must rebuild derived structures (e.g. eLSM's
-    /// untrusted digest store after a restart).
+    /// Every record of one on-disk level, in internal-key order, owned —
+    /// for harnesses that inspect or tamper with stored records (recovery
+    /// streams a level through [`Run::for_each_record`](crate::version::Run::for_each_record)
+    /// instead).
     ///
     /// # Errors
     ///

@@ -13,11 +13,11 @@
 //!   values (embed proofs) as they hit disk (Figure 4,
 //!   `auth_onTableFileCreated`);
 //! * [`StoreListener::on_compaction_end`] ↔ `OnCompactionCompleted()` —
-//!   where eLSM checks input roots and installs the output root;
-//! * [`StoreListener::on_flush_record`] ↔ the pluggable-MemTable iterator
-//!   hook used for authenticated flush (§5.5.3 item 3);
-//! * [`StoreListener::on_wal_append`] ↔ the WAL write hook used for the
-//!   in-enclave WAL digest (§5.3, step w1).
+//!   where eLSM checks input roots and installs the output root (a flush
+//!   is a merge whose input level 0 is the memtable, so authenticated
+//!   flush, §5.5.3 item 3, rides the same three hooks);
+//! * [`StoreListener::on_wal_append_batch`] ↔ the WAL write hook used for
+//!   the in-enclave WAL digest (§5.3, step w1).
 
 use std::fmt;
 
@@ -111,29 +111,13 @@ pub trait StoreListener: Send + Sync {
         let _ = info;
     }
 
-    /// A record is being flushed from the memtable (pluggable-MemTable
-    /// iterator hook).
-    fn on_flush_record(&self, record: &Record) {
-        let _ = record;
-    }
-
-    /// A record was appended to the write-ahead log.
-    fn on_wal_append(&self, record: &Record) {
-        let _ = record;
-    }
-
     /// One commit group's records were appended to the write-ahead log as
     /// a single atomic frame. The committer serializes groups, so calls
     /// arrive in commit order and the listener may maintain order-sensitive
     /// state (eLSM folds the records into its WAL hash chain here) with a
     /// single lock acquisition and one amortized cost charge per group.
-    ///
-    /// The default forwards record by record to
-    /// [`StoreListener::on_wal_append`].
     fn on_wal_append_batch(&self, records: &[Record]) {
-        for record in records {
-            self.on_wal_append(record);
-        }
+        let _ = records;
     }
 
     /// The write-ahead log rotated: every record heard of so far sits in a
@@ -328,7 +312,7 @@ mod tests {
     #[derive(Default)]
     struct Counting {
         inputs: AtomicU64,
-        flushes: AtomicU64,
+        outputs: AtomicU64,
         wal: AtomicU64,
     }
 
@@ -336,11 +320,12 @@ mod tests {
         fn on_compaction_input(&self, _: RecordSource, _: RecordView<'_>) {
             self.inputs.fetch_add(1, Ordering::Relaxed);
         }
-        fn on_flush_record(&self, _: &Record) {
-            self.flushes.fetch_add(1, Ordering::Relaxed);
+        fn begin_output(&self, _: usize) -> Box<dyn OutputObserver + '_> {
+            self.outputs.fetch_add(1, Ordering::Relaxed);
+            Box::new(Verbatim)
         }
-        fn on_wal_append(&self, _: &Record) {
-            self.wal.fetch_add(1, Ordering::Relaxed);
+        fn on_wal_append_batch(&self, records: &[Record]) {
+            self.wal.fetch_add(records.len() as u64, Ordering::Relaxed);
         }
     }
 
@@ -360,10 +345,10 @@ mod tests {
         let l = Counting::default();
         let r = Record::put(b"k".as_slice(), b"v".as_slice(), 1);
         l.on_compaction_input(RecordSource { level: 1, file_no: 3 }, r.view());
-        l.on_flush_record(&r);
-        l.on_wal_append(&r);
+        drop(l.begin_output(1));
+        l.on_wal_append_batch(std::slice::from_ref(&r));
         assert_eq!(l.inputs.load(Ordering::Relaxed), 1);
-        assert_eq!(l.flushes.load(Ordering::Relaxed), 1);
+        assert_eq!(l.outputs.load(Ordering::Relaxed), 1);
         assert_eq!(l.wal.load(Ordering::Relaxed), 1);
     }
 }

@@ -43,6 +43,13 @@ use crate::version::{Run, Version};
 use crate::vlog::{decode_pointer, encode_pointer, vlog_name};
 use crate::wal::WalWriter;
 
+/// How many of the most recent epochs stay verifiable with no live reader
+/// pinning them: a detached trace-then-verify flow (adversary harnesses,
+/// replication cross-checks, a client verifying a raw trace) collects a
+/// trace and verifies it later, and this floor keeps its epoch's version —
+/// and the listener's snapshot for it — alive across that window.
+const RETIRED_EPOCH_FLOOR: u64 = 8;
+
 /// One finished merge: the output run (None when everything was purged)
 /// plus the listener-facing summary.
 struct MergeOutput {
@@ -160,7 +167,7 @@ impl Db {
         inner.live.retain(|v| {
             v.epoch() == newest
                 || Arc::strong_count(v) > 1
-                || newest - v.epoch() < self.options.retired_epoch_floor
+                || newest - v.epoch() < RETIRED_EPOCH_FLOOR
         });
         let live_epochs: Vec<u64> = inner.live.iter().map(|v| v.epoch()).collect();
         self.listener.on_versions_retired(&live_epochs);
@@ -280,9 +287,6 @@ impl Db {
         let merge_span = self.metrics.flush_merge.start();
         let mut mem_records: Vec<Record> = imm.iter_records().collect();
         self.separate_large_values(&mut mem_records)?;
-        for r in &mem_records {
-            self.listener.on_flush_record(r);
-        }
         let mut input_levels = vec![0];
         let (target, merge_existing) = if self.options.compaction_enabled {
             let plan = self.strategy.flush_plan(&LevelsView::from_version(base), &self.options);
@@ -849,8 +853,9 @@ mod tests {
     use crate::env::StorageEnv;
     use crate::events::{
         CompactionInfo, OutputObserver, OutputWriter, RecordSource, ReplicationEvent,
-        ReplicationSink, StoreListener,
+        ReplicationSink, StoreListener, Verbatim,
     };
+    use crate::maintenance::RETIRED_EPOCH_FLOOR;
     use crate::options::{Options, WalSyncPolicy};
     use crate::record::{Record, RecordView, Timestamp, ValueKind};
 
@@ -954,12 +959,22 @@ mod tests {
             ends: AtomicU64,
             installs: AtomicU64,
         }
-        impl StoreListener for Spy {
-            fn on_wal_append(&self, _: &Record) {
-                self.wal.fetch_add(1, Ordering::Relaxed);
+        /// Counts the records a merge writes out.
+        struct Flushed<'a>(&'a AtomicU64);
+        impl OutputObserver for Flushed<'_> {
+            fn observe(&mut self, _: RecordView<'_>, _: bool) {
+                self.0.fetch_add(1, Ordering::Relaxed);
             }
-            fn on_flush_record(&self, _: &Record) {
-                self.flush.fetch_add(1, Ordering::Relaxed);
+            fn seal<'a>(self: Box<Self>) -> Box<dyn OutputWriter + 'a> {
+                Box::new(Verbatim)
+            }
+        }
+        impl StoreListener for Spy {
+            fn on_wal_append_batch(&self, records: &[Record]) {
+                self.wal.fetch_add(records.len() as u64, Ordering::Relaxed);
+            }
+            fn begin_output(&self, _: usize) -> Box<dyn OutputObserver + '_> {
+                Box::new(Flushed(&self.flush))
             }
             fn on_compaction_input(&self, _: RecordSource, _: RecordView<'_>) {
                 self.inputs.fetch_add(1, Ordering::Relaxed);
@@ -1076,42 +1091,35 @@ mod tests {
         Arc::new(Db::open(env, options, Some(listener)).unwrap())
     }
 
+    /// With no reader pinning it, a drained version survives exactly until
+    /// it falls [`RETIRED_EPOCH_FLOOR`] epochs behind; a pinned one lives
+    /// as long as its reader.
     #[test]
-    fn retired_epoch_floor_pins_drain_behavior() {
-        // With no reader pinning anything, drained versions survive
-        // exactly until they fall `retired_epoch_floor` epochs behind.
-        let run = |floor: u64| {
-            let probe = Arc::new(LiveEpochProbe::default());
-            let db = open_db_with_listener(
-                Options {
-                    retired_epoch_floor: floor,
-                    compaction_enabled: false,
-                    ..small_options()
-                },
-                probe.clone(),
-            );
-            for round in 0..6 {
-                for i in 0..40 {
-                    db.put(format!("key{round}-{i:03}").as_bytes(), &[b'x'; 40]).unwrap();
-                }
-                db.flush().unwrap();
-            }
-            let live = probe.live.lock().clone();
-            let newest = *live.iter().max().unwrap();
-            (live.len(), newest)
-        };
-        let (live0, newest0) = run(0);
-        // Captured at the final flush's phase-3 install: the flush still
-        // pins its phase-1 version, so exactly that version plus the
-        // newest survive — every *drained* version retired immediately.
-        assert_eq!(live0, 2, "floor 0 must retire every drained version immediately");
-        let (live8, newest8) = run(8);
-        assert_eq!(newest0, newest8, "same workload, same epoch sequence");
-        assert_eq!(
-            live8,
-            8.min(newest8 + 1) as usize,
-            "floor 8 must keep the 8 newest epochs verifiable"
+    fn drained_versions_retire_at_the_epoch_floor() {
+        let probe = Arc::new(LiveEpochProbe::default());
+        let db = open_db_with_listener(
+            Options { compaction_enabled: false, ..small_options() },
+            probe.clone(),
         );
+        // Each round installs twice: the freeze, then the merged level.
+        let flush_round = |round: usize| {
+            for i in 0..40 {
+                db.put(format!("key{round}-{i:03}").as_bytes(), &[b'x'; 40]).unwrap();
+            }
+            db.flush().unwrap();
+        };
+        let pinned = db.current_version();
+        (0..5).for_each(flush_round);
+        let newest = db.current_epoch();
+        assert!(newest - pinned.epoch() > RETIRED_EPOCH_FLOOR);
+        let floor = newest + 1 - RETIRED_EPOCH_FLOOR..=newest;
+        let expected: Vec<u64> = std::iter::once(pinned.epoch()).chain(floor).collect();
+        assert_eq!(*probe.live.lock(), expected, "the pinned epoch and the newest eight");
+        drop(pinned);
+        flush_round(5);
+        let newest = db.current_epoch();
+        let floor: Vec<u64> = (newest + 1 - RETIRED_EPOCH_FLOOR..=newest).collect();
+        assert_eq!(*probe.live.lock(), floor, "unpinned and drained: retired");
     }
 
     /// One recorded replication event (frames and jobs owned).

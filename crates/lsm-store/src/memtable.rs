@@ -8,7 +8,7 @@
 //!
 //! Each node stores the full [`Record`] alongside its encoded internal
 //! key, so probe and iteration paths hand out reference-counted
-//! [`Bytes`](bytes::Bytes) clones instead of copying the user key on
+//! [`Bytes`] clones instead of copying the user key on
 //! every hit — the memtable sits on the hottest read path, where a
 //! per-probe allocation would be pure overhead.
 //!

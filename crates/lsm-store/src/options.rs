@@ -98,15 +98,6 @@ pub struct Options {
     /// When acknowledged writes become durable in the host-side WAL (see
     /// [`WalSyncPolicy`] for the durability/throughput trade-off).
     pub wal_sync: WalSyncPolicy,
-    /// How many of the most recent epochs stay verifiable even with no
-    /// live reader pinning them. Detached trace-then-verify flows
-    /// (adversary harnesses, replication cross-checks, tests) collect a
-    /// trace and verify it later; this floor keeps their epoch's
-    /// snapshots alive across that window. Raising it lengthens the
-    /// window at the cost of more retained `Version`s (and more
-    /// listener-side snapshots); 0 retires every drained version
-    /// immediately.
-    pub retired_epoch_floor: u64,
     /// Key-value separation: `Some` splits large values into an
     /// append-only value log at flush time (`None` keeps every value
     /// inline in the LSM levels — the pre-separation behaviour).
@@ -134,7 +125,6 @@ impl Default for Options {
             compaction: CompactionConfig::default(),
             keep_old_versions: true,
             wal_sync: WalSyncPolicy::default(),
-            retired_epoch_floor: 8,
             vlog: None,
             telemetry: telemetry::Telemetry::default(),
         }

@@ -11,7 +11,7 @@
 //! write drops its whole batch — a batch can never partially apply.
 //!
 //! When frames reach the host is governed by
-//! [`WalSyncPolicy`](crate::options::WalSyncPolicy): per writer batch, per
+//! [`WalSyncPolicy`]: per writer batch, per
 //! coalesced commit group, or buffered in enclave memory until a byte
 //! threshold (see the policy docs for the durability trade-off).
 //!

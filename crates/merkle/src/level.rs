@@ -9,14 +9,18 @@
 //!
 //! # Layout
 //!
-//! A [`LevelDigest`] is the prover's copy of a level and can hold millions
-//! of records, so it is stored flat: all keys in one byte arena with an
-//! end-offset table, the first record index of every leaf, and **one
+//! A [`LevelDigest`] is what a flush or compaction holds of its output
+//! level between its two passes — built from the surviving records in the
+//! first, read by the proof writer in the second, dropped when the job's
+//! commitment is staged — and can cover millions of records, so it is
+//! stored flat: the tree, the first record index of every leaf, and **one
 //! suffix digest per record** — the chain digest of that record and every
 //! older version of its key. `finish` computes those digests anyway on its
 //! way to each chain head; they are all a proof needs from the chain
 //! (`older_digest` of version *v* is the suffix digest of version *v + 1*),
-//! so the record bytes themselves are dropped once hashed.
+//! so the record bytes themselves are dropped once hashed, and no key is
+//! kept at all: a proof is asked for by position, in the order the records
+//! arrived.
 //! [`LevelDigest::encode_proof_into`] writes a proof's wire bytes straight
 //! from these tables: the audit path for a key's newest version, a
 //! fixed-size link ([`crate::proof::LINK_LEN`]) for every older one —
@@ -27,7 +31,6 @@ use elsm_crypto::Digest;
 use crate::chain::{chain_link, ChainPosition};
 use crate::crown::Crown;
 use crate::proof::{encode_parts, head_encoded_len, LevelCommitment, RecordProof, LINK_LEN};
-use crate::range::{prove_range, RangeProof};
 use crate::tree::MerkleTree;
 
 /// Byte strings stored back to back, addressed by index: one allocation
@@ -53,17 +56,14 @@ impl Arena {
         let start = index.checked_sub(1).map_or(0, |prev| self.ends[prev]);
         &self.bytes[start..self.ends[index]]
     }
-
-    fn last(&self) -> Option<&[u8]> {
-        self.len().checked_sub(1).map(|i| self.get(i))
-    }
 }
 
 /// Streaming builder for a level digest (the paper's `MHT_add`).
 #[derive(Debug, Default)]
 pub struct LevelDigestBuilder {
     level: u32,
-    keys: Arena,
+    /// Key of the record added last: all `add` compares against.
+    last_key: Vec<u8>,
     records: Arena,
     /// Index in `records` of each leaf's newest version.
     leaf_first: Vec<usize>,
@@ -83,15 +83,14 @@ impl LevelDigestBuilder {
     /// Panics if keys arrive out of ascending order (a correctness bug in
     /// the feeding compaction, never data-dependent).
     pub fn add(&mut self, user_key: &[u8], record_bytes: &[u8]) {
-        let same_key = match self.keys.last() {
-            Some(k) => {
-                assert!(k <= user_key, "level records must arrive in ascending key order");
-                k == user_key
-            }
-            None => false,
-        };
-        if !same_key {
-            self.keys.push(user_key);
+        let first = self.records.len() == 0;
+        assert!(
+            first || &self.last_key[..] <= user_key,
+            "level records must arrive in ascending key order"
+        );
+        if first || self.last_key != user_key {
+            self.last_key.clear();
+            self.last_key.extend_from_slice(user_key);
             self.leaf_first.push(self.records.len());
         }
         self.records.push(record_bytes);
@@ -107,7 +106,7 @@ impl LevelDigestBuilder {
     pub fn finish(mut self) -> LevelDigest {
         self.leaf_first.push(self.records.len());
         let mut suffix_digests = vec![Digest::ZERO; self.records.len()];
-        let mut leaves = Vec::with_capacity(self.keys.len());
+        let mut leaves = Vec::with_capacity(self.leaf_first.len() - 1);
         for chain in self.leaf_first.windows(2) {
             let mut acc = Digest::ZERO;
             for r in (chain[0]..chain[1]).rev() {
@@ -119,38 +118,18 @@ impl LevelDigestBuilder {
         LevelDigest {
             level: self.level,
             tree: MerkleTree::from_leaves(leaves),
-            keys: self.keys,
             leaf_first: self.leaf_first,
             suffix_digests,
         }
     }
 }
 
-/// Result of locating a key among a level's leaves.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum LeafLookup {
-    /// The key is leaf `index`.
-    Found {
-        /// Leaf index of the key.
-        index: usize,
-    },
-    /// The key is absent; it would insert before leaf `successor`.
-    Absent {
-        /// Index of the first leaf with a larger key (== leaf count when
-        /// the key is beyond the last leaf).
-        successor: usize,
-    },
-}
-
-/// The digest of one LSM level plus the prover-side material (leaf keys and
-/// chain digests) the *untrusted* host keeps to answer queries. See the
-/// module docs for the layout.
+/// The digest of one LSM level: its tree, and per record the chain digest
+/// a stored proof is written from. See the module docs for the layout.
 #[derive(Debug, Clone)]
 pub struct LevelDigest {
     level: u32,
     tree: MerkleTree,
-    /// Leaf keys, ascending.
-    keys: Arena,
     /// `leaf_first[i]..leaf_first[i + 1]` are leaf `i`'s records, newest
     /// first (one trailing sentinel).
     leaf_first: Vec<usize>,
@@ -189,28 +168,9 @@ impl LevelDigest {
         self.tree.crown(row_max)
     }
 
-    /// Level number.
-    pub fn level(&self) -> u32 {
-        self.level
-    }
-
     /// Number of distinct keys (leaves).
     pub fn leaf_count(&self) -> usize {
         self.tree.leaf_count()
-    }
-
-    /// Locates `key` among the leaves.
-    pub fn lookup(&self, key: &[u8]) -> LeafLookup {
-        let (mut lo, mut hi) = (0, self.keys.len());
-        while lo < hi {
-            let mid = lo + (hi - lo) / 2;
-            match self.keys.get(mid).cmp(key) {
-                std::cmp::Ordering::Less => lo = mid + 1,
-                std::cmp::Ordering::Equal => return LeafLookup::Found { index: mid },
-                std::cmp::Ordering::Greater => hi = mid,
-            }
-        }
-        LeafLookup::Absent { successor: lo }
     }
 
     /// Number of versions leaf `leaf_idx` holds.
@@ -299,23 +259,13 @@ impl LevelDigest {
             Some(_) => LINK_LEN,
         }
     }
-
-    /// Range proof covering leaves `lo..=hi` (§5.4 segment-tree view).
-    pub fn prove_leaf_range(&self, lo: usize, hi: usize) -> RangeProof {
-        prove_range(&self.tree, lo, hi)
-    }
-
-    /// The leaf digests (chain heads), for range verification.
-    pub fn leaf_digests(&self) -> &[Digest] {
-        self.tree.leaves()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::proof::{RecordProofRef, VerifyError};
-    use crate::range::verify_range;
+    use crate::range::{verify_range, RangeProof};
 
     /// The paper's Figure 3 example: level L2 = [⟨T,4⟩, ⟨Z,7⟩, ⟨Z,6⟩],
     /// level L3 = [⟨A,2⟩, ⟨T,0⟩, ⟨Y,3⟩, ⟨Z,1⟩].
@@ -352,8 +302,7 @@ mod tests {
     fn newest_version_proof_verifies() {
         let l2 = level2();
         let c = l2.commitment();
-        let LeafLookup::Found { index } = l2.lookup(b"Z") else { panic!("Z present") };
-        let proof = l2.prove_newest(index);
+        let proof = l2.prove_newest(1); // leaves in key order: T, Z
         assert_eq!(proof.verify(&c, b"Z,7"), Ok(()));
     }
 
@@ -361,7 +310,8 @@ mod tests {
     fn stale_version_cannot_claim_newest() {
         let l2 = level2();
         let c = l2.commitment();
-        let LeafLookup::Found { index } = l2.lookup(b"Z") else { panic!() };
+        // Leaves are in key order: T, Z.
+        let index = 1;
         // What Z,6 stores is its link: no copy of Z,7, no path, and no
         // proof of anything on its own.
         let honest = l2.prove_version(index, 1);
@@ -386,15 +336,6 @@ mod tests {
     }
 
     #[test]
-    fn lookup_absent_gives_successor() {
-        let l3 = level3();
-        assert_eq!(l3.lookup(b"B"), LeafLookup::Absent { successor: 1 });
-        assert_eq!(l3.lookup(b"0"), LeafLookup::Absent { successor: 0 });
-        assert_eq!(l3.lookup(b"z"), LeafLookup::Absent { successor: 4 });
-        assert_eq!(l3.lookup(b"T"), LeafLookup::Found { index: 1 });
-    }
-
-    #[test]
     fn adjacent_leaf_proofs_support_non_membership() {
         // Non-membership of "B" at L3: neighbors A (leaf 0) and T (leaf 1).
         let l3 = level3();
@@ -409,12 +350,18 @@ mod tests {
     #[test]
     fn range_proof_over_level_verifies() {
         // SCAN([S,U]) against L3 covers leaf T (the paper's §5.4 example
-        // plus boundaries).
+        // plus boundaries): the run T..Y is proved from what its two end
+        // records store.
         let l3 = level3();
         let c = l3.commitment();
-        let proof = l3.prove_leaf_range(1, 2); // T..Y
-        let leaves = &l3.leaf_digests()[1..=2];
-        assert!(verify_range(c.root, c.leaf_count as usize, 1, leaves, &proof));
+        let (t, y) = (l3.prove_newest(1), l3.prove_newest(2));
+        let path = |p: &RecordProof| match &p.chain {
+            ChainPosition::Newest { audit_path, .. } => audit_path.clone(),
+            ChainPosition::Link { .. } => unreachable!("a newest-version proof"),
+        };
+        let proof = RangeProof::from_audit_paths(4, 1, path(&t), 2, path(&y)).unwrap();
+        let leaves = [t.chain.suffix_digest(b"T,0"), y.chain.suffix_digest(b"Y,3")];
+        assert!(verify_range(c.root, c.leaf_count as usize, 1, &leaves, &proof));
     }
 
     #[test]

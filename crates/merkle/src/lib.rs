@@ -14,13 +14,14 @@
 //!   chain link for every older one, the walk that verifies a chain from
 //!   its head, and the per-level commitments the enclave stores,
 //! * [`range`] — segment-tree range proofs for query completeness (§5.4),
+//!   derivable from the audit paths of a run's two end leaves,
 //! * [`mbt`] — the conventional update-in-place Merkle B-tree baseline
 //!   (§3.4).
 //!
 //! # Examples
 //!
 //! ```
-//! use merkle::level::{LeafLookup, LevelDigest};
+//! use merkle::LevelDigest;
 //!
 //! // Digest the paper's level L2 = [⟨T,4⟩, ⟨Z,7⟩, ⟨Z,6⟩]:
 //! let l2 = LevelDigest::from_records(2, vec![
@@ -29,8 +30,7 @@
 //!     (b"Z".as_slice(), b"Z,6".to_vec()),
 //! ]);
 //! let commitment = l2.commitment(); // lives in the enclave
-//! let LeafLookup::Found { index } = l2.lookup(b"Z") else { panic!() };
-//! let proof = l2.prove_newest(index); // embedded in the record
+//! let proof = l2.prove_newest(1); // leaf 1 = Z; embedded in the record
 //! assert!(proof.verify(&commitment, b"Z,7").is_ok());
 //! ```
 
@@ -47,7 +47,7 @@ pub mod tree;
 
 pub use chain::{chain_digest, chain_link, ChainPosition};
 pub use crown::{Anchor, Crown, Work, CROWN_ROW_MAX};
-pub use level::{LeafLookup, LevelDigest, LevelDigestBuilder};
+pub use level::{LevelDigest, LevelDigestBuilder};
 pub use mbt::{MerkleBTree, UpdateStats};
 pub use proof::{ChainWalk, LevelCommitment, RecordProof, RecordProofRef, VerifyError, LINK_LEN};
 pub use range::{prove_range, verify_range, verify_range_anchored, RangeProof};

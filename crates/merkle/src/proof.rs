@@ -341,7 +341,8 @@ impl<'a> RecordProofRef<'a> {
         self.link_position
     }
 
-    fn siblings(&self) -> impl Iterator<Item = Digest> + 'a {
+    /// The audit path's sibling digests, bottom-up (none for a link).
+    pub fn siblings(&self) -> impl Iterator<Item = Digest> + 'a {
         self.audit_path
             .chunks_exact(32)
             .map(|d| Digest::from_bytes(d.try_into().expect("chunks_exact(32)")))

@@ -31,6 +31,50 @@ impl RangeProof {
     pub fn is_empty(&self) -> bool {
         self.left.is_empty() && self.right.is_empty()
     }
+
+    /// The proof for leaves `lo..=hi` of a tree of `leaf_count` leaves,
+    /// read off the audit paths of the run's two end leaves:
+    /// [`prove_range`] emits, row by row, the left sibling of the run's
+    /// first node where that node is a right child and the right sibling
+    /// of its last node where that node is a paired left child — entries
+    /// of `lo`'s and `hi`'s audit paths, and nothing else. The other
+    /// siblings of the two paths (and anything after the rows a path
+    /// needs) are not read. `None` when the range is empty or out of
+    /// bounds, or a path is shorter than its position needs.
+    ///
+    /// Nothing is trusted here: the result proves something only once
+    /// [`verify_range_anchored`] has accepted it.
+    pub fn from_audit_paths(
+        leaf_count: usize,
+        lo: usize,
+        lo_path: impl IntoIterator<Item = Digest>,
+        hi: usize,
+        hi_path: impl IntoIterator<Item = Digest>,
+    ) -> Option<RangeProof> {
+        if lo > hi || hi >= leaf_count {
+            return None;
+        }
+        let (mut lo_path, mut hi_path) = (lo_path.into_iter(), hi_path.into_iter());
+        let mut proof = RangeProof::default();
+        let (mut a, mut b, mut count) = (lo, hi, leaf_count);
+        while count > 1 {
+            // A path has an entry for every row its node is paired in.
+            if a ^ 1 < count {
+                let sibling = lo_path.next()?;
+                if a % 2 == 1 {
+                    proof.left.push(sibling);
+                }
+            }
+            if b ^ 1 < count {
+                let sibling = hi_path.next()?;
+                if b % 2 == 0 {
+                    proof.right.push(sibling);
+                }
+            }
+            (a, b, count) = (a / 2, b / 2, count.div_ceil(2));
+        }
+        Some(proof)
+    }
 }
 
 /// Produces the range proof for leaves `lo..=hi` of `tree`.
@@ -164,6 +208,74 @@ mod tests {
                         verify_range(t.root(), n, lo, &l[lo..=hi], &p),
                         "n={n} range={lo}..={hi}"
                     );
+                }
+            }
+        }
+    }
+
+    /// The proof read off the two end leaves' audit paths is the one the
+    /// tree's owner would have produced — every range of every tree up to
+    /// 130 leaves (odd rows, promoted last nodes, single leaves) — and a
+    /// path that stops one digest early derives nothing.
+    #[test]
+    fn derived_from_end_paths_equals_proved() {
+        for n in 1..=130 {
+            let (t, _) = tree(n);
+            let paths: Vec<Vec<Digest>> = (0..n).map(|i| t.audit_path(i)).collect();
+            for lo in 0..n {
+                for hi in lo..n {
+                    let derive = |lo_path: &[Digest], hi_path: &[Digest]| {
+                        RangeProof::from_audit_paths(
+                            n,
+                            lo,
+                            lo_path.iter().copied(),
+                            hi,
+                            hi_path.iter().copied(),
+                        )
+                    };
+                    let (lo_path, hi_path) = (&paths[lo][..], &paths[hi][..]);
+                    assert_eq!(
+                        derive(lo_path, hi_path),
+                        Some(prove_range(&t, lo, hi)),
+                        "n={n} range={lo}..={hi}"
+                    );
+                    if let Some((_, short)) = lo_path.split_last() {
+                        assert_eq!(derive(short, hi_path), None, "n={n} lo={lo}: short path");
+                    }
+                    if let Some((_, short)) = hi_path.split_last() {
+                        assert_eq!(derive(lo_path, short), None, "n={n} hi={hi}: short path");
+                    }
+                }
+            }
+            assert_eq!(RangeProof::from_audit_paths(n, 0, None, n, None), None, "out of bounds");
+        }
+        assert_eq!(RangeProof::from_audit_paths(4, 2, None, 1, None), None, "empty range");
+    }
+
+    /// Whatever rows the verifier holds, it accepts the derived proof and
+    /// does for it exactly the work it does for the proved one.
+    #[test]
+    fn derived_proof_verifies_under_every_crown_height() {
+        for n in [1, 2, 3, 7, 8, 9, 33, 130] {
+            let (t, l) = tree(n);
+            // Every range of the small trees, a grid over the large one.
+            let step = if n > 33 { 7 } else { 1 };
+            for lo in (0..n).step_by(step) {
+                for hi in (lo..n).step_by(step) {
+                    let proved = prove_range(&t, lo, hi);
+                    let derived =
+                        RangeProof::from_audit_paths(n, lo, t.audit_path(lo), hi, t.audit_path(hi))
+                            .expect("full paths");
+                    for height in 0..=crate::crown::tree_height(n) {
+                        let crown = t.crown_from(height);
+                        let verify = |proof: &RangeProof| {
+                            let mut known = l[lo..=hi].to_vec();
+                            verify_range_anchored(crown.anchor(), n, lo, &mut known, proof)
+                        };
+                        let work = verify(&derived);
+                        assert!(work.is_some(), "n={n} range={lo}..={hi} crown={height}");
+                        assert_eq!(work, verify(&proved));
+                    }
                 }
             }
         }

@@ -429,7 +429,7 @@ impl ShardedKv {
 
     /// Verifies a routed SCAN answer segment claimed to come from
     /// `claimed_shard`: the trace must verify against that shard's
-    /// commitments and digest trees, and every record of the result its
+    /// commitments, and every record of the result its
     /// verifier hands back — the segment the stitcher would take — must be
     /// owned by that shard. Adversary-suite entry point.
     ///

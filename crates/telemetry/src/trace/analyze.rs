@@ -132,7 +132,7 @@ pub fn build_trees(records: &[SpanRecord]) -> Vec<TraceTree> {
 /// (`enclosed_by == 0`), i.e. everything any traced thread charged while
 /// inside traced code. For a run whose every platform charge happens
 /// under some traced op, this equals the platform's
-/// [`TimeSplit`](sgx_sim::TimeSplit) advance exactly.
+/// [`TimeSplit`] advance exactly.
 pub fn run_partition(records: &[SpanRecord]) -> TimeSplit {
     records
         .iter()

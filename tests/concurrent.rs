@@ -163,6 +163,45 @@ fn pinned_trace_verifies_across_installs() {
     assert_eq!(rec.value(), b"v2");
 }
 
+/// A detached scan trace is self-contained: it verifies against its
+/// epoch's commitments after installs have replaced every tree it was
+/// taken from — the range proofs are in its own end records, the host
+/// keeps nothing for it — and stops verifying exactly when its epoch
+/// retires (eight epochs behind with no reader pinning it).
+#[test]
+fn detached_scan_trace_verifies_until_its_epoch_retires() {
+    use elsm_repro::elsm::VerificationFailure;
+
+    let store = ElsmP2::open(Platform::with_defaults(), stress_options(ReadMode::Mmap)).unwrap();
+    for i in 0..120u32 {
+        store.put(format!("key{i:04}").as_bytes(), b"v1").unwrap();
+    }
+    store.db().flush().unwrap();
+    let (from, to) = (&b"key0010"[..], &b"key0030"[..]);
+    let trace = store.raw_scan_trace(from, to).unwrap();
+    let behind = || store.db().current_epoch() - trace.epoch;
+    // Two installs a round — the freeze, then the merged level, whose tree
+    // replaces the one the trace was taken from.
+    let rewrite = |value: &[u8]| {
+        store.put(b"key0020", value).unwrap();
+        store.db().flush().unwrap();
+    };
+    rewrite(b"v2");
+    rewrite(b"v3");
+    assert!((3..8).contains(&behind()), "inside the floor: {} epochs behind", behind());
+    let verified = store.verify_scan_trace(from, to, &trace).expect("its epoch is still live");
+    assert_eq!(verified.len(), 21);
+    assert!(verified.iter().all(|v| v.value()[..] == *b"v1"), "the answer as of its epoch");
+    while behind() < 8 {
+        rewrite(b"v4");
+    }
+    assert_eq!(
+        store.verify_scan_trace(from, to, &trace).map(drop),
+        Err(VerificationFailure::UnknownEpoch { epoch: trace.epoch })
+    );
+    assert_eq!(store.scan(from, to).unwrap().len(), 21, "and a fresh scan still verifies");
+}
+
 /// The same single-stepped race, for the crown: a trace pinned to an old
 /// epoch is verified against *that epoch's* top rows while an install has
 /// already replaced the level's tree and crown — the old crown is shared
@@ -219,7 +258,7 @@ fn pinned_trace_verifies_against_its_epochs_crown() {
 /// recovered.
 #[test]
 fn mid_flush_writes_survive_crash_recovery() {
-    use elsm_repro::lsm_store::{Db, Options, Record, StorageEnv, StoreListener};
+    use elsm_repro::lsm_store::{Db, Options, OutputObserver, StorageEnv, StoreListener, Verbatim};
     use elsm_repro::sim_disk::{FsSnapshot, SimDisk, SimFs};
     use std::sync::{Arc, Mutex, OnceLock};
 
@@ -230,15 +269,15 @@ fn mid_flush_writes_survive_crash_recovery() {
         fired: AtomicBool,
     }
     impl StoreListener for MidFlushWriter {
-        fn on_flush_record(&self, _: &Record) {
+        fn begin_output(&self, _: usize) -> Box<dyn OutputObserver + '_> {
             // Fires during the flush's merge phase: the memtable is
             // frozen, the WAL has rotated, and no store lock is held.
-            if self.fired.swap(true, Ordering::SeqCst) {
-                return;
+            if !self.fired.swap(true, Ordering::SeqCst) {
+                let db = self.db.get().expect("db registered");
+                db.put(b"late-write", b"must-survive").unwrap();
+                *self.snapshot.lock().unwrap() = Some(self.fs.snapshot());
             }
-            let db = self.db.get().expect("db registered");
-            db.put(b"late-write", b"must-survive").unwrap();
-            *self.snapshot.lock().unwrap() = Some(self.fs.snapshot());
+            Box::new(Verbatim)
         }
     }
 

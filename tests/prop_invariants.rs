@@ -712,9 +712,35 @@ fn verified_answer_is_the_traces_and_the_models() {
     }
     assert!(from_memtable > 20 && from_levels > 300 && tombstones > 50 && absent > 20);
 
-    for _ in 0..200 {
+    // The ranges whose proofs sit at an edge of a level's tree, level by
+    // level, then seeded ones: the whole keyspace (every leaf: an empty
+    // proof); before the level's first leaf and after its last (there, a
+    // one-leaf run — both ends of the proof are the same leaf); one key at
+    // each end; and a gap between two adjacent leaves, which holds no key
+    // of any level.
+    use std::ops::Bound::{Excluded, Unbounded};
+    let mut ranges: Vec<(Vec<u8>, Vec<u8>)> = vec![(b"a".to_vec(), b"z".to_vec())];
+    for run in store.db().current_version().levels().iter().flatten() {
+        let (first, last) = (run.smallest().unwrap().to_vec(), run.largest().unwrap().to_vec());
+        let below =
+            model.range(..first.clone()).next_back().map_or(b"b".to_vec(), |(k, _)| k.clone());
+        let above = model.range((Excluded(last.clone()), Unbounded)).next();
+        let above = above.map_or(b"y".to_vec(), |(k, _)| k.clone());
+        let gap = [&first[..], b"\0"].concat();
+        ranges.extend([
+            (b"a".to_vec(), below),
+            (above, b"z".to_vec()),
+            (first.clone(), first),
+            (last.clone(), last),
+            (gap.clone(), gap),
+        ]);
+    }
+    assert!(ranges.len() > 5 * 2, "the edges of at least two levels: {}", ranges.len());
+    ranges.extend((0..200).map(|_| {
         let lo = next(430);
-        let (from, to) = (key(lo), key(lo + next(25)));
+        (key(lo), key(lo + next(25)))
+    }));
+    for (from, to) in ranges {
         let trace = store.raw_scan_trace(&from, &to).unwrap();
         let verified = store.verify_scan_trace(&from, &to, &trace).expect("an honest trace");
         assert_eq!(verified.iter().map(|v| v.record).collect::<Vec<_>>(), trace.merged());

@@ -635,8 +635,18 @@ mod answer_is_verified {
                     Box::new(move |t| adversary::truncate_scan(t, level, keep)),
                 ));
             }
+            // The level's range proof is read off the audit paths of the
+            // run's two end records: every sibling of both, a byte each.
+            for end in [adversary::ScanEnd::Lo, adversary::ScanEnd::Hi] {
+                for byte in (0..32 * 10).step_by(11) {
+                    scan_mutators.push((
+                        "corrupt_scan_end_path",
+                        Box::new(move |t| adversary::corrupt_scan_end_path(t, level, end, byte)),
+                    ));
+                }
+            }
         }
-        let (mut refused, mut unharmed) = (0, 0);
+        let (mut refused, mut unharmed, mut end_paths_refused) = (0, 0, 0);
         for (lo, hi) in [(0u32, 10), (35, 50), (70, 80), (110, 125), (140, 160), (0, 160)] {
             let (from, to) = (key(lo), key(hi));
             let honest = store.raw_scan_trace(&from, &to).unwrap();
@@ -646,7 +656,21 @@ mod answer_is_verified {
                 let mut trace = honest.clone();
                 mutate(&mut trace);
                 match store.verify_scan_trace(&from, &to, &trace) {
-                    Err(_) => refused += 1,
+                    Err(failure) => {
+                        // A sibling the derived proof uses: the range does
+                        // not reach the root (or the crown row).
+                        assert!(
+                            *name != "corrupt_scan_end_path"
+                                || matches!(
+                                    failure,
+                                    VerificationFailure::IncompleteRange { .. }
+                                        | VerificationFailure::ForgedRecord { .. }
+                                ),
+                            "{name} on {lo}..={hi}: {failure:?}"
+                        );
+                        refused += 1;
+                        end_paths_refused += usize::from(*name == "corrupt_scan_end_path");
+                    }
                     Ok(verified) => {
                         let values: Vec<_> = verified.iter().map(|v| v.value()).collect();
                         let got: Vec<(&[u8], &[u8])> = verified
@@ -661,6 +685,7 @@ mod answer_is_verified {
             }
         }
         assert!(refused > 20 && unharmed > 20, "refused {refused}, unharmed {unharmed}");
+        assert!(end_paths_refused > 100, "the end paths are read: {end_paths_refused}");
     }
 }
 
