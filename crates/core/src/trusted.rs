@@ -854,6 +854,13 @@ impl TrustedState {
             .levels_at(trace.epoch)
             .ok_or(VerificationFailure::UnknownEpoch { epoch: trace.epoch })?;
         let epoch_levels = snapshot.len().saturating_sub(1).max(self.max_levels);
+        // A level proves at most a leaf per record and its two boundaries.
+        let widest = trace.levels.iter().map(|range| range.records.len() + 2).max().unwrap_or(0);
+        let mut scratch = ScanScratch {
+            canonical: Vec::new(),
+            leaf_seq: Vec::with_capacity(widest),
+            leaves: Vec::with_capacity(widest),
+        };
         let mut expected: u32 = 1;
         for range in &trace.levels {
             if range.level as u32 != expected {
@@ -868,7 +875,7 @@ impl TrustedState {
                 expected += 1;
                 continue;
             }
-            self.verify_level_range(&level, from, to, range)?;
+            self.verify_level_range(&level, from, to, range, &mut scratch)?;
             expected += 1;
         }
         if (expected as usize) <= epoch_levels {
@@ -906,26 +913,27 @@ impl TrustedState {
         from: &[u8],
         to: &[u8],
         range: &lsm_store::LevelRange,
+        scratch: &mut ScanScratch,
     ) -> Result<(), VerificationFailure> {
         let commitment = &trusted.commitment;
         let level = commitment.level;
         let fail = |reason: &'static str| VerificationFailure::IncompleteRange { level, reason };
+        let ScanScratch { canonical, leaf_seq, leaves } = scratch;
 
         // Group in-range records by key; compute each group's leaf hash
         // from the newest version, then walk the older versions down its
         // chain. The range proof below authenticates the leaves, and with
         // them everything the walks accepted. The proofs of the run's two
         // end leaves are kept: their audit paths are that range proof.
-        let mut leaf_seq: Vec<(u64, Digest)> = Vec::new();
+        leaf_seq.clear();
         let (mut first, mut last) = (None, None);
-        let mut canonical = Vec::new();
         let mut idx = 0usize;
         while idx < range.records.len() {
             let newest = &range.records[idx];
             if newest.key[..] < *from || newest.key[..] > *to {
                 return Err(fail("record outside the queried range"));
             }
-            let (proof, leaf_hash) = self.leaf_from_record(level, newest, &mut canonical)?;
+            let (proof, leaf_hash) = self.leaf_from_record(level, newest, canonical)?;
             if proof.leaf_count != commitment.leaf_count {
                 return Err(fail("proof leaf count mismatch"));
             }
@@ -941,10 +949,10 @@ impl TrustedState {
                 if older.ts >= range.records[j - 1].ts {
                     return Err(fail("versions not in descending timestamp order"));
                 }
-                let (_, link) = open_proved(level, older, &mut canonical)?;
+                let (_, link) = open_proved(level, older, canonical)?;
                 self.platform.charge_hash(canonical.len() + 32);
                 self.count_proof(&link);
-                walk.step(&link, &canonical)
+                walk.step(&link, canonical)
                     .map_err(|source| VerificationFailure::ForgedRecord { level, source })?;
                 j += 1;
             }
@@ -959,7 +967,7 @@ impl TrustedState {
             if rec.key[..] >= *from {
                 return Err(fail("left boundary not below range"));
             }
-            let (proof, leaf_hash) = self.leaf_from_record(level, rec, &mut canonical)?;
+            let (proof, leaf_hash) = self.leaf_from_record(level, rec, canonical)?;
             leaf_seq.insert(0, (proof.leaf_index, leaf_hash));
             first = Some(proof);
             last.get_or_insert(proof);
@@ -968,7 +976,7 @@ impl TrustedState {
             if rec.key[..] <= *to {
                 return Err(fail("right boundary not above range"));
             }
-            let (proof, leaf_hash) = self.leaf_from_record(level, rec, &mut canonical)?;
+            let (proof, leaf_hash) = self.leaf_from_record(level, rec, canonical)?;
             leaf_seq.push((proof.leaf_index, leaf_hash));
             first.get_or_insert(proof);
             last = Some(proof);
@@ -995,19 +1003,31 @@ impl TrustedState {
         // The boundary hashes of the run `lo..=hi` are the left siblings
         // on `lo`'s audit path and the right siblings on `hi`'s; what else
         // the two paths hold is not read, so it cannot matter.
-        let mut leaves: Vec<Digest> = leaf_seq.iter().map(|(_, d)| *d).collect();
+        leaves.clear();
+        leaves.extend(leaf_seq.iter().map(|(_, d)| *d));
         let crown = &trusted.crown.crown;
         let leaf_count = commitment.leaf_count as usize;
         let (lo, hi) = (lo as usize, hi as usize);
         let work =
             RangeProof::from_audit_paths(leaf_count, lo, first.siblings(), hi, last.siblings())
                 .and_then(|proof| {
-                    verify_range_anchored(crown.anchor(), leaf_count, lo, &mut leaves, &proof)
+                    verify_range_anchored(crown.anchor(), leaf_count, lo, leaves, &proof)
                 })
                 .ok_or(fail("range proof does not reach the committed root"))?;
         self.charge_walk(trusted, 0, (lo >> crown.base_height()) as u64, work);
         Ok(())
     }
+}
+
+/// The buffers one verified scan reuses from level to level.
+#[derive(Debug)]
+struct ScanScratch {
+    /// The canonical bytes of the record being checked.
+    canonical: Vec<u8>,
+    /// The level's proved leaves, `(leaf index, leaf)`, in key order.
+    leaf_seq: Vec<(u64, Digest)>,
+    /// The same leaves, folded in place by the range walk.
+    leaves: Vec<Digest>,
 }
 
 /// Opens a level record's envelope in place and requires the embedded

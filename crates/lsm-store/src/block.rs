@@ -10,10 +10,13 @@
 //! Every `restart_interval` entries the full key is stored, so iterators
 //! can binary-search restart points and then scan at most one interval.
 
+use std::cell::RefCell;
+use std::cmp::Ordering;
+
 use bytes::Bytes;
 
 use crate::encoding::{get_fixed_u32, get_varint_u32, put_fixed_u32, put_varint_u32};
-use crate::record::internal_cmp;
+use crate::record::{internal_cmp, SeekKey};
 
 /// Default number of entries between restart points (LevelDB uses 16).
 pub const RESTART_INTERVAL: usize = 16;
@@ -76,8 +79,7 @@ impl BlockBuilder {
         self.key.extend_from_slice(user_key);
         self.key.extend_from_slice(suffix);
         assert!(
-            self.entries == 0
-                || internal_cmp(&self.key, &self.last_key) == std::cmp::Ordering::Greater,
+            self.entries == 0 || internal_cmp(&self.key, &self.last_key) == Ordering::Greater,
             "block keys must be strictly increasing"
         );
         let shared = if self.count_since_restart < RESTART_INTERVAL {
@@ -210,15 +212,27 @@ impl Block {
         BlockIter::at(self.clone(), 0)
     }
 
-    /// Iterator positioned at the first entry with key `>= target`.
+    /// Iterator positioned at the first entry with key `>= target` (an
+    /// encoded internal key).
     pub fn seek(&self, target: &[u8]) -> BlockIter {
+        self.seek_by(|key| internal_cmp(key, target))
+    }
+
+    /// [`Block::seek`] to `target` held as its parts, compared in place.
+    pub(crate) fn seek_key(&self, target: SeekKey<'_>) -> BlockIter {
+        self.seek_by(|key| target.cmp_encoded(key))
+    }
+
+    /// Iterator positioned at the first entry whose key `order` does not
+    /// place before the target.
+    fn seek_by(&self, order: impl Fn(&[u8]) -> Ordering) -> BlockIter {
         // Binary search the restart array for the last restart whose key
         // is <= target (a restart entry stores its key whole, so it is
         // compared in place), then scan forward.
         let (mut lo, mut hi) = (0usize, self.num_restarts - 1);
         while lo < hi {
             let mid = (lo + hi).div_ceil(2);
-            if internal_cmp(self.key_at_restart(mid), target) != std::cmp::Ordering::Greater {
+            if order(self.key_at_restart(mid)) != Ordering::Greater {
                 lo = mid;
             } else {
                 hi = mid - 1;
@@ -226,7 +240,7 @@ impl Block {
         }
         let mut iter = BlockIter::at(self.clone(), self.restart_point(lo));
         while let Ok(true) = iter.advance() {
-            if internal_cmp(iter.key(), target) != std::cmp::Ordering::Less {
+            if order(iter.key()) != Ordering::Less {
                 // The next `advance` is this entry again.
                 iter.parked = true;
                 break;
@@ -254,11 +268,23 @@ impl Block {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CorruptEntry;
 
+/// Key buffers kept for reuse per thread: a read holds at most two cursors
+/// at once (a scan and the one trailing it).
+const SPARE_KEYS: usize = 2;
+
+thread_local! {
+    /// Key buffers of block cursors dropped on this thread. The next
+    /// cursors rebuild their keys in them, so the block searches of a read
+    /// — and of the reads after it — allocate no cursor buffer.
+    static SPARE: RefCell<Vec<Vec<u8>>> = const { RefCell::new(Vec::new()) };
+}
+
 /// Cursor over a block's entries. [`BlockIter::advance`] moves to the next
 /// entry and reports one that does not decode; the key is rebuilt in one
-/// buffer reused from entry to entry and the value is a zero-copy slice of
-/// the block. As an [`Iterator`] it yields owned `(key, value)` pairs and
-/// ends at the first entry that does not decode.
+/// buffer reused from entry to entry (and taken over from the cursor before
+/// it on this thread) and the value is a zero-copy slice of the block. As
+/// an [`Iterator`] it yields owned `(key, value)` pairs and ends at the
+/// first entry that does not decode.
 #[derive(Debug)]
 pub struct BlockIter {
     block: Block,
@@ -269,9 +295,23 @@ pub struct BlockIter {
     parked: bool,
 }
 
+impl Drop for BlockIter {
+    fn drop(&mut self) {
+        let key = std::mem::take(&mut self.key);
+        // `try_with`: cursors also drop while a thread's locals are torn down.
+        let _ = SPARE.try_with(|spare| match spare.try_borrow_mut() {
+            Ok(mut spare) if spare.len() < SPARE_KEYS => spare.push(key),
+            _ => {}
+        });
+    }
+}
+
 impl BlockIter {
     fn at(block: Block, pos: usize) -> Self {
-        BlockIter { block, pos, key: Vec::new(), value: Bytes::new(), parked: false }
+        let spare = SPARE.try_with(|spare| spare.try_borrow_mut().ok()?.pop());
+        let mut key = spare.ok().flatten().unwrap_or_default();
+        key.clear();
+        BlockIter { block, pos, key, value: Bytes::new(), parked: false }
     }
 
     /// Starts over on another block, keeping the key buffer.

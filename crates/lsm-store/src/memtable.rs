@@ -17,7 +17,7 @@
 
 use bytes::Bytes;
 
-use crate::record::{internal_cmp, InternalKey, Record, Timestamp, ValueKind};
+use crate::record::{Record, SeekKey, Timestamp, ValueKind};
 
 const MAX_HEIGHT: usize = 12;
 /// Branching probability 1/4, as in LevelDB.
@@ -91,15 +91,14 @@ impl SkipList {
     }
 
     /// Finds, per level, the last node whose key is `< key`.
-    fn find_predecessors(&self, key: &[u8]) -> [u32; MAX_HEIGHT] {
+    fn find_predecessors(&self, key: SeekKey<'_>) -> [u32; MAX_HEIGHT] {
         let mut prev = [0u32; MAX_HEIGHT];
         let mut node = 0u32;
         for h in (0..self.height).rev() {
             loop {
                 let next = self.nodes[node as usize].next[h];
                 if next != 0
-                    && internal_cmp(self.nodes[next as usize].key.as_slice(), key)
-                        == std::cmp::Ordering::Less
+                    && key.cmp_encoded(&self.nodes[next as usize].key) == std::cmp::Ordering::Less
                 {
                     node = next;
                 } else {
@@ -114,8 +113,8 @@ impl SkipList {
     /// Inserts a record. Internal keys must be unique (they carry a unique
     /// timestamp, so duplicates cannot occur in correct usage).
     pub fn insert(&mut self, record: Record) {
+        let prev = self.find_predecessors(SeekKey::new(&record.key, record.ts, record.kind));
         let key = record.internal_key().encoded().to_vec();
-        let prev = self.find_predecessors(&key);
         let h = self.random_height();
         if h > self.height {
             self.height = h;
@@ -134,13 +133,13 @@ impl SkipList {
     }
 
     /// Arena index of the first node with key `>= key` (0 if none).
-    fn seek_index(&self, key: &[u8]) -> u32 {
+    fn seek_index(&self, key: SeekKey<'_>) -> u32 {
         let prev = self.find_predecessors(key);
         self.nodes[prev[0] as usize].next[0]
     }
 
-    /// Iterates entries with keys `>=` the given encoded key.
-    pub fn range_from<'a>(&'a self, key: &[u8]) -> SkipIter<'a> {
+    /// Iterates entries with keys `>= key`.
+    pub(crate) fn range_from<'a>(&'a self, key: SeekKey<'_>) -> SkipIter<'a> {
         SkipIter { list: self, node: self.seek_index(key) }
     }
 
@@ -219,8 +218,7 @@ impl MemTable {
     /// tombstones (the caller interprets them). The returned record shares
     /// its key/value storage with the stored one (cheap `Bytes` clones).
     pub fn get(&self, key: &[u8], ts_q: Timestamp) -> Option<Record> {
-        let seek = InternalKey::new(key, ts_q, ValueKind::Put);
-        let (_, record) = self.list.range_from(seek.encoded()).next()?;
+        let (_, record) = self.list.range_from(SeekKey::new(key, ts_q, ValueKind::Put)).next()?;
         if record.key != key {
             return None;
         }
@@ -235,9 +233,8 @@ impl MemTable {
     /// Records with user key in `[from, to]`, all versions, newest first
     /// within a key.
     pub fn range_records(&self, from: &[u8], to: &[u8]) -> Vec<Record> {
-        let seek = InternalKey::seek_to(from);
         let mut out = Vec::new();
-        for (_, record) in self.list.range_from(seek.encoded()) {
+        for (_, record) in self.list.range_from(SeekKey::newest(from)) {
             if record.key[..] > *to {
                 break;
             }

@@ -130,12 +130,12 @@ impl Db {
         if memtable.is_some() {
             return Ok(GetTrace { epoch, memtable, levels: Vec::new() });
         }
-        let mut levels = Vec::new();
         // Under leveled compaction, lower levels are fresher (Lemma 5.4).
         // In stacked layouts — compaction off, or a stacked strategy like
         // size-tiered — runs stack upward as they flush, so the freshest
         // run has the highest index and search order reverses.
         let level_count = version.levels().len();
+        let mut levels = Vec::with_capacity(level_count.saturating_sub(1));
         for nth in 1..level_count {
             let level = if self.stacked_reads { level_count - nth } else { nth };
             let outcome = match version.level(level) {
@@ -201,7 +201,7 @@ impl Db {
         if let Some(imm) = version.imm() {
             memtable.extend(imm.range_records(from, to));
         }
-        let mut levels = Vec::new();
+        let mut levels = Vec::with_capacity(version.levels().len().saturating_sub(1));
         for level in 1..version.levels().len() {
             let run = version.level(level);
             let (left, right) = match run {

@@ -250,6 +250,35 @@ pub(crate) fn user_key_of(encoded: &[u8]) -> &[u8] {
     split_suffix(encoded).0
 }
 
+/// An internal key held as its two parts — the caller's user key and the
+/// suffix on the stack — and compared against encoded keys in place: what
+/// a read seeks to, without building the encoded key.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct SeekKey<'a> {
+    user_key: &'a [u8],
+    suffix: [u8; 8],
+}
+
+impl<'a> SeekKey<'a> {
+    /// The internal key `(user_key, ts, kind)`.
+    pub(crate) fn new(user_key: &'a [u8], ts: Timestamp, kind: ValueKind) -> Self {
+        SeekKey { user_key, suffix: (!pack(ts, kind)).to_be_bytes() }
+    }
+
+    /// The smallest internal key for `user_key`: seeks placed here find
+    /// its *newest* record first.
+    pub(crate) fn newest(user_key: &'a [u8]) -> Self {
+        Self::new(user_key, Timestamp::MAX >> 2, ValueKind::Put)
+    }
+
+    /// How the *encoded* internal key `encoded` orders against this one —
+    /// `internal_cmp(encoded, self)` without encoding `self`.
+    pub(crate) fn cmp_encoded(&self, encoded: &[u8]) -> std::cmp::Ordering {
+        let (user_key, suffix) = split_suffix(encoded);
+        user_key.cmp(self.user_key).then_with(|| suffix.cmp(&self.suffix))
+    }
+}
+
 /// An internal key: user key plus `(timestamp, kind)` suffix.
 ///
 /// The encoded form is `user_key ‖ be_bytes(!packed)`; ordering is defined
@@ -274,17 +303,8 @@ impl Ord for InternalKey {
 impl InternalKey {
     /// Builds an internal key.
     pub fn new(key: impl AsRef<[u8]>, ts: Timestamp, kind: ValueKind) -> Self {
-        let key = key.as_ref();
-        let mut encoded = Vec::with_capacity(key.len() + 8);
-        encoded.extend_from_slice(key);
-        encoded.extend_from_slice(&(!pack(ts, kind)).to_be_bytes());
-        InternalKey { encoded }
-    }
-
-    /// The smallest internal key for `key`: seeks placed here find the
-    /// *newest* record of `key` first.
-    pub fn seek_to(key: impl AsRef<[u8]>) -> Self {
-        Self::new(key, Timestamp::MAX >> 2, ValueKind::Put)
+        let key = SeekKey::new(key.as_ref(), ts, kind);
+        InternalKey { encoded: [key.user_key, &key.suffix].concat() }
     }
 
     /// The encoded bytes (comparison form).
@@ -362,10 +382,9 @@ mod tests {
     }
 
     #[test]
-    fn seek_to_precedes_all_versions() {
-        let seek = InternalKey::seek_to(b"k");
+    fn newest_seek_precedes_all_versions() {
         let newest = InternalKey::new(b"k", u64::MAX >> 2, ValueKind::Put);
-        assert!(seek <= newest);
+        assert!(SeekKey::newest(b"k").cmp_encoded(newest.encoded()).is_ge());
     }
 
     #[test]
@@ -402,6 +421,31 @@ mod tests {
             let a = InternalKey::new(ka.as_bytes(), ta, ValueKind::Put);
             let b = InternalKey::new(kb.as_bytes(), tb, ValueKind::Put);
             assert_eq!(internal_cmp(a.encoded(), b.encoded()), want, "{ka}@{ta} vs {kb}@{tb}");
+        }
+    }
+
+    /// A seek key compares against an encoded key as its own encoding
+    /// would — prefix user keys and keys too short to hold a suffix
+    /// included.
+    #[test]
+    fn seek_key_orders_like_its_encoding() {
+        let targets = [("k", 9u64), ("k", 2), ("kk", 1), ("", 0), ("ab", Timestamp::MAX >> 2)];
+        let mut encoded: Vec<Vec<u8>> = targets
+            .iter()
+            .flat_map(|&(k, ts)| {
+                [ValueKind::Put, ValueKind::Delete]
+                    .map(|kind| InternalKey::new(k.as_bytes(), ts, kind).encoded().to_vec())
+            })
+            .collect();
+        encoded.extend([b"".to_vec(), b"k".to_vec(), b"\xff\xff".to_vec()]);
+        for &(k, ts) in &targets {
+            for kind in [ValueKind::Put, ValueKind::VlogPut, ValueKind::Delete] {
+                let seek = SeekKey::new(k.as_bytes(), ts, kind);
+                let target = InternalKey::new(k.as_bytes(), ts, kind);
+                for e in &encoded {
+                    assert_eq!(seek.cmp_encoded(e), internal_cmp(e, target.encoded()), "{e:?}");
+                }
+            }
         }
     }
 

@@ -28,7 +28,7 @@ use crate::bloom::{key_hashes, BloomFilter, KeyHashes};
 use crate::encoding::{get_fixed_u64, get_length_prefixed, put_fixed_u64, put_length_prefixed};
 use crate::env::StorageEnv;
 use crate::record::{
-    parse_internal_key, user_key_of, InternalKey, Record, RecordView, Timestamp, ValueKind,
+    parse_internal_key, user_key_of, Record, RecordView, SeekKey, Timestamp, ValueKind,
 };
 
 const FOOTER_LEN: usize = 56;
@@ -277,6 +277,8 @@ pub struct TableReader {
     mmap: Option<Arc<MmapFile>>,
     meta: TableMeta,
     index: Vec<(Vec<u8>, u64, u64)>,
+    /// Bytes the index occupies as enclave metadata.
+    index_bytes: usize,
     bloom: Option<BloomFilter>,
     bloom_region: Option<crate::env::MetaSlice>,
     index_region: Option<crate::env::MetaSlice>,
@@ -346,17 +348,27 @@ impl TableReader {
             }
             env.metadata_region(b.byte_len())
         });
-        let index_bytes_total: usize = index.iter().map(|(k, _, _)| k.len() + 16).sum();
+        let index_bytes: usize = index.iter().map(|(k, _, _)| k.len() + 16).sum();
         let index_region = if env.config().in_enclave {
-            env.platform().cross_copy(index_bytes_total);
-            env.metadata_region(index_bytes_total.max(1))
+            env.platform().cross_copy(index_bytes);
+            env.metadata_region(index_bytes.max(1))
         } else {
             None
         };
 
         let mmap = env.config().use_mmap.then(|| MmapFile::map(file.clone()));
 
-        Ok(TableReader { env, file, mmap, meta, index, bloom, bloom_region, index_region })
+        Ok(TableReader {
+            env,
+            file,
+            mmap,
+            meta,
+            index,
+            index_bytes,
+            bloom,
+            bloom_region,
+            index_region,
+        })
     }
 
     /// Table summary.
@@ -373,7 +385,7 @@ impl TableReader {
             off as usize,
             len as usize,
         )?;
-        Block::parse(stored).ok_or(FsError::OutOfBounds {
+        Block::parse(stored).ok_or_else(|| FsError::OutOfBounds {
             name: self.file.name(),
             requested_end: (off + len) as usize,
             len: self.file.len(),
@@ -382,10 +394,10 @@ impl TableReader {
 
     /// Index of the first block whose last key is `>= target`, or `None`
     /// past the end.
-    fn block_for(&self, target: &[u8]) -> Option<usize> {
-        let idx = self.index.partition_point(|(last, _, _)| {
-            crate::record::internal_cmp(last.as_slice(), target) == std::cmp::Ordering::Less
-        });
+    fn block_for(&self, target: SeekKey<'_>) -> Option<usize> {
+        let idx = self
+            .index
+            .partition_point(|(last, _, _)| target.cmp_encoded(last) == std::cmp::Ordering::Less);
         (idx < self.index.len()).then_some(idx)
     }
 
@@ -396,8 +408,7 @@ impl TableReader {
         // the page-granularity pressure faithful to the unscaled system
         // (see DESIGN.md §4.1) while still faulting under EPC pollution.
         let probes = (self.index.len().max(2)).ilog2() as usize + 1;
-        let total: usize = self.index.iter().map(|(k, _, _)| k.len() + 16).sum();
-        let off = (self.index.len() / 2) * 32 % total.max(1);
+        let off = (self.index.len() / 2) * 32 % self.index_bytes.max(1);
         self.env.touch_metadata(self.index_region.as_ref(), [(0, 32usize), (off, probes * 32)]);
     }
 
@@ -425,19 +436,21 @@ impl TableReader {
             }
         }
         self.charge_index_probe();
-        let seek = InternalKey::new(key, ts_q, ValueKind::Put);
-        let Some(block_idx) = self.block_for(seek.encoded()) else {
+        let seek = SeekKey::new(key, ts_q, ValueKind::Put);
+        let Some(block_idx) = self.block_for(seek) else {
             return Ok(None);
         };
         let block = self.read_block(block_idx)?;
-        let mut found = block.seek(seek.encoded());
+        let mut found = block.seek_key(seek);
         if let Ok(true) = found.advance() {
             return Ok(record_at(&found).filter(|r| r.key == key).map(|r| r.to_record()));
         }
         Ok(None)
     }
 
-    /// Newest record of the greatest user key strictly `< key`.
+    /// Newest record of the greatest user key strictly `< key`. Nothing
+    /// is materialised but the record returned: a second cursor trails the
+    /// scan, parked on the best candidate so far.
     ///
     /// # Errors
     ///
@@ -446,41 +459,44 @@ impl TableReader {
         if key <= &self.meta.smallest[..] {
             return Ok(None);
         }
-        let seek = InternalKey::seek_to(key);
         // `open` admits no table without a block.
-        let start = self.block_for(seek.encoded()).unwrap_or(self.index.len() - 1);
+        let start = self.block_for(SeekKey::newest(key)).unwrap_or(self.index.len() - 1);
         // Scan the candidate block (and earlier ones if needed) for the last
         // record with user key < key.
         let mut block_idx = start;
         loop {
             let block = self.read_block(block_idx)?;
-            let mut best: Option<Record> = None;
             let mut entries = block.iter();
+            let mut best = block.iter();
+            // Entries `entries` and `best` have advanced over; `best` is on
+            // a candidate once `found`.
+            let (mut scanned, mut parked, mut found) = (0usize, 0usize, false);
             while let Ok(true) = entries.advance() {
+                scanned += 1;
                 let Some(r) = record_at(&entries) else { continue };
                 if r.key >= key {
                     break;
                 }
-                match &best {
-                    Some(b) if b.key == r.key => {
-                        // Keep the newest visible version of this key.
-                        if r.ts <= ts_q && b.ts < r.ts {
-                            best = Some(r.to_record());
-                        }
+                if r.ts > ts_q {
+                    // Too new for the snapshot; older versions of the key
+                    // sort after it.
+                    continue;
+                }
+                // Keep the newest visible version of a key.
+                let replace = match record_at(&best).filter(|_| found) {
+                    Some(b) if b.key == r.key => b.ts < r.ts,
+                    _ => true,
+                };
+                if replace {
+                    while parked < scanned {
+                        let _ = best.advance();
+                        parked += 1;
                     }
-                    _ => {
-                        if r.ts <= ts_q {
-                            best = Some(r.to_record());
-                        } else {
-                            // Version too new for the snapshot; remember key
-                            // by falling through to older versions later in
-                            // the block (they sort after).
-                        }
-                    }
+                    found = true;
                 }
             }
-            if let Some(b) = best {
-                return self.chain_head(b, block_idx, ts_q).map(Some);
+            if let Some(b) = record_at(&best).filter(|_| found) {
+                return self.chain_head(b.to_record(), block_idx, ts_q).map(Some);
             }
             if block_idx == 0 {
                 return Ok(None);
@@ -507,10 +523,10 @@ impl TableReader {
         if first == block_idx {
             return Ok(found);
         }
-        let seek = InternalKey::new(&found.key, ts_q, ValueKind::Put);
+        let seek = SeekKey::new(&found.key, ts_q, ValueKind::Put);
         for earlier in first..block_idx {
             let block = self.read_block(earlier)?;
-            let mut head = block.seek(seek.encoded());
+            let mut head = block.seek_key(seek);
             if let Ok(true) = head.advance() {
                 if let Some(r) = record_at(&head).filter(|r| found.key == r.key) {
                     return Ok(r.to_record());
@@ -530,14 +546,14 @@ impl TableReader {
             return Ok(None);
         }
         // Seek past all versions of `key`: the successor of (key, ts=0).
-        let after = InternalKey::new(key, 0, ValueKind::Delete);
-        let mut block_idx = match self.block_for(after.encoded()) {
+        let after = SeekKey::new(key, 0, ValueKind::Delete);
+        let mut block_idx = match self.block_for(after) {
             Some(i) => i,
             None => return Ok(None),
         };
         loop {
             let block = self.read_block(block_idx)?;
-            let mut entries = block.seek(after.encoded());
+            let mut entries = block.seek_key(after);
             while let Ok(true) = entries.advance() {
                 let Some(r) = record_at(&entries) else { continue };
                 if r.key <= key {
@@ -574,27 +590,88 @@ impl TableReader {
     ///
     /// Returns [`FsError`] on IO errors.
     pub fn range(&self, from: &[u8], to: &[u8]) -> Result<Vec<Record>, FsError> {
-        let seek = InternalKey::seek_to(from);
-        let Some(mut block_idx) = self.block_for(seek.encoded()) else {
-            return Ok(Vec::new());
+        let mut blocks = RangeBlocks::default();
+        self.range_blocks(from, to, &mut blocks)?;
+        Ok(blocks.records(from, to))
+    }
+
+    /// Reads the blocks holding this table's records with user key in
+    /// `[from, to]` onto `blocks` — the range's only IO.
+    pub(crate) fn range_blocks(
+        &self,
+        from: &[u8],
+        to: &[u8],
+        blocks: &mut RangeBlocks,
+    ) -> Result<(), FsError> {
+        let Some(mut block_idx) = self.block_for(SeekKey::newest(from)) else {
+            return Ok(());
         };
-        let mut out = Vec::new();
-        'outer: while block_idx < self.index.len() {
+        while block_idx < self.index.len() {
             let block = self.read_block(block_idx)?;
-            let mut entries = block.seek(seek.encoded());
-            while let Ok(true) = entries.advance() {
-                let Some(r) = record_at(&entries) else { continue };
-                if r.key > to {
-                    break 'outer;
-                }
-                if r.key >= from {
-                    out.push(r.to_record());
-                }
+            let past_range = visit_range(&block, from, to, |r| {
+                blocks.records += 1;
+                blocks.key_bytes += r.key.len();
+            });
+            blocks.blocks.push(block);
+            if past_range {
+                break;
             }
             block_idx += 1;
         }
-        Ok(out)
+        Ok(())
     }
+}
+
+/// The blocks a range query read, with the size of what they hold in the
+/// range.
+#[derive(Debug, Default)]
+pub(crate) struct RangeBlocks {
+    blocks: Vec<Block>,
+    records: usize,
+    key_bytes: usize,
+}
+
+impl RangeBlocks {
+    /// The records of the blocks with user key in `[from, to]`, in order:
+    /// their keys slices of one arena, their values of the blocks. Three
+    /// allocations, whatever the number of records.
+    pub(crate) fn records(&self, from: &[u8], to: &[u8]) -> Vec<Record> {
+        if self.records == 0 {
+            return Vec::new();
+        }
+        let mut arena = Vec::with_capacity(self.key_bytes);
+        for block in &self.blocks {
+            visit_range(block, from, to, |r| arena.extend_from_slice(r.key));
+        }
+        let arena = Bytes::from(arena);
+        let mut records = Vec::with_capacity(self.records);
+        let mut at = 0;
+        for block in &self.blocks {
+            visit_range(block, from, to, |r| {
+                let key = arena.slice(at..at + r.key.len());
+                at += r.key.len();
+                records.push(Record { key, ts: r.ts, kind: r.kind, value: r.value.clone() });
+            });
+        }
+        records
+    }
+}
+
+/// Passes `f` the records of `block` with user key in `[from, to]`, from
+/// the newest version of `from` on; says whether the block holds a key
+/// past `to` (the range ends in it).
+fn visit_range(block: &Block, from: &[u8], to: &[u8], mut f: impl FnMut(RecordView<'_>)) -> bool {
+    let mut entries = block.seek_key(SeekKey::newest(from));
+    while let Ok(true) = entries.advance() {
+        let Some(r) = record_at(&entries) else { continue };
+        if r.key > to {
+            return true;
+        }
+        if r.key >= from {
+            f(r);
+        }
+    }
+    false
 }
 
 /// The record under a block cursor; `None` when its key is shorter than

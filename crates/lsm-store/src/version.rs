@@ -18,7 +18,7 @@ use sim_disk::FsError;
 
 use crate::memtable::MemTable;
 use crate::record::{Record, RecordView, Timestamp};
-use crate::sstable::{NeighborPolicy, TableReader};
+use crate::sstable::{NeighborPolicy, RangeBlocks, TableReader};
 
 /// One sorted run: non-overlapping tables in ascending key order.
 #[derive(Debug)]
@@ -150,20 +150,21 @@ impl Run {
         })
     }
 
-    /// All records (every version) with user key in `[from, to]`.
+    /// All records (every version) with user key in `[from, to]`, their
+    /// keys slices of one buffer for the whole run.
     ///
     /// # Errors
     ///
     /// Returns [`FsError`] on IO errors.
     pub fn range(&self, from: &[u8], to: &[u8]) -> Result<Vec<Record>, FsError> {
-        let mut out = Vec::new();
+        let mut blocks = RangeBlocks::default();
         for t in &self.tables {
             if &t.meta().largest[..] < from || &t.meta().smallest[..] > to {
                 continue;
             }
-            out.extend(t.range(from, to)?);
+            t.range_blocks(from, to, &mut blocks)?;
         }
-        Ok(out)
+        Ok(blocks.records(from, to))
     }
 
     /// Streams every record of the run through `f` in key order, one
@@ -334,8 +335,9 @@ impl ScanTrace {
     /// version of each key, tombstones (and the keys they hide) left out,
     /// in key order.
     pub fn merged(&self) -> Vec<&Record> {
-        let mut all: Vec<&Record> =
-            self.memtable.iter().chain(self.levels.iter().flat_map(|l| &l.records)).collect();
+        let presented = self.levels.iter().map(|l| l.records.len()).sum::<usize>();
+        let mut all = Vec::with_capacity(self.memtable.len() + presented);
+        all.extend(self.memtable.iter().chain(self.levels.iter().flat_map(|l| &l.records)));
         all.sort_by(|a, b| a.key.cmp(&b.key).then(b.ts.cmp(&a.ts)));
         all.dedup_by(|later, first| later.key == first.key);
         all.retain(|r| r.kind.is_value());

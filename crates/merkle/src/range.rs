@@ -9,7 +9,7 @@
 
 use elsm_crypto::Digest;
 
-use crate::crown::{Anchor, Work};
+use crate::crown::{tree_height, Anchor, Work};
 use crate::tree::{node_hash, MerkleTree};
 
 /// Boundary hashes proving a contiguous leaf range.
@@ -55,7 +55,10 @@ impl RangeProof {
             return None;
         }
         let (mut lo_path, mut hi_path) = (lo_path.into_iter(), hi_path.into_iter());
-        let mut proof = RangeProof::default();
+        // At most one sibling per row on each side.
+        let height = tree_height(leaf_count) as usize;
+        let mut proof =
+            RangeProof { left: Vec::with_capacity(height), right: Vec::with_capacity(height) };
         let (mut a, mut b, mut count) = (lo, hi, leaf_count);
         while count > 1 {
             // A path has an entry for every row its node is paired in.

@@ -7,6 +7,15 @@
 //! untrusted memory" (§6.1), after which reads are memory-speed. Figure 2
 //! instead uses a dataset larger than memory, which the harness models by
 //! capping the OS cache.
+//!
+//! A file's bytes are immutable shared chunks: one per large append (a
+//! table builder's buffered write), while small appends (WAL frames, value
+//! log batches) gather in a tail that becomes a chunk at 64 KiB or on its
+//! first read. A read returns a view of the chunk that covers it —
+//! the untrusted memory the enclave dereferences in place (§5.5.1) — and
+//! copies only when it spans chunks. [`SimFile::corrupt`] rewrites its
+//! chunk copy-on-write: later reads see the flip, views already handed out
+//! keep the bytes they were read with.
 
 use std::collections::HashMap;
 use std::fmt;
@@ -59,6 +68,91 @@ struct Extent {
     len: u64,
 }
 
+/// Appends at least this long become a chunk of their own; shorter ones
+/// gather in the tail until it is this long (or is first read).
+const CHUNK: usize = 64 * 1024;
+
+/// A file's bytes: sealed chunks, immutable and shared with every view a
+/// read returned, then the tail that still takes appends.
+#[derive(Debug, Clone, Default)]
+struct Contents {
+    /// `(file offset, bytes)` of each sealed chunk, back to back in file
+    /// order; none is empty.
+    chunks: Vec<(usize, Bytes)>,
+    /// The bytes after the last chunk.
+    tail: Vec<u8>,
+}
+
+impl Contents {
+    fn sealed_len(&self) -> usize {
+        self.chunks.last().map_or(0, |(start, chunk)| start + chunk.len())
+    }
+
+    fn len(&self) -> usize {
+        self.sealed_len() + self.tail.len()
+    }
+
+    fn append(&mut self, bytes: &[u8]) {
+        if bytes.len() >= CHUNK {
+            self.seal();
+            let start = self.sealed_len();
+            self.chunks.push((start, Bytes::copy_from_slice(bytes)));
+        } else {
+            self.tail.extend_from_slice(bytes);
+            if self.tail.len() >= CHUNK {
+                self.seal();
+            }
+        }
+    }
+
+    /// Turns the tail into a chunk.
+    fn seal(&mut self) {
+        if !self.tail.is_empty() {
+            let start = self.sealed_len();
+            let tail = std::mem::take(&mut self.tail);
+            self.chunks.push((start, Bytes::copy_from_slice(&tail)));
+        }
+    }
+
+    /// Index of the chunk holding byte `offset` (`offset < sealed_len()`).
+    fn chunk_of(&self, offset: usize) -> usize {
+        self.chunks.partition_point(|(start, _)| *start <= offset) - 1
+    }
+
+    /// Bytes `offset..end` of the sealed part: a view of the covering
+    /// chunk, or a copy when the range spans chunks.
+    fn view(&self, offset: usize, end: usize) -> Bytes {
+        if offset == end {
+            return Bytes::new();
+        }
+        let first = self.chunk_of(offset);
+        let (start, chunk) = &self.chunks[first];
+        if end <= start + chunk.len() {
+            return chunk.slice(offset - start..end - start);
+        }
+        let mut out = Vec::with_capacity(end - offset);
+        for (start, chunk) in self.chunks[first..].iter().take_while(|(start, _)| *start < end) {
+            out.extend_from_slice(&chunk[offset.max(*start) - start..chunk.len().min(end - start)]);
+        }
+        Bytes::from(out)
+    }
+
+    /// XORs byte `offset` with `mask`; a sealed chunk is replaced, not
+    /// written to.
+    fn flip(&mut self, offset: usize, mask: u8) {
+        let sealed = self.sealed_len();
+        if offset >= sealed {
+            self.tail[offset - sealed] ^= mask;
+            return;
+        }
+        let i = self.chunk_of(offset);
+        let (start, chunk) = &mut self.chunks[i];
+        let mut bytes = chunk.to_vec();
+        bytes[offset - *start] ^= mask;
+        *chunk = Bytes::from(bytes);
+    }
+}
+
 /// A file in the simulated filesystem.
 ///
 /// Append-only writes (as LSM stores produce) and random-access reads.
@@ -66,7 +160,7 @@ struct Extent {
 pub struct SimFile {
     fs: Arc<SimFsInner>,
     name: RwLock<String>,
-    data: RwLock<Vec<u8>>,
+    contents: RwLock<Contents>,
     extents: Mutex<Vec<Extent>>,
     warm: AtomicBool,
 }
@@ -74,7 +168,7 @@ pub struct SimFile {
 impl SimFile {
     /// Current length in bytes.
     pub fn len(&self) -> usize {
-        self.data.read().len()
+        self.contents.read().len()
     }
 
     /// Whether the file is empty.
@@ -100,9 +194,9 @@ impl SimFile {
         }
         let disk_off = self.fs.disk.allocate(bytes.len() as u64);
         let file_off = {
-            let mut data = self.data.write();
-            let off = data.len() as u64;
-            data.extend_from_slice(bytes);
+            let mut contents = self.contents.write();
+            let off = contents.len() as u64;
+            contents.append(bytes);
             off
         };
         self.extents.lock().push(Extent { file_off, disk_off, len: bytes.len() as u64 });
@@ -111,76 +205,79 @@ impl SimFile {
         self.fs.try_warm(self, bytes.len() as u64);
     }
 
-    /// Reads `len` bytes at `offset`, charging DRAM (warm) or disk (cold).
+    /// Reads `len` bytes at `offset`, charging DRAM (warm) or disk (cold):
+    /// [`SimFile::peek`] plus the charge.
     ///
     /// # Errors
     ///
     /// Returns [`FsError::OutOfBounds`] when the range exceeds the file.
     pub fn read_at(&self, offset: usize, len: usize) -> Result<Bytes, FsError> {
-        let data = self.data.read();
-        let end = offset.checked_add(len).ok_or_else(|| FsError::OutOfBounds {
-            name: self.name(),
-            requested_end: usize::MAX,
-            len: data.len(),
-        })?;
-        if end > data.len() {
-            return Err(FsError::OutOfBounds {
-                name: self.name(),
-                requested_end: end,
-                len: data.len(),
-            });
-        }
+        let bytes = self.peek(offset, len)?;
+        self.charge_read(offset, len);
+        Ok(bytes)
+    }
+
+    /// Charges a read of `len` bytes at `offset` (in bounds): DRAM when
+    /// the file is warm, otherwise the disk, per covering extent — a read
+    /// spanning extents written at different times causes distinct disk
+    /// accesses.
+    pub(crate) fn charge_read(&self, offset: usize, len: usize) {
         if self.is_warm() {
             self.fs.platform.dram_access(len);
-        } else {
-            // Charge per covering extent: a read spanning extents written at
-            // different times causes distinct disk accesses.
-            let extents = self.extents.lock();
-            for e in extents.iter() {
-                let e_end = e.file_off + e.len;
-                let r_start = offset as u64;
-                let r_end = end as u64;
-                if e.file_off < r_end && r_start < e_end {
-                    let within = r_start.max(e.file_off) - e.file_off;
-                    let take = r_end.min(e_end) - r_start.max(e.file_off);
-                    self.fs.disk.read(e.disk_off + within, take as usize);
-                }
+            return;
+        }
+        let (r_start, r_end) = (offset as u64, (offset + len) as u64);
+        for e in self.extents.lock().iter() {
+            let e_end = e.file_off + e.len;
+            if e.file_off < r_end && r_start < e_end {
+                let within = r_start.max(e.file_off) - e.file_off;
+                let take = r_end.min(e_end) - r_start.max(e.file_off);
+                self.fs.disk.read(e.disk_off + within, take as usize);
             }
         }
-        Ok(Bytes::copy_from_slice(&data[offset..end]))
     }
 
     /// Flips bits at `offset` (XOR with `mask`) without charging costs.
     ///
     /// This is the adversary/fault-injection hook: the untrusted host can
     /// rewrite any byte it stores. Security tests corrupt SSTables and
-    /// WALs through this and assert the enclave detects it.
+    /// WALs through this and assert the enclave detects it. The next read
+    /// sees the flip; bytes an earlier read returned do not change.
     ///
     /// # Panics
     ///
     /// Panics if `offset` is past the end of the file.
     pub fn corrupt(&self, offset: usize, mask: u8) {
-        let mut data = self.data.write();
-        assert!(offset < data.len(), "corrupt offset out of range");
-        data[offset] ^= mask;
+        let mut contents = self.contents.write();
+        assert!(offset < contents.len(), "corrupt offset out of range");
+        contents.flip(offset, mask);
     }
 
-    /// Copies bytes without charging any cost; used by [`crate::mmap`],
-    /// which does its own fault accounting.
+    /// The bytes `offset..offset + len`, charging nothing (used by
+    /// [`crate::mmap`], which does its own fault accounting): a view of
+    /// the chunk holding them, a copy only when they span chunks. A range
+    /// reaching into the tail seals it first.
     ///
     /// # Errors
     ///
     /// Returns [`FsError::OutOfBounds`] when the range exceeds the file.
     pub fn peek(&self, offset: usize, len: usize) -> Result<Bytes, FsError> {
-        let data = self.data.read();
-        let end = offset.checked_add(len).filter(|&e| e <= data.len()).ok_or_else(|| {
-            FsError::OutOfBounds {
+        let end = offset.checked_add(len);
+        let contents = self.contents.read();
+        match end {
+            Some(end) if end <= contents.sealed_len() => Ok(contents.view(offset, end)),
+            Some(end) if end <= contents.len() => {
+                drop(contents);
+                let mut contents = self.contents.write();
+                contents.seal();
+                Ok(contents.view(offset, end))
+            }
+            _ => Err(FsError::OutOfBounds {
                 name: self.name(),
                 requested_end: offset.saturating_add(len),
-                len: data.len(),
-            }
-        })?;
-        Ok(Bytes::copy_from_slice(&data[offset..end]))
+                len: contents.len(),
+            }),
+        }
     }
 
     /// The platform this file charges costs to.
@@ -284,7 +381,7 @@ impl SimFs {
         let file = Arc::new(SimFile {
             fs: self.inner.clone(),
             name: RwLock::new(name.to_string()),
-            data: RwLock::new(Vec::new()),
+            contents: RwLock::new(Contents::default()),
             extents: Mutex::new(Vec::new()),
             warm: AtomicBool::new(false),
         });
@@ -348,11 +445,15 @@ impl SimFs {
     }
 
     /// Captures the complete filesystem contents — the adversary's
-    /// "old but authentic version" for rollback attacks (§5.6.1).
+    /// "old but authentic version" for rollback attacks (§5.6.1). Sealed
+    /// chunks are shared with the live files, which never write to them.
     pub fn snapshot(&self) -> FsSnapshot {
         let files = self.files.read();
         FsSnapshot {
-            files: files.iter().map(|(name, f)| (name.clone(), f.data.read().clone())).collect(),
+            files: files
+                .iter()
+                .map(|(name, f)| (name.clone(), f.contents.read().clone()))
+                .collect(),
         }
     }
 
@@ -361,11 +462,11 @@ impl SimFs {
     pub fn restore(&self, snapshot: &FsSnapshot) {
         let mut files = self.files.write();
         files.clear();
-        for (name, data) in &snapshot.files {
+        for (name, contents) in &snapshot.files {
             let file = Arc::new(SimFile {
                 fs: self.inner.clone(),
                 name: RwLock::new(name.clone()),
-                data: RwLock::new(data.clone()),
+                contents: RwLock::new(contents.clone()),
                 extents: Mutex::new(Vec::new()),
                 warm: AtomicBool::new(true),
             });
@@ -377,7 +478,7 @@ impl SimFs {
 /// A point-in-time copy of every file, used to mount rollback attacks.
 #[derive(Debug, Clone)]
 pub struct FsSnapshot {
-    files: Vec<(String, Vec<u8>)>,
+    files: Vec<(String, Contents)>,
 }
 
 #[cfg(test)]
@@ -514,5 +615,180 @@ mod tests {
         let seeks_before = fs.platform().stats().disk_seeks;
         a.read_at(0, 8192).unwrap();
         assert!(fs.platform().stats().disk_seeks > seeks_before);
+    }
+
+    /// A block read is a view of the chunk its table write became, through
+    /// `read_at` and through a mapping; only a read across two chunks is a
+    /// copy.
+    #[test]
+    fn warm_block_reads_are_views_of_their_chunk() {
+        let fs = fs();
+        let f = fs.create("table").unwrap();
+        f.append(&vec![7u8; CHUNK]);
+        f.append(&vec![8u8; CHUNK]);
+        assert!(f.is_warm());
+        let chunk = f.peek(0, CHUNK).unwrap();
+        assert!(f.read_at(4096, 4096).unwrap().shares_storage(&chunk));
+        let mapped = crate::MmapFile::map(f.clone()).read(8192, 4096).unwrap();
+        assert!(mapped.shares_storage(&chunk));
+        let across = f.read_at(CHUNK - 10, 20).unwrap();
+        assert!(!across.shares_storage(&chunk));
+        assert_eq!(&across[..], &[[7u8; 10], [8u8; 10]].concat()[..]);
+    }
+
+    /// The host's flip reaches every later read — of a sealed chunk, of a
+    /// tail sealed by a read, of a tail not yet sealed — and no bytes an
+    /// earlier read returned.
+    #[test]
+    fn corrupt_shows_in_the_next_read_not_in_an_earlier_view() {
+        let fs = fs();
+        let f = fs.create("t").unwrap();
+        f.append(&vec![0u8; CHUNK]);
+        f.append(&[0u8; 100]);
+        let in_chunk = f.read_at(10, 20).unwrap();
+        let in_tail = f.read_at(CHUNK + 10, 20).unwrap();
+        f.append(&[0u8; 100]);
+        for offset in [15, CHUNK + 15, CHUNK + 150] {
+            f.corrupt(offset, 0xff);
+            assert_eq!(&f.read_at(offset - 1, 3).unwrap()[..], &[0, 0xff, 0], "at {offset}");
+        }
+        assert_eq!(&in_chunk[..], &[0u8; 20]);
+        assert_eq!(&in_tail[..], &[0u8; 20]);
+    }
+
+    /// `dram_bytes`, `disk_bytes`, `disk_seeks` and `ocalls` of one script
+    /// of appends, cold and warm reads, mapped faults and a warm-up are the
+    /// values the copying file read at the commit before chunks.
+    #[test]
+    fn charges_of_a_fixed_script_are_unchanged() {
+        let platform = Platform::new(CostModel::paper_defaults());
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let charges = || {
+            let s = platform.stats();
+            (s.dram_bytes, s.disk_bytes, s.disk_seeks, s.ocalls)
+        };
+        fs.set_os_cache_limit(0);
+        let wal = fs.create("wal").unwrap();
+        let table = fs.create("table").unwrap();
+        for i in 0..40u8 {
+            wal.append(&[i; 300]);
+        }
+        table.append(&vec![1u8; 70_000]);
+        wal.append(&vec![9u8; 100_000]);
+        table.append(&vec![2u8; 70_000]);
+        table.append(&[3u8; 5_000]);
+        let map = crate::MmapFile::map(table.clone());
+        wal.read_at(0, 12_000).unwrap();
+        wal.read_at(11_000, 2_000).unwrap();
+        wal.read_at(0, wal.len()).unwrap();
+        table.read_at(4096, 4096).unwrap();
+        table.read_at(69_000, 4_000).unwrap();
+        assert!(table.read_at(144_000, 2_000).is_err());
+        map.read(100, 5000).unwrap();
+        map.read(140_000, 3000).unwrap();
+        map.read(100, 50).unwrap();
+        assert!(map.read(144_000, 2_000).is_err());
+        assert_eq!(charges(), (10_050, 405_024, 10, 0), "cold");
+        fs.set_os_cache_limit(u64::MAX);
+        table.warm();
+        fs.delete("wal").unwrap();
+        map.read(0, 10).unwrap();
+        table.read_at(70_000, 70_000).unwrap();
+        assert_eq!(charges(), (80_060, 550_024, 12, 0), "warm");
+    }
+
+    use proptest::prelude::*;
+
+    proptest! {
+        /// Random scripts of appends (tail-sized and chunk-sized), reads,
+        /// flips, renames and snapshot / restore against a flat `Vec<u8>`
+        /// per file: the same bytes and the same errors, and every view a
+        /// read returned still holds what it was read with.
+        #[test]
+        fn files_read_like_flat_byte_vectors(
+            script in prop::collection::vec((0u8..6, 0usize..3, any::<u32>(), any::<u8>()), 1..40),
+        ) {
+            const NAMES: [&str; 3] = ["f0", "f1", "f2"];
+            let fs = fs();
+            let mut model: std::collections::BTreeMap<String, Vec<u8>> = Default::default();
+            let mut snapshots = Vec::new();
+            let mut views = Vec::new();
+            for (op, file, x, y) in script {
+                let name = NAMES[file].to_string();
+                let len = model.get(&name).map_or(0, Vec::len);
+                match op {
+                    0 => {
+                        let n = match y % 4 {
+                            0 => 1 + x as usize % 300,
+                            1 => 1 + x as usize % 5_000,
+                            2 => CHUNK + x as usize % 5_000,
+                            _ => CHUNK - 1 - x as usize % 64,
+                        };
+                        let bytes: Vec<u8> = (0..n).map(|i| (i as u32 ^ x) as u8).collect();
+                        let f = fs.open(&name).or_else(|_| fs.create(&name)).unwrap();
+                        f.append(&bytes);
+                        model.entry(name).or_default().extend_from_slice(&bytes);
+                    }
+                    1 => {
+                        let offset = x as usize % (len + 2);
+                        let n = match y % 3 {
+                            0 => y as usize * 97 % (len + 10),
+                            1 => len.saturating_sub(offset),
+                            _ => 4096,
+                        };
+                        let out_of_bounds = FsError::OutOfBounds {
+                            name: name.clone(),
+                            requested_end: offset + n,
+                            len,
+                        };
+                        let want = match model.get(&name) {
+                            None => Err(FsError::NotFound(name.clone())),
+                            Some(data) => {
+                                data.get(offset..offset + n).map(<[u8]>::to_vec).ok_or(out_of_bounds)
+                            }
+                        };
+                        let got = fs.open(&name).and_then(|f| f.read_at(offset, n));
+                        prop_assert_eq!(got.clone().map(|b| b.to_vec()), want.clone());
+                        if let (Ok(view), Ok(bytes)) = (got, want) {
+                            views.push((view, bytes));
+                        }
+                    }
+                    2 if len > 0 => {
+                        let offset = x as usize % len;
+                        fs.open(&name).unwrap().corrupt(offset, y | 1);
+                        model.get_mut(&name).unwrap()[offset] ^= y | 1;
+                    }
+                    3 => {
+                        let to = NAMES[(file + 1 + y as usize % 2) % 3].to_string();
+                        let want = if model.contains_key(&to) {
+                            Err(FsError::AlreadyExists(to.clone()))
+                        } else if let Some(data) = model.remove(&name) {
+                            model.insert(to.clone(), data);
+                            Ok(())
+                        } else {
+                            Err(FsError::NotFound(name.clone()))
+                        };
+                        prop_assert_eq!(fs.rename(&name, &to), want);
+                    }
+                    4 => snapshots.push((fs.snapshot(), model.clone())),
+                    5 if !snapshots.is_empty() => {
+                        let (snapshot, at) = &snapshots[x as usize % snapshots.len()];
+                        fs.restore(snapshot);
+                        model = at.clone();
+                    }
+                    _ => {}
+                }
+            }
+            let mut names = fs.list();
+            names.sort();
+            prop_assert_eq!(names, model.keys().cloned().collect::<Vec<_>>());
+            for (name, data) in &model {
+                let f = fs.open(name).unwrap();
+                prop_assert_eq!(f.read_at(0, data.len()).unwrap().to_vec(), data.clone());
+            }
+            for (view, copy) in views {
+                prop_assert_eq!(view.to_vec(), copy);
+            }
+        }
     }
 }

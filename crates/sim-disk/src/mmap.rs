@@ -56,7 +56,9 @@ impl MmapFile {
         self.resident.lock().is_empty()
     }
 
-    /// Reads `len` bytes at `offset` through the mapping.
+    /// Reads `len` bytes at `offset` through the mapping: a view of the
+    /// file's bytes in untrusted memory, not a copy of them (see
+    /// [`SimFile::peek`]).
     ///
     /// Warm file: pure DRAM cost. Cold pages: one major fault each (disk
     /// read), after which they stay resident.
@@ -83,18 +85,12 @@ impl MmapFile {
                     // One disk read per cold page, charged through the file.
                     let start = page * MMAP_PAGE;
                     let take = MMAP_PAGE.min(self.file.len().saturating_sub(start));
-                    let _ = self.file.read_at(start, take)?;
+                    self.file.charge_read(start, take);
                 }
             }
         }
         // The access itself is a DRAM read of untrusted memory.
         self.file.fs_platform().dram_access(len);
-        self.copy_range(offset, len)
-    }
-
-    fn copy_range(&self, offset: usize, len: usize) -> Result<Bytes, FsError> {
-        // Bypass read_at's cost charging: faults above already paid, and
-        // warm-file DRAM is charged by the caller. We still need the bytes.
         self.file.peek(offset, len)
     }
 

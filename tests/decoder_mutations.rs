@@ -1,0 +1,309 @@
+//! Host-fed decoders under mutation: the mutate-and-splice template
+//! `tests/proof_identity.rs` applies to `RecordProofRef::parse`, with the
+//! allocation watch of `crates/merkle/tests/decode_reservation.rs`, run
+//! over the two decoders a read now walks in place — a data block
+//! (`Block::parse`, then `BlockIter::advance` and seeks) and a whole table
+//! (`TableReader::open`, then `get`, the neighbour searches and `range`).
+//! Whatever the bytes: no panic, no single allocation beyond the input's
+//! length times a constant, and what is accepted decodes to entries that
+//! round-trip through the encoder.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::sync::Arc;
+
+use bytes::Bytes;
+use elsm_repro::lsm_store::block::{Block, BlockBuilder};
+use elsm_repro::lsm_store::{
+    internal_cmp, EnvConfig, Record, StorageEnv, TableBuilder, TableOptions, TableReader, Timestamp,
+};
+use elsm_repro::sgx_sim::{CostModel, Platform};
+use elsm_repro::sim_disk::{SimDisk, SimFile, SimFs};
+use proptest::prelude::*;
+
+struct Watching;
+
+thread_local! {
+    /// Largest allocation request seen on this thread since the probe was
+    /// armed (`None`: not armed).
+    static LARGEST: Cell<Option<usize>> = const { Cell::new(None) };
+}
+
+fn note(size: usize) {
+    // `try_with`: the allocator also runs while a thread's locals are
+    // being torn down.
+    let _ = LARGEST.try_with(|largest| {
+        if let Some(seen) = largest.get() {
+            largest.set(Some(seen.max(size)));
+        }
+    });
+}
+
+// SAFETY: every method forwards its arguments unchanged to `System`, which
+// upholds the `GlobalAlloc` contract; the bookkeeping around the calls only
+// touches a thread-local `Cell` and never allocates.
+unsafe impl GlobalAlloc for Watching {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        System.alloc_zeroed(layout)
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: Watching = Watching;
+
+/// Runs `f` and returns its result with the largest allocation it made.
+fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
+    LARGEST.with(|largest| largest.set(Some(0)));
+    let result = f();
+    let seen = LARGEST.with(|largest| largest.take()).expect("armed above");
+    (result, seen)
+}
+
+/// A decoder's largest single allocation may be this many times its input:
+/// a decoded record is held in at most 80 bytes of vector (a `Record`) and
+/// takes at least eleven input bytes (an entry header and an internal
+/// key's 8-byte suffix).
+const PER_INPUT_BYTE: usize = 8;
+
+/// One edit of a valid encoding `base`: overwrite a byte, cut short,
+/// append the head of `other`, splice `other`'s tail on, or set four bytes
+/// (a count, a length, an offset) to all ones. Half the positions fall in
+/// the last 64 bytes, where a block keeps its restarts and a table its
+/// footer.
+fn mutate(base: &[u8], other: &[u8], (at, byte, kind): (u16, u8, u8)) -> Vec<u8> {
+    let mut buf = base.to_vec();
+    let at = if byte & 1 == 0 {
+        at as usize % base.len()
+    } else {
+        base.len() - 1 - at as usize % base.len().min(64)
+    };
+    match kind % 5 {
+        0 => buf[at] = byte,
+        1 => buf.truncate(at),
+        2 => buf.extend_from_slice(&other[..at.min(other.len())]),
+        3 => {
+            buf.truncate(at);
+            buf.extend_from_slice(&other[at.min(other.len())..]);
+        }
+        _ => {
+            let end = (at + 4).min(buf.len());
+            buf[at..end].fill(0xff);
+        }
+    }
+    buf
+}
+
+fn internal_key(key: &[u8], ts: Timestamp) -> Vec<u8> {
+    Record::put(key.to_vec(), Vec::new(), ts).internal_key().encoded().to_vec()
+}
+
+/// Sorted, distinct `(user key, ts)` pairs as records, internal-key order
+/// (a key's versions newest first).
+fn records(picks: &[(u16, u16)]) -> Vec<Record> {
+    let mut picks: Vec<(u16, u16)> = picks.iter().map(|&(k, ts)| (k % 64, ts + 1)).collect();
+    picks.sort_by(|a, b| a.0.cmp(&b.0).then(b.1.cmp(&a.1)));
+    picks.dedup();
+    picks
+        .into_iter()
+        .map(|(k, ts)| {
+            let value = vec![k as u8 ^ ts as u8; (k as usize * 7 + ts as usize) % 40];
+            Record::put(format!("key{k:03}").into_bytes(), value, u64::from(ts))
+        })
+        .collect()
+}
+
+/// A block's `(key, value)` entries, owned.
+type Entries = Vec<(Vec<u8>, Vec<u8>)>;
+
+fn encode_block(entries: &[(Vec<u8>, Vec<u8>)]) -> Vec<u8> {
+    let mut block = BlockBuilder::new();
+    for (key, value) in entries {
+        block.add(key, value);
+    }
+    block.finish()
+}
+
+/// Every entry of `block`, if every entry decodes.
+fn block_entries(block: &Block) -> Option<Entries> {
+    let mut out = Vec::new();
+    let mut cursor = block.iter();
+    while cursor.advance().ok()? {
+        out.push((cursor.key().to_vec(), cursor.value().to_vec()));
+    }
+    Some(out)
+}
+
+/// Whether keys strictly increase, the order an encoder requires.
+fn strictly_increasing<'a>(mut keys: impl Iterator<Item = &'a [u8]>) -> bool {
+    let Some(mut prev) = keys.next() else { return true };
+    keys.all(|key| {
+        let ok = internal_cmp(prev, key).is_lt();
+        prev = key;
+        ok
+    })
+}
+
+fn env(use_mmap: bool) -> (Arc<StorageEnv>, Arc<SimFs>) {
+    let platform = Platform::new(CostModel::paper_defaults());
+    let fs = SimFs::new(SimDisk::new(platform.clone()));
+    let config = EnvConfig { use_mmap, block_cache_bytes: 0, ..EnvConfig::default() };
+    (StorageEnv::new(platform, fs.clone(), config, None), fs)
+}
+
+/// Writes `records` as table `file_no`; returns the file.
+fn write_table(
+    env: &Arc<StorageEnv>,
+    fs: &SimFs,
+    file_no: u64,
+    records: &[Record],
+) -> Arc<SimFile> {
+    let file = fs.create(&format!("{file_no}.sst")).unwrap();
+    let options = TableOptions { block_size: 256, bloom_bits_per_key: 10 };
+    let mut table = TableBuilder::new(env.clone(), file.clone(), file_no, options);
+    for record in records {
+        table.add(record.view());
+    }
+    table.finish();
+    file
+}
+
+/// Every record of `table` while its blocks and entries decode.
+fn table_records(table: &TableReader) -> Option<Vec<Record>> {
+    let mut cursor = table.iter().ok()?;
+    let mut out = Vec::new();
+    while cursor.advance().ok()? {
+        out.push(cursor.view().to_record());
+    }
+    Some(out)
+}
+
+/// Every read a verified query makes of one table, for the keys `probes`;
+/// the results are dropped, only a panic or an allocation matters.
+fn read_everything(table: &TableReader, probes: &[Vec<u8>]) {
+    let ts = Timestamp::MAX >> 1;
+    for key in probes {
+        let _ = table.get(key, ts);
+        let _ = table.get(key, 5);
+        let _ = table.newest_before(key, ts);
+        let _ = table.newest_after(key, ts);
+    }
+    let _ = table.range(&probes[0], &probes[probes.len() - 1]);
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(24))]
+
+    /// A block: the honest encoding iterates to its entries and seeks to
+    /// each; any edit of it parses or not, walks and seeks without panic or
+    /// a reservation, and a block whose entries all decode in order
+    /// re-encodes to a block with the same entries.
+    #[test]
+    fn mutated_blocks_decode_in_bounds(
+        picks in prop::collection::vec((any::<u16>(), 0u16..500), 1..80),
+        spliced in prop::collection::vec((any::<u16>(), 0u16..500), 1..20),
+        edits in prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..40),
+    ) {
+        let entries = |picks: &[(u16, u16)]| -> Entries {
+            records(picks)
+                .iter()
+                .map(|r| (r.internal_key().encoded().to_vec(), r.value.to_vec()))
+                .collect()
+        };
+        let (honest, other) = (entries(&picks), entries(&spliced));
+        let (base, other) = (encode_block(&honest), encode_block(&other));
+        let block = Block::parse(Bytes::from(base.clone())).expect("own encoding parses");
+        prop_assert_eq!(block_entries(&block), Some(honest.clone()));
+        for (key, value) in &honest {
+            let mut at = block.seek(key);
+            prop_assert_eq!(at.advance(), Ok(true));
+            prop_assert_eq!((at.key(), &at.value()[..]), (&key[..], &value[..]));
+        }
+
+        let targets: Vec<Vec<u8>> =
+            honest.iter().step_by(7).map(|(key, _)| key.clone()).chain([Vec::new()]).collect();
+        for edit in edits {
+            let buf = Bytes::from(mutate(&base, &other, edit));
+            let (parsed, largest) = largest_allocation(|| {
+                let block = Block::parse(buf.clone())?;
+                let mut walk = block.iter();
+                while let Ok(true) = walk.advance() {}
+                for target in &targets {
+                    let mut at = block.seek(target);
+                    let _ = at.advance();
+                }
+                Some(block)
+            });
+            prop_assert!(largest <= PER_INPUT_BYTE * buf.len(), "{largest} B for {} B", buf.len());
+            let Some(decoded) = parsed.as_ref().and_then(block_entries) else { continue };
+            if strictly_increasing(decoded.iter().map(|(key, _)| &key[..])) {
+                let again = Block::parse(Bytes::from(encode_block(&decoded))).unwrap();
+                prop_assert_eq!(block_entries(&again), Some(decoded));
+            }
+        }
+    }
+
+    /// A table, read buffered or through a mapping: the honest file opens
+    /// and answers every read; any edit of it opens or not, serves every
+    /// read a query makes without panic or a reservation, and a table whose
+    /// records all decode in order re-encodes to a table with the same
+    /// records.
+    #[test]
+    fn mutated_tables_decode_in_bounds(
+        picks in prop::collection::vec((any::<u16>(), 0u16..500), 1..60),
+        spliced in prop::collection::vec((any::<u16>(), 0u16..500), 1..20),
+        edits in prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..30),
+        use_mmap in any::<bool>(),
+    ) {
+        let (env, fs) = env(use_mmap);
+        let honest = records(&picks);
+        let file = write_table(&env, &fs, 1, &honest);
+        let base = file.read_at(0, file.len()).unwrap().to_vec();
+        let other = write_table(&env, &fs, 2, &records(&spliced));
+        let other = other.read_at(0, other.len()).unwrap().to_vec();
+        let table = TableReader::open(env.clone(), file, 1).expect("own table opens");
+        prop_assert_eq!(table_records(&table), Some(honest.clone()));
+        prop_assert_eq!(table.range(b"key", b"key~").unwrap(), honest.clone());
+        for record in &honest {
+            let newest = table.get(&record.key, Timestamp::MAX >> 1).unwrap().unwrap();
+            prop_assert_eq!(&newest, honest.iter().find(|r| r.key == record.key).unwrap());
+        }
+
+        let probes: Vec<Vec<u8>> = (0..64u32)
+            .step_by(9)
+            .map(|k| format!("key{k:03}").into_bytes())
+            .chain([b"a".to_vec(), internal_key(b"key", 1), b"z".to_vec()])
+            .collect();
+        for (n, edit) in edits.into_iter().enumerate() {
+            let buf = mutate(&base, &other, edit);
+            let file_no = 10 + n as u64;
+            let file = fs.create(&format!("{file_no}.sst")).unwrap();
+            file.append(&buf);
+            let (opened, largest) = largest_allocation(|| {
+                let table = TableReader::open(env.clone(), file, file_no).ok()?;
+                read_everything(&table, &probes);
+                Some(table)
+            });
+            prop_assert!(largest <= PER_INPUT_BYTE * buf.len(), "{largest} B for {} B", buf.len());
+            let Some(decoded) = opened.as_ref().and_then(table_records) else { continue };
+            let keys: Vec<Vec<u8>> =
+                decoded.iter().map(|r| r.internal_key().encoded().to_vec()).collect();
+            if !decoded.is_empty() && strictly_increasing(keys.iter().map(Vec::as_slice)) {
+                let again = write_table(&env, &fs, 1000 + file_no, &decoded);
+                let again = TableReader::open(env.clone(), again, 1000 + file_no).unwrap();
+                prop_assert_eq!(table_records(&again), Some(decoded));
+            }
+        }
+    }
+}
