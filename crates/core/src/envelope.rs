@@ -26,11 +26,34 @@ const TAG_PROOF: u8 = 0x01;
 
 /// Wraps a fresh application value (no proof).
 pub fn wrap_plain(value: &[u8]) -> Bytes {
-    let mut out = Vec::with_capacity(wrapped_len(value));
-    out.push(TAG_PLAIN);
-    push_varint(&mut out, value.len() as u64);
-    out.extend_from_slice(value);
-    Bytes::from(out)
+    Bytes::build(wrapped_len(value), |out| write_plain(out, value))
+}
+
+/// A fresh write's key and plain-enveloped value, built in **one** exactly
+/// sized buffer that the two returned views share: what a PUT hands the
+/// store, and what its memtable record then pins.
+pub fn plain_record(key: &[u8], value: &[u8]) -> (Bytes, Bytes) {
+    let record = Bytes::build(key.len() + wrapped_len(value), |out| {
+        let (key_out, value_out) = out.split_at_mut(key.len());
+        key_out.copy_from_slice(key);
+        write_plain(value_out, value);
+    });
+    (record.slice(..key.len()), record.slice(key.len()..))
+}
+
+/// Writes `value`'s plain envelope into `out`, which is exactly
+/// [`wrapped_len`] long.
+fn write_plain(out: &mut [u8], value: &[u8]) {
+    out[0] = TAG_PLAIN;
+    let mut at = 1;
+    let mut len = value.len() as u64;
+    while len >= 0x80 {
+        out[at] = (len as u8 & 0x7f) | 0x80;
+        len >>= 7;
+        at += 1;
+    }
+    out[at] = len as u8;
+    out[at + 1..].copy_from_slice(value);
 }
 
 /// Appends to `out` an application value together with its embedded
@@ -112,8 +135,7 @@ pub fn open_record(record: RecordView<'_>, level: u32) -> Result<Opened<'_>, Ver
     })
 }
 
-/// Exact size of a plain envelope around `value` (an exactly sized `Vec`
-/// converts to `Bytes` without a shrinking reallocation).
+/// Exact size of a plain envelope around `value`.
 fn wrapped_len(value: &[u8]) -> usize {
     let len_bits = (64 - (value.len() as u64).leading_zeros()).max(1) as usize;
     1 + len_bits.div_ceil(7) + value.len()
@@ -200,6 +222,17 @@ mod tests {
             assert_eq!(wrap_plain(&value).len(), wrapped_len(&value), "len {len}");
             let p = proof();
             assert_eq!(wrap_with(&value, &p).len(), wrapped_len(&value) + p.encoded_len());
+        }
+    }
+
+    #[test]
+    fn plain_record_shares_one_buffer() {
+        for len in [0usize, 1, 127, 128, 16_384] {
+            let value = vec![3u8; len];
+            let (key, stored) = plain_record(b"key", &value);
+            assert_eq!(key, b"key"[..]);
+            assert_eq!(stored, wrap_plain(&value), "len {len}");
+            assert!(key.shares_storage(&stored));
         }
     }
 

@@ -4,12 +4,13 @@
 //! callbacks, with **zero changes** to the storage engine:
 //!
 //! * `on_compaction_input` ↔ `auth_filter`: rebuilds each input level's
-//!   Merkle tree incrementally (`MHT_add`),
+//!   Merkle tree incrementally (`MHT_add`), folding each key's chain as the
+//!   next key arrives,
 //! * `begin_output` ↔ `auth_onTableFileCreated`, in the two passes a
 //!   proof forces: the observer builds the output level's digest from the
-//!   merge's surviving records as they stream by (in incremental mode,
-//!   records whose whole key chain survived from a single input run reuse
-//!   their stored leaf work instead of rehashing), then seals into the
+//!   merge's surviving records as they stream by — a record whose chain
+//!   below it is the one its input level had takes that level's chain
+//!   digest over, every other record is hashed — then seals into the
 //!   writer that appends `envelope ‖ proof` for each record straight into
 //!   the table block being built — no output record is ever materialised,
 //! * `on_compaction_end` (merging thread, possibly a scheduler worker):
@@ -36,10 +37,10 @@ use std::collections::HashMap;
 use std::sync::Arc;
 
 use lsm_store::{
-    CompactionInfo, OutputObserver, OutputWriter, Record, RecordSource, RecordView, StoreListener,
-    Verbatim,
+    CompactionInfo, InputPosition, OutputObserver, OutputWriter, Record, RecordSource, RecordView,
+    StoreListener, Verbatim,
 };
-use merkle::{LevelDigest, LevelDigestBuilder};
+use merkle::{Folded, LevelDigest, LevelDigestBuilder};
 use parking_lot::Mutex;
 use sgx_sim::Platform;
 
@@ -50,7 +51,9 @@ use crate::trusted::{CompactionDelta, TrustedState};
 #[derive(Debug, Default)]
 struct Scratch {
     /// Input-tree builders keyed by source level. Concurrent jobs of a
-    /// wave never share a level, so per-level keying is race-free.
+    /// wave never share a level, so per-level keying is race-free. While
+    /// a job's output is observed (pass 1) its observer holds the builders
+    /// of the levels its records were read from.
     input_builders: HashMap<u32, LevelDigestBuilder>,
     /// Output digests built by the output observer, keyed by output
     /// level, consumed by `on_compaction_end` (the proof writer of the
@@ -70,56 +73,150 @@ struct Scratch {
 pub struct AuthListener {
     platform: Arc<Platform>,
     trusted: Arc<TrustedState>,
-    /// Reuse stored leaf work for compaction outputs whose key chain is
-    /// bit-identical to a single input run's (no version dropped): the
-    /// enclave charges a 32-byte digest move per such record instead of
-    /// rehashing the canonical bytes. Digest *values*
-    /// are identical either way — this is purely the amortized
-    /// integrity-metadata maintenance cost lever.
+    /// Which cost the enclave is charged for a compaction output record
+    /// whose key chain one input level holds whole (no version dropped or
+    /// added) and whose value and older versions the merge kept: a 32-byte
+    /// digest move (`true`) or a rehash of its canonical bytes (`false`,
+    /// the paper's baseline). The digest is carried over in both modes —
+    /// this selects only the charge.
     incremental: bool,
     /// Epoch-aware verified read cache to keep coherent with writes and
     /// epoch installs (`None`: caching disabled).
     cache: Option<Arc<VerifiedCache>>,
+    /// Output records whose chain digest a merge carried over from its
+    /// input level instead of hashing (`core.compaction.leaves_reused`).
+    leaves_reused: telemetry::Counter,
+    /// Chain links merges hashed, input and output levels together
+    /// (`core.compaction.links_hashed`).
+    links_hashed: telemetry::Counter,
     scratch: Mutex<Scratch>,
 }
 
 impl AuthListener {
     /// Builds the listener around the enclave state. `incremental` selects
-    /// incremental commitment recomputation for unchanged compaction
-    /// outputs (`false`: full rehash of every output — the paper's
-    /// baseline); a `cache` is kept coherent: writes invalidate their keys,
-    /// epoch installs and retirements drop superseded entries.
+    /// the charge for carried-over compaction outputs (see the field); a
+    /// `cache` is kept coherent: writes invalidate their keys, epoch
+    /// installs and retirements drop superseded entries. The merge counters
+    /// are registered in `telemetry`.
     pub fn new(
         platform: Arc<Platform>,
         trusted: Arc<TrustedState>,
         incremental: bool,
         cache: Option<Arc<VerifiedCache>>,
+        telemetry: &telemetry::Telemetry,
     ) -> Arc<Self> {
         Arc::new(AuthListener {
             platform,
             trusted,
             incremental,
             cache,
+            leaves_reused: telemetry.counter("core.compaction.leaves_reused"),
+            links_hashed: telemetry.counter("core.compaction.links_hashed"),
             scratch: Mutex::new(Scratch::default()),
         })
     }
 }
 
 /// Pass 1 of a job's output: the output level's digest, built from the
-/// surviving records as the merge hands them over.
+/// surviving records as the merge hands them over. Each record offers the
+/// digest builder what its input level folded for it; the builder takes it
+/// over where the record's chain below it is unchanged, and hashes the
+/// rest — so a merge hashes each stored record once, as an input.
 struct OutputDigest<'a> {
     listener: &'a AuthListener,
     output_level: usize,
     builder: LevelDigestBuilder,
+    /// Builders of the input levels this job's records were read from,
+    /// taken out of the scratch for pass 1 (`None`: the level has no
+    /// builder — the memtable never has one).
+    inputs: Vec<(usize, Option<LevelDigestBuilder>)>,
     /// Reused buffer for a record's canonical bytes.
     canonical: Vec<u8>,
+    /// The key of the chain being observed, and what is charged for it.
+    chain_key: Vec<u8>,
+    chain: Vec<Observed>,
     /// An output record's envelope did not open: nothing this job produces
     /// may be signed.
     refused: bool,
 }
 
+/// What pass 1 knows of one record of the chain being observed.
+struct Observed {
+    /// Canonical length: what a rehash is charged for.
+    len: usize,
+    /// The merge rewrote its value.
+    rewritten: bool,
+    /// The input level it was read from, and what that level folded for it.
+    folded: Option<(usize, Folded)>,
+}
+
+impl OutputDigest<'_> {
+    /// What input level `at.level` folded for its record `at.ordinal`. The
+    /// level's builder leaves the scratch the first time it is asked for:
+    /// the merge has read every input by now, so its last chain can fold.
+    fn folded(&mut self, at: InputPosition) -> Option<(usize, Folded)> {
+        let i = match self.inputs.iter().position(|(level, _)| *level == at.level) {
+            Some(i) => i,
+            None => {
+                let builder = u32::try_from(at.level)
+                    .ok()
+                    .and_then(|level| self.listener.scratch.lock().input_builders.remove(&level))
+                    .map(|mut builder| {
+                        builder.end_chain();
+                        builder
+                    });
+                self.inputs.push((at.level, builder));
+                self.inputs.len() - 1
+            }
+        };
+        let folded = self.inputs[i].1.as_ref()?.folded(at.ordinal)?;
+        Some((at.level, folded))
+    }
+
+    /// Charges the observed chain, as the enclave is modelled to pay for
+    /// it whatever the code hashed: in incremental mode a record of a
+    /// chain one input level holds whole pays a 32-byte digest move when
+    /// neither it nor an older version was rewritten; every other record
+    /// pays a rehash of its canonical bytes.
+    fn charge_chain(&mut self) {
+        let whole = self.listener.incremental && held_whole(&self.chain);
+        // Past the last rewritten record, none is rewritten at or below.
+        let kept_from = self.chain.iter().rposition(|r| r.rewritten).map_or(0, |last| last + 1);
+        for (i, record) in self.chain.iter().enumerate() {
+            if whole && i >= kept_from {
+                self.listener.platform.dram_access(32);
+            } else {
+                self.listener.platform.charge_hash(record.len);
+            }
+        }
+        self.chain.clear();
+    }
+}
+
+/// Whether one input level holds the observed chain whole: every record
+/// the merge read as it was is version `i` of that level's chain for the
+/// key, and that chain has exactly as many versions. (A rewritten record
+/// keeps its place: a merge rewrites values, it never moves a version.)
+fn held_whole(chain: &[Observed]) -> bool {
+    let mut held_by = None;
+    for (i, record) in chain.iter().enumerate() {
+        if record.rewritten {
+            continue;
+        }
+        let Some((level, folded)) = record.folded else { return false };
+        if folded.version != i
+            || folded.versions != chain.len()
+            || held_by.is_some_and(|l| l != level)
+        {
+            return false;
+        }
+        held_by = Some(level);
+    }
+    held_by.is_some()
+}
+
 impl OutputObserver for OutputDigest<'_> {
-    fn observe(&mut self, record: RecordView<'_>, unchanged: bool) {
+    fn observe(&mut self, record: RecordView<'_>, from: Option<InputPosition>) {
         if self.refused {
             return;
         }
@@ -135,34 +232,41 @@ impl OutputObserver for OutputDigest<'_> {
             self.refused = true;
             return;
         };
+        if self.chain_key != record.key {
+            self.charge_chain();
+            self.chain_key.clear();
+            self.chain_key.extend_from_slice(record.key);
+        }
         self.canonical.clear();
         append_canonical(record, opened.value, &mut self.canonical);
-        // Unchanged records (incremental mode) reuse their stored leaf
-        // work: the enclave pays a digest move, not a rehash. The record's
-        // old proof was validated in place by `open_record` and is dropped.
-        if self.listener.incremental && unchanged {
-            self.listener.platform.dram_access(32);
-        } else {
-            self.listener.platform.charge_hash(self.canonical.len());
-        }
-        self.builder.add(record.key, &self.canonical);
+        // The record's old proof was validated in place by `open_record`
+        // and is dropped.
+        let folded = from.and_then(|at| self.folded(at));
+        self.builder.add_carried(record.key, &self.canonical, folded.map(|(_, f)| f));
+        self.chain.push(Observed { len: self.canonical.len(), rewritten: from.is_none(), folded });
     }
 
-    fn seal<'a>(self: Box<Self>) -> Box<dyn OutputWriter + 'a>
+    fn seal<'a>(mut self: Box<Self>) -> Box<dyn OutputWriter + 'a>
     where
         Self: 'a,
     {
-        if self.refused {
+        if !self.refused {
+            let _world = sgx_sim::enclave_scope();
+            self.charge_chain();
+            self.builder.end_chain();
+        }
+        let OutputDigest { listener, output_level, builder, inputs, refused, .. } = *self;
+        // Pass 1 is over: the input builders go back for the root check.
+        let returned = inputs.into_iter().filter_map(|(level, b)| Some((level as u32, b?)));
+        listener.scratch.lock().input_builders.extend(returned);
+        if refused {
             return Box::new(Verbatim);
         }
-        let digest = Arc::new(self.builder.finish());
-        self.listener.scratch.lock().pending_outputs.insert(self.output_level, digest.clone());
-        Box::new(ProofWriter {
-            platform: &self.listener.platform,
-            digest,
-            leaf_idx: 0,
-            version_idx: 0,
-        })
+        listener.leaves_reused.add(builder.links_carried());
+        listener.links_hashed.add(builder.links_hashed());
+        let digest = Arc::new(builder.finish());
+        listener.scratch.lock().pending_outputs.insert(output_level, digest.clone());
+        Box::new(ProofWriter { platform: &listener.platform, digest, leaf_idx: 0, version_idx: 0 })
     }
 }
 
@@ -205,19 +309,10 @@ impl StoreListener for AuthListener {
         // bytes. A value that is no envelope — only a log the host rewrote
         // can present one, at replay — is folded as it stands: every
         // record the store takes in moves the digest.
-        let mut canonicals = Vec::new();
-        let mut ends = Vec::with_capacity(records.len());
-        for record in records {
+        self.trusted.absorb_wal_batch(records, |record, canonical| {
             let bare = crate::envelope::open(&record.value).map_or(&record.value[..], |o| o.value);
-            append_canonical(record.view(), bare, &mut canonicals);
-            ends.push(canonicals.len());
-        }
-        let mut start = 0;
-        self.trusted.absorb_wal_batch(ends.iter().map(|&end| {
-            let canonical = &canonicals[start..end];
-            start = end;
-            canonical
-        }));
+            append_canonical(record.view(), bare, canonical);
+        });
         if let Some(cache) = &self.cache {
             for record in records {
                 cache.invalidate_key(&record.key);
@@ -248,16 +343,22 @@ impl StoreListener for AuthListener {
         // (Figure 4, auth_filter → MHT_add on the input trees).
         let _world = sgx_sim::enclave_scope();
         let level = source.level as u32;
-        let Ok(opened) = open_record(record, level) else {
-            // Malformed envelope in an input: the level can never match.
-            self.trusted.poison();
-            return;
-        };
         let mut scratch = self.scratch.lock();
         let Scratch { input_builders, canonical, .. } = &mut *scratch;
         canonical.clear();
-        append_canonical(record, opened.value, canonical);
-        self.platform.charge_hash(canonical.len());
+        match open_record(record, level) {
+            Ok(opened) => {
+                append_canonical(record, opened.value, canonical);
+                self.platform.charge_hash(canonical.len());
+            }
+            Err(_) => {
+                // Malformed envelope in an input: the level can never
+                // match. The record still takes its place in the level's
+                // stream, so the positions of the records after it hold.
+                self.trusted.poison();
+                append_canonical(record, record.value, canonical);
+            }
+        }
         input_builders
             .entry(level)
             .or_insert_with(|| LevelDigestBuilder::new(level))
@@ -269,7 +370,10 @@ impl StoreListener for AuthListener {
             listener: self,
             output_level,
             builder: LevelDigestBuilder::new(output_level as u32),
+            inputs: Vec::new(),
             canonical: Vec::new(),
+            chain_key: Vec::new(),
+            chain: Vec::new(),
             refused: false,
         })
     }
@@ -287,7 +391,9 @@ impl StoreListener for AuthListener {
             }
             let level = level as u32;
             match scratch.input_builders.remove(&level) {
-                Some(builder) => {
+                Some(mut builder) => {
+                    builder.end_chain();
+                    self.links_hashed.add(builder.links_hashed());
                     let rebuilt = builder.finish().commitment();
                     if rebuilt != self.trusted.commitment(level) {
                         self.trusted.poison();
@@ -410,9 +516,16 @@ mod tests {
     }
 
     fn setup() -> (Arc<AuthListener>, Arc<TrustedState>) {
-        let platform = Platform::with_defaults();
+        setup_on(Platform::with_defaults(), false)
+    }
+
+    fn setup_on(
+        platform: Arc<Platform>,
+        incremental: bool,
+    ) -> (Arc<AuthListener>, Arc<TrustedState>) {
         let trusted = TrustedState::new(platform.clone(), 4);
-        (AuthListener::new(platform, trusted.clone(), false, None), trusted)
+        let telemetry = telemetry::Telemetry::disabled();
+        (AuthListener::new(platform, trusted.clone(), incremental, None, &telemetry), trusted)
     }
 
     /// Whether the listener holds nothing of any job: no part-built input
@@ -425,17 +538,18 @@ mod tests {
     }
 
     /// Drives the output seam the way a merge does: every record observed,
-    /// then every stored value written. `unchanged` may be shorter than
-    /// `records` (missing tags mean "changed").
-    fn transform_tagged(
+    /// then every stored value written. `from` may be shorter than
+    /// `records` (a missing position reads as a memtable record).
+    fn transform_from(
         listener: &AuthListener,
         output_level: usize,
         records: Vec<Record>,
-        unchanged: &[bool],
+        from: &[Option<InputPosition>],
     ) -> Vec<Record> {
         let mut observer = listener.begin_output(output_level);
         for (i, r) in records.iter().enumerate() {
-            observer.observe(r.view(), unchanged.get(i).copied().unwrap_or(false));
+            let memtable = Some(InputPosition { level: 0, ordinal: i });
+            observer.observe(r.view(), from.get(i).copied().unwrap_or(memtable));
         }
         let mut writer = observer.seal();
         records
@@ -453,7 +567,7 @@ mod tests {
         output_level: usize,
         records: Vec<Record>,
     ) -> Vec<Record> {
-        transform_tagged(listener, output_level, records, &[])
+        transform_from(listener, output_level, records, &[])
     }
 
     /// Runs the end→install pair the way the store does.
@@ -634,8 +748,8 @@ mod tests {
             listener.on_compaction_input(RecordSource { level: 1, file_no: 1 }, r.view());
         }
         let mut observer = listener.begin_output(2);
-        for r in &level1 {
-            observer.observe(r.view(), false);
+        for (ordinal, r) in level1.iter().enumerate() {
+            observer.observe(r.view(), Some(InputPosition { level: 1, ordinal }));
         }
         let writer = observer.seal();
         assert!(!holds_nothing(&listener));
@@ -649,35 +763,86 @@ mod tests {
         assert!(holds_nothing(&listener));
     }
 
+    /// Streams `level`'s stored records into a compaction as its input.
+    fn feed(
+        listener: &AuthListener,
+        level: usize,
+        records: &[Record],
+    ) -> Vec<Option<InputPosition>> {
+        let source = RecordSource { level, file_no: level as u64 };
+        for r in records {
+            listener.on_compaction_input(source, r.view());
+        }
+        (0..records.len()).map(|ordinal| Some(InputPosition { level, ordinal })).collect()
+    }
+
     /// Incremental and full-rehash listeners must produce identical
-    /// commitments and proofs — the tags change what the enclave is
-    /// *charged*, never what it commits to.
+    /// commitments and proofs — the mode changes what the enclave is
+    /// *charged*, never what it commits to — and both carry every digest
+    /// of a level compacted whole.
     #[test]
     fn incremental_mode_produces_identical_digests_for_less_work() {
-        let platform_full = Platform::with_defaults();
-        let platform_inc = Platform::with_defaults();
         let records: Vec<Record> =
             (0..64).map(|i| record(&format!("key{i:03}"), i + 1, "value-payload")).collect();
-        let unchanged = vec![true; records.len()];
         let mut outputs = Vec::new();
         let mut commitments = Vec::new();
-        for (platform, incremental) in
-            [(platform_full.clone(), false), (platform_inc.clone(), true)]
-        {
+        let mut hashed = Vec::new();
+        for incremental in [false, true] {
+            let platform = Platform::with_defaults();
+            let telemetry = telemetry::Telemetry::disabled();
             let trusted = TrustedState::new(platform.clone(), 4);
-            let listener = AuthListener::new(platform, trusted.clone(), incremental, None);
-            let out = transform_tagged(&listener, 2, records.clone(), &unchanged);
-            finish(&listener, &info(vec![1, 2], 2, records.len() as u64));
+            let listener =
+                AuthListener::new(platform.clone(), trusted.clone(), incremental, None, &telemetry);
+            let level1 = transform(&listener, 1, records.clone());
+            finish(&listener, &info(vec![0], 1, 64));
+            let from = feed(&listener, 1, &level1);
+            let before = platform.stats().hash_blocks;
+            let out = transform_from(&listener, 2, level1, &from);
+            hashed.push(platform.stats().hash_blocks - before);
+            finish(&listener, &info(vec![1, 2], 2, 64));
+            assert!(!trusted.is_poisoned());
+            assert_eq!(telemetry.counter("core.compaction.leaves_reused").value(), 64);
             outputs.push(out);
             commitments.push(trusted.commitment(2));
         }
         assert_eq!(outputs[0], outputs[1], "proof-carrying outputs must match");
         assert_eq!(commitments[0], commitments[1], "commitments must match");
-        let full_hashed = platform_full.stats().hash_blocks;
-        let inc_hashed = platform_inc.stats().hash_blocks;
-        assert!(
-            inc_hashed < full_hashed,
-            "incremental mode must hash fewer bytes ({inc_hashed} vs {full_hashed})"
-        );
+        assert!(hashed[1] < hashed[0], "incremental mode must be charged less ({hashed:?})");
+    }
+
+    /// Value-log GC rewrites the middle version of a three-version chain.
+    /// The two newest versions fold over a changed chain and are charged a
+    /// rehash; only the oldest is charged a digest move — and the
+    /// commitment is the digest of the records as stored.
+    #[test]
+    fn a_rewritten_version_changes_every_newer_one() {
+        let platform = Platform::with_defaults();
+        let (listener, trusted) = setup_on(platform.clone(), true);
+        let chain = vec![record("k", 3, "v3"), record("k", 2, "v2"), record("k", 1, "v1")];
+        let level1 = transform(&listener, 1, chain);
+        finish(&listener, &info(vec![0], 1, 3));
+        let mut from = feed(&listener, 1, &level1);
+        let mut output = level1.clone();
+        output[1] = record("k", 2, "re-homed");
+        from[1] = None;
+        let canonical = |r: &Record| {
+            let mut out = Vec::new();
+            append_canonical(r.view(), open_record(r.view(), 2).unwrap().value, &mut out);
+            out
+        };
+        let (before, dram_before) = (platform.stats().hash_blocks, platform.stats().dram_bytes);
+        let stored = transform_from(&listener, 2, output.clone(), &from);
+        let rehash: u64 = output[..2].iter().map(|r| canonical(r).len() as u64 / 64 + 1).sum();
+        assert_eq!(platform.stats().hash_blocks - before, rehash, "the two newest are rehashed");
+        finish(&listener, &info(vec![1, 2], 2, 3));
+        assert!(platform.stats().dram_bytes - dram_before >= 32, "the oldest is moved");
+        let reference =
+            LevelDigest::from_records(2, output.iter().map(|r| (&r.key[..], canonical(r))));
+        assert_eq!(trusted.commitment(2), reference.commitment());
+        assert!(!trusted.is_poisoned());
+        for (version, r) in stored.iter().enumerate() {
+            let proof = open_record(r.view(), 2).unwrap().proof.unwrap().to_owned();
+            assert_eq!(proof, reference.prove_version(0, version));
+        }
     }
 }

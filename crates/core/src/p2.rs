@@ -18,7 +18,7 @@ use sim_disk::{Placement, SimDisk, SimFs};
 
 use crate::api::{AuthenticatedKv, OpSpans, VerifiedRecord};
 use crate::cache::{CacheStats, VerifiedCache};
-use crate::envelope::{append_canonical, open_record, wrap_plain};
+use crate::envelope::{append_canonical, open_record, plain_record};
 use crate::error::{ElsmError, VerificationFailure};
 use crate::listener::{vlog_entry_mac, AuthListener};
 use crate::trusted::{TrustedState, Verified, VerifyStats};
@@ -80,11 +80,12 @@ pub struct P2Options {
     /// Concurrent merge jobs per scheduler wave (1 = the serial
     /// pre-subsystem behavior; up to 4 worker slots exist).
     pub compaction_parallelism: usize,
-    /// Reuse stored leaf work for compaction output records whose key
-    /// chain is bit-identical to a single input run's, instead of
-    /// rehashing them inside the enclave. Commitments and proofs are
-    /// identical either way — this only changes the charged enclave
-    /// work (the incremental integrity-metadata maintenance lever).
+    /// Charge a compaction output record whose key chain one input level
+    /// holds whole (and whose value and older versions the merge kept) a
+    /// 32-byte digest move instead of a rehash inside the enclave — the
+    /// incremental integrity-metadata maintenance lever. The code carries
+    /// such digests over in either mode; this selects only the charged
+    /// cost, and commitments and proofs are identical either way.
     pub incremental_commitments: bool,
     /// Optional rollback protection via a trusted monotonic counter.
     pub rollback: Option<RollbackOptions>,
@@ -225,6 +226,7 @@ impl ElsmP2 {
             trusted.clone(),
             options.incremental_commitments,
             cache.clone(),
+            &options.telemetry,
         );
         let env = StorageEnv::new(
             platform.clone(),
@@ -567,9 +569,10 @@ impl AuthenticatedKv for ElsmP2 {
         self.ensure_healthy()?;
         // The YCSB driver wraps each operation in an ECall (§6.1),
         // marshalling the record across the boundary.
-        let ts = self
-            .platform
-            .ecall_with_payload(key.len() + value.len(), || self.db.put(key, &wrap_plain(value)))?;
+        let ts = self.platform.ecall_with_payload(key.len() + value.len(), || {
+            let (key, stored) = plain_record(key, value);
+            self.db.put_bytes(key, stored)
+        })?;
         self.after_write();
         Ok(ts)
     }
@@ -599,7 +602,8 @@ impl AuthenticatedKv for ElsmP2 {
         let timestamps = self.platform.ecall_with_payload(payload, || {
             let mut batch = lsm_store::WriteBatch::with_capacity(items.len());
             for (key, value) in items {
-                batch.put(Bytes::copy_from_slice(key), wrap_plain(value));
+                let (key, stored) = plain_record(key, value);
+                batch.put(key, stored);
             }
             self.db.write_batch(batch)
         })?;

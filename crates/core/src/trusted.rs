@@ -245,11 +245,14 @@ struct WalChain {
     /// `base` becomes when the flush that rotated to it installs and the
     /// logs before it go.
     active_from: Digest,
+    /// Where each folded record's canonical bytes are written: one buffer,
+    /// kept from one commit group to the next.
+    canonical: Vec<u8>,
 }
 
 impl WalChain {
     fn starting_at(base: Digest) -> Self {
-        WalChain { digest: base, base, active_from: base }
+        WalChain { digest: base, base, active_from: base, canonical: Vec::new() }
     }
 }
 
@@ -535,14 +538,24 @@ impl TrustedState {
     /// [`sgx_sim::SerialClass::TrustedFold`]: it happens off the store's
     /// write lock (the committer's leader ordering keeps it sequential),
     /// but concurrent writers' folds still exclude each other.
-    pub fn absorb_wal_batch<'a>(&self, records: impl IntoIterator<Item = &'a [u8]>) {
+    ///
+    /// `canonical` appends a record's canonical bytes to the buffer it is
+    /// lent — the chain's own, reused record to record and group to group.
+    pub fn absorb_wal_batch<R>(
+        &self,
+        records: impl IntoIterator<Item = R>,
+        mut canonical: impl FnMut(R, &mut Vec<u8>),
+    ) {
         let _serial = self.platform.serial_section(sgx_sim::SerialClass::TrustedFold);
         let mut wal = self.wal.lock();
-        for record_bytes in records {
+        let WalChain { digest, canonical: buf, .. } = &mut *wal;
+        for record in records {
+            buf.clear();
+            canonical(record, buf);
             // Each chain step is its own SHA-256 invocation with its own
             // finalization, exactly as in the singleton path.
-            self.platform.charge_hash(record_bytes.len() + 32);
-            wal.digest = sha256_concat(&[&[0x05], record_bytes, wal.digest.as_bytes()]);
+            self.platform.charge_hash(buf.len() + 32);
+            *digest = sha256_concat(&[&[0x05], buf, digest.as_bytes()]);
         }
     }
 

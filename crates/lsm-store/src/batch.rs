@@ -26,6 +26,31 @@ pub(crate) struct BatchOp {
     pub kind: ValueKind,
 }
 
+/// One writer's operations on their way through the commit queue. A
+/// singleton put or delete rides inline: no vector is built for it.
+#[derive(Debug)]
+pub(crate) enum Ops {
+    One(BatchOp),
+    Many(Vec<BatchOp>),
+}
+
+impl Ops {
+    pub(crate) fn as_slice(&self) -> &[BatchOp] {
+        match self {
+            Ops::One(op) => std::slice::from_ref(op),
+            Ops::Many(ops) => ops,
+        }
+    }
+
+    /// Hands every operation, in order, to `f`, leaving none behind.
+    pub(crate) fn drain(&mut self, mut f: impl FnMut(BatchOp)) {
+        match std::mem::replace(self, Ops::Many(Vec::new())) {
+            Ops::One(op) => f(op),
+            Ops::Many(ops) => ops.into_iter().for_each(f),
+        }
+    }
+}
+
 /// An ordered collection of puts/deletes applied atomically.
 ///
 /// # Examples
@@ -97,8 +122,8 @@ impl WriteBatch {
         self.payload_bytes
     }
 
-    pub(crate) fn into_ops(self) -> Vec<BatchOp> {
-        self.ops
+    pub(crate) fn into_ops(self) -> Ops {
+        Ops::Many(self.ops)
     }
 }
 
@@ -116,6 +141,7 @@ mod tests {
         assert_eq!(b.len(), 3);
         assert_eq!(b.payload_bytes(), 2 + 2 + 2 + 2 + 2);
         let ops = b.into_ops();
+        let ops = ops.as_slice();
         assert_eq!(ops[0].kind, ValueKind::Put);
         assert_eq!(ops[1].kind, ValueKind::Delete);
         assert_eq!(&ops[2].value[..], b"v2");

@@ -67,7 +67,7 @@ use parking_lot::{Mutex, RwLock};
 use sgx_sim::{EnclaveRegion, SerialClass};
 use sim_disk::FsError;
 
-use crate::batch::{BatchOp, WriteBatch};
+use crate::batch::{BatchOp, Ops, WriteBatch};
 use crate::compaction::{CompactionDebt, CompactionStrategy, LevelsView};
 use crate::env::StorageEnv;
 use crate::events::{ReplicationEvent, ReplicationSink, StoreListener};
@@ -235,7 +235,13 @@ pub(crate) struct DbInner {
 /// One writer's batch waiting for a group-commit leader.
 struct PendingBatch {
     seq: u64,
-    ops: Vec<BatchOp>,
+    /// The operations, until the leader moves them into records.
+    ops: Ops,
+    /// How many operations the batch has (kept once they moved on).
+    len: usize,
+    /// Timestamp of the first operation, assigned at commit: a batch's
+    /// timestamps are contiguous, so it and `len` name them all.
+    first_ts: Timestamp,
 }
 
 /// The group-commit queue (leader/follower, LevelDB-style).
@@ -243,11 +249,22 @@ struct PendingBatch {
 struct CommitQueue {
     next_seq: u64,
     pending: VecDeque<PendingBatch>,
-    /// Timestamps of committed batches not yet picked up by their
+    /// First timestamps of committed batches not yet picked up by their
     /// writers, plus the trace context of the group-commit span that
     /// served them (so follower traces can link the shared commit).
-    done: HashMap<u64, (Vec<Timestamp>, telemetry::TraceContext)>,
+    done: HashMap<u64, (Timestamp, telemetry::TraceContext)>,
     leader_active: bool,
+    /// The leader's buffers, kept from one group to the next: whoever
+    /// leads takes them, and puts them back empty.
+    spare: GroupBuffers,
+}
+
+/// What a group-commit leader fills: the batches it drained, and their
+/// operations as timestamped records.
+#[derive(Default)]
+struct GroupBuffers {
+    group: Vec<PendingBatch>,
+    records: Vec<Record>,
 }
 
 struct Committer {
@@ -560,16 +577,31 @@ impl Db {
     // ----- write path -----------------------------------------------------
 
     /// Inserts a key-value record; returns its timestamp (Equation 1:
-    /// `ts = PUT(k, v)`). Routed through the group-commit pipeline as a
-    /// batch of one, so racing singleton writers coalesce into one commit.
+    /// `ts = PUT(k, v)`). Key and value are copied into one shared buffer
+    /// and committed as [`Db::put_bytes`] commits them.
     ///
     /// # Errors
     ///
     /// Returns [`FsError`] if flushing or compaction IO fails.
     pub fn put(&self, key: &[u8], value: &[u8]) -> Result<Timestamp, FsError> {
-        let mut batch = WriteBatch::with_capacity(1);
-        batch.put(Bytes::copy_from_slice(key), Bytes::copy_from_slice(value));
-        Ok(self.write_batch(batch)?[0])
+        let record = Bytes::build(key.len() + value.len(), |buf| {
+            let (key_buf, value_buf) = buf.split_at_mut(key.len());
+            key_buf.copy_from_slice(key);
+            value_buf.copy_from_slice(value);
+        });
+        self.put_bytes(record.slice(..key.len()), record.slice(key.len()..))
+    }
+
+    /// Inserts a key-value record the caller already holds as `Bytes`;
+    /// returns its timestamp. The record rides the group-commit pipeline
+    /// as a batch of one — racing singleton writers coalesce into one
+    /// commit — and reaches the memtable without a copy or a vector.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError`] if flushing or compaction IO fails.
+    pub fn put_bytes(&self, key: Bytes, value: Bytes) -> Result<Timestamp, FsError> {
+        self.commit(Ops::One(BatchOp { key, value, kind: ValueKind::Put }))
     }
 
     /// Deletes a key by writing a tombstone; returns its timestamp.
@@ -578,9 +610,8 @@ impl Db {
     ///
     /// Returns [`FsError`] if flushing or compaction IO fails.
     pub fn delete(&self, key: &[u8]) -> Result<Timestamp, FsError> {
-        let mut batch = WriteBatch::with_capacity(1);
-        batch.delete(Bytes::copy_from_slice(key));
-        Ok(self.write_batch(batch)?[0])
+        let key = Bytes::copy_from_slice(key);
+        self.commit(Ops::One(BatchOp { key, value: Bytes::new(), kind: ValueKind::Delete }))
     }
 
     /// Applies a [`WriteBatch`] atomically; returns one timestamp per
@@ -603,20 +634,28 @@ impl Db {
     /// 32-bit length field (≈4 GiB) — split giant ingests into multiple
     /// batches.
     pub fn write_batch(&self, batch: WriteBatch) -> Result<Vec<Timestamp>, FsError> {
+        let len = batch.len() as u64;
+        if len == 0 {
+            return Ok(Vec::new());
+        }
+        let first = self.commit(batch.into_ops())?;
+        Ok((first..first + len).collect())
+    }
+
+    /// Commits one writer's operations (one WAL frame) through the
+    /// group-commit queue; returns the first one's timestamp.
+    fn commit(&self, ops: Ops) -> Result<Timestamp, FsError> {
         // The WAL frame's length field is 32-bit: a batch whose encoded
         // payload could overflow it must fail here, on its own writer's
         // thread, not as a panic on whichever leader commits the group
         // (18 bytes/record bounds the encoding overhead).
+        let payload: usize = ops.as_slice().iter().map(|o| o.key.len() + o.value.len()).sum();
+        let len = ops.as_slice().len();
         assert!(
-            batch.payload_bytes() + 18 * batch.len() < u32::MAX as usize,
-            "write batch too large for one WAL frame ({} payload bytes); split it",
-            batch.payload_bytes()
+            payload + 18 * len < u32::MAX as usize,
+            "write batch too large for one WAL frame ({payload} payload bytes); split it"
         );
-        let ops = batch.into_ops();
-        if ops.is_empty() {
-            return Ok(Vec::new());
-        }
-        for op in &ops {
+        for op in ops.as_slice() {
             match op.kind {
                 ValueKind::Put | ValueKind::VlogPut => self.stats.puts.inc(),
                 ValueKind::Delete => self.stats.deletes.inc(),
@@ -625,15 +664,15 @@ impl Db {
         let mut q = self.commit.queue.lock().expect("commit queue poisoned");
         let seq = q.next_seq;
         q.next_seq += 1;
-        q.pending.push_back(PendingBatch { seq, ops });
+        q.pending.push_back(PendingBatch { seq, ops, len, first_ts: 0 });
         loop {
             // A previous leader may have committed us while we waited.
-            if let Some((ts, commit_ctx)) = q.done.remove(&seq) {
+            if let Some((first_ts, commit_ctx)) = q.done.remove(&seq) {
                 // One group commit served many writers: this follower's
                 // request tree records a span *link* to the shared commit
                 // span rather than claiming it as a child.
                 telemetry::trace::link_current(commit_ctx);
-                return Ok(ts);
+                return Ok(first_ts);
             }
             if q.leader_active {
                 q = self.commit.cv.wait(q).expect("commit queue poisoned");
@@ -642,10 +681,11 @@ impl Db {
             // Become the leader: drain waiting batches in arrival order up
             // to the group byte budget.
             q.leader_active = true;
-            let mut group = Vec::new();
+            let GroupBuffers { mut group, mut records } = std::mem::take(&mut q.spare);
             let mut group_bytes = 0usize;
             while let Some(front) = q.pending.front() {
-                let bytes: usize = front.ops.iter().map(|o| o.key.len() + o.value.len() + 24).sum();
+                let bytes: usize =
+                    front.ops.as_slice().iter().map(|o| o.key.len() + o.value.len() + 24).sum();
                 if !group.is_empty() && group_bytes + bytes > MAX_GROUP_COMMIT_BYTES {
                     break;
                 }
@@ -653,15 +693,16 @@ impl Db {
                 group.push(q.pending.pop_front().expect("front checked"));
             }
             drop(q);
-            let (results, commit_ctx, flush_needed) = self.commit_group(&group);
+            let (commit_ctx, flush_needed) = self.commit_group(&mut group, &mut records);
             q = self.commit.queue.lock().expect("commit queue poisoned");
-            for (p, ts) in group.iter().zip(results) {
-                q.done.insert(p.seq, (ts, commit_ctx));
+            for p in group.drain(..) {
+                q.done.insert(p.seq, (p.first_ts, commit_ctx));
             }
+            q.spare = GroupBuffers { group, records };
             q.leader_active = false;
             self.commit.cv.notify_all();
             let mine = q.done.remove(&seq);
-            if let Some((ts, _ctx)) = mine {
+            if let Some((first_ts, _ctx)) = mine {
                 // The leader's own trace already encloses the commit span
                 // as a nested child; no link needed.
                 drop(q);
@@ -670,7 +711,7 @@ impl Db {
                 if flush_needed {
                     self.flush_if_over()?;
                 }
-                return Ok(ts);
+                return Ok(first_ts);
             }
             // Our batch did not fit this group's budget: loop and commit it
             // in the next group (we are first in the queue now).
@@ -679,11 +720,13 @@ impl Db {
 
     /// Commits a drained group: timestamps in arrival order, one WAL frame
     /// per batch, every record installed in the memtable — all under a
-    /// single write-lock acquisition. Runs only on the group-commit leader.
+    /// single write-lock acquisition. Runs only on the group-commit leader,
+    /// which lends its `records` buffer (handed back empty).
     fn commit_group(
         &self,
-        group: &[PendingBatch],
-    ) -> (Vec<Vec<Timestamp>>, telemetry::TraceContext, bool) {
+        group: &mut [PendingBatch],
+        records: &mut Vec<Record>,
+    ) -> (telemetry::TraceContext, bool) {
         // The commit span nests under the leader's request trace (it runs
         // on the leader's thread); its context is handed back through the
         // done map so followers can link it, and it is the innermost
@@ -691,44 +734,37 @@ impl Db {
         // carries it to replicas.
         let span = self.metrics.commit_group.start();
         let trace_ctx = span.ctx();
-        let total_ops: usize = group.iter().map(|p| p.ops.len()).sum();
+        let total_ops: usize = group.iter().map(|p| p.len).sum();
         self.metrics.commit_batches.add(group.len() as u64);
         self.metrics.batches_per_group.observe(group.len() as u64);
         self.metrics.records_per_group.observe(total_ops as u64);
-        let mut all_records: Vec<Record> = Vec::with_capacity(total_ops);
-        let mut results = Vec::with_capacity(group.len());
         let (flush_needed, folding) = {
             let _serial = self.env.platform().serial_section(SerialClass::StoreWrite);
             // Fixed commit bookkeeping is paid once per group, not per op.
             self.env.platform().charge_op_base();
             let mut inner = self.inner.write();
-            for p in group {
+            for p in group.iter_mut() {
                 // Timestamps are assigned under the write lock, so
                 // timestamp order equals commit order even across racing
                 // writers, and a batch's records are always contiguous.
-                let mut timestamps = Vec::with_capacity(p.ops.len());
-                for op in &p.ops {
-                    let ts = self.ts.fetch_add(1, Ordering::SeqCst) + 1;
-                    timestamps.push(ts);
-                    all_records.push(Record {
-                        key: op.key.clone(),
-                        value: op.value.clone(),
-                        ts,
-                        kind: op.kind,
-                    });
-                }
-                results.push(timestamps);
+                p.first_ts = self.ts.fetch_add(p.len as u64, Ordering::SeqCst) + 1;
+                let mut ts = p.first_ts;
+                p.ops.drain(|op| {
+                    records.push(Record { key: op.key, value: op.value, ts, kind: op.kind });
+                    ts += 1;
+                });
             }
-            self.apply_frames_locked(&mut inner, &all_records, results.iter().map(Vec::len));
+            self.apply_frames_locked(&mut inner, records, group.iter().map(|p| p.len));
             let over = inner.memtable.approximate_bytes() >= self.options.write_buffer_bytes;
             (over, self.wal_fold.lock())
         };
         // Outside the write lock — leader exclusivity still keeps commit
         // order — the listener folds the group into its order-sensitive
         // trusted state (eLSM's WAL digest), once per group.
-        self.listener.on_wal_append_batch(&all_records);
+        self.listener.on_wal_append_batch(records);
         drop(folding);
-        (results, trace_ctx, flush_needed)
+        records.clear();
+        (trace_ctx, flush_needed)
     }
 
     /// What every commit does under the write lock, local or replicated:

@@ -36,6 +36,18 @@ pub struct RecordSource {
     pub file_no: u64,
 }
 
+/// Where a merge's output record was read: the `ordinal`-th record (from
+/// 0) the merge read from input `level` — level 0 being the frozen
+/// memtable. For a stored level that is the record's position in the
+/// stream [`StoreListener::on_compaction_input`] was shown of the level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct InputPosition {
+    /// Input level (0 = the memtable being flushed).
+    pub level: usize,
+    /// The record's index among the records read from `level`.
+    pub ordinal: usize,
+}
+
 /// Summary of a finished compaction, passed to
 /// [`StoreListener::on_compaction_end`] (merge complete, output staged)
 /// and [`StoreListener::on_compaction_install`] (output becoming
@@ -181,14 +193,14 @@ pub trait StoreListener: Send + Sync {
 
 /// Pass 1 of a merge's output (see [`StoreListener::begin_output`]).
 pub trait OutputObserver {
-    /// The next output record, in internal-key order. `unchanged` is true
-    /// when the record's whole key chain came from a single input run with
-    /// no version dropped — its authenticated leaf is bit-identical to the
-    /// input's, so an incremental listener can reuse
-    /// the stored digest instead of rehashing (the amortized
-    /// integrity-metadata maintenance the TEE-KV survey names as the
-    /// enclave-LSM cost lever).
-    fn observe(&mut self, record: RecordView<'_>, unchanged: bool);
+    /// The next output record, in internal-key order, and where the merge
+    /// read it (`None`: the merge rewrote its value — value-log GC
+    /// re-homing a pointer). A record read from a stored level is the
+    /// bytes the listener was shown there, so what the listener derived
+    /// from them can be reused instead of derived again — eLSM carries
+    /// chain digests over (the amortized integrity-metadata maintenance
+    /// the TEE-KV survey names as the enclave-LSM cost lever).
+    fn observe(&mut self, record: RecordView<'_>, from: Option<InputPosition>);
 
     /// Every output record was observed; returns the writer for pass 2.
     fn seal<'a>(self: Box<Self>) -> Box<dyn OutputWriter + 'a>
@@ -209,7 +221,7 @@ pub trait OutputWriter {
 pub struct Verbatim;
 
 impl OutputObserver for Verbatim {
-    fn observe(&mut self, _: RecordView<'_>, _: bool) {}
+    fn observe(&mut self, _: RecordView<'_>, _: Option<InputPosition>) {}
 
     fn seal<'a>(self: Box<Self>) -> Box<dyn OutputWriter + 'a> {
         self
@@ -334,7 +346,7 @@ mod tests {
         let l = NoopListener;
         let r = Record::put(b"k".as_slice(), b"v".as_slice(), 1);
         let mut observer = l.begin_output(1);
-        observer.observe(r.view(), false);
+        observer.observe(r.view(), None);
         let mut stored = Vec::new();
         observer.seal().write_value(r.view(), &mut stored);
         assert_eq!(stored, &r.value[..], "the default writer is the identity");

@@ -55,12 +55,12 @@ pub use compaction::{
 pub use db::{Db, DbStats, DbStatsSnapshot};
 pub use env::{EnvConfig, StorageEnv};
 pub use events::{
-    CompactionInfo, NoopListener, OutputObserver, OutputWriter, RecordSource, ReplicationEvent,
-    ReplicationSink, StoreListener, Verbatim,
+    CompactionInfo, InputPosition, NoopListener, OutputObserver, OutputWriter, RecordSource,
+    ReplicationEvent, ReplicationSink, StoreListener, Verbatim,
 };
 pub use options::{Options, VlogConfig, WalSyncPolicy};
 pub use record::{internal_cmp, InternalKey, Record, RecordView, Timestamp, ValueKind};
 pub use sstable::{NeighborPolicy, TableBuilder, TableMeta, TableOptions, TableReader};
 pub use version::{GetTrace, LevelOutcome, LevelRange, LevelSearch, Run, ScanTrace, Version};
 pub use vlog::{Vlog, VlogEntry, VlogPtr};
-pub use wal::{decode_frame, encode_frame};
+pub use wal::{decode_frame, encode_frame, encode_frame_into};

@@ -34,7 +34,7 @@ use sim_disk::FsError;
 
 use crate::compaction::{CompactionJob, LevelsView, VlogGcJob};
 use crate::db::{table_name, wal_name, Db, DbInner};
-use crate::events::{CompactionInfo, RecordSource, ReplicationEvent};
+use crate::events::{CompactionInfo, InputPosition, RecordSource, ReplicationEvent};
 use crate::memtable::MemTable;
 use crate::merge::{KWayMerge, MergeInput};
 use crate::record::{Record, RecordView, Timestamp, ValueKind};
@@ -64,7 +64,8 @@ struct Survivor {
     ts: Timestamp,
     kind: ValueKind,
     value: Bytes,
-    unchanged: bool,
+    /// Where the merge read it; `None` once its value was rewritten.
+    from: Option<InputPosition>,
 }
 
 /// The records a merge keeps, in output order. All must be known before
@@ -83,22 +84,15 @@ impl Survivors {
         self.items.len()
     }
 
-    fn push(&mut self, record: RecordView<'_>) {
+    fn push(&mut self, record: RecordView<'_>, from: InputPosition) {
         self.keys.extend_from_slice(record.key);
         self.items.push(Survivor {
             key_end: self.keys.len(),
             ts: record.ts,
             kind: record.kind,
             value: record.value.clone(),
-            unchanged: false,
+            from: Some(from),
         });
-    }
-
-    /// Tags the survivors from `start` on (one key's chain).
-    fn tag_from(&mut self, start: usize, unchanged: bool) {
-        for survivor in &mut self.items[start..] {
-            survivor.unchanged = unchanged;
-        }
     }
 
     fn record(&self, i: usize) -> RecordView<'_> {
@@ -674,14 +668,9 @@ impl Db {
         // populated levels); stacked (no-compaction) runs must keep them
         // (§5.4 "Handling Deletes").
         let mut survivors = Survivors::default();
-        // A survivor is `unchanged` when its whole key chain came from one
-        // input *run* with nothing dropped — its authenticated leaf is
-        // bit-identical to the input's (see [`OutputObserver::observe`]).
-        // Tags are assigned when a key's chain completes, so a late drop
-        // flips the whole chain to changed.
-        let mut chain_start = 0usize;
-        let mut key_source: Option<usize> = None;
-        let mut key_clean = true;
+        // Records read so far per input level: a survivor's position is
+        // its level's count when it was read.
+        let mut read = vec![0usize; input_levels.iter().max().map_or(1, |&top| top + 1)];
         let mut input_count = 0u64;
         let mut cur_key: Vec<u8> = Vec::new();
         let mut drop_rest = false;
@@ -689,27 +678,18 @@ impl Db {
         let mut merge = KWayMerge::new(inputs)?;
         while let Some((source, record)) = merge.next()? {
             input_count += 1;
+            let from = InputPosition { level: source.level, ordinal: read[source.level] };
+            read[source.level] += 1;
             if source.level != 0 {
                 self.listener.on_compaction_input(source, record);
             }
-            let same_key = key_source.is_some() && cur_key == record.key;
-            if !same_key {
-                // Seal the previous key's tags (memtable records are new
-                // material: never "unchanged").
-                let clean = key_clean && key_source.is_some_and(|l| l != 0);
-                survivors.tag_from(chain_start, clean);
-                chain_start = survivors.len();
+            if input_count == 1 || cur_key != record.key {
                 cur_key.clear();
                 cur_key.extend_from_slice(record.key);
                 drop_rest = false;
                 seen_version = false;
-                key_source = Some(source.level);
-                key_clean = true;
-            } else if key_source != Some(source.level) {
-                key_clean = false; // chain spans input runs
             }
             if drop_rest {
-                key_clean = false;
                 self.note_vlog_drop(record);
                 continue;
             }
@@ -717,26 +697,23 @@ impl Db {
                 // Newest surviving version is a tombstone at the bottom:
                 // the key disappears entirely (§5.4).
                 drop_rest = true;
-                key_clean = false;
                 continue;
             }
             if seen_version && !self.options.keep_old_versions {
-                key_clean = false;
                 self.note_vlog_drop(record);
                 continue;
             }
             seen_version = true;
-            survivors.push(record);
+            survivors.push(record, from);
         }
         // The cursors go; only blocks a survivor's value slices stay alive.
         drop(merge);
-        let clean = key_clean && key_source.is_some_and(|l| l != 0);
-        survivors.tag_from(chain_start, clean);
         // GC mode: re-home surviving pointer records out of the victim
         // files before the listener observes the output — the rewritten
-        // pointer value must be what gets hashed into the new leaf. The
-        // MAC is carried over verbatim: it binds key‖ts‖payload, not the
-        // entry's location.
+        // pointer value must be what gets hashed into the new leaf, and it
+        // is no longer what the merge read (`from` goes). The MAC is
+        // carried over verbatim: it binds key‖ts‖payload, not the entry's
+        // location.
         if !rewrite.is_empty() {
             let victims: HashSet<u64> = rewrite.iter().copied().collect();
             let mut moved = false;
@@ -763,7 +740,7 @@ impl Db {
                 let new_ptr = vlog.append(&entry.key, entry.ts, &entry.value)?;
                 vlog.note_garbage(ptr.file_no, ptr.len);
                 survivor.value = self.listener.wrap_vlog_pointer(encode_pointer(new_ptr, &mac));
-                survivor.unchanged = false;
+                survivor.from = None;
                 moved = true;
             }
             if moved {
@@ -778,7 +755,7 @@ impl Db {
         // passes).
         let mut observer = self.listener.begin_output(output_level);
         for i in 0..survivors.len() {
-            observer.observe(survivors.record(i), survivors.items[i].unchanged);
+            observer.observe(survivors.record(i), survivors.items[i].from);
         }
         let mut writer = observer.seal();
         self.stats.compaction_output_records.add(survivors.len() as u64);
@@ -852,8 +829,8 @@ mod tests {
     use crate::db::Db;
     use crate::env::StorageEnv;
     use crate::events::{
-        CompactionInfo, OutputObserver, OutputWriter, RecordSource, ReplicationEvent,
-        ReplicationSink, StoreListener, Verbatim,
+        CompactionInfo, InputPosition, OutputObserver, OutputWriter, RecordSource,
+        ReplicationEvent, ReplicationSink, StoreListener, Verbatim,
     };
     use crate::maintenance::RETIRED_EPOCH_FLOOR;
     use crate::options::{Options, WalSyncPolicy};
@@ -962,7 +939,7 @@ mod tests {
         /// Counts the records a merge writes out.
         struct Flushed<'a>(&'a AtomicU64);
         impl OutputObserver for Flushed<'_> {
-            fn observe(&mut self, _: RecordView<'_>, _: bool) {
+            fn observe(&mut self, _: RecordView<'_>, _: Option<InputPosition>) {
                 self.0.fetch_add(1, Ordering::Relaxed);
             }
             fn seal<'a>(self: Box<Self>) -> Box<dyn OutputWriter + 'a> {
@@ -1016,10 +993,11 @@ mod tests {
             }
         }
         impl OutputObserver for Count {
-            fn observe(&mut self, record: RecordView<'_>, unchanged: bool) {
-                // A chain that comes whole from the level is tagged so;
-                // such a record was rewritten once already.
-                assert_eq!(unchanged, record.value.contains(&b'+'));
+            fn observe(&mut self, record: RecordView<'_>, from: Option<InputPosition>) {
+                // A record read from a stored level (not the memtable) was
+                // rewritten once already.
+                let stored = from.is_some_and(|at| at.level != 0);
+                assert_eq!(stored, record.value.contains(&b'+'));
                 self.0 += 1;
             }
             fn seal<'a>(self: Box<Self>) -> Box<dyn OutputWriter + 'a> {

@@ -1,16 +1,19 @@
 //! The in-memory write buffer (level L0 in the paper's terminology).
 //!
-//! A skiplist over encoded internal keys, as in LevelDB/RocksDB. The arena
-//! is a plain `Vec` of nodes with `u32` tower links, which keeps the
-//! implementation in safe Rust while preserving the skiplist's O(log n)
-//! search and its append-only memory behaviour (nodes are never moved or
-//! freed — exactly like LevelDB's arena).
+//! A skiplist of records in internal-key order, as in LevelDB/RocksDB, kept
+//! in safe Rust in two flat arenas: the nodes (each a [`Record`] and where
+//! its tower starts) and every node's tower of `u32` links, back to back.
+//! Nodes are never moved or freed — exactly like LevelDB's arena — so an
+//! insert costs no allocation of its own: it pushes one node and its links
+//! (the arenas grow by doubling) and finds its predecessors in a stack
+//! array. Searches compare `(user_key, ts, kind)` off the stored records;
+//! no encoded key is built on either side.
 //!
-//! Each node stores the full [`Record`] alongside its encoded internal
-//! key, so probe and iteration paths hand out reference-counted
-//! [`Bytes`] clones instead of copying the user key on
-//! every hit — the memtable sits on the hottest read path, where a
-//! per-probe allocation would be pure overhead.
+//! Probe and iteration paths hand out reference-counted [`Bytes`] clones
+//! of the stored records instead of copying the user key on every hit — the
+//! memtable sits on the hottest read path, where a per-probe allocation
+//! would be pure overhead. A record pins whatever buffer its key and value
+//! share: a PUT through `ElsmP2` builds both in one.
 //!
 //! In both eLSM designs the write buffer lives **inside** the enclave
 //! (Table 1); it is small (4 MB by default) so it never causes EPC paging.
@@ -25,17 +28,20 @@ const BRANCH_DENOM: u64 = 4;
 
 #[derive(Debug)]
 struct Node {
-    /// Encoded internal key (empty for the head sentinel).
-    key: Vec<u8>,
     record: Record,
-    /// next[h] = arena index of the next node at height h (0 = none).
-    next: Vec<u32>,
+    /// Where this node's tower starts in [`SkipList::links`]; the tower is
+    /// as tall as the node was drawn.
+    tower: u32,
 }
 
-/// An append-only skiplist of [`Record`]s ordered by encoded internal key.
+/// An append-only skiplist of [`Record`]s ordered by internal key.
 #[derive(Debug)]
 pub struct SkipList {
+    /// Node 0 is the head sentinel, with a full-height tower.
     nodes: Vec<Node>,
+    /// Every node's tower, back to back: `links[tower + h]` is the arena
+    /// index of the node's successor at height `h` (0 = none).
+    links: Vec<u32>,
     height: usize,
     rng_state: u64,
     approx_bytes: usize,
@@ -51,11 +57,8 @@ impl SkipList {
     /// Creates an empty skiplist.
     pub fn new() -> Self {
         SkipList {
-            nodes: vec![Node {
-                key: Vec::new(),
-                record: Record::put(Bytes::new(), Bytes::new(), 0),
-                next: vec![0; MAX_HEIGHT],
-            }],
+            nodes: vec![Node { record: Record::put(Bytes::new(), Bytes::new(), 0), tower: 0 }],
+            links: vec![0; MAX_HEIGHT],
             height: 1,
             rng_state: 0x9e37_79b9_7f4a_7c15,
             approx_bytes: 0,
@@ -90,15 +93,20 @@ impl SkipList {
         }
     }
 
+    /// Where node `node`'s link at height `h` sits in `links`.
+    fn link(&self, node: u32, h: usize) -> usize {
+        self.nodes[node as usize].tower as usize + h
+    }
+
     /// Finds, per level, the last node whose key is `< key`.
     fn find_predecessors(&self, key: SeekKey<'_>) -> [u32; MAX_HEIGHT] {
         let mut prev = [0u32; MAX_HEIGHT];
         let mut node = 0u32;
         for h in (0..self.height).rev() {
             loop {
-                let next = self.nodes[node as usize].next[h];
+                let next = self.links[self.link(node, h)];
                 if next != 0
-                    && key.cmp_encoded(&self.nodes[next as usize].key) == std::cmp::Ordering::Less
+                    && key.cmp_record(&self.nodes[next as usize].record) == std::cmp::Ordering::Less
                 {
                     node = next;
                 } else {
@@ -114,28 +122,28 @@ impl SkipList {
     /// timestamp, so duplicates cannot occur in correct usage).
     pub fn insert(&mut self, record: Record) {
         let prev = self.find_predecessors(SeekKey::new(&record.key, record.ts, record.kind));
-        let key = record.internal_key().encoded().to_vec();
         let h = self.random_height();
         if h > self.height {
             self.height = h;
         }
-        let idx = self.nodes.len() as u32;
-        self.approx_bytes += key.len() + record.value.len() + 8 * h + 24;
-        let mut next = vec![0u32; h];
-        #[allow(clippy::needless_range_loop)]
-        for level in 0..h {
-            next[level] = self.nodes[prev[level] as usize].next[level];
-        }
-        self.nodes.push(Node { key, record, next });
+        let idx = u32::try_from(self.nodes.len()).expect("fewer than 2^32 memtable records");
+        let tower = u32::try_from(self.links.len()).expect("fewer than 2^32 memtable links");
+        // The flush trigger's arithmetic, which sets every flush point: the
+        // internal key (user key and 8-byte suffix), the value, 8 bytes per
+        // link and 24 per node.
+        self.approx_bytes += record.key.len() + 8 + record.value.len() + 8 * h + 24;
         for (level, &p) in prev.iter().enumerate().take(h) {
-            self.nodes[p as usize].next[level] = idx;
+            let link = self.link(p, level);
+            self.links.push(self.links[link]);
+            self.links[link] = idx;
         }
+        self.nodes.push(Node { record, tower });
     }
 
     /// Arena index of the first node with key `>= key` (0 if none).
     fn seek_index(&self, key: SeekKey<'_>) -> u32 {
         let prev = self.find_predecessors(key);
-        self.nodes[prev[0] as usize].next[0]
+        self.links[self.link(prev[0], 0)]
     }
 
     /// Iterates entries with keys `>= key`.
@@ -145,11 +153,11 @@ impl SkipList {
 
     /// Iterates all entries in order.
     pub fn iter(&self) -> SkipIter<'_> {
-        SkipIter { list: self, node: self.nodes[0].next[0] }
+        SkipIter { list: self, node: self.links[self.link(0, 0)] }
     }
 }
 
-/// Iterator over skiplist entries as `(encoded_key, record)` pairs.
+/// Iterator over skiplist entries, in internal-key order.
 #[derive(Debug, Clone)]
 pub struct SkipIter<'a> {
     list: &'a SkipList,
@@ -157,15 +165,15 @@ pub struct SkipIter<'a> {
 }
 
 impl<'a> Iterator for SkipIter<'a> {
-    type Item = (&'a [u8], &'a Record);
+    type Item = &'a Record;
 
     fn next(&mut self) -> Option<Self::Item> {
         if self.node == 0 {
             return None;
         }
-        let n = &self.list.nodes[self.node as usize];
-        self.node = n.next[0];
-        Some((n.key.as_slice(), &n.record))
+        let record = &self.list.nodes[self.node as usize].record;
+        self.node = self.list.links[self.list.link(self.node, 0)];
+        Some(record)
     }
 }
 
@@ -218,7 +226,7 @@ impl MemTable {
     /// tombstones (the caller interprets them). The returned record shares
     /// its key/value storage with the stored one (cheap `Bytes` clones).
     pub fn get(&self, key: &[u8], ts_q: Timestamp) -> Option<Record> {
-        let (_, record) = self.list.range_from(SeekKey::new(key, ts_q, ValueKind::Put)).next()?;
+        let record = self.list.range_from(SeekKey::new(key, ts_q, ValueKind::Put)).next()?;
         if record.key != key {
             return None;
         }
@@ -227,14 +235,14 @@ impl MemTable {
 
     /// All records in internal-key order (for flush and scans).
     pub fn iter_records(&self) -> impl Iterator<Item = Record> + '_ {
-        self.list.iter().map(|(_, r)| r.clone())
+        self.list.iter().cloned()
     }
 
     /// Records with user key in `[from, to]`, all versions, newest first
     /// within a key.
     pub fn range_records(&self, from: &[u8], to: &[u8]) -> Vec<Record> {
         let mut out = Vec::new();
-        for (_, record) in self.list.range_from(SeekKey::newest(from)) {
+        for record in self.list.range_from(SeekKey::newest(from)) {
             if record.key[..] > *to {
                 break;
             }
@@ -350,6 +358,24 @@ mod tests {
             let key = format!("{k:08}");
             assert!(mt.get(key.as_bytes(), u64::MAX >> 1).is_some(), "missing {k}");
         }
+    }
+
+    /// The flush trigger's arithmetic, pinned to what the skiplist that
+    /// kept a vector per node and per encoded key reported for the same
+    /// inserts (heights come from the same generator): it sets every flush
+    /// point, and through them every simulated number.
+    #[test]
+    fn approximate_bytes_are_pinned() {
+        let mut mt = MemTable::new();
+        let mut seen = Vec::new();
+        for i in 0..2000u64 {
+            let key = format!("key{:05}", (i * 7919) % 1500).into_bytes();
+            mt.insert(Record::put(key, vec![0u8; (i % 37) as usize], i + 1));
+            if i % 250 == 249 {
+                seen.push(mt.approximate_bytes());
+            }
+        }
+        assert_eq!(seen, [17070, 34197, 51349, 68670, 85792, 102846, 120181, 137381]);
     }
 
     #[test]

@@ -84,6 +84,11 @@ pub struct Record {
 }
 
 impl Record {
+    /// The fewest bytes a record encodes to: a one-byte key length, the
+    /// 8-byte suffix and a one-byte value length. Decoders bound what they
+    /// reserve for a claimed record count by it.
+    pub(crate) const MIN_ENCODED_LEN: usize = 10;
+
     /// Creates a live record.
     pub fn put(key: impl Into<Bytes>, value: impl Into<Bytes>, ts: Timestamp) -> Self {
         Record { key: key.into(), ts, kind: ValueKind::Put, value: value.into() }
@@ -277,6 +282,13 @@ impl<'a> SeekKey<'a> {
         let (user_key, suffix) = split_suffix(encoded);
         user_key.cmp(self.user_key).then_with(|| suffix.cmp(&self.suffix))
     }
+
+    /// How `record`'s internal key orders against this one, read off its
+    /// fields: nothing is encoded on either side.
+    pub(crate) fn cmp_record(&self, record: &Record) -> std::cmp::Ordering {
+        let suffix = u64::from_be_bytes(self.suffix);
+        record.key[..].cmp(self.user_key).then_with(|| record.view().suffix().cmp(&suffix))
+    }
 }
 
 /// An internal key: user key plus `(timestamp, kind)` suffix.
@@ -444,6 +456,12 @@ mod tests {
                 let target = InternalKey::new(k.as_bytes(), ts, kind);
                 for e in &encoded {
                     assert_eq!(seek.cmp_encoded(e), internal_cmp(e, target.encoded()), "{e:?}");
+                    // A record's fields compare as its encoding would.
+                    if let Some((key, ts, kind)) = parse_internal_key(e) {
+                        let record =
+                            Record { key: key.to_vec().into(), ts, kind, value: Bytes::new() };
+                        assert_eq!(seek.cmp_record(&record), seek.cmp_encoded(e), "{e:?}");
+                    }
                 }
             }
         }

@@ -36,7 +36,9 @@ pub struct WalWriter {
     file: Arc<SimFile>,
     records: u64,
     policy: WalSyncPolicy,
-    /// Frames not yet pushed to the host ([`WalSyncPolicy::EveryNBytes`]).
+    /// Frames not yet pushed to the host. Every frame is encoded here —
+    /// under [`WalSyncPolicy::Always`] it is pushed at once — so one buffer
+    /// serves every commit of the log.
     pending: Vec<u8>,
 }
 
@@ -55,25 +57,38 @@ pub struct WalWriter {
 /// acknowledged frame on recovery. [`crate::Db::write_batch`] rejects such
 /// batches before they reach the committer.
 pub fn encode_frame(records: &[Record]) -> Vec<u8> {
-    // One buffer: the header's place is held, the payload encoded behind
-    // it, then length and CRC patched in.
+    let mut frame = Vec::new();
+    encode_frame_into(records, &mut frame);
+    frame
+}
+
+/// Appends the frame [`encode_frame`] returns to `out` — how the log and
+/// the replication stream encode into buffers they reuse.
+///
+/// # Panics
+///
+/// As [`encode_frame`].
+pub fn encode_frame_into(records: &[Record], out: &mut Vec<u8>) {
+    // The header's place is held, the payload encoded behind it, then
+    // length and CRC patched in.
     let payload_bytes: usize = records.iter().map(|r| r.key.len() + r.value.len() + 18).sum();
-    let mut frame = Vec::with_capacity(8 + 10 + payload_bytes);
-    frame.extend_from_slice(&[0u8; 8]);
-    put_varint_u64(&mut frame, records.len() as u64);
+    out.reserve(8 + 10 + payload_bytes);
+    let start = out.len();
+    out.extend_from_slice(&[0u8; 8]);
+    put_varint_u64(out, records.len() as u64);
     for r in records {
-        r.encode_into(&mut frame);
+        r.encode_into(out);
     }
-    let payload_len = u32::try_from(frame.len() - 8).unwrap_or_else(|_| {
+    let payload = &out[start + 8..];
+    let payload_len = u32::try_from(payload.len()).unwrap_or_else(|_| {
         panic!(
             "WAL batch frame exceeds the u32 length field ({} bytes); split the batch",
-            frame.len() - 8
+            payload.len()
         )
     });
-    let crc = crc32c(&frame[8..]);
-    frame[..4].copy_from_slice(&payload_len.to_le_bytes());
-    frame[4..8].copy_from_slice(&crc.to_le_bytes());
-    frame
+    let crc = crc32c(payload);
+    out[start..start + 4].copy_from_slice(&payload_len.to_le_bytes());
+    out[start + 4..start + 8].copy_from_slice(&crc.to_le_bytes());
 }
 
 impl WalWriter {
@@ -99,19 +114,19 @@ impl WalWriter {
         if records.is_empty() {
             return 0;
         }
-        let frame = encode_frame(records);
-        match self.policy {
-            WalSyncPolicy::Always => self.env.append(&self.file, &frame),
-            WalSyncPolicy::EveryBatch => self.pending.extend_from_slice(&frame),
-            WalSyncPolicy::EveryNBytes(n) => {
-                self.pending.extend_from_slice(&frame);
-                if self.pending.len() >= n {
-                    self.sync();
-                }
-            }
+        let start = self.pending.len();
+        encode_frame_into(records, &mut self.pending);
+        let frame_len = self.pending.len() - start;
+        let push = match self.policy {
+            WalSyncPolicy::Always => true,
+            WalSyncPolicy::EveryBatch => false,
+            WalSyncPolicy::EveryNBytes(n) => self.pending.len() >= n,
+        };
+        if push {
+            self.sync();
         }
         self.records += records.len() as u64;
-        frame.len()
+        frame_len
     }
 
     /// Pushes buffered frames to the host in one append (one OCall in
@@ -164,13 +179,21 @@ pub fn decode_frame(data: &[u8]) -> Option<Vec<Record>> {
     let (count, mut at) = get_varint_u64(payload)?;
     // The count rides in untrusted bytes: bound the allocation by what the
     // payload could physically hold (see `recover`).
-    let mut records = Vec::with_capacity((count as usize).min(payload.len() - at));
+    let mut records = Vec::with_capacity(records_that_fit(count, &payload[at..]));
     for _ in 0..count {
         let (r, used) = Record::decode_prefix(&payload[at..])?;
         records.push(r);
         at += used;
     }
     (at == payload.len()).then_some(records)
+}
+
+/// How many of a frame's `count` records `rest` could hold: each encodes
+/// to at least [`Record::MIN_ENCODED_LEN`] bytes, so a vector sized by
+/// this takes at most a constant times the frame's length, whatever count
+/// the (untrusted) frame claims.
+fn records_that_fit(count: u64, rest: &[u8]) -> usize {
+    usize::try_from(count).unwrap_or(usize::MAX).min(rest.len() / Record::MIN_ENCODED_LEN)
 }
 
 /// Reads back all intact records from a WAL file.
@@ -205,9 +228,8 @@ pub fn recover(env: &StorageEnv, file: &Arc<SimFile>) -> Result<Vec<Record>, FsE
         let Some((count, mut at)) = get_varint_u64(payload) else { break };
         // The count rides in untrusted bytes: never allocate from it
         // unchecked (a tampered frame claiming 2^64 records must stop
-        // recovery gracefully, not abort the enclave). Each record costs
-        // at least one payload byte, so this bound is safe.
-        let mut batch = Vec::with_capacity((count as usize).min(payload.len() - at));
+        // recovery gracefully, not abort the enclave).
+        let mut batch = Vec::with_capacity(records_that_fit(count, &payload[at..]));
         let mut intact = true;
         for _ in 0..count {
             match Record::decode_prefix(&payload[at..]) {

@@ -7,6 +7,23 @@
 //! order a compaction emits them — key ascending, timestamp descending —
 //! which is the paper's streaming `MHT_add` construction (Figure 4).
 //!
+//! # Streaming
+//!
+//! A chain folds oldest version first, so the builder gathers one key's
+//! records and folds them when the next key arrives: what it holds of the
+//! level's record bytes is one chain's, never the level's. Every fold step
+//! yields a record's *suffix digest* — the chain digest of that record and
+//! every older version of its key — and the builder keeps them all; a
+//! record's [`Folded`] (its suffix digest, the one below it, and its place
+//! in its chain) can be read back by its position in the stream.
+//!
+//! That is what lets a merge hash each stored record once. A record that a
+//! merge carries from an input level into its output, over exactly the
+//! older versions it had there, has the same suffix digest in both:
+//! [`LevelDigestBuilder::add_carried`] takes the input's over instead of
+//! hashing, and checks the condition on digests — the input's digest below
+//! the record must be the one the output folded below it.
+//!
 //! # Layout
 //!
 //! A [`LevelDigest`] is what a flush or compaction holds of its output
@@ -14,9 +31,7 @@
 //! first, read by the proof writer in the second, dropped when the job's
 //! commitment is staged — and can cover millions of records, so it is
 //! stored flat: the tree, the first record index of every leaf, and **one
-//! suffix digest per record** — the chain digest of that record and every
-//! older version of its key. `finish` computes those digests anyway on its
-//! way to each chain head; they are all a proof needs from the chain
+//! suffix digest per record**. Those are all a proof needs from the chain
 //! (`older_digest` of version *v* is the suffix digest of version *v + 1*),
 //! so the record bytes themselves are dropped once hashed, and no key is
 //! kept at all: a proof is asked for by position, in the order the records
@@ -33,40 +48,46 @@ use crate::crown::Crown;
 use crate::proof::{encode_parts, head_encoded_len, LevelCommitment, RecordProof, LINK_LEN};
 use crate::tree::MerkleTree;
 
-/// Byte strings stored back to back, addressed by index: one allocation
-/// for the bytes and one for the end offsets, however many items.
-#[derive(Debug, Clone, Default)]
-struct Arena {
-    bytes: Vec<u8>,
-    /// `ends[i]` is where item `i` stops; it starts where `i - 1` stopped.
-    ends: Vec<usize>,
+/// What a builder folded for one record. A later digest of the same record
+/// bytes over the same older versions folds the same `suffix`.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Folded {
+    /// Chain digest of the record and every older version of its key.
+    pub suffix: Digest,
+    /// Chain digest of the strictly older versions (zero for the oldest).
+    pub older: Digest,
+    /// The record's version in its chain (0 = newest).
+    pub version: usize,
+    /// How many versions its chain has.
+    pub versions: usize,
 }
 
-impl Arena {
-    fn push(&mut self, item: &[u8]) {
-        self.bytes.extend_from_slice(item);
-        self.ends.push(self.bytes.len());
-    }
-
-    fn len(&self) -> usize {
-        self.ends.len()
-    }
-
-    fn get(&self, index: usize) -> &[u8] {
-        let start = index.checked_sub(1).map_or(0, |prev| self.ends[prev]);
-        &self.bytes[start..self.ends[index]]
-    }
+/// One record of the chain a builder is gathering.
+#[derive(Debug)]
+struct Gathered {
+    /// Where its bytes end in [`LevelDigestBuilder::chain`].
+    end: usize,
+    /// What an earlier digest folded for it, if the caller knows.
+    carried: Option<Folded>,
 }
 
 /// Streaming builder for a level digest (the paper's `MHT_add`).
 #[derive(Debug, Default)]
 pub struct LevelDigestBuilder {
     level: u32,
-    /// Key of the record added last: all `add` compares against.
-    last_key: Vec<u8>,
-    records: Arena,
-    /// Index in `records` of each leaf's newest version.
+    /// Key of the record added last.
+    key: Vec<u8>,
+    /// The bytes of the chain being gathered, back to back, newest first.
+    chain: Vec<u8>,
+    gathered: Vec<Gathered>,
+    /// Index of each leaf's newest record.
     leaf_first: Vec<usize>,
+    /// Suffix digest of every record of a folded chain.
+    suffix_digests: Vec<Digest>,
+    /// Chain head of every folded chain.
+    leaves: Vec<Digest>,
+    links_hashed: u64,
+    links_carried: u64,
 }
 
 impl LevelDigestBuilder {
@@ -76,50 +97,112 @@ impl LevelDigestBuilder {
     }
 
     /// Adds the next record of the sorted stream. The bytes are copied
-    /// into the builder, so the caller may reuse its buffer.
+    /// until its chain folds, so the caller may reuse its buffer.
     ///
     /// # Panics
     ///
-    /// Panics if keys arrive out of ascending order (a correctness bug in
-    /// the feeding compaction, never data-dependent).
+    /// Panics if keys arrive out of ascending order, or a key arrives again
+    /// after [`LevelDigestBuilder::end_chain`] folded its chain (a
+    /// correctness bug in the feeding compaction, never data-dependent).
     pub fn add(&mut self, user_key: &[u8], record_bytes: &[u8]) {
-        let first = self.records.len() == 0;
+        self.add_carried(user_key, record_bytes, None);
+    }
+
+    /// Adds the next record together with what an earlier digest folded
+    /// for the same bytes (`carried`). When its chain folds, the record
+    /// takes over `carried.suffix` instead of hashing if the versions
+    /// below it folded to `carried.older` — the same bytes over the same
+    /// chain, so the same link; otherwise it is hashed like any record.
+    /// The caller vouches only that `record_bytes` are the bytes `carried`
+    /// was folded from.
+    ///
+    /// # Panics
+    ///
+    /// As [`LevelDigestBuilder::add`].
+    pub fn add_carried(&mut self, user_key: &[u8], record_bytes: &[u8], carried: Option<Folded>) {
+        let first = self.record_count() == 0;
         assert!(
-            first || &self.last_key[..] <= user_key,
+            first || &self.key[..] <= user_key,
             "level records must arrive in ascending key order"
         );
-        if first || self.last_key != user_key {
-            self.last_key.clear();
-            self.last_key.extend_from_slice(user_key);
-            self.leaf_first.push(self.records.len());
+        if first || self.key != user_key {
+            self.end_chain();
+            self.key.clear();
+            self.key.extend_from_slice(user_key);
+            self.leaf_first.push(self.record_count());
+        } else {
+            assert!(!self.gathered.is_empty(), "a key's chain was already folded");
         }
-        self.records.push(record_bytes);
+        self.chain.extend_from_slice(record_bytes);
+        self.gathered.push(Gathered { end: self.chain.len(), carried });
+    }
+
+    /// Folds the chain gathered so far, oldest version first; `add` does
+    /// it when the next key arrives and `finish` at the end. A reader of
+    /// [`LevelDigestBuilder::folded`] calls it once the stream has ended.
+    pub fn end_chain(&mut self) {
+        if self.gathered.is_empty() {
+            return;
+        }
+        let base = self.suffix_digests.len();
+        self.suffix_digests.resize(base + self.gathered.len(), Digest::ZERO);
+        let mut below = Digest::ZERO;
+        for (i, record) in self.gathered.iter().enumerate().rev() {
+            below = match record.carried {
+                Some(carried) if carried.older == below => {
+                    self.links_carried += 1;
+                    carried.suffix
+                }
+                _ => {
+                    let start = i.checked_sub(1).map_or(0, |prev| self.gathered[prev].end);
+                    self.links_hashed += 1;
+                    chain_link(&self.chain[start..record.end], &below)
+                }
+            };
+            self.suffix_digests[base + i] = below;
+        }
+        self.leaves.push(below);
+        self.gathered.clear();
+        self.chain.clear();
     }
 
     /// Number of records added so far.
     pub fn record_count(&self) -> usize {
-        self.records.len()
+        self.suffix_digests.len() + self.gathered.len()
     }
 
-    /// Finishes the digest: one chain fold per key, oldest version first,
-    /// keeping every intermediate (suffix) digest.
+    /// What was folded for the `index`-th record added; `None` past the
+    /// last folded chain.
+    pub fn folded(&self, index: usize) -> Option<Folded> {
+        let suffix = *self.suffix_digests.get(index)?;
+        // The leaf holding `index` is the last to start at or before it.
+        let leaf = self.leaf_first.partition_point(|&first| first <= index) - 1;
+        let start = self.leaf_first[leaf];
+        let end = self.leaf_first.get(leaf + 1).copied().unwrap_or(self.suffix_digests.len());
+        let older = if index + 1 < end { self.suffix_digests[index + 1] } else { Digest::ZERO };
+        Some(Folded { suffix, older, version: index - start, versions: end - start })
+    }
+
+    /// Chain links hashed so far.
+    pub fn links_hashed(&self) -> u64 {
+        self.links_hashed
+    }
+
+    /// Records whose suffix digest was carried over instead of hashed.
+    pub fn links_carried(&self) -> u64 {
+        self.links_carried
+    }
+
+    /// Finishes the digest: folds the last chain and builds the tree over
+    /// the chain heads.
     pub fn finish(mut self) -> LevelDigest {
-        self.leaf_first.push(self.records.len());
-        let mut suffix_digests = vec![Digest::ZERO; self.records.len()];
-        let mut leaves = Vec::with_capacity(self.leaf_first.len() - 1);
-        for chain in self.leaf_first.windows(2) {
-            let mut acc = Digest::ZERO;
-            for r in (chain[0]..chain[1]).rev() {
-                acc = chain_link(self.records.get(r), &acc);
-                suffix_digests[r] = acc;
-            }
-            leaves.push(acc);
-        }
+        self.end_chain();
+        self.leaf_first.push(self.suffix_digests.len());
         LevelDigest {
             level: self.level,
-            tree: MerkleTree::from_leaves(leaves),
+            tree: MerkleTree::from_leaves(self.leaves),
             leaf_first: self.leaf_first,
-            suffix_digests,
+            suffix_digests: self.suffix_digests,
         }
     }
 }
@@ -399,6 +482,82 @@ mod tests {
         }
         let streamed = b.finish();
         assert_eq!(one_shot.commitment(), streamed.commitment());
+    }
+
+    /// The Figure 3 level L2 as `(key, bytes)` pairs.
+    fn l2_records() -> Vec<(&'static [u8], Vec<u8>)> {
+        vec![(b"T", b"T,4".to_vec()), (b"Z", b"Z,7".to_vec()), (b"Z", b"Z,6".to_vec())]
+    }
+
+    #[test]
+    fn folded_records_name_their_chain() {
+        let mut b = LevelDigestBuilder::new(2);
+        for (k, r) in l2_records() {
+            b.add(k, &r);
+        }
+        assert_eq!(b.folded(1), None, "Z's chain still gathers");
+        b.end_chain();
+        let z6 = b.folded(2).unwrap();
+        let z7 = b.folded(1).unwrap();
+        assert_eq!((z7.version, z7.versions, z6.version, z6.versions), (0, 2, 1, 2));
+        assert_eq!(z6.older, Digest::ZERO);
+        assert_eq!(z7.older, z6.suffix);
+        assert_eq!(z7.suffix, crate::chain::chain_digest(&[b"Z,7", b"Z,6"]));
+        assert_eq!(b.folded(0).unwrap().versions, 1);
+        assert_eq!(b.folded(3), None);
+        assert_eq!(b.finish().commitment(), level2().commitment());
+    }
+
+    #[test]
+    fn a_folded_key_cannot_come_back() {
+        let mut b = LevelDigestBuilder::new(1);
+        b.add(b"k", b"1");
+        b.end_chain();
+        let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.add(b"k", b"2")));
+        assert!(again.is_err());
+    }
+
+    /// A carried digest is taken over exactly when the versions below the
+    /// record folded to what they were below it before; the result is the
+    /// digest of the records, however it was reached.
+    #[test]
+    fn carried_digests_are_taken_over_only_over_the_same_chain() {
+        let mut input = LevelDigestBuilder::new(3);
+        let old: Vec<(&[u8], &[u8])> =
+            vec![(b"a", b"a5"), (b"a", b"a2"), (b"b", b"b4"), (b"c", b"c1")];
+        for (k, r) in &old {
+            input.add(k, r);
+        }
+        input.end_chain();
+        // The output: a fresh newer version of `a` over its carried chain,
+        // `b` carried whole, and `c` over an older version it did not have
+        // before.
+        let out: Vec<(&[u8], &[u8], Option<usize>)> = vec![
+            (b"a", b"a9", None),
+            (b"a", b"a5", Some(0)),
+            (b"a", b"a2", Some(1)),
+            (b"b", b"b4", Some(2)),
+            (b"c", b"c1", Some(3)),
+            (b"c", b"c0", None),
+        ];
+        let mut output = LevelDigestBuilder::new(4);
+        for (k, r, from) in &out {
+            output.add_carried(k, r, from.and_then(|i| input.folded(i)));
+        }
+        output.end_chain();
+        assert_eq!(output.links_carried(), 3, "a5, a2 and b4");
+        assert_eq!(output.links_hashed(), 3, "a9, c1 (its chain grew below it) and c0");
+        let reference = LevelDigest::from_records(4, out.iter().map(|(k, r, _)| (*k, r.to_vec())));
+        let built = output.finish();
+        assert_eq!(built.commitment(), reference.commitment());
+        for leaf in 0..built.leaf_count() {
+            for version in 0..built.chain_len(leaf) {
+                assert_eq!(
+                    built.prove_version(leaf, version),
+                    reference.prove_version(leaf, version)
+                );
+            }
+        }
     }
 
     #[test]

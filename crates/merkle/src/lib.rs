@@ -7,8 +7,10 @@
 //!   is hashed only up to them and compared from there on,
 //! * [`chain`] — temporal hash chains over record versions (§5.2),
 //! * [`level`] — per-LSM-level digests: chains at the leaves of a tree,
-//!   built streaming in compaction order (Figure 4's `MHT_add`), stored
-//!   flat with one suffix digest per record so proof generation is linear,
+//!   built streaming in compaction order (Figure 4's `MHT_add`) one key's
+//!   chain at a time, stored flat with one suffix digest per record so
+//!   proof generation is linear and a merge can carry a record's digest
+//!   over instead of hashing it again,
 //! * [`proof`] — embedded record proofs (owned, and borrowed in place from
 //!   stored bytes): an audit path for a key's newest version, a fixed-size
 //!   chain link for every older one, the walk that verifies a chain from
@@ -47,7 +49,7 @@ pub mod tree;
 
 pub use chain::{chain_digest, chain_link, ChainPosition};
 pub use crown::{Anchor, Crown, Work, CROWN_ROW_MAX};
-pub use level::{LevelDigest, LevelDigestBuilder};
+pub use level::{Folded, LevelDigest, LevelDigestBuilder};
 pub use mbt::{MerkleBTree, UpdateStats};
 pub use proof::{ChainWalk, LevelCommitment, RecordProof, RecordProofRef, VerifyError, LINK_LEN};
 pub use range::{prove_range, verify_range, verify_range_anchored, RangeProof};

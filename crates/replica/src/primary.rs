@@ -26,9 +26,10 @@ use elsm::{
 use lsm_store::{ReplicationEvent, ReplicationSink, Timestamp};
 use parking_lot::Mutex;
 use sgx_sim::{FencingCounter, Platform};
+use telemetry::TraceContext;
 
 use crate::channel::Channel;
-use crate::wire::{encode_event, WireEvent};
+use crate::wire::{encode_event, encode_frame_event, WireEvent};
 
 /// Configuration of one replication group.
 #[derive(Debug, Clone, Copy)]
@@ -99,13 +100,19 @@ impl Shipper {
     }
 
     fn broadcast(&self, event: &WireEvent) {
+        self.ship(|generation, trace| encode_event(generation, trace, event));
+    }
+
+    /// Sends the payload `encode` builds from this primary's generation
+    /// and the sender's trace context to every channel.
+    fn ship(&self, encode: impl FnOnce(u64, TraceContext) -> Vec<u8>) {
         // Stamp the sender's innermost active trace span (the group-commit
         // span when a Frame is emitted under the write lock) so replica
         // replay joins the primary's trace tree. Always 16 bytes — NONE
         // when untraced — so envelope sizes and per-byte charges never
         // depend on whether tracing is enabled.
         let trace = telemetry::trace::current_context();
-        let payload = encode_event(self.generation.load(Ordering::SeqCst), trace, event);
+        let payload = encode(self.generation.load(Ordering::SeqCst), trace);
         self.events.fetch_add(1, Ordering::SeqCst);
         let channels = self.channels.lock();
         // This runs under the store's write lock: clone for all but the
@@ -129,7 +136,7 @@ impl ReplicationSink for Shipper {
     fn on_event(&self, event: ReplicationEvent<'_>) {
         match event {
             ReplicationEvent::Frame { records } => {
-                self.broadcast(&WireEvent::Frame(records.to_vec()));
+                self.ship(|generation, trace| encode_frame_event(generation, trace, records));
             }
             ReplicationEvent::Flush => self.broadcast(&WireEvent::Flush),
             ReplicationEvent::Compact { job } => {

@@ -12,10 +12,11 @@
 //!
 //! A `Frame` body is byte-for-byte the WAL batch frame of
 //! [`lsm_store::encode_frame`]: the shipped unit *is* the crash-atomicity
-//! unit, checksummed encoding included.
+//! unit, checksummed encoding included. A primary encodes it straight from
+//! the records it committed, without building a [`WireEvent`] first.
 
 use elsm::replication::Announcement;
-use lsm_store::{decode_frame, encode_frame, CompactionJob, Record, VlogGcJob};
+use lsm_store::{decode_frame, encode_frame_into, CompactionJob, Record, VlogGcJob};
 use telemetry::TraceContext;
 
 const TAG_FRAME: u8 = 1;
@@ -53,13 +54,11 @@ pub enum WireEvent {
 /// Encodes an event under `generation`, carrying the sender's `trace`
 /// context ([`TraceContext::NONE`] when untraced; see the module docs).
 pub fn encode_event(generation: u64, trace: TraceContext, event: &WireEvent) -> Vec<u8> {
-    let mut out = Vec::with_capacity(32);
-    out.extend_from_slice(&generation.to_le_bytes());
-    out.extend_from_slice(&trace.encode());
+    let mut out = header(generation, trace, 8);
     match event {
         WireEvent::Frame(records) => {
             out.push(TAG_FRAME);
-            out.extend_from_slice(&encode_frame(records));
+            encode_frame_into(records, &mut out);
         }
         WireEvent::Flush => out.push(TAG_FLUSH),
         WireEvent::Compact(job) => {
@@ -76,6 +75,29 @@ pub fn encode_event(generation: u64, trace: TraceContext, event: &WireEvent) -> 
             gc.encode(&mut out);
         }
     }
+    out
+}
+
+/// What [`encode_event`] makes of `WireEvent::Frame(records.to_vec())`,
+/// encoded straight from the committed records into a payload sized once.
+pub(crate) fn encode_frame_event(
+    generation: u64,
+    trace: TraceContext,
+    records: &[Record],
+) -> Vec<u8> {
+    let body: usize = records.iter().map(|r| r.key.len() + r.value.len() + 18).sum();
+    let mut out = header(generation, trace, 1 + 8 + 10 + body);
+    out.push(TAG_FRAME);
+    encode_frame_into(records, &mut out);
+    out
+}
+
+/// The generation and trace context every payload starts with, in a
+/// buffer with room for `rest` more bytes.
+fn header(generation: u64, trace: TraceContext, rest: usize) -> Vec<u8> {
+    let mut out = Vec::with_capacity(24 + rest);
+    out.extend_from_slice(&generation.to_le_bytes());
+    out.extend_from_slice(&trace.encode());
     out
 }
 

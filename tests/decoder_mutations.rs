@@ -3,10 +3,13 @@
 //! allocation watch of `crates/merkle/tests/decode_reservation.rs`, run
 //! over the two decoders a read now walks in place — a data block
 //! (`Block::parse`, then `BlockIter::advance` and seeks) and a whole table
-//! (`TableReader::open`, then `get`, the neighbour searches and `range`).
-//! Whatever the bytes: no panic, no single allocation beyond the input's
-//! length times a constant, and what is accepted decodes to entries that
-//! round-trip through the encoder.
+//! (`TableReader::open`, then `get`, the neighbour searches and `range`) —
+//! and over the two the write path's bytes come back through: a WAL batch
+//! frame (`decode_frame`: a replica's shipment, a replayed log) and a
+//! record (`Record::decode` / `decode_prefix`), whose encodings the store
+//! now writes into reused buffers. Whatever the bytes: no panic, no single
+//! allocation beyond the input's length times a constant, and what is
+//! accepted decodes to entries that round-trip through the encoder.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -14,8 +17,10 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use elsm_repro::lsm_store::block::{Block, BlockBuilder};
+use elsm_repro::lsm_store::encoding::crc32c;
 use elsm_repro::lsm_store::{
-    internal_cmp, EnvConfig, Record, StorageEnv, TableBuilder, TableOptions, TableReader, Timestamp,
+    decode_frame, encode_frame, internal_cmp, EnvConfig, Record, StorageEnv, TableBuilder,
+    TableOptions, TableReader, Timestamp, ValueKind,
 };
 use elsm_repro::sgx_sim::{CostModel, Platform};
 use elsm_repro::sim_disk::{SimDisk, SimFile, SimFs};
@@ -122,6 +127,20 @@ fn records(picks: &[(u16, u16)]) -> Vec<Record> {
             Record::put(format!("key{k:03}").into_bytes(), value, u64::from(ts))
         })
         .collect()
+}
+
+/// `records(picks)` with every kind of record: some become tombstones,
+/// some value-log pointers.
+fn mixed_records(picks: &[(u16, u16)]) -> Vec<Record> {
+    let mut records = records(picks);
+    for record in &mut records {
+        match record.ts % 3 {
+            0 => *record = Record::tombstone(record.key.clone(), record.ts),
+            1 => record.kind = ValueKind::VlogPut,
+            _ => {}
+        }
+    }
+    records
 }
 
 /// A block's `(key, value)` entries, owned.
@@ -303,6 +322,68 @@ proptest! {
                 let again = write_table(&env, &fs, 1000 + file_no, &decoded);
                 let again = TableReader::open(env.clone(), again, 1000 + file_no).unwrap();
                 prop_assert_eq!(table_records(&again), Some(decoded));
+            }
+        }
+    }
+
+    /// A WAL batch frame: the honest encoding decodes to its records; any
+    /// edit of it decodes or not without panic or a reservation beyond a
+    /// constant times its length — whatever record count it claims — and
+    /// what is accepted encodes to a frame that decodes to the same.
+    #[test]
+    fn mutated_frames_decode_in_bounds(
+        picks in prop::collection::vec((any::<u16>(), 0u16..500), 1..60),
+        spliced in prop::collection::vec((any::<u16>(), 0u16..500), 1..20),
+        edits in prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..40),
+    ) {
+        let honest = mixed_records(&picks);
+        let (base, other) = (encode_frame(&honest), encode_frame(&mixed_records(&spliced)));
+        prop_assert_eq!(decode_frame(&base), Some(honest));
+        for edit in edits {
+            let mut buf = mutate(&base, &other, edit);
+            if edit.2 & 0x80 != 0 && buf.len() >= 8 {
+                // The host writes the log and can frame anything: the
+                // length and CRC then vouch for the edited payload.
+                let payload_len = buf.len() as u32 - 8;
+                let crc = crc32c(&buf[8..]);
+                buf[..4].copy_from_slice(&payload_len.to_le_bytes());
+                buf[4..8].copy_from_slice(&crc.to_le_bytes());
+            }
+            let (decoded, largest) = largest_allocation(|| decode_frame(&buf));
+            prop_assert!(largest <= PER_INPUT_BYTE * buf.len(), "{largest} B for {} B", buf.len());
+            if let Some(records) = decoded {
+                prop_assert_eq!(decode_frame(&encode_frame(&records)), Some(records));
+            }
+        }
+    }
+
+    /// One record's encoding, whole (`decode`) and as the prefix of a
+    /// longer buffer (`decode_prefix`, how a frame is walked): any edit
+    /// decodes or not in bounds, and an accepted record re-encodes to
+    /// bytes that decode to it again, consuming exactly what it encodes to.
+    #[test]
+    fn mutated_records_decode_in_bounds(
+        picks in prop::collection::vec((any::<u16>(), 0u16..500), 1..8),
+        edits in prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..40),
+    ) {
+        let records = mixed_records(&picks);
+        let base = records[0].encode();
+        let other: Vec<u8> = records.iter().flat_map(Record::encode).collect();
+        prop_assert_eq!(Record::decode(&base), Some(records[0].clone()));
+        prop_assert_eq!(Record::decode_prefix(&other).map(|(r, _)| r), Some(records[0].clone()));
+        for edit in edits {
+            let buf = mutate(&base, &other, edit);
+            let (decoded, largest) =
+                largest_allocation(|| (Record::decode(&buf), Record::decode_prefix(&buf)));
+            prop_assert!(largest <= PER_INPUT_BYTE * buf.len(), "{largest} B for {} B", buf.len());
+            let (whole, prefix) = decoded;
+            if let Some(record) = whole {
+                prop_assert_eq!(Record::decode(&record.encode()), Some(record));
+            }
+            if let Some((record, used)) = prefix {
+                prop_assert!(used <= buf.len());
+                let again = record.encode();
+                prop_assert_eq!(Record::decode_prefix(&again), Some((record, again.len())));
             }
         }
     }
