@@ -850,8 +850,7 @@ pub fn fig12(scale: &Scale, opts: FigOpts) -> Table {
 // Figure 14 (extension): key-value separation + verified read cache
 // ---------------------------------------------------------------------------
 
-/// Figure 14 (ext): key-value separation and the epoch-aware verified
-/// cache.
+/// Figure 14 (ext): key-value separation and the verified read cache.
 ///
 /// Two series. First, verified YCSB-A **write** throughput as the value
 /// size sweeps 1 KB → 100 KB, with the store's values inline

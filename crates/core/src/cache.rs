@@ -1,24 +1,28 @@
-//! Epoch-aware verified read cache.
+//! The verified read cache: freshness by write.
 //!
 //! Verified GET answers are expensive: an ECall, block reads through
 //! untrusted memory, proof decoding and Merkle verification against the
 //! epoch's commitments — and, for key-value-separated records, a second
-//! host read to fetch the value-log entry. Once a record has been
-//! verified under an epoch's commitment set, re-verifying the identical
-//! bytes for the next hot read is pure overhead: nothing it could detect
-//! has had a chance to change.
+//! host read to fetch the value-log entry. Once a key's answer has been
+//! verified, re-verifying it for the next hot read is pure overhead until
+//! the key is written again: a flush, compaction or value-log GC moves the
+//! record between files, but never changes its value.
 //!
 //! [`VerifiedCache`] memoizes those verified answers *inside the trust
 //! boundary*:
 //!
-//! * **Record entries** are keyed by user key and tagged with the
-//!   commitment epoch the verification ran under. A lookup hits only
-//!   when the entry's epoch equals the store's current epoch — an entry
-//!   verified under a superseded commitment set is structurally unable
-//!   to answer (freshness by construction, not by invalidation
-//!   discipline). Writes invalidate their key eagerly; epoch installs
-//!   drop every entry of the outgoing epoch
-//!   ([`VerifiedCache::install_epoch`]).
+//! * **Record entries** are keyed by user key and obey one rule, checked at
+//!   insert and at lookup: *an entry answers only if its stamp is not older
+//!   than the last write to its key's bucket.* The cache keeps a trusted
+//!   write sequence and a fixed array of 4 096 bucket generations; a write
+//!   ([`VerifiedCache::invalidate_key`]) takes the next sequence number
+//!   into its key's bucket. A GET's stamp is the sequence its miss saw
+//!   ([`Lookup::Miss`]), read before it captures its trace, and
+//!   [`VerifiedCache::insert_record`] takes no other — so an answer whose
+//!   trace may predate a write that committed while it was being verified
+//!   never answers, and an entry the host writes back after its key was
+//!   written is a miss, however valid its tag. Version installs do not
+//!   reach the cache.
 //! * **Value-log slots** are keyed by `(file, offset)` and hold the
 //!   payload of a value-log entry whose MAC has been checked. A hit
 //!   must present the pointer MAC from a *verified* pointer record and
@@ -27,13 +31,16 @@
 //!
 //! Every entry carries an HMAC tag under a per-cache private key
 //! (standing in for an enclave-held MAC key), computed over the entry's
-//! content *and its epoch*. The backing memory is modeled as scribbling
-//! territory: a tag mismatch on hit means the entry was tampered with —
-//! it is counted, discarded and the query falls back to the verified
-//! disk path ([`crate::error::VerificationFailure::CacheTampered`] names
-//! the failure for callers that want to surface it).
+//! content and, for a record, its stamp. The entries' backing memory is
+//! modelled as scribbling territory (the write sequence and the generation
+//! array are the enclave's own): a tag mismatch on hit means the entry was
+//! tampered with — it is counted, discarded and the query falls back to the
+//! verified disk path ([`crate::error::VerificationFailure::CacheTampered`]
+//! names the failure for callers that want to surface it).
 
+use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
+use std::hash::Hasher;
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -59,17 +66,33 @@ pub struct CacheStats {
     pub vlog_misses: u64,
     /// Entries evicted to stay within the byte budget.
     pub evictions: u64,
-    /// Entries dropped because a write or epoch change superseded them.
+    /// Record entries dropped because a write to their key superseded them.
     pub invalidations: u64,
     /// Entries whose integrity tag failed on hit — detected, discarded,
     /// never served.
     pub tamper_detected: u64,
 }
 
+/// The write sequence a record lookup saw when it missed: what
+/// [`VerifiedCache::insert_record`] memoizes the verified answer under.
+/// Only a miss makes one, so a GET cannot stamp its answer later than the
+/// trace it captured after the miss.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Stamp(u64);
+
+/// What [`VerifiedCache::lookup_record`] found.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum Lookup {
+    /// A verified answer no write has superseded: its timestamp and value.
+    Hit(Timestamp, Bytes),
+    /// No answer: verify on the disk path, then memoize under this stamp.
+    Miss(Stamp),
+}
+
 /// A cached verified GET answer.
-#[derive(Debug)]
+#[derive(Debug, Clone)]
 struct RecordEntry {
-    epoch: u64,
+    stamp: u64,
     ts: Timestamp,
     value: Bytes,
     tag: Digest,
@@ -87,15 +110,53 @@ struct VlogSlot {
     bytes: usize,
 }
 
+/// Buckets of the write-generation array (4 096 `u64`s, 32 KiB): a write
+/// to any key of a bucket turns away the bucket's older entries.
+const WRITE_BUCKETS: usize = 4096;
+
 #[derive(Debug, Default)]
 struct Inner {
-    epoch: u64,
     records: HashMap<Vec<u8>, RecordEntry>,
     record_lru: BTreeMap<u64, Vec<u8>>,
     vlog: HashMap<(u64, u64), VlogSlot>,
     vlog_lru: BTreeMap<u64, (u64, u64)>,
     bytes: usize,
     tick: u64,
+    /// Writes seen so far: the next stamp.
+    writes: u64,
+    /// Per bucket, the write sequence of the last write to one of its keys.
+    generation: Vec<u64>,
+}
+
+impl Inner {
+    fn remove_record(&mut self, key: &[u8]) -> bool {
+        let Some(entry) = self.records.remove(key) else { return false };
+        self.record_lru.remove(&entry.tick);
+        self.bytes -= entry.bytes;
+        true
+    }
+
+    fn remove_slot(&mut self, at: (u64, u64)) {
+        if let Some(slot) = self.vlog.remove(&at) {
+            self.vlog_lru.remove(&slot.tick);
+            self.bytes -= slot.bytes;
+        }
+    }
+}
+
+fn bucket(key: &[u8]) -> usize {
+    let mut hasher = DefaultHasher::new();
+    hasher.write(key);
+    hasher.finish() as usize % WRITE_BUCKETS
+}
+
+/// Moves the entry at `*tick` to the hot end of `lru`.
+fn touch<K>(lru: &mut BTreeMap<u64, K>, tick: &mut u64, clock: &mut u64) {
+    *clock += 1;
+    if let Some(key) = lru.remove(tick) {
+        lru.insert(*clock, key);
+    }
+    *tick = *clock;
 }
 
 /// The cache's counters, living in the telemetry registry (the
@@ -129,7 +190,7 @@ impl CacheMetrics {
 /// Fixed per-entry overhead charged against the byte budget.
 const ENTRY_OVERHEAD: usize = 64;
 
-/// The epoch-aware verified read cache. See the module docs.
+/// The verified read cache. See the module docs.
 #[derive(Debug)]
 pub struct VerifiedCache {
     platform: Arc<Platform>,
@@ -161,16 +222,16 @@ impl VerifiedCache {
             platform,
             mac_key,
             capacity,
-            inner: Mutex::new(Inner::default()),
+            inner: Mutex::new(Inner { generation: vec![0; WRITE_BUCKETS], ..Inner::default() }),
             metrics: CacheMetrics::new(telemetry),
             telemetry: telemetry.clone(),
         })
     }
 
-    fn record_tag(&self, key: &[u8], epoch: u64, ts: Timestamp, value: &[u8]) -> Digest {
+    fn record_tag(&self, key: &[u8], stamp: u64, ts: Timestamp, value: &[u8]) -> Digest {
         self.platform.charge_hash(key.len() + value.len() + 16);
         // 0x01: domain of record entries.
-        self.mac_key.mac(&[&[0x01], &epoch.to_le_bytes(), &ts.to_le_bytes(), key, value])
+        self.mac_key.mac(&[&[0x01], &stamp.to_le_bytes(), &ts.to_le_bytes(), key, value])
     }
 
     fn vlog_tag(&self, file_no: u64, offset: u64, mac: &[u8; 32], payload: &[u8]) -> Digest {
@@ -179,79 +240,76 @@ impl VerifiedCache {
         self.mac_key.mac(&[&[0x02], &file_no.to_le_bytes(), &offset.to_le_bytes(), mac, payload])
     }
 
-    /// Looks up the verified answer for `key` under `epoch`.
-    ///
-    /// `Ok(Some((ts, value)))` is a hit: the entry was verified under
-    /// exactly this epoch and its tag checks out. `Ok(None)` is a miss
-    /// (absent, or tagged with a different epoch — a stale entry is a
-    /// miss, never an answer).
+    /// Counts and audits an entry whose tag failed (it was discarded).
+    fn tampered(&self, detail: String) -> VerificationFailure {
+        self.metrics.tamper_detected.inc();
+        let failure = VerificationFailure::CacheTampered;
+        self.telemetry.audit(
+            AuditEvent::new(failure.kind(), "cache")
+                .detail(detail)
+                .at_ns(self.platform.clock().now_ns()),
+        );
+        failure
+    }
+
+    /// Looks up the verified answer for `key`: a [`Lookup::Hit`] when an
+    /// entry stamped no earlier than the last write to its bucket is
+    /// present and its tag checks out, else a [`Lookup::Miss`] carrying the
+    /// stamp to memoize the disk path's answer under.
     ///
     /// # Errors
     ///
     /// Returns [`VerificationFailure::CacheTampered`] when the entry's
     /// integrity tag fails: the backing memory was scribbled over. The
     /// entry is discarded; callers fall back to the verified disk path.
-    pub fn lookup_record(
-        &self,
-        key: &[u8],
-        epoch: u64,
-    ) -> Result<Option<(Timestamp, Bytes)>, VerificationFailure> {
+    pub fn lookup_record(&self, key: &[u8]) -> Result<Lookup, VerificationFailure> {
+        let bucket = bucket(key);
         let inner = self.inner.lock();
-        let Some(entry) = inner.records.get(key) else {
+        let Some(entry) = inner.records.get(key).filter(|e| e.stamp >= inner.generation[bucket])
+        else {
             self.metrics.record_misses.inc();
-            return Ok(None);
+            return Ok(Lookup::Miss(Stamp(inner.writes)));
         };
-        if entry.epoch != epoch {
-            self.metrics.record_misses.inc();
-            return Ok(None);
-        }
-        let (epoch, ts, value) = (entry.epoch, entry.ts, entry.value.clone());
+        let RecordEntry { stamp, ts, tag, tick, .. } = *entry;
+        let value = entry.value.clone();
         drop(inner);
-        let expect = self.record_tag(key, epoch, ts, &value);
-        let mut inner = self.inner.lock();
-        let Some(entry) = inner.records.get(key) else {
-            self.metrics.record_misses.inc();
-            return Ok(None);
-        };
-        if !verify_tag(&expect, &entry.tag) {
-            let tick = entry.tick;
-            let bytes = entry.bytes;
-            inner.records.remove(key);
-            inner.record_lru.remove(&tick);
-            inner.bytes -= bytes;
+        if !verify_tag(&self.record_tag(key, stamp, ts, &value), &tag) {
+            let mut inner = self.inner.lock();
+            if inner.records.get(key).is_some_and(|e| e.tick == tick) {
+                inner.remove_record(key);
+            }
             drop(inner);
-            self.metrics.tamper_detected.inc();
-            let failure = VerificationFailure::CacheTampered { epoch };
-            self.telemetry.audit(
-                AuditEvent::new(failure.kind(), "cache")
-                    .detail(failure.to_string())
-                    .epoch(epoch)
-                    .at_ns(self.platform.clock().now_ns()),
-            );
-            return Err(failure);
+            return Err(self.tampered(VerificationFailure::CacheTampered.to_string()));
         }
-        let old_tick = entry.tick;
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.record_lru.remove(&old_tick);
-        inner.record_lru.insert(tick, key.to_vec());
-        inner.records.get_mut(key).expect("checked above").tick = tick;
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        if let Some(entry) = inner.records.get_mut(key).filter(|e| e.tick == tick) {
+            touch(&mut inner.record_lru, &mut entry.tick, &mut inner.tick);
+        }
         self.metrics.record_hits.inc();
-        Ok(Some((ts, value)))
+        Ok(Lookup::Hit(ts, value))
     }
 
-    /// Memoizes a verified GET answer for `key` under `epoch`.
-    pub fn insert_record(&self, key: &[u8], epoch: u64, ts: Timestamp, value: Bytes) {
+    /// Memoizes a verified GET answer for `key`, captured after the miss
+    /// that handed out `stamp`. A write to the key's bucket since then
+    /// drops it: the answer may predate that write.
+    pub fn insert_record(&self, key: &[u8], stamp: Stamp, ts: Timestamp, value: Bytes) {
         let bytes = key.len() + value.len() + ENTRY_OVERHEAD;
         if bytes > self.capacity {
             return;
         }
-        let tag = self.record_tag(key, epoch, ts, &value);
+        let tag = self.record_tag(key, stamp.0, ts, &value);
+        let bucket = bucket(key);
         let mut inner = self.inner.lock();
-        self.remove_record_locked(&mut inner, key);
+        if stamp.0 < inner.generation[bucket] {
+            return;
+        }
+        inner.remove_record(key);
         inner.tick += 1;
         let tick = inner.tick;
-        inner.records.insert(key.to_vec(), RecordEntry { epoch, ts, value, tag, tick, bytes });
+        inner
+            .records
+            .insert(key.to_vec(), RecordEntry { stamp: stamp.0, ts, value, tag, tick, bytes });
         inner.record_lru.insert(tick, key.to_vec());
         inner.bytes += bytes;
         self.evict_locked(&mut inner);
@@ -261,46 +319,30 @@ impl VerifiedCache {
     /// authenticated against `mac` (the pointer MAC from an
     /// already-verified pointer record).
     pub fn lookup_vlog(&self, file_no: u64, offset: u64, mac: &[u8; 32]) -> Option<Bytes> {
+        let at = (file_no, offset);
         let inner = self.inner.lock();
-        let Some(slot) = inner.vlog.get(&(file_no, offset)) else {
+        let same_mac =
+            |s: &&VlogSlot| verify_tag(&Digest::from_bytes(s.mac), &Digest::from_bytes(*mac));
+        let Some(slot) = inner.vlog.get(&at).filter(same_mac) else {
             self.metrics.vlog_misses.inc();
             return None;
         };
-        if !verify_tag(&Digest::from_bytes(slot.mac), &Digest::from_bytes(*mac)) {
-            self.metrics.vlog_misses.inc();
-            return None;
-        }
-        let payload = slot.payload.clone();
+        let (payload, tag, tick) = (slot.payload.clone(), slot.tag, slot.tick);
         drop(inner);
-        let expect = self.vlog_tag(file_no, offset, mac, &payload);
-        let mut inner = self.inner.lock();
-        let Some(slot) = inner.vlog.get(&(file_no, offset)) else {
-            self.metrics.vlog_misses.inc();
-            return None;
-        };
-        if !verify_tag(&expect, &slot.tag) {
-            let (tick, bytes) = (slot.tick, slot.bytes);
-            inner.vlog.remove(&(file_no, offset));
-            inner.vlog_lru.remove(&tick);
-            inner.bytes -= bytes;
+        if !verify_tag(&self.vlog_tag(file_no, offset, mac, &payload), &tag) {
+            let mut inner = self.inner.lock();
+            if inner.vlog.get(&at).is_some_and(|s| s.tick == tick) {
+                inner.remove_slot(at);
+            }
             drop(inner);
-            self.metrics.tamper_detected.inc();
-            let epoch = self.inner.lock().epoch;
-            let failure = VerificationFailure::CacheTampered { epoch };
-            self.telemetry.audit(
-                AuditEvent::new(failure.kind(), "cache")
-                    .detail(format!("value-log slot ({file_no}, {offset}) failed its tag"))
-                    .epoch(epoch)
-                    .at_ns(self.platform.clock().now_ns()),
-            );
+            self.tampered(format!("value-log slot ({file_no}, {offset}) failed its tag"));
             return None;
         }
-        let old_tick = slot.tick;
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.vlog_lru.remove(&old_tick);
-        inner.vlog_lru.insert(tick, (file_no, offset));
-        inner.vlog.get_mut(&(file_no, offset)).expect("checked above").tick = tick;
+        let mut guard = self.inner.lock();
+        let inner = &mut *guard;
+        if let Some(slot) = inner.vlog.get_mut(&at).filter(|s| s.tick == tick) {
+            touch(&mut inner.vlog_lru, &mut slot.tick, &mut inner.tick);
+        }
         self.metrics.vlog_hits.inc();
         Some(payload)
     }
@@ -313,10 +355,7 @@ impl VerifiedCache {
         }
         let tag = self.vlog_tag(file_no, offset, &mac, &payload);
         let mut inner = self.inner.lock();
-        if let Some(old) = inner.vlog.remove(&(file_no, offset)) {
-            inner.vlog_lru.remove(&old.tick);
-            inner.bytes -= old.bytes;
-        }
+        inner.remove_slot((file_no, offset));
         inner.tick += 1;
         let tick = inner.tick;
         inner.vlog.insert((file_no, offset), VlogSlot { mac, payload, tag, tick, bytes });
@@ -325,45 +364,17 @@ impl VerifiedCache {
         self.evict_locked(&mut inner);
     }
 
-    /// Drops the record entry for `key` (a write superseded it).
+    /// A write to `key` committed: its bucket's generation takes the next
+    /// write sequence, so no entry or insert stamped before it answers, and
+    /// `key`'s entry is dropped. Runs after the write reached the memtable
+    /// (the listener's WAL fold), so a stamp taken after it sees the write.
     pub fn invalidate_key(&self, key: &[u8]) {
+        let bucket = bucket(key);
         let mut inner = self.inner.lock();
-        if self.remove_record_locked(&mut inner, key) {
+        inner.writes += 1;
+        inner.generation[bucket] = inner.writes;
+        if inner.remove_record(key) {
             self.metrics.invalidations.inc();
-        }
-    }
-
-    /// A new commitment epoch took effect: entries verified under any
-    /// other epoch can no longer answer, so drop them.
-    pub fn install_epoch(&self, epoch: u64) {
-        let mut inner = self.inner.lock();
-        inner.epoch = epoch;
-        let stale: Vec<Vec<u8>> = inner
-            .records
-            .iter()
-            .filter(|(_, e)| e.epoch != epoch)
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in stale {
-            if self.remove_record_locked(&mut inner, &key) {
-                self.metrics.invalidations.inc();
-            }
-        }
-    }
-
-    /// Epoch snapshots were pruned; entries of dead epochs go with them.
-    pub fn retire_epochs(&self, live_epochs: &[u64]) {
-        let mut inner = self.inner.lock();
-        let stale: Vec<Vec<u8>> = inner
-            .records
-            .iter()
-            .filter(|(_, e)| !live_epochs.contains(&e.epoch))
-            .map(|(k, _)| k.clone())
-            .collect();
-        for key in stale {
-            if self.remove_record_locked(&mut inner, &key) {
-                self.metrics.invalidations.inc();
-            }
         }
     }
 
@@ -405,63 +416,23 @@ impl VerifiedCache {
         }
     }
 
-    /// Test seam: re-tags a cached record as verified under `epoch`,
-    /// with the tag the enclave *would* have computed then — the
-    /// strongest stale-replay an adversary with a recorded old entry
-    /// could mount. Returns whether the key was cached.
-    pub fn force_record_epoch(&self, key: &[u8], epoch: u64) -> bool {
-        let tagged = {
-            let inner = self.inner.lock();
-            inner.records.get(key).map(|e| (e.ts, e.value.clone()))
-        };
-        match tagged {
-            Some((ts, value)) => {
-                let tag = self.record_tag(key, epoch, ts, &value);
-                let mut inner = self.inner.lock();
-                match inner.records.get_mut(key) {
-                    Some(entry) => {
-                        entry.epoch = epoch;
-                        entry.tag = tag;
-                        true
-                    }
-                    None => false,
-                }
-            }
-            None => false,
-        }
-    }
-
-    fn remove_record_locked(&self, inner: &mut Inner, key: &[u8]) -> bool {
-        match inner.records.remove(key) {
-            Some(entry) => {
-                inner.record_lru.remove(&entry.tick);
-                inner.bytes -= entry.bytes;
-                true
-            }
-            None => false,
-        }
-    }
-
     fn evict_locked(&self, inner: &mut Inner) {
         while inner.bytes > self.capacity {
-            let rec = inner.record_lru.iter().next().map(|(&t, _)| t);
-            let slot = inner.vlog_lru.iter().next().map(|(&t, _)| t);
-            match (rec, slot) {
-                (Some(r), s) if s.map_or(true, |s| r < s) => {
-                    let key = inner.record_lru.remove(&r).expect("present");
-                    let entry = inner.records.remove(&key).expect("maps in sync");
-                    inner.bytes -= entry.bytes;
-                    self.metrics.evictions.inc();
-                }
-                (_, Some(s)) => {
-                    let loc = inner.vlog_lru.remove(&s).expect("present");
-                    let entry = inner.vlog.remove(&loc).expect("maps in sync");
-                    inner.bytes -= entry.bytes;
-                    self.metrics.evictions.inc();
-                }
-                (None, None) => break,
-                _ => unreachable!("first arm covers rec=Some, slot=None"),
-            }
+            let coldest_is_record =
+                match (inner.record_lru.first_key_value(), inner.vlog_lru.first_key_value()) {
+                    (None, None) => break,
+                    (Some((r, _)), Some((s, _))) => r < s,
+                    (record, _) => record.is_some(),
+                };
+            let bytes = if coldest_is_record {
+                let (_, key) = inner.record_lru.pop_first().expect("present");
+                inner.records.remove(&key).expect("maps in sync").bytes
+            } else {
+                let (_, at) = inner.vlog_lru.pop_first().expect("present");
+                inner.vlog.remove(&at).expect("maps in sync").bytes
+            };
+            inner.bytes -= bytes;
+            self.metrics.evictions.inc();
         }
     }
 }
@@ -474,51 +445,80 @@ mod tests {
         VerifiedCache::new(Platform::with_defaults(), capacity)
     }
 
-    #[test]
-    fn hit_requires_exact_epoch() {
-        let c = cache(4096);
-        c.insert_record(b"k", 7, 42, Bytes::from_static(b"v"));
-        assert_eq!(c.lookup_record(b"k", 7).unwrap(), Some((42, Bytes::from_static(b"v"))));
-        assert_eq!(c.lookup_record(b"k", 8).unwrap(), None, "newer epoch must miss");
-        assert_eq!(c.lookup_record(b"k", 6).unwrap(), None, "older epoch must miss");
-        let s = c.stats();
-        assert_eq!((s.record_hits, s.record_misses), (1, 2));
+    /// The stamp a miss on `key` hands out.
+    fn miss(c: &VerifiedCache, key: &[u8]) -> Stamp {
+        match c.lookup_record(key).unwrap() {
+            Lookup::Miss(stamp) => stamp,
+            hit => panic!("expected a miss, got {hit:?}"),
+        }
+    }
+
+    /// `Some((ts, value))` on a hit, `None` on a miss.
+    fn hit(c: &VerifiedCache, key: &[u8]) -> Option<(Timestamp, Bytes)> {
+        match c.lookup_record(key).unwrap() {
+            Lookup::Hit(ts, value) => Some((ts, value)),
+            Lookup::Miss(_) => None,
+        }
+    }
+
+    /// Inserts `value` for `key` under a stamp taken just now.
+    fn put(c: &VerifiedCache, key: &[u8], ts: Timestamp, value: &'static [u8]) {
+        let stamp = miss(c, key);
+        c.insert_record(key, stamp, ts, Bytes::from_static(value));
     }
 
     #[test]
-    fn writes_and_epoch_installs_invalidate() {
+    fn entries_answer_until_their_key_is_written() {
         let c = cache(4096);
-        c.insert_record(b"a", 1, 1, Bytes::from_static(b"va"));
-        c.insert_record(b"b", 1, 2, Bytes::from_static(b"vb"));
+        put(&c, b"a", 1, b"va");
+        put(&c, b"b", 2, b"vb");
+        assert_eq!(hit(&c, b"a"), Some((1, Bytes::from_static(b"va"))));
+        assert_ne!(bucket(b"a"), bucket(b"b"));
         c.invalidate_key(b"a");
-        assert_eq!(c.lookup_record(b"a", 1).unwrap(), None);
-        assert!(c.lookup_record(b"b", 1).unwrap().is_some());
-        c.install_epoch(2);
-        assert_eq!(c.lookup_record(b"b", 2).unwrap(), None, "epoch install drops old entries");
-        assert_eq!(c.stats().invalidations, 2);
+        assert_eq!(hit(&c, b"a"), None);
+        assert!(hit(&c, b"b").is_some(), "a write to another bucket leaves b alone");
+        let s = c.stats();
+        assert_eq!((s.record_hits, s.record_misses, s.invalidations), (2, 3, 1));
+    }
+
+    /// The race a GET runs: its miss hands out the stamp, it captures and
+    /// verifies a trace, then memoizes — and a write to the key can commit
+    /// and invalidate in between. The memoized answer may predate that
+    /// write, so it never answers; an answer stamped after the write does.
+    #[test]
+    fn an_answer_stamped_before_a_write_never_answers() {
+        let c = cache(4096);
+        let stamp = miss(&c, b"k");
+        c.invalidate_key(b"k");
+        c.insert_record(b"k", stamp, 1, Bytes::from_static(b"old"));
+        assert_eq!(hit(&c, b"k"), None, "the old value must not be served");
+        put(&c, b"k", 2, b"new");
+        assert_eq!(hit(&c, b"k"), Some((2, Bytes::from_static(b"new"))));
+    }
+
+    /// The host records an entry — its tag is valid — and writes it back
+    /// into the cache's memory after a write to its key invalidated it.
+    /// Nothing was installed in between; the entry's stamp turns it away.
+    #[test]
+    fn an_entry_written_back_after_its_key_was_written_never_answers() {
+        let c = cache(4096);
+        put(&c, b"k", 1, b"old");
+        let recorded = c.inner.lock().records.get(b"k".as_slice()).cloned().unwrap();
+        c.invalidate_key(b"k");
+        c.inner.lock().records.insert(b"k".to_vec(), recorded);
+        assert_eq!(hit(&c, b"k"), None, "a replayed entry must not answer");
+        assert_eq!(c.stats().tamper_detected, 0, "its tag is valid: a miss, not tampering");
     }
 
     #[test]
     fn tampered_entry_is_detected_not_served() {
         let c = cache(4096);
-        c.insert_record(b"k", 3, 9, Bytes::from_static(b"honest"));
+        put(&c, b"k", 9, b"honest");
         assert!(c.corrupt_record(b"k"));
-        let err = c.lookup_record(b"k", 3).unwrap_err();
-        assert_eq!(err, VerificationFailure::CacheTampered { epoch: 3 });
+        assert_eq!(c.lookup_record(b"k"), Err(VerificationFailure::CacheTampered));
         // Discarded: the next lookup is a clean miss.
-        assert_eq!(c.lookup_record(b"k", 3).unwrap(), None);
+        assert_eq!(hit(&c, b"k"), None);
         assert_eq!(c.stats().tamper_detected, 1);
-    }
-
-    #[test]
-    fn stale_epoch_replay_misses_even_with_a_valid_old_tag() {
-        let c = cache(4096);
-        c.insert_record(b"k", 5, 1, Bytes::from_static(b"old"));
-        c.install_epoch(6);
-        c.insert_record(b"k", 6, 2, Bytes::from_static(b"new"));
-        // Adversary replays the recorded epoch-5 entry (tag valid for 5).
-        assert!(c.force_record_epoch(b"k", 5));
-        assert_eq!(c.lookup_record(b"k", 6).unwrap(), None, "stale entry must not answer");
     }
 
     #[test]
@@ -547,15 +547,15 @@ mod tests {
         for bit in [0usize, 255] {
             // Record entry tag.
             let c = cache(4096);
-            c.insert_record(b"k", 3, 9, Bytes::from_static(b"honest"));
+            put(&c, b"k", 9, b"honest");
             {
                 let mut inner = c.inner.lock();
                 let entry = inner.records.get_mut(b"k".as_slice()).unwrap();
                 entry.tag = flip(entry.tag, bit);
             }
             assert_eq!(
-                c.lookup_record(b"k", 3),
-                Err(VerificationFailure::CacheTampered { epoch: 3 }),
+                c.lookup_record(b"k"),
+                Err(VerificationFailure::CacheTampered),
                 "record tag, bit {bit}"
             );
             // Value-log slot tag.
@@ -579,15 +579,16 @@ mod tests {
     #[test]
     fn byte_budget_evicts_least_recently_used() {
         let c = cache(3 * (1 + 10 + ENTRY_OVERHEAD));
+        let ten = Bytes::from(vec![0u8; 10]);
         for (i, key) in [b"a", b"b", b"c"].iter().enumerate() {
-            c.insert_record(*key, 1, i as u64, Bytes::from(vec![0u8; 10]));
+            c.insert_record(*key, miss(&c, *key), i as u64, ten.clone());
         }
         // Touch `a` so `b` is the coldest, then overflow.
-        assert!(c.lookup_record(b"a", 1).unwrap().is_some());
-        c.insert_record(b"d", 1, 9, Bytes::from(vec![0u8; 10]));
-        assert_eq!(c.lookup_record(b"b", 1).unwrap(), None, "coldest entry evicted");
-        assert!(c.lookup_record(b"a", 1).unwrap().is_some());
-        assert!(c.lookup_record(b"d", 1).unwrap().is_some());
+        assert!(hit(&c, b"a").is_some());
+        c.insert_record(b"d", miss(&c, b"d"), 9, ten);
+        assert_eq!(hit(&c, b"b"), None, "coldest entry evicted");
+        assert!(hit(&c, b"a").is_some());
+        assert!(hit(&c, b"d").is_some());
         assert_eq!(c.stats().evictions, 1);
         assert!(c.bytes() <= 3 * (1 + 10 + ENTRY_OVERHEAD));
     }
@@ -595,8 +596,8 @@ mod tests {
     #[test]
     fn oversized_values_are_never_cached() {
         let c = cache(128);
-        c.insert_record(b"k", 1, 1, Bytes::from(vec![0u8; 4096]));
-        assert_eq!(c.lookup_record(b"k", 1).unwrap(), None);
+        c.insert_record(b"k", miss(&c, b"k"), 1, Bytes::from(vec![0u8; 4096]));
+        assert_eq!(hit(&c, b"k"), None);
         assert_eq!(c.bytes(), 0);
     }
 }

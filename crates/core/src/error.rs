@@ -132,10 +132,7 @@ pub enum VerificationFailure {
     /// host process scribbled over enclave-cached verified data. The
     /// entry is discarded and the query falls back to the verified disk
     /// path — tampering is detected, never served.
-    CacheTampered {
-        /// Commitment epoch the poisoned entry was tagged with.
-        epoch: u64,
-    },
+    CacheTampered,
     /// A node acted under a leadership generation the fencing counter has
     /// moved past: a deposed primary resurrecting after failover, or a
     /// promotion racing a completed one. The generation bump at
@@ -176,7 +173,7 @@ impl VerificationFailure {
             VerificationFailure::ReplicaStale { .. } => "ReplicaStale",
             VerificationFailure::ForkedPrimary { .. } => "ForkedPrimary",
             VerificationFailure::VlogEntryTampered { .. } => "VlogEntryTampered",
-            VerificationFailure::CacheTampered { .. } => "CacheTampered",
+            VerificationFailure::CacheTampered => "CacheTampered",
             VerificationFailure::FencedOut { .. } => "FencedOut",
         }
     }
@@ -193,8 +190,7 @@ impl VerificationFailure {
     pub(crate) fn epoch_context(&self) -> Option<u64> {
         match self {
             VerificationFailure::UnknownEpoch { epoch }
-            | VerificationFailure::ForkedPrimary { epoch }
-            | VerificationFailure::CacheTampered { epoch } => Some(*epoch),
+            | VerificationFailure::ForkedPrimary { epoch } => Some(*epoch),
             _ => None,
         }
     }
@@ -247,8 +243,8 @@ impl fmt::Display for VerificationFailure {
             VerificationFailure::VlogEntryTampered { file_no, reason } => {
                 write!(f, "value-log entry in file {file_no} failed authentication: {reason}")
             }
-            VerificationFailure::CacheTampered { epoch } => {
-                write!(f, "verified cache entry (epoch {epoch}) failed its integrity check")
+            VerificationFailure::CacheTampered => {
+                f.write_str("verified cache entry failed its integrity check")
             }
             VerificationFailure::FencedOut { generation, active } => {
                 write!(f, "node generation {generation} fenced out (active generation {active})")
@@ -356,7 +352,9 @@ mod tests {
     #[test]
     fn kinds_name_their_variants() {
         assert_eq!(VerificationFailure::RolledBack.kind(), "RolledBack");
-        assert_eq!(VerificationFailure::CacheTampered { epoch: 1 }.kind(), "CacheTampered");
+        assert_eq!(VerificationFailure::CacheTampered.kind(), "CacheTampered");
+        assert_eq!(VerificationFailure::CacheTampered.epoch_context(), None);
+        assert!(VerificationFailure::CacheTampered.to_string().contains("cache entry"));
         assert_eq!(VerificationFailure::WrongShard { expected: 0, got: 1 }.kind(), "WrongShard");
     }
 }

@@ -80,8 +80,8 @@ pub struct AuthListener {
     /// the paper's baseline). The digest is carried over in both modes —
     /// this selects only the charge.
     incremental: bool,
-    /// Epoch-aware verified read cache to keep coherent with writes and
-    /// epoch installs (`None`: caching disabled).
+    /// Verified read cache whose keys each folded write invalidates
+    /// (`None`: caching disabled).
     cache: Option<Arc<VerifiedCache>>,
     /// Output records whose chain digest a merge carried over from its
     /// input level instead of hashing (`core.compaction.leaves_reused`).
@@ -95,9 +95,8 @@ pub struct AuthListener {
 impl AuthListener {
     /// Builds the listener around the enclave state. `incremental` selects
     /// the charge for carried-over compaction outputs (see the field); a
-    /// `cache` is kept coherent: writes invalidate their keys, epoch
-    /// installs and retirements drop superseded entries. The merge counters
-    /// are registered in `telemetry`.
+    /// `cache` sees every folded write's key, and nothing else. The merge
+    /// counters are registered in `telemetry`.
     pub fn new(
         platform: Arc<Platform>,
         trusted: Arc<TrustedState>,
@@ -457,16 +456,10 @@ impl StoreListener for AuthListener {
 
     fn on_version_install(&self, epoch: u64) {
         self.trusted.publish_epoch(epoch);
-        if let Some(cache) = &self.cache {
-            cache.install_epoch(epoch);
-        }
     }
 
     fn on_versions_retired(&self, live_epochs: &[u64]) {
         self.trusted.prune_epochs(live_epochs);
-        if let Some(cache) = &self.cache {
-            cache.retire_epochs(live_epochs);
-        }
     }
 }
 

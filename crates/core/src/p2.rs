@@ -17,7 +17,7 @@ use sgx_sim::{BufferedCounter, MonotonicCounter, Platform, SealedBlob, Sealer};
 use sim_disk::{Placement, SimDisk, SimFs};
 
 use crate::api::{AuthenticatedKv, OpSpans, VerifiedRecord};
-use crate::cache::{CacheStats, VerifiedCache};
+use crate::cache::{CacheStats, Lookup, VerifiedCache};
 use crate::envelope::{append_canonical, open_record, plain_record};
 use crate::error::{ElsmError, VerificationFailure};
 use crate::listener::{vlog_entry_mac, AuthListener};
@@ -104,10 +104,10 @@ pub struct P2Options {
     /// pointer records (`None` disables separation). See
     /// [`lsm_store::VlogConfig`].
     pub vlog: Option<lsm_store::VlogConfig>,
-    /// Byte budget of the epoch-aware verified read cache (0 disables).
-    /// Hot verified GETs answer from enclave-checked cached entries,
-    /// skipping disk reads and proof re-verification; writes and epoch
-    /// installs keep it coherent. See [`crate::cache::VerifiedCache`].
+    /// Byte budget of the verified read cache (0 disables). Hot verified
+    /// GETs answer from enclave-checked cached entries, skipping disk reads
+    /// and proof re-verification; an entry answers until its key is written
+    /// again. See [`crate::cache::VerifiedCache`].
     pub verified_cache_bytes: usize,
     /// Telemetry registry the store's metrics, spans and audit events
     /// live in. The default handle is disabled (counters still count —
@@ -652,21 +652,19 @@ impl ElsmP2 {
         // always sees exactly the roots the trace was collected under
         // (the §5.5.2 guarantee, lock-free).
         self.platform.ecall(|| {
-            // Verified-cache fast path: an entry memoized under the
-            // current epoch answers without touching the host at all. A
-            // tampered entry is detected, discarded and the query falls
-            // back to the verified disk path below — never served.
-            if let Some(cache) = &self.cache {
-                if let Ok(Some((ts, value))) = cache.lookup_record(key, self.db.current_epoch()) {
-                    return Ok(Some(VerifiedRecord::new(
-                        Bytes::copy_from_slice(key),
-                        value,
-                        ts,
-                        0,
-                        0,
-                    )));
+            // Verified-cache fast path: an entry no write has superseded
+            // answers without touching the host at all. A miss stamps the
+            // answer before the trace is captured; a tampered entry is
+            // detected, discarded and the query falls back to the verified
+            // disk path below — never served.
+            let stamp = match self.cache.as_ref().map(|cache| cache.lookup_record(key)) {
+                Some(Ok(Lookup::Hit(ts, value))) => {
+                    let key = Bytes::copy_from_slice(key);
+                    return Ok(Some(VerifiedRecord::new(key, value, ts, 0, 0)));
                 }
-            }
+                Some(Ok(Lookup::Miss(stamp))) => Some(stamp),
+                _ => None,
+            };
             self.db.get_with_trace(key, Timestamp::MAX >> 1, |trace| {
                 // A verified tombstone reads as absent.
                 let Some(hit) =
@@ -675,13 +673,9 @@ impl ElsmP2 {
                     return Ok(None);
                 };
                 let answer = self.reply(hit, trace.levels.len())?;
-                if let Some(cache) = &self.cache {
-                    cache.insert_record(
-                        key,
-                        trace.epoch,
-                        answer.ts(),
-                        Bytes::copy_from_slice(answer.value()),
-                    );
+                if let (Some(cache), Some(stamp)) = (&self.cache, stamp) {
+                    let value = Bytes::copy_from_slice(answer.value());
+                    cache.insert_record(key, stamp, answer.ts(), value);
                 }
                 Ok(Some(answer))
             })?

@@ -81,6 +81,59 @@ fn readers_race_flushes_without_spurious_failures() {
     assert!(reads.load(Ordering::Relaxed) >= 100, "readers must have overlapped the churn");
 }
 
+/// Freshness with the verified cache on: a GET memoizes the answer it
+/// verified, and a write to the same key can commit between the two. A
+/// reader that saw a write acknowledged must never read an older value of
+/// its key — from the cache or anywhere else — while the writer's flushes
+/// and compactions install version after version.
+#[test]
+fn cached_reads_never_go_back_past_an_acknowledged_write() {
+    const HOT: usize = 8;
+    let options = P2Options { verified_cache_bytes: 256 * 1024, ..stress_options(ReadMode::Mmap) };
+    let store = ElsmP2::open(Platform::with_defaults(), options).unwrap();
+    let key = |k: usize| format!("hot{k}");
+    let version = |v: u64| [&v.to_be_bytes()[..], &[b'p'; 56]].concat();
+    for k in 0..HOT {
+        store.put(key(k).as_bytes(), &version(0)).unwrap();
+    }
+    let acked: Vec<AtomicU64> = (0..HOT).map(|_| AtomicU64::new(0)).collect();
+    let done = AtomicBool::new(false);
+    let reads = AtomicU64::new(0);
+    std::thread::scope(|s| {
+        let (st, ack, dn) = (&store, &acked, &done);
+        s.spawn(move || {
+            for v in 1..=3000u64 {
+                let k = v as usize % HOT;
+                st.put(key(k).as_bytes(), &version(v)).unwrap();
+                ack[k].store(v, Ordering::SeqCst);
+            }
+            dn.store(true, Ordering::SeqCst);
+        });
+        for t in 0..3usize {
+            let (st, ack, dn, rd) = (&store, &acked, &done, &reads);
+            s.spawn(move || {
+                let mut i = t;
+                while !dn.load(Ordering::SeqCst) {
+                    let k = i % HOT;
+                    let floor = ack[k].load(Ordering::SeqCst);
+                    let got = st.get(key(k).as_bytes()).unwrap().expect("hot keys exist");
+                    let v = u64::from_be_bytes(got.value()[..8].try_into().unwrap());
+                    assert!(
+                        v >= floor,
+                        "{} read version {v} after {floor} was acknowledged",
+                        key(k)
+                    );
+                    rd.fetch_add(1, Ordering::Relaxed);
+                    i += 1;
+                }
+            });
+        }
+    });
+    assert!(store.db().stats().flushes >= 3, "writer must have driven flushes");
+    assert!(reads.load(Ordering::Relaxed) >= 100, "readers must have overlapped the writes");
+    assert!(store.cache_stats().record_hits > 0, "the cache must have answered");
+}
+
 /// Scan verification (range completeness against epoch-tagged digest
 /// snapshots) under the same churn.
 #[test]

@@ -7,9 +7,13 @@
 //! and over the two the write path's bytes come back through: a WAL batch
 //! frame (`decode_frame`: a replica's shipment, a replayed log) and a
 //! record (`Record::decode` / `decode_prefix`), whose encodings the store
-//! now writes into reused buffers. Whatever the bytes: no panic, no single
-//! allocation beyond the input's length times a constant, and what is
-//! accepted decodes to entries that round-trip through the encoder.
+//! now writes into reused buffers — and over two a read decodes from the
+//! host's bytes before anything is verified: a table's Bloom filter
+//! (`BloomFilter::decode`, then probes) and a value-log pointer
+//! (`vlog::decode_pointer`, what a verified-cache miss on a separated value
+//! follows). Whatever the bytes: no panic, no single allocation beyond the
+//! input's length times a constant, and what is accepted decodes to entries
+//! that round-trip through the encoder.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -17,10 +21,12 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use elsm_repro::lsm_store::block::{Block, BlockBuilder};
+use elsm_repro::lsm_store::bloom::{key_hashes, BloomFilter};
 use elsm_repro::lsm_store::encoding::crc32c;
+use elsm_repro::lsm_store::vlog::{decode_pointer, encode_pointer, MAC_BYTES};
 use elsm_repro::lsm_store::{
     decode_frame, encode_frame, internal_cmp, EnvConfig, Record, StorageEnv, TableBuilder,
-    TableOptions, TableReader, Timestamp, ValueKind,
+    TableOptions, TableReader, Timestamp, ValueKind, VlogPtr,
 };
 use elsm_repro::sgx_sim::{CostModel, Platform};
 use elsm_repro::sim_disk::{SimDisk, SimFile, SimFs};
@@ -384,6 +390,73 @@ proptest! {
                 prop_assert!(used <= buf.len());
                 let again = record.encode();
                 prop_assert_eq!(Record::decode_prefix(&again), Some((record, again.len())));
+            }
+        }
+    }
+
+    /// A Bloom filter as a table stores it: the honest encoding decodes to
+    /// the filter; any edit — half of them re-framed so the length field
+    /// matches what follows it — decodes or not without panic or a
+    /// reservation, a decoded filter answers probes, and an accepted filter
+    /// re-encodes to the prefix of the input it was read from.
+    #[test]
+    fn mutated_bloom_filters_decode_in_bounds(
+        keys in prop::collection::vec(any::<u16>(), 0..60),
+        spliced in prop::collection::vec(any::<u16>(), 0..20),
+        bits_per_key in 1usize..16,
+        edits in prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..40),
+    ) {
+        let filter = |keys: &[u16]| {
+            let hashes: Vec<_> = keys.iter().map(|k| key_hashes(format!("key{k}").as_bytes())).collect();
+            BloomFilter::from_hashes(&hashes, bits_per_key)
+        };
+        let honest = filter(&keys);
+        let (base, other) = (honest.encode(), filter(&spliced).encode());
+        prop_assert_eq!(BloomFilter::decode(&base), Some(honest));
+        let probes: Vec<Vec<u8>> = (0..8u16).map(|k| format!("key{k}").into_bytes()).collect();
+        for edit in edits {
+            let mut buf = mutate(&base, &other, edit);
+            if edit.2 & 0x80 != 0 && buf.len() >= 8 {
+                let len = buf.len() as u32 - 8;
+                buf[4..8].copy_from_slice(&len.to_le_bytes());
+            }
+            let (decoded, largest) = largest_allocation(|| {
+                let filter = BloomFilter::decode(&buf)?;
+                for key in &probes {
+                    let probe = filter.probe(key);
+                    assert!(probe.first_offset < filter.byte_len() && probe.bits_tested >= 1);
+                }
+                Some(filter)
+            });
+            prop_assert!(largest <= PER_INPUT_BYTE * buf.len(), "{largest} B for {} B", buf.len());
+            if let Some(filter) = decoded {
+                let again = filter.encode();
+                prop_assert!(buf.starts_with(&again), "a filter is read from its encoding's bytes");
+                prop_assert_eq!(BloomFilter::decode(&again), Some(filter));
+            }
+        }
+    }
+
+    /// A value-log pointer record's value: the honest encoding decodes to
+    /// its location and MAC; any edit decodes or not without panic or an
+    /// allocation, and an accepted pointer re-encodes to the input itself.
+    #[test]
+    fn mutated_vlog_pointers_decode_in_bounds(
+        at in (any::<u64>(), any::<u64>(), any::<u64>()),
+        mac in any::<u8>(),
+        edits in prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..40),
+    ) {
+        let ptr = VlogPtr { file_no: at.0, offset: at.1, len: at.2 };
+        let mac = [mac; MAC_BYTES];
+        let base = encode_pointer(ptr, &mac);
+        let other = encode_pointer(VlogPtr { file_no: at.2, offset: at.0, len: at.1 }, &[!mac[0]; MAC_BYTES]);
+        prop_assert_eq!(decode_pointer(&base), Some((ptr, mac)));
+        for edit in edits {
+            let buf = mutate(&base, &other, edit);
+            let (decoded, largest) = largest_allocation(|| decode_pointer(&buf));
+            prop_assert_eq!(largest, 0, "a pointer decodes in place");
+            if let Some((ptr, mac)) = decoded {
+                prop_assert_eq!(encode_pointer(ptr, &mac), buf);
             }
         }
     }

@@ -761,3 +761,90 @@ fn verified_answer_is_the_traces_and_the_models() {
         assert_eq!(plain, expect);
     }
 }
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    /// The verified cache against a model: puts and deletes (values large
+    /// enough to live in the value log or not), flushes, compaction waves,
+    /// value-log GC and replica replay, interleaved with repeated GETs on
+    /// the primary and on a replica of a group whose stores cache. Every
+    /// GET equals a `BTreeMap` — the primary's as of the last write, the
+    /// replica's as of the last replay — and some GETs were cache hits.
+    #[test]
+    fn cached_reads_match_the_model_across_installs(
+        ops in prop::collection::vec((0u8..10, 0u16..24, any::<u16>()), 1..150),
+    ) {
+        use elsm_repro::elsm::{AuthenticatedKv, P2Options};
+        use elsm_repro::lsm_store::VlogConfig;
+        use elsm_repro::replica::{ReplicationGroup, ReplicationOptions};
+        use elsm_repro::sgx_sim::Platform;
+        use std::collections::BTreeMap;
+        let options = P2Options {
+            write_buffer_bytes: 4 * 1024,
+            level1_max_bytes: 4 * 1024,
+            level_multiplier: 4,
+            max_levels: 3,
+            vlog: Some(VlogConfig {
+                value_threshold: 128,
+                target_file_bytes: 2048,
+                gc_garbage_ratio: 0.3,
+                gc_enabled: false,
+            }),
+            verified_cache_bytes: 64 * 1024,
+            ..P2Options::default()
+        };
+        let group = ReplicationGroup::open(
+            Platform::with_defaults(),
+            options,
+            ReplicationOptions { replicas: 1, max_lag_epochs: u64::MAX, ..Default::default() },
+        ).unwrap();
+        let primary = group.primary_store();
+        let mut model: BTreeMap<Vec<u8>, Vec<u8>> = BTreeMap::new();
+        let mut replayed = model.clone();
+        let value_of = |r: Option<elsm_repro::elsm::VerifiedRecord>| r.map(|r| r.value().to_vec());
+        let read_both = |model: &BTreeMap<Vec<u8>, Vec<u8>>,
+                         replayed: &BTreeMap<Vec<u8>, Vec<u8>>,
+                         key: &[u8]| {
+            for _ in 0..2 {
+                prop_assert_eq!(value_of(primary.get(key).unwrap()), model.get(key).cloned());
+                let (got, _) = group.with_replica(0, |r| r.get(key)).unwrap();
+                prop_assert_eq!(value_of(got), replayed.get(key).cloned());
+            }
+        };
+        for (op, keyno, val) in ops {
+            let key = format!("k{keyno:02}").into_bytes();
+            match op {
+                0..=3 => {
+                    let mut value = format!("v{val}").into_bytes();
+                    if val % 2 == 0 {
+                        value.resize(256, b'.');
+                    }
+                    primary.put(&key, &value).unwrap();
+                    model.insert(key, value);
+                }
+                4 => {
+                    primary.delete(&key).unwrap();
+                    model.remove(&key);
+                }
+                5 => primary.db().flush().unwrap(),
+                // A job from level 1 down, or the purging major one.
+                6 if val % 2 == 0 => primary.db().compact(1).unwrap(),
+                6 => primary.db().compact_major().unwrap(),
+                7 => primary.db().vlog_gc().unwrap(),
+                8 => {
+                    group.sync().unwrap();
+                    replayed = model.clone();
+                }
+                _ => read_both(&model, &replayed, &key),
+            }
+        }
+        group.sync().unwrap();
+        for keyno in 0u16..24 {
+            read_both(&model, &model, &format!("k{keyno:02}").into_bytes());
+        }
+        let hits = primary.cache_stats().record_hits
+            + group.replica_store(0).cache_stats().record_hits;
+        prop_assert!(model.is_empty() || hits > 0, "no GET was a cache hit");
+    }
+}

@@ -248,26 +248,81 @@ fn poisoned_cache_entries_are_detected_not_served() {
     assert!(store.telemetry().audit_count("CacheTampered") >= 1, "tampering must be audited");
 }
 
+/// A cached answer stops answering when its key is written, and only then:
+/// a flush, a compaction wave and a value-log GC each install a version
+/// without changing any key's value. `kv` takes the client's operations,
+/// `primary` runs the maintenance (`sync` carries it to replicas), and
+/// `reader` is the store whose cache serves `kv`'s reads of `b"k"`.
+fn overwritten_entry_is_never_served(
+    kv: &dyn AuthenticatedKv,
+    primary: &ElsmP2,
+    reader: &ElsmP2,
+    filler: &[u8],
+    sync: &dyn Fn(),
+) {
+    let (v1, v2) = ([1u8; 1024], [2u8; 1024]);
+    let read = || kv.get(b"k").unwrap().expect("present").value().to_vec();
+    let hits = || reader.cache_stats().record_hits;
+    kv.put(filler, &[0u8; 1024]).unwrap();
+    kv.put(b"k", &v1).unwrap();
+    primary.db().flush().unwrap();
+    primary.db().compact(1).unwrap();
+    sync();
+    assert_eq!(read(), v1);
+    let before = hits();
+    assert_eq!(read(), v1);
+    assert!(hits() > before, "the second read hits");
+    kv.put(b"k", &v2).unwrap();
+    assert_eq!(read(), v2, "the write superseded the cached v1");
+    // The filler's tombstone, purged by the major compaction of levels 1
+    // and 2, leaves its value-log file all garbage for the GC to collect.
+    kv.delete(filler).unwrap();
+    let epoch = primary.db().current_epoch();
+    primary.db().flush().unwrap();
+    primary.db().compact_major().unwrap();
+    let garbage = primary.db().stats().vlog_garbage_bytes;
+    assert!(garbage > 0, "the purge left value-log garbage");
+    primary.db().vlog_gc().unwrap();
+    sync();
+    assert!(primary.db().stats().vlog_garbage_bytes < garbage, "the GC collected it");
+    assert!(primary.db().current_epoch() >= epoch + 3, "three installs at least");
+    let before = hits();
+    assert_eq!(read(), v2);
+    assert!(hits() > before, "v2 answers from the cache across the installs");
+    assert_eq!(reader.telemetry().audit_count("CacheTampered"), 0);
+}
+
 #[test]
-fn cache_entries_from_other_epochs_are_never_served() {
-    // Epoch replay: an entry re-tagged (validly) for a different epoch
-    // must structurally miss — the cache only answers under an exact
-    // match with the store's current commitment epoch.
-    let store = ElsmP2::open(Platform::with_defaults(), vlog_opts(256 * 1024)).unwrap();
-    store.put(b"k", b"v1").unwrap();
-    store.db().flush().unwrap();
-    assert_eq!(store.get(b"k").unwrap().expect("present").value(), b"v1");
-    assert!(
-        store.verified_cache().unwrap().force_record_epoch(b"k", 999_999),
-        "entry present to re-tag"
-    );
-    let before = store.cache_stats();
-    assert_eq!(store.get(b"k").unwrap().expect("present").value(), b"v1");
-    let stats = store.cache_stats();
-    assert_eq!(stats.record_hits, before.record_hits, "mis-epoch entry must not serve");
-    assert!(stats.record_misses > before.record_misses);
-    // A structural miss is not tampering: the audit stream stays silent.
-    assert_eq!(store.telemetry().audit_count("CacheTampered"), 0);
+fn overwritten_cache_entries_are_never_served() {
+    use elsm_repro::shard::{ShardedKv, ShardedOptions};
+    let options = || {
+        let mut options = vlog_opts(256 * 1024);
+        // One entry per value-log file: the filler's file dies whole.
+        options.vlog.as_mut().unwrap().target_file_bytes = 512;
+        options
+    };
+    let store = ElsmP2::open(Platform::with_defaults(), options()).unwrap();
+    overwritten_entry_is_never_served(&store, &store, &store, b"filler", &|| {});
+
+    // A replicated cluster: reads go to the owning shard's replica, whose
+    // cache replays the primary's writes and installs.
+    let cluster = ShardedKv::open(
+        Platform::with_defaults(),
+        ShardedOptions::hash(2, options()).with_replicas(1),
+    )
+    .unwrap();
+    let shard = cluster.shard_of(b"k");
+    let filler = (0..)
+        .map(|i| format!("filler{i}").into_bytes())
+        .find(|f| cluster.shard_of(f) == shard)
+        .unwrap();
+    let group = cluster.replication_group(shard).expect("replicated");
+    let (primary, replica) = (group.primary_store(), group.replica_store(0));
+    overwritten_entry_is_never_served(&cluster, &primary, &replica, &filler, &|| {
+        group.sync().unwrap()
+    });
+    let (got, _) = group.with_replica(0, |r| r.get(b"k")).unwrap();
+    assert_eq!(got.expect("present").value(), &[2u8; 1024][..], "the replica reads v2");
 }
 
 #[test]
