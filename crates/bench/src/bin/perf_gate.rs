@@ -4,7 +4,10 @@
 //! tolerance band. Because throughput is measured on the deterministic
 //! virtual clock, any drop is a real code-path change, not noise — the
 //! tolerance only absorbs intentional small shifts (e.g. a few extra
-//! charged bytes on a wire format).
+//! charged bytes on a wire format). It lists every row whose throughput
+//! moved, worst first, and ends with the counts of rows up, down,
+//! unchanged, added and missing — the declaration a change that moves
+//! rows owes.
 //!
 //! Usage:
 //! `perf_gate --baseline BENCH_baseline.json --fresh BENCH_results.json
@@ -14,6 +17,9 @@ use std::collections::BTreeMap;
 
 /// One measured row, keyed by (figure, config, workload).
 type Key = (String, String, String);
+
+/// Throughput (`ops_per_sec`) by row.
+type Rows = BTreeMap<Key, f64>;
 
 fn usage_and_exit(problem: &str) -> ! {
     eprintln!("{problem}\nusage: perf_gate --baseline <path> --fresh <path> [--tolerance 0.05]");
@@ -40,11 +46,7 @@ fn num_field(line: &str, field: &str) -> Option<f64> {
 /// Line-oriented parse of the results JSON `elsm-bench` writes: one row
 /// object per line, known field order. Duplicated keys keep the last row
 /// (the writer never emits duplicates; a hand-edited file is on its own).
-fn parse_results(path: &str) -> BTreeMap<Key, f64> {
-    let text = match std::fs::read_to_string(path) {
-        Ok(t) => t,
-        Err(e) => usage_and_exit(&format!("could not read {path}: {e}")),
-    };
+fn parse_rows(text: &str) -> Rows {
     let mut rows = BTreeMap::new();
     for line in text.lines() {
         let (Some(figure), Some(config), Some(workload), Some(ops)) = (
@@ -57,10 +59,58 @@ fn parse_results(path: &str) -> BTreeMap<Key, f64> {
         };
         rows.insert((figure, config, workload), ops);
     }
+    rows
+}
+
+fn parse_results(path: &str) -> Rows {
+    let text = std::fs::read_to_string(path)
+        .unwrap_or_else(|e| usage_and_exit(&format!("could not read {path}: {e}")));
+    let rows = parse_rows(&text);
     if rows.is_empty() {
         usage_and_exit(&format!("{path} contains no result rows"));
     }
     rows
+}
+
+/// What moved between two result documents.
+#[derive(Debug, Default, PartialEq)]
+struct Diff {
+    /// Rows in both whose throughput changed, as (relative change, row,
+    /// baseline, fresh), worst first.
+    moved: Vec<(f64, Key, f64, f64)>,
+    /// Rows in both whose throughput did not change.
+    unchanged: usize,
+    /// Rows only the fresh document has (not gated).
+    added: Vec<Key>,
+    /// Baseline rows the fresh document lost.
+    missing: Vec<Key>,
+}
+
+impl Diff {
+    fn new(baseline: &Rows, fresh: &Rows) -> Diff {
+        let mut diff = Diff::default();
+        for (key, &base) in baseline {
+            match fresh.get(key) {
+                None => diff.missing.push(key.clone()),
+                Some(&now) if now == base => diff.unchanged += 1,
+                Some(&now) => {
+                    let rel = if base > 0.0 { now / base - 1.0 } else { f64::INFINITY };
+                    diff.moved.push((rel, key.clone(), base, now));
+                }
+            }
+        }
+        diff.moved.sort_by(|a, b| a.0.total_cmp(&b.0));
+        diff.added = fresh.keys().filter(|key| !baseline.contains_key(*key)).cloned().collect();
+        diff
+    }
+
+    /// The closing line: rows up, down, unchanged, added and missing.
+    fn counts(&self) -> String {
+        let down = self.moved.iter().filter(|(rel, ..)| *rel < 0.0).count();
+        let up = self.moved.len() - down;
+        let (unchanged, added, missing) = (self.unchanged, self.added.len(), self.missing.len());
+        format!("up {up} / down {down} / unchanged {unchanged} / added {added} / missing {missing}")
+    }
 }
 
 fn main() {
@@ -89,56 +139,93 @@ fn main() {
         usage_and_exit("--tolerance must be in [0, 1)");
     }
 
-    let baseline = parse_results(&baseline_path);
-    let fresh = parse_results(&fresh_path);
-
+    let diff = Diff::new(&parse_results(&baseline_path), &parse_results(&fresh_path));
     // Every baseline row must still exist and hold its throughput. A row
     // vanishing is a failure too: a silently dropped measurement would
     // let a regression hide by deleting its own evidence.
-    let mut deltas: Vec<(f64, Key, f64, f64)> = Vec::new();
-    let mut missing = Vec::new();
-    for (key, &base_ops) in &baseline {
-        match fresh.get(key) {
-            None => missing.push(key.clone()),
-            Some(&fresh_ops) => {
-                let rel = if base_ops > 0.0 { fresh_ops / base_ops - 1.0 } else { 0.0 };
-                deltas.push((rel, key.clone(), base_ops, fresh_ops));
-            }
-        }
-    }
-    deltas.sort_by(|a, b| a.0.partial_cmp(&b.0).expect("finite deltas"));
-
-    let mut failed = !missing.is_empty();
-    for key in &missing {
+    let mut failed = !diff.missing.is_empty();
+    for key in &diff.missing {
         println!("MISSING  {}/{} [{}]: row absent from {fresh_path}", key.0, key.1, key.2);
     }
     println!(
-        "perf gate: {} rows compared, tolerance -{:.1}%; worst deltas first:",
-        deltas.len(),
+        "perf gate: tolerance -{:.1}%; every row whose throughput moved, worst first:",
         tolerance * 100.0
     );
-    for (rel, key, base, freshv) in deltas.iter().take(10) {
+    for (rel, key, base, fresh) in &diff.moved {
         let verdict = if *rel < -tolerance {
             failed = true;
             "FAIL"
         } else {
             "ok  "
         };
-        println!(
-            "{verdict} {:+7.2}%  {}/{} [{}]: {base:.1} -> {freshv:.1} ops/s",
-            rel * 100.0,
-            key.0,
-            key.1,
-            key.2
-        );
+        let ((figure, config, workload), change) = (key, rel * 100.0);
+        let row = format!("{figure}/{config} [{workload}]");
+        println!("{verdict} {change:+7.2}%  {row}: {base:.1} -> {fresh:.1} ops/s");
     }
-    let new_rows = fresh.keys().filter(|k| !baseline.contains_key(*k)).count();
-    if new_rows > 0 {
-        println!("({new_rows} new rows in {fresh_path} not present in baseline — not gated)");
+    for (figure, config, workload) in &diff.added {
+        println!("ADDED    {figure}/{config} [{workload}]: not in the baseline, not gated");
     }
+    println!("{}", diff.counts());
     if failed {
         println!("perf gate FAILED: throughput regressed beyond tolerance (or rows vanished)");
         std::process::exit(1);
     }
     println!("perf gate passed");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const BASELINE: &str = r#"{
+  "results": [
+    {"figure": "fig2", "config": "fig2#0", "workload": "read100", "ops_per_sec": 100.0},
+    {"figure": "fig2", "config": "fig2#1", "workload": "read100", "ops_per_sec": 200.0},
+    {"figure": "fig5a", "config": "fig5a#0", "workload": "read70", "ops_per_sec": 300.0},
+    {"figure": "fig5a", "config": "fig5a#1", "workload": "read70", "ops_per_sec": 400.0},
+    {"figure": "fig7", "config": "fig7#0", "workload": "scan", "ops_per_sec": 500.0}
+  ]
+}"#;
+
+    const FRESH: &str = r#"{
+  "results": [
+    {"figure": "fig2", "config": "fig2#0", "workload": "read100", "ops_per_sec": 100.0},
+    {"figure": "fig2", "config": "fig2#1", "workload": "read100", "ops_per_sec": 190.0},
+    {"figure": "fig5a", "config": "fig5a#0", "workload": "read70", "ops_per_sec": 303.0},
+    {"figure": "fig7", "config": "fig7#0", "workload": "scan", "ops_per_sec": 499.0},
+    {"figure": "fig9", "config": "fig9#0", "workload": "mixed", "ops_per_sec": 7.0}
+  ]
+}"#;
+
+    fn key(figure: &str, config: &str, workload: &str) -> Key {
+        (figure.into(), config.into(), workload.into())
+    }
+
+    #[test]
+    fn every_moved_row_is_listed_worst_first_and_counted() {
+        let diff = Diff::new(&parse_rows(BASELINE), &parse_rows(FRESH));
+        let moved: Vec<(&Key, f64, f64)> =
+            diff.moved.iter().map(|(_, key, base, fresh)| (key, *base, *fresh)).collect();
+        assert_eq!(
+            moved,
+            [
+                (&key("fig2", "fig2#1", "read100"), 200.0, 190.0),
+                (&key("fig7", "fig7#0", "scan"), 500.0, 499.0),
+                (&key("fig5a", "fig5a#0", "read70"), 300.0, 303.0),
+            ]
+        );
+        assert!((diff.moved[0].0 + 0.05).abs() < 1e-12, "{:?}", diff.moved[0]);
+        assert_eq!(diff.added, [key("fig9", "fig9#0", "mixed")]);
+        assert_eq!(diff.missing, [key("fig5a", "fig5a#1", "read70")]);
+        assert_eq!(diff.counts(), "up 1 / down 2 / unchanged 1 / added 1 / missing 1");
+    }
+
+    #[test]
+    fn identical_documents_move_nothing() {
+        let rows = parse_rows(BASELINE);
+        assert_eq!(rows.len(), 5);
+        let diff = Diff::new(&rows, &rows);
+        assert_eq!(diff, Diff { unchanged: 5, ..Diff::default() });
+        assert_eq!(diff.counts(), "up 0 / down 0 / unchanged 5 / added 0 / missing 0");
+    }
 }

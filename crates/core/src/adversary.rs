@@ -245,8 +245,8 @@ mod tests {
         suppress_hit(&mut trace);
         let err = store.verify_get_trace(b"key0007", &trace).unwrap_err();
         assert!(
-            matches!(err, VerificationFailure::BadNonMembership { .. }),
-            "hiding a record must break non-membership: {err:?}"
+            matches!(err, VerificationFailure::IncompleteRange { .. }),
+            "hiding a record must break the range [key, key]: {err:?}"
         );
     }
 

@@ -9,16 +9,19 @@ use sim_disk::FsError;
 /// class from the paper's threat model (§3.3).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum VerificationFailure {
-    /// A returned record's proof does not reach the committed root:
-    /// forged or tampered data (query-integrity violation).
+    /// A returned record does not belong to the committed level: the walk
+    /// over its leaf (with its run's other leaves) does not reach the
+    /// committed root or crown, or its proof names another level or leaf
+    /// count — forged or tampered data (query-integrity violation).
     ForgedRecord {
         /// Level the record claimed to be at.
         level: u32,
         /// The underlying proof error.
         source: VerifyError,
     },
-    /// The returned record is not the newest version of its key at its
-    /// level — its own proof is a chain link (query-freshness violation).
+    /// A record offered where only its key's newest version may stand — a
+    /// GET's hit or neighbour, a scan's head or boundary — is an older
+    /// version: its own proof is a chain link (query-freshness violation).
     StaleRecord {
         /// Level the stale record resides at.
         level: u32,
@@ -31,15 +34,11 @@ pub enum VerificationFailure {
         /// Level of the offending record.
         level: u32,
     },
-    /// A non-membership claim failed: the presented neighbors are not
-    /// adjacent leaves bracketing the queried key (completeness violation).
-    BadNonMembership {
-        /// Level of the claim.
-        level: u32,
-        /// Human-readable reason.
-        reason: &'static str,
-    },
-    /// A range result failed completeness verification at a level.
+    /// A level's answer to a key range — a scan's, or a GET's as the range
+    /// `[key, key]` — has the wrong shape: records out of range or out of
+    /// order, leaves not adjacent, or an end of the run not anchored by a
+    /// boundary, the tree's edge or a record at that end of the range
+    /// (completeness violation: a record was withheld).
     IncompleteRange {
         /// Level of the claim.
         level: u32,
@@ -159,7 +158,6 @@ impl VerificationFailure {
             VerificationFailure::ForgedRecord { .. } => "ForgedRecord",
             VerificationFailure::StaleRecord { .. } => "StaleRecord",
             VerificationFailure::MissingProof { .. } => "MissingProof",
-            VerificationFailure::BadNonMembership { .. } => "BadNonMembership",
             VerificationFailure::IncompleteRange { .. } => "IncompleteRange",
             VerificationFailure::LevelSkipped { .. } => "LevelSkipped",
             VerificationFailure::HiddenLevel { .. } => "HiddenLevel",
@@ -207,9 +205,6 @@ impl fmt::Display for VerificationFailure {
             }
             VerificationFailure::MissingProof { level } => {
                 write!(f, "record at level {level} carries no embedded proof")
-            }
-            VerificationFailure::BadNonMembership { level, reason } => {
-                write!(f, "non-membership proof at level {level} rejected: {reason}")
             }
             VerificationFailure::IncompleteRange { level, reason } => {
                 write!(f, "range completeness at level {level} rejected: {reason}")

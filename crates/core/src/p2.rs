@@ -288,7 +288,8 @@ impl ElsmP2 {
                 options.rollback.as_ref().map_or(512, |r| r.counter_write_buffer),
             ))
         });
-        store_set_stacked(&trusted, &options);
+        // The verifier expects levels in the order the store searches them.
+        trusted.set_stacked(db.stacked_reads());
         let spans = OpSpans::new("op", &options.telemetry);
         let store = ElsmP2 { spans, platform, fs, db, trusted, sealer, counter, cache, options };
         if let Some(sealed) = sealed {
@@ -754,20 +755,6 @@ impl ElsmP2 {
     pub fn raw_scan_trace(&self, from: &[u8], to: &[u8]) -> Result<ScanTrace, ElsmError> {
         Ok(self.db.scan_with_trace(from, to, ScanTrace::clone)?)
     }
-}
-
-fn store_set_stacked(trusted: &Arc<TrustedState>, options: &P2Options) {
-    // Stacked (freshest-run-highest) read order holds when compaction is
-    // off entirely, and also under strategies that stack flushed runs
-    // (size-tiered) — the verifier's expected search order must match the
-    // store's.
-    let stacked_strategy = lsm_store::CompactionConfig {
-        strategy: options.compaction_strategy.clone(),
-        parallelism: options.compaction_parallelism,
-    }
-    .strategy()
-    .stacked();
-    trusted.set_stacked(!options.compaction_enabled || stacked_strategy);
 }
 
 /// What `close()` seals and a restart unseals.

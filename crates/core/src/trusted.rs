@@ -29,24 +29,25 @@
 //! Theorem 5.3: membership + freshness at the hit level, non-membership at
 //! every earlier level, early stop justified by Lemma 5.4.
 //! [`TrustedState::verify_scan`] implements the §5.4 range completeness
-//! check using segment-tree range proofs.
+//! check. Both go through one per-level check, for a GET the range
+//! `[key, key]`: a hit is a one-record run, a miss an empty run between its
+//! neighbours, and one walk proves the run (`verify_level_range`).
 //!
 //! # Version chains
 //!
 //! Only the newest version of a key at a level (the chain head) stores an
 //! audit path; every older version stores a fixed-size chain link
-//! ([`merkle::proof`]). Three rules follow, one place each:
+//! ([`merkle::proof`]). Two rules follow, one place each:
 //!
-//! * a GET answered with a link is a stale answer *by its own claim* —
-//!   rejected before anything is hashed; the same record relabelled as a
-//!   head fails its audit path (`verify_hit`);
+//! * every record a level's run is built from — a GET's hit or neighbour, a
+//!   scan's in-range head or boundary — must claim to be its key's newest
+//!   version: a link is a stale answer *by its own claim*, rejected before
+//!   anything is hashed, and the same record relabelled as a head fails the
+//!   walk (`push_head`);
 //! * a scan presents every version of every in-range key, so after a
 //!   key's head the older versions are walked down the chain, one hash
 //!   each ([`merkle::ChainWalk`]): the accepted versions are a prefix of
-//!   the committed chain, in order (`verify_level_range`);
-//! * a non-membership neighbour or a range boundary must be a chain head:
-//!   a link offered as either is rejected (`verify_non_membership`,
-//!   `leaf_from_record`).
+//!   the committed chain, in order (`verify_level_range`).
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -57,7 +58,7 @@ use std::sync::Arc;
 use elsm_crypto::{sha256_concat, Digest};
 use lsm_store::{GetTrace, LevelOutcome, Record, ScanTrace};
 use merkle::{
-    verify_range_anchored, Crown, LevelCommitment, RangeProof, RecordProofRef, Work, CROWN_ROW_MAX,
+    verify_run_anchored, Crown, LevelCommitment, RecordProofRef, VerifyError, Work, CROWN_ROW_MAX,
 };
 use parking_lot::Mutex;
 use sgx_sim::{EnclaveRegion, Platform};
@@ -137,15 +138,15 @@ pub struct Verified<'t> {
 
 impl<'t> Verified<'t> {
     /// Opens the envelope of a record that is already vouched for: one out
-    /// of trusted memory (the memtable), or one its level's range check
-    /// covered.
+    /// of trusted memory (the memtable, level 0), or one its level's range
+    /// check covered and so already opened once.
     fn open(record: &'t Record) -> Result<Self, VerificationFailure> {
-        let opened = open_record(record.view(), 0)?;
-        Ok(Verified {
-            record,
-            value_range: opened.value_range(),
-            proof_bytes: opened.proof_bytes(),
-        })
+        Ok(Self::opened(record, &open_record(record.view(), 0)?))
+    }
+
+    /// `record`, whose envelope is `opened`.
+    fn opened(record: &'t Record, opened: &Opened<'_>) -> Self {
+        Verified { record, value_range: opened.value_range(), proof_bytes: opened.proof_bytes() }
     }
 
     /// The bare application value: a view of the stored bytes.
@@ -672,44 +673,16 @@ impl TrustedState {
         self.nodes_compared.add(work.compared as u64);
     }
 
-    /// Verifies one chain-head proof against a level's commitment and
-    /// crown, charging the work done. A link is not a head: it fails as
-    /// [`merkle::VerifyError::NotChainHead`].
-    fn check_proof(
-        &self,
-        level: &TrustedLevel,
-        proof: &RecordProofRef<'_>,
-        canonical: &[u8],
-    ) -> Result<(), VerificationFailure> {
-        self.count_proof(proof);
-        let crown = &level.crown.crown;
-        let work = proof.verify_anchored(&level.commitment, crown.anchor(), canonical).map_err(
-            |source| VerificationFailure::ForgedRecord { level: level.commitment.level, source },
-        )?;
-        self.charge_walk(level, canonical.len(), proof.leaf_index >> crown.base_height(), work);
-        Ok(())
-    }
-
-    /// [`open_proved`], then checks the proof against `level`: what a
-    /// non-membership neighbour must pass, so a neighbour is a chain head.
-    fn open_and_check<'r>(
-        &self,
-        level: &TrustedLevel,
-        record: &'r Record,
-        canonical: &mut Vec<u8>,
-    ) -> Result<RecordProofRef<'r>, VerificationFailure> {
-        let (_, proof) = open_proved(level.commitment.level, record, canonical)?;
-        self.check_proof(level, &proof, canonical)?;
-        Ok(proof)
-    }
-
     // ----- GET verification (Theorem 5.3) ---------------------------------
 
     /// Verifies a traced point query for `key` against the commitment
     /// snapshot of the trace's epoch and hands back the answer it verified:
     /// the memtable's record (trusted enclave memory), the hit level's, or
-    /// `None` once every level proved the key absent. A tombstone comes
-    /// back like any record; the caller reads it as absent.
+    /// `None` once every level proved the key absent. Each level searched
+    /// answers the range `[key, key]` ([`TrustedState::verify_scan`]'s
+    /// per-level check): a hit is a one-record run, a miss an empty run
+    /// between its neighbours. A tombstone comes back like any record; the
+    /// caller reads it as absent.
     ///
     /// # Errors
     ///
@@ -735,14 +708,16 @@ impl TrustedState {
         let mut expected: i64 = if stacked { epoch_levels as i64 } else { 1 };
         let step: i64 = if stacked { -1 } else { 1 };
         let mut hit = None;
-        // One buffer for every record's canonical bytes in this query.
-        let mut canonical = Vec::new();
+        // A GET level's run is at most its two neighbours.
+        let mut leaves = [Digest::ZERO; 2];
+        let mut scratch = Scratch { canonical: Vec::new(), leaves: &mut leaves };
         for search in &trace.levels {
             // Levels in order, and nothing after the hit level (early stop).
             if search.level as i64 != expected || hit.is_some() {
                 return Err(VerificationFailure::LevelSkipped { expected: expected.max(0) as u32 });
             }
             let level = self.level_of(&snapshot, expected as u32);
+            let range = (key, key);
             match &search.outcome {
                 LevelOutcome::Empty => {
                     if !level.commitment.is_empty() {
@@ -750,16 +725,13 @@ impl TrustedState {
                     }
                 }
                 LevelOutcome::Miss { left, right } => {
-                    self.verify_non_membership(
-                        &level,
-                        key,
-                        left.as_ref(),
-                        right.as_ref(),
-                        &mut canonical,
-                    )?;
+                    let (left, right) = (left.as_ref(), right.as_ref());
+                    self.verify_level_range(&level, range, &[], left, right, &mut scratch)?;
                 }
                 LevelOutcome::Hit(record) => {
-                    hit = Some(self.verify_hit(&level, key, record, &mut canonical)?);
+                    let records = std::slice::from_ref(record);
+                    hit =
+                        self.verify_level_range(&level, range, records, None, None, &mut scratch)?;
                 }
             }
             expected += step;
@@ -782,74 +754,11 @@ impl TrustedState {
         }
     }
 
-    fn verify_hit<'t>(
-        &self,
-        trusted: &TrustedLevel,
-        key: &[u8],
-        record: &'t Record,
-        canonical: &mut Vec<u8>,
-    ) -> Result<Verified<'t>, VerificationFailure> {
-        let level = trusted.commitment.level;
-        if record.key != key {
-            return Err(VerificationFailure::BadNonMembership {
-                level,
-                reason: "hit record key differs from query",
-            });
-        }
-        let (opened, proof) = open_proved(level, record, canonical)?;
-        // Freshness: the answer must be the newest version at its level
-        // (the paper's ⟨Z,6⟩/⟨Z,7⟩ detection). A link says how many newer
-        // versions it sits below, so it is stale by its own claim; had the
-        // host relabelled it as the newest, the audit path below would not
-        // reach the root.
-        require_newest(level, &proof)?;
-        self.check_proof(trusted, &proof, canonical)?;
-        Ok(Verified { record, value_range: opened.value_range(), proof_bytes: proof.encoded_len() })
-    }
-
-    fn verify_non_membership(
-        &self,
-        trusted: &TrustedLevel,
-        key: &[u8],
-        left: Option<&Record>,
-        right: Option<&Record>,
-        canonical: &mut Vec<u8>,
-    ) -> Result<(), VerificationFailure> {
-        let commitment = &trusted.commitment;
-        let fail =
-            |reason| Err(VerificationFailure::BadNonMembership { level: commitment.level, reason });
-        if commitment.is_empty() {
-            return match (left, right) {
-                (None, None) => Ok(()),
-                _ => fail("neighbors presented for an empty level"),
-            };
-        }
-        if left.is_some_and(|rec| rec.key[..] >= *key) {
-            return fail("left neighbor not below query key");
-        }
-        let left = left.map(|rec| self.open_and_check(trusted, rec, canonical)).transpose()?;
-        if right.is_some_and(|rec| rec.key[..] <= *key) {
-            return fail("right neighbor not above query key");
-        }
-        let right = right.map(|rec| self.open_and_check(trusted, rec, canonical)).transpose()?;
-        match (left, right) {
-            (Some(l), Some(r)) if r.leaf_index != l.leaf_index + 1 => {
-                fail("neighbors are not adjacent leaves")
-            }
-            (None, Some(r)) if r.leaf_index != 0 => fail("right neighbor is not the first leaf"),
-            (Some(l), None) if l.leaf_index + 1 != commitment.leaf_count => {
-                fail("left neighbor is not the last leaf")
-            }
-            (None, None) => fail("no neighbors for a non-empty level"),
-            _ => Ok(()),
-        }
-    }
-
     // ----- SCAN verification (§5.4) ----------------------------------------
 
     /// Verifies a traced range query over `[from, to]` — every level
-    /// complete, each level's range proof read off the audit paths the
-    /// run's two end records store — and hands back the result it
+    /// complete, each level's range proved by one walk read off the audit
+    /// paths its run's two end records store — and hands back the result it
     /// verified: the newest version of each key the trace presents,
     /// tombstones and what they hide left out ([`ScanTrace::merged`]), each
     /// with its envelope opened.
@@ -867,13 +776,10 @@ impl TrustedState {
             .levels_at(trace.epoch)
             .ok_or(VerificationFailure::UnknownEpoch { epoch: trace.epoch })?;
         let epoch_levels = snapshot.len().saturating_sub(1).max(self.max_levels);
-        // A level proves at most a leaf per record and its two boundaries.
+        // A level's run is at most a leaf per record and its two boundaries.
         let widest = trace.levels.iter().map(|range| range.records.len() + 2).max().unwrap_or(0);
-        let mut scratch = ScanScratch {
-            canonical: Vec::new(),
-            leaf_seq: Vec::with_capacity(widest),
-            leaves: Vec::with_capacity(widest),
-        };
+        let mut leaves = vec![Digest::ZERO; widest];
+        let mut scratch = Scratch { canonical: Vec::new(), leaves: &mut leaves };
         let mut expected: u32 = 1;
         for range in &trace.levels {
             if range.level as u32 != expected {
@@ -885,10 +791,11 @@ impl TrustedState {
                 if !level.commitment.is_empty() {
                     return Err(VerificationFailure::HiddenLevel { level: expected });
                 }
-                expected += 1;
-                continue;
+            } else {
+                let (left, right) = (range.left.as_ref(), range.right.as_ref());
+                let records = &range.records;
+                self.verify_level_range(&level, (from, to), records, left, right, &mut scratch)?;
             }
-            self.verify_level_range(&level, from, to, range, &mut scratch)?;
             expected += 1;
         }
         if (expected as usize) <= epoch_levels {
@@ -902,145 +809,177 @@ impl TrustedState {
         Ok(verified)
     }
 
-    /// The leaf (chain head) a range-query record hashes to, charging the
-    /// record's hash. The record must claim to be its key's newest version
-    /// — in-range group heads and both boundaries alike; a link is stale by
-    /// its own claim. The leaf's path to the root is the range proof's
-    /// business, so the audit path is not walked here: the run's two end
-    /// leaves lend theirs to that proof.
-    fn leaf_from_record<'r>(
-        &self,
-        level: u32,
-        record: &'r Record,
-        canonical: &mut Vec<u8>,
-    ) -> Result<(RecordProofRef<'r>, Digest), VerificationFailure> {
-        let (_, proof) = open_proved(level, record, canonical)?;
-        require_newest(level, &proof)?;
-        self.platform.charge_hash(canonical.len());
-        Ok((proof, proof.suffix_digest(canonical)))
-    }
-
-    fn verify_level_range(
+    /// Verifies what the host presents at one level for the key range
+    /// `[from, to]` — a SCAN's level, or a GET's as the range `[key, key]`.
+    /// `records` are every version of every in-range key the level holds
+    /// (key order, newest first within a key), `left` and `right` the chain
+    /// heads of the keys just outside the range. The chain heads must be one
+    /// run of consecutive leaves whose ends are each anchored — by a
+    /// boundary, by the tree's edge, or by a record whose key is that end of
+    /// the range, so a hit needs no neighbours — and one walk proves the
+    /// run, its boundary siblings read off the audit paths of its two end
+    /// records. Older versions are walked down their head's chain, one hash
+    /// each ([`merkle::ChainWalk`]): the run's walk authenticates the heads
+    /// and with them everything the chain walks accepted.
+    ///
+    /// A walk that does not reach the committed root (or crown) is a forged
+    /// record, a broken shape (order, adjacency, anchoring, a record out of
+    /// range) an incomplete range, a link where a head belongs a stale
+    /// record. The walk is charged once, with the first leaf's bytes, so a
+    /// one-leaf run costs what one audit path always did. Hands back the
+    /// first in-range record, its envelope opened (a GET hit's answer).
+    fn verify_level_range<'r>(
         &self,
         trusted: &TrustedLevel,
-        from: &[u8],
-        to: &[u8],
-        range: &lsm_store::LevelRange,
-        scratch: &mut ScanScratch,
-    ) -> Result<(), VerificationFailure> {
+        (from, to): (&[u8], &[u8]),
+        records: &'r [Record],
+        left: Option<&Record>,
+        right: Option<&Record>,
+        scratch: &mut Scratch<'_>,
+    ) -> Result<Option<Verified<'r>>, VerificationFailure> {
         let commitment = &trusted.commitment;
         let level = commitment.level;
-        let fail = |reason: &'static str| VerificationFailure::IncompleteRange { level, reason };
-        let ScanScratch { canonical, leaf_seq, leaves } = scratch;
-
-        // Group in-range records by key; compute each group's leaf hash
-        // from the newest version, then walk the older versions down its
-        // chain. The range proof below authenticates the leaves, and with
-        // them everything the walks accepted. The proofs of the run's two
-        // end leaves are kept: their audit paths are that range proof.
-        leaf_seq.clear();
-        let (mut first, mut last) = (None, None);
+        let fail = |reason| Err(VerificationFailure::IncompleteRange { level, reason });
+        let forged = |source| VerificationFailure::ForgedRecord { level, source };
+        if commitment.is_empty() {
+            return match (records, left, right) {
+                ([], None, None) => Ok(None),
+                _ => fail("records presented for an empty level"),
+            };
+        }
+        if left.is_some_and(|rec| rec.key[..] >= *from) {
+            return fail("left boundary not below range");
+        }
+        if right.is_some_and(|rec| rec.key[..] <= *to) {
+            return fail("right boundary not above range");
+        }
+        let mut run = Run::default();
+        if let Some(rec) = left {
+            self.push_head(commitment, rec, scratch, &mut run)?;
+        }
+        let mut first_record = None;
         let mut idx = 0usize;
-        while idx < range.records.len() {
-            let newest = &range.records[idx];
+        while idx < records.len() {
+            let newest = &records[idx];
             if newest.key[..] < *from || newest.key[..] > *to {
-                return Err(fail("record outside the queried range"));
+                return fail("record outside the queried range");
             }
-            let (proof, leaf_hash) = self.leaf_from_record(level, newest, canonical)?;
-            if proof.leaf_count != commitment.leaf_count {
-                return Err(fail("proof leaf count mismatch"));
+            let (opened, head) = self.push_head(commitment, newest, scratch, &mut run)?;
+            if idx == 0 {
+                first_record = Some(Verified::opened(newest, &opened));
             }
-            leaf_seq.push((proof.leaf_index, leaf_hash));
-            first.get_or_insert(proof);
-            last = Some(proof);
-            let mut walk = proof
-                .walk()
-                .map_err(|source| VerificationFailure::ForgedRecord { level, source })?;
+            let mut walk = head.walk().map_err(forged)?;
             let mut j = idx + 1;
-            while j < range.records.len() && range.records[j].key == newest.key {
-                let older = &range.records[j];
-                if older.ts >= range.records[j - 1].ts {
-                    return Err(fail("versions not in descending timestamp order"));
+            while j < records.len() && records[j].key == newest.key {
+                let older = &records[j];
+                if older.ts >= records[j - 1].ts {
+                    return fail("versions not in descending timestamp order");
                 }
-                let (_, link) = open_proved(level, older, canonical)?;
-                self.platform.charge_hash(canonical.len() + 32);
+                let (_, link) = open_proved(level, older, &mut scratch.canonical)?;
+                self.platform.charge_hash(scratch.canonical.len() + 32);
                 self.count_proof(&link);
-                walk.step(&link, canonical)
-                    .map_err(|source| VerificationFailure::ForgedRecord { level, source })?;
+                walk.step(&link, &scratch.canonical).map_err(forged)?;
                 j += 1;
             }
-            if j < range.records.len() && range.records[j].key < newest.key {
-                return Err(fail("records not in ascending key order"));
+            if j < records.len() && records[j].key < newest.key {
+                return fail("records not in ascending key order");
             }
             idx = j;
         }
-
-        // Boundary neighbors extend the proven leaf run by one on each side.
-        if let Some(rec) = &range.left {
-            if rec.key[..] >= *from {
-                return Err(fail("left boundary not below range"));
-            }
-            let (proof, leaf_hash) = self.leaf_from_record(level, rec, canonical)?;
-            leaf_seq.insert(0, (proof.leaf_index, leaf_hash));
-            first = Some(proof);
-            last.get_or_insert(proof);
-        }
-        if let Some(rec) = &range.right {
-            if rec.key[..] <= *to {
-                return Err(fail("right boundary not above range"));
-            }
-            let (proof, leaf_hash) = self.leaf_from_record(level, rec, canonical)?;
-            leaf_seq.push((proof.leaf_index, leaf_hash));
-            first.get_or_insert(proof);
-            last = Some(proof);
+        if let Some(rec) = right {
+            self.push_head(commitment, rec, scratch, &mut run)?;
         }
 
-        let (Some(first), Some(last)) = (first, last) else {
-            return Err(fail("no leaves presented for a non-empty level"));
+        let (Some((first, first_bytes)), Some(last)) = (run.first, run.last) else {
+            return fail("no leaves presented for a non-empty level");
         };
-        // Leaf indices must be one consecutive run.
-        for w in leaf_seq.windows(2) {
-            if w[1].0 != w[0].0 + 1 {
-                return Err(fail("leaf indices not consecutive"));
+        // No leaf of the level lies between an anchored end and the range.
+        let is_end =
+            |record: Option<&Record>, end: &[u8]| record.is_some_and(|r| r.key[..] == *end);
+        if left.is_none() && first.leaf_index != 0 && !is_end(records.first(), from) {
+            return fail("range start not anchored");
+        }
+        let last_leaf = commitment.leaf_count - 1;
+        if right.is_none() && last.leaf_index != last_leaf && !is_end(records.last(), to) {
+            return fail("range end not anchored");
+        }
+        let crown = &trusted.crown.crown;
+        let work = verify_run_anchored(
+            crown.anchor(),
+            commitment.leaf_count as usize,
+            first.leaf_index as usize,
+            &mut scratch.leaves[..run.len],
+            first.siblings(),
+            last.siblings(),
+        )
+        .ok_or(forged(VerifyError::BadAuditPath))?;
+        self.charge_walk(trusted, first_bytes, first.leaf_index >> crown.base_height(), work);
+        Ok(first_record)
+    }
+
+    /// Adds `record` to `run` as its next chain head: the newest version of
+    /// its key by its own claim (a link is stale by that claim, refused
+    /// before anything is hashed), of this level's tree, at the leaf after
+    /// the run's last. Its leaf is hashed into `scratch.leaves`, and its
+    /// bytes are charged now — unless it opens the run, whose bytes are
+    /// charged with the walk. Hands back its opened envelope and proof.
+    fn push_head<'r>(
+        &self,
+        commitment: &LevelCommitment,
+        record: &'r Record,
+        scratch: &mut Scratch<'_>,
+        run: &mut Run<'r>,
+    ) -> Result<(Opened<'r>, RecordProofRef<'r>), VerificationFailure> {
+        let level = commitment.level;
+        let (opened, proof) = open_proved(level, record, &mut scratch.canonical)?;
+        require_newest(level, &proof)?;
+        self.count_proof(&proof);
+        let header = if proof.level != level {
+            Some(VerifyError::LevelMismatch)
+        } else {
+            (proof.leaf_count != commitment.leaf_count).then_some(VerifyError::LeafCountMismatch)
+        };
+        if let Some(source) = header {
+            return Err(VerificationFailure::ForgedRecord { level, source });
+        }
+        let bytes = scratch.canonical.len();
+        match run.last {
+            None => run.first = Some((proof, bytes)),
+            Some(last) if last.leaf_index.checked_add(1) == Some(proof.leaf_index) => {
+                self.platform.charge_hash(bytes);
+            }
+            Some(_) => {
+                let reason = "leaf indices not consecutive";
+                return Err(VerificationFailure::IncompleteRange { level, reason });
             }
         }
-        let (lo, hi) = (first.leaf_index, last.leaf_index);
-        // Edges: no left boundary means the run starts at leaf 0; no right
-        // boundary means it ends at the last leaf.
-        if range.left.is_none() && lo != 0 {
-            return Err(fail("range start not anchored at the first leaf"));
-        }
-        if range.right.is_none() && hi + 1 != commitment.leaf_count {
-            return Err(fail("range end not anchored at the last leaf"));
-        }
-        // The boundary hashes of the run `lo..=hi` are the left siblings
-        // on `lo`'s audit path and the right siblings on `hi`'s; what else
-        // the two paths hold is not read, so it cannot matter.
-        leaves.clear();
-        leaves.extend(leaf_seq.iter().map(|(_, d)| *d));
-        let crown = &trusted.crown.crown;
-        let leaf_count = commitment.leaf_count as usize;
-        let (lo, hi) = (lo as usize, hi as usize);
-        let work =
-            RangeProof::from_audit_paths(leaf_count, lo, first.siblings(), hi, last.siblings())
-                .and_then(|proof| {
-                    verify_range_anchored(crown.anchor(), leaf_count, lo, leaves, &proof)
-                })
-                .ok_or(fail("range proof does not reach the committed root"))?;
-        self.charge_walk(trusted, 0, (lo >> crown.base_height()) as u64, work);
-        Ok(())
+        run.last = Some(proof);
+        scratch.leaves[run.len] = proof.suffix_digest(&scratch.canonical);
+        run.len += 1;
+        Ok((opened, proof))
     }
 }
 
-/// The buffers one verified scan reuses from level to level.
+/// The buffers one query reuses from level to level.
 #[derive(Debug)]
-struct ScanScratch {
+struct Scratch<'l> {
     /// The canonical bytes of the record being checked.
     canonical: Vec<u8>,
-    /// The level's proved leaves, `(leaf index, leaf)`, in key order.
-    leaf_seq: Vec<(u64, Digest)>,
-    /// The same leaves, folded in place by the range walk.
-    leaves: Vec<Digest>,
+    /// The level run's leaves, in leaf order, folded in place by its walk:
+    /// room for every head the query's widest level can present.
+    leaves: &'l mut [Digest],
+}
+
+/// The chain heads one level presents, added in leaf order.
+#[derive(Debug, Default)]
+struct Run<'r> {
+    /// The first head's proof, and its canonical byte count (charged with
+    /// the walk).
+    first: Option<(RecordProofRef<'r>, usize)>,
+    /// The last head's proof.
+    last: Option<RecordProofRef<'r>>,
+    /// Heads so far: their leaves are `Scratch::leaves[..len]`.
+    len: usize,
 }
 
 /// Opens a level record's envelope in place and requires the embedded

@@ -339,6 +339,13 @@ impl std::fmt::Debug for Db {
 }
 
 impl Db {
+    /// Whether point reads search the levels bottom-up — runs stack upward
+    /// (compaction off, or a stacked strategy such as size-tiered), so the
+    /// freshest run has the highest index — rather than top-down.
+    pub fn stacked_reads(&self) -> bool {
+        self.stacked_reads
+    }
+
     /// Opens (or recovers) a store in the environment's filesystem.
     ///
     /// If a manifest exists, levels and the WAL are recovered; otherwise a

@@ -347,8 +347,9 @@ impl LevelDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::crown::Anchor;
     use crate::proof::{RecordProofRef, VerifyError};
-    use crate::range::{verify_range, RangeProof};
+    use crate::range::verify_run_anchored;
 
     /// The paper's Figure 3 example: level L2 = [⟨T,4⟩, ⟨Z,7⟩, ⟨Z,6⟩],
     /// level L3 = [⟨A,2⟩, ⟨T,0⟩, ⟨Y,3⟩, ⟨Z,1⟩].
@@ -442,9 +443,10 @@ mod tests {
             ChainPosition::Newest { audit_path, .. } => audit_path.clone(),
             ChainPosition::Link { .. } => unreachable!("a newest-version proof"),
         };
-        let proof = RangeProof::from_audit_paths(4, 1, path(&t), 2, path(&y)).unwrap();
-        let leaves = [t.chain.suffix_digest(b"T,0"), y.chain.suffix_digest(b"Y,3")];
-        assert!(verify_range(c.root, c.leaf_count as usize, 1, &leaves, &proof));
+        let mut leaves = [t.chain.suffix_digest(b"T,0"), y.chain.suffix_digest(b"Y,3")];
+        let anchor = Anchor::root(&c.root, 4);
+        let (t_path, y_path) = (path(&t).into_iter(), path(&y).into_iter());
+        assert!(verify_run_anchored(anchor, 4, 1, &mut leaves, t_path, y_path).is_some());
     }
 
     #[test]

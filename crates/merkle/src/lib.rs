@@ -16,7 +16,8 @@
 //!   chain link for every older one, the walk that verifies a chain from
 //!   its head, and the per-level commitments the enclave stores,
 //! * [`range`] — segment-tree range proofs for query completeness (§5.4),
-//!   derivable from the audit paths of a run's two end leaves,
+//!   walked with the boundary siblings read off the audit paths of a run's
+//!   two end leaves,
 //! * [`mbt`] — the conventional update-in-place Merkle B-tree baseline
 //!   (§3.4).
 //!
@@ -52,5 +53,7 @@ pub use crown::{Anchor, Crown, Work, CROWN_ROW_MAX};
 pub use level::{Folded, LevelDigest, LevelDigestBuilder};
 pub use mbt::{MerkleBTree, UpdateStats};
 pub use proof::{ChainWalk, LevelCommitment, RecordProof, RecordProofRef, VerifyError, LINK_LEN};
-pub use range::{prove_range, verify_range, verify_range_anchored, RangeProof};
+pub use range::{
+    prove_range, verify_range, verify_range_anchored, verify_run_anchored, RangeProof,
+};
 pub use tree::{leaf_hash, node_hash, MerkleTree};

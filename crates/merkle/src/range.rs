@@ -9,7 +9,7 @@
 
 use elsm_crypto::Digest;
 
-use crate::crown::{tree_height, Anchor, Work};
+use crate::crown::{Anchor, Work};
 use crate::tree::{node_hash, MerkleTree};
 
 /// Boundary hashes proving a contiguous leaf range.
@@ -30,53 +30,6 @@ impl RangeProof {
     /// Whether the proof carries no hashes (full-tree range).
     pub fn is_empty(&self) -> bool {
         self.left.is_empty() && self.right.is_empty()
-    }
-
-    /// The proof for leaves `lo..=hi` of a tree of `leaf_count` leaves,
-    /// read off the audit paths of the run's two end leaves:
-    /// [`prove_range`] emits, row by row, the left sibling of the run's
-    /// first node where that node is a right child and the right sibling
-    /// of its last node where that node is a paired left child — entries
-    /// of `lo`'s and `hi`'s audit paths, and nothing else. The other
-    /// siblings of the two paths (and anything after the rows a path
-    /// needs) are not read. `None` when the range is empty or out of
-    /// bounds, or a path is shorter than its position needs.
-    ///
-    /// Nothing is trusted here: the result proves something only once
-    /// [`verify_range_anchored`] has accepted it.
-    pub fn from_audit_paths(
-        leaf_count: usize,
-        lo: usize,
-        lo_path: impl IntoIterator<Item = Digest>,
-        hi: usize,
-        hi_path: impl IntoIterator<Item = Digest>,
-    ) -> Option<RangeProof> {
-        if lo > hi || hi >= leaf_count {
-            return None;
-        }
-        let (mut lo_path, mut hi_path) = (lo_path.into_iter(), hi_path.into_iter());
-        // At most one sibling per row on each side.
-        let height = tree_height(leaf_count) as usize;
-        let mut proof =
-            RangeProof { left: Vec::with_capacity(height), right: Vec::with_capacity(height) };
-        let (mut a, mut b, mut count) = (lo, hi, leaf_count);
-        while count > 1 {
-            // A path has an entry for every row its node is paired in.
-            if a ^ 1 < count {
-                let sibling = lo_path.next()?;
-                if a % 2 == 1 {
-                    proof.left.push(sibling);
-                }
-            }
-            if b ^ 1 < count {
-                let sibling = hi_path.next()?;
-                if b % 2 == 0 {
-                    proof.right.push(sibling);
-                }
-            }
-            (a, b, count) = (a / 2, b / 2, count.div_ceil(2));
-        }
-        Some(proof)
     }
 }
 
@@ -117,69 +70,134 @@ pub fn verify_range(
     verify_range_anchored(anchor, leaf_count, lo, &mut leaves.to_vec(), proof).is_some()
 }
 
-/// The range walk: are `known` exactly the leaves `lo..lo+known.len()` of
-/// the tree (of `leaf_count` leaves) `anchor` holds the top rows of? The
-/// run is folded upward in place, row by row, taking a boundary sibling
-/// from `proof` wherever an end of the run lacks its pair; at the anchor
-/// row the whole run must equal the trusted nodes, and above it every
-/// sibling left in `proof` must equal the trusted node bounding the run —
-/// all of `proof` is checked, and nothing of it may remain. `known` is
-/// consumed as scratch. `None` rejects.
+/// The range walk over a proof: [`verify_run_anchored`] with the boundary
+/// siblings taken from `proof`, all of which must be read.
 pub fn verify_range_anchored(
     anchor: Anchor<'_>,
     leaf_count: usize,
     lo: usize,
-    known: &mut Vec<Digest>,
+    known: &mut [Digest],
     proof: &RangeProof,
+) -> Option<Work> {
+    let (mut left, mut right) = (proof.left.iter().copied(), proof.right.iter().copied());
+    let work = walk_run(anchor, leaf_count, lo, known, |a, b, count| {
+        let left = if a % 2 == 1 { Some(left.next()?) } else { None };
+        let right = if b % 2 == 0 && b + 1 < count { Some(right.next()?) } else { None };
+        Some((left, right))
+    })?;
+    (left.next().is_none() && right.next().is_none()).then_some(work)
+}
+
+/// The range walk: are `known` exactly the leaves `lo..lo+known.len()` of
+/// the tree (of `leaf_count` leaves) `anchor` holds the top rows of? The
+/// siblings bounding the run are read in place off the audit paths of its
+/// two end leaves, `lo_path` of the first and `hi_path` of the last:
+/// [`prove_range`] emits, row by row, the left sibling of the run's first
+/// node where that node is a right child and the right sibling of its last
+/// node where that node is a paired left child — entries of those two paths
+/// and nothing else. Each path must hold exactly one sibling per row its
+/// leaf is paired in; the entries off the run's boundary are not read, so
+/// no value of theirs can change what is hashed or compared. A one-leaf
+/// run is one audit path: it is walked as [`MerkleTree::verify`] walks
+/// `lo_path`, and `hi_path`, the same leaf's, is not read. `known` is
+/// consumed as scratch. `None` rejects.
+pub fn verify_run_anchored(
+    anchor: Anchor<'_>,
+    leaf_count: usize,
+    lo: usize,
+    known: &mut [Digest],
+    mut lo_path: impl Iterator<Item = Digest>,
+    mut hi_path: impl Iterator<Item = Digest>,
+) -> Option<Work> {
+    if let [leaf] = known {
+        return MerkleTree::verify_siblings(anchor, leaf_count, lo, *leaf, lo_path);
+    }
+    let work = walk_run(anchor, leaf_count, lo, known, |a, b, count| {
+        end_path_bounds(&mut lo_path, &mut hi_path, a, b, count)
+    })?;
+    (lo_path.next().is_none() && hi_path.next().is_none()).then_some(work)
+}
+
+/// The boundary siblings of the run's nodes `a..=b` in a row `count` wide,
+/// read off the next entries of its end paths: a path has an entry for
+/// every row its node is paired in, and the entry is a boundary sibling
+/// exactly when [`prove_range`] emits it. `None` when a path runs out.
+fn end_path_bounds(
+    lo_path: &mut impl Iterator<Item = Digest>,
+    hi_path: &mut impl Iterator<Item = Digest>,
+    a: usize,
+    b: usize,
+    count: usize,
+) -> Option<(Option<Digest>, Option<Digest>)> {
+    let left = if a ^ 1 < count { Some(lo_path.next()?).filter(|_| a % 2 == 1) } else { None };
+    let right = if b ^ 1 < count { Some(hi_path.next()?).filter(|_| b % 2 == 0) } else { None };
+    Some((left, right))
+}
+
+/// The one range walk. The run is folded upward in place, row by row,
+/// pairing an end of the run that lacks its pair with the boundary sibling
+/// `bounds(a, b, count)` gives for the run's nodes `a..=b` of a row `count`
+/// wide — the left one exactly when `a` is a right child, the right one
+/// exactly when `b` is a paired left child; at the anchor row the whole run
+/// must equal the trusted nodes, and above it every boundary sibling must
+/// equal the trusted node bounding the run. `bounds` is asked once per row
+/// below the root.
+fn walk_run(
+    anchor: Anchor<'_>,
+    leaf_count: usize,
+    lo: usize,
+    known: &mut [Digest],
+    mut bounds: impl FnMut(usize, usize, usize) -> Option<(Option<Digest>, Option<Digest>)>,
 ) -> Option<Work> {
     let end = lo.checked_add(known.len())?;
     if known.is_empty() || end > leaf_count {
         return None;
     }
     let mut work = Work::default();
-    // The run covers nodes `a..=b` of a row `count` wide.
-    let (mut a, mut b, mut count) = (lo, end - 1, leaf_count);
-    let mut left = proof.left.iter();
-    let mut right = proof.right.iter();
+    // The run covers nodes `a..=b` of a row `count` wide, `known[..len]`.
+    let (mut a, mut b, mut count, mut len) = (lo, end - 1, leaf_count, known.len());
     for _ in 0..anchor.base_height {
+        let (left, right) = bounds(a, b, count)?;
         let (mut read, mut write) = (0, 0);
-        if a % 2 == 1 {
-            known[0] = node_hash(left.next()?, &known[0]);
+        if let Some(left) = left {
+            known[0] = node_hash(&left, &known[0]);
             (read, write) = (1, 1);
         }
-        while read + 1 < known.len() {
+        while read + 1 < len {
             known[write] = node_hash(&known[read], &known[read + 1]);
             (read, write) = (read + 2, write + 1);
         }
         work.hashed += write;
-        if read < known.len() {
+        if read < len {
             // The run ends on a left child: pair it with the boundary
             // sibling, or promote it when it is its row's unpaired last.
-            if b + 1 < count {
-                known[write] = node_hash(&known[read], right.next()?);
-                work.hashed += 1;
-            } else {
-                known[write] = known[read];
-            }
+            known[write] = match right {
+                Some(right) => {
+                    work.hashed += 1;
+                    node_hash(&known[read], &right)
+                }
+                None => known[read],
+            };
             write += 1;
         }
-        known.truncate(write);
+        len = write;
         (a, b, count) = (a / 2, b / 2, count.div_ceil(2));
     }
     let mut row = anchor.nodes;
-    if row.get(a..=b)? != known.as_slice() {
+    if row.get(a..=b)? != &known[..len] {
         return None;
     }
-    work.compared += known.len();
+    work.compared += len;
     while count > 1 {
-        if a % 2 == 1 {
-            if row.get(a - 1)? != left.next()? {
+        let (left, right) = bounds(a, b, count)?;
+        if let Some(left) = left {
+            if *row.get(a - 1)? != left {
                 return None;
             }
             work.compared += 1;
         }
-        if b % 2 == 0 && b + 1 < count {
-            if row.get(b + 1)? != right.next()? {
+        if let Some(right) = right {
+            if *row.get(b + 1)? != right {
                 return None;
             }
             work.compared += 1;
@@ -187,7 +205,7 @@ pub fn verify_range_anchored(
         row = row.get(count..)?;
         (a, b, count) = (a / 2, b / 2, count.div_ceil(2));
     }
-    (left.next().is_none() && right.next().is_none()).then_some(work)
+    Some(work)
 }
 
 #[cfg(test)]
@@ -216,68 +234,179 @@ mod tests {
         }
     }
 
-    /// The proof read off the two end leaves' audit paths is the one the
-    /// tree's owner would have produced — every range of every tree up to
-    /// 130 leaves (odd rows, promoted last nodes, single leaves) — and a
-    /// path that stops one digest early derives nothing.
+    /// The run's walk over `lo`'s and `hi`'s audit paths, anchored at
+    /// `anchor`, over the honest leaves.
+    fn walk_paths(
+        anchor: Anchor<'_>,
+        leaves: &[Digest],
+        (lo, hi): (usize, usize),
+        lo_path: &[Digest],
+        hi_path: &[Digest],
+    ) -> Option<Work> {
+        let (lo_path, hi_path) = (lo_path.iter().copied(), hi_path.iter().copied());
+        let mut known = leaves[lo..=hi].to_vec();
+        verify_run_anchored(anchor, leaves.len(), lo, &mut known, lo_path, hi_path)
+    }
+
+    /// Checks, for the run `lo..=hi` of `t` (leaves `l`, audit paths
+    /// `paths`), that the walk over the two end paths anchored at `anchor`
+    /// is the walk over the proof the tree's owner would have produced —
+    /// same verdict, same work — and that a path one digest short or long
+    /// proves nothing. A lone leaf's second path is the same path and is
+    /// not read.
+    fn check_end_paths(
+        anchor: Anchor<'_>,
+        (t, l, paths): (&MerkleTree, &[Digest], &[Vec<Digest>]),
+        (lo, hi): (usize, usize),
+    ) {
+        let n = l.len();
+        let longer = |path: &[Digest]| [path, &[leaf_hash(b"extra")]].concat();
+        let (lo_path, hi_path) = (&paths[lo][..], &paths[hi][..]);
+        let walk = |lo_path: &[Digest], hi_path: &[Digest]| {
+            walk_paths(anchor, l, (lo, hi), lo_path, hi_path)
+        };
+        let work = walk(lo_path, hi_path);
+        let mut known = l[lo..=hi].to_vec();
+        let by_proof = verify_range_anchored(anchor, n, lo, &mut known, &prove_range(t, lo, hi));
+        assert!(work.is_some() && work == by_proof, "n={n} {lo}..={hi}");
+        let mut broken = vec![(longer(lo_path), hi_path.to_vec())];
+        broken.extend(lo_path.split_last().map(|(_, short)| (short.to_vec(), hi_path.to_vec())));
+        if lo == hi {
+            assert_eq!(walk(lo_path, &[]), work, "n={n} leaf {lo}");
+        } else {
+            broken.push((lo_path.to_vec(), longer(hi_path)));
+            broken
+                .extend(hi_path.split_last().map(|(_, short)| (lo_path.to_vec(), short.to_vec())));
+        }
+        for (lo_path, hi_path) in broken {
+            assert_eq!(walk(&lo_path, &hi_path), None, "n={n} {lo}..={hi}");
+        }
+    }
+
+    /// The siblings the walk reads off the two end paths, row by row, are
+    /// the ones [`prove_range`] emits — every range of every tree up to 130
+    /// leaves (odd rows, promoted last nodes, single leaves) — and each path
+    /// is read to its end: one digest short, a row finds no sibling; one
+    /// digest long, a digest is left unread. The rows are the walk's, below
+    /// the root; nothing is hashed, so every build runs the whole sweep.
     #[test]
-    fn derived_from_end_paths_equals_proved() {
+    fn end_paths_yield_the_proved_siblings() {
         for n in 1..=130 {
             let (t, _) = tree(n);
             let paths: Vec<Vec<Digest>> = (0..n).map(|i| t.audit_path(i)).collect();
+            let longer = |path: &[Digest]| [path, &[leaf_hash(b"extra")]].concat();
             for lo in 0..n {
                 for hi in lo..n {
-                    let derive = |lo_path: &[Digest], hi_path: &[Digest]| {
-                        RangeProof::from_audit_paths(
-                            n,
-                            lo,
-                            lo_path.iter().copied(),
-                            hi,
-                            hi_path.iter().copied(),
-                        )
+                    let read = |lo_path: &[Digest], hi_path: &[Digest]| {
+                        let (mut lo_path, mut hi_path) =
+                            (lo_path.iter().copied(), hi_path.iter().copied());
+                        let mut read = RangeProof::default();
+                        let (mut a, mut b, mut count) = (lo, hi, n);
+                        while count > 1 {
+                            let (left, right) =
+                                end_path_bounds(&mut lo_path, &mut hi_path, a, b, count)?;
+                            read.left.extend(left);
+                            read.right.extend(right);
+                            (a, b, count) = (a / 2, b / 2, count.div_ceil(2));
+                        }
+                        Some((read, lo_path.next().is_none() && hi_path.next().is_none()))
                     };
                     let (lo_path, hi_path) = (&paths[lo][..], &paths[hi][..]);
-                    assert_eq!(
-                        derive(lo_path, hi_path),
-                        Some(prove_range(&t, lo, hi)),
-                        "n={n} range={lo}..={hi}"
-                    );
+                    let proved = prove_range(&t, lo, hi);
+                    assert_eq!(read(lo_path, hi_path), Some((proved, true)), "n={n} {lo}..={hi}");
+                    for (lo_path, hi_path) in
+                        [(longer(lo_path), hi_path.to_vec()), (lo_path.to_vec(), longer(hi_path))]
+                    {
+                        let unread = read(&lo_path, &hi_path).map(|(_, read_all)| !read_all);
+                        assert_eq!(unread, Some(true), "n={n} {lo}..={hi}: long path");
+                    }
                     if let Some((_, short)) = lo_path.split_last() {
-                        assert_eq!(derive(short, hi_path), None, "n={n} lo={lo}: short path");
+                        assert_eq!(read(short, hi_path), None, "n={n} lo={lo}: short path");
                     }
                     if let Some((_, short)) = hi_path.split_last() {
-                        assert_eq!(derive(lo_path, short), None, "n={n} hi={hi}: short path");
+                        assert_eq!(read(lo_path, short), None, "n={n} hi={hi}: short path");
                     }
                 }
             }
-            assert_eq!(RangeProof::from_audit_paths(n, 0, None, n, None), None, "out of bounds");
         }
-        assert_eq!(RangeProof::from_audit_paths(4, 2, None, 1, None), None, "empty range");
     }
 
-    /// Whatever rows the verifier holds, it accepts the derived proof and
-    /// does for it exactly the work it does for the proved one.
+    /// Root-anchored, the end-path walk is the proved range's walk for
+    /// every range of every tree up to 130 leaves (33 in debug builds, whose
+    /// SHA-256 is ~20x slower; the siblings it reads are checked to 130 in
+    /// every build above).
     #[test]
-    fn derived_proof_verifies_under_every_crown_height() {
-        for n in [1, 2, 3, 7, 8, 9, 33, 130] {
+    fn end_paths_walk_as_the_proved_range() {
+        let largest = if cfg!(debug_assertions) { 33 } else { 130 };
+        for n in 1..=largest {
             let (t, l) = tree(n);
-            // Every range of the small trees, a grid over the large one.
+            let paths: Vec<Vec<Digest>> = (0..n).map(|i| t.audit_path(i)).collect();
+            let root = t.root();
+            for lo in 0..n {
+                for hi in lo..n {
+                    check_end_paths(Anchor::root(&root, n), (&t, &l, &paths), (lo, hi));
+                }
+            }
+        }
+    }
+
+    /// Whatever rows the verifier holds, the end-path walk is the proved
+    /// range's walk: every crown height, every range of the small trees and
+    /// a grid over larger ones.
+    #[test]
+    fn end_paths_walk_as_the_proved_range_under_every_crown() {
+        for n in [1, 2, 3, 7, 8, 9, 33, 64, 65, 130] {
+            let (t, l) = tree(n);
+            let paths: Vec<Vec<Digest>> = (0..n).map(|i| t.audit_path(i)).collect();
             let step = if n > 33 { 7 } else { 1 };
             for lo in (0..n).step_by(step) {
                 for hi in (lo..n).step_by(step) {
-                    let proved = prove_range(&t, lo, hi);
-                    let derived =
-                        RangeProof::from_audit_paths(n, lo, t.audit_path(lo), hi, t.audit_path(hi))
-                            .expect("full paths");
                     for height in 0..=crate::crown::tree_height(n) {
                         let crown = t.crown_from(height);
-                        let verify = |proof: &RangeProof| {
-                            let mut known = l[lo..=hi].to_vec();
-                            verify_range_anchored(crown.anchor(), n, lo, &mut known, proof)
-                        };
-                        let work = verify(&derived);
-                        assert!(work.is_some(), "n={n} range={lo}..={hi} crown={height}");
-                        assert_eq!(work, verify(&proved));
+                        check_end_paths(crown.anchor(), (&t, &l, &paths), (lo, hi));
+                    }
+                }
+            }
+        }
+    }
+
+    /// A flipped sibling of an end path is refused exactly when it is one of
+    /// the run's boundary siblings — the proved range's, and every sibling of
+    /// a lone leaf's path — and harmless otherwise: the walk does not read it.
+    #[test]
+    fn only_the_boundary_siblings_of_the_end_paths_are_read() {
+        let flipped = |path: &[Digest], i: usize| {
+            let mut path = path.to_vec();
+            let mut bytes = *path[i].as_bytes();
+            bytes[i % 32] ^= 0x40;
+            path[i] = Digest::from_bytes(bytes);
+            path
+        };
+        for n in [2, 7, 8, 13, 33] {
+            let (t, l) = tree(n);
+            let root = t.root();
+            for lo in 0..n {
+                for hi in lo..n {
+                    let proved = prove_range(&t, lo, hi);
+                    let (lo_path, hi_path) = (t.audit_path(lo), t.audit_path(hi));
+                    let walk = |lo_path: &[Digest], hi_path: &[Digest]| {
+                        walk_paths(Anchor::root(&root, n), &l, (lo, hi), lo_path, hi_path).is_some()
+                    };
+                    for (i, sibling) in lo_path.iter().enumerate() {
+                        let read = lo == hi || proved.left.contains(sibling);
+                        assert_eq!(
+                            walk(&flipped(&lo_path, i), &hi_path),
+                            !read,
+                            "n={n} {lo}..={hi}"
+                        );
+                    }
+                    for (i, sibling) in hi_path.iter().enumerate() {
+                        let read = lo != hi && proved.right.contains(sibling);
+                        assert_eq!(
+                            walk(&lo_path, &flipped(&hi_path, i)),
+                            !read,
+                            "n={n} {lo}..={hi}"
+                        );
                     }
                 }
             }

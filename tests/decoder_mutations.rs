@@ -11,25 +11,31 @@
 //! host's bytes before anything is verified: a table's Bloom filter
 //! (`BloomFilter::decode`, then probes) and a value-log pointer
 //! (`vlog::decode_pointer`, what a verified-cache miss on a separated value
-//! follows). Whatever the bytes: no panic, no single allocation beyond the
-//! input's length times a constant, and what is accepted decodes to entries
-//! that round-trip through the encoder.
+//! follows) — and over a replication shipment (`replica::wire::decode_event`,
+//! which reaches the trace-context, compaction-job, value-log-GC-job,
+//! announcement and frame decoders). Whatever the bytes: no panic, no single
+//! allocation beyond the input's length times a constant, and what is
+//! accepted decodes to entries that round-trip through the encoder.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::sync::Arc;
 
 use bytes::Bytes;
+use elsm_repro::crypto::Digest;
+use elsm_repro::elsm::Announcement;
 use elsm_repro::lsm_store::block::{Block, BlockBuilder};
 use elsm_repro::lsm_store::bloom::{key_hashes, BloomFilter};
 use elsm_repro::lsm_store::encoding::crc32c;
 use elsm_repro::lsm_store::vlog::{decode_pointer, encode_pointer, MAC_BYTES};
 use elsm_repro::lsm_store::{
-    decode_frame, encode_frame, internal_cmp, EnvConfig, Record, StorageEnv, TableBuilder,
-    TableOptions, TableReader, Timestamp, ValueKind, VlogPtr,
+    decode_frame, encode_frame, internal_cmp, CompactionJob, EnvConfig, Record, StorageEnv,
+    TableBuilder, TableOptions, TableReader, Timestamp, ValueKind, VlogGcJob, VlogPtr,
 };
+use elsm_repro::replica::{decode_event, encode_event, WireEvent};
 use elsm_repro::sgx_sim::{CostModel, Platform};
 use elsm_repro::sim_disk::{SimDisk, SimFile, SimFs};
+use elsm_repro::telemetry::TraceContext;
 use proptest::prelude::*;
 
 struct Watching;
@@ -433,6 +439,69 @@ proptest! {
                 let again = filter.encode();
                 prop_assert!(buf.starts_with(&again), "a filter is read from its encoding's bytes");
                 prop_assert_eq!(BloomFilter::decode(&again), Some(filter));
+            }
+        }
+    }
+
+    /// A replication shipment: an honest encoding of each event kind
+    /// decodes to its event; any edit of one — half of them re-framed, so
+    /// that a frame's length and CRC vouch for the edited batch and a job's
+    /// level count is forged — decodes or not without panic or a
+    /// reservation, and an accepted shipment re-encodes to one that decodes
+    /// to the same.
+    #[test]
+    fn mutated_wire_events_decode_in_bounds(
+        picks in prop::collection::vec((any::<u16>(), 0u16..500), 1..40),
+        header in (any::<u64>(), any::<u64>(), any::<u64>()),
+        levels in prop::collection::vec(0usize..8, 0..6),
+        files in prop::collection::vec(any::<u64>(), 0..6),
+        edits in prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..60),
+    ) {
+        let (generation, (trace_id, span_id)) = (header.0, (header.1, header.2));
+        let trace = TraceContext { trace_id, span_id };
+        let job = CompactionJob { input_levels: levels, output_level: 2, purge: span_id % 2 == 0 };
+        let digest = |seed: u64| Digest::from_bytes([seed as u8; 32]);
+        let (commitments, mac) = (digest(trace_id), digest(span_id));
+        let announce = Announcement { node: 1, epoch: trace_id, commitments, mac };
+        let events = [
+            WireEvent::Frame(mixed_records(&picks)),
+            WireEvent::Flush,
+            WireEvent::Compact(job.clone()),
+            WireEvent::Announce(announce),
+            WireEvent::Promote,
+            WireEvent::VlogGc(VlogGcJob { job, rewrite_files: files }),
+        ];
+        let encoded: Vec<Vec<u8>> =
+            events.iter().map(|event| encode_event(generation, trace, event)).collect();
+        for (event, base) in events.iter().zip(&encoded) {
+            prop_assert_eq!(decode_event(base), Some((generation, trace, event.clone())));
+        }
+        for (n, edit) in edits.into_iter().enumerate() {
+            let other = &encoded[(n + 1 + edit.0 as usize % 5) % 6];
+            let mut buf = mutate(&encoded[n % 6], other, edit);
+            // The body follows the generation, trace context and tag.
+            let body = buf.get_mut(25..).filter(|body| body.len() >= 24);
+            if let (true, Some(body)) = (edit.2 & 0x80 != 0, body) {
+                match &events[n % 6] {
+                    WireEvent::Frame(_) => {
+                        let payload_len = body.len() as u32 - 8;
+                        let crc = crc32c(&body[8..]);
+                        body[..4].copy_from_slice(&payload_len.to_le_bytes());
+                        body[4..8].copy_from_slice(&crc.to_le_bytes());
+                    }
+                    // A job's level count, 16 bytes into the body.
+                    WireEvent::Compact(_) | WireEvent::VlogGc(_) => {
+                        let forged = u64::MAX >> (edit.1 % 64);
+                        body[16..24].copy_from_slice(&forged.to_le_bytes());
+                    }
+                    _ => {}
+                }
+            }
+            let (decoded, largest) = largest_allocation(|| decode_event(&buf));
+            prop_assert!(largest <= PER_INPUT_BYTE * buf.len(), "{largest} B for {} B", buf.len());
+            if let Some((generation, trace, event)) = decoded {
+                let again = encode_event(generation, trace, &event);
+                prop_assert_eq!(decode_event(&again), Some((generation, trace, event)));
             }
         }
     }

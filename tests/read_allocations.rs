@@ -118,7 +118,7 @@ fn most(read: impl Fn(u32) -> u64) -> u64 {
 fn verified_reads_allocate_per_query_not_per_record() {
     /// What a verified read may cost whatever it returns: the trace and
     /// its level vectors, the neighbours, the verifier's buffers and, for
-    /// a scan, each level's range proof rows, key arena and record vector.
+    /// a scan, each level's key arena and record vector.
     const PER_GET: u64 = 8;
     const PER_SCAN: u64 = 26;
     let store = two_level_store();

@@ -1,0 +1,281 @@
+//! A reference GET verifier, written the slow way, and the property that
+//! `TrustedState::verify_get` agrees with it.
+//!
+//! The reference checks a `GetTrace` level by level with
+//! `RecordProof::verify` root walks — no crowns, no range walk, no borrowed
+//! proof — under the key and adjacency rules a GET was verified by while a
+//! hit and a non-membership claim were two separate checks: a hit's key is
+//! the query's and its proof verifies; a miss's neighbours bracket the key,
+//! each verifies on its own, and they are adjacent leaves, or the first or
+//! last leaf. `verify_get` reads a GET level as the key range `[key, key]`
+//! instead and proves it with one walk. On leveled and tiered stores of two
+//! and three levels whose keys have many versions, for every stored key,
+//! every gap between them and every GET attack of `elsm::adversary`, the
+//! two accept exactly the same traces and return the same record.
+
+use elsm_repro::elsm::envelope;
+use elsm_repro::elsm::{adversary, AuthenticatedKv, ElsmP2, P2Options};
+use elsm_repro::lsm_store::{CompactionStrategyKind, GetTrace, LevelOutcome, Record, TieredConfig};
+use elsm_repro::merkle::{ChainPosition, LevelCommitment, RecordProof};
+use elsm_repro::sgx_sim::Platform;
+
+/// The reference's answer: the verified record, or why it refused.
+type Verdict<'t> = Result<Option<&'t Record>, &'static str>;
+
+/// A level record's canonical bytes and its embedded proof.
+fn open(record: &Record) -> Result<(Vec<u8>, RecordProof), &'static str> {
+    let opened = envelope::open(&record.value).ok_or("malformed envelope")?;
+    let proof = opened.proof.ok_or("no embedded proof")?.to_owned();
+    let mut canonical = Vec::new();
+    envelope::append_canonical(record.view(), opened.value, &mut canonical);
+    Ok((canonical, proof))
+}
+
+/// `record`'s proof, walked to the committed root on its own.
+fn open_and_check(c: &LevelCommitment, record: &Record) -> Result<RecordProof, &'static str> {
+    let (canonical, proof) = open(record)?;
+    proof.verify(c, &canonical).map_err(|_| "proof does not reach the root")?;
+    Ok(proof)
+}
+
+fn verify_hit<'t>(c: &LevelCommitment, key: &[u8], record: &'t Record) -> Verdict<'t> {
+    if record.key != key {
+        return Err("hit record key differs from query");
+    }
+    let (canonical, proof) = open(record)?;
+    if matches!(proof.chain, ChainPosition::Link { .. }) {
+        return Err("hit is a stale version");
+    }
+    proof.verify(c, &canonical).map_err(|_| "hit proof does not reach the root")?;
+    Ok(Some(record))
+}
+
+fn verify_non_membership(
+    c: &LevelCommitment,
+    key: &[u8],
+    left: Option<&Record>,
+    right: Option<&Record>,
+) -> Result<(), &'static str> {
+    if c.is_empty() {
+        return match (left, right) {
+            (None, None) => Ok(()),
+            _ => Err("neighbors presented for an empty level"),
+        };
+    }
+    if left.is_some_and(|rec| rec.key[..] >= *key) {
+        return Err("left neighbor not below query key");
+    }
+    let left = left.map(|rec| open_and_check(c, rec)).transpose()?;
+    if right.is_some_and(|rec| rec.key[..] <= *key) {
+        return Err("right neighbor not above query key");
+    }
+    let right = right.map(|rec| open_and_check(c, rec)).transpose()?;
+    match (left, right) {
+        (Some(l), Some(r)) if r.leaf_index != l.leaf_index + 1 => {
+            Err("neighbors are not adjacent leaves")
+        }
+        (None, Some(r)) if r.leaf_index != 0 => Err("right neighbor is not the first leaf"),
+        (Some(l), None) if l.leaf_index + 1 != c.leaf_count => {
+            Err("left neighbor is not the last leaf")
+        }
+        (None, None) => Err("no neighbors for a non-empty level"),
+        _ => Ok(()),
+    }
+}
+
+/// The reference GET verifier against the store's current commitments
+/// (every trace here is taken from, and checked against, the newest epoch).
+fn reference_get<'t>(store: &ElsmP2, key: &[u8], trace: &'t GetTrace) -> Verdict<'t> {
+    if let Some(record) = &trace.memtable {
+        return Ok(Some(record));
+    }
+    let (commitments, levels) = (store.trusted().commitments(), store.trusted().max_levels());
+    let stacked = store.trusted().is_stacked();
+    let mut expected: i64 = if stacked { levels as i64 } else { 1 };
+    let step = if stacked { -1 } else { 1 };
+    let mut hit = None;
+    for search in &trace.levels {
+        if search.level as i64 != expected || hit.is_some() {
+            return Err("level skipped or searched after the hit");
+        }
+        let level = expected as u32;
+        let c = commitments.get(level as usize).copied().unwrap_or(LevelCommitment::empty(level));
+        match &search.outcome {
+            LevelOutcome::Empty if !c.is_empty() => return Err("hidden level"),
+            LevelOutcome::Empty => {}
+            LevelOutcome::Hit(record) => hit = verify_hit(&c, key, record)?,
+            LevelOutcome::Miss { left, right } => {
+                verify_non_membership(&c, key, left.as_ref(), right.as_ref())?
+            }
+        }
+        expected += step;
+    }
+    let exhausted = if stacked { expected < 1 } else { expected as usize > levels };
+    if hit.is_none() && !exhausted {
+        return Err("a level was not accounted for");
+    }
+    Ok(hit)
+}
+
+/// 150 keys, each written twice a round (every 7th write a delete), in
+/// three rounds each closed by a flush: chains of versions within a level
+/// and across levels. A `write_buffer_bytes` below a round's size flushes
+/// within rounds too.
+fn store(strategy: CompactionStrategyKind, write_buffer_bytes: usize) -> ElsmP2 {
+    let options = P2Options {
+        write_buffer_bytes,
+        level1_max_bytes: 4 * 1024,
+        level_multiplier: 4,
+        max_levels: 4,
+        compaction_strategy: strategy,
+        ..P2Options::default()
+    };
+    let store = ElsmP2::open(Platform::with_defaults(), options).unwrap();
+    for round in 0..3u32 {
+        for i in 0..300u32 {
+            let k = format!("key{:04}", (i * 13 + round) % 150).into_bytes();
+            if (i + round) % 7 == 0 {
+                store.delete(&k).unwrap();
+            } else {
+                store.put(&k, format!("r{round}-{i}").as_bytes()).unwrap();
+            }
+        }
+        store.db().flush().unwrap();
+    }
+    store
+}
+
+/// Every stored key, and a key in every gap of every level: before its
+/// first leaf, between each adjacent pair, after its last.
+fn probes(stored: &[Vec<Record>]) -> Vec<Vec<u8>> {
+    let mut probes = Vec::new();
+    for records in stored {
+        let mut keys: Vec<&[u8]> = records.iter().map(|r| &r.key[..]).collect();
+        keys.dedup();
+        probes.push(keys[0][..keys[0].len() - 1].to_vec());
+        for key in &keys {
+            probes.extend([key.to_vec(), [key, &[0][..]].concat()]);
+        }
+        probes.push([keys[keys.len() - 1], &[0xff][..]].concat());
+    }
+    probes.sort();
+    probes.dedup();
+    probes
+}
+
+/// The hit of `trace`, with its level.
+fn hit_in(trace: &GetTrace) -> Option<(usize, &Record)> {
+    trace.levels.iter().find_map(|search| match &search.outcome {
+        LevelOutcome::Hit(record) => Some((search.level, record)),
+        _ => None,
+    })
+}
+
+fn assert_agrees_with_the_reference(store: &ElsmP2) {
+    let levels = store.trusted().max_levels();
+    let stored: Vec<(usize, Vec<Record>)> = (1..=levels)
+        .map(|level| (level, store.db().level_record_dump(level).unwrap()))
+        .filter(|(_, records)| !records.is_empty())
+        .collect();
+    let per_level = store.db().level_records();
+    assert!((2..=3).contains(&stored.len()), "two or three levels: {per_level:?}");
+    let all = || stored.iter().flat_map(|(level, records)| records.iter().map(|r| (*level, r)));
+    assert!(all()
+        .any(|(_, r)| matches!(adversary::embedded_proof(r).chain, ChainPosition::Link { .. })));
+    let older = |trace: &GetTrace| {
+        let (level, hit) = hit_in(trace)?;
+        let mut candidates: Vec<(usize, &Record)> =
+            all().filter(|(_, r)| r.key == hit.key && r.ts < hit.ts).collect();
+        candidates.sort_by_key(|(at, r)| (*at != level, std::cmp::Reverse(r.ts)));
+        candidates.first().map(|(_, r)| (*r).clone())
+    };
+    let foreign = |trace: &GetTrace| {
+        let (level, hit) = hit_in(trace)?;
+        all().find(|(at, r)| *at == level && r.key != hit.key).map(|(_, r)| r.clone())
+    };
+    type GetMutator<'a> = Box<dyn Fn(&mut GetTrace) + 'a>;
+    let mut mutators: Vec<GetMutator> = vec![
+        Box::new(|t| adversary::forge_hit_value(t, b"forged")),
+        Box::new(|t| adversary::splice_hit_record(t, 999_999)),
+        Box::new(adversary::suppress_hit),
+        Box::new(|t| {
+            if let Some(stale) = older(t) {
+                adversary::substitute_stale(t, stale);
+            }
+        }),
+        Box::new(|t| {
+            if let (Some(stale), Some((_, head))) = (older(t), hit_in(t)) {
+                adversary::substitute_stale(t, adversary::relabel_as_newest(&stale, head));
+            }
+        }),
+        Box::new(|t| {
+            if let Some(other) = foreign(t) {
+                adversary::substitute_stale(t, other);
+            }
+        }),
+        Box::new(|t| {
+            if let Some((_, hit)) = hit_in(t) {
+                let fake = adversary::proofless_record(&hit.key, b"forged", hit.ts);
+                adversary::substitute_stale(t, fake);
+            }
+        }),
+        Box::new(|t| {
+            if let (Some(other), Some((_, hit))) = (foreign(t), hit_in(t)) {
+                let theirs = adversary::embedded_proof(&other);
+                adversary::substitute_stale(t, adversary::with_proof(hit, &theirs));
+            }
+        }),
+    ];
+    for level in 1..=levels {
+        mutators.push(Box::new(move |t| adversary::hide_level(t, level)));
+    }
+
+    let records: Vec<Vec<Record>> = stored.iter().map(|(_, records)| records.clone()).collect();
+    let (mut accepted, mut refused, mut two_sided) = (0, 0, 0);
+    for key in probes(&records) {
+        let honest = store.raw_get_trace(&key).unwrap();
+        two_sided += honest
+            .levels
+            .iter()
+            .filter(|l| matches!(l.outcome, LevelOutcome::Miss { left: Some(_), right: Some(_) }))
+            .count();
+        let traces = std::iter::once(honest.clone()).chain(mutators.iter().map(|mutate| {
+            let mut trace = honest.clone();
+            mutate(&mut trace);
+            trace
+        }));
+        for trace in traces {
+            let verified = store.verify_get_trace(&key, &trace).map(|v| v.map(|v| v.record));
+            let reference = reference_get(store, &key, &trace);
+            match (&verified, &reference) {
+                (Ok(got), Ok(want)) => {
+                    let same = match (got, want) {
+                        (Some(got), Some(want)) => std::ptr::eq(*got, *want),
+                        (got, want) => got.is_none() && want.is_none(),
+                    };
+                    assert!(same, "{key:?}: {got:?} verified, the reference returns {want:?}");
+                    accepted += 1;
+                }
+                (Err(_), Err(_)) => refused += 1,
+                _ => panic!("{key:?}: verify_get {verified:?}, the reference {reference:?}"),
+            }
+        }
+        assert!(reference_get(store, &key, &honest).is_ok(), "{key:?}: an honest trace");
+    }
+    assert!(two_sided > 0, "a two-sided miss is exercised");
+    assert!(accepted > 100 && refused > 100, "accepted {accepted}, refused {refused}");
+}
+
+#[test]
+fn leveled_gets_verify_as_the_reference_does() {
+    let store = store(CompactionStrategyKind::Leveled, 4 * 1024);
+    assert!(!store.trusted().is_stacked());
+    assert_agrees_with_the_reference(&store);
+}
+
+#[test]
+fn tiered_gets_verify_as_the_reference_does() {
+    let store = store(CompactionStrategyKind::Tiered(TieredConfig::default()), 1 << 20);
+    assert!(store.trusted().is_stacked(), "tiered runs stack: the freshest has the highest index");
+    assert_agrees_with_the_reference(&store);
+}

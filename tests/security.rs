@@ -898,11 +898,9 @@ mod chain {
     #[test]
     fn chain_link_offered_as_neighbor_or_boundary_is_rejected() {
         let (store, level, chain) = chain_store(30);
-        let not_a_head = |failure: &VerificationFailure| {
-            matches!(
-                failure,
-                VerificationFailure::ForgedRecord { source: VerifyError::NotChainHead, .. }
-            )
+        let stale = |newer_versions| VerificationFailure::StaleRecord {
+            level: level as u32,
+            newer_versions,
         };
         // Non-membership just above the hot key: the honest left neighbour
         // is the chain's head, though the chain fills several blocks.
@@ -914,7 +912,7 @@ mod chain {
         assert_eq!(left.as_ref(), Some(&chain[0]), "the left neighbour is the chain head");
         *left = Some(chain[9].clone());
         let failure = store.verify_get_trace(absent, &trace).expect_err("a link is no neighbour");
-        assert!(not_a_head(&failure), "{failure:?}");
+        assert_eq!(failure, stale(9));
         // ... and just below it, on the right.
         let absent = b"key0019x";
         let mut trace = store.raw_get_trace(absent).unwrap();
@@ -924,7 +922,7 @@ mod chain {
         assert_eq!(right.as_ref(), Some(&chain[0]));
         *right = Some(chain[29].clone());
         let failure = store.verify_get_trace(absent, &trace).expect_err("a link is no neighbour");
-        assert!(not_a_head(&failure), "{failure:?}");
+        assert_eq!(failure, stale(29));
 
         // Range boundaries: the hot key just outside the range on either
         // side.
@@ -961,6 +959,88 @@ mod chain {
         assert!(per_version >= 4, "a 200-byte record and a digest are at least 4 blocks");
         assert_eq!(b20 - b10, 10 * per_version, "every version costs the same");
         assert_eq!(b40 - b20, 20 * per_version, "twice the versions, twice the blocks");
+    }
+}
+
+/// The end rule of a level's run, for a GET (the range `[key, key]`) and a
+/// scan alike: each end of the leaves a level presents is anchored by a
+/// boundary outside the range, by the tree's edge, or by a record whose key
+/// is that end of the range. Every attack below moves an end of a run whose
+/// leaves still walk to the committed root, and is an incomplete range.
+mod range_ends {
+    use super::*;
+    use elsm_repro::elsm::adversary;
+    use elsm_repro::lsm_store::{LevelOutcome, LevelRange, Record};
+
+    fn key(i: usize) -> Vec<u8> {
+        format!("key{i:04}").into_bytes()
+    }
+
+    /// 40 keys at one level, and its records (record `i` is leaf `i`).
+    fn one_level() -> (ElsmP2, usize, Vec<Record>) {
+        let store = ElsmP2::open(Platform::with_defaults(), P2Options::default()).unwrap();
+        for i in 0..40 {
+            store.put(&key(i), b"v").unwrap();
+        }
+        store.db().flush().unwrap();
+        let dump = |level| store.db().level_record_dump(level).unwrap();
+        let level = (1..=store.trusted().max_levels()).find(|&l| !dump(l).is_empty()).unwrap();
+        let records = dump(level);
+        assert_eq!(records.len(), 40);
+        (store, level, records)
+    }
+
+    fn incomplete<T: std::fmt::Debug>(result: Result<T, VerificationFailure>) -> bool {
+        matches!(result, Err(VerificationFailure::IncompleteRange { .. }))
+    }
+
+    #[test]
+    fn a_present_key_cannot_be_answered_by_a_miss() {
+        let (store, level, records) = one_level();
+        let miss = |i: usize, left: Option<usize>, right: Option<usize>| {
+            let mut trace = store.raw_get_trace(&key(i)).unwrap();
+            let search = trace.levels.iter_mut().find(|l| l.level == level).unwrap();
+            assert!(matches!(search.outcome, LevelOutcome::Hit(_)));
+            let neighbour = |j: Option<usize>| j.map(|j| records[j].clone());
+            search.outcome = LevelOutcome::Miss { left: neighbour(left), right: neighbour(right) };
+            store.verify_get_trace(&key(i), &trace).map(|answer| answer.is_some())
+        };
+        // One neighbour and no edge behind the other end; the key itself as
+        // the neighbour, at the edge that would anchor the other end.
+        for (i, left, right) in [(20, None, Some(21)), (20, Some(19), None), (39, Some(39), None)] {
+            assert!(incomplete(miss(i, left, right)), "key {i}: {left:?} / {right:?}");
+        }
+        assert!(incomplete(miss(0, None, Some(0))));
+    }
+
+    #[test]
+    fn a_scan_cannot_move_an_end_of_its_run() {
+        let (store, level, _) = one_level();
+        let scan = |(from, to): (usize, usize), edit: &dyn Fn(&mut LevelRange)| {
+            let mut trace = store.raw_scan_trace(&key(from), &key(to)).unwrap();
+            edit(trace.levels.iter_mut().find(|l| l.level == level).unwrap());
+            store.verify_scan_trace(&key(from), &key(to), &trace).map(|got| got.len())
+        };
+        assert_eq!(scan((10, 20), &|_| {}), Ok(11));
+        // The first key in range offered as the left boundary.
+        assert!(incomplete(scan((10, 20), &|l| l.left = Some(l.records.remove(0)))));
+        // The start and the records after it dropped: the run starts mid-range.
+        assert!(incomplete(scan((10, 20), &|l| {
+            l.left = None;
+            l.records.drain(..3);
+        })));
+        // Leaf 0, the boundary, offered as in range: its edge anchors the run.
+        assert!(incomplete(scan((1, 5), &|l| l.records.insert(0, l.left.take().unwrap()))));
+        // The end dropped, and the last record kept relabelled as the last
+        // leaf of the tree: its leaf index is no part of its leaf.
+        assert!(incomplete(scan((30, 38), &|l| {
+            l.right = None;
+            l.records.truncate(4);
+            let last = l.records.last_mut().unwrap();
+            let mut proof = adversary::embedded_proof(last);
+            proof.leaf_index = 39;
+            *last = adversary::with_proof(last, &proof);
+        })));
     }
 }
 
