@@ -9,29 +9,23 @@
 //! record between files, but never changes its value.
 //!
 //! [`VerifiedCache`] memoizes those verified answers *inside the trust
-//! boundary*:
-//!
-//! * **Record entries** are keyed by user key and obey one rule, checked at
-//!   insert and at lookup: *an entry answers only if its stamp is not older
-//!   than the last write to its key's bucket.* The cache keeps a trusted
-//!   write sequence and a fixed array of 4 096 bucket generations; a write
-//!   ([`VerifiedCache::invalidate_key`]) takes the next sequence number
-//!   into its key's bucket. A GET's stamp is the sequence its miss saw
-//!   ([`Lookup::Miss`]), read before it captures its trace, and
-//!   [`VerifiedCache::insert_record`] takes no other — so an answer whose
-//!   trace may predate a write that committed while it was being verified
-//!   never answers, and an entry the host writes back after its key was
-//!   written is a miss, however valid its tag. Version installs do not
-//!   reach the cache.
-//! * **Value-log slots** are keyed by `(file, offset)` and hold the
-//!   payload of a value-log entry whose MAC has been checked. A hit
-//!   must present the pointer MAC from a *verified* pointer record and
-//!   is re-authenticated against the slot's tag, so a hit costs one MAC
-//!   instead of an OCall + disk read + MAC.
+//! boundary*, one entry per user key holding the answer's timestamp and
+//! value (a separated value is held once, as the answer it resolved to).
+//! Entries obey one rule, checked at insert and at lookup: *an entry
+//! answers only if its stamp is not older than the last write to its key's
+//! bucket.* The cache keeps a trusted write sequence and a fixed array of
+//! 4 096 bucket generations; a write ([`VerifiedCache::invalidate_key`])
+//! takes the next sequence number into its key's bucket. A GET's stamp is
+//! the sequence its miss saw ([`Lookup::Miss`]), read before it captures
+//! its trace, and [`VerifiedCache::insert_record`] takes no other — so an
+//! answer whose trace may predate a write that committed while it was being
+//! verified never answers, and an entry the host writes back after its key
+//! was written is a miss, however valid its tag. Version installs do not
+//! reach the cache.
 //!
 //! Every entry carries an HMAC tag under a per-cache private key
 //! (standing in for an enclave-held MAC key), computed over the entry's
-//! content and, for a record, its stamp. The entries' backing memory is
+//! key, stamp, timestamp and value. The entries' backing memory is
 //! modelled as scribbling territory (the write sequence and the generation
 //! array are the enclave's own): a tag mismatch on hit means the entry was
 //! tampered with — it is counted, discarded and the query falls back to the
@@ -60,9 +54,11 @@ pub struct CacheStats {
     pub record_hits: u64,
     /// Record-entry lookups that fell through to the verified disk path.
     pub record_misses: u64,
-    /// Value-log slot hits.
+    /// Always 0: the cache holds answers only, and a separated value is
+    /// read from the value log on every miss. Kept for the readers of the
+    /// stats shape.
     pub vlog_hits: u64,
-    /// Value-log slot misses.
+    /// Always 0, like [`CacheStats::vlog_hits`].
     pub vlog_misses: u64,
     /// Entries evicted to stay within the byte budget.
     pub evictions: u64,
@@ -100,16 +96,6 @@ struct RecordEntry {
     bytes: usize,
 }
 
-/// A cached authenticated value-log payload.
-#[derive(Debug)]
-struct VlogSlot {
-    mac: [u8; 32],
-    payload: Bytes,
-    tag: Digest,
-    tick: u64,
-    bytes: usize,
-}
-
 /// Buckets of the write-generation array (4 096 `u64`s, 32 KiB): a write
 /// to any key of a bucket turns away the bucket's older entries.
 const WRITE_BUCKETS: usize = 4096;
@@ -117,9 +103,8 @@ const WRITE_BUCKETS: usize = 4096;
 #[derive(Debug, Default)]
 struct Inner {
     records: HashMap<Vec<u8>, RecordEntry>,
-    record_lru: BTreeMap<u64, Vec<u8>>,
-    vlog: HashMap<(u64, u64), VlogSlot>,
-    vlog_lru: BTreeMap<u64, (u64, u64)>,
+    /// Keys by last use, coldest first.
+    lru: BTreeMap<u64, Vec<u8>>,
     bytes: usize,
     tick: u64,
     /// Writes seen so far: the next stamp.
@@ -131,15 +116,19 @@ struct Inner {
 impl Inner {
     fn remove_record(&mut self, key: &[u8]) -> bool {
         let Some(entry) = self.records.remove(key) else { return false };
-        self.record_lru.remove(&entry.tick);
+        self.lru.remove(&entry.tick);
         self.bytes -= entry.bytes;
         true
     }
 
-    fn remove_slot(&mut self, at: (u64, u64)) {
-        if let Some(slot) = self.vlog.remove(&at) {
-            self.vlog_lru.remove(&slot.tick);
-            self.bytes -= slot.bytes;
+    /// Moves `key`'s entry, if it is still the one last used at `tick`, to
+    /// the hot end of the LRU.
+    fn touch(&mut self, key: &[u8], tick: u64) {
+        let Some(entry) = self.records.get_mut(key).filter(|e| e.tick == tick) else { return };
+        self.tick += 1;
+        entry.tick = self.tick;
+        if let Some(key) = self.lru.remove(&tick) {
+            self.lru.insert(self.tick, key);
         }
     }
 }
@@ -150,15 +139,6 @@ fn bucket(key: &[u8]) -> usize {
     hasher.finish() as usize % WRITE_BUCKETS
 }
 
-/// Moves the entry at `*tick` to the hot end of `lru`.
-fn touch<K>(lru: &mut BTreeMap<u64, K>, tick: &mut u64, clock: &mut u64) {
-    *clock += 1;
-    if let Some(key) = lru.remove(tick) {
-        lru.insert(*clock, key);
-    }
-    *tick = *clock;
-}
-
 /// The cache's counters, living in the telemetry registry (the
 /// `cache.*` series). [`VerifiedCache::stats`] snapshots them back into
 /// the original [`CacheStats`] shape for existing callers.
@@ -166,8 +146,6 @@ fn touch<K>(lru: &mut BTreeMap<u64, K>, tick: &mut u64, clock: &mut u64) {
 struct CacheMetrics {
     record_hits: Counter,
     record_misses: Counter,
-    vlog_hits: Counter,
-    vlog_misses: Counter,
     evictions: Counter,
     invalidations: Counter,
     tamper_detected: Counter,
@@ -178,8 +156,6 @@ impl CacheMetrics {
         CacheMetrics {
             record_hits: telemetry.counter("cache.record_hits"),
             record_misses: telemetry.counter("cache.record_misses"),
-            vlog_hits: telemetry.counter("cache.vlog_hits"),
-            vlog_misses: telemetry.counter("cache.vlog_misses"),
             evictions: telemetry.counter("cache.evictions"),
             invalidations: telemetry.counter("cache.invalidations"),
             tamper_detected: telemetry.counter("cache.tamper_detected"),
@@ -202,14 +178,9 @@ pub struct VerifiedCache {
 }
 
 impl VerifiedCache {
-    /// Builds a cache bounded to `capacity` bytes of entry payload, with
-    /// counters on a private disabled registry.
-    pub fn new(platform: Arc<Platform>, capacity: usize) -> Arc<Self> {
-        Self::with_telemetry(platform, capacity, &Telemetry::default())
-    }
-
-    /// Builds a cache whose `cache.*` counters live in `telemetry` and
-    /// whose tamper detections feed its audit stream.
+    /// Builds a cache bounded to `capacity` bytes of entries, whose
+    /// `cache.*` counters live in `telemetry` and whose tamper detections
+    /// feed its audit stream.
     pub fn with_telemetry(
         platform: Arc<Platform>,
         capacity: usize,
@@ -232,24 +203,6 @@ impl VerifiedCache {
         self.platform.charge_hash(key.len() + value.len() + 16);
         // 0x01: domain of record entries.
         self.mac_key.mac(&[&[0x01], &stamp.to_le_bytes(), &ts.to_le_bytes(), key, value])
-    }
-
-    fn vlog_tag(&self, file_no: u64, offset: u64, mac: &[u8; 32], payload: &[u8]) -> Digest {
-        self.platform.charge_hash(payload.len() + 48);
-        // 0x02: domain of value-log slots.
-        self.mac_key.mac(&[&[0x02], &file_no.to_le_bytes(), &offset.to_le_bytes(), mac, payload])
-    }
-
-    /// Counts and audits an entry whose tag failed (it was discarded).
-    fn tampered(&self, detail: String) -> VerificationFailure {
-        self.metrics.tamper_detected.inc();
-        let failure = VerificationFailure::CacheTampered;
-        self.telemetry.audit(
-            AuditEvent::new(failure.kind(), "cache")
-                .detail(detail)
-                .at_ns(self.platform.clock().now_ns()),
-        );
-        failure
     }
 
     /// Looks up the verified answer for `key`: a [`Lookup::Hit`] when an
@@ -279,13 +232,16 @@ impl VerifiedCache {
                 inner.remove_record(key);
             }
             drop(inner);
-            return Err(self.tampered(VerificationFailure::CacheTampered.to_string()));
+            self.metrics.tamper_detected.inc();
+            let failure = VerificationFailure::CacheTampered;
+            self.telemetry.audit(
+                AuditEvent::new(failure.kind(), "cache")
+                    .detail(failure.to_string())
+                    .at_ns(self.platform.clock().now_ns()),
+            );
+            return Err(failure);
         }
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        if let Some(entry) = inner.records.get_mut(key).filter(|e| e.tick == tick) {
-            touch(&mut inner.record_lru, &mut entry.tick, &mut inner.tick);
-        }
+        self.inner.lock().touch(key, tick);
         self.metrics.record_hits.inc();
         Ok(Lookup::Hit(ts, value))
     }
@@ -310,58 +266,13 @@ impl VerifiedCache {
         inner
             .records
             .insert(key.to_vec(), RecordEntry { stamp: stamp.0, ts, value, tag, tick, bytes });
-        inner.record_lru.insert(tick, key.to_vec());
+        inner.lru.insert(tick, key.to_vec());
         inner.bytes += bytes;
-        self.evict_locked(&mut inner);
-    }
-
-    /// Looks up the payload of value-log entry `(file_no, offset)`,
-    /// authenticated against `mac` (the pointer MAC from an
-    /// already-verified pointer record).
-    pub fn lookup_vlog(&self, file_no: u64, offset: u64, mac: &[u8; 32]) -> Option<Bytes> {
-        let at = (file_no, offset);
-        let inner = self.inner.lock();
-        let same_mac =
-            |s: &&VlogSlot| verify_tag(&Digest::from_bytes(s.mac), &Digest::from_bytes(*mac));
-        let Some(slot) = inner.vlog.get(&at).filter(same_mac) else {
-            self.metrics.vlog_misses.inc();
-            return None;
-        };
-        let (payload, tag, tick) = (slot.payload.clone(), slot.tag, slot.tick);
-        drop(inner);
-        if !verify_tag(&self.vlog_tag(file_no, offset, mac, &payload), &tag) {
-            let mut inner = self.inner.lock();
-            if inner.vlog.get(&at).is_some_and(|s| s.tick == tick) {
-                inner.remove_slot(at);
-            }
-            drop(inner);
-            self.tampered(format!("value-log slot ({file_no}, {offset}) failed its tag"));
-            return None;
+        while inner.bytes > self.capacity {
+            let Some((_, key)) = inner.lru.pop_first() else { break };
+            inner.bytes -= inner.records.remove(&key).expect("maps in sync").bytes;
+            self.metrics.evictions.inc();
         }
-        let mut guard = self.inner.lock();
-        let inner = &mut *guard;
-        if let Some(slot) = inner.vlog.get_mut(&at).filter(|s| s.tick == tick) {
-            touch(&mut inner.vlog_lru, &mut slot.tick, &mut inner.tick);
-        }
-        self.metrics.vlog_hits.inc();
-        Some(payload)
-    }
-
-    /// Memoizes an authenticated value-log payload.
-    pub fn insert_vlog(&self, file_no: u64, offset: u64, mac: [u8; 32], payload: Bytes) {
-        let bytes = payload.len() + ENTRY_OVERHEAD;
-        if bytes > self.capacity {
-            return;
-        }
-        let tag = self.vlog_tag(file_no, offset, &mac, &payload);
-        let mut inner = self.inner.lock();
-        inner.remove_slot((file_no, offset));
-        inner.tick += 1;
-        let tick = inner.tick;
-        inner.vlog.insert((file_no, offset), VlogSlot { mac, payload, tag, tick, bytes });
-        inner.vlog_lru.insert(tick, (file_no, offset));
-        inner.bytes += bytes;
-        self.evict_locked(&mut inner);
     }
 
     /// A write to `key` committed: its bucket's generation takes the next
@@ -384,8 +295,8 @@ impl VerifiedCache {
         CacheStats {
             record_hits: self.metrics.record_hits.value(),
             record_misses: self.metrics.record_misses.value(),
-            vlog_hits: self.metrics.vlog_hits.value(),
-            vlog_misses: self.metrics.vlog_misses.value(),
+            vlog_hits: 0,
+            vlog_misses: 0,
             evictions: self.metrics.evictions.value(),
             invalidations: self.metrics.invalidations.value(),
             tamper_detected: self.metrics.tamper_detected.value(),
@@ -415,26 +326,6 @@ impl VerifiedCache {
             None => false,
         }
     }
-
-    fn evict_locked(&self, inner: &mut Inner) {
-        while inner.bytes > self.capacity {
-            let coldest_is_record =
-                match (inner.record_lru.first_key_value(), inner.vlog_lru.first_key_value()) {
-                    (None, None) => break,
-                    (Some((r, _)), Some((s, _))) => r < s,
-                    (record, _) => record.is_some(),
-                };
-            let bytes = if coldest_is_record {
-                let (_, key) = inner.record_lru.pop_first().expect("present");
-                inner.records.remove(&key).expect("maps in sync").bytes
-            } else {
-                let (_, at) = inner.vlog_lru.pop_first().expect("present");
-                inner.vlog.remove(&at).expect("maps in sync").bytes
-            };
-            inner.bytes -= bytes;
-            self.metrics.evictions.inc();
-        }
-    }
 }
 
 #[cfg(test)]
@@ -442,7 +333,7 @@ mod tests {
     use super::*;
 
     fn cache(capacity: usize) -> Arc<VerifiedCache> {
-        VerifiedCache::new(Platform::with_defaults(), capacity)
+        VerifiedCache::with_telemetry(Platform::with_defaults(), capacity, &Telemetry::default())
     }
 
     /// The stamp a miss on `key` hands out.
@@ -521,58 +412,26 @@ mod tests {
         assert_eq!(c.stats().tamper_detected, 1);
     }
 
-    #[test]
-    fn vlog_slots_check_the_pointer_mac() {
-        let c = cache(4096);
-        let mac = [0xAA; 32];
-        c.insert_vlog(3, 128, mac, Bytes::from_static(b"payload"));
-        assert_eq!(c.lookup_vlog(3, 128, &mac), Some(Bytes::from_static(b"payload")));
-        assert_eq!(c.lookup_vlog(3, 128, &[0xBB; 32]), None, "wrong mac must miss");
-        assert_eq!(c.lookup_vlog(3, 64, &mac), None, "wrong offset must miss");
-        let s = c.stats();
-        assert_eq!((s.vlog_hits, s.vlog_misses), (1, 2));
-    }
-
-    fn flip(digest: Digest, bit: usize) -> Digest {
-        let mut bytes = digest.into_bytes();
-        bytes[bit / 8] ^= 1 << (bit % 8);
-        Digest::from_bytes(bytes)
-    }
-
-    /// The three tag/MAC comparisons run through `verify_tag`; a tag one
-    /// bit away from the right one — first bit, last bit — is a mismatch
-    /// at each of them.
+    /// The entry tag is compared through `verify_tag`; a tag one bit away
+    /// from the right one — first bit, last bit — is a mismatch.
     #[test]
     fn one_bit_off_tags_are_rejected_at_every_site() {
         for bit in [0usize, 255] {
-            // Record entry tag.
             let c = cache(4096);
             put(&c, b"k", 9, b"honest");
             {
                 let mut inner = c.inner.lock();
                 let entry = inner.records.get_mut(b"k".as_slice()).unwrap();
-                entry.tag = flip(entry.tag, bit);
+                let mut tag = entry.tag.into_bytes();
+                tag[bit / 8] ^= 1 << (bit % 8);
+                entry.tag = Digest::from_bytes(tag);
             }
             assert_eq!(
                 c.lookup_record(b"k"),
                 Err(VerificationFailure::CacheTampered),
                 "record tag, bit {bit}"
             );
-            // Value-log slot tag.
-            let mac = [0xAA; 32];
-            c.insert_vlog(3, 128, mac, Bytes::from_static(b"payload"));
-            {
-                let mut inner = c.inner.lock();
-                let slot = inner.vlog.get_mut(&(3, 128)).unwrap();
-                slot.tag = flip(slot.tag, bit);
-            }
-            assert_eq!(c.lookup_vlog(3, 128, &mac), None, "slot tag, bit {bit}");
-            assert_eq!(c.stats().tamper_detected, 2);
-            // Pointer MAC presented by the caller.
-            c.insert_vlog(3, 128, mac, Bytes::from_static(b"payload"));
-            let wrong = flip(Digest::from_bytes(mac), bit).into_bytes();
-            assert_eq!(c.lookup_vlog(3, 128, &wrong), None, "pointer mac, bit {bit}");
-            assert_eq!(c.lookup_vlog(3, 128, &mac), Some(Bytes::from_static(b"payload")));
+            assert_eq!(c.stats().tamper_detected, 1);
         }
     }
 

@@ -496,9 +496,9 @@ impl ElsmP2 {
     }
 
     /// Follows a verified pointer record into the authenticated value
-    /// log: fetch the entry (verified cache first, host read second),
-    /// check it against the MAC the level commitment vouches for, and
-    /// unwrap the payload's envelope. Any mismatch is the host swapping,
+    /// log: read the entry bound to the record's key and timestamp from
+    /// the host, check it against the MAC the level commitment vouches for,
+    /// and unwrap the payload's envelope. Any mismatch is the host swapping,
     /// truncating or staling the separated value —
     /// [`VerificationFailure::VlogEntryTampered`].
     fn resolve_vlog_value(
@@ -519,29 +519,13 @@ impl ElsmP2 {
                 reason,
             })
         };
-        let payload = match self
-            .cache
-            .as_ref()
-            .and_then(|cache| cache.lookup_vlog(ptr.file_no, ptr.offset, &mac))
-        {
-            Some(payload) => payload,
-            None => {
-                let vlog = self.db.vlog().ok_or_else(|| tamper("store holds no value log"))?;
-                let entry = vlog.read(ptr)?.ok_or_else(|| tamper("entry missing or unreadable"))?;
-                if entry.key != record.key[..] || entry.ts != record.ts {
-                    return Err(tamper("entry bound to a different key or timestamp"));
-                }
-                let expect = vlog_entry_mac(&self.platform, &entry.key, entry.ts, &entry.value);
-                if expect != mac {
-                    return Err(tamper("entry digest does not match the committed MAC"));
-                }
-                let payload = Bytes::from(entry.value);
-                if let Some(cache) = &self.cache {
-                    cache.insert_vlog(ptr.file_no, ptr.offset, mac, payload.clone());
-                }
-                payload
-            }
-        };
+        let vlog = self.db.vlog().ok_or_else(|| tamper("store holds no value log"))?;
+        let payload = vlog
+            .read(ptr, &record.key, record.ts)?
+            .ok_or_else(|| tamper("entry missing, unreadable or bound to another record"))?;
+        if vlog_entry_mac(&self.platform, &record.key, record.ts, &payload) != mac {
+            return Err(tamper("entry digest does not match the committed MAC"));
+        }
         let opened =
             crate::envelope::open(&payload).ok_or_else(|| tamper("entry envelope malformed"))?;
         Ok(payload.slice(opened.value_range()))
@@ -916,5 +900,47 @@ mod tests {
                 .collect();
             assert_eq!(got, expect_scan, "{strategy:?}/par{parallelism} scan diverged");
         }
+    }
+
+    /// A verified answer is cached once, as the answer: a separated value
+    /// takes no second entry of its own. A budget that fits `K` answers but
+    /// not `2K` serves a second pass over `K` keys from the cache alone.
+    #[test]
+    fn the_cache_stores_each_answer_once() {
+        const K: usize = 16;
+        let (key, value) = (|i: usize| format!("key{i:02}"), [7u8; 1024]);
+        let entry = key(0).len() + value.len() + 64;
+        let budget = K * entry + entry / 2;
+        let store = ElsmP2::open(
+            Platform::with_defaults(),
+            P2Options {
+                vlog: Some(lsm_store::VlogConfig {
+                    value_threshold: 128,
+                    ..lsm_store::VlogConfig::default()
+                }),
+                verified_cache_bytes: budget,
+                ..P2Options::default()
+            },
+        )
+        .unwrap();
+        for i in 0..K {
+            store.put(key(i).as_bytes(), &value).unwrap();
+        }
+        store.db().flush().unwrap();
+        assert!(store.db().stats().vlog_bytes > 0, "the values are separated");
+        let read_all = || {
+            for i in 0..K {
+                let answer = store.get(key(i).as_bytes()).unwrap().expect("present");
+                assert_eq!(answer.value(), &value[..]);
+            }
+        };
+        read_all();
+        let first = store.cache_stats();
+        assert_eq!((first.record_hits, first.record_misses), (0, K as u64));
+        read_all();
+        let second = store.cache_stats();
+        assert_eq!(second.record_hits, K as u64, "{second:?}");
+        assert_eq!(second.record_misses, K as u64, "{second:?}");
+        assert!(store.verified_cache().unwrap().bytes() <= budget);
     }
 }

@@ -72,7 +72,7 @@ use crate::compaction::{CompactionDebt, CompactionStrategy, LevelsView};
 use crate::env::StorageEnv;
 use crate::events::{ReplicationEvent, ReplicationSink, StoreListener};
 use crate::memtable::MemTable;
-use crate::options::{Options, WalSyncPolicy};
+use crate::options::Options;
 use crate::record::{Record, Timestamp, ValueKind};
 use crate::recovery::MANIFEST;
 use crate::version::Version;
@@ -139,8 +139,6 @@ pub(crate) struct StoreMetrics {
     pub(crate) wal_frames: telemetry::Counter,
     /// Encoded WAL bytes appended.
     pub(crate) wal_bytes: telemetry::Counter,
-    /// Host pushes of buffered WAL frames.
-    pub(crate) wal_syncs: telemetry::Counter,
     /// Flush phase 1: freeze + WAL rotation + install (write lock).
     pub(crate) flush_freeze: telemetry::Span,
     /// Flush phase 2: separation + merge to the target level (no lock).
@@ -174,7 +172,6 @@ impl StoreMetrics {
             records_per_group: tel.histogram("commit.records_per_group"),
             wal_frames: tel.counter("wal.frames"),
             wal_bytes: tel.counter("wal.appended_bytes"),
-            wal_syncs: tel.counter("wal.syncs"),
             flush_freeze: tel.span("flush.freeze", "flush"),
             flush_merge: tel.span("flush.merge", "flush"),
             flush_install: tel.span("flush.install", "flush"),
@@ -775,9 +772,8 @@ impl Db {
     }
 
     /// What every commit does under the write lock, local or replicated:
-    /// one WAL frame per batch (`records` cut at `frame_lens`), one sync
-    /// for the group under [`WalSyncPolicy::EveryBatch`] — one host exit
-    /// carries all its frames — then every record into the memtable.
+    /// one WAL frame per batch (`records` cut at `frame_lens`), then every
+    /// record into the memtable.
     fn apply_frames_locked(
         &self,
         inner: &mut DbInner,
@@ -797,9 +793,6 @@ impl Db {
             self.emit(ReplicationEvent::Frame { records: frame });
             start += len;
         }
-        if self.options.wal_sync == WalSyncPolicy::EveryBatch && inner.wal.sync() > 0 {
-            self.metrics.wal_syncs.inc();
-        }
         for record in records {
             // Model the in-enclave memtable write: touch the insertion
             // point.
@@ -813,10 +806,11 @@ impl Db {
         }
     }
 
-    /// Pushes any WAL frames still buffered under a lazy
-    /// [`WalSyncPolicy`] out to the host. Part of every clean-shutdown
-    /// path: without it, `EveryNBytes` could lose acknowledged writes
-    /// across a *graceful* close, not just a crash.
+    /// Pushes any WAL frames still buffered under
+    /// [`WalSyncPolicy::EveryNBytes`](crate::options::WalSyncPolicy) out to
+    /// the host. Part of every clean-shutdown path: without it, a lazy log
+    /// could lose acknowledged writes across a *graceful* close, not just a
+    /// crash.
     pub fn sync_wal(&self) {
         let _serial = self.env.platform().serial_section(SerialClass::StoreWrite);
         self.inner.write().wal.sync();

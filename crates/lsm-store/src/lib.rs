@@ -60,7 +60,8 @@ pub use events::{
 };
 pub use options::{Options, VlogConfig, WalSyncPolicy};
 pub use record::{internal_cmp, InternalKey, Record, RecordView, Timestamp, ValueKind};
+pub use recovery::{decode_manifest, Manifest};
 pub use sstable::{NeighborPolicy, TableBuilder, TableMeta, TableOptions, TableReader};
 pub use version::{GetTrace, LevelOutcome, LevelRange, LevelSearch, Run, ScanTrace, Version};
-pub use vlog::{Vlog, VlogEntry, VlogPtr};
+pub use vlog::{Vlog, VlogPtr};
 pub use wal::{decode_frame, encode_frame, encode_frame_into};

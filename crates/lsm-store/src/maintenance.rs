@@ -714,39 +714,32 @@ impl Db {
         // is no longer what the merge read (`from` goes). The MAC is
         // carried over verbatim: it binds key‖ts‖payload, not the entry's
         // location.
-        if !rewrite.is_empty() {
+        if let (false, Some(vlog)) = (rewrite.is_empty(), &self.vlog) {
             let victims: HashSet<u64> = rewrite.iter().copied().collect();
             let mut moved = false;
-            for survivor in &mut survivors.items {
-                if survivor.kind != ValueKind::VlogPut {
-                    continue;
-                }
-                let Some(vlog) = &self.vlog else { continue };
-                let Some((ptr, mac)) = self
-                    .listener
-                    .unwrap_vlog_pointer(&survivor.value)
+            for i in 0..survivors.len() {
+                let record = survivors.record(i);
+                let Some((ptr, mac)) = (record.kind == ValueKind::VlogPut)
+                    .then(|| self.listener.unwrap_vlog_pointer(record.value))
+                    .flatten()
                     .and_then(|bytes| decode_pointer(&bytes))
+                    .filter(|(ptr, _)| victims.contains(&ptr.file_no))
                 else {
                     continue;
                 };
-                if !victims.contains(&ptr.file_no) {
-                    continue;
-                }
-                let entry = vlog.read(ptr)?.ok_or_else(|| FsError::OutOfBounds {
-                    name: vlog_name(ptr.file_no),
-                    requested_end: (ptr.offset + ptr.len) as usize,
-                    len: 0,
+                let payload = vlog.read(ptr, record.key, record.ts)?.ok_or_else(|| {
+                    let requested_end = ptr.offset.saturating_add(ptr.len) as usize;
+                    FsError::OutOfBounds { name: vlog_name(ptr.file_no), requested_end, len: 0 }
                 })?;
-                let new_ptr = vlog.append(&entry.key, entry.ts, &entry.value)?;
+                let new_ptr = vlog.append(record.key, record.ts, &payload)?;
                 vlog.note_garbage(ptr.file_no, ptr.len);
+                let survivor = &mut survivors.items[i];
                 survivor.value = self.listener.wrap_vlog_pointer(encode_pointer(new_ptr, &mac));
                 survivor.from = None;
                 moved = true;
             }
             if moved {
-                if let Some(vlog) = &self.vlog {
-                    vlog.sync();
-                }
+                vlog.sync();
             }
         }
         self.stats.compaction_input_records.add(input_count);

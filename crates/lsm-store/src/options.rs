@@ -14,7 +14,6 @@ use crate::sstable::TableOptions;
 /// | Policy | Host pushes | Crash-loss window |
 /// |---|---|---|
 /// | [`Always`](WalSyncPolicy::Always) | one per writer batch | none: every acknowledged batch is on the host before the writer returns |
-/// | [`EveryBatch`](WalSyncPolicy::EveryBatch) | one per commit *group* | none for the application; coalesced writers' frames reach the host together, saving one OCall per follower |
 /// | [`EveryNBytes`](WalSyncPolicy::EveryNBytes) | when ≥ n bytes pend | up to n bytes of acknowledged batches (whole frames — never a torn batch) |
 ///
 /// `EveryNBytes` trades durability for throughput the way
@@ -29,9 +28,6 @@ pub enum WalSyncPolicy {
     /// original per-operation behaviour (default).
     #[default]
     Always,
-    /// Push once per coalesced commit group: followers in a group-commit
-    /// ride the leader's single host exit.
-    EveryBatch,
     /// Buffer frames in enclave memory and push once the given byte
     /// threshold accumulates (or a rotation/sync forces it).
     EveryNBytes(usize),

@@ -9,7 +9,6 @@
 
 use std::sync::Arc;
 
-use bytes::Bytes;
 use sim_disk::FsError;
 
 use crate::db::Db;
@@ -50,23 +49,15 @@ impl Db {
         }
         let corrupt = |name: String| FsError::OutOfBounds { name, requested_end: 0, len: 0 };
         let vlog = self.vlog.as_ref().ok_or_else(|| corrupt("no value log".to_string()))?;
-        let entry = self
+        let (ptr, _mac) = self
             .listener
             .unwrap_vlog_pointer(&record.value)
             .and_then(|ptr_bytes| decode_pointer(&ptr_bytes))
-            .map(|(ptr, _mac)| vlog.read(ptr).map(|e| (ptr, e)))
-            .transpose()?
-            .and_then(|(ptr, entry)| entry.map(|e| (ptr, e)));
-        match entry {
-            Some((_, e)) if e.key == record.key && e.ts == record.ts => Ok(Record {
-                key: record.key,
-                value: Bytes::from(e.value),
-                ts: record.ts,
-                kind: ValueKind::Put,
-            }),
-            Some((ptr, _)) => Err(corrupt(vlog_name(ptr.file_no))),
-            None => Err(corrupt("vlog pointer".to_string())),
-        }
+            .ok_or_else(|| corrupt("vlog pointer".to_string()))?;
+        let value = vlog
+            .read(ptr, &record.key, record.ts)?
+            .ok_or_else(|| corrupt(vlog_name(ptr.file_no)))?;
+        Ok(Record { value, kind: ValueKind::Put, ..record })
     }
 
     /// Point query handing the full per-level trace (the middleware

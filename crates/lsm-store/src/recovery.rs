@@ -19,12 +19,118 @@ use crate::env::StorageEnv;
 use crate::events::StoreListener;
 use crate::memtable::MemTable;
 use crate::options::Options;
+use crate::record::Timestamp;
 use crate::sstable::TableReader;
 use crate::version::{Run, Version};
-use crate::vlog::parse_vlog_name;
+use crate::vlog::{
+    decode_manifest_section, encode_manifest_section, parse_vlog_name, ManifestFileEntry,
+};
 use crate::wal::{recover, WalWriter};
 
 pub(crate) const MANIFEST: &str = "MANIFEST";
+
+/// What a manifest names: the image [`decode_manifest`] reads and
+/// [`Manifest::encode`] writes.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Manifest {
+    /// The next table file number.
+    pub next_file_no: u64,
+    /// The last timestamp handed out.
+    pub last_ts: Timestamp,
+    /// The oldest live WAL.
+    pub wal_lo: u64,
+    /// The WAL taking appends.
+    pub wal_no: u64,
+    /// How many tables each level holds, level 1 first.
+    pub level_lens: Vec<usize>,
+    /// The tables' file numbers, level after level.
+    pub tables: Vec<u64>,
+    /// The next value-log file number.
+    pub vlog_next_no: u64,
+    /// The live value-log files.
+    pub vlog_files: Vec<ManifestFileEntry>,
+}
+
+impl Manifest {
+    /// Each level's table file numbers, level 1 first.
+    pub fn levels(&self) -> impl ExactSizeIterator<Item = &[u64]> {
+        let mut start = 0;
+        self.level_lens.iter().map(move |&len| {
+            start += len;
+            &self.tables[start - len..start]
+        })
+    }
+
+    /// The bytes [`decode_manifest`] reads back as this manifest.
+    pub fn encode(&self) -> Vec<u8> {
+        let mut out = Vec::new();
+        let head = [self.next_file_no, self.last_ts, self.wal_lo, self.wal_no];
+        let levels = self.levels().map(|tables| tables.iter().copied());
+        put_manifest(&mut out, head, levels, self.vlog_next_no, &self.vlog_files);
+        out
+    }
+}
+
+/// Writes a manifest: next file number, last timestamp and WAL range as
+/// fixed `u64`s, `[varint levels]`, per level `[varint tables]` and the
+/// tables' file numbers as varints, then the value-log section.
+fn put_manifest<L: ExactSizeIterator<Item = u64>>(
+    out: &mut Vec<u8>,
+    head: [u64; 4],
+    levels: impl ExactSizeIterator<Item = L>,
+    vlog_next_no: u64,
+    vlog_files: &[ManifestFileEntry],
+) {
+    for word in head {
+        put_fixed_u64(out, word);
+    }
+    put_varint_u64(out, levels.len() as u64);
+    for tables in levels {
+        put_varint_u64(out, tables.len() as u64);
+        for file_no in tables {
+            put_varint_u64(out, file_no);
+        }
+    }
+    encode_manifest_section(vlog_next_no, vlog_files, out);
+}
+
+/// Parses a manifest's bytes; `None` unless they are exactly one manifest.
+/// Every count is checked against the bytes left to describe it (a level
+/// or a table takes at least one byte), so a forged count is refused
+/// before anything is sized by it.
+pub fn decode_manifest(bytes: &[u8]) -> Option<Manifest> {
+    let fixed = |at| get_fixed_u64(bytes, at);
+    let (next_file_no, last_ts, wal_lo, wal_no) = (fixed(0)?, fixed(8)?, fixed(16)?, fixed(24)?);
+    let mut pos = 32;
+    let varint = |pos: &mut usize| {
+        let (value, n) = get_varint_u64(&bytes[*pos..])?;
+        *pos += n;
+        Some(value)
+    };
+    let count = |n: u64, pos: usize| usize::try_from(n).ok().filter(|&n| n <= bytes.len() - pos);
+    let nlevels = count(varint(&mut pos)?, pos)?;
+    let mut level_lens = Vec::with_capacity(nlevels);
+    let mut tables = Vec::new();
+    for _ in 0..nlevels {
+        let len = count(varint(&mut pos)?, pos)?;
+        tables.reserve_exact(len);
+        for _ in 0..len {
+            tables.push(varint(&mut pos)?);
+        }
+        level_lens.push(len);
+    }
+    let (vlog_next_no, vlog_files, used) = decode_manifest_section(&bytes[pos..])?;
+    (pos + used == bytes.len()).then_some(Manifest {
+        next_file_no,
+        last_ts,
+        wal_lo,
+        wal_no,
+        level_lens,
+        tables,
+        vlog_next_no,
+        vlog_files,
+    })
+}
 
 impl Db {
     #[allow(clippy::type_complexity)]
@@ -33,42 +139,30 @@ impl Db {
         options: &Options,
         listener: &dyn StoreListener,
     ) -> Result<(DbInner, u64, u64, (u64, Vec<(u64, u64, u64)>)), FsError> {
-        let manifest = env.fs().open(MANIFEST)?;
-        let bytes = env.host_call(|| manifest.read_at(0, manifest.len()))?;
-        let corrupt =
-            || FsError::OutOfBounds { name: MANIFEST.to_string(), requested_end: 0, len: 0 };
-        let next_file_no = get_fixed_u64(&bytes, 0).ok_or_else(corrupt)?;
-        let last_ts = get_fixed_u64(&bytes, 8).ok_or_else(corrupt)?;
-        let wal_lo = get_fixed_u64(&bytes, 16).ok_or_else(corrupt)?;
-        let wal_no = get_fixed_u64(&bytes, 24).ok_or_else(corrupt)?;
-        let mut pos = 32usize;
-        let (nlevels, n) = get_varint_u64(&bytes[pos..]).ok_or_else(corrupt)?;
-        pos += n;
+        let file = env.fs().open(MANIFEST)?;
+        let bytes = env.host_call(|| file.read_at(0, file.len()))?;
+        let manifest = decode_manifest(&bytes).ok_or_else(|| FsError::OutOfBounds {
+            name: MANIFEST.to_string(),
+            requested_end: 0,
+            len: 0,
+        })?;
         let mut levels: Vec<Option<Arc<Run>>> =
-            (0..=options.max_levels.max(nlevels as usize)).map(|_| None).collect();
+            (0..=options.max_levels.max(manifest.level_lens.len())).map(|_| None).collect();
         let mut named = HashSet::new();
-        for slot in levels.iter_mut().take(nlevels as usize + 1).skip(1) {
-            let (nfiles, n) = get_varint_u64(&bytes[pos..]).ok_or_else(corrupt)?;
-            pos += n;
-            if nfiles == 0 {
+        for (slot, file_nos) in levels.iter_mut().skip(1).zip(manifest.levels()) {
+            if file_nos.is_empty() {
                 continue;
             }
             let mut tables = Vec::new();
-            for _ in 0..nfiles {
-                let (file_no, n) = get_varint_u64(&bytes[pos..]).ok_or_else(corrupt)?;
-                pos += n;
+            for &file_no in file_nos {
                 named.insert(file_no);
                 let file = env.fs().open(&table_name(file_no))?;
                 tables.push(Arc::new(TableReader::open(env.clone(), file, file_no)?));
             }
             *slot = Some(Arc::new(Run::new(tables)));
         }
-        // The value-log section follows the levels. Older manifests (no
-        // section) decode as an empty log.
-        let (vlog_next_no, vlog_files) = match crate::vlog::decode_manifest_section(&bytes[pos..]) {
-            Some((next_no, files, _)) => (next_no, files),
-            None => (1, Vec::new()),
-        };
+        let Manifest { next_file_no, last_ts, wal_lo, wal_no, vlog_next_no, vlog_files, .. } =
+            manifest;
         // A crash between writing a merge's output files and the manifest
         // that names them leaves orphaned SSTables. Remove them: they hold
         // only data still reachable through the manifest's inputs, and
@@ -157,24 +251,21 @@ impl Db {
         wal_hi: u64,
         version: &Version,
     ) -> Result<(), FsError> {
+        let head =
+            [self.file_no.load(Ordering::SeqCst), self.ts.load(Ordering::SeqCst), wal_lo, wal_hi];
+        let levels = (1..version.levels().len()).map(|level| {
+            version
+                .level(level)
+                .map_or(&[][..], |run| run.tables())
+                .iter()
+                .map(|t| t.meta().file_no)
+        });
+        let (vlog_files, vlog_next_no) = match self.vlog.as_deref() {
+            Some(vlog) => (vlog.manifest_files(), vlog.next_file_no()),
+            None => (Vec::new(), 1), // a log that never existed
+        };
         let mut bytes = Vec::new();
-        put_fixed_u64(&mut bytes, self.file_no.load(Ordering::SeqCst));
-        put_fixed_u64(&mut bytes, self.ts.load(Ordering::SeqCst));
-        put_fixed_u64(&mut bytes, wal_lo);
-        put_fixed_u64(&mut bytes, wal_hi);
-        put_varint_u64(&mut bytes, (version.levels().len() - 1) as u64);
-        for level in 1..version.levels().len() {
-            match version.level(level) {
-                None => put_varint_u64(&mut bytes, 0),
-                Some(run) => {
-                    put_varint_u64(&mut bytes, run.tables().len() as u64);
-                    for t in run.tables() {
-                        put_varint_u64(&mut bytes, t.meta().file_no);
-                    }
-                }
-            }
-        }
-        crate::vlog::encode_manifest_section(self.vlog.as_deref(), &mut bytes);
+        put_manifest(&mut bytes, head, levels, vlog_next_no, &vlog_files);
         let _ = self.env.fs().delete(MANIFEST);
         let file = self.env.fs().create(MANIFEST)?;
         self.env.append(&file, &bytes);
@@ -223,5 +314,38 @@ mod tests {
         // Timestamps must continue past the recovered maximum.
         let t = db2.put(b"post", b"restart").unwrap();
         assert!(t > 300);
+    }
+
+    /// The host rewrites the manifest's level count: a count the bytes
+    /// after it cannot describe is a corrupt manifest, refused before
+    /// anything is sized by it — not an allocation of terabytes.
+    #[test]
+    fn a_forged_level_count_is_refused_at_open() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let options = small_options();
+        let env = StorageEnv::new(platform, fs.clone(), options.env.clone(), None);
+        let honest = {
+            let db = Db::open(env.clone(), options.clone(), None).unwrap();
+            for i in 0..300 {
+                db.put(format!("key{i:04}").as_bytes(), b"v").unwrap();
+            }
+            db.flush().unwrap();
+            let file = fs.open(MANIFEST).unwrap();
+            file.read_at(0, file.len()).unwrap().to_vec()
+        };
+        let manifest = decode_manifest(&honest).expect("the store's own manifest decodes");
+        assert!(!manifest.tables.is_empty(), "the flush named a table");
+        assert_eq!(manifest.encode(), honest);
+        let (_, count_len) = get_varint_u64(&honest[32..]).unwrap();
+        for forged in [1 << 40, u64::MAX, (honest.len() - 32) as u64] {
+            let mut bytes = honest[..32].to_vec();
+            put_varint_u64(&mut bytes, forged);
+            bytes.extend_from_slice(&honest[32 + count_len..]);
+            fs.delete(MANIFEST).unwrap();
+            fs.create(MANIFEST).unwrap().append(&bytes);
+            assert!(decode_manifest(&bytes).is_none(), "count {forged}");
+            assert!(Db::open(env.clone(), options.clone(), None).is_err(), "count {forged}");
+        }
     }
 }

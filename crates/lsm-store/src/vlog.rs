@@ -30,6 +30,7 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
+use bytes::Bytes;
 use parking_lot::Mutex;
 use sim_disk::{FsError, SimFile};
 
@@ -85,18 +86,6 @@ pub fn decode_pointer(bytes: &[u8]) -> Option<(VlogPtr, [u8; MAC_BYTES])> {
     Some((ptr, mac))
 }
 
-/// One decoded value-log entry.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct VlogEntry {
-    /// User key the entry was written for (cross-checked on read).
-    pub key: Vec<u8>,
-    /// Timestamp of the owning record.
-    pub ts: Timestamp,
-    /// The stored payload, exactly as the owning record's value would have
-    /// been stored inline.
-    pub value: Vec<u8>,
-}
-
 /// Frames one entry: `[crc32c u32][varint key_len][key][ts u64 fixed]
 /// [varint value_len][value]`, CRC over everything after the CRC field.
 fn encode_entry(key: &[u8], ts: Timestamp, value: &[u8]) -> Vec<u8> {
@@ -110,21 +99,18 @@ fn encode_entry(key: &[u8], ts: Timestamp, value: &[u8]) -> Vec<u8> {
     out
 }
 
-/// Parses one framed entry; `None` on CRC mismatch, truncation or
-/// trailing bytes (tampering or a torn write).
-fn decode_entry(bytes: &[u8]) -> Option<VlogEntry> {
-    if bytes.len() < 4 {
+/// Parses one framed entry and returns the length of its payload, which
+/// ends the entry; `None` on CRC mismatch, truncation, trailing bytes
+/// (tampering or a torn write) or an entry written for another `(key, ts)`.
+fn decode_entry(bytes: &[u8], key: &[u8], ts: Timestamp) -> Option<usize> {
+    let body = bytes.get(4..)?;
+    if crc32c(body) != u32::from_le_bytes(bytes[..4].try_into().ok()?) {
         return None;
     }
-    let crc = u32::from_le_bytes(bytes[..4].try_into().ok()?);
-    let body = &bytes[4..];
-    if crc32c(body) != crc {
-        return None;
-    }
-    let (key, n) = get_length_prefixed(body)?;
-    let ts = get_fixed_u64(body, n)?;
+    let (stored_key, n) = get_length_prefixed(body)?;
+    let stored_ts = get_fixed_u64(body, n)?;
     let (value, m) = get_length_prefixed(body.get(n + 8..)?)?;
-    (n + 8 + m == body.len()).then(|| VlogEntry { key: key.to_vec(), ts, value: value.to_vec() })
+    (stored_key == key && stored_ts == ts && n + 8 + m == body.len()).then_some(value.len())
 }
 
 /// Name of value-log file `no`.
@@ -269,32 +255,30 @@ impl Vlog {
         }
     }
 
-    /// Fetches and validates the entry at `ptr`. `Ok(None)` means the
-    /// bytes do not parse as the expected entry — a tampered or torn log
-    /// (the caller maps this to a verification failure), or a pointer
-    /// into a file this log never had.
+    /// Fetches the entry at `ptr` and returns its payload — a view of the
+    /// bytes read, exactly as the owning record's value would have been
+    /// stored inline — if the entry parses and was written for `(key, ts)`.
+    /// `Ok(None)` means it does not: a tampered or torn log, an entry
+    /// swapped in from another record (the caller maps either to a
+    /// verification failure), or a pointer into a file this log never had.
     ///
     /// # Errors
     ///
     /// Returns [`FsError`] only for IO-level failures.
-    pub fn read(&self, ptr: VlogPtr) -> Result<Option<VlogEntry>, FsError> {
+    pub fn read(&self, ptr: VlogPtr, key: &[u8], ts: Timestamp) -> Result<Option<Bytes>, FsError> {
+        let Some(end) = ptr.offset.checked_add(ptr.len) else { return Ok(None) };
         let file = {
             let s = self.state.lock();
             match s.files.get(&ptr.file_no) {
-                Some(f) => {
-                    if ptr.offset + ptr.len > f.len {
-                        return Ok(None);
-                    }
-                    f.file.clone()
-                }
-                None => return Ok(None),
+                Some(f) if end <= f.len => f.file.clone(),
+                _ => return Ok(None),
             }
         };
-        if ptr.offset as usize + ptr.len as usize > file.len() {
+        if end > file.len() as u64 {
             return Ok(None);
         }
         let bytes = self.env.host_call(|| file.read_at(ptr.offset as usize, ptr.len as usize))?;
-        Ok(decode_entry(&bytes))
+        Ok(decode_entry(&bytes, key, ts).map(|len| bytes.slice(bytes.len() - len..)))
     }
 
     /// Records that `bytes` of `file_no` now belong to dropped pointers
@@ -387,25 +371,17 @@ impl Vlog {
 
 /// Appends the value-log manifest section: `[varint next_no]
 /// [varint n_files]` then `[varint file_no][varint valid_len]
-/// [varint garbage]` per live file. Always written (an empty section when
-/// separation is off) so the manifest layout is version-independent.
-pub fn encode_manifest_section(vlog: Option<&Vlog>, out: &mut Vec<u8>) {
+/// [varint garbage]` per live file. Always written (`next_no` 1 and no
+/// files when separation is off) so the manifest layout is
+/// version-independent.
+pub fn encode_manifest_section(next_no: u64, files: &[ManifestFileEntry], out: &mut Vec<u8>) {
     use crate::encoding::put_varint_u64;
-    match vlog {
-        Some(v) => {
-            let files = v.manifest_files();
-            put_varint_u64(out, v.next_file_no());
-            put_varint_u64(out, files.len() as u64);
-            for (no, len, garbage) in files {
-                put_varint_u64(out, no);
-                put_varint_u64(out, len);
-                put_varint_u64(out, garbage);
-            }
-        }
-        None => {
-            put_varint_u64(out, 1); // next_no for a log that never existed
-            put_varint_u64(out, 0);
-        }
+    put_varint_u64(out, next_no);
+    put_varint_u64(out, files.len() as u64);
+    for &(no, len, garbage) in files {
+        put_varint_u64(out, no);
+        put_varint_u64(out, len);
+        put_varint_u64(out, garbage);
     }
 }
 
@@ -418,7 +394,8 @@ pub fn decode_manifest_section(bytes: &[u8]) -> Option<(u64, Vec<ManifestFileEnt
     let (next_no, mut at) = get_varint_u64(bytes)?;
     let (n, used) = get_varint_u64(&bytes[at..])?;
     at += used;
-    let mut files = Vec::with_capacity((n as usize).min(bytes.len()));
+    // A file takes at least three bytes, whatever count the host wrote.
+    let mut files = Vec::with_capacity(n.min((bytes.len() - at) as u64 / 3) as usize);
     for _ in 0..n {
         let (no, u1) = get_varint_u64(&bytes[at..])?;
         at += u1;
@@ -466,10 +443,10 @@ mod tests {
         let vlog = Vlog::new(test_env(), small_config());
         let ptr = vlog.append(b"k1", 7, b"a-large-value-payload").unwrap();
         vlog.sync();
-        let entry = vlog.read(ptr).unwrap().expect("entry decodes");
-        assert_eq!(entry.key, b"k1");
-        assert_eq!(entry.ts, 7);
-        assert_eq!(entry.value, b"a-large-value-payload");
+        let payload = vlog.read(ptr, b"k1", 7).unwrap().expect("entry decodes");
+        assert_eq!(&payload[..], b"a-large-value-payload");
+        assert_eq!(vlog.read(ptr, b"k2", 7).unwrap(), None, "bound to its key");
+        assert_eq!(vlog.read(ptr, b"k1", 8).unwrap(), None, "bound to its timestamp");
     }
 
     #[test]
@@ -485,7 +462,7 @@ mod tests {
         // Every pointer still readable after rotation.
         let ptr = vlog.append(b"last", 99, &[1u8; 100]).unwrap();
         vlog.sync();
-        assert_eq!(vlog.read(ptr).unwrap().unwrap().ts, 99);
+        assert_eq!(&vlog.read(ptr, b"last", 99).unwrap().unwrap()[..], &[1u8; 100]);
     }
 
     #[test]
@@ -495,7 +472,7 @@ mod tests {
         let ptr = vlog.append(b"k", 1, &[7u8; 120]).unwrap();
         vlog.sync();
         env.fs().open(&vlog_name(ptr.file_no)).unwrap().corrupt(ptr.offset as usize + 10, 0x5a);
-        assert_eq!(vlog.read(ptr).unwrap(), None, "CRC must catch tampering");
+        assert_eq!(vlog.read(ptr, b"k", 1).unwrap(), None, "CRC must catch tampering");
     }
 
     #[test]
@@ -532,7 +509,7 @@ mod tests {
         assert!(!vlog.manifest_files().iter().any(|&(no, _, _)| no == a.file_no));
         assert!(!vlog.is_live(a.file_no));
         // Pinned readers can still resolve old pointers.
-        assert_eq!(vlog.read(a).unwrap().unwrap().value, vec![3u8; 100]);
+        assert_eq!(&vlog.read(a, b"a", 1).unwrap().unwrap()[..], &[3u8; 100]);
         assert!(env.fs().open(&vlog_name(a.file_no)).is_err(), "file left the namespace");
     }
 
@@ -543,7 +520,7 @@ mod tests {
         let a = vlog.append(b"a", 1, &[1u8; 100]).unwrap();
         vlog.sync();
         let mut section = Vec::new();
-        encode_manifest_section(Some(&vlog), &mut section);
+        encode_manifest_section(vlog.next_file_no(), &vlog.manifest_files(), &mut section);
         let (next_no, files, used) = decode_manifest_section(&section).unwrap();
         assert_eq!(used, section.len());
         assert_eq!(next_no, vlog.next_file_no());
@@ -558,13 +535,13 @@ mod tests {
         assert_eq!(total, orphan.offset + orphan.len);
         assert_eq!(garbage, orphan.len, "orphan tail is garbage");
         // The manifested entry still reads.
-        assert_eq!(recovered.read(a).unwrap().unwrap().value, vec![1u8; 100]);
+        assert_eq!(&recovered.read(a, b"a", 1).unwrap().unwrap()[..], &[1u8; 100]);
     }
 
     #[test]
     fn empty_manifest_section_decodes() {
         let mut section = Vec::new();
-        encode_manifest_section(None, &mut section);
+        encode_manifest_section(1, &[], &mut section);
         let (next_no, files, used) = decode_manifest_section(&section).unwrap();
         assert_eq!((next_no, files.len(), used), (1, 0, section.len()));
     }

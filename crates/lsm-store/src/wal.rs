@@ -119,7 +119,6 @@ impl WalWriter {
         let frame_len = self.pending.len() - start;
         let push = match self.policy {
             WalSyncPolicy::Always => true,
-            WalSyncPolicy::EveryBatch => false,
             WalSyncPolicy::EveryNBytes(n) => self.pending.len() >= n,
         };
         if push {

@@ -10,10 +10,13 @@
 //! now writes into reused buffers — and over two a read decodes from the
 //! host's bytes before anything is verified: a table's Bloom filter
 //! (`BloomFilter::decode`, then probes) and a value-log pointer
-//! (`vlog::decode_pointer`, what a verified-cache miss on a separated value
-//! follows) — and over a replication shipment (`replica::wire::decode_event`,
+//! (`vlog::decode_pointer`, what every read of a separated value follows)
+//! — and over a replication shipment (`replica::wire::decode_event`,
 //! which reaches the trace-context, compaction-job, value-log-GC-job,
-//! announcement and frame decoders). Whatever the bytes: no panic, no single
+//! announcement and frame decoders) — and over what a restart and a
+//! separated read take from the host: the manifest (`decode_manifest`, with
+//! its `vlog::decode_manifest_section`) and a value-log entry (`Vlog::read`
+//! on a recovered log). Whatever the bytes: no panic, no single
 //! allocation beyond the input's length times a constant, and what is
 //! accepted decodes to entries that round-trip through the encoder.
 
@@ -26,11 +29,15 @@ use elsm_repro::crypto::Digest;
 use elsm_repro::elsm::Announcement;
 use elsm_repro::lsm_store::block::{Block, BlockBuilder};
 use elsm_repro::lsm_store::bloom::{key_hashes, BloomFilter};
-use elsm_repro::lsm_store::encoding::crc32c;
-use elsm_repro::lsm_store::vlog::{decode_pointer, encode_pointer, MAC_BYTES};
+use elsm_repro::lsm_store::encoding::{crc32c, get_varint_u64, put_varint_u64};
+use elsm_repro::lsm_store::vlog::{
+    decode_manifest_section, decode_pointer, encode_manifest_section, encode_pointer, vlog_name,
+    MAC_BYTES,
+};
 use elsm_repro::lsm_store::{
-    decode_frame, encode_frame, internal_cmp, CompactionJob, EnvConfig, Record, StorageEnv,
-    TableBuilder, TableOptions, TableReader, Timestamp, ValueKind, VlogGcJob, VlogPtr,
+    decode_frame, decode_manifest, encode_frame, internal_cmp, CompactionJob, EnvConfig, Manifest,
+    Record, StorageEnv, TableBuilder, TableOptions, TableReader, Timestamp, ValueKind, Vlog,
+    VlogConfig, VlogGcJob, VlogPtr,
 };
 use elsm_repro::replica::{decode_event, encode_event, WireEvent};
 use elsm_repro::sgx_sim::{CostModel, Platform};
@@ -526,6 +533,128 @@ proptest! {
             prop_assert_eq!(largest, 0, "a pointer decodes in place");
             if let Some((ptr, mac)) = decoded {
                 prop_assert_eq!(encode_pointer(ptr, &mac), buf);
+            }
+        }
+    }
+
+    /// A manifest: the honest encoding decodes to its image; any edit of it
+    /// — half of them with the level count forged — decodes or not without
+    /// panic or a reservation beyond a constant times its length, and an
+    /// accepted manifest re-encodes to bytes that decode to the same image.
+    /// Its value-log section, edited alone, obeys the same.
+    #[test]
+    fn mutated_manifests_decode_in_bounds(
+        head in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
+        levels in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..6), 0..8),
+        vlog in (any::<u64>(), prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..6)),
+        edits in prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..60),
+    ) {
+        let image = Manifest {
+            next_file_no: head.0,
+            last_ts: head.1,
+            wal_lo: head.2,
+            wal_no: head.3,
+            level_lens: levels.iter().map(Vec::len).collect(),
+            tables: levels.concat(),
+            vlog_next_no: vlog.0,
+            vlog_files: vlog.1,
+        };
+        let base = image.encode();
+        prop_assert_eq!(decode_manifest(&base), Some(image.clone()));
+        prop_assert!(image.levels().map(<[u64]>::to_vec).eq(levels.iter().cloned()));
+        let other = Manifest { level_lens: vec![image.tables.len()], ..image.clone() }.encode();
+        let mut section = Vec::new();
+        encode_manifest_section(image.vlog_next_no, &image.vlog_files, &mut section);
+        prop_assert!(base.ends_with(&section));
+        for edit in edits {
+            let mut buf = mutate(&base, &other, edit);
+            if let (true, Some((_, n))) =
+                (edit.2 & 0x80 != 0, buf.get(32..).and_then(get_varint_u64))
+            {
+                let mut forged = buf[..32].to_vec();
+                put_varint_u64(&mut forged, u64::MAX >> (edit.1 % 64));
+                forged.extend_from_slice(&buf[32 + n..]);
+                buf = forged;
+            }
+            let (decoded, largest) = largest_allocation(|| decode_manifest(&buf));
+            prop_assert!(largest <= PER_INPUT_BYTE * buf.len(), "{largest} B for {} B", buf.len());
+            if let Some(manifest) = decoded {
+                prop_assert_eq!(decode_manifest(&manifest.encode()), Some(manifest));
+            }
+
+            let buf = mutate(&section, &base, edit);
+            let (decoded, largest) = largest_allocation(|| decode_manifest_section(&buf));
+            prop_assert!(largest <= PER_INPUT_BYTE * buf.len(), "{largest} B for {} B", buf.len());
+            if let Some((next_no, files, used)) = decoded {
+                prop_assert!(used <= buf.len());
+                let mut again = Vec::new();
+                encode_manifest_section(next_no, &files, &mut again);
+                prop_assert_eq!(decode_manifest_section(&again), Some((next_no, files, again.len())));
+            }
+        }
+    }
+
+    /// A value-log file: the honest log reads back every entry for its own
+    /// key and timestamp; any edit of it — half of them re-framed, so each
+    /// entry's CRC vouches for its edited bytes — recovers and reads each
+    /// pointer without panic or an allocation beyond a constant times the
+    /// file, and an accepted payload, appended again, reads back the same.
+    #[test]
+    fn mutated_vlog_entries_decode_in_bounds(
+        picks in prop::collection::vec((any::<u16>(), 0u16..500), 1..40),
+        spliced in prop::collection::vec((any::<u16>(), 0u16..500), 1..20),
+        edits in prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..30),
+    ) {
+        let (env, fs) = env(false);
+        let config = VlogConfig { target_file_bytes: u64::MAX, ..VlogConfig::default() };
+        let log = |records: &[Record]| {
+            let vlog = Vlog::new(env.clone(), config);
+            let ptrs: Vec<VlogPtr> =
+                records.iter().map(|r| vlog.append(&r.key, r.ts, &r.value).unwrap()).collect();
+            vlog.sync();
+            (vlog, ptrs)
+        };
+        // A fresh log writes file 1; take its bytes and free the name.
+        let take = || {
+            let file = fs.open(&vlog_name(1)).unwrap();
+            fs.delete(&vlog_name(1)).unwrap();
+            file.read_at(0, file.len()).unwrap().to_vec()
+        };
+        let honest = records(&picks);
+        let (vlog, ptrs) = log(&honest);
+        for (record, &ptr) in honest.iter().zip(&ptrs) {
+            prop_assert_eq!(vlog.read(ptr, &record.key, record.ts).unwrap(), Some(record.value.clone()));
+        }
+        let base = take();
+        log(&records(&spliced));
+        let other = take();
+
+        for (n, edit) in edits.into_iter().enumerate() {
+            let mut buf = mutate(&base, &other, edit);
+            if edit.2 & 0x80 != 0 {
+                for ptr in &ptrs {
+                    let (at, end) = (ptr.offset as usize, (ptr.offset + ptr.len) as usize);
+                    if end <= buf.len() {
+                        let crc = crc32c(&buf[at + 4..end]);
+                        buf[at..at + 4].copy_from_slice(&crc.to_le_bytes());
+                    }
+                }
+            }
+            let file_no = 1000 + n as u64;
+            fs.create(&vlog_name(file_no)).unwrap().append(&buf);
+            let files = [(file_no, buf.len() as u64, 0)];
+            let recovered = Vlog::recover(env.clone(), config, file_no + 1, &files).unwrap();
+            for (record, ptr) in honest.iter().zip(&ptrs) {
+                let ptr = VlogPtr { file_no, ..*ptr };
+                let (read, largest) =
+                    largest_allocation(|| recovered.read(ptr, &record.key, record.ts).unwrap());
+                prop_assert!(largest <= PER_INPUT_BYTE * buf.len(), "{largest} B for {} B", buf.len());
+                let Some(payload) = read else { continue };
+                let fresh = Vlog::new(env.clone(), config);
+                let again = fresh.append(&record.key, record.ts, &payload).unwrap();
+                fresh.sync();
+                prop_assert_eq!(fresh.read(again, &record.key, record.ts).unwrap(), Some(payload));
+                take();
             }
         }
     }
