@@ -776,8 +776,15 @@ fn encode_state(state: &SealedState) -> Vec<u8> {
     out
 }
 
+/// Parses [`encode_state`]'s bytes; `None` unless they are exactly one
+/// state. The commitment count is checked against the bytes left to hold
+/// it before anything is sized by it.
 fn decode_state(buf: &[u8]) -> Option<SealedState> {
+    const COMMITMENT_BYTES: usize = 4 + 32 + 8;
     let n = u32::from_le_bytes(buf.get(0..4)?.try_into().ok()?) as usize;
+    if n > (buf.len() - 4) / COMMITMENT_BYTES {
+        return None;
+    }
     let mut pos = 4;
     let digest = |pos: &mut usize| {
         let bytes: [u8; 32] = buf.get(*pos..*pos + 32)?.try_into().ok()?;
@@ -795,7 +802,7 @@ fn decode_state(buf: &[u8]) -> Option<SealedState> {
     }
     let wal_base = digest(&mut pos)?;
     let wal_digest = digest(&mut pos)?;
-    let shard = u32::from_le_bytes(buf.get(pos..pos + 4)?.try_into().ok()?);
+    let shard = u32::from_le_bytes(buf.get(pos..)?.try_into().ok()?);
     let shard = (shard != crate::error::WRONG_SHARD_UNSHARDED).then_some(shard);
     Some(SealedState { commitments, wal_base, wal_digest, shard })
 }
@@ -899,6 +906,58 @@ mod tests {
                 .map(|r| (r.key().to_vec(), r.value().to_vec()))
                 .collect();
             assert_eq!(got, expect_scan, "{strategy:?}/par{parallelism} scan diverged");
+        }
+    }
+
+    /// The sealed state's decoder, on plaintext (what a host that forged a
+    /// sealing key, or found a bug in the seal, could present): any edit of
+    /// an honest encoding — half of them with the commitment count forged —
+    /// decodes or not without panic, reserves no more than a constant times
+    /// its input, and an accepted state re-encodes to the input itself.
+    #[test]
+    fn sealed_state_decodes_in_bounds() {
+        let state = |n: u32, shard| SealedState {
+            commitments: (0..n)
+                .map(|level| LevelCommitment {
+                    level,
+                    root: Digest::from_bytes([level as u8; 32]),
+                    leaf_count: u64::from(level) * 7,
+                })
+                .collect(),
+            wal_base: Digest::from_bytes([0xb0; 32]),
+            wal_digest: Digest::from_bytes([0xd0; 32]),
+            shard,
+        };
+        let encodings: Vec<Vec<u8>> = [(0, None), (1, Some(3)), (5, None), (7, Some(0))]
+            .map(|(n, s)| encode_state(&state(n, s)))
+            .into();
+        let mut rng = Lcg(0x5ea1_ed00);
+        for (i, base) in encodings.iter().enumerate() {
+            let again = decode_state(base).map(|decoded| encode_state(&decoded));
+            assert_eq!(again.as_ref(), Some(base), "an honest state round-trips");
+            assert!(decode_state(&[&base[..], &[0]].concat()).is_none(), "trailing bytes");
+            let other = &encodings[(i + 1) % encodings.len()];
+            for _ in 0..2000 {
+                let mut buf = base.clone();
+                let at = rng.next() as usize % buf.len();
+                match rng.next() % 5 {
+                    0 => buf[at] = rng.next() as u8,
+                    1 => buf.truncate(at),
+                    2 => buf.extend_from_slice(&other[..at.min(other.len())]),
+                    3 => buf
+                        .splice(at.., other[at.min(other.len())..].iter().copied())
+                        .for_each(drop),
+                    _ => buf[at..(at + 4).min(base.len())].fill(0xff),
+                }
+                if rng.next() % 2 == 0 && buf.len() >= 4 {
+                    let forged = u32::MAX >> (rng.next() % 32);
+                    buf[..4].copy_from_slice(&forged.to_le_bytes());
+                }
+                let Some(decoded) = decode_state(&buf) else { continue };
+                let reserved = decoded.commitments.capacity() * size_of::<LevelCommitment>();
+                assert!(reserved <= 2 * buf.len(), "{reserved} B for {} B", buf.len());
+                assert_eq!(encode_state(&decoded), buf, "an accepted state is its encoding");
+            }
         }
     }
 

@@ -48,7 +48,7 @@ impl Certificate {
         out
     }
 
-    /// Parses an encoded certificate.
+    /// Parses an encoded certificate; `None` unless `buf` is exactly one.
     pub fn decode(buf: &[u8]) -> Option<Certificate> {
         let mut pos = 0usize;
         let mut get = |buf: &[u8]| -> Option<Vec<u8>> {
@@ -63,8 +63,7 @@ impl Certificate {
         let serial = u64::from_le_bytes(buf.get(pos..pos + 8)?.try_into().ok()?);
         let not_before = u64::from_le_bytes(buf.get(pos + 8..pos + 16)?.try_into().ok()?);
         let not_after = u64::from_le_bytes(buf.get(pos + 16..pos + 24)?.try_into().ok()?);
-        let mut spki = [0u8; 32];
-        spki.copy_from_slice(buf.get(pos + 24..pos + 56)?);
+        let spki = buf.get(pos + 24..).filter(|rest| rest.len() == 32)?.try_into().ok()?;
         Some(Certificate {
             hostname,
             issuer,
@@ -170,5 +169,13 @@ mod tests {
         let c = synthesize(1, 5).pop().unwrap();
         let bytes = c.encode();
         assert!(Certificate::decode(&bytes[..bytes.len() - 1]).is_none());
+    }
+
+    #[test]
+    fn decode_rejects_trailing_bytes() {
+        let c = synthesize(1, 6).pop().unwrap();
+        let mut bytes = c.encode();
+        bytes.push(0);
+        assert!(Certificate::decode(&bytes).is_none(), "only the encoding itself decodes");
     }
 }

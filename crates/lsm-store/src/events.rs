@@ -2,22 +2,26 @@
 //!
 //! The paper's key implementation claim (§5.5.3) is that eLSM can be built
 //! as an *add-on* over an unmodified LSM store using only its callback
-//! interface. This module is that interface, modelled on RocksDB's:
+//! interface. This module is that interface, modelled on RocksDB's. Every
+//! merge — a flush (a merge whose input level 0 is the memtable, so
+//! authenticated flush, §5.5.3 item 3, is the same job), a compaction or a
+//! value-log GC — is one [`MergeJob`], begun by
+//! [`StoreListener::begin_merge`] (RocksDB's compaction filter factory) and
+//! shown, in order (Figure 4):
 //!
-//! * [`StoreListener::on_compaction_input`] ↔ the `Filter()` event of the
-//!   compaction filter API — fires for every record the compaction reads,
-//!   tagged with its source level/file so the listener can rebuild input
-//!   Merkle trees (Figure 4, `auth_filter`);
-//! * [`StoreListener::begin_output`] ↔ `OnTableFileCreated()` — lets the
-//!   listener see a merge's output records and then write their stored
-//!   values (embed proofs) as they hit disk (Figure 4,
-//!   `auth_onTableFileCreated`);
-//! * [`StoreListener::on_compaction_end`] ↔ `OnCompactionCompleted()` —
-//!   where eLSM checks input roots and installs the output root (a flush
-//!   is a merge whose input level 0 is the memtable, so authenticated
-//!   flush, §5.5.3 item 3, rides the same three hooks);
-//! * [`StoreListener::on_wal_append_batch`] ↔ the WAL write hook used for
-//!   the in-enclave WAL digest (§5.3, step w1).
+//! * [`MergeJob::input`] ↔ `Filter()`: each record read from a stored input
+//!   level, so the listener can rebuild input Merkle trees (`auth_filter`);
+//! * [`MergeJob::observe`] → [`MergeJob::seal`] → [`MergeJob::write_value`]
+//!   ↔ `OnTableFileCreated()`: the survivors, then each stored value as the
+//!   tables are built (`auth_onTableFileCreated`);
+//! * [`MergeJob::finish`] ↔ `OnCompactionCompleted()`: output written, not
+//!   yet visible — where eLSM checks input roots and stages the output root;
+//! * [`MergeJob::install`]: the output installs, under the store's write
+//!   lock, in job order — where eLSM commits what it staged;
+//! * [`MergeJob::fail`]: the merge failed, and nothing of it installs.
+//!
+//! [`StoreListener::on_wal_append_batch`] ↔ the WAL write hook used for the
+//! in-enclave WAL digest (§5.3, step w1).
 
 use std::fmt;
 
@@ -27,45 +31,16 @@ use crate::compaction::{CompactionJob, VlogGcJob};
 use crate::record::{Record, RecordView};
 use crate::vlog::MAC_BYTES;
 
-/// Identifies where a compaction input record came from.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct RecordSource {
-    /// Source level (0 = the memtable being flushed).
-    pub level: usize,
-    /// Source SSTable file number (0 for the memtable).
-    pub file_no: u64,
-}
-
 /// Where a merge's output record was read: the `ordinal`-th record (from
 /// 0) the merge read from input `level` — level 0 being the frozen
 /// memtable. For a stored level that is the record's position in the
-/// stream [`StoreListener::on_compaction_input`] was shown of the level.
+/// stream [`MergeJob::input`] was shown of the level.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct InputPosition {
     /// Input level (0 = the memtable being flushed).
     pub level: usize,
     /// The record's index among the records read from `level`.
     pub ordinal: usize,
-}
-
-/// Summary of a finished compaction, passed to
-/// [`StoreListener::on_compaction_end`] (merge complete, output staged)
-/// and [`StoreListener::on_compaction_install`] (output becoming
-/// visible).
-#[derive(Debug, Clone)]
-pub struct CompactionInfo {
-    /// Input levels, ascending (`[0]` for a memtable flush). A parallel
-    /// wave's concurrent jobs never share a level, so a listener may key
-    /// per-job scratch state by these.
-    pub input_levels: Vec<usize>,
-    /// Output level.
-    pub output_level: usize,
-    /// Records read from inputs.
-    pub input_records: u64,
-    /// Records written to the output run.
-    pub output_records: u64,
-    /// Output file numbers, in key order.
-    pub output_files: Vec<u64>,
 }
 
 /// Observer/extension interface of the vanilla store.
@@ -76,51 +51,15 @@ pub struct CompactionInfo {
 /// code, exactly like RocksDB callbacks run inside the Speicher/eLSM
 /// enclave).
 pub trait StoreListener: Send + Sync {
-    /// A record was read from a compaction input (Figure 4's `Filter`).
-    /// The view is lent for the call: what a listener keeps, it copies.
-    fn on_compaction_input(&self, source: RecordSource, record: RecordView<'_>) {
-        let _ = (source, record);
-    }
-
-    /// A merge (flush, compaction or value-log GC) has settled which
-    /// records it keeps and is about to write them as `output_level`'s run
-    /// (Figure 4's `onTableFileCreated`). The returned observer is shown
-    /// every output record in order (pass 1), then
-    /// [`seals`](OutputObserver::seal) into the writer that produces each
-    /// record's stored value as the tables are built (pass 2). Two passes,
-    /// because what a listener stores with a record may depend on all of
-    /// them — eLSM's embedded Merkle proof does. The default stores every
-    /// value as it is ([`Verbatim`]).
-    fn begin_output(&self, output_level: usize) -> Box<dyn OutputObserver + '_> {
-        let _ = output_level;
+    /// A merge of `input_levels` (ascending; 0 is the frozen memtable) into
+    /// `output_level` starts, on the merging thread (a scheduler worker for
+    /// a parallel wave's jobs) with no store lock held. The returned job
+    /// sees the whole merge (see [`MergeJob`]) and lives until the merge
+    /// installs or fails, so what a listener derives for it is its own. The
+    /// default stores every value as it is ([`Verbatim`]).
+    fn begin_merge(&self, input_levels: &[usize], output_level: usize) -> Box<dyn MergeJob + '_> {
+        let _ = (input_levels, output_level);
         Box::new(Verbatim)
-    }
-
-    /// A compaction merge finished; its output run is written but **not
-    /// yet visible**. Runs on the merging thread (a scheduler worker for
-    /// parallel jobs), so expensive verification/digest work here
-    /// overlaps with other jobs. Keyed state should be staged per
-    /// `info.output_level` and applied in
-    /// [`StoreListener::on_compaction_install`].
-    fn on_compaction_end(&self, info: &CompactionInfo) {
-        let _ = info;
-    }
-
-    /// A merge failed (an input did not read back or decode, an output file
-    /// could not be written) after the listener may have been shown part of
-    /// it. Nothing of the job installs and no
-    /// [`StoreListener::on_compaction_end`] follows; eLSM refuses further
-    /// service, as it does when an input level does not match its root.
-    fn on_merge_failed(&self) {}
-
-    /// The compaction's output version is about to install (fires under
-    /// the store's write lock, immediately before the matching
-    /// [`StoreListener::on_version_install`]). Installs of a parallel
-    /// wave arrive in deterministic job order; this is where a listener
-    /// commits state staged by `on_compaction_end` — e.g. eLSM folds the
-    /// level-commitment delta into its trusted state.
-    fn on_compaction_install(&self, info: &CompactionInfo) {
-        let _ = info;
     }
 
     /// One commit group's records were appended to the write-ahead log as
@@ -137,10 +76,9 @@ pub trait StoreListener: Send + Sync {
     /// active one. Fired under the store's write lock when a flush freezes
     /// the memtable (after the last commit's
     /// [`StoreListener::on_wal_append_batch`] returned), and between the
-    /// logs recovery replays. The frozen log is gone once the flush
-    /// installs ([`StoreListener::on_compaction_install`] with input level
-    /// 0) — eLSM notes the WAL digest here as what its oldest live log
-    /// will start from then.
+    /// logs recovery replays. The frozen log is gone once the flush's job
+    /// installs ([`MergeJob::install`]) — eLSM notes the WAL digest here as
+    /// what its oldest live log will start from then.
     fn on_wal_rotate(&self) {}
 
     /// A new [`Version`](crate::version::Version) with the given epoch is
@@ -191,48 +129,70 @@ pub trait StoreListener: Send + Sync {
     }
 }
 
-/// Pass 1 of a merge's output (see [`StoreListener::begin_output`]).
-pub trait OutputObserver {
-    /// The next output record, in internal-key order, and where the merge
+/// One merge as a listener sees it, from its first input record to its
+/// install. The store calls, in this order: [`input`](MergeJob::input) for
+/// each record read from a stored level, [`observe`](MergeJob::observe)
+/// for each record it keeps (pass 1), [`seal`](MergeJob::seal),
+/// [`write_value`](MergeJob::write_value) for each kept record as its table
+/// is built (pass 2), [`finish`](MergeJob::finish), and then — under the
+/// store's write lock, in job order — [`install`](MergeJob::install). Two
+/// passes, because what a listener stores with a record may depend on all
+/// of them: eLSM's embedded Merkle proof does. A merge that fails (an input
+/// does not read back or decode, an output file cannot be written) calls
+/// [`fail`](MergeJob::fail) instead of finishing, and nothing of it
+/// installs.
+pub trait MergeJob: Send {
+    /// A record read from stored input `level`, in the level's order
+    /// (Figure 4's `Filter`). The view is lent for the call: what a job
+    /// keeps, it copies.
+    fn input(&mut self, level: usize, record: RecordView<'_>) {
+        let _ = (level, record);
+    }
+
+    /// The next record the merge keeps, in internal-key order, and where it
     /// read it (`None`: the merge rewrote its value — value-log GC
     /// re-homing a pointer). A record read from a stored level is the
-    /// bytes the listener was shown there, so what the listener derived
-    /// from them can be reused instead of derived again — eLSM carries
-    /// chain digests over (the amortized integrity-metadata maintenance
-    /// the TEE-KV survey names as the enclave-LSM cost lever).
-    fn observe(&mut self, record: RecordView<'_>, from: Option<InputPosition>);
-
-    /// Every output record was observed; returns the writer for pass 2.
-    fn seal<'a>(self: Box<Self>) -> Box<dyn OutputWriter + 'a>
-    where
-        Self: 'a;
-}
-
-/// Pass 2 of a merge's output: called once per output record, in the order
-/// they were observed, as each is added to a table.
-pub trait OutputWriter {
-    /// Appends to `out` — the table block under construction — the value
-    /// to store for `record`. Must only append.
-    fn write_value(&mut self, record: RecordView<'_>, out: &mut Vec<u8>);
-}
-
-/// The output seam of a listener that stores values as they are.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct Verbatim;
-
-impl OutputObserver for Verbatim {
-    fn observe(&mut self, _: RecordView<'_>, _: Option<InputPosition>) {}
-
-    fn seal<'a>(self: Box<Self>) -> Box<dyn OutputWriter + 'a> {
-        self
+    /// bytes [`MergeJob::input`] was shown, so what the job derived from
+    /// them can be reused instead of derived again — eLSM carries chain
+    /// digests over (the amortized integrity-metadata maintenance the
+    /// TEE-KV survey names as the enclave-LSM cost lever).
+    fn observe(&mut self, record: RecordView<'_>, from: Option<InputPosition>) {
+        let _ = (record, from);
     }
-}
 
-impl OutputWriter for Verbatim {
+    /// Every kept record was observed; pass 2 follows.
+    fn seal(&mut self) {}
+
+    /// Appends to `out` — the table block under construction — the value
+    /// to store for `record`, in the order the records were observed. Must
+    /// only append. The default stores the value as it is.
     fn write_value(&mut self, record: RecordView<'_>, out: &mut Vec<u8>) {
         out.extend_from_slice(record.value);
     }
+
+    /// The output run is written but **not yet visible**. Runs on the
+    /// merging thread, so expensive verification and digest work here
+    /// overlaps with a wave's other jobs.
+    fn finish(&mut self) {}
+
+    /// The output version is about to install: fires under the store's
+    /// write lock, in deterministic job order, immediately before the
+    /// matching [`StoreListener::on_version_install`]. This is where a
+    /// job commits what it staged — eLSM folds its level-commitment delta
+    /// into the trusted state.
+    fn install(&mut self) {}
+
+    /// The merge failed after the job may have been shown part of it;
+    /// eLSM refuses further service, as it does when an input level does
+    /// not match its root.
+    fn fail(&mut self) {}
 }
+
+/// The job of a listener that stores values as they are.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct Verbatim;
+
+impl MergeJob for Verbatim {}
 
 /// One replication-relevant event of the write/maintenance path.
 ///
@@ -328,13 +288,19 @@ mod tests {
         wal: AtomicU64,
     }
 
-    impl StoreListener for Counting {
-        fn on_compaction_input(&self, _: RecordSource, _: RecordView<'_>) {
-            self.inputs.fetch_add(1, Ordering::Relaxed);
+    /// A job counting the input records it is shown into its listener.
+    struct CountInputs<'a>(&'a AtomicU64);
+
+    impl MergeJob for CountInputs<'_> {
+        fn input(&mut self, _: usize, _: RecordView<'_>) {
+            self.0.fetch_add(1, Ordering::Relaxed);
         }
-        fn begin_output(&self, _: usize) -> Box<dyn OutputObserver + '_> {
+    }
+
+    impl StoreListener for Counting {
+        fn begin_merge(&self, _: &[usize], _: usize) -> Box<dyn MergeJob + '_> {
             self.outputs.fetch_add(1, Ordering::Relaxed);
-            Box::new(Verbatim)
+            Box::new(CountInputs(&self.inputs))
         }
         fn on_wal_append_batch(&self, records: &[Record]) {
             self.wal.fetch_add(records.len() as u64, Ordering::Relaxed);
@@ -345,10 +311,11 @@ mod tests {
     fn defaults_are_noops() {
         let l = NoopListener;
         let r = Record::put(b"k".as_slice(), b"v".as_slice(), 1);
-        let mut observer = l.begin_output(1);
-        observer.observe(r.view(), None);
+        let mut job = l.begin_merge(&[0], 1);
+        job.observe(r.view(), None);
+        job.seal();
         let mut stored = Vec::new();
-        observer.seal().write_value(r.view(), &mut stored);
+        job.write_value(r.view(), &mut stored);
         assert_eq!(stored, &r.value[..], "the default writer is the identity");
     }
 
@@ -356,8 +323,7 @@ mod tests {
     fn custom_listener_observes() {
         let l = Counting::default();
         let r = Record::put(b"k".as_slice(), b"v".as_slice(), 1);
-        l.on_compaction_input(RecordSource { level: 1, file_no: 3 }, r.view());
-        drop(l.begin_output(1));
+        l.begin_merge(&[1, 2], 2).input(1, r.view());
         l.on_wal_append_batch(std::slice::from_ref(&r));
         assert_eq!(l.inputs.load(Ordering::Relaxed), 1);
         assert_eq!(l.outputs.load(Ordering::Relaxed), 1);

@@ -55,8 +55,8 @@ pub use compaction::{
 pub use db::{Db, DbStats, DbStatsSnapshot};
 pub use env::{EnvConfig, StorageEnv};
 pub use events::{
-    CompactionInfo, InputPosition, NoopListener, OutputObserver, OutputWriter, RecordSource,
-    ReplicationEvent, ReplicationSink, StoreListener, Verbatim,
+    InputPosition, MergeJob, NoopListener, ReplicationEvent, ReplicationSink, StoreListener,
+    Verbatim,
 };
 pub use options::{Options, VlogConfig, WalSyncPolicy};
 pub use record::{internal_cmp, InternalKey, Record, RecordView, Timestamp, ValueKind};

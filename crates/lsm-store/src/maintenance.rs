@@ -20,9 +20,10 @@
 //!
 //! All three funnel through one merge executor, `Db::merge_to_run`, which
 //! streams borrowed records from merge to file (DESIGN.md, "Write path: two
-//! passes, one stream"), and one installer, `Db::install_output`: a brief
-//! write-lock epoch swap per job, in deterministic job order, manifest
-//! after install, inputs retired after the manifest.
+//! passes, one stream") past the listener's [`MergeJob`], and one
+//! installer, `Db::install_output`: a brief write-lock epoch swap per job,
+//! in deterministic job order, the job's own install under the lock,
+//! manifest after install, inputs retired after the manifest.
 
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
@@ -34,7 +35,7 @@ use sim_disk::FsError;
 
 use crate::compaction::{CompactionJob, LevelsView, VlogGcJob};
 use crate::db::{table_name, wal_name, Db, DbInner};
-use crate::events::{CompactionInfo, InputPosition, RecordSource, ReplicationEvent};
+use crate::events::{InputPosition, MergeJob, ReplicationEvent};
 use crate::memtable::MemTable;
 use crate::merge::{KWayMerge, MergeInput};
 use crate::record::{Record, RecordView, Timestamp, ValueKind};
@@ -51,10 +52,10 @@ use crate::wal::WalWriter;
 const RETIRED_EPOCH_FLOOR: u64 = 8;
 
 /// One finished merge: the output run (None when everything was purged)
-/// plus the listener-facing summary.
-struct MergeOutput {
+/// and the listener's job, which installs with it.
+struct MergeOutput<'a> {
     run: Option<Arc<Run>>,
-    info: CompactionInfo,
+    job: Box<dyn MergeJob + 'a>,
 }
 
 /// A record a merge keeps: its value still a slice of the input block (or
@@ -304,16 +305,15 @@ impl Db {
         // below, so purging there would resurrect shadowed versions.
         let purge =
             self.options.compaction_enabled && merge_existing && target >= self.options.max_levels;
-        let out = self
-            .merge_to_run(&mem_records, base, input_levels, target, purge, &[])
-            .map_err(|e| self.merge_failed(e))?;
+        let spec = CompactionJob { input_levels, output_level: target, purge };
+        let out = self.merge_to_run(&spec, &mem_records, base, &[])?;
         drop(merge_span);
 
         // Phase 3: install the successor version with the frozen memtable
         // absorbed into its level; the old WAL goes last, after the
         // manifest stopped naming it.
         let _install_span = self.metrics.flush_install.start();
-        self.install_output(&out, None)?;
+        self.install_output(&spec, out, None)?;
         let _ = self.env.fs().delete(old_wal);
         Ok(())
     }
@@ -363,10 +363,10 @@ impl Db {
     ) -> Result<(), FsError> {
         let rewrite: &[u64] = gc.map_or(&[], |gc| &gc.rewrite_files);
         let merge_span = &self.metrics.compaction_merge;
-        let outputs: Vec<Result<MergeOutput, FsError>> = if parallelism <= 1 {
+        let outputs: Vec<Result<MergeOutput<'_>, FsError>> = if parallelism <= 1 {
             let merge = |job| {
                 let _span = merge_span.start();
-                self.run_merge_job(base, job, rewrite)
+                self.merge_to_run(job, &[], base, rewrite)
             };
             jobs.iter().map(merge).collect()
         } else {
@@ -385,7 +385,7 @@ impl Db {
                                 .platform()
                                 .serial_section(SerialClass::compaction_slot(i % slots));
                             let _span = merge_span.start_child_of(parent);
-                            self.run_merge_job(base, job, rewrite)
+                            self.merge_to_run(job, &[], base, rewrite)
                         })
                     })
                     .collect();
@@ -398,7 +398,7 @@ impl Db {
                 Some(gc) => ReplicationEvent::VlogGc { gc },
                 None => ReplicationEvent::Compact { job },
             };
-            self.install_output(&out?, Some(marker))?;
+            self.install_output(job, out?, Some(marker))?;
             self.stats.compactions.inc();
         }
         // GC epilogue: every pointer into a victim file has been rewritten
@@ -409,18 +409,20 @@ impl Db {
         gc.map_or(Ok(()), |gc| self.drop_vlog_files(&gc.rewrite_files))
     }
 
-    /// Installs one merge's output run in place of the runs it consumed (a
-    /// brief write-lock epoch swap), makes that durable, and only then
-    /// retires the consumed runs: a crash in between recovers the pre- or
-    /// the post-merge manifest, and both name files that still exist.
-    /// `marker` is the job's replication event; a flush has none, and also
-    /// absorbs the frozen memtable and the WAL that covered it.
+    /// Installs the output run of merge `spec` in place of the runs it
+    /// consumed (a brief write-lock epoch swap, with the listener's job for
+    /// the merge installing under the lock), makes that durable, and
+    /// only then retires the consumed runs: a crash in between recovers the
+    /// pre- or the post-merge manifest, and both name files that still
+    /// exist. `marker` is the job's replication event; a flush has none,
+    /// and also absorbs the frozen memtable and the WAL that covered it.
     fn install_output(
         &self,
-        out: &MergeOutput,
+        spec: &CompactionJob,
+        MergeOutput { run, mut job }: MergeOutput<'_>,
         marker: Option<ReplicationEvent<'_>>,
     ) -> Result<(), FsError> {
-        let (flush, output_level) = (marker.is_none(), out.info.output_level);
+        let (flush, output_level) = (marker.is_none(), spec.output_level);
         let mut replaced: Vec<Arc<Run>> = Vec::new();
         {
             let _serial = self.env.platform().serial_section(SerialClass::StoreWrite);
@@ -429,18 +431,18 @@ impl Db {
             while levels.len() <= output_level {
                 levels.push(None);
             }
-            let inputs = out.info.input_levels.iter().filter(|&&level| level != output_level);
+            let inputs = spec.input_levels.iter().filter(|&&level| level != output_level);
             for &level in inputs.chain([&output_level]) {
                 replaced.extend(levels[level].take());
             }
-            levels[output_level] = out.run.clone();
+            levels[output_level] = run;
             let imm = inner.current.imm().filter(|_| !flush).cloned();
             let next = Arc::new(Version::new(inner.current.epoch() + 1, imm, levels));
-            // Under the write lock, in job order: the listener commits
-            // its staged digest state, the replication stream learns
-            // the exact job, then the epoch swaps — so a replica
-            // replaying the stream reproduces this install verbatim.
-            self.listener.on_compaction_install(&out.info);
+            // Under the write lock, in job order: the job commits what it
+            // staged, the replication stream learns the exact job, then
+            // the epoch swaps — so a replica replaying the stream
+            // reproduces this install verbatim.
+            job.install();
             if let Some(marker) = marker {
                 self.emit(marker);
             }
@@ -463,27 +465,6 @@ impl Db {
             vlog.remove_file(no);
         }
         self.write_manifest()
-    }
-
-    /// Merges one job's input runs into an output run (no store state is
-    /// touched — safe to run concurrently with other jobs of a wave).
-    /// `rewrite` names value-log files whose pointer records must be
-    /// re-homed to the active log file (GC mode; empty otherwise).
-    fn run_merge_job(
-        &self,
-        base: &Version,
-        job: &CompactionJob,
-        rewrite: &[u64],
-    ) -> Result<MergeOutput, FsError> {
-        self.merge_to_run(&[], base, job.input_levels.clone(), job.output_level, job.purge, rewrite)
-            .map_err(|e| self.merge_failed(e))
-    }
-
-    /// A merge failed: nothing of it installs. The listener hears of it
-    /// (what it gathered for the job is partial) and the error goes on.
-    fn merge_failed(&self, error: FsError) -> FsError {
-        self.listener.on_merge_failed();
-        error
     }
 
     /// Replays one job from a primary's [`ReplicationEvent::Compact`]
@@ -636,31 +617,54 @@ impl Db {
         }
     }
 
-    /// Merges sorted inputs into one output run, chunked into files: the
-    /// merge lends each input record, the survivors are kept as views
-    /// ([`Survivors`]), the listener observes them (pass 1) and then
-    /// writes each one's stored value straight into the table block being
-    /// built (pass 2). Pure with respect to store state (only the
+    /// Merges the input runs of `spec` (and the frozen memtable's records
+    /// `mem`, level 0) into one output run, past a job the listener begins
+    /// for it, which has finished when this returns the run — or failed,
+    /// when this returns an error. Touches no store state (only the
     /// lock-free file-number allocator advances), so wave jobs run it
-    /// concurrently. An input that fails to read or decode fails the
-    /// merge before any output file exists.
+    /// concurrently. `rewrite` names value-log files whose pointer records
+    /// are re-homed to the active log file (GC mode; empty otherwise).
     fn merge_to_run(
         &self,
+        spec: &CompactionJob,
         mem: &[Record],
         base: &Version,
-        input_levels: Vec<usize>,
-        output_level: usize,
-        purge: bool,
         rewrite: &[u64],
-    ) -> Result<MergeOutput, FsError> {
+    ) -> Result<MergeOutput<'_>, FsError> {
+        let mut job = self.listener.begin_merge(&spec.input_levels, spec.output_level);
+        match self.merge_with(&mut *job, spec, mem, base, rewrite) {
+            Ok(run) => {
+                job.finish();
+                Ok(MergeOutput { run, job })
+            }
+            Err(error) => {
+                job.fail();
+                Err(error)
+            }
+        }
+    }
+
+    /// [`Db::merge_to_run`]'s merge, chunked into files: the merge lends
+    /// each input record (shown to `job` if it was stored), the survivors
+    /// are kept as views ([`Survivors`]), `job` observes them (pass 1) and
+    /// then writes each one's stored value straight into the table block
+    /// being built (pass 2). An input that fails to read or decode fails
+    /// the merge before any output file exists.
+    fn merge_with(
+        &self,
+        job: &mut dyn MergeJob,
+        spec: &CompactionJob,
+        mem: &[Record],
+        base: &Version,
+        rewrite: &[u64],
+    ) -> Result<Option<Arc<Run>>, FsError> {
         // Level 0 is the frozen memtable (`mem`, empty for a compaction); a
         // stored level's blocks are all read now, table by table and block
         // by block, whatever order the merge then consumes their records in.
-        let mut inputs = vec![MergeInput::records(RecordSource { level: 0, file_no: 0 }, mem)];
-        for &level in &input_levels {
+        let mut inputs = vec![MergeInput::records(0, mem)];
+        for &level in &spec.input_levels {
             for t in base.level(level).map_or(&[][..], |run| run.tables()) {
-                let source = RecordSource { level, file_no: t.meta().file_no };
-                inputs.push(MergeInput::table(source, t.iter()?));
+                inputs.push(MergeInput::table(level, t.iter()?));
             }
         }
         // Tombstones may only be purged when a merge observes every live
@@ -670,18 +674,18 @@ impl Db {
         let mut survivors = Survivors::default();
         // Records read so far per input level: a survivor's position is
         // its level's count when it was read.
-        let mut read = vec![0usize; input_levels.iter().max().map_or(1, |&top| top + 1)];
+        let mut read = vec![0usize; spec.input_levels.iter().max().map_or(1, |&top| top + 1)];
         let mut input_count = 0u64;
         let mut cur_key: Vec<u8> = Vec::new();
         let mut drop_rest = false;
         let mut seen_version = false;
         let mut merge = KWayMerge::new(inputs)?;
-        while let Some((source, record)) = merge.next()? {
+        while let Some((level, record)) = merge.next()? {
             input_count += 1;
-            let from = InputPosition { level: source.level, ordinal: read[source.level] };
-            read[source.level] += 1;
-            if source.level != 0 {
-                self.listener.on_compaction_input(source, record);
+            let from = InputPosition { level, ordinal: read[level] };
+            read[level] += 1;
+            if level != 0 {
+                job.input(level, record);
             }
             if input_count == 1 || cur_key != record.key {
                 cur_key.clear();
@@ -693,7 +697,7 @@ impl Db {
                 self.note_vlog_drop(record);
                 continue;
             }
-            if purge && record.kind == ValueKind::Delete && !seen_version {
+            if spec.purge && record.kind == ValueKind::Delete && !seen_version {
                 // Newest surviving version is a tombstone at the bottom:
                 // the key disappears entirely (§5.4).
                 drop_rest = true;
@@ -743,19 +747,17 @@ impl Db {
             }
         }
         self.stats.compaction_input_records.add(input_count);
-        // Pass 1: the listener sees every survivor (eLSM builds the output
+        // Pass 1: the job sees every survivor (eLSM builds the output
         // level's digest here — a proof needs the whole tree, hence two
         // passes).
-        let mut observer = self.listener.begin_output(output_level);
         for i in 0..survivors.len() {
-            observer.observe(survivors.record(i), survivors.items[i].from);
+            job.observe(survivors.record(i), survivors.items[i].from);
         }
-        let mut writer = observer.seal();
+        job.seal();
         self.stats.compaction_output_records.add(survivors.len() as u64);
 
-        // Pass 2: write the output run, chunked into files; the listener
-        // writes each stored value (eLSM: envelope ‖ proof) into the block.
-        let mut output_files = Vec::new();
+        // Pass 2: write the output run, chunked into files; the job writes
+        // each stored value (eLSM: envelope ‖ proof) into the block.
         let mut tables = Vec::new();
         let mut idx = 0usize;
         while idx < survivors.len() {
@@ -776,26 +778,14 @@ impl Db {
                 if bytes >= self.options.target_file_bytes && key_boundary {
                     break;
                 }
-                let stored = builder.add_with(r, |block| writer.write_value(r, block));
+                let stored = builder.add_with(r, |block| job.write_value(r, block));
                 bytes += (r.key.len() + stored + 24) as u64;
                 idx += 1;
             }
-            let meta = builder.finish();
-            output_files.push(meta.file_no);
+            builder.finish();
             tables.push(Arc::new(TableReader::open(self.env.clone(), file, file_no)?));
         }
-        drop(writer);
-
-        let info = CompactionInfo {
-            input_levels,
-            output_level,
-            input_records: input_count,
-            output_records: survivors.len() as u64,
-            output_files,
-        };
-        self.listener.on_compaction_end(&info);
-        let run = (!tables.is_empty()).then(|| Arc::new(Run::new(tables)));
-        Ok(MergeOutput { run, info })
+        Ok((!tables.is_empty()).then(|| Arc::new(Run::new(tables))))
     }
 
     fn retire_run(&self, run: &Run) {
@@ -822,8 +812,7 @@ mod tests {
     use crate::db::Db;
     use crate::env::StorageEnv;
     use crate::events::{
-        CompactionInfo, InputPosition, OutputObserver, OutputWriter, RecordSource,
-        ReplicationEvent, ReplicationSink, StoreListener, Verbatim,
+        InputPosition, MergeJob, ReplicationEvent, ReplicationSink, StoreListener,
     };
     use crate::maintenance::RETIRED_EPOCH_FLOOR;
     use crate::options::{Options, WalSyncPolicy};
@@ -929,28 +918,25 @@ mod tests {
             ends: AtomicU64,
             installs: AtomicU64,
         }
-        /// Counts the records a merge writes out.
-        struct Flushed<'a>(&'a AtomicU64);
-        impl OutputObserver for Flushed<'_> {
-            fn observe(&mut self, _: RecordView<'_>, _: Option<InputPosition>) {
-                self.0.fetch_add(1, Ordering::Relaxed);
+        /// Counts what a merge reads and writes out, and its end.
+        struct SpyJob<'a>(&'a Spy);
+        impl MergeJob for SpyJob<'_> {
+            fn input(&mut self, _: usize, _: RecordView<'_>) {
+                self.0.inputs.fetch_add(1, Ordering::Relaxed);
             }
-            fn seal<'a>(self: Box<Self>) -> Box<dyn OutputWriter + 'a> {
-                Box::new(Verbatim)
+            fn observe(&mut self, _: RecordView<'_>, _: Option<InputPosition>) {
+                self.0.flush.fetch_add(1, Ordering::Relaxed);
+            }
+            fn finish(&mut self) {
+                self.0.ends.fetch_add(1, Ordering::Relaxed);
             }
         }
         impl StoreListener for Spy {
             fn on_wal_append_batch(&self, records: &[Record]) {
                 self.wal.fetch_add(records.len() as u64, Ordering::Relaxed);
             }
-            fn begin_output(&self, _: usize) -> Box<dyn OutputObserver + '_> {
-                Box::new(Flushed(&self.flush))
-            }
-            fn on_compaction_input(&self, _: RecordSource, _: RecordView<'_>) {
-                self.inputs.fetch_add(1, Ordering::Relaxed);
-            }
-            fn on_compaction_end(&self, _: &CompactionInfo) {
-                self.ends.fetch_add(1, Ordering::Relaxed);
+            fn begin_merge(&self, _: &[usize], _: usize) -> Box<dyn MergeJob + '_> {
+                Box::new(SpyJob(self))
             }
             fn on_version_install(&self, _: u64) {
                 self.installs.fetch_add(1, Ordering::Relaxed);
@@ -981,11 +967,11 @@ mod tests {
         struct Embed;
         struct Count(usize);
         impl StoreListener for Embed {
-            fn begin_output(&self, _: usize) -> Box<dyn OutputObserver + '_> {
+            fn begin_merge(&self, _: &[usize], _: usize) -> Box<dyn MergeJob + '_> {
                 Box::new(Count(0))
             }
         }
-        impl OutputObserver for Count {
+        impl MergeJob for Count {
             fn observe(&mut self, record: RecordView<'_>, from: Option<InputPosition>) {
                 // A record read from a stored level (not the memtable) was
                 // rewritten once already.
@@ -993,11 +979,6 @@ mod tests {
                 assert_eq!(stored, record.value.contains(&b'+'));
                 self.0 += 1;
             }
-            fn seal<'a>(self: Box<Self>) -> Box<dyn OutputWriter + 'a> {
-                self
-            }
-        }
-        impl OutputWriter for Count {
             fn write_value(&mut self, record: RecordView<'_>, out: &mut Vec<u8>) {
                 out.extend_from_slice(record.value);
                 out.extend_from_slice(format!("+{}", self.0).as_bytes());
@@ -1216,9 +1197,99 @@ mod tests {
         assert_eq!(serial.2, parallel.2, "reads must not depend on parallelism");
     }
 
+    /// Per-job state under a parallel wave: a job is shown only its own
+    /// levels' records, every stored record a merge reads reaches exactly
+    /// one job, and jobs install in job order — the order the replication
+    /// stream ships them in.
+    #[test]
+    fn each_job_of_a_parallel_wave_keeps_its_own_state() {
+        #[derive(Default)]
+        struct JobProbe {
+            /// Stored records the jobs were shown, added at each finish.
+            shown: AtomicU64,
+            /// Records shown to a job that does not merge their level.
+            foreign: AtomicU64,
+            /// Jobs begun and not installed yet, and the most at once.
+            pending: AtomicU64,
+            most_pending: AtomicU64,
+            /// Each compaction's `(input levels, output level)`, as it installs.
+            installs: Mutex<Vec<(Vec<usize>, usize)>>,
+        }
+        struct CountingJob<'a> {
+            probe: &'a JobProbe,
+            levels: (Vec<usize>, usize),
+            shown: u64,
+        }
+        impl MergeJob for CountingJob<'_> {
+            fn input(&mut self, level: usize, _: RecordView<'_>) {
+                self.shown += 1;
+                if !self.levels.0.contains(&level) {
+                    self.probe.foreign.fetch_add(1, Ordering::SeqCst);
+                }
+            }
+            fn finish(&mut self) {
+                self.probe.shown.fetch_add(self.shown, Ordering::SeqCst);
+            }
+            fn install(&mut self) {
+                self.probe.pending.fetch_sub(1, Ordering::SeqCst);
+                if !self.levels.0.contains(&0) {
+                    self.probe.installs.lock().push(self.levels.clone());
+                }
+            }
+        }
+        impl StoreListener for JobProbe {
+            fn begin_merge(&self, input_levels: &[usize], output: usize) -> Box<dyn MergeJob + '_> {
+                let pending = self.pending.fetch_add(1, Ordering::SeqCst) + 1;
+                self.most_pending.fetch_max(pending, Ordering::SeqCst);
+                let levels = (input_levels.to_vec(), output);
+                Box::new(CountingJob { probe: self, levels, shown: 0 })
+            }
+        }
+        // Eight stacked runs, four of one size and four three times as big:
+        // reopened under the tiered strategy, one flush makes a wave of two
+        // jobs, one per group.
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let stacked =
+            Options { compaction_enabled: false, write_buffer_bytes: 1 << 20, ..tiered_options(4) };
+        let env = StorageEnv::new(platform, fs, stacked.env.clone(), None);
+        let db = Db::open(env.clone(), stacked, None).unwrap();
+        for (run, puts) in [40u32, 40, 40, 40, 120, 120, 120, 120].into_iter().enumerate() {
+            for i in 0..puts {
+                db.put(format!("run{run}-key{i:03}").as_bytes(), &[b'y'; 40]).unwrap();
+            }
+            db.flush().unwrap();
+        }
+        drop(db);
+        let probe = Arc::new(JobProbe::default());
+        let db = Db::open(env, tiered_options(4), Some(probe.clone())).unwrap();
+        let stream = Arc::new(StreamProbe::default());
+        db.set_replication_sink(stream.clone());
+        const PUTS: u64 = 10;
+        for i in 0..PUTS {
+            db.put(format!("fresh{i}").as_bytes(), b"v").unwrap();
+        }
+        db.flush().unwrap();
+        let load = |counter: &AtomicU64| counter.load(Ordering::SeqCst);
+        assert_eq!(load(&probe.most_pending), 2, "a wave merged both jobs before installing");
+        assert_eq!(load(&probe.pending), 0, "every job installed");
+        assert_eq!(load(&probe.foreign), 0, "a job is shown its own levels' records only");
+        // The rest of what the merges read is the frozen memtables: one
+        // record per put.
+        assert_eq!(load(&probe.shown) + PUTS, db.stats().compaction_input_records);
+        let shipped: Vec<(Vec<usize>, usize)> = (stream.events.lock().iter())
+            .filter_map(|event| match event {
+                ReplayEvent::Compact(job) => Some((job.input_levels.clone(), job.output_level)),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(shipped, [(vec![1, 2, 3, 4], 1), (vec![5, 6, 7, 8], 5)]);
+        assert_eq!(*probe.installs.lock(), shipped, "installs arrive in job order");
+    }
+
     /// Filesystem-snapshotting listener: captures the on-disk state at the
     /// two riskiest instants of a compaction job — merge done but not
-    /// installed, and mid-install (listener committed, manifest not yet
+    /// installed, and mid-install (job committed, manifest not yet
     /// written) — together with how many puts had been issued.
     struct CrashProbe {
         fs: Arc<SimFs>,
@@ -1227,17 +1298,29 @@ mod tests {
         at_install: Mutex<Option<(sim_disk::FsSnapshot, u64)>>,
     }
 
-    impl StoreListener for CrashProbe {
-        fn on_compaction_end(&self, info: &CompactionInfo) {
-            if info.input_levels != [0] {
-                *self.at_end.lock() =
-                    Some((self.fs.snapshot(), self.issued.load(Ordering::SeqCst)));
-            }
+    /// A compaction job of [`CrashProbe`] (a flush's jobs snapshot nothing).
+    struct CrashJob<'a>(&'a CrashProbe);
+
+    impl CrashJob<'_> {
+        fn snapshot(&self, slot: &Mutex<Option<(sim_disk::FsSnapshot, u64)>>) {
+            *slot.lock() = Some((self.0.fs.snapshot(), self.0.issued.load(Ordering::SeqCst)));
         }
-        fn on_compaction_install(&self, info: &CompactionInfo) {
-            if info.input_levels != [0] {
-                *self.at_install.lock() =
-                    Some((self.fs.snapshot(), self.issued.load(Ordering::SeqCst)));
+    }
+
+    impl MergeJob for CrashJob<'_> {
+        fn finish(&mut self) {
+            self.snapshot(&self.0.at_end);
+        }
+        fn install(&mut self) {
+            self.snapshot(&self.0.at_install);
+        }
+    }
+
+    impl StoreListener for CrashProbe {
+        fn begin_merge(&self, input_levels: &[usize], _: usize) -> Box<dyn MergeJob + '_> {
+            match input_levels {
+                [0] => Box::new(crate::events::Verbatim),
+                _ => Box::new(CrashJob(self)),
             }
         }
     }

@@ -13,7 +13,6 @@
 
 use sim_disk::FsError;
 
-use crate::events::RecordSource;
 use crate::record::{Record, RecordView};
 use crate::sstable::TableIter;
 
@@ -27,22 +26,22 @@ enum Cursor<'a> {
     Records { records: &'a [Record], next: usize },
 }
 
-/// One sorted input stream, tagged with its source level/file.
+/// One sorted input stream, tagged with its input level.
 #[derive(Debug)]
 pub struct MergeInput<'a> {
-    source: RecordSource,
+    level: usize,
     cursor: Cursor<'a>,
 }
 
 impl<'a> MergeInput<'a> {
     /// An input streaming a table.
-    pub fn table(source: RecordSource, table: TableIter<'a>) -> Self {
-        MergeInput { source, cursor: Cursor::Table(table) }
+    pub fn table(level: usize, table: TableIter<'a>) -> Self {
+        MergeInput { level, cursor: Cursor::Table(table) }
     }
 
     /// An input over records already in memory, in internal-key order.
-    pub fn records(source: RecordSource, records: &'a [Record]) -> Self {
-        MergeInput { source, cursor: Cursor::Records { records, next: 0 } }
+    pub fn records(level: usize, records: &'a [Record]) -> Self {
+        MergeInput { level, cursor: Cursor::Records { records, next: 0 } }
     }
 
     fn advance(&mut self) -> Result<bool, FsError> {
@@ -64,24 +63,23 @@ impl<'a> MergeInput<'a> {
     }
 }
 
-/// Merges sorted inputs into one sorted stream of `(source, record)`.
+/// Merges sorted inputs into one sorted stream of `(level, record)`.
 ///
 /// # Examples
 ///
 /// ```
 /// use lsm_store::merge::{KWayMerge, MergeInput};
-/// use lsm_store::events::RecordSource;
 /// use lsm_store::record::Record;
 ///
 /// let a = vec![Record::put(b"a".as_slice(), b"1".as_slice(), 1)];
 /// let b = vec![Record::put(b"b".as_slice(), b"2".as_slice(), 2)];
 /// let mut merge = KWayMerge::new(vec![
-///     MergeInput::records(RecordSource { level: 1, file_no: 1 }, &a),
-///     MergeInput::records(RecordSource { level: 2, file_no: 2 }, &b),
+///     MergeInput::records(1, &a),
+///     MergeInput::records(2, &b),
 /// ])
 /// .unwrap();
-/// let (source, first) = merge.next().unwrap().unwrap();
-/// assert_eq!((source.level, first.key), (1, &b"a"[..]));
+/// let (level, first) = merge.next().unwrap().unwrap();
+/// assert_eq!((level, first.key), (1, &b"a"[..]));
 /// assert_eq!(merge.next().unwrap().unwrap().1.key, b"b");
 /// assert!(merge.next().unwrap().is_none());
 /// ```
@@ -117,7 +115,7 @@ impl<'a> KWayMerge<'a> {
         Ok(merge)
     }
 
-    /// The next record in internal-key order and where it came from, lent
+    /// The next record in internal-key order and its input's level, lent
     /// until the next call; `None` once every input is exhausted.
     ///
     /// # Errors
@@ -126,7 +124,7 @@ impl<'a> KWayMerge<'a> {
     /// to produce its next one. The merge is over then: an input that
     /// cannot be read to its end must not pass for a shorter one.
     #[allow(clippy::should_implement_trait)] // a lending iterator: items borrow the merge
-    pub fn next(&mut self) -> Result<Option<(RecordSource, RecordView<'_>)>, FsError> {
+    pub fn next(&mut self) -> Result<Option<(usize, RecordView<'_>)>, FsError> {
         if std::mem::take(&mut self.lent) {
             // Fused replace-top: the root's input moves to its successor
             // (or leaves the heap) and one sift-down restores the order.
@@ -146,7 +144,7 @@ impl<'a> KWayMerge<'a> {
         let Some(&root) = self.heap.first() else { return Ok(None) };
         self.lent = true;
         let input = &self.inputs[root];
-        Ok(Some((input.source, input.view())))
+        Ok(Some((input.level, input.view())))
     }
 
     /// Ascending internal-key order of the inputs' current records; ties
@@ -190,14 +188,14 @@ mod tests {
     use std::cmp::Ordering;
 
     fn input(level: usize, recs: &[Record]) -> MergeInput<'_> {
-        MergeInput::records(RecordSource { level, file_no: level as u64 }, recs)
+        MergeInput::records(level, recs)
     }
 
-    fn collect(inputs: Vec<MergeInput<'_>>) -> Vec<(RecordSource, Record)> {
+    fn collect(inputs: Vec<MergeInput<'_>>) -> Vec<(usize, Record)> {
         let mut merge = KWayMerge::new(inputs).unwrap();
         let mut out = Vec::new();
-        while let Some((source, record)) = merge.next().unwrap() {
-            out.push((source, record.to_record()));
+        while let Some((level, record)) = merge.next().unwrap() {
+            out.push((level, record.to_record()));
         }
         out
     }
@@ -240,8 +238,8 @@ mod tests {
         let a = vec![Record::put(b"a".as_slice(), b"1".as_slice(), 1)];
         let b = vec![Record::put(b"b".as_slice(), b"2".as_slice(), 2)];
         let merged = collect(vec![input(1, &a), input(2, &b)]);
-        assert_eq!(merged[0].0.level, 1);
-        assert_eq!(merged[1].0.level, 2);
+        assert_eq!(merged[0].0, 1);
+        assert_eq!(merged[1].0, 2);
     }
 
     #[test]

@@ -311,7 +311,7 @@ fn pinned_trace_verifies_against_its_epochs_crown() {
 /// recovered.
 #[test]
 fn mid_flush_writes_survive_crash_recovery() {
-    use elsm_repro::lsm_store::{Db, Options, OutputObserver, StorageEnv, StoreListener, Verbatim};
+    use elsm_repro::lsm_store::{Db, MergeJob, Options, StorageEnv, StoreListener, Verbatim};
     use elsm_repro::sim_disk::{FsSnapshot, SimDisk, SimFs};
     use std::sync::{Arc, Mutex, OnceLock};
 
@@ -322,9 +322,9 @@ fn mid_flush_writes_survive_crash_recovery() {
         fired: AtomicBool,
     }
     impl StoreListener for MidFlushWriter {
-        fn begin_output(&self, _: usize) -> Box<dyn OutputObserver + '_> {
-            // Fires during the flush's merge phase: the memtable is
-            // frozen, the WAL has rotated, and no store lock is held.
+        fn begin_merge(&self, _: &[usize], _: usize) -> Box<dyn MergeJob + '_> {
+            // Fires as the flush's merge starts: the memtable is frozen,
+            // the WAL has rotated, and no store lock is held.
             if !self.fired.swap(true, Ordering::SeqCst) {
                 let db = self.db.get().expect("db registered");
                 db.put(b"late-write", b"must-survive").unwrap();

@@ -16,9 +16,10 @@
 //! announcement and frame decoders) — and over what a restart and a
 //! separated read take from the host: the manifest (`decode_manifest`, with
 //! its `vlog::decode_manifest_section`) and a value-log entry (`Vlog::read`
-//! on a recovered log). Whatever the bytes: no panic, no single
-//! allocation beyond the input's length times a constant, and what is
-//! accepted decodes to entries that round-trip through the encoder.
+//! on a recovered log) — and over the certificate-transparency log's stored
+//! value (`ct_log::Certificate::decode`). Whatever the bytes: no panic, no
+//! single allocation beyond the input's length times a constant, and what
+//! is accepted decodes to entries that round-trip through the encoder.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -26,6 +27,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use elsm_repro::crypto::Digest;
+use elsm_repro::ct_log::{synthesize, Certificate};
 use elsm_repro::elsm::Announcement;
 use elsm_repro::lsm_store::block::{Block, BlockBuilder};
 use elsm_repro::lsm_store::bloom::{key_hashes, BloomFilter};
@@ -590,6 +592,28 @@ proptest! {
                 let mut again = Vec::new();
                 encode_manifest_section(next_no, &files, &mut again);
                 prop_assert_eq!(decode_manifest_section(&again), Some((next_no, files, again.len())));
+            }
+        }
+    }
+
+    /// A certificate as the transparency log stores it: the honest encoding
+    /// decodes to the certificate; any edit decodes or not without panic or
+    /// an allocation beyond a constant times its length, and an accepted
+    /// certificate re-encodes to the input itself.
+    #[test]
+    fn mutated_certificates_decode_in_bounds(
+        seed in any::<u64>(),
+        edits in prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..60),
+    ) {
+        let certs = synthesize(2, seed);
+        let (base, other) = (certs[0].encode(), certs[1].encode());
+        prop_assert_eq!(Certificate::decode(&base), Some(certs[0].clone()));
+        for edit in edits {
+            let buf = mutate(&base, &other, edit);
+            let (decoded, largest) = largest_allocation(|| Certificate::decode(&buf));
+            prop_assert!(largest <= PER_INPUT_BYTE * buf.len(), "{largest} B for {} B", buf.len());
+            if let Some(certificate) = decoded {
+                prop_assert_eq!(certificate.encode(), buf);
             }
         }
     }

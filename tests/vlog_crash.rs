@@ -11,7 +11,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Mutex;
 
 use elsm_repro::elsm::{AuthenticatedKv, ElsmError, ElsmP2, P2Options, VerificationFailure};
-use elsm_repro::lsm_store::{CompactionInfo, Db, Options, StorageEnv, StoreListener, VlogConfig};
+use elsm_repro::lsm_store::{Db, MergeJob, Options, StorageEnv, StoreListener, VlogConfig};
 use elsm_repro::sgx_sim::Platform;
 use elsm_repro::sim_disk::{FsSnapshot, SimDisk, SimFs};
 
@@ -81,24 +81,33 @@ fn torn_vlog_tail_is_detected_never_fabricated() {
     assert_eq!(store.get(b"fresh").unwrap().expect("fresh value").value(), &[9u8; 1024][..]);
 }
 
-/// Captures an [`FsSnapshot`] from inside a compaction merge once armed —
-/// the GC's merge has run and rewritten entries sit in the active log
-/// file, but the manifest still names the victim files. That is the
-/// mid-GC crash instant.
+/// Captures an [`FsSnapshot`] when a merge finishes, once armed — the
+/// GC's merge has run and rewritten entries sit in the active log file,
+/// but the manifest still names the victim files. That is the mid-GC
+/// crash instant.
 struct MidGcSnap {
     fs: std::sync::Arc<SimFs>,
     armed: AtomicBool,
     snapshot: Mutex<Option<FsSnapshot>>,
 }
 
-impl StoreListener for MidGcSnap {
-    fn on_compaction_end(&self, _info: &CompactionInfo) {
-        if self.armed.load(Ordering::SeqCst) {
-            let mut slot = self.snapshot.lock().unwrap();
+/// One merge of [`MidGcSnap`].
+struct MidGcJob<'a>(&'a MidGcSnap);
+
+impl MergeJob for MidGcJob<'_> {
+    fn finish(&mut self) {
+        if self.0.armed.load(Ordering::SeqCst) {
+            let mut slot = self.0.snapshot.lock().unwrap();
             if slot.is_none() {
-                *slot = Some(self.fs.snapshot());
+                *slot = Some(self.0.fs.snapshot());
             }
         }
+    }
+}
+
+impl StoreListener for MidGcSnap {
+    fn begin_merge(&self, _: &[usize], _: usize) -> Box<dyn MergeJob + '_> {
+        Box::new(MidGcJob(self))
     }
 }
 
