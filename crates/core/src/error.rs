@@ -65,13 +65,15 @@ pub enum VerificationFailure {
         /// The input level whose digest mismatched.
         level: u32,
     },
-    /// The sealed enclave state could not be unsealed (tampered or from a
-    /// different enclave).
+    /// The sealed enclave state the manifest carries is missing or failed
+    /// to unseal: tampered, from a different enclave, sealed into another
+    /// manifest, or gone with a manifest whose store's files stayed.
     SealBroken,
     /// The write-ahead logs the host presents at restart do not fold, from
     /// the sealed chain value their oldest started at, to the sealed WAL
     /// digest: a frame was forged, dropped, reordered or cut off after the
-    /// state was sealed — or the store went down without sealing at all.
+    /// state was sealed — or logged after the last manifest sealed it (a
+    /// store that went down without `close()`).
     WalMismatch,
     /// A trace names an epoch the enclave holds no commitment snapshot
     /// for — either a fabricated epoch or one that drained long ago (the
@@ -219,7 +221,9 @@ impl fmt::Display for VerificationFailure {
             VerificationFailure::CompactionInputMismatch { level } => {
                 write!(f, "compaction input digest mismatch at level {level}")
             }
-            VerificationFailure::SealBroken => f.write_str("sealed enclave state failed to unseal"),
+            VerificationFailure::SealBroken => {
+                f.write_str("sealed enclave state missing or failed to unseal")
+            }
             VerificationFailure::WalMismatch => {
                 f.write_str("replayed write-ahead log does not reach the sealed WAL digest")
             }

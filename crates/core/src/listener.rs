@@ -34,16 +34,23 @@
 //! * `on_versions_retired`: prunes snapshots whose readers drained,
 //! * `on_wal_append_batch`: maintains the in-enclave WAL digest (step w1);
 //!   `on_wal_rotate` and a flush's install keep the chain value the oldest
-//!   live log starts from, which recovery folds the logs from.
+//!   live log starts from, which recovery folds the logs from,
+//! * `manifest_state`: seals the trusted state into every manifest the
+//!   store writes, bound to the manifest's other bytes, and
+//!   `recover_manifest_state` unseals it at restart, before the logs replay
+//!   (`DESIGN.md` §8).
 
 use std::sync::Arc;
 
+use elsm_crypto::Digest;
 use lsm_store::{InputPosition, MergeJob, Record, RecordView, StoreListener};
-use merkle::{Folded, LevelDigest, LevelDigestBuilder};
-use sgx_sim::Platform;
+use merkle::{Folded, LevelCommitment, LevelDigest, LevelDigestBuilder};
+use parking_lot::Mutex;
+use sgx_sim::{Platform, SealedBlob, Sealer};
 
 use crate::cache::VerifiedCache;
 use crate::envelope::{append_canonical, append_with_proof, open_record, wrap_plain};
+use crate::error::{VerificationFailure, WRONG_SHARD_UNSHARDED};
 use crate::trusted::{CompactionDelta, TrustedState};
 
 /// eLSM's authentication layer, attached to the vanilla store as a
@@ -68,6 +75,11 @@ pub struct AuthListener {
     /// Chain links merges hashed, input and output levels together
     /// (`core.compaction.links_hashed`).
     links_hashed: telemetry::Counter,
+    /// Seals the trusted state into the manifest, under the enclave's key.
+    sealer: Sealer,
+    /// What the manifest a restart recovers from unsealed to, until the
+    /// store takes it to check the replay against.
+    recovered: Mutex<Option<Result<SealedState, VerificationFailure>>>,
 }
 
 impl AuthListener {
@@ -89,7 +101,16 @@ impl AuthListener {
             cache,
             leaves_reused: telemetry.counter("core.compaction.leaves_reused"),
             links_hashed: telemetry.counter("core.compaction.links_hashed"),
+            sealer: Sealer::new(elsm_crypto::sha256(b"elsm-p2 enclave v1"), b"machine-0"),
+            recovered: Mutex::new(None),
         })
+    }
+
+    /// The sealed state the store recovered from, unsealed — `None` for a
+    /// fresh store, `SealBroken` for a section that does not unseal
+    /// against the manifest it ends. Taken once.
+    pub(crate) fn take_recovered(&self) -> Option<Result<SealedState, VerificationFailure>> {
+        self.recovered.lock().take()
     }
 
     /// The state of a new merge of `input_levels` into `output_level`.
@@ -410,6 +431,91 @@ impl StoreListener for AuthListener {
     fn on_versions_retired(&self, live_epochs: &[u64]) {
         self.trusted.prune_epochs(live_epochs);
     }
+
+    fn manifest_state(&self, manifest: &[u8]) -> Vec<u8> {
+        let plain = encode_state(&SealedState {
+            commitments: self.trusted.commitments(),
+            wal_base: self.trusted.wal_base(),
+            wal_digest: self.trusted.wal_digest(),
+            shard: self.trusted.shard_id(),
+        });
+        self.sealer.seal(&state_aad(manifest), &plain).to_bytes()
+    }
+
+    fn recover_manifest_state(&self, manifest: &[u8], state: &[u8]) {
+        let unsealed = SealedBlob::from_bytes(state)
+            .ok()
+            .and_then(|blob| self.sealer.unseal(&state_aad(manifest), &blob).ok())
+            .and_then(|plain| decode_state(&plain));
+        // The replay that follows folds the logs from the sealed base on.
+        if let Some(state) = &unsealed {
+            self.trusted.restore_wal_base(state.wal_base);
+        }
+        *self.recovered.lock() = Some(unsealed.ok_or(VerificationFailure::SealBroken));
+    }
+}
+
+/// The seal's associated data: its domain, then the manifest bytes it ends
+/// — a section moved onto another manifest does not unseal.
+fn state_aad(manifest: &[u8]) -> Vec<u8> {
+    [b"elsm-p2/state", manifest].concat()
+}
+
+/// What every manifest carries sealed, and a restart unseals.
+#[derive(Debug)]
+pub(crate) struct SealedState {
+    pub(crate) commitments: Vec<LevelCommitment>,
+    /// The WAL chain value the oldest live log starts from …
+    pub(crate) wal_base: Digest,
+    /// … and the one the live logs, replayed, must arrive at.
+    pub(crate) wal_digest: Digest,
+    pub(crate) shard: Option<u32>,
+}
+
+fn encode_state(state: &SealedState) -> Vec<u8> {
+    let mut out = Vec::new();
+    out.extend_from_slice(&(state.commitments.len() as u32).to_le_bytes());
+    for c in &state.commitments {
+        out.extend_from_slice(&c.level.to_le_bytes());
+        out.extend_from_slice(c.root.as_bytes());
+        out.extend_from_slice(&c.leaf_count.to_le_bytes());
+    }
+    out.extend_from_slice(state.wal_base.as_bytes());
+    out.extend_from_slice(state.wal_digest.as_bytes());
+    let shard = state.shard.unwrap_or(WRONG_SHARD_UNSHARDED);
+    out.extend_from_slice(&shard.to_le_bytes());
+    out
+}
+
+/// Parses [`encode_state`]'s bytes; `None` unless they are exactly one
+/// state. The commitment count is checked against the bytes left to hold
+/// it before anything is sized by it.
+fn decode_state(buf: &[u8]) -> Option<SealedState> {
+    const COMMITMENT_BYTES: usize = 4 + 32 + 8;
+    let n = u32::from_le_bytes(buf.get(0..4)?.try_into().ok()?) as usize;
+    if n > (buf.len() - 4) / COMMITMENT_BYTES {
+        return None;
+    }
+    let mut pos = 4;
+    let digest = |pos: &mut usize| {
+        let bytes: [u8; 32] = buf.get(*pos..*pos + 32)?.try_into().ok()?;
+        *pos += 32;
+        Some(Digest::from_bytes(bytes))
+    };
+    let mut commitments = Vec::with_capacity(n);
+    for _ in 0..n {
+        let level = u32::from_le_bytes(buf.get(pos..pos + 4)?.try_into().ok()?);
+        pos += 4;
+        let root = digest(&mut pos)?;
+        let leaf_count = u64::from_le_bytes(buf.get(pos..pos + 8)?.try_into().ok()?);
+        pos += 8;
+        commitments.push(LevelCommitment { level, root, leaf_count });
+    }
+    let wal_base = digest(&mut pos)?;
+    let wal_digest = digest(&mut pos)?;
+    let shard = u32::from_le_bytes(buf.get(pos..)?.try_into().ok()?);
+    let shard = (shard != WRONG_SHARD_UNSHARDED).then_some(shard);
+    Some(SealedState { commitments, wal_base, wal_digest, shard })
 }
 
 /// The authenticated value log's entry digest: binds key ‖ ts ‖ stored
@@ -441,7 +547,6 @@ mod tests {
     use super::*;
     use crate::envelope::wrap_plain;
     use bytes::Bytes;
-    use elsm_crypto::Digest;
 
     fn record(key: &str, ts: u64, value: &str) -> Record {
         Record::put(Bytes::copy_from_slice(key.as_bytes()), wrap_plain(value.as_bytes()), ts)
@@ -749,6 +854,87 @@ mod tests {
         for (version, r) in stored.iter().enumerate() {
             let proof = open_record(r.view(), 2).unwrap().proof.unwrap().to_owned();
             assert_eq!(proof, reference.prove_version(0, version));
+        }
+    }
+
+    /// The state sealed into a manifest unseals against that manifest's
+    /// bytes, restarting the WAL chain at the sealed base — and against no
+    /// other manifest's.
+    #[test]
+    fn sealed_state_is_bound_to_its_manifest() {
+        let (listener, trusted) = setup();
+        listener.on_wal_append_batch(&[record("a", 1, "va")]);
+        listener.on_wal_rotate();
+        listener.on_wal_append_batch(&[record("b", 2, "vb")]);
+        flush(&listener, 1, vec![record("a", 1, "va")]);
+        assert_ne!(trusted.wal_base(), Digest::ZERO);
+        let sealed = listener.manifest_state(b"manifest body");
+
+        let (restarted, after) = setup();
+        restarted.recover_manifest_state(b"manifest bodY", &sealed);
+        assert!(matches!(restarted.take_recovered(), Some(Err(VerificationFailure::SealBroken))));
+        restarted.recover_manifest_state(b"manifest body", &sealed);
+        let state = restarted.take_recovered().unwrap().unwrap();
+        assert!(restarted.take_recovered().is_none(), "taken once");
+        assert_eq!(state.commitments, trusted.commitments());
+        assert_eq!((state.wal_base, state.wal_digest), (trusted.wal_base(), trusted.wal_digest()));
+        assert_eq!(after.wal_digest(), trusted.wal_base(), "the replay starts at the base");
+    }
+
+    /// The sealed state's decoder, on plaintext (what a host that forged a
+    /// sealing key, or found a bug in the seal, could present): any edit of
+    /// an honest encoding — half of them with the commitment count forged —
+    /// decodes or not without panic, reserves no more than a constant times
+    /// its input, and an accepted state re-encodes to the input itself.
+    #[test]
+    fn sealed_state_decodes_in_bounds() {
+        let state = |n: u32, shard| SealedState {
+            commitments: (0..n)
+                .map(|level| LevelCommitment {
+                    level,
+                    root: Digest::from_bytes([level as u8; 32]),
+                    leaf_count: u64::from(level) * 7,
+                })
+                .collect(),
+            wal_base: Digest::from_bytes([0xb0; 32]),
+            wal_digest: Digest::from_bytes([0xd0; 32]),
+            shard,
+        };
+        let encodings: Vec<Vec<u8>> = [(0, None), (1, Some(3)), (5, None), (7, Some(0))]
+            .map(|(n, s)| encode_state(&state(n, s)))
+            .into();
+        // A 64-bit LCG (MMIX constants).
+        let mut seed = 0x5ea1_ed00u64;
+        let mut next = move || {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            seed >> 16
+        };
+        for (i, base) in encodings.iter().enumerate() {
+            let again = decode_state(base).map(|decoded| encode_state(&decoded));
+            assert_eq!(again.as_ref(), Some(base), "an honest state round-trips");
+            assert!(decode_state(&[&base[..], &[0]].concat()).is_none(), "trailing bytes");
+            let other = &encodings[(i + 1) % encodings.len()];
+            for _ in 0..2000 {
+                let mut buf = base.clone();
+                let at = next() as usize % buf.len();
+                match next() % 5 {
+                    0 => buf[at] = next() as u8,
+                    1 => buf.truncate(at),
+                    2 => buf.extend_from_slice(&other[..at.min(other.len())]),
+                    3 => buf
+                        .splice(at.., other[at.min(other.len())..].iter().copied())
+                        .for_each(drop),
+                    _ => buf[at..(at + 4).min(base.len())].fill(0xff),
+                }
+                if next() % 2 == 0 && buf.len() >= 4 {
+                    let forged = u32::MAX >> (next() % 32);
+                    buf[..4].copy_from_slice(&forged.to_le_bytes());
+                }
+                let Some(decoded) = decode_state(&buf) else { continue };
+                let reserved = decoded.commitments.capacity() * size_of::<LevelCommitment>();
+                assert!(reserved <= 2 * buf.len(), "{reserved} B for {} B", buf.len());
+                assert_eq!(encode_state(&decoded), buf, "an accepted state is its encoding");
+            }
         }
     }
 }

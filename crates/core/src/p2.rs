@@ -10,21 +10,16 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use elsm_crypto::Digest;
 use lsm_store::{Db, EnvConfig, GetTrace, Options, ScanTrace, StorageEnv, Timestamp, ValueKind};
-use merkle::LevelCommitment;
-use sgx_sim::{BufferedCounter, MonotonicCounter, Platform, SealedBlob, Sealer};
-use sim_disk::{Placement, SimDisk, SimFs};
+use sgx_sim::{BufferedCounter, MonotonicCounter, Platform};
+use sim_disk::{FsError, Placement, SimDisk, SimFs};
 
 use crate::api::{AuthenticatedKv, OpSpans, VerifiedRecord};
 use crate::cache::{CacheStats, Lookup, VerifiedCache};
 use crate::envelope::{append_canonical, open_record, plain_record};
 use crate::error::{ElsmError, VerificationFailure};
-use crate::listener::{vlog_entry_mac, AuthListener};
+use crate::listener::{vlog_entry_mac, AuthListener, SealedState};
 use crate::trusted::{TrustedState, Verified, VerifyStats};
-
-/// File holding the sealed enclave state between runs.
-const STATE_FILE: &str = "ENCLAVE_STATE";
 
 /// How eLSM-P2 reads SSTables (§5.5.1, Figure 6b).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -168,7 +163,6 @@ pub struct ElsmP2 {
     fs: Arc<SimFs>,
     db: Arc<Db>,
     trusted: Arc<TrustedState>,
-    sealer: Sealer,
     counter: Option<Arc<BufferedCounter>>,
     cache: Option<Arc<VerifiedCache>>,
     options: P2Options,
@@ -189,18 +183,20 @@ impl ElsmP2 {
     /// bound to a trusted monotonic counter (required for rollback
     /// protection to survive power cycles).
     ///
-    /// On re-open the enclave unseals its state, re-derives the WAL digest
-    /// from the logs the host presents, and — when a counter is bound —
-    /// checks the dataset digest against the counter's current epoch
-    /// (`DESIGN.md` §8 lists what recovery checks, in order).
+    /// On re-open the enclave unseals the state the manifest carries,
+    /// re-derives the WAL digest from the logs the host presents, and —
+    /// when a counter is bound — checks the dataset digest against the
+    /// counter's current epoch (`DESIGN.md` §8 lists what recovery checks,
+    /// in order).
     ///
     /// # Errors
     ///
-    /// Returns [`VerificationFailure::SealBroken`] when the sealed state
-    /// fails to unseal, [`VerificationFailure::WalMismatch`] when the logs
-    /// do not fold to the sealed WAL digest, and
+    /// Returns [`VerificationFailure::SealBroken`] when the sealed state is
+    /// missing or fails to unseal, [`VerificationFailure::WalMismatch`] when
+    /// the logs do not fold to the sealed WAL digest, and
     /// [`VerificationFailure::RolledBack`] when the on-disk state is an
-    /// older (but authentic) version than the counter epoch.
+    /// older (but authentic) version than the counter epoch — a fresh
+    /// store's included.
     pub fn open_with(
         platform: Arc<Platform>,
         fs: Arc<SimFs>,
@@ -245,13 +241,6 @@ impl ElsmP2 {
             },
             None,
         );
-        let sealer = Sealer::new(elsm_crypto::sha256(b"elsm-p2 enclave v1"), b"machine-0");
-        // Unsealed before the store replays its logs: the replay folds them
-        // into the WAL digest from the sealed base on.
-        let sealed = fs.open("MANIFEST").is_ok().then(|| unseal_state(&fs, &sealer));
-        if let Some(Ok(state)) = &sealed {
-            trusted.restore_wal_base(state.wal_base);
-        }
         // Embedded proofs inflate stored records: a key's newest version
         // carries an audit path (57 + 32·depth bytes, ~6x a 100-byte value
         // in a 2^15-leaf level), every older version a 57-byte chain link
@@ -281,7 +270,17 @@ impl ElsmP2 {
             vlog: options.vlog,
             telemetry: options.telemetry.clone(),
         };
-        let db = Arc::new(Db::open(env, db_options, Some(listener))?);
+        let db = match Db::open(env, db_options, Some(listener.clone())) {
+            Ok(db) => Arc::new(db),
+            // A store's files, and no manifest to name them — nor the
+            // sealed state it carries.
+            Err(FsError::NotFound(name)) if name == lsm_store::MANIFEST => {
+                let failure = VerificationFailure::SealBroken;
+                audit(&platform, &options, 0, &failure);
+                return Err(failure.into());
+            }
+            Err(error) => return Err(error.into()),
+        };
         let counter = counter.map(|c| {
             Arc::new(BufferedCounter::new(
                 c,
@@ -291,16 +290,22 @@ impl ElsmP2 {
         // The verifier expects levels in the order the store searches them.
         trusted.set_stacked(db.stacked_reads());
         let spans = OpSpans::new("op", &options.telemetry);
-        let store = ElsmP2 { spans, platform, fs, db, trusted, sealer, counter, cache, options };
-        if let Some(sealed) = sealed {
-            let recovery = sealed.and_then(|state| store.recover_trusted_state(state));
-            store.audited(recovery)?;
-        }
+        let store = ElsmP2 { spans, platform, fs, db, trusted, counter, cache, options };
+        let recovery = match listener.take_recovered() {
+            Some(sealed) => sealed.map_err(Into::into).and_then(|s| store.recover_trusted_state(s)),
+            // A fresh store is the genesis state, which a counter that has
+            // moved no longer binds: the host wiped a store that had data.
+            None if store.counter.as_ref().is_some_and(|c| c.counter().read().0 > 0) => {
+                Err(VerificationFailure::RolledBack.into())
+            }
+            None => Ok(()),
+        };
+        store.audited(recovery)?;
         Ok(store)
     }
 
-    /// Restores enclave state after a power cycle from the unsealed
-    /// `state`: check its shard binding, compare the WAL digest the log
+    /// Restores enclave state after a power cycle from the `state` the
+    /// manifest carried: check its shard binding, compare the WAL digest the log
     /// replay arrived at with the sealed one, adopt the commitments, check
     /// the monotonic counter, and re-derive the crowns from the level
     /// contents.
@@ -366,29 +371,16 @@ impl ElsmP2 {
         Ok(())
     }
 
-    /// Seals the enclave state to untrusted storage and flushes the
-    /// rollback counter — the clean-shutdown path that makes restart
-    /// verification possible.
+    /// The clean shutdown: pushes buffered WAL frames to the host, rewrites
+    /// the manifest — whose sealed state then covers every acknowledged
+    /// write, so the store reopens on its logs — and flushes the rollback
+    /// counter.
     ///
     /// # Errors
     ///
     /// Returns [`ElsmError`] on IO failure.
     pub fn close(&self) -> Result<(), ElsmError> {
-        // Acknowledged writes buffered under a lazy WalSyncPolicy must
-        // reach the host before the sealed state claims them: the sealed
-        // WAL digest already covers them, so losing their frames across a
-        // clean shutdown would fail honest recovery.
-        self.db.sync_wal();
-        let plain = encode_state(&SealedState {
-            commitments: self.trusted.commitments(),
-            wal_base: self.trusted.wal_base(),
-            wal_digest: self.trusted.wal_digest(),
-            shard: self.options.shard_id,
-        });
-        let blob = self.sealer.seal(b"elsm-p2/state", &plain);
-        let _ = self.fs.delete(STATE_FILE);
-        let file = self.fs.create(STATE_FILE)?;
-        file.append(&blob.to_bytes());
+        self.db.close()?;
         if let Some(counter) = &self.counter {
             counter.update(self.trusted.dataset_digest());
             counter.flush();
@@ -432,19 +424,10 @@ impl ElsmP2 {
         &self.options.telemetry
     }
 
-    /// Records a verification failure on the audit stream, stamped with
-    /// this store's shard binding and the failure's epoch context (the
-    /// current commitment epoch when the variant carries none).
+    /// Records a verification failure on the audit stream (see [`audit`]),
+    /// at the current commitment epoch.
     fn audit_failure(&self, failure: &VerificationFailure) {
-        let epoch = failure.epoch_context().unwrap_or_else(|| self.db.current_epoch());
-        let mut event = telemetry::AuditEvent::new(failure.kind(), "p2")
-            .detail(failure.to_string())
-            .epoch(epoch)
-            .at_ns(self.platform.clock().now_ns());
-        if let Some(shard) = failure.shard_context().or(self.options.shard_id) {
-            event = event.shard(shard);
-        }
-        self.options.telemetry.audit(event);
+        audit(&self.platform, &self.options, self.db.current_epoch(), failure);
     }
 
     /// Passes `result` through, recording any verification failure it
@@ -741,70 +724,18 @@ impl ElsmP2 {
     }
 }
 
-/// What `close()` seals and a restart unseals.
-struct SealedState {
-    commitments: Vec<LevelCommitment>,
-    /// The WAL chain value the oldest live log starts from …
-    wal_base: Digest,
-    /// … and the one the live logs, replayed, must arrive at.
-    wal_digest: Digest,
-    shard: Option<u32>,
-}
-
-/// Reads and unseals `STATE_FILE`.
-fn unseal_state(fs: &SimFs, sealer: &Sealer) -> Result<SealedState, ElsmError> {
-    let state_file = fs.open(STATE_FILE).map_err(|_| VerificationFailure::SealBroken)?;
-    let raw = state_file.read_at(0, state_file.len())?;
-    let blob = SealedBlob::from_bytes(&raw).map_err(|_| VerificationFailure::SealBroken)?;
-    let plain =
-        sealer.unseal(b"elsm-p2/state", &blob).map_err(|_| VerificationFailure::SealBroken)?;
-    Ok(decode_state(&plain).ok_or(VerificationFailure::SealBroken)?)
-}
-
-fn encode_state(state: &SealedState) -> Vec<u8> {
-    let mut out = Vec::new();
-    out.extend_from_slice(&(state.commitments.len() as u32).to_le_bytes());
-    for c in &state.commitments {
-        out.extend_from_slice(&c.level.to_le_bytes());
-        out.extend_from_slice(c.root.as_bytes());
-        out.extend_from_slice(&c.leaf_count.to_le_bytes());
+/// Records a verification failure on `options`' audit stream, stamped with
+/// the store's shard binding and the failure's epoch context (`epoch` when
+/// the variant carries none).
+fn audit(platform: &Platform, options: &P2Options, epoch: u64, failure: &VerificationFailure) {
+    let mut event = telemetry::AuditEvent::new(failure.kind(), "p2")
+        .detail(failure.to_string())
+        .epoch(failure.epoch_context().unwrap_or(epoch))
+        .at_ns(platform.clock().now_ns());
+    if let Some(shard) = failure.shard_context().or(options.shard_id) {
+        event = event.shard(shard);
     }
-    out.extend_from_slice(state.wal_base.as_bytes());
-    out.extend_from_slice(state.wal_digest.as_bytes());
-    let shard = state.shard.unwrap_or(crate::error::WRONG_SHARD_UNSHARDED);
-    out.extend_from_slice(&shard.to_le_bytes());
-    out
-}
-
-/// Parses [`encode_state`]'s bytes; `None` unless they are exactly one
-/// state. The commitment count is checked against the bytes left to hold
-/// it before anything is sized by it.
-fn decode_state(buf: &[u8]) -> Option<SealedState> {
-    const COMMITMENT_BYTES: usize = 4 + 32 + 8;
-    let n = u32::from_le_bytes(buf.get(0..4)?.try_into().ok()?) as usize;
-    if n > (buf.len() - 4) / COMMITMENT_BYTES {
-        return None;
-    }
-    let mut pos = 4;
-    let digest = |pos: &mut usize| {
-        let bytes: [u8; 32] = buf.get(*pos..*pos + 32)?.try_into().ok()?;
-        *pos += 32;
-        Some(Digest::from_bytes(bytes))
-    };
-    let mut commitments = Vec::with_capacity(n);
-    for _ in 0..n {
-        let level = u32::from_le_bytes(buf.get(pos..pos + 4)?.try_into().ok()?);
-        pos += 4;
-        let root = digest(&mut pos)?;
-        let leaf_count = u64::from_le_bytes(buf.get(pos..pos + 8)?.try_into().ok()?);
-        pos += 8;
-        commitments.push(LevelCommitment { level, root, leaf_count });
-    }
-    let wal_base = digest(&mut pos)?;
-    let wal_digest = digest(&mut pos)?;
-    let shard = u32::from_le_bytes(buf.get(pos..)?.try_into().ok()?);
-    let shard = (shard != crate::error::WRONG_SHARD_UNSHARDED).then_some(shard);
-    Some(SealedState { commitments, wal_base, wal_digest, shard })
+    options.telemetry.audit(event);
 }
 
 #[cfg(test)]
@@ -906,58 +837,6 @@ mod tests {
                 .map(|r| (r.key().to_vec(), r.value().to_vec()))
                 .collect();
             assert_eq!(got, expect_scan, "{strategy:?}/par{parallelism} scan diverged");
-        }
-    }
-
-    /// The sealed state's decoder, on plaintext (what a host that forged a
-    /// sealing key, or found a bug in the seal, could present): any edit of
-    /// an honest encoding — half of them with the commitment count forged —
-    /// decodes or not without panic, reserves no more than a constant times
-    /// its input, and an accepted state re-encodes to the input itself.
-    #[test]
-    fn sealed_state_decodes_in_bounds() {
-        let state = |n: u32, shard| SealedState {
-            commitments: (0..n)
-                .map(|level| LevelCommitment {
-                    level,
-                    root: Digest::from_bytes([level as u8; 32]),
-                    leaf_count: u64::from(level) * 7,
-                })
-                .collect(),
-            wal_base: Digest::from_bytes([0xb0; 32]),
-            wal_digest: Digest::from_bytes([0xd0; 32]),
-            shard,
-        };
-        let encodings: Vec<Vec<u8>> = [(0, None), (1, Some(3)), (5, None), (7, Some(0))]
-            .map(|(n, s)| encode_state(&state(n, s)))
-            .into();
-        let mut rng = Lcg(0x5ea1_ed00);
-        for (i, base) in encodings.iter().enumerate() {
-            let again = decode_state(base).map(|decoded| encode_state(&decoded));
-            assert_eq!(again.as_ref(), Some(base), "an honest state round-trips");
-            assert!(decode_state(&[&base[..], &[0]].concat()).is_none(), "trailing bytes");
-            let other = &encodings[(i + 1) % encodings.len()];
-            for _ in 0..2000 {
-                let mut buf = base.clone();
-                let at = rng.next() as usize % buf.len();
-                match rng.next() % 5 {
-                    0 => buf[at] = rng.next() as u8,
-                    1 => buf.truncate(at),
-                    2 => buf.extend_from_slice(&other[..at.min(other.len())]),
-                    3 => buf
-                        .splice(at.., other[at.min(other.len())..].iter().copied())
-                        .for_each(drop),
-                    _ => buf[at..(at + 4).min(base.len())].fill(0xff),
-                }
-                if rng.next() % 2 == 0 && buf.len() >= 4 {
-                    let forged = u32::MAX >> (rng.next() % 32);
-                    buf[..4].copy_from_slice(&forged.to_le_bytes());
-                }
-                let Some(decoded) = decode_state(&buf) else { continue };
-                let reserved = decoded.commitments.capacity() * size_of::<LevelCommitment>();
-                assert!(reserved <= 2 * buf.len(), "{reserved} B for {} B", buf.len());
-                assert_eq!(encode_state(&decoded), buf, "an accepted state is its encoding");
-            }
         }
     }
 

@@ -350,7 +350,9 @@ impl Db {
     ///
     /// # Errors
     ///
-    /// Returns [`FsError`] on IO or corruption errors.
+    /// Returns [`FsError`] on IO or corruption errors, and
+    /// [`FsError::NotFound`] naming the manifest when the filesystem holds
+    /// a store's tables, value-log files or logged writes but no manifest.
     pub fn open(
         env: Arc<StorageEnv>,
         options: Options,
@@ -365,21 +367,7 @@ impl Db {
         let (inner, next_file_no, last_ts, vlog_manifest) = if recovering {
             Self::recover_parts(&env, &options, listener.as_ref())?
         } else {
-            let wal_file = env.fs().create(&wal_name(1))?;
-            let current = Arc::new(Version::empty(options.max_levels));
-            (
-                DbInner {
-                    memtable: MemTable::new(),
-                    wal: WalWriter::new(env.clone(), wal_file, options.wal_sync),
-                    wal_lo: 1,
-                    wal_no: 1,
-                    live: vec![current.clone()],
-                    current,
-                },
-                1,
-                0,
-                (1, Vec::new()),
-            )
+            Self::fresh_parts(&env, &options)?
         };
         let (vlog_next_no, vlog_files) = vlog_manifest;
         // Keep the log readable even when separation was turned off, as
@@ -806,14 +794,22 @@ impl Db {
         }
     }
 
-    /// Pushes any WAL frames still buffered under
+    /// The clean shutdown: pushes any WAL frames still buffered under
     /// [`WalSyncPolicy::EveryNBytes`](crate::options::WalSyncPolicy) out to
-    /// the host. Part of every clean-shutdown path: without it, a lazy log
-    /// could lose acknowledged writes across a *graceful* close, not just a
-    /// crash.
-    pub fn sync_wal(&self) {
-        let _serial = self.env.platform().serial_section(SerialClass::StoreWrite);
-        self.inner.write().wal.sync();
+    /// the host — without that, a lazy log could lose acknowledged writes
+    /// across a *graceful* close, not just a crash — then rewrites the
+    /// manifest, so the listener's section covers every write so far.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError`] on IO errors.
+    pub fn close(&self) -> Result<(), FsError> {
+        let _maint = self.maint.lock();
+        {
+            let _serial = self.env.platform().serial_section(SerialClass::StoreWrite);
+            self.inner.write().wal.sync();
+        }
+        self.write_manifest()
     }
 
     /// Applies one replicated WAL batch frame: records shipped from a

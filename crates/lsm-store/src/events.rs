@@ -127,6 +127,25 @@ pub trait StoreListener: Send + Sync {
     fn unwrap_vlog_pointer(&self, stored: &[u8]) -> Option<Bytes> {
         Some(Bytes::copy_from_slice(stored))
     }
+
+    /// The listener's section of the manifest being written, whose other
+    /// bytes are `manifest`. The manifest is the store's one durable commit
+    /// point: it is rewritten at open, at each flush freeze and install, when
+    /// value-log files go, and at close — with the maintenance mutex held,
+    /// after the install it records. eLSM seals its trusted state here,
+    /// bound to `manifest`. The default keeps nothing.
+    fn manifest_state(&self, manifest: &[u8]) -> Vec<u8> {
+        let _ = manifest;
+        Vec::new()
+    }
+
+    /// Recovery read `state`, the listener's section of the manifest whose
+    /// other bytes are `manifest`, and replays the logs next — eLSM unseals
+    /// the state and restarts its WAL chain where the state says the oldest
+    /// live log starts.
+    fn recover_manifest_state(&self, manifest: &[u8], state: &[u8]) {
+        let _ = (manifest, state);
+    }
 }
 
 /// One merge as a listener sees it, from its first input record to its

@@ -60,7 +60,7 @@ pub use events::{
 };
 pub use options::{Options, VlogConfig, WalSyncPolicy};
 pub use record::{internal_cmp, InternalKey, Record, RecordView, Timestamp, ValueKind};
-pub use recovery::{decode_manifest, Manifest};
+pub use recovery::{decode_manifest, Manifest, MANIFEST};
 pub use sstable::{NeighborPolicy, TableBuilder, TableMeta, TableOptions, TableReader};
 pub use version::{GetTrace, LevelOutcome, LevelRange, LevelSearch, Run, ScanTrace, Version};
 pub use vlog::{Vlog, VlogPtr};

@@ -458,13 +458,17 @@ impl Db {
         Ok(())
     }
 
-    /// Deletes value-log files and the manifest's mention of them.
+    /// Deletes value-log files once a manifest that no longer names them is
+    /// durable: a crash in between leaves files no manifest names, which
+    /// recovery deletes, never a manifest naming a deleted file.
     fn drop_vlog_files(&self, files: &[u64]) -> Result<(), FsError> {
         let Some(vlog) = &self.vlog else { return Ok(()) };
-        for &no in files {
-            vlog.remove_file(no);
+        let retired: Vec<u64> = files.iter().copied().filter(|&no| vlog.remove_file(no)).collect();
+        self.write_manifest()?;
+        for no in retired {
+            let _ = self.env.fs().delete(&vlog_name(no));
         }
-        self.write_manifest()
+        Ok(())
     }
 
     /// Replays one job from a primary's [`ReplicationEvent::Compact`]

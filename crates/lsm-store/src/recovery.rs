@@ -1,11 +1,17 @@
 //! What survives a restart: the manifest, and recovery from it.
 //!
-//! The manifest names the store's durable parts — next file number, last
-//! timestamp, the live WAL range, each level's tables, the value-log files.
-//! It is rewritten whole at every install ([`Db::write_manifest`]);
-//! [`Db::recover_parts`] reads it back, drops files it does not name
-//! (orphans of a crash between writing a merge's outputs and the manifest
-//! naming them) and replays the live logs into a fresh memtable.
+//! The manifest is the store's one durable commit point. It names the
+//! store's durable parts — next file number, last timestamp, the live WAL
+//! range, each level's tables, the value-log files — and ends with the
+//! listener's section ([`StoreListener::manifest_state`]: eLSM's sealed
+//! trusted state). It is rewritten whole at open, at every flush freeze and
+//! install, when value-log files go and at close ([`Db::write_manifest`]),
+//! into a temp file renamed over the old one, so a crash leaves the old
+//! manifest or the new, never none. [`Db::recover_parts`] reads it back,
+//! hands the listener its section, drops files it does not name (orphans of
+//! a crash between writing a merge's outputs and the manifest naming them)
+//! and replays the live logs into a fresh memtable. A filesystem that holds
+//! a store's files but no manifest is refused ([`Db::fresh_parts`]).
 
 use std::collections::HashSet;
 use std::sync::atomic::Ordering;
@@ -27,7 +33,16 @@ use crate::vlog::{
 };
 use crate::wal::{recover, WalWriter};
 
-pub(crate) const MANIFEST: &str = "MANIFEST";
+/// The manifest's file name.
+pub const MANIFEST: &str = "MANIFEST";
+
+/// Where a manifest is written before it is renamed over [`MANIFEST`].
+const MANIFEST_TMP: &str = "MANIFEST.tmp";
+
+/// What [`Db::recover_parts`] and [`Db::fresh_parts`] start a store from:
+/// the write side, the next table file number, the last timestamp, and the
+/// value log's next file number and files.
+type Parts = (DbInner, u64, Timestamp, (u64, Vec<ManifestFileEntry>));
 
 /// What a manifest names: the image [`decode_manifest`] reads and
 /// [`Manifest::encode`] writes.
@@ -49,6 +64,8 @@ pub struct Manifest {
     pub vlog_next_no: u64,
     /// The live value-log files.
     pub vlog_files: Vec<ManifestFileEntry>,
+    /// The listener's section, opaque to the store.
+    pub listener_state: Vec<u8>,
 }
 
 impl Manifest {
@@ -66,20 +83,24 @@ impl Manifest {
         let mut out = Vec::new();
         let head = [self.next_file_no, self.last_ts, self.wal_lo, self.wal_no];
         let levels = self.levels().map(|tables| tables.iter().copied());
-        put_manifest(&mut out, head, levels, self.vlog_next_no, &self.vlog_files);
+        let state = |_: &[u8]| self.listener_state.clone();
+        put_manifest(&mut out, head, levels, self.vlog_next_no, &self.vlog_files, state);
         out
     }
 }
 
 /// Writes a manifest: next file number, last timestamp and WAL range as
 /// fixed `u64`s, `[varint levels]`, per level `[varint tables]` and the
-/// tables' file numbers as varints, then the value-log section.
+/// tables' file numbers as varints, the value-log section, and last
+/// `[varint len]` and the listener's section — made by `listener_state`
+/// from the bytes before it.
 fn put_manifest<L: ExactSizeIterator<Item = u64>>(
     out: &mut Vec<u8>,
     head: [u64; 4],
     levels: impl ExactSizeIterator<Item = L>,
     vlog_next_no: u64,
     vlog_files: &[ManifestFileEntry],
+    listener_state: impl FnOnce(&[u8]) -> Vec<u8>,
 ) {
     for word in head {
         put_fixed_u64(out, word);
@@ -92,11 +113,14 @@ fn put_manifest<L: ExactSizeIterator<Item = u64>>(
         }
     }
     encode_manifest_section(vlog_next_no, vlog_files, out);
+    let state = listener_state(out);
+    put_varint_u64(out, state.len() as u64);
+    out.extend_from_slice(&state);
 }
 
 /// Parses a manifest's bytes; `None` unless they are exactly one manifest.
-/// Every count is checked against the bytes left to describe it (a level
-/// or a table takes at least one byte), so a forged count is refused
+/// Every count and length is checked against the bytes left to describe it
+/// (a level or a table takes at least one byte), so a forged one is refused
 /// before anything is sized by it.
 pub fn decode_manifest(bytes: &[u8]) -> Option<Manifest> {
     let fixed = |at| get_fixed_u64(bytes, at);
@@ -120,7 +144,9 @@ pub fn decode_manifest(bytes: &[u8]) -> Option<Manifest> {
         level_lens.push(len);
     }
     let (vlog_next_no, vlog_files, used) = decode_manifest_section(&bytes[pos..])?;
-    (pos + used == bytes.len()).then_some(Manifest {
+    pos += used;
+    let state_len = count(varint(&mut pos)?, pos)?;
+    (pos + state_len == bytes.len()).then(|| Manifest {
         next_file_no,
         last_ts,
         wal_lo,
@@ -129,16 +155,51 @@ pub fn decode_manifest(bytes: &[u8]) -> Option<Manifest> {
         tables,
         vlog_next_no,
         vlog_files,
+        listener_state: bytes[pos..].to_vec(),
     })
 }
 
 impl Db {
-    #[allow(clippy::type_complexity)]
+    /// A store's parts when the filesystem holds no manifest: a fresh store
+    /// — unless the filesystem holds what only a store whose manifest went
+    /// missing can (a table, a value-log file, a logged write). Starting
+    /// empty over those would answer every key they hold as absent, so that
+    /// open is refused, with the manifest [`FsError::NotFound`]. What a
+    /// crash in a store's very first open leaves (an empty log, a manifest
+    /// never renamed into place) goes.
+    pub(crate) fn fresh_parts(env: &Arc<StorageEnv>, options: &Options) -> Result<Parts, FsError> {
+        let fs = env.fs();
+        let names = fs.list();
+        let logged = |name: &str| fs.open(name).is_ok_and(|file| !file.is_empty());
+        let held = |name: &String| {
+            parse_table_name(name).is_some()
+                || parse_vlog_name(name).is_some()
+                || parse_wal_name(name).is_some() && logged(name)
+        };
+        if names.iter().any(held) {
+            return Err(FsError::NotFound(MANIFEST.to_string()));
+        }
+        for name in names.iter().filter(|n| *n == MANIFEST_TMP || parse_wal_name(n).is_some()) {
+            let _ = fs.delete(name);
+        }
+        let wal_file = fs.create(&wal_name(1))?;
+        let current = Arc::new(Version::empty(options.max_levels));
+        let inner = DbInner {
+            memtable: MemTable::new(),
+            wal: WalWriter::new(env.clone(), wal_file, options.wal_sync),
+            wal_lo: 1,
+            wal_no: 1,
+            live: vec![current.clone()],
+            current,
+        };
+        Ok((inner, 1, 0, (1, Vec::new())))
+    }
+
     pub(crate) fn recover_parts(
         env: &Arc<StorageEnv>,
         options: &Options,
         listener: &dyn StoreListener,
-    ) -> Result<(DbInner, u64, u64, (u64, Vec<(u64, u64, u64)>)), FsError> {
+    ) -> Result<Parts, FsError> {
         let file = env.fs().open(MANIFEST)?;
         let bytes = env.host_call(|| file.read_at(0, file.len()))?;
         let manifest = decode_manifest(&bytes).ok_or_else(|| FsError::OutOfBounds {
@@ -146,6 +207,15 @@ impl Db {
             requested_end: 0,
             len: 0,
         })?;
+        // A rewrite the crash cut short: the manifest above is the one it
+        // would have replaced.
+        let _ = env.fs().delete(MANIFEST_TMP);
+        // The listener's section ends the manifest, after its length varint
+        // (`⌊log₂ len⌋ / 7 + 1` bytes); what precedes both is what it was
+        // written over.
+        let state = &manifest.listener_state;
+        let varint_len = (state.len().max(1).ilog2() / 7 + 1) as usize;
+        listener.recover_manifest_state(&bytes[..bytes.len() - state.len() - varint_len], state);
         let mut levels: Vec<Option<Arc<Run>>> =
             (0..=options.max_levels.max(manifest.level_lens.len())).map(|_| None).collect();
         let mut named = HashSet::new();
@@ -265,11 +335,12 @@ impl Db {
             None => (Vec::new(), 1), // a log that never existed
         };
         let mut bytes = Vec::new();
-        put_manifest(&mut bytes, head, levels, vlog_next_no, &vlog_files);
-        let _ = self.env.fs().delete(MANIFEST);
-        let file = self.env.fs().create(MANIFEST)?;
+        let state = |body: &[u8]| self.listener.manifest_state(body);
+        put_manifest(&mut bytes, head, levels, vlog_next_no, &vlog_files, state);
+        // Beside the old manifest, then over it in one rename.
+        let file = self.env.fs().create(MANIFEST_TMP)?;
         self.env.append(&file, &bytes);
-        Ok(())
+        self.env.fs().rename(MANIFEST_TMP, MANIFEST)
     }
 }
 
@@ -316,6 +387,104 @@ mod tests {
         assert!(t > 300);
     }
 
+    /// A manifest's other bytes and the listener's section in it.
+    type Section = (Vec<u8>, Vec<u8>);
+
+    /// A listener numbering its sections, and noting what recovery hands it
+    /// and how many records the replay had folded by then.
+    #[derive(Default)]
+    struct Sections {
+        written: parking_lot::Mutex<Vec<Section>>,
+        folded: std::sync::atomic::AtomicUsize,
+        recovered: parking_lot::Mutex<Option<(Section, usize)>>,
+    }
+
+    impl StoreListener for Sections {
+        fn manifest_state(&self, manifest: &[u8]) -> Vec<u8> {
+            let mut written = self.written.lock();
+            let state = format!("state {}", written.len()).into_bytes();
+            written.push((manifest.to_vec(), state.clone()));
+            state
+        }
+        fn recover_manifest_state(&self, manifest: &[u8], state: &[u8]) {
+            let folded = self.folded.load(Ordering::SeqCst);
+            *self.recovered.lock() = Some(((manifest.to_vec(), state.to_vec()), folded));
+        }
+        fn on_wal_append_batch(&self, records: &[crate::Record]) {
+            self.folded.fetch_add(records.len(), Ordering::SeqCst);
+        }
+    }
+
+    /// Every manifest write carries the listener's section — at open, at a
+    /// flush's freeze and install, at close — and recovery hands back the
+    /// last one with the bytes it was made over, before the replay.
+    #[test]
+    fn the_listener_section_rides_every_manifest() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let options = Options { write_buffer_bytes: 1 << 20, ..small_options() };
+        let env = StorageEnv::new(platform, fs.clone(), options.env.clone(), None);
+        let listener = Arc::new(Sections::default());
+        let db = Db::open(env.clone(), options.clone(), Some(listener.clone())).unwrap();
+        db.put(b"k", b"v").unwrap();
+        db.flush().unwrap();
+        db.put(b"j", b"w").unwrap();
+        db.close().unwrap();
+        let written = listener.written.lock().clone();
+        assert_eq!(written.len(), 4, "open, freeze, install, close");
+        let file = fs.open(MANIFEST).unwrap();
+        let bytes = file.read_at(0, file.len()).unwrap();
+        let (body, state) = written.last().unwrap();
+        assert_eq!(decode_manifest(&bytes).unwrap().listener_state, *state);
+        assert!(bytes.starts_with(body));
+        assert_eq!(fs.list().len(), 3, "MANIFEST, one log, one table: {:?}", fs.list());
+
+        let listener = Arc::new(Sections::default());
+        Db::open(env, options, Some(listener.clone())).unwrap();
+        assert_eq!(listener.recovered.lock().take(), Some(((body.clone(), state.clone()), 0)));
+        assert_eq!(listener.folded.load(Ordering::SeqCst), 1, "then the replay");
+        assert!(listener.written.lock().is_empty(), "recovery writes no manifest");
+    }
+
+    /// With no manifest, a store's files are refused, not taken for an
+    /// empty store; what a crash in the first open leaves is cleared.
+    #[test]
+    fn files_without_a_manifest_are_no_fresh_store() {
+        let platform = Platform::with_defaults();
+        let options = small_options();
+        let open = |fs: &Arc<SimFs>| {
+            let env = StorageEnv::new(platform.clone(), fs.clone(), options.env.clone(), None);
+            Db::open(env, options.clone(), None)
+        };
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let db = open(&fs).unwrap();
+        db.put(b"k", b"v").unwrap();
+        db.flush().unwrap();
+        db.put(b"j", b"w").unwrap();
+        drop(db);
+        let image = fs.snapshot();
+        fs.delete(MANIFEST).unwrap();
+        assert_eq!(open(&fs).unwrap_err(), FsError::NotFound(MANIFEST.into()), "a table, a log");
+        let table = fs.list().into_iter().find(|n| n.ends_with(".sst")).unwrap();
+        fs.delete(&table).unwrap();
+        assert!(open(&fs).is_err(), "a logged write");
+        fs.restore(&image);
+        fs.delete(MANIFEST).unwrap();
+        for name in fs.list().into_iter().filter(|n| n.starts_with("wal-")) {
+            fs.delete(&name).unwrap();
+        }
+        assert!(open(&fs).is_err(), "a table");
+
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        fs.create(&wal_name(1)).unwrap();
+        fs.create(MANIFEST_TMP).unwrap().append(b"half a manifest");
+        let db = open(&fs).unwrap();
+        assert!(db.get(b"k").unwrap().is_none());
+        let mut names = fs.list();
+        names.sort();
+        assert_eq!(names, [MANIFEST, "wal-000001.log"]);
+    }
+
     /// The host rewrites the manifest's level count: a count the bytes
     /// after it cannot describe is a corrupt manifest, refused before
     /// anything is sized by it — not an allocation of terabytes.
@@ -342,8 +511,8 @@ mod tests {
             let mut bytes = honest[..32].to_vec();
             put_varint_u64(&mut bytes, forged);
             bytes.extend_from_slice(&honest[32 + count_len..]);
-            fs.delete(MANIFEST).unwrap();
-            fs.create(MANIFEST).unwrap().append(&bytes);
+            fs.create(MANIFEST_TMP).unwrap().append(&bytes);
+            fs.rename(MANIFEST_TMP, MANIFEST).unwrap();
             assert!(decode_manifest(&bytes).is_none(), "count {forged}");
             assert!(Db::open(env.clone(), options.clone(), None).is_err(), "count {forged}");
         }

@@ -348,17 +348,20 @@ impl Vlog {
             .collect()
     }
 
-    /// Retires a file after GC: dropped from the manifest and gauges,
-    /// deleted from the filesystem, but its handle stays readable so
-    /// pinned old versions holding pointers into it keep verifying.
-    pub fn remove_file(&self, file_no: u64) {
+    /// Retires a file after GC: dropped from the manifest and gauges, its
+    /// handle still readable so pinned old versions holding pointers into
+    /// it keep verifying. Says whether it was retired (never the file still
+    /// taking appends); the caller deletes it once a manifest without it is
+    /// durable.
+    pub fn remove_file(&self, file_no: u64) -> bool {
         let mut s = self.state.lock();
-        if file_no == s.active {
-            return; // never remove the file still taking appends
-        }
-        if let Some(f) = s.files.get_mut(&file_no) {
-            f.removed = true;
-            let _ = self.env.fs().delete(&vlog_name(file_no));
+        let active = s.active;
+        match s.files.get_mut(&file_no) {
+            Some(f) if file_no != active && !f.removed => {
+                f.removed = true;
+                true
+            }
+            _ => false,
         }
     }
 
@@ -505,12 +508,15 @@ mod tests {
         assert_ne!(moved.file_no, a.file_no);
         vlog.sync();
         assert!(vlog.manifest_files().iter().any(|&(no, _, _)| no == a.file_no));
-        vlog.remove_file(a.file_no);
+        assert!(!vlog.remove_file(moved.file_no), "the active file stays");
+        assert!(vlog.remove_file(a.file_no));
+        assert!(!vlog.remove_file(a.file_no), "retired once");
         assert!(!vlog.manifest_files().iter().any(|&(no, _, _)| no == a.file_no));
         assert!(!vlog.is_live(a.file_no));
-        // Pinned readers can still resolve old pointers.
+        // Pinned readers can still resolve old pointers, also once the file
+        // left the namespace.
+        env.fs().delete(&vlog_name(a.file_no)).unwrap();
         assert_eq!(&vlog.read(a, b"a", 1).unwrap().unwrap()[..], &[3u8; 100]);
-        assert!(env.fs().open(&vlog_name(a.file_no)).is_err(), "file left the namespace");
     }
 
     #[test]

@@ -16,11 +16,17 @@
 //! copies only when it spans chunks. [`SimFile::corrupt`] rewrites its
 //! chunk copy-on-write: later reads see the flip, views already handed out
 //! keep the bytes they were read with.
+//!
+//! Crash sweeps arm a [`FaultPlan`]: every mutation (a create, a non-empty
+//! append, a rename, a delete) is one op, and the filesystem keeps the
+//! image the disk would hold had power failed right after the planned op —
+//! or, for a torn append, halfway through it — while the run goes on
+//! unaffected.
 
 use std::collections::HashMap;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Weak};
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -192,6 +198,10 @@ impl SimFile {
         if bytes.is_empty() {
             return;
         }
+        let crash = self.fs.mutation();
+        if crash == Some(true) {
+            self.fs.capture(Some((&self.name(), &bytes[..bytes.len() / 2])));
+        }
         let disk_off = self.fs.disk.allocate(bytes.len() as u64);
         let file_off = {
             let mut contents = self.contents.write();
@@ -203,6 +213,9 @@ impl SimFile {
         self.fs.disk.write(disk_off, bytes.len());
         // Freshly written data sits in the page cache if there is room.
         self.fs.try_warm(self, bytes.len() as u64);
+        if crash == Some(false) {
+            self.fs.capture(None);
+        }
     }
 
     /// Reads `len` bytes at `offset`, charging DRAM (warm) or disk (cold):
@@ -302,12 +315,37 @@ impl SimFile {
     }
 }
 
+/// Where an armed filesystem loses power ([`SimFs::arm`]): op-indexed
+/// fault injection for crash sweeps. It is test infrastructure — the
+/// filesystem only keeps the crash image; the run goes on unaffected.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct FaultPlan {
+    /// The op the power fails after, counting from one at arming.
+    pub op: u64,
+    /// When op `op` is an append, only its first half reaches the disk.
+    pub torn: bool,
+}
+
+/// An armed [`FaultPlan`] — the mutation it fires at, counted from the
+/// filesystem's creation — and, once that happened, the crash image.
+#[derive(Debug)]
+struct Crash {
+    at: u64,
+    torn: bool,
+    image: Option<FsSnapshot>,
+}
+
 #[derive(Debug)]
 struct SimFsInner {
     platform: Arc<Platform>,
     disk: Arc<SimDisk>,
     os_cache_limit: Mutex<u64>,
     os_cache_used: Mutex<u64>,
+    /// Mutations so far, and the armed plan.
+    mutations: AtomicU64,
+    crash: Mutex<Option<Crash>>,
+    /// The filesystem, for the crash image an append takes.
+    fs: Weak<SimFs>,
 }
 
 impl SimFsInner {
@@ -320,6 +358,35 @@ impl SimFsInner {
         if *used + added <= limit {
             *used += added;
             file.warm.store(true, Ordering::Relaxed);
+        }
+    }
+
+    /// Releases the page-cache residency of a file that left the namespace.
+    fn release(&self, file: &SimFile) {
+        if file.is_warm() {
+            let mut used = self.os_cache_used.lock();
+            *used = used.saturating_sub(file.len() as u64);
+        }
+    }
+
+    /// Counts one mutation: `Some(torn)` when it is the armed plan's op.
+    fn mutation(&self) -> Option<bool> {
+        let n = self.mutations.fetch_add(1, Ordering::SeqCst) + 1;
+        self.crash.lock().as_ref().filter(|crash| crash.at == n).map(|crash| crash.torn)
+    }
+
+    /// Keeps what the disk holds now — and `torn`, the part of an append
+    /// that reached the named file — as the crash image.
+    fn capture(&self, torn: Option<(&str, &[u8])>) {
+        let Some(fs) = self.fs.upgrade() else { return };
+        let mut image = fs.snapshot();
+        if let Some((name, prefix)) = torn {
+            if let Some((_, contents)) = image.files.iter_mut().find(|(n, _)| n == name) {
+                contents.append(prefix);
+            }
+        }
+        if let Some(crash) = self.crash.lock().as_mut() {
+            crash.image = Some(image);
         }
     }
 }
@@ -350,15 +417,48 @@ impl SimFs {
     /// [`SimFs::set_os_cache_limit`] to model memory pressure.
     pub fn new(disk: Arc<SimDisk>) -> Arc<Self> {
         let platform = disk.platform().clone();
-        Arc::new(SimFs {
+        Arc::new_cyclic(|fs| SimFs {
             inner: Arc::new(SimFsInner {
                 platform,
                 disk,
                 os_cache_limit: Mutex::new(u64::MAX),
                 os_cache_used: Mutex::new(0),
+                mutations: AtomicU64::new(0),
+                crash: Mutex::new(None),
+                fs: fs.clone(),
             }),
             files: RwLock::new(HashMap::new()),
         })
+    }
+
+    /// Mutations so far: creates, non-empty appends, renames and deletes
+    /// (what a crash sweep counts).
+    pub fn mutations(&self) -> u64 {
+        self.inner.mutations.load(Ordering::SeqCst)
+    }
+
+    /// Arms `plan`, its op counted from the next mutation on. A plan armed
+    /// before goes, with its image. The image is exact for a run that
+    /// mutates from one thread; another thread's op may land in it.
+    pub fn arm(&self, plan: FaultPlan) {
+        let at = self.mutations() + plan.op;
+        *self.inner.crash.lock() = Some(Crash { at, torn: plan.torn, image: None });
+    }
+
+    /// The image the armed plan kept, disarming it; `None` while its op
+    /// has not happened (the plan stays armed).
+    pub fn take_crash_image(&self) -> Option<FsSnapshot> {
+        let mut crash = self.inner.crash.lock();
+        let image = crash.as_mut()?.image.take()?;
+        *crash = None;
+        Some(image)
+    }
+
+    /// Counts a create, rename or delete that just happened.
+    fn mutated(&self) {
+        if self.inner.mutation().is_some() {
+            self.inner.capture(None);
+        }
     }
 
     /// Limits the untrusted OS page cache to `bytes`. Files already warm
@@ -374,18 +474,22 @@ impl SimFs {
     ///
     /// Returns [`FsError::AlreadyExists`] if the name is taken.
     pub fn create(&self, name: &str) -> Result<Arc<SimFile>, FsError> {
-        let mut files = self.files.write();
-        if files.contains_key(name) {
-            return Err(FsError::AlreadyExists(name.to_string()));
-        }
-        let file = Arc::new(SimFile {
-            fs: self.inner.clone(),
-            name: RwLock::new(name.to_string()),
-            contents: RwLock::new(Contents::default()),
-            extents: Mutex::new(Vec::new()),
-            warm: AtomicBool::new(false),
-        });
-        files.insert(name.to_string(), file.clone());
+        let file = {
+            let mut files = self.files.write();
+            if files.contains_key(name) {
+                return Err(FsError::AlreadyExists(name.to_string()));
+            }
+            let file = Arc::new(SimFile {
+                fs: self.inner.clone(),
+                name: RwLock::new(name.to_string()),
+                contents: RwLock::new(Contents::default()),
+                extents: Mutex::new(Vec::new()),
+                warm: AtomicBool::new(false),
+            });
+            files.insert(name.to_string(), file.clone());
+            file
+        };
+        self.mutated();
         Ok(file)
     }
 
@@ -406,26 +510,28 @@ impl SimFs {
     pub fn delete(&self, name: &str) -> Result<(), FsError> {
         let file =
             self.files.write().remove(name).ok_or_else(|| FsError::NotFound(name.to_string()))?;
-        if file.is_warm() {
-            let mut used = self.inner.os_cache_used.lock();
-            *used = used.saturating_sub(file.len() as u64);
-        }
+        self.inner.release(&file);
+        self.mutated();
         Ok(())
     }
 
-    /// Renames a file.
+    /// Renames a file, replacing any file of the new name in the same step
+    /// (POSIX `rename`): a reader of `new` finds the old file or the
+    /// renamed one, never neither.
     ///
     /// # Errors
     ///
-    /// Returns [`FsError::NotFound`] / [`FsError::AlreadyExists`].
+    /// Returns [`FsError::NotFound`] if `old` is absent.
     pub fn rename(&self, old: &str, new: &str) -> Result<(), FsError> {
-        let mut files = self.files.write();
-        if files.contains_key(new) {
-            return Err(FsError::AlreadyExists(new.to_string()));
+        {
+            let mut files = self.files.write();
+            let file = files.remove(old).ok_or_else(|| FsError::NotFound(old.to_string()))?;
+            *file.name.write() = new.to_string();
+            if let Some(replaced) = files.insert(new.to_string(), file) {
+                self.inner.release(&replaced);
+            }
         }
-        let file = files.remove(old).ok_or_else(|| FsError::NotFound(old.to_string()))?;
-        *file.name.write() = new.to_string();
-        files.insert(new.to_string(), file);
+        self.mutated();
         Ok(())
     }
 
@@ -533,11 +639,60 @@ mod tests {
     }
 
     #[test]
-    fn rename_to_existing_rejected() {
+    fn rename_replaces_the_target() {
         let fs = fs();
-        fs.create("a").unwrap();
-        fs.create("b").unwrap();
-        assert!(matches!(fs.rename("a", "b"), Err(FsError::AlreadyExists(_))));
+        fs.create("a").unwrap().append(b"new");
+        fs.create("b").unwrap().append(b"old!");
+        fs.rename("a", "b").unwrap();
+        assert_eq!(fs.list(), vec!["b"]);
+        assert_eq!(&fs.open("b").unwrap().read_at(0, 3).unwrap()[..], b"new");
+        assert!(matches!(fs.rename("a", "b"), Err(FsError::NotFound(_))));
+    }
+
+    /// An armed plan keeps the image after its op — for a torn append, with
+    /// half the append — and the run goes on as if nothing happened.
+    #[test]
+    fn an_armed_plan_keeps_the_image_at_its_op() {
+        let script = |fs: &SimFs| {
+            fs.create("a").unwrap().append(b"0123");
+            fs.create("b").unwrap();
+            fs.rename("b", "a").unwrap();
+            fs.open("a").unwrap().append(b"abcd");
+            fs.delete("a").unwrap();
+        };
+        let fs = fs();
+        script(&fs);
+        assert_eq!(fs.mutations(), 6);
+        let at = |op: u64, torn: bool| {
+            let fs = self::fs();
+            fs.arm(FaultPlan { op, torn });
+            script(&fs);
+            assert_eq!(fs.list(), Vec::<String>::new(), "the run went on");
+            fs.restore(&fs.take_crash_image().expect("its op happened"));
+            assert!(fs.take_crash_image().is_none(), "taking the image disarms");
+            let mut names = fs.list();
+            names.sort();
+            let read = |name: String| {
+                let file = fs.open(&name).unwrap();
+                format!(
+                    "{name}={}",
+                    String::from_utf8(file.peek(0, file.len()).unwrap().to_vec()).unwrap()
+                )
+            };
+            names.into_iter().map(read).collect::<Vec<_>>()
+        };
+        assert_eq!(at(1, false), ["a="]);
+        assert_eq!(at(2, false), ["a=0123"]);
+        assert_eq!(at(2, true), ["a=01"]);
+        assert_eq!(at(3, true), ["a=0123", "b="], "a torn create is a create");
+        assert_eq!(at(4, false), ["a="], "b replaced a");
+        assert_eq!(at(5, true), ["a=ab"]);
+        assert_eq!(at(5, false), ["a=abcd"]);
+        assert_eq!(at(6, false), Vec::<String>::new());
+        let fs = self::fs();
+        fs.arm(FaultPlan { op: 7, torn: false });
+        script(&fs);
+        assert!(fs.take_crash_image().is_none(), "op 7 never happened");
     }
 
     #[test]
@@ -760,9 +915,7 @@ mod tests {
                     }
                     3 => {
                         let to = NAMES[(file + 1 + y as usize % 2) % 3].to_string();
-                        let want = if model.contains_key(&to) {
-                            Err(FsError::AlreadyExists(to.clone()))
-                        } else if let Some(data) = model.remove(&name) {
+                        let want = if let Some(data) = model.remove(&name) {
                             model.insert(to.clone(), data);
                             Ok(())
                         } else {

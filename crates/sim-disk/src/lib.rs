@@ -38,5 +38,5 @@ pub mod mmap;
 
 pub use cache::{BufferCache, Placement};
 pub use disk::SimDisk;
-pub use fs::{FsError, FsSnapshot, SimFile, SimFs};
+pub use fs::{FaultPlan, FsError, FsSnapshot, SimFile, SimFs};
 pub use mmap::MmapFile;

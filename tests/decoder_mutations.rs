@@ -540,15 +540,17 @@ proptest! {
     }
 
     /// A manifest: the honest encoding decodes to its image; any edit of it
-    /// — half of them with the level count forged — decodes or not without
-    /// panic or a reservation beyond a constant times its length, and an
-    /// accepted manifest re-encodes to bytes that decode to the same image.
-    /// Its value-log section, edited alone, obeys the same.
+    /// — half of them with the level count forged, half with the length of
+    /// the listener's closing section forged — decodes or not without panic
+    /// or a reservation beyond a constant times its length, and an accepted
+    /// manifest re-encodes to bytes that decode to the same image. Its
+    /// value-log section, edited alone, obeys the same.
     #[test]
     fn mutated_manifests_decode_in_bounds(
         head in (any::<u64>(), any::<u64>(), any::<u64>(), any::<u64>()),
         levels in prop::collection::vec(prop::collection::vec(any::<u64>(), 0..6), 0..8),
         vlog in (any::<u64>(), prop::collection::vec((any::<u64>(), any::<u64>(), any::<u64>()), 0..6)),
+        listener_state in prop::collection::vec(any::<u8>(), 0..600),
         edits in prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..60),
     ) {
         let image = Manifest {
@@ -560,6 +562,7 @@ proptest! {
             tables: levels.concat(),
             vlog_next_no: vlog.0,
             vlog_files: vlog.1,
+            listener_state,
         };
         let base = image.encode();
         prop_assert_eq!(decode_manifest(&base), Some(image.clone()));
@@ -567,16 +570,22 @@ proptest! {
         let other = Manifest { level_lens: vec![image.tables.len()], ..image.clone() }.encode();
         let mut section = Vec::new();
         encode_manifest_section(image.vlog_next_no, &image.vlog_files, &mut section);
-        prop_assert!(base.ends_with(&section));
+        // The value-log section, then the listener's, after its length.
+        let mut closing = Vec::new();
+        put_varint_u64(&mut closing, image.listener_state.len() as u64);
+        closing.extend_from_slice(&image.listener_state);
+        prop_assert!(base.ends_with(&[&section[..], &closing].concat()));
+        let length_at = base.len() - closing.len();
         for edit in edits {
             let mut buf = mutate(&base, &other, edit);
-            if let (true, Some((_, n))) =
-                (edit.2 & 0x80 != 0, buf.get(32..).and_then(get_varint_u64))
-            {
-                let mut forged = buf[..32].to_vec();
-                put_varint_u64(&mut forged, u64::MAX >> (edit.1 % 64));
-                forged.extend_from_slice(&buf[32 + n..]);
-                buf = forged;
+            // The later field first: forging one moves what follows it.
+            for (forge, at) in [(edit.2 & 0x40 != 0, length_at), (edit.2 & 0x80 != 0, 32)] {
+                if let (true, Some((_, n))) = (forge, buf.get(at..).and_then(get_varint_u64)) {
+                    let mut forged = buf[..at].to_vec();
+                    put_varint_u64(&mut forged, u64::MAX >> (edit.1 % 64));
+                    forged.extend_from_slice(&buf[at + n..]);
+                    buf = forged;
+                }
             }
             let (decoded, largest) = largest_allocation(|| decode_manifest(&buf));
             prop_assert!(largest <= PER_INPUT_BYTE * buf.len(), "{largest} B for {} B", buf.len());

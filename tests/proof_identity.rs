@@ -386,9 +386,10 @@ const GOLDEN_DIGEST_ROOTS: [&str; 3] = [
 /// the dataset digest, the snapshot digest, the signed replication
 /// announcement are what they were at the commit before the enclave kept
 /// crowns (captured there) — a crown enters no digest and is never sealed.
-/// The sealed `ENCLAVE_STATE` is those bytes plus the 32-byte `wal_base`
-/// that recovery folds the logs from (re-captured when it was added; no
-/// other line moved).
+/// The `MANIFEST` line pins the manifest and the state sealed into it (what
+/// a separate sealed-state file held, plus the 32-byte `wal_base` recovery
+/// folds the logs from; re-captured when the state moved into the
+/// manifest, and no other line moved).
 #[test]
 fn golden_trusted_state_is_unmoved_by_crowns() {
     use elsm_repro::elsm::{Announcement, SessionKey};
@@ -423,9 +424,7 @@ fn golden_trusted_state_is_unmoved_by_crowns() {
         format!("announcement {}", sha256(&announcement.encode()).to_hex()),
     ];
     store.close().unwrap();
-    let sealed = fs.open("ENCLAVE_STATE").unwrap();
-    let sealed = sealed.read_at(0, sealed.len()).unwrap();
-    got.push(format!("sealed {} {}", sealed.len(), sha256(&sealed).to_hex()));
+    got.push(manifest_line(&fs_listing(&fs)));
     assert_eq!(got, GOLDEN_TRUSTED_STATE);
     // The same state comes back out of the seal, crowns re-derived beside it.
     drop(store);
@@ -439,10 +438,16 @@ fn golden_trusted_state_is_unmoved_by_crowns() {
     // tiered run, and a replica replaying the primary's job stream — and
     // every file either node leaves behind and a signed announcement are
     // what they were at the commit before the merge pipeline streamed
-    // borrowed records (captured there). `ENCLAVE_STATE` — and with it the
+    // borrowed records (captured there). The sealed state — and with it the
     // two listing hashes — was re-captured when `wal_base` joined it
-    // (+32 B); every other line of both listings was diffed identical.
+    // (+32 B), and again when it moved into the manifest; every other line
+    // of both listings was diffed identical.
     assert_eq!(pipeline_fingerprint(), GOLDEN_PIPELINE);
+}
+
+/// The `MANIFEST` line of a listing: the manifest with the sealed state.
+fn manifest_line(files: &[String]) -> String {
+    files.iter().find(|f| f.starts_with("MANIFEST ")).unwrap().clone()
 }
 
 /// One line per `SimFs` file, sorted: name, length, SHA-256.
@@ -530,7 +535,7 @@ fn pipeline_fingerprint() -> Vec<String> {
     let files = fs_listing(primary.fs());
     assert_eq!(fs_listing(replica.fs()), files, "the replica replayed other bytes");
     got.push(format!("files {} {}", files.len(), sha256(files.join("\n").as_bytes()).to_hex()));
-    got.push(files.iter().find(|f| f.starts_with("ENCLAVE_STATE ")).unwrap().clone());
+    got.push(manifest_line(&files));
 
     // A tiered store: flush runs stack, then merge as one tiered job.
     let tiered = ElsmP2::open(
@@ -563,9 +568,9 @@ const GOLDEN_PIPELINE: [&str; 6] = [
     "epoch 152",
     "dataset 2ba7522c690256572766b340e44a54a569ced0ab6e9ffca9baf6bb1cf57d4273",
     "announcement 193b1dc4a2cd55c6d203675c562e361b1ecddd1ee162b8c8dd579fce32e8322b",
-    "files 22 6446f151a914e4e9cafa71b1698c1c52ed9bd6779603ff6c96c0845ab2038b9e",
-    "ENCLAVE_STATE 292 dd4d3e9eb358c69aac7b4dc72c3c93180979ccffebb10cdc687ffb1cbe035d07",
-    "tiered files 16 81b9b29021c6be71acdaa22f18f6e53d0c99a7b0bbc5881e84fb1bef15ed9ad7",
+    "files 21 7237a6f0af26adf473fec1a99a7adfe87ae3f843d3c2eb3e2018bae3c9bf8b80",
+    "MANIFEST 401 713fe7ed0c8cb447c1be4713381e7e6e78cde2f6f5ffbf52331ddcfaaf02704a",
+    "tiered files 15 d27ce228ef6705e7b05ba4f22a8df036ab67c4d9edb89e99fe0ca33c6130dcf6",
 ];
 
 const GOLDEN_TRUSTED_STATE: [&str; 5] = [
@@ -573,5 +578,5 @@ const GOLDEN_TRUSTED_STATE: [&str; 5] = [
     "dataset ad35d9f7007566cda9ec72ff688beeecf78ee66225050e44c643942654bc167f",
     "snapshot b22f147d1f68ebd23170d76a1ea810201e15ecd579ab3bf06f4f4a39b8819c43",
     "announcement df832657f793f8805f7f104c7972f583312cd7c043a0a08a1c2b677938110f15",
-    "sealed 468 87a196d4158b483e698851d7134fe581b19864364ea933dad8570170ff7eebc6",
+    "MANIFEST 542 604b48966deb6f54dec28785c689afc0d0a03911b8ccd836d560f21296bc5e9f",
 ];

@@ -97,8 +97,9 @@ fn sealed_state_tamper_is_rejected_at_restart() {
         }
         store.close().unwrap();
     }
-    // Flip a bit in the sealed enclave state.
-    fs.open("ENCLAVE_STATE").unwrap().corrupt(20, 0x01);
+    // Flip a bit in the sealed enclave state, the manifest's closing section.
+    let manifest = fs.open("MANIFEST").unwrap();
+    manifest.corrupt(manifest.len() - 20, 0x01);
     // The refused open leaves no store to ask, so hand in the registry
     // explicitly: the recovery path must audit before it fails.
     let registry = elsm_repro::telemetry::Telemetry::new();
@@ -129,17 +130,44 @@ fn counter_survives_what_files_do_not() {
         store.put(b"k", b"v").unwrap();
         store.close().unwrap();
     }
-    // Roll back to the pristine filesystem (no manifest at all): the
-    // enclave opens "fresh" — and a fresh open with a counter that has
-    // advanced must be treated as suspicious by deployments; our API
-    // surfaces it by the counter no longer matching a fresh dataset.
+    // Roll back to the pristine filesystem (no manifest at all): to the
+    // enclave that is a fresh store, and a fresh store is the genesis state
+    // — which a counter that has advanced no longer binds.
     fs.restore(&snapshot_before_any_data);
-    let store = ElsmP2::open_with(platform, fs, options, Some(counter.clone())).unwrap();
-    let fresh_digest = store.trusted().dataset_digest();
-    assert!(
-        !counter.verify_current(&fresh_digest),
-        "a wiped store must not match the advanced counter epoch"
-    );
+    let registry = elsm_repro::telemetry::Telemetry::new();
+    let options = P2Options { telemetry: registry.clone(), ..options };
+    match ElsmP2::open_with(platform, fs, options, Some(counter)) {
+        Err(ElsmError::Verification(VerificationFailure::RolledBack)) => {}
+        other => panic!("a wiped store must not open against an advanced counter, got {other:?}"),
+    }
+    assert_eq!(registry.audit_count("RolledBack"), 1, "the refusal is audited");
+}
+
+/// The manifest's other bytes are the seal's associated data: a host that
+/// rewinds the manifest's clock — so the store would stamp new writes below
+/// versions it already holds, and a later merge would rank a stale version
+/// newest — breaks the seal.
+#[test]
+fn a_rewritten_manifest_breaks_its_seal() {
+    use elsm_repro::lsm_store::{decode_manifest, Manifest, MANIFEST};
+    let platform = Platform::with_defaults();
+    let fs = SimFs::new(SimDisk::new(platform.clone()));
+    let store = ElsmP2::open_with(platform.clone(), fs.clone(), opts(), None).unwrap();
+    for i in 0..300 {
+        store.put(format!("k{i}").as_bytes(), b"v").unwrap();
+    }
+    store.db().flush().unwrap();
+    store.close().unwrap();
+    drop(store);
+    let file = fs.open(MANIFEST).unwrap();
+    let manifest = decode_manifest(&file.read_at(0, file.len()).unwrap()).unwrap();
+    assert!(manifest.last_ts >= 300);
+    fs.delete(MANIFEST).unwrap();
+    fs.create(MANIFEST).unwrap().append(&Manifest { last_ts: 1, ..manifest }.encode());
+    match ElsmP2::open_with(platform, fs, opts(), None) {
+        Err(ElsmError::Verification(VerificationFailure::SealBroken)) => {}
+        other => panic!("a rewritten manifest must not unseal, got {other:?}"),
+    }
 }
 
 #[test]
@@ -1432,14 +1460,14 @@ mod merge_input {
 }
 
 mod unclean_shutdown {
-    //! The fail-safe half of ROADMAP item 1's two probes. Today the sealed
-    //! state is written only by `close()`, so a store dropped without it
-    //! comes back refusing service: (A) does not unseal at all, (B) opens
-    //! and fails every read against commitments from the last clean close.
-    //! What must hold already, and what these tests pin, is that no read
-    //! returns anything but the model's value or a verification failure.
-    //! Item 1's PR (seal on install) tightens both to "opens and verifies
-    //! every acknowledged write".
+    //! Stores that went down without `close()`, and a manifest lost. The
+    //! sealed state rides every manifest write, so a store dropped without
+    //! `close()` reopens on its last manifest — and is refused when writes
+    //! logged after it carry the replay past the sealed WAL digest (a tail
+    //! the enclave cannot tell from forged frames). What these tests pin is
+    //! that no read returns anything but the model's value or a
+    //! verification failure, and that no open is an IO error.
+    //! `tests/crash_sweep.rs` crashes at every filesystem op.
 
     use super::*;
     use std::collections::BTreeMap;
@@ -1503,5 +1531,37 @@ mod unclean_shutdown {
         put_batch(&store, &mut model, 0x5a);
         drop(store);
         assert_fail_safe(&platform, &fs, &model);
+    }
+
+    /// (C) The manifest is lost — the host deletes it, as a crash between
+    /// the delete and the create of a manifest rewrite once could — while
+    /// the tables and the log it named stay. The sealed state went with it,
+    /// so the open is refused, counter or not; it used to open an empty
+    /// store that verified `key0001` as absent.
+    #[test]
+    fn probe_c_manifest_lost() {
+        for with_counter in [false, true] {
+            let platform = Platform::with_defaults();
+            let fs = SimFs::new(SimDisk::new(platform.clone()));
+            let counter = with_counter.then(|| MonotonicCounter::new(platform.clone()));
+            let store =
+                ElsmP2::open_with(platform.clone(), fs.clone(), opts(), counter.clone()).unwrap();
+            for i in 0..400u32 {
+                store.put(format!("key{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
+            }
+            store.db().flush().unwrap();
+            store.put(b"key0400", b"v400").unwrap();
+            store.close().unwrap();
+            drop(store);
+            fs.delete("MANIFEST").unwrap();
+            let registry = elsm_repro::telemetry::Telemetry::new();
+            let options = P2Options { telemetry: registry.clone(), ..opts() };
+            match ElsmP2::open_with(platform, fs, options, counter) {
+                Err(ElsmError::Verification(VerificationFailure::SealBroken)) => {}
+                Ok(store) => panic!("opened without its manifest: {:?}", store.get(b"key0001")),
+                Err(other) => panic!("counter {with_counter}: refused as {other:?}"),
+            }
+            assert_eq!(registry.audit_count("SealBroken"), 1, "the refusal is audited");
+        }
     }
 }
