@@ -350,10 +350,10 @@ impl MergeJob for AuthJob<'_> {
         let mut delta = CompactionDelta::default();
         match self.digest.take() {
             Some(digest) if !trusted.is_poisoned() && digest.leaf_count() > 0 => {
-                // Root, leaf count and crown are read off the one tree the
-                // transform built inside the enclave; the tree goes.
-                let crown = digest.crown(trusted.crown_row_max());
-                delta.runs_added.push((digest.commitment(), crown));
+                // Root, leaf count, crown and fence are read off the one
+                // tree the transform built inside the enclave; the tree goes.
+                let commitment = digest.commitment();
+                delta.runs_added.push((commitment, digest.crown(trusted.crown_row_max())));
             }
             _ => delta.runs_removed.push(self.output_level as u32),
         }

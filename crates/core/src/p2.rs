@@ -345,9 +345,10 @@ impl ElsmP2 {
     /// level: its records stream, table by table, through a digest builder
     /// (nothing of a level is resident but the table being read and the
     /// tree being built), and only a rebuilt tree whose root is the
-    /// unsealed one gives its top rows to the enclave. If the host tampered
-    /// with a level it gets no crown, and its proofs fail against the
-    /// restored commitment at query time. The tree is dropped level by
+    /// unsealed one gives its top rows and its fence to the enclave. If the
+    /// host tampered with a level it gets no crown and no fence: its proofs
+    /// fail against the restored commitment at query time, and a read may
+    /// not pass it over. The tree is dropped level by
     /// level: every proof it could give is in the stored records.
     fn rederive_crowns(&self) -> Result<(), ElsmError> {
         let version = self.db.current_version();
@@ -364,8 +365,8 @@ impl ElsmP2 {
             })?;
             if builder.record_count() > 0 {
                 let digest = builder.finish();
-                let crown = digest.crown(self.trusted.crown_row_max());
-                self.trusted.adopt_crown(&digest.commitment(), crown);
+                let commitment = digest.commitment();
+                self.trusted.adopt_crown(&commitment, digest.crown(self.trusted.crown_row_max()));
             }
         }
         Ok(())

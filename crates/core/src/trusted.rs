@@ -33,6 +33,16 @@
 //! `[key, key]`: a hit is a one-record run, a miss an empty run between its
 //! neighbours, and one walk proves the run (`verify_level_range`).
 //!
+//! # Fences
+//!
+//! A crown the enclave took from a tree it built also holds that tree's
+//! first and last leaf key ([`Crown::excludes`]). A level whose fence
+//! excludes the query's range has nothing in it to find or prove, so the
+//! trace carries no entry for it, and an entry presented there anyway is a
+//! level out of order (`LevelSkipped`). A level known by its root alone —
+//! restored from sealed state and not re-derived, or never installed — is
+//! unfenced, and is checked as before.
+//!
 //! # Version chains
 //!
 //! Only the newest version of a key at a level (the chain head) stores an
@@ -111,6 +121,9 @@ pub struct VerifyStats {
     /// Levels checked across all queries (proof-size proxy: the early stop
     /// keeps this small).
     pub levels_checked: u64,
+    /// Levels a query passed over because their fence excludes its range:
+    /// the level checks the fences removed.
+    pub levels_fenced: u64,
     /// Interior Merkle nodes computed by hashing (the rows of audit paths
     /// and range proofs below the crowns).
     pub nodes_hashed: u64,
@@ -277,6 +290,8 @@ pub struct TrustedState {
     proofs_verified: AtomicU64,
     proof_bytes: AtomicU64,
     levels_checked: AtomicU64,
+    /// `core.verify.levels_fenced`.
+    levels_fenced: Counter,
     /// `core.verify.nodes_hashed` / `core.verify.nodes_compared`.
     nodes_hashed: Counter,
     nodes_compared: Counter,
@@ -326,6 +341,7 @@ impl TrustedState {
             proofs_verified: AtomicU64::new(0),
             proof_bytes: AtomicU64::new(0),
             levels_checked: AtomicU64::new(0),
+            levels_fenced: telemetry.counter("core.verify.levels_fenced"),
             nodes_hashed: telemetry.counter("core.verify.nodes_hashed"),
             nodes_compared: telemetry.counter("core.verify.nodes_compared"),
             crown_bytes: telemetry.gauge("core.trusted.crown_bytes"),
@@ -647,6 +663,7 @@ impl TrustedState {
             proofs_verified: self.proofs_verified.load(Ordering::Relaxed),
             proof_bytes: self.proof_bytes.load(Ordering::Relaxed),
             levels_checked: self.levels_checked.load(Ordering::Relaxed),
+            levels_fenced: self.levels_fenced.value(),
             nodes_hashed: self.nodes_hashed.value(),
             nodes_compared: self.nodes_compared.value(),
         }
@@ -681,8 +698,9 @@ impl TrustedState {
     /// `None` once every level proved the key absent. Each level searched
     /// answers the range `[key, key]` ([`TrustedState::verify_scan`]'s
     /// per-level check): a hit is a one-record run, a miss an empty run
-    /// between its neighbours. A tombstone comes back like any record; the
-    /// caller reads it as absent.
+    /// between its neighbours. A level whose fence excludes the key is
+    /// passed over and must not appear in the trace. A tombstone comes back
+    /// like any record; the caller reads it as absent.
     ///
     /// # Errors
     ///
@@ -711,13 +729,19 @@ impl TrustedState {
         // A GET level's run is at most its two neighbours.
         let mut leaves = [Digest::ZERO; 2];
         let mut scratch = Scratch { canonical: Vec::new(), leaves: &mut leaves };
+        let range = (key, key);
+        let skipped = |expected| VerificationFailure::LevelSkipped { expected };
         for search in &trace.levels {
-            // Levels in order, and nothing after the hit level (early stop).
-            if search.level as i64 != expected || hit.is_some() {
-                return Err(VerificationFailure::LevelSkipped { expected: expected.max(0) as u32 });
+            // Nothing after the hit level (early stop), levels in order, and
+            // none whose fence excludes the key.
+            if hit.is_some() {
+                return Err(skipped(expected.max(0) as u32));
+            }
+            expected = self.pass_fenced(&snapshot, range, expected, step);
+            if search.level as i64 != expected {
+                return Err(skipped(expected.max(0) as u32));
             }
             let level = self.level_of(&snapshot, expected as u32);
-            let range = (key, key);
             match &search.outcome {
                 LevelOutcome::Empty => {
                     if !level.commitment.is_empty() {
@@ -736,12 +760,35 @@ impl TrustedState {
             }
             expected += step;
         }
-        let exhausted = if stacked { expected < 1 } else { expected as usize > epoch_levels };
-        if hit.is_none() && !exhausted {
+        if hit.is_none() {
             // The store must account for every level when nothing is found.
-            return Err(VerificationFailure::LevelSkipped { expected: expected.max(0) as u32 });
+            expected = self.pass_fenced(&snapshot, range, expected, step);
+            let exhausted = if stacked { expected < 1 } else { expected as usize > epoch_levels };
+            if !exhausted {
+                return Err(skipped(expected.max(0) as u32));
+            }
         }
         Ok(hit)
+    }
+
+    /// The first level from `expected` on, stepping by `step`, whose fence
+    /// does not exclude `[from, to]`; counts the levels passed over.
+    fn pass_fenced(
+        &self,
+        snapshot: &[TrustedLevel],
+        (from, to): (&[u8], &[u8]),
+        mut expected: i64,
+        step: i64,
+    ) -> i64 {
+        let fenced = |level: i64| {
+            let slot = usize::try_from(level).ok().and_then(|level| snapshot.get(level));
+            slot.is_some_and(|slot| slot.crown.crown.excludes(from, to))
+        };
+        while fenced(expected) {
+            self.levels_fenced.inc();
+            expected += step;
+        }
+        expected
     }
 
     /// Slot `level` of `snapshot` (the empty level beyond its end).
@@ -757,7 +804,8 @@ impl TrustedState {
     // ----- SCAN verification (§5.4) ----------------------------------------
 
     /// Verifies a traced range query over `[from, to]` — every level
-    /// complete, each level's range proved by one walk read off the audit
+    /// complete (a level whose fence excludes the range is passed over, and
+    /// must not appear), each level's range proved by one walk read off the audit
     /// paths its run's two end records store — and hands back the result it
     /// verified: the newest version of each key the trace presents,
     /// tombstones and what they hide left out ([`ScanTrace::merged`]), each
@@ -780,8 +828,11 @@ impl TrustedState {
         let widest = trace.levels.iter().map(|range| range.records.len() + 2).max().unwrap_or(0);
         let mut leaves = vec![Digest::ZERO; widest];
         let mut scratch = Scratch { canonical: Vec::new(), leaves: &mut leaves };
+        let pass_fenced =
+            |expected: u32| self.pass_fenced(&snapshot, (from, to), i64::from(expected), 1) as u32;
         let mut expected: u32 = 1;
         for range in &trace.levels {
+            expected = pass_fenced(expected);
             if range.level as u32 != expected {
                 return Err(VerificationFailure::LevelSkipped { expected });
             }
@@ -798,6 +849,7 @@ impl TrustedState {
             }
             expected += 1;
         }
+        expected = pass_fenced(expected);
         if (expected as usize) <= epoch_levels {
             return Err(VerificationFailure::LevelSkipped { expected });
         }

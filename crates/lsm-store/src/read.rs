@@ -63,7 +63,9 @@ impl Db {
     /// Point query handing the full per-level trace (the middleware
     /// interface eLSM builds proofs from) to `check`, whose value it
     /// returns. Search stops at the first level with a record for the key
-    /// — the paper's early stop.
+    /// — the paper's early stop — and passes over, with no IO and no entry
+    /// in the trace, a run whose key range does not hold the key
+    /// ([`Run::meets`](crate::Run::meets)).
     ///
     /// The trace is collected against an immutable [`Version`] snapshot;
     /// no store lock is held during level IO. [`GetTrace::epoch`] names
@@ -131,6 +133,8 @@ impl Db {
             let level = if self.stacked_reads { level_count - nth } else { nth };
             let outcome = match version.level(level) {
                 None => LevelOutcome::Empty,
+                // Outside the run's key range: nothing to find or prove.
+                Some(run) if !run.meets(key, key) => continue,
                 Some(run) => run.get(key, ts_q, neighbors)?,
             };
             let hit = matches!(outcome, LevelOutcome::Hit(_));
@@ -155,7 +159,9 @@ impl Db {
 
     /// Range query at the latest timestamp handing the full per-level
     /// trace to `check`, whose value it returns. Unlike GET, every level is
-    /// visited (§5.4). Collected against a pinned version with no store
+    /// visited (§5.4) — but for a run whose key range the query does not
+    /// meet ([`Run::meets`](crate::Run::meets)), which the trace leaves out
+    /// as a GET's does. Collected against a pinned version with no store
     /// lock held; `check` runs while the version is still pinned — the
     /// scan counterpart of [`Db::get_with_trace`].
     ///
@@ -195,6 +201,9 @@ impl Db {
         let mut levels = Vec::with_capacity(version.levels().len().saturating_sub(1));
         for level in 1..version.levels().len() {
             let run = version.level(level);
+            if run.is_some_and(|run| !run.meets(from, to)) {
+                continue;
+            }
             let (left, right) = match run {
                 Some(run) if neighbors == NeighborPolicy::Required => {
                     (run.neighbor_below(from, ts_q)?, run.neighbor_above(to, ts_q)?)

@@ -72,6 +72,16 @@ impl Run {
         self.tables.last().map(|t| t.meta().largest.clone())
     }
 
+    /// Whether the run's key range — its first table's smallest key to its
+    /// last table's largest — meets `[from, to]`. A query it does not meet
+    /// has nothing here to find or prove.
+    pub fn meets(&self, from: &[u8], to: &[u8]) -> bool {
+        let (Some(first), Some(last)) = (self.tables.first(), self.tables.last()) else {
+            return false;
+        };
+        &first.meta().smallest[..] <= to && from <= &last.meta().largest[..]
+    }
+
     /// Index of the table whose range covers `key`, if any.
     fn covering_table(&self, key: &[u8]) -> Option<usize> {
         let idx = self.tables.partition_point(|t| &t.meta().largest[..] < key);
@@ -284,7 +294,8 @@ pub struct GetTrace {
     /// Record found in the memtable (trusted memory), if any.
     pub memtable: Option<Record>,
     /// Per-level outcomes, in search order. Search stops at the first hit
-    /// (the paper's early-stop, §5.3).
+    /// (the paper's early-stop, §5.3); a run whose key range does not hold
+    /// the key ([`Run::meets`]) has no entry.
     pub levels: Vec<LevelSearch>,
 }
 
@@ -326,7 +337,8 @@ pub struct ScanTrace {
     /// trusted enclave memory).
     pub memtable: Vec<Record>,
     /// Per-level slices, every level included (no early stop for ranges —
-    /// §5.4: "it iterates through all levels").
+    /// §5.4: "it iterates through all levels") but a run whose key range
+    /// the query does not meet ([`Run::meets`]).
     pub levels: Vec<LevelRange>,
 }
 

@@ -69,6 +69,20 @@ fn neighbors_cross_file_boundaries() {
     }
 }
 
+/// A run meets a range that touches `a..=x` anywhere, gaps between its
+/// files included, and no range wholly outside it; an empty run meets none.
+#[test]
+fn a_run_meets_what_its_key_range_touches() {
+    let run = three_file_run();
+    for (from, to) in [(&b"a"[..], &b"a"[..]), (b"x", b"z"), (b"A", b"a"), (b"h\x01", b"h\x02")] {
+        assert!(run.meets(from, to), "{from:?}..={to:?}");
+    }
+    for (from, to) in [(&b"A"[..], &b"Z"[..]), (b"x\x00", b"z"), (b"z", b"z")] {
+        assert!(!run.meets(from, to), "{from:?}..={to:?}");
+    }
+    assert!(!Run::new(Vec::new()).meets(b"a", b"z"));
+}
+
 #[test]
 fn boundary_misses_have_one_sided_neighbors() {
     let run = three_file_run();

@@ -17,6 +17,15 @@
 //! checked, by equality instead of by hashing. The root alone is the
 //! one-row crown ([`Anchor::root`]), so the root-only walk is the same
 //! code with the anchor row at the top.
+//!
+//! # Fences
+//!
+//! A crown taken from a level's digest also holds the tree's **fence**:
+//! the first and last key of its leaves, read off the record stream the
+//! enclave hashed into that very tree. No key outside the fence has a leaf,
+//! so a query range the fence excludes ([`Crown::excludes`]) has nothing at
+//! the level to prove. The one-row crown of a bare root has no fence and
+//! excludes nothing.
 
 use elsm_crypto::Digest;
 
@@ -41,19 +50,36 @@ pub struct Crown {
     base_height: u32,
     /// The rows back to back, lowest (widest) first, the root last.
     nodes: Vec<Digest>,
+    /// Set when the crown was taken from a digest that knew its keys (see
+    /// the module docs).
+    fence: Option<Fence>,
 }
+
+/// A tree's first and last leaf key.
+pub(crate) type Fence = (Vec<u8>, Vec<u8>);
 
 impl Crown {
     /// Copies `rows` (lowest first, the root row last), the lowest of
     /// which sits `base_height` rows above the leaves.
     pub(crate) fn from_rows(base_height: u32, rows: &[Vec<Digest>]) -> Self {
-        Crown { base_height, nodes: rows.concat() }
+        Crown { base_height, nodes: rows.concat(), fence: None }
+    }
+
+    /// This crown with `fence` (`None`: unfenced).
+    pub(crate) fn with_fence(self, fence: Option<Fence>) -> Self {
+        Crown { fence, ..self }
     }
 
     /// The one-row crown: what a verifier holds that was given only the
-    /// root of a tree of `leaf_count` leaves.
+    /// root of a tree of `leaf_count` leaves. It has no fence.
     pub fn root_only(root: Digest, leaf_count: usize) -> Self {
-        Crown { base_height: tree_height(leaf_count), nodes: vec![root] }
+        Crown { base_height: tree_height(leaf_count), nodes: vec![root], fence: None }
+    }
+
+    /// Whether the fence shows that no leaf's key lies in `[from, to]`. A
+    /// crown without a fence excludes nothing.
+    pub fn excludes(&self, from: &[u8], to: &[u8]) -> bool {
+        self.fence.as_ref().is_some_and(|(first, last)| to < &first[..] || from > &last[..])
     }
 
     /// The borrowed view the verifiers take.
@@ -77,7 +103,7 @@ impl Crown {
         self.nodes.len()
     }
 
-    /// Bytes of digests held.
+    /// Bytes of digests held (the fence is not counted).
     pub fn byte_len(&self) -> usize {
         self.nodes.len() * 32
     }

@@ -33,9 +33,10 @@
 //! stored flat: the tree, the first record index of every leaf, and **one
 //! suffix digest per record**. Those are all a proof needs from the chain
 //! (`older_digest` of version *v* is the suffix digest of version *v + 1*),
-//! so the record bytes themselves are dropped once hashed, and no key is
-//! kept at all: a proof is asked for by position, in the order the records
-//! arrived.
+//! so the record bytes themselves are dropped once hashed, and of the keys
+//! only the first and last are kept, for the crown's fence
+//! ([`crate::crown`]): a proof is asked for by position, in the order the
+//! records arrived.
 //! [`LevelDigest::encode_proof_into`] writes a proof's wire bytes straight
 //! from these tables: the audit path for a key's newest version, a
 //! fixed-size link ([`crate::proof::LINK_LEN`]) for every older one —
@@ -44,7 +45,7 @@
 use elsm_crypto::Digest;
 
 use crate::chain::{chain_link, ChainPosition};
-use crate::crown::Crown;
+use crate::crown::{Crown, Fence};
 use crate::proof::{encode_parts, head_encoded_len, LevelCommitment, RecordProof, LINK_LEN};
 use crate::tree::MerkleTree;
 
@@ -75,6 +76,8 @@ struct Gathered {
 #[derive(Debug, Default)]
 pub struct LevelDigestBuilder {
     level: u32,
+    /// Key of the record added first.
+    first_key: Vec<u8>,
     /// Key of the record added last.
     key: Vec<u8>,
     /// The bytes of the chain being gathered, back to back, newest first.
@@ -125,6 +128,9 @@ impl LevelDigestBuilder {
             first || &self.key[..] <= user_key,
             "level records must arrive in ascending key order"
         );
+        if first {
+            self.first_key.extend_from_slice(user_key);
+        }
         if first || self.key != user_key {
             self.end_chain();
             self.key.clear();
@@ -198,11 +204,13 @@ impl LevelDigestBuilder {
     pub fn finish(mut self) -> LevelDigest {
         self.end_chain();
         self.leaf_first.push(self.suffix_digests.len());
+        let fence = (!self.leaves.is_empty()).then_some((self.first_key, self.key));
         LevelDigest {
             level: self.level,
             tree: MerkleTree::from_leaves(self.leaves),
             leaf_first: self.leaf_first,
             suffix_digests: self.suffix_digests,
+            fence,
         }
     }
 }
@@ -219,6 +227,8 @@ pub struct LevelDigest {
     /// `suffix_digests[r]` = chain digest of record `r` and all older
     /// versions of its key; a leaf's first entry is its chain head.
     suffix_digests: Vec<Digest>,
+    /// The first and last leaf's key (`None` for an empty level).
+    fence: Option<Fence>,
 }
 
 impl LevelDigest {
@@ -245,10 +255,11 @@ impl LevelDigest {
     }
 
     /// The crown the enclave keeps beside the commitment: the tree's top
-    /// rows down to the widest of at most `row_max` nodes, copied (see
-    /// [`crate::crown`]).
-    pub fn crown(&self, row_max: usize) -> Crown {
-        self.tree.crown(row_max)
+    /// rows down to the widest of at most `row_max` nodes, copied, and
+    /// fenced by the first and last key (see [`crate::crown`]). The digest
+    /// goes: every proof it could give is in the stored records by then.
+    pub fn crown(self, row_max: usize) -> Crown {
+        self.tree.crown(row_max).with_fence(self.fence)
     }
 
     /// Number of distinct keys (leaves).
@@ -447,6 +458,23 @@ mod tests {
         let anchor = Anchor::root(&c.root, 4);
         let (t_path, y_path) = (path(&t).into_iter(), path(&y).into_iter());
         assert!(verify_run_anchored(anchor, 4, 1, &mut leaves, t_path, y_path).is_some());
+    }
+
+    /// A level's crown is fenced by its first and last key: it excludes a
+    /// range wholly before the first or after the last, and no gap between
+    /// leaves. The bare root, and an empty level's crown, exclude nothing.
+    #[test]
+    fn crown_fence_is_the_first_and_last_key() {
+        let l3 = level3(); // A, T, Y, Z
+        let bare = Crown::root_only(l3.commitment().root, l3.leaf_count());
+        assert!(!bare.excludes(b"0", b"9"));
+        let crown = l3.crown(crate::CROWN_ROW_MAX);
+        let excludes = |from: &[u8], to: &[u8]| crown.excludes(from, to);
+        assert!(excludes(b"0", b"9") && excludes(b"0", b"@") && excludes(b"Z\0", b"zz"));
+        assert!(!excludes(b"0", b"A") && !excludes(b"Z", b"zz") && !excludes(b"B", b"S"));
+        assert!(!excludes(b"A", b"Z") && !excludes(b"0", b"zz"));
+        let empty = LevelDigestBuilder::new(3).finish().crown(crate::CROWN_ROW_MAX);
+        assert!(!empty.excludes(b"0", b"9"));
     }
 
     #[test]

@@ -106,6 +106,36 @@ fn two_level_store() -> ElsmP2 {
     store
 }
 
+/// Keys `0..PER_LEVEL` on level 1 alone, or (`disjoint`) on level 2 with
+/// keys `PER_LEVEL..2 * PER_LEVEL` on level 1 — the layout an ordered load
+/// leaves.
+fn ordered_store(disjoint: bool) -> ElsmP2 {
+    let store = ElsmP2::open(
+        Platform::with_defaults(),
+        P2Options {
+            write_buffer_bytes: 64 << 20,
+            level1_max_bytes: 1 << 30,
+            target_file_bytes: 64 << 10,
+            max_levels: 3,
+            ..P2Options::default()
+        },
+    )
+    .unwrap();
+    let db = store.db();
+    let load = |keys: std::ops::Range<u32>| {
+        for i in keys {
+            store.put(&key(i), &[i as u8; 100]).unwrap();
+        }
+        db.flush().unwrap();
+    };
+    load(0..PER_LEVEL);
+    if disjoint {
+        db.compact(1).unwrap();
+        load(PER_LEVEL..2 * PER_LEVEL);
+    }
+    store
+}
+
 /// The most allocations a read made over a spread of start keys `i`
 /// (after one unmeasured read, so no lazy set-up is counted); `read`
 /// counts the store call and not the building of its arguments.
@@ -156,4 +186,42 @@ fn verified_reads_allocate_per_query_not_per_record() {
     // allocations); past that, more records cost nothing.
     assert!(scan_20 <= scan_1 + 3, "{report}");
     assert_eq!(scan_10, scan_20, "{report}");
+}
+
+/// A level whose key range a read does not meet costs that read nothing:
+/// with level 1 over keys above every key read, a GET hit, a GET miss and
+/// a 10-record SCAN on level 2 allocate no more than the same reads of a
+/// store that has only that one level.
+#[test]
+fn a_level_outside_the_read_costs_no_allocation() {
+    let reads = |store: &ElsmP2| {
+        let at = |i: u32| i % (PER_LEVEL - 10);
+        let get_hit = most(|i| {
+            let key = key(at(i));
+            let (found, count) = allocations(|| store.get(&key).unwrap());
+            assert!(found.is_some());
+            count
+        });
+        let get_miss = most(|i| {
+            let mut between = key(at(i));
+            between.push(b'~');
+            let (found, count) = allocations(|| store.get(&between).unwrap());
+            assert!(found.is_none());
+            count
+        });
+        let scan = most(|i| {
+            let (from, to) = (key(at(i)), key(at(i) + 9));
+            let (records, count) = allocations(|| store.scan(&from, &to).unwrap());
+            assert_eq!(records.len(), 10);
+            count
+        });
+        [get_hit, get_miss, scan]
+    };
+    let one_level = ordered_store(false);
+    let disjoint = ordered_store(true);
+    let fenced = disjoint.verify_stats().levels_fenced;
+    let (one, two) = (reads(&one_level), reads(&disjoint));
+    assert!(disjoint.verify_stats().levels_fenced > fenced, "level 1 was passed over");
+    let report = format!("GET hit / GET miss / SCAN of 10: one level {one:?}, two levels {two:?}");
+    assert!(two.iter().zip(&one).all(|(two, one)| two <= one), "{report}");
 }

@@ -12,10 +12,17 @@
 //! and three levels whose keys have many versions, for every stored key,
 //! every gap between them and every GET attack of `elsm::adversary`, the
 //! two accept exactly the same traces and return the same record.
+//!
+//! Fences, the slow way: the reference takes each level's first and last
+//! key from the records stored at its leaf 0 and its last leaf, each
+//! root-walked on its own, and passes over exactly the levels whose range
+//! does not hold the key — a trace must carry nothing for them.
 
 use elsm_repro::elsm::envelope;
 use elsm_repro::elsm::{adversary, AuthenticatedKv, ElsmP2, P2Options};
-use elsm_repro::lsm_store::{CompactionStrategyKind, GetTrace, LevelOutcome, Record, TieredConfig};
+use elsm_repro::lsm_store::{
+    CompactionStrategyKind, GetTrace, LevelOutcome, LevelSearch, Record, TieredConfig,
+};
 use elsm_repro::merkle::{ChainPosition, LevelCommitment, RecordProof};
 use elsm_repro::sgx_sim::Platform;
 
@@ -83,9 +90,51 @@ fn verify_non_membership(
     }
 }
 
-/// The reference GET verifier against the store's current commitments
-/// (every trace here is taken from, and checked against, the newest epoch).
-fn reference_get<'t>(store: &ElsmP2, key: &[u8], trace: &'t GetTrace) -> Verdict<'t> {
+/// By level, the chain heads stored at its leaf 0 and at its last leaf:
+/// their keys are the level's fence (`None`: no fence).
+type Edges = Vec<Option<(Record, Record)>>;
+
+/// Each committed level's edge leaves, found in what the level stores and
+/// each walked to the committed root on its own.
+fn edges(store: &ElsmP2) -> Edges {
+    let head_at = |c: &LevelCommitment, records: &[Record], leaf: u64| {
+        let head = records.iter().find(|record| {
+            open_and_check(c, record).is_ok_and(|proof| {
+                proof.leaf_index == leaf && matches!(proof.chain, ChainPosition::Newest { .. })
+            })
+        });
+        head.cloned()
+    };
+    let commitments = store.trusted().commitments();
+    commitments
+        .iter()
+        .map(|c| {
+            if c.is_empty() {
+                return None;
+            }
+            let records = store.db().level_record_dump(c.level as usize).unwrap();
+            Some((head_at(c, &records, 0)?, head_at(c, &records, c.leaf_count - 1)?))
+        })
+        .collect()
+}
+
+/// Whether `key` lies outside a level's edges.
+fn outside(edges: &Edges, level: i64, key: &[u8]) -> bool {
+    let edge = usize::try_from(level).ok().and_then(|level| edges.get(level)?.as_ref());
+    edge.is_some_and(|(first, last)| key < &first.key[..] || key > &last.key[..])
+}
+
+/// The reference GET verifier against the store's current commitments and
+/// the fences of `edges` (every trace here is taken from, and checked
+/// against, the newest epoch). Counts the levels it passed over in
+/// `fenced`.
+fn reference_get<'t>(
+    store: &ElsmP2,
+    edges: &Edges,
+    key: &[u8],
+    trace: &'t GetTrace,
+    fenced: &mut usize,
+) -> Verdict<'t> {
     if let Some(record) = &trace.memtable {
         return Ok(Some(record));
     }
@@ -93,10 +142,18 @@ fn reference_get<'t>(store: &ElsmP2, key: &[u8], trace: &'t GetTrace) -> Verdict
     let stacked = store.trusted().is_stacked();
     let mut expected: i64 = if stacked { levels as i64 } else { 1 };
     let step = if stacked { -1 } else { 1 };
+    let outside = |level| outside(edges, level, key);
     let mut hit = None;
     for search in &trace.levels {
-        if search.level as i64 != expected || hit.is_some() {
-            return Err("level skipped or searched after the hit");
+        if hit.is_some() {
+            return Err("a level searched after the hit");
+        }
+        while outside(expected) {
+            *fenced += 1;
+            expected += step;
+        }
+        if search.level as i64 != expected {
+            return Err("level skipped, or presented though fenced");
         }
         let level = expected as u32;
         let c = commitments.get(level as usize).copied().unwrap_or(LevelCommitment::empty(level));
@@ -110,9 +167,15 @@ fn reference_get<'t>(store: &ElsmP2, key: &[u8], trace: &'t GetTrace) -> Verdict
         }
         expected += step;
     }
-    let exhausted = if stacked { expected < 1 } else { expected as usize > levels };
-    if hit.is_none() && !exhausted {
-        return Err("a level was not accounted for");
+    if hit.is_none() {
+        while outside(expected) {
+            *fenced += 1;
+            expected += step;
+        }
+        let exhausted = if stacked { expected < 1 } else { expected as usize > levels };
+        if !exhausted {
+            return Err("a level was not accounted for");
+        }
     }
     Ok(hit)
 }
@@ -230,8 +293,10 @@ fn assert_agrees_with_the_reference(store: &ElsmP2) {
         mutators.push(Box::new(move |t| adversary::hide_level(t, level)));
     }
 
+    let edges = edges(store);
+    let stacked = store.trusted().is_stacked();
     let records: Vec<Vec<Record>> = stored.iter().map(|(_, records)| records.clone()).collect();
-    let (mut accepted, mut refused, mut two_sided) = (0, 0, 0);
+    let (mut accepted, mut refused, mut two_sided, mut fenced) = (0, 0, 0, 0);
     for key in probes(&records) {
         let honest = store.raw_get_trace(&key).unwrap();
         two_sided += honest
@@ -239,14 +304,16 @@ fn assert_agrees_with_the_reference(store: &ElsmP2) {
             .iter()
             .filter(|l| matches!(l.outcome, LevelOutcome::Miss { left: Some(_), right: Some(_) }))
             .count();
-        let traces = std::iter::once(honest.clone()).chain(mutators.iter().map(|mutate| {
+        let mutated = mutators.iter().map(|mutate| {
             let mut trace = honest.clone();
             mutate(&mut trace);
             trace
-        }));
+        });
+        let presented = with_fenced_evidence(&honest, &key, &edges, stacked);
+        let traces = std::iter::once(honest.clone()).chain(mutated).chain(presented);
         for trace in traces {
             let verified = store.verify_get_trace(&key, &trace).map(|v| v.map(|v| v.record));
-            let reference = reference_get(store, &key, &trace);
+            let reference = reference_get(store, &edges, &key, &trace, &mut 0);
             match (&verified, &reference) {
                 (Ok(got), Ok(want)) => {
                     let same = match (got, want) {
@@ -260,10 +327,53 @@ fn assert_agrees_with_the_reference(store: &ElsmP2) {
                 _ => panic!("{key:?}: verify_get {verified:?}, the reference {reference:?}"),
             }
         }
-        assert!(reference_get(store, &key, &honest).is_ok(), "{key:?}: an honest trace");
+        let verdict = reference_get(store, &edges, &key, &honest, &mut fenced);
+        assert!(verdict.is_ok(), "{key:?}: an honest trace");
     }
+    let layout = if stacked { "tiered" } else { "leveled" };
+    println!(
+        "{layout}: accepted {accepted}, refused {refused}, two-sided misses {two_sided}, \
+         fenced levels {fenced}"
+    );
     assert!(two_sided > 0, "a two-sided miss is exercised");
+    assert!(fenced > 0, "a fenced level is exercised");
     assert!(accepted > 100 && refused > 100, "accepted {accepted}, refused {refused}");
+}
+
+/// `trace` as a verifier that knew no fence asked for it: each level the
+/// fences passed over before the hit (all of them, for a miss) back in
+/// search order, its edge leaf on the key's side as the one neighbour.
+/// `None` when no level was passed over.
+fn with_fenced_evidence(
+    trace: &GetTrace,
+    key: &[u8],
+    edges: &Edges,
+    stacked: bool,
+) -> Option<GetTrace> {
+    let hit = hit_in(trace).map(|(level, _)| level);
+    let before_hit = |level: usize| match hit {
+        None => true,
+        Some(h) if stacked => level > h,
+        Some(h) => level < h,
+    };
+    let mut levels = trace.levels.clone();
+    for (level, edge) in edges.iter().enumerate() {
+        let Some((first, last)) = edge else { continue };
+        if !outside(edges, level as i64, key) || !before_hit(level) {
+            continue;
+        }
+        let outcome = if key < &first.key[..] {
+            LevelOutcome::Miss { left: None, right: Some(first.clone()) }
+        } else {
+            LevelOutcome::Miss { left: Some(last.clone()), right: None }
+        };
+        levels.push(LevelSearch { level, outcome });
+    }
+    if levels.len() == trace.levels.len() {
+        return None;
+    }
+    levels.sort_by(|a, b| if stacked { b.level.cmp(&a.level) } else { a.level.cmp(&b.level) });
+    Some(GetTrace { levels, ..trace.clone() })
 }
 
 #[test]

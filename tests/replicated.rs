@@ -133,6 +133,37 @@ fn parallel_tiered_compaction_replays_bit_identically() {
     }
 }
 
+/// A replica derives each level's fence from the trees it rebuilt in
+/// replay, so it passes over the same levels as the primary. An ordered
+/// load leaves level 1 above every key on the deeper levels; a read of an
+/// early key checks the same levels, level 1 not among them, everywhere.
+#[test]
+fn replicas_pass_over_the_levels_the_primary_does() {
+    let g = group(2);
+    for i in 0..600u32 {
+        g.put(format!("key{i:04}").as_bytes(), format!("ordered-value-{i:06}").as_bytes()).unwrap();
+    }
+    g.flush().unwrap();
+    let primary = g.primary_store();
+    let levels = primary.db().level_records();
+    assert!(levels[1] > 0 && levels[2..].iter().any(|&n| n > 0), "levels: {levels:?}");
+    let level1_first = primary.db().level_record_dump(1).unwrap()[0].key.clone();
+    let key = b"key0003";
+    assert!(level1_first[..] > key[..], "level 1 starts at {level1_first:?}");
+
+    let fenced = primary.verify_stats().levels_fenced;
+    let on_primary = primary.get(key).unwrap().expect("present");
+    assert!(primary.verify_stats().levels_fenced > fenced, "level 1 was passed over");
+    for r in 0..2 {
+        let fenced = g.replica_store(r).verify_stats().levels_fenced;
+        let (on_replica, _) = g.with_replica(r, |replica| replica.get(key)).unwrap();
+        let on_replica = on_replica.expect("present");
+        assert_eq!(on_replica.value(), on_primary.value());
+        assert_eq!(on_replica.levels_checked(), on_primary.levels_checked(), "replica {r}");
+        assert!(g.replica_store(r).verify_stats().levels_fenced > fenced, "replica {r}");
+    }
+}
+
 // ---------------------------------------------------------------------------
 // The transport adversary
 // ---------------------------------------------------------------------------

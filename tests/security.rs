@@ -553,8 +553,11 @@ mod answer_is_verified {
 
     use super::*;
     use elsm_repro::elsm::adversary;
-    use elsm_repro::lsm_store::{GetTrace, LevelOutcome, Record, ScanTrace};
+    use elsm_repro::lsm_store::{
+        GetTrace, LevelOutcome, LevelRange, LevelSearch, Record, ScanTrace,
+    };
     use std::collections::BTreeMap;
+    use std::sync::Arc;
 
     type Model = BTreeMap<Vec<u8>, Vec<u8>>;
 
@@ -674,8 +677,12 @@ mod answer_is_verified {
         }
 
         let (mut refused, mut unharmed) = (0, 0);
-        for i in 0..160 {
-            let k = key(i);
+        // Every stored key, and ten absent keys between stored ones. (An
+        // absent key past every level's last key is fenced out of every
+        // level: its trace holds no level to attack.)
+        let absent = (139..149).map(|i| [key(i), b"~".to_vec()].concat());
+        for k in (0..150).map(key).chain(absent) {
+            let shown = String::from_utf8_lossy(&k).into_owned();
             let honest = store.raw_get_trace(&k).unwrap();
             for (name, mutate) in &get_mutators {
                 let mut trace = honest.clone();
@@ -690,11 +697,11 @@ mod answer_is_verified {
                         assert_eq!(
                             answer.map(|v| v.value().to_vec()).as_ref(),
                             model.get(&k),
-                            "{name} on key{i:04}: verified, and not the model's answer"
+                            "{name} on {shown}: verified, and not the model's answer"
                         );
                         assert!(
                             trace == honest || hit_in(&honest).is_none() || *name == "hide_level",
-                            "{name} on key{i:04}: a tampered hit verified"
+                            "{name} on {shown}: a tampered hit verified"
                         );
                         unharmed += 1;
                     }
@@ -769,6 +776,237 @@ mod answer_is_verified {
         }
         assert!(refused > 20 && unharmed > 20, "refused {refused}, unharmed {unharmed}");
         assert!(end_paths_refused > 100, "the end paths are read: {end_paths_refused}");
+    }
+
+    // ----- fences: a level whose key range excludes the query -------------
+
+    fn value(i: u32) -> Vec<u8> {
+        format!("payload-{i:04}-{}", "x".repeat(24)).into_bytes()
+    }
+
+    /// Two levels over disjoint key ranges, as an ordered load leaves them:
+    /// keys 0..100 on level 2, keys 100..200 on level 1, level 3 empty.
+    fn disjoint_store(platform: &Arc<Platform>, fs: &Arc<SimFs>) -> ElsmP2 {
+        let options = P2Options {
+            // Explicit flushes and compactions only.
+            write_buffer_bytes: 64 << 20,
+            level1_max_bytes: 1 << 30,
+            max_levels: 3,
+            ..P2Options::default()
+        };
+        let store = ElsmP2::open_with(platform.clone(), fs.clone(), options, None).unwrap();
+        let load = |range: std::ops::Range<u32>| {
+            for i in range {
+                store.put(&key(i), &value(i)).unwrap();
+            }
+            store.db().flush().unwrap();
+        };
+        load(0..100);
+        store.db().compact(1).unwrap();
+        load(100..200);
+        assert_eq!(store.db().level_records()[1..], [100, 100, 0]);
+        store
+    }
+
+    fn fresh_disjoint_store() -> ElsmP2 {
+        let platform = Platform::with_defaults();
+        disjoint_store(&platform, &SimFs::new(SimDisk::new(platform.clone())))
+    }
+
+    fn get_levels(trace: &GetTrace) -> Vec<usize> {
+        trace.levels.iter().map(|l| l.level).collect()
+    }
+
+    fn scan_levels(trace: &ScanTrace) -> Vec<usize> {
+        trace.levels.iter().map(|l| l.level).collect()
+    }
+
+    /// Level 1's leaf-0 record: the one neighbour a verifier that knew no
+    /// fence would ask of level 1 for a key below its range.
+    fn level1_edge(store: &ElsmP2) -> Record {
+        store.db().level_record_dump(1).unwrap()[0].clone()
+    }
+
+    /// `trace` with level 1's evidence for a key below its range put back
+    /// in front of the rest.
+    fn with_level1_evidence(store: &ElsmP2, trace: &GetTrace) -> GetTrace {
+        let mut trace = trace.clone();
+        let outcome = LevelOutcome::Miss { left: None, right: Some(level1_edge(store)) };
+        trace.levels.insert(0, LevelSearch { level: 1, outcome });
+        trace
+    }
+
+    /// The same for a scan below level 1's range.
+    fn with_level1_range(store: &ElsmP2, trace: &ScanTrace) -> ScanTrace {
+        let mut trace = trace.clone();
+        let right = Some(level1_edge(store));
+        trace
+            .levels
+            .insert(0, LevelRange { level: 1, empty: false, records: vec![], left: None, right });
+        trace
+    }
+
+    /// The level a `LevelSkipped` refusal expected (any other verdict fails
+    /// the test).
+    fn skipped<T: std::fmt::Debug>(result: Result<T, VerificationFailure>) -> u32 {
+        match result {
+            Err(VerificationFailure::LevelSkipped { expected }) => expected,
+            other => panic!("expected a skipped level, got {other:?}"),
+        }
+    }
+
+    /// A level whose fence excludes the query carries no evidence: level
+    /// 1's edge leaf, presented for a key or a range below level 1, is a
+    /// level out of order — though it is the very proof the level needed
+    /// before it had a fence.
+    #[test]
+    fn evidence_at_a_fenced_level_is_refused() {
+        let store = fresh_disjoint_store();
+        let k = key(5);
+        let honest = store.raw_get_trace(&k).unwrap();
+        assert_eq!(get_levels(&honest), [2], "level 1 is passed over");
+        let before = store.verify_stats();
+        let got = store.verify_get_trace(&k, &honest).unwrap().expect("present");
+        assert_eq!(got.value(), &value(5)[..]);
+        assert_eq!(store.verify_stats().levels_fenced - before.levels_fenced, 1);
+        assert_eq!(skipped(store.verify_get_trace(&k, &with_level1_evidence(&store, &honest))), 2);
+
+        let (from, to) = (key(2), key(8));
+        let honest = store.raw_scan_trace(&from, &to).unwrap();
+        assert_eq!(scan_levels(&honest), [2, 3]);
+        assert_eq!(store.verify_scan_trace(&from, &to, &honest).unwrap().len(), 7);
+        let presented = with_level1_range(&store, &honest);
+        assert_eq!(skipped(store.verify_scan_trace(&from, &to, &presented)), 2);
+    }
+
+    /// A level whose fence does not exclude the query must be in the trace,
+    /// whether it holds the key or proves it absent, and so must an empty
+    /// level (it has no fence).
+    #[test]
+    fn an_unfenced_level_left_out_is_refused() {
+        let store = fresh_disjoint_store();
+        // Absent, inside level 1's range and past level 2's.
+        let absent = [key(150), b"~".to_vec()].concat();
+        let honest = store.raw_get_trace(&absent).unwrap();
+        assert_eq!(get_levels(&honest), [1, 3]);
+        assert_eq!(store.verify_get_trace(&absent, &honest).map(|got| got.is_none()), Ok(true));
+        for (drop, expected) in [(0, 1), (1, 3)] {
+            let mut trace = honest.clone();
+            trace.levels.remove(drop);
+            assert_eq!(skipped(store.verify_get_trace(&absent, &trace)), expected);
+        }
+        let present = key(150);
+        let mut trace = store.raw_get_trace(&present).unwrap();
+        assert_eq!(get_levels(&trace), [1]);
+        trace.levels.clear();
+        assert_eq!(skipped(store.verify_get_trace(&present, &trace)), 1);
+
+        // A range across both levels' ranges needs all three.
+        let (from, to) = (key(95), key(105));
+        let honest = store.raw_scan_trace(&from, &to).unwrap();
+        assert_eq!(scan_levels(&honest), [1, 2, 3]);
+        assert_eq!(store.verify_scan_trace(&from, &to, &honest).unwrap().len(), 11);
+        for (drop, expected) in [(0, 1), (1, 2), (2, 3)] {
+            let mut trace = honest.clone();
+            trace.levels.remove(drop);
+            assert_eq!(skipped(store.verify_scan_trace(&from, &to, &trace)), expected);
+        }
+    }
+
+    /// A fence is the one of the trace's epoch: an install that moves level
+    /// 1's first key below key 50 leaves an old trace verifying against the
+    /// old fence, and the same trace named by the new epoch is missing a
+    /// level.
+    #[test]
+    fn a_fence_is_its_epochs() {
+        let store = fresh_disjoint_store();
+        let k = key(50);
+        let (from, to) = (key(45), key(55));
+        let old_get = store.raw_get_trace(&k).unwrap();
+        let old_scan = store.raw_scan_trace(&from, &to).unwrap();
+        assert_eq!((get_levels(&old_get), scan_levels(&old_scan)), (vec![2], vec![2, 3]));
+        let _pinned = store.db().current_version();
+        // A flush merges into level 1, whose first key becomes key 40.
+        store.put(&key(40), b"newer").unwrap();
+        store.db().flush().unwrap();
+        let new_get = store.raw_get_trace(&k).unwrap();
+        let new_scan = store.raw_scan_trace(&from, &to).unwrap();
+        assert!(new_get.epoch > old_get.epoch);
+        assert_eq!((get_levels(&new_get), scan_levels(&new_scan)), (vec![1, 2], vec![1, 2, 3]));
+        for trace in [&old_get, &new_get] {
+            let got = store.verify_get_trace(&k, trace).unwrap().expect("present");
+            assert_eq!(got.value(), &value(50)[..]);
+        }
+        for trace in [&old_scan, &new_scan] {
+            assert_eq!(store.verify_scan_trace(&from, &to, trace).unwrap().len(), 11);
+        }
+        // Each trace relabelled to the other epoch.
+        let relabel = |mut trace: GetTrace, epoch| {
+            trace.epoch = epoch;
+            store.verify_get_trace(&k, &trace).map(|got| got.map(|v| v.value()))
+        };
+        assert_eq!(skipped(relabel(old_get.clone(), new_get.epoch)), 1);
+        assert_eq!(skipped(relabel(new_get.clone(), old_get.epoch)), 2);
+        let relabel = |mut trace: ScanTrace, epoch| {
+            trace.epoch = epoch;
+            store.verify_scan_trace(&from, &to, &trace).map(|got| got.len())
+        };
+        assert_eq!(skipped(relabel(old_scan.clone(), new_scan.epoch)), 1);
+        assert_eq!(skipped(relabel(new_scan, old_scan.epoch)), 2);
+    }
+
+    /// A fence is re-derived at restart with the crown, from a rebuilt
+    /// tree whose root is the unsealed one. A level the host altered while
+    /// the store was down keeps its bare root, which has no fence: the
+    /// host's own key range for it then excuses nothing, and a read that
+    /// leaves it out is refused. Its untouched edge leaf, presented, still
+    /// proves the level.
+    #[test]
+    fn a_tampered_level_is_unfenced_after_restart() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let store = disjoint_store(&platform, &fs);
+        let options = store.options().clone();
+        let crowns =
+            |store: &ElsmP2| (store.trusted().crown_nodes(1), store.trusted().crown_nodes(2));
+        let (l1, l2) = crowns(&store);
+        assert!(l1 > 1 && l2 > 1);
+        store.close().unwrap();
+        drop(store);
+        // Alter one byte of key 150's value where it sits on disk.
+        let needle = value(150);
+        let hit = fs.list().into_iter().filter(|n| n.ends_with(".sst")).find_map(|name| {
+            let file = fs.open(&name).unwrap();
+            let bytes = file.read_at(0, file.len()).unwrap();
+            let at = bytes.windows(needle.len()).position(|w| w == &needle[..])?;
+            Some((file, at))
+        });
+        let (file, at) = hit.expect("the value is on disk in the clear");
+        file.corrupt(at + 3, 0x20);
+        let store = ElsmP2::open_with(platform, fs, options, None).unwrap();
+        assert_eq!(crowns(&store), (1, l2), "level 1 keeps its bare root, level 2 its crown");
+
+        let k = key(5);
+        match store.get(&k) {
+            Err(ElsmError::Verification(VerificationFailure::LevelSkipped { expected: 1 })) => {}
+            other => panic!("level 1 left out must be refused, got {other:?}"),
+        }
+        let honest = store.raw_get_trace(&k).unwrap();
+        assert_eq!(get_levels(&honest), [2]);
+        let presented = with_level1_evidence(&store, &honest);
+        let got = store.verify_get_trace(&k, &presented).unwrap();
+        assert_eq!(got.expect("present").value(), &value(5)[..]);
+
+        let (from, to) = (key(2), key(8));
+        let honest = store.raw_scan_trace(&from, &to).unwrap();
+        assert_eq!(skipped(store.verify_scan_trace(&from, &to, &honest)), 1);
+        let presented = with_level1_range(&store, &honest);
+        assert_eq!(store.verify_scan_trace(&from, &to, &presented).unwrap().len(), 7);
+        // Level 2 kept its fence: a miss above it passes it over.
+        let above = [key(170), b"~".to_vec()].concat();
+        let trace = store.raw_get_trace(&above).unwrap();
+        assert_eq!(get_levels(&trace), [1, 3]);
+        assert_eq!(store.verify_get_trace(&above, &trace).map(|got| got.is_none()), Ok(true));
     }
 }
 
