@@ -352,8 +352,8 @@ impl MergeJob for AuthJob<'_> {
             Some(digest) if !trusted.is_poisoned() && digest.leaf_count() > 0 => {
                 // Root, leaf count, crown and fence are read off the one
                 // tree the transform built inside the enclave; the tree goes.
-                let commitment = digest.commitment();
-                delta.runs_added.push((commitment, digest.crown(trusted.crown_row_max())));
+                let crown = digest.crown(trusted.crown_row_max());
+                delta.runs_added.push((digest.commitment(), crown));
             }
             _ => delta.runs_removed.push(self.output_level as u32),
         }

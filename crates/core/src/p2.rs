@@ -348,14 +348,17 @@ impl ElsmP2 {
     /// unsealed one gives its top rows and its fence to the enclave. If the
     /// host tampered with a level it gets no crown and no fence: its proofs
     /// fail against the restored commitment at query time, and a read may
-    /// not pass it over. The tree is dropped level by
+    /// not pass it over. Every level of the recovered version is rebuilt,
+    /// including those a store without compaction stacked past
+    /// `max_levels`. The tree is dropped level by
     /// level: every proof it could give is in the stored records.
     fn rederive_crowns(&self) -> Result<(), ElsmError> {
         let version = self.db.current_version();
         let mut canonical = Vec::new();
-        for level in 1..=self.options.max_levels as u32 {
+        for level in 1..version.levels().len() {
+            let Some(run) = version.level(level) else { continue };
+            let level = level as u32;
             let mut builder = merkle::LevelDigestBuilder::new(level);
-            let Some(run) = version.level(level as usize) else { continue };
             run.for_each_record(|record| {
                 if let Ok(opened) = open_record(record, level) {
                     canonical.clear();
@@ -365,8 +368,8 @@ impl ElsmP2 {
             })?;
             if builder.record_count() > 0 {
                 let digest = builder.finish();
-                let commitment = digest.commitment();
-                self.trusted.adopt_crown(&commitment, digest.crown(self.trusted.crown_row_max()));
+                let crown = digest.crown(self.trusted.crown_row_max());
+                self.trusted.adopt_crown(&digest.commitment(), crown);
             }
         }
         Ok(())

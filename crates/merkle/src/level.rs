@@ -256,10 +256,9 @@ impl LevelDigest {
 
     /// The crown the enclave keeps beside the commitment: the tree's top
     /// rows down to the widest of at most `row_max` nodes, copied, and
-    /// fenced by the first and last key (see [`crate::crown`]). The digest
-    /// goes: every proof it could give is in the stored records by then.
-    pub fn crown(self, row_max: usize) -> Crown {
-        self.tree.crown(row_max).with_fence(self.fence)
+    /// fenced by the first and last key (see [`crate::crown`]).
+    pub fn crown(&self, row_max: usize) -> Crown {
+        self.tree.crown(row_max).with_fence(self.fence.clone())
     }
 
     /// Number of distinct keys (leaves).

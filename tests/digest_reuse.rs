@@ -116,7 +116,7 @@ fn check_merge(
     let trusted = &store.trusted;
     assert_eq!(trusted.commitment(output as u32), reference.commitment(), "level {output}");
     if !out.is_empty() {
-        let crown = reference.clone().crown(trusted.crown_row_max());
+        let crown = reference.crown(trusted.crown_row_max());
         assert_eq!(trusted.crown_nodes(output as u32), crown.node_count());
     }
     // Every stored value is the envelope around the bare value and the

@@ -1008,6 +1008,43 @@ mod answer_is_verified {
         assert_eq!(get_levels(&trace), [1, 3]);
         assert_eq!(store.verify_get_trace(&above, &trace).map(|got| got.is_none()), Ok(true));
     }
+
+    /// With compaction off each flush stacks a run at the first empty
+    /// level, so the version outgrows `max_levels`. A clean restart fences
+    /// every level it holds, not only the first `max_levels`: an honest
+    /// read of the oldest run passes over the three newer ones and verifies.
+    #[test]
+    fn an_honest_restart_fences_levels_past_max_levels() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let options = P2Options {
+            compaction_enabled: false,
+            write_buffer_bytes: 64 << 20,
+            max_levels: 2,
+            ..P2Options::default()
+        };
+        let store = ElsmP2::open_with(platform.clone(), fs.clone(), options.clone(), None).unwrap();
+        for run in 0..4 {
+            for i in run * 25..(run + 1) * 25 {
+                store.put(&key(i), &value(i)).unwrap();
+            }
+            store.db().flush().unwrap();
+        }
+        assert_eq!(store.db().level_records()[1..], [25, 25, 25, 25]);
+        store.close().unwrap();
+        drop(store);
+
+        let store = ElsmP2::open_with(platform, fs, options, None).unwrap();
+        assert!((1..=4).all(|level| store.trusted().crown_nodes(level) > 1), "every crown back");
+        let k = key(5);
+        assert_eq!(get_levels(&store.raw_get_trace(&k).unwrap()), [1]);
+        let before = store.verify_stats();
+        assert_eq!(store.get(&k).unwrap().expect("present").value(), &value(5)[..]);
+        assert_eq!(store.verify_stats().levels_fenced - before.levels_fenced, 3);
+        let (from, to) = (key(2), key(8));
+        assert_eq!(scan_levels(&store.raw_scan_trace(&from, &to).unwrap()), [1]);
+        assert_eq!(store.scan(&from, &to).unwrap().len(), 7);
+    }
 }
 
 // ----- version chains: links, walks, chain heads --------------------------
