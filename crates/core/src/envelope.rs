@@ -16,7 +16,7 @@
 use std::ops::Range;
 
 use bytes::Bytes;
-use lsm_store::RecordView;
+use lsm_store::{EncodedParts, RecordView};
 use merkle::RecordProofRef;
 
 use crate::error::VerificationFailure;
@@ -119,6 +119,13 @@ pub fn open(stored: &[u8]) -> Option<Opened<'_>> {
 /// envelope — the input to every chain and Merkle digest.
 pub fn append_canonical(record: RecordView<'_>, bare_value: &[u8], out: &mut Vec<u8>) {
     record.encode_with_value_into(bare_value, out);
+}
+
+/// The canonical bytes [`append_canonical`] appends, as the pieces they
+/// join: what a digest absorbs where the key and the value lie, with no
+/// copy.
+pub fn canonical_parts<'r>(record: RecordView<'r>, bare_value: &'r [u8]) -> EncodedParts<'r> {
+    record.encoded_parts(bare_value)
 }
 
 /// Opens a stored record's envelope, mapping a malformed one to a
@@ -271,6 +278,9 @@ mod tests {
         let enveloped2 = Record::put(b"k".as_slice(), wrap_with(b"v", &proof()), 3);
         assert_eq!(canonical(&enveloped, b"v"), bare.digest_bytes());
         assert_eq!(canonical(&enveloped2, b"v"), bare.digest_bytes());
+        let parts = canonical_parts(enveloped2.view(), b"v");
+        assert_eq!(parts.slices().concat(), bare.digest_bytes());
+        assert_eq!(parts.encoded_len(), bare.digest_bytes().len());
     }
 
     #[test]

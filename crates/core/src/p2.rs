@@ -656,6 +656,11 @@ impl ElsmP2 {
 
     fn scan_inner(&self, from: &[u8], to: &[u8]) -> Result<Vec<VerifiedRecord>, ElsmError> {
         self.platform.ecall(|| {
+            if from > to {
+                // No key lies in an inverted range: the answer is empty by
+                // the query alone, with nothing to ask the host or prove.
+                return Ok(Ok(Vec::new()));
+            }
             self.db.scan_with_trace(from, to, |trace| {
                 let verified = self.trusted.verify_scan(from, to, trace)?;
                 let mut out = Vec::with_capacity(verified.len());

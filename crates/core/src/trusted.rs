@@ -66,15 +66,15 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use elsm_crypto::{sha256_concat, Digest};
-use lsm_store::{GetTrace, LevelOutcome, Record, ScanTrace};
+use lsm_store::{EncodedParts, GetTrace, LevelOutcome, Record, ScanTrace};
 use merkle::{
     verify_run_anchored, Crown, LevelCommitment, RecordProofRef, VerifyError, Work, CROWN_ROW_MAX,
 };
 use parking_lot::Mutex;
-use sgx_sim::{EnclaveRegion, Platform};
+use sgx_sim::{CostModel, EnclaveRegion, Platform};
 use telemetry::{Counter, Gauge, Telemetry};
 
-use crate::envelope::{append_canonical, open_record, Opened};
+use crate::envelope::{canonical_parts, open_record, Opened};
 use crate::error::VerificationFailure;
 
 /// The commitment-vector mutation one compaction job induces, expressed
@@ -150,9 +150,8 @@ pub struct Verified<'t> {
 }
 
 impl<'t> Verified<'t> {
-    /// Opens the envelope of a record that is already vouched for: one out
-    /// of trusted memory (the memtable, level 0), or one its level's range
-    /// check covered and so already opened once.
+    /// Opens the envelope of a record out of trusted memory (the memtable,
+    /// level 0): vouched for without a proof.
     fn open(record: &'t Record) -> Result<Self, VerificationFailure> {
         Ok(Self::opened(record, &open_record(record.view(), 0)?))
     }
@@ -669,25 +668,52 @@ impl TrustedState {
         }
     }
 
-    fn count_proof(&self, proof: &RecordProofRef<'_>) {
-        self.proofs_verified.fetch_add(1, Ordering::Relaxed);
-        self.proof_bytes.fetch_add(proof.encoded_len() as u64, Ordering::Relaxed);
+    /// Settles what one query's verification tallied: its hashing on the
+    /// model clock in one charge — the same clock and `hash_blocks` as a
+    /// charge per hash, the price being linear in blocks — and its counts.
+    fn settle(&self, tally: &Tally) {
+        if tally.hash_blocks > 0 {
+            self.platform.charge_hash_blocks(tally.hash_blocks);
+        }
+        if tally.proofs > 0 {
+            self.proofs_verified.fetch_add(tally.proofs, Ordering::Relaxed);
+            self.proof_bytes.fetch_add(tally.proof_bytes, Ordering::Relaxed);
+        }
+        if tally.levels_checked > 0 {
+            self.levels_checked.fetch_add(tally.levels_checked, Ordering::Relaxed);
+        }
+        for (counter, n) in [
+            (&self.levels_fenced, tally.levels_fenced),
+            (&self.nodes_hashed, tally.nodes_hashed),
+            (&self.nodes_compared, tally.nodes_compared),
+        ] {
+            if n > 0 {
+                counter.add(n);
+            }
+        }
     }
 
-    /// Charges one anchored tree walk for what it did: the SHA-256 of
+    /// Tallies one anchored tree walk for what it did: the SHA-256 of
     /// `hashed_bytes` (a record's canonical bytes, or none) plus the
-    /// interior nodes hashed below the crown, and one batched touch of the
-    /// crown nodes compared — anchored at node `anchor_node` of the crown's
+    /// interior nodes hashed below the crown; and touches the crown nodes
+    /// compared, in one batch anchored at node `anchor_node` of the crown's
     /// lowest row, the way bloom and index probes charge their metadata.
-    fn charge_walk(&self, level: &TrustedLevel, hashed_bytes: usize, anchor_node: u64, work: Work) {
-        self.platform.charge_hash(hashed_bytes + 64 * work.hashed);
+    fn charge_walk(
+        &self,
+        level: &TrustedLevel,
+        hashed_bytes: usize,
+        anchor_node: u64,
+        work: Work,
+        tally: &mut Tally,
+    ) {
+        tally.hash(hashed_bytes + 64 * work.hashed);
         if let Some(region) = &level.crown.region {
             let len = (32 * work.compared).min(region.len());
             let offset = (anchor_node as usize).saturating_mul(32).min(region.len() - len);
             self.platform.enclave_touch(region, offset, len);
         }
-        self.nodes_hashed.add(work.hashed as u64);
-        self.nodes_compared.add(work.compared as u64);
+        tally.nodes_hashed += work.hashed as u64;
+        tally.nodes_compared += work.compared as u64;
     }
 
     // ----- GET verification (Theorem 5.3) ---------------------------------
@@ -714,11 +740,26 @@ impl TrustedState {
             // Served from trusted enclave memory; nothing to verify.
             return Verified::open(record).map(Some);
         }
+        // A GET level's run is at most its two neighbours.
+        let mut leaves = [Digest::ZERO; 2];
+        let mut scratch = Scratch { leaves: &mut leaves, tally: Tally::default() };
+        let verdict = self.check_get(key, trace, &mut scratch);
+        self.settle(&scratch.tally);
+        verdict
+    }
+
+    /// [`TrustedState::verify_get`]'s check of the levels.
+    fn check_get<'t>(
+        &self,
+        key: &[u8],
+        trace: &'t GetTrace,
+        scratch: &mut Scratch<'_>,
+    ) -> Result<Option<Verified<'t>>, VerificationFailure> {
         let snapshot = self
             .levels_at(trace.epoch)
             .ok_or(VerificationFailure::UnknownEpoch { epoch: trace.epoch })?;
         let epoch_levels = snapshot.len().saturating_sub(1).max(self.max_levels);
-        self.levels_checked.fetch_add(trace.levels.len() as u64, Ordering::Relaxed);
+        scratch.tally.levels_checked += trace.levels.len() as u64;
         // Expected search order: ascending with compaction (lower =
         // fresher, Lemma 5.4), descending in stacked-run mode (later run =
         // fresher).
@@ -726,9 +767,6 @@ impl TrustedState {
         let mut expected: i64 = if stacked { epoch_levels as i64 } else { 1 };
         let step: i64 = if stacked { -1 } else { 1 };
         let mut hit = None;
-        // A GET level's run is at most its two neighbours.
-        let mut leaves = [Digest::ZERO; 2];
-        let mut scratch = Scratch { canonical: Vec::new(), leaves: &mut leaves };
         let range = (key, key);
         let skipped = |expected| VerificationFailure::LevelSkipped { expected };
         for search in &trace.levels {
@@ -737,7 +775,7 @@ impl TrustedState {
             if hit.is_some() {
                 return Err(skipped(expected.max(0) as u32));
             }
-            expected = self.pass_fenced(&snapshot, range, expected, step);
+            expected = pass_fenced(&snapshot, range, expected, step, &mut scratch.tally);
             if search.level as i64 != expected {
                 return Err(skipped(expected.max(0) as u32));
             }
@@ -750,45 +788,25 @@ impl TrustedState {
                 }
                 LevelOutcome::Miss { left, right } => {
                     let (left, right) = (left.as_ref(), right.as_ref());
-                    self.verify_level_range(&level, range, &[], left, right, &mut scratch)?;
+                    self.verify_level_range(&level, range, &[], left, right, scratch, |_| {})?;
                 }
                 LevelOutcome::Hit(record) => {
                     let records = std::slice::from_ref(record);
-                    hit =
-                        self.verify_level_range(&level, range, records, None, None, &mut scratch)?;
+                    let answer = |verified| hit = Some(verified);
+                    self.verify_level_range(&level, range, records, None, None, scratch, answer)?;
                 }
             }
             expected += step;
         }
         if hit.is_none() {
             // The store must account for every level when nothing is found.
-            expected = self.pass_fenced(&snapshot, range, expected, step);
+            expected = pass_fenced(&snapshot, range, expected, step, &mut scratch.tally);
             let exhausted = if stacked { expected < 1 } else { expected as usize > epoch_levels };
             if !exhausted {
                 return Err(skipped(expected.max(0) as u32));
             }
         }
         Ok(hit)
-    }
-
-    /// The first level from `expected` on, stepping by `step`, whose fence
-    /// does not exclude `[from, to]`; counts the levels passed over.
-    fn pass_fenced(
-        &self,
-        snapshot: &[TrustedLevel],
-        (from, to): (&[u8], &[u8]),
-        mut expected: i64,
-        step: i64,
-    ) -> i64 {
-        let fenced = |level: i64| {
-            let slot = usize::try_from(level).ok().and_then(|level| snapshot.get(level));
-            slot.is_some_and(|slot| slot.crown.crown.excludes(from, to))
-        };
-        while fenced(expected) {
-            self.levels_fenced.inc();
-            expected += step;
-        }
-        expected
     }
 
     /// Slot `level` of `snapshot` (the empty level beyond its end).
@@ -808,8 +826,10 @@ impl TrustedState {
     /// must not appear), each level's range proved by one walk read off the audit
     /// paths its run's two end records store — and hands back the result it
     /// verified: the newest version of each key the trace presents,
-    /// tombstones and what they hide left out ([`ScanTrace::merged`]), each
-    /// with its envelope opened.
+    /// tombstones and what they hide left out (what [`ScanTrace::merged`]
+    /// selects), each with its envelope opened. Every record is opened and
+    /// hashed once; the result is drawn from the memtable's records and the
+    /// levels' chain heads as they were checked.
     ///
     /// # Errors
     ///
@@ -820,45 +840,65 @@ impl TrustedState {
         to: &[u8],
         trace: &'t ScanTrace,
     ) -> Result<Vec<Verified<'t>>, VerificationFailure> {
+        // A level's run is at most a leaf per record and its two boundaries.
+        let widest = trace.levels.iter().map(|range| range.records.len() + 2).max().unwrap_or(0);
+        let mut leaves = vec![Digest::ZERO; widest];
+        let mut scratch = Scratch { leaves: &mut leaves, tally: Tally::default() };
+        let verdict = self.check_scan(from, to, trace, &mut scratch);
+        self.settle(&scratch.tally);
+        verdict
+    }
+
+    /// [`TrustedState::verify_scan`]'s check of the levels, and the merge
+    /// of what they and the memtable answer.
+    fn check_scan<'t>(
+        &self,
+        from: &[u8],
+        to: &[u8],
+        trace: &'t ScanTrace,
+        scratch: &mut Scratch<'_>,
+    ) -> Result<Vec<Verified<'t>>, VerificationFailure> {
         let snapshot = self
             .levels_at(trace.epoch)
             .ok_or(VerificationFailure::UnknownEpoch { epoch: trace.epoch })?;
         let epoch_levels = snapshot.len().saturating_sub(1).max(self.max_levels);
-        // A level's run is at most a leaf per record and its two boundaries.
-        let widest = trace.levels.iter().map(|range| range.records.len() + 2).max().unwrap_or(0);
-        let mut leaves = vec![Digest::ZERO; widest];
-        let mut scratch = Scratch { canonical: Vec::new(), leaves: &mut leaves };
-        let pass_fenced =
-            |expected: u32| self.pass_fenced(&snapshot, (from, to), i64::from(expected), 1) as u32;
+        // Room for every record presented: the answers are among them.
+        let presented = trace.levels.iter().map(|range| range.records.len()).sum::<usize>();
+        let mut answers = Vec::with_capacity(trace.memtable.len() + presented);
+        // Trusted enclave memory, first: it wins a tie, as in `merged`.
+        for record in &trace.memtable {
+            answers.push(Verified::open(record)?);
+        }
         let mut expected: u32 = 1;
         for range in &trace.levels {
-            expected = pass_fenced(expected);
+            expected =
+                pass_fenced(&snapshot, (from, to), expected.into(), 1, &mut scratch.tally) as u32;
             if range.level as u32 != expected {
                 return Err(VerificationFailure::LevelSkipped { expected });
             }
             let level = self.level_of(&snapshot, expected);
-            self.levels_checked.fetch_add(1, Ordering::Relaxed);
+            scratch.tally.levels_checked += 1;
             if range.empty {
                 if !level.commitment.is_empty() {
                     return Err(VerificationFailure::HiddenLevel { level: expected });
                 }
             } else {
                 let (left, right) = (range.left.as_ref(), range.right.as_ref());
-                let records = &range.records;
-                self.verify_level_range(&level, (from, to), records, left, right, &mut scratch)?;
+                let (records, answer) = (&range.records, |verified| answers.push(verified));
+                self.verify_level_range(&level, (from, to), records, left, right, scratch, answer)?;
             }
             expected += 1;
         }
-        expected = pass_fenced(expected);
+        expected =
+            pass_fenced(&snapshot, (from, to), expected.into(), 1, &mut scratch.tally) as u32;
         if (expected as usize) <= epoch_levels {
             return Err(VerificationFailure::LevelSkipped { expected });
         }
-        let merged = trace.merged();
-        let mut verified = Vec::with_capacity(merged.len());
-        for record in merged {
-            verified.push(Verified::open(record)?);
-        }
-        Ok(verified)
+        // The newest version of each key, then only the live ones.
+        answers.sort_by(|a, b| a.record.key.cmp(&b.record.key).then(b.record.ts.cmp(&a.record.ts)));
+        answers.dedup_by(|later, first| later.record.key == first.record.key);
+        answers.retain(|verified| verified.record.kind.is_value());
+        Ok(answers)
     }
 
     /// Verifies what the host presents at one level for the key range
@@ -877,9 +917,12 @@ impl TrustedState {
     /// A walk that does not reach the committed root (or crown) is a forged
     /// record, a broken shape (order, adjacency, anchoring, a record out of
     /// range) an incomplete range, a link where a head belongs a stale
-    /// record. The walk is charged once, with the first leaf's bytes, so a
-    /// one-leaf run costs what one audit path always did. Hands back the
-    /// first in-range record, its envelope opened (a GET hit's answer).
+    /// record. The walk is tallied once, with the first leaf's bytes, so a
+    /// one-leaf run costs what one audit path always did. Each in-range
+    /// chain head goes to `answer` as it is checked, its envelope opened —
+    /// the level's candidates for the query's answer, which stand only if
+    /// the whole level verifies.
+    #[allow(clippy::too_many_arguments)]
     fn verify_level_range<'r>(
         &self,
         trusted: &TrustedLevel,
@@ -888,14 +931,15 @@ impl TrustedState {
         left: Option<&Record>,
         right: Option<&Record>,
         scratch: &mut Scratch<'_>,
-    ) -> Result<Option<Verified<'r>>, VerificationFailure> {
+        mut answer: impl FnMut(Verified<'r>),
+    ) -> Result<(), VerificationFailure> {
         let commitment = &trusted.commitment;
         let level = commitment.level;
         let fail = |reason| Err(VerificationFailure::IncompleteRange { level, reason });
         let forged = |source| VerificationFailure::ForgedRecord { level, source };
         if commitment.is_empty() {
             return match (records, left, right) {
-                ([], None, None) => Ok(None),
+                ([], None, None) => Ok(()),
                 _ => fail("records presented for an empty level"),
             };
         }
@@ -909,7 +953,6 @@ impl TrustedState {
         if let Some(rec) = left {
             self.push_head(commitment, rec, scratch, &mut run)?;
         }
-        let mut first_record = None;
         let mut idx = 0usize;
         while idx < records.len() {
             let newest = &records[idx];
@@ -917,9 +960,7 @@ impl TrustedState {
                 return fail("record outside the queried range");
             }
             let (opened, head) = self.push_head(commitment, newest, scratch, &mut run)?;
-            if idx == 0 {
-                first_record = Some(Verified::opened(newest, &opened));
-            }
+            answer(Verified::opened(newest, &opened));
             let mut walk = head.walk().map_err(forged)?;
             let mut j = idx + 1;
             while j < records.len() && records[j].key == newest.key {
@@ -927,10 +968,10 @@ impl TrustedState {
                 if older.ts >= records[j - 1].ts {
                     return fail("versions not in descending timestamp order");
                 }
-                let (_, link) = open_proved(level, older, &mut scratch.canonical)?;
-                self.platform.charge_hash(scratch.canonical.len() + 32);
-                self.count_proof(&link);
-                walk.step(&link, &scratch.canonical).map_err(forged)?;
+                let (_, link, canonical) = open_proved(level, older)?;
+                scratch.tally.hash(canonical.encoded_len() + 32);
+                scratch.tally.proof(&link);
+                walk.step(&link, &canonical.slices()).map_err(forged)?;
                 j += 1;
             }
             if j < records.len() && records[j].key < newest.key {
@@ -965,16 +1006,18 @@ impl TrustedState {
             last.siblings(),
         )
         .ok_or(forged(VerifyError::BadAuditPath))?;
-        self.charge_walk(trusted, first_bytes, first.leaf_index >> crown.base_height(), work);
-        Ok(first_record)
+        let anchor_node = first.leaf_index >> crown.base_height();
+        self.charge_walk(trusted, first_bytes, anchor_node, work, &mut scratch.tally);
+        Ok(())
     }
 
     /// Adds `record` to `run` as its next chain head: the newest version of
     /// its key by its own claim (a link is stale by that claim, refused
     /// before anything is hashed), of this level's tree, at the leaf after
-    /// the run's last. Its leaf is hashed into `scratch.leaves`, and its
-    /// bytes are charged now — unless it opens the run, whose bytes are
-    /// charged with the walk. Hands back its opened envelope and proof.
+    /// the run's last. Its leaf is hashed, straight from the record's
+    /// canonical pieces, into `scratch.leaves`, and its bytes are tallied
+    /// now — unless it opens the run, whose bytes are tallied with the
+    /// walk. Hands back its opened envelope and proof.
     fn push_head<'r>(
         &self,
         commitment: &LevelCommitment,
@@ -983,9 +1026,9 @@ impl TrustedState {
         run: &mut Run<'r>,
     ) -> Result<(Opened<'r>, RecordProofRef<'r>), VerificationFailure> {
         let level = commitment.level;
-        let (opened, proof) = open_proved(level, record, &mut scratch.canonical)?;
+        let (opened, proof, canonical) = open_proved(level, record)?;
         require_newest(level, &proof)?;
-        self.count_proof(&proof);
+        scratch.tally.proof(&proof);
         let header = if proof.level != level {
             Some(VerifyError::LevelMismatch)
         } else {
@@ -994,11 +1037,11 @@ impl TrustedState {
         if let Some(source) = header {
             return Err(VerificationFailure::ForgedRecord { level, source });
         }
-        let bytes = scratch.canonical.len();
+        let bytes = canonical.encoded_len();
         match run.last {
             None => run.first = Some((proof, bytes)),
             Some(last) if last.leaf_index.checked_add(1) == Some(proof.leaf_index) => {
-                self.platform.charge_hash(bytes);
+                scratch.tally.hash(bytes);
             }
             Some(_) => {
                 let reason = "leaf indices not consecutive";
@@ -1006,26 +1049,75 @@ impl TrustedState {
             }
         }
         run.last = Some(proof);
-        scratch.leaves[run.len] = proof.suffix_digest(&scratch.canonical);
+        scratch.leaves[run.len] = proof.suffix_digest(&canonical.slices());
         run.len += 1;
         Ok((opened, proof))
     }
 }
 
-/// The buffers one query reuses from level to level.
+/// The first level from `expected` on, stepping by `step`, whose fence in
+/// `snapshot` does not exclude `[from, to]`; tallies the levels passed
+/// over.
+fn pass_fenced(
+    snapshot: &[TrustedLevel],
+    (from, to): (&[u8], &[u8]),
+    mut expected: i64,
+    step: i64,
+    tally: &mut Tally,
+) -> i64 {
+    let fenced = |level: i64| {
+        let slot = usize::try_from(level).ok().and_then(|level| snapshot.get(level));
+        slot.is_some_and(|slot| slot.crown.crown.excludes(from, to))
+    };
+    while fenced(expected) {
+        tally.levels_fenced += 1;
+        expected += step;
+    }
+    expected
+}
+
+/// What one query's verification owes the model clock and the verifier's
+/// counters, tallied as it goes and settled once when the query ends,
+/// passed or refused (`TrustedState::settle`).
+#[derive(Debug, Default)]
+struct Tally {
+    /// SHA-256 blocks, summed hash by hash ([`CostModel::hash_blocks`]).
+    hash_blocks: u64,
+    proofs: u64,
+    proof_bytes: u64,
+    levels_checked: u64,
+    levels_fenced: u64,
+    nodes_hashed: u64,
+    nodes_compared: u64,
+}
+
+impl Tally {
+    /// One SHA-256 of `len` bytes.
+    fn hash(&mut self, len: usize) {
+        self.hash_blocks += CostModel::hash_blocks(len);
+    }
+
+    /// One record proof inspected.
+    fn proof(&mut self, proof: &RecordProofRef<'_>) {
+        self.proofs += 1;
+        self.proof_bytes += proof.encoded_len() as u64;
+    }
+}
+
+/// What one query reuses from level to level.
 #[derive(Debug)]
 struct Scratch<'l> {
-    /// The canonical bytes of the record being checked.
-    canonical: Vec<u8>,
     /// The level run's leaves, in leaf order, folded in place by its walk:
     /// room for every head the query's widest level can present.
     leaves: &'l mut [Digest],
+    /// The query's charges and counts so far.
+    tally: Tally,
 }
 
 /// The chain heads one level presents, added in leaf order.
 #[derive(Debug, Default)]
 struct Run<'r> {
-    /// The first head's proof, and its canonical byte count (charged with
+    /// The first head's proof, and its canonical byte count (tallied with
     /// the walk).
     first: Option<(RecordProofRef<'r>, usize)>,
     /// The last head's proof.
@@ -1035,18 +1127,16 @@ struct Run<'r> {
 }
 
 /// Opens a level record's envelope in place and requires the embedded
-/// proof every flushed or compacted record carries; `canonical` is
-/// replaced with the record's canonical bytes.
-fn open_proved<'r>(
+/// proof every flushed or compacted record carries; hands back the
+/// envelope, the proof and the record's canonical bytes as the pieces they
+/// join.
+fn open_proved(
     level: u32,
-    record: &'r Record,
-    canonical: &mut Vec<u8>,
-) -> Result<(Opened<'r>, RecordProofRef<'r>), VerificationFailure> {
+    record: &Record,
+) -> Result<(Opened<'_>, RecordProofRef<'_>, EncodedParts<'_>), VerificationFailure> {
     let opened = open_record(record.view(), level)?;
     let proof = opened.proof.ok_or(VerificationFailure::MissingProof { level })?;
-    canonical.clear();
-    append_canonical(record.view(), opened.value, canonical);
-    Ok((opened, proof))
+    Ok((opened, proof, canonical_parts(record.view(), opened.value)))
 }
 
 /// Refuses a proof that is a chain link: by its own claim its record sits

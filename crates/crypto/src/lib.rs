@@ -51,7 +51,7 @@ pub use aead::{AeadError, AeadKey};
 pub use det::{DetError, DetKey};
 pub use digest::{Digest, ParseDigestError};
 pub use ope::OpeKey;
-pub use sha256::{sha256, sha256_concat, Sha256};
+pub use sha256::{sha256, sha256_concat, sha256_joined, Sha256};
 
 /// SHA-256 block size in bytes; cost-model consumers in `sgx-sim` charge
 /// hashing time per block of this size.

@@ -147,12 +147,17 @@ impl Sha256 {
         }
         self.buf[56..].copy_from_slice(&bit_len.to_be_bytes());
         (self.kernel)(&mut self.state, &self.buf);
-        let mut out = [0u8; 32];
-        for (i, word) in self.state.iter().enumerate() {
-            out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
-        }
-        Digest::from_bytes(out)
+        digest_of(&self.state)
     }
+}
+
+/// The digest a final hash state spells, big-endian word by word.
+fn digest_of(state: &[u32; 8]) -> Digest {
+    let mut out = [0u8; 32];
+    for (i, word) in state.iter().enumerate() {
+        out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
+    }
+    Digest::from_bytes(out)
 }
 
 /// The portable kernel, written from FIPS 180-4 §6.2.2. It is what runs on
@@ -215,18 +220,53 @@ fn compress_scalar(state: &mut [u32; 8], blocks: &[u8]) {
 /// );
 /// ```
 pub fn sha256(data: &[u8]) -> Digest {
-    let mut h = Sha256::new();
-    h.update(data);
-    h.finalize()
+    sha256_joined([data])
 }
 
 /// SHA-256 over the concatenation of several byte slices without allocating.
 pub fn sha256_concat(parts: &[&[u8]]) -> Digest {
-    let mut h = Sha256::new();
-    for p in parts {
-        h.update(p);
+    sha256_joined(parts.iter().copied())
+}
+
+/// Longest message [`sha256_joined`] hashes in one pass: with its padding
+/// (a `0x80` byte and the 8-byte length) it fills at most
+/// `ONE_PASS_BLOCKS` blocks.
+const ONE_PASS_MAX: usize = ONE_PASS_BLOCKS * 64 - 9;
+const ONE_PASS_BLOCKS: usize = 4;
+
+/// SHA-256 over the concatenation of `parts`, each read where it lies. A
+/// message of up to 247 bytes (`ONE_PASS_MAX`) — a record, a chain link, a
+/// Merkle node — is laid out with its padding in one stack buffer and
+/// compressed in one kernel call, without the incremental hasher's
+/// per-part and per-block bookkeeping; a longer one streams through
+/// [`Sha256`]. Both give the same digest.
+pub fn sha256_joined<'p, I>(parts: I) -> Digest
+where
+    I: IntoIterator<Item = &'p [u8]>,
+    I::IntoIter: Clone,
+{
+    joined_with(kernel(), parts.into_iter())
+}
+
+fn joined_with<'p>(kernel: Kernel, parts: impl Iterator<Item = &'p [u8]> + Clone) -> Digest {
+    let total: usize = parts.clone().map(<[u8]>::len).sum();
+    if total > ONE_PASS_MAX {
+        let mut hasher = Sha256::with_kernel(kernel);
+        parts.for_each(|part| hasher.update(part));
+        return hasher.finalize();
     }
-    h.finalize()
+    let mut buf = [0u8; ONE_PASS_BLOCKS * 64];
+    let mut at = 0;
+    for part in parts {
+        buf[at..at + part.len()].copy_from_slice(part);
+        at += part.len();
+    }
+    buf[at] = 0x80;
+    let end = (total + 9).div_ceil(64) * 64;
+    buf[end - 8..end].copy_from_slice(&(total as u64).wrapping_mul(8).to_be_bytes());
+    let mut state = H0;
+    kernel(&mut state, &buf[..end]);
+    digest_of(&state)
 }
 
 #[cfg(test)]
@@ -282,6 +322,24 @@ mod tests {
         for (name, kernel) in kernels() {
             for (msg, want) in vectors {
                 assert_eq!(hash_with(kernel, msg).to_hex(), want, "{name}, {} bytes", msg.len());
+            }
+        }
+    }
+
+    /// Every message length across the one-pass bound, split into parts
+    /// at random points: the one-pass digest is the streaming hasher's.
+    #[test]
+    fn joined_parts_hash_like_the_stream_on_every_kernel() {
+        let mut seed = 3u64;
+        let data: Vec<u8> = (0..ONE_PASS_MAX + 200).map(|_| lcg(&mut seed) as u8).collect();
+        for len in 0..data.len() {
+            let message = &data[..len];
+            let (a, rest) = message.split_at(lcg(&mut seed) as usize % (len + 1));
+            let (b, c) = rest.split_at(lcg(&mut seed) as usize % (rest.len() + 1));
+            for (name, kernel) in kernels() {
+                let want = hash_with(kernel, message);
+                assert_eq!(joined_with(kernel, [a, b, c].into_iter()), want, "{name}, {len} B");
+                assert_eq!(joined_with(kernel, std::iter::once(message)), want, "{name}");
             }
         }
     }

@@ -351,6 +351,16 @@ impl BlockIter {
         }
     }
 
+    /// Moves onto `other`'s current entry, a cursor over the same block:
+    /// its key is copied, no entry decoded.
+    pub(crate) fn take_entry(&mut self, other: &BlockIter) {
+        self.key.clear();
+        self.key.extend_from_slice(&other.key);
+        self.value = other.value.clone();
+        self.pos = other.pos;
+        self.parked = false;
+    }
+
     /// The current entry's key (valid after `advance` returned `Ok(true)`).
     pub fn key(&self) -> &[u8] {
         &self.key

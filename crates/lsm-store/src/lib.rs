@@ -59,7 +59,9 @@ pub use events::{
     Verbatim,
 };
 pub use options::{Options, VlogConfig, WalSyncPolicy};
-pub use record::{internal_cmp, InternalKey, Record, RecordView, Timestamp, ValueKind};
+pub use record::{
+    internal_cmp, EncodedParts, InternalKey, Record, RecordView, Timestamp, ValueKind,
+};
 pub use recovery::{decode_manifest, Manifest, MANIFEST};
 pub use sstable::{NeighborPolicy, TableBuilder, TableMeta, TableOptions, TableReader};
 pub use version::{GetTrace, LevelOutcome, LevelRange, LevelSearch, Run, ScanTrace, Version};

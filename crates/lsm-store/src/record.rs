@@ -15,7 +15,7 @@ use std::fmt;
 
 use bytes::Bytes;
 
-use crate::encoding::{get_fixed_u64, get_length_prefixed, put_fixed_u64, put_length_prefixed};
+use crate::encoding::{get_fixed_u64, get_length_prefixed};
 
 /// Whether a record stores a value, a value-log pointer, or a tombstone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
@@ -186,7 +186,7 @@ pub struct RecordView<'a> {
     pub value: &'a Bytes,
 }
 
-impl RecordView<'_> {
+impl<'a> RecordView<'a> {
     /// An owned copy of the record (the key is copied, the value shared).
     pub fn to_record(&self) -> Record {
         Record {
@@ -202,10 +202,26 @@ impl RecordView<'_> {
     /// but digest the bare one (eLSM's embedded proofs) get the record's
     /// canonical bytes this way without building a second record.
     pub fn encode_with_value_into(&self, value: &[u8], buf: &mut Vec<u8>) {
-        buf.reserve(self.key.len() + value.len() + 16);
-        put_length_prefixed(buf, self.key);
-        put_fixed_u64(buf, pack(self.ts, self.kind));
-        put_length_prefixed(buf, value);
+        let parts = self.encoded_parts(value);
+        buf.reserve(parts.encoded_len());
+        for part in parts.slices() {
+            buf.extend_from_slice(part);
+        }
+    }
+
+    /// The serialization [`RecordView::encode_with_value_into`] appends,
+    /// as the pieces it joins: what a digest absorbs where the bytes lie,
+    /// with no copy of the key or the value.
+    pub fn encoded_parts<'v>(&self, value: &'v [u8]) -> EncodedParts<'v>
+    where
+        'a: 'v,
+    {
+        let mut key_prefix = [0u8; 10];
+        let key_prefix_len = put_varint_at(&mut key_prefix, self.key.len() as u64);
+        let mut middle = [0u8; 18];
+        middle[..8].copy_from_slice(&pack(self.ts, self.kind).to_le_bytes());
+        let middle_len = 8 + put_varint_at(&mut middle[8..], value.len() as u64);
+        EncodedParts { key_prefix, key_prefix_len, key: self.key, middle, middle_len, value }
     }
 
     /// The internal key's suffix: `(ts, kind)` packed and complemented, so
@@ -213,6 +229,49 @@ impl RecordView<'_> {
     pub(crate) fn suffix(&self) -> u64 {
         !pack(self.ts, self.kind)
     }
+}
+
+/// A record's serialization as the four pieces it joins — the key's
+/// length prefix, the key, the packed suffix with the value's length
+/// prefix, the value ([`RecordView::encoded_parts`]).
+#[derive(Debug, Clone, Copy)]
+pub struct EncodedParts<'a> {
+    key_prefix: [u8; 10],
+    key_prefix_len: usize,
+    key: &'a [u8],
+    middle: [u8; 18],
+    middle_len: usize,
+    value: &'a [u8],
+}
+
+impl EncodedParts<'_> {
+    /// The pieces, in order; joined, they are the serialization.
+    pub fn slices(&self) -> [&[u8]; 4] {
+        [
+            &self.key_prefix[..self.key_prefix_len],
+            self.key,
+            &self.middle[..self.middle_len],
+            self.value,
+        ]
+    }
+
+    /// Bytes of the serialization.
+    pub fn encoded_len(&self) -> usize {
+        self.key_prefix_len + self.key.len() + self.middle_len + self.value.len()
+    }
+}
+
+/// Writes `v` as a LEB128 varint at the front of `out`, which has room
+/// for it; returns its length.
+fn put_varint_at(out: &mut [u8], mut v: u64) -> usize {
+    let mut at = 0;
+    while v >= 0x80 {
+        out[at] = (v as u8 & 0x7f) | 0x80;
+        v >>= 7;
+        at += 1;
+    }
+    out[at] = v as u8;
+    at + 1
 }
 
 /// Splits an *encoded* internal key into the user key and the unpacked
@@ -497,6 +556,18 @@ mod tests {
         let inline = Record::put(b"k".as_slice(), b"same".as_slice(), 1);
         let pointer = Record::vlog_put(b"k".as_slice(), b"same".as_slice(), 1);
         assert_ne!(inline.digest_bytes(), pointer.digest_bytes());
+    }
+
+    /// The pieces a digest absorbs join to the serialization, across the
+    /// varint length boundaries of key and value.
+    #[test]
+    fn encoded_parts_join_to_the_encoding() {
+        for (key_len, value_len) in [(0, 0), (1, 127), (127, 128), (128, 16_383), (300, 16_384)] {
+            let record = Record::put(vec![b'k'; key_len], vec![b'v'; value_len], 77);
+            let parts = record.view().encoded_parts(&record.value);
+            assert_eq!(parts.slices().concat(), record.encode(), "{key_len} / {value_len}");
+            assert_eq!(parts.encoded_len(), record.encode().len());
+        }
     }
 
     #[test]

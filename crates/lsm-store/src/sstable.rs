@@ -449,8 +449,9 @@ impl TableReader {
     }
 
     /// Newest record of the greatest user key strictly `< key`. Nothing
-    /// is materialised but the record returned: a second cursor trails the
-    /// scan, parked on the best candidate so far.
+    /// is materialised but the record returned: a second cursor stays on
+    /// the best candidate so far, taking over the scanning cursor's entry
+    /// — its key copied, nothing decoded twice — when a better one comes.
     ///
     /// # Errors
     ///
@@ -467,12 +468,9 @@ impl TableReader {
         loop {
             let block = self.read_block(block_idx)?;
             let mut entries = block.iter();
-            let mut best = block.iter();
-            // Entries `entries` and `best` have advanced over; `best` is on
-            // a candidate once `found`.
-            let (mut scanned, mut parked, mut found) = (0usize, 0usize, false);
+            // On a candidate once `found`.
+            let (mut best, mut found) = (block.iter(), false);
             while let Ok(true) = entries.advance() {
-                scanned += 1;
                 let Some(r) = record_at(&entries) else { continue };
                 if r.key >= key {
                     break;
@@ -488,10 +486,7 @@ impl TableReader {
                     _ => true,
                 };
                 if replace {
-                    while parked < scanned {
-                        let _ = best.advance();
-                        parked += 1;
-                    }
+                    best.take_entry(&entries);
                     found = true;
                 }
             }
@@ -590,30 +585,24 @@ impl TableReader {
     ///
     /// Returns [`FsError`] on IO errors.
     pub fn range(&self, from: &[u8], to: &[u8]) -> Result<Vec<Record>, FsError> {
-        let mut blocks = RangeBlocks::default();
-        self.range_blocks(from, to, &mut blocks)?;
-        Ok(blocks.records(from, to))
+        RangeRecords::gather(|gathered| self.range_into(from, to, gathered))
     }
 
     /// Reads the blocks holding this table's records with user key in
-    /// `[from, to]` onto `blocks` — the range's only IO.
-    pub(crate) fn range_blocks(
+    /// `[from, to]` — the range's only IO — and decodes each once, onto
+    /// `gathered`.
+    pub(crate) fn range_into(
         &self,
         from: &[u8],
         to: &[u8],
-        blocks: &mut RangeBlocks,
+        gathered: &mut RangeRecords,
     ) -> Result<(), FsError> {
         let Some(mut block_idx) = self.block_for(SeekKey::newest(from)) else {
             return Ok(());
         };
         while block_idx < self.index.len() {
             let block = self.read_block(block_idx)?;
-            let past_range = visit_range(&block, from, to, |r| {
-                blocks.records += 1;
-                blocks.key_bytes += r.key.len();
-            });
-            blocks.blocks.push(block);
-            if past_range {
+            if visit_range(&block, from, to, |r| gathered.push(r)) {
                 break;
             }
             block_idx += 1;
@@ -622,38 +611,63 @@ impl TableReader {
     }
 }
 
-/// The blocks a range query read, with the size of what they hold in the
-/// range.
-#[derive(Debug, Default)]
-pub(crate) struct RangeBlocks {
-    blocks: Vec<Block>,
-    records: usize,
-    key_bytes: usize,
+/// The records of a range query, gathered in one pass over the blocks that
+/// hold them: each key appended to one buffer, the rest of the record kept
+/// beside its key's end. Kept per thread and reused, so gathering allocates
+/// nothing once warm; [`RangeRecords::gather`] hands the records out with
+/// two allocations, whatever their number — their keys' arena and their
+/// vector, both sized exactly.
+#[derive(Debug)]
+pub(crate) struct RangeRecords {
+    keys: Vec<u8>,
+    /// `(ts, kind, value, end of the key in keys)`.
+    rest: Vec<(Timestamp, ValueKind, Bytes, usize)>,
 }
 
-impl RangeBlocks {
-    /// The records of the blocks with user key in `[from, to]`, in order:
-    /// their keys slices of one arena, their values of the blocks. Three
-    /// allocations, whatever the number of records.
-    pub(crate) fn records(&self, from: &[u8], to: &[u8]) -> Vec<Record> {
-        if self.records == 0 {
+thread_local! {
+    /// The gathering buffers of this thread's last range query.
+    static SPARE_RANGE: std::cell::Cell<RangeRecords> =
+        const { std::cell::Cell::new(RangeRecords::EMPTY) };
+}
+
+impl RangeRecords {
+    const EMPTY: RangeRecords = RangeRecords { keys: Vec::new(), rest: Vec::new() };
+
+    /// Runs `fill` on this thread's buffers and hands out what it
+    /// gathered.
+    pub(crate) fn gather(
+        fill: impl FnOnce(&mut RangeRecords) -> Result<(), FsError>,
+    ) -> Result<Vec<Record>, FsError> {
+        let mut gathered =
+            SPARE_RANGE.try_with(|spare| spare.replace(Self::EMPTY)).unwrap_or(Self::EMPTY);
+        let records = fill(&mut gathered).map(|()| gathered.records());
+        gathered.keys.clear();
+        gathered.rest.clear();
+        let _ = SPARE_RANGE.try_with(|spare| spare.set(gathered));
+        records
+    }
+
+    fn push(&mut self, r: RecordView<'_>) {
+        self.keys.extend_from_slice(r.key);
+        self.rest.push((r.ts, r.kind, r.value.clone(), self.keys.len()));
+    }
+
+    /// The records gathered, in order: their keys slices of one arena,
+    /// their values of the blocks.
+    fn records(&mut self) -> Vec<Record> {
+        if self.rest.is_empty() {
             return Vec::new();
         }
-        let mut arena = Vec::with_capacity(self.key_bytes);
-        for block in &self.blocks {
-            visit_range(block, from, to, |r| arena.extend_from_slice(r.key));
-        }
-        let arena = Bytes::from(arena);
-        let mut records = Vec::with_capacity(self.records);
-        let mut at = 0;
-        for block in &self.blocks {
-            visit_range(block, from, to, |r| {
-                let key = arena.slice(at..at + r.key.len());
-                at += r.key.len();
-                records.push(Record { key, ts: r.ts, kind: r.kind, value: r.value.clone() });
-            });
-        }
-        records
+        let arena = Bytes::copy_from_slice(&self.keys);
+        let mut start = 0;
+        self.rest
+            .drain(..)
+            .map(|(ts, kind, value, end)| {
+                let key = arena.slice(start..end);
+                start = end;
+                Record { key, ts, kind, value }
+            })
+            .collect()
     }
 }
 

@@ -18,7 +18,7 @@ use sim_disk::FsError;
 
 use crate::memtable::MemTable;
 use crate::record::{Record, RecordView, Timestamp};
-use crate::sstable::{NeighborPolicy, RangeBlocks, TableReader};
+use crate::sstable::{NeighborPolicy, RangeRecords, TableReader};
 
 /// One sorted run: non-overlapping tables in ascending key order.
 #[derive(Debug)]
@@ -167,14 +167,15 @@ impl Run {
     ///
     /// Returns [`FsError`] on IO errors.
     pub fn range(&self, from: &[u8], to: &[u8]) -> Result<Vec<Record>, FsError> {
-        let mut blocks = RangeBlocks::default();
-        for t in &self.tables {
-            if &t.meta().largest[..] < from || &t.meta().smallest[..] > to {
-                continue;
+        RangeRecords::gather(|gathered| {
+            for t in &self.tables {
+                if &t.meta().largest[..] < from || &t.meta().smallest[..] > to {
+                    continue;
+                }
+                t.range_into(from, to, gathered)?;
             }
-            t.range_blocks(from, to, &mut blocks)?;
-        }
-        Ok(blocks.records(from, to))
+            Ok(())
+        })
     }
 
     /// Streams every record of the run through `f` in key order, one

@@ -19,14 +19,22 @@
 //! older version's proof. What each version stores is its
 //! [`ChainPosition`].
 
-use elsm_crypto::{sha256_concat, Digest};
+use elsm_crypto::{sha256_joined, Digest};
 
 /// Domain-separation prefix for chain links.
 const CHAIN_PREFIX: u8 = 0x02;
 
 /// One fold step: extends the chain with a newer record's bytes.
 pub fn chain_link(record_bytes: &[u8], older_digest: &Digest) -> Digest {
-    sha256_concat(&[&[CHAIN_PREFIX], record_bytes, older_digest.as_bytes()])
+    chain_link_parts(&[record_bytes], older_digest)
+}
+
+/// [`chain_link`] of the record whose bytes are `parts` joined, each
+/// hashed where it lies.
+pub fn chain_link_parts(parts: &[&[u8]], older_digest: &Digest) -> Digest {
+    let prefix = std::iter::once(&[CHAIN_PREFIX][..]);
+    let older = std::iter::once(&older_digest.as_bytes()[..]);
+    sha256_joined(prefix.chain(parts.iter().copied()).chain(older))
 }
 
 /// Digest of a full version chain, `records` given newest-first (the order

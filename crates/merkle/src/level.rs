@@ -417,7 +417,7 @@ mod tests {
         let head = RecordProofRef::parse(&head).unwrap();
         assert_eq!(head.verify(&c, b"Z,7"), Ok(()));
         let mut walk = head.walk().unwrap();
-        assert_eq!(walk.step(&RecordProofRef::parse(&link).unwrap(), b"Z,6"), Ok(()));
+        assert_eq!(walk.step(&RecordProofRef::parse(&link).unwrap(), &[b"Z,6"]), Ok(()));
         // ... and a "Newest" claim for it fails.
         let ChainPosition::Newest { audit_path, .. } = l2.prove_newest(index).chain else {
             unreachable!()

@@ -48,7 +48,7 @@ pub mod proof;
 pub mod range;
 pub mod tree;
 
-pub use chain::{chain_digest, chain_link, ChainPosition};
+pub use chain::{chain_digest, chain_link, chain_link_parts, ChainPosition};
 pub use crown::{Anchor, Crown, Work, CROWN_ROW_MAX};
 pub use level::{Folded, LevelDigest, LevelDigestBuilder};
 pub use mbt::{MerkleBTree, UpdateStats};

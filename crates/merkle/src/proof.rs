@@ -26,7 +26,7 @@
 
 use elsm_crypto::{sha256_concat, Digest};
 
-use crate::chain::{chain_link, ChainPosition};
+use crate::chain::{chain_link_parts, ChainPosition};
 use crate::crown::{Anchor, Work};
 use crate::tree::MerkleTree;
 
@@ -348,11 +348,12 @@ impl<'a> RecordProofRef<'a> {
             .map(|d| Digest::from_bytes(d.try_into().expect("chunks_exact(32)")))
     }
 
-    /// Chain digest of `record_bytes` at this position and everything
-    /// older (see [`ChainPosition::suffix_digest`]): the key's Merkle leaf
-    /// when the proof is a newest claim.
-    pub fn suffix_digest(&self, record_bytes: &[u8]) -> Digest {
-        chain_link(record_bytes, &self.older_digest)
+    /// Chain digest of the record whose bytes are `record_parts` joined,
+    /// at this position and everything older (see
+    /// [`ChainPosition::suffix_digest`]): the key's Merkle leaf when the
+    /// proof is a newest claim. The parts are hashed where they lie.
+    pub fn suffix_digest(&self, record_parts: &[&[u8]]) -> Digest {
+        chain_link_parts(record_parts, &self.older_digest)
     }
 
     /// Verifies the proof for a record's canonical bytes against the
@@ -393,7 +394,7 @@ impl<'a> RecordProofRef<'a> {
             commitment,
             anchor,
             (self.level, self.leaf_index, self.leaf_count),
-            || self.suffix_digest(record_bytes),
+            || self.suffix_digest(&[record_bytes]),
             self.siblings(),
         )
     }
@@ -454,10 +455,11 @@ pub struct ChainWalk {
 }
 
 impl ChainWalk {
-    /// Accepts `record_bytes` as the next older version of the chain if
-    /// `link` is its link: same level, leaf and leaf count as the head,
-    /// the next position, and `link(record_bytes, link's older digest)`
-    /// equal to the digest the previous version named.
+    /// Accepts the record whose bytes are `record_parts` joined as the
+    /// next older version of the chain if `link` is its link: same level,
+    /// leaf and leaf count as the head, the next position, and
+    /// `link(record bytes, link's older digest)` equal to the digest the
+    /// previous version named.
     ///
     /// # Errors
     ///
@@ -465,11 +467,11 @@ impl ChainWalk {
     pub fn step(
         &mut self,
         link: &RecordProofRef<'_>,
-        record_bytes: &[u8],
+        record_parts: &[&[u8]],
     ) -> Result<(), VerifyError> {
         if link.link_position != Some(self.position)
             || (link.level, link.leaf_index, link.leaf_count) != self.header
-            || link.suffix_digest(record_bytes) != self.expected
+            || link.suffix_digest(record_parts) != self.expected
         {
             return Err(VerifyError::BrokenChain);
         }
@@ -528,7 +530,7 @@ mod tests {
         let mut walk = head.walk()?;
         for (link, bytes) in versions {
             let encoded = link.encode();
-            walk.step(&RecordProofRef::parse(&encoded).unwrap(), bytes)?;
+            walk.step(&RecordProofRef::parse(&encoded).unwrap(), &[bytes])?;
         }
         Ok(())
     }
@@ -629,9 +631,9 @@ mod tests {
         let (mid, old) = (link(1).encode(), link(2).encode());
         let (mid, old) =
             (RecordProofRef::parse(&mid).unwrap(), RecordProofRef::parse(&old).unwrap());
-        assert_eq!(walk.step(&old, b"k2-old"), Err(VerifyError::BrokenChain));
-        assert_eq!(walk.step(&mid, b"k2-mid"), Ok(()));
-        assert_eq!(walk.step(&old, b"k2-old"), Ok(()));
+        assert_eq!(walk.step(&old, &[b"k2-old"]), Err(VerifyError::BrokenChain));
+        assert_eq!(walk.step(&mid, &[b"k2-mid"]), Ok(()));
+        assert_eq!(walk.step(&old, &[b"k2-old"]), Ok(()));
     }
 
     #[test]

@@ -102,9 +102,13 @@ impl CostModel {
     /// — and the gap is stated here: per node hashed, the model's enclave
     /// time is half of what a block-exact count would charge.
     pub fn hash_cost(&self, len: usize) -> u64 {
-        // One extra block for padding/finalization.
-        let blocks = (len / 64 + 1) as u64;
-        blocks * self.hash_ns_per_block
+        Self::hash_blocks(len) * self.hash_ns_per_block
+    }
+
+    /// SHA-256 blocks the model prices hashing `len` bytes at: one extra
+    /// block for padding and finalization.
+    pub fn hash_blocks(len: usize) -> u64 {
+        (len / 64 + 1) as u64
     }
 }
 

@@ -228,8 +228,16 @@ impl Platform {
 
     /// Charges hashing of `len` bytes (SHA-256) on the virtual clock.
     pub fn charge_hash(&self, len: usize) {
-        PlatformStats::add(&self.stats.hash_blocks, (len / 64 + 1) as u64);
-        self.tick(self.cost.hash_cost(len));
+        self.charge_hash_blocks(CostModel::hash_blocks(len));
+    }
+
+    /// Charges `blocks` SHA-256 blocks at once: what the
+    /// [`Platform::charge_hash`] calls whose [`CostModel::hash_blocks`] sum
+    /// to `blocks` charge one by one — the price is linear in blocks — for
+    /// a verifier that tallies its hashing and settles once per query.
+    pub fn charge_hash_blocks(&self, blocks: u64) {
+        PlatformStats::add(&self.stats.hash_blocks, blocks);
+        self.tick(blocks * self.cost.hash_ns_per_block);
     }
 
     // ----- disk ----------------------------------------------------------

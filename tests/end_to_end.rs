@@ -188,3 +188,50 @@ fn concurrent_clients_verify_under_compaction() {
     }
     assert!(store.db().stats().flushes > 0, "compactions ran during the test");
 }
+
+/// A scan whose `from` sorts after its `to` holds no key: every verified
+/// surface answers it with an empty result, and an honest store's answer
+/// is not audited as an attack — on a flushed level, where the range's
+/// neighbours used to be presented as a run that does not exist.
+#[test]
+fn an_inverted_range_is_empty_and_not_an_attack() {
+    use elsm_repro::elsm::{ConfidentialStore, ElsmP1, P1Options};
+    use elsm_repro::replica::{ReplicationGroup, ReplicationOptions};
+    use elsm_repro::shard::{ShardedKv, ShardedOptions};
+    use elsm_repro::telemetry::Telemetry;
+
+    let telemetry = Telemetry::default();
+    let options = P2Options { telemetry: telemetry.clone(), ..P2Options::default() };
+    let key = |i: u32| format!("key{i:03}").into_bytes();
+    let check = |name: &str, store: &dyn AuthenticatedKv, flush: &dyn Fn()| {
+        for i in 0..100 {
+            store.put(&key(i), b"value").unwrap();
+        }
+        flush();
+        for (from, to) in [(50, 30), (51, 50), (99, 0)] {
+            let got = store.scan(&key(from), &key(to));
+            assert!(got.as_ref().is_ok_and(Vec::is_empty), "{name} {from}..={to}: {got:?}");
+        }
+        assert_eq!(store.scan(&key(30), &key(50)).unwrap().len(), 21, "{name}");
+        assert_eq!(telemetry.audit_total(), 0, "{name}: nothing was attacked");
+    };
+
+    let p2 = ElsmP2::open(Platform::with_defaults(), options.clone()).unwrap();
+    check("p2", &p2, &|| p2.db().flush().unwrap());
+    let sharded =
+        ShardedKv::open(Platform::with_defaults(), ShardedOptions::hash(2, options.clone()))
+            .unwrap();
+    check("sharded", &sharded, &|| sharded.flush().unwrap());
+    let group = ReplicationGroup::open(
+        Platform::with_defaults(),
+        options.clone(),
+        ReplicationOptions { replicas: 1, ..Default::default() },
+    )
+    .unwrap();
+    check("replicated", &group, &|| group.flush().unwrap());
+    let confidential =
+        ConfidentialStore::open(Platform::with_defaults(), options, b"master key").unwrap();
+    check("confidential", &confidential, &|| confidential.inner().db().flush().unwrap());
+    let p1 = ElsmP1::open(Platform::with_defaults(), P1Options::default()).unwrap();
+    check("p1", &p1, &|| p1.db().flush().unwrap());
+}

@@ -246,11 +246,11 @@ proptest! {
                     let mut skipped = Vec::new();
                     digest.encode_proof_into(leaf, version + 1, &mut skipped);
                     let skipped = RecordProofRef::parse(&skipped).unwrap();
-                    prop_assert_eq!(walk.step(&skipped, next), Err(VerifyError::BrokenChain));
+                    prop_assert_eq!(walk.step(&skipped, &[next]), Err(VerifyError::BrokenChain));
                 }
-                prop_assert_eq!(walk.step(&link, b"forged"), Err(VerifyError::BrokenChain));
-                prop_assert_eq!(walk.step(&link, record), Ok(()));
-                prop_assert_eq!(walk.step(&link, record), Err(VerifyError::BrokenChain));
+                prop_assert_eq!(walk.step(&link, &[b"forged"]), Err(VerifyError::BrokenChain));
+                prop_assert_eq!(walk.step(&link, &[record]), Ok(()));
+                prop_assert_eq!(walk.step(&link, &[record]), Err(VerifyError::BrokenChain));
             }
         }
         let (keys, records) = (chains.len(), shape.iter().sum::<usize>());

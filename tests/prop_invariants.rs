@@ -104,9 +104,9 @@ proptest! {
                 prop_assert!(lying.verify(&commitment, bytes).is_err());
                 let link = link.encode();
                 let link = RecordProofRef::parse(&link).expect("own encoding parses");
-                prop_assert_eq!(walk.step(&link, bytes), Ok(()));
+                prop_assert_eq!(walk.step(&link, &[bytes]), Ok(()));
                 if v > 1 {
-                    prop_assert_eq!(skipping.step(&link, bytes), Err(VerifyError::BrokenChain));
+                    prop_assert_eq!(skipping.step(&link, &[bytes]), Err(VerifyError::BrokenChain));
                 }
             }
         }
