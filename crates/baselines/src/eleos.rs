@@ -21,6 +21,14 @@ use parking_lot::Mutex;
 use sgx_sim::Platform;
 use sim_disk::{SimFile, SimFs};
 
+/// Software page size of the user-space paging layer.
+const PAGE_BYTES: usize = 4096;
+/// Per-memory-reference monitoring overhead in nanoseconds (SUVM
+/// instrumentations).
+const MONITOR_NS: u64 = 150;
+/// Percentage of slack slots left in the array (the paper uses 30 %).
+const SLACK_PERCENT: usize = 30;
+
 /// Configuration of the Eleos-style store.
 #[derive(Debug, Clone)]
 pub struct EleosOptions {
@@ -30,15 +38,8 @@ pub struct EleosOptions {
     /// Bytes of array data Eleos keeps materialized in enclave memory
     /// (its secure-page cache; analogous to the EPC share it manages).
     pub resident_bytes: usize,
-    /// Software page size of the user-space paging layer.
-    pub page_bytes: usize,
-    /// Per-memory-reference monitoring overhead in nanoseconds (SUVM
-    /// instrumentations).
-    pub monitor_ns: u64,
     /// Write buffer persisted to disk when full.
     pub persist_buffer_bytes: usize,
-    /// Fraction of slack slots left in the array (the paper uses 30 %).
-    pub slack_percent: u32,
 }
 
 impl Default for EleosOptions {
@@ -46,10 +47,7 @@ impl Default for EleosOptions {
         EleosOptions {
             capacity_limit_bytes: 1 << 30,
             resident_bytes: 96 * 1024,
-            page_bytes: 4096,
-            monitor_ns: 150,
             persist_buffer_bytes: 16 * 1024,
-            slack_percent: 30,
         }
     }
 }
@@ -151,11 +149,11 @@ impl EleosStore {
     /// Charges one array-slot access through the software paging layer.
     fn touch_slot(&self, inner: &mut EleosInner, idx: usize, entry_bytes: usize) {
         // Every reference pays the monitoring overhead.
-        self.platform.advance(self.options.monitor_ns);
-        let page = idx * entry_bytes.max(1) / self.options.page_bytes.max(1);
+        self.platform.advance(MONITOR_NS);
+        let page = idx * entry_bytes.max(1) / PAGE_BYTES;
         inner.tick += 1;
         let tick = inner.tick;
-        let max_pages = (self.options.resident_bytes / self.options.page_bytes).max(1);
+        let max_pages = (self.options.resident_bytes / PAGE_BYTES).max(1);
         if let std::collections::hash_map::Entry::Occupied(mut e) = inner.resident.entry(page) {
             e.insert(tick);
             self.platform.dram_access(64);
@@ -168,11 +166,11 @@ impl EleosStore {
             // Evict the oldest page (write it back to untrusted memory).
             if let Some((&victim, _)) = inner.resident.iter().min_by_key(|(_, &t)| t) {
                 inner.resident.remove(&victim);
-                self.platform.cross_copy(self.options.page_bytes);
+                self.platform.cross_copy(PAGE_BYTES);
             }
         }
         inner.resident.insert(page, tick);
-        self.platform.cross_copy(self.options.page_bytes);
+        self.platform.cross_copy(PAGE_BYTES);
     }
 
     fn avg_entry_bytes(inner: &EleosInner) -> usize {
@@ -225,7 +223,7 @@ impl EleosStore {
                 inner.live += 1;
                 inner.data_bytes += added;
                 // Maintain slack: periodically re-gap the array.
-                let gap_every = (100 / self.options.slack_percent.max(1)) as usize;
+                let gap_every = 100 / SLACK_PERCENT;
                 if inner.live % 64 == 0 {
                     self.regap(&mut inner, gap_every, entry_bytes);
                 }
@@ -275,7 +273,7 @@ impl EleosStore {
             }
         }
         // The rewrite touches everything once (sequential, enclave-side).
-        self.platform.advance(self.options.monitor_ns * slots.len() as u64 / 8);
+        self.platform.advance(MONITOR_NS * slots.len() as u64 / 8);
         let _ = entry_bytes;
         inner.slots = slots;
     }

@@ -15,6 +15,8 @@ use sgx_sim::Platform;
 
 /// Approximate on-disk size of one B-tree node (keys + hashes).
 const NODE_BYTES: usize = 4096;
+/// Hot nodes a read finds in memory; the rest of its path is on disk.
+const CACHED_NODES: usize = 8;
 
 /// An authenticated dictionary with disk-resident update-in-place digests.
 ///
@@ -32,18 +34,12 @@ const NODE_BYTES: usize = 4096;
 pub struct MbtStore {
     platform: Arc<Platform>,
     tree: Mutex<MerkleBTree>,
-    node_cache_nodes: usize,
 }
 
 impl MbtStore {
     /// Creates an empty store with a small node cache.
     pub fn new(platform: Arc<Platform>) -> Self {
-        Self::with_cache(platform, 8)
-    }
-
-    /// Creates a store caching roughly `cached_nodes` hot nodes in memory.
-    pub fn with_cache(platform: Arc<Platform>, cached_nodes: usize) -> Self {
-        MbtStore { platform, tree: Mutex::new(MerkleBTree::new()), node_cache_nodes: cached_nodes }
+        MbtStore { platform, tree: Mutex::new(MerkleBTree::new()) }
     }
 
     /// Number of keys stored.
@@ -73,7 +69,7 @@ impl MbtStore {
 
     fn charge_read(&self, depth: usize) {
         // Nodes beyond the small hot cache come from disk.
-        let cold = depth.saturating_sub(self.node_cache_nodes.min(depth));
+        let cold = depth.saturating_sub(CACHED_NODES.min(depth));
         for _ in 0..cold.max(1) {
             self.platform.charge_disk_seek();
             self.platform.charge_disk_transfer(NODE_BYTES);

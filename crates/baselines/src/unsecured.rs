@@ -4,7 +4,7 @@
 //!   (Unsecure)" line of Figure 5a.
 //! * code-in-enclave / buffer-outside / **no authentication** — the
 //!   "Buffer outside enclave (unsecured)" ideal line of Figures 2 and 6a —
-//!   obtained with [`UnsecuredOptions::ideal_outside_enclave`].
+//!   obtained with [`UnsecuredOptions::in_enclave`] set.
 
 use std::sync::Arc;
 
@@ -26,10 +26,6 @@ pub struct UnsecuredOptions {
     pub write_buffer_bytes: usize,
     /// Level-1 budget.
     pub level1_max_bytes: u64,
-    /// Level growth factor.
-    pub level_multiplier: u64,
-    /// Number of on-disk levels.
-    pub max_levels: usize,
     /// Target file size.
     pub target_file_bytes: u64,
     /// Automatic compaction.
@@ -48,20 +44,10 @@ impl Default for UnsecuredOptions {
             block_cache_bytes: 512 * 1024,
             write_buffer_bytes: 64 * 1024,
             level1_max_bytes: 256 * 1024,
-            level_multiplier: 10,
-            max_levels: 7,
             target_file_bytes: 128 * 1024,
             compaction_enabled: true,
             vlog: None,
         }
-    }
-}
-
-impl UnsecuredOptions {
-    /// The Figure 2 / 6a "ideal" line: enclave code, untrusted buffer, no
-    /// data authentication.
-    pub fn ideal_outside_enclave() -> Self {
-        UnsecuredOptions { in_enclave: true, ..Self::default() }
     }
 }
 
@@ -126,8 +112,6 @@ impl UnsecuredLsm {
             write_buffer_bytes: options.write_buffer_bytes,
             target_file_bytes: options.target_file_bytes,
             level1_max_bytes: options.level1_max_bytes,
-            level_multiplier: options.level_multiplier,
-            max_levels: options.max_levels,
             compaction_enabled: options.compaction_enabled,
             keep_old_versions: true,
             vlog: options.vlog,
@@ -219,10 +203,19 @@ mod tests {
     }
 
     #[test]
+    fn store_shape_is_the_engine_default() {
+        let s = UnsecuredLsm::open(Platform::with_defaults(), UnsecuredOptions::default()).unwrap();
+        let (options, defaults) = (s.db().options(), Options::default());
+        assert_eq!(options.level_multiplier, defaults.level_multiplier);
+        assert_eq!(options.max_levels, defaults.max_levels);
+        assert_eq!(options.table.block_size, TableOptions::default().block_size);
+    }
+
+    #[test]
     fn ideal_outside_config_switches_but_does_not_page() {
         let s = UnsecuredLsm::open(
             Platform::with_defaults(),
-            UnsecuredOptions { use_mmap: false, ..UnsecuredOptions::ideal_outside_enclave() },
+            UnsecuredOptions { in_enclave: true, use_mmap: false, ..UnsecuredOptions::default() },
         )
         .unwrap();
         for i in 0..300 {
@@ -255,7 +248,7 @@ mod tests {
             s.platform().clock().now_ns() - t0
         };
         let plain = run(UnsecuredOptions::default());
-        let ideal = run(UnsecuredOptions::ideal_outside_enclave());
+        let ideal = run(UnsecuredOptions { in_enclave: true, ..UnsecuredOptions::default() });
         assert!(plain <= ideal, "no-enclave must be at least as fast: {plain} vs {ideal}");
     }
 }

@@ -30,7 +30,13 @@ fn usage_and_exit(problem: &str) -> ! {
 fn str_field(line: &str, field: &str) -> Option<String> {
     let needle = format!("\"{field}\": \"");
     let start = line.find(&needle)? + needle.len();
-    let end = line[start..].find('"')?;
+    // The value ends at the first quote no backslash escapes.
+    let mut escaped = false;
+    let end = line[start..].char_indices().find_map(|(i, c)| {
+        let closes = c == '"' && !escaped;
+        escaped = c == '\\' && !escaped;
+        closes.then_some(i)
+    })?;
     Some(line[start..start + end].to_string())
 }
 
@@ -218,6 +224,20 @@ mod tests {
         assert_eq!(diff.added, [key("fig9", "fig9#0", "mixed")]);
         assert_eq!(diff.missing, [key("fig5a", "fig5a#1", "read70")]);
         assert_eq!(diff.counts(), "up 1 / down 2 / unchanged 1 / added 1 / missing 1");
+    }
+
+    #[test]
+    fn labels_differing_after_an_escaped_quote_stay_two_rows() {
+        let doc = r#"{
+  "results": [
+    {"figure": "fig2", "config": "a\"b", "workload": "read100", "ops_per_sec": 1.0},
+    {"figure": "fig2", "config": "a\"c", "workload": "read100", "ops_per_sec": 2.0}
+  ]
+}"#;
+        let rows = parse_rows(doc);
+        assert_eq!(rows.len(), 2, "{rows:?}");
+        assert_eq!(rows[&key("fig2", r#"a\"b"#, "read100")], 1.0);
+        assert_eq!(rows[&key("fig2", r#"a\"c"#, "read100")], 2.0);
     }
 
     #[test]

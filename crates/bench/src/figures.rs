@@ -383,8 +383,8 @@ pub fn fig7(scale: &Scale, opts: FigOpts) -> Table {
     let configs: [(&str, lsm_store::CompactionStrategyKind, usize); 4] = [
         ("leveled_p1", Leveled, 1),
         ("leveled_p4", Leveled, 4),
-        ("tiered_p1", Tiered(lsm_store::TieredConfig::default()), 1),
-        ("tiered_p4", Tiered(lsm_store::TieredConfig::default()), 4),
+        ("tiered_p1", Tiered, 1),
+        ("tiered_p4", Tiered, 4),
     ];
     for (label, strategy, parallelism) in configs {
         let mut row = vec![label.to_string()];

@@ -17,7 +17,7 @@ use ycsb::RunReport;
 
 /// One measured configuration.
 #[derive(Debug, Clone)]
-pub struct ResultEntry {
+struct ResultEntry {
     /// Figure/ablation the measurement belongs to.
     pub figure: String,
     /// Configuration label (deterministic per figure: the n-th measurement

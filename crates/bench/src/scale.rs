@@ -10,7 +10,7 @@
 use sgx_sim::CostModel;
 
 /// Paper record size: 16-byte key + 100-byte value (§6.1).
-pub const KEY_BYTES: usize = 16;
+const KEY_BYTES: usize = 16;
 /// Paper value size.
 pub const VALUE_BYTES: usize = 100;
 

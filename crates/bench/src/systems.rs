@@ -70,10 +70,7 @@ fn eleos_options(scale: &Scale) -> EleosOptions {
     EleosOptions {
         capacity_limit_bytes: scale.gb(1.0) * 2, // 1 GB of live data ≈ 2× raw
         resident_bytes: scale.mb(128) as usize,
-        page_bytes: 4096,
-        monitor_ns: 150,
         persist_buffer_bytes: scale.write_buffer_bytes(),
-        slack_percent: 30,
     }
 }
 

@@ -18,9 +18,7 @@
 //!   (§5.6.1).
 //!
 //! [`ConfidentialStore`] adds the §5.6.2 confidentiality layer (DE keys,
-//! OPE range tags, AEAD values). The [`adversary`] module mounts every
-//! attack from the §3.3 threat model; the test suite shows each one
-//! detected.
+//! OPE range tags, AEAD values).
 //!
 //! # Examples
 //!
@@ -40,7 +38,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adversary;
 pub mod api;
 pub mod cache;
 pub mod confidential;

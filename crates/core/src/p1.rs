@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use lsm_store::{Db, EnvConfig, Options, StorageEnv, Timestamp, ValueKind};
+use lsm_store::{Db, EnvConfig, Options, StorageEnv, TableOptions, Timestamp, ValueKind};
 use sgx_sim::{Platform, Sealer};
 use sim_disk::{Placement, SimDisk, SimFs};
 
@@ -26,16 +26,8 @@ pub struct P1Options {
     pub write_buffer_bytes: usize,
     /// Level-1 size budget.
     pub level1_max_bytes: u64,
-    /// Geometric level growth factor.
-    pub level_multiplier: u64,
-    /// Number of on-disk levels.
-    pub max_levels: usize,
     /// Target SSTable file size.
     pub target_file_bytes: u64,
-    /// SSTable block size.
-    pub block_size: usize,
-    /// Bloom bits per key.
-    pub bloom_bits_per_key: usize,
     /// Automatic compaction.
     pub compaction_enabled: bool,
 }
@@ -46,11 +38,7 @@ impl Default for P1Options {
             buffer_bytes: 512 * 1024,
             write_buffer_bytes: 64 * 1024,
             level1_max_bytes: 256 * 1024,
-            level_multiplier: 10,
-            max_levels: 7,
             target_file_bytes: 128 * 1024,
-            block_size: 4096,
-            bloom_bits_per_key: 10,
             compaction_enabled: true,
         }
     }
@@ -109,22 +97,16 @@ impl ElsmP1 {
                 use_mmap: false, // P1 cannot mmap: data must stay inside (§6.3)
                 cache_placement: Placement::Enclave,
                 block_cache_bytes: options.buffer_bytes,
-                block_slot_bytes: options.block_size * 2 + 64,
+                block_slot_bytes: TableOptions::default().block_size * 2 + 64,
                 sealed_files: true,
             },
             Some(sealer),
         );
         let db_options = Options {
             env: env.config().clone(),
-            table: lsm_store::TableOptions {
-                block_size: options.block_size,
-                bloom_bits_per_key: options.bloom_bits_per_key,
-            },
             write_buffer_bytes: options.write_buffer_bytes,
             target_file_bytes: options.target_file_bytes,
             level1_max_bytes: options.level1_max_bytes,
-            level_multiplier: options.level_multiplier,
-            max_levels: options.max_levels,
             compaction_enabled: options.compaction_enabled,
             keep_old_versions: true,
             ..Options::default()
@@ -236,6 +218,16 @@ mod tests {
             },
         )
         .unwrap()
+    }
+
+    #[test]
+    fn store_shape_is_the_engine_default() {
+        let opened = store();
+        let (options, defaults) = (opened.db().options(), Options::default());
+        assert_eq!(options.level_multiplier, defaults.level_multiplier);
+        assert_eq!(options.max_levels, defaults.max_levels);
+        assert_eq!(options.table.block_size, TableOptions::default().block_size);
+        assert_eq!(options.table.bloom_bits_per_key, TableOptions::default().bloom_bits_per_key);
     }
 
     #[test]

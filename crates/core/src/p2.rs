@@ -750,7 +750,7 @@ fn audit(platform: &Platform, options: &P2Options, epoch: u64, failure: &Verific
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsm_store::{CompactionStrategyKind, TieredConfig};
+    use lsm_store::CompactionStrategyKind;
     use std::collections::BTreeMap;
 
     /// Deterministic 64-bit LCG (MMIX constants) — no RNG crates in-tree.
@@ -788,8 +788,8 @@ mod tests {
         let configs = [
             (CompactionStrategyKind::Leveled, 1),
             (CompactionStrategyKind::Leveled, 4),
-            (CompactionStrategyKind::Tiered(TieredConfig::default()), 1),
-            (CompactionStrategyKind::Tiered(TieredConfig::default()), 4),
+            (CompactionStrategyKind::Tiered, 1),
+            (CompactionStrategyKind::Tiered, 4),
         ];
         let stores: Vec<ElsmP2> = configs
             .iter()

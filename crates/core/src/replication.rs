@@ -84,7 +84,7 @@ pub struct Announcement {
 }
 
 /// Serialized announcement size ([`Announcement::encode`]).
-pub const ANNOUNCEMENT_BYTES: usize = 4 + 8 + 32 + 32;
+const ANNOUNCEMENT_BYTES: usize = 4 + 8 + 32 + 32;
 
 impl Announcement {
     /// Signs an announcement of `state`'s commitment snapshot at `epoch`.

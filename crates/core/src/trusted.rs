@@ -106,7 +106,7 @@ impl CompactionDelta {
     }
 
     /// Number of commitment slots the delta touches.
-    pub fn touched_levels(&self) -> usize {
+    fn touched_levels(&self) -> usize {
         self.runs_removed.len() + self.runs_added.len()
     }
 }
@@ -373,20 +373,6 @@ impl TrustedState {
             .map_or_else(|| LevelCommitment::empty(level), |l| l.commitment)
     }
 
-    /// Installs a commitment into the working vector (the
-    /// compaction-completion ECall of §5.5.2), growing the level table if
-    /// needed, with the one-row crown — its root. It becomes visible to
-    /// verification when the owning store version's epoch is published.
-    pub fn set_commitment(&self, commitment: LevelCommitment) {
-        let level = TrustedLevel::root_only(&self.platform, commitment);
-        self.set_level_locked(&mut self.commitments.lock(), level);
-    }
-
-    /// Clears a level's commitment (its run was consumed by compaction).
-    pub fn clear_commitment(&self, level: u32) {
-        self.set_commitment(LevelCommitment::empty(level));
-    }
-
     /// Folds one compaction job's [`CompactionDelta`] into the working
     /// vector: removals clear, then additions install — commitment and
     /// crown together — under one lock acquisition, touching only the
@@ -499,11 +485,6 @@ impl TrustedState {
         let newest = c.epochs.back().map(|(e, _)| *e);
         c.epochs.retain(|(e, _)| Some(*e) == newest || live_epochs.contains(e));
         self.crown_bytes.set(c.crown_bytes());
-    }
-
-    /// Number of epoch snapshots currently held (diagnostics/tests).
-    pub fn epochs_tracked(&self) -> usize {
-        self.commitments.lock().epochs.len()
     }
 
     /// Digests in the working crown of `level`, all rows together: 1 when
@@ -1153,6 +1134,27 @@ fn require_newest(level: u32, proof: &RecordProofRef<'_>) -> Result<(), Verifica
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TrustedState {
+        /// Installs a commitment into the working vector (the
+        /// compaction-completion ECall of §5.5.2), growing the level table
+        /// if needed, with the one-row crown — its root: the full-recompute
+        /// path [`TrustedState::apply_compaction_delta`] is checked against.
+        fn set_commitment(&self, commitment: LevelCommitment) {
+            let level = TrustedLevel::root_only(&self.platform, commitment);
+            self.set_level_locked(&mut self.commitments.lock(), level);
+        }
+
+        /// Clears a level's commitment (its run was consumed by compaction).
+        fn clear_commitment(&self, level: u32) {
+            self.set_commitment(LevelCommitment::empty(level));
+        }
+
+        /// Number of epoch snapshots currently held.
+        fn epochs_tracked(&self) -> usize {
+            self.commitments.lock().epochs.len()
+        }
+    }
 
     fn commitment(level: u32, seed: u8, leaves: u64) -> LevelCommitment {
         LevelCommitment {

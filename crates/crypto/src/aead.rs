@@ -23,7 +23,7 @@ use crate::sha256::sha256_concat;
 /// Byte length of AEAD nonces.
 pub const NONCE_LEN: usize = 12;
 /// Byte length of authentication tags.
-pub const TAG_LEN: usize = 32;
+const TAG_LEN: usize = 32;
 
 /// A symmetric AEAD key.
 ///

@@ -15,8 +15,8 @@ use std::fmt;
 /// use elsm_crypto::{sha256::sha256, Digest};
 ///
 /// let d = sha256(b"record");
-/// let again = Digest::from_hex(&d.to_hex()).unwrap();
-/// assert_eq!(d, again);
+/// assert_eq!(Digest::from_bytes(*d.as_bytes()), d);
+/// assert_eq!(d.to_hex().len(), 64);
 /// ```
 #[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Digest([u8; 32]);
@@ -55,26 +55,6 @@ impl Digest {
         s
     }
 
-    /// Parses a 64-character hex string.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseDigestError`] when the input is not exactly 64 hex
-    /// characters.
-    pub fn from_hex(s: &str) -> Result<Self, ParseDigestError> {
-        let bytes = s.as_bytes();
-        if bytes.len() != 64 {
-            return Err(ParseDigestError);
-        }
-        let mut out = [0u8; 32];
-        for i in 0..32 {
-            let hi = (bytes[2 * i] as char).to_digit(16).ok_or(ParseDigestError)?;
-            let lo = (bytes[2 * i + 1] as char).to_digit(16).ok_or(ParseDigestError)?;
-            out[i] = ((hi << 4) | lo) as u8;
-        }
-        Ok(Digest(out))
-    }
-
     /// A short 8-hex-character prefix, handy in debug output.
     pub fn short_hex(&self) -> String {
         self.to_hex()[..8].to_string()
@@ -105,22 +85,32 @@ impl From<[u8; 32]> for Digest {
     }
 }
 
-/// Error returned by [`Digest::from_hex`] for malformed input.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ParseDigestError;
-
-impl fmt::Display for ParseDigestError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("digest must be exactly 64 hex characters")
-    }
-}
-
-impl std::error::Error for ParseDigestError {}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::sha256::sha256;
+
+    /// Error returned by [`Digest::from_hex`] for malformed input.
+    #[derive(Debug, Clone, Copy, PartialEq, Eq)]
+    struct ParseDigestError;
+
+    impl Digest {
+        /// Parses a 64-character hex string: the inverse of
+        /// [`Digest::to_hex`].
+        fn from_hex(s: &str) -> Result<Self, ParseDigestError> {
+            let bytes = s.as_bytes();
+            if bytes.len() != 64 {
+                return Err(ParseDigestError);
+            }
+            let mut out = [0u8; 32];
+            for i in 0..32 {
+                let hi = (bytes[2 * i] as char).to_digit(16).ok_or(ParseDigestError)?;
+                let lo = (bytes[2 * i + 1] as char).to_digit(16).ok_or(ParseDigestError)?;
+                out[i] = ((hi << 4) | lo) as u8;
+            }
+            Ok(Digest(out))
+        }
+    }
 
     #[test]
     fn hex_round_trip() {

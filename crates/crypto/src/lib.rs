@@ -49,10 +49,6 @@ pub mod sha256;
 
 pub use aead::{AeadError, AeadKey};
 pub use det::{DetError, DetKey};
-pub use digest::{Digest, ParseDigestError};
+pub use digest::Digest;
 pub use ope::OpeKey;
 pub use sha256::{sha256, sha256_concat, sha256_joined, Sha256};
-
-/// SHA-256 block size in bytes; cost-model consumers in `sgx-sim` charge
-/// hashing time per block of this size.
-pub const HASH_BLOCK_BYTES: usize = 64;

@@ -88,23 +88,6 @@ impl SecurityAuditor {
         evidence
     }
 
-    /// Every incident consumed so far, in stream order: verification
-    /// failures reported by the stores plus fork evidence from the
-    /// monitor.
-    pub fn incidents(&self) -> Vec<AuditEvent> {
-        self.state.lock().incidents.clone()
-    }
-
-    /// Number of incidents consumed.
-    pub fn incident_count(&self) -> usize {
-        self.state.lock().incidents.len()
-    }
-
-    /// All fork evidence recorded by the wrapped monitor.
-    pub fn fork_evidence(&self) -> Vec<ForkEvidence> {
-        self.state.lock().monitor.divergences().to_vec()
-    }
-
     /// Epochs with at least one verified announcement.
     pub fn epochs_observed(&self) -> usize {
         self.state.lock().monitor.epochs_observed()
@@ -122,6 +105,25 @@ mod tests {
     use super::*;
     use elsm::{AuthenticatedKv, P2Options};
     use elsm_replica::{ReplicationGroup, ReplicationOptions};
+
+    impl SecurityAuditor {
+        /// Every incident consumed so far, in stream order: verification
+        /// failures reported by the stores plus fork evidence from the
+        /// monitor.
+        fn incidents(&self) -> Vec<AuditEvent> {
+            self.state.lock().incidents.clone()
+        }
+
+        /// Number of incidents consumed.
+        fn incident_count(&self) -> usize {
+            self.state.lock().incidents.len()
+        }
+
+        /// All fork evidence recorded by the wrapped monitor.
+        fn fork_evidence(&self) -> Vec<ForkEvidence> {
+            self.state.lock().monitor.divergences().to_vec()
+        }
+    }
 
     /// The unified-stream test: a store-side verification failure and a
     /// monitor-side fork land in the same incident log, in order.

@@ -19,7 +19,7 @@ use crate::encoding::{get_fixed_u32, get_varint_u32, put_fixed_u32, put_varint_u
 use crate::record::{internal_cmp, SeekKey};
 
 /// Default number of entries between restart points (LevelDB uses 16).
-pub const RESTART_INTERVAL: usize = 16;
+const RESTART_INTERVAL: usize = 16;
 
 /// Builds data blocks, one after another, in the same buffers.
 #[derive(Debug)]
@@ -256,11 +256,6 @@ impl Block {
             _ => &[],
         }
     }
-
-    /// Number of restart points.
-    pub fn num_restarts(&self) -> usize {
-        self.num_restarts
-    }
 }
 
 /// An entry of a block that does not decode: its header runs past the
@@ -383,6 +378,13 @@ impl Iterator for BlockIter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Block {
+        /// Number of restart points.
+        fn num_restarts(&self) -> usize {
+            self.num_restarts
+        }
+    }
 
     fn build(entries: &[(&[u8], &[u8])]) -> Block {
         let mut b = BlockBuilder::new();

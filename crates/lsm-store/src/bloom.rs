@@ -85,11 +85,6 @@ impl BloomFilter {
         Probe { hit: true, first_offset, bits_tested: self.k as usize }
     }
 
-    /// Convenience wrapper discarding probe offsets.
-    pub fn may_contain(&self, key: &[u8]) -> bool {
-        self.probe(key).hit
-    }
-
     /// Size of the bit array in bytes.
     pub fn byte_len(&self) -> usize {
         self.bits.len()
@@ -120,6 +115,13 @@ impl BloomFilter {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl BloomFilter {
+        /// Convenience wrapper discarding probe offsets.
+        fn may_contain(&self, key: &[u8]) -> bool {
+            self.probe(key).hit
+        }
+    }
 
     fn keys(n: usize) -> Vec<Vec<u8>> {
         (0..n).map(|i| format!("user{i:06}").into_bytes()).collect()

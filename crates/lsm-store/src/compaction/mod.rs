@@ -32,7 +32,7 @@ use crate::options::Options;
 use crate::version::Version;
 
 pub use leveled::Leveled;
-pub use tiered::{Tiered, TieredConfig};
+pub use tiered::Tiered;
 
 /// One unit of compaction work: merge every run of `input_levels` into a
 /// single run installed at `output_level`.
@@ -221,8 +221,8 @@ pub trait CompactionStrategy: Send + Sync + std::fmt::Debug {
 pub enum CompactionStrategyKind {
     /// Whole-level rolling merges (the store's original behavior).
     Leveled,
-    /// Size-tiered (STCS) with the given tuning.
-    Tiered(TieredConfig),
+    /// Size-tiered (STCS).
+    Tiered,
 }
 
 /// Compaction subsystem configuration.
@@ -251,7 +251,7 @@ impl CompactionConfig {
     pub fn strategy(&self) -> Box<dyn CompactionStrategy> {
         match &self.strategy {
             CompactionStrategyKind::Leveled => Box::new(Leveled),
-            CompactionStrategyKind::Tiered(cfg) => Box::new(Tiered::new(cfg.clone())),
+            CompactionStrategyKind::Tiered => Box::new(Tiered),
         }
     }
 }
@@ -364,10 +364,7 @@ mod tests {
         ]);
         for config in [
             CompactionConfig::default(),
-            CompactionConfig {
-                strategy: CompactionStrategyKind::Tiered(TieredConfig::default()),
-                parallelism: 4,
-            },
+            CompactionConfig { strategy: CompactionStrategyKind::Tiered, parallelism: 4 },
         ] {
             let strategy = config.strategy();
             let jobs = strategy.pick_jobs(&big, &opts);

@@ -17,41 +17,17 @@
 use super::{CompactionJob, CompactionStrategy, FlushPlan, LevelsView};
 use crate::options::Options;
 
-/// Tuning for [`Tiered`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct TieredConfig {
-    /// Minimum adjacent similar-sized runs before a merge triggers.
-    pub min_merge_width: usize,
-    /// Maximum runs one job merges.
-    pub max_merge_width: usize,
-    /// Two runs are "similar-sized" when the larger is at most this
-    /// percentage of the smaller (150 = within 1.5×).
-    pub size_ratio_pct: u64,
-}
-
-impl Default for TieredConfig {
-    fn default() -> Self {
-        TieredConfig { min_merge_width: 4, max_merge_width: 8, size_ratio_pct: 150 }
-    }
-}
+/// Minimum adjacent similar-sized runs before a merge triggers.
+const MIN_MERGE_WIDTH: usize = 4;
+/// Maximum runs one job merges.
+const MAX_MERGE_WIDTH: usize = 8;
+/// Two runs are "similar-sized" when the larger is at most this
+/// percentage of the smaller (150 = within 1.5×).
+const SIZE_RATIO_PCT: u64 = 150;
 
 /// Size-tiered strategy (see the module docs).
-#[derive(Debug, Clone)]
-pub struct Tiered {
-    config: TieredConfig,
-}
-
-impl Tiered {
-    /// Builds the strategy with the given tuning.
-    pub fn new(config: TieredConfig) -> Self {
-        let config = TieredConfig {
-            min_merge_width: config.min_merge_width.max(2),
-            max_merge_width: config.max_merge_width.max(config.min_merge_width.max(2)),
-            size_ratio_pct: config.size_ratio_pct.max(100),
-        };
-        Tiered { config }
-    }
-}
+#[derive(Debug, Clone, Copy, Default)]
+pub struct Tiered;
 
 impl CompactionStrategy for Tiered {
     fn name(&self) -> &'static str {
@@ -79,17 +55,17 @@ impl CompactionStrategy for Tiered {
             let mut j = i;
             let mut min_b = view.bytes(slots[i]).expect("non-empty slot");
             let mut max_b = min_b;
-            while j + 1 < slots.len() && (j + 1 - i) < self.config.max_merge_width {
+            while j + 1 < slots.len() && (j + 1 - i) < MAX_MERGE_WIDTH {
                 let b = view.bytes(slots[j + 1]).expect("non-empty slot");
                 let (lo, hi) = (min_b.min(b), max_b.max(b));
-                if hi * 100 > lo.max(1) * self.config.size_ratio_pct {
+                if hi * 100 > lo.max(1) * SIZE_RATIO_PCT {
                     break;
                 }
                 j += 1;
                 min_b = lo;
                 max_b = hi;
             }
-            if j + 1 - i >= self.config.min_merge_width {
+            if j + 1 - i >= MIN_MERGE_WIDTH {
                 jobs.push(CompactionJob {
                     input_levels: slots[i..=j].to_vec(),
                     output_level: slots[i],
@@ -125,25 +101,21 @@ mod tests {
         LevelsView::new(v)
     }
 
-    fn tiered() -> Tiered {
-        Tiered::new(TieredConfig::default())
-    }
-
     #[test]
     fn flushes_stack_above_every_occupied_slot() {
         let opts = Options::default();
-        assert_eq!(tiered().flush_plan(&view(&[]), &opts).target, 1);
+        assert_eq!(Tiered.flush_plan(&view(&[]), &opts).target, 1);
         // Holes at 2 and 3 (a past group merge) must not swallow a fresh
         // run — it goes above slot 4.
-        let plan = tiered().flush_plan(&view(&[Some(40), None, None, Some(10)]), &opts);
+        let plan = Tiered.flush_plan(&view(&[Some(40), None, None, Some(10)]), &opts);
         assert_eq!(plan.target, 5);
         assert!(!plan.merge_existing);
     }
 
     #[test]
     fn similar_sized_adjacent_runs_merge_into_oldest_slot() {
-        let jobs = tiered()
-            .pick_jobs(&view(&[Some(10), Some(11), Some(9), Some(10)]), &Options::default());
+        let jobs =
+            Tiered.pick_jobs(&view(&[Some(10), Some(11), Some(9), Some(10)]), &Options::default());
         assert_eq!(jobs.len(), 1);
         assert_eq!(jobs[0].input_levels, vec![1, 2, 3, 4]);
         assert_eq!(jobs[0].output_level, 1);
@@ -154,7 +126,7 @@ mod tests {
     fn dissimilar_sizes_split_groups() {
         // A big old run below four small fresh ones: only the small group
         // merges, and it may not purge (older data exists below it).
-        let jobs = tiered().pick_jobs(
+        let jobs = Tiered.pick_jobs(
             &view(&[Some(1000), Some(10), Some(10), Some(10), Some(10)]),
             &Options::default(),
         );
@@ -166,7 +138,7 @@ mod tests {
 
     #[test]
     fn groups_skip_holes_but_stay_contiguous_in_occupied_order() {
-        let jobs = tiered().pick_jobs(
+        let jobs = Tiered.pick_jobs(
             &view(&[Some(10), None, Some(10), None, Some(10), Some(10)]),
             &Options::default(),
         );
@@ -177,13 +149,13 @@ mod tests {
 
     #[test]
     fn fewer_than_min_width_runs_stay_put() {
-        let jobs = tiered().pick_jobs(&view(&[Some(10), Some(10), Some(10)]), &Options::default());
+        let jobs = Tiered.pick_jobs(&view(&[Some(10), Some(10), Some(10)]), &Options::default());
         assert!(jobs.is_empty());
     }
 
     #[test]
     fn major_job_merges_everything_into_the_oldest_slot() {
-        let job = tiered()
+        let job = Tiered
             .major_job(&view(&[Some(1000), None, Some(10), Some(10)]), &Options::default())
             .unwrap();
         assert_eq!(job.input_levels, vec![1, 3, 4]);

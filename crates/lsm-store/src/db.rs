@@ -200,7 +200,7 @@ pub struct DbStatsSnapshot {
     pub compaction_input_records: u64,
     pub compaction_output_records: u64,
     /// Instantaneous compaction debt: total bytes over per-level budgets
-    /// (see [`Db::compaction_debt`] for the per-level breakdown).
+    /// (see [`CompactionDebt`] for the per-level breakdown).
     pub debt_bytes: u64,
     /// Jobs the strategy would schedule right now.
     pub pending_compaction_jobs: u64,
@@ -466,8 +466,8 @@ impl Db {
     /// How far behind compaction currently is: per-level bytes over the
     /// geometric size budgets, plus the number of jobs the strategy would
     /// schedule against the current version. Lock-free (reads one version
-    /// snapshot); a figure harness can poll it mid-workload.
-    pub fn compaction_debt(&self) -> CompactionDebt {
+    /// snapshot).
+    fn compaction_debt(&self) -> CompactionDebt {
         let version = self.current_version();
         let view = LevelsView::from_version(&version);
         let mut per_level = vec![0u64];

@@ -50,7 +50,7 @@ pub mod wal;
 pub use batch::WriteBatch;
 pub use compaction::{
     CompactionConfig, CompactionDebt, CompactionJob, CompactionStrategy, CompactionStrategyKind,
-    FlushPlan, Leveled, LevelsView, Tiered, TieredConfig, VlogGcJob,
+    FlushPlan, Leveled, LevelsView, Tiered, VlogGcJob,
 };
 pub use db::{Db, DbStats, DbStatsSnapshot};
 pub use env::{EnvConfig, StorageEnv};

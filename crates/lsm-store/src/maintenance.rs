@@ -809,9 +809,7 @@ mod tests {
     use sgx_sim::Platform;
     use sim_disk::{SimDisk, SimFs};
 
-    use crate::compaction::{
-        CompactionConfig, CompactionJob, CompactionStrategyKind, TieredConfig, VlogGcJob,
-    };
+    use crate::compaction::{CompactionConfig, CompactionJob, CompactionStrategyKind, VlogGcJob};
     use crate::db::tests::{open_db, small_options};
     use crate::db::Db;
     use crate::env::StorageEnv;
@@ -1146,10 +1144,7 @@ mod tests {
 
     fn tiered_options(parallelism: usize) -> Options {
         Options {
-            compaction: CompactionConfig {
-                strategy: CompactionStrategyKind::Tiered(TieredConfig::default()),
-                parallelism,
-            },
+            compaction: CompactionConfig { strategy: CompactionStrategyKind::Tiered, parallelism },
             ..small_options()
         }
     }

@@ -36,7 +36,7 @@ struct Node {
 
 /// An append-only skiplist of [`Record`]s ordered by internal key.
 #[derive(Debug)]
-pub struct SkipList {
+struct SkipList {
     /// Node 0 is the head sentinel, with a full-height tower.
     nodes: Vec<Node>,
     /// Every node's tower, back to back: `links[tower + h]` is the arena
@@ -159,7 +159,7 @@ impl SkipList {
 
 /// Iterator over skiplist entries, in internal-key order.
 #[derive(Debug, Clone)]
-pub struct SkipIter<'a> {
+struct SkipIter<'a> {
     list: &'a SkipList,
     node: u32,
 }

@@ -364,12 +364,6 @@ impl Vlog {
             _ => false,
         }
     }
-
-    /// Whether `file_no` is a live (non-removed) file of this log.
-    pub fn is_live(&self, file_no: u64) -> bool {
-        let s = self.state.lock();
-        s.files.get(&file_no).is_some_and(|f| !f.removed)
-    }
 }
 
 /// Appends the value-log manifest section: `[varint next_no]
@@ -417,6 +411,14 @@ mod tests {
     use crate::env::EnvConfig;
     use sgx_sim::Platform;
     use sim_disk::{SimDisk, SimFs};
+
+    impl Vlog {
+        /// Whether `file_no` is a live (non-removed) file of this log.
+        fn is_live(&self, file_no: u64) -> bool {
+            let s = self.state.lock();
+            s.files.get(&file_no).is_some_and(|f| !f.removed)
+        }
+    }
 
     fn test_env() -> Arc<StorageEnv> {
         let platform = Platform::with_defaults();

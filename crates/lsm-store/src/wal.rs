@@ -140,11 +140,6 @@ impl WalWriter {
         pushed
     }
 
-    /// Bytes buffered in enclave memory, not yet visible to the host.
-    pub fn pending_bytes(&self) -> usize {
-        self.pending.len()
-    }
-
     /// Number of records appended through this writer.
     pub fn records(&self) -> u64 {
         self.records
@@ -234,6 +229,13 @@ mod tests {
     use crate::env::{EnvConfig, StorageEnv};
     use sgx_sim::Platform;
     use sim_disk::{SimDisk, SimFs};
+
+    impl WalWriter {
+        /// Bytes buffered in enclave memory, not yet visible to the host.
+        fn pending_bytes(&self) -> usize {
+            self.pending.len()
+        }
+    }
 
     fn env() -> (Arc<StorageEnv>, Arc<sim_disk::SimFs>) {
         let platform = Platform::with_defaults();

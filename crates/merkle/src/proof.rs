@@ -381,7 +381,7 @@ impl<'a> RecordProofRef<'a> {
     ///
     /// As [`RecordProofRef::verify`]. An `anchor` that is not of the tree
     /// `commitment` commits to rejects every proof.
-    pub fn verify_anchored(
+    fn verify_anchored(
         &self,
         commitment: &LevelCommitment,
         anchor: Anchor<'_>,

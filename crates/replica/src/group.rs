@@ -275,7 +275,7 @@ impl ReplicationGroup {
     /// # Errors
     ///
     /// See [`ReplicationGroup::get_with_token`].
-    pub fn scan_with_token(
+    fn scan_with_token(
         &self,
         from: &[u8],
         to: &[u8],

@@ -249,7 +249,7 @@ impl Primary {
     }
 
     /// Replication progress: events shipped so far.
-    pub fn events_shipped(&self) -> u64 {
+    fn events_shipped(&self) -> u64 {
         self.shipper.events_shipped()
     }
 

@@ -338,16 +338,18 @@ impl Platform {
             Attribution::Enclave,
         );
     }
-
-    /// Current EPC residency, in pages (for assertions and debugging).
-    pub fn epc_resident_pages(&self) -> usize {
-        self.epc.lock().resident()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl Platform {
+        /// Current EPC residency, in pages.
+        fn epc_resident_pages(&self) -> usize {
+            self.epc.lock().resident()
+        }
+    }
 
     fn tiny_platform(epc_pages: usize) -> Arc<Platform> {
         Platform::new(CostModel::paper_defaults().with_epc_bytes(epc_pages * PAGE_SIZE))

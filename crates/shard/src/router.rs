@@ -98,7 +98,7 @@ impl ShardedTrustedState {
     }
 
     /// The shard owning `key`.
-    pub fn owner_of(&self, key: &[u8]) -> usize {
+    fn owner_of(&self, key: &[u8]) -> usize {
         self.partitioner.shard_of(key)
     }
 

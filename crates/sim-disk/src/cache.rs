@@ -120,11 +120,6 @@ impl<K: Hash + Eq + Clone> BufferCache<K> {
         self.placement
     }
 
-    /// Capacity in bytes.
-    pub fn capacity_bytes(&self) -> usize {
-        self.capacity_slots * self.slot_size
-    }
-
     /// Number of resident entries.
     pub fn len(&self) -> usize {
         self.state.lock().map.len()

@@ -35,7 +35,7 @@ impl TraceTree {
     }
 
     /// Causal children of `span_id`, in span-id order.
-    pub fn children_of(&self, span_id: u64) -> Vec<&SpanRecord> {
+    fn children_of(&self, span_id: u64) -> Vec<&SpanRecord> {
         self.spans.iter().filter(|s| s.parent_span == span_id).collect()
     }
 

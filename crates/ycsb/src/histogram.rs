@@ -48,7 +48,7 @@ impl LatencyHistogram {
     }
 
     /// The `p`-th percentile (0.0–100.0) in microseconds.
-    pub fn percentile_us(&mut self, p: f64) -> f64 {
+    fn percentile_us(&mut self, p: f64) -> f64 {
         if self.samples.is_empty() {
             return 0.0;
         }

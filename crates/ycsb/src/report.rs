@@ -64,7 +64,7 @@ impl Table {
     }
 
     /// Renders as aligned plain text.
-    pub fn to_text(&self) -> String {
+    fn to_text(&self) -> String {
         let w = self.widths();
         let mut out = String::new();
         let _ = writeln!(out, "== {} ==", self.title);

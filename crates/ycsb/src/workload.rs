@@ -195,13 +195,6 @@ impl Workload {
         self
     }
 
-    /// Same mix drawing value sizes from `dist` instead of the fixed
-    /// `value_len`.
-    pub fn with_value_dist(mut self, dist: ValueSizeDist) -> Self {
-        self.value_dist = Some(dist);
-        self
-    }
-
     /// Draws the value length for the next write: the configured
     /// distribution when set, the fixed `value_len` otherwise.
     pub fn draw_value_len(&self, rng: &mut StdRng) -> usize {
@@ -232,6 +225,15 @@ impl Workload {
 mod tests {
     use super::*;
     use crate::generator::seeded_rng;
+
+    impl Workload {
+        /// Same mix drawing value sizes from `dist` instead of the fixed
+        /// `value_len`.
+        fn with_value_dist(mut self, dist: ValueSizeDist) -> Self {
+            self.value_dist = Some(dist);
+            self
+        }
+    }
 
     #[test]
     fn standard_mixes_sum_to_100() {

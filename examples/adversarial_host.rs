@@ -3,11 +3,12 @@
 //!
 //! Run with: `cargo run --example adversarial_host`
 
-use elsm_repro::elsm::{
-    adversary, AuthenticatedKv, ElsmError, ElsmP2, P2Options, VerificationFailure,
-};
+use elsm_repro::elsm::{AuthenticatedKv, ElsmError, ElsmP2, P2Options, VerificationFailure};
 use elsm_repro::sgx_sim::{MonotonicCounter, Platform};
 use elsm_repro::sim_disk::{SimDisk, SimFs};
+
+#[path = "../tests/support/adversary.rs"]
+pub mod adversary;
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     let store = ElsmP2::open(

@@ -4,7 +4,10 @@
 # (before its file's first `#[cfg(test)]`) whose name, as a whole word,
 # appears in no other file under `crates/*/src`, `src/` or `benchmark/src`.
 # Uses under `tests/` and `examples/` do not count; uses by `benchmark/`
-# do. It is grep-based, so a name shared with an unrelated item hides the
+# do. A row ends in ` (nowhere)` when no other `.rs` file under `crates/`,
+# `src/`, `tests/`, `examples/` or `benchmark/src` names the item either,
+# so not even a test or an example reaches it. The last line counts both.
+# It is grep-based, so a name shared with an unrelated item hides the
 # item (`new`, `len`, ...): the list undercounts, it never lists a used
 # item. Run from anywhere:
 #
@@ -13,20 +16,36 @@ set -eu
 cd "$(dirname "$0")/.."
 
 shipped=$(find crates/*/src src benchmark/src -name '*.rs' | sort)
+anywhere=$(find crates src tests examples benchmark/src -name '*.rs' | sort)
 
+listed=0
+nowhere=0
 for f in $(find crates/*/src -name '*.rs' | sort); do
     others=$(printf '%s\n' $shipped | grep -vx "$f")
-    awk '
+    all_others=$(printf '%s\n' $anywhere | grep -vx "$f")
+    rows=$(awk '
         /#\[cfg\(test\)\]/ { exit }
         match($0, /^[[:space:]]*pub (const |unsafe |async )*(fn|struct|enum|trait|const|type) [A-Za-z_][A-Za-z0-9_]*/) {
             decl = substr($0, RSTART, RLENGTH)
             n = split(decl, words, /[[:space:]]+/)
             print FNR, words[n - 1], words[n]
-        }' "$f" |
+        }' "$f")
+    [ -n "$rows" ] || continue
     while read -r line kind name; do
         # shellcheck disable=SC2086
-        if ! grep -qw -- "$name" $others; then
-            printf '%s:%s  %s %s\n' "$f" "$line" "$kind" "$name"
+        if grep -qw -- "$name" $others; then
+            continue
         fi
-    done
+        listed=$((listed + 1))
+        tag=
+        # shellcheck disable=SC2086
+        if ! grep -qw -- "$name" $all_others; then
+            tag=' (nowhere)'
+            nowhere=$((nowhere + 1))
+        fi
+        printf '%s:%s  %s %s%s\n' "$f" "$line" "$kind" "$name" "$tag"
+    done <<EOF
+$rows
+EOF
 done
+printf '%d items unreached by shipped code, %d of them named nowhere else\n' "$listed" "$nowhere"

@@ -15,6 +15,8 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use elsm_repro::elsm::{AuthenticatedKv, ElsmP2, P2Options, ReadMode};
 use elsm_repro::sgx_sim::Platform;
 
+pub mod support;
+
 fn stress_options(read_mode: ReadMode) -> P2Options {
     P2Options {
         read_mode,
@@ -374,7 +376,8 @@ fn mid_flush_writes_survive_crash_recovery() {
 /// and fabricated epochs are rejected outright.
 #[test]
 fn hidden_levels_still_detected_across_epochs() {
-    use elsm_repro::elsm::{adversary, VerificationFailure};
+    use crate::support::adversary;
+    use elsm_repro::elsm::VerificationFailure;
 
     let store = ElsmP2::open(Platform::with_defaults(), stress_options(ReadMode::Mmap)).unwrap();
     for i in 0..120u32 {

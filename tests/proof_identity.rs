@@ -466,7 +466,7 @@ fn fs_listing(fs: &elsm_repro::sim_disk::SimFs) -> Vec<String> {
 
 fn pipeline_fingerprint() -> Vec<String> {
     use elsm_repro::elsm::{Announcement, SessionKey};
-    use elsm_repro::lsm_store::{CompactionStrategyKind, TieredConfig, VlogConfig};
+    use elsm_repro::lsm_store::{CompactionStrategyKind, VlogConfig};
     use elsm_repro::replica::{ReplicationGroup, ReplicationOptions};
 
     let value = |round: u32, i: u32| -> Vec<u8> {
@@ -543,7 +543,7 @@ fn pipeline_fingerprint() -> Vec<String> {
         P2Options {
             write_buffer_bytes: 4 * 1024,
             target_file_bytes: 8 * 1024,
-            compaction_strategy: CompactionStrategyKind::Tiered(TieredConfig::default()),
+            compaction_strategy: CompactionStrategyKind::Tiered,
             ..P2Options::default()
         },
     )

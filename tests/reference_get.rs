@@ -10,7 +10,7 @@
 //! last leaf. `verify_get` reads a GET level as the key range `[key, key]`
 //! instead and proves it with one walk. On leveled and tiered stores of two
 //! and three levels whose keys have many versions, for every stored key,
-//! every gap between them and every GET attack of `elsm::adversary`, the
+//! every gap between them and every GET attack of `support::adversary`, the
 //! two accept exactly the same traces and return the same record.
 //!
 //! Fences, the slow way: the reference takes each level's first and last
@@ -19,12 +19,13 @@
 //! does not hold the key — a trace must carry nothing for them.
 
 use elsm_repro::elsm::envelope;
-use elsm_repro::elsm::{adversary, AuthenticatedKv, ElsmP2, P2Options};
-use elsm_repro::lsm_store::{
-    CompactionStrategyKind, GetTrace, LevelOutcome, LevelSearch, Record, TieredConfig,
-};
+use elsm_repro::elsm::{AuthenticatedKv, ElsmP2, P2Options};
+use elsm_repro::lsm_store::{CompactionStrategyKind, GetTrace, LevelOutcome, LevelSearch, Record};
 use elsm_repro::merkle::{ChainPosition, LevelCommitment, RecordProof};
 use elsm_repro::sgx_sim::Platform;
+
+pub mod support;
+use support::adversary;
 
 /// The reference's answer: the verified record, or why it refused.
 type Verdict<'t> = Result<Option<&'t Record>, &'static str>;
@@ -385,7 +386,7 @@ fn leveled_gets_verify_as_the_reference_does() {
 
 #[test]
 fn tiered_gets_verify_as_the_reference_does() {
-    let store = store(CompactionStrategyKind::Tiered(TieredConfig::default()), 1 << 20);
+    let store = store(CompactionStrategyKind::Tiered, 1 << 20);
     assert!(store.trusted().is_stacked(), "tiered runs stack: the freshest has the highest index");
     assert_agrees_with_the_reference(&store);
 }

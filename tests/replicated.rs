@@ -100,9 +100,9 @@ fn replicas_serve_verified_reads_from_replayed_state() {
 /// — same commitments, same WAL digest, same epoch sequence.
 #[test]
 fn parallel_tiered_compaction_replays_bit_identically() {
-    use elsm_repro::lsm_store::{CompactionStrategyKind, TieredConfig};
+    use elsm_repro::lsm_store::CompactionStrategyKind;
     let options = P2Options {
-        compaction_strategy: CompactionStrategyKind::Tiered(TieredConfig::default()),
+        compaction_strategy: CompactionStrategyKind::Tiered,
         compaction_parallelism: 4,
         incremental_commitments: true,
         ..small_store_options()

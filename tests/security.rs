@@ -6,6 +6,8 @@ use elsm_repro::elsm::{AuthenticatedKv, ElsmError, ElsmP2, P2Options, Verificati
 use elsm_repro::sgx_sim::{MonotonicCounter, Platform};
 use elsm_repro::sim_disk::{SimDisk, SimFs};
 
+pub mod support;
+
 fn opts() -> P2Options {
     P2Options {
         write_buffer_bytes: 4 * 1024,
@@ -359,7 +361,7 @@ fn hidden_level_detected_with_separation_on() {
     // live in the value log: pointer records participate in the level
     // commitments exactly like inline values, so the detection guarantee
     // is unchanged.
-    use elsm_repro::elsm::adversary;
+    use crate::support::adversary;
     use elsm_repro::lsm_store::LevelOutcome;
     let store = ElsmP2::open(Platform::with_defaults(), vlog_opts(0)).unwrap();
     for i in 0..40u32 {
@@ -546,13 +548,13 @@ mod answer_is_verified {
     //! What a read returns is what the verifier checked: its answer is a
     //! view of the record in the trace it was handed, so a trace cannot
     //! verify as one record and be served as another. Every mutator of
-    //! `elsm::adversary`, applied to honest traces of a store with three
+    //! `support::adversary`, applied to honest traces of a store with three
     //! levels, a memtable, overwrites and tombstones, either fails
     //! verification or leaves the model's answer — never `Ok` with
     //! anything else.
 
     use super::*;
-    use elsm_repro::elsm::adversary;
+    use crate::support::adversary;
     use elsm_repro::lsm_store::{
         GetTrace, LevelOutcome, LevelRange, LevelSearch, Record, ScanTrace,
     };
@@ -1055,7 +1057,7 @@ mod chain {
     //! data blocks.
 
     use super::*;
-    use elsm_repro::elsm::adversary;
+    use crate::support::adversary;
     use elsm_repro::lsm_store::{LevelOutcome, Record};
     use elsm_repro::merkle::{ChainPosition, VerifyError};
 
@@ -1272,7 +1274,7 @@ mod chain {
 /// leaves still walk to the committed root, and is an incomplete range.
 mod range_ends {
     use super::*;
-    use elsm_repro::elsm::adversary;
+    use crate::support::adversary;
     use elsm_repro::lsm_store::{LevelOutcome, LevelRange, Record};
 
     fn key(i: usize) -> Vec<u8> {
@@ -1352,7 +1354,7 @@ mod range_ends {
 /// these add what only exists with crowns.
 mod crown {
     use super::*;
-    use elsm_repro::elsm::adversary;
+    use crate::support::adversary;
     use elsm_repro::lsm_store::{GetTrace, LevelOutcome, Record};
     use elsm_repro::merkle::{ChainPosition, VerifyError};
 

@@ -6,9 +6,12 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use elsm_repro::elsm::{adversary, AuthenticatedKv, ElsmError, P2Options, VerificationFailure};
+use elsm_repro::elsm::{AuthenticatedKv, ElsmError, P2Options, VerificationFailure};
 use elsm_repro::sgx_sim::Platform;
 use elsm_repro::shard::{ShardedKv, ShardedOptions};
+
+pub mod support;
+use support::adversary;
 
 fn small_store_options() -> P2Options {
     P2Options {
@@ -282,9 +285,7 @@ fn sharded_state_rejected_by_unsharded_store() {
 #[test]
 fn per_shard_compaction_schedulers_run_independently() {
     let store = P2Options {
-        compaction_strategy: elsm_repro::lsm_store::CompactionStrategyKind::Tiered(
-            elsm_repro::lsm_store::TieredConfig::default(),
-        ),
+        compaction_strategy: elsm_repro::lsm_store::CompactionStrategyKind::Tiered,
         compaction_parallelism: 4,
         incremental_commitments: true,
         ..small_store_options()
