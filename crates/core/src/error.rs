@@ -59,12 +59,6 @@ pub enum VerificationFailure {
     /// The enclave's state was found inconsistent with the trusted
     /// monotonic counter: a rollback attack (§5.6.1).
     RolledBack,
-    /// A compaction's inputs failed digest verification; the store is
-    /// poisoned and refuses further authenticated answers.
-    CompactionInputMismatch {
-        /// The input level whose digest mismatched.
-        level: u32,
-    },
     /// The sealed enclave state the manifest carries is missing or failed
     /// to unseal: tampered, from a different enclave, sealed into another
     /// manifest, or gone with a manifest whose store's files stayed.
@@ -164,7 +158,6 @@ impl VerificationFailure {
             VerificationFailure::LevelSkipped { .. } => "LevelSkipped",
             VerificationFailure::HiddenLevel { .. } => "HiddenLevel",
             VerificationFailure::RolledBack => "RolledBack",
-            VerificationFailure::CompactionInputMismatch { .. } => "CompactionInputMismatch",
             VerificationFailure::SealBroken => "SealBroken",
             VerificationFailure::WalMismatch => "WalMismatch",
             VerificationFailure::UnknownEpoch { .. } => "UnknownEpoch",
@@ -218,9 +211,6 @@ impl fmt::Display for VerificationFailure {
                 write!(f, "store hid non-empty level {level}")
             }
             VerificationFailure::RolledBack => f.write_str("rollback attack detected"),
-            VerificationFailure::CompactionInputMismatch { level } => {
-                write!(f, "compaction input digest mismatch at level {level}")
-            }
             VerificationFailure::SealBroken => {
                 f.write_str("sealed enclave state missing or failed to unseal")
             }

@@ -3,8 +3,8 @@
 //!
 //! The `elsm-replica` crate builds the actual nodes; this module holds
 //! the pieces that belong to the *trusted* protocol surface and are
-//! consumed beyond the replica crate (the ct-log fork monitor audits
-//! announcements without ever touching a channel):
+//! consumed beyond the replica crate (a relayed announcement reaches a
+//! replica through `Replica::observe_announcement`, without a channel):
 //!
 //! * [`SessionKey`] — the symmetric group key the replication group's
 //!   enclaves share after mutual attestation. In real SGX this comes out
@@ -16,8 +16,8 @@
 //!   ([`TrustedState::snapshot_digest`]) under the group key. Because
 //!   the signature travels with the claim, announcements can be relayed
 //!   by untrusted parties (the transport host, gossip, an auditor) and
-//!   still be held against the primary — which is what makes both the
-//!   replica's fork check and the monitor's divergence check binding.
+//!   still be held against the primary — which is what makes the
+//!   replica's fork check binding.
 
 use elsm_crypto::hmac::{verify_tag, HmacKey};
 use elsm_crypto::{sha256_concat, Digest};

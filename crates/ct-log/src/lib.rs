@@ -11,11 +11,7 @@
 //!   certificates against the log;
 //! * [`DomainMonitor`] — a lightweight monitor that polls only its own
 //!   domain's certificates (sublinear bandwidth) and alerts on
-//!   mis-issuance;
-//! * [`ForkMonitor`] — an auditor over a *replicated* deployment,
-//!   cross-checking the per-epoch commitment announcements published by
-//!   the primary and its replicas and flagging any divergence (split-view
-//!   detection through replication).
+//!   mis-issuance.
 //!
 //! Certificates are synthesized ([`cert::synthesize`]) since the Google
 //! Pilot log feed the paper downloads from is unavailable offline — see
@@ -25,14 +21,10 @@
 
 pub mod auditor;
 pub mod cert;
-pub mod fork;
 pub mod monitor;
-pub mod security;
 pub mod server;
 
 pub use auditor::{AuditVerdict, LogAuditor};
 pub use cert::{synthesize, Certificate};
-pub use fork::{ForkEvidence, ForkMonitor};
 pub use monitor::{DomainMonitor, MisissuanceAlert};
-pub use security::{SecurityAuditor, FORK_DETECTED};
 pub use server::{CtLogServer, LoggedCertificate};

@@ -118,8 +118,9 @@ impl CtLogServer {
         }
     }
 
-    /// Authenticated, complete listing of every certificate under
-    /// `domain` (e.g. `example.org` covers `*.example.org`) — the
+    /// Authenticated, complete listing of every certificate for `domain`
+    /// and its subdomains (`example.org` covers `example.org` and
+    /// `*.example.org`, not `myexample.org` or `example-cdn.org`) — the
     /// lightweight, sublinear-bandwidth monitor query the paper
     /// highlights.
     ///
@@ -127,12 +128,18 @@ impl CtLogServer {
     ///
     /// Returns [`ElsmError::Verification`] on completeness violations.
     pub fn domain_certificates(&self, domain: &str) -> Result<Vec<LoggedCertificate>, ElsmError> {
-        let prefix = reverse_hostname(domain);
-        let from = prefix.clone().into_bytes();
-        let mut to = prefix.into_bytes();
+        // A sibling's reversed name can extend the apex's key
+        // (`org.example-cdn.www`), so the apex is one verified GET and
+        // the subdomains one verified range over the keys that extend
+        // `<apex>.` (no UTF-8 hostname holds a 0xff byte).
+        let apex = reverse_hostname(domain).into_bytes();
+        let mut from = apex.clone();
+        from.push(b'.');
+        let mut to = from.clone();
         to.push(0xff);
+        let apex_record = self.store.get(&apex)?;
         let mut out = Vec::new();
-        for rec in self.store.scan(&from, &to)? {
+        for rec in apex_record.into_iter().chain(self.store.scan(&from, &to)?) {
             if let Some(certificate) = Certificate::decode(rec.value()) {
                 out.push(LoggedCertificate {
                     certificate,
@@ -208,6 +215,29 @@ mod tests {
         let got: std::collections::HashSet<String> =
             listed.iter().map(|l| l.certificate.hostname.clone()).collect();
         assert_eq!(got, expected, "domain scan must be complete");
+    }
+
+    #[test]
+    fn domain_listing_excludes_prefix_siblings() {
+        let (server, _) = server_with(20);
+        let cert = synthesize(1, 9).pop().unwrap();
+        for hostname in
+            ["mysite.org", "a.b.mysite.org", "www.mysitefoo.org", "www.mysite-foo.org", "www.org"]
+        {
+            server.submit(&Certificate { hostname: hostname.into(), ..cert.clone() }).unwrap();
+        }
+        for flushed in [false, true] {
+            if flushed {
+                server.store().db().flush().unwrap();
+            }
+            let listed: Vec<String> = server
+                .domain_certificates("mysite.org")
+                .unwrap()
+                .into_iter()
+                .map(|l| l.certificate.hostname)
+                .collect();
+            assert_eq!(listed, ["mysite.org", "a.b.mysite.org"], "flushed: {flushed}");
+        }
     }
 
     #[test]

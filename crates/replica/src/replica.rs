@@ -356,15 +356,6 @@ impl Replica {
         Ok(())
     }
 
-    /// Signs this replica's own commitment snapshot at its current
-    /// epoch — the material an auditor (the ct-log fork monitor)
-    /// cross-checks against the primary's announcements for the same
-    /// epoch to detect forks.
-    pub fn announce_current(&self) -> Option<Announcement> {
-        let epoch = self.store.db().current_epoch();
-        Announcement::sign(self.store.platform(), self.store.trusted(), self.node, epoch, &self.key)
-    }
-
     /// The freshness claim a read would carry right now.
     ///
     /// # Errors

@@ -6,13 +6,11 @@
 //! and replica context of where it was detected. The stream keeps a
 //! bounded ring of recent events for inspection plus *unbounded per-kind
 //! counters*, so "did the suite's attack fire an event" assertions hold
-//! even after the ring wraps. Registered [`AuditSink`]s (e.g.
-//! `ct_log::SecurityAuditor`) observe every event synchronously, letting
-//! an external auditor consume verification failures and fork evidence as
-//! one stream.
+//! even after the ring wraps. The registry holds one stream however many
+//! shards and replicas report into it, so an external auditor reads every
+//! refusal in one place.
 
 use std::collections::{BTreeMap, VecDeque};
-use std::sync::Arc;
 
 use parking_lot::Mutex;
 
@@ -90,13 +88,6 @@ impl AuditEvent {
     }
 }
 
-/// Observer of the audit stream; receives every event synchronously at
-/// record time.
-pub trait AuditSink: Send + Sync {
-    /// Called once per recorded event, in sequence order.
-    fn on_audit(&self, event: &AuditEvent);
-}
-
 #[derive(Default)]
 pub(crate) struct AuditStream {
     state: Mutex<AuditState>,
@@ -108,16 +99,12 @@ struct AuditState {
     ring: VecDeque<AuditEvent>,
     dropped: u64,
     by_kind: BTreeMap<&'static str, u64>,
-    sinks: Vec<Arc<dyn AuditSink>>,
 }
 
 impl std::fmt::Debug for AuditStream {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         let s = self.state.lock();
-        f.debug_struct("AuditStream")
-            .field("recorded", &s.next_seq)
-            .field("sinks", &s.sinks.len())
-            .finish()
+        f.debug_struct("AuditStream").field("recorded", &s.next_seq).finish()
     }
 }
 
@@ -131,16 +118,7 @@ impl AuditStream {
             s.ring.pop_front();
             s.dropped += 1;
         }
-        s.ring.push_back(event.clone());
-        let sinks = s.sinks.clone();
-        drop(s);
-        for sink in &sinks {
-            sink.on_audit(&event);
-        }
-    }
-
-    pub(crate) fn add_sink(&self, sink: Arc<dyn AuditSink>) {
-        self.state.lock().sinks.push(sink);
+        s.ring.push_back(event);
     }
 
     pub(crate) fn events(&self) -> Vec<AuditEvent> {
@@ -167,7 +145,6 @@ impl AuditStream {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn ring_wraps_but_counters_do_not() {
@@ -179,22 +156,5 @@ mod tests {
         assert_eq!(stream.dropped(), 10, "ring evictions are counted");
         assert_eq!(stream.count("ForgedRecord"), (AUDIT_RING_CAPACITY + 10) as u64);
         assert_eq!(stream.events().last().unwrap().seq, (AUDIT_RING_CAPACITY + 9) as u64);
-    }
-
-    #[test]
-    fn sinks_observe_every_event() {
-        struct CountSink(AtomicU64);
-        impl AuditSink for CountSink {
-            fn on_audit(&self, _event: &AuditEvent) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
-        let stream = AuditStream::default();
-        let sink = Arc::new(CountSink(AtomicU64::new(0)));
-        stream.add_sink(sink.clone());
-        stream.record(AuditEvent::new("HiddenLevel", "test").epoch(7).shard(2));
-        assert_eq!(sink.0.load(Ordering::Relaxed), 1);
-        let ev = &stream.events()[0];
-        assert_eq!((ev.epoch, ev.shard, ev.replica), (Some(7), Some(2), None));
     }
 }

@@ -20,10 +20,9 @@
 //!   recorded once; its per-name aggregate, its place in a causal trace
 //!   tree and its op class's latency distribution all derive from that
 //!   record (see [`trace`]).
-//! * **The audit stream** ([`AuditEvent`], [`AuditSink`]) records every
-//!   verification failure with epoch/shard/replica context and fans it
-//!   out to registered sinks (`ct_log::SecurityAuditor` feeds the fork
-//!   monitor from it).
+//! * **The audit stream** ([`AuditEvent`]) records every verification
+//!   failure with epoch/shard/replica context in one registry-wide ring
+//!   with per-kind counters.
 //!
 //! Snapshots export as JSON ([`Telemetry::to_json`]), the one export
 //! format: the bench harness writes one `TELEMETRY.<figure>.json` and one
@@ -67,7 +66,7 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 use sgx_sim::Platform;
 
-pub use audit::{AuditEvent, AuditSink, AUDIT_RING_CAPACITY};
+pub use audit::{AuditEvent, AUDIT_RING_CAPACITY};
 pub use export::{PlatformSnapshot, Snapshot};
 pub use metrics::{Buckets, Counter, Gauge, Histogram, HISTOGRAM_BUCKETS};
 pub use trace::{
@@ -231,11 +230,6 @@ impl Telemetry {
     /// auditor consumes one stream however many shards feed it).
     pub fn audit(&self, event: AuditEvent) {
         self.inner.audit.record(event);
-    }
-
-    /// Registers a sink observing every subsequent audit event.
-    pub fn add_audit_sink(&self, sink: Arc<dyn AuditSink>) {
-        self.inner.audit.add_sink(sink);
     }
 
     /// Recent audit events (bounded ring; see [`AUDIT_RING_CAPACITY`]).

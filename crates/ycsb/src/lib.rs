@@ -27,4 +27,4 @@ pub use report::Table;
 pub use runner::{
     load_phase, run_phase, run_write_batches, KvDriver, Phase, RunReport, Topology, CLIENT_SEED_MIX,
 };
-pub use workload::{Op, ValueSizeDist, Workload};
+pub use workload::{Op, Workload};

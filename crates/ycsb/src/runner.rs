@@ -233,15 +233,13 @@ impl Client {
             }
             Op::Update => {
                 let k = existing_key(&mut self.rng);
-                let len = workload.draw_value_len(&mut self.rng);
-                driver.put(&format_key(k), &make_value(k, len));
+                driver.put(&format_key(k), &make_value(k, workload.value_len));
                 OpOutcome { read_side: false, hit: None }
             }
             Op::Insert => {
                 let k = self.insert_cursor;
                 self.insert_cursor += 1;
-                let len = workload.draw_value_len(&mut self.rng);
-                driver.put(&format_key(k), &make_value(k, len));
+                driver.put(&format_key(k), &make_value(k, workload.value_len));
                 OpOutcome { read_side: false, hit: None }
             }
             Op::Scan => {
@@ -255,8 +253,7 @@ impl Client {
                 let k = existing_key(&mut self.rng);
                 let key = format_key(k);
                 let hit = driver.get(&key);
-                let len = workload.draw_value_len(&mut self.rng);
-                driver.put(&key, &make_value(k, len));
+                driver.put(&key, &make_value(k, workload.value_len));
                 OpOutcome { read_side: false, hit: Some(hit) }
             }
         }

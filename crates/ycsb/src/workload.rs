@@ -18,92 +18,6 @@ pub enum Op {
     ReadModifyWrite,
 }
 
-/// Distribution of generated value sizes (bytes).
-///
-/// The classic YCSB field set is a fixed ~100 B payload; real deployments
-/// mix small and large values, which is exactly the regime key-value
-/// separation targets. `Uniform` and `Zipfian` draw from a `[min, max]`
-/// byte range; `Zipfian` makes *small* sizes popular (the long-tail shape
-/// of production stores: most values tiny, a heavy tail of big ones).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ValueSizeDist {
-    /// Every value is exactly this many bytes.
-    Fixed(usize),
-    /// Uniformly random length in `[min, max]`.
-    Uniform {
-        /// Smallest value length.
-        min: usize,
-        /// Largest value length.
-        max: usize,
-    },
-    /// Skewed toward `min`: the range splits into geometric buckets and
-    /// bucket ranks are drawn with harmonic (θ = 1 Zipf) weights, so the
-    /// smallest bucket is the hottest and each doubling of size is
-    /// roughly half as likely.
-    Zipfian {
-        /// Smallest value length.
-        min: usize,
-        /// Largest value length.
-        max: usize,
-    },
-}
-
-impl ValueSizeDist {
-    /// Parses `"fixed:N"`, `"uniform:MIN-MAX"` or `"zipfian:MIN-MAX"`.
-    ///
-    /// # Panics
-    ///
-    /// Panics on malformed specs (the CLI surfaces the spec verbatim).
-    pub fn by_name(spec: &str) -> Self {
-        let (kind, rest) = spec.split_once(':').unwrap_or((spec, ""));
-        let range = || {
-            let (lo, hi) = rest.split_once('-').expect("expected MIN-MAX byte range");
-            (lo.parse().expect("bad min"), hi.parse().expect("bad max"))
-        };
-        match kind {
-            "fixed" => ValueSizeDist::Fixed(rest.parse().expect("bad fixed length")),
-            "uniform" => {
-                let (min, max) = range();
-                ValueSizeDist::Uniform { min, max }
-            }
-            "zipfian" => {
-                let (min, max) = range();
-                ValueSizeDist::Zipfian { min, max }
-            }
-            other => panic!("unknown value-size distribution {other:?}"),
-        }
-    }
-
-    /// Draws one value length.
-    pub fn draw(&self, rng: &mut StdRng) -> usize {
-        match *self {
-            ValueSizeDist::Fixed(len) => len,
-            ValueSizeDist::Uniform { min, max } => rng.gen_range(min..=max.max(min)),
-            ValueSizeDist::Zipfian { min, max } => {
-                const BUCKETS: i32 = 8;
-                // Harmonic rank weights: P(rank r) ∝ 1/(r+1).
-                let total: f64 = (0..BUCKETS).map(|r| 1.0 / (r + 1) as f64).sum();
-                let mut u = rng.gen::<f64>() * total;
-                let mut rank = BUCKETS - 1;
-                for r in 0..BUCKETS {
-                    u -= 1.0 / (r + 1) as f64;
-                    if u <= 0.0 {
-                        rank = r;
-                        break;
-                    }
-                }
-                // Geometric bucket bounds over [min, max]: bucket r spans
-                // sizes proportional to [2^r - 1, 2^(r+1) - 1).
-                let span = (max.max(min) - min) as f64;
-                let denom = 2f64.powi(BUCKETS) - 1.0;
-                let lo = min + (span * (2f64.powi(rank) - 1.0) / denom) as usize;
-                let hi = min + (span * (2f64.powi(rank + 1) - 1.0) / denom) as usize;
-                rng.gen_range(lo..=hi.max(lo))
-            }
-        }
-    }
-}
-
 /// A workload specification (operation mix + key distribution).
 #[derive(Debug, Clone)]
 pub struct Workload {
@@ -122,10 +36,8 @@ pub struct Workload {
     /// Key distribution name: "uniform", "zipfian" or "latest".
     pub distribution: String,
     /// Value size in bytes (YCSB default field set ≈ 100 bytes in the
-    /// paper's configuration). Used when `value_dist` is `None`.
+    /// paper's configuration).
     pub value_len: usize,
-    /// Optional value-size distribution; overrides `value_len` when set.
-    pub value_dist: Option<ValueSizeDist>,
     /// Maximum scan length in keys.
     pub max_scan_len: usize,
 }
@@ -142,7 +54,6 @@ impl Workload {
             rmw_pct: m,
             distribution: dist.to_string(),
             value_len: 100,
-            value_dist: None,
             max_scan_len: 20,
         }
     }
@@ -195,15 +106,6 @@ impl Workload {
         self
     }
 
-    /// Draws the value length for the next write: the configured
-    /// distribution when set, the fixed `value_len` otherwise.
-    pub fn draw_value_len(&self, rng: &mut StdRng) -> usize {
-        match self.value_dist {
-            Some(dist) => dist.draw(rng),
-            None => self.value_len,
-        }
-    }
-
     /// Draws the next operation type.
     pub fn next_op(&self, rng: &mut StdRng) -> Op {
         let x = rng.gen_range(0..100u32);
@@ -225,15 +127,6 @@ impl Workload {
 mod tests {
     use super::*;
     use crate::generator::seeded_rng;
-
-    impl Workload {
-        /// Same mix drawing value sizes from `dist` instead of the fixed
-        /// `value_len`.
-        fn with_value_dist(mut self, dist: ValueSizeDist) -> Self {
-            self.value_dist = Some(dist);
-            self
-        }
-    }
 
     #[test]
     fn standard_mixes_sum_to_100() {
@@ -284,60 +177,6 @@ mod tests {
         for _ in 0..1000 {
             assert_eq!(w.next_op(&mut rng), Op::Read);
         }
-    }
-
-    #[test]
-    fn value_dist_fixed_and_fallback() {
-        let mut rng = seeded_rng(4);
-        let w = Workload::a();
-        assert_eq!(w.draw_value_len(&mut rng), 100, "no dist falls back to value_len");
-        let w = Workload::a().with_value_dist(ValueSizeDist::Fixed(16 * 1024));
-        for _ in 0..10 {
-            assert_eq!(w.draw_value_len(&mut rng), 16 * 1024);
-        }
-    }
-
-    #[test]
-    fn value_dist_uniform_stays_in_range_and_spreads() {
-        let mut rng = seeded_rng(5);
-        let d = ValueSizeDist::Uniform { min: 1024, max: 102_400 };
-        let draws: Vec<usize> = (0..10_000).map(|_| d.draw(&mut rng)).collect();
-        assert!(draws.iter().all(|&l| (1024..=102_400).contains(&l)));
-        let mean = draws.iter().sum::<usize>() / draws.len();
-        let mid = (1024 + 102_400) / 2;
-        assert!(
-            (mean as i64 - mid as i64).unsigned_abs() < 5_000,
-            "uniform mean should sit near the midpoint, got {mean}"
-        );
-    }
-
-    #[test]
-    fn value_dist_zipfian_prefers_small_sizes() {
-        let mut rng = seeded_rng(6);
-        let d = ValueSizeDist::Zipfian { min: 1024, max: 102_400 };
-        let draws: Vec<usize> = (0..10_000).map(|_| d.draw(&mut rng)).collect();
-        assert!(draws.iter().all(|&l| (1024..=102_400).contains(&l)));
-        let small = draws.iter().filter(|&&l| l < 16 * 1024).count();
-        assert!(
-            small * 100 / draws.len() > 55,
-            "small sizes should dominate a zipfian draw, got {}%",
-            small * 100 / draws.len()
-        );
-        let huge = draws.iter().filter(|&&l| l > 64 * 1024).count();
-        assert!(huge > 0, "the tail must still appear");
-    }
-
-    #[test]
-    fn value_dist_parses_by_name() {
-        assert_eq!(ValueSizeDist::by_name("fixed:4096"), ValueSizeDist::Fixed(4096));
-        assert_eq!(
-            ValueSizeDist::by_name("uniform:1024-65536"),
-            ValueSizeDist::Uniform { min: 1024, max: 65536 }
-        );
-        assert_eq!(
-            ValueSizeDist::by_name("zipfian:1024-102400"),
-            ValueSizeDist::Zipfian { min: 1024, max: 102_400 }
-        );
     }
 
     #[test]

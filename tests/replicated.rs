@@ -10,6 +10,7 @@ use elsm_repro::elsm::{AuthenticatedKv, ElsmError, P2Options, VerificationFailur
 use elsm_repro::replica::{ReplicationGroup, ReplicationOptions};
 use elsm_repro::sgx_sim::Platform;
 use elsm_repro::shard::{ShardedKv, ShardedOptions};
+use elsm_repro::telemetry::Telemetry;
 
 fn small_store_options() -> P2Options {
     P2Options {
@@ -75,6 +76,13 @@ fn replicas_serve_verified_reads_from_replayed_state() {
         assert_eq!(store.trusted().wal_digest(), primary.trusted().wal_digest());
         assert_eq!(store.trusted().commitments(), primary.trusted().commitments());
         assert_eq!(store.db().current_epoch(), primary.db().current_epoch());
+    }
+    // So each replica's own commitment snapshot at the primary's epoch is
+    // the one the primary signs into its announcements.
+    let epoch = primary.db().current_epoch();
+    let primary_digest = primary.trusted().snapshot_digest(epoch).expect("current epoch");
+    for r in 0..2 {
+        assert_eq!(g.replica_store(r).trusted().snapshot_digest(epoch), Some(primary_digest));
     }
 
     // Group reads round-robin: both replica clocks advance, the
@@ -265,7 +273,13 @@ fn withheld_stream_makes_reads_stale_beyond_the_bound() {
 
 #[test]
 fn forked_primary_detected_per_epoch() {
-    let g = group(1);
+    let registry = Telemetry::disabled();
+    let g = ReplicationGroup::open(
+        Platform::with_defaults(),
+        P2Options { telemetry: registry.clone(), ..small_store_options() },
+        ReplicationOptions { replicas: 1, leader_check_interval: 1, ..Default::default() },
+    )
+    .unwrap();
     for i in 0..80u32 {
         g.put(format!("k{i:03}").as_bytes(), b"v").unwrap();
     }
@@ -288,6 +302,14 @@ fn forked_primary_detected_per_epoch() {
     // Sticky: the replica refuses service under a forked primary.
     let err = g.with_replica(0, |r| r.get(b"k001").unwrap_err());
     assert!(matches!(verification(err), VerificationFailure::ForkedPrimary { .. }));
+    // The relayed equivocation is on the group's audit stream exactly
+    // once, at the forked epoch; the sticky refusal adds no event.
+    assert_eq!(registry.audit_count("ForkedPrimary"), 1);
+    let forks: Vec<_> =
+        registry.audit_events().into_iter().filter(|e| e.kind == "ForkedPrimary").collect();
+    assert_eq!(forks.len(), 1);
+    assert_eq!(forks[0].epoch, Some(epoch));
+    assert_eq!(forks[0].replica, Some(1), "replica 0 is node 1; the primary is node 0");
 }
 
 #[test]
