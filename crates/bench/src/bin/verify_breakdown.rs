@@ -5,9 +5,10 @@
 //! with 20 000 scans of 1–20 keys and 20 000 GET hits. It prints real
 //! nanoseconds per query for:
 //!
-//! * the host's capture, each phase of it timed alone through the public
-//!   run API (`Run::{neighbor_below, neighbor_above, range}`), and the
-//!   whole capture (`Db::scan_with_trace` / `Db::get_with_trace`);
+//! * the host's capture: each level's walk timed alone through the public
+//!   run API (`Run::walk`, the records and both neighbours of a level in
+//!   one forward pass), and the whole capture (`Db::scan_with_trace` /
+//!   `Db::get_with_trace`);
 //! * the verifier as a whole (`ElsmP2::verify_scan_trace` /
 //!   `verify_get_trace`), and each kind of work it does: envelope parse
 //!   (`envelope::open_record`) and leaf hash (`merkle::chain_link_parts`
@@ -40,7 +41,7 @@ use elsm::envelope::{canonical_parts, open_record, Opened};
 use elsm::{AuthenticatedKv, ElsmP2, P2Options};
 use elsm_crypto::Digest;
 use lsm_store::{
-    CompactionStrategyKind, GetTrace, LevelOutcome, Record, Run, ScanTrace, Timestamp,
+    CompactionStrategyKind, GetTrace, LevelOutcome, NeighborPolicy, Record, ScanTrace,
     WalSyncPolicy,
 };
 use merkle::{chain_link_parts, node_hash};
@@ -220,8 +221,6 @@ fn unit_costs() -> [f64; 4] {
 }
 
 /// One host capture phase on one level's run, for a range.
-type RunPhase<'a> = &'a dyn Fn(&Run, &[u8], &[u8]);
-
 /// One timed piece of verification work on a scan's trace, in real ns.
 type ScanPiece<'a> = &'a dyn Fn(&[u8], &[u8], &ScanTrace) -> u64;
 
@@ -303,7 +302,6 @@ fn get_walks(trace: &GetTrace) -> impl Iterator<Item = ((&Record, &Record), u32)
 fn main() {
     let store = open_store();
     let db = store.db();
-    let ts_q = Timestamp::MAX >> 1;
     let mut rng = Lcg(42);
     let scans: Vec<(Vec<u8>, Vec<u8>)> = (0..QUERIES)
         .map(|_| {
@@ -324,21 +322,10 @@ fn main() {
     let units = unit_costs();
 
     // ----- SCAN ----------------------------------------------------------
-    let capture_phase = |phase: RunPhase<'_>| {
-        best_ns(&scans, |(from, to)| {
-            for run in runs.iter().filter(|r| r.meets(from, to)) {
-                phase(run, from, to);
-            }
-        })
-    };
-    let below = capture_phase(&|run, from, _| {
-        black_box(run.neighbor_below(from, ts_q).expect("read"));
-    });
-    let above = capture_phase(&|run, _, to| {
-        black_box(run.neighbor_above(to, ts_q).expect("read"));
-    });
-    let range = capture_phase(&|run, from, to| {
-        black_box(run.range(from, to).expect("read"));
+    let walk = best_ns(&scans, |(from, to)| {
+        for run in runs.iter().filter(|r| r.meets(from, to)) {
+            black_box(run.walk(from, to, NeighborPolicy::Required).expect("read"));
+        }
     });
     let capture = best_ns(&scans, |(from, to)| {
         black_box(db.scan_with_trace(from, to, |t| t.levels.len()).expect("read"));
@@ -387,11 +374,7 @@ fn main() {
     print(
         "SCAN host capture (ns per scan)",
         ("scan_with_trace", capture),
-        &[
-            Row("neighbor_below", below, "Run::neighbor_below, each level met".into()),
-            Row("neighbor_above", above, "Run::neighbor_above, each level met".into()),
-            Row("range", range, "Run::range, each level met".into()),
-        ],
+        &[Row("walk", walk, "Run::walk, each level met".into())],
     );
     let mut rows = verifier_rows([proofs, nodes, walks], [parse_ns, leaf_ns, path_ns], units);
     rows.push(Row("merge", merge, "ScanTrace::merged".into()));
@@ -404,10 +387,10 @@ fn main() {
 
     // ----- GET -----------------------------------------------------------
     let capture = best_ns(&gets, |k| {
-        black_box(db.get_with_trace(k, ts_q, |t| t.levels.len()).expect("read"));
+        black_box(db.get_with_trace(k, |t| t.levels.len()).expect("read"));
     });
     let on_trace = |piece: &dyn Fn(&[u8], &GetTrace) -> u64| {
-        best_timed(&gets, |k| db.get_with_trace(k, ts_q, |t| piece(k, t)).expect("read"))
+        best_timed(&gets, |k| db.get_with_trace(k, |t| piece(k, t)).expect("read"))
     };
     let mut verify = 0.0;
     let [proofs, nodes, levels] = counts_over(&store, || {

@@ -637,7 +637,7 @@ impl ElsmP2 {
                 Some(Ok(Lookup::Miss(stamp))) => Some(stamp),
                 _ => None,
             };
-            self.db.get_with_trace(key, Timestamp::MAX >> 1, |trace| {
+            self.db.get_with_trace(key, |trace| {
                 // A verified tombstone reads as absent.
                 let Some(hit) =
                     self.trusted.verify_get(key, trace)?.filter(|v| v.record.kind.is_value())
@@ -720,7 +720,7 @@ impl ElsmP2 {
     ///
     /// Returns [`ElsmError::Io`] on storage errors.
     pub fn raw_get_trace(&self, key: &[u8]) -> Result<GetTrace, ElsmError> {
-        Ok(self.db.get_with_trace(key, Timestamp::MAX >> 1, GetTrace::clone)?)
+        Ok(self.db.get_with_trace(key, GetTrace::clone)?)
     }
 
     /// Produces a raw (unverified) scan trace.

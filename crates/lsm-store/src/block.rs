@@ -264,7 +264,7 @@ impl Block {
 pub struct CorruptEntry;
 
 /// Key buffers kept for reuse per thread: a read holds at most two cursors
-/// at once (a scan and the one trailing it).
+/// at once (a run walk's and the seek that settles its left neighbour).
 const SPARE_KEYS: usize = 2;
 
 thread_local! {
@@ -344,16 +344,6 @@ impl BlockIter {
                 Err(CorruptEntry)
             }
         }
-    }
-
-    /// Moves onto `other`'s current entry, a cursor over the same block:
-    /// its key is copied, no entry decoded.
-    pub(crate) fn take_entry(&mut self, other: &BlockIter) {
-        self.key.clear();
-        self.key.extend_from_slice(&other.key);
-        self.value = other.value.clone();
-        self.pos = other.pos;
-        self.parked = false;
     }
 
     /// The current entry's key (valid after `advance` returned `Ok(true)`).

@@ -64,6 +64,6 @@ pub use record::{
 };
 pub use recovery::{decode_manifest, Manifest, MANIFEST};
 pub use sstable::{NeighborPolicy, TableBuilder, TableMeta, TableOptions, TableReader};
-pub use version::{GetTrace, LevelOutcome, LevelRange, LevelSearch, Run, ScanTrace, Version};
+pub use version::{GetTrace, LevelOutcome, LevelRange, LevelSearch, Run, ScanTrace, Version, Walk};
 pub use vlog::{Vlog, VlogPtr};
 pub use wal::{decode_frame, encode_frame, encode_frame_into};

@@ -789,7 +789,7 @@ impl Db {
             builder.finish();
             tables.push(Arc::new(TableReader::open(self.env.clone(), file, file_no)?));
         }
-        Ok((!tables.is_empty()).then(|| Arc::new(Run::new(tables))))
+        Ok(if tables.is_empty() { None } else { Some(Arc::new(Run::new(tables)?)) })
     }
 
     fn retire_run(&self, run: &Run) {
@@ -818,7 +818,7 @@ mod tests {
     };
     use crate::maintenance::RETIRED_EPOCH_FLOOR;
     use crate::options::{Options, WalSyncPolicy};
-    use crate::record::{Record, RecordView, Timestamp, ValueKind};
+    use crate::record::{Record, RecordView, ValueKind};
 
     #[test]
     fn flush_moves_data_to_level1_and_reads_still_work() {
@@ -865,7 +865,7 @@ mod tests {
         db.flush().unwrap();
         let e1 = db.current_epoch();
         assert!(e1 >= e0 + 2, "freeze + install must advance the epoch twice: {e0} -> {e1}");
-        let trace = db.get_with_trace(b"k", Timestamp::MAX >> 1, crate::GetTrace::clone).unwrap();
+        let trace = db.get_with_trace(b"k", crate::GetTrace::clone).unwrap();
         assert_eq!(trace.epoch, db.current_epoch());
     }
 

@@ -20,7 +20,7 @@
 
 use bytes::Bytes;
 
-use crate::record::{Record, SeekKey, Timestamp, ValueKind};
+use crate::record::{Record, SeekKey};
 
 const MAX_HEIGHT: usize = 12;
 /// Branching probability 1/4, as in LevelDB.
@@ -188,7 +188,7 @@ impl<'a> Iterator for SkipIter<'a> {
 /// let mut mt = MemTable::new();
 /// mt.insert(Record::put(b"k".as_slice(), b"v1".as_slice(), 1));
 /// mt.insert(Record::put(b"k".as_slice(), b"v2".as_slice(), 2));
-/// let newest = mt.get(b"k", u64::MAX >> 1).unwrap();
+/// let newest = mt.get(b"k").unwrap();
 /// assert_eq!(newest.ts, 2);
 /// ```
 #[derive(Debug, Default)]
@@ -222,11 +222,11 @@ impl MemTable {
         self.list.insert(record);
     }
 
-    /// Returns the newest record for `key` with `ts <= ts_q`, including
-    /// tombstones (the caller interprets them). The returned record shares
-    /// its key/value storage with the stored one (cheap `Bytes` clones).
-    pub fn get(&self, key: &[u8], ts_q: Timestamp) -> Option<Record> {
-        let record = self.list.range_from(SeekKey::new(key, ts_q, ValueKind::Put)).next()?;
+    /// Returns the newest record for `key`, including tombstones (the
+    /// caller interprets them). The returned record shares its key/value
+    /// storage with the stored one (cheap `Bytes` clones).
+    pub fn get(&self, key: &[u8]) -> Option<Record> {
+        let record = self.list.range_from(SeekKey::newest(key)).next()?;
         if record.key != key {
             return None;
         }
@@ -255,11 +255,12 @@ impl MemTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::ValueKind;
 
     #[test]
     fn empty_get_is_none() {
         let mt = MemTable::new();
-        assert!(mt.get(b"k", u64::MAX >> 1).is_none());
+        assert!(mt.get(b"k").is_none());
         assert!(mt.is_empty());
     }
 
@@ -269,18 +270,8 @@ mod tests {
         mt.insert(Record::put(b"k".as_slice(), b"v1".as_slice(), 1));
         mt.insert(Record::put(b"k".as_slice(), b"v2".as_slice(), 5));
         mt.insert(Record::put(b"k".as_slice(), b"v3".as_slice(), 3));
-        let r = mt.get(b"k", u64::MAX >> 1).unwrap();
+        let r = mt.get(b"k").unwrap();
         assert_eq!((r.ts, &r.value[..]), (5, b"v2".as_slice()));
-    }
-
-    #[test]
-    fn snapshot_reads_respect_ts() {
-        let mut mt = MemTable::new();
-        mt.insert(Record::put(b"k".as_slice(), b"v1".as_slice(), 1));
-        mt.insert(Record::put(b"k".as_slice(), b"v2".as_slice(), 5));
-        assert_eq!(mt.get(b"k", 4).unwrap().ts, 1);
-        assert_eq!(mt.get(b"k", 5).unwrap().ts, 5);
-        assert!(mt.get(b"k", 0).is_none());
     }
 
     #[test]
@@ -288,7 +279,7 @@ mod tests {
         let mut mt = MemTable::new();
         mt.insert(Record::put(b"k".as_slice(), b"v".as_slice(), 1));
         mt.insert(Record::tombstone(b"k".as_slice(), 2));
-        let r = mt.get(b"k", u64::MAX >> 1).unwrap();
+        let r = mt.get(b"k").unwrap();
         assert_eq!(r.kind, ValueKind::Delete);
     }
 
@@ -297,7 +288,7 @@ mod tests {
         let mut mt = MemTable::new();
         mt.insert(Record::put(b"a".as_slice(), b"1".as_slice(), 1));
         mt.insert(Record::put(b"c".as_slice(), b"2".as_slice(), 2));
-        assert!(mt.get(b"b", u64::MAX >> 1).is_none());
+        assert!(mt.get(b"b").is_none());
     }
 
     #[test]
@@ -305,8 +296,8 @@ mod tests {
         // The hot-path guarantee: a hit must not copy the user key.
         let mut mt = MemTable::new();
         mt.insert(Record::put(b"shared".as_slice(), b"v".as_slice(), 1));
-        let a = mt.get(b"shared", u64::MAX >> 1).unwrap();
-        let b = mt.get(b"shared", u64::MAX >> 1).unwrap();
+        let a = mt.get(b"shared").unwrap();
+        let b = mt.get(b"shared").unwrap();
         assert!(a.key.shares_storage(&b.key), "probes must clone, not copy");
     }
 
@@ -356,7 +347,7 @@ mod tests {
         // Every key findable.
         for k in 0..2000u32 {
             let key = format!("{k:08}");
-            assert!(mt.get(key.as_bytes(), u64::MAX >> 1).is_some(), "missing {k}");
+            assert!(mt.get(key.as_bytes()).is_some(), "missing {k}");
         }
     }
 

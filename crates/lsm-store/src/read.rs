@@ -12,9 +12,9 @@ use std::sync::Arc;
 use sim_disk::FsError;
 
 use crate::db::Db;
-use crate::record::{Record, Timestamp, ValueKind};
+use crate::record::{Record, ValueKind};
 use crate::sstable::NeighborPolicy;
-use crate::version::{GetTrace, LevelOutcome, LevelRange, LevelSearch, ScanTrace, Version};
+use crate::version::{GetTrace, LevelOutcome, LevelRange, LevelSearch, ScanTrace, Version, Walk};
 use crate::vlog::{decode_pointer, vlog_name};
 
 impl Db {
@@ -28,9 +28,8 @@ impl Db {
     ///
     /// Returns [`FsError`] on IO errors.
     pub fn get(&self, key: &[u8]) -> Result<Option<Record>, FsError> {
-        let ts_q = Timestamp::MAX >> 1;
-        let (mem_hit, version) = self.read_view(key, ts_q);
-        let trace = self.get_on_version(&version, mem_hit, key, ts_q, NeighborPolicy::Skip)?;
+        let (mem_hit, version) = self.read_view(key);
+        let trace = self.get_on_version(&version, mem_hit, key, NeighborPolicy::Skip)?;
         match trace.answer().filter(|r| r.kind.is_value()) {
             Some(r) => self.resolve_vlog_record(r.clone()).map(Some),
             None => Ok(None),
@@ -83,11 +82,10 @@ impl Db {
     pub fn get_with_trace<T>(
         &self,
         key: &[u8],
-        ts_q: Timestamp,
         check: impl FnOnce(&GetTrace) -> T,
     ) -> Result<T, FsError> {
-        let (mem_hit, version) = self.read_view(key, ts_q);
-        let trace = self.get_on_version(&version, mem_hit, key, ts_q, NeighborPolicy::Required)?;
+        let (mem_hit, version) = self.read_view(key);
+        let trace = self.get_on_version(&version, mem_hit, key, NeighborPolicy::Required)?;
         // `version` is pinned until `check` returns: the epoch may drain
         // only after verification.
         Ok(check(&trace))
@@ -95,7 +93,7 @@ impl Db {
 
     /// Probes the live memtable and pins the current version: the only
     /// part of a read that takes (the shared side of) the store lock.
-    fn read_view(&self, key: &[u8], ts_q: Timestamp) -> (Option<Record>, Arc<Version>) {
+    fn read_view(&self, key: &[u8]) -> (Option<Record>, Arc<Version>) {
         self.stats.gets.inc();
         self.env.platform().charge_op_base();
         // Model the in-enclave memtable probe.
@@ -105,7 +103,7 @@ impl Db {
             self.env.platform().enclave_touch(region, h % (len / 2), 32.min(len / 2));
         }
         let inner = self.inner.read();
-        (inner.memtable.get(key, ts_q), inner.current.clone())
+        (inner.memtable.get(key), inner.current.clone())
     }
 
     /// Searches a pinned version: frozen memtable first (trusted memory),
@@ -115,11 +113,10 @@ impl Db {
         version: &Version,
         mem_hit: Option<Record>,
         key: &[u8],
-        ts_q: Timestamp,
         neighbors: NeighborPolicy,
     ) -> Result<GetTrace, FsError> {
         let epoch = version.epoch();
-        let memtable = mem_hit.or_else(|| version.imm().and_then(|imm| imm.get(key, ts_q)));
+        let memtable = mem_hit.or_else(|| version.imm().and_then(|imm| imm.get(key)));
         if memtable.is_some() {
             return Ok(GetTrace { epoch, memtable, levels: Vec::new() });
         }
@@ -135,7 +132,7 @@ impl Db {
                 None => LevelOutcome::Empty,
                 // Outside the run's key range: nothing to find or prove.
                 Some(run) if !run.meets(key, key) => continue,
-                Some(run) => run.get(key, ts_q, neighbors)?,
+                Some(run) => run.get(key, neighbors)?,
             };
             let hit = matches!(outcome, LevelOutcome::Hit(_));
             levels.push(LevelSearch { level, outcome });
@@ -194,23 +191,17 @@ impl Db {
         to: &[u8],
         neighbors: NeighborPolicy,
     ) -> Result<ScanTrace, FsError> {
-        let ts_q = Timestamp::MAX >> 1;
         if let Some(imm) = version.imm() {
             memtable.extend(imm.range_records(from, to));
         }
         let mut levels = Vec::with_capacity(version.levels().len().saturating_sub(1));
         for level in 1..version.levels().len() {
             let run = version.level(level);
-            if run.is_some_and(|run| !run.meets(from, to)) {
-                continue;
-            }
-            let (left, right) = match run {
-                Some(run) if neighbors == NeighborPolicy::Required => {
-                    (run.neighbor_below(from, ts_q)?, run.neighbor_above(to, ts_q)?)
-                }
-                _ => (None, None),
+            let Walk { left, records, right } = match run {
+                None => Walk::default(),
+                Some(run) if !run.meets(from, to) => continue,
+                Some(run) => run.walk(from, to, neighbors)?,
             };
-            let records = run.map_or(Ok(Vec::new()), |run| run.range(from, to))?;
             levels.push(LevelRange { level, empty: run.is_none(), records, left, right });
         }
         Ok(ScanTrace { epoch: version.epoch(), memtable, levels })
@@ -240,11 +231,11 @@ mod tests {
         db.flush().unwrap();
         // New write of k0000 stays in the memtable.
         db.put(b"k0000", b"new").unwrap();
-        let trace = db.get_with_trace(b"k0000", Timestamp::MAX >> 1, GetTrace::clone).unwrap();
+        let trace = db.get_with_trace(b"k0000", GetTrace::clone).unwrap();
         assert!(trace.memtable.is_some(), "memtable hit must not search levels");
         assert!(trace.levels.is_empty());
 
-        let trace = db.get_with_trace(b"k0001", Timestamp::MAX >> 1, GetTrace::clone).unwrap();
+        let trace = db.get_with_trace(b"k0001", GetTrace::clone).unwrap();
         assert!(trace.memtable.is_none());
         assert!(matches!(trace.levels.last().unwrap().outcome, LevelOutcome::Hit(_)));
     }
@@ -255,7 +246,7 @@ mod tests {
         db.put(b"b", b"1").unwrap();
         db.put(b"d", b"2").unwrap();
         db.flush().unwrap();
-        let trace = db.get_with_trace(b"c", Timestamp::MAX >> 1, GetTrace::clone).unwrap();
+        let trace = db.get_with_trace(b"c", GetTrace::clone).unwrap();
         let hit_level = trace
             .levels
             .iter()
@@ -303,9 +294,7 @@ mod tests {
         assert!(db.current_epoch() > snapshot.epoch());
         // The pinned snapshot still reads the old state, including from
         // runs whose files have since been unlinked.
-        let trace = db
-            .get_on_version(&snapshot, None, b"key0007", Timestamp::MAX >> 1, NeighborPolicy::Skip)
-            .unwrap();
+        let trace = db.get_on_version(&snapshot, None, b"key0007", NeighborPolicy::Skip).unwrap();
         assert_eq!(&trace.answer().unwrap().value[..], b"v1");
         assert_eq!(trace.epoch, snapshot.epoch());
     }
@@ -339,16 +328,5 @@ mod tests {
         let got = db.scan(b"a", b"z").unwrap();
         assert_eq!(got.len(), 1);
         assert_eq!(&got[0].key[..], b"b");
-    }
-
-    #[test]
-    fn snapshot_reads_see_history() {
-        let db = open_db(Options { compaction_enabled: false, ..small_options() });
-        let t1 = db.put(b"k", b"v1").unwrap();
-        let t2 = db.put(b"k", b"v2").unwrap();
-        let tr1 = db.get_with_trace(b"k", t1, GetTrace::clone).unwrap();
-        assert_eq!(&tr1.answer().unwrap().value[..], b"v1");
-        let tr2 = db.get_with_trace(b"k", t2, GetTrace::clone).unwrap();
-        assert_eq!(&tr2.answer().unwrap().value[..], b"v2");
     }
 }

@@ -3,7 +3,10 @@
 //! The paper's interface (§3.2, Equation 1) is timestamped:
 //! `ts = PUT(k, v)`, `⟨k, v, ts⟩ = GET(k, ts_q)`. The enclave's timestamp
 //! manager assigns every operation a unique, monotonically increasing
-//! timestamp; tombstones implement deletes (§5.4).
+//! timestamp; tombstones implement deletes (§5.4). A query's `ts_q` is the
+//! enclave's current time, at or past every stored version, so the host
+//! serves each key's newest version and its reads take no `ts_q` (the
+//! verifier accepts nothing older: `StaleRecord`).
 //!
 //! Internally a record is identified by its *internal key*: the user key
 //! followed by an 8-byte suffix packing `(timestamp, kind)` so that plain

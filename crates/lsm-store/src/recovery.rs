@@ -229,7 +229,7 @@ impl Db {
                 let file = env.fs().open(&table_name(file_no))?;
                 tables.push(Arc::new(TableReader::open(env.clone(), file, file_no)?));
             }
-            *slot = Some(Arc::new(Run::new(tables)));
+            *slot = Some(Arc::new(Run::new(tables)?));
         }
         let Manifest { next_file_no, last_ts, wal_lo, wal_no, vlog_next_no, vlog_files, .. } =
             manifest;

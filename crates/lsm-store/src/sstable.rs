@@ -30,6 +30,7 @@ use crate::env::StorageEnv;
 use crate::record::{
     parse_internal_key, user_key_of, Record, RecordView, SeekKey, Timestamp, ValueKind,
 };
+use crate::version::Walk;
 
 const FOOTER_LEN: usize = 56;
 const MAGIC: u64 = 0xe15a_5700_ab1e_d157;
@@ -52,6 +53,9 @@ pub enum NeighborPolicy {
     /// Return misses without neighbors and without neighbor IO.
     Skip,
 }
+
+/// A data block read, with its index in its table.
+pub(crate) type BlockAt = (usize, Block);
 
 /// Options controlling table construction.
 #[derive(Debug, Clone)]
@@ -376,6 +380,11 @@ impl TableReader {
         &self.meta
     }
 
+    /// The error for this table's bytes not holding together.
+    pub(crate) fn corrupt(&self) -> FsError {
+        corrupt_table(&self.file)
+    }
+
     fn read_block(&self, block_idx: usize) -> Result<Block, FsError> {
         let (_, off, len) = self.index[block_idx];
         let stored = self.env.read_block(
@@ -419,151 +428,41 @@ impl TableReader {
             .touch_metadata(self.bloom_region.as_ref(), [(probe.first_offset, probe.bits_tested)]);
     }
 
-    /// Point lookup: the newest record for `key` with `ts <= ts_q`, if the
-    /// table has one. A definite Bloom miss returns before touching the
-    /// index or any data block. Bounding neighbors of a miss are the run's
-    /// business ([`crate::version::Run::get`]).
+    /// Point lookup: the newest record for `key`, if the table has one. A
+    /// definite Bloom miss returns before touching the index or any data
+    /// block. Bounding neighbors of a miss are the run's business
+    /// ([`crate::version::Run::get`]).
     ///
     /// # Errors
     ///
     /// Returns [`FsError`] on IO/corruption errors.
-    pub fn get(&self, key: &[u8], ts_q: Timestamp) -> Result<Option<Record>, FsError> {
+    pub fn get(&self, key: &[u8]) -> Result<Option<Record>, FsError> {
+        Ok(self.lookup(key)?.0)
+    }
+
+    /// [`TableReader::get`], also handing back the one block it read and
+    /// that block's index, so that a miss's neighbours are walked from it
+    /// rather than from a second read.
+    pub(crate) fn lookup(&self, key: &[u8]) -> Result<(Option<Record>, Option<BlockAt>), FsError> {
         if let Some(bloom) = &self.bloom {
             let probe = bloom.probe(key);
             self.charge_bloom_probe(probe);
             if !probe.hit {
-                return Ok(None);
+                return Ok((None, None));
             }
         }
         self.charge_index_probe();
-        let seek = SeekKey::new(key, ts_q, ValueKind::Put);
+        let seek = SeekKey::newest(key);
         let Some(block_idx) = self.block_for(seek) else {
-            return Ok(None);
+            return Ok((None, None));
         };
         let block = self.read_block(block_idx)?;
         let mut found = block.seek_key(seek);
-        if let Ok(true) = found.advance() {
-            return Ok(record_at(&found).filter(|r| r.key == key).map(|r| r.to_record()));
-        }
-        Ok(None)
-    }
-
-    /// Newest record of the greatest user key strictly `< key`. Nothing
-    /// is materialised but the record returned: a second cursor stays on
-    /// the best candidate so far, taking over the scanning cursor's entry
-    /// — its key copied, nothing decoded twice — when a better one comes.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError`] on IO errors.
-    pub fn newest_before(&self, key: &[u8], ts_q: Timestamp) -> Result<Option<Record>, FsError> {
-        if key <= &self.meta.smallest[..] {
-            return Ok(None);
-        }
-        // `open` admits no table without a block.
-        let start = self.block_for(SeekKey::newest(key)).unwrap_or(self.index.len() - 1);
-        // Scan the candidate block (and earlier ones if needed) for the last
-        // record with user key < key.
-        let mut block_idx = start;
-        loop {
-            let block = self.read_block(block_idx)?;
-            let mut entries = block.iter();
-            // On a candidate once `found`.
-            let (mut best, mut found) = (block.iter(), false);
-            while let Ok(true) = entries.advance() {
-                let Some(r) = record_at(&entries) else { continue };
-                if r.key >= key {
-                    break;
-                }
-                if r.ts > ts_q {
-                    // Too new for the snapshot; older versions of the key
-                    // sort after it.
-                    continue;
-                }
-                // Keep the newest visible version of a key.
-                let replace = match record_at(&best).filter(|_| found) {
-                    Some(b) if b.key == r.key => b.ts < r.ts,
-                    _ => true,
-                };
-                if replace {
-                    best.take_entry(&entries);
-                    found = true;
-                }
-            }
-            if let Some(b) = record_at(&best).filter(|_| found) {
-                return self.chain_head(b.to_record(), block_idx, ts_q).map(Some);
-            }
-            if block_idx == 0 {
-                return Ok(None);
-            }
-            block_idx -= 1;
-        }
-    }
-
-    /// The newest version visible at `ts_q` of `found`'s key, where
-    /// `found` is the newest one within block `block_idx`. Versions of a
-    /// key never straddle files but do straddle blocks; the index says so
-    /// without IO (an earlier block ends with the same user key), and only
-    /// then are the blocks the chain started in read.
-    fn chain_head(
-        &self,
-        found: Record,
-        block_idx: usize,
-        ts_q: Timestamp,
-    ) -> Result<Record, FsError> {
-        let mut first = block_idx;
-        while first > 0 && found.key == user_key_of(&self.index[first - 1].0) {
-            first -= 1;
-        }
-        if first == block_idx {
-            return Ok(found);
-        }
-        let seek = SeekKey::new(&found.key, ts_q, ValueKind::Put);
-        for earlier in first..block_idx {
-            let block = self.read_block(earlier)?;
-            let mut head = block.seek_key(seek);
-            if let Ok(true) = head.advance() {
-                if let Some(r) = record_at(&head).filter(|r| found.key == r.key) {
-                    return Ok(r.to_record());
-                }
-            }
-        }
-        Ok(found)
-    }
-
-    /// Newest record of the smallest user key strictly `> key`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError`] on IO errors.
-    pub fn newest_after(&self, key: &[u8], ts_q: Timestamp) -> Result<Option<Record>, FsError> {
-        if key >= &self.meta.largest[..] {
-            return Ok(None);
-        }
-        // Seek past all versions of `key`: the successor of (key, ts=0).
-        let after = SeekKey::new(key, 0, ValueKind::Delete);
-        let mut block_idx = match self.block_for(after) {
-            Some(i) => i,
-            None => return Ok(None),
+        let hit = match found.advance() {
+            Ok(true) => record_at(&found).filter(|r| r.key == key).map(|r| r.to_record()),
+            _ => None,
         };
-        loop {
-            let block = self.read_block(block_idx)?;
-            let mut entries = block.seek_key(after);
-            while let Ok(true) = entries.advance() {
-                let Some(r) = record_at(&entries) else { continue };
-                if r.key <= key {
-                    continue;
-                }
-                if r.ts <= ts_q {
-                    return Ok(Some(r.to_record()));
-                }
-                // Newer than snapshot: older versions of the same key follow.
-            }
-            block_idx += 1;
-            if block_idx >= self.index.len() {
-                return Ok(None);
-            }
-        }
+        Ok((hit, Some((block_idx, block))))
     }
 
     /// Cursor over every record in order. The table's blocks are all read
@@ -578,45 +477,138 @@ impl TableReader {
             (0..self.index.len()).map(|i| self.read_block(i)).collect();
         Ok(TableIter { file: &self.file, blocks: blocks?.into_iter(), cur: None })
     }
-
-    /// All records with user key in `[from, to]` (inclusive), every version.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError`] on IO errors.
-    pub fn range(&self, from: &[u8], to: &[u8]) -> Result<Vec<Record>, FsError> {
-        RangeRecords::gather(|gathered| self.range_into(from, to, gathered))
-    }
-
-    /// Reads the blocks holding this table's records with user key in
-    /// `[from, to]` — the range's only IO — and decodes each once, onto
-    /// `gathered`.
-    pub(crate) fn range_into(
-        &self,
-        from: &[u8],
-        to: &[u8],
-        gathered: &mut RangeRecords,
-    ) -> Result<(), FsError> {
-        let Some(mut block_idx) = self.block_for(SeekKey::newest(from)) else {
-            return Ok(());
-        };
-        while block_idx < self.index.len() {
-            let block = self.read_block(block_idx)?;
-            if visit_range(&block, from, to, |r| gathered.push(r)) {
-                break;
-            }
-            block_idx += 1;
-        }
-        Ok(())
-    }
 }
 
-/// The records of a range query, gathered in one pass over the blocks that
-/// hold them: each key appended to one buffer, the rest of the record kept
-/// beside its key's end. Kept per thread and reused, so gathering allocates
-/// nothing once warm; [`RangeRecords::gather`] hands the records out with
-/// two allocations, whatever their number — their keys' arena and their
-/// vector, both sized exactly.
+/// One forward walk over a run's tables — sorted, disjoint — for the
+/// records with user key in `[from, to]`, every version, in order.
+///
+/// The walk starts in the block where `from`'s newest record would be and
+/// steps on across block and table boundaries without a new search,
+/// reading each block at most once. With [`NeighborPolicy::Required`] it
+/// walks the start block from its first entry and also yields the bounding
+/// neighbours: the newest record of the greatest key below `from` and that
+/// of the smallest key above `to`, where it stops. With
+/// [`NeighborPolicy::Skip`] it seeks to `from` in the start block and reads
+/// only the blocks that hold the range, entering no table the range does
+/// not meet. `probed` is a `(table, block, bytes)` a point lookup already
+/// read: the walk takes it instead of reading that block again.
+pub(crate) fn walk(
+    tables: &[Arc<TableReader>],
+    from: &[u8],
+    to: &[u8],
+    neighbors: NeighborPolicy,
+    mut probed: Option<(usize, usize, Block)>,
+) -> Result<Walk, FsError> {
+    let required = neighbors == NeighborPolicy::Required;
+    let seek = SeekKey::newest(from);
+    // The start: the first block whose last key is at or past `seek`.
+    let mut t = tables.partition_point(|table| &table.meta.largest[..] < from);
+    let mut b = tables.get(t).map_or(0, |table| table.block_for(seek).unwrap_or(table.index.len()));
+    if tables.get(t).is_some_and(|table| b == table.index.len()) {
+        (t, b) = (t + 1, 0);
+    }
+    // The block before the start holds keys below `from` only.
+    let before = match b.checked_sub(1) {
+        Some(prev) => Some((t, prev)),
+        None => t.checked_sub(1).map(|prev| (prev, tables[prev].index.len() - 1)),
+    };
+    let (mut left, mut right) = (false, false);
+    let mut records = RangeRecords::gather(|gathered| {
+        let mut left_open = required;
+        let mut cursor: Option<BlockIter> = None;
+        while let Some(table) = tables.get(t) {
+            if !required && &table.meta.smallest[..] > to {
+                break;
+            }
+            while b < table.index.len() {
+                let block = match probed.take() {
+                    Some((pt, pb, block)) if (pt, pb) == (t, b) => block,
+                    _ => table.read_block(b)?,
+                };
+                let entries = match &mut cursor {
+                    Some(entries) => {
+                        entries.reset(block);
+                        entries
+                    }
+                    None if required => cursor.insert(block.iter()),
+                    None => cursor.insert(block.seek_key(seek)),
+                };
+                while let Ok(true) = entries.advance() {
+                    let Some(r) = record_at(entries) else { continue };
+                    if r.key < from {
+                        // A key's first entry is its newest record: the
+                        // left neighbour, until a greater key comes.
+                        if required && (!left || gathered.keys[..] != *r.key) {
+                            gathered.restart(r);
+                            left = true;
+                        }
+                        continue;
+                    }
+                    if left_open {
+                        left_open = false;
+                        left = settle_left(tables, before, left, gathered)?;
+                    }
+                    if r.key <= to {
+                        gathered.push(r);
+                        continue;
+                    }
+                    if required {
+                        gathered.push(r);
+                        right = true;
+                    }
+                    return Ok(());
+                }
+                b += 1;
+            }
+            (t, b) = (t + 1, 0);
+        }
+        if left_open {
+            left = settle_left(tables, before, left, gathered)?;
+        }
+        Ok(())
+    })?;
+    let right = if right { records.pop() } else { None };
+    let left = if left { Some(records.remove(0)) } else { None };
+    Ok(Walk { left, records, right })
+}
+
+/// Settles a walk's left neighbour once it has passed `from`. The one
+/// gathered in the start block stands unless there is none or it is the
+/// key that closes the block `before` the start: that key's newest record
+/// is then read from the block the index says its versions begin in —
+/// versions straddle blocks, never tables. Says whether there is a left
+/// neighbour.
+fn settle_left(
+    tables: &[Arc<TableReader>],
+    before: Option<(usize, usize)>,
+    found: bool,
+    gathered: &mut RangeRecords,
+) -> Result<bool, FsError> {
+    let Some((t, b)) = before else { return Ok(found) };
+    let index = &tables[t].index;
+    let key = user_key_of(&index[b].0);
+    if found && gathered.keys[..] != *key {
+        return Ok(true);
+    }
+    let first = (0..b).rev().take_while(|&i| user_key_of(&index[i].0) == key).last().unwrap_or(b);
+    let block = tables[t].read_block(first)?;
+    let mut head = block.seek_key(SeekKey::newest(key));
+    if let Ok(true) = head.advance() {
+        if let Some(newest) = record_at(&head).filter(|r| r.key == key) {
+            gathered.restart(newest);
+            return Ok(true);
+        }
+    }
+    Ok(found)
+}
+
+/// The records of a run walk — its range and its neighbours — gathered in
+/// one pass over the blocks that hold them: each key appended to one
+/// buffer, the rest of the record kept beside its key's end. Kept per
+/// thread and reused, so gathering allocates nothing once warm;
+/// [`RangeRecords::gather`] hands the records out with two allocations,
+/// whatever their number — their keys' arena and their vector, both sized
+/// exactly.
 #[derive(Debug)]
 pub(crate) struct RangeRecords {
     keys: Vec<u8>,
@@ -625,7 +617,7 @@ pub(crate) struct RangeRecords {
 }
 
 thread_local! {
-    /// The gathering buffers of this thread's last range query.
+    /// The gathering buffers of this thread's last run walk.
     static SPARE_RANGE: std::cell::Cell<RangeRecords> =
         const { std::cell::Cell::new(RangeRecords::EMPTY) };
 }
@@ -652,6 +644,13 @@ impl RangeRecords {
         self.rest.push((r.ts, r.kind, r.value.clone(), self.keys.len()));
     }
 
+    /// Drops what was gathered and gathers `r` alone.
+    fn restart(&mut self, r: RecordView<'_>) {
+        self.keys.clear();
+        self.rest.clear();
+        self.push(r);
+    }
+
     /// The records gathered, in order: their keys slices of one arena,
     /// their values of the blocks.
     fn records(&mut self) -> Vec<Record> {
@@ -669,23 +668,6 @@ impl RangeRecords {
             })
             .collect()
     }
-}
-
-/// Passes `f` the records of `block` with user key in `[from, to]`, from
-/// the newest version of `from` on; says whether the block holds a key
-/// past `to` (the range ends in it).
-fn visit_range(block: &Block, from: &[u8], to: &[u8], mut f: impl FnMut(RecordView<'_>)) -> bool {
-    let mut entries = block.seek_key(SeekKey::newest(from));
-    while let Ok(true) = entries.advance() {
-        let Some(r) = record_at(&entries) else { continue };
-        if r.key > to {
-            return true;
-        }
-        if r.key >= from {
-            f(r);
-        }
-    }
-    false
 }
 
 /// The record under a block cursor; `None` when its key is shorter than
@@ -749,9 +731,25 @@ impl TableIter<'_> {
 mod tests {
     use super::*;
     use crate::env::EnvConfig;
-    use crate::version::LevelOutcome;
+    use crate::version::{LevelOutcome, Run};
     use sgx_sim::{CostModel, Platform};
     use sim_disk::{SimDisk, SimFs};
+
+    impl TableReader {
+        /// The records of each data block, in order.
+        pub(crate) fn block_records(&self) -> Vec<Vec<Record>> {
+            let block_records = |i| {
+                let block = self.read_block(i).unwrap();
+                let mut entries = block.iter();
+                let mut records = Vec::new();
+                while let Ok(true) = entries.advance() {
+                    records.push(record_at(&entries).unwrap().to_record());
+                }
+                records
+            };
+            (0..self.index.len()).map(block_records).collect()
+        }
+    }
 
     fn test_env(config: EnvConfig) -> (Arc<StorageEnv>, Arc<SimFs>) {
         let platform = Platform::new(CostModel::paper_defaults());
@@ -796,7 +794,7 @@ mod tests {
         let reader = build_table(&env, &fs, &sample_records());
         for i in 0..200 {
             let key = format!("k{i:04}");
-            let r = reader.get(key.as_bytes(), u64::MAX >> 1).unwrap().expect("present");
+            let r = reader.get(key.as_bytes()).unwrap().expect("present");
             assert_eq!(&r.key[..], key.as_bytes());
             if i % 10 == 0 {
                 assert_eq!(&r.value[..], format!("new{i}").as_bytes(), "newest wins");
@@ -804,12 +802,8 @@ mod tests {
         }
     }
 
-    #[test]
-    fn snapshot_get_sees_old_version() {
-        let (env, fs) = test_env(EnvConfig::default());
-        let reader = build_table(&env, &fs, &sample_records());
-        // k0000 has versions at ts=1000 (new) and ts=500 (old).
-        assert_eq!(&reader.get(b"k0000", 999).unwrap().expect("old version").value[..], b"old0");
+    fn one_table_run(reader: TableReader) -> Run {
+        Run::new(vec![Arc::new(reader)]).unwrap()
     }
 
     #[test]
@@ -820,13 +814,12 @@ mod tests {
             Record::put(b"d".as_slice(), b"2".as_slice(), 2),
             Record::put(b"f".as_slice(), b"3".as_slice(), 3),
         ];
-        let reader = build_table(&env, &fs, &recs);
-        let ts_max = u64::MAX >> 1;
-        let neighbors = |key: &[u8]| {
-            assert_eq!(reader.get(key, ts_max).unwrap(), None);
-            let left = reader.newest_before(key, ts_max).unwrap().map(|r| r.key.to_vec());
-            let right = reader.newest_after(key, ts_max).unwrap().map(|r| r.key.to_vec());
-            (left, right)
+        let run = one_table_run(build_table(&env, &fs, &recs));
+        let neighbors = |key: &[u8]| match run.get(key, NeighborPolicy::Required).unwrap() {
+            LevelOutcome::Miss { left, right } => {
+                (left.map(|r| r.key.to_vec()), right.map(|r| r.key.to_vec()))
+            }
+            other => panic!("expected a miss: {other:?}"),
         };
         assert_eq!(neighbors(b"c"), (Some(b"b".to_vec()), Some(b"d".to_vec())));
         assert_eq!(neighbors(b"a"), (None, Some(b"b".to_vec())));
@@ -842,15 +835,16 @@ mod tests {
             Record::put(b"d".as_slice(), b"x".as_slice(), 5),
         ];
         let reader = build_table(&env, &fs, &recs);
-        assert_eq!(reader.get(b"c", u64::MAX >> 1).unwrap(), None);
-        let l = reader.newest_before(b"c", u64::MAX >> 1).unwrap().unwrap();
+        assert_eq!(reader.get(b"c").unwrap(), None);
+        let walk = one_table_run(reader).walk(b"c", b"c", NeighborPolicy::Required).unwrap();
+        let l = walk.left.unwrap();
         assert_eq!((&l.key[..], l.ts), (b"b".as_slice(), 10));
     }
 
-    /// Versions of one key fill several blocks: whichever block the scan
-    /// for the left neighbour lands in, the neighbour is the chain's head.
+    /// Versions of one key fill several blocks: whichever block the walk
+    /// starts in, the left neighbour is the chain's head.
     #[test]
-    fn neighbor_below_is_the_chain_head_across_blocks() {
+    fn left_neighbor_is_the_chain_head_across_blocks() {
         let (env, fs) = test_env(EnvConfig { block_cache_bytes: 0, ..EnvConfig::default() });
         let mut recs = vec![Record::put(b"a".as_slice(), b"first".as_slice(), 1)];
         for v in 0..60u64 {
@@ -860,47 +854,23 @@ mod tests {
         let reader = build_table(&env, &fs, &recs);
         let hot_blocks = reader.index.iter().filter(|(last, _, _)| user_key_of(last) == b"hot");
         assert!(hot_blocks.count() >= 3, "the chain must straddle blocks");
-        let ts_max = Timestamp::MAX >> 1;
-        let head = reader.newest_before(b"next", ts_max).unwrap().expect("a left neighbour");
+        let head = recs[1].clone();
         assert_eq!((&head.key[..], head.ts), (&b"hot"[..], 1000), "the max-ts version");
-        // A snapshot below the head's timestamp sees the newest version it
-        // admits, also from an earlier block than the scanned one.
-        let at_990 = reader.newest_before(b"next", 990).unwrap().unwrap();
-        assert_eq!((&at_990.key[..], at_990.ts), (&b"hot"[..], 990));
-        let run = crate::version::Run::new(vec![Arc::new(reader)]);
-        match run.get(b"i", ts_max, NeighborPolicy::Required).unwrap() {
+        let run = one_table_run(reader);
+        match run.get(b"i", NeighborPolicy::Required).unwrap() {
             LevelOutcome::Miss { left, right } => {
                 assert_eq!(left, Some(head.clone()));
                 assert_eq!(&right.unwrap().key[..], b"next");
             }
             other => panic!("expected miss: {other:?}"),
         }
-        assert_eq!(run.neighbor_below(b"next", ts_max).unwrap(), Some(head.clone()));
-        assert_eq!(run.neighbor_below(b"zz", ts_max).unwrap().unwrap().key, &b"next"[..]);
-        assert_eq!(run.neighbor_above(b"a", ts_max).unwrap(), Some(head));
-    }
-
-    /// The chain-head check reads the index only: on a table of
-    /// single-version keys every left-neighbour lookup reads one block,
-    /// two when the key opens its block — what it read before the check.
-    #[test]
-    fn single_version_neighbor_lookups_read_no_extra_block() {
-        let (env, fs) = test_env(EnvConfig { block_cache_bytes: 0, ..EnvConfig::default() });
-        let recs: Vec<Record> = (0..400u64)
-            .map(|i| Record::put(format!("k{i:04}").into_bytes(), vec![7u8; 64], i + 1))
-            .collect();
-        let reader = build_table(&env, &fs, &recs);
-        let blocks = reader.index.len() as u64;
-        assert!(blocks >= 4);
-        let before = env.platform().stats();
-        for (i, r) in recs.iter().enumerate() {
-            let left = reader.newest_before(&r.key, Timestamp::MAX >> 1).unwrap();
-            assert_eq!(left.as_ref(), i.checked_sub(1).map(|prev| &recs[prev]));
-        }
-        let after = env.platform().stats();
-        // No read for the table's first key, two for each later block's
-        // first key.
-        assert_eq!(after.ocalls - before.ocalls, (recs.len() as u64 - 1) + (blocks - 1));
+        let walk = |from: &[u8], to: &[u8]| run.walk(from, to, NeighborPolicy::Required).unwrap();
+        assert_eq!(walk(b"next", b"next").left, Some(head.clone()));
+        assert_eq!(walk(b"zz", b"zz").left.unwrap().key, &b"next"[..]);
+        assert_eq!(walk(b"a", b"a").right, Some(head.clone()));
+        let chain = walk(b"hot", b"hot");
+        assert_eq!(chain.records, recs[1..61].to_vec());
+        assert_eq!((chain.left, chain.right), (Some(recs[0].clone()), Some(recs[61].clone())));
     }
 
     #[test]
@@ -925,8 +895,8 @@ mod tests {
     #[test]
     fn range_is_inclusive_and_complete() {
         let (env, fs) = test_env(EnvConfig::default());
-        let reader = build_table(&env, &fs, &sample_records());
-        let got = reader.range(b"k0010", b"k0020").unwrap();
+        let run = one_table_run(build_table(&env, &fs, &sample_records()));
+        let got = run.walk(b"k0010", b"k0020", NeighborPolicy::Skip).unwrap().records;
         let keys: Vec<String> =
             got.iter().map(|r| String::from_utf8_lossy(&r.key).into_owned()).collect();
         assert!(keys.contains(&"k0010".to_string()));
@@ -944,10 +914,7 @@ mod tests {
             ..EnvConfig::default()
         });
         let reader = build_table(&env, &fs, &sample_records());
-        let r = reader
-            .get(b"k0042", u64::MAX >> 1)
-            .unwrap()
-            .expect("sealed table must still serve reads");
+        let r = reader.get(b"k0042").unwrap().expect("sealed table must still serve reads");
         assert_eq!(&r.value[..], b"v42");
     }
 
@@ -957,7 +924,7 @@ mod tests {
             test_env(EnvConfig { use_mmap: true, block_cache_bytes: 0, ..EnvConfig::default() });
         let reader = build_table(&env, &fs, &sample_records());
         let ocalls_before = env.platform().stats().ocalls;
-        let r = reader.get(b"k0042", u64::MAX >> 1).unwrap().expect("mmap table must serve reads");
+        let r = reader.get(b"k0042").unwrap().expect("mmap table must serve reads");
         assert_eq!(&r.value[..], b"v42");
         assert_eq!(env.platform().stats().ocalls, ocalls_before, "mmap read has no OCall");
     }
@@ -967,7 +934,7 @@ mod tests {
         let (env, fs) = test_env(EnvConfig::default());
         let reader = build_table(&env, &fs, &sample_records());
         let before = env.platform().stats().enclave_copy_bytes;
-        let _ = reader.get(b"absent-key", u64::MAX >> 1).unwrap();
+        let _ = reader.get(b"absent-key").unwrap();
         assert!(
             env.platform().stats().enclave_copy_bytes > before,
             "probe must touch enclave metadata"
@@ -1045,7 +1012,6 @@ mod tests {
     #[test]
     fn malformed_tables_are_errors_not_panics() {
         let (env, fs) = test_env(EnvConfig { block_cache_bytes: 0, ..EnvConfig::default() });
-        let ts_max = Timestamp::MAX >> 1;
         let recs = [
             Record::put(b"b".as_slice(), b"1".as_slice(), 1),
             Record::put(b"d".as_slice(), b"2".as_slice(), 2),
@@ -1060,27 +1026,25 @@ mod tests {
         // A first data block with no entries.
         let empty = BlockBuilder::new().finish();
         let file = assemble(&fs, "emptyblock.sst", &[empty], &[(last.encoded(), 0)], (b"b", b"d"));
-        let hollow = Arc::new(TableReader::open(env.clone(), file, 2).unwrap());
-        assert!(hollow.range(b"a", b"z").unwrap().is_empty());
-        let run = crate::version::Run::new(vec![hollow]);
+        let run = one_table_run(TableReader::open(env.clone(), file, 2).unwrap());
         for key in [&b"a"[..], b"b", b"c", b"d", b"e"] {
-            let got = run.get(key, ts_max, NeighborPolicy::Required).unwrap();
+            let got = run.get(key, NeighborPolicy::Required).unwrap();
             assert_eq!(got, LevelOutcome::Miss { left: None, right: None }, "{key:?}");
         }
-        assert_eq!(run.neighbor_below(b"z", ts_max).unwrap(), None);
-        assert_eq!(run.neighbor_above(b"a", ts_max).unwrap(), None);
+        for neighbors in [NeighborPolicy::Required, NeighborPolicy::Skip] {
+            assert_eq!(run.walk(b"a", b"z", neighbors).unwrap(), Walk::default());
+        }
 
         // Properties naming a largest key the table does not hold.
         let index = [(last.encoded(), 0)];
         let file = assemble(&fs, "liar.sst", &[block_of(&recs)], &index, (b"b", b"x"));
-        let liar = Arc::new(TableReader::open(env.clone(), file, 3).unwrap());
-        assert_eq!(liar.get(b"x", ts_max).unwrap(), None, "x is not in the table");
-        assert_eq!(liar.range(b"c", b"z").unwrap(), vec![recs[1].clone()]);
-        let run = crate::version::Run::new(vec![liar]);
-        assert_eq!(run.neighbor_below(b"x", ts_max).unwrap(), Some(recs[1].clone()));
+        let liar = TableReader::open(env.clone(), file, 3).unwrap();
+        assert_eq!(liar.get(b"x").unwrap(), None, "x is not in the table");
+        let run = one_table_run(liar);
+        assert_eq!(run.walk(b"c", b"z", NeighborPolicy::Skip).unwrap().records, [recs[1].clone()]);
         for key in [&b"w"[..], b"x"] {
             assert_eq!(
-                run.get(key, ts_max, NeighborPolicy::Required).unwrap(),
+                run.get(key, NeighborPolicy::Required).unwrap(),
                 LevelOutcome::Miss { left: Some(recs[1].clone()), right: None },
                 "{key:?}"
             );

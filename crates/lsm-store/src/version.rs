@@ -17,8 +17,8 @@ use bytes::Bytes;
 use sim_disk::FsError;
 
 use crate::memtable::MemTable;
-use crate::record::{Record, RecordView, Timestamp};
-use crate::sstable::{NeighborPolicy, RangeRecords, TableReader};
+use crate::record::{Record, RecordView};
+use crate::sstable::{walk, NeighborPolicy, TableReader};
 
 /// One sorted run: non-overlapping tables in ascending key order.
 #[derive(Debug)]
@@ -29,17 +29,16 @@ pub struct Run {
 impl Run {
     /// Builds a run from tables sorted by key range.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if tables overlap or are out of order (a corrupt manifest).
-    pub fn new(tables: Vec<Arc<TableReader>>) -> Self {
-        for w in tables.windows(2) {
-            assert!(
-                w[0].meta().largest < w[1].meta().smallest,
-                "run tables must be disjoint and sorted"
-            );
+    /// Returns [`FsError`] naming the first table that overlaps or comes
+    /// before the one listed ahead of it: the host's files or manifest do
+    /// not make a run.
+    pub fn new(tables: Vec<Arc<TableReader>>) -> Result<Self, FsError> {
+        match tables.windows(2).find(|w| w[0].meta().largest >= w[1].meta().smallest) {
+            Some(w) => Err(w[1].corrupt()),
+            None => Ok(Run { tables }),
         }
-        Run { tables }
     }
 
     /// The tables of this run, in key order.
@@ -88,94 +87,48 @@ impl Run {
         (idx < self.tables.len() && &self.tables[idx].meta().smallest[..] <= key).then_some(idx)
     }
 
-    /// Newest record of the greatest user key strictly below `key`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError`] on IO errors.
-    pub fn neighbor_below(&self, key: &[u8], ts_q: Timestamp) -> Result<Option<Record>, FsError> {
-        // Last table whose smallest key is < key.
-        let idx = self.tables.partition_point(|t| &t.meta().smallest[..] < key);
-        let mut i = match idx.checked_sub(1) {
-            Some(i) => i,
-            None => return Ok(None),
-        };
-        loop {
-            if let Some(r) = self.tables[i].newest_before(key, ts_q)? {
-                return Ok(Some(r));
-            }
-            match i.checked_sub(1) {
-                Some(prev) => i = prev,
-                None => return Ok(None),
-            }
-        }
-    }
-
-    /// Newest record of the smallest user key strictly above `key`.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError`] on IO errors.
-    pub fn neighbor_above(&self, key: &[u8], ts_q: Timestamp) -> Result<Option<Record>, FsError> {
-        // First table that might contain a key above: largest >= key.
-        let mut idx = self.tables.partition_point(|t| &t.meta().largest[..] <= key);
-        while idx < self.tables.len() {
-            if let Some(r) = self.tables[idx].newest_after(key, ts_q)? {
-                return Ok(Some(r));
-            }
-            idx += 1;
-        }
-        Ok(None)
-    }
-
-    /// Point lookup across the run: a hit from the table covering `key`,
-    /// else a miss with its bounding neighbors.
+    /// Point lookup across the run: a hit from the table covering `key` —
+    /// a Bloom probe and one block — else a miss.
     ///
     /// With [`NeighborPolicy::Skip`] a miss returns no neighbors and
     /// performs no IO to find them — the unauthenticated fast path.
-    /// [`NeighborPolicy::Required`] resolves both, across files, exactly as
-    /// a traced scan resolves its boundaries (eLSM's non-membership proof
-    /// material).
+    /// [`NeighborPolicy::Required`] resolves both with the walk a traced
+    /// scan makes over `[key, key]` ([`Run::walk`]), starting from the block
+    /// the lookup read (eLSM's non-membership proof material).
     ///
     /// # Errors
     ///
     /// Returns [`FsError`] on IO errors.
-    pub fn get(
-        &self,
-        key: &[u8],
-        ts_q: Timestamp,
-        neighbors: NeighborPolicy,
-    ) -> Result<LevelOutcome, FsError> {
+    pub fn get(&self, key: &[u8], neighbors: NeighborPolicy) -> Result<LevelOutcome, FsError> {
+        let mut probed = None;
         if let Some(idx) = self.covering_table(key) {
-            if let Some(record) = self.tables[idx].get(key, ts_q)? {
+            let (hit, block) = self.tables[idx].lookup(key)?;
+            if let Some(record) = hit {
                 return Ok(LevelOutcome::Hit(record));
             }
+            probed = block.map(|(block_idx, block)| (idx, block_idx, block));
         }
         Ok(match neighbors {
             NeighborPolicy::Skip => LevelOutcome::Miss { left: None, right: None },
-            NeighborPolicy::Required => LevelOutcome::Miss {
-                left: self.neighbor_below(key, ts_q)?,
-                right: self.neighbor_above(key, ts_q)?,
-            },
+            NeighborPolicy::Required => {
+                let Walk { left, right, .. } = walk(&self.tables, key, key, neighbors, probed)?;
+                LevelOutcome::Miss { left, right }
+            }
         })
     }
 
-    /// All records (every version) with user key in `[from, to]`, their
-    /// keys slices of one buffer for the whole run.
+    /// One forward walk over the run for the records with user key in
+    /// `[from, to]` (every version, their keys slices of one buffer) and,
+    /// with [`NeighborPolicy::Required`], the newest records of the keys
+    /// just below `from` and just above `to` — a level's evidence for a
+    /// range (§5.4) or a miss (§5.5.1). Each block is read at most once;
+    /// with [`NeighborPolicy::Skip`] only the blocks holding the range are.
     ///
     /// # Errors
     ///
     /// Returns [`FsError`] on IO errors.
-    pub fn range(&self, from: &[u8], to: &[u8]) -> Result<Vec<Record>, FsError> {
-        RangeRecords::gather(|gathered| {
-            for t in &self.tables {
-                if &t.meta().largest[..] < from || &t.meta().smallest[..] > to {
-                    continue;
-                }
-                t.range_into(from, to, gathered)?;
-            }
-            Ok(())
-        })
+    pub fn walk(&self, from: &[u8], to: &[u8], neighbors: NeighborPolicy) -> Result<Walk, FsError> {
+        walk(&self.tables, from, to, neighbors, None)
     }
 
     /// Streams every record of the run through `f` in key order, one
@@ -325,6 +278,17 @@ pub struct LevelRange {
     pub records: Vec<Record>,
     /// Newest record of the greatest user key `< from` (completeness edge).
     pub left: Option<Record>,
+    /// Newest record of the smallest user key `> to`.
+    pub right: Option<Record>,
+}
+
+/// What one walk over a run found ([`Run::walk`]).
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct Walk {
+    /// Newest record of the greatest user key `< from`.
+    pub left: Option<Record>,
+    /// All records (every version) in `[from, to]`.
+    pub records: Vec<Record>,
     /// Newest record of the smallest user key `> to`.
     pub right: Option<Record>,
 }

@@ -6,9 +6,9 @@
 use std::sync::Arc;
 
 use crate::env::{EnvConfig, StorageEnv};
-use crate::record::{Record, Timestamp};
+use crate::record::Record;
 use crate::sstable::{NeighborPolicy, TableBuilder, TableOptions, TableReader};
-use crate::version::{LevelOutcome, Run};
+use crate::version::{LevelOutcome, Run, Walk};
 use sgx_sim::Platform;
 use sim_disk::{SimDisk, SimFs};
 
@@ -18,36 +18,122 @@ fn env() -> (Arc<StorageEnv>, Arc<SimFs>) {
     (StorageEnv::new(platform, fs.clone(), EnvConfig::default(), None), fs)
 }
 
+/// Writes each record list as one table, file numbers from 1, and opens
+/// them as a run on `env`.
+fn build_run(
+    env: &Arc<StorageEnv>,
+    fs: &SimFs,
+    options: &TableOptions,
+    files: &[Vec<Record>],
+) -> Run {
+    let mut tables = Vec::new();
+    for (file_no, records) in (1u64..).zip(files) {
+        let file = fs.create(&format!("{file_no}.sst")).unwrap();
+        let mut b = TableBuilder::new(env.clone(), file.clone(), file_no, options.clone());
+        for r in records {
+            b.add(r.view());
+        }
+        b.finish();
+        tables.push(Arc::new(TableReader::open(env.clone(), file, file_no).unwrap()));
+    }
+    Run::new(tables).unwrap()
+}
+
 /// Builds a run of three files: keys a..h, i..p, q..x (one record each).
 fn three_file_run() -> Run {
     let (env, fs) = env();
-    let mut tables = Vec::new();
-    for (file_no, range) in [(1u64, b'a'..=b'h'), (2, b'i'..=b'p'), (3, b'q'..=b'x')] {
-        let file = fs.create(&format!("{file_no}.sst")).unwrap();
-        let mut b = TableBuilder::new(env.clone(), file.clone(), file_no, TableOptions::default());
-        for (i, k) in range.enumerate() {
-            b.add(
+    let files: Vec<Vec<Record>> = [(1u64, b'a'..=b'h'), (2, b'i'..=b'p'), (3, b'q'..=b'x')]
+        .into_iter()
+        .map(|(file_no, range)| {
+            let record = |(i, k): (usize, u8)| {
                 Record::put(
                     vec![k],
                     format!("v{}", k as char).into_bytes(),
                     i as u64 + file_no * 100,
                 )
-                .view(),
-            );
-        }
-        b.finish();
-        tables.push(Arc::new(TableReader::open(env.clone(), file, file_no).unwrap()));
-    }
-    Run::new(tables)
+            };
+            range.enumerate().map(record).collect()
+        })
+        .collect();
+    build_run(&env, &fs, &TableOptions::default(), &files)
 }
 
-const TS: Timestamp = Timestamp::MAX >> 1;
+/// A run of three files of small blocks: keys `k000..k089`, thirty a
+/// file, with version chains that straddle blocks — key 15 in twelve
+/// versions, the first file's last key (29) in eight, key 44 in twelve.
+fn chained_run(env: &Arc<StorageEnv>, fs: &SimFs) -> Run {
+    let versions = |i: u64| match i {
+        15 | 44 => 12,
+        29 => 8,
+        _ => 1,
+    };
+    let mut ts = 10_000;
+    let files: Vec<Vec<Record>> = (0..3u64)
+        .map(|file| {
+            let mut records = Vec::new();
+            for i in file * 30..file * 30 + 30 {
+                for v in 0..versions(i) {
+                    ts -= 1;
+                    let value = format!("{i:03}.{v:02}").repeat(5).into_bytes();
+                    records.push(Record::put(format!("k{i:03}").into_bytes(), value, ts));
+                }
+            }
+            records
+        })
+        .collect();
+    let options = TableOptions { block_size: 256, bloom_bits_per_key: 10 };
+    build_run(env, fs, &options, &files)
+}
+
+/// Every record of `run`, in order.
+fn all_records(run: &Run) -> Vec<Record> {
+    let mut all = Vec::new();
+    run.for_each_record(|r| all.push(r.to_record())).unwrap();
+    all
+}
+
+/// The brute-force walk: over every record of the run, the records in
+/// `[from, to]`, the first (newest) record of the greatest key below
+/// `from` and the first record above `to`.
+fn reference_walk(all: &[Record], from: &[u8], to: &[u8]) -> Walk {
+    let below = all.iter().rev().find(|r| &r.key[..] < from);
+    Walk {
+        left: below.and_then(|last| all.iter().find(|r| r.key == last.key)).cloned(),
+        records: all.iter().filter(|r| from <= &r.key[..] && &r.key[..] <= to).cloned().collect(),
+        right: all.iter().find(|r| &r.key[..] > to).cloned(),
+    }
+}
+
+/// The brute-force `Run::get(key, Required)`: the key's newest record, or
+/// the miss's two neighbours.
+fn reference_get(all: &[Record], key: &[u8]) -> LevelOutcome {
+    match all.iter().find(|r| r.key == key) {
+        Some(r) => LevelOutcome::Hit(r.clone()),
+        None => {
+            let Walk { left, right, .. } = reference_walk(all, key, key);
+            LevelOutcome::Miss { left, right }
+        }
+    }
+}
+
+/// Every key of the run and every gap: before the first key, between
+/// neighbouring keys within a file and across files, after the last.
+fn probes(all: &[Record]) -> Vec<Vec<u8>> {
+    let mut probes = vec![b"A".to_vec()];
+    for r in all {
+        if probes.last() != Some(&[&r.key[..], &[1]].concat()) {
+            probes.push(r.key.to_vec());
+            probes.push([&r.key[..], &[1]].concat());
+        }
+    }
+    probes
+}
 
 #[test]
 fn get_hits_in_every_file() {
     let run = three_file_run();
     for k in [b'a', b'h', b'i', b'p', b'q', b'x'] {
-        match run.get(&[k], TS, NeighborPolicy::Required).unwrap() {
+        match run.get(&[k], NeighborPolicy::Required).unwrap() {
             LevelOutcome::Hit(r) => assert_eq!(r.key[0], k),
             other => panic!("expected hit for {}: {other:?}", k as char),
         }
@@ -60,7 +146,7 @@ fn neighbors_cross_file_boundaries() {
     // No key between 'h' (file 1) and 'i' (file 2) exists; query a gap by
     // deleting nothing — keys are contiguous, so probe before 'a' and
     // after 'x' instead, plus the synthetic key "h\x01" between files.
-    match run.get(b"h\x01", TS, NeighborPolicy::Required).unwrap() {
+    match run.get(b"h\x01", NeighborPolicy::Required).unwrap() {
         LevelOutcome::Miss { left, right } => {
             assert_eq!(&left.unwrap().key[..], b"h", "left neighbor from file 1");
             assert_eq!(&right.unwrap().key[..], b"i", "right neighbor from file 2");
@@ -80,20 +166,20 @@ fn a_run_meets_what_its_key_range_touches() {
     for (from, to) in [(&b"A"[..], &b"Z"[..]), (b"x\x00", b"z"), (b"z", b"z")] {
         assert!(!run.meets(from, to), "{from:?}..={to:?}");
     }
-    assert!(!Run::new(Vec::new()).meets(b"a", b"z"));
+    assert!(!Run::new(Vec::new()).unwrap().meets(b"a", b"z"));
 }
 
 #[test]
 fn boundary_misses_have_one_sided_neighbors() {
     let run = three_file_run();
-    match run.get(b"A", TS, NeighborPolicy::Required).unwrap() {
+    match run.get(b"A", NeighborPolicy::Required).unwrap() {
         LevelOutcome::Miss { left, right } => {
             assert!(left.is_none());
             assert_eq!(&right.unwrap().key[..], b"a");
         }
         other => panic!("{other:?}"),
     }
-    match run.get(b"z", TS, NeighborPolicy::Required).unwrap() {
+    match run.get(b"z", NeighborPolicy::Required).unwrap() {
         LevelOutcome::Miss { left, right } => {
             assert_eq!(&left.unwrap().key[..], b"x");
             assert!(right.is_none());
@@ -102,72 +188,175 @@ fn boundary_misses_have_one_sided_neighbors() {
     }
 }
 
-/// `Run::get(.., Required)` as it read while a table answered a miss with
-/// its own neighbours and the run patched the `None`s — kept as the oracle
-/// for the run finding both neighbours itself.
-fn get_as_patched_table_miss(run: &Run, key: &[u8], ts_q: Timestamp) -> LevelOutcome {
-    let tables = run.tables();
-    let idx = tables.partition_point(|t| &t.meta().largest[..] < key);
-    let covering = (idx < tables.len() && &tables[idx].meta().smallest[..] <= key).then_some(idx);
-    match covering {
-        Some(idx) => match tables[idx].get(key, ts_q).unwrap() {
-            Some(r) => LevelOutcome::Hit(r),
-            None => {
-                let left = tables[idx].newest_before(key, ts_q).unwrap();
-                let right = tables[idx].newest_after(key, ts_q).unwrap();
-                let left = match left {
-                    Some(l) => Some(l),
-                    None => run.neighbor_below(key, ts_q).unwrap(),
-                };
-                let right = match right {
-                    Some(r) => Some(r),
-                    None => run.neighbor_above(key, ts_q).unwrap(),
-                };
-                LevelOutcome::Miss { left, right }
-            }
-        },
-        None => LevelOutcome::Miss {
-            left: run.neighbor_below(key, ts_q).unwrap(),
-            right: run.neighbor_above(key, ts_q).unwrap(),
-        },
-    }
-}
-
-/// Every key of the run and every gap — before the first key, between
-/// neighbouring keys within a file and across files, after the last — at
-/// the latest timestamp and at snapshots that hide whole files.
+/// Every key and gap as a GET, and every window between two of them as a
+/// scan, under both policies, against the brute-force reference over the
+/// run's records — on `three_file_run` and on a run whose version chains
+/// straddle blocks.
 #[test]
-fn run_finds_the_neighbors_a_patched_table_miss_found() {
-    let run = three_file_run();
-    let mut probes: Vec<Vec<u8>> = vec![b"A".to_vec()];
-    for k in b'a'..=b'x' {
-        probes.push(vec![k]);
-        probes.push(vec![k, 1]);
-    }
-    for ts_q in [TS, 305, 250, 150, 103, 50] {
+fn gets_and_walks_match_a_brute_force_reference() {
+    let (env, fs) = env();
+    for run in [three_file_run(), chained_run(&env, &fs)] {
+        let all = all_records(&run);
+        let probes = probes(&all);
         for key in &probes {
-            let got = run.get(key, ts_q, NeighborPolicy::Required).unwrap();
-            assert_eq!(got, get_as_patched_table_miss(&run, key, ts_q), "{key:?} at {ts_q}");
-            if ts_q == TS {
-                let is_key = key.len() == 1 && key[0] >= b'a';
-                assert_eq!(matches!(got, LevelOutcome::Hit(_)), is_key, "{key:?}");
+            let want = reference_get(&all, key);
+            assert_eq!(run.get(key, NeighborPolicy::Required).unwrap(), want, "{key:?}");
+            let skipped = match want {
+                LevelOutcome::Miss { .. } => LevelOutcome::Miss { left: None, right: None },
+                hit => hit,
+            };
+            assert_eq!(run.get(key, NeighborPolicy::Skip).unwrap(), skipped, "{key:?}");
+        }
+        for (i, from) in probes.iter().enumerate() {
+            for to in &probes[i..] {
+                let want = reference_walk(&all, from, to);
+                let got = run.walk(from, to, NeighborPolicy::Required).unwrap();
+                assert_eq!(got, want, "{from:?}..={to:?}");
+                let got = run.walk(from, to, NeighborPolicy::Skip).unwrap();
+                assert_eq!(got, Walk { records: want.records, ..Walk::default() });
             }
         }
     }
-    // A snapshot from before files 2 and 3 were written: file 1's last key
-    // below, nothing above.
-    match run.get(b"j\x01", 150, NeighborPolicy::Required).unwrap() {
-        LevelOutcome::Miss { left, right } => {
-            assert_eq!((left.map(|r| r.key[0]), right), (Some(b'h'), None));
+}
+
+/// Where each record of a run sits: `(table, block)` per record, in order.
+fn record_blocks(run: &Run) -> Vec<(usize, usize)> {
+    let mut at = Vec::new();
+    for (t, table) in run.tables().iter().enumerate() {
+        for (b, records) in table.block_records().iter().enumerate() {
+            at.extend(std::iter::repeat_n((t, b), records.len()));
         }
-        other => panic!("{other:?}"),
+    }
+    at
+}
+
+/// `run`'s tables opened afresh on an environment of their own, whose
+/// block cache starts empty: its hits are blocks a query read twice, its
+/// misses the distinct blocks it read.
+fn cold(run: &Run, fs: &Arc<SimFs>) -> (Run, Arc<StorageEnv>) {
+    let config = EnvConfig { in_enclave: false, ..EnvConfig::default() };
+    let env = StorageEnv::new(fs.platform().clone(), fs.clone(), config, None);
+    let tables = run.tables().iter().map(|t| {
+        let file_no = t.meta().file_no;
+        let file = fs.open(&format!("{file_no}.sst")).unwrap();
+        Arc::new(TableReader::open(env.clone(), file, file_no).unwrap())
+    });
+    (Run::new(tables.collect()).unwrap(), env)
+}
+
+/// Blocks read twice and distinct blocks read by `query` on a cold copy of
+/// `run`.
+fn reads(run: &Run, fs: &Arc<SimFs>, query: impl FnOnce(&Run)) -> (u64, u64) {
+    let (run, env) = cold(run, fs);
+    query(&run);
+    env.cache_stats().unwrap()
+}
+
+/// One scan or one GET miss reads each block of a run at most once: the
+/// block the GET's lookup read is where the walk for its neighbours starts,
+/// and the walk steps across block and table boundaries without a new
+/// search. It reads exactly the blocks holding its evidence — the left
+/// neighbour's newest record, the range, the right neighbour — and with
+/// `Skip` exactly the blocks holding the range, from the one its first
+/// record would be in to the one that ends it in each table it meets.
+/// Every window between two keys or gaps runs, and among them these
+/// cases: the left neighbour opens its block, lies in the previous table
+/// or has a version chain that straddles blocks; the right neighbour lies
+/// in the next table.
+#[test]
+fn a_query_reads_each_block_at_most_once() {
+    let (env, fs) = env();
+    let run = chained_run(&env, &fs);
+    let all = all_records(&run);
+    let at = record_blocks(&run);
+    let position = |r: &Record| all.iter().position(|a| a == r).unwrap();
+    let probes = probes(&all);
+    let [mut opens, mut previous_table, mut straddles, mut next_table] = [0; 4];
+    let mut evidence_blocks = |w: &Walk, start: (usize, usize)| {
+        let mut blocks: Vec<(usize, usize)> = w.records.iter().map(|r| at[position(r)]).collect();
+        if let Some(left) = &w.left {
+            let head = at[position(left)];
+            blocks.push(head);
+            opens += u32::from(position(left) == 0 || at[position(left) - 1] != head);
+            previous_table += u32::from(head.0 < start.0);
+            straddles += u32::from(
+                all.iter().filter(|r| r.key == left.key).count() > 1 && {
+                    let last = all.iter().rposition(|r| r.key == left.key).unwrap();
+                    at[last] != head
+                },
+            );
+        }
+        if let Some(right) = &w.right {
+            let block = at[position(right)];
+            blocks.push(block);
+            next_table += u32::from(block.0 > start.0);
+        }
+        blocks.sort();
+        blocks.dedup();
+        blocks.len() as u64
+    };
+    // The block a query starting at `from` starts in: that of the first
+    // record at or past `from`.
+    let start = |from: &[u8]| all.iter().position(|r| &r.key[..] >= from).map(|i| at[i]);
+    for key in &probes {
+        if all.iter().any(|r| r.key == *key) {
+            continue;
+        }
+        let want = reference_walk(&all, key, key);
+        let (twice, distinct) = reads(&run, &fs, |run| {
+            assert!(matches!(
+                run.get(key, NeighborPolicy::Required),
+                Ok(LevelOutcome::Miss { .. })
+            ));
+        });
+        assert_eq!(twice, 0, "GET {key:?} read a block twice");
+        let from = start(key).unwrap_or((usize::MAX, 0));
+        assert_eq!(distinct, evidence_blocks(&want, from), "GET {key:?}");
+    }
+    for (i, from) in probes.iter().enumerate() {
+        for to in probes[i..].iter().take(6) {
+            let want = reference_walk(&all, from, to);
+            let (twice, distinct) = reads(&run, &fs, |run| {
+                assert_eq!(run.walk(from, to, NeighborPolicy::Required).unwrap(), want);
+            });
+            assert_eq!(twice, 0, "scan {from:?}..={to:?} read a block twice");
+            let start_block = start(from).unwrap_or((usize::MAX, 0));
+            assert_eq!(distinct, evidence_blocks(&want, start_block), "scan {from:?}..={to:?}");
+
+            let (twice, distinct) = reads(&run, &fs, |run| {
+                assert_eq!(run.walk(from, to, NeighborPolicy::Skip).unwrap().records, want.records);
+            });
+            assert_eq!(twice, 0, "skip scan {from:?}..={to:?} read a block twice");
+            // Per table the range meets: its first record at or past
+            // `from` to its first past `to`, or its last.
+            let mut range_blocks = 0;
+            for t in 0..run.tables().len() {
+                let held: Vec<usize> = (0..all.len()).filter(|&i| at[i].0 == t).collect();
+                let (smallest, largest) = (&all[held[0]].key, &all[*held.last().unwrap()].key);
+                if smallest[..] > to[..] || largest[..] < from[..] {
+                    continue;
+                }
+                let first = held.iter().find(|&&i| all[i].key[..] >= from[..]).unwrap();
+                let end = held.iter().find(|&&i| all[i].key[..] > to[..]);
+                range_blocks += (at[*end.unwrap_or(held.last().unwrap())].1 - at[*first].1) + 1;
+            }
+            assert_eq!(distinct, range_blocks as u64, "skip scan {from:?}..={to:?}");
+        }
+    }
+    for (case, seen) in [
+        ("opens its block", opens),
+        ("in the previous table", previous_table),
+        ("chain straddles blocks", straddles),
+        ("right in the next table", next_table),
+    ] {
+        assert!(seen > 0, "no query had its left neighbour {case}");
     }
 }
 
 #[test]
-fn range_spans_files() {
+fn walk_spans_files() {
     let run = three_file_run();
-    let got = run.range(b"f", b"k").unwrap();
+    let got = run.walk(b"f", b"k", NeighborPolicy::Skip).unwrap().records;
     let keys: Vec<u8> = got.iter().map(|r| r.key[0]).collect();
     assert_eq!(keys, vec![b'f', b'g', b'h', b'i', b'j', b'k']);
 }
@@ -183,17 +372,18 @@ fn totals_aggregate_files() {
     assert_eq!(count, 24);
 }
 
+/// Tables that overlap, or that a manifest lists out of order, are an
+/// error: they are the host's files and do not make a run.
 #[test]
-#[should_panic(expected = "disjoint and sorted")]
 fn overlapping_tables_rejected() {
     let (env, fs) = env();
-    let mut tables = Vec::new();
-    for file_no in [1u64, 2] {
-        let file = fs.create(&format!("{file_no}.sst")).unwrap();
-        let mut b = TableBuilder::new(env.clone(), file.clone(), file_no, TableOptions::default());
-        b.add(Record::put(b"same".as_slice(), b"v".as_slice(), file_no).view());
-        b.finish();
-        tables.push(Arc::new(TableReader::open(env.clone(), file, file_no).unwrap()));
-    }
-    let _ = Run::new(tables);
+    let one = |key: &[u8], ts| vec![Record::put(key, b"v".as_slice(), ts)];
+    let overlapping = build_run(&env, &fs, &TableOptions::default(), &[one(b"same", 1)]);
+    let tables = overlapping.tables().to_vec();
+    assert!(Run::new(vec![tables[0].clone(), tables[0].clone()]).is_err());
+    let (env, fs) = self::env();
+    let ordered = build_run(&env, &fs, &TableOptions::default(), &[one(b"a", 1), one(b"b", 2)]);
+    let mut swapped = ordered.tables().to_vec();
+    swapped.reverse();
+    assert!(Run::new(swapped).is_err());
 }

@@ -3,7 +3,7 @@
 //! allocation watch of `crates/merkle/tests/decode_reservation.rs`, run
 //! over the two decoders a read now walks in place — a data block
 //! (`Block::parse`, then `BlockIter::advance` and seeks) and a whole table
-//! (`TableReader::open`, then `get`, the neighbour searches and `range`) —
+//! (`TableReader::open`, then `get` and a run's `get` and `walk`) —
 //! and over the two the write path's bytes come back through: a WAL batch
 //! frame (`decode_frame`: a replica's shipment, a replayed log) and a
 //! record (`Record::decode` / `decode_prefix`), whose encodings the store
@@ -38,8 +38,8 @@ use elsm_repro::lsm_store::vlog::{
 };
 use elsm_repro::lsm_store::{
     decode_frame, decode_manifest, encode_frame, internal_cmp, CompactionJob, EnvConfig, Manifest,
-    Record, StorageEnv, TableBuilder, TableOptions, TableReader, Timestamp, ValueKind, Vlog,
-    VlogConfig, VlogGcJob, VlogPtr,
+    NeighborPolicy, Record, Run, StorageEnv, TableBuilder, TableOptions, TableReader, Timestamp,
+    ValueKind, Vlog, VlogConfig, VlogGcJob, VlogPtr, Walk,
 };
 use elsm_repro::replica::{decode_event, encode_event, WireEvent};
 use elsm_repro::sgx_sim::{CostModel, Platform};
@@ -229,17 +229,20 @@ fn table_records(table: &TableReader) -> Option<Vec<Record>> {
     Some(out)
 }
 
-/// Every read a verified query makes of one table, for the keys `probes`;
-/// the results are dropped, only a panic or an allocation matters.
-fn read_everything(table: &TableReader, probes: &[Vec<u8>]) {
-    let ts = Timestamp::MAX >> 1;
+/// Every read a verified query makes of one table, for the keys `probes`:
+/// a point lookup, a traced GET (its miss walks to both neighbours) and
+/// the walk of a scan over the probes under both policies, the table a run
+/// of its own; the results are dropped, only a panic or an allocation
+/// matters.
+fn read_everything(table: &Arc<TableReader>, probes: &[Vec<u8>]) {
+    let run = Run::new(vec![table.clone()]).expect("one table is a run");
     for key in probes {
-        let _ = table.get(key, ts);
-        let _ = table.get(key, 5);
-        let _ = table.newest_before(key, ts);
-        let _ = table.newest_after(key, ts);
+        let _ = table.get(key);
+        let _ = run.get(key, NeighborPolicy::Required);
     }
-    let _ = table.range(&probes[0], &probes[probes.len() - 1]);
+    for neighbors in [NeighborPolicy::Required, NeighborPolicy::Skip] {
+        let _ = run.walk(&probes[0], &probes[probes.len() - 1], neighbors);
+    }
 }
 
 proptest! {
@@ -312,11 +315,13 @@ proptest! {
         let base = file.read_at(0, file.len()).unwrap().to_vec();
         let other = write_table(&env, &fs, 2, &records(&spliced));
         let other = other.read_at(0, other.len()).unwrap().to_vec();
-        let table = TableReader::open(env.clone(), file, 1).expect("own table opens");
+        let table = Arc::new(TableReader::open(env.clone(), file, 1).expect("own table opens"));
         prop_assert_eq!(table_records(&table), Some(honest.clone()));
-        prop_assert_eq!(table.range(b"key", b"key~").unwrap(), honest.clone());
+        let run = Run::new(vec![table.clone()]).unwrap();
+        let walk = run.walk(b"key", b"key~", NeighborPolicy::Required).unwrap();
+        prop_assert_eq!(walk, Walk { records: honest.clone(), ..Walk::default() });
         for record in &honest {
-            let newest = table.get(&record.key, Timestamp::MAX >> 1).unwrap().unwrap();
+            let newest = table.get(&record.key).unwrap().unwrap();
             prop_assert_eq!(&newest, honest.iter().find(|r| r.key == record.key).unwrap());
         }
 
@@ -331,12 +336,12 @@ proptest! {
             let file = fs.create(&format!("{file_no}.sst")).unwrap();
             file.append(&buf);
             let (opened, largest) = largest_allocation(|| {
-                let table = TableReader::open(env.clone(), file, file_no).ok()?;
+                let table = Arc::new(TableReader::open(env.clone(), file, file_no).ok()?);
                 read_everything(&table, &probes);
                 Some(table)
             });
             prop_assert!(largest <= PER_INPUT_BYTE * buf.len(), "{largest} B for {} B", buf.len());
-            let Some(decoded) = opened.as_ref().and_then(table_records) else { continue };
+            let Some(decoded) = opened.as_deref().and_then(table_records) else { continue };
             let keys: Vec<Vec<u8>> =
                 decoded.iter().map(|r| r.internal_key().encoded().to_vec()).collect();
             if !decoded.is_empty() && strictly_increasing(keys.iter().map(Vec::as_slice)) {

@@ -172,6 +172,36 @@ fn a_rewritten_manifest_breaks_its_seal() {
     }
 }
 
+/// The host swaps the names of two table files of one level while the
+/// store is down, so the manifest lists that level's tables out of key
+/// order. The restart refuses with an error; it does not panic building
+/// the level's run.
+#[test]
+fn swapped_table_files_are_refused_at_restart() {
+    let platform = Platform::with_defaults();
+    let fs = SimFs::new(SimDisk::new(platform.clone()));
+    let options = P2Options { target_file_bytes: 2 * 1024, ..opts() };
+    let store = ElsmP2::open_with(platform.clone(), fs.clone(), options.clone(), None).unwrap();
+    for i in 0..400u32 {
+        store.put(format!("key{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
+    }
+    store.db().flush().unwrap();
+    let version = store.db().current_version();
+    let tables = version.levels().iter().flatten().map(|run| run.tables()).find(|t| t.len() > 1);
+    let tables = tables.expect("a level of several tables");
+    let names = [0, 1].map(|i| format!("{:06}.sst", tables[i].meta().file_no));
+    drop(version);
+    store.close().unwrap();
+    drop(store);
+    fs.rename(&names[0], "swap.sst").unwrap();
+    fs.rename(&names[1], &names[0]).unwrap();
+    fs.rename("swap.sst", &names[1]).unwrap();
+    match ElsmP2::open_with(platform, fs, options, None) {
+        Err(ElsmError::Io(_)) => {}
+        other => panic!("swapped tables must not open, got {other:?}"),
+    }
+}
+
 #[test]
 fn poisoned_store_refuses_service() {
     let store = loaded_store();
