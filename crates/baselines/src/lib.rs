@@ -4,9 +4,9 @@
 //!
 //! * [`EleosStore`] — the Eleos baseline (§6.1): in-enclave update-in-place
 //!   sorted array with user-space software paging and a 1 GB cap,
-//! * [`UnsecuredLsm`] — vanilla LevelDB with no enclave ("LevelDB
+//! * [`open_unsecured`] — vanilla LevelDB with no enclave ("LevelDB
 //!   (Unsecure)" in Figure 5a) and the code-in-enclave/buffer-outside
-//!   unsecured "ideal" of Figures 2 and 6a,
+//!   unsecured "ideal" of Figures 2 and 6a, as a bare `lsm_store::Db`,
 //! * [`MbtStore`] — the conventional update-in-place Merkle B-tree ADS the
 //!   paper's §3.4 argues against,
 //! * [`ShardedUnsecured`] — N unsecured LSM partitions behind the same
@@ -27,4 +27,4 @@ pub use eleos::{EleosCapacityExceeded, EleosOptions, EleosStore};
 pub use mbt_store::MbtStore;
 pub use replicated::ReplicatedUnsecured;
 pub use sharded::ShardedUnsecured;
-pub use unsecured::{UnsecuredLsm, UnsecuredOptions};
+pub use unsecured::{open_unsecured, open_unsecured_with, UnsecuredOptions};

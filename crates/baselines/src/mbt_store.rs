@@ -167,7 +167,7 @@ mod tests {
         }
 
         let p_lsm = Platform::with_defaults();
-        let lsm = crate::unsecured::UnsecuredLsm::open(
+        let lsm = crate::unsecured::open_unsecured(
             p_lsm.clone(),
             crate::unsecured::UnsecuredOptions::default(),
         )

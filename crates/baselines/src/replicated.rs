@@ -11,11 +11,11 @@
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
-use lsm_store::Record;
+use lsm_store::{Db, Record, WriteBatch};
 use sgx_sim::Platform;
 use sim_disk::FsError;
 
-use crate::unsecured::{UnsecuredLsm, UnsecuredOptions};
+use crate::unsecured::{open_unsecured, UnsecuredOptions};
 
 /// An unsecured primary with N unsecured read replicas.
 ///
@@ -34,8 +34,8 @@ use crate::unsecured::{UnsecuredLsm, UnsecuredOptions};
 /// ```
 #[derive(Debug)]
 pub struct ReplicatedUnsecured {
-    primary: UnsecuredLsm,
-    replicas: Vec<UnsecuredLsm>,
+    primary: Db,
+    replicas: Vec<Db>,
     rr: AtomicUsize,
 }
 
@@ -51,9 +51,9 @@ impl ReplicatedUnsecured {
         replicas: usize,
         options: UnsecuredOptions,
     ) -> Result<Self, FsError> {
-        let primary = UnsecuredLsm::open(platform.clone(), options.clone())?;
+        let primary = open_unsecured(platform.clone(), options.clone())?;
         let replicas = (0..replicas)
-            .map(|_| UnsecuredLsm::open(Platform::new(platform.cost().clone()), options.clone()))
+            .map(|_| open_unsecured(Platform::new(platform.cost().clone()), options.clone()))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ReplicatedUnsecured { primary, replicas, rr: AtomicUsize::new(0) })
     }
@@ -64,26 +64,26 @@ impl ReplicatedUnsecured {
     }
 
     /// The primary store.
-    pub fn primary(&self) -> &UnsecuredLsm {
+    pub fn primary(&self) -> &Db {
         &self.primary
     }
 
     /// Replica `i`'s store.
-    pub fn replica(&self, i: usize) -> &UnsecuredLsm {
+    pub fn replica(&self, i: usize) -> &Db {
         &self.replicas[i]
     }
 
     /// Replica `i`'s platform (its machine's clock).
     pub fn replica_platform(&self, i: usize) -> &Arc<Platform> {
-        self.replicas[i].platform()
+        self.replicas[i].env().platform()
     }
 
     /// The primary's platform.
     pub fn primary_platform(&self) -> &Arc<Platform> {
-        self.primary.platform()
+        self.primary.env().platform()
     }
 
-    fn read_node(&self) -> &UnsecuredLsm {
+    fn read_node(&self) -> &Db {
         if self.replicas.is_empty() {
             return &self.primary;
         }
@@ -110,9 +110,9 @@ impl ReplicatedUnsecured {
     ///
     /// Returns [`FsError`] on IO failure.
     pub fn put_batch(&self, items: &[(&[u8], &[u8])]) -> Result<Vec<u64>, FsError> {
-        let ts = self.primary.put_batch(items)?;
+        let ts = self.primary.write_batch(WriteBatch::from_puts(items))?;
         for replica in &self.replicas {
-            replica.put_batch(items)?;
+            replica.write_batch(WriteBatch::from_puts(items))?;
         }
         Ok(ts)
     }
@@ -154,9 +154,9 @@ impl ReplicatedUnsecured {
     ///
     /// Returns [`FsError`] on IO failure.
     pub fn flush(&self) -> Result<(), FsError> {
-        self.primary.db().flush()?;
+        self.primary.flush()?;
         for replica in &self.replicas {
-            replica.db().flush()?;
+            replica.flush()?;
         }
         Ok(())
     }

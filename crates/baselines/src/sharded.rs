@@ -9,11 +9,11 @@
 use std::sync::Arc;
 
 use elsm_shard::Partitioner;
-use lsm_store::Record;
+use lsm_store::{Db, Record, WriteBatch};
 use sgx_sim::Platform;
 use sim_disk::FsError;
 
-use crate::unsecured::{UnsecuredLsm, UnsecuredOptions};
+use crate::unsecured::{open_unsecured, UnsecuredOptions};
 
 /// A sharded, unsecured LSM cluster.
 ///
@@ -35,7 +35,7 @@ use crate::unsecured::{UnsecuredLsm, UnsecuredOptions};
 pub struct ShardedUnsecured {
     router: Arc<Platform>,
     partitioner: Partitioner,
-    shards: Vec<UnsecuredLsm>,
+    shards: Vec<Db>,
 }
 
 impl ShardedUnsecured {
@@ -52,7 +52,7 @@ impl ShardedUnsecured {
     ) -> Result<Self, FsError> {
         let partitioner = Partitioner::new(shards);
         let shards = (0..partitioner.shards())
-            .map(|_| UnsecuredLsm::open(Platform::new(router.cost().clone()), options.clone()))
+            .map(|_| open_unsecured(Platform::new(router.cost().clone()), options.clone()))
             .collect::<Result<Vec<_>, _>>()?;
         Ok(ShardedUnsecured { router, partitioner, shards })
     }
@@ -73,13 +73,13 @@ impl ShardedUnsecured {
     }
 
     /// Shard `i`'s store.
-    pub fn shard(&self, i: usize) -> &UnsecuredLsm {
+    pub fn shard(&self, i: usize) -> &Db {
         &self.shards[i]
     }
 
     /// Shard `i`'s platform.
     pub fn shard_platform(&self, i: usize) -> &Arc<Platform> {
-        self.shards[i].platform()
+        self.shards[i].env().platform()
     }
 
     /// Flushes every shard's memtable.
@@ -89,7 +89,7 @@ impl ShardedUnsecured {
     /// Returns [`FsError`] on IO failure.
     pub fn flush(&self) -> Result<(), FsError> {
         for shard in &self.shards {
-            shard.db().flush()?;
+            shard.flush()?;
         }
         Ok(())
     }
@@ -123,7 +123,7 @@ impl ShardedUnsecured {
         let per_shard = self.partitioner.split_indices(items.iter().map(|(key, _)| *key));
         elsm_shard::stitch::run_sharded_batches(&per_shard, items.len(), |shard, indexes| {
             let sub: Vec<(&[u8], &[u8])> = indexes.iter().map(|&i| items[i]).collect();
-            self.shards[shard].put_batch(&sub)
+            self.shards[shard].write_batch(WriteBatch::from_puts(&sub))
         })
     }
 

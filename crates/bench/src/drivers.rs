@@ -8,7 +8,8 @@
 //! baselines, which have nothing to amortize).
 
 use elsm::AuthenticatedKv;
-use elsm_baselines::{EleosStore, MbtStore, ReplicatedUnsecured, ShardedUnsecured, UnsecuredLsm};
+use elsm_baselines::{EleosStore, MbtStore, ReplicatedUnsecured, ShardedUnsecured};
+use lsm_store::{Db, WriteBatch};
 use ycsb::KvDriver;
 
 fn as_refs(items: &[(Vec<u8>, Vec<u8>)]) -> Vec<(&[u8], &[u8])> {
@@ -37,14 +38,14 @@ impl<S: AuthenticatedKv> KvDriver for Verified<S> {
     }
 }
 
-/// Driver over the unsecured LSM baselines — one store, a sharded
+/// Driver over the unsecured LSM baselines — one bare [`Db`], a sharded
 /// cluster, a replicated group — which share a `Result`-returning API
-/// but no trait.
+/// but no trait; each names its batch entry point.
 #[derive(Debug)]
 pub struct Unsecured<S>(pub S);
 
 macro_rules! unsecured_driver {
-    ($($store:ty),*) => {$(
+    ($($store:ty => $put_batch:expr),*) => {$(
         impl KvDriver for Unsecured<$store> {
             fn put(&self, key: &[u8], value: &[u8]) {
                 self.0.put(key, value).expect("unsecured put");
@@ -56,12 +57,16 @@ macro_rules! unsecured_driver {
                 self.0.scan(from, to).expect("unsecured scan").len()
             }
             fn put_batch(&self, items: &[(Vec<u8>, Vec<u8>)]) {
-                self.0.put_batch(&as_refs(items)).expect("unsecured put_batch");
+                ($put_batch)(&self.0, &as_refs(items)).expect("unsecured put_batch");
             }
         }
     )*};
 }
-unsecured_driver!(UnsecuredLsm, ShardedUnsecured, ReplicatedUnsecured);
+unsecured_driver!(
+    Db => |db: &Db, items: &[(&[u8], &[u8])]| db.write_batch(WriteBatch::from_puts(items)),
+    ShardedUnsecured => ShardedUnsecured::put_batch,
+    ReplicatedUnsecured => ReplicatedUnsecured::put_batch
+);
 
 /// Driver over the update-in-place baselines, Eleos and the Merkle
 /// B-tree store. Eleos puts beyond its capacity limit are dropped (the

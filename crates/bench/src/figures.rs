@@ -10,7 +10,7 @@
 //! [`crate::scale::Scale`]).
 
 use elsm::{ElsmP1, ElsmP2, P1Options, P2Options, ReadMode};
-use elsm_baselines::{MbtStore, UnsecuredLsm, UnsecuredOptions};
+use elsm_baselines::{open_unsecured_with, MbtStore, UnsecuredOptions};
 use sim_disk::{SimDisk, SimFs};
 use ycsb::{KvDriver, Phase, Table, Workload, CLIENT_SEED_MIX};
 
@@ -18,9 +18,9 @@ use crate::drivers::{InPlace, Verified};
 use crate::results::{note_concurrent, note_concurrent_gauges, note_run_gauges, set_figure};
 use crate::scale::{Scale, VALUE_BYTES};
 use crate::systems::{
-    eleos, leveldb_outside, machine, mix, open_p1, open_p2, open_unsecured, p1, p1_options, p2,
-    p2_options, reads, replicated_p2, replicated_unsecured, sharded_p2, sharded_unsecured, sut_p1,
-    sut_p2, sut_unsecured, unsecured_options, writes, Cell, Sut,
+    buffered, eleos, leveldb_outside, machine, mix, open_p1, open_p2, open_unsecured, p1,
+    p1_options, p2, p2_options, reads, replicated_p2, replicated_unsecured, sharded_p2,
+    sharded_unsecured, sut_p1, sut_p2, sut_unsecured, unsecured_options, writes, Cell, Sut,
 };
 
 /// Run-size knobs (quick mode keeps CI fast; full mode for the record).
@@ -68,8 +68,8 @@ pub fn fig2(scale: &Scale, opts: FigOpts) -> Table {
     for &buf in buffers {
         // Outside: code in enclave, user-space buffer in untrusted memory.
         let (platform, fs) = small_memory_machine();
-        let options = unsecured_options(scale, true, false, buf);
-        let outside = sut_unsecured(UnsecuredLsm::open_with(platform, fs, options).expect("open"));
+        let options = unsecured_options(scale, true, buffered(scale, buf));
+        let outside = sut_unsecured(open_unsecured_with(platform, fs, options).expect("open"));
         // Inside: eLSM-P1's enclave buffer (plus SDK file protection).
         let (platform, fs) = small_memory_machine();
         let inside = sut_p1(ElsmP1::open_with(platform, fs, p1_options(scale, buf)).expect("open"));
@@ -131,7 +131,7 @@ pub fn fig5a(scale: &Scale, opts: FigOpts) -> Table {
         table.row_f64(
             pct,
             &[
-                p2(scale, ReadMode::Mmap, 8).latency(&cell),
+                p2(scale, ReadMode::Mmap).latency(&cell),
                 p1(scale, 64).latency(&cell),
                 leveldb_outside(scale).latency(&cell),
             ],
@@ -152,7 +152,7 @@ pub fn fig5b(scale: &Scale, opts: FigOpts) -> Table {
         let cell = mix(&Workload::a(), scale.records_for_gb(gb), opts.ops());
         table.row(vec![
             format!("{gb:.1}"),
-            format!("{:.1}", p2(scale, ReadMode::Mmap, 8).latency(&cell)),
+            format!("{:.1}", p2(scale, ReadMode::Mmap).latency(&cell)),
             format!("{:.1}", p1(scale, 64).latency(&cell)),
             eleos_column(scale, gb <= 1.0, &cell),
         ]);
@@ -173,7 +173,7 @@ pub fn fig5c(scale: &Scale, opts: FigOpts) -> Table {
         let cell = mix(&w, records, opts.ops());
         table.row_f64(
             dist,
-            &[p2(scale, ReadMode::Mmap, 8).latency(&cell), p1(scale, 64).latency(&cell)],
+            &[p2(scale, ReadMode::Mmap).latency(&cell), p1(scale, 64).latency(&cell)],
         );
     }
     table
@@ -196,14 +196,15 @@ pub fn fig6a(scale: &Scale, opts: FigOpts) -> Table {
         let cell = reads(scale.records_for_mb(mb).max(100), opts.ops());
         table.row(vec![
             mb.to_string(),
-            format!("{:.1}", p2(scale, ReadMode::Mmap, 8).latency(&cell)),
+            format!("{:.1}", p2(scale, ReadMode::Mmap).latency(&cell)),
             // The paper gives P1 a buffer sized to the dataset (its design
             // keeps data in enclave memory).
             format!("{:.1}", p1(scale, mb.max(8)).latency(&cell)),
             eleos_column(scale, mb <= 1024, &cell),
             format!(
                 "{:.1}",
-                open_unsecured(scale, unsecured_options(scale, true, true, 8)).latency(&cell)
+                open_unsecured(scale, unsecured_options(scale, true, ReadMode::Mmap))
+                    .latency(&cell)
             ),
         ]);
     }
@@ -227,8 +228,8 @@ pub fn fig6b(scale: &Scale, opts: FigOpts) -> Table {
         table.row_f64(
             mb,
             &[
-                p2(scale, ReadMode::Mmap, 8).latency(&cell),
-                p2(scale, ReadMode::Buffer, 8).latency(&cell),
+                p2(scale, ReadMode::Mmap).latency(&cell),
+                p2(scale, buffered(scale, 8)).latency(&cell),
             ],
         );
     }
@@ -248,7 +249,7 @@ pub fn fig6c(scale: &Scale, opts: FigOpts) -> Table {
     for &buf in buffers {
         table.row_f64(
             buf,
-            &[p2(scale, ReadMode::Buffer, buf).latency(&cell), p1(scale, buf).latency(&cell)],
+            &[p2(scale, buffered(scale, buf)).latency(&cell), p1(scale, buf).latency(&cell)],
         );
     }
     table
@@ -270,7 +271,7 @@ pub fn fig7a(scale: &Scale, opts: FigOpts) -> Table {
         let cell = writes(scale.records_for_gb(gb), opts.ops());
         table.row(vec![
             format!("{gb:.1}"),
-            format!("{:.1}", p2(scale, ReadMode::Mmap, 8).latency(&cell)),
+            format!("{:.1}", p2(scale, ReadMode::Mmap).latency(&cell)),
             format!("{:.1}", p1(scale, 64).latency(&cell)),
             eleos_column(scale, gb <= 1.0, &cell),
         ]);
@@ -289,7 +290,7 @@ pub fn fig7b(scale: &Scale, opts: FigOpts) -> Table {
     for &gb in sizes {
         let cell = writes(scale.records_for_gb(gb), opts.ops());
         let p2_run = |compaction_enabled: bool| {
-            let options = P2Options { compaction_enabled, ..p2_options(scale, ReadMode::Mmap, 8) };
+            let options = P2Options { compaction_enabled, ..p2_options(scale, ReadMode::Mmap) };
             open_p2(scale, options).latency(&cell)
         };
         let p1_run = |compaction_enabled: bool| {
@@ -346,7 +347,7 @@ pub fn fig7(scale: &Scale, opts: FigOpts) -> Table {
                 compaction_strategy: strategy,
                 compaction_parallelism: parallelism,
                 incremental_commitments: incremental,
-                ..p2_options(scale, ReadMode::Mmap, 8)
+                ..p2_options(scale, ReadMode::Mmap)
             },
         );
         sut.load(records, VALUE_BYTES, false);
@@ -423,7 +424,10 @@ pub fn fig8(scale: &Scale, opts: FigOpts) -> Table {
         let p1 = open_p1(scale, P1Options { write_buffer_bytes, ..p1_options(scale, 64) });
         let outside = open_unsecured(
             scale,
-            UnsecuredOptions { write_buffer_bytes, ..unsecured_options(scale, true, false, 8) },
+            UnsecuredOptions {
+                write_buffer_bytes,
+                ..unsecured_options(scale, true, buffered(scale, 8))
+            },
         );
         table.row_f64(buf, &[p1.latency(&cell), outside.latency(&cell)]);
     }
@@ -439,7 +443,7 @@ pub fn fig8(scale: &Scale, opts: FigOpts) -> Table {
 pub fn ablation_proofs(scale: &Scale, opts: FigOpts) -> Table {
     set_figure("ablation_proofs");
     let cell = reads(scale.records_for_gb(1.0), opts.ops());
-    let sut = p2(scale, ReadMode::Mmap, 8);
+    let sut = p2(scale, ReadMode::Mmap);
     let store = &sut.driver.0;
     sut.load(cell.records, VALUE_BYTES, cell.flush);
     let before = store.verify_stats();
@@ -496,7 +500,7 @@ pub fn ablation_bloom(scale: &Scale, opts: FigOpts) -> Table {
         &["config", "present_keys", "absent_keys"],
     );
     for (label, bloom_bits_per_key) in [("bloom_10bits", 10usize), ("bloom_off", 0)] {
-        let options = P2Options { bloom_bits_per_key, ..p2_options(scale, ReadMode::Mmap, 8) };
+        let options = P2Options { bloom_bits_per_key, ..p2_options(scale, ReadMode::Mmap) };
         let sut = open_p2(scale, options);
         let present = sut.latency(&reads(records, opts.ops()));
         // Absent keys *inside* the populated range, so table Bloom
@@ -528,7 +532,7 @@ pub fn ablation_update_in_place(scale: &Scale, opts: FigOpts) -> Table {
         "merkle_btree_update_in_place",
         &[mbt.latency(&writes(records / 4, opts.ops() / 4))],
     );
-    table.row_f64("elsm_p2", &[p2(scale, ReadMode::Mmap, 8).latency(&writes(records, opts.ops()))]);
+    table.row_f64("elsm_p2", &[p2(scale, ReadMode::Mmap).latency(&writes(records, opts.ops()))]);
     table
 }
 
@@ -544,9 +548,9 @@ pub fn ablation_rollback(scale: &Scale, opts: FigOpts) -> Table {
     for buffer in [0usize, 64, 512, 4096] {
         let platform = machine(scale);
         let fs = SimFs::new(SimDisk::new(platform.clone()));
-        let mut options = p2_options(scale, ReadMode::Mmap, 8);
+        let mut options = p2_options(scale, ReadMode::Mmap);
         let counter = if buffer > 0 {
-            options.rollback = Some(elsm::RollbackOptions { counter_write_buffer: buffer });
+            options.counter_write_buffer = buffer;
             Some(MonotonicCounter::new(platform.clone()))
         } else {
             None
@@ -589,7 +593,7 @@ pub fn fig9(scale: &Scale, opts: FigOpts) -> Table {
     );
     // Build each system once: workload C is read-only, so every thread
     // count sweeps over an identical store state.
-    let verified = p2(scale, ReadMode::Mmap, 8);
+    let verified = p2(scale, ReadMode::Mmap);
     verified.load(records, VALUE_BYTES, true);
     let unsec = leveldb_outside(scale);
     unsec.load(records, VALUE_BYTES, true);
@@ -655,14 +659,14 @@ pub fn fig10(scale: &Scale, opts: FigOpts) -> Table {
     let phase =
         |clients: usize| Phase { record_count: records, total_ops: total, clients, seed: 0xf10 };
     let run_p2 = |batch: usize, writers: usize, compaction_enabled: bool| {
-        let options = P2Options { compaction_enabled, ..p2_options(scale, ReadMode::Mmap, 8) };
+        let options = P2Options { compaction_enabled, ..p2_options(scale, ReadMode::Mmap) };
         let label = if compaction_enabled { "elsm_p2_compact" } else { "elsm_p2" };
         open_p2(scale, options).batched_writes(label, phase(writers), batch)
     };
     let run_unsec = |batch: usize| {
         let options = UnsecuredOptions {
             compaction_enabled: false,
-            ..unsecured_options(scale, false, true, 8)
+            ..unsecured_options(scale, false, ReadMode::Mmap)
         };
         open_unsecured(scale, options).batched_writes("unsecured", phase(1), batch)
     };
@@ -728,7 +732,7 @@ pub fn fig11(scale: &Scale, opts: FigOpts) -> Table {
     let anchor: Vec<f64> = workloads
         .iter()
         .map(|w| {
-            p2(scale, ReadMode::Mmap, 8).with_cores(CORES_PER_SHARD).throughput(
+            p2(scale, ReadMode::Mmap).with_cores(CORES_PER_SHARD).throughput(
                 &format!("single_store_{}", w.name),
                 w,
                 phase,
@@ -801,7 +805,7 @@ pub fn fig12(scale: &Scale, opts: FigOpts) -> Table {
 
     // Pre-replication anchor: the plain single store, same machine model.
     set_figure("fig12_prechange");
-    let anchor = p2(scale, ReadMode::Mmap, 8).with_cores(CORES_PER_NODE).throughput(
+    let anchor = p2(scale, ReadMode::Mmap).with_cores(CORES_PER_NODE).throughput(
         "single_store_C",
         &workload,
         phase,
@@ -878,7 +882,7 @@ pub fn fig14(scale: &Scale, opts: FigOpts) -> Table {
             gc_enabled: true,
         }),
         verified_cache_bytes,
-        ..p2_options(scale, ReadMode::Mmap, 8)
+        ..p2_options(scale, ReadMode::Mmap)
     };
     let inline_options = || P2Options { vlog: None, ..separated_options(0) };
     let kops_of = |mean_us: f64| if mean_us > 0.0 { 1_000.0 / mean_us } else { 0.0 };

@@ -8,10 +8,11 @@ use std::sync::Arc;
 
 use elsm::{ElsmP1, ElsmP2, P1Options, P2Options, ReadMode};
 use elsm_baselines::{
-    EleosOptions, EleosStore, ReplicatedUnsecured, ShardedUnsecured, UnsecuredLsm, UnsecuredOptions,
+    EleosOptions, EleosStore, ReplicatedUnsecured, ShardedUnsecured, UnsecuredOptions,
 };
 use elsm_replica::{ReplicationGroup, ReplicationOptions};
 use elsm_shard::{ShardedKv, ShardedOptions};
+use lsm_store::Db;
 use sgx_sim::Platform;
 use sim_disk::{SimDisk, SimFs};
 use ycsb::{
@@ -27,11 +28,16 @@ use crate::scale::{Scale, VALUE_BYTES};
 // multiplier 10, 7 levels, 4 KiB blocks, 10 Bloom bits/key, leveled serial
 // compaction, no value log, no verified cache).
 
-pub(crate) fn p2_options(scale: &Scale, read_mode: ReadMode, cache_paper_mb: u64) -> P2Options {
+/// A buffered read path whose block cache holds `cache_paper_mb` at the
+/// paper's scale.
+pub(crate) fn buffered(scale: &Scale, cache_paper_mb: u64) -> ReadMode {
+    ReadMode::Buffer { cache_bytes: scale.mb(cache_paper_mb) as usize }
+}
+
+pub(crate) fn p2_options(scale: &Scale, read_mode: ReadMode) -> P2Options {
     P2Options {
         telemetry: crate::telemetry::current(),
         read_mode,
-        block_cache_bytes: scale.mb(cache_paper_mb) as usize,
         write_buffer_bytes: scale.write_buffer_bytes(),
         level1_max_bytes: scale.level1_bytes(),
         target_file_bytes: scale.file_bytes(),
@@ -52,13 +58,11 @@ pub(crate) fn p1_options(scale: &Scale, buffer_paper_mb: u64) -> P1Options {
 pub(crate) fn unsecured_options(
     scale: &Scale,
     in_enclave: bool,
-    use_mmap: bool,
-    cache_paper_mb: u64,
+    read_mode: ReadMode,
 ) -> UnsecuredOptions {
     UnsecuredOptions {
         in_enclave,
-        use_mmap,
-        block_cache_bytes: scale.mb(cache_paper_mb) as usize,
+        read_mode,
         write_buffer_bytes: scale.write_buffer_bytes(),
         level1_max_bytes: scale.level1_bytes(),
         target_file_bytes: scale.file_bytes(),
@@ -111,9 +115,9 @@ pub(crate) fn sut_p1(store: ElsmP1) -> Sut<Verified<ElsmP1>> {
     Sut::single(&platform, Verified(store), |d| d.0.db().flush().expect("flush"))
 }
 
-pub(crate) fn sut_unsecured(store: UnsecuredLsm) -> Sut<Unsecured<UnsecuredLsm>> {
-    let platform = store.platform().clone();
-    Sut::single(&platform, Unsecured(store), |d| d.0.db().flush().expect("flush"))
+pub(crate) fn sut_unsecured(store: Db) -> Sut<Unsecured<Db>> {
+    let platform = store.env().platform().clone();
+    Sut::single(&platform, Unsecured(store), |d| d.0.flush().expect("flush"))
 }
 
 pub(crate) fn open_p2(scale: &Scale, options: P2Options) -> Sut<Verified<ElsmP2>> {
@@ -121,8 +125,8 @@ pub(crate) fn open_p2(scale: &Scale, options: P2Options) -> Sut<Verified<ElsmP2>
 }
 
 /// eLSM-P2 at the paper's configuration.
-pub(crate) fn p2(scale: &Scale, read_mode: ReadMode, cache_mb: u64) -> Sut<Verified<ElsmP2>> {
-    open_p2(scale, p2_options(scale, read_mode, cache_mb))
+pub(crate) fn p2(scale: &Scale, read_mode: ReadMode) -> Sut<Verified<ElsmP2>> {
+    open_p2(scale, p2_options(scale, read_mode))
 }
 
 pub(crate) fn open_p1(scale: &Scale, options: P1Options) -> Sut<Verified<ElsmP1>> {
@@ -134,16 +138,13 @@ pub(crate) fn p1(scale: &Scale, buffer_paper_mb: u64) -> Sut<Verified<ElsmP1>> {
     open_p1(scale, p1_options(scale, buffer_paper_mb))
 }
 
-pub(crate) fn open_unsecured(
-    scale: &Scale,
-    options: UnsecuredOptions,
-) -> Sut<Unsecured<UnsecuredLsm>> {
-    sut_unsecured(UnsecuredLsm::open(machine(scale), options).expect("open unsecured"))
+pub(crate) fn open_unsecured(scale: &Scale, options: UnsecuredOptions) -> Sut<Unsecured<Db>> {
+    sut_unsecured(elsm_baselines::open_unsecured(machine(scale), options).expect("open unsecured"))
 }
 
 /// The unsecured LevelDB running outside the enclave with mmap reads.
-pub(crate) fn leveldb_outside(scale: &Scale) -> Sut<Unsecured<UnsecuredLsm>> {
-    open_unsecured(scale, unsecured_options(scale, false, true, 8))
+pub(crate) fn leveldb_outside(scale: &Scale) -> Sut<Unsecured<Db>> {
+    open_unsecured(scale, unsecured_options(scale, false, ReadMode::Mmap))
 }
 
 pub(crate) fn eleos(scale: &Scale) -> Sut<InPlace<EleosStore>> {
@@ -156,7 +157,7 @@ pub(crate) fn eleos(scale: &Scale) -> Sut<InPlace<EleosStore>> {
 /// A hash-partitioned authenticated cluster: one machine of `cores`
 /// enclave cores per shard behind the trusted router.
 pub(crate) fn sharded_p2(scale: &Scale, shards: usize, cores: usize) -> Sut<Verified<ShardedKv>> {
-    let options = ShardedOptions::hash(shards, p2_options(scale, ReadMode::Mmap, 8));
+    let options = ShardedOptions::hash(shards, p2_options(scale, ReadMode::Mmap));
     let cluster = ShardedKv::open(machine(scale), options).expect("open sharded p2");
     let topology = Topology {
         machines: (0..shards).map(|s| cluster.shard_platform(s).clone()).collect(),
@@ -172,7 +173,7 @@ pub(crate) fn sharded_unsecured(
     shards: usize,
     cores: usize,
 ) -> Sut<Unsecured<ShardedUnsecured>> {
-    let options = unsecured_options(scale, false, true, 8);
+    let options = unsecured_options(scale, false, ReadMode::Mmap);
     let cluster =
         ShardedUnsecured::open(machine(scale), shards, options).expect("open sharded unsecured");
     let topology = Topology {
@@ -193,7 +194,7 @@ pub(crate) fn replicated_p2(
 ) -> Sut<Verified<ReplicationGroup>> {
     let group = ReplicationGroup::open(
         machine(scale),
-        p2_options(scale, ReadMode::Mmap, 8),
+        p2_options(scale, ReadMode::Mmap),
         ReplicationOptions { replicas, ..Default::default() },
     )
     .expect("open replication group");
@@ -212,7 +213,7 @@ pub(crate) fn replicated_unsecured(
     replicas: usize,
     cores: usize,
 ) -> Sut<Unsecured<ReplicatedUnsecured>> {
-    let options = unsecured_options(scale, false, true, 8);
+    let options = unsecured_options(scale, false, ReadMode::Mmap);
     let group = ReplicatedUnsecured::open(machine(scale), replicas, options)
         .expect("open replicated unsecured");
     let topology = Topology {

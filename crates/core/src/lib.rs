@@ -54,7 +54,8 @@ pub use cache::{CacheStats, VerifiedCache};
 pub use confidential::ConfidentialStore;
 pub use error::{ElsmError, VerificationFailure, WRONG_SHARD_UNSHARDED};
 pub use listener::AuthListener;
+pub use lsm_store::ReadMode;
 pub use p1::{ElsmP1, P1Options};
-pub use p2::{ElsmP2, P2Options, ReadMode, RollbackOptions};
+pub use p2::{ElsmP2, P2Options};
 pub use replication::{Announcement, SessionKey};
 pub use trusted::{CompactionDelta, TrustedState, Verified, VerifyStats};

@@ -53,6 +53,9 @@ use crate::envelope::{append_canonical, append_with_proof, open_record, wrap_pla
 use crate::error::{VerificationFailure, WRONG_SHARD_UNSHARDED};
 use crate::trusted::{CompactionDelta, TrustedState};
 
+/// Why a level whose stored records are out of key order is refused.
+pub(crate) const OUT_OF_ORDER: &str = "stored records out of key order";
+
 /// eLSM's authentication layer, attached to the vanilla store as a
 /// listener.
 #[derive(Debug)]
@@ -75,6 +78,8 @@ pub struct AuthListener {
     /// Chain links merges hashed, input and output levels together
     /// (`core.compaction.links_hashed`).
     links_hashed: telemetry::Counter,
+    /// The audit stream a refused merge input is recorded on.
+    telemetry: telemetry::Telemetry,
     /// Seals the trusted state into the manifest, under the enclave's key.
     sealer: Sealer,
     /// What the manifest a restart recovers from unsealed to, until the
@@ -101,6 +106,7 @@ impl AuthListener {
             cache,
             leaves_reused: telemetry.counter("core.compaction.leaves_reused"),
             links_hashed: telemetry.counter("core.compaction.links_hashed"),
+            telemetry: telemetry.clone(),
             sealer: Sealer::new(elsm_crypto::sha256(b"elsm-p2 enclave v1"), b"machine-0"),
             recovered: Mutex::new(None),
         })
@@ -111,6 +117,14 @@ impl AuthListener {
     /// against the manifest it ends. Taken once.
     pub(crate) fn take_recovered(&self) -> Option<Result<SealedState, VerificationFailure>> {
         self.recovered.lock().take()
+    }
+
+    /// Refuses further service for `failure`, which a merge input showed,
+    /// and records it on the audit stream.
+    fn refuse(&self, failure: VerificationFailure) {
+        self.trusted.poison();
+        let shard = self.trusted.shard_id();
+        crate::p2::audit(&self.platform, &self.telemetry, shard, None, &failure);
     }
 
     /// The state of a new merge of `input_levels` into `output_level`.
@@ -248,7 +262,14 @@ impl MergeJob for AuthJob<'_> {
         }
         if let Some((_, builder)) = self.inputs.iter_mut().find(|(l, _)| *l == level) {
             let builder = builder.get_or_insert_with(|| LevelDigestBuilder::new(level as u32));
-            builder.add(record.key, &self.canonical);
+            if builder.add(record.key, &self.canonical).is_err() {
+                // The host's table holds its records out of key order: the
+                // level is no level the enclave committed to.
+                self.listener.refuse(VerificationFailure::IncompleteRange {
+                    level: level as u32,
+                    reason: OUT_OF_ORDER,
+                });
+            }
         }
     }
 
@@ -277,7 +298,13 @@ impl MergeJob for AuthJob<'_> {
         // The record's old proof was validated in place by `open_record`
         // and is dropped.
         let folded = from.and_then(|at| self.folded(at));
-        self.output.add_carried(record.key, &self.canonical, folded.map(|(_, f)| f));
+        if self.output.add_carried(record.key, &self.canonical, folded.map(|(_, f)| f)).is_err() {
+            // The merge hands its survivors over strictly ascending; an
+            // output out of order is refused like a malformed one.
+            self.listener.trusted.poison();
+            self.refused = true;
+            return;
+        }
         self.chain.push(Observed { len: self.canonical.len(), rewritten: from.is_none(), folded });
     }
 

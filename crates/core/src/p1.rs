@@ -148,10 +148,7 @@ impl AuthenticatedKv for ElsmP1 {
         // whole frame (P1's write buffer lives in enclave memory, so the
         // saved transitions are the whole win here). P1 stores bare
         // values, so the batch's payload is exactly the marshalled bytes.
-        let mut batch = lsm_store::WriteBatch::with_capacity(items.len());
-        for (key, value) in items {
-            batch.put(bytes::Bytes::copy_from_slice(key), bytes::Bytes::copy_from_slice(value));
-        }
+        let batch = lsm_store::WriteBatch::from_puts(items);
         Ok(self
             .platform
             .ecall_with_payload(batch.payload_bytes(), || self.db.write_batch(batch))?)

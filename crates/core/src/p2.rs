@@ -10,9 +10,9 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
-use lsm_store::{Db, EnvConfig, GetTrace, Options, ScanTrace, StorageEnv, Timestamp, ValueKind};
+use lsm_store::{Db, GetTrace, Options, ReadMode, ScanTrace, StorageEnv, Timestamp, ValueKind};
 use sgx_sim::{BufferedCounter, MonotonicCounter, Platform};
-use sim_disk::{FsError, Placement, SimDisk, SimFs};
+use sim_disk::{FsError, SimDisk, SimFs};
 
 use crate::api::{AuthenticatedKv, OpSpans, VerifiedRecord};
 use crate::cache::{CacheStats, Lookup, VerifiedCache};
@@ -21,36 +21,12 @@ use crate::error::{ElsmError, VerificationFailure};
 use crate::listener::{vlog_entry_mac, AuthListener, SealedState};
 use crate::trusted::{TrustedState, Verified, VerifyStats};
 
-/// How eLSM-P2 reads SSTables (§5.5.1, Figure 6b).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ReadMode {
-    /// Map files into untrusted memory and dereference directly.
-    Mmap,
-    /// Read through a user-space buffer in untrusted memory.
-    Buffer,
-}
-
-/// Rollback-defence configuration (§5.6.1).
-#[derive(Debug, Clone)]
-pub struct RollbackOptions {
-    /// Number of state updates batched per hardware counter write (the
-    /// paper's tunable write buffer).
-    pub counter_write_buffer: usize,
-}
-
-impl Default for RollbackOptions {
-    fn default() -> Self {
-        RollbackOptions { counter_write_buffer: 512 }
-    }
-}
-
 /// Configuration of an eLSM-P2 store.
 #[derive(Debug, Clone)]
 pub struct P2Options {
-    /// Read path (mmap is the paper's fastest configuration).
+    /// Read path (mmap is the paper's fastest configuration; a buffered
+    /// read path carries its block-cache size).
     pub read_mode: ReadMode,
-    /// Block-cache capacity for [`ReadMode::Buffer`] (untrusted memory).
-    pub block_cache_bytes: usize,
     /// Memtable size triggering a flush.
     pub write_buffer_bytes: usize,
     /// Level-1 size budget (levels grow geometrically above it).
@@ -82,10 +58,13 @@ pub struct P2Options {
     /// such digests over in either mode; this selects only the charged
     /// cost, and commitments and proofs are identical either way.
     pub incremental_commitments: bool,
-    /// Optional rollback protection via a trusted monotonic counter.
-    pub rollback: Option<RollbackOptions>,
-    /// When acknowledged writes become durable in the host-side WAL (see
-    /// [`lsm_store::WalSyncPolicy`] for the durability trade-off).
+    /// State updates batched per write of the trusted monotonic counter
+    /// (the paper's tunable counter write buffer, §5.6.1). Read only when
+    /// [`ElsmP2::open_with`] binds a counter.
+    pub counter_write_buffer: usize,
+    /// When acknowledged writes reach the host-side WAL: one policy,
+    /// [`lsm_store::WalSyncPolicy::Always`]. The field stays because
+    /// `benchmark/` names it.
     pub wal_sync: lsm_store::WalSyncPolicy,
     /// Shard this store's enclave is bound to when it serves as one
     /// partition of a sharded cluster (`None` for a standalone store).
@@ -117,7 +96,6 @@ impl Default for P2Options {
     fn default() -> Self {
         P2Options {
             read_mode: ReadMode::Mmap,
-            block_cache_bytes: 512 * 1024,
             write_buffer_bytes: 64 * 1024,
             level1_max_bytes: 256 * 1024,
             level_multiplier: 10,
@@ -129,7 +107,7 @@ impl Default for P2Options {
             compaction_strategy: lsm_store::CompactionStrategyKind::Leveled,
             compaction_parallelism: 1,
             incremental_commitments: false,
-            rollback: None,
+            counter_write_buffer: 512,
             wal_sync: lsm_store::WalSyncPolicy::Always,
             shard_id: None,
             vlog: None,
@@ -227,18 +205,7 @@ impl ElsmP2 {
         let env = StorageEnv::new(
             platform.clone(),
             fs.clone(),
-            EnvConfig {
-                in_enclave: true,
-                use_mmap: options.read_mode == ReadMode::Mmap,
-                cache_placement: Placement::Untrusted,
-                block_cache_bytes: if options.read_mode == ReadMode::Buffer {
-                    options.block_cache_bytes
-                } else {
-                    0
-                },
-                block_slot_bytes: options.block_size * 2,
-                sealed_files: false,
-            },
+            options.read_mode.env(true, options.block_size * 2),
             None,
         );
         // Embedded proofs inflate stored records: a key's newest version
@@ -276,17 +243,13 @@ impl ElsmP2 {
             // sealed state it carries.
             Err(FsError::NotFound(name)) if name == lsm_store::MANIFEST => {
                 let failure = VerificationFailure::SealBroken;
-                audit(&platform, &options, 0, &failure);
+                audit(&platform, &options.telemetry, options.shard_id, Some(0), &failure);
                 return Err(failure.into());
             }
             Err(error) => return Err(error.into()),
         };
-        let counter = counter.map(|c| {
-            Arc::new(BufferedCounter::new(
-                c,
-                options.rollback.as_ref().map_or(512, |r| r.counter_write_buffer),
-            ))
-        });
+        let counter =
+            counter.map(|c| Arc::new(BufferedCounter::new(c, options.counter_write_buffer)));
         // The verifier expects levels in the order the store searches them.
         trusted.set_stacked(db.stacked_reads());
         let spans = OpSpans::new("op", &options.telemetry);
@@ -350,7 +313,9 @@ impl ElsmP2 {
     /// fail against the restored commitment at query time, and a read may
     /// not pass it over. Every level of the recovered version is rebuilt,
     /// including those a store without compaction stacked past
-    /// `max_levels`. The tree is dropped level by
+    /// `max_levels`. A level whose records the host stored out of key
+    /// order is no tree at all: it keeps its root alone, and the refusal
+    /// is audited. The tree is dropped level by
     /// level: every proof it could give is in the stored records.
     fn rederive_crowns(&self) -> Result<(), ElsmError> {
         let version = self.db.current_version();
@@ -359,14 +324,18 @@ impl ElsmP2 {
             let Some(run) = version.level(level) else { continue };
             let level = level as u32;
             let mut builder = merkle::LevelDigestBuilder::new(level);
+            let mut in_order = true;
             run.for_each_record(|record| {
-                if let Ok(opened) = open_record(record, level) {
+                if let (true, Ok(opened)) = (in_order, open_record(record, level)) {
                     canonical.clear();
                     append_canonical(record, opened.value, &mut canonical);
-                    builder.add(record.key, &canonical);
+                    in_order = builder.add(record.key, &canonical).is_ok();
                 }
             })?;
-            if builder.record_count() > 0 {
+            if !in_order {
+                let reason = crate::listener::OUT_OF_ORDER;
+                self.audit_failure(&VerificationFailure::IncompleteRange { level, reason });
+            } else if builder.record_count() > 0 {
                 let digest = builder.finish();
                 let crown = digest.crown(self.trusted.crown_row_max());
                 self.trusted.adopt_crown(&digest.commitment(), crown);
@@ -375,10 +344,9 @@ impl ElsmP2 {
         Ok(())
     }
 
-    /// The clean shutdown: pushes buffered WAL frames to the host, rewrites
-    /// the manifest — whose sealed state then covers every acknowledged
-    /// write, so the store reopens on its logs — and flushes the rollback
-    /// counter.
+    /// The clean shutdown: rewrites the manifest — whose sealed state then
+    /// covers every acknowledged write, each already on the host, so the
+    /// store reopens on its logs — and flushes the rollback counter.
     ///
     /// # Errors
     ///
@@ -431,7 +399,8 @@ impl ElsmP2 {
     /// Records a verification failure on the audit stream (see [`audit`]),
     /// at the current commitment epoch.
     fn audit_failure(&self, failure: &VerificationFailure) {
-        audit(&self.platform, &self.options, self.db.current_epoch(), failure);
+        let (telemetry, shard) = (&self.options.telemetry, self.options.shard_id);
+        audit(&self.platform, telemetry, shard, Some(self.db.current_epoch()), failure);
     }
 
     /// Passes `result` through, recording any verification failure it
@@ -733,18 +702,26 @@ impl ElsmP2 {
     }
 }
 
-/// Records a verification failure on `options`' audit stream, stamped with
-/// the store's shard binding and the failure's epoch context (`epoch` when
-/// the variant carries none).
-fn audit(platform: &Platform, options: &P2Options, epoch: u64, failure: &VerificationFailure) {
+/// Records a failure the store's enclave detected (component `"p2"`) on
+/// `telemetry`'s audit stream, stamped with the failure's own shard and
+/// epoch context, else with `shard` and `epoch`.
+pub(crate) fn audit(
+    platform: &Platform,
+    telemetry: &telemetry::Telemetry,
+    shard: Option<u32>,
+    epoch: Option<u64>,
+    failure: &VerificationFailure,
+) {
     let mut event = telemetry::AuditEvent::new(failure.kind(), "p2")
         .detail(failure.to_string())
-        .epoch(failure.epoch_context().unwrap_or(epoch))
         .at_ns(platform.clock().now_ns());
-    if let Some(shard) = failure.shard_context().or(options.shard_id) {
+    if let Some(epoch) = failure.epoch_context().or(epoch) {
+        event = event.epoch(epoch);
+    }
+    if let Some(shard) = failure.shard_context().or(shard) {
         event = event.shard(shard);
     }
-    options.telemetry.audit(event);
+    telemetry.audit(event);
 }
 
 #[cfg(test)]

@@ -93,6 +93,16 @@ impl WriteBatch {
         WriteBatch { ops: Vec::with_capacity(n), payload_bytes: 0 }
     }
 
+    /// A batch of one put per `(key, value)`, each copied: how a caller
+    /// holding slices writes them in one group commit.
+    pub fn from_puts(items: &[(&[u8], &[u8])]) -> Self {
+        let mut batch = WriteBatch::with_capacity(items.len());
+        for (key, value) in items {
+            batch.put(Bytes::copy_from_slice(key), Bytes::copy_from_slice(value));
+        }
+        batch
+    }
+
     /// Appends a put.
     pub fn put(&mut self, key: impl Into<Bytes>, value: impl Into<Bytes>) {
         let (key, value) = (key.into(), value.into());

@@ -794,21 +794,15 @@ impl Db {
         }
     }
 
-    /// The clean shutdown: pushes any WAL frames still buffered under
-    /// [`WalSyncPolicy::EveryNBytes`](crate::options::WalSyncPolicy) out to
-    /// the host — without that, a lazy log could lose acknowledged writes
-    /// across a *graceful* close, not just a crash — then rewrites the
-    /// manifest, so the listener's section covers every write so far.
+    /// The clean shutdown: rewrites the manifest, so the listener's
+    /// section covers every write so far. Every acknowledged frame is on
+    /// the host already; there is nothing to push.
     ///
     /// # Errors
     ///
     /// Returns [`FsError`] on IO errors.
     pub fn close(&self) -> Result<(), FsError> {
         let _maint = self.maint.lock();
-        {
-            let _serial = self.env.platform().serial_section(SerialClass::StoreWrite);
-            self.inner.write().wal.sync();
-        }
         self.write_manifest()
     }
 

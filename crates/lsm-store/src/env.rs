@@ -53,6 +53,38 @@ impl Default for EnvConfig {
     }
 }
 
+/// How a store whose tables sit in untrusted memory reads them (eLSM-P2
+/// §5.5.1, Figure 6b, and the unsecured baselines).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum ReadMode {
+    /// Map files into untrusted memory and dereference directly.
+    Mmap,
+    /// Read through a user-space block cache in untrusted memory.
+    Buffer {
+        /// Block-cache capacity in bytes (below one slot: no cache).
+        cache_bytes: usize,
+    },
+}
+
+impl ReadMode {
+    /// The environment that reads this way, with its block cache (if any)
+    /// in untrusted memory and no file sealing.
+    pub fn env(self, in_enclave: bool, block_slot_bytes: usize) -> EnvConfig {
+        let (use_mmap, block_cache_bytes) = match self {
+            ReadMode::Mmap => (true, 0),
+            ReadMode::Buffer { cache_bytes } => (false, cache_bytes),
+        };
+        EnvConfig {
+            in_enclave,
+            use_mmap,
+            cache_placement: Placement::Untrusted,
+            block_cache_bytes,
+            block_slot_bytes,
+            sealed_files: false,
+        }
+    }
+}
+
 /// A sub-allocation of the shared in-enclave metadata arena.
 ///
 /// Table indexes and Bloom filters live in one contiguous enclave heap

@@ -53,7 +53,7 @@ pub use compaction::{
     FlushPlan, Leveled, LevelsView, Tiered, VlogGcJob,
 };
 pub use db::{Db, DbStats, DbStatsSnapshot};
-pub use env::{EnvConfig, StorageEnv};
+pub use env::{EnvConfig, ReadMode, StorageEnv};
 pub use events::{
     InputPosition, MergeJob, NoopListener, ReplicationEvent, ReplicationSink, StoreListener,
     Verbatim,

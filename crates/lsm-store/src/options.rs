@@ -4,33 +4,18 @@ use crate::compaction::CompactionConfig;
 use crate::env::EnvConfig;
 use crate::sstable::TableOptions;
 
-/// When acknowledged writes become durable in the host-side WAL.
+/// When acknowledged writes reach the host-side WAL: always before the
+/// writer is acknowledged, one push per commit group, so a crash leaves
+/// every acknowledged batch in the log (a torn frame drops only its own,
+/// unacknowledged, batch on recovery).
 ///
-/// Batches are *always* framed atomically (a torn frame drops the whole
-/// batch on recovery); this knob only governs **when** frames leave the
-/// enclave for the host file, i.e. how many acknowledged records a crash
-/// can cost:
-///
-/// | Policy | Host pushes | Crash-loss window |
-/// |---|---|---|
-/// | [`Always`](WalSyncPolicy::Always) | one per writer batch | none: every acknowledged batch is on the host before the writer returns |
-/// | [`EveryNBytes`](WalSyncPolicy::EveryNBytes) | when ≥ n bytes pend | up to n bytes of acknowledged batches (whole frames — never a torn batch) |
-///
-/// `EveryNBytes` trades durability for throughput the way
-/// `fsync`-batching databases do: group-commit systems (LevelDB's
-/// `sync=false`, LSKV's batched ledger appends) acknowledge from the
-/// enclave-side buffer and push in bulk. A flush-triggered WAL rotation
-/// always forces pending frames out first, so the loss window never spans
-/// a memtable freeze.
+/// The enum has one policy. It and the `wal_sync` fields stay because
+/// `benchmark/` spells out every option it sets, these included.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WalSyncPolicy {
-    /// Push every writer batch to the host before acknowledging — the
-    /// original per-operation behaviour (default).
+    /// Push every commit group's frame to the host before acknowledging.
     #[default]
     Always,
-    /// Buffer frames in enclave memory and push once the given byte
-    /// threshold accumulates (or a rotation/sync forces it).
-    EveryNBytes(usize),
 }
 
 /// Key-value separation knobs (WiscKey-style authenticated value log).
@@ -91,8 +76,8 @@ pub struct Options {
     /// Keep shadowed old versions (the paper's hash chains digest them;
     /// transparency-log deployments retain full history).
     pub keep_old_versions: bool,
-    /// When acknowledged writes become durable in the host-side WAL (see
-    /// [`WalSyncPolicy`] for the durability/throughput trade-off).
+    /// When acknowledged writes reach the host-side WAL (one policy; see
+    /// [`WalSyncPolicy`]).
     pub wal_sync: WalSyncPolicy,
     /// Key-value separation: `Some` splits large values into an
     /// append-only value log at flush time (`None` keeps every value

@@ -186,7 +186,7 @@ impl Db {
         let current = Arc::new(Version::empty(options.max_levels));
         let inner = DbInner {
             memtable: MemTable::new(),
-            wal: WalWriter::new(env.clone(), wal_file, options.wal_sync),
+            wal: WalWriter::new(env.clone(), wal_file),
             wal_lo: 1,
             wal_no: 1,
             live: vec![current.clone()],
@@ -294,7 +294,7 @@ impl Db {
         Ok((
             DbInner {
                 memtable,
-                wal: WalWriter::new(env.clone(), wal_file, options.wal_sync),
+                wal: WalWriter::new(env.clone(), wal_file),
                 wal_lo,
                 wal_no,
                 live: vec![current.clone()],

@@ -10,10 +10,9 @@
 //! corrupt or truncated frame (standard LevelDB behaviour), so a torn tail
 //! write drops its whole batch — a batch can never partially apply.
 //!
-//! When frames reach the host is governed by
-//! [`WalSyncPolicy`]: per writer batch, per
-//! coalesced commit group, or buffered in enclave memory until a byte
-//! threshold (see the policy docs for the durability trade-off).
+//! Each frame is pushed to the host before its commit group is
+//! acknowledged: a write is acknowledged only once its frame is on the
+//! host, so a crash leaves every acknowledged batch in the log.
 //!
 //! In eLSM the WAL *storage* lives outside the enclave while the enclave
 //! keeps a running hash of its contents (§5.3, step w1); the hash
@@ -26,7 +25,6 @@ use sim_disk::{FsError, SimFile};
 
 use crate::encoding::{crc32c, get_fixed_u32, get_varint_u64, put_varint_u64};
 use crate::env::StorageEnv;
-use crate::options::WalSyncPolicy;
 use crate::record::Record;
 
 /// Appends batch-framed records to a log file.
@@ -35,11 +33,9 @@ pub struct WalWriter {
     env: Arc<StorageEnv>,
     file: Arc<SimFile>,
     records: u64,
-    policy: WalSyncPolicy,
-    /// Frames not yet pushed to the host. Every frame is encoded here —
-    /// under [`WalSyncPolicy::Always`] it is pushed at once — so one buffer
-    /// serves every commit of the log.
-    pending: Vec<u8>,
+    /// The frame being pushed: every frame is encoded here and pushed at
+    /// once, so one buffer serves every commit of the log.
+    frame: Vec<u8>,
 }
 
 /// Encodes one batch frame: `[len][crc][varint count][records…]`.
@@ -93,8 +89,8 @@ pub fn encode_frame_into(records: &[Record], out: &mut Vec<u8>) {
 
 impl WalWriter {
     /// Wraps an (empty or existing) log file for appending.
-    pub fn new(env: Arc<StorageEnv>, file: Arc<SimFile>, policy: WalSyncPolicy) -> Self {
-        WalWriter { env, file, records: 0, policy, pending: Vec::new() }
+    pub fn new(env: Arc<StorageEnv>, file: Arc<SimFile>) -> Self {
+        WalWriter { env, file, records: 0, frame: Vec::new() }
     }
 
     /// Appends one record as a batch of one (step w3 of the paper's write
@@ -104,40 +100,19 @@ impl WalWriter {
         self.append_batch(std::slice::from_ref(record));
     }
 
-    /// Appends one batch as a single atomic frame; returns the frame's
+    /// Appends one batch as a single atomic frame and pushes it to the
+    /// host in one append (one OCall in enclave mode); returns the frame's
     /// encoded size in bytes (how the store meters WAL traffic).
-    ///
-    /// Under [`WalSyncPolicy::EveryNBytes`] the frame may be buffered in
-    /// enclave memory; call [`WalWriter::sync`] to force it out (the store
-    /// does this before every WAL rotation).
     pub fn append_batch(&mut self, records: &[Record]) -> usize {
         if records.is_empty() {
             return 0;
         }
-        let start = self.pending.len();
-        encode_frame_into(records, &mut self.pending);
-        let frame_len = self.pending.len() - start;
-        let push = match self.policy {
-            WalSyncPolicy::Always => true,
-            WalSyncPolicy::EveryNBytes(n) => self.pending.len() >= n,
-        };
-        if push {
-            self.sync();
-        }
+        encode_frame_into(records, &mut self.frame);
+        self.env.append(&self.file, &self.frame);
+        let frame_len = self.frame.len();
+        self.frame.clear();
         self.records += records.len() as u64;
         frame_len
-    }
-
-    /// Pushes buffered frames to the host in one append (one OCall in
-    /// enclave mode); returns the bytes pushed. A no-op (returning 0) when
-    /// nothing is pending.
-    pub fn sync(&mut self) -> usize {
-        let pushed = self.pending.len();
-        if pushed > 0 {
-            self.env.append(&self.file, &self.pending);
-            self.pending.clear();
-        }
-        pushed
     }
 
     /// Number of records appended through this writer.
@@ -230,13 +205,6 @@ mod tests {
     use sgx_sim::Platform;
     use sim_disk::{SimDisk, SimFs};
 
-    impl WalWriter {
-        /// Bytes buffered in enclave memory, not yet visible to the host.
-        fn pending_bytes(&self) -> usize {
-            self.pending.len()
-        }
-    }
-
     fn env() -> (Arc<StorageEnv>, Arc<sim_disk::SimFs>) {
         let platform = Platform::with_defaults();
         let fs = SimFs::new(SimDisk::new(platform.clone()));
@@ -278,7 +246,7 @@ mod tests {
     }
 
     fn writer(env: &Arc<StorageEnv>, file: Arc<SimFile>) -> WalWriter {
-        WalWriter::new(env.clone(), file, WalSyncPolicy::Always)
+        WalWriter::new(env.clone(), file)
     }
 
     #[test]
@@ -455,31 +423,5 @@ mod tests {
         long.push(0);
         assert!(decode_frame(&long).is_none());
         assert!(decode_frame(&[]).is_none());
-    }
-
-    #[test]
-    fn every_n_bytes_buffers_until_threshold() {
-        let (env, fs) = env();
-        let file = fs.create("wal").unwrap();
-        let mut w = WalWriter::new(env.clone(), file.clone(), WalSyncPolicy::EveryNBytes(4096));
-        let records = sample(10);
-        w.append_batch(&records[..5]);
-        assert_eq!(file.len(), 0, "frames buffer in enclave memory below the threshold");
-        assert!(w.pending_bytes() > 0);
-        // Nothing recoverable before a sync — the documented loss window.
-        assert!(recover(&env, &file).unwrap().is_empty());
-        w.sync();
-        assert_eq!(recover(&env, &file).unwrap(), records[..5]);
-        assert_eq!(w.pending_bytes(), 0);
-    }
-
-    #[test]
-    fn every_n_bytes_flushes_past_threshold() {
-        let (env, fs) = env();
-        let file = fs.create("wal").unwrap();
-        let mut w = WalWriter::new(env.clone(), file.clone(), WalSyncPolicy::EveryNBytes(64));
-        w.append_batch(&sample(10));
-        assert!(!file.is_empty(), "crossing the byte threshold forces the push");
-        assert_eq!(recover(&env, &file).unwrap(), sample(10));
     }
 }

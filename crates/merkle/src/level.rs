@@ -63,6 +63,19 @@ pub struct Folded {
     pub versions: usize,
 }
 
+/// A record a [`LevelDigestBuilder`] refused: the stream it was fed is not
+/// a level in compaction order.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct OutOfOrder;
+
+impl std::fmt::Display for OutOfOrder {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.write_str("level records out of ascending key order")
+    }
+}
+
+impl std::error::Error for OutOfOrder {}
+
 /// One record of the chain a builder is gathering.
 #[derive(Debug)]
 struct Gathered {
@@ -102,13 +115,15 @@ impl LevelDigestBuilder {
     /// Adds the next record of the sorted stream. The bytes are copied
     /// until its chain folds, so the caller may reuse its buffer.
     ///
-    /// # Panics
+    /// # Errors
     ///
-    /// Panics if keys arrive out of ascending order, or a key arrives again
-    /// after [`LevelDigestBuilder::end_chain`] folded its chain (a
-    /// correctness bug in the feeding compaction, never data-dependent).
-    pub fn add(&mut self, user_key: &[u8], record_bytes: &[u8]) {
-        self.add_carried(user_key, record_bytes, None);
+    /// Returns [`OutOfOrder`], and takes nothing of the record, if its key
+    /// sorts before the previous record's, or arrives again after
+    /// [`LevelDigestBuilder::end_chain`] folded its chain. The stored bytes
+    /// a level is rebuilt from are the host's, so this is the host's
+    /// ordering, not a bug of the caller.
+    pub fn add(&mut self, user_key: &[u8], record_bytes: &[u8]) -> Result<(), OutOfOrder> {
+        self.add_carried(user_key, record_bytes, None)
     }
 
     /// Adds the next record together with what an earlier digest folded
@@ -119,28 +134,32 @@ impl LevelDigestBuilder {
     /// The caller vouches only that `record_bytes` are the bytes `carried`
     /// was folded from.
     ///
-    /// # Panics
+    /// # Errors
     ///
     /// As [`LevelDigestBuilder::add`].
-    pub fn add_carried(&mut self, user_key: &[u8], record_bytes: &[u8], carried: Option<Folded>) {
+    pub fn add_carried(
+        &mut self,
+        user_key: &[u8],
+        record_bytes: &[u8],
+        carried: Option<Folded>,
+    ) -> Result<(), OutOfOrder> {
         let first = self.record_count() == 0;
-        assert!(
-            first || &self.key[..] <= user_key,
-            "level records must arrive in ascending key order"
-        );
+        let new_key = first || self.key != user_key;
+        if !first && (user_key < &self.key[..] || !new_key && self.gathered.is_empty()) {
+            return Err(OutOfOrder);
+        }
         if first {
             self.first_key.extend_from_slice(user_key);
         }
-        if first || self.key != user_key {
+        if new_key {
             self.end_chain();
             self.key.clear();
             self.key.extend_from_slice(user_key);
             self.leaf_first.push(self.record_count());
-        } else {
-            assert!(!self.gathered.is_empty(), "a key's chain was already folded");
         }
         self.chain.extend_from_slice(record_bytes);
         self.gathered.push(Gathered { end: self.chain.len(), carried });
+        Ok(())
     }
 
     /// Folds the chain gathered so far, oldest version first; `add` does
@@ -234,13 +253,19 @@ pub struct LevelDigest {
 impl LevelDigest {
     /// Builds a digest in one shot from `(key, record_bytes)` pairs in
     /// compaction order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the pairs are not in that order: this is for callers that
+    /// hold the records themselves. Bytes read back from the host go
+    /// through [`LevelDigestBuilder::add`], which refuses such a stream.
     pub fn from_records<'a>(
         level: u32,
         records: impl IntoIterator<Item = (&'a [u8], Vec<u8>)>,
     ) -> Self {
         let mut b = LevelDigestBuilder::new(level);
         for (k, r) in records {
-            b.add(k, &r);
+            b.add(k, &r).expect("records in ascending key order");
         }
         b.finish()
     }
@@ -479,11 +504,11 @@ mod tests {
     #[test]
     fn builder_rejects_unsorted_keys() {
         let mut b = LevelDigestBuilder::new(1);
-        b.add(b"b", b"1");
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            b.add(b"a", b"2");
-        }));
-        assert!(result.is_err());
+        b.add(b"b", b"1").unwrap();
+        assert_eq!(b.add(b"a", b"2"), Err(OutOfOrder));
+        // The refused record left nothing behind.
+        let took = LevelDigest::from_records(1, [(&b"b"[..], b"1".to_vec())]);
+        assert_eq!(b.finish().commitment(), took.commitment());
     }
 
     #[test]
@@ -507,7 +532,7 @@ mod tests {
         let one_shot = LevelDigest::from_records(1, records.clone());
         let mut b = LevelDigestBuilder::new(1);
         for (k, r) in records {
-            b.add(k, &r);
+            b.add(k, &r).unwrap();
         }
         let streamed = b.finish();
         assert_eq!(one_shot.commitment(), streamed.commitment());
@@ -522,7 +547,7 @@ mod tests {
     fn folded_records_name_their_chain() {
         let mut b = LevelDigestBuilder::new(2);
         for (k, r) in l2_records() {
-            b.add(k, &r);
+            b.add(k, &r).unwrap();
         }
         assert_eq!(b.folded(1), None, "Z's chain still gathers");
         b.end_chain();
@@ -540,10 +565,9 @@ mod tests {
     #[test]
     fn a_folded_key_cannot_come_back() {
         let mut b = LevelDigestBuilder::new(1);
-        b.add(b"k", b"1");
+        b.add(b"k", b"1").unwrap();
         b.end_chain();
-        let again = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| b.add(b"k", b"2")));
-        assert!(again.is_err());
+        assert_eq!(b.add(b"k", b"2"), Err(OutOfOrder));
     }
 
     /// A carried digest is taken over exactly when the versions below the
@@ -555,7 +579,7 @@ mod tests {
         let old: Vec<(&[u8], &[u8])> =
             vec![(b"a", b"a5"), (b"a", b"a2"), (b"b", b"b4"), (b"c", b"c1")];
         for (k, r) in &old {
-            input.add(k, r);
+            input.add(k, r).unwrap();
         }
         input.end_chain();
         // The output: a fresh newer version of `a` over its carried chain,
@@ -571,7 +595,7 @@ mod tests {
         ];
         let mut output = LevelDigestBuilder::new(4);
         for (k, r, from) in &out {
-            output.add_carried(k, r, from.and_then(|i| input.folded(i)));
+            output.add_carried(k, r, from.and_then(|i| input.folded(i))).unwrap();
         }
         output.end_chain();
         assert_eq!(output.links_carried(), 3, "a5, a2 and b4");

@@ -50,7 +50,7 @@ pub mod tree;
 
 pub use chain::{chain_digest, chain_link, chain_link_parts, ChainPosition};
 pub use crown::{Anchor, Crown, Work, CROWN_ROW_MAX};
-pub use level::{Folded, LevelDigest, LevelDigestBuilder};
+pub use level::{Folded, LevelDigest, LevelDigestBuilder, OutOfOrder};
 pub use mbt::{MerkleBTree, UpdateStats};
 pub use proof::{ChainWalk, LevelCommitment, RecordProof, RecordProofRef, VerifyError, LINK_LEN};
 pub use range::{

@@ -13,7 +13,7 @@
 //!   enclave transition per shard per group), and cross-shard scans that
 //!   merge per-shard verified range results into one totally-ordered
 //!   answer;
-//! * [`ShardedTrustedState`] — the trusted stitching checks. Every
+//! * [`ShardedKv::check_owned`] — the trusted stitching check. Every
 //!   shard's enclave binds its shard id into its commitment domain, so a
 //!   malicious host that reroutes queries, swaps answers between shards,
 //!   or swaps per-shard persistent state across restarts is detected
@@ -46,4 +46,4 @@ pub mod router;
 pub mod stitch;
 
 pub use partition::Partitioner;
-pub use router::{ShardedKv, ShardedOptions, ShardedTrustedState};
+pub use router::{ShardedKv, ShardedOptions};

@@ -1,4 +1,4 @@
-//! The sharded cluster router and its trusted stitching state.
+//! The sharded cluster router and its trusted stitching checks.
 //!
 //! [`ShardedKv`] implements the paper's authenticated interface
 //! ([`AuthenticatedKv`]) over N independent eLSM-P2 partitions, each with
@@ -7,10 +7,10 @@
 //! same way the paper splits a single store:
 //!
 //! * **trusted**: the deterministic partitioner and the stitching checks
-//!   ([`ShardedTrustedState`]) — which shard owns a key, whether an
-//!   answer's commitment domain matches that shard, and whether every
-//!   record in a cross-shard scan segment belongs to the shard that
-//!   returned it;
+//!   ([`ShardedKv::check_owned`]) — which shard owns a key, and whether
+//!   every record of a routed answer belongs to the shard that returned
+//!   it; each shard's own enclave verifies the answer against its
+//!   commitments;
 //! * **untrusted**: the transport between router and shards — which is
 //!   exactly what a malicious host controls, so rerouting a query to the
 //!   wrong (honest, verifying!) shard or swapping per-shard answers must
@@ -19,7 +19,7 @@
 
 use std::sync::Arc;
 
-use elsm::{AuthenticatedKv, ElsmError, ElsmP2, OpSpans, P2Options, TrustedState};
+use elsm::{AuthenticatedKv, ElsmError, ElsmP2, OpSpans, P2Options};
 use elsm::{VerificationFailure, Verified, VerifiedRecord, WRONG_SHARD_UNSHARDED};
 use elsm_replica::{ReplicationGroup, ReplicationOptions};
 use lsm_store::{GetTrace, ScanTrace, Timestamp};
@@ -66,85 +66,6 @@ impl ShardedOptions {
             telemetry: self.store.telemetry.scoped(&format!("shard{id}")),
             ..self.store.clone()
         }
-    }
-}
-
-/// The trusted side of the router: the partitioner plus each shard's
-/// enclave state, and the checks that bind answers to shards.
-#[derive(Debug)]
-pub struct ShardedTrustedState {
-    partitioner: Partitioner,
-    shards: Vec<Arc<TrustedState>>,
-    telemetry: telemetry::Telemetry,
-}
-
-impl ShardedTrustedState {
-    fn new(
-        partitioner: Partitioner,
-        shards: Vec<Arc<TrustedState>>,
-        telemetry: telemetry::Telemetry,
-    ) -> Arc<Self> {
-        Arc::new(ShardedTrustedState { partitioner, shards, telemetry })
-    }
-
-    /// Records a routing-layer verification failure on the audit stream,
-    /// stamped with the shard the trusted router expected.
-    fn audit_failure(&self, failure: &VerificationFailure, shard: u32) {
-        self.telemetry.audit(
-            telemetry::AuditEvent::new(failure.kind(), "router")
-                .detail(failure.to_string())
-                .shard(shard),
-        );
-    }
-
-    /// The shard owning `key`.
-    fn owner_of(&self, key: &[u8]) -> usize {
-        self.partitioner.shard_of(key)
-    }
-
-    /// Checks that `key` is owned by `shard` — the core anti-swap rule:
-    /// a record (or an absence claim) presented by a shard that does not
-    /// own its key is a routed-answer forgery however well it verifies
-    /// against that shard's own commitments.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`VerificationFailure::WrongShard`] naming the owner.
-    pub fn check_owned(&self, shard: usize, key: &[u8]) -> Result<(), VerificationFailure> {
-        let owner = self.owner_of(key);
-        if owner != shard {
-            let failure = VerificationFailure::WrongShard {
-                expected: owner as u32,
-                got: shard.try_into().unwrap_or(WRONG_SHARD_UNSHARDED),
-            };
-            self.audit_failure(&failure, owner as u32);
-            return Err(failure);
-        }
-        Ok(())
-    }
-
-    /// Verifies a routed GET answer: the claimed shard must own the key,
-    /// and the trace must verify against that shard's commitment
-    /// snapshots; hands back the answer that shard's verifier hands back.
-    /// This is the entry the adversary suite drives; the honest router
-    /// routes by the same partitioner, so the first check only fires when
-    /// the host substituted another shard's answer.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`VerificationFailure`] naming the detected attack.
-    pub fn verify_routed_get<'t>(
-        &self,
-        key: &[u8],
-        claimed_shard: usize,
-        trace: &'t GetTrace,
-    ) -> Result<Option<Verified<'t>>, VerificationFailure> {
-        self.check_owned(claimed_shard, key)?;
-        let verdict = self.shards[claimed_shard].verify_get(key, trace);
-        if let Err(failure) = &verdict {
-            self.audit_failure(failure, claimed_shard as u32);
-        }
-        verdict
     }
 }
 
@@ -239,10 +160,13 @@ impl RouterMetrics {
 #[derive(Debug)]
 pub struct ShardedKv {
     router: Arc<Platform>,
-    trusted: Arc<ShardedTrustedState>,
+    /// The trusted router's partitioner: which shard owns a key.
+    partitioner: Partitioner,
     shards: Vec<Shard>,
     /// Registered on the root (unscoped) registry handle.
     metrics: RouterMetrics,
+    /// The root registry handle routing refusals are audited on.
+    telemetry: telemetry::Telemetry,
 }
 
 impl ShardedKv {
@@ -328,24 +252,13 @@ impl ShardedKv {
         telemetry: telemetry::Telemetry,
     ) -> Self {
         telemetry.attach_platform("router", &router);
-        let states = shards.iter().map(|s| s.store.trusted().clone()).collect();
         let metrics = RouterMetrics::new(&telemetry);
-        ShardedKv {
-            router,
-            trusted: ShardedTrustedState::new(partitioner, states, telemetry),
-            shards,
-            metrics,
-        }
+        ShardedKv { router, partitioner, shards, metrics, telemetry }
     }
 
     /// Number of shards.
     pub fn shard_count(&self) -> usize {
         self.shards.len()
-    }
-
-    /// The trusted router state (partitioner + per-shard enclave states).
-    pub fn trusted(&self) -> &Arc<ShardedTrustedState> {
-        &self.trusted
     }
 
     /// The router's platform.
@@ -365,7 +278,7 @@ impl ShardedKv {
 
     /// The shard owning `key` (deterministic, trusted).
     pub fn shard_of(&self, key: &[u8]) -> usize {
-        self.trusted.owner_of(key)
+        self.partitioner.shard_of(key)
     }
 
     /// Flushes every shard's memtable (shard-parallel maintenance in the
@@ -413,6 +326,52 @@ impl ShardedKv {
         self.router.charge_hash(key.len());
     }
 
+    /// Checks that `key` is owned by `shard` — the core anti-swap rule:
+    /// a record (or an absence claim) presented by a shard that does not
+    /// own its key is a routed-answer forgery however well it verifies
+    /// against that shard's own commitments. A refusal is audited as the
+    /// `"router"`'s, stamped with the owner.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`VerificationFailure::WrongShard`] naming the owner.
+    pub fn check_owned(&self, shard: usize, key: &[u8]) -> Result<(), VerificationFailure> {
+        let owner = self.shard_of(key);
+        if owner != shard {
+            let failure = VerificationFailure::WrongShard {
+                expected: owner as u32,
+                got: shard.try_into().unwrap_or(WRONG_SHARD_UNSHARDED),
+            };
+            self.telemetry.audit(
+                telemetry::AuditEvent::new(failure.kind(), "router")
+                    .detail(failure.to_string())
+                    .shard(owner as u32),
+            );
+            return Err(failure);
+        }
+        Ok(())
+    }
+
+    /// Verifies a routed GET answer: the claimed shard must own the key,
+    /// and the trace must verify through that shard's own store (which
+    /// audits its refusals); hands back the answer that shard's verifier
+    /// hands back. This is the entry the adversary suite drives; the
+    /// honest router routes by the same partitioner, so the first check
+    /// only fires when the host substituted another shard's answer.
+    ///
+    /// # Errors
+    ///
+    /// Returns the [`VerificationFailure`] naming the detected attack.
+    pub fn verify_routed_get<'t>(
+        &self,
+        key: &[u8],
+        claimed_shard: usize,
+        trace: &'t GetTrace,
+    ) -> Result<Option<Verified<'t>>, VerificationFailure> {
+        self.check_owned(claimed_shard, key)?;
+        self.shards[claimed_shard].store.verify_get_trace(key, trace)
+    }
+
     /// Verifies a routed SCAN answer segment claimed to come from
     /// `claimed_shard`: the trace must verify against that shard's
     /// commitments, and every record of the result its
@@ -431,7 +390,7 @@ impl ShardedKv {
     ) -> Result<Vec<Verified<'t>>, VerificationFailure> {
         let segment = self.shards[claimed_shard].store.verify_scan_trace(from, to, trace)?;
         for verified in &segment {
-            self.trusted.check_owned(claimed_shard, &verified.record.key)?;
+            self.check_owned(claimed_shard, &verified.record.key)?;
         }
         Ok(segment)
     }
@@ -451,7 +410,7 @@ impl ShardedKv {
         let mut bytes = 0usize;
         for (shard, segment) in &segments {
             for record in segment {
-                self.trusted.check_owned(*shard, record.key()).map_err(ElsmError::Verification)?;
+                self.check_owned(*shard, record.key()).map_err(ElsmError::Verification)?;
                 self.charge_route(record.key());
                 bytes += record.key().len() + record.value().len();
             }
@@ -511,7 +470,7 @@ impl AuthenticatedKv for ShardedKv {
         for (key, _) in items {
             self.charge_route(key);
         }
-        let per_shard = self.trusted.partitioner.split_indices(items.iter().map(|(key, _)| *key));
+        let per_shard = self.partitioner.split_indices(items.iter().map(|(key, _)| *key));
         stitch::run_sharded_batches(&per_shard, items.len(), |shard, indexes| {
             let sub: Vec<(&[u8], &[u8])> = indexes.iter().map(|&i| items[i]).collect();
             self.shards[shard].target().put_batch(&sub)
@@ -526,7 +485,7 @@ impl AuthenticatedKv for ShardedKv {
         for key in keys {
             self.charge_route(key);
         }
-        let per_shard = self.trusted.partitioner.split_indices(keys.iter().copied());
+        let per_shard = self.partitioner.split_indices(keys.iter().copied());
         stitch::run_sharded_batches(&per_shard, keys.len(), |shard, indexes| {
             let sub: Vec<&[u8]> = indexes.iter().map(|&i| keys[i]).collect();
             self.shards[shard].target().delete_batch(&sub)

@@ -70,10 +70,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     let platform = Platform::with_defaults();
     let fs = SimFs::new(SimDisk::new(platform.clone()));
     let counter = MonotonicCounter::new(platform.clone());
-    let options = P2Options {
-        rollback: Some(elsm_repro::elsm::RollbackOptions { counter_write_buffer: 1 }),
-        ..P2Options::default()
-    };
+    let options = P2Options { counter_write_buffer: 1, ..P2Options::default() };
     {
         let s = ElsmP2::open_with(
             platform.clone(),

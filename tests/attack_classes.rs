@@ -197,11 +197,8 @@ fn rollback_attack_detected() {
     let platform = Platform::with_defaults();
     let fs = SimFs::new(SimDisk::new(platform.clone()));
     let counter = MonotonicCounter::new(platform.clone());
-    let options = P2Options {
-        write_buffer_bytes: 4 * 1024,
-        rollback: Some(elsm_repro::elsm::RollbackOptions { counter_write_buffer: 1 }),
-        ..P2Options::default()
-    };
+    let options =
+        P2Options { write_buffer_bytes: 4 * 1024, counter_write_buffer: 1, ..P2Options::default() };
     // Epoch 1: some data, clean close.
     {
         let store =
@@ -241,11 +238,8 @@ fn benign_restart_verifies() {
     let platform = Platform::with_defaults();
     let fs = SimFs::new(SimDisk::new(platform.clone()));
     let counter = MonotonicCounter::new(platform.clone());
-    let options = P2Options {
-        write_buffer_bytes: 4 * 1024,
-        rollback: Some(elsm_repro::elsm::RollbackOptions { counter_write_buffer: 1 }),
-        ..P2Options::default()
-    };
+    let options =
+        P2Options { write_buffer_bytes: 4 * 1024, counter_write_buffer: 1, ..P2Options::default() };
     {
         let store =
             ElsmP2::open_with(platform.clone(), fs.clone(), options.clone(), Some(counter.clone()))

@@ -23,9 +23,7 @@ use std::collections::BTreeMap;
 use std::sync::{Arc, Mutex};
 
 use elsm_repro::crypto::Digest;
-use elsm_repro::elsm::{
-    AuthenticatedKv, ElsmError, ElsmP2, P2Options, RollbackOptions, TrustedState,
-};
+use elsm_repro::elsm::{AuthenticatedKv, ElsmError, ElsmP2, P2Options, TrustedState};
 use elsm_repro::lsm_store::{ReplicationEvent, ReplicationSink, VlogConfig, MANIFEST};
 use elsm_repro::merkle::LevelCommitment;
 use elsm_repro::sgx_sim::{MonotonicCounter, Platform};
@@ -63,7 +61,7 @@ fn store_options() -> P2Options {
             gc_garbage_ratio: 0.2,
             gc_enabled: false,
         }),
-        rollback: Some(RollbackOptions { counter_write_buffer: 1 }),
+        counter_write_buffer: 1,
         ..P2Options::default()
     }
 }

@@ -69,7 +69,7 @@ fn model_check_mmap() {
 
 #[test]
 fn model_check_buffer() {
-    model_check(ReadMode::Buffer);
+    model_check(ReadMode::Buffer { cache_bytes: 512 * 1024 });
 }
 
 #[test]

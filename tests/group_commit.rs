@@ -219,41 +219,6 @@ fn confidential_store_batches_under_encryption() {
     }
 }
 
-/// A lazy `WalSyncPolicy` must not lose acknowledged writes across a
-/// *clean* shutdown: `ElsmP2::close` drains the enclave-side WAL buffer
-/// before sealing, so reopening recovers every record the sealed WAL
-/// digest covers.
-#[test]
-fn lazy_wal_sync_survives_clean_shutdown() {
-    use elsm_repro::lsm_store::WalSyncPolicy;
-    let platform = Platform::with_defaults();
-    let fs = SimFs::new(SimDisk::new(platform.clone()));
-    let options = P2Options {
-        write_buffer_bytes: 1 << 20,
-        wal_sync: WalSyncPolicy::EveryNBytes(1 << 20), // never reaches the threshold
-        ..P2Options::default()
-    };
-    {
-        let store = ElsmP2::open_with(platform.clone(), fs.clone(), options.clone(), None).unwrap();
-        for i in 0..10u32 {
-            store.put(format!("lazy{i}").as_bytes(), b"buffered").unwrap();
-        }
-        store.close().unwrap();
-    }
-    let reopened = ElsmP2::open_with(platform, fs, options, None).unwrap();
-    for i in 0..10u32 {
-        let key = format!("lazy{i}");
-        assert_eq!(
-            reopened
-                .get(key.as_bytes())
-                .unwrap()
-                .unwrap_or_else(|| panic!("{key} lost across clean shutdown"))
-                .value(),
-            b"buffered"
-        );
-    }
-}
-
 /// Racing singleton writers coalesce into shared commit groups: with 8 OS
 /// threads hammering puts, the WAL must end up with fewer frames than
 /// records, while every record stays durable and verifiable.

@@ -2,7 +2,9 @@
 //! (files, snapshots) rather than on in-memory traces — the adversary's
 //! real vantage point (§3.3: "the adversary is the untrusted host").
 
-use elsm_repro::elsm::{AuthenticatedKv, ElsmError, ElsmP2, P2Options, VerificationFailure};
+use elsm_repro::elsm::{
+    AuthenticatedKv, ElsmError, ElsmP2, P2Options, ReadMode, VerificationFailure,
+};
 use elsm_repro::sgx_sim::{MonotonicCounter, Platform};
 use elsm_repro::sim_disk::{SimDisk, SimFs};
 
@@ -18,8 +20,12 @@ fn opts() -> P2Options {
     }
 }
 
-fn loaded_store() -> ElsmP2 {
-    let store = ElsmP2::open(Platform::with_defaults(), opts()).unwrap();
+/// The two read paths a table corruption is read back through: mapped,
+/// and through P2's block cache in untrusted memory.
+const READ_MODES: [ReadMode; 2] = [ReadMode::Mmap, ReadMode::Buffer { cache_bytes: 512 * 1024 }];
+
+fn loaded_store(read_mode: ReadMode) -> ElsmP2 {
+    let store = ElsmP2::open(Platform::with_defaults(), P2Options { read_mode, ..opts() }).unwrap();
     for i in 0..400u32 {
         store.put(format!("key{i:04}").as_bytes(), format!("v{i}").as_bytes()).unwrap();
     }
@@ -29,9 +35,15 @@ fn loaded_store() -> ElsmP2 {
 
 #[test]
 fn every_sstable_byte_is_load_bearing() {
+    for read_mode in READ_MODES {
+        every_sstable_byte_is_load_bearing_under(read_mode);
+    }
+}
+
+fn every_sstable_byte_is_load_bearing_under(read_mode: ReadMode) {
     // Corrupt several positions in one table; at least the covered reads
     // must fail verification, and no read may return wrong data silently.
-    let store = loaded_store();
+    let store = loaded_store(read_mode);
     let sst = store.fs().list().into_iter().filter(|n| n.ends_with(".sst")).max().expect("a table");
     let file = store.fs().open(&sst).unwrap();
     for offset in [50usize, 500, 1500] {
@@ -68,7 +80,13 @@ fn every_sstable_byte_is_load_bearing() {
 
 #[test]
 fn scans_refuse_corrupted_levels() {
-    let store = loaded_store();
+    for read_mode in READ_MODES {
+        scans_refuse_corrupted_levels_under(read_mode);
+    }
+}
+
+fn scans_refuse_corrupted_levels_under(read_mode: ReadMode) {
+    let store = loaded_store(read_mode);
     let sst = store.fs().list().into_iter().find(|n| n.ends_with(".sst")).unwrap();
     store.fs().open(&sst).unwrap().corrupt(200, 0xff);
     // A wide scan must either fail verification or return fully correct
@@ -120,10 +138,7 @@ fn counter_survives_what_files_do_not() {
     let platform = Platform::with_defaults();
     let fs = SimFs::new(SimDisk::new(platform.clone()));
     let counter = MonotonicCounter::new(platform.clone());
-    let options = P2Options {
-        rollback: Some(elsm_repro::elsm::RollbackOptions { counter_write_buffer: 1 }),
-        ..opts()
-    };
+    let options = P2Options { counter_write_buffer: 1, ..opts() };
     let snapshot_before_any_data = fs.snapshot();
     {
         let store =
@@ -204,7 +219,7 @@ fn swapped_table_files_are_refused_at_restart() {
 
 #[test]
 fn poisoned_store_refuses_service() {
-    let store = loaded_store();
+    let store = loaded_store(ReadMode::Mmap);
     store.trusted().poison();
     assert!(matches!(store.get(b"key0001"), Err(ElsmError::Poisoned)));
     assert!(matches!(store.put(b"x", b"y"), Err(ElsmError::Poisoned)));
@@ -1545,28 +1560,8 @@ mod merge_input {
     //! the merge wrote the shorter level it had seen so far.
 
     use super::*;
-    use elsm_repro::lsm_store::block::Block;
     use elsm_repro::lsm_store::{Db, EnvConfig, Options, StorageEnv};
-    use elsm_repro::sim_disk::SimFile;
-
-    /// `(offset, stored length)` of every data block of a table file, read
-    /// off its footer and index block.
-    fn data_blocks(file: &SimFile) -> Vec<(usize, usize)> {
-        let word = |at: usize| {
-            let bytes = file.peek(at, 8).unwrap();
-            u64::from_le_bytes(bytes[..].try_into().unwrap()) as usize
-        };
-        let footer = file.len() - 56;
-        let index = file.peek(word(footer + 16), word(footer + 24)).unwrap();
-        Block::parse(index)
-            .unwrap()
-            .iter()
-            .map(|(_, v)| {
-                let at = |i: usize| u64::from_le_bytes(v[i..i + 8].try_into().unwrap()) as usize;
-                (at(0), at(8))
-            })
-            .collect()
-    }
+    use support::adversary::data_blocks;
 
     /// Breaks the first entry header of a block in the middle of the
     /// level-1 table: the restart entry now claims to share key bytes with
@@ -1635,11 +1630,7 @@ mod merge_input {
     fn a_failed_flush_never_serves_a_stale_read() {
         let platform = Platform::with_defaults();
         let fs = SimFs::new(SimDisk::new(platform.clone()));
-        let options = P2Options {
-            write_buffer_bytes: 16 * 1024,
-            block_cache_bytes: 0,
-            ..P2Options::default()
-        };
+        let options = P2Options { write_buffer_bytes: 16 * 1024, ..P2Options::default() };
         let store = ElsmP2::open_with(platform, fs.clone(), options, None).unwrap();
         let key = |i: u32| format!("key{i:04}").into_bytes();
         for i in 0..300 {
@@ -1689,7 +1680,6 @@ mod merge_input {
         use elsm_repro::elsm::envelope::wrap_plain;
         let options = P2Options {
             write_buffer_bytes: 1 << 20, // explicit flushes only
-            block_cache_bytes: 0,
             ..P2Options::default()
         };
         let key = |i: u32| format!("key{i:04}").into_bytes();
@@ -1738,12 +1728,8 @@ mod merge_input {
     fn an_authenticated_store_never_installs_the_shorter_level() {
         let platform = Platform::with_defaults();
         let fs = SimFs::new(SimDisk::new(platform.clone()));
-        let options = P2Options {
-            write_buffer_bytes: 1 << 20,
-            block_cache_bytes: 0,
-            max_levels: 3,
-            ..P2Options::default()
-        };
+        let options =
+            P2Options { write_buffer_bytes: 1 << 20, max_levels: 3, ..P2Options::default() };
         let store = ElsmP2::open_with(platform.clone(), fs.clone(), options.clone(), None).unwrap();
         for i in 0..600u32 {
             store.put(format!("key{i:04}").as_bytes(), &[i as u8; 64]).unwrap();
@@ -1870,5 +1856,189 @@ mod unclean_shutdown {
             }
             assert_eq!(registry.audit_count("SealBroken"), 1, "the refusal is audited");
         }
+    }
+}
+
+mod host_order {
+    //! The host writes bytes, not through the table builder: a table whose
+    //! blocks are valid but whose records are out of key order. A restart
+    //! that rebuilds the level's crown from it, and a merge that reads it,
+    //! each refuse it once on the audit stream — and neither panics.
+
+    use super::*;
+    use crate::support::adversary;
+    use elsm_repro::lsm_store::{Db, EnvConfig, Options, StorageEnv};
+    use elsm_repro::shard::{ShardedKv, ShardedOptions};
+    use elsm_repro::telemetry::Telemetry;
+    use std::sync::Arc;
+
+    const KEYS: u32 = 600;
+
+    fn key(i: u32) -> Vec<u8> {
+        format!("key{i:04}").into_bytes()
+    }
+
+    fn value(i: u32) -> Vec<u8> {
+        vec![i as u8; 64]
+    }
+
+    fn options(telemetry: &Telemetry) -> P2Options {
+        P2Options {
+            write_buffer_bytes: 1 << 20, // explicit flushes only
+            max_levels: 3,
+            telemetry: telemetry.clone(),
+            ..P2Options::default()
+        }
+    }
+
+    /// Swaps two adjacent records of the first table of `fs`.
+    fn swap_in_a_table(fs: &SimFs) {
+        let sst = fs.list().into_iter().find(|n| n.ends_with(".sst")).expect("a table");
+        let swapped = adversary::swap_adjacent_records(&fs.open(&sst).unwrap());
+        assert!(swapped.is_some(), "a pair to swap in {sst}");
+    }
+
+    /// Reads every key back through `kv`: each is its value or a refusal,
+    /// never a wrong value or an absence. Returns the refusals.
+    fn read_back(kv: &dyn AuthenticatedKv, keys: impl Iterator<Item = u32>) -> usize {
+        let mut refused = 0;
+        for i in keys {
+            match kv.get(&key(i)) {
+                Ok(Some(record)) => assert_eq!(record.value(), &value(i)[..], "key{i:04}"),
+                Ok(None) => panic!("key{i:04} verified as absent"),
+                Err(ElsmError::Verification(_) | ElsmError::Poisoned) => refused += 1,
+                Err(other) => panic!("key{i:04}: neither the value nor a refusal: {other:?}"),
+            }
+        }
+        refused
+    }
+
+    fn assert_audited_once(telemetry: &Telemetry, level: u32, shard: Option<u32>) {
+        let events = telemetry.audit_events();
+        assert_eq!(events.len(), 1, "audited once: {events:?}");
+        assert_eq!(events[0].kind, "IncompleteRange");
+        assert!(events[0].detail.contains(&format!("level {level}")), "{:?}", events[0]);
+        assert_eq!(events[0].shard, shard);
+    }
+
+    fn loaded_store(platform: &Arc<Platform>, fs: &Arc<SimFs>, telemetry: &Telemetry) -> ElsmP2 {
+        let store =
+            ElsmP2::open_with(platform.clone(), fs.clone(), options(telemetry), None).unwrap();
+        for i in 0..KEYS {
+            store.put(&key(i), &value(i)).unwrap();
+        }
+        store.db().flush().unwrap();
+        assert_eq!(store.db().level_records()[1], KEYS as u64, "one level-1 run");
+        store
+    }
+
+    #[test]
+    fn a_restart_leaves_the_level_root_only() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let store = loaded_store(&platform, &fs, &Telemetry::default());
+        store.close().unwrap();
+        drop(store);
+        swap_in_a_table(&fs);
+
+        let telemetry = Telemetry::new();
+        let store = ElsmP2::open_with(platform, fs, options(&telemetry), None).unwrap();
+        assert_audited_once(&telemetry, 1, None);
+        assert_eq!(store.trusted().crown_nodes(1), 1, "the root alone");
+        assert!(read_back(&store, 0..KEYS) > 0, "the swapped keys are refused");
+    }
+
+    #[test]
+    fn a_compaction_fails_and_writes_nothing() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let telemetry = Telemetry::new();
+        let store = loaded_store(&platform, &fs, &telemetry);
+        let (epoch, records, files) =
+            (store.db().current_epoch(), store.db().level_records(), fs.list());
+        let commitments = store.trusted().commitments();
+        swap_in_a_table(&fs);
+
+        assert!(store.db().compact(1).is_err(), "the merge fails");
+        assert!(store.trusted().is_poisoned(), "and the enclave refuses service");
+        assert_audited_once(&telemetry, 1, None);
+        assert_eq!(store.db().current_epoch(), epoch, "nothing installed");
+        assert_eq!(store.db().level_records(), records);
+        assert_eq!(fs.list(), files, "no output file was left behind");
+        assert_eq!(store.trusted().commitments(), commitments, "nothing new was signed");
+        assert_eq!(read_back(&store, 0..KEYS), KEYS as usize, "every read is refused");
+    }
+
+    /// The engine alone: a merge whose input is out of order fails before
+    /// its output reaches the block builder's order check.
+    #[test]
+    fn a_bare_store_fails_the_compaction() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let options = Options {
+            write_buffer_bytes: 1 << 20,
+            max_levels: 3,
+            env: EnvConfig { block_cache_bytes: 0, ..EnvConfig::default() },
+            ..Options::default()
+        };
+        let env = StorageEnv::new(platform, fs.clone(), options.env.clone(), None);
+        let db = Db::open(env, options, None).unwrap();
+        for i in 0..KEYS {
+            db.put(&key(i), &value(i)).unwrap();
+        }
+        db.flush().unwrap();
+        let (epoch, files) = (db.current_epoch(), fs.list());
+        swap_in_a_table(&fs);
+        assert!(db.compact(1).is_err(), "an out-of-order input must fail the job");
+        assert_eq!(db.current_epoch(), epoch, "nothing installed");
+        assert_eq!(fs.list(), files, "no output file was left behind");
+    }
+
+    fn loaded_cluster(telemetry: &Telemetry) -> (ShardedOptions, ShardedKv) {
+        let options = ShardedOptions::hash(2, options(telemetry));
+        let cluster = ShardedKv::open(Platform::with_defaults(), options.clone()).unwrap();
+        for i in 0..KEYS {
+            cluster.put(&key(i), &value(i)).unwrap();
+        }
+        cluster.flush().unwrap();
+        (options, cluster)
+    }
+
+    #[test]
+    fn a_cluster_restart_leaves_the_shards_level_root_only() {
+        let (_, cluster) = loaded_cluster(&Telemetry::default());
+        cluster.close().unwrap();
+        let filesystems: Vec<Arc<SimFs>> = (0..2).map(|i| cluster.shard(i).fs().clone()).collect();
+        let router = cluster.router_platform().clone();
+        drop(cluster);
+        swap_in_a_table(&filesystems[0]);
+
+        let telemetry = Telemetry::new();
+        let options = ShardedOptions::hash(2, options(&telemetry));
+        let cluster = ShardedKv::open_with(router, filesystems, options).unwrap();
+        assert_audited_once(&telemetry, 1, Some(0));
+        assert_eq!(cluster.shard(0).trusted().crown_nodes(1), 1, "shard 0's root alone");
+        assert!(read_back(&cluster, 0..KEYS) > 0, "the swapped keys are refused");
+        let shard1 = (0..KEYS).filter(|&i| cluster.shard_of(&key(i)) == 1);
+        assert_eq!(read_back(&cluster, shard1), 0, "shard 1 serves on");
+    }
+
+    #[test]
+    fn a_cluster_compaction_fails_on_its_shard() {
+        let telemetry = Telemetry::new();
+        let (_, cluster) = loaded_cluster(&telemetry);
+        let shard0 = cluster.shard(0);
+        let files = shard0.fs().list();
+        swap_in_a_table(shard0.fs());
+
+        assert!(shard0.db().compact(1).is_err(), "the merge fails");
+        assert!(shard0.trusted().is_poisoned());
+        assert_audited_once(&telemetry, 1, Some(0));
+        assert_eq!(shard0.fs().list(), files, "no output file was left behind");
+        let (owned_by_0, owned_by_1): (Vec<u32>, Vec<u32>) =
+            (0..KEYS).partition(|&i| cluster.shard_of(&key(i)) == 0);
+        let refused = read_back(&cluster, owned_by_0.iter().copied());
+        assert_eq!(refused, owned_by_0.len(), "shard 0 refuses");
+        assert_eq!(read_back(&cluster, owned_by_1.into_iter()), 0, "shard 1 serves on");
     }
 }

@@ -140,13 +140,13 @@ fn rerouted_get_detected() {
     assert_eq!(owner, 0);
     // Honest routing verifies.
     let honest = cluster.shard(owner).raw_get_trace(&key).unwrap();
-    cluster.trusted().verify_routed_get(&key, owner, &honest).unwrap();
+    cluster.verify_routed_get(&key, owner, &honest).unwrap();
     // The host reroutes the query to shard 1, which honestly — and
     // verifiably, against its own commitments! — answers "absent". The
     // only thing that catches the suppression is the shard binding.
     let rerouted = cluster.shard(1).raw_get_trace(&key).unwrap();
     cluster.shard(1).verify_get_trace(&key, &rerouted).unwrap(); // verifies in shard 1's domain...
-    let err = cluster.trusted().verify_routed_get(&key, 1, &rerouted).unwrap_err();
+    let err = cluster.verify_routed_get(&key, 1, &rerouted).unwrap_err();
     assert_eq!(err, VerificationFailure::WrongShard { expected: 0, got: 1 });
 }
 
@@ -175,7 +175,7 @@ fn hidden_level_inside_a_shard_detected_through_the_router() {
         })
         .expect("a hit level");
     adversary::hide_level(&mut trace, hit_level);
-    let err = cluster.trusted().verify_routed_get(&key, owner, &trace).unwrap_err();
+    let err = cluster.verify_routed_get(&key, owner, &trace).unwrap_err();
     assert!(matches!(err, VerificationFailure::HiddenLevel { .. }), "got {err:?}");
 }
 
@@ -210,7 +210,7 @@ fn smuggled_scan_records_detected() {
     assert_eq!(err, VerificationFailure::WrongShard { expected: 2, got: 0 });
     // Ownership checking is per record, not per segment.
     let foreign = key_owned_by(&cluster, 2);
-    let err = cluster.trusted().check_owned(0, &foreign).unwrap_err();
+    let err = cluster.check_owned(0, &foreign).unwrap_err();
     assert!(matches!(err, VerificationFailure::WrongShard { expected: 2, got: 0 }));
 }
 

@@ -8,8 +8,11 @@
 
 use bytes::Bytes;
 use elsm_repro::crypto::Digest;
+use elsm_repro::lsm_store::block::Block;
+use elsm_repro::lsm_store::encoding::{put_fixed_u32, put_varint_u32};
 use elsm_repro::lsm_store::{GetTrace, LevelOutcome, Record, ScanTrace};
 use elsm_repro::merkle::{ChainPosition, RecordProof};
+use elsm_repro::sim_disk::SimFile;
 
 /// Replaces the hit record's value bytes (query-integrity attack).
 pub fn forge_hit_value(trace: &mut GetTrace, forged_value: &[u8]) {
@@ -170,4 +173,88 @@ pub fn corrupt_scan_end_path(trace: &mut ScanTrace, level: usize, end: ScanEnd, 
 /// Fabricates a record with a plain envelope (no proof at all).
 pub fn proofless_record(key: &[u8], value: &[u8], ts: u64) -> Record {
     Record::put(Bytes::copy_from_slice(key), elsm_repro::elsm::envelope::wrap_plain(value), ts)
+}
+
+/// `(offset, stored length)` of every data block of a table file, read off
+/// its footer and index block.
+pub fn data_blocks(file: &SimFile) -> Vec<(usize, usize)> {
+    let word = |at: usize| {
+        let bytes = file.peek(at, 8).unwrap();
+        u64::from_le_bytes(bytes[..].try_into().unwrap()) as usize
+    };
+    let footer = file.len() - 56;
+    let index = file.peek(word(footer + 16), word(footer + 24)).unwrap();
+    Block::parse(index)
+        .unwrap()
+        .iter()
+        .map(|(_, v)| {
+            let at = |i: usize| u64::from_le_bytes(v[i..i + 8].try_into().unwrap()) as usize;
+            (at(0), at(8))
+        })
+        .collect()
+}
+
+/// Encodes block entries in the data-block format (prefix-compressed keys,
+/// a restart point every 16 entries) in whatever order they come: a raw
+/// writer, as a host that writes bytes and skips the builder's order check.
+fn raw_block(entries: &[(Vec<u8>, Bytes)]) -> Vec<u8> {
+    let (mut out, mut restarts) = (Vec::new(), Vec::new());
+    let mut prev: &[u8] = &[];
+    for (i, (key, value)) in entries.iter().enumerate() {
+        let shared = if i % 16 == 0 {
+            restarts.push(out.len() as u32);
+            0
+        } else {
+            prev.iter().zip(key).take_while(|(a, b)| a == b).count()
+        };
+        put_varint_u32(&mut out, shared as u32);
+        put_varint_u32(&mut out, (key.len() - shared) as u32);
+        put_varint_u32(&mut out, value.len() as u32);
+        out.extend_from_slice(&key[shared..]);
+        out.extend_from_slice(value);
+        prev = key;
+    }
+    for restart in &restarts {
+        put_fixed_u32(&mut out, *restart);
+    }
+    put_fixed_u32(&mut out, restarts.len() as u32);
+    out
+}
+
+/// Rewrites a table file in place so that two adjacent records of
+/// different keys inside one data block trade places — valid blocks
+/// whose records are out of key order. Only the block's bytes change:
+/// the pair is one whose swap keeps the block's length, away from the
+/// block's ends, so the index, filter and footer still describe the file.
+/// Works on the file an open store reads as well as on a closed store's.
+/// Returns the pair's user keys in their new (descending) order; `None`
+/// when no block of the table offers such a pair.
+pub fn swap_adjacent_records(file: &SimFile) -> Option<(Vec<u8>, Vec<u8>)> {
+    let blocks = data_blocks(file);
+    // Middle blocks first: a pair far from the table's ends.
+    let order = (0..blocks.len()).map(|i| (i + blocks.len() / 2) % blocks.len());
+    for (offset, len) in order.map(|i| blocks[i]) {
+        let stored = file.peek(offset, len).unwrap();
+        let mut entries: Vec<(Vec<u8>, Bytes)> = Block::parse(stored.clone())?.iter().collect();
+        assert_eq!(raw_block(&entries), stored[..], "the raw writer writes the builder's bytes");
+        let user_key = |key: &[u8]| key[..key.len() - 8].to_vec();
+        for i in 1..entries.len().saturating_sub(2) {
+            let (a, b) = (user_key(&entries[i].0), user_key(&entries[i + 1].0));
+            if a == b {
+                continue;
+            }
+            entries.swap(i, i + 1);
+            let swapped = raw_block(&entries);
+            if swapped.len() == stored.len() {
+                for (at, (old, new)) in stored.iter().zip(&swapped).enumerate() {
+                    if old != new {
+                        file.corrupt(offset + at, old ^ new);
+                    }
+                }
+                return Some((b, a));
+            }
+            entries.swap(i, i + 1);
+        }
+    }
+    None
 }

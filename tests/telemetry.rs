@@ -10,9 +10,13 @@
 use std::collections::BTreeSet;
 
 use elsm_repro::elsm::{AuthenticatedKv, ElsmP2, P2Options};
+use elsm_repro::lsm_store::LevelOutcome;
 use elsm_repro::sgx_sim::Platform;
 use elsm_repro::shard::{ShardedKv, ShardedOptions};
 use elsm_repro::telemetry::Telemetry;
+
+pub mod support;
+use support::adversary;
 
 fn instrumented_options(registry: &Telemetry) -> P2Options {
     P2Options { telemetry: registry.clone(), write_buffer_bytes: 1 << 20, ..P2Options::default() }
@@ -164,7 +168,7 @@ fn verification_failures_land_on_the_root_audit_stream() {
     let wrong = (owner + 1) % 3;
 
     assert_eq!(registry.audit_total(), 0);
-    let err = cluster.trusted().check_owned(wrong, b"audited");
+    let err = cluster.check_owned(wrong, b"audited");
     assert!(err.is_err(), "router refuses the mis-claimed shard");
     assert_eq!(registry.audit_count("WrongShard"), 1);
     let event = &registry.audit_events()[0];
@@ -172,6 +176,26 @@ fn verification_failures_land_on_the_root_audit_stream() {
     assert_eq!(event.component, "router");
     assert_eq!(event.shard, Some(owner as u32), "event names the true owner");
     assert!(registry.to_json().contains("\"kind\": \"WrongShard\""));
+
+    // Each routed refusal adds exactly one event, stamped with its shard:
+    // a routed GET the owner's enclave refuses for a hidden level...
+    cluster.flush().unwrap();
+    let mut trace = cluster.shard(owner).raw_get_trace(b"audited").unwrap();
+    let hit = trace.levels.iter().find(|l| matches!(l.outcome, LevelOutcome::Hit(_)));
+    let hit = hit.expect("the key is on disk").level;
+    adversary::hide_level(&mut trace, hit);
+    assert!(cluster.verify_routed_get(b"audited", owner, &trace).is_err());
+    let events = registry.audit_events();
+    assert_eq!(events.len(), 2, "one event for the refused GET: {events:?}");
+    assert_eq!((events[1].kind, events[1].shard), ("HiddenLevel", Some(owner as u32)));
+    // ...and a routed SCAN segment holding a record of another shard.
+    cluster.shard(wrong).put(b"audited", b"smuggled").unwrap();
+    let trace = cluster.shard(wrong).raw_scan_trace(b"a", b"z").unwrap();
+    assert!(cluster.verify_routed_scan(b"a", b"z", wrong, &trace).is_err());
+    let events = registry.audit_events();
+    assert_eq!(events.len(), 3, "one event for the refused SCAN: {events:?}");
+    assert_eq!((events[2].kind, events[2].component), ("WrongShard", "router"));
+    assert_eq!(events[2].shard, Some(owner as u32), "the event names the true owner");
 }
 
 /// The export renders an instrumented run: the JSON document the bench

@@ -4,7 +4,7 @@
 use std::sync::Arc;
 
 use elsm_bench::drivers::{Unsecured, Verified};
-use elsm_repro::baselines::{EleosOptions, EleosStore, UnsecuredLsm, UnsecuredOptions};
+use elsm_repro::baselines::{open_unsecured, EleosOptions, EleosStore, UnsecuredOptions};
 use elsm_repro::elsm::{ElsmP1, ElsmP2, P1Options, P2Options};
 use elsm_repro::sgx_sim::Platform;
 use elsm_repro::sim_disk::{SimDisk, SimFs};
@@ -106,7 +106,7 @@ fn unsecured_is_fastest_p1_pays_paging_p2_pays_proofs() {
     let records = 2000u64;
     let run_unsec = || {
         let platform = Platform::with_defaults();
-        let store = UnsecuredLsm::open(
+        let store = open_unsecured(
             platform.clone(),
             UnsecuredOptions { write_buffer_bytes: 8 * 1024, ..UnsecuredOptions::default() },
         )
