@@ -141,11 +141,6 @@ impl EleosStore {
         self.len() == 0
     }
 
-    /// Live data bytes.
-    pub fn data_bytes(&self) -> u64 {
-        self.inner.lock().data_bytes
-    }
-
     /// Charges one array-slot access through the software paging layer.
     fn touch_slot(&self, inner: &mut EleosInner, idx: usize, entry_bytes: usize) {
         // Every reference pays the monitoring overhead.

@@ -42,16 +42,6 @@ impl MbtStore {
         MbtStore { platform, tree: Mutex::new(MerkleBTree::new()) }
     }
 
-    /// Number of keys stored.
-    pub fn len(&self) -> usize {
-        self.tree.lock().len()
-    }
-
-    /// Whether the store is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
     /// Current root digest (what a verifier would pin).
     pub fn root(&self) -> elsm_crypto::Digest {
         self.tree.lock().root()

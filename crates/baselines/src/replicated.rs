@@ -58,21 +58,6 @@ impl ReplicatedUnsecured {
         Ok(ReplicatedUnsecured { primary, replicas, rr: AtomicUsize::new(0) })
     }
 
-    /// Number of replicas.
-    pub fn replica_count(&self) -> usize {
-        self.replicas.len()
-    }
-
-    /// The primary store.
-    pub fn primary(&self) -> &Db {
-        &self.primary
-    }
-
-    /// Replica `i`'s store.
-    pub fn replica(&self, i: usize) -> &Db {
-        &self.replicas[i]
-    }
-
     /// Replica `i`'s platform (its machine's clock).
     pub fn replica_platform(&self, i: usize) -> &Arc<Platform> {
         self.replicas[i].env().platform()
@@ -113,19 +98,6 @@ impl ReplicatedUnsecured {
         let ts = self.primary.write_batch(WriteBatch::from_puts(items))?;
         for replica in &self.replicas {
             replica.write_batch(WriteBatch::from_puts(items))?;
-        }
-        Ok(ts)
-    }
-
-    /// Deletes on the primary and every replica.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError`] on IO failure.
-    pub fn delete(&self, key: &[u8]) -> Result<u64, FsError> {
-        let ts = self.primary.delete(key)?;
-        for replica in &self.replicas {
-            replica.delete(key)?;
         }
         Ok(ts)
     }

@@ -57,11 +57,6 @@ impl ShardedUnsecured {
         Ok(ShardedUnsecured { router, partitioner, shards })
     }
 
-    /// Number of shards.
-    pub fn shard_count(&self) -> usize {
-        self.shards.len()
-    }
-
     /// The shard owning `key`.
     pub fn shard_of(&self, key: &[u8]) -> usize {
         self.partitioner.shard_of(key)
@@ -135,16 +130,6 @@ impl ShardedUnsecured {
     pub fn get(&self, key: &[u8]) -> Result<Option<Record>, FsError> {
         self.charge_route(key);
         self.shards[self.shard_of(key)].get(key)
-    }
-
-    /// Deletes a key on the owning shard.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`FsError`] on IO failure.
-    pub fn delete(&self, key: &[u8]) -> Result<u64, FsError> {
-        self.charge_route(key);
-        self.shards[self.shard_of(key)].delete(key)
     }
 
     /// Range query stitched across shards into one key-ordered result by

@@ -3,10 +3,11 @@
 //! `--only <figures>` with a comma-separated list (e.g. `--only
 //! fig11,fig12`) to run a subset: each selected figure then writes its own
 //! `BENCH_results.<figure>.json`, so a partial run never clobbers the
-//! committed full baseline.
+//! committed full baseline. Any other argument is refused with the usage
+//! and exit code 2.
 
 use elsm_bench::figures::*;
-use elsm_bench::{opts_from_args, results, telemetry, FigOpts, Scale};
+use elsm_bench::{results, telemetry, FigOpts, Scale};
 use ycsb::Table;
 
 type FigureFn = fn(&Scale, FigOpts) -> Table;
@@ -36,49 +37,70 @@ const FIGURES: &[(&str, FigureFn)] = &[
     ("fig14", fig14),
 ];
 
-/// The figures `--only <list>` / `--only=<list>` selects (a
-/// comma-separated list), `None` without the flag. Parsing is strict: a
-/// valueless flag, an empty element (`fig11,,fig12`, a trailing comma) or
-/// an unknown name is an error — never a silent fall-through to the full
-/// sweep.
-fn parse_only(args: &[String]) -> Result<Option<Vec<&str>>, String> {
+const USAGE: &str = "usage: run_all [--quick | --smoke | --full] [--markdown] [--only <figures>]";
+
+/// What `run_all`'s command line asks for.
+struct Args<'a> {
+    /// `--quick` (or its alias `--smoke`) selects the reduced sweep CI
+    /// runs; `--full`, the default, regenerates the recorded figures. The
+    /// last of them wins.
+    quick: bool,
+    /// `--markdown` prints each table as markdown instead of aligned text.
+    markdown: bool,
+    /// The figures `--only <list>` / `--only=<list>` selects (a
+    /// comma-separated list), `None` without the flag.
+    only: Option<Vec<&'a str>>,
+}
+
+/// Parses `run_all`'s flags. Parsing is strict: an unknown flag or
+/// argument, a valueless `--only`, an empty element (`fig11,,fig12`, a
+/// trailing comma) or an unknown figure name is an error — never a silent
+/// fall-through to the full sweep.
+fn parse_args(args: &[String]) -> Result<Args<'_>, String> {
+    let mut parsed = Args { quick: false, markdown: false, only: None };
     let mut list: Option<&str> = None;
     let mut args = args.iter();
     while let Some(arg) = args.next() {
-        if arg == "--only" {
-            match args.next() {
+        match arg.as_str() {
+            "--quick" | "--smoke" => parsed.quick = true,
+            "--full" => parsed.quick = false,
+            "--markdown" => parsed.markdown = true,
+            "--only" => match args.next() {
                 Some(value) if !value.starts_with('-') => list = Some(value),
                 _ => return Err("--only requires a figure list".into()),
+            },
+            _ => match arg.strip_prefix("--only=") {
+                Some(value) => list = Some(value),
+                None => return Err(format!("unknown argument `{arg}`")),
+            },
+        }
+    }
+    if let Some(list) = list {
+        for name in list.split(',') {
+            if name.is_empty() {
+                return Err(format!("empty figure name in `--only {list}`"));
             }
-        } else if let Some(value) = arg.strip_prefix("--only=") {
-            list = Some(value);
+            if !FIGURES.iter().any(|(n, _)| *n == name) {
+                return Err(format!("unknown figure `{name}`"));
+            }
         }
+        parsed.only = Some(list.split(',').collect());
     }
-    let Some(list) = list else { return Ok(None) };
-    for name in list.split(',') {
-        if name.is_empty() {
-            return Err(format!("empty figure name in `--only {list}`"));
-        }
-        if !FIGURES.iter().any(|(n, _)| *n == name) {
-            return Err(format!("unknown figure `{name}`"));
-        }
-    }
-    Ok(Some(list.split(',').collect()))
+    Ok(parsed)
 }
 
 fn main() {
     let scale = Scale::default();
-    let opts = opts_from_args();
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let markdown = args.iter().any(|a| a == "--markdown");
-    let only = parse_only(&args).unwrap_or_else(|problem| {
-        eprintln!("{problem}; available figures:");
+    let Args { quick, markdown, only } = parse_args(&args).unwrap_or_else(|problem| {
+        eprintln!("{problem}\n{USAGE}\navailable figures:");
         for (n, _) in FIGURES {
             eprintln!("  {n}");
         }
         std::process::exit(2);
     });
-    let mode = if opts.quick { "smoke" } else { "full" };
+    let opts = FigOpts { quick };
+    let mode = if quick { "smoke" } else { "full" };
     // Telemetry rotates per figure: each gets its own registry and its own
     // TELEMETRY.<figure>.json snapshot and TRACES.<figure>.json dump.
     for (name, figure) in FIGURES {
@@ -109,20 +131,24 @@ fn main() {
 
 #[cfg(test)]
 mod tests {
-    use super::parse_only;
+    use super::parse_args;
 
-    fn parse(args: &[&str]) -> Result<Option<Vec<String>>, String> {
+    /// `(quick, markdown, only)` as `parse_args` reads `args`.
+    type Parsed = (bool, bool, Option<Vec<String>>);
+
+    fn parse(args: &[&str]) -> Result<Parsed, String> {
         let args: Vec<String> = args.iter().map(|a| a.to_string()).collect();
-        parse_only(&args)
-            .map(|only| only.map(|names| names.iter().map(|n| n.to_string()).collect()))
+        parse_args(&args).map(|a| {
+            (a.quick, a.markdown, a.only.map(|names| names.iter().map(|n| n.to_string()).collect()))
+        })
     }
 
     #[test]
     fn only_selects_a_strict_figure_list() {
-        assert_eq!(parse(&["--smoke", "--markdown"]), Ok(None));
-        let two = Ok(Some(vec!["fig11".to_string(), "fig12".to_string()]));
-        assert_eq!(parse(&["--smoke", "--only", "fig11,fig12"]), two);
-        assert_eq!(parse(&["--only=fig11,fig12", "--quick"]), two);
+        assert_eq!(parse(&["--smoke", "--markdown"]), Ok((true, true, None)));
+        let two = Some(vec!["fig11".to_string(), "fig12".to_string()]);
+        assert_eq!(parse(&["--smoke", "--only", "fig11,fig12"]), Ok((true, false, two.clone())));
+        assert_eq!(parse(&["--only=fig11,fig12", "--quick"]), Ok((true, false, two)));
         for bad in [
             &["--only"][..],
             &["--only", "--smoke"],
@@ -130,6 +156,22 @@ mod tests {
             &["--only=fig11,"],
             &["--only", "fig99"],
         ] {
+            assert!(parse(bad).is_err(), "{bad:?} must be refused");
+        }
+    }
+
+    #[test]
+    fn the_last_sweep_size_flag_wins() {
+        assert_eq!(parse(&[]), Ok((false, false, None)));
+        assert_eq!(parse(&["--quick"]), Ok((true, false, None)));
+        assert_eq!(parse(&["--smoke", "--full"]), Ok((false, false, None)));
+        assert_eq!(parse(&["--full", "--smoke"]), Ok((true, false, None)));
+    }
+
+    /// A typo must not start the full sweep.
+    #[test]
+    fn unknown_flags_are_refused() {
+        for bad in [&["--smoek"][..], &["--quick", "--markdwn"], &["fig6b"], &["-q"]] {
             assert!(parse(bad).is_err(), "{bad:?} must be refused");
         }
     }

@@ -18,11 +18,3 @@ pub mod telemetry;
 
 pub use figures::FigOpts;
 pub use scale::Scale;
-
-/// Parses `run_all`'s sweep-size flag: `--quick` (or its alias `--smoke`)
-/// selects the reduced sweep used by CI; `--full` (the default)
-/// regenerates the recorded figures.
-pub fn opts_from_args() -> FigOpts {
-    let quick = std::env::args().any(|a| a == "--quick" || a == "--smoke");
-    FigOpts { quick }
-}

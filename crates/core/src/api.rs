@@ -91,20 +91,15 @@ pub trait AuthenticatedKv {
     /// Writes a whole batch of records atomically; returns one timestamp
     /// per record, in batch order.
     ///
-    /// The default forwards record by record — each paying a full enclave
-    /// transition, with **no** crash atomicity (a crash mid-loop persists
-    /// a prefix). The enclave-backed stores in this crate override it with
-    /// their group-commit entry point: one ECall for the whole batch, one
-    /// WAL frame, one trusted-state fold — and there the frame is the
-    /// crash-atomicity unit, so recovery replays the batch whole or drops
-    /// it whole. Implementors advertising atomicity must override.
+    /// The enclave-backed stores serve it with their group-commit entry
+    /// point: one ECall for the whole batch, one WAL frame, one
+    /// trusted-state fold — and the frame is the crash-atomicity unit, so
+    /// recovery replays the batch whole or drops it whole.
     ///
     /// # Errors
     ///
     /// Returns [`ElsmError`] on IO failure or when the store is poisoned.
-    fn put_batch(&self, items: &[(&[u8], &[u8])]) -> Result<Vec<Timestamp>, ElsmError> {
-        items.iter().map(|(key, value)| self.put(key, value)).collect()
-    }
+    fn put_batch(&self, items: &[(&[u8], &[u8])]) -> Result<Vec<Timestamp>, ElsmError>;
 
     /// Deletes a whole batch of keys atomically (tombstones); returns one
     /// timestamp per key. Same contract as [`AuthenticatedKv::put_batch`].
@@ -112,9 +107,7 @@ pub trait AuthenticatedKv {
     /// # Errors
     ///
     /// Returns [`ElsmError`] on IO failure or when the store is poisoned.
-    fn delete_batch(&self, keys: &[&[u8]]) -> Result<Vec<Timestamp>, ElsmError> {
-        keys.iter().map(|key| self.delete(key)).collect()
-    }
+    fn delete_batch(&self, keys: &[&[u8]]) -> Result<Vec<Timestamp>, ElsmError>;
 }
 
 /// The spans of the six [`AuthenticatedKv`] entry points, `<prefix>.put` …

@@ -31,6 +31,7 @@
 //! tampered with — it is counted, discarded and the query falls back to the
 //! verified disk path ([`crate::error::VerificationFailure::CacheTampered`]
 //! names the failure for callers that want to surface it).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
@@ -270,7 +271,10 @@ impl VerifiedCache {
         inner.bytes += bytes;
         while inner.bytes > self.capacity {
             let Some((_, key)) = inner.lru.pop_first() else { break };
-            inner.bytes -= inner.records.remove(&key).expect("maps in sync").bytes;
+            // The LRU and the map change together, under this lock.
+            if let Some(evicted) = inner.records.remove(&key) {
+                inner.bytes -= evicted.bytes;
+            }
             self.metrics.evictions.inc();
         }
     }

@@ -70,18 +70,6 @@ impl ConfidentialStore {
         })
     }
 
-    /// Wraps an existing eLSM-P2 store.
-    pub fn wrap(inner: ElsmP2, master: &[u8]) -> Self {
-        let platform = inner.platform().clone();
-        ConfidentialStore {
-            inner,
-            det: DetKey::derive(master),
-            ope: OpeKey::derive(master),
-            aead: AeadKey::derive(master),
-            platform,
-        }
-    }
-
     /// The wrapped authenticated store.
     pub fn inner(&self) -> &ElsmP2 {
         &self.inner

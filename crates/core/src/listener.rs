@@ -39,6 +39,7 @@
 //!   store writes, bound to the manifest's other bytes, and
 //!   `recover_manifest_state` unseals it at restart, before the logs replay
 //!   (`DESIGN.md` §8).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use std::sync::Arc;
 
@@ -331,13 +332,19 @@ impl MergeJob for AuthJob<'_> {
             return out.extend_from_slice(record.value);
         };
         let _world = sgx_sim::enclave_scope();
+        let Some(opened) = crate::envelope::open(record.value) else {
+            // Pass 1 opened these very bytes. Were they to change, the
+            // job is refused as `observe` refuses a malformed output.
+            self.listener.trusted.poison();
+            self.digest = None;
+            return out.extend_from_slice(record.value);
+        };
         let (leaf_idx, version_idx) = (self.leaf_idx, self.version_idx);
         self.version_idx += 1;
         if self.version_idx == digest.chain_len(leaf_idx) {
             self.leaf_idx += 1;
             self.version_idx = 0;
         }
-        let opened = crate::envelope::open(record.value).expect("opened when it was observed");
         // Proof material was already hashed while building the tree;
         // serialization is a plain memory copy, written once, straight
         // after the value into the table block.

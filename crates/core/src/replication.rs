@@ -18,6 +18,7 @@
 //!   by untrusted parties (the transport host, gossip, an auditor) and
 //!   still be held against the primary — which is what makes the
 //!   replica's fork check binding.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use elsm_crypto::hmac::{verify_tag, HmacKey};
 use elsm_crypto::{sha256_concat, Digest};

@@ -58,6 +58,7 @@
 //!   key's head the older versions are walked down the chain, one hash
 //!   each ([`merkle::ChainWalk`]): the accepted versions are a prefix of
 //!   the committed chain, in order (`verify_level_range`).
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use std::borrow::Cow;
 use std::collections::VecDeque;

@@ -47,10 +47,11 @@ impl Digest {
 
     /// Lowercase hex encoding (64 characters).
     pub fn to_hex(&self) -> String {
+        const HEX: &[u8; 16] = b"0123456789abcdef";
         let mut s = String::with_capacity(64);
         for b in &self.0 {
-            s.push(char::from_digit((b >> 4) as u32, 16).expect("nibble < 16"));
-            s.push(char::from_digit((b & 0xf) as u32, 16).expect("nibble < 16"));
+            s.push(char::from(HEX[usize::from(b >> 4)]));
+            s.push(char::from(HEX[usize::from(b & 0xf)]));
         }
         s
     }

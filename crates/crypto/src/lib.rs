@@ -39,6 +39,8 @@
 // on any other `allow(unsafe_code)` in the workspace.
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
+// Enclave code: bytes the host controls must meet a refusal, never a panic.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod aead;
 pub mod det;

@@ -43,11 +43,6 @@ impl DomainMonitor {
         }
     }
 
-    /// The monitored domain.
-    pub fn domain(&self) -> &str {
-        &self.domain
-    }
-
     /// Total certificates ever downloaded (the sublinear-bandwidth claim:
     /// this counts only the monitored domain's certs).
     pub fn certificates_downloaded(&self) -> u64 {

@@ -97,18 +97,6 @@ pub struct MetaSlice {
     len: usize,
 }
 
-impl MetaSlice {
-    /// Length of the slice in bytes.
-    pub fn len(&self) -> usize {
-        self.len
-    }
-
-    /// Whether the slice is empty.
-    pub fn is_empty(&self) -> bool {
-        self.len == 0
-    }
-}
-
 /// The storage environment shared by a DB instance and its table readers.
 #[derive(Debug)]
 pub struct StorageEnv {

@@ -160,13 +160,6 @@ impl Record {
         ))
     }
 
-    /// Canonical bytes hashed by the eLSM digest structures: the paper
-    /// digests ⟨k, v, ts⟩ records, so all three fields (and the kind, which
-    /// distinguishes tombstones) are covered.
-    pub fn digest_bytes(&self) -> Vec<u8> {
-        self.encode()
-    }
-
     /// Approximate in-memory footprint, used for flush triggers.
     pub fn approximate_size(&self) -> usize {
         self.key.len() + self.value.len() + 24
@@ -553,12 +546,12 @@ mod tests {
     }
 
     #[test]
-    fn digest_bytes_distinguish_vlog_pointers_from_inline_puts() {
+    fn encodings_distinguish_vlog_pointers_from_inline_puts() {
         // A kind flip (inline value <-> pointer bytes) must change the
         // canonical digest, or a host could swap representations silently.
         let inline = Record::put(b"k".as_slice(), b"same".as_slice(), 1);
         let pointer = Record::vlog_put(b"k".as_slice(), b"same".as_slice(), 1);
-        assert_ne!(inline.digest_bytes(), pointer.digest_bytes());
+        assert_ne!(inline.encode(), pointer.encode());
     }
 
     /// The pieces a digest absorbs join to the serialization, across the
@@ -574,13 +567,13 @@ mod tests {
     }
 
     #[test]
-    fn digest_bytes_cover_all_fields() {
+    fn encodings_cover_all_fields() {
         let a = Record::put(b"k".as_slice(), b"v".as_slice(), 1);
         let mut b = a.clone();
         b.ts = 2;
-        assert_ne!(a.digest_bytes(), b.digest_bytes());
+        assert_ne!(a.encode(), b.encode());
         let mut c = a.clone();
         c.kind = ValueKind::Delete;
-        assert_ne!(a.digest_bytes(), c.digest_bytes());
+        assert_ne!(a.encode(), c.encode());
     }
 }

@@ -56,11 +56,6 @@ impl Run {
         self.tables.iter().map(|t| t.meta().count).sum()
     }
 
-    /// Whether the run holds no tables.
-    pub fn is_empty(&self) -> bool {
-        self.tables.is_empty()
-    }
-
     /// Smallest user key of the run.
     pub fn smallest(&self) -> Option<Bytes> {
         self.tables.first().map(|t| t.meta().smallest.clone())

@@ -200,11 +200,6 @@ impl Vlog {
         })
     }
 
-    /// The separation threshold and GC knobs.
-    pub fn config(&self) -> &VlogConfig {
-        &self.config
-    }
-
     /// Appends one value, returning its pointer. The entry is buffered in
     /// enclave memory until [`Vlog::sync`] — callers must sync before any
     /// pointer record naming the entry becomes durable or visible.

@@ -93,13 +93,6 @@ impl WalWriter {
         WalWriter { env, file, records: 0, frame: Vec::new() }
     }
 
-    /// Appends one record as a batch of one (step w3 of the paper's write
-    /// path; charged as an enclave-exit write when the store runs in
-    /// enclave mode).
-    pub fn append(&mut self, record: &Record) {
-        self.append_batch(std::slice::from_ref(record));
-    }
-
     /// Appends one batch as a single atomic frame and pushes it to the
     /// host in one append (one OCall in enclave mode); returns the frame's
     /// encoded size in bytes (how the store meters WAL traffic).
@@ -118,11 +111,6 @@ impl WalWriter {
     /// Number of records appended through this writer.
     pub fn records(&self) -> u64 {
         self.records
-    }
-
-    /// The underlying file.
-    pub fn file(&self) -> &Arc<SimFile> {
-        &self.file
     }
 }
 
@@ -256,7 +244,7 @@ mod tests {
         let mut w = writer(&env, file.clone());
         let records = sample(50);
         for r in &records {
-            w.append(r);
+            w.append_batch(std::slice::from_ref(r));
         }
         assert_eq!(w.records(), 50);
         let got = recover(&env, &file).unwrap();
@@ -270,7 +258,7 @@ mod tests {
         let mut w = writer(&env, file.clone());
         let records = sample(10);
         w.append_batch(&records[..4]);
-        w.append(&records[4]);
+        w.append_batch(&records[4..5]);
         w.append_batch(&records[5..]);
         let got = recover(&env, &file).unwrap();
         assert_eq!(got, records);
@@ -290,7 +278,7 @@ mod tests {
         let mut w = writer(&env, file.clone());
         let records = sample(3);
         for r in &records {
-            w.append(r);
+            w.append_batch(std::slice::from_ref(r));
         }
         // Simulate a torn final write: append half a frame.
         file.append(&[9, 0, 0, 0, 1, 2]);
@@ -339,7 +327,7 @@ mod tests {
         let mut w = writer(&env, file.clone());
         let records = sample(3);
         for r in &records {
-            w.append(r);
+            w.append_batch(std::slice::from_ref(r));
         }
         let mut payload = Vec::new();
         put_varint_u64(&mut payload, 1u64 << 60);
@@ -360,13 +348,13 @@ mod tests {
         let mut w = writer(&env, file.clone());
         let records = sample(2);
         for r in &records {
-            w.append(r);
+            w.append_batch(std::slice::from_ref(r));
         }
         // Append a frame with a wrong CRC, then a good record after it.
         let mut frame = encode_frame(&[Record::put(b"evil".as_slice(), b"x".as_slice(), 99)]);
         frame[4] ^= 0xff; // break the CRC field
         file.append(&frame);
-        w.append(&Record::put(b"after".as_slice(), b"y".as_slice(), 100));
+        w.append_batch(&[Record::put(b"after".as_slice(), b"y".as_slice(), 100)]);
         let got = recover(&env, &file).unwrap();
         assert_eq!(got, records, "recovery must stop at the corrupt frame");
     }
@@ -377,7 +365,7 @@ mod tests {
         let file = fs.create("wal").unwrap();
         let mut w = writer(&env, file.clone());
         let t = Record::tombstone(b"gone".as_slice(), 7);
-        w.append(&t);
+        w.append_batch(std::slice::from_ref(&t));
         assert_eq!(recover(&env, &file).unwrap(), vec![t]);
     }
 
@@ -387,7 +375,7 @@ mod tests {
         let file = fs.create("wal").unwrap();
         let mut w = writer(&env, fs.open("wal").unwrap());
         let before = env.platform().stats().ocalls;
-        w.append(&Record::put(b"k".as_slice(), b"v".as_slice(), 1));
+        w.append_batch(&[Record::put(b"k".as_slice(), b"v".as_slice(), 1)]);
         assert_eq!(env.platform().stats().ocalls, before + 1);
         let _ = file;
     }

@@ -118,7 +118,8 @@ impl LevelDigestBuilder {
     /// # Errors
     ///
     /// Returns [`OutOfOrder`], and takes nothing of the record, if its key
-    /// sorts before the previous record's, or arrives again after
+    /// sorts before the previous record's, if it repeats the previous
+    /// record's bytes, or if its key arrives again after
     /// [`LevelDigestBuilder::end_chain`] folded its chain. The stored bytes
     /// a level is rebuilt from are the host's, so this is the host's
     /// ordering, not a bug of the caller.
@@ -145,7 +146,12 @@ impl LevelDigestBuilder {
     ) -> Result<(), OutOfOrder> {
         let first = self.record_count() == 0;
         let new_key = first || self.key != user_key;
-        if !first && (user_key < &self.key[..] || !new_key && self.gathered.is_empty()) {
+        // A key's versions are distinct records: the same bytes again (one
+        // stored record copied over the next) are refused as out of order.
+        if !first
+            && (user_key < &self.key[..]
+                || !new_key && self.last_gathered().map_or(true, |last| last == record_bytes))
+        {
             return Err(OutOfOrder);
         }
         if first {
@@ -160,6 +166,13 @@ impl LevelDigestBuilder {
         self.chain.extend_from_slice(record_bytes);
         self.gathered.push(Gathered { end: self.chain.len(), carried });
         Ok(())
+    }
+
+    /// The bytes of the record added last, while its chain is gathered.
+    fn last_gathered(&self) -> Option<&[u8]> {
+        let last = self.gathered.last()?;
+        let start = self.gathered.len().checked_sub(2).map_or(0, |prev| self.gathered[prev].end);
+        Some(&self.chain[start..last.end])
     }
 
     /// Folds the chain gathered so far, oldest version first; `add` does
@@ -259,6 +272,9 @@ impl LevelDigest {
     /// Panics if the pairs are not in that order: this is for callers that
     /// hold the records themselves. Bytes read back from the host go
     /// through [`LevelDigestBuilder::add`], which refuses such a stream.
+    // Host bytes never reach this: the enclave's merges and recovery feed
+    // `LevelDigestBuilder::add` and refuse what it refuses.
+    #[allow(clippy::expect_used)]
     pub fn from_records<'a>(
         level: u32,
         records: impl IntoIterator<Item = (&'a [u8], Vec<u8>)>,
@@ -312,6 +328,9 @@ impl LevelDigest {
         } else {
             &Digest::ZERO
         };
+        // A chain of 2^32 versions would hold 128 GiB of suffix digests in
+        // this digest's own memory: no byte string the host sends gets here.
+        #[allow(clippy::expect_used)]
         let link_position = (version_idx > 0)
             .then(|| u32::try_from(version_idx).expect("a chain holds fewer than 2^32 versions"));
         (link_position, older_digest)
@@ -506,6 +525,7 @@ mod tests {
         let mut b = LevelDigestBuilder::new(1);
         b.add(b"b", b"1").unwrap();
         assert_eq!(b.add(b"a", b"2"), Err(OutOfOrder));
+        assert_eq!(b.add(b"b", b"1"), Err(OutOfOrder), "the same record twice");
         // The refused record left nothing behind.
         let took = LevelDigest::from_records(1, [(&b"b"[..], b"1".to_vec())]);
         assert_eq!(b.finish().commitment(), took.commitment());

@@ -270,11 +270,8 @@ pub struct RecordProofRef<'a> {
 }
 
 fn split_array<const N: usize>(buf: &[u8]) -> Option<([u8; N], &[u8])> {
-    if buf.len() < N {
-        return None;
-    }
-    let (head, rest) = buf.split_at(N);
-    Some((head.try_into().expect("split_at(N)"), rest))
+    let head = buf.get(..N)?.try_into().ok()?;
+    Some((head, &buf[N..]))
 }
 
 fn split_u32(buf: &[u8]) -> Option<(u32, &[u8])> {
@@ -342,6 +339,9 @@ impl<'a> RecordProofRef<'a> {
     }
 
     /// The audit path's sibling digests, bottom-up (none for a link).
+    // `chunks_exact(32)` yields 32-byte chunks whatever the host wrote, and
+    // the exact-size `map` lets a caller collect the path in one allocation.
+    #[allow(clippy::expect_used)]
     pub fn siblings(&self) -> impl Iterator<Item = Digest> + 'a {
         self.audit_path
             .chunks_exact(32)

@@ -46,8 +46,7 @@ impl MerkleTree {
     /// designated empty root ([`Digest::ZERO`]).
     pub fn from_leaves(leaves: Vec<Digest>) -> Self {
         let mut levels = vec![leaves];
-        while levels.last().expect("non-empty levels").len() > 1 {
-            let below = levels.last().expect("non-empty levels");
+        while let Some(below) = levels.last().filter(|row| row.len() > 1) {
             let mut above = Vec::with_capacity(below.len().div_ceil(2));
             for pair in below.chunks(2) {
                 match pair {
@@ -112,8 +111,9 @@ impl MerkleTree {
     /// copy of nodes already computed. [`crate::CROWN_ROW_MAX`] is the widest
     /// a verifier asks for.
     pub fn crown(&self, row_max: usize) -> Crown {
+        // The top row holds at most one node, so the search always stops.
         let base = self.levels.iter().position(|row| row.len() <= row_max.max(1));
-        self.crown_from(base.expect("the top row holds at most one node") as u32)
+        self.crown_from(base.unwrap_or(self.levels.len() - 1) as u32)
     }
 
     /// The crown whose lowest row sits `base_height` rows above the leaves.

@@ -85,11 +85,6 @@ impl Channel {
         }
     }
 
-    /// Number of queued envelopes.
-    pub fn len(&self) -> usize {
-        self.inner.lock().queue.len()
-    }
-
     /// Whether the queue is empty.
     pub fn is_empty(&self) -> bool {
         self.inner.lock().queue.is_empty()

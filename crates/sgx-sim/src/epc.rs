@@ -59,11 +59,6 @@ impl EpcState {
         self.slots.len()
     }
 
-    /// Capacity in pages.
-    pub fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     /// Returns whether `page` is resident without touching it.
     pub fn contains(&self, page: PageId) -> bool {
         self.index.contains_key(&page)

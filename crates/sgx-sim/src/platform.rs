@@ -38,11 +38,6 @@ impl EnclaveRegion {
     pub fn is_empty(&self) -> bool {
         self.len == 0
     }
-
-    /// Region identifier (unique per platform).
-    pub fn id(&self) -> u64 {
-        self.id
-    }
 }
 
 /// The simulated SGX machine shared by all components.
@@ -150,17 +145,13 @@ impl Platform {
 
     /// Opens a critical section of `class`: until the returned guard drops,
     /// all virtual time charged by this thread is also accumulated as
-    /// serial time of that class (read back via [`Platform::serial_ns`]).
+    /// serial time of that class (read back via [`Platform::serial_snapshot`]).
     pub fn serial_section(&self, class: SerialClass) -> SerialSection {
         SerialSection::enter(class)
     }
 
-    /// Cumulative virtual nanoseconds charged inside `class` sections.
-    pub fn serial_ns(&self, class: SerialClass) -> u64 {
-        self.serial_ns[class as usize].load(Ordering::Relaxed)
-    }
-
-    /// Snapshot of all per-class serial accumulators.
+    /// Cumulative virtual nanoseconds charged inside each class's sections,
+    /// indexed by [`SerialClass`].
     pub fn serial_snapshot(&self) -> [u64; SERIAL_CLASSES] {
         std::array::from_fn(|i| self.serial_ns[i].load(Ordering::Relaxed))
     }

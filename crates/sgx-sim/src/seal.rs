@@ -73,11 +73,6 @@ impl Sealer {
         }
     }
 
-    /// The enclave measurement this sealer is bound to.
-    pub fn measurement(&self) -> Digest {
-        self.measurement
-    }
-
     /// Seals `plaintext` with authenticated `aad` (e.g., file name + block
     /// number, so blobs cannot be swapped between locations).
     pub fn seal(&self, aad: &[u8], plaintext: &[u8]) -> SealedBlob {

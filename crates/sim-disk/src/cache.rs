@@ -115,11 +115,6 @@ impl<K: Hash + Eq + Clone> BufferCache<K> {
         }
     }
 
-    /// The configured placement.
-    pub fn placement(&self) -> Placement {
-        self.placement
-    }
-
     /// Number of resident entries.
     pub fn len(&self) -> usize {
         self.state.lock().map.len()

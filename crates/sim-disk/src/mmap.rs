@@ -46,16 +46,6 @@ impl MmapFile {
         Arc::new(MmapFile { file, resident: Mutex::new(vec![false; pages]) })
     }
 
-    /// Length of the mapped file at map time.
-    pub fn len(&self) -> usize {
-        self.resident.lock().len() * MMAP_PAGE
-    }
-
-    /// Whether the mapping covers no pages.
-    pub fn is_empty(&self) -> bool {
-        self.resident.lock().is_empty()
-    }
-
     /// Reads `len` bytes at `offset` through the mapping: a view of the
     /// file's bytes in untrusted memory, not a copy of them (see
     /// [`SimFile::peek`]).
@@ -92,11 +82,6 @@ impl MmapFile {
         // The access itself is a DRAM read of untrusted memory.
         self.file.fs_platform().dram_access(len);
         self.file.peek(offset, len)
-    }
-
-    /// The underlying file.
-    pub fn file(&self) -> &Arc<SimFile> {
-        &self.file
     }
 }
 

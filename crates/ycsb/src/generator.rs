@@ -74,11 +74,6 @@ impl Zipfian {
         let rank = (self.n as f64 * (self.eta * u - self.eta + 1.0).powf(self.alpha)) as u64;
         rank.min(self.n - 1)
     }
-
-    /// Number of items.
-    pub fn n(&self) -> u64 {
-        self.n
-    }
 }
 
 /// FNV-based scrambling so popular Zipfian ranks spread over the keyspace

@@ -9,11 +9,6 @@ pub struct LatencyHistogram {
 }
 
 impl LatencyHistogram {
-    /// Creates an empty histogram.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Records one latency sample in nanoseconds.
     pub fn record_ns(&mut self, ns: u64) {
         self.samples.push(ns);
@@ -111,7 +106,7 @@ mod tests {
 
     #[test]
     fn empty_histogram_is_zero() {
-        let mut h = LatencyHistogram::new();
+        let mut h = LatencyHistogram::default();
         assert_eq!(h.mean_us(), 0.0);
         assert_eq!(h.percentile_us(99.0), 0.0);
         assert!(h.is_empty());
@@ -119,7 +114,7 @@ mod tests {
 
     #[test]
     fn mean_and_percentiles() {
-        let mut h = LatencyHistogram::new();
+        let mut h = LatencyHistogram::default();
         for i in 1..=100u64 {
             h.record_ns(i * 1_000); // 1..100 µs
         }
@@ -131,7 +126,7 @@ mod tests {
 
     #[test]
     fn summary_is_consistent() {
-        let mut h = LatencyHistogram::new();
+        let mut h = LatencyHistogram::default();
         h.record_ns(1_000);
         h.record_ns(3_000);
         let s = h.summary();
@@ -142,7 +137,7 @@ mod tests {
 
     #[test]
     fn recording_after_sort_still_works() {
-        let mut h = LatencyHistogram::new();
+        let mut h = LatencyHistogram::default();
         h.record_ns(5_000);
         let _ = h.percentile_us(50.0);
         h.record_ns(1_000);

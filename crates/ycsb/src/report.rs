@@ -38,21 +38,6 @@ impl Table {
         self.row(cells);
     }
 
-    /// Number of data rows.
-    pub fn len(&self) -> usize {
-        self.rows.len()
-    }
-
-    /// Whether the table has no rows.
-    pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
-    }
-
-    /// The table title.
-    pub fn title(&self) -> &str {
-        &self.title
-    }
-
     fn widths(&self) -> Vec<usize> {
         let mut w: Vec<usize> = self.headers.iter().map(String::len).collect();
         for row in &self.rows {

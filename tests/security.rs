@@ -1898,6 +1898,14 @@ mod host_order {
         assert!(swapped.is_some(), "a pair to swap in {sst}");
     }
 
+    /// Copies one record of the first table of `fs` over its neighbour;
+    /// returns the key now stored twice.
+    fn duplicate_in_a_table(fs: &SimFs) -> Vec<u8> {
+        let sst = fs.list().into_iter().find(|n| n.ends_with(".sst")).expect("a table");
+        let duplicated = adversary::duplicate_adjacent_record(&fs.open(&sst).unwrap());
+        duplicated.unwrap_or_else(|| panic!("a record to copy in {sst}"))
+    }
+
     /// Reads every key back through `kv`: each is its value or a refusal,
     /// never a wrong value or an absence. Returns the refusals.
     fn read_back(kv: &dyn AuthenticatedKv, keys: impl Iterator<Item = u32>) -> usize {
@@ -1958,6 +1966,43 @@ mod host_order {
             (store.db().current_epoch(), store.db().level_records(), fs.list());
         let commitments = store.trusted().commitments();
         swap_in_a_table(&fs);
+
+        assert!(store.db().compact(1).is_err(), "the merge fails");
+        assert!(store.trusted().is_poisoned(), "and the enclave refuses service");
+        assert_audited_once(&telemetry, 1, None);
+        assert_eq!(store.db().current_epoch(), epoch, "nothing installed");
+        assert_eq!(store.db().level_records(), records);
+        assert_eq!(fs.list(), files, "no output file was left behind");
+        assert_eq!(store.trusted().commitments(), commitments, "nothing new was signed");
+        assert_eq!(read_back(&store, 0..KEYS), KEYS as usize, "every read is refused");
+    }
+
+    #[test]
+    fn a_restart_refuses_a_duplicated_record() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let store = loaded_store(&platform, &fs, &Telemetry::default());
+        store.close().unwrap();
+        drop(store);
+        duplicate_in_a_table(&fs);
+
+        let telemetry = Telemetry::new();
+        let store = ElsmP2::open_with(platform, fs, options(&telemetry), None).unwrap();
+        assert_audited_once(&telemetry, 1, None);
+        assert_eq!(store.trusted().crown_nodes(1), 1, "the root alone");
+        assert!(read_back(&store, 0..KEYS) > 0, "the overwritten key is refused");
+    }
+
+    #[test]
+    fn a_compaction_refuses_a_duplicated_record() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let telemetry = Telemetry::new();
+        let store = loaded_store(&platform, &fs, &telemetry);
+        let (epoch, records, files) =
+            (store.db().current_epoch(), store.db().level_records(), fs.list());
+        let commitments = store.trusted().commitments();
+        duplicate_in_a_table(&fs);
 
         assert!(store.db().compact(1).is_err(), "the merge fails");
         assert!(store.trusted().is_poisoned(), "and the enclave refuses service");

@@ -197,28 +197,36 @@ pub fn data_blocks(file: &SimFile) -> Vec<(usize, usize)> {
 /// Encodes block entries in the data-block format (prefix-compressed keys,
 /// a restart point every 16 entries) in whatever order they come: a raw
 /// writer, as a host that writes bytes and skips the builder's order check.
-fn raw_block(entries: &[(Vec<u8>, Bytes)]) -> Vec<u8> {
+/// Entry `i` shares at most `shared_max[i]` bytes with the key before it
+/// (any shared prefix decodes): a host rewriting an entry keeps the
+/// stored entry's length where the keys allow.
+fn raw_block(entries: &[(Vec<u8>, Bytes)], shared_max: &[usize]) -> Vec<u8> {
     let (mut out, mut restarts) = (Vec::new(), Vec::new());
-    let mut prev: &[u8] = &[];
     for (i, (key, value)) in entries.iter().enumerate() {
-        let shared = if i % 16 == 0 {
+        if i % 16 == 0 {
             restarts.push(out.len() as u32);
-            0
-        } else {
-            prev.iter().zip(key).take_while(|(a, b)| a == b).count()
-        };
+        }
+        let shared = shared_prefix(entries, i).min(shared_max[i]);
         put_varint_u32(&mut out, shared as u32);
         put_varint_u32(&mut out, (key.len() - shared) as u32);
         put_varint_u32(&mut out, value.len() as u32);
         out.extend_from_slice(&key[shared..]);
         out.extend_from_slice(value);
-        prev = key;
     }
     for restart in &restarts {
         put_fixed_u32(&mut out, *restart);
     }
     put_fixed_u32(&mut out, restarts.len() as u32);
     out
+}
+
+/// The bytes entry `i`'s key shares with the key before it; none at a
+/// restart point.
+fn shared_prefix(entries: &[(Vec<u8>, Bytes)], i: usize) -> usize {
+    if i % 16 == 0 {
+        return 0;
+    }
+    entries[i - 1].0.iter().zip(&entries[i].0).take_while(|(a, b)| a == b).count()
 }
 
 /// Rewrites a table file in place so that two adjacent records of
@@ -230,30 +238,58 @@ fn raw_block(entries: &[(Vec<u8>, Bytes)]) -> Vec<u8> {
 /// Returns the pair's user keys in their new (descending) order; `None`
 /// when no block of the table offers such a pair.
 pub fn swap_adjacent_records(file: &SimFile) -> Option<(Vec<u8>, Vec<u8>)> {
+    rewrite_adjacent_pair(file, |entries, i| entries.swap(i, i + 1)).map(|(a, b)| (b, a))
+}
+
+/// Rewrites a table file in place so that one record of a data block is
+/// copied over the next record, of another key: the block holds the same
+/// record twice, adjacent, and the neighbour is gone. As
+/// [`swap_adjacent_records`], only the block's bytes change — the copy is
+/// one that keeps the block's length, as records of one size do. Returns
+/// the user key stored twice; `None` when no block offers such a pair.
+pub fn duplicate_adjacent_record(file: &SimFile) -> Option<Vec<u8>> {
+    rewrite_adjacent_pair(file, |entries, i| entries[i + 1] = entries[i].clone()).map(|(a, _)| a)
+}
+
+/// Applies `edit` to the first pair `(i, i + 1)` of adjacent records of
+/// different keys in one data block (middle blocks first, away from the
+/// block's ends) after which the block keeps its length, and writes the
+/// edited block over the stored one. Returns the pair's user keys as they
+/// were stored.
+fn rewrite_adjacent_pair(
+    file: &SimFile,
+    edit: impl Fn(&mut [(Vec<u8>, Bytes)], usize),
+) -> Option<(Vec<u8>, Vec<u8>)> {
     let blocks = data_blocks(file);
     // Middle blocks first: a pair far from the table's ends.
     let order = (0..blocks.len()).map(|i| (i + blocks.len() / 2) % blocks.len());
     for (offset, len) in order.map(|i| blocks[i]) {
         let stored = file.peek(offset, len).unwrap();
-        let mut entries: Vec<(Vec<u8>, Bytes)> = Block::parse(stored.clone())?.iter().collect();
-        assert_eq!(raw_block(&entries), stored[..], "the raw writer writes the builder's bytes");
+        let entries: Vec<(Vec<u8>, Bytes)> = Block::parse(stored.clone())?.iter().collect();
+        let unbounded = vec![usize::MAX; entries.len()];
+        assert_eq!(
+            raw_block(&entries, &unbounded),
+            stored[..],
+            "the raw writer writes the builder's bytes"
+        );
+        let shared: Vec<usize> = (0..entries.len()).map(|i| shared_prefix(&entries, i)).collect();
         let user_key = |key: &[u8]| key[..key.len() - 8].to_vec();
         for i in 1..entries.len().saturating_sub(2) {
             let (a, b) = (user_key(&entries[i].0), user_key(&entries[i + 1].0));
             if a == b {
                 continue;
             }
-            entries.swap(i, i + 1);
-            let swapped = raw_block(&entries);
-            if swapped.len() == stored.len() {
-                for (at, (old, new)) in stored.iter().zip(&swapped).enumerate() {
+            let mut edited = entries.clone();
+            edit(&mut edited, i);
+            let rewritten = raw_block(&edited, &shared);
+            if rewritten.len() == stored.len() {
+                for (at, (old, new)) in stored.iter().zip(&rewritten).enumerate() {
                     if old != new {
                         file.corrupt(offset + at, old ^ new);
                     }
                 }
-                return Some((b, a));
+                return Some((a, b));
             }
-            entries.swap(i, i + 1);
         }
     }
     None
