@@ -18,7 +18,9 @@
 //!   (§5.6.1).
 //!
 //! [`ConfidentialStore`] adds the §5.6.2 confidentiality layer (DE keys,
-//! OPE range tags, AEAD values).
+//! OPE range tags, AEAD values). P2's enclave code is `elsm-enclave`'s:
+//! [`trusted`], [`listener`], [`envelope`], [`cache`] and [`replication`]
+//! are re-exported from it; this crate is the host glue around it.
 //!
 //! # Examples
 //!
@@ -39,19 +41,15 @@
 #![warn(missing_docs)]
 
 pub mod api;
-pub mod cache;
 pub mod confidential;
-pub mod envelope;
 pub mod error;
-pub mod listener;
 pub mod p1;
 pub mod p2;
-pub mod replication;
-pub mod trusted;
 
 pub use api::{AuthenticatedKv, OpSpans, VerifiedRecord};
 pub use cache::{CacheStats, VerifiedCache};
 pub use confidential::ConfidentialStore;
+pub use elsm_enclave::{cache, envelope, listener, replication, trusted};
 pub use error::{ElsmError, VerificationFailure, WRONG_SHARD_UNSHARDED};
 pub use listener::AuthListener;
 pub use lsm_store::ReadMode;

@@ -10,6 +10,7 @@
 use std::sync::Arc;
 
 use bytes::Bytes;
+use elsm_enclave::failure::audit;
 use lsm_store::{Db, GetTrace, Options, ReadMode, ScanTrace, StorageEnv, Timestamp, ValueKind};
 use sgx_sim::{BufferedCounter, MonotonicCounter, Platform};
 use sim_disk::{FsError, SimDisk, SimFs};
@@ -314,9 +315,11 @@ impl ElsmP2 {
     /// not pass it over. Every level of the recovered version is rebuilt,
     /// including those a store without compaction stacked past
     /// `max_levels`. A level whose records the host stored out of key
-    /// order is no tree at all: it keeps its root alone, and the refusal
-    /// is audited. The tree is dropped level by
-    /// level: every proof it could give is in the stored records.
+    /// order is no tree at all, and one that rebuilds to another root (a
+    /// rewritten byte, or one key's versions stored out of order) is the
+    /// wrong tree: either keeps its root alone, and the refusal is audited
+    /// once. The tree is dropped level by level: every proof it could give
+    /// is in the stored records.
     fn rederive_crowns(&self) -> Result<(), ElsmError> {
         let version = self.db.current_version();
         let mut canonical = Vec::new();
@@ -338,7 +341,10 @@ impl ElsmP2 {
             } else if builder.record_count() > 0 {
                 let digest = builder.finish();
                 let crown = digest.crown(self.trusted.crown_row_max());
-                self.trusted.adopt_crown(&digest.commitment(), crown);
+                if !self.trusted.adopt_crown(&digest.commitment(), crown) {
+                    let source = merkle::VerifyError::BadAuditPath;
+                    self.audit_failure(&VerificationFailure::ForgedRecord { level, source });
+                }
             }
         }
         Ok(())
@@ -700,28 +706,6 @@ impl ElsmP2 {
     pub fn raw_scan_trace(&self, from: &[u8], to: &[u8]) -> Result<ScanTrace, ElsmError> {
         Ok(self.db.scan_with_trace(from, to, ScanTrace::clone)?)
     }
-}
-
-/// Records a failure the store's enclave detected (component `"p2"`) on
-/// `telemetry`'s audit stream, stamped with the failure's own shard and
-/// epoch context, else with `shard` and `epoch`.
-pub(crate) fn audit(
-    platform: &Platform,
-    telemetry: &telemetry::Telemetry,
-    shard: Option<u32>,
-    epoch: Option<u64>,
-    failure: &VerificationFailure,
-) {
-    let mut event = telemetry::AuditEvent::new(failure.kind(), "p2")
-        .detail(failure.to_string())
-        .at_ns(platform.clock().now_ns());
-    if let Some(epoch) = failure.epoch_context().or(epoch) {
-        event = event.epoch(epoch);
-    }
-    if let Some(shard) = failure.shard_context().or(shard) {
-        event = event.shard(shard);
-    }
-    telemetry.audit(event);
 }
 
 #[cfg(test)]

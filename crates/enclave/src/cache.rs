@@ -29,9 +29,8 @@
 //! modelled as scribbling territory (the write sequence and the generation
 //! array are the enclave's own): a tag mismatch on hit means the entry was
 //! tampered with — it is counted, discarded and the query falls back to the
-//! verified disk path ([`crate::error::VerificationFailure::CacheTampered`]
+//! verified disk path ([`crate::failure::VerificationFailure::CacheTampered`]
 //! names the failure for callers that want to surface it).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use std::collections::hash_map::DefaultHasher;
 use std::collections::{BTreeMap, HashMap};
@@ -41,12 +40,12 @@ use std::sync::Arc;
 use bytes::Bytes;
 use elsm_crypto::hmac::{verify_tag, HmacKey};
 use elsm_crypto::Digest;
-use lsm_store::Timestamp;
+use lsm_boundary::Timestamp;
 use parking_lot::Mutex;
 use sgx_sim::Platform;
 use telemetry::{AuditEvent, Counter, Telemetry};
 
-use crate::error::VerificationFailure;
+use crate::failure::VerificationFailure;
 
 /// Hit/miss/tamper counters of a [`VerifiedCache`] (monotonic).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]

@@ -12,15 +12,15 @@
 //! The *canonical bytes* digested by every Merkle structure are the record
 //! with its **bare** application value (the proof cannot be part of what it
 //! proves).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use std::ops::Range;
 
 use bytes::Bytes;
-use lsm_store::{EncodedParts, RecordView};
+use lsm_boundary::encoding::{get_length_prefixed, put_varint_at};
+use lsm_boundary::{EncodedParts, RecordView};
 use merkle::RecordProofRef;
 
-use crate::error::VerificationFailure;
+use crate::failure::VerificationFailure;
 
 const TAG_PLAIN: u8 = 0x00;
 const TAG_PROOF: u8 = 0x01;
@@ -46,15 +46,8 @@ pub fn plain_record(key: &[u8], value: &[u8]) -> (Bytes, Bytes) {
 /// [`wrapped_len`] long.
 fn write_plain(out: &mut [u8], value: &[u8]) {
     out[0] = TAG_PLAIN;
-    let mut at = 1;
-    let mut len = value.len() as u64;
-    while len >= 0x80 {
-        out[at] = (len as u8 & 0x7f) | 0x80;
-        len >>= 7;
-        at += 1;
-    }
-    out[at] = len as u8;
-    out[at + 1..].copy_from_slice(value);
+    let at = 1 + put_varint_at(&mut out[1..], value.len() as u64);
+    out[at..].copy_from_slice(value);
 }
 
 /// Appends to `out` an application value together with its embedded
@@ -63,8 +56,10 @@ fn write_plain(out: &mut [u8], value: &[u8]) {
 /// ([`merkle::LevelDigest::encode_proof_into`], or a
 /// [`merkle::RecordProof::encode`] copy).
 pub fn append_with_proof(out: &mut Vec<u8>, value: &[u8], write_proof: impl FnOnce(&mut Vec<u8>)) {
-    out.push(TAG_PROOF);
-    push_varint(out, value.len() as u64);
+    let mut head = [0u8; 11];
+    head[0] = TAG_PROOF;
+    let head_len = 1 + put_varint_at(&mut head[1..], value.len() as u64);
+    out.extend_from_slice(&head[..head_len]);
     out.extend_from_slice(value);
     write_proof(out);
 }
@@ -104,16 +99,14 @@ pub fn open(stored: &[u8]) -> Option<Opened<'_>> {
         // Tombstones carry no value at all; treat as plain-empty.
         return Some(Opened { value: &[], proof: None, value_start: 0 });
     };
-    let (len, n) = read_varint(rest)?;
-    let len = usize::try_from(len).ok()?;
-    let value = rest.get(n..n.checked_add(len)?)?;
-    let tail = &rest[n + len..];
+    let (value, end) = get_length_prefixed(rest)?;
+    let tail = &rest[end..];
     let proof = match tag {
         TAG_PLAIN if tail.is_empty() => None,
         TAG_PROOF => Some(RecordProofRef::parse(tail).filter(|p| p.encoded_len() == tail.len())?),
         _ => return None,
     };
-    Some(Opened { value, proof, value_start: 1 + n })
+    Some(Opened { value, proof, value_start: 1 + end - value.len() })
 }
 
 /// Appends the canonical bytes of a record — bare application value, no
@@ -149,34 +142,10 @@ fn wrapped_len(value: &[u8]) -> usize {
     1 + len_bits.div_ceil(7) + value.len()
 }
 
-fn push_varint(out: &mut Vec<u8>, mut v: u64) {
-    while v >= 0x80 {
-        out.push((v as u8 & 0x7f) | 0x80);
-        v >>= 7;
-    }
-    out.push(v as u8);
-}
-
-fn read_varint(buf: &[u8]) -> Option<(u64, usize)> {
-    let mut result = 0u64;
-    let mut shift = 0u32;
-    for (i, &b) in buf.iter().enumerate() {
-        if shift >= 64 {
-            return None;
-        }
-        result |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Some((result, i + 1));
-        }
-        shift += 7;
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use lsm_store::Record;
+    use lsm_boundary::Record;
     use merkle::{ChainPosition, RecordProof};
 
     fn proof() -> RecordProof {

@@ -39,23 +39,22 @@
 //!   store writes, bound to the manifest's other bytes, and
 //!   `recover_manifest_state` unseals it at restart, before the logs replay
 //!   (`DESIGN.md` §8).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use std::sync::Arc;
 
 use elsm_crypto::Digest;
-use lsm_store::{InputPosition, MergeJob, Record, RecordView, StoreListener};
+use lsm_boundary::{InputPosition, MergeJob, Record, RecordView, StoreListener};
 use merkle::{Folded, LevelCommitment, LevelDigest, LevelDigestBuilder};
 use parking_lot::Mutex;
 use sgx_sim::{Platform, SealedBlob, Sealer};
 
 use crate::cache::VerifiedCache;
 use crate::envelope::{append_canonical, append_with_proof, open_record, wrap_plain};
-use crate::error::{VerificationFailure, WRONG_SHARD_UNSHARDED};
+use crate::failure::{VerificationFailure, WRONG_SHARD_UNSHARDED};
 use crate::trusted::{CompactionDelta, TrustedState};
 
 /// Why a level whose stored records are out of key order is refused.
-pub(crate) const OUT_OF_ORDER: &str = "stored records out of key order";
+pub const OUT_OF_ORDER: &str = "stored records out of key order";
 
 /// eLSM's authentication layer, attached to the vanilla store as a
 /// listener.
@@ -116,7 +115,7 @@ impl AuthListener {
     /// The sealed state the store recovered from, unsealed — `None` for a
     /// fresh store, `SealBroken` for a section that does not unseal
     /// against the manifest it ends. Taken once.
-    pub(crate) fn take_recovered(&self) -> Option<Result<SealedState, VerificationFailure>> {
+    pub fn take_recovered(&self) -> Option<Result<SealedState, VerificationFailure>> {
         self.recovered.lock().take()
     }
 
@@ -125,7 +124,7 @@ impl AuthListener {
     fn refuse(&self, failure: VerificationFailure) {
         self.trusted.poison();
         let shard = self.trusted.shard_id();
-        crate::p2::audit(&self.platform, &self.telemetry, shard, None, &failure);
+        crate::failure::audit(&self.platform, &self.telemetry, shard, None, &failure);
     }
 
     /// The state of a new merge of `input_levels` into `output_level`.
@@ -444,7 +443,7 @@ impl StoreListener for AuthListener {
         self.trusted.wal_rotated();
     }
 
-    fn vlog_mac(&self, record: &Record) -> [u8; lsm_store::vlog::MAC_BYTES] {
+    fn vlog_mac(&self, record: &Record) -> [u8; lsm_boundary::MAC_BYTES] {
         vlog_entry_mac(&self.platform, &record.key, record.ts, &record.value)
     }
 
@@ -497,13 +496,15 @@ fn state_aad(manifest: &[u8]) -> Vec<u8> {
 
 /// What every manifest carries sealed, and a restart unseals.
 #[derive(Debug)]
-pub(crate) struct SealedState {
-    pub(crate) commitments: Vec<LevelCommitment>,
+pub struct SealedState {
+    /// The level commitments, roots only.
+    pub commitments: Vec<LevelCommitment>,
     /// The WAL chain value the oldest live log starts from …
-    pub(crate) wal_base: Digest,
+    pub wal_base: Digest,
     /// … and the one the live logs, replayed, must arrive at.
-    pub(crate) wal_digest: Digest,
-    pub(crate) shard: Option<u32>,
+    pub wal_digest: Digest,
+    /// The shard the sealing enclave served, if any.
+    pub shard: Option<u32>,
 }
 
 fn encode_state(state: &SealedState) -> Vec<u8> {
@@ -564,7 +565,7 @@ pub fn vlog_entry_mac(
     key: &[u8],
     ts: u64,
     stored_value: &[u8],
-) -> [u8; lsm_store::vlog::MAC_BYTES] {
+) -> [u8; lsm_boundary::MAC_BYTES] {
     platform.charge_hash(key.len() + stored_value.len() + 16);
     let mac = elsm_crypto::sha256_concat(&[
         b"elsm/vlog-entry v1",

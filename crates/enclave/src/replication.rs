@@ -18,7 +18,6 @@
 //!   by untrusted parties (the transport host, gossip, an auditor) and
 //!   still be held against the primary — which is what makes the
 //!   replica's fork check binding.
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use elsm_crypto::hmac::{verify_tag, HmacKey};
 use elsm_crypto::{sha256_concat, Digest};
@@ -141,16 +140,9 @@ impl Announcement {
         }
         let node = u32::from_le_bytes(buf[0..4].try_into().ok()?);
         let epoch = u64::from_le_bytes(buf[4..12].try_into().ok()?);
-        let mut commitments = [0u8; 32];
-        commitments.copy_from_slice(&buf[12..44]);
-        let mut mac = [0u8; 32];
-        mac.copy_from_slice(&buf[44..76]);
-        Some(Announcement {
-            node,
-            epoch,
-            commitments: Digest::from_bytes(commitments),
-            mac: Digest::from_bytes(mac),
-        })
+        let commitments = Digest::from_bytes(buf[12..44].try_into().ok()?);
+        let mac = Digest::from_bytes(buf[44..76].try_into().ok()?);
+        Some(Announcement { node, epoch, commitments, mac })
     }
 }
 

@@ -58,7 +58,6 @@
 //!   key's head the older versions are walked down the chain, one hash
 //!   each ([`merkle::ChainWalk`]): the accepted versions are a prefix of
 //!   the committed chain, in order (`verify_level_range`).
-#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 use std::borrow::Cow;
 use std::collections::VecDeque;
@@ -67,7 +66,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use elsm_crypto::{sha256_concat, Digest};
-use lsm_store::{EncodedParts, GetTrace, LevelOutcome, Record, ScanTrace};
+use lsm_boundary::{EncodedParts, GetTrace, LevelOutcome, Record, ScanTrace};
 use merkle::{
     verify_run_anchored, Crown, LevelCommitment, RecordProofRef, VerifyError, Work, CROWN_ROW_MAX,
 };
@@ -76,7 +75,7 @@ use sgx_sim::{CostModel, EnclaveRegion, Platform};
 use telemetry::{Counter, Gauge, Telemetry};
 
 use crate::envelope::{canonical_parts, open_record, Opened};
-use crate::error::VerificationFailure;
+use crate::failure::VerificationFailure;
 
 /// The commitment-vector mutation one compaction job induces, expressed
 /// as a delta instead of a full recompute: the runs the job consumed
@@ -303,22 +302,12 @@ impl TrustedState {
     /// Fresh state with empty commitments for levels `1..=max_levels`,
     /// published as the snapshot for epoch 0.
     pub fn new(platform: Arc<Platform>, max_levels: usize) -> Arc<Self> {
-        Self::new_in_domain(platform, max_levels, None)
+        Self::with_telemetry(platform, max_levels, None, &Telemetry::default())
     }
 
-    /// Fresh state whose commitment domain is bound to `shard` (see the
-    /// `shard` field); `None` gives the standalone domain of
-    /// [`TrustedState::new`].
-    pub fn new_in_domain(
-        platform: Arc<Platform>,
-        max_levels: usize,
-        shard: Option<u32>,
-    ) -> Arc<Self> {
-        Self::with_telemetry(platform, max_levels, shard, &Telemetry::default())
-    }
-
-    /// [`TrustedState::new_in_domain`] with its `core.verify.*` counters
-    /// and the `core.trusted.crown_bytes` gauge registered in `telemetry`.
+    /// [`TrustedState::new`] with its commitment domain bound to `shard`
+    /// (see the field), and its `core.verify.*` counters and the
+    /// `core.trusted.crown_bytes` gauge registered in `telemetry`.
     pub fn with_telemetry(
         platform: Arc<Platform>,
         max_levels: usize,
@@ -1137,6 +1126,15 @@ mod tests {
     use super::*;
 
     impl TrustedState {
+        /// Fresh state bound to `shard`, its counters unregistered.
+        pub(crate) fn new_in_domain(
+            platform: Arc<Platform>,
+            max_levels: usize,
+            shard: Option<u32>,
+        ) -> Arc<Self> {
+            Self::with_telemetry(platform, max_levels, shard, &Telemetry::default())
+        }
+
         /// Installs a commitment into the working vector (the
         /// compaction-completion ECall of §5.5.2), growing the level table
         /// if needed, with the one-row crown — its root: the full-recompute

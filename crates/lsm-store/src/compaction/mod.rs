@@ -148,11 +148,6 @@ pub struct LevelsView {
 }
 
 impl LevelsView {
-    /// Builds a view from explicit per-level sizes (index 0 is ignored).
-    pub fn new(levels: Vec<Option<u64>>) -> Self {
-        LevelsView { levels }
-    }
-
     /// Snapshot of a version's on-disk level sizes.
     pub fn from_version(version: &Version) -> Self {
         let mut levels = vec![None];
@@ -271,6 +266,13 @@ pub struct CompactionDebt {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl LevelsView {
+        /// Builds a view from explicit per-level sizes (index 0 is ignored).
+        pub(crate) fn new(levels: Vec<Option<u64>>) -> Self {
+            LevelsView { levels }
+        }
+    }
 
     fn view(sizes: &[Option<u64>]) -> LevelsView {
         let mut v = vec![None];

@@ -487,11 +487,6 @@ impl Db {
         }
     }
 
-    /// Latest assigned timestamp.
-    pub fn latest_ts(&self) -> Timestamp {
-        self.ts.load(Ordering::SeqCst)
-    }
-
     /// Attaches the sink that observes this store's replication event
     /// stream ([`ReplicationEvent`]): committed WAL frames, flush and
     /// compaction-job markers, and version installs, in stream order.
@@ -865,6 +860,13 @@ pub(crate) mod tests {
 
     use sgx_sim::Platform;
     use sim_disk::{SimDisk, SimFs};
+
+    impl Db {
+        /// Latest assigned timestamp.
+        pub(crate) fn latest_ts(&self) -> Timestamp {
+            self.ts.load(Ordering::SeqCst)
+        }
+    }
 
     pub(crate) fn open_db(options: Options) -> Arc<Db> {
         let platform = Platform::with_defaults();

@@ -1,6 +1,9 @@
 //! Binary encodings shared by the WAL, blocks, SSTables and the manifest:
 //! LEB128 varints, length-prefixed slices and CRC-32 (the Castagnoli
-//! polynomial LevelDB/RocksDB use for record framing).
+//! polynomial LevelDB/RocksDB use for record framing); the decoders are
+//! `lsm_boundary::encoding`'s.
+
+pub use lsm_boundary::encoding::{get_fixed_u64, get_length_prefixed, get_varint_u64};
 
 /// Appends a LEB128 varint encoding of `v`.
 pub fn put_varint_u64(buf: &mut Vec<u8>, mut v: u64) {
@@ -9,26 +12,6 @@ pub fn put_varint_u64(buf: &mut Vec<u8>, mut v: u64) {
         v >>= 7;
     }
     buf.push(v as u8);
-}
-
-/// Decodes a LEB128 varint from the front of `buf`, returning the value and
-/// the number of bytes consumed.
-///
-/// Returns `None` on truncated or over-long input.
-pub fn get_varint_u64(buf: &[u8]) -> Option<(u64, usize)> {
-    let mut result = 0u64;
-    let mut shift = 0u32;
-    for (i, &b) in buf.iter().enumerate() {
-        if shift >= 64 {
-            return None;
-        }
-        result |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Some((result, i + 1));
-        }
-        shift += 7;
-    }
-    None
 }
 
 /// Appends a `u32` varint.
@@ -48,18 +31,6 @@ pub fn put_length_prefixed(buf: &mut Vec<u8>, data: &[u8]) {
     buf.extend_from_slice(data);
 }
 
-/// Reads a length-prefixed slice from the front of `buf`, returning the
-/// slice and total bytes consumed.
-pub fn get_length_prefixed(buf: &[u8]) -> Option<(&[u8], usize)> {
-    let (len, n) = get_varint_u64(buf)?;
-    let len = usize::try_from(len).ok()?;
-    let end = n.checked_add(len)?;
-    if end > buf.len() {
-        return None;
-    }
-    Some((&buf[n..end], end))
-}
-
 /// Appends a little-endian fixed `u32`.
 pub fn put_fixed_u32(buf: &mut Vec<u8>, v: u32) {
     buf.extend_from_slice(&v.to_le_bytes());
@@ -74,14 +45,6 @@ pub fn get_fixed_u32(buf: &[u8], offset: usize) -> Option<u32> {
 /// Appends a little-endian fixed `u64`.
 pub fn put_fixed_u64(buf: &mut Vec<u8>, v: u64) {
     buf.extend_from_slice(&v.to_le_bytes());
-}
-
-/// Reads a little-endian fixed `u64` at `offset`.
-pub fn get_fixed_u64(buf: &[u8], offset: usize) -> Option<u64> {
-    let bytes = buf.get(offset..offset + 8)?;
-    Some(u64::from_le_bytes([
-        bytes[0], bytes[1], bytes[2], bytes[3], bytes[4], bytes[5], bytes[6], bytes[7],
-    ]))
 }
 
 /// CRC-32C (Castagnoli) slicing-by-8 tables, computed at first use.

@@ -13,8 +13,9 @@
 //!   scans (`read`), manifest + WAL recovery (`recovery`) and flushes,
 //!   whole-level compactions and value-log GC (`maintenance`, one
 //!   streaming merge executor) live beside it,
-//! * [`events`] — RocksDB-style callbacks through which the `elsm` crate
-//!   adds authentication **without modifying this crate** (§5.5.3),
+//! * [`events`] — RocksDB-style callbacks through which `elsm-enclave`
+//!   adds authentication **without modifying this crate** (§5.5.3); they,
+//!   the [`record`] types and the read traces are re-exported from `lsm-boundary`,
 //! * [`env`](mod@crate::env) — the placement/cost configuration matrix of Table 1.
 //!
 //! The traced read APIs ([`db::Db::get_with_trace`],

@@ -42,10 +42,10 @@ use crate::env::StorageEnv;
 use crate::options::VlogConfig;
 use crate::record::Timestamp;
 
+pub use lsm_boundary::events::MAC_BYTES;
+
 /// Bytes of an encoded pointer: three fixed `u64`s plus the 32-byte MAC.
 pub const POINTER_BYTES: usize = 24 + MAC_BYTES;
-/// Bytes of a value-log entry MAC.
-pub const MAC_BYTES: usize = 32;
 
 /// Location of one entry in the value log.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]

@@ -75,11 +75,6 @@ impl MerkleTree {
         self.leaf_count() == 0
     }
 
-    /// The leaf digests.
-    pub fn leaves(&self) -> &[Digest] {
-        &self.levels[0]
-    }
-
     /// Audit path (Merkle authentication path) for the leaf at `index`:
     /// the sibling hashes from bottom to top, skipping levels where the
     /// node is promoted unpaired.
@@ -192,6 +187,13 @@ impl MerkleTree {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl MerkleTree {
+        /// The leaf digests.
+        pub(crate) fn leaves(&self) -> &[Digest] {
+            &self.levels[0]
+        }
+    }
 
     fn leaves(n: usize) -> Vec<Digest> {
         (0..n).map(|i| leaf_hash(format!("leaf-{i}").as_bytes())).collect()

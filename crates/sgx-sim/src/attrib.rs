@@ -228,11 +228,6 @@ pub struct TimeSplit {
 }
 
 impl TimeSplit {
-    /// Total virtual nanoseconds across all three buckets.
-    pub fn total_ns(&self) -> u64 {
-        self.enclave_ns + self.host_ns + self.boundary_ns
-    }
-
     /// Per-field difference `self - earlier`, saturating at zero.
     pub fn delta(&self, earlier: &TimeSplit) -> TimeSplit {
         TimeSplit {
@@ -246,6 +241,13 @@ impl TimeSplit {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl TimeSplit {
+        /// Total virtual nanoseconds across all three buckets.
+        pub(crate) fn total_ns(&self) -> u64 {
+            self.enclave_ns + self.host_ns + self.boundary_ns
+        }
+    }
 
     #[test]
     fn scopes_nest_and_restore() {

@@ -54,16 +54,6 @@ impl EpcState {
         EpcState { capacity, slots: Vec::new(), index: HashMap::new(), hand: 0 }
     }
 
-    /// Number of currently resident pages.
-    pub fn resident(&self) -> usize {
-        self.slots.len()
-    }
-
-    /// Returns whether `page` is resident without touching it.
-    pub fn contains(&self, page: PageId) -> bool {
-        self.index.contains_key(&page)
-    }
-
     /// Touches `page`, faulting it in (and evicting a victim) if necessary.
     pub fn touch(&mut self, page: PageId) -> TouchOutcome {
         if let Some(&slot) = self.index.get(&page) {
@@ -119,6 +109,18 @@ impl EpcState {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    impl EpcState {
+        /// Number of currently resident pages.
+        pub(crate) fn resident(&self) -> usize {
+            self.slots.len()
+        }
+
+        /// Whether `page` is resident, without touching it.
+        fn contains(&self, page: PageId) -> bool {
+            self.index.contains_key(&page)
+        }
+    }
 
     fn p(region: u64, page: u64) -> PageId {
         PageId { region, page }

@@ -297,22 +297,6 @@ impl SimFile {
     pub fn fs_platform(&self) -> &Arc<Platform> {
         &self.fs.platform
     }
-
-    /// Marks the whole file resident in the OS page cache, charging one
-    /// sequential scan (the paper's warm-up step).
-    pub fn warm(&self) {
-        if self.is_warm() {
-            return;
-        }
-        let len = self.len() as u64;
-        // The warm-up scan itself reads from disk once.
-        let extents = self.extents.lock();
-        for e in extents.iter() {
-            self.fs.disk.read(e.disk_off, e.len as usize);
-        }
-        drop(extents);
-        self.fs.try_warm(self, len);
-    }
 }
 
 /// Where an armed filesystem loses power ([`SimFs::arm`]): op-indexed
@@ -591,6 +575,24 @@ pub struct FsSnapshot {
 mod tests {
     use super::*;
     use sgx_sim::CostModel;
+
+    impl SimFile {
+        /// Marks the whole file resident in the OS page cache, charging one
+        /// sequential scan (the paper's warm-up step).
+        fn warm(&self) {
+            if self.is_warm() {
+                return;
+            }
+            let len = self.len() as u64;
+            // The warm-up scan itself reads from disk once.
+            let extents = self.extents.lock();
+            for e in extents.iter() {
+                self.fs.disk.read(e.disk_off, e.len as usize);
+            }
+            drop(extents);
+            self.fs.try_warm(self, len);
+        }
+    }
 
     fn fs() -> Arc<SimFs> {
         SimFs::new(SimDisk::new(Platform::new(CostModel::paper_defaults())))

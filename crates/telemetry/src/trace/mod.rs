@@ -383,11 +383,6 @@ impl Span {
         SpanStats { count: self.inner.durations.count(), charges: *totals }
     }
 
-    /// Distribution of per-activation total virtual ns.
-    pub fn durations(&self) -> &Buckets {
-        &self.inner.durations
-    }
-
     fn next_id(&self) -> u64 {
         self.inner.tracer.next_id.fetch_add(1, Ordering::Relaxed)
     }
@@ -586,6 +581,13 @@ mod tests {
     use super::*;
     use crate::Telemetry;
     use proptest::prelude::*;
+
+    impl Span {
+        /// Distribution of per-activation total virtual ns.
+        fn durations(&self) -> &Buckets {
+            &self.inner.durations
+        }
+    }
 
     /// Runs one thread's script of `(op, pick, amount)` steps: open a
     /// nested span, open a remote child of a context seen earlier, close

@@ -1530,6 +1530,13 @@ mod crown {
         assert_eq!(honest.get(&key(1500)).unwrap().unwrap().value(), &value(1500)[..]);
 
         let (tampered, level, _) = reopen(true);
+        let audited = tampered.telemetry().audit_events();
+        assert!(
+            audited.len() == 1
+                && audited[0].kind == "ForgedRecord"
+                && audited[0].detail.contains(&format!("level {level}")),
+            "audited once at open, before any read: {audited:?}"
+        );
         assert_eq!(tampered.trusted().crown_nodes(level), 1, "the root alone: nothing adopted");
         match tampered.get(&key(1500)) {
             Err(ElsmError::Verification(VerificationFailure::ForgedRecord {
@@ -2012,6 +2019,38 @@ mod host_order {
         assert_eq!(fs.list(), files, "no output file was left behind");
         assert_eq!(store.trusted().commitments(), commitments, "nothing new was signed");
         assert_eq!(read_back(&store, 0..KEYS), KEYS as usize, "every read is refused");
+    }
+
+    /// Two versions of one key stored older first: keys still ascend, so
+    /// the digest builder, which knows no timestamps, takes the level — and
+    /// it rebuilds to another root. The restart leaves it root-only and
+    /// audits it once, before any read.
+    #[test]
+    fn a_restart_refuses_swapped_versions() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let store =
+            ElsmP2::open_with(platform.clone(), fs.clone(), options(&Telemetry::default()), None)
+                .unwrap();
+        for i in 0..KEYS {
+            store.put(&key(i), b"an older version").unwrap();
+            store.put(&key(i), &value(i)).unwrap();
+        }
+        store.db().flush().unwrap();
+        assert_eq!(store.db().level_records()[1], 2 * KEYS as u64, "both versions at level 1");
+        store.close().unwrap();
+        drop(store);
+        let sst = fs.list().into_iter().find(|n| n.ends_with(".sst")).expect("a table");
+        assert!(adversary::swap_adjacent_versions(&fs.open(&sst).unwrap()).is_some());
+
+        let telemetry = Telemetry::new();
+        let store = ElsmP2::open_with(platform, fs, options(&telemetry), None).unwrap();
+        let events = telemetry.audit_events();
+        assert_eq!(events.len(), 1, "audited once: {events:?}");
+        assert_eq!(events[0].kind, "ForgedRecord");
+        assert!(events[0].detail.contains("level 1"), "{:?}", events[0]);
+        assert_eq!(store.trusted().crown_nodes(1), 1, "the root alone");
+        assert!(read_back(&store, 0..KEYS) > 0, "the swapped key is refused");
     }
 
     /// The engine alone: a merge whose input is out of order fails before

@@ -238,7 +238,16 @@ fn shared_prefix(entries: &[(Vec<u8>, Bytes)], i: usize) -> usize {
 /// Returns the pair's user keys in their new (descending) order; `None`
 /// when no block of the table offers such a pair.
 pub fn swap_adjacent_records(file: &SimFile) -> Option<(Vec<u8>, Vec<u8>)> {
-    rewrite_adjacent_pair(file, |entries, i| entries.swap(i, i + 1)).map(|(a, b)| (b, a))
+    rewrite_adjacent_pair(file, false, |entries, i| entries.swap(i, i + 1)).map(|(a, b)| (b, a))
+}
+
+/// Rewrites a table file in place so that two adjacent versions of one
+/// key inside one data block trade places: the older stored first, as
+/// [`swap_adjacent_records`] does for two keys. Keys still ascend, so only
+/// timestamps tell the order is wrong. Returns the user key; `None` when
+/// no block of the table holds two versions of a key.
+pub fn swap_adjacent_versions(file: &SimFile) -> Option<Vec<u8>> {
+    rewrite_adjacent_pair(file, true, |entries, i| entries.swap(i, i + 1)).map(|(a, _)| a)
 }
 
 /// Rewrites a table file in place so that one record of a data block is
@@ -248,16 +257,18 @@ pub fn swap_adjacent_records(file: &SimFile) -> Option<(Vec<u8>, Vec<u8>)> {
 /// one that keeps the block's length, as records of one size do. Returns
 /// the user key stored twice; `None` when no block offers such a pair.
 pub fn duplicate_adjacent_record(file: &SimFile) -> Option<Vec<u8>> {
-    rewrite_adjacent_pair(file, |entries, i| entries[i + 1] = entries[i].clone()).map(|(a, _)| a)
+    rewrite_adjacent_pair(file, false, |entries, i| entries[i + 1] = entries[i].clone())
+        .map(|(a, _)| a)
 }
 
-/// Applies `edit` to the first pair `(i, i + 1)` of adjacent records of
-/// different keys in one data block (middle blocks first, away from the
+/// Applies `edit` to the first pair `(i, i + 1)` of adjacent records — of
+/// one key if `same_key`, else of different keys — in one data block (middle blocks first, away from the
 /// block's ends) after which the block keeps its length, and writes the
 /// edited block over the stored one. Returns the pair's user keys as they
 /// were stored.
 fn rewrite_adjacent_pair(
     file: &SimFile,
+    same_key: bool,
     edit: impl Fn(&mut [(Vec<u8>, Bytes)], usize),
 ) -> Option<(Vec<u8>, Vec<u8>)> {
     let blocks = data_blocks(file);
@@ -276,7 +287,7 @@ fn rewrite_adjacent_pair(
         let user_key = |key: &[u8]| key[..key.len() - 8].to_vec();
         for i in 1..entries.len().saturating_sub(2) {
             let (a, b) = (user_key(&entries[i].0), user_key(&entries[i + 1].0));
-            if a == b {
+            if (a == b) != same_key {
                 continue;
             }
             let mut edited = entries.clone();
