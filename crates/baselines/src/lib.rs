@@ -8,7 +8,7 @@
 //!   (Unsecure)" in Figure 5a) and the code-in-enclave/buffer-outside
 //!   unsecured "ideal" of Figures 2 and 6a, as a bare `lsm_store::Db`,
 //! * [`MbtStore`] — the conventional update-in-place Merkle B-tree ADS the
-//!   paper's §3.4 argues against,
+//!   paper's §3.4 argues against, over the tree of [`mbt`],
 //! * [`ShardedUnsecured`] — N unsecured LSM partitions behind the same
 //!   partitioner as `elsm_shard::ShardedKv`: the roofline for the
 //!   shard-scaling figure,
@@ -18,6 +18,7 @@
 #![warn(missing_docs)]
 
 pub mod eleos;
+pub mod mbt;
 pub mod mbt_store;
 pub mod replicated;
 pub mod sharded;

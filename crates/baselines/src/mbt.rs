@@ -3,7 +3,7 @@
 //!
 //! A B-tree where every node carries the digest of its subtree; updates
 //! rewrite the digests along the root path ("in place"). Queries return a
-//! value with a path proof. The `elsm-baselines` crate wraps this with
+//! value with a path proof. [`MbtStore`](crate::MbtStore) wraps this with
 //! disk-IO charging to reproduce the random-access write amplification the
 //! paper contrasts LSM digests with.
 
@@ -58,7 +58,7 @@ pub struct UpdateStats {
 /// # Examples
 ///
 /// ```
-/// use merkle::mbt::MerkleBTree;
+/// use elsm_baselines::mbt::MerkleBTree;
 ///
 /// let mut t = MerkleBTree::new();
 /// t.insert(b"key".to_vec(), b"value".to_vec());

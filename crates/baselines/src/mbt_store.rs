@@ -9,9 +9,10 @@
 
 use std::sync::Arc;
 
-use merkle::{MerkleBTree, UpdateStats};
 use parking_lot::Mutex;
 use sgx_sim::Platform;
+
+use crate::mbt::{MerkleBTree, UpdateStats};
 
 /// Approximate on-disk size of one B-tree node (keys + hashes).
 const NODE_BYTES: usize = 4096;

@@ -12,17 +12,25 @@
 //!
 //! Like every DE/OPE system (CryptDB, Speicher), equality and order of
 //! keys intentionally leak; the paper accepts the same leakage.
+//!
+//! The two key encryptions, [`det`] and [`ope`], are host glue: the enclave
+//! never runs them, so they sit here rather than in `elsm-crypto`.
+
+pub mod det;
+pub mod ope;
 
 use std::sync::Arc;
 
 use elsm_crypto::aead::nonce_from_u64s;
-use elsm_crypto::{AeadKey, DetKey, OpeKey};
+use elsm_crypto::AeadKey;
 use lsm_store::Timestamp;
 use sgx_sim::Platform;
 
 use crate::api::{AuthenticatedKv, VerifiedRecord};
 use crate::error::{ElsmError, VerificationFailure};
 use crate::p2::{ElsmP2, P2Options};
+use det::DetKey;
+use ope::OpeKey;
 
 /// An authenticated **and** confidential key-value store.
 ///
@@ -78,7 +86,7 @@ impl ConfidentialStore {
     /// Encrypted key layout: `[16-byte big-endian OPE code][DET ciphertext]`.
     fn encrypt_key(&self, key: &[u8]) -> Vec<u8> {
         self.platform.charge_hash(key.len() * 3); // OPE walk + DET rounds
-        let code = elsm_crypto::ope::encode_prefix(&self.ope, key);
+        let code = ope::encode_prefix(&self.ope, key);
         let mut out = Vec::with_capacity(16 + key.len() + 2);
         out.extend_from_slice(&code.to_be_bytes());
         out.extend_from_slice(&self.det.encrypt(key));
@@ -167,8 +175,8 @@ impl AuthenticatedKv for ConfidentialStore {
     fn scan(&self, from: &[u8], to: &[u8]) -> Result<Vec<VerifiedRecord>, ElsmError> {
         // OPE codes bound the encrypted range; DET suffixes are covered by
         // scanning the full code interval and post-filtering exactly.
-        let lo_code = elsm_crypto::ope::encode_prefix(&self.ope, from);
-        let hi_code = elsm_crypto::ope::encode_prefix(&self.ope, to);
+        let lo_code = ope::encode_prefix(&self.ope, from);
+        let hi_code = ope::encode_prefix(&self.ope, to);
         let lo = lo_code.to_be_bytes().to_vec();
         let mut hi = hi_code.to_be_bytes().to_vec();
         hi.extend_from_slice(&[0xff; 40]); // cover all DET suffixes

@@ -11,11 +11,11 @@
 //!   leakage deterministic encryption is defined to allow.
 //!
 //! Note that ciphertext order does **not** follow plaintext order — range
-//! queries over encrypted keys use [`crate::ope`] instead.
+//! queries over encrypted keys use [`super::ope`] instead.
 
 use std::fmt;
 
-use crate::hmac::hmac_sha256;
+use elsm_crypto::hmac::hmac_sha256;
 
 /// Key for deterministic encryption of data keys.
 #[derive(Clone)]

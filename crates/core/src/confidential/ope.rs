@@ -18,7 +18,7 @@
 
 use std::fmt;
 
-use crate::hmac::hmac_sha256;
+use elsm_crypto::hmac::hmac_sha256;
 
 /// Bits of plaintext domain (full `u64`).
 const DOMAIN_BITS: u32 = 64;
@@ -62,7 +62,7 @@ impl OpeKey {
     /// # Examples
     ///
     /// ```
-    /// let k = elsm_crypto::OpeKey::derive(b"master");
+    /// let k = elsm::confidential::ope::OpeKey::derive(b"master");
     /// assert!(k.encode(10) < k.encode(11));
     /// ```
     pub fn encode(&self, x: u64) -> u128 {

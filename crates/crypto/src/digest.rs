@@ -40,11 +40,6 @@ impl Digest {
         self.0
     }
 
-    /// Returns true when this is the designated empty digest.
-    pub fn is_zero(&self) -> bool {
-        self.0 == [0u8; 32]
-    }
-
     /// Lowercase hex encoding (64 characters).
     pub fn to_hex(&self) -> String {
         const HEX: &[u8; 16] = b"0123456789abcdef";
@@ -123,6 +118,13 @@ mod tests {
     fn from_hex_rejects_bad_input() {
         assert_eq!(Digest::from_hex("abc"), Err(ParseDigestError));
         assert_eq!(Digest::from_hex(&"g".repeat(64)), Err(ParseDigestError));
+    }
+
+    impl Digest {
+        /// Returns true when this is the designated empty digest.
+        fn is_zero(&self) -> bool {
+            self.0 == [0u8; 32]
+        }
     }
 
     #[test]

@@ -17,9 +17,11 @@
 //!   either way and there is no option, env var or feature to set.
 //! * [`hmac`] — RFC 2104 HMAC-SHA256 (RFC 4231 vectors in tests), with
 //!   [`hmac::HmacKey`] holding a long-lived key's pad midstates,
-//! * [`aead`] — encrypt-then-MAC AEAD (stream cipher from SHA-256-CTR),
-//! * [`det`] — deterministic encryption via a 4-round Feistel PRP,
-//! * [`ope`] — keyed order-preserving encoding for range-queryable keys.
+//! * [`aead`] — encrypt-then-MAC AEAD (stream cipher from SHA-256-CTR).
+//!
+//! The §5.6.2 key encryptions (deterministic and order-preserving) are host
+//! glue, not enclave code: they live beside their only user,
+//! `elsm::ConfidentialStore`.
 //!
 //! The [`Digest`] newtype is the hash value used by every Merkle structure
 //! in the workspace.
@@ -43,14 +45,10 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used, clippy::panic))]
 
 pub mod aead;
-pub mod det;
 pub mod digest;
 pub mod hmac;
-pub mod ope;
 pub mod sha256;
 
 pub use aead::{AeadError, AeadKey};
-pub use det::{DetError, DetKey};
 pub use digest::Digest;
-pub use ope::OpeKey;
 pub use sha256::{sha256, sha256_concat, sha256_joined, Sha256};

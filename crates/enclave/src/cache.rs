@@ -306,14 +306,16 @@ impl VerifiedCache {
         }
     }
 
-    /// Bytes currently held (tests / gauges).
+    /// Bytes currently held. Only tests read it, `elsm`'s unit tests
+    /// among them, which this crate's test-only code does not reach.
     pub fn bytes(&self) -> usize {
         self.inner.lock().bytes
     }
 
     /// Test seam: scribbles over a cached record's value bytes without
     /// fixing its tag — the simulated host attacking the cache's backing
-    /// memory. Returns whether the key was cached.
+    /// memory. Returns whether the key was cached. Public for
+    /// `tests/security.rs`: nothing else reaches the cache's memory.
     pub fn corrupt_record(&self, key: &[u8]) -> bool {
         let mut inner = self.inner.lock();
         match inner.records.get_mut(key) {

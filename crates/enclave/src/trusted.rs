@@ -65,7 +65,7 @@ use std::ops::Range;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
-use elsm_crypto::{sha256_concat, Digest};
+use elsm_crypto::{sha256_concat, sha256_joined, Digest};
 use lsm_boundary::{EncodedParts, GetTrace, LevelOutcome, Record, ScanTrace};
 use merkle::{
     verify_run_anchored, Crown, LevelCommitment, RecordProofRef, VerifyError, Work, CROWN_ROW_MAX,
@@ -300,13 +300,8 @@ pub struct TrustedState {
 
 impl TrustedState {
     /// Fresh state with empty commitments for levels `1..=max_levels`,
-    /// published as the snapshot for epoch 0.
-    pub fn new(platform: Arc<Platform>, max_levels: usize) -> Arc<Self> {
-        Self::with_telemetry(platform, max_levels, None, &Telemetry::default())
-    }
-
-    /// [`TrustedState::new`] with its commitment domain bound to `shard`
-    /// (see the field), and its `core.verify.*` counters and the
+    /// published as the snapshot for epoch 0, its commitment domain bound
+    /// to `shard` (see the field), and its `core.verify.*` counters and the
     /// `core.trusted.crown_bytes` gauge registered in `telemetry`.
     pub fn with_telemetry(
         platform: Arc<Platform>,
@@ -348,7 +343,8 @@ impl TrustedState {
     }
 
     /// Number of on-disk levels currently tracked (grows when the store
-    /// stacks runs with compaction disabled).
+    /// stacks runs with compaction disabled). Only tests read it, to walk
+    /// every level the enclave tracks.
     pub fn max_levels(&self) -> usize {
         self.commitments.lock().current.len().saturating_sub(1).max(self.max_levels)
     }
@@ -478,8 +474,8 @@ impl TrustedState {
     }
 
     /// Digests in the working crown of `level`, all rows together: 1 when
-    /// the level holds its root alone, 0 for a level never installed
-    /// (diagnostics/tests).
+    /// the level holds its root alone, 0 for a level never installed. Only
+    /// tests read it: the crown a restart adopted shows nowhere else.
     pub fn crown_nodes(&self, level: u32) -> usize {
         let c = self.commitments.lock();
         c.current.get(level as usize).map_or(0, |l| l.crown.crown.node_count())
@@ -500,19 +496,29 @@ impl TrustedState {
     /// folded in, exactly as in [`TrustedState::dataset_digest`].
     pub fn snapshot_digest(&self, epoch: u64) -> Option<Digest> {
         let snapshot = self.levels_at(epoch)?;
-        let digests: Vec<Digest> = snapshot.iter().map(|l| l.commitment.digest()).collect();
+        Some(self.shard_bound_digest(&[&[0x09], &epoch.to_le_bytes()], &snapshot, None))
+    }
+
+    /// SHA-256 over `head`, the shard binding (`0x08` and the shard id)
+    /// when the domain has one, each of `levels`' commitment digests and
+    /// `tail`, charged as one hash: the layout [`TrustedState::snapshot_digest`]
+    /// and [`TrustedState::dataset_digest`] share.
+    fn shard_bound_digest(
+        &self,
+        head: &[&[u8]],
+        levels: &[TrustedLevel],
+        tail: Option<&[u8]>,
+    ) -> Digest {
+        let digests: Vec<Digest> = levels.iter().map(|l| l.commitment.digest()).collect();
         let shard_tag = self.shard.map(|id| id.to_le_bytes());
-        let epoch_le = epoch.to_le_bytes();
-        let mut parts: Vec<&[u8]> = vec![&[0x09], &epoch_le];
-        if let Some(tag) = &shard_tag {
-            parts.push(&[0x08]);
-            parts.push(tag);
-        }
-        for d in &digests {
-            parts.push(d.as_bytes());
-        }
-        self.platform.charge_hash(parts.iter().map(|p| p.len()).sum());
-        Some(sha256_concat(&parts))
+        let parts = head
+            .iter()
+            .copied()
+            .chain(shard_tag.iter().flat_map(|tag| [&[0x08][..], tag]))
+            .chain(digests.iter().map(|d| &d.as_bytes()[..]))
+            .chain(tail);
+        self.platform.charge_hash(parts.clone().map(<[u8]>::len).sum());
+        sha256_joined(parts)
     }
 
     /// Folds a whole commit group into the running WAL digest (§5.3, step
@@ -590,21 +596,8 @@ impl TrustedState {
     /// two shards never shares a dataset digest.
     pub fn dataset_digest(&self) -> Digest {
         let commitments = self.commitments.lock();
-        let digests: Vec<Digest> =
-            commitments.current.iter().map(|l| l.commitment.digest()).collect();
         let wal = self.wal_digest();
-        let shard_tag = self.shard.map(|id| id.to_le_bytes());
-        let mut parts: Vec<&[u8]> = vec![&[0x06]];
-        if let Some(tag) = &shard_tag {
-            parts.push(&[0x08]);
-            parts.push(tag);
-        }
-        for d in &digests {
-            parts.push(d.as_bytes());
-        }
-        parts.push(wal.as_bytes());
-        self.platform.charge_hash(parts.iter().map(|p| p.len()).sum());
-        sha256_concat(&parts)
+        self.shard_bound_digest(&[&[0x06]], &commitments.current, Some(wal.as_bytes()))
     }
 
     /// Switches the verifier to stacked-run order (compaction disabled).
@@ -1126,6 +1119,11 @@ mod tests {
     use super::*;
 
     impl TrustedState {
+        /// Fresh unsharded state, its counters unregistered.
+        pub(crate) fn new(platform: Arc<Platform>, max_levels: usize) -> Arc<Self> {
+            Self::new_in_domain(platform, max_levels, None)
+        }
+
         /// Fresh state bound to `shard`, its counters unregistered.
         pub(crate) fn new_in_domain(
             platform: Arc<Platform>,
@@ -1205,6 +1203,50 @@ mod tests {
         assert_eq!(d_full, d_delta, "delta fold must be bit-identical to full recompute");
         assert_eq!(full.commitments(), delta.commitments());
         assert_eq!(full.dataset_digest(), delta.dataset_digest());
+    }
+
+    /// The shard-bound digests hash and charge exactly the parts they
+    /// bound when each built its own parts vector, sharded or not.
+    #[test]
+    fn shard_bound_digests_keep_their_parts_and_charge() {
+        for shard in [None, Some(3)] {
+            let platform = Platform::with_defaults();
+            let state = TrustedState::new_in_domain(platform.clone(), 3, shard);
+            state.set_commitment(commitment(1, 1, 10));
+            state.set_commitment(commitment(3, 3, 1000));
+            state.publish_epoch(1);
+            state.absorb_wal_batch([b"record".as_slice()], |r, buf| buf.extend_from_slice(r));
+            let digests: Vec<Digest> =
+                state.commitments().iter().map(LevelCommitment::digest).collect();
+            let shard_tag = shard.map(|id| id.to_le_bytes());
+            let wal = state.wal_digest();
+            let epoch_le = 1u64.to_le_bytes();
+            let expected = |head: &[&[u8]], tail: Option<&[u8]>| {
+                let mut parts: Vec<&[u8]> = head.to_vec();
+                if let Some(tag) = &shard_tag {
+                    parts.extend([&[0x08][..], tag]);
+                }
+                parts.extend(digests.iter().map(|d| &d.as_bytes()[..]));
+                parts.extend(tail);
+                let len: usize = parts.iter().map(|p| p.len()).sum();
+                (sha256_concat(&parts), sgx_sim::CostModel::hash_blocks(len))
+            };
+            let charged = |digest: &dyn Fn() -> Digest| {
+                let before = platform.stats().hash_blocks;
+                let d = digest();
+                (d, platform.stats().hash_blocks - before)
+            };
+            assert_eq!(
+                charged(&|| state.snapshot_digest(1).unwrap()),
+                expected(&[&[0x09], &epoch_le], None),
+                "{shard:?}"
+            );
+            assert_eq!(
+                charged(&|| state.dataset_digest()),
+                expected(&[&[0x06]], Some(wal.as_bytes())),
+                "{shard:?}"
+            );
+        }
     }
 
     /// A delta that clears the output (empty merge result) and one that

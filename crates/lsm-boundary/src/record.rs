@@ -72,8 +72,9 @@ pub type Timestamp = u64;
 /// use lsm_boundary::record::{Record, ValueKind};
 ///
 /// let r = Record::put(b"key".as_slice(), b"value".as_slice(), 7);
-/// let bytes = r.encode();
-/// assert_eq!(Record::decode(&bytes).unwrap(), r);
+/// let mut bytes = Vec::new();
+/// r.encode_into(&mut bytes);
+/// assert_eq!(Record::decode_prefix(&bytes), Some((r, bytes.len())));
 /// ```
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
@@ -98,46 +99,16 @@ impl Record {
         Record { key: key.into(), ts, kind: ValueKind::Put, value: value.into() }
     }
 
-    /// Creates a tombstone.
-    pub fn tombstone(key: impl Into<Bytes>, ts: Timestamp) -> Self {
-        Record { key: key.into(), ts, kind: ValueKind::Delete, value: Bytes::new() }
-    }
-
-    /// Creates a value-log pointer record: `pointer` is the encoded
-    /// value-log pointer + MAC (possibly listener-wrapped).
-    pub fn vlog_put(key: impl Into<Bytes>, pointer: impl Into<Bytes>, ts: Timestamp) -> Self {
-        Record { key: key.into(), ts, kind: ValueKind::VlogPut, value: pointer.into() }
-    }
-
-    /// The internal key identifying this record.
-    pub fn internal_key(&self) -> InternalKey {
-        InternalKey::new(self.key.clone(), self.ts, self.kind)
-    }
-
     /// The record's fields, borrowed.
     #[inline]
     pub fn view(&self) -> RecordView<'_> {
         RecordView { key: &self.key, ts: self.ts, kind: self.kind, value: &self.value }
     }
 
-    /// Serializes the record (length-prefixed key and value, fixed suffix).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut buf = Vec::new();
-        self.encode_into(&mut buf);
-        buf
-    }
-
-    /// Appends the record's serialization to `buf`.
+    /// Appends the record's serialization (length-prefixed key and value,
+    /// fixed suffix) to `buf`.
     pub fn encode_into(&self, buf: &mut Vec<u8>) {
         self.view().encode_with_value_into(&self.value, buf);
-    }
-
-    /// Parses a record serialized by [`Record::encode`].
-    ///
-    /// Returns `None` on malformed input (including trailing bytes).
-    pub fn decode(buf: &[u8]) -> Option<Record> {
-        let (record, used) = Self::decode_prefix(buf)?;
-        (used == buf.len()).then_some(record)
     }
 
     /// Parses one record from the front of `buf`, returning it together
@@ -350,6 +321,34 @@ impl fmt::Debug for InternalKey {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Constructors and whole-buffer codecs only tests use: the engine
+    /// builds records from write batches and encodes them in place.
+    impl Record {
+        fn tombstone(key: impl Into<Bytes>, ts: Timestamp) -> Self {
+            Record { key: key.into(), ts, kind: ValueKind::Delete, value: Bytes::new() }
+        }
+
+        fn vlog_put(key: impl Into<Bytes>, pointer: impl Into<Bytes>, ts: Timestamp) -> Self {
+            Record { key: key.into(), ts, kind: ValueKind::VlogPut, value: pointer.into() }
+        }
+
+        fn internal_key(&self) -> InternalKey {
+            InternalKey::new(self.key.clone(), self.ts, self.kind)
+        }
+
+        fn encode(&self) -> Vec<u8> {
+            let mut buf = Vec::new();
+            self.encode_into(&mut buf);
+            buf
+        }
+
+        /// `None` on malformed input, trailing bytes included.
+        fn decode(buf: &[u8]) -> Option<Record> {
+            let (record, used) = Self::decode_prefix(buf)?;
+            (used == buf.len()).then_some(record)
+        }
+    }
 
     #[test]
     fn record_encode_decode_round_trip() {

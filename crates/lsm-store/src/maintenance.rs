@@ -662,11 +662,16 @@ impl Db {
         // Level 0 is the frozen memtable (`mem`, empty for a compaction); a
         // stored level's blocks are all read now, table by table and block
         // by block, whatever order the merge then consumes their records in.
-        let mut inputs = vec![MergeInput::records(0, mem)];
+        // Each level is one input, its tables streamed in order.
+        let mut inputs = Vec::with_capacity(1 + spec.input_levels.len());
+        inputs.push(MergeInput::records(0, mem));
         for &level in &spec.input_levels {
-            for t in base.level(level).map_or(&[][..], |run| run.tables()) {
-                inputs.push(MergeInput::table(level, t.iter()?));
+            let tables = base.level(level).map_or(&[][..], |run| run.tables());
+            let mut iters = Vec::with_capacity(tables.len());
+            for t in tables {
+                iters.push(t.iter()?);
             }
+            inputs.extend(MergeInput::run(level, iters));
         }
         // Tombstones may only be purged when a merge observes every live
         // version of its keys (bottom level, or a major pass over all

@@ -255,6 +255,7 @@ impl MemTable {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::tests::RecordFixtures;
     use crate::record::ValueKind;
 
     #[test]

@@ -1,7 +1,8 @@
 //! K-way merging of sorted record streams (the compaction merge step).
 //!
-//! The merge owns no record: each input is a cursor over a table
-//! ([`TableIter`]) or over a slice of owned records (a frozen memtable),
+//! The merge owns no record: each input is a cursor over a run's tables
+//! ([`TableIter`]s, one after the other) or over a slice of owned records
+//! (a frozen memtable),
 //! and [`KWayMerge::next`] lends the smallest input's current record as a
 //! [`RecordView`] until the next call. The heap is an array of input
 //! indices allocated once, ordered by comparing the inputs' current
@@ -19,8 +20,8 @@ use crate::sstable::TableIter;
 /// Where an input's records come from.
 #[derive(Debug)]
 enum Cursor<'a> {
-    /// A table's records, in order.
-    Table(TableIter<'a>),
+    /// A run's records: its tables' in order, `current` first.
+    Run { current: TableIter<'a>, rest: std::vec::IntoIter<TableIter<'a>> },
     /// Owned records in internal-key order; `next` is the one after the
     /// current.
     Records { records: &'a [Record], next: usize },
@@ -34,9 +35,14 @@ pub struct MergeInput<'a> {
 }
 
 impl<'a> MergeInput<'a> {
-    /// An input streaming a table.
-    pub fn table(level: usize, table: TableIter<'a>) -> Self {
-        MergeInput { level, cursor: Cursor::Table(table) }
+    /// An input streaming a run: its tables, in key order, one stream. A
+    /// host that stores two tables of one run overlapping shows the merge
+    /// a stream that does not ascend, as one that reorders a table does.
+    /// `None` for a run of no tables.
+    pub fn run(level: usize, tables: Vec<TableIter<'a>>) -> Option<Self> {
+        let mut rest = tables.into_iter();
+        let current = rest.next()?;
+        Some(MergeInput { level, cursor: Cursor::Run { current, rest } })
     }
 
     /// An input over records already in memory, in internal-key order.
@@ -46,7 +52,15 @@ impl<'a> MergeInput<'a> {
 
     fn advance(&mut self) -> Result<bool, FsError> {
         match &mut self.cursor {
-            Cursor::Table(table) => table.advance(),
+            Cursor::Run { current, rest } => loop {
+                if current.advance()? {
+                    return Ok(true);
+                }
+                match rest.next() {
+                    Some(next) => *current = next,
+                    None => return Ok(false),
+                }
+            },
             Cursor::Records { records, next } => {
                 *next += 1;
                 Ok(*next <= records.len())
@@ -57,7 +71,7 @@ impl<'a> MergeInput<'a> {
     /// The current record (after `advance` returned `Ok(true)`).
     fn view(&self) -> RecordView<'_> {
         match &self.cursor {
-            Cursor::Table(table) => table.view(),
+            Cursor::Run { current, .. } => current.view(),
             Cursor::Records { records, next } => records[next - 1].view(),
         }
     }
@@ -184,6 +198,7 @@ impl<'a> KWayMerge<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::tests::RecordFixtures;
     use crate::record::{internal_cmp, ValueKind};
     use std::cmp::Ordering;
 

@@ -56,9 +56,38 @@ impl<'a> SeekKey<'a> {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
     use bytes::Bytes;
+
+    /// Record constructors and encodings only the engine's tests use: the
+    /// engine builds records from write batches and encodes them in place.
+    pub(crate) trait RecordFixtures {
+        fn tombstone(key: impl Into<Bytes>, ts: Timestamp) -> Self;
+        fn vlog_put(key: impl Into<Bytes>, pointer: impl Into<Bytes>, ts: Timestamp) -> Self;
+        fn internal_key(&self) -> InternalKey;
+        fn encode(&self) -> Vec<u8>;
+    }
+
+    impl RecordFixtures for Record {
+        fn tombstone(key: impl Into<Bytes>, ts: Timestamp) -> Self {
+            Record { key: key.into(), ts, kind: ValueKind::Delete, value: Bytes::new() }
+        }
+
+        fn vlog_put(key: impl Into<Bytes>, pointer: impl Into<Bytes>, ts: Timestamp) -> Self {
+            Record { key: key.into(), ts, kind: ValueKind::VlogPut, value: pointer.into() }
+        }
+
+        fn internal_key(&self) -> InternalKey {
+            InternalKey::new(self.key.clone(), self.ts, self.kind)
+        }
+
+        fn encode(&self) -> Vec<u8> {
+            let mut buf = Vec::new();
+            self.encode_into(&mut buf);
+            buf
+        }
+    }
 
     #[test]
     fn newest_seek_precedes_all_versions() {

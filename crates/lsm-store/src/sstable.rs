@@ -731,6 +731,7 @@ impl TableIter<'_> {
 mod tests {
     use super::*;
     use crate::env::EnvConfig;
+    use crate::record::tests::RecordFixtures;
     use crate::version::{LevelOutcome, Run};
     use sgx_sim::{CostModel, Platform};
     use sim_disk::{SimDisk, SimFs};

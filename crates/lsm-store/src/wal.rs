@@ -190,6 +190,7 @@ pub fn recover(env: &StorageEnv, file: &Arc<SimFile>) -> Result<Vec<Record>, FsE
 mod tests {
     use super::*;
     use crate::env::{EnvConfig, StorageEnv};
+    use crate::record::tests::RecordFixtures;
     use sgx_sim::Platform;
     use sim_disk::{SimDisk, SimFs};
 

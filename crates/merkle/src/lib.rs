@@ -17,9 +17,10 @@
 //!   its head, and the per-level commitments the enclave stores,
 //! * [`range`] — segment-tree range proofs for query completeness (§5.4),
 //!   walked with the boundary siblings read off the audit paths of a run's
-//!   two end leaves,
-//! * [`mbt`] — the conventional update-in-place Merkle B-tree baseline
-//!   (§3.4).
+//!   two end leaves.
+//!
+//! Everything here is enclave code. The §3.4 update-in-place Merkle B-tree
+//! baseline lives with its store in `elsm-baselines`.
 //!
 //! # Examples
 //!
@@ -45,7 +46,6 @@
 pub mod chain;
 pub mod crown;
 pub mod level;
-pub mod mbt;
 pub mod proof;
 pub mod range;
 pub mod tree;
@@ -53,7 +53,6 @@ pub mod tree;
 pub use chain::{chain_digest, chain_link, chain_link_parts, ChainPosition};
 pub use crown::{Anchor, Crown, Work, CROWN_ROW_MAX};
 pub use level::{Folded, LevelDigest, LevelDigestBuilder, OutOfOrder};
-pub use mbt::{MerkleBTree, UpdateStats};
 pub use proof::{ChainWalk, LevelCommitment, RecordProof, RecordProofRef, VerifyError, LINK_LEN};
 pub use range::{
     prove_range, verify_range, verify_range_anchored, verify_run_anchored, RangeProof,

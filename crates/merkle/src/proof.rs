@@ -100,10 +100,16 @@ impl std::error::Error for VerifyError {}
 /// The proof embedded in a record: its level, leaf and chain position
 /// (which, for the newest version, includes the Merkle audit path).
 ///
-/// This is the *owned* form, built by provers and tests. Stored values are
-/// read through [`RecordProofRef`], which parses and verifies the same
-/// bytes without allocating; [`RecordProof::decode`] is that parser plus a
-/// copy.
+/// This is the *owned* form. Stored values are read through
+/// [`RecordProofRef`], which parses and verifies the same bytes without
+/// allocating; [`RecordProof::decode`] is that parser plus a copy.
+///
+/// No enclave code builds, encodes or verifies an owned proof: it is the
+/// oracle the tests compare the in-place prover and verifier against
+/// (`tests/proof_identity.rs`, with [`crate::chain_digest`],
+/// [`LevelDigest::prove_version`](crate::LevelDigest::prove_version),
+/// [`RecordProofRef::verify`] and [`RecordProofRef::to_owned`]), kept
+/// public until one reference verifier replaces it.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RecordProof {
     /// Level the record resides at.

@@ -21,18 +21,6 @@ pub struct RangeProof {
     pub right: Vec<Digest>,
 }
 
-impl RangeProof {
-    /// Total number of hashes in the proof.
-    pub fn len(&self) -> usize {
-        self.left.len() + self.right.len()
-    }
-
-    /// Whether the proof carries no hashes (full-tree range).
-    pub fn is_empty(&self) -> bool {
-        self.left.is_empty() && self.right.is_empty()
-    }
-}
-
 /// Produces the range proof for leaves `lo..=hi` of `tree`.
 ///
 /// # Panics
@@ -212,6 +200,18 @@ fn walk_run(
 mod tests {
     use super::*;
     use crate::tree::leaf_hash;
+
+    impl RangeProof {
+        /// Total number of hashes in the proof.
+        fn len(&self) -> usize {
+            self.left.len() + self.right.len()
+        }
+
+        /// Whether the proof carries no hashes (full-tree range).
+        fn is_empty(&self) -> bool {
+            self.left.is_empty() && self.right.is_empty()
+        }
+    }
 
     fn tree(n: usize) -> (MerkleTree, Vec<Digest>) {
         let leaves: Vec<Digest> = (0..n).map(|i| leaf_hash(format!("L{i}").as_bytes())).collect();

@@ -202,7 +202,7 @@ mod tests {
     #[test]
     fn empty_tree_has_zero_root() {
         let t = MerkleTree::from_leaves(Vec::new());
-        assert!(t.root().is_zero());
+        assert_eq!(t.root(), Digest::ZERO);
         assert!(t.is_empty());
     }
 

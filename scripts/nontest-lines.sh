@@ -11,7 +11,9 @@
 # it: it simulates the hardware, which a real deployment does not ship as
 # code. The `elsm-telemetry` counters the enclave bumps are linked into it
 # too, but they are instrumentation, not part of what the enclave checks,
-# so they are not counted either. Run from anywhere:
+# so they are not counted either. The row counts whole crates; `sh
+# scripts/unreached.sh` prints the part of it the enclave's call graph
+# reaches, and names every fn it leaves out. Run from anywhere:
 #
 #     sh scripts/nontest-lines.sh
 set -eu

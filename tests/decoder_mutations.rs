@@ -6,7 +6,8 @@
 //! (`TableReader::open`, then `get` and a run's `get` and `walk`) —
 //! and over the two the write path's bytes come back through: a WAL batch
 //! frame (`decode_frame`: a replica's shipment, a replayed log) and a
-//! record (`Record::decode` / `decode_prefix`), whose encodings the store
+//! record (`Record::decode_prefix`, alone and under the whole-buffer check
+//! of `support::records`), whose encodings the store
 //! now writes into reused buffers — and over two a read decodes from the
 //! host's bytes before anything is verified: a table's Bloom filter
 //! (`BloomFilter::decode`, then probes) and a value-log pointer
@@ -46,6 +47,9 @@ use elsm_repro::sgx_sim::{CostModel, Platform};
 use elsm_repro::sim_disk::{SimDisk, SimFile, SimFs};
 use elsm_repro::telemetry::TraceContext;
 use proptest::prelude::*;
+use support::records::RecordFixtures;
+
+pub mod support;
 
 struct Watching;
 
@@ -156,7 +160,10 @@ fn mixed_records(picks: &[(u16, u16)]) -> Vec<Record> {
     let mut records = records(picks);
     for record in &mut records {
         match record.ts % 3 {
-            0 => *record = Record::tombstone(record.key.clone(), record.ts),
+            0 => {
+                record.kind = ValueKind::Delete;
+                record.value = Bytes::new();
+            }
             1 => record.kind = ValueKind::VlogPut,
             _ => {}
         }

@@ -42,7 +42,8 @@ impl Store {
         let platform = Platform::with_defaults();
         let fs = SimFs::new(SimDisk::new(platform.clone()));
         let telemetry = Telemetry::default();
-        let trusted = TrustedState::new(platform.clone(), LEVELS);
+        let trusted =
+            TrustedState::with_telemetry(platform.clone(), LEVELS, None, &Telemetry::default());
         let listener =
             AuthListener::new(platform.clone(), trusted.clone(), false, None, &telemetry);
         let options = Options {

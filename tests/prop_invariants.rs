@@ -1,7 +1,8 @@
 //! Property-based tests on the core data structures and protocol
 //! invariants, spanning crates.
 
-use elsm_repro::crypto::{AeadKey, DetKey, OpeKey};
+use elsm_repro::crypto::AeadKey;
+use elsm_repro::elsm::confidential::{det::DetKey, ope::OpeKey};
 use elsm_repro::merkle::tree::leaf_hash;
 use elsm_repro::merkle::{
     chain_digest, prove_range, verify_range, ChainPosition, LevelDigest, MerkleTree, RecordProof,

@@ -2053,6 +2053,82 @@ mod host_order {
         assert!(read_back(&store, 0..KEYS) > 0, "the swapped key is refused");
     }
 
+    /// Options whose flush writes a level as several tables.
+    fn options_in_tables(telemetry: &Telemetry) -> P2Options {
+        P2Options { target_file_bytes: 4 * 1024, ..options(telemetry) }
+    }
+
+    /// Rewrites the last record of the first table (in key order) of `fs`
+    /// so that its key falls inside the second table's range.
+    fn overlap_in_a_level(fs: &SimFs) {
+        let mut tables: Vec<_> = fs
+            .list()
+            .into_iter()
+            .filter(|n| n.ends_with(".sst"))
+            .map(|n| fs.open(&n).unwrap())
+            .collect();
+        assert!(tables.len() >= 2, "a level of several tables");
+        tables.sort_by_key(|table| adversary::key_range(table).0);
+        let (first, second) = (adversary::key_range(&tables[0]), adversary::key_range(&tables[1]));
+        assert!(first.1 < second.0, "the tables are disjoint before");
+        let moved = adversary::overlap_next_table(&tables[0], &tables[1]).expect("a key to move");
+        assert!(second.0 < moved && moved < second.1, "{moved:?} inside {second:?}");
+    }
+
+    fn loaded_store_in_tables(
+        platform: &Arc<Platform>,
+        fs: &Arc<SimFs>,
+        telemetry: &Telemetry,
+    ) -> ElsmP2 {
+        let options = options_in_tables(telemetry);
+        let store = ElsmP2::open_with(platform.clone(), fs.clone(), options, None).unwrap();
+        for i in 0..KEYS {
+            store.put(&key(i), &value(i)).unwrap();
+        }
+        store.db().flush().unwrap();
+        assert_eq!(store.db().level_records()[1], KEYS as u64, "one level-1 run");
+        store
+    }
+
+    /// A table whose last key falls inside the next table's range: each
+    /// table is in order, the level is not.
+    #[test]
+    fn a_restart_refuses_an_overlapping_table() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let store = loaded_store_in_tables(&platform, &fs, &Telemetry::default());
+        store.close().unwrap();
+        drop(store);
+        overlap_in_a_level(&fs);
+
+        let telemetry = Telemetry::new();
+        let store = ElsmP2::open_with(platform, fs, options_in_tables(&telemetry), None).unwrap();
+        assert_audited_once(&telemetry, 1, None);
+        assert_eq!(store.trusted().crown_nodes(1), 1, "the root alone");
+        assert!(read_back(&store, 0..KEYS) > 0, "the moved key is refused");
+    }
+
+    #[test]
+    fn a_compaction_refuses_an_overlapping_table() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let telemetry = Telemetry::new();
+        let store = loaded_store_in_tables(&platform, &fs, &telemetry);
+        let (epoch, records, files) =
+            (store.db().current_epoch(), store.db().level_records(), fs.list());
+        let commitments = store.trusted().commitments();
+        overlap_in_a_level(&fs);
+
+        assert!(store.db().compact(1).is_err(), "the merge fails");
+        assert!(store.trusted().is_poisoned(), "and the enclave refuses service");
+        assert_audited_once(&telemetry, 1, None);
+        assert_eq!(store.db().current_epoch(), epoch, "nothing installed");
+        assert_eq!(store.db().level_records(), records);
+        assert_eq!(fs.list(), files, "no output file was left behind");
+        assert_eq!(store.trusted().commitments(), commitments, "nothing new was signed");
+        assert_eq!(read_back(&store, 0..KEYS), KEYS as usize, "every read is refused");
+    }
+
     /// The engine alone: a merge whose input is out of order fails before
     /// its output reaches the block builder's order check.
     #[test]
@@ -2105,6 +2181,54 @@ mod host_order {
         assert!(read_back(&cluster, 0..KEYS) > 0, "the swapped keys are refused");
         let shard1 = (0..KEYS).filter(|&i| cluster.shard_of(&key(i)) == 1);
         assert_eq!(read_back(&cluster, shard1), 0, "shard 1 serves on");
+    }
+
+    fn loaded_cluster_in_tables(telemetry: &Telemetry) -> ShardedKv {
+        let options = ShardedOptions::hash(2, options_in_tables(telemetry));
+        let cluster = ShardedKv::open(Platform::with_defaults(), options).unwrap();
+        for i in 0..KEYS {
+            cluster.put(&key(i), &value(i)).unwrap();
+        }
+        cluster.flush().unwrap();
+        cluster
+    }
+
+    #[test]
+    fn a_cluster_restart_refuses_an_overlapping_table() {
+        let cluster = loaded_cluster_in_tables(&Telemetry::default());
+        cluster.close().unwrap();
+        let filesystems: Vec<Arc<SimFs>> = (0..2).map(|i| cluster.shard(i).fs().clone()).collect();
+        let router = cluster.router_platform().clone();
+        drop(cluster);
+        overlap_in_a_level(&filesystems[0]);
+
+        let telemetry = Telemetry::new();
+        let options = ShardedOptions::hash(2, options_in_tables(&telemetry));
+        let cluster = ShardedKv::open_with(router, filesystems, options).unwrap();
+        assert_audited_once(&telemetry, 1, Some(0));
+        assert_eq!(cluster.shard(0).trusted().crown_nodes(1), 1, "shard 0's root alone");
+        assert!(read_back(&cluster, 0..KEYS) > 0, "the moved key is refused");
+        let shard1 = (0..KEYS).filter(|&i| cluster.shard_of(&key(i)) == 1);
+        assert_eq!(read_back(&cluster, shard1), 0, "shard 1 serves on");
+    }
+
+    #[test]
+    fn a_cluster_compaction_refuses_an_overlapping_table() {
+        let telemetry = Telemetry::new();
+        let cluster = loaded_cluster_in_tables(&telemetry);
+        let shard0 = cluster.shard(0);
+        let files = shard0.fs().list();
+        overlap_in_a_level(shard0.fs());
+
+        assert!(shard0.db().compact(1).is_err(), "the merge fails");
+        assert!(shard0.trusted().is_poisoned());
+        assert_audited_once(&telemetry, 1, Some(0));
+        assert_eq!(shard0.fs().list(), files, "no output file was left behind");
+        let (owned_by_0, owned_by_1): (Vec<u32>, Vec<u32>) =
+            (0..KEYS).partition(|&i| cluster.shard_of(&key(i)) == 0);
+        let refused = read_back(&cluster, owned_by_0.iter().copied());
+        assert_eq!(refused, owned_by_0.len(), "shard 0 refuses");
+        assert_eq!(read_back(&cluster, owned_by_1.into_iter()), 0, "shard 1 serves on");
     }
 
     #[test]

@@ -261,6 +261,90 @@ pub fn duplicate_adjacent_record(file: &SimFile) -> Option<Vec<u8>> {
         .map(|(a, _)| a)
 }
 
+/// The user keys of the first and the last record a table file stores.
+pub fn key_range(file: &SimFile) -> (Vec<u8>, Vec<u8>) {
+    let blocks = data_blocks(file);
+    let entries = |(offset, len): (usize, usize)| -> Vec<(Vec<u8>, Bytes)> {
+        Block::parse(file.peek(offset, len).unwrap()).unwrap().iter().collect()
+    };
+    let user_key = |entry: &(Vec<u8>, Bytes)| entry.0[..entry.0.len() - 8].to_vec();
+    let first = user_key(&entries(blocks[0])[0]);
+    let last = user_key(entries(blocks[blocks.len() - 1]).last().unwrap());
+    (first, last)
+}
+
+/// Rewrites table `file` in place so that its last record's user key falls
+/// strictly inside the key range of `next`, the table after it in its run:
+/// two tables of one level overlap. Only the last data block's bytes
+/// change (the record keeps its timestamp and value, the block its
+/// length), so the index, filter and footer still describe the file, and
+/// the index still names the old last key. The new key is the first, in
+/// byte order, of the keys made of a prefix of `next`'s first key and one
+/// more byte that keep the block's length. Returns it; `None` when no such
+/// key exists.
+pub fn overlap_next_table(file: &SimFile, next: &SimFile) -> Option<Vec<u8>> {
+    let (from, to) = key_range(next);
+    let (offset, len) = *data_blocks(file).last()?;
+    let block = StoredBlock::read(file, offset, len)?;
+    let last = block.entries.len() - 1;
+    let suffix = block.entries[last].0[block.entries[last].0.len() - 8..].to_vec();
+    for cut in 0..from.len() {
+        for byte in 0..=u8::MAX {
+            let user_key = [&from[..cut], &[byte]].concat();
+            if user_key <= from || user_key >= to {
+                continue;
+            }
+            let mut edited = block.entries.clone();
+            edited[last].0 = [&user_key[..], &suffix].concat();
+            if block.overwrite(file, &edited) {
+                return Some(user_key);
+            }
+        }
+    }
+    None
+}
+
+/// A data block as stored: its bytes, its entries, and how many bytes
+/// each entry's key shares with the key before it.
+struct StoredBlock {
+    offset: usize,
+    bytes: Bytes,
+    entries: Vec<(Vec<u8>, Bytes)>,
+    shared: Vec<usize>,
+}
+
+impl StoredBlock {
+    /// The data block at `offset`; `None` when it does not parse.
+    fn read(file: &SimFile, offset: usize, len: usize) -> Option<StoredBlock> {
+        let bytes = file.peek(offset, len).unwrap();
+        let entries: Vec<(Vec<u8>, Bytes)> = Block::parse(bytes.clone())?.iter().collect();
+        let unbounded = vec![usize::MAX; entries.len()];
+        assert_eq!(
+            raw_block(&entries, &unbounded),
+            bytes[..],
+            "the raw writer writes the builder's bytes"
+        );
+        let shared = (0..entries.len()).map(|i| shared_prefix(&entries, i)).collect();
+        Some(StoredBlock { offset, bytes, entries, shared })
+    }
+
+    /// Writes `edited` over the block, each entry sharing at most what it
+    /// shared as stored, if that keeps the block's length; says whether it
+    /// did.
+    fn overwrite(&self, file: &SimFile, edited: &[(Vec<u8>, Bytes)]) -> bool {
+        let rewritten = raw_block(edited, &self.shared);
+        if rewritten.len() != self.bytes.len() {
+            return false;
+        }
+        for (at, (old, new)) in self.bytes.iter().zip(&rewritten).enumerate() {
+            if old != new {
+                file.corrupt(self.offset + at, old ^ new);
+            }
+        }
+        true
+    }
+}
+
 /// Applies `edit` to the first pair `(i, i + 1)` of adjacent records — of
 /// one key if `same_key`, else of different keys — in one data block (middle blocks first, away from the
 /// block's ends) after which the block keeps its length, and writes the
@@ -275,15 +359,8 @@ fn rewrite_adjacent_pair(
     // Middle blocks first: a pair far from the table's ends.
     let order = (0..blocks.len()).map(|i| (i + blocks.len() / 2) % blocks.len());
     for (offset, len) in order.map(|i| blocks[i]) {
-        let stored = file.peek(offset, len).unwrap();
-        let entries: Vec<(Vec<u8>, Bytes)> = Block::parse(stored.clone())?.iter().collect();
-        let unbounded = vec![usize::MAX; entries.len()];
-        assert_eq!(
-            raw_block(&entries, &unbounded),
-            stored[..],
-            "the raw writer writes the builder's bytes"
-        );
-        let shared: Vec<usize> = (0..entries.len()).map(|i| shared_prefix(&entries, i)).collect();
+        let block = StoredBlock::read(file, offset, len)?;
+        let entries = &block.entries;
         let user_key = |key: &[u8]| key[..key.len() - 8].to_vec();
         for i in 1..entries.len().saturating_sub(2) {
             let (a, b) = (user_key(&entries[i].0), user_key(&entries[i + 1].0));
@@ -292,13 +369,7 @@ fn rewrite_adjacent_pair(
             }
             let mut edited = entries.clone();
             edit(&mut edited, i);
-            let rewritten = raw_block(&edited, &shared);
-            if rewritten.len() == stored.len() {
-                for (at, (old, new)) in stored.iter().zip(&rewritten).enumerate() {
-                    if old != new {
-                        file.corrupt(offset + at, old ^ new);
-                    }
-                }
+            if block.overwrite(file, &edited) {
                 return Some((a, b));
             }
         }

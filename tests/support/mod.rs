@@ -2,3 +2,4 @@
 //! includes `adversary.rs` by path.
 
 pub mod adversary;
+pub mod records;
