@@ -210,13 +210,17 @@ impl ElsmP2 {
             None,
         );
         // Embedded proofs inflate stored records: a key's newest version
-        // carries an audit path (57 + 32·depth bytes, ~6x a 100-byte value
-        // in a 2^15-leaf level), every older version a 57-byte chain link
-        // (~1.5x). Level budgets are configured in *logical* bytes, so
-        // physical budgets scale by the newest-version factor — otherwise
-        // proof bytes would trigger spurious cascades; update-heavy levels
-        // simply sit below budget for longer.
-        const PROOF_INFLATION: u64 = 6;
+        // carries its audit path up to the crown's anchor row (57 + 32·rows
+        // bytes; in a 2^15-leaf level 15 rows under a bare root, ~6x a
+        // 100-byte value, and 5 under a 1 024-wide crown, ~3x), every older
+        // version a 57-byte chain link (~1.5x). Level budgets are configured
+        // in *logical* bytes, so physical budgets scale by the
+        // newest-version factor — otherwise proof bytes would trigger
+        // spurious cascades, and paths cut at the crown would let a level
+        // hold twice the records; update-heavy levels simply sit below
+        // budget for longer.
+        let rows = 15 - u64::from(trusted.crown_row_max().max(1).ilog2());
+        let proof_inflation = (100 + 57 + 32 * rows) / 100;
         let db_options = Options {
             wal_sync: options.wal_sync,
             env: env.config().clone(),
@@ -225,8 +229,8 @@ impl ElsmP2 {
                 bloom_bits_per_key: options.bloom_bits_per_key,
             },
             write_buffer_bytes: options.write_buffer_bytes,
-            target_file_bytes: options.target_file_bytes * PROOF_INFLATION,
-            level1_max_bytes: options.level1_max_bytes * PROOF_INFLATION,
+            target_file_bytes: options.target_file_bytes * proof_inflation,
+            level1_max_bytes: options.level1_max_bytes * proof_inflation,
             level_multiplier: options.level_multiplier,
             max_levels: options.max_levels,
             compaction_enabled: options.compaction_enabled,

@@ -4,7 +4,11 @@
 //! certificate being used by the browser. Given a certificate, the log
 //! auditor queries the log server for a proof of inclusion." With eLSM the
 //! enclave verifies the inclusion proof, so the auditor only compares the
-//! presented certificate against the (verified-fresh) logged one.
+//! presented certificate against the (verified-fresh) logged one. It could
+//! not check a stored proof itself from a published root: the proof a
+//! record stores stops at the anchor row of the level's crown, the top
+//! Merkle rows only the enclave holds, and verifies against that crown, not
+//! against a bare root.
 
 use crate::cert::Certificate;
 use crate::server::CtLogServer;

@@ -12,15 +12,19 @@
 //!   output level's digest from the surviving records — a record whose
 //!   chain below it is the one its input level had takes that level's chain
 //!   digest over, every other record is hashed,
+//!   `seal` also takes the output tree's crown (its top rows, as wide as
+//!   this enclave keeps them),
 //! * `write_value`, pass 2: appends `envelope ‖ proof` for each record
 //!   straight into the table block being built — no output record is ever
-//!   materialised,
+//!   materialised; a proof's audit path stops at the crown's lowest row,
+//!   whose nodes and those above it the enclave holds,
 //! * `finish` (merging thread, possibly a scheduler worker, so the digest
 //!   work overlaps across a wave's jobs): checks the rebuilt input roots
-//!   against the enclave's commitments and stages the job's
-//!   [`CompactionDelta`] — the output commitment with the crown (top rows)
-//!   of the tree just built, which is dropped here: every proof it can give
-//!   is in the records by now,
+//!   against the enclave's commitments — an input that rebuilds to another
+//!   root is audited once and poisons the store — and, unless the store is
+//!   poisoned, stages the job's [`CompactionDelta`]: the output commitment
+//!   with the crown the proofs were written for. The tree is dropped here:
+//!   every proof it can give is in the records by now,
 //! * `install` (store write lock, deterministic job order): folds the delta
 //!   into the enclave's *working* vector
 //!   ([`TrustedState::apply_compaction_delta`]) — O(levels-in-job), not a
@@ -44,7 +48,7 @@ use std::sync::Arc;
 
 use elsm_crypto::Digest;
 use lsm_boundary::{InputPosition, MergeJob, Record, RecordView, StoreListener};
-use merkle::{Folded, LevelCommitment, LevelDigest, LevelDigestBuilder};
+use merkle::{Crown, Folded, LevelCommitment, LevelDigest, LevelDigestBuilder, VerifyError};
 use parking_lot::Mutex;
 use sgx_sim::{Platform, SealedBlob, Sealer};
 
@@ -138,6 +142,7 @@ impl AuthListener {
             chain_key: Vec::new(),
             chain: Vec::new(),
             refused: false,
+            audited: false,
             digest: None,
             leaf_idx: 0,
             version_idx: 0,
@@ -169,10 +174,12 @@ struct AuthJob<'a> {
     /// An output record's envelope did not open: nothing this job produces
     /// may be signed.
     refused: bool,
-    /// Pass 2: the finished output tree (from `seal` to `finish`), and the
-    /// position of the next record in it: leaf (distinct key) and version
-    /// within the leaf's chain.
-    digest: Option<LevelDigest>,
+    /// The job put a refused input on the audit stream.
+    audited: bool,
+    /// Pass 2: the finished output tree and the crown its proofs stop at
+    /// (from `seal` to `finish`), and the position of the next record in
+    /// it: leaf (distinct key) and version within the leaf's chain.
+    digest: Option<(LevelDigest, Crown)>,
     leaf_idx: usize,
     version_idx: usize,
     /// What `finish` staged for `install`.
@@ -269,6 +276,7 @@ impl MergeJob for AuthJob<'_> {
                     level: level as u32,
                     reason: OUT_OF_ORDER,
                 });
+                self.audited = true;
             }
         }
     }
@@ -320,14 +328,17 @@ impl MergeJob for AuthJob<'_> {
         }
         self.listener.leaves_reused.add(output.links_carried());
         self.listener.links_hashed.add(output.links_hashed());
-        self.digest = Some(output.finish());
+        let digest = output.finish();
+        let crown = digest.crown(self.listener.trusted.crown_row_max());
+        self.digest = Some((digest, crown));
     }
 
     /// Embeds a fresh proof in every output record
-    /// (`auth_onTableFileCreated`), in the order pass 1 saw them; a
-    /// refused job stores them as they are.
+    /// (`auth_onTableFileCreated`), in the order pass 1 saw them, its audit
+    /// path cut at the crown's anchor row; a refused job stores them as
+    /// they are.
     fn write_value(&mut self, record: RecordView<'_>, out: &mut Vec<u8>) {
-        let Some(digest) = &self.digest else {
+        let Some((digest, crown)) = &self.digest else {
             return out.extend_from_slice(record.value);
         };
         let _world = sgx_sim::enclave_scope();
@@ -347,9 +358,10 @@ impl MergeJob for AuthJob<'_> {
         // Proof material was already hashed while building the tree;
         // serialization is a plain memory copy, written once, straight
         // after the value into the table block.
-        self.listener.platform.dram_access(digest.proof_encoded_len(leaf_idx, version_idx));
+        let proof_len = digest.proof_encoded_len(crown, leaf_idx, version_idx);
+        self.listener.platform.dram_access(proof_len);
         append_with_proof(out, opened.value, |buf| {
-            digest.encode_proof_into(leaf_idx, version_idx, buf)
+            digest.encode_proof_into(crown, leaf_idx, version_idx, buf)
         });
     }
 
@@ -369,8 +381,14 @@ impl MergeJob for AuthJob<'_> {
                 Some(mut builder) => {
                     builder.end_chain();
                     self.listener.links_hashed.add(builder.links_hashed());
-                    if builder.finish().commitment() != committed {
-                        trusted.poison();
+                    if builder.finish().commitment() != committed && !self.audited {
+                        // The host's copy of the level is not the committed
+                        // tree: audited once, like a restart that rebuilds
+                        // it to another root.
+                        let level = *level as u32;
+                        let source = VerifyError::BadAuditPath;
+                        self.listener.refuse(VerificationFailure::ForgedRecord { level, source });
+                        self.audited = true;
                     }
                 }
                 None if !committed.is_empty() => trusted.poison(),
@@ -379,13 +397,19 @@ impl MergeJob for AuthJob<'_> {
         }
         // 2. Stage the job's delta. Refuse to sign when poisoned (the
         //    paper's "if the equality check passes, the Merkle root hash
-        //    for the output file takes effect").
+        //    for the output file takes effect"): a poisoned job stages
+        //    nothing, so the commitments sealed from here on still name the
+        //    levels the enclave verified, never levels it cleared unverified.
+        let output = self.digest.take();
+        if trusted.is_poisoned() {
+            return;
+        }
         let mut delta = CompactionDelta::default();
-        match self.digest.take() {
-            Some(digest) if !trusted.is_poisoned() && digest.leaf_count() > 0 => {
+        match output {
+            Some((digest, crown)) if digest.leaf_count() > 0 => {
                 // Root, leaf count, crown and fence are read off the one
-                // tree the transform built inside the enclave; the tree goes.
-                let crown = digest.crown(trusted.crown_row_max());
+                // tree the transform built inside the enclave, the crown the
+                // one its proofs were cut for; the tree goes.
                 delta.runs_added.push((digest.commitment(), crown));
             }
             _ => delta.runs_removed.push(self.output_level as u32),
@@ -582,6 +606,7 @@ mod tests {
     use super::*;
     use crate::envelope::wrap_plain;
     use bytes::Bytes;
+    use lsm_boundary::{GetTrace, LevelOutcome, LevelSearch};
 
     fn record(key: &str, ts: u64, value: &str) -> Record {
         Record::put(Bytes::copy_from_slice(key.as_bytes()), wrap_plain(value.as_bytes()), ts)
@@ -693,18 +718,56 @@ mod tests {
         assert!(!trusted.commitment(2).is_empty());
     }
 
+    /// An input level that rebuilds to another root poisons the store, is
+    /// audited once, and stages nothing: the engine installs the output,
+    /// but what is sealed from then on still names the levels the enclave
+    /// verified, so a restart neither believes them empty nor serves a read
+    /// from the output the host installed in their place.
     #[test]
     fn tampered_input_poisons_store() {
         let (listener, trusted) = setup();
         let out1 = flush(&listener, 1, vec![record("a", 2, "va"), record("b", 1, "vb")]);
+        let committed = trusted.commitments();
         // Adversary feeds a modified record stream into the compaction.
         let mut tampered = out1.clone();
         tampered[0] = record("a", 2, "EVIL");
         let mut job = listener.job(&[1, 2], 2);
         feed(&mut job, 1, &tampered);
-        write(&mut job, tampered, &[]);
+        let installed = write(&mut job, tampered, &[]);
         job.finish();
         assert!(trusted.is_poisoned(), "input digest mismatch must poison");
+        job.install();
+        assert_eq!(trusted.commitments(), committed, "a poisoned job stages nothing");
+        let audited = listener.telemetry.audit_events();
+        assert!(
+            audited.len() == 1
+                && audited[0].kind == "ForgedRecord"
+                && audited[0].detail.contains("level 1"),
+            "audited once: {audited:?}"
+        );
+
+        // Close + reopen: the state sealed into the next manifest unseals
+        // to the verified levels, unpoisoned.
+        let sealed = listener.manifest_state(b"manifest");
+        let (restarted, after) = setup();
+        restarted.recover_manifest_state(b"manifest", &sealed);
+        after.restore_commitments(restarted.take_recovered().unwrap().unwrap().commitments);
+        assert!(!after.is_poisoned());
+        assert_eq!(after.commitment(1), committed[1], "level 1 is not believed empty");
+        assert!(after.commitment(2).is_empty());
+        // The host holds the job's output at level 2 and nothing at level 1:
+        // a GET of either key there is refused, whether it shows level 1
+        // empty or passes it over.
+        for (at, record) in installed.iter().enumerate() {
+            let hit = |level| LevelSearch { level, outcome: LevelOutcome::Hit(record.clone()) };
+            let empty = LevelSearch { level: 1, outcome: LevelOutcome::Empty };
+            for levels in [vec![empty, hit(2)], vec![hit(2)]] {
+                let trace = GetTrace { epoch: 0, memtable: None, levels };
+                let verdict = after.verify_get(&record.key, &trace);
+                assert!(verdict.is_err(), "record {at}: {verdict:?}");
+            }
+        }
+        assert_eq!(listener.telemetry.audit_events().len(), 1, "nothing audited twice");
     }
 
     #[test]

@@ -6,10 +6,12 @@
 //! poisoned flag set when a compaction's inputs fail
 //! digest verification — plus, beside every commitment, the level's
 //! **crown**: the top rows of the tree the root commits to
-//! ([`merkle::crown`]). A proof is hashed up to the crown's lowest row and
-//! compared from there on, so a verified read hashes only the rows below
-//! it. Crowns are derived state: they enter no digest and are never
-//! sealed (see `DESIGN.md`, trusted-state inventory).
+//! ([`merkle::crown`]). A stored proof stops at the crown's lowest row: it
+//! is hashed up to that row and the node reached is compared with the
+//! crown's, so a verified read hashes only the rows below it, and a level
+//! whose crown is not the one its proofs were cut for verifies nothing.
+//! Crowns are derived state: they enter no digest and are never sealed (see
+//! `DESIGN.md`, trusted-state inventory).
 //!
 //! # Epoch-versioned commitments
 //!
@@ -127,7 +129,8 @@ pub struct VerifyStats {
     /// Interior Merkle nodes computed by hashing (the rows of audit paths
     /// and range proofs below the crowns).
     pub nodes_hashed: u64,
-    /// Nodes compared against crown nodes instead of being hashed to.
+    /// Nodes compared against crown nodes: those of the anchor row each
+    /// walk reaches.
     pub nodes_compared: u64,
 }
 
@@ -424,8 +427,8 @@ impl TrustedState {
     /// rebuilt rows hash to the rebuilt root by construction, so equal
     /// roots mean equal rows unless SHA-256 collides; a level the host
     /// tampered with rebuilds to another root and keeps the one-row crown,
-    /// against which its reads fail as they always did. Says whether the
-    /// crown was adopted.
+    /// against which every read of it fails: its stored paths stop below
+    /// the root. Says whether the crown was adopted.
     pub fn adopt_crown(&self, commitment: &LevelCommitment, crown: Crown) -> bool {
         let mut c = self.commitments.lock();
         let adopt = crown.root() == commitment.root

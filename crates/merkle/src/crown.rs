@@ -4,19 +4,21 @@
 //! audit path all the way up to it. The top rows of those paths are the
 //! same few nodes on every read, so the enclave can keep them too: a
 //! [`Crown`] is the tree's rows from the root down to the widest row of at
-//! most [`CROWN_ROW_MAX`] nodes. A verifier then hashes a proof only up to
-//! the crown's lowest row (the **anchor row**), compares the node it
-//! reached with the trusted one, and compares every remaining proof
-//! sibling with the trusted node beside the path.
+//! most [`CROWN_ROW_MAX`] nodes. A proof then stops at the crown's lowest
+//! row (the **anchor row**): it holds the siblings below it, a verifier
+//! hashes them up to that row and compares the node it reached with the
+//! trusted one. The siblings above the anchor row are the crown's own
+//! nodes; a proof does not repeat them, and one that does is refused.
 //!
-//! Why the accept set is unchanged: the crown is a copy of rows of the
-//! very tree the root commits to. Below the anchor row the walk is the
-//! old one. At and above it, "equals the trusted node" is what "hashes up
-//! to the root" meant — two different values there that both reach the
-//! root would be a SHA-256 collision — and every proof byte is still
-//! checked, by equality instead of by hashing. The root alone is the
-//! one-row crown ([`Anchor::root`]), so the root-only walk is the same
-//! code with the anchor row at the top.
+//! Why the accept set is the root walk's: the crown is a copy of rows of
+//! the very tree the root commits to. Below the anchor row the walk is the
+//! old one. At the anchor row, a node that equals the trusted one is the
+//! node that hashes up to the root through the crown's rows — two different
+//! values there that both reach the root would be a SHA-256 collision. So a
+//! path cut at the anchor row is accepted exactly when, completed with the
+//! crown's siblings above it, it would reach the root. The root alone is the
+//! one-row crown ([`Anchor::root`]), whose anchor row is the root: there the
+//! path is the whole path, and the root-only walk is the same code.
 //!
 //! # Fences
 //!
@@ -138,7 +140,9 @@ pub struct Work {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::range::{prove_range, verify_range, verify_range_anchored, RangeProof};
+    use crate::range::{
+        prove_range, prove_range_below, verify_range, verify_range_anchored, RangeProof,
+    };
     use crate::tree::{leaf_hash, node_hash, MerkleTree};
 
     /// The root-only path walk as it stood before anchors existed, kept as
@@ -251,50 +255,72 @@ mod tests {
     /// a smaller sweep, `cargo test --release` (CI) runs all of it.
     const FULL_SWEEP: bool = !cfg!(debug_assertions);
 
-    /// Anchored ≡ root verification of leaf `i` over `path`, at every
-    /// anchor height; an accepted proof reports work that adds up.
-    fn assert_path_equivalent(t: &MerkleTree, crowns: &[Crown], i: usize, path: &[Digest]) {
+    /// The audit path of leaf `i` split at `crown`'s anchor row: the
+    /// siblings a stored proof holds, and those the crown holds.
+    fn split_path(t: &MerkleTree, crown: &Crown, i: usize) -> (Vec<Digest>, Vec<Digest>) {
+        let mut lower = t.audit_path(i);
+        let upper = lower.split_off(t.siblings(i, crown.base_height()).count());
+        (lower, upper)
+    }
+
+    /// Anchored at `crown`, the walk of leaf `i` over `lower` accepts
+    /// exactly when the root walk accepts `lower` completed with the
+    /// crown's siblings above the anchor row; an accepted walk hashed every
+    /// sibling it was given and compared one node. Root-anchored, it is
+    /// [`MerkleTree::verify`].
+    fn assert_path_equivalent(t: &MerkleTree, crown: &Crown, i: usize, lower: &[Digest]) {
         let (n, leaf) = (t.leaf_count(), t.leaves()[i]);
-        let by_root = reference_verify(t.root(), n, i, leaf, path);
-        assert_eq!(MerkleTree::verify(t.root(), n, i, leaf, path), by_root, "n={n} leaf={i}");
-        for crown in crowns {
-            let work =
-                MerkleTree::verify_siblings(crown.anchor(), n, i, leaf, path.iter().copied());
-            assert_eq!(work.is_some(), by_root, "n={n} leaf={i} anchor={}", crown.base_height());
-            if let Some(work) = work {
-                assert_eq!(work.hashed + work.compared, path.len() + 1);
-                assert!(work.hashed <= crown.base_height() as usize);
-            }
+        let upper = split_path(t, crown, i).1;
+        let by_root = reference_verify(t.root(), n, i, leaf, &[lower, &upper].concat());
+        let work = MerkleTree::verify_siblings(crown.anchor(), n, i, leaf, lower.iter().copied());
+        let at = crown.base_height();
+        assert_eq!(work.is_some(), by_root, "n={n} leaf={i} anchor={at}");
+        if let Some(work) = work {
+            assert_eq!(work, Work { hashed: lower.len(), compared: 1 });
+        }
+        if at == tree_height(n) {
+            assert_eq!(MerkleTree::verify(t.root(), n, i, leaf, lower), by_root, "n={n} leaf={i}");
+        }
+    }
+
+    /// Every damaged form of leaf `i`'s path cut at `crown`'s anchor row
+    /// is judged as the root walk judges it completed; the uncut path and
+    /// the cut one one sibling further are refused below the root, and the
+    /// right path under the wrong leaf or index is refused at every height.
+    fn assert_paths_equivalent_under_damage(
+        t: &MerkleTree,
+        crown: &Crown,
+        i: usize,
+        flips: fn(usize) -> Vec<usize>,
+    ) {
+        let (n, leaf_i) = (t.leaf_count(), t.leaves()[i]);
+        let (lower, upper) = split_path(t, crown, i);
+        for path in damaged(&lower, flips) {
+            assert_path_equivalent(t, crown, i, &path);
+        }
+        let verify = |idx, leaf, path: &[Digest]| {
+            MerkleTree::verify_siblings(crown.anchor(), n, idx, leaf, path.iter().copied())
+        };
+        if let Some(&past) = upper.first() {
+            let at = crown.base_height();
+            assert!(verify(i, leaf_i, &[&lower[..], &[past]].concat()).is_none(), "anchor={at}");
+            assert!(verify(i, leaf_i, &t.audit_path(i)).is_none(), "n={n} anchor={at}");
+        }
+        assert!(verify(i, leaf_hash(b"forged"), &lower).is_none());
+        assert!(verify(n, leaf_i, &lower).is_none());
+        if n > 1 {
+            assert!(verify((i + 1) % n, leaf_i, &lower).is_none());
         }
     }
 
     #[test]
     fn anchored_paths_equal_root_paths_small_trees_exhaustive() {
         for n in 1..=33 {
-            let (t, leaves) = tree(n);
-            let crowns = crowns(&t);
+            let (t, _) = tree(n);
             let flips = if FULL_SWEEP || n <= 16 { every_byte } else { one_byte };
-            for (i, &leaf_i) in leaves.iter().enumerate() {
-                for path in damaged(&t.audit_path(i), flips) {
-                    assert_path_equivalent(&t, &crowns, i, &path);
-                }
-                // The right path under the wrong leaf or index.
-                for crown in &crowns {
-                    let path = t.audit_path(i);
-                    let verify = |idx, leaf| {
-                        MerkleTree::verify_siblings(
-                            crown.anchor(),
-                            n,
-                            idx,
-                            leaf,
-                            path.iter().copied(),
-                        )
-                    };
-                    assert!(verify(i, leaf_hash(b"forged")).is_none());
-                    assert!(verify(n, leaf_i).is_none());
-                    if n > 1 {
-                        assert!(verify((i + 1) % n, leaf_i).is_none());
-                    }
+            for crown in crowns(&t) {
+                for i in 0..n {
+                    assert_paths_equivalent_under_damage(&t, &crown, i, flips);
                 }
             }
         }
@@ -304,73 +330,94 @@ mod tests {
     fn anchored_paths_equal_root_paths_large_trees() {
         for n in [1000, 4097] {
             let (t, _) = tree(n);
-            let crowns = crowns(&t);
             // The edges, the promoted nodes' neighbourhood and a spread.
             let mut picks = vec![0, 1, 2, n / 2 - 1, n / 2, n - 3, n - 2, n - 1];
             picks.extend((0..24).map(|k| (k * 2_654_435_761usize) % n));
-            for i in picks {
-                for path in damaged(&t.audit_path(i), one_byte) {
-                    assert_path_equivalent(&t, &crowns, i, &path);
+            for crown in crowns(&t) {
+                for &i in &picks {
+                    assert_paths_equivalent_under_damage(&t, &crown, i, one_byte);
                 }
             }
         }
     }
 
-    /// Anchored ≡ root verification of leaves `lo..` over `proof`.
+    /// `proof` — a candidate for the rows of a range proof below `crown`'s
+    /// anchor row — completed with the rows above it of the honest proof of
+    /// `lo..=hi`: what the root walk is asked to accept.
+    fn completed(
+        t: &MerkleTree,
+        crown: &Crown,
+        (lo, hi): (usize, usize),
+        proof: &RangeProof,
+    ) -> RangeProof {
+        let (full, lower) =
+            (prove_range(t, lo, hi), prove_range_below(t, lo, hi, crown.base_height()));
+        RangeProof {
+            left: [&proof.left[..], &full.left[lower.left.len()..]].concat(),
+            right: [&proof.right[..], &full.right[lower.right.len()..]].concat(),
+        }
+    }
+
+    /// Anchored at `crown`, the range walk over leaves `lo..` and `proof`
+    /// accepts exactly when the root walk accepts `proof` completed with
+    /// the crown's rows (`completed`, for the honest run `run`).
     fn assert_range_equivalent(
         t: &MerkleTree,
-        crowns: &[Crown],
-        lo: usize,
-        leaves: &[Digest],
+        crown: &Crown,
+        run: (usize, usize),
+        (lo, leaves): (usize, &[Digest]),
         proof: &RangeProof,
     ) {
         let n = t.leaf_count();
-        let by_root = reference_verify_range(t.root(), n, lo, leaves, proof);
-        assert_eq!(verify_range(t.root(), n, lo, leaves, proof), by_root, "n={n} lo={lo}");
-        for crown in crowns {
-            let mut known = leaves.to_vec();
-            let work = verify_range_anchored(crown.anchor(), n, lo, &mut known, proof);
-            assert_eq!(
-                work.is_some(),
-                by_root,
-                "n={n} lo={lo} len={} anchor={}",
-                leaves.len(),
-                crown.base_height()
-            );
+        let whole = completed(t, crown, run, proof);
+        let by_root = reference_verify_range(t.root(), n, lo, leaves, &whole);
+        let mut known = leaves.to_vec();
+        let work = verify_range_anchored(crown.anchor(), n, lo, &mut known, proof);
+        let at = crown.base_height();
+        assert_eq!(work.is_some(), by_root, "n={n} lo={lo} len={} anchor={at}", leaves.len());
+        if at == tree_height(n) {
+            assert_eq!(verify_range(t.root(), n, lo, leaves, proof), by_root, "n={n} lo={lo}");
         }
     }
 
     fn assert_range_equivalent_under_damage(
         t: &MerkleTree,
-        crowns: &[Crown],
+        crown: &Crown,
         (lo, hi): (usize, usize),
         flips: fn(usize) -> Vec<usize>,
     ) {
         let leaves = &t.leaves()[lo..=hi];
-        let honest = prove_range(t, lo, hi);
+        let honest = prove_range_below(t, lo, hi, crown.base_height());
+        let check = |at: (usize, &[Digest]), proof: &RangeProof| {
+            assert_range_equivalent(t, crown, (lo, hi), at, proof)
+        };
         for left in damaged(&honest.left, flips) {
-            let proof = RangeProof { left, right: honest.right.clone() };
-            assert_range_equivalent(t, crowns, lo, leaves, &proof);
+            check((lo, leaves), &RangeProof { left, right: honest.right.clone() });
         }
         for right in damaged(&honest.right, flips) {
-            let proof = RangeProof { left: honest.left.clone(), right };
-            assert_range_equivalent(t, crowns, lo, leaves, &proof);
+            check((lo, leaves), &RangeProof { left: honest.left.clone(), right });
         }
         // A sibling moved from one side to the other.
         if let Some((moved, rest)) = honest.left.split_last() {
-            let mut right = honest.right.clone();
-            right.push(*moved);
-            let proof = RangeProof { left: rest.to_vec(), right };
-            assert_range_equivalent(t, crowns, lo, leaves, &proof);
+            let right = [&honest.right[..], &[*moved]].concat();
+            check((lo, leaves), &RangeProof { left: rest.to_vec(), right });
         }
         // The honest proof under damaged, withheld or shifted leaves.
         let mut forged = leaves.to_vec();
         forged[(lo + hi) % leaves.len()] = leaf_hash(b"forged");
-        assert_range_equivalent(t, crowns, lo, &forged, &honest);
-        assert_range_equivalent(t, crowns, lo, &leaves[1..], &honest);
-        assert_range_equivalent(t, crowns, lo + 1, leaves, &honest);
+        check((lo, &forged), &honest);
+        check((lo, &leaves[1..]), &honest);
+        check((lo + 1, leaves), &honest);
         if lo > 0 {
-            assert_range_equivalent(t, crowns, lo - 1, leaves, &honest);
+            check((lo - 1, leaves), &honest);
+        }
+        // Below the root, the uncut proof is refused.
+        let full = prove_range(t, lo, hi);
+        if full != honest {
+            let mut known = leaves.to_vec();
+            let uncut =
+                verify_range_anchored(crown.anchor(), t.leaf_count(), lo, &mut known, &full);
+            assert!(uncut.is_none(), "{lo}..={hi} anchor={}", crown.base_height());
         }
     }
 
@@ -378,13 +425,14 @@ mod tests {
     fn anchored_ranges_equal_root_ranges_small_trees_exhaustive() {
         for n in 1..=if FULL_SWEEP { 33 } else { 19 } {
             let (t, _) = tree(n);
-            let crowns = crowns(&t);
             // Every byte of every sibling on the smallest trees, one byte
             // of every sibling on the rest.
             let flips = if n <= 9 { every_byte } else { one_byte };
-            for lo in 0..n {
-                for hi in lo..n {
-                    assert_range_equivalent_under_damage(&t, &crowns, (lo, hi), flips);
+            for crown in crowns(&t) {
+                for lo in 0..n {
+                    for hi in lo..n {
+                        assert_range_equivalent_under_damage(&t, &crown, (lo, hi), flips);
+                    }
                 }
             }
         }
@@ -394,20 +442,22 @@ mod tests {
     fn anchored_ranges_equal_root_ranges_large_trees() {
         for n in [1000, 4097] {
             let (t, _) = tree(n);
-            let crowns = crowns(&t);
             let mut ranges = vec![(0, 0), (0, n - 1), (n - 1, n - 1), (n - 2, n - 1), (0, 1)];
             for k in 0..if FULL_SWEEP { 16usize } else { 4 } {
                 let lo = (k * 2_654_435_761) % n;
                 ranges.push((lo, (lo + 1 + k * k).min(n - 1)));
             }
-            for range in ranges {
-                assert_range_equivalent_under_damage(&t, &crowns, range, one_byte);
+            for crown in crowns(&t) {
+                for &range in &ranges {
+                    assert_range_equivalent_under_damage(&t, &crown, range, one_byte);
+                }
             }
         }
     }
 
-    /// A tree no wider than the crown's widest row is held whole: the
-    /// verifier hashes the record into its leaf and compares.
+    /// A tree no wider than the crown's widest row is held whole: a proof
+    /// holds no sibling, and the verifier hashes the record into its leaf
+    /// and compares.
     #[test]
     fn short_tree_degenerates_to_hash_the_leaf_and_compare() {
         for n in [1, 2, 5, 700, CROWN_ROW_MAX] {
@@ -416,11 +466,14 @@ mod tests {
             assert_eq!(crown.base_height(), 0);
             assert_eq!(crown.root(), t.root());
             let i = n / 2;
-            let path = t.audit_path(i);
-            let work =
+            assert_eq!(t.siblings(i, crown.base_height()).count(), 0);
+            let verify = |path: &[Digest]| {
                 MerkleTree::verify_siblings(crown.anchor(), n, i, leaves[i], path.iter().copied())
-                    .expect("honest");
-            assert_eq!(work, Work { hashed: 0, compared: path.len() + 1 });
+            };
+            assert_eq!(verify(&[]), Some(Work { hashed: 0, compared: 1 }));
+            if n > 1 {
+                assert_eq!(verify(&t.audit_path(i)), None, "the whole path runs past the leaves");
+            }
         }
     }
 
@@ -430,7 +483,8 @@ mod tests {
         let crown = t.crown(CROWN_ROW_MAX);
         assert_eq!(crown.base_height(), 1);
         assert_eq!(crown.node_count(), 513 + 257 + 129 + 65 + 33 + 17 + 9 + 5 + 3 + 2 + 1);
-        let path = t.audit_path(7);
+        let path: Vec<Digest> = t.siblings(7, crown.base_height()).copied().collect();
+        assert_eq!(path, t.audit_path(7)[..1]);
         let work = MerkleTree::verify_siblings(
             crown.anchor(),
             t.leaf_count(),
@@ -439,7 +493,7 @@ mod tests {
             path.iter().copied(),
         )
         .expect("honest");
-        assert_eq!(work, Work { hashed: 1, compared: path.len() });
+        assert_eq!(work, Work { hashed: 1, compared: 1 });
         let (t, _) = tree(40_000);
         let crown = t.crown(CROWN_ROW_MAX);
         assert_eq!(crown.base_height(), 6, "40 000 leaves: rows of 625 and narrower");

@@ -38,9 +38,10 @@
 //! ([`crate::crown`]): a proof is asked for by position, in the order the
 //! records arrived.
 //! [`LevelDigest::encode_proof_into`] writes a proof's wire bytes straight
-//! from these tables: the audit path for a key's newest version, a
-//! fixed-size link ([`crate::proof::LINK_LEN`]) for every older one —
-//! a level's stored proof bytes are linear in its record count.
+//! from these tables: the audit path up to the crown's anchor row for a
+//! key's newest version, a fixed-size link ([`crate::proof::LINK_LEN`]) for
+//! every older one — a level's stored proof bytes are linear in its record
+//! count.
 
 use elsm_crypto::Digest;
 
@@ -365,34 +366,42 @@ impl LevelDigest {
         self.prove_version(leaf_idx, 0)
     }
 
-    /// Appends the wire encoding of the proof for `(leaf_idx,
-    /// version_idx)` to `out` — byte for byte
-    /// `prove_version(..).encode()`, written once from the digest's own
-    /// tables with no intermediate proof object.
+    /// Appends to `out` the wire encoding of the proof for `(leaf_idx,
+    /// version_idx)` that verifies against `crown`, a crown of this
+    /// digest's tree: byte for byte `prove_version(..).encode()` with the
+    /// audit path cut at the crown's anchor row — the siblings above it are
+    /// the crown's own — and whole for the one-row crown. Written once from
+    /// the digest's own tables with no intermediate proof object.
     ///
     /// # Panics
     ///
     /// Panics on out-of-range indices.
-    pub fn encode_proof_into(&self, leaf_idx: usize, version_idx: usize, out: &mut Vec<u8>) {
+    pub fn encode_proof_into(
+        &self,
+        crown: &Crown,
+        leaf_idx: usize,
+        version_idx: usize,
+        out: &mut Vec<u8>,
+    ) {
         let (link_position, older_digest) = self.chain_parts(leaf_idx, version_idx);
         encode_parts(
             out,
             self.header(leaf_idx),
             link_position,
             older_digest,
-            self.tree.siblings(leaf_idx),
+            self.tree.siblings(leaf_idx, crown.base_height()),
         );
     }
 
     /// Exactly the number of bytes [`LevelDigest::encode_proof_into`]
-    /// appends for `(leaf_idx, version_idx)`, by arithmetic.
+    /// appends for `(crown, leaf_idx, version_idx)`, by arithmetic.
     ///
     /// # Panics
     ///
     /// Panics on out-of-range indices.
-    pub fn proof_encoded_len(&self, leaf_idx: usize, version_idx: usize) -> usize {
+    pub fn proof_encoded_len(&self, crown: &Crown, leaf_idx: usize, version_idx: usize) -> usize {
         match self.chain_parts(leaf_idx, version_idx).0 {
-            None => head_encoded_len(self.tree.siblings(leaf_idx).count()),
+            None => head_encoded_len(self.tree.siblings(leaf_idx, crown.base_height()).count()),
             Some(_) => LINK_LEN,
         }
     }
@@ -401,7 +410,7 @@ impl LevelDigest {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::crown::Anchor;
+    use crate::crown::{Anchor, CROWN_ROW_MAX};
     use crate::proof::{RecordProofRef, VerifyError};
     use crate::range::verify_run_anchored;
 
@@ -455,7 +464,7 @@ mod tests {
         let honest = l2.prove_version(index, 1);
         assert_eq!(honest.chain, ChainPosition::Link { position: 1, older_digest: Digest::ZERO });
         assert_eq!(honest.verify(&c, b"Z,6"), Err(VerifyError::NotChainHead));
-        assert_eq!(l2.proof_encoded_len(index, 1), LINK_LEN);
+        assert_eq!(l2.proof_encoded_len(&l2.crown(1), index, 1), LINK_LEN);
         // Z,6 verifies by walking down from Z,7 ...
         let (head, link) = (l2.prove_newest(index).encode(), honest.encode());
         let head = RecordProofRef::parse(&head).unwrap();
@@ -501,6 +510,46 @@ mod tests {
         let anchor = Anchor::root(&c.root, 4);
         let (t_path, y_path) = (path(&t).into_iter(), path(&y).into_iter());
         assert!(verify_run_anchored(anchor, 4, 1, &mut leaves, t_path, y_path).is_some());
+    }
+
+    /// A stored head proof holds its audit path up to the crown's anchor
+    /// row and verifies against that crown: its bytes are the whole proof's
+    /// less the siblings above the anchor row, it is refused against a bare
+    /// root unless the crown is the root alone, and its length is the one
+    /// `proof_encoded_len` computes. A link is the same under every crown.
+    #[test]
+    fn stored_proofs_stop_at_the_crown() {
+        let keys: Vec<Vec<u8>> = (0..40).map(|i| format!("k{i:02}").into_bytes()).collect();
+        let digest = LevelDigest::from_records(4, keys.iter().map(|k| (&k[..], k.clone())));
+        let c = digest.commitment();
+        for row_max in [1, 3, 5, 16, 40, CROWN_ROW_MAX] {
+            let crown = digest.crown(row_max);
+            for (leaf, key) in keys.iter().enumerate() {
+                let mut stored = Vec::new();
+                digest.encode_proof_into(&crown, leaf, 0, &mut stored);
+                assert_eq!(stored.len(), digest.proof_encoded_len(&crown, leaf, 0));
+                let whole = digest.prove_newest(leaf);
+                let ChainPosition::Newest { audit_path, .. } = &whole.chain else { unreachable!() };
+                let below = digest.tree.siblings(leaf, crown.base_height()).count();
+                assert_eq!(stored.len(), whole.encoded_len() - 32 * (audit_path.len() - below));
+                let proof = RecordProofRef::parse(&stored).unwrap();
+                let mut leaves = [proof.suffix_digest(&[key])];
+                let anchored = verify_run_anchored(
+                    crown.anchor(),
+                    40,
+                    leaf,
+                    &mut leaves,
+                    proof.siblings(),
+                    std::iter::empty(),
+                );
+                assert!(anchored.is_some(), "row_max {row_max} leaf {leaf}");
+                let by_root = proof.verify(&c, key);
+                assert_eq!(by_root.is_ok(), crown.node_count() == 1, "row_max {row_max}");
+                if crown.node_count() == 1 {
+                    assert_eq!(stored, whole.encode());
+                }
+            }
+        }
     }
 
     /// A level's crown is fenced by its first and last key: it excludes a

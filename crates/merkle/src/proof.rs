@@ -8,14 +8,18 @@
 //!
 //! ```text
 //! newest version  [level u32][leaf index u64][leaf count u64][0]
-//!                 [older digest 32][n u32][n × sibling 32]      57 + 32·depth B
+//!                 [older digest 32][n u32][n × sibling 32]      57 + 32·n B
 //! older version   [level u32][leaf index u64][leaf count u64][1]
 //!                 [position u32][older digest 32]               LINK_LEN = 57 B
 //! ```
 //!
 //! The newest version of a key — the chain head — carries the audit path
-//! from its chain head to the level root and verifies on its own
-//! ([`RecordProofRef::verify`]). Every older version stores one fixed-size
+//! from its chain head up to the anchor row of the level's crown
+//! ([`crate::crown`]): `n` is the number of rows below that row the path is
+//! paired in, 0 when the crown holds the whole tree. It verifies on its own
+//! against that crown (`merkle::verify_run_anchored`); against a bare root
+//! ([`RecordProofRef::verify`]) only when the crown is the root alone and the
+//! path is whole. Every older version stores one fixed-size
 //! **link**: where it sits in the chain and the digest of what is older
 //! still. A link names no newer record and has no path; alone it proves
 //! nothing ([`VerifyError::NotChainHead`]). Older versions verify by
@@ -27,7 +31,7 @@
 use elsm_crypto::{sha256_concat, Digest};
 
 use crate::chain::{chain_link_parts, ChainPosition};
-use crate::crown::{Anchor, Work};
+use crate::crown::Anchor;
 use crate::tree::MerkleTree;
 
 /// What the enclave stores per level: `(level, root, leaf_count)`.
@@ -124,7 +128,8 @@ pub struct RecordProof {
 
 impl RecordProof {
     /// Verifies the proof for a record's canonical bytes against the
-    /// enclave's commitment for the level.
+    /// enclave's commitment for the level, by a walk to its root: the audit
+    /// path must be whole.
     ///
     /// # Errors
     ///
@@ -140,12 +145,10 @@ impl RecordProof {
         };
         verify_head(
             commitment,
-            Anchor::root(&commitment.root, commitment.leaf_count as usize),
             (self.level, self.leaf_index, self.leaf_count),
             || self.chain.suffix_digest(record_bytes),
             audit_path.iter().copied(),
         )
-        .map(drop)
     }
 
     /// Serializes the proof (for embedding in stored values).
@@ -229,29 +232,24 @@ pub(crate) fn encode_parts<'d>(
 }
 
 /// The head checks shared by the owned and the borrowed proof: the
-/// header against `commitment`, the path against `anchor` — the trusted
-/// top rows of the tree `commitment.root` is the root of.
+/// header against `commitment`, the path walked to its root.
 fn verify_head(
     commitment: &LevelCommitment,
-    anchor: Anchor<'_>,
     (level, leaf_index, leaf_count): (u32, u64, u64),
     chain_head: impl FnOnce() -> Digest,
     siblings: impl Iterator<Item = Digest>,
-) -> Result<Work, VerifyError> {
+) -> Result<(), VerifyError> {
     if level != commitment.level {
         return Err(VerifyError::LevelMismatch);
     }
     if leaf_count != commitment.leaf_count {
         return Err(VerifyError::LeafCountMismatch);
     }
-    MerkleTree::verify_siblings(
-        anchor,
-        commitment.leaf_count as usize,
-        leaf_index as usize,
-        chain_head(),
-        siblings,
-    )
-    .ok_or(VerifyError::BadAuditPath)
+    let leaves = commitment.leaf_count as usize;
+    let anchor = Anchor::root(&commitment.root, leaves);
+    MerkleTree::verify_siblings(anchor, leaves, leaf_index as usize, chain_head(), siblings)
+        .map(drop)
+        .ok_or(VerifyError::BadAuditPath)
 }
 
 /// A proof read in place from a stored value: the only decoder of the
@@ -364,7 +362,8 @@ impl<'a> RecordProofRef<'a> {
 
     /// Verifies the proof for a record's canonical bytes against the
     /// enclave's commitment for the level — [`RecordProof::verify`] on the
-    /// stored bytes.
+    /// stored bytes: a walk to the root, so the audit path must be whole,
+    /// as a proof written for the one-row crown stores it.
     ///
     /// # Errors
     ///
@@ -375,30 +374,11 @@ impl<'a> RecordProofRef<'a> {
         commitment: &LevelCommitment,
         record_bytes: &[u8],
     ) -> Result<(), VerifyError> {
-        let anchor = Anchor::root(&commitment.root, commitment.leaf_count as usize);
-        self.verify_anchored(commitment, anchor, record_bytes).map(drop)
-    }
-
-    /// [`RecordProofRef::verify`] against `anchor`, the trusted top rows
-    /// of the level's tree (see [`crate::crown`]): same verdicts, with the
-    /// audit path hashed only below the anchor row. Says what was done.
-    ///
-    /// # Errors
-    ///
-    /// As [`RecordProofRef::verify`]. An `anchor` that is not of the tree
-    /// `commitment` commits to rejects every proof.
-    fn verify_anchored(
-        &self,
-        commitment: &LevelCommitment,
-        anchor: Anchor<'_>,
-        record_bytes: &[u8],
-    ) -> Result<Work, VerifyError> {
         if self.link_position.is_some() {
             return Err(VerifyError::NotChainHead);
         }
         verify_head(
             commitment,
-            anchor,
             (self.level, self.leaf_index, self.leaf_count),
             || self.suffix_digest(&[record_bytes]),
             self.siblings(),

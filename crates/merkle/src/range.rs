@@ -27,12 +27,22 @@ pub struct RangeProof {
 ///
 /// Panics if the range is empty or out of bounds.
 pub fn prove_range(tree: &MerkleTree, lo: usize, hi: usize) -> RangeProof {
+    prove_range_below(tree, lo, hi, u32::MAX)
+}
+
+/// The rows of [`prove_range`]'s proof below height `below`: what a
+/// verifier holding the tree's rows from `below` up reads.
+///
+/// # Panics
+///
+/// As [`prove_range`].
+pub(crate) fn prove_range_below(tree: &MerkleTree, lo: usize, hi: usize, below: u32) -> RangeProof {
     assert!(lo <= hi && hi < tree.leaf_count(), "invalid leaf range {lo}..={hi}");
     let mut proof = RangeProof::default();
     let mut a = lo;
     let mut b = hi;
     let levels = tree.levels();
-    for level in &levels[..levels.len().saturating_sub(1)] {
+    for level in &levels[..(levels.len() - 1).min(below as usize)] {
         if a % 2 == 1 {
             proof.left.push(level[a - 1]);
         }
@@ -59,7 +69,9 @@ pub fn verify_range(
 }
 
 /// The range walk over a proof: [`verify_run_anchored`] with the boundary
-/// siblings taken from `proof`, all of which must be read.
+/// siblings taken from `proof`, all of which must be read — the rows below
+/// `anchor`'s anchor row of what [`prove_range`] emits (all of it for
+/// [`Anchor::root`]).
 pub fn verify_range_anchored(
     anchor: Anchor<'_>,
     leaf_count: usize,
@@ -79,16 +91,17 @@ pub fn verify_range_anchored(
 /// The range walk: are `known` exactly the leaves `lo..lo+known.len()` of
 /// the tree (of `leaf_count` leaves) `anchor` holds the top rows of? The
 /// siblings bounding the run are read in place off the audit paths of its
-/// two end leaves, `lo_path` of the first and `hi_path` of the last:
-/// [`prove_range`] emits, row by row, the left sibling of the run's first
-/// node where that node is a right child and the right sibling of its last
-/// node where that node is a paired left child — entries of those two paths
-/// and nothing else. Each path must hold exactly one sibling per row its
-/// leaf is paired in; the entries off the run's boundary are not read, so
-/// no value of theirs can change what is hashed or compared. A one-leaf
-/// run is one audit path: it is walked as [`MerkleTree::verify`] walks
-/// `lo_path`, and `hi_path`, the same leaf's, is not read. `known` is
-/// consumed as scratch. `None` rejects.
+/// two end leaves, `lo_path` of the first and `hi_path` of the last, each
+/// stopping at the anchor row: [`prove_range`] emits, row by row, the left
+/// sibling of the run's first node where that node is a right child and the
+/// right sibling of its last node where that node is a paired left child —
+/// entries of those two paths and nothing else. Each path must hold exactly
+/// one sibling per row below the anchor row its leaf is paired in; the
+/// entries off the run's boundary are not read, so no value of theirs can
+/// change what is hashed or compared. A one-leaf run is one audit path: it
+/// is walked as [`MerkleTree::verify`] walks `lo_path`, and `hi_path`, the
+/// same leaf's, is not read. `known` is consumed as scratch. `None`
+/// rejects.
 pub fn verify_run_anchored(
     anchor: Anchor<'_>,
     leaf_count: usize,
@@ -122,14 +135,13 @@ fn end_path_bounds(
     Some((left, right))
 }
 
-/// The one range walk. The run is folded upward in place, row by row,
-/// pairing an end of the run that lacks its pair with the boundary sibling
-/// `bounds(a, b, count)` gives for the run's nodes `a..=b` of a row `count`
-/// wide — the left one exactly when `a` is a right child, the right one
-/// exactly when `b` is a paired left child; at the anchor row the whole run
-/// must equal the trusted nodes, and above it every boundary sibling must
-/// equal the trusted node bounding the run. `bounds` is asked once per row
-/// below the root.
+/// The one range walk. The run is folded upward in place, row by row up to
+/// the anchor row, pairing an end of the run that lacks its pair with the
+/// boundary sibling `bounds(a, b, count)` gives for the run's nodes `a..=b`
+/// of a row `count` wide — the left one exactly when `a` is a right child,
+/// the right one exactly when `b` is a paired left child; at the anchor row
+/// the whole run must equal the trusted nodes. `bounds` is asked once per
+/// row below the anchor row.
 fn walk_run(
     anchor: Anchor<'_>,
     leaf_count: usize,
@@ -141,7 +153,7 @@ fn walk_run(
     if known.is_empty() || end > leaf_count {
         return None;
     }
-    let mut work = Work::default();
+    let mut hashed = 0;
     // The run covers nodes `a..=b` of a row `count` wide, `known[..len]`.
     let (mut a, mut b, mut count, mut len) = (lo, end - 1, leaf_count, known.len());
     for _ in 0..anchor.base_height {
@@ -155,13 +167,13 @@ fn walk_run(
             known[write] = node_hash(&known[read], &known[read + 1]);
             (read, write) = (read + 2, write + 1);
         }
-        work.hashed += write;
+        hashed += write;
         if read < len {
             // The run ends on a left child: pair it with the boundary
             // sibling, or promote it when it is its row's unpaired last.
             known[write] = match right {
                 Some(right) => {
-                    work.hashed += 1;
+                    hashed += 1;
                     node_hash(&known[read], &right)
                 }
                 None => known[read],
@@ -171,29 +183,7 @@ fn walk_run(
         len = write;
         (a, b, count) = (a / 2, b / 2, count.div_ceil(2));
     }
-    let mut row = anchor.nodes;
-    if row.get(a..=b)? != &known[..len] {
-        return None;
-    }
-    work.compared += len;
-    while count > 1 {
-        let (left, right) = bounds(a, b, count)?;
-        if let Some(left) = left {
-            if *row.get(a - 1)? != left {
-                return None;
-            }
-            work.compared += 1;
-        }
-        if let Some(right) = right {
-            if *row.get(b + 1)? != right {
-                return None;
-            }
-            work.compared += 1;
-        }
-        row = row.get(count..)?;
-        (a, b, count) = (a / 2, b / 2, count.div_ceil(2));
-    }
-    Some(work)
+    (anchor.nodes.get(a..=b)? == &known[..len]).then_some(Work { hashed, compared: len })
 }
 
 #[cfg(test)]
@@ -249,10 +239,10 @@ mod tests {
     }
 
     /// Checks, for the run `lo..=hi` of `t` (leaves `l`, audit paths
-    /// `paths`), that the walk over the two end paths anchored at `anchor`
-    /// is the walk over the proof the tree's owner would have produced —
-    /// same verdict, same work — and that a path one digest short or long
-    /// proves nothing. A lone leaf's second path is the same path and is
+    /// `paths`, cut at `anchor`'s anchor row), that the walk over the two
+    /// end paths anchored at `anchor` is the walk over the proof the tree's
+    /// owner would have produced — same verdict, same work — and that a
+    /// path one digest short or long proves nothing. A lone leaf's second path is the same path and is
     /// not read.
     fn check_end_paths(
         anchor: Anchor<'_>,
@@ -267,7 +257,8 @@ mod tests {
         };
         let work = walk(lo_path, hi_path);
         let mut known = l[lo..=hi].to_vec();
-        let by_proof = verify_range_anchored(anchor, n, lo, &mut known, &prove_range(t, lo, hi));
+        let proof = prove_range_below(t, lo, hi, anchor.base_height);
+        let by_proof = verify_range_anchored(anchor, n, lo, &mut known, &proof);
         assert!(work.is_some() && work == by_proof, "n={n} {lo}..={hi}");
         let mut broken = vec![(longer(lo_path), hi_path.to_vec())];
         broken.extend(lo_path.split_last().map(|(_, short)| (short.to_vec(), hi_path.to_vec())));
@@ -350,21 +341,48 @@ mod tests {
         }
     }
 
-    /// Whatever rows the verifier holds, the end-path walk is the proved
-    /// range's walk: every crown height, every range of the small trees and
-    /// a grid over larger ones.
+    /// Whatever rows the verifier holds, the end-path walk over paths cut
+    /// at its anchor row is the proved range's walk: every crown height,
+    /// every range of the small trees and a grid over larger ones.
     #[test]
     fn end_paths_walk_as_the_proved_range_under_every_crown() {
         for n in [1, 2, 3, 7, 8, 9, 33, 64, 65, 130] {
             let (t, l) = tree(n);
-            let paths: Vec<Vec<Digest>> = (0..n).map(|i| t.audit_path(i)).collect();
             let step = if n > 33 { 7 } else { 1 };
-            for lo in (0..n).step_by(step) {
-                for hi in (lo..n).step_by(step) {
-                    for height in 0..=crate::crown::tree_height(n) {
-                        let crown = t.crown_from(height);
+            for height in 0..=crate::crown::tree_height(n) {
+                let crown = t.crown_from(height);
+                let paths: Vec<Vec<Digest>> =
+                    (0..n).map(|i| t.siblings(i, height).copied().collect()).collect();
+                for lo in (0..n).step_by(step) {
+                    for hi in (lo..n).step_by(step) {
                         check_end_paths(crown.anchor(), (&t, &l, &paths), (lo, hi));
                     }
+                }
+            }
+        }
+    }
+
+    /// Below the root, a run's end path that runs one honest sibling past
+    /// the anchor row proves nothing.
+    #[test]
+    fn an_end_path_past_the_anchor_row_is_refused() {
+        let (t, l) = tree(130);
+        for height in 0..crate::crown::tree_height(130) {
+            let crown = t.crown_from(height);
+            for (lo, hi) in [(0, 0), (5, 5), (3, 90), (64, 129)] {
+                let (lo_path, hi_path) = (t.audit_path(lo), t.audit_path(hi));
+                let (lo_cut, hi_cut) =
+                    (t.siblings(lo, height).count(), t.siblings(hi, height).count());
+                let honest = (&lo_path[..lo_cut], &hi_path[..hi_cut]);
+                let walk = |lo_path: &[Digest], hi_path: &[Digest]| {
+                    walk_paths(crown.anchor(), &l, (lo, hi), lo_path, hi_path)
+                };
+                assert!(walk(honest.0, honest.1).is_some(), "height {height} {lo}..={hi}");
+                if lo_cut < lo_path.len() {
+                    assert_eq!(walk(&lo_path[..lo_cut + 1], honest.1), None, "height {height}");
+                }
+                if lo != hi && hi_cut < hi_path.len() {
+                    assert_eq!(walk(honest.0, &hi_path[..hi_cut + 1]), None, "height {height}");
                 }
             }
         }

@@ -83,19 +83,25 @@ impl MerkleTree {
     ///
     /// Panics if `index` is out of range.
     pub fn audit_path(&self, index: usize) -> Vec<Digest> {
-        self.siblings(index).copied().collect()
+        self.siblings(index, u32::MAX).copied().collect()
     }
 
-    /// The audit path of [`MerkleTree::audit_path`], borrowed from the
-    /// tree node by node (proof encoders write it out without collecting).
+    /// The part of [`MerkleTree::audit_path`] in the rows below height
+    /// `below` (the whole path when `below` is at or above the root),
+    /// borrowed from the tree node by node: proof encoders write it out
+    /// without collecting.
     ///
     /// # Panics
     ///
     /// Panics if `index` is out of range.
-    pub(crate) fn siblings(&self, index: usize) -> impl Iterator<Item = &Digest> + Clone + '_ {
+    pub(crate) fn siblings(
+        &self,
+        index: usize,
+        below: u32,
+    ) -> impl Iterator<Item = &Digest> + Clone + '_ {
         assert!(index < self.leaf_count(), "leaf index out of range");
-        let below_root = &self.levels[..self.levels.len().saturating_sub(1)];
-        below_root
+        let rows = (self.levels.len() - 1).min(below as usize);
+        self.levels[..rows]
             .iter()
             .enumerate()
             .filter_map(move |(height, level)| level.get((index >> height) ^ 1))
@@ -130,12 +136,12 @@ impl MerkleTree {
     }
 
     /// The path walk: does `leaf` at `index` (of `leaf_count` leaves)
-    /// belong to the tree `anchor` holds the top rows of? `path` is hashed
-    /// up to the anchor row, the node reached must be the trusted one, and
-    /// every sibling left over must equal the trusted node beside the path
-    /// in its row — all of `path` is checked, and nothing after it may
-    /// remain. Any source of sibling digests serves (a borrowed proof reads
-    /// them straight out of the stored bytes). `None` rejects.
+    /// belong to the tree `anchor` holds the top rows of? `path` holds the
+    /// siblings below the anchor row, one per row the path's node is paired
+    /// in; it is hashed up to that row, and the node reached must be the
+    /// trusted one. A path that ends early, or runs on past the anchor row,
+    /// rejects. Any source of sibling digests serves (a borrowed proof
+    /// reads them straight out of the stored bytes). `None` rejects.
     pub(crate) fn verify_siblings(
         anchor: Anchor<'_>,
         leaf_count: usize,
@@ -146,36 +152,19 @@ impl MerkleTree {
         if index >= leaf_count {
             return None;
         }
-        let mut work = Work::default();
-        let mut h = leaf;
-        let mut idx = index;
-        let mut count = leaf_count;
+        let mut hashed = 0;
+        let (mut h, mut idx, mut count) = (leaf, index, leaf_count);
         for _ in 0..anchor.base_height {
             if idx ^ 1 < count {
                 let sib = path.next()?;
                 h = if idx % 2 == 0 { node_hash(&h, &sib) } else { node_hash(&sib, &h) };
-                work.hashed += 1;
+                hashed += 1;
             }
             idx /= 2;
             count = count.div_ceil(2);
         }
-        let mut row = anchor.nodes;
-        if *row.get(idx)? != h {
-            return None;
-        }
-        work.compared += 1;
-        while count > 1 {
-            if idx ^ 1 < count {
-                if *row.get(idx ^ 1)? != path.next()? {
-                    return None;
-                }
-                work.compared += 1;
-            }
-            row = row.get(count..)?;
-            idx /= 2;
-            count = count.div_ceil(2);
-        }
-        path.next().is_none().then_some(work)
+        let anchored = *anchor.nodes.get(idx)? == h && path.next().is_none();
+        anchored.then_some(Work { hashed, compared: 1 })
     }
 
     /// Internal levels (used by range proofs).

@@ -1,9 +1,10 @@
 #!/bin/sh
 # Prints the workspace's non-test lines, per crate and in total: the lines
 # of every source file under `crates/*/src` and `src/` that come before the
-# file's first `#[cfg(test)]`. A file that is a test-only module (declared
-# as `#[cfg(test)] mod name;`) counts nothing; integration tests, examples,
-# `benchmark/` and `vendor/` are not counted.
+# file's first line whose code is `#[cfg(test)]` (a doc comment naming it
+# does not end the count; `scripts/test-code.sh`). A file that is a
+# test-only module (declared as `#[cfg(test)] mod name;`) counts nothing;
+# integration tests, examples, `benchmark/` and `vendor/` are not counted.
 #
 # The `trusted code base` row sums the crates whose code runs inside the
 # enclave: `elsm-enclave` (crates/enclave), the `lsm-boundary` types it
@@ -19,22 +20,7 @@
 set -eu
 cd "$(dirname "$0")/.."
 
-files=$(find crates/*/src src -name '*.rs' | sort)
-
-# The module files declared under `#[cfg(test)]`: `name.rs` beside a
-# `lib.rs`, `main.rs` or `mod.rs`, else in the declaring file's directory.
-test_only=$(for f in $files; do
-    awk -v f="$f" '
-        prev ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ &&
-        $0 ~ /^[[:space:]]*(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+;/ {
-            name = $0; sub(/^.*mod /, "", name); sub(/;.*$/, "", name)
-            dir = f; sub(/\/[^\/]*$/, "", dir)
-            base = f; sub(/^.*\//, "", base); sub(/\.rs$/, "", base)
-            if (base != "lib" && base != "main" && base != "mod") dir = dir "/" base
-            print dir "/" name ".rs"
-        }
-        { prev = $0 }' "$f"
-done)
+. scripts/test-code.sh
 
 trusted_crates="crates/enclave crates/lsm-boundary crates/merkle crates/crypto"
 total=0
@@ -44,7 +30,7 @@ for dir in crates/*/src src; do
     for f in $files; do
         case "$f" in "$dir"/*) ;; *) continue ;; esac
         case " $(echo $test_only) " in *" $f "*) continue ;; esac
-        n=$((n + $(awk '/#\[cfg\(test\)\]/ { exit } { n++ } END { print n + 0 }' "$f")))
+        n=$((n + $(awk -v cfg="$cfg_test" '$0 ~ cfg { exit } { n++ } END { print n + 0 }' "$f")))
     done
     total=$((total + n))
     case " $trusted_crates " in *" ${dir%/src} "*) trusted=$((trusted + n)) ;; esac

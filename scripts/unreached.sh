@@ -11,7 +11,8 @@
 #   linked by nothing               no executable at all.
 #
 # Shipped non-test code is what `scripts/nontest-lines.sh` counts: every
-# file under `crates/*/src` and `src/`, up to its first `#[cfg(test)]`. It
+# file under `crates/*/src` and `src/`, up to its first line whose code is
+# `#[cfg(test)]` (`scripts/test-code.sh`). It
 # builds in debug, where the linker keeps a function only if some code
 # reaches it, and reads exactly the executables cargo reports through
 # `--message-format=json` for `cargo test --workspace --no-run`, `cargo
@@ -172,20 +173,9 @@ awk '$1 == "shipped" { print $2 }' "$work/exes" | while read -r exe; do
     reached_from_enclave "$exe"
 done | awk "$normalize" | sort -u >"$work/reached.syms"
 
-# The module files declared under `#[cfg(test)]`, as in nontest-lines.sh.
-files=$(find crates/*/src src -name '*.rs' | sort)
-test_only=$(for f in $files; do
-    awk -v f="$f" '
-        prev ~ /^[[:space:]]*#\[cfg\(test\)\][[:space:]]*$/ &&
-        $0 ~ /^[[:space:]]*(pub(\([a-z]+\))? )?mod [A-Za-z0-9_]+;/ {
-            name = $0; sub(/^.*mod /, "", name); sub(/;.*$/, "", name)
-            dir = f; sub(/\/[^\/]*$/, "", dir)
-            base = f; sub(/^.*\//, "", base); sub(/\.rs$/, "", base)
-            if (base != "lib" && base != "main" && base != "mod") dir = dir "/" base
-            print dir "/" name ".rs"
-        }
-        { prev = $0 }' "$f"
-done)
+# The source files and the test-only module files, as nontest-lines.sh
+# reads them.
+. scripts/test-code.sh
 
 # Every listed fn as `<file>:<line> <path>`: a small lexer blanks comments,
 # strings and char literals, then each `{` opens a frame (mod, impl, trait
@@ -210,7 +200,7 @@ for f in $files; do
     case "$f" in crates/*/src/bin/*) module= ;; esac
     module=${module%.rs}
     case "$module" in lib | main) module= ;; */mod) module=${module%/mod} ;; esac
-    awk -v f="$f" -v root="$crate${module:+::}$(echo "$module" | sed 's#/#::#g')" '
+    awk -v f="$f" -v cfg="$cfg_test" -v root="$crate${module:+::}$(echo "$module" | sed 's#/#::#g')" '
         function classify(text,    t, w, i, depth, c, self) {
             if (match(text, /(^|[^A-Za-z0-9_])fn[ \t]+[A-Za-z_][A-Za-z0-9_]*/)) {
                 w = substr(text, RSTART, RLENGTH); sub(/^.*fn[ \t]+/, "", w)
@@ -248,7 +238,7 @@ for f in $files; do
             for (i = 1; i <= sp; i++) if (name[i] != "") p = p "::" name[i]
             return p
         }
-        /#\[cfg\(test\)\]/ && !incomment && !instring { exit }
+        $0 ~ cfg && !incomment && !instring { exit }
         # A fn spans its doc comment and attributes, its signature and body.
         /^[ \t]*(\/\/|#\[)/ { if (!inlead) lead = FNR; inlead = 1; first = lead }
         !/^[ \t]*(\/\/|#\[)/ && !/^[ \t]*$/ { if (!inlead) first = FNR; inlead = 0 }

@@ -18,7 +18,10 @@
 //! separated read take from the host: the manifest (`decode_manifest`, with
 //! its `vlog::decode_manifest_section`) and a value-log entry (`Vlog::read`
 //! on a recovered log) — and over the certificate-transparency log's stored
-//! value (`ct_log::Certificate::decode`). Whatever the bytes: no panic, no
+//! value (`ct_log::Certificate::decode`) and a level's stored value
+//! (`envelope::open`, which parses the embedded proof in place: heads whose
+//! path stops at the crown holding no sibling, some, or all, and links).
+//! Whatever the bytes: no panic, no
 //! single allocation beyond the input's length times a constant, and what
 //! is accepted decodes to entries that round-trip through the encoder.
 
@@ -701,6 +704,74 @@ proptest! {
                 prop_assert_eq!(fresh.read(again, &record.key, record.ts).unwrap(), Some(payload));
                 take();
             }
+        }
+    }
+
+    /// A stored value as a level holds it — the envelope around the bare
+    /// value and the record's proof, written by `LevelDigest::encode_proof_into`
+    /// — for heads whose path stops at the crown's anchor row holding no
+    /// sibling (a level no wider than the crown), a few, or all of them,
+    /// and for links: the honest ones open to their value and proof; any
+    /// edit opens or not without panic or an allocation, and an accepted
+    /// value re-encodes to bytes that open to the same value and proof.
+    #[test]
+    fn mutated_stored_values_decode_in_bounds(
+        shape in prop::collection::vec(1usize..4, 1..40),
+        value in prop::collection::vec(any::<u8>(), 0..40),
+        edits in prop::collection::vec((any::<u16>(), any::<u8>(), any::<u8>()), 1..40),
+    ) {
+        use elsm_repro::elsm::envelope::{append_with_proof, open, wrap_plain};
+        use elsm_repro::merkle::{LevelDigest, CROWN_ROW_MAX};
+
+        let records: Vec<(Vec<u8>, Vec<u8>)> = shape
+            .iter()
+            .enumerate()
+            .flat_map(|(k, &versions)| {
+                (0..versions).map(move |v| (format!("k{k:02}").into_bytes(), vec![k as u8, v as u8]))
+            })
+            .collect();
+        let digest = LevelDigest::from_records(2, records.iter().map(|(k, r)| (&k[..], r.clone())));
+        let mut stored = Vec::new();
+        for row_max in [CROWN_ROW_MAX, 4, 1] {
+            let crown = digest.crown(row_max);
+            for (leaf, &versions) in shape.iter().enumerate() {
+                for version in 0..versions {
+                    let mut buf = Vec::new();
+                    append_with_proof(&mut buf, &value, |out| {
+                        digest.encode_proof_into(&crown, leaf, version, out)
+                    });
+                    let opened = open(&buf).expect("an honest stored value opens");
+                    prop_assert_eq!(opened.value, &value[..]);
+                    let proof = opened.proof.expect("with its proof");
+                    prop_assert_eq!(proof.encoded_len(), digest.proof_encoded_len(&crown, leaf, version));
+                    stored.push(buf);
+                }
+            }
+        }
+        // The full crown holds the whole level: its heads store no sibling.
+        let bare_head = |buf: &Vec<u8>| {
+            let proof = open(buf).and_then(|o| o.proof);
+            proof.is_some_and(|p| p.link_position().is_none() && p.siblings().next().is_none())
+        };
+        prop_assert!(stored.iter().any(bare_head));
+        for (i, edit) in edits.into_iter().enumerate() {
+            let (base, other) = (&stored[i % stored.len()], &stored[(i * 7 + 3) % stored.len()]);
+            let buf = mutate(base, other, edit);
+            let (opened, largest) = largest_allocation(|| open(&buf));
+            prop_assert_eq!(largest, 0, "a stored value opens in place");
+            let Some(opened) = opened else { continue };
+            let proof = opened.proof.map(|p| p.to_owned());
+            let again = match &proof {
+                None => wrap_plain(opened.value).to_vec(),
+                Some(proof) => {
+                    let mut again = Vec::new();
+                    append_with_proof(&mut again, opened.value, |out| out.extend(proof.encode()));
+                    again
+                }
+            };
+            let reopened = open(&again).expect("a re-encoded value opens");
+            prop_assert_eq!(reopened.value, opened.value);
+            prop_assert_eq!(reopened.proof.map(|p| p.to_owned()), proof);
         }
     }
 }

@@ -116,12 +116,12 @@ fn check_merge(
     );
     let trusted = &store.trusted;
     assert_eq!(trusted.commitment(output as u32), reference.commitment(), "level {output}");
+    let crown = reference.crown(trusted.crown_row_max());
     if !out.is_empty() {
-        let crown = reference.crown(trusted.crown_row_max());
         assert_eq!(trusted.crown_nodes(output as u32), crown.node_count());
     }
     // Every stored value is the envelope around the bare value and the
-    // reference's proof for its place.
+    // reference's proof for its place, cut at the crown's anchor row.
     let (mut leaf, mut version) = (0usize, 0usize);
     for (i, record) in out.iter().enumerate() {
         if i > 0 && out[i - 1].key != record.key {
@@ -129,7 +129,7 @@ fn check_merge(
         }
         let mut stored = Vec::new();
         append_with_proof(&mut stored, open(&record.value).unwrap().value, |buf| {
-            reference.encode_proof_into(leaf, version, buf)
+            reference.encode_proof_into(&crown, leaf, version, buf)
         });
         assert_eq!(record.value, stored, "stored value of {:?}@{}", record.key, record.ts);
         version += 1;

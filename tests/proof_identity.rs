@@ -16,8 +16,9 @@ use elsm_repro::merkle::{
     chain_digest, ChainPosition, LevelCommitment, LevelDigest, MerkleTree, RecordProof,
     RecordProofRef, VerifyError, LINK_LEN,
 };
-use elsm_repro::sgx_sim::Platform;
+use elsm_repro::sgx_sim::{CostModel, Platform};
 use proptest::prelude::*;
+use std::sync::Arc;
 
 // ----- the reference implementation ---------------------------------------
 
@@ -141,6 +142,22 @@ fn build_level(level: u32, shape: &[usize], salt: u8) -> (Vec<Vec<Vec<u8>>>, Lev
     (chains, digest)
 }
 
+/// The height of the widest row of at most `row_max` nodes in a tree of
+/// `leaves` leaves: the row a crown of that width anchors at.
+fn reference_anchor_row(leaves: usize, row_max: usize) -> u32 {
+    let mut height = 0;
+    while leaves.div_ceil(1 << height) > row_max {
+        height += 1;
+    }
+    height
+}
+
+/// How many siblings leaf `leaf`'s audit path has in the rows below
+/// height `below`: one per row in which its node has a pair.
+fn reference_siblings_below(leaves: usize, leaf: usize, below: u32) -> usize {
+    (0..below).filter(|&h| ((leaf >> h) ^ 1) < leaves.div_ceil(1 << h)).count()
+}
+
 fn reference_tree(chains: &[Vec<Vec<u8>>]) -> MerkleTree {
     MerkleTree::from_leaves(chains.iter().map(|c| chain_digest(c)).collect())
 }
@@ -164,8 +181,10 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Over random levels of 1–40 keys × 1–60 versions: every key's
-    /// newest-version proof is byte for byte the reference's, every older
-    /// version stores exactly `LINK_LEN` bytes — so the level's proof
+    /// newest-version proof written for the one-row crown (the root) is
+    /// byte for byte the reference's, and for a crown of rows up to 4 wide
+    /// the reference's less the siblings at and above its anchor row; every
+    /// older version stores exactly `LINK_LEN` bytes — so the level's proof
     /// bytes are `Σ heads + (N − K)·LINK_LEN` — the arithmetic length is
     /// the written length, every version verifies by walking down from its
     /// head, and neither a lone link nor a newest-claim on an older version
@@ -182,6 +201,10 @@ proptest! {
         let wrong_root = LevelCommitment { root: sha256(b"elsewhere"), ..commitment };
         let wrong_level = LevelCommitment { level: 4, ..commitment };
         let wrong_count = LevelCommitment { leaf_count: commitment.leaf_count + 1, ..commitment };
+        let (root, narrow) = (digest.crown(1), digest.crown(4));
+        prop_assert_eq!(root.node_count(), 1);
+        let anchor_row = reference_anchor_row(chains.len(), 4);
+        prop_assert_eq!(narrow.base_height(), anchor_row);
         let (mut stored_bytes, mut head_bytes) = (0usize, 0usize);
         let mut head_written = Vec::new();
         let mut written = Vec::new();
@@ -192,9 +215,16 @@ proptest! {
             let reference = reference_head_proof(3, &chains, &tree, leaf);
             let expect = reference_encode(&reference);
             head_written.clear();
-            digest.encode_proof_into(leaf, 0, &mut head_written);
+            digest.encode_proof_into(&root, leaf, 0, &mut head_written);
             prop_assert_eq!(&head_written, &expect, "leaf {}", leaf);
-            prop_assert_eq!(digest.proof_encoded_len(leaf, 0), expect.len());
+            prop_assert_eq!(digest.proof_encoded_len(&root, leaf, 0), expect.len());
+            let mut cut = reference.clone();
+            let ChainPosition::Newest { audit_path, .. } = &mut cut.chain else { unreachable!() };
+            audit_path.truncate(reference_siblings_below(chains.len(), leaf, anchor_row));
+            written.clear();
+            digest.encode_proof_into(&narrow, leaf, 0, &mut written);
+            prop_assert_eq!(&written, &reference_encode(&cut), "leaf {} cut", leaf);
+            prop_assert_eq!(digest.proof_encoded_len(&narrow, leaf, 0), written.len());
             prop_assert_eq!(&digest.prove_version(leaf, 0), &reference);
             prop_assert_eq!(&reference.encode(), &expect);
             let head = RecordProofRef::parse(&head_written).expect("own encoding parses");
@@ -207,7 +237,7 @@ proptest! {
             }
             prop_assert_eq!(head.verify(&commitment, &chain[0]), Ok(()));
             head_bytes += expect.len();
-            stored_bytes += digest.proof_encoded_len(leaf, 0);
+            stored_bytes += digest.proof_encoded_len(&root, leaf, 0);
 
             // The older versions: one link each, accepted by the walk in
             // order and in no other way.
@@ -221,11 +251,11 @@ proptest! {
                     &ChainPosition::Link { position: version as u32, older_digest }
                 );
                 written.clear();
-                digest.encode_proof_into(leaf, version, &mut written);
+                digest.encode_proof_into(&narrow, leaf, version, &mut written);
                 prop_assert_eq!(&written, &reference_encode(&owned));
                 prop_assert_eq!(&written, &owned.encode());
                 prop_assert_eq!(written.len(), LINK_LEN);
-                prop_assert_eq!(digest.proof_encoded_len(leaf, version), LINK_LEN);
+                prop_assert_eq!(digest.proof_encoded_len(&root, leaf, version), LINK_LEN);
                 prop_assert_eq!(owned.encoded_len(), LINK_LEN);
                 stored_bytes += LINK_LEN;
 
@@ -244,7 +274,7 @@ proptest! {
                 // in turn, accepted — once.
                 if let Some(next) = chain.get(version + 1) {
                     let mut skipped = Vec::new();
-                    digest.encode_proof_into(leaf, version + 1, &mut skipped);
+                    digest.encode_proof_into(&root, leaf, version + 1, &mut skipped);
                     let skipped = RecordProofRef::parse(&skipped).unwrap();
                     prop_assert_eq!(walk.step(&skipped, &[next]), Err(VerifyError::BrokenChain));
                 }
@@ -271,7 +301,7 @@ proptest! {
         for (leaf, chain) in chains.iter().enumerate() {
             for version in 0..chain.len() {
                 let mut buf = Vec::new();
-                digest.encode_proof_into(leaf, version, &mut buf);
+                digest.encode_proof_into(&digest.crown(1), leaf, version, &mut buf);
                 encodings.push(buf);
             }
         }
@@ -307,6 +337,16 @@ proptest! {
     }
 }
 
+/// An enclave whose EPC affords crowns of the root alone (`crown_row_max`
+/// = 1, as in the figures): proofs carry their whole audit paths, the
+/// bytes the goldens below were first captured from.
+fn root_crown_platform() -> Arc<Platform> {
+    let platform = || Platform::new(CostModel::paper_defaults().with_epc_bytes(128 << 10));
+    let probe = ElsmP2::open(platform(), P2Options::default()).unwrap();
+    assert_eq!(probe.trusted().crown_row_max(), 1);
+    platform()
+}
+
 /// Commitment roots and WAL digest of a small three-level store. The WAL
 /// digest and level 1 were captured at the commit before the SHA-NI
 /// kernel, the flat `LevelDigest` and the borrowed proofs went in; any
@@ -315,45 +355,57 @@ proptest! {
 /// when older versions shrank to chain links: with fewer stored bytes the
 /// same writes trigger compactions at different points (what was L2 + L3
 /// is now all in L3). `golden_level_digest_roots` pins the digests
-/// themselves independently of that shape.
+/// themselves independently of that shape. Under root-only crowns the
+/// store writes the bytes it always did and the golden is that one; under
+/// full crowns (`Platform::with_defaults`) stored paths stop at the crown,
+/// the levels hold fewer bytes and compact at other points again
+/// (`GOLDEN_LEVELS_CROWNED`, captured when paths were cut; same WAL digest).
 #[test]
 fn golden_three_level_store_digests() {
-    let store = ElsmP2::open(
-        Platform::with_defaults(),
-        P2Options {
-            write_buffer_bytes: 4 * 1024,
-            level1_max_bytes: 8 * 1024,
-            level_multiplier: 4,
-            target_file_bytes: 8 * 1024,
-            ..P2Options::default()
-        },
-    )
-    .unwrap();
-    for round in 0..6u32 {
-        for i in 0..220u32 {
-            let key = format!("user{:06}", (i * 37 + round * 11) % 300);
-            let value = format!("value-{round}-{i}-{}", "x".repeat((i % 50) as usize));
-            store.put(key.as_bytes(), value.as_bytes()).unwrap();
+    for (platform, golden) in
+        [(root_crown_platform(), GOLDEN_LEVELS), (Platform::with_defaults(), GOLDEN_LEVELS_CROWNED)]
+    {
+        let store = ElsmP2::open(
+            platform,
+            P2Options {
+                write_buffer_bytes: 4 * 1024,
+                level1_max_bytes: 8 * 1024,
+                level_multiplier: 4,
+                target_file_bytes: 8 * 1024,
+                ..P2Options::default()
+            },
+        )
+        .unwrap();
+        for round in 0..6u32 {
+            for i in 0..220u32 {
+                let key = format!("user{:06}", (i * 37 + round * 11) % 300);
+                let value = format!("value-{round}-{i}-{}", "x".repeat((i % 50) as usize));
+                store.put(key.as_bytes(), value.as_bytes()).unwrap();
+            }
+            store.delete(format!("user{:06}", round * 5).as_bytes()).unwrap();
         }
-        store.delete(format!("user{:06}", round * 5).as_bytes()).unwrap();
+        let commitments = store.trusted().commitments();
+        let populated: Vec<String> = commitments
+            .iter()
+            .filter(|c| !c.is_empty())
+            .map(|c| format!("L{} n={} {}", c.level, c.leaf_count, c.root.to_hex()))
+            .collect();
+        let wal = store.trusted().wal_digest().to_hex();
+        assert_eq!(populated, golden, "level commitments moved (WAL digest {wal})");
+        assert_eq!(wal, GOLDEN_WAL);
+        // The store still answers from those levels.
+        assert!(store.get(b"user000123").unwrap().is_some());
+        assert!(store.get(b"user000025").unwrap().is_none(), "deleted last");
     }
-    let commitments = store.trusted().commitments();
-    let populated: Vec<String> = commitments
-        .iter()
-        .filter(|c| !c.is_empty())
-        .map(|c| format!("L{} n={} {}", c.level, c.leaf_count, c.root.to_hex()))
-        .collect();
-    let wal = store.trusted().wal_digest().to_hex();
-    assert_eq!(populated, GOLDEN_LEVELS, "level commitments moved (WAL digest {wal})");
-    assert_eq!(wal, GOLDEN_WAL);
-    // The store still answers from those levels.
-    assert!(store.get(b"user000123").unwrap().is_some());
-    assert!(store.get(b"user000025").unwrap().is_none(), "deleted last");
 }
 
 const GOLDEN_LEVELS: [&str; 2] = [
     "L1 n=92 c0a212c43bf3386f2be0d7329726341e76ce0c15416201b073bb2761bc48c4ea",
     "L3 n=300 9c5208f51ba52921d1e5fe2f49a4108bcb33cc5726ea3db5455e22bdc3f2d4fe",
+];
+const GOLDEN_LEVELS_CROWNED: [&str; 2] = [
+    "L1 n=136 cf284bb98ec5357832e04bb8d76d50ee7f346dbebaa7f36312b373dae65b7804",
+    "L3 n=300 1f3098a825c72636c08034b8d875123b849676c874d3b8b5386d6852dde22410",
 ];
 const GOLDEN_WAL: &str = "27cfc90b66f695d2bc5e731a8f475fcad4418812fac6519fedc55182d1f04a24";
 
@@ -389,13 +441,26 @@ const GOLDEN_DIGEST_ROOTS: [&str; 3] = [
 /// The `MANIFEST` line pins the manifest and the state sealed into it (what
 /// a separate sealed-state file held, plus the 32-byte `wal_base` recovery
 /// folds the logs from; re-captured when the state moved into the
-/// manifest, and no other line moved).
+/// manifest, and no other line moved). That holds under root-only crowns,
+/// whose stored proofs are byte for byte those of before, for both
+/// histories; under full crowns stored paths stop at the crown, fewer
+/// bytes move compactions to other points, and the lines move with them
+/// (`GOLDEN_TRUSTED_STATE_CROWNED`, `GOLDEN_PIPELINE_CROWNED`, captured
+/// when paths were cut).
 #[test]
 fn golden_trusted_state_is_unmoved_by_crowns() {
+    assert_eq!(trusted_state_lines(root_crown_platform()), GOLDEN_TRUSTED_STATE);
+    assert_eq!(trusted_state_lines(Platform::with_defaults()), GOLDEN_TRUSTED_STATE_CROWNED);
+    assert_eq!(pipeline_fingerprint(root_crown_platform), GOLDEN_PIPELINE);
+    assert_eq!(pipeline_fingerprint(Platform::with_defaults), GOLDEN_PIPELINE_CROWNED);
+}
+
+/// The trusted-state lines of one fixed history on `platform`; the state
+/// comes back out of the seal, crowns re-derived beside it.
+fn trusted_state_lines(platform: Arc<Platform>) -> Vec<String> {
     use elsm_repro::elsm::{Announcement, SessionKey};
     use elsm_repro::sim_disk::{SimDisk, SimFs};
 
-    let platform = Platform::with_defaults();
     let fs = SimFs::new(SimDisk::new(platform.clone()));
     let options = P2Options {
         write_buffer_bytes: 4 * 1024,
@@ -425,24 +490,11 @@ fn golden_trusted_state_is_unmoved_by_crowns() {
     ];
     store.close().unwrap();
     got.push(manifest_line(&fs_listing(&fs)));
-    assert_eq!(got, GOLDEN_TRUSTED_STATE);
-    // The same state comes back out of the seal, crowns re-derived beside it.
     drop(store);
     let reopened = ElsmP2::open_with(platform, fs, options, None).unwrap();
     assert_eq!(format!("dataset {}", reopened.trusted().dataset_digest().to_hex()), got[1]);
     assert!(reopened.get(b"user000123").unwrap().is_some());
-
-    // The same for how the bytes get to disk: the second history below runs
-    // every maintenance path — flushes, a leveled compaction wave down to
-    // the purging bottom level, value separation with a value-log GC, a
-    // tiered run, and a replica replaying the primary's job stream — and
-    // every file either node leaves behind and a signed announcement are
-    // what they were at the commit before the merge pipeline streamed
-    // borrowed records (captured there). The sealed state — and with it the
-    // two listing hashes — was re-captured when `wal_base` joined it
-    // (+32 B), and again when it moved into the manifest; every other line
-    // of both listings was diffed identical.
-    assert_eq!(pipeline_fingerprint(), GOLDEN_PIPELINE);
+    got
 }
 
 /// The `MANIFEST` line of a listing: the manifest with the sealed state.
@@ -464,7 +516,18 @@ fn fs_listing(fs: &elsm_repro::sim_disk::SimFs) -> Vec<String> {
         .collect()
 }
 
-fn pipeline_fingerprint() -> Vec<String> {
+/// The same for how the bytes get to disk: this history runs every
+/// maintenance path — flushes, a leveled compaction wave down to the
+/// purging bottom level, value separation with a value-log GC, a tiered
+/// run, and a replica replaying the primary's job stream — and every file
+/// either node leaves behind and a signed announcement are what they were
+/// at the commit before the merge pipeline streamed borrowed records
+/// (captured there). The sealed state — and with it the two listing hashes
+/// — was re-captured when `wal_base` joined it (+32 B), and again when it
+/// moved into the manifest; every other line of both listings was diffed
+/// identical. Every store and node of it runs on a platform from
+/// `platform`.
+fn pipeline_fingerprint(platform: fn() -> Arc<Platform>) -> Vec<String> {
     use elsm_repro::elsm::{Announcement, SessionKey};
     use elsm_repro::lsm_store::{CompactionStrategyKind, VlogConfig};
     use elsm_repro::replica::{ReplicationGroup, ReplicationOptions};
@@ -491,7 +554,7 @@ fn pipeline_fingerprint() -> Vec<String> {
         ..P2Options::default()
     };
     let group = ReplicationGroup::open(
-        Platform::with_defaults(),
+        platform(),
         leveled,
         ReplicationOptions { replicas: 1, leader_check_interval: 1, ..Default::default() },
     )
@@ -539,7 +602,7 @@ fn pipeline_fingerprint() -> Vec<String> {
 
     // A tiered store: flush runs stack, then merge as one tiered job.
     let tiered = ElsmP2::open(
-        Platform::with_defaults(),
+        platform(),
         P2Options {
             write_buffer_bytes: 4 * 1024,
             target_file_bytes: 8 * 1024,
@@ -579,4 +642,21 @@ const GOLDEN_TRUSTED_STATE: [&str; 5] = [
     "snapshot b22f147d1f68ebd23170d76a1ea810201e15ecd579ab3bf06f4f4a39b8819c43",
     "announcement df832657f793f8805f7f104c7972f583312cd7c043a0a08a1c2b677938110f15",
     "MANIFEST 542 604b48966deb6f54dec28785c689afc0d0a03911b8ccd836d560f21296bc5e9f",
+];
+
+const GOLDEN_PIPELINE_CROWNED: [&str; 6] = [
+    "epoch 144",
+    "dataset 3822b01abf4078c3c525b9a1ef441c2c8b4425c0c3ecf589a4300940601cd5a0",
+    "announcement 19ecaa24f856b4201527c4e6c09c33a7ccc3396a99d54b56fec5bc7ce233787e",
+    "files 21 c758b6905b9512c426d89f27adb8b8029b928f6f077a51a3f21edf88552f5d77",
+    "MANIFEST 394 5b8663744d6e0877410c8505c349e968669e298b1467ffe0d05028ae29814e31",
+    "tiered files 15 570475618056a5201537dbca866eed24a20f1c0c3a042ddfd66cb224ccc67114",
+];
+
+const GOLDEN_TRUSTED_STATE_CROWNED: [&str; 5] = [
+    "epoch 98",
+    "dataset d05603cd24bbf239aa86bb9cb6690a02546e8f49086d5fb5c49df2aacce128fb",
+    "snapshot 780f8d1c016c7e5d3d1781087a4c138fef00896a62ebfdeee252adde93f730a3",
+    "announcement 1605035c2fcc55912b9ccaab8ec0cca70ffbeaf84327875959f705199118e2bc",
+    "MANIFEST 527 f1a88ca325bf0d1d61cfdd4cc6a5a79862fa5aaab13cf112aef3555dbeec86f4",
 ];

@@ -104,7 +104,11 @@ fn verified_read_charges_of_a_fixed_script_are_unchanged() {
     // DRAM bytes and the clock fell (188 728 → 98 628 B; 464 819 → 462 176
     // and 332 547 → 329 904 ns) when a level's capture became one walk
     // that reads each block at most once: no block is served twice from
-    // the block cache.
-    let pinned = [[462_176, 187, 98_628, 11, 96, 30_272], [329_904, 412, 98_628, 6, 96, 30_272]];
+    // the block cache. Under full crowns the proof bytes, the DRAM bytes
+    // and the clock fell again (30 272 → 5 472 B, 98 628 → 83 576 B,
+    // 462 176 → 461 587 ns) when stored paths stopped at the crown: both
+    // levels are narrower than a crown's widest row, so a proof holds no
+    // sibling. Hash blocks did not move; roots only, nothing did.
+    let pinned = [[461_587, 187, 83_576, 11, 96, 5_472], [329_904, 412, 98_628, 6, 96, 30_272]];
     assert_eq!(charges, pinned, "full crowns, then roots only");
 }

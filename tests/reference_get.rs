@@ -1,11 +1,17 @@
 //! A reference GET verifier, written the slow way, and the property that
 //! `TrustedState::verify_get` agrees with it.
 //!
-//! The reference checks a `GetTrace` level by level with
-//! `RecordProof::verify` root walks — no crowns, no range walk, no borrowed
-//! proof — under the key and adjacency rules a GET was verified by while a
-//! hit and a non-membership claim were two separate checks: a hit's key is
-//! the query's and its proof verifies; a miss's neighbours bracket the key,
+//! The reference rebuilds each level's Merkle tree from the records the
+//! level stores (`level_record_dump`) and keeps it only if its root and
+//! leaf count are the committed ones. A stored newest-version path stops at
+//! the anchor row of the level's crown — the widest row of at most the
+//! enclave's `crown_row_max` nodes, worked out here by arithmetic — so the
+//! reference requires exactly the siblings below that row, completes the
+//! path with the rebuilt tree's siblings above it, and walks it to the root
+//! with `RecordProof::verify` — no crown, no range walk, no borrowed proof —
+//! under the key and adjacency rules a GET was verified by while a hit and
+//! a non-membership claim were two separate checks: a hit's key is the
+//! query's and its proof verifies; a miss's neighbours bracket the key,
 //! each verifies on its own, and they are adjacent leaves, or the first or
 //! last leaf. `verify_get` reads a GET level as the key range `[key, key]`
 //! instead and proves it with one walk. On leveled and tiered stores of two
@@ -21,7 +27,7 @@
 use elsm_repro::elsm::envelope;
 use elsm_repro::elsm::{AuthenticatedKv, ElsmP2, P2Options};
 use elsm_repro::lsm_store::{CompactionStrategyKind, GetTrace, LevelOutcome, LevelSearch, Record};
-use elsm_repro::merkle::{ChainPosition, LevelCommitment, RecordProof};
+use elsm_repro::merkle::{ChainPosition, LevelCommitment, MerkleTree, RecordProof};
 use elsm_repro::sgx_sim::Platform;
 
 pub mod support;
@@ -30,40 +36,84 @@ use support::adversary;
 /// The reference's answer: the verified record, or why it refused.
 type Verdict<'t> = Result<Option<&'t Record>, &'static str>;
 
+/// What the reference knows of one level: its commitment, the tree its
+/// stored records rebuild to (`None` unless that is the committed tree),
+/// and the height of the row its stored paths stop at.
+struct Level {
+    commitment: LevelCommitment,
+    tree: Option<MerkleTree>,
+    anchor_row: u32,
+}
+
+/// Every level the enclave tracks, by number, rebuilt from what it stores.
+fn rebuilt_levels(store: &ElsmP2) -> Vec<Level> {
+    let row_max = store.trusted().crown_row_max().max(1) as u64;
+    let mut commitments = store.trusted().commitments();
+    let tracked = store.trusted().max_levels() as u32;
+    commitments.extend((commitments.len() as u32..=tracked).map(LevelCommitment::empty));
+    commitments
+        .into_iter()
+        .map(|commitment| {
+            let (n, mut anchor_row) = (commitment.leaf_count, 0);
+            while n.div_ceil(1 << anchor_row) > row_max {
+                anchor_row += 1;
+            }
+            let tree = (!commitment.is_empty()).then(|| {
+                let records = store.db().level_record_dump(commitment.level as usize).unwrap();
+                adversary::level_tree(&records)
+            });
+            let committed = |t: &MerkleTree| {
+                t.root() == commitment.root && t.leaf_count() as u64 == commitment.leaf_count
+            };
+            Level { commitment, tree: tree.filter(committed), anchor_row }
+        })
+        .collect()
+}
+
 /// A level record's canonical bytes and its embedded proof.
 fn open(record: &Record) -> Result<(Vec<u8>, RecordProof), &'static str> {
     let opened = envelope::open(&record.value).ok_or("malformed envelope")?;
     let proof = opened.proof.ok_or("no embedded proof")?.to_owned();
-    let mut canonical = Vec::new();
-    envelope::append_canonical(record.view(), opened.value, &mut canonical);
-    Ok((canonical, proof))
+    Ok((adversary::canonical(record), proof))
 }
 
-/// `record`'s proof, walked to the committed root on its own.
-fn open_and_check(c: &LevelCommitment, record: &Record) -> Result<RecordProof, &'static str> {
-    let (canonical, proof) = open(record)?;
-    proof.verify(c, &canonical).map_err(|_| "proof does not reach the root")?;
+/// `record`'s proof, its stored path — exactly the siblings below the
+/// level's anchor row — completed with the rebuilt tree's siblings above
+/// it and walked to the committed root on its own.
+fn open_and_check(level: &Level, record: &Record) -> Result<RecordProof, &'static str> {
+    let (canonical, mut proof) = open(record)?;
+    if let ChainPosition::Newest { audit_path, .. } = &mut proof.chain {
+        let tree = level.tree.as_ref().ok_or("the level rebuilds to another tree")?;
+        let (leaf, n) = (proof.leaf_index as usize, tree.leaf_count());
+        let paired = |h: u32| ((leaf >> h) ^ 1) < n.div_ceil(1 << h);
+        let below = (0..level.anchor_row).filter(|&h| paired(h)).count();
+        if leaf >= n || audit_path.len() != below {
+            return Err("the stored path does not stop at the anchor row");
+        }
+        audit_path.extend_from_slice(&tree.audit_path(leaf)[below..]);
+    }
+    proof.verify(&level.commitment, &canonical).map_err(|_| "proof does not reach the root")?;
     Ok(proof)
 }
 
-fn verify_hit<'t>(c: &LevelCommitment, key: &[u8], record: &'t Record) -> Verdict<'t> {
+fn verify_hit<'t>(level: &Level, key: &[u8], record: &'t Record) -> Verdict<'t> {
     if record.key != key {
         return Err("hit record key differs from query");
     }
-    let (canonical, proof) = open(record)?;
-    if matches!(proof.chain, ChainPosition::Link { .. }) {
+    if matches!(open(record)?.1.chain, ChainPosition::Link { .. }) {
         return Err("hit is a stale version");
     }
-    proof.verify(c, &canonical).map_err(|_| "hit proof does not reach the root")?;
+    open_and_check(level, record).map_err(|_| "hit proof does not reach the root")?;
     Ok(Some(record))
 }
 
 fn verify_non_membership(
-    c: &LevelCommitment,
+    level: &Level,
     key: &[u8],
     left: Option<&Record>,
     right: Option<&Record>,
 ) -> Result<(), &'static str> {
+    let c = &level.commitment;
     if c.is_empty() {
         return match (left, right) {
             (None, None) => Ok(()),
@@ -73,11 +123,11 @@ fn verify_non_membership(
     if left.is_some_and(|rec| rec.key[..] >= *key) {
         return Err("left neighbor not below query key");
     }
-    let left = left.map(|rec| open_and_check(c, rec)).transpose()?;
+    let left = left.map(|rec| open_and_check(level, rec)).transpose()?;
     if right.is_some_and(|rec| rec.key[..] <= *key) {
         return Err("right neighbor not above query key");
     }
-    let right = right.map(|rec| open_and_check(c, rec)).transpose()?;
+    let right = right.map(|rec| open_and_check(level, rec)).transpose()?;
     match (left, right) {
         (Some(l), Some(r)) if r.leaf_index != l.leaf_index + 1 => {
             Err("neighbors are not adjacent leaves")
@@ -97,24 +147,24 @@ type Edges = Vec<Option<(Record, Record)>>;
 
 /// Each committed level's edge leaves, found in what the level stores and
 /// each walked to the committed root on its own.
-fn edges(store: &ElsmP2) -> Edges {
-    let head_at = |c: &LevelCommitment, records: &[Record], leaf: u64| {
+fn edges(store: &ElsmP2, levels: &[Level]) -> Edges {
+    let head_at = |level: &Level, records: &[Record], leaf: u64| {
         let head = records.iter().find(|record| {
-            open_and_check(c, record).is_ok_and(|proof| {
+            open_and_check(level, record).is_ok_and(|proof| {
                 proof.leaf_index == leaf && matches!(proof.chain, ChainPosition::Newest { .. })
             })
         });
         head.cloned()
     };
-    let commitments = store.trusted().commitments();
-    commitments
+    levels
         .iter()
-        .map(|c| {
+        .map(|level| {
+            let c = &level.commitment;
             if c.is_empty() {
                 return None;
             }
             let records = store.db().level_record_dump(c.level as usize).unwrap();
-            Some((head_at(c, &records, 0)?, head_at(c, &records, c.leaf_count - 1)?))
+            Some((head_at(level, &records, 0)?, head_at(level, &records, c.leaf_count - 1)?))
         })
         .collect()
 }
@@ -125,13 +175,13 @@ fn outside(edges: &Edges, level: i64, key: &[u8]) -> bool {
     edge.is_some_and(|(first, last)| key < &first.key[..] || key > &last.key[..])
 }
 
-/// The reference GET verifier against the store's current commitments and
+/// The reference GET verifier against the store's current `levels` and
 /// the fences of `edges` (every trace here is taken from, and checked
 /// against, the newest epoch). Counts the levels it passed over in
 /// `fenced`.
 fn reference_get<'t>(
     store: &ElsmP2,
-    edges: &Edges,
+    (committed, edges): (&[Level], &Edges),
     key: &[u8],
     trace: &'t GetTrace,
     fenced: &mut usize,
@@ -139,7 +189,7 @@ fn reference_get<'t>(
     if let Some(record) = &trace.memtable {
         return Ok(Some(record));
     }
-    let (commitments, levels) = (store.trusted().commitments(), store.trusted().max_levels());
+    let levels = store.trusted().max_levels();
     let stacked = store.trusted().is_stacked();
     let mut expected: i64 = if stacked { levels as i64 } else { 1 };
     let step = if stacked { -1 } else { 1 };
@@ -156,14 +206,13 @@ fn reference_get<'t>(
         if search.level as i64 != expected {
             return Err("level skipped, or presented though fenced");
         }
-        let level = expected as u32;
-        let c = commitments.get(level as usize).copied().unwrap_or(LevelCommitment::empty(level));
+        let level = &committed[expected as usize];
         match &search.outcome {
-            LevelOutcome::Empty if !c.is_empty() => return Err("hidden level"),
+            LevelOutcome::Empty if !level.commitment.is_empty() => return Err("hidden level"),
             LevelOutcome::Empty => {}
-            LevelOutcome::Hit(record) => hit = verify_hit(&c, key, record)?,
+            LevelOutcome::Hit(record) => hit = verify_hit(level, key, record)?,
             LevelOutcome::Miss { left, right } => {
-                verify_non_membership(&c, key, left.as_ref(), right.as_ref())?
+                verify_non_membership(level, key, left.as_ref(), right.as_ref())?
             }
         }
         expected += step;
@@ -186,6 +235,15 @@ fn reference_get<'t>(
 /// and across levels. A `write_buffer_bytes` below a round's size flushes
 /// within rounds too.
 fn store(strategy: CompactionStrategyKind, write_buffer_bytes: usize) -> ElsmP2 {
+    store_on(Platform::with_defaults(), strategy, write_buffer_bytes)
+}
+
+/// [`store`] on `platform`.
+fn store_on(
+    platform: std::sync::Arc<Platform>,
+    strategy: CompactionStrategyKind,
+    write_buffer_bytes: usize,
+) -> ElsmP2 {
     let options = P2Options {
         write_buffer_bytes,
         level1_max_bytes: 4 * 1024,
@@ -194,7 +252,7 @@ fn store(strategy: CompactionStrategyKind, write_buffer_bytes: usize) -> ElsmP2 
         compaction_strategy: strategy,
         ..P2Options::default()
     };
-    let store = ElsmP2::open(Platform::with_defaults(), options).unwrap();
+    let store = ElsmP2::open(platform, options).unwrap();
     for round in 0..3u32 {
         for i in 0..300u32 {
             let k = format!("key{:04}", (i * 13 + round) % 150).into_bytes();
@@ -294,7 +352,12 @@ fn assert_agrees_with_the_reference(store: &ElsmP2) {
         mutators.push(Box::new(move |t| adversary::hide_level(t, level)));
     }
 
-    let edges = edges(store);
+    let committed = rebuilt_levels(store);
+    assert!(
+        committed.iter().all(|level| level.commitment.is_empty() || level.tree.is_some()),
+        "every level rebuilds to its committed tree"
+    );
+    let edges = edges(store, &committed);
     let stacked = store.trusted().is_stacked();
     let records: Vec<Vec<Record>> = stored.iter().map(|(_, records)| records.clone()).collect();
     let (mut accepted, mut refused, mut two_sided, mut fenced) = (0, 0, 0, 0);
@@ -314,7 +377,7 @@ fn assert_agrees_with_the_reference(store: &ElsmP2) {
         let traces = std::iter::once(honest.clone()).chain(mutated).chain(presented);
         for trace in traces {
             let verified = store.verify_get_trace(&key, &trace).map(|v| v.map(|v| v.record));
-            let reference = reference_get(store, &edges, &key, &trace, &mut 0);
+            let reference = reference_get(store, (&committed, &edges), &key, &trace, &mut 0);
             match (&verified, &reference) {
                 (Ok(got), Ok(want)) => {
                     let same = match (got, want) {
@@ -328,7 +391,7 @@ fn assert_agrees_with_the_reference(store: &ElsmP2) {
                 _ => panic!("{key:?}: verify_get {verified:?}, the reference {reference:?}"),
             }
         }
-        let verdict = reference_get(store, &edges, &key, &honest, &mut fenced);
+        let verdict = reference_get(store, (&committed, &edges), &key, &honest, &mut fenced);
         assert!(verdict.is_ok(), "{key:?}: an honest trace");
     }
     let layout = if stacked { "tiered" } else { "leveled" };
@@ -388,5 +451,17 @@ fn leveled_gets_verify_as_the_reference_does() {
 fn tiered_gets_verify_as_the_reference_does() {
     let store = store(CompactionStrategyKind::Tiered, 1 << 20);
     assert!(store.trusted().is_stacked(), "tiered runs stack: the freshest has the highest index");
+    assert_agrees_with_the_reference(&store);
+}
+
+/// On an enclave whose EPC keeps crowns of rows up to 4 nodes wide, every
+/// level is taller than its crown: stored paths hold siblings below the
+/// anchor row, and the reference completes them with rows above it.
+#[test]
+fn leveled_gets_under_narrow_crowns_verify_as_the_reference_does() {
+    let cost = elsm_repro::sgx_sim::CostModel::paper_defaults().with_epc_bytes(4 * 2048 * 64);
+    let store = store_on(Platform::new(cost), CompactionStrategyKind::Leveled, 4 * 1024);
+    assert_eq!(store.trusted().crown_row_max(), 4);
+    assert!(store.trusted().commitments().iter().any(|c| c.leaf_count > 4));
     assert_agrees_with_the_reference(&store);
 }

@@ -614,10 +614,14 @@ mod answer_is_verified {
 
     /// 150 keys written in five rounds (every 7th slot a delete), the last
     /// half-round left in the memtable. Returns the store, the model, and
-    /// every stored record by level.
+    /// every stored record by level. The enclave's EPC keeps crowns of rows
+    /// up to 4 nodes wide, fewer than any level's leaves: a stored path has
+    /// rows below its crown's anchor row for the scan mutators to flip.
     fn fixture() -> (ElsmP2, Model, Vec<(usize, Vec<Record>)>) {
         let options = P2Options { level1_max_bytes: 4 * 1024, ..opts() };
-        let store = ElsmP2::open(Platform::with_defaults(), options).unwrap();
+        let cost = elsm_repro::sgx_sim::CostModel::paper_defaults().with_epc_bytes(4 * 2048 * 64);
+        let store = ElsmP2::open(Platform::new(cost), options).unwrap();
+        assert_eq!(store.trusted().crown_row_max(), 4);
         let mut model = Model::new();
         for round in 0..5u32 {
             for i in 0..if round == 4 { 40 } else { 150 } {
@@ -642,6 +646,10 @@ mod answer_is_verified {
         let per_level = store.db().level_records();
         assert!(stored.len() >= 2, "the fixture must spread over levels: {per_level:?}");
         assert!(store.db().level_records()[0] > 0, "and keep a memtable");
+        for (level, _) in &stored {
+            let leaves = store.trusted().commitment(*level as u32).leaf_count;
+            assert!(leaves > 4, "level {level}: {leaves} leaves, paths stop below the crown");
+        }
         (store, model, stored)
     }
 
@@ -1006,8 +1014,9 @@ mod answer_is_verified {
     /// tree whose root is the unsealed one. A level the host altered while
     /// the store was down keeps its bare root, which has no fence: the
     /// host's own key range for it then excuses nothing, and a read that
-    /// leaves it out is refused. Its untouched edge leaf, presented, still
-    /// proves the level.
+    /// leaves it out is refused. Its untouched edge leaf, presented, is
+    /// refused too: its stored path stops at the crown's anchor row, and
+    /// the enclave holds no rows there to anchor it.
     #[test]
     fn a_tampered_level_is_unfenced_after_restart() {
         let platform = Platform::with_defaults();
@@ -1041,19 +1050,23 @@ mod answer_is_verified {
         let honest = store.raw_get_trace(&k).unwrap();
         assert_eq!(get_levels(&honest), [2]);
         let presented = with_level1_evidence(&store, &honest);
-        let got = store.verify_get_trace(&k, &presented).unwrap();
-        assert_eq!(got.expect("present").value(), &value(5)[..]);
+        let forged = Err(VerificationFailure::ForgedRecord {
+            level: 1,
+            source: elsm_repro::merkle::VerifyError::BadAuditPath,
+        });
+        assert_eq!(store.verify_get_trace(&k, &presented).map(|_| ()), forged);
 
         let (from, to) = (key(2), key(8));
         let honest = store.raw_scan_trace(&from, &to).unwrap();
         assert_eq!(skipped(store.verify_scan_trace(&from, &to, &honest)), 1);
         let presented = with_level1_range(&store, &honest);
-        assert_eq!(store.verify_scan_trace(&from, &to, &presented).unwrap().len(), 7);
-        // Level 2 kept its fence: a miss above it passes it over.
+        assert_eq!(store.verify_scan_trace(&from, &to, &presented).map(|_| ()), forged);
+        // Level 2 kept its fence: the host passes it over for a miss above
+        // it. No read gets past level 1 any more, though.
         let above = [key(170), b"~".to_vec()].concat();
         let trace = store.raw_get_trace(&above).unwrap();
         assert_eq!(get_levels(&trace), [1, 3]);
-        assert_eq!(store.verify_get_trace(&above, &trace).map(|got| got.is_none()), Ok(true));
+        assert_eq!(store.verify_get_trace(&above, &trace).map(|_| ()), forged);
     }
 
     /// With compaction off each flush stacks a run at the first empty
@@ -1445,9 +1458,11 @@ mod crown {
         trace
     }
 
-    /// One flipped byte anywhere in a hit's audit path is a forged record:
-    /// in the rows the verifier hashes below the crown, and in the rows it
-    /// compares against the crown above.
+    /// A hit's stored audit path is exactly the rows below the crown's
+    /// anchor row: one flipped byte anywhere in it is a forged record, and
+    /// so is the path with one more honest sibling above the anchor row,
+    /// the whole path to the root, or the path with its last sibling cut
+    /// off.
     #[test]
     fn every_audit_path_byte_is_checked_below_and_above_the_anchor_row() {
         let platform = Platform::with_defaults();
@@ -1455,6 +1470,10 @@ mod crown {
         let store = tall_store(&platform, &fs);
         let level = tall_level(&store);
         assert!(store.trusted().crown_nodes(level) > 1024, "the level has its crown");
+        assert!(KEYS as usize > store.trusted().crown_row_max(), "taller than its crown");
+        let tree = adversary::level_tree(&store.db().level_record_dump(level as usize).unwrap());
+        let forged_path =
+            Err(VerificationFailure::ForgedRecord { level, source: VerifyError::BadAuditPath });
         for k in [0, 1, 1023, 1024, 1777, KEYS - 1] {
             let trace = store.raw_get_trace(&key(k)).unwrap();
             let before = store.verify_stats();
@@ -1465,39 +1484,89 @@ mod crown {
             let hit = trace.answer().expect("hit").clone();
             let honest = adversary::embedded_proof(&hit);
             let ChainPosition::Newest { audit_path, .. } = &honest.chain else { panic!("a head") };
-            // 3000 leaves: rows of 3000 and 1500 are hashed, 750 and up
-            // are the crown's.
-            assert_eq!(hashed, 2, "key {k}");
-            assert_eq!(hashed + compared, audit_path.len() + 1, "every sibling, and the anchor");
+            // 3000 leaves: rows of 3000 and 1500 are hashed, the row of 750
+            // is the anchor row, and the path stops below it.
+            assert_eq!((hashed, compared), (2, 1), "key {k}");
+            assert_eq!(audit_path.len(), 2, "key {k}: the stored path is the anchor height");
+            let whole = tree.audit_path(k as usize);
+            assert_eq!(audit_path[..], whole[..2], "key {k}: the lower rows of the whole path");
+            let with_path = |path: Vec<elsm_repro::crypto::Digest>| {
+                let mut proof = honest.clone();
+                let ChainPosition::Newest { audit_path, .. } = &mut proof.chain else {
+                    unreachable!()
+                };
+                *audit_path = path;
+                with_hit(&trace, adversary::with_proof(&hit, &proof))
+            };
             for sibling in 0..audit_path.len() {
                 for byte in 0..32 {
-                    let mut proof = honest.clone();
-                    let ChainPosition::Newest { audit_path, .. } = &mut proof.chain else {
-                        unreachable!()
-                    };
-                    let mut bytes = *audit_path[sibling].as_bytes();
+                    let mut path = audit_path.clone();
+                    let mut bytes = *path[sibling].as_bytes();
                     bytes[byte] ^= 0x01;
-                    audit_path[sibling] = elsm_repro::crypto::Digest::from_bytes(bytes);
-                    let forged = with_hit(&trace, adversary::with_proof(&hit, &proof));
+                    path[sibling] = elsm_repro::crypto::Digest::from_bytes(bytes);
                     assert_eq!(
-                        store.verify_get_trace(&key(k), &forged),
-                        Err(VerificationFailure::ForgedRecord {
-                            level,
-                            source: VerifyError::BadAuditPath
-                        }),
-                        "key {k} sibling {sibling} ({}) byte {byte}",
-                        if sibling < hashed { "hashed" } else { "compared" },
+                        store.verify_get_trace(&key(k), &with_path(path)).map(|_| ()),
+                        forged_path,
+                        "key {k} sibling {sibling} byte {byte}",
                     );
                 }
+            }
+            for path in [whole[..3].to_vec(), whole.clone(), whole[..1].to_vec()] {
+                let len = path.len();
+                let verdict = store.verify_get_trace(&key(k), &with_path(path)).map(|_| ());
+                assert_eq!(verdict, forged_path, "key {k}: a path of {len} siblings");
+            }
+        }
+    }
+
+    /// A level no wider than its crown's widest row is held whole by the
+    /// enclave: a head stores no sibling, and one that carries any — the
+    /// first of its whole path, or all of it — is a forged record.
+    #[test]
+    fn a_head_in_a_level_the_crown_holds_whole_stores_no_sibling() {
+        let platform = Platform::with_defaults();
+        let store = ElsmP2::open(platform, P2Options::default()).unwrap();
+        for i in 0..300 {
+            store.put(&key(i), &value(i)).unwrap();
+        }
+        store.db().flush().unwrap();
+        let level = store.trusted().commitments().iter().find(|c| !c.is_empty()).unwrap().level;
+        let records = store.db().level_record_dump(level as usize).unwrap();
+        assert!(records.len() <= store.trusted().crown_row_max());
+        let tree = adversary::level_tree(&records);
+        for k in [0, 150, 299] {
+            let trace = store.raw_get_trace(&key(k)).unwrap();
+            let hit = trace.answer().expect("hit").clone();
+            let honest = adversary::embedded_proof(&hit);
+            let ChainPosition::Newest { audit_path, .. } = &honest.chain else { panic!("a head") };
+            assert!(audit_path.is_empty(), "key {k}");
+            assert_eq!(store.verify_get_trace(&key(k), &trace).map(|v| v.is_some()), Ok(true));
+            let whole = tree.audit_path(k as usize);
+            for path in [whole[..1].to_vec(), whole] {
+                let mut proof = honest.clone();
+                let ChainPosition::Newest { audit_path, .. } = &mut proof.chain else {
+                    unreachable!()
+                };
+                *audit_path = path;
+                let forged = with_hit(&trace, adversary::with_proof(&hit, &proof));
+                assert_eq!(
+                    store.verify_get_trace(&key(k), &forged).map(|_| ()),
+                    Err(VerificationFailure::ForgedRecord {
+                        level,
+                        source: VerifyError::BadAuditPath
+                    }),
+                    "key {k}"
+                );
             }
         }
     }
 
     /// Restart: a crown is re-derived only from a rebuilt tree whose root
     /// is the unsealed one. A level the host tampered with while the store
-    /// was down rebuilds to another root, gets no crown, and its reads
-    /// fail as they did before crowns existed — the altered record is
-    /// never accepted through rows built from the host's bytes.
+    /// was down rebuilds to another root and gets no crown — the altered
+    /// record is never accepted through rows built from the host's bytes —
+    /// and with no crown its stored paths, which stop at the anchor row,
+    /// anchor nowhere: the level is refused whole.
     #[test]
     fn tampered_level_gets_no_crown_at_restart() {
         let reopen = |tamper: bool| {
@@ -1547,17 +1616,72 @@ mod crown {
             }
             other => panic!("the altered record must be refused, got {other:?}"),
         }
-        // Its untouched neighbours still verify, by the whole walk to the
-        // root: nothing is compared against rows the enclave did not adopt.
+        // Its untouched neighbours are refused too: their stored paths stop
+        // below the root, and nothing the enclave did not adopt anchors them.
         let before = tampered.verify_stats();
         for k in [0, 1499, 1501, KEYS - 1] {
-            assert_eq!(tampered.get(&key(k)).unwrap().unwrap().value(), &value(k)[..]);
+            match tampered.get(&key(k)) {
+                Err(ElsmError::Verification(VerificationFailure::ForgedRecord {
+                    level: l,
+                    source,
+                })) => assert_eq!((l, source), (level, VerifyError::BadAuditPath), "key {k}"),
+                other => panic!("key {k}: a level with no crown is refused, got {other:?}"),
+            }
         }
         let after = tampered.verify_stats();
-        assert_eq!(after.nodes_compared - before.nodes_compared, 4, "one root each");
-        assert!(after.nodes_hashed - before.nodes_hashed >= 4 * 11);
+        assert_eq!(after.nodes_compared - before.nodes_compared, 0, "no walk reached a root");
         // A scan across the altered record is refused too.
         assert!(matches!(tampered.scan(&key(1495), &key(1505)), Err(ElsmError::Verification(_))));
+    }
+
+    /// A store's proofs stop at the anchor row of the crowns its enclave
+    /// kept. Reopened on an enclave that keeps other crowns — full crowns
+    /// written, roots only read, and the reverse — its levels rebuild to
+    /// the committed roots, but no stored path ends at the row the new
+    /// crowns anchor at: every read that reaches a stored level is a
+    /// verification failure — never a wrong answer, never a panic — and a
+    /// level the fence passes over answers nothing.
+    #[test]
+    fn a_store_reopened_under_other_crowns_refuses_its_levels() {
+        use elsm_repro::sgx_sim::CostModel;
+        // The paper's 128 MB of EPC keeps full crowns, 128 KiB roots only.
+        let with_epc = |bytes| Platform::new(CostModel::paper_defaults().with_epc_bytes(bytes));
+        for (written, read) in [(128 << 20, 128 << 10), (128 << 10, 128 << 20)] {
+            for keys in [KEYS, 300] {
+                let platform = with_epc(written);
+                let fs = SimFs::new(SimDisk::new(platform.clone()));
+                let options = P2Options::default();
+                let store = ElsmP2::open_with(platform, fs.clone(), options.clone(), None).unwrap();
+                for i in 0..keys {
+                    store.put(&key(i), &value(i)).unwrap();
+                }
+                store.db().flush().unwrap();
+                let row_max = store.trusted().crown_row_max();
+                store.close().unwrap();
+                drop(store);
+
+                let store = ElsmP2::open_with(with_epc(read), fs, options, None).unwrap();
+                assert_ne!(store.trusted().crown_row_max(), row_max);
+                assert!(store.telemetry().audit_events().is_empty(), "every level rebuilds");
+                let refused = |result: Result<(), ElsmError>, what: &str| match result {
+                    Err(ElsmError::Verification(VerificationFailure::ForgedRecord {
+                        source: VerifyError::BadAuditPath,
+                        ..
+                    })) => {}
+                    other => panic!("{keys} keys, row max {row_max}: {what} gave {other:?}"),
+                };
+                for k in [0, 1, keys / 2, keys - 1] {
+                    refused(store.get(&key(k)).map(drop), "a stored key");
+                    let between = [key(k), b"~".to_vec()].concat();
+                    if k + 1 < keys {
+                        refused(store.get(&between).map(drop), "a key between two stored ones");
+                    }
+                }
+                refused(store.scan(&key(5), &key(25)).map(drop), "a scan");
+                let past = [key(keys), b"~".to_vec()].concat();
+                assert!(store.get(&past).unwrap().is_none(), "the fence passes the level over");
+            }
+        }
     }
 }
 

@@ -11,7 +11,7 @@ use elsm_repro::crypto::Digest;
 use elsm_repro::lsm_store::block::Block;
 use elsm_repro::lsm_store::encoding::{put_fixed_u32, put_varint_u32};
 use elsm_repro::lsm_store::{GetTrace, LevelOutcome, Record, ScanTrace};
-use elsm_repro::merkle::{ChainPosition, RecordProof};
+use elsm_repro::merkle::{chain_digest, ChainPosition, MerkleTree, RecordProof};
 use elsm_repro::sim_disk::SimFile;
 
 /// Replaces the hit record's value bytes (query-integrity attack).
@@ -74,6 +74,34 @@ pub fn substitute_stale(trace: &mut GetTrace, stale: Record) {
 pub fn embedded_proof(record: &Record) -> RecordProof {
     let opened = elsm_repro::elsm::envelope::open(&record.value).expect("a well-formed envelope");
     opened.proof.expect("a record with an embedded proof").to_owned()
+}
+
+/// A stored record's canonical bytes: what its chain link hashes.
+///
+/// # Panics
+///
+/// Panics if `record`'s envelope is malformed (a test-setup error).
+pub fn canonical(record: &Record) -> Vec<u8> {
+    let opened = elsm_repro::elsm::envelope::open(&record.value).expect("a well-formed envelope");
+    let mut out = Vec::new();
+    elsm_repro::elsm::envelope::append_canonical(record.view(), opened.value, &mut out);
+    out
+}
+
+/// The Merkle tree a level commits to, rebuilt from the host's own copy of
+/// it (`records`: key order, newest version first) the slow way: each
+/// key's versions chained into its leaf by `chain_digest`. The host holds
+/// every node of it, the rows above a crown's anchor row included.
+pub fn level_tree(records: &[Record]) -> MerkleTree {
+    let mut leaves = Vec::new();
+    let mut start = 0;
+    while start < records.len() {
+        let key = &records[start].key;
+        let end = start + records[start..].iter().take_while(|r| &r.key == key).count();
+        leaves.push(chain_digest(&records[start..end].iter().map(canonical).collect::<Vec<_>>()));
+        start = end;
+    }
+    MerkleTree::from_leaves(leaves)
 }
 
 /// Re-embeds `proof` in `record`, keeping the application value — the
