@@ -9,6 +9,13 @@
 //! unchanged, added and missing — the declaration a change that moves
 //! rows owes.
 //!
+//! A closed-loop (multi-client) row's throughput is ops over the last
+//! client's finish, so it can move with no change in the work: an inline
+//! flush charged to another client shifts the makespan. Such rows carry
+//! `charged_us_per_op` and `mean_finish_us`; for each one that moved, the
+//! gate prints how both moved and which of the two the throughput change
+//! follows — the charged time (the work moved) or only the schedule.
+//!
 //! Usage:
 //! `perf_gate --baseline BENCH_baseline.json --fresh BENCH_results.json
 //! [--tolerance 0.05]`
@@ -18,8 +25,18 @@ use std::collections::BTreeMap;
 /// One measured row, keyed by (figure, config, workload).
 type Key = (String, String, String);
 
-/// Throughput (`ops_per_sec`) by row.
-type Rows = BTreeMap<Key, f64>;
+/// What the gate reads of one row.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Row {
+    /// Throughput, operations per simulated second.
+    ops: f64,
+    /// A closed-loop row's charged time per op and mean client finish
+    /// (µs).
+    closed_loop: Option<(f64, f64)>,
+}
+
+/// The rows of one results document.
+type Rows = BTreeMap<Key, Row>;
 
 fn usage_and_exit(problem: &str) -> ! {
     eprintln!("{problem}\nusage: perf_gate --baseline <path> --fresh <path> [--tolerance 0.05]");
@@ -63,7 +80,9 @@ fn parse_rows(text: &str) -> Rows {
         ) else {
             continue;
         };
-        rows.insert((figure, config, workload), ops);
+        let closed_loop =
+            num_field(line, "charged_us_per_op").zip(num_field(line, "mean_finish_us"));
+        rows.insert((figure, config, workload), Row { ops, closed_loop });
     }
     rows
 }
@@ -83,7 +102,7 @@ fn parse_results(path: &str) -> Rows {
 struct Diff {
     /// Rows in both whose throughput changed, as (relative change, row,
     /// baseline, fresh), worst first.
-    moved: Vec<(f64, Key, f64, f64)>,
+    moved: Vec<(f64, Key, Row, Row)>,
     /// Rows in both whose throughput did not change.
     unchanged: usize,
     /// Rows only the fresh document has (not gated).
@@ -98,10 +117,9 @@ impl Diff {
         for (key, &base) in baseline {
             match fresh.get(key) {
                 None => diff.missing.push(key.clone()),
-                Some(&now) if now == base => diff.unchanged += 1,
+                Some(&now) if now.ops == base.ops => diff.unchanged += 1,
                 Some(&now) => {
-                    let rel = if base > 0.0 { now / base - 1.0 } else { f64::INFINITY };
-                    diff.moved.push((rel, key.clone(), base, now));
+                    diff.moved.push((relative(base.ops, now.ops), key.clone(), base, now))
                 }
             }
         }
@@ -117,6 +135,38 @@ impl Diff {
         let (unchanged, added, missing) = (self.unchanged, self.added.len(), self.missing.len());
         format!("up {up} / down {down} / unchanged {unchanged} / added {added} / missing {missing}")
     }
+}
+
+/// `now` relative to `base`: `now / base - 1`.
+fn relative(base: f64, now: f64) -> f64 {
+    if base > 0.0 {
+        now / base - 1.0
+    } else {
+        f64::INFINITY
+    }
+}
+
+/// For a closed-loop row whose throughput moved by `rel`: how its charged
+/// time per op and mean client finish moved, and which one the throughput
+/// followed. `None` unless both documents carry the two measures.
+fn closed_loop_note(rel: f64, base: &Row, fresh: &Row) -> Option<String> {
+    let ((charged0, finish0), (charged1, finish1)) = (base.closed_loop?, fresh.closed_loop?);
+    let charged = relative(charged0, charged1);
+    let finish = relative(finish0, finish1);
+    // Less charged time per op is more throughput: the work moved when
+    // the two changes have opposite signs.
+    let verdict = if charged == 0.0 {
+        "the schedule moved, not the work"
+    } else if (charged < 0.0) == (rel > 0.0) {
+        "the work moved"
+    } else {
+        "the schedule moved against the work"
+    };
+    Some(format!(
+        "charged/op {:+.2}%, mean client finish {:+.2}%: {verdict}",
+        charged * 100.0,
+        finish * 100.0
+    ))
 }
 
 fn main() {
@@ -157,7 +207,7 @@ fn main() {
         "perf gate: tolerance -{:.1}%; every row whose throughput moved, worst first:",
         tolerance * 100.0
     );
-    for (rel, key, base, fresh) in &diff.moved {
+    for (rel, key, base_row, fresh_row) in &diff.moved {
         let verdict = if *rel < -tolerance {
             failed = true;
             "FAIL"
@@ -166,7 +216,11 @@ fn main() {
         };
         let ((figure, config, workload), change) = (key, rel * 100.0);
         let row = format!("{figure}/{config} [{workload}]");
+        let (base, fresh) = (base_row.ops, fresh_row.ops);
         println!("{verdict} {change:+7.2}%  {row}: {base:.1} -> {fresh:.1} ops/s");
+        if let Some(note) = closed_loop_note(*rel, base_row, fresh_row) {
+            println!("              {note}");
+        }
     }
     for (figure, config, workload) in &diff.added {
         println!("ADDED    {figure}/{config} [{workload}]: not in the baseline, not gated");
@@ -211,7 +265,7 @@ mod tests {
     fn every_moved_row_is_listed_worst_first_and_counted() {
         let diff = Diff::new(&parse_rows(BASELINE), &parse_rows(FRESH));
         let moved: Vec<(&Key, f64, f64)> =
-            diff.moved.iter().map(|(_, key, base, fresh)| (key, *base, *fresh)).collect();
+            diff.moved.iter().map(|(_, key, base, fresh)| (key, base.ops, fresh.ops)).collect();
         assert_eq!(
             moved,
             [
@@ -236,8 +290,42 @@ mod tests {
 }"#;
         let rows = parse_rows(doc);
         assert_eq!(rows.len(), 2, "{rows:?}");
-        assert_eq!(rows[&key("fig2", r#"a\"b"#, "read100")], 1.0);
-        assert_eq!(rows[&key("fig2", r#"a\"c"#, "read100")], 2.0);
+        assert_eq!(rows[&key("fig2", r#"a\"b"#, "read100")].ops, 1.0);
+        assert_eq!(rows[&key("fig2", r#"a\"c"#, "read100")].ops, 2.0);
+    }
+
+    #[test]
+    fn a_closed_loop_row_says_which_measure_moved() {
+        let row = |ops: f64, gauges: &str| {
+            format!(
+                "{{\"figure\": \"fig7\", \"config\": \"p1@8threads\", \"workload\": \"E\", \
+                 \"ops_per_sec\": {ops}, \"p50_us\": 1.000, \"debt_bytes\": 7{gauges}}}"
+            )
+        };
+        let rows = |ops, gauges| parse_rows(&row(ops, gauges));
+        let base = rows(1000.0, ", \"charged_us_per_op\": 8.0000, \"mean_finish_us\": 900.000");
+        let k = key("fig7", "p1@8threads", "E");
+        assert_eq!(base[&k], Row { ops: 1000.0, closed_loop: Some((8.0, 900.0)) });
+        let note = |ops, gauges| {
+            let diff = Diff::new(&base, &rows(ops, gauges));
+            let (rel, _, b, f) = &diff.moved[0];
+            closed_loop_note(*rel, b, f)
+        };
+        // Down on throughput while each op was charged less: the schedule.
+        assert_eq!(
+            note(999.0, ", \"charged_us_per_op\": 7.6000, \"mean_finish_us\": 909.000").unwrap(),
+            "charged/op -5.00%, mean client finish +1.00%: the schedule moved against the work"
+        );
+        assert_eq!(
+            note(1010.0, ", \"charged_us_per_op\": 7.6000, \"mean_finish_us\": 891.000").unwrap(),
+            "charged/op -5.00%, mean client finish -1.00%: the work moved"
+        );
+        assert_eq!(
+            note(990.0, ", \"charged_us_per_op\": 8.0000, \"mean_finish_us\": 909.000").unwrap(),
+            "charged/op +0.00%, mean client finish +1.00%: the schedule moved, not the work"
+        );
+        // A single-client row (or an older baseline) carries neither.
+        assert_eq!(note(990.0, ""), None);
     }
 
     #[test]

@@ -39,6 +39,10 @@ struct ResultEntry {
     /// debt and fig14 tracks value-log residency and verified-cache hit
     /// ratios next to the throughput they explain.
     pub gauges: Vec<(String, u64)>,
+    /// A closed-loop (multi-client) row's two measures of the work behind
+    /// its throughput: the charged time per op and the mean client finish
+    /// (µs), rendered after the gauges. Single-client rows have none.
+    pub closed_loop: Option<(f64, f64)>,
 }
 
 struct Sink {
@@ -67,12 +71,14 @@ pub fn note_run(report: &RunReport) {
 /// hit/miss counters, …) attached to the same entry.
 pub fn note_run_gauges(report: &RunReport, gauges: &[(&str, u64)]) {
     let ops_per_sec = if report.overall.mean_us > 0.0 { 1e6 / report.overall.mean_us } else { 0.0 };
-    push_entry(None, report, ops_per_sec, gauges);
+    push_entry(None, report, ops_per_sec, gauges, None);
 }
 
 /// Records a multi-client scaling measurement under the current figure,
 /// labeled with the system under test and the client count; throughput is
-/// operations over the phase's makespan.
+/// operations over the phase's makespan. The row also carries the charged
+/// time per op and the mean client finish, which tell a change in the
+/// work from a change in how the closed loop scheduled it.
 pub fn note_concurrent(system: &str, report: &RunReport) {
     note_concurrent_gauges(system, report, &[]);
 }
@@ -82,7 +88,8 @@ pub fn note_concurrent(system: &str, report: &RunReport) {
 /// throughput it explains.
 pub fn note_concurrent_gauges(system: &str, report: &RunReport, gauges: &[(&str, u64)]) {
     let config = format!("{system}@{}threads", report.clients);
-    push_entry(Some(config), report, report.kops_per_sec * 1_000.0, gauges);
+    let closed_loop = Some((report.charged_us_per_op, report.mean_finish_us));
+    push_entry(Some(config), report, report.kops_per_sec * 1_000.0, gauges, closed_loop);
 }
 
 /// The one entry-recording path every `note_*` helper funnels through.
@@ -93,6 +100,7 @@ fn push_entry(
     report: &RunReport,
     ops_per_sec: f64,
     gauges: &[(&str, u64)],
+    closed_loop: Option<(f64, f64)>,
 ) {
     let mut s = SINK.lock().unwrap();
     let config = config.unwrap_or_else(|| {
@@ -110,6 +118,7 @@ fn push_entry(
         p99_us: report.overall.p99_us,
         p999_us: report.overall.p999_us,
         gauges: gauges.iter().map(|(k, v)| (k.to_string(), *v)).collect(),
+        closed_loop,
     });
 }
 
@@ -126,6 +135,12 @@ fn render_json(mode: &str, start: usize) -> String {
         let mut gauges = String::new();
         for (name, value) in &e.gauges {
             let _ = write!(gauges, ", \"{}\": {value}", json_escape(name));
+        }
+        if let Some((charged, finish)) = e.closed_loop {
+            let _ = write!(
+                gauges,
+                ", \"charged_us_per_op\": {charged:.4}, \"mean_finish_us\": {finish:.3}"
+            );
         }
         let _ = writeln!(
             out,
@@ -189,6 +204,8 @@ mod tests {
             writes: LatencySummary::default(),
             read_hit_rate: 1.0,
             serial_fraction: 0.1,
+            charged_us_per_op: 1.25,
+            mean_finish_us: 0.75,
         }
     }
 
@@ -211,7 +228,11 @@ mod tests {
         let json = render_json("test", 0);
         assert!(json.contains("\"config\": \"p2@8threads\""));
         assert!(json.contains("\"ops_per_sec\": 5000.0"));
-        assert!(json.contains("\"debt_bytes\": 4096, \"cache_hits\": 77"));
+        assert!(json.contains(
+            "\"debt_bytes\": 4096, \"cache_hits\": 77, \"charged_us_per_op\": 1.2500, \
+             \"mean_finish_us\": 0.750}"
+        ));
+        assert!(json.contains("\"p999_us\": 4.500},"), "a single-client row ends at its latencies");
     }
 
     // Explicit config labels only: this test must not move the shared

@@ -48,10 +48,13 @@
 //! order, one WAL frame appended per batch (the frame is the crash
 //! atomicity unit), every record installed in the memtable. Followers
 //! sleep on a condvar until the leader publishes their timestamps. The
-//! per-commit fixed costs (operation bookkeeping, host exits for the WAL,
-//! the listener's trusted-state fold) are paid once per group instead of
-//! once per record — the ecall/ocall amortization the eLSM paper names as
-//! the dominant enclave tax on writes.
+//! per-commit fixed costs (operation bookkeeping, the listener's
+//! trusted-state fold, and — where the WAL is not mapped — the host exit
+//! that pushes each frame) are paid once per group instead of once per
+//! record — the ecall/ocall amortization the eLSM paper names as the
+//! dominant enclave tax on writes. A store that maps its files writes its
+//! frames through a mapping of the log and does not leave the enclave to
+//! commit at all, but to map or grow the log (`wal` module docs).
 //!
 //! All observable events fire on the configured [`StoreListener`], which is
 //! how the `elsm` crate adds authentication without modifying this crate.
@@ -605,10 +608,11 @@ impl Db {
     /// operation, in batch order.
     ///
     /// Concurrent writers' batches are coalesced by a leader (LevelDB-style
-    /// group commit): the whole group pays one write-lock acquisition, one
-    /// fixed bookkeeping charge, and one WAL host exit per batch — while
-    /// each batch stays its own atomic WAL frame, so a crash either
-    /// persists a batch whole or drops it whole.
+    /// group commit): the whole group pays one write-lock acquisition and
+    /// one fixed bookkeeping charge, and each batch one WAL push (a host
+    /// exit unless the log is mapped) — while each batch stays its own
+    /// atomic WAL frame, so a crash either persists a batch whole or drops
+    /// it whole.
     ///
     /// # Errors
     ///
@@ -963,6 +967,33 @@ pub(crate) mod tests {
         db.write_batch(batch).unwrap();
         let ocalls = db.env().platform().stats().ocalls - ocalls0;
         assert_eq!(ocalls, 1, "one WAL exit per batch, not per record");
+    }
+
+    #[test]
+    fn a_mapped_log_is_one_host_exit_per_mapping() {
+        // With its files mapped, a store's first commit has the host map
+        // the log; every later frame — a local batch, a delete, a
+        // replicated frame's replay — is copied into the mapping.
+        let mapped = crate::env::EnvConfig {
+            use_mmap: true,
+            block_cache_bytes: 0,
+            ..crate::env::EnvConfig::default()
+        };
+        let db = open_db(Options { env: mapped, write_buffer_bytes: 1 << 20, ..small_options() });
+        let ocalls = || db.env().platform().stats().ocalls;
+        let ocalls0 = ocalls();
+        db.put(b"first", b"v").unwrap();
+        assert_eq!(ocalls() - ocalls0, 1, "the first commit maps the log");
+        let mut batch = WriteBatch::new();
+        for i in 0..16 {
+            batch.put(format!("k{i:02}").into_bytes(), b"v".as_slice());
+        }
+        db.write_batch(batch).unwrap();
+        db.delete(b"first").unwrap();
+        db.apply_replicated_batch(&[Record::put(b"replayed".as_slice(), b"r".as_slice(), 1_000)])
+            .unwrap();
+        assert_eq!(ocalls() - ocalls0, 1, "later frames stay in the enclave");
+        assert_eq!(&db.get(b"replayed").unwrap().unwrap().value[..], b"r");
     }
 
     #[test]

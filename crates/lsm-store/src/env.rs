@@ -4,15 +4,18 @@
 //! One [`StorageEnv`] value captures a complete configuration from the
 //! paper's design space (Table 1):
 //!
-//! | Configuration | `in_enclave` | cache placement | `use_mmap` | `sealed_files` |
-//! |---|---|---|---|---|
-//! | eLSM-P1 | yes | [`Placement::Enclave`] | no (impossible) | yes (SDK protection) |
-//! | eLSM-P2 (buffer) | yes | [`Placement::Untrusted`] | no | no (Merkle proofs instead) |
-//! | eLSM-P2 (mmap) | yes | — | yes | no |
-//! | unsecured LevelDB | no | [`Placement::Untrusted`] | either | no |
+//! | Configuration | `in_enclave` | cache placement | `use_mmap` | `sealed_files` | WAL commit |
+//! |---|---|---|---|---|---|
+//! | eLSM-P1 | yes | [`Placement::Enclave`] | no (impossible) | yes (SDK protection) | one OCall per frame |
+//! | eLSM-P2 (buffer) | yes | [`Placement::Untrusted`] | no | no (Merkle proofs instead) | one OCall per frame |
+//! | eLSM-P2 (mmap) | yes | — | yes | no | copy into the mapped log; one OCall per mapping growth |
+//! | unsecured LevelDB | no | [`Placement::Untrusted`] | either | no | no world switch |
 //!
 //! Every file read/write routes through here so the right OCalls, copies,
-//! paging and sealing costs are charged.
+//! paging and sealing costs are charged. A store that maps its files also
+//! appends its WAL through a mapping ([`StorageEnv::append_mapped`]);
+//! table, manifest and value-log writes go through the host
+//! ([`StorageEnv::append`]).
 
 use std::sync::Arc;
 
@@ -180,13 +183,38 @@ impl StorageEnv {
         }
     }
 
-    /// Appends to a file (write path: WAL appends, table builds).
+    /// Appends to a file through the host (table and manifest writes,
+    /// value-log batches, and the WAL of a store that maps no files): one
+    /// OCall in enclave mode.
     pub fn append(&self, file: &SimFile, bytes: &[u8]) {
         self.host_call(|| file.append(bytes));
         if self.config.in_enclave {
             // The written bytes cross the boundary from enclave to host.
             self.platform.cross_copy(bytes.len());
         }
+    }
+
+    /// Has the host create or grow the mapping of a log in untrusted
+    /// memory that [`StorageEnv::append_mapped`] writes through: one OCall
+    /// in enclave mode (`ftruncate` and `mmap` are the host's). The
+    /// mapping's tail past the written bytes is sparse — it holds no disk
+    /// blocks, and the file's length stays the bytes written.
+    pub fn map_log(&self) {
+        self.host_call(|| ());
+    }
+
+    /// Appends through a mapping of `file` in untrusted memory, which the
+    /// caller has had [`StorageEnv::map_log`] extend past the file's new
+    /// end: the enclave copies the bytes across the boundary into the
+    /// mapping and does not leave; the kernel's writeback of the dirty
+    /// pages is host time the enclave does not wait in an OCall for. Once
+    /// the copy completes the bytes are on the host, as after a `write()`.
+    pub fn append_mapped(&self, file: &SimFile, bytes: &[u8]) {
+        if self.config.in_enclave {
+            self.platform.cross_copy(bytes.len());
+        }
+        let _writeback = sgx_sim::host_scope();
+        file.append(bytes);
     }
 
     /// Reads a data block, applying (in order): block cache or mmap, OCall
@@ -384,6 +412,23 @@ mod tests {
         let got = env.read_block(1, &f, Some(&map), 100, 50).unwrap();
         assert_eq!(got, Bytes::from(vec![7u8; 50]));
         assert_eq!(env.platform().stats().ocalls, ocalls0);
+    }
+
+    #[test]
+    fn mapped_appends_stay_in_the_enclave() {
+        let (env, fs) =
+            env_with(EnvConfig { use_mmap: true, block_cache_bytes: 0, ..EnvConfig::default() });
+        let f = fs.create("log").unwrap();
+        let p = env.platform().clone();
+        let before = sgx_sim::thread_charges();
+        let mutations = fs.mutations();
+        p.ecall(|| env.append_mapped(&f, &[5u8; 1024]));
+        let d = sgx_sim::thread_charges().since(&before);
+        assert_eq!((d.ecalls, d.ocalls, d.cross_copy_bytes), (1, 0, 1024));
+        assert!(d.host_ns > 0, "writeback is host time");
+        assert_eq!((f.len(), fs.mutations() - mutations), (1024, 1), "one append, as written");
+        p.ecall(|| env.map_log());
+        assert_eq!(sgx_sim::thread_charges().since(&before).ocalls, 1, "a mapping is one OCall");
     }
 
     #[test]

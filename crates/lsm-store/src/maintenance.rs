@@ -233,7 +233,7 @@ impl Db {
             self.stats.flushes.inc();
             let imm = Arc::new(std::mem::replace(&mut inner.memtable, MemTable::new()));
             let old_wal = wal_name(inner.wal_no);
-            inner.wal = WalWriter::new(self.env.clone(), wal_file);
+            inner.wal = WalWriter::new(self.env.clone(), wal_file, self.options.write_buffer_bytes);
             inner.wal_no = new_wal_no;
             // A commit folds its records into the listener after it let go
             // of this lock; the rotation is heard once the closed log's

@@ -7,7 +7,9 @@ use crate::sstable::TableOptions;
 /// When acknowledged writes reach the host-side WAL: always before the
 /// writer is acknowledged, one push per commit group, so a crash leaves
 /// every acknowledged batch in the log (a torn frame drops only its own,
-/// unacknowledged, batch on recovery).
+/// unacknowledged, batch on recovery). A frame copied into a mapping of
+/// the log is pushed once the copy completes, as a `write()` without
+/// `fsync` is.
 ///
 /// The enum has one policy. It and the `wal_sync` fields stay because
 /// `benchmark/` spells out every option it sets, these included.

@@ -12,7 +12,18 @@
 //!
 //! Each frame is pushed to the host before its commit group is
 //! acknowledged: a write is acknowledged only once its frame is on the
-//! host, so a crash leaves every acknowledged batch in the log.
+//! host, so a crash leaves every acknowledged batch in the log. How it is
+//! pushed depends on the environment. A store that maps its files into
+//! untrusted memory (`EnvConfig::use_mmap`, eLSM-P2's default) copies the
+//! frame into a host-provided mapping of the log and stays in the enclave;
+//! only creating or growing the mapping — geometrically, from the write
+//! buffer's size — leaves it, once (`StorageEnv::map_log`). Any other
+//! enclave store (eLSM-P1's sealed files, P2 reading through a buffer)
+//! appends each frame in one OCall.
+//!
+//! A real mapping is preallocated, so the file holds zeros after the last
+//! frame. Recovery stops there as at a torn tail: a zero header is no
+//! frame (its empty payload has no record count).
 //!
 //! In eLSM the WAL *storage* lives outside the enclave while the enclave
 //! keeps a running hash of its contents (§5.3, step w1); the hash
@@ -36,6 +47,12 @@ pub struct WalWriter {
     /// The frame being pushed: every frame is encoded here and pushed at
     /// once, so one buffer serves every commit of the log.
     frame: Vec<u8>,
+    /// Bytes of the log the host has mapped for the enclave to append
+    /// through (mapped environments only; 0 before the first append).
+    mapped: usize,
+    /// The first mapping's size: the write buffer's, about one log's worth
+    /// of frames (a flush rotates the log).
+    map_initial: usize,
 }
 
 /// Encodes one batch frame: `[len][crc][varint count][records…]`.
@@ -88,20 +105,37 @@ pub fn encode_frame_into(records: &[Record], out: &mut Vec<u8>) {
 }
 
 impl WalWriter {
-    /// Wraps an (empty or existing) log file for appending.
-    pub fn new(env: Arc<StorageEnv>, file: Arc<SimFile>) -> Self {
-        WalWriter { env, file, records: 0, frame: Vec::new() }
+    /// Wraps an (empty or existing) log file for appending; in a mapped
+    /// environment its first mapping spans `map_initial` bytes (the write
+    /// buffer's size) or the doubling of it that holds the first frame.
+    pub fn new(env: Arc<StorageEnv>, file: Arc<SimFile>, map_initial: usize) -> Self {
+        WalWriter { env, file, records: 0, frame: Vec::new(), mapped: 0, map_initial }
     }
 
     /// Appends one batch as a single atomic frame and pushes it to the
-    /// host in one append (one OCall in enclave mode); returns the frame's
-    /// encoded size in bytes (how the store meters WAL traffic).
+    /// host in one append — through the log's mapping when the
+    /// environment maps files (an OCall only when the mapping must grow),
+    /// otherwise one OCall in enclave mode; returns the frame's encoded
+    /// size in bytes (how the store meters WAL traffic).
     pub fn append_batch(&mut self, records: &[Record]) -> usize {
         if records.is_empty() {
             return 0;
         }
         encode_frame_into(records, &mut self.frame);
-        self.env.append(&self.file, &self.frame);
+        if self.env.config().use_mmap {
+            let end = self.file.len() + self.frame.len();
+            if end > self.mapped {
+                let mut mapped = self.mapped.max(self.map_initial).max(1);
+                while mapped < end {
+                    mapped *= 2;
+                }
+                self.mapped = mapped;
+                self.env.map_log();
+            }
+            self.env.append_mapped(&self.file, &self.frame);
+        } else {
+            self.env.append(&self.file, &self.frame);
+        }
         let frame_len = self.frame.len();
         self.frame.clear();
         self.records += records.len() as u64;
@@ -235,7 +269,7 @@ mod tests {
     }
 
     fn writer(env: &Arc<StorageEnv>, file: Arc<SimFile>) -> WalWriter {
-        WalWriter::new(env.clone(), file)
+        WalWriter::new(env.clone(), file, 4096)
     }
 
     #[test]
@@ -393,6 +427,44 @@ mod tests {
             before + 1,
             "one host exit per batch, not per record"
         );
+    }
+
+    #[test]
+    fn a_mapped_log_leaves_once_per_doubling_of_its_mapping() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let mapped = EnvConfig { use_mmap: true, block_cache_bytes: 0, ..EnvConfig::default() };
+        let env = StorageEnv::new(platform.clone(), fs.clone(), mapped, None);
+        let file = fs.create("wal").unwrap();
+        let mut w = WalWriter::new(env.clone(), file.clone(), 1024);
+        let records = sample(100);
+        // The log's end after each frame whose append had the host map or
+        // grow the mapping.
+        let mut exits = Vec::new();
+        for r in &records {
+            let before = platform.stats().ocalls;
+            w.append_batch(std::slice::from_ref(r));
+            if platform.stats().ocalls > before {
+                exits.push(file.len());
+            }
+        }
+        let first_past = |cap: usize| {
+            let mut end = 0;
+            records
+                .iter()
+                .map(|r| {
+                    end += encode_frame(std::slice::from_ref(r)).len();
+                    end
+                })
+                .find(|&end| end > cap)
+                .unwrap()
+        };
+        let first = encode_frame(&records[..1]).len();
+        assert_eq!(exits, [first, first_past(1024), first_past(2048)], "1, 2, 4 KiB mappings");
+        assert_eq!(recover(&env, &file).unwrap(), records);
+        let written: usize =
+            records.iter().map(|r| encode_frame(std::slice::from_ref(r)).len()).sum();
+        assert_eq!(file.len(), written, "the file holds the frames, not the mapping");
     }
 
     #[test]

@@ -84,7 +84,9 @@ pub fn enclave_scope() -> WorldScope {
 
 /// Marks the calling thread as executing untrusted (host) code until the
 /// returned guard drops (what [`Platform::ocall`](crate::Platform::ocall)
-/// does for its closure).
+/// does for its closure). Inside an ecall, this charges host work that no
+/// world switch starts — the kernel's writeback of pages the enclave wrote
+/// through a mapping of untrusted memory: host time, no transition.
 pub fn host_scope() -> WorldScope {
     enter(World::Host)
 }

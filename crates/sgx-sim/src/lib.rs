@@ -13,7 +13,9 @@
 //!   charging realistic page-in/page-out costs — this produces the
 //!   in-enclave-buffer blow-up of Figures 2, 5 and 6.
 //! * **World switches** ([`Platform::ecall`]/[`Platform::ocall`]): every
-//!   enclave transition charges a fixed cost and is counted.
+//!   enclave transition charges a fixed cost and is counted. Host work that
+//!   no switch starts — the kernel writing back pages the enclave wrote
+//!   through a mapping — is host time with no transition ([`host_scope`]).
 //! * **Memory traffic**: copies across the boundary are ~3× ordinary DRAM
 //!   (MEE encryption), reproducing the "extra copy" penalty (S1 in §4.2).
 //! * **Disk**: seek + sequential-transfer charging for the simulated drive.

@@ -417,6 +417,22 @@ mod tests {
     }
 
     #[test]
+    fn a_host_scope_in_an_ecall_is_host_time_without_a_switch() {
+        let p = Platform::with_defaults();
+        let before = crate::thread_charges();
+        p.ecall(|| {
+            let _host = crate::host_scope();
+            p.charge_disk_transfer(4096);
+        });
+        let d = crate::thread_charges().since(&before);
+        assert_eq!((d.ecalls, d.ocalls), (1, 0), "no exit for host work");
+        assert_eq!(d.host_ns, CostModel::copy_cost(p.cost().disk_ns_per_kb, 4096));
+        assert_eq!(d.boundary_ns, p.cost().ecall_ns);
+        assert_eq!(crate::current_world(), crate::World::Host, "the scope ends with the call");
+        assert_eq!(p.time_split().total_ns(), p.clock().now_ns());
+    }
+
+    #[test]
     fn touch_within_epc_faults_once() {
         let p = tiny_platform(16);
         let r = p.enclave_alloc(8 * PAGE_SIZE);

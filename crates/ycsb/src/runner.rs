@@ -191,6 +191,15 @@ pub struct RunReport {
     /// Fraction of all charged virtual time spent in serial sections —
     /// the Amdahl ceiling of the run.
     pub serial_fraction: f64,
+    /// Virtual time the ops themselves were charged, per op (µs): each
+    /// op's span on the machines it touched plus router time, with no
+    /// queueing. The work a closed-loop row measures, whatever the
+    /// schedule made of it.
+    pub charged_us_per_op: f64,
+    /// Mean over clients of the time each finished its last op (µs) —
+    /// beside `elapsed_us`, the last client's finish, it shows how much of
+    /// a makespan change is one slow client.
+    pub mean_finish_us: f64,
 }
 
 /// Loads `record_count` records (the YCSB load phase).
@@ -284,6 +293,7 @@ struct Tally {
     charged_total: u64,
     charged_serial: u64,
     elapsed_ns: u64,
+    finish_sum_ns: u64,
 }
 
 impl Tally {
@@ -308,6 +318,8 @@ impl Tally {
             } else {
                 self.charged_serial as f64 / self.charged_total as f64
             },
+            charged_us_per_op: self.charged_total as f64 / 1_000.0 / ops.max(1) as f64,
+            mean_finish_us: self.finish_sum_ns as f64 / 1_000.0 / clients.max(1) as f64,
         }
     }
 }
@@ -405,6 +417,7 @@ fn schedule(
         ops_done[i] += 1;
     }
     tally.elapsed_ns = free_at.iter().copied().max().unwrap_or(0);
+    tally.finish_sum_ns = free_at.iter().sum();
     tally
 }
 
