@@ -9,12 +9,12 @@
 //!   run API (`Run::walk`, the records and both neighbours of a level in
 //!   one forward pass), and the whole capture (`Db::scan_with_trace` /
 //!   `Db::get_with_trace`);
-//! * the verifier as a whole (`ElsmP2::verify_scan_trace` /
-//!   `verify_get_trace`), and each kind of work it does: envelope parse
-//!   (`envelope::open_record`) and leaf hash (`merkle::chain_link_parts`
-//!   over the canonical pieces) timed on every record the trace presents,
-//!   walk hash (`merkle::node_hash`), clock charge
-//!   (`Platform::charge_hash`) and counter add timed alone and multiplied
+//! * the verifier as a whole (`TrustedState::verify_scan` / `verify_get`
+//!   on the trace the capture hands its check), and each kind of work it
+//!   does: envelope parse (`envelope::open_record`) and leaf hash
+//!   (`merkle::chain_link_parts` over the canonical pieces) timed on every
+//!   record the trace presents, walk hash (`merkle::node_hash`), clock
+//!   charge (`Platform::charge_hash`) and counter add timed alone and multiplied
 //!   by how often the verifier does them (`VerifyStats`; one charge and
 //!   six counter adds per query), and the merge of the levels' answers
 //!   (`ScanTrace::merged`, the same sort the verifier runs), and the
@@ -339,7 +339,7 @@ fn main() {
     let [proofs, nodes, levels] = counts_over(&store, || {
         verify = on_trace(&|from, to, trace| {
             timed(|| {
-                black_box(store.verify_scan_trace(from, to, trace).expect("verified"));
+                black_box(store.trusted().verify_scan(from, to, trace).expect("verified"));
             })
         });
     });
@@ -359,7 +359,7 @@ fn main() {
     let fixed = best_timed(&past, |(from, to)| {
         let verify = |trace: &ScanTrace| {
             timed(|| {
-                black_box(store.verify_scan_trace(from, to, trace).expect("verified"));
+                black_box(store.trusted().verify_scan(from, to, trace).expect("verified"));
             })
         };
         db.scan_with_trace(from, to, verify).expect("read")
@@ -379,7 +379,7 @@ fn main() {
     let mut rows = verifier_rows([proofs, nodes, walks], [parse_ns, leaf_ns, path_ns], units);
     rows.push(Row("merge", merge, "ScanTrace::merged".into()));
     rows.push(Row("levels, no record", fixed, "a range past the last key".into()));
-    print("SCAN enclave verify (ns per scan)", ("verify_scan_trace", verify), &rows);
+    print("SCAN enclave verify (ns per scan)", ("TrustedState::verify_scan", verify), &rows);
     println!(
         "SCAN whole {whole:.0} ns = capture {capture:.0} + verify {verify:.0} + reply and ecall {:.0}",
         whole - capture - verify
@@ -396,7 +396,7 @@ fn main() {
     let [proofs, nodes, levels] = counts_over(&store, || {
         verify = on_trace(&|k, trace| {
             timed(|| {
-                black_box(store.verify_get_trace(k, trace).expect("verified"));
+                black_box(store.trusted().verify_get(k, trace).expect("verified"));
             })
         });
     });
@@ -413,7 +413,7 @@ fn main() {
         levels / PASSES as f64
     );
     let rows = verifier_rows([proofs, nodes, walks], [parse_ns, leaf_ns, path_ns], units);
-    print("GET enclave verify (ns per GET)", ("verify_get_trace", verify), &rows);
+    print("GET enclave verify (ns per GET)", ("TrustedState::verify_get", verify), &rows);
     println!(
         "GET whole {whole:.0} ns = capture {capture:.0} + verify {verify:.0} + reply and ecall {:.0}",
         whole - capture - verify

@@ -11,7 +11,7 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use elsm_enclave::failure::audit;
-use lsm_store::{Db, GetTrace, Options, ReadMode, ScanTrace, StorageEnv, Timestamp, ValueKind};
+use lsm_store::{Db, Options, ReadMode, StorageEnv, Timestamp, ValueKind};
 use sgx_sim::{BufferedCounter, MonotonicCounter, Platform};
 use sim_disk::{FsError, SimDisk, SimFs};
 
@@ -649,66 +649,6 @@ impl ElsmP2 {
                 Ok(out)
             })
         })?
-    }
-}
-
-/// Exposes trace-level entry points so adversary tests can feed tampered
-/// traces directly into the verifier.
-impl ElsmP2 {
-    /// Runs the GET verifier on an externally supplied trace and hands
-    /// back what it hands `get`: the verified answer.
-    ///
-    /// # Errors
-    ///
-    /// Returns the detected [`VerificationFailure`].
-    pub fn verify_get_trace<'t>(
-        &self,
-        key: &[u8],
-        trace: &'t GetTrace,
-    ) -> Result<Option<Verified<'t>>, VerificationFailure> {
-        let verdict = self.trusted.verify_get(key, trace);
-        if let Err(failure) = &verdict {
-            self.audit_failure(failure);
-        }
-        verdict
-    }
-
-    /// Runs the SCAN verifier on an externally supplied trace and hands
-    /// back what it hands `scan`: the verified result.
-    ///
-    /// # Errors
-    ///
-    /// Returns the detected [`VerificationFailure`].
-    pub fn verify_scan_trace<'t>(
-        &self,
-        from: &[u8],
-        to: &[u8],
-        trace: &'t ScanTrace,
-    ) -> Result<Vec<Verified<'t>>, VerificationFailure> {
-        let verdict = self.trusted.verify_scan(from, to, trace);
-        if let Err(failure) = &verdict {
-            self.audit_failure(failure);
-        }
-        verdict
-    }
-
-    /// Produces a raw (unverified) trace — adversary tests tamper with
-    /// this before feeding it back to the verifier.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ElsmError::Io`] on storage errors.
-    pub fn raw_get_trace(&self, key: &[u8]) -> Result<GetTrace, ElsmError> {
-        Ok(self.db.get_with_trace(key, GetTrace::clone)?)
-    }
-
-    /// Produces a raw (unverified) scan trace.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ElsmError::Io`] on storage errors.
-    pub fn raw_scan_trace(&self, from: &[u8], to: &[u8]) -> Result<ScanTrace, ElsmError> {
-        Ok(self.db.scan_with_trace(from, to, ScanTrace::clone)?)
     }
 }
 

@@ -63,7 +63,7 @@
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex as StdMutex};
+use std::sync::{Arc, Condvar, Mutex as StdMutex, OnceLock};
 
 use bytes::Bytes;
 use parking_lot::{Mutex, RwLock};
@@ -76,6 +76,7 @@ use crate::env::StorageEnv;
 use crate::events::{ReplicationEvent, ReplicationSink, StoreListener};
 use crate::memtable::MemTable;
 use crate::options::Options;
+use crate::read::Interposer;
 use crate::record::{Record, Timestamp, ValueKind};
 use crate::recovery::MANIFEST;
 use crate::version::Version;
@@ -330,6 +331,9 @@ pub struct Db {
     /// files (so pointer records stay readable after separation is turned
     /// off). New separation happens only while [`Options::vlog`] is set.
     pub(crate) vlog: Option<Arc<Vlog>>,
+    /// Host code a verified read hands its trace to before the check (see
+    /// [`Db::interpose`]); empty unless a host installed one.
+    pub(crate) interposer: OnceLock<Arc<dyn Interposer>>,
 }
 
 impl std::fmt::Debug for Db {
@@ -403,6 +407,7 @@ impl Db {
             metrics: StoreMetrics::new(&options.telemetry),
             repl: RwLock::new(None),
             vlog,
+            interposer: OnceLock::new(),
             options,
         };
         if !recovering {

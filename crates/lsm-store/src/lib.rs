@@ -60,6 +60,7 @@ pub use events::{
     Verbatim,
 };
 pub use options::{Options, VlogConfig, WalSyncPolicy};
+pub use read::Interposer;
 pub use record::{
     internal_cmp, EncodedParts, InternalKey, Record, RecordView, Timestamp, ValueKind,
 };

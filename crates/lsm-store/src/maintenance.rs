@@ -44,11 +44,12 @@ use crate::version::{Run, Version};
 use crate::vlog::{decode_pointer, encode_pointer, vlog_name};
 use crate::wal::WalWriter;
 
-/// How many of the most recent epochs stay verifiable with no live reader
-/// pinning them: a detached trace-then-verify flow (adversary harnesses,
-/// replication cross-checks, a client verifying a raw trace) collects a
-/// trace and verifies it later, and this floor keeps its epoch's version —
-/// and the listener's snapshot for it — alive across that window.
+/// How many of the most recent epochs keep their version — and the
+/// listener's snapshot for it — with no live reader pinning them. A read
+/// pins its own version, so no read needs the floor; what does is the
+/// replicas' fork probe: an announcement relayed out of band
+/// (`Replica::observe_announcement`) is cross-checked against the
+/// replica's own snapshot of that epoch while it still holds one.
 const RETIRED_EPOCH_FLOOR: u64 = 8;
 
 /// One finished merge: the output run (None when everything was purged)
@@ -158,7 +159,7 @@ impl Db {
         inner.live.push(next);
         let newest = inner.current.epoch();
         // A version has drained when only the live list itself holds it.
-        // Keep a small floor of recent epochs for detached-trace flows.
+        // Keep a small floor of recent epochs for fork probes.
         inner.live.retain(|v| {
             v.epoch() == newest
                 || Arc::strong_count(v) > 1

@@ -6,6 +6,9 @@
 //! held (see the concurrency model in [`crate::db`]). What a query found is
 //! a [`GetTrace`] / [`ScanTrace`]; the answer is derived from the trace
 //! ([`GetTrace::answer`], [`ScanTrace::merged`]), never stored beside it.
+//!
+//! A verified read's trace passes one host-side seam on its way to the
+//! check: the [`Interposer`] a host may install ([`Db::interpose`]).
 
 use std::sync::Arc;
 
@@ -17,7 +20,34 @@ use crate::sstable::NeighborPolicy;
 use crate::version::{GetTrace, LevelOutcome, LevelRange, LevelSearch, ScanTrace, Version, Walk};
 use crate::vlog::{decode_pointer, vlog_name};
 
+/// Host code on a verified read's path, between the capture of its trace
+/// and the caller's check: it sees the trace and may rewrite or replace
+/// it. The engine installs none. The adversary of the paper's threat model
+/// (§3.3) controls the host's software, so a store run by such a host is
+/// modelled by installing one ([`Db::interpose`]): it can observe, mutate,
+/// withhold or replay what [`Db::get_with_trace`] / [`Db::scan_with_trace`]
+/// hand the enclave, and nothing else. The unauthenticated [`Db::get`] /
+/// [`Db::scan`] check nothing and pass nothing through it.
+pub trait Interposer: Send + Sync {
+    /// The trace a verified GET captured.
+    fn get(&self, trace: &mut GetTrace);
+
+    /// The trace a verified SCAN captured.
+    fn scan(&self, trace: &mut ScanTrace);
+}
+
 impl Db {
+    /// Installs `host` on every later verified read's path (see
+    /// [`Interposer`]). With none installed a read pays one load and one
+    /// branch for the seam.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an interposer is already installed: a store has one host.
+    pub fn interpose(&self, host: Arc<dyn Interposer>) {
+        assert!(self.interposer.set(host).is_ok(), "a store takes one interposer");
+    }
+
     /// Point query at the latest timestamp; tombstones read as absent.
     ///
     /// This is the unauthenticated fast path: definite Bloom misses return
@@ -61,9 +91,10 @@ impl Db {
 
     /// Point query handing the full per-level trace (the middleware
     /// interface eLSM builds proofs from) to `check`, whose value it
-    /// returns. Search stops at the first level with a record for the key
-    /// — the paper's early stop — and passes over, with no IO and no entry
-    /// in the trace, a run whose key range does not hold the key
+    /// returns, through the installed [`Interposer`] if there is one.
+    /// Search stops at the first level with a record for the key — the
+    /// paper's early stop — and passes over, with no IO and no entry in the
+    /// trace, a run whose key range does not hold the key
     /// ([`Run::meets`](crate::Run::meets)).
     ///
     /// The trace is collected against an immutable [`Version`] snapshot;
@@ -85,7 +116,10 @@ impl Db {
         check: impl FnOnce(&GetTrace) -> T,
     ) -> Result<T, FsError> {
         let (mem_hit, version) = self.read_view(key);
-        let trace = self.get_on_version(&version, mem_hit, key, NeighborPolicy::Required)?;
+        let mut trace = self.get_on_version(&version, mem_hit, key, NeighborPolicy::Required)?;
+        if let Some(host) = self.interposer.get() {
+            host.get(&mut trace);
+        }
         // `version` is pinned until `check` returns: the epoch may drain
         // only after verification.
         Ok(check(&trace))
@@ -155,7 +189,8 @@ impl Db {
     }
 
     /// Range query at the latest timestamp handing the full per-level
-    /// trace to `check`, whose value it returns. Unlike GET, every level is
+    /// trace to `check`, whose value it returns, through the installed
+    /// [`Interposer`] if there is one. Unlike GET, every level is
     /// visited (§5.4) — but for a run whose key range the query does not
     /// meet ([`Run::meets`](crate::Run::meets)), which the trace leaves out
     /// as a GET's does. Collected against a pinned version with no store
@@ -172,7 +207,10 @@ impl Db {
         check: impl FnOnce(&ScanTrace) -> T,
     ) -> Result<T, FsError> {
         let (mem, version) = self.scan_view(from, to);
-        let trace = self.scan_on_version(&version, mem, from, to, NeighborPolicy::Required)?;
+        let mut trace = self.scan_on_version(&version, mem, from, to, NeighborPolicy::Required)?;
+        if let Some(host) = self.interposer.get() {
+            host.scan(&mut trace);
+        }
         Ok(check(&trace)) // with `version` still pinned
     }
 

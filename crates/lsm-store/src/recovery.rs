@@ -269,7 +269,12 @@ impl Db {
                 listener.on_wal_rotate();
             }
             let Ok(file) = env.fs().open(&wal_name(no)) else { continue };
-            let records = recover(env, &file)?;
+            let (records, intact) = recover(env, &file)?;
+            if no == wal_no && intact < file.len() {
+                // The active log takes the next frames: they go right after
+                // its last intact one, not after bytes a replay stops at.
+                env.host_call(|| file.truncate(intact));
+            }
             listener.on_wal_append_batch(&records);
             for r in records {
                 max_ts = max_ts.max(r.ts);

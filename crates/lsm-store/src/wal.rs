@@ -194,7 +194,8 @@ fn records_that_fit(count: u64, rest: &[u8]) -> usize {
     usize::try_from(count).unwrap_or(usize::MAX).min(rest.len() / Record::MIN_ENCODED_LEN)
 }
 
-/// Reads back all intact records from a WAL file.
+/// Reads back all intact records from a WAL file, and the end of its last
+/// intact frame.
 ///
 /// Stops silently at the first corrupt/truncated frame and returns the
 /// records recovered up to that point: a torn tail drops its **whole
@@ -203,10 +204,10 @@ fn records_that_fit(count: u64, rest: &[u8]) -> usize {
 /// # Errors
 ///
 /// Returns [`FsError`] only for IO-level failures, not for torn frames.
-pub fn recover(env: &StorageEnv, file: &Arc<SimFile>) -> Result<Vec<Record>, FsError> {
+pub fn recover(env: &StorageEnv, file: &Arc<SimFile>) -> Result<(Vec<Record>, usize), FsError> {
     let len = file.len();
     if len == 0 {
-        return Ok(Vec::new());
+        return Ok((Vec::new(), 0));
     }
     let data = env.host_call(|| file.read_at(0, len))?;
     let mut out = Vec::new();
@@ -217,7 +218,7 @@ pub fn recover(env: &StorageEnv, file: &Arc<SimFile>) -> Result<Vec<Record>, FsE
         out.append(&mut batch);
         pos += used;
     }
-    Ok(out)
+    Ok((out, pos))
 }
 
 #[cfg(test)]
@@ -282,7 +283,7 @@ mod tests {
             w.append_batch(std::slice::from_ref(r));
         }
         assert_eq!(w.records(), 50);
-        let got = recover(&env, &file).unwrap();
+        let got = recover(&env, &file).unwrap().0;
         assert_eq!(got, records);
     }
 
@@ -295,7 +296,7 @@ mod tests {
         w.append_batch(&records[..4]);
         w.append_batch(&records[4..5]);
         w.append_batch(&records[5..]);
-        let got = recover(&env, &file).unwrap();
+        let got = recover(&env, &file).unwrap().0;
         assert_eq!(got, records);
     }
 
@@ -303,7 +304,7 @@ mod tests {
     fn empty_wal_recovers_empty() {
         let (env, fs) = env();
         let file = fs.create("wal").unwrap();
-        assert!(recover(&env, &file).unwrap().is_empty());
+        assert!(recover(&env, &file).unwrap().0.is_empty());
     }
 
     #[test]
@@ -316,9 +317,11 @@ mod tests {
             w.append_batch(std::slice::from_ref(r));
         }
         // Simulate a torn final write: append half a frame.
+        let intact = file.len();
         file.append(&[9, 0, 0, 0, 1, 2]);
-        let got = recover(&env, &file).unwrap();
+        let (got, end) = recover(&env, &file).unwrap();
         assert_eq!(got, records, "intact prefix recovered, torn tail dropped");
+        assert_eq!(end, intact, "the intact prefix ends where the torn frame starts");
     }
 
     #[test]
@@ -332,7 +335,7 @@ mod tests {
         // bytes reach the platter.
         let torn = encode_frame(&records[3..]);
         file.append(&torn[..torn.len() - 5]);
-        let got = recover(&env, &file).unwrap();
+        let got = recover(&env, &file).unwrap().0;
         assert_eq!(got, records[..3], "no record of the torn batch may apply");
     }
 
@@ -348,7 +351,7 @@ mod tests {
         // Flip one byte in the second batch's payload: the CRC must reject
         // the frame and recovery must not surface *any* of its records.
         file.corrupt(before + 12, 0x40);
-        let got = recover(&env, &file).unwrap();
+        let got = recover(&env, &file).unwrap().0;
         assert_eq!(got, records[..3], "a corrupt batch must drop atomically");
     }
 
@@ -372,7 +375,7 @@ mod tests {
         put_fixed_u32(&mut frame, crc32c(&payload)); // CRC is valid!
         frame.extend_from_slice(&payload);
         file.append(&frame);
-        let got = recover(&env, &file).unwrap();
+        let got = recover(&env, &file).unwrap().0;
         assert_eq!(got, records, "tampered count must stop recovery at the frame");
     }
 
@@ -390,7 +393,7 @@ mod tests {
         frame[4] ^= 0xff; // break the CRC field
         file.append(&frame);
         w.append_batch(&[Record::put(b"after".as_slice(), b"y".as_slice(), 100)]);
-        let got = recover(&env, &file).unwrap();
+        let got = recover(&env, &file).unwrap().0;
         assert_eq!(got, records, "recovery must stop at the corrupt frame");
     }
 
@@ -401,7 +404,7 @@ mod tests {
         let mut w = writer(&env, file.clone());
         let t = Record::tombstone(b"gone".as_slice(), 7);
         w.append_batch(std::slice::from_ref(&t));
-        assert_eq!(recover(&env, &file).unwrap(), vec![t]);
+        assert_eq!(recover(&env, &file).unwrap().0, vec![t]);
     }
 
     #[test]
@@ -461,7 +464,7 @@ mod tests {
         };
         let first = encode_frame(&records[..1]).len();
         assert_eq!(exits, [first, first_past(1024), first_past(2048)], "1, 2, 4 KiB mappings");
-        assert_eq!(recover(&env, &file).unwrap(), records);
+        assert_eq!(recover(&env, &file).unwrap().0, records);
         let written: usize =
             records.iter().map(|r| encode_frame(std::slice::from_ref(r)).len()).sum();
         assert_eq!(file.len(), written, "the file holds the frames, not the mapping");

@@ -20,9 +20,9 @@
 use std::sync::Arc;
 
 use elsm::{AuthenticatedKv, ElsmError, ElsmP2, OpSpans, P2Options};
-use elsm::{VerificationFailure, Verified, VerifiedRecord, WRONG_SHARD_UNSHARDED};
+use elsm::{VerificationFailure, VerifiedRecord, WRONG_SHARD_UNSHARDED};
 use elsm_replica::{ReplicationGroup, ReplicationOptions};
-use lsm_store::{GetTrace, ScanTrace, Timestamp};
+use lsm_store::Timestamp;
 use sgx_sim::Platform;
 use sim_disk::SimFs;
 
@@ -350,49 +350,6 @@ impl ShardedKv {
             return Err(failure);
         }
         Ok(())
-    }
-
-    /// Verifies a routed GET answer: the claimed shard must own the key,
-    /// and the trace must verify through that shard's own store (which
-    /// audits its refusals); hands back the answer that shard's verifier
-    /// hands back. This is the entry the adversary suite drives; the
-    /// honest router routes by the same partitioner, so the first check
-    /// only fires when the host substituted another shard's answer.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`VerificationFailure`] naming the detected attack.
-    pub fn verify_routed_get<'t>(
-        &self,
-        key: &[u8],
-        claimed_shard: usize,
-        trace: &'t GetTrace,
-    ) -> Result<Option<Verified<'t>>, VerificationFailure> {
-        self.check_owned(claimed_shard, key)?;
-        self.shards[claimed_shard].store.verify_get_trace(key, trace)
-    }
-
-    /// Verifies a routed SCAN answer segment claimed to come from
-    /// `claimed_shard`: the trace must verify against that shard's
-    /// commitments, and every record of the result its
-    /// verifier hands back — the segment the stitcher would take — must be
-    /// owned by that shard. Adversary-suite entry point.
-    ///
-    /// # Errors
-    ///
-    /// Returns the [`VerificationFailure`] naming the detected attack.
-    pub fn verify_routed_scan<'t>(
-        &self,
-        from: &[u8],
-        to: &[u8],
-        claimed_shard: usize,
-        trace: &'t ScanTrace,
-    ) -> Result<Vec<Verified<'t>>, VerificationFailure> {
-        let segment = self.shards[claimed_shard].store.verify_scan_trace(from, to, trace)?;
-        for verified in &segment {
-            self.check_owned(claimed_shard, &verified.record.key)?;
-        }
-        Ok(segment)
     }
 
     /// Stitches per-shard verified scan segments into one totally-ordered

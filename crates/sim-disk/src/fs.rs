@@ -18,7 +18,7 @@
 //! keep the bytes they were read with.
 //!
 //! Crash sweeps arm a [`FaultPlan`]: every mutation (a create, a non-empty
-//! append, a rename, a delete) is one op, and the filesystem keeps the
+//! append, a truncate, a rename, a delete) is one op, and the filesystem keeps the
 //! image the disk would hold had power failed right after the planned op —
 //! or, for a torn append, halfway through it — while the run goes on
 //! unaffected.
@@ -143,6 +143,23 @@ impl Contents {
         Bytes::from(out)
     }
 
+    /// Drops every byte from `len` on (`len <= self.len()`); views already
+    /// handed out keep theirs.
+    fn truncate(&mut self, len: usize) {
+        let sealed = self.sealed_len();
+        if len >= sealed {
+            self.tail.truncate(len - sealed);
+            return;
+        }
+        self.tail.clear();
+        let i = self.chunk_of(len);
+        let (start, chunk) = self.chunks[i].clone();
+        self.chunks.truncate(i);
+        if len > start {
+            self.chunks.push((start, chunk.slice(..len - start)));
+        }
+    }
+
     /// XORs byte `offset` with `mask`; a sealed chunk is replaced, not
     /// written to.
     fn flip(&mut self, offset: usize, mask: u8) {
@@ -214,6 +231,33 @@ impl SimFile {
         // Freshly written data sits in the page cache if there is room.
         self.fs.try_warm(self, bytes.len() as u64);
         if crash == Some(false) {
+            self.fs.capture(None);
+        }
+    }
+
+    /// Cuts the file to its first `len` bytes, as `ftruncate` does: one
+    /// mutation, charging nothing (the caller charges the host call).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `len` is past the end of the file.
+    pub fn truncate(&self, len: usize) {
+        let cut = {
+            let mut contents = self.contents.write();
+            let old = contents.len();
+            assert!(len <= old, "truncate past the end");
+            contents.truncate(len);
+            old - len
+        };
+        self.extents.lock().retain_mut(|e| {
+            e.len = e.len.min((len as u64).saturating_sub(e.file_off));
+            e.len > 0
+        });
+        if self.is_warm() {
+            let mut used = self.fs.os_cache_used.lock();
+            *used = used.saturating_sub(cut as u64);
+        }
+        if self.fs.mutation().is_some() {
             self.fs.capture(None);
         }
     }
@@ -415,8 +459,8 @@ impl SimFs {
         })
     }
 
-    /// Mutations so far: creates, non-empty appends, renames and deletes
-    /// (what a crash sweep counts).
+    /// Mutations so far: creates, non-empty appends, truncates, renames and
+    /// deletes (what a crash sweep counts).
     pub fn mutations(&self) -> u64 {
         self.inner.mutations.load(Ordering::SeqCst)
     }
@@ -626,6 +670,29 @@ mod tests {
         let f = fs.create("a").unwrap();
         f.append(b"abc");
         assert!(matches!(f.read_at(1, 5), Err(FsError::OutOfBounds { .. })));
+    }
+
+    #[test]
+    fn truncate_cuts_chunks_and_tail_and_counts_one_mutation() {
+        let fs = fs();
+        let f = fs.create("log").unwrap();
+        let big: Vec<u8> = (0..CHUNK + 10).map(|i| i as u8).collect();
+        f.append(&big);
+        f.append(b"tail");
+        let view = f.read_at(0, CHUNK + 10).unwrap();
+        let before = fs.mutations();
+        f.truncate(CHUNK + 12);
+        assert_eq!(fs.mutations(), before + 1);
+        assert_eq!(f.len(), CHUNK + 12);
+        assert_eq!(&f.read_at(CHUNK + 10, 2).unwrap()[..], b"ta");
+        f.truncate(100);
+        assert_eq!(&f.read_at(0, 100).unwrap()[..], &big[..100]);
+        assert!(f.read_at(0, 101).is_err());
+        assert_eq!(view[..], big[..], "a view read before keeps its bytes");
+        f.append(b"after");
+        assert_eq!(&f.read_at(100, 5).unwrap()[..], b"after");
+        f.truncate(0);
+        assert!(f.is_empty());
     }
 
     #[test]

@@ -1,5 +1,8 @@
 //! The §3.3 threat model, live: a malicious host mounts every attack class
-//! against the store and the enclave's VRFY algorithms catch each one.
+//! against the store and the enclave's VRFY algorithms catch each one. The
+//! host attacks where it sits: the code on the store's read path rewrites
+//! the trace an ordinary `get` / `scan` hands the enclave, and the files
+//! under the store.
 //!
 //! Run with: `cargo run --example adversarial_host`
 
@@ -20,17 +23,16 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     }
     store.db().flush()?;
     println!("loaded 500 records; launching attacks\n");
+    let host = adversary::HostileHost::install(store.db());
 
     // 1. Forgery: the host rewrites a returned value.
-    let mut trace = store.raw_get_trace(b"key0042")?;
-    adversary::forge_hit_value(&mut trace, b"forged!!");
-    let err = store.verify_get_trace(b"key0042", &trace).unwrap_err();
+    host.on_get(|trace| adversary::forge_hit_value(trace, b"forged!!"));
+    let err = adversary::verdict(store.get(b"key0042")).unwrap_err();
     println!("forged value        -> DETECTED: {err}");
 
     // 2. Completeness: the host pretends the key does not exist.
-    let mut trace = store.raw_get_trace(b"key0042")?;
-    adversary::suppress_hit(&mut trace);
-    let err = store.verify_get_trace(b"key0042", &trace).unwrap_err();
+    host.on_get(adversary::suppress_hit);
+    let err = adversary::verdict(store.get(b"key0042")).unwrap_err();
     println!("suppressed record   -> DETECTED: {err}");
 
     // 3. Freshness: the host answers with an older version (⟨Z,6⟩ attack).
@@ -43,21 +45,21 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         .filter(|r| &r.key[..] == b"key0042")
         .min_by_key(|r| r.ts)
         .expect("an old version on disk");
-    let mut trace = store.raw_get_trace(b"key0042")?;
-    adversary::substitute_stale(&mut trace, stale);
-    let err = store.verify_get_trace(b"key0042", &trace).unwrap_err();
+    host.on_get(|trace| adversary::substitute_stale(trace, stale));
+    let err = adversary::verdict(store.get(b"key0042")).unwrap_err();
     println!("stale version       -> DETECTED: {err}");
 
     // 4. Range censorship: a record vanishes from a scan.
-    let mut trace = store.raw_scan_trace(b"key0100", b"key0120")?;
-    let level = trace
-        .levels
-        .iter()
-        .find(|l| l.records.iter().any(|r| &r.key[..] == b"key0110"))
-        .map(|l| l.level)
-        .expect("key0110 somewhere");
-    adversary::drop_from_scan(&mut trace, level, b"key0110");
-    let err = store.verify_scan_trace(b"key0100", b"key0120", &trace).unwrap_err();
+    host.on_scan(|trace| {
+        let level = trace
+            .levels
+            .iter()
+            .find(|l| l.records.iter().any(|r| &r.key[..] == b"key0110"))
+            .map(|l| l.level)
+            .expect("key0110 somewhere");
+        adversary::drop_from_scan(trace, level, b"key0110");
+    });
+    let err = adversary::verdict(store.scan(b"key0100", b"key0120")).unwrap_err();
     println!("censored scan       -> DETECTED: {err}");
 
     // 5. Bit-rot / tampering of on-disk SSTables.

@@ -1,5 +1,6 @@
 //! End-to-end attack detection: every §3.3 attack class against a real
-//! store, every one detected.
+//! store, every one detected. An attack on an answer is a hostile host on
+//! the store's read path and an ordinary `get` / `scan`.
 
 use elsm_repro::elsm::{AuthenticatedKv, ElsmError, ElsmP2, P2Options, VerificationFailure};
 use elsm_repro::lsm_store::LevelOutcome;
@@ -43,9 +44,9 @@ fn benign_queries_verify() {
 #[test]
 fn forged_value_detected() {
     let store = store_with_data();
-    let mut trace = store.raw_get_trace(b"key0007").unwrap();
-    forge_hit_value(&mut trace, b"forged!");
-    let err = store.verify_get_trace(b"key0007", &trace).unwrap_err();
+    let host = HostileHost::install(store.db());
+    host.on_get(|trace| forge_hit_value(trace, b"forged!"));
+    let err = verdict(store.get(b"key0007")).unwrap_err();
     assert!(
         matches!(
             err,
@@ -58,17 +59,17 @@ fn forged_value_detected() {
 #[test]
 fn spliced_timestamp_detected() {
     let store = store_with_data();
-    let mut trace = store.raw_get_trace(b"key0007").unwrap();
-    splice_hit_record(&mut trace, 999_999);
-    assert!(store.verify_get_trace(b"key0007", &trace).is_err());
+    let host = HostileHost::install(store.db());
+    host.on_get(|trace| splice_hit_record(trace, 999_999));
+    assert!(verdict(store.get(b"key0007")).is_err());
 }
 
 #[test]
 fn suppressed_hit_detected() {
     let store = store_with_data();
-    let mut trace = store.raw_get_trace(b"key0007").unwrap();
-    suppress_hit(&mut trace);
-    let err = store.verify_get_trace(b"key0007", &trace).unwrap_err();
+    let host = HostileHost::install(store.db());
+    host.on_get(suppress_hit);
+    let err = verdict(store.get(b"key0007")).unwrap_err();
     assert!(
         matches!(err, VerificationFailure::IncompleteRange { .. }),
         "hiding a record must break the range [key, key]: {err:?}"
@@ -78,15 +79,16 @@ fn suppressed_hit_detected() {
 #[test]
 fn hidden_level_detected() {
     let store = store_with_data();
-    let trace = store.raw_get_trace(b"key0007").unwrap();
-    let hit_level = trace
-        .levels
-        .iter()
-        .find_map(|l| matches!(l.outcome, LevelOutcome::Hit(_)).then_some(l.level))
-        .expect("a hit level");
-    let mut tampered = trace;
-    hide_level(&mut tampered, hit_level);
-    let err = store.verify_get_trace(b"key0007", &tampered).unwrap_err();
+    let host = HostileHost::install(store.db());
+    host.on_get(|trace| {
+        let hit_level = trace
+            .levels
+            .iter()
+            .find_map(|l| matches!(l.outcome, LevelOutcome::Hit(_)).then_some(l.level))
+            .expect("a hit level");
+        hide_level(trace, hit_level);
+    });
+    let err = verdict(store.get(b"key0007")).unwrap_err();
     assert!(matches!(err, VerificationFailure::HiddenLevel { .. }), "got {err:?}");
 }
 
@@ -119,9 +121,9 @@ fn stale_version_detected() {
         .min_by_key(|r| r.ts)
         .expect("old version on disk")
         .clone();
-    let mut trace = store.raw_get_trace(b"zkey").unwrap();
-    substitute_stale(&mut trace, stale);
-    let err = store.verify_get_trace(b"zkey", &trace).unwrap_err();
+    let host = HostileHost::install(store.db());
+    host.on_get(|trace| substitute_stale(trace, stale));
+    let err = verdict(store.get(b"zkey")).unwrap_err();
     assert!(
         matches!(err, VerificationFailure::StaleRecord { newer_versions: 1, .. }),
         "freshness violation must be detected: {err:?}"
@@ -131,31 +133,35 @@ fn stale_version_detected() {
 #[test]
 fn dropped_scan_record_detected() {
     let store = store_with_data();
-    let mut trace = store.raw_scan_trace(b"key0010", b"key0030").unwrap();
-    // Drop key0020 from whichever level actually stores it.
-    let victim_level = trace
-        .levels
-        .iter()
-        .find(|l| l.records.iter().any(|r| &r.key[..] == b"key0020"))
-        .map(|l| l.level)
-        .expect("key0020 stored at some level");
-    drop_from_scan(&mut trace, victim_level, b"key0020");
-    let err = store.verify_scan_trace(b"key0010", b"key0030", &trace).unwrap_err();
+    let host = HostileHost::install(store.db());
+    host.on_scan(|trace| {
+        // Drop key0020 from whichever level actually stores it.
+        let victim_level = trace
+            .levels
+            .iter()
+            .find(|l| l.records.iter().any(|r| &r.key[..] == b"key0020"))
+            .map(|l| l.level)
+            .expect("key0020 stored at some level");
+        drop_from_scan(trace, victim_level, b"key0020");
+    });
+    let err = verdict(store.scan(b"key0010", b"key0030")).unwrap_err();
     assert!(matches!(err, VerificationFailure::IncompleteRange { .. }), "got {err:?}");
 }
 
 #[test]
 fn truncated_scan_detected() {
     let store = store_with_data();
-    let mut trace = store.raw_scan_trace(b"key0010", b"key0030").unwrap();
-    let victim_level = trace
-        .levels
-        .iter()
-        .find(|l| l.records.len() > 3)
-        .map(|l| l.level)
-        .expect("a level with records in range");
-    truncate_scan(&mut trace, victim_level, 3);
-    assert!(store.verify_scan_trace(b"key0010", b"key0030", &trace).is_err());
+    let host = HostileHost::install(store.db());
+    host.on_scan(|trace| {
+        let victim_level = trace
+            .levels
+            .iter()
+            .find(|l| l.records.len() > 3)
+            .map(|l| l.level)
+            .expect("a level with records in range");
+        truncate_scan(trace, victim_level, 3);
+    });
+    assert!(verdict(store.scan(b"key0010", b"key0030")).is_err());
 }
 
 #[test]
@@ -179,13 +185,15 @@ fn sstable_corruption_detected_end_to_end() {
 #[test]
 fn proofless_record_rejected() {
     let store = store_with_data();
-    let mut trace = store.raw_get_trace(b"key0007").unwrap();
-    for search in &mut trace.levels {
-        if matches!(search.outcome, LevelOutcome::Hit(_)) {
-            search.outcome = LevelOutcome::Hit(proofless_record(b"key0007", b"v", 123));
+    let host = HostileHost::install(store.db());
+    host.on_get(|trace| {
+        for search in &mut trace.levels {
+            if matches!(search.outcome, LevelOutcome::Hit(_)) {
+                search.outcome = LevelOutcome::Hit(proofless_record(b"key0007", b"v", 123));
+            }
         }
-    }
-    let err = store.verify_get_trace(b"key0007", &trace).unwrap_err();
+    });
+    let err = verdict(store.get(b"key0007")).unwrap_err();
     assert!(matches!(err, VerificationFailure::MissingProof { .. }), "got {err:?}");
 }
 

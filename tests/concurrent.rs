@@ -11,11 +11,13 @@
 //! verification failure or a wrong/missing value.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::Arc;
 
 use elsm_repro::elsm::{AuthenticatedKv, ElsmP2, P2Options, ReadMode};
 use elsm_repro::sgx_sim::Platform;
 
 pub mod support;
+use support::adversary::{self, HostileHost};
 
 fn stress_options(read_mode: ReadMode) -> P2Options {
     P2Options {
@@ -194,70 +196,92 @@ fn scans_race_flushes_without_spurious_failures() {
 
 /// Deterministic interleaving: a reader pins a snapshot, a flush and a
 /// compaction install on top of it, and the pinned trace still verifies
-/// against its epoch's commitments (the exact †5.5.2 race, single-stepped).
+/// against its epoch's commitments (the exact †5.5.2 race, single-stepped:
+/// the host runs the installs between the read's capture and its check).
 #[test]
 fn pinned_trace_verifies_across_installs() {
-    let store = ElsmP2::open(Platform::with_defaults(), stress_options(ReadMode::Mmap)).unwrap();
+    let store =
+        Arc::new(ElsmP2::open(Platform::with_defaults(), stress_options(ReadMode::Mmap)).unwrap());
     for i in 0..120u32 {
         store.put(format!("key{i:04}").as_bytes(), b"v1").unwrap();
     }
     store.db().flush().unwrap();
-    // Capture a trace (detached — snapshot dropped afterwards).
-    let trace = store.raw_get_trace(b"key0042").unwrap();
-    let epoch_before = trace.epoch;
-    // Drive an install storm over the same keys.
-    for i in 0..120u32 {
-        store.put(format!("key{i:04}").as_bytes(), b"v2").unwrap();
-    }
-    store.db().flush().unwrap();
+    let host = HostileHost::install(store.db());
+    // Drive an install storm over the same keys under the read.
+    host.on_get(install_under_read(&store, 120, b"v2"));
+    // The read verifies against its epoch's commitments, as of its start…
+    let rec = store.get(b"key0042").expect("an honest straddling read verifies").expect("present");
+    assert_eq!(rec.value(), b"v1");
+    let epoch_before = host.last_get().epoch;
     assert!(store.db().current_epoch() > epoch_before, "installs must have advanced the epoch");
-    // The old trace still verifies against its epoch's commitments…
-    store.verify_get_trace(b"key0042", &trace).expect("honest old-epoch trace must verify");
     // …and a fresh read sees the new value, verified against the new epoch.
     let rec = store.get(b"key0042").unwrap().expect("present");
     assert_eq!(rec.value(), b"v2");
 }
 
-/// A detached scan trace is self-contained: it verifies against its
-/// epoch's commitments after installs have replaced every tree it was
-/// taken from — the range proofs are in its own end records, the host
-/// keeps nothing for it — and stops verifying exactly when its epoch
-/// retires (eight epochs behind with no reader pinning it).
+/// Host code for a move that rewrites keys `0..keys` to `value` and
+/// flushes between a read's capture and its check: the installs a racing
+/// writer makes under a read, single-stepped. Leaves the trace as captured.
+fn install_under_read<T>(
+    store: &Arc<ElsmP2>,
+    keys: u32,
+    value: &'static [u8],
+) -> impl FnOnce(&mut T) + Send + 'static {
+    let store = store.clone();
+    move |_| {
+        for i in 0..keys {
+            store.put(format!("key{i:04}").as_bytes(), value).unwrap();
+        }
+        store.db().flush().unwrap();
+    }
+}
+
+/// A scan trace is self-contained: a scan verifies against its epoch's
+/// commitments after installs under it replaced every tree it was taken
+/// from — the range proofs are in its own end records, the host keeps
+/// nothing for it. Replayed later, the same trace is refused exactly once
+/// its epoch retires (eight epochs behind with no reader pinning it).
 #[test]
-fn detached_scan_trace_verifies_until_its_epoch_retires() {
+fn straddled_scan_verifies_until_its_epoch_retires() {
     use elsm_repro::elsm::VerificationFailure;
 
-    let store = ElsmP2::open(Platform::with_defaults(), stress_options(ReadMode::Mmap)).unwrap();
+    let store =
+        Arc::new(ElsmP2::open(Platform::with_defaults(), stress_options(ReadMode::Mmap)).unwrap());
     for i in 0..120u32 {
         store.put(format!("key{i:04}").as_bytes(), b"v1").unwrap();
     }
     store.db().flush().unwrap();
+    let host = HostileHost::install(store.db());
     let (from, to) = (&b"key0010"[..], &b"key0030"[..]);
-    let trace = store.raw_scan_trace(from, to).unwrap();
-    let behind = || store.db().current_epoch() - trace.epoch;
     // Two installs a round — the freeze, then the merged level, whose tree
     // replaces the one the trace was taken from.
-    let rewrite = |value: &[u8]| {
+    let rewrite = |store: &ElsmP2, value: &[u8]| {
         store.put(b"key0020", value).unwrap();
         store.db().flush().unwrap();
     };
-    rewrite(b"v2");
-    rewrite(b"v3");
+    let under = store.clone();
+    host.on_scan(move |_| {
+        rewrite(&under, b"v2");
+        rewrite(&under, b"v3");
+    });
+    let verified = store.scan(from, to).expect("an honest straddling scan verifies");
+    let trace = host.last_scan();
+    let behind = || store.db().current_epoch() - trace.epoch;
     assert!((3..8).contains(&behind()), "inside the floor: {} epochs behind", behind());
-    let verified = store.verify_scan_trace(from, to, &trace).expect("its epoch is still live");
     assert_eq!(verified.len(), 21);
-    assert!(verified.iter().all(|v| v.value()[..] == *b"v1"), "the answer as of its epoch");
+    assert!(verified.iter().all(|v| v.value() == b"v1"), "the answer as of its epoch");
     while behind() < 8 {
-        rewrite(b"v4");
+        rewrite(&store, b"v4");
     }
+    host.replay_scan(trace.clone());
     assert_eq!(
-        store.verify_scan_trace(from, to, &trace).map(drop),
+        adversary::verdict(store.scan(from, to)).map(drop),
         Err(VerificationFailure::UnknownEpoch { epoch: trace.epoch })
     );
     assert_eq!(store.scan(from, to).unwrap().len(), 21, "and a fresh scan still verifies");
 }
 
-/// The same single-stepped race, for the crown: a trace pinned to an old
+/// The same single-stepped race, for the crown: a read pinned to an old
 /// epoch is verified against *that epoch's* top rows while an install has
 /// already replaced the level's tree and crown — the old crown is shared
 /// with the old snapshot, not overwritten — and a record of the new tree
@@ -267,39 +291,47 @@ fn pinned_trace_verifies_against_its_epochs_crown() {
     use elsm_repro::elsm::VerificationFailure;
     use elsm_repro::lsm_store::LevelOutcome;
 
-    let store = ElsmP2::open(Platform::with_defaults(), stress_options(ReadMode::Mmap)).unwrap();
+    let store =
+        Arc::new(ElsmP2::open(Platform::with_defaults(), stress_options(ReadMode::Mmap)).unwrap());
     for i in 0..120u32 {
         store.put(format!("key{i:04}").as_bytes(), b"v1").unwrap();
     }
     store.db().flush().unwrap();
-    let old = store.raw_get_trace(b"key0042").unwrap();
-    let level =
-        old.levels.iter().find(|l| matches!(l.outcome, LevelOutcome::Hit(_))).unwrap().level;
+    let host = HostileHost::install(store.db());
+    store.get(b"key0042").unwrap();
+    let level = host
+        .last_get()
+        .levels
+        .iter()
+        .find(|l| matches!(l.outcome, LevelOutcome::Hit(_)))
+        .unwrap()
+        .level;
     let old_crown = store.trusted().crown_nodes(level as u32);
     assert!(old_crown > 120, "a 120-leaf tree is held whole: {old_crown} nodes");
-    // An install replaces the level's tree (more leaves, new values) and
-    // with it the working crown.
-    for i in 0..200u32 {
-        store.put(format!("key{i:04}").as_bytes(), b"v2").unwrap();
-    }
-    store.db().flush().unwrap();
-    let new = store.raw_get_trace(b"key0042").unwrap();
-    assert!(new.epoch > old.epoch);
-    assert_ne!(store.trusted().crown_nodes(level as u32), old_crown);
-    // Each trace verifies under its own epoch, leaf compared against the
+    // An install under the read replaces the level's tree (more leaves,
+    // new values) and with it the working crown.
+    host.on_get(install_under_read(&store, 200, b"v2"));
+    // Each read verifies under its own epoch, leaf compared against the
     // crown's leaf row — no interior node is hashed for either.
     let before = store.verify_stats();
-    store.verify_get_trace(b"key0042", &old).expect("old epoch, old crown");
-    store.verify_get_trace(b"key0042", &new).expect("new epoch, new crown");
+    let got = store.get(b"key0042").expect("old epoch, old crown").expect("present");
+    assert_eq!(got.value(), b"v1");
+    let old = host.last_get();
+    assert_ne!(store.trusted().crown_nodes(level as u32), old_crown);
+    let got = store.get(b"key0042").expect("new epoch, new crown").expect("present");
+    assert_eq!(got.value(), b"v2");
+    let new = host.last_get();
+    assert!(new.epoch > old.epoch);
     let after = store.verify_stats();
     assert_eq!(after.nodes_hashed, before.nodes_hashed);
     assert!(after.nodes_compared > before.nodes_compared);
-    // The new tree's record under the old epoch (or the reverse) names a
-    // leaf count that epoch never committed to.
+    // The new tree's record replayed under the old epoch (or the reverse)
+    // names a leaf count that epoch never committed to.
     for (mut trace, epoch) in [(new.clone(), old.epoch), (old.clone(), new.epoch)] {
         trace.epoch = epoch;
+        host.replay_get(trace);
         assert!(matches!(
-            store.verify_get_trace(b"key0042", &trace),
+            adversary::verdict(store.get(b"key0042")),
             Err(VerificationFailure::ForgedRecord { .. })
         ));
     }
@@ -315,7 +347,7 @@ fn pinned_trace_verifies_against_its_epochs_crown() {
 fn mid_flush_writes_survive_crash_recovery() {
     use elsm_repro::lsm_store::{Db, MergeJob, Options, StorageEnv, StoreListener, Verbatim};
     use elsm_repro::sim_disk::{FsSnapshot, SimDisk, SimFs};
-    use std::sync::{Arc, Mutex, OnceLock};
+    use std::sync::{Mutex, OnceLock};
 
     struct MidFlushWriter {
         db: OnceLock<Arc<Db>>,
@@ -376,43 +408,38 @@ fn mid_flush_writes_survive_crash_recovery() {
 /// and fabricated epochs are rejected outright.
 #[test]
 fn hidden_levels_still_detected_across_epochs() {
-    use crate::support::adversary;
     use elsm_repro::elsm::VerificationFailure;
+    use elsm_repro::lsm_store::{GetTrace, LevelOutcome};
 
-    let store = ElsmP2::open(Platform::with_defaults(), stress_options(ReadMode::Mmap)).unwrap();
+    let store =
+        Arc::new(ElsmP2::open(Platform::with_defaults(), stress_options(ReadMode::Mmap)).unwrap());
     for i in 0..120u32 {
         store.put(format!("key{i:04}").as_bytes(), b"v1").unwrap();
     }
     store.db().flush().unwrap();
-    let old_trace = store.raw_get_trace(b"key0042").unwrap();
-    // Concurrent-flush churn installs new versions on top.
-    for i in 0..120u32 {
-        store.put(format!("key{i:04}").as_bytes(), b"v2").unwrap();
-    }
-    store.db().flush().unwrap();
-    // Hiding the hit level in the *old* trace fails against the old
-    // epoch's commitment snapshot.
-    let hit_level = old_trace
-        .levels
-        .iter()
-        .find(|l| matches!(l.outcome, elsm_repro::lsm_store::LevelOutcome::Hit(_)))
-        .expect("a hit level")
-        .level;
-    let mut hidden = old_trace.clone();
-    adversary::hide_level(&mut hidden, hit_level);
-    assert!(
-        store.verify_get_trace(b"key0042", &hidden).is_err(),
-        "hidden level in an old-epoch trace must be detected"
-    );
+    let host = HostileHost::install(store.db());
+    // Hiding the hit level in an *old* trace — a read that concurrent-flush
+    // churn installed new versions under — fails against the old epoch's
+    // commitment snapshot.
+    let churn = install_under_read(&store, 120, b"v2");
+    host.on_get(move |trace: &mut GetTrace| {
+        churn(trace);
+        let hit_level = trace
+            .levels
+            .iter()
+            .find(|l| matches!(l.outcome, LevelOutcome::Hit(_)))
+            .expect("a hit level")
+            .level;
+        adversary::hide_level(trace, hit_level);
+    });
+    assert!(store.get(b"key0042").is_err(), "hidden level in an old-epoch trace must be detected");
+    assert!(store.db().current_epoch() > host.last_get().epoch, "the read straddled installs");
     // Same attack on a current trace.
-    let fresh = store.raw_get_trace(b"key0042").unwrap();
-    let mut hidden_fresh = fresh.clone();
-    adversary::hide_level(&mut hidden_fresh, fresh.levels[0].level);
-    assert!(store.verify_get_trace(b"key0042", &hidden_fresh).is_err());
+    host.on_get(|trace| adversary::hide_level(trace, trace.levels[0].level));
+    assert!(store.get(b"key0042").is_err());
     // A fabricated epoch the enclave never published is rejected.
-    let mut forged_epoch = fresh;
-    forged_epoch.epoch += 1_000_000;
-    match store.verify_get_trace(b"key0042", &forged_epoch) {
+    host.on_get(|trace| trace.epoch += 1_000_000);
+    match adversary::verdict(store.get(b"key0042")) {
         Err(VerificationFailure::UnknownEpoch { .. }) => {}
         other => panic!("fabricated epoch must be rejected, got {other:?}"),
     }

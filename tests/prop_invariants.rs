@@ -10,6 +10,8 @@ use elsm_repro::merkle::{
 };
 use proptest::prelude::*;
 
+pub mod support;
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
@@ -617,6 +619,7 @@ proptest! {
 /// tombstones in all of them.
 #[test]
 fn verified_answer_is_the_traces_and_the_models() {
+    use crate::support::adversary::HostileHost;
     use elsm_repro::elsm::envelope::{open, wrap_plain};
     use elsm_repro::elsm::{AuthenticatedKv, ElsmP2, P2Options};
     use elsm_repro::lsm_store::Record;
@@ -659,8 +662,9 @@ fn verified_answer_is_the_traces_and_the_models() {
     assert!(records[1..].iter().filter(|&&n| n > 0).count() >= 2, "levels: {records:?}");
     assert!(records[1] > 0, "the next flush must merge into level 1: {records:?}");
 
-    // Freeze a memtable and fail its merge: level 1's first block stops
-    // decoding while the flush reads it, and decodes again afterwards.
+    // Freeze a memtable and fail its flush before the merge: the host holds
+    // the name the freeze's manifest is written under, so the flush stops
+    // with the frozen memtable published and no merge begun.
     for i in 0..30u64 {
         let k = key(next(400));
         if i % 5 == 0 {
@@ -671,16 +675,11 @@ fn verified_answer_is_the_traces_and_the_models() {
             model.insert(k, Some(b"frozen".to_vec()));
         }
     }
-    let version = store.db().current_version();
-    let file_no = version.level(1).unwrap().tables()[0].meta().file_no;
-    let table = store.fs().open(&format!("{file_no:06}.sst")).unwrap();
-    table.corrupt(0, 0x05);
+    store.fs().create("MANIFEST.tmp").unwrap();
     assert!(store.db().flush().is_err());
-    table.corrupt(0, 0x05);
+    store.fs().delete("MANIFEST.tmp").unwrap();
     assert!(store.db().current_version().imm().is_some(), "the frozen memtable stays");
-    // The enclave refuses service after a failed merge; the store below
-    // still takes writes (as from a replica's stream), and the verifier
-    // still verifies.
+    // The store below still takes writes (as from a replica's stream).
     for i in 0..30u64 {
         let k = key(next(400));
         if i % 5 == 0 {
@@ -693,22 +692,29 @@ fn verified_answer_is_the_traces_and_the_models() {
     }
 
     let bare = |r: &Record| open(&r.value).unwrap().value.to_vec();
+    let stamped = |key: &[u8], ts| (key.to_vec(), ts);
+    let host = HostileHost::install(store.db());
     let (mut from_memtable, mut from_levels, mut tombstones, mut absent) = (0, 0, 0, 0);
     for _ in 0..1000 {
         let k = key(next(440));
-        let trace = store.raw_get_trace(&k).unwrap();
-        let verified = store.verify_get_trace(&k, &trace).expect("an honest trace");
-        assert_eq!(verified.as_ref().map(|v| v.record), trace.answer(), "{k:?}");
-        let got = verified.as_ref().map(|v| v.record.kind.is_value().then(|| v.value().to_vec()));
-        assert_eq!(got.clone().flatten(), model.get(&k).cloned().flatten(), "{k:?}");
+        let verified = store.get(&k).expect("an honest read verifies");
+        let trace = host.last_get();
+        let live = trace.answer().filter(|r| r.kind.is_value());
+        assert_eq!(
+            verified.as_ref().map(|v| stamped(v.key(), v.ts())),
+            live.map(|r| stamped(&r.key, r.ts)),
+            "{k:?}"
+        );
+        let got = verified.map(|v| v.value().to_vec());
+        assert_eq!(got, model.get(&k).cloned().flatten(), "{k:?}");
         // ... and the store underneath serves that same record.
         let plain = store.db().get(&k).unwrap().map(|r| bare(&r));
-        assert_eq!(plain, got.clone().flatten(), "{k:?}");
-        match (&got, trace.memtable.is_some()) {
+        assert_eq!(plain, got, "{k:?}");
+        match (trace.answer().map(|r| r.kind.is_value()), trace.memtable.is_some()) {
             (None, _) => absent += 1,
-            (Some(None), _) => tombstones += 1,
-            (Some(Some(_)), true) => from_memtable += 1,
-            (Some(Some(_)), false) => from_levels += 1,
+            (Some(false), _) => tombstones += 1,
+            (Some(true), true) => from_memtable += 1,
+            (Some(true), false) => from_levels += 1,
         }
     }
     assert!(from_memtable > 20 && from_levels > 300 && tombstones > 50 && absent > 20);
@@ -742,11 +748,14 @@ fn verified_answer_is_the_traces_and_the_models() {
         (key(lo), key(lo + next(25)))
     }));
     for (from, to) in ranges {
-        let trace = store.raw_scan_trace(&from, &to).unwrap();
-        let verified = store.verify_scan_trace(&from, &to, &trace).expect("an honest trace");
-        assert_eq!(verified.iter().map(|v| v.record).collect::<Vec<_>>(), trace.merged());
+        let verified = store.scan(&from, &to).expect("an honest scan verifies");
+        let trace = host.last_scan();
+        assert_eq!(
+            verified.iter().map(|v| stamped(v.key(), v.ts())).collect::<Vec<_>>(),
+            trace.merged().iter().map(|r| stamped(&r.key, r.ts)).collect::<Vec<_>>()
+        );
         let got: Vec<(Vec<u8>, Vec<u8>)> =
-            verified.iter().map(|v| (v.record.key.to_vec(), v.value().to_vec())).collect();
+            verified.iter().map(|v| (v.key().to_vec(), v.value().to_vec())).collect();
         let expect: Vec<(Vec<u8>, Vec<u8>)> = model
             .range(from.clone()..=to.clone())
             .filter_map(|(k, v)| v.clone().map(|v| (k.clone(), v)))

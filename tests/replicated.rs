@@ -312,6 +312,46 @@ fn forked_primary_detected_per_epoch() {
     assert_eq!(forks[0].replica, Some(1), "replica 0 is node 1; the primary is node 0");
 }
 
+/// The fork probe reaches back: an announcement relayed out of band for an
+/// epoch three installs behind is cross-checked against the snapshot the
+/// replica still holds of it (the retired-epoch floor keeps recent epochs
+/// with no reader pinning them), and a forged one is refused and audited
+/// once.
+#[test]
+fn forked_primary_detected_three_installs_back() {
+    let registry = Telemetry::disabled();
+    let g = ReplicationGroup::open(
+        Platform::with_defaults(),
+        P2Options { telemetry: registry.clone(), ..small_store_options() },
+        ReplicationOptions { replicas: 1, leader_check_interval: 1, ..Default::default() },
+    )
+    .unwrap();
+    for round in 0..2u32 {
+        for i in 0..80u32 {
+            g.put(format!("k{i:03}").as_bytes(), format!("v{round}").as_bytes()).unwrap();
+        }
+        g.flush().unwrap();
+    }
+    let primary = g.primary_store();
+    let epoch = primary.db().current_epoch() - 3;
+    let replica_holds =
+        |epoch| g.with_replica(0, |r| r.store().trusted().snapshot_digest(epoch).is_some());
+    assert!(replica_holds(epoch), "the replica replayed epoch {epoch} and keeps its snapshot");
+    let fork = Announcement::sign_digest(
+        primary.platform(),
+        0,
+        epoch,
+        elsm_repro::crypto::sha256(b"an older view shown to someone else"),
+        g.session_key(),
+    );
+    let err = g.with_replica(0, |r| r.observe_announcement(&fork).unwrap_err());
+    assert!(
+        matches!(verification(err), VerificationFailure::ForkedPrimary { epoch: e } if e == epoch)
+    );
+    assert_eq!(registry.audit_count("ForkedPrimary"), 1);
+    assert_eq!(registry.audit_total(), 1, "{:?}", registry.audit_events());
+}
+
 #[test]
 fn forged_announcement_in_stream_detected() {
     let g = group(1);

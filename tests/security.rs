@@ -7,6 +7,7 @@ use elsm_repro::elsm::{
 };
 use elsm_repro::sgx_sim::{MonotonicCounter, Platform};
 use elsm_repro::sim_disk::{SimDisk, SimFs};
+use std::sync::Arc;
 
 pub mod support;
 
@@ -413,17 +414,17 @@ fn hidden_level_detected_with_separation_on() {
         store.put(format!("key{i:04}").as_bytes(), &[i as u8; 1024]).unwrap();
     }
     store.db().flush().unwrap();
-    let trace = store.raw_get_trace(b"key0007").unwrap();
-    let hit_level = trace
-        .levels
-        .iter()
-        .find(|l| matches!(l.outcome, LevelOutcome::Hit(_)))
-        .expect("a hit level")
-        .level;
-    let mut hidden = trace.clone();
-    adversary::hide_level(&mut hidden, hit_level);
-    let failure = store
-        .verify_get_trace(b"key0007", &hidden)
+    let host = adversary::HostileHost::install(store.db());
+    host.on_get(|trace| {
+        let hit_level = trace
+            .levels
+            .iter()
+            .find(|l| matches!(l.outcome, LevelOutcome::Hit(_)))
+            .expect("a hit level")
+            .level;
+        adversary::hide_level(trace, hit_level);
+    });
+    let failure = adversary::verdict(store.get(b"key0007"))
         .expect_err("hidden level must be detected with separation on");
     assert!(store.telemetry().audit_count(failure.kind()) >= 1, "detection must be audited");
     // The honest read still resolves the separated value.
@@ -510,6 +511,42 @@ mod wal_replay {
         assert_eq!(registry.audit_count("WalMismatch"), 1, "{what}: refusal must be audited");
     }
 
+    /// A log that ends in bytes that are no frame — a torn append, or the
+    /// zeros a preallocated mapping leaves — replays its intact frames and
+    /// takes the next ones right after them: a restart after writes made
+    /// since reads them all back, with nothing audited.
+    #[test]
+    fn a_log_ending_in_no_frame_takes_writes_after_its_intact_frames() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let registry = Telemetry::new();
+        let options =
+            P2Options { write_buffer_bytes: 1 << 20, telemetry: registry.clone(), ..opts() };
+        let open = || ElsmP2::open_with(platform.clone(), fs.clone(), options.clone(), None);
+        let key = |i: u32| format!("key{i:04}").into_bytes();
+        let store = open().unwrap();
+        for i in 0..50 {
+            store.put(&key(i), b"before").unwrap();
+        }
+        store.close().unwrap();
+        drop(store);
+        let logs: Vec<String> = fs.list().into_iter().filter(|n| n.starts_with("wal-")).collect();
+        assert_eq!(logs.len(), 1, "nothing flushed: {logs:?}");
+        fs.open(&logs[0]).unwrap().append(&[0u8; 100]);
+        let store = open().unwrap();
+        for i in 50..60 {
+            store.put(&key(i), b"after").unwrap();
+        }
+        store.close().unwrap();
+        drop(store);
+        let store = open().expect("the writes since the first reopen replay");
+        for i in 0..60 {
+            let value: &[u8] = if i < 50 { b"before" } else { b"after" };
+            assert_eq!(store.get(&key(i)).unwrap().expect("present").value(), value);
+        }
+        assert_eq!(registry.audit_total(), 0, "{:?}", registry.audit_events());
+    }
+
     /// The whole log replaced by one frame the host made with the store's
     /// own (public, keyless) frame encoder: CRC-valid, and not the log.
     #[test]
@@ -585,7 +622,11 @@ mod wal_replay {
         for (key, value) in &model {
             assert_eq!(store.get(key).unwrap().expect("present").value(), &value[..]);
         }
-        assert!(model.keys().any(|k| store.raw_get_trace(k).unwrap().memtable.is_some()));
+        let host = crate::support::adversary::HostileHost::install(store.db());
+        assert!(model.keys().any(|k| {
+            store.get(k).unwrap();
+            host.last_get().memtable.is_some()
+        }));
     }
 }
 
@@ -599,7 +640,7 @@ mod answer_is_verified {
     //! anything else.
 
     use super::*;
-    use crate::support::adversary;
+    use crate::support::adversary::{self, replayed_get, replayed_scan, HostileHost};
     use elsm_repro::lsm_store::{
         GetTrace, LevelOutcome, LevelRange, LevelSearch, Record, ScanTrace,
     };
@@ -663,6 +704,7 @@ mod answer_is_verified {
     #[test]
     fn no_mutator_yields_a_verified_wrong_answer() {
         let (store, model, stored) = fixture();
+        let host = HostileHost::install(store.db());
         let all = || stored.iter().flat_map(|(level, records)| records.iter().map(|r| (*level, r)));
         // An older version of the hit's key — same level first, any level
         // else — and the head of some other key's chain.
@@ -738,16 +780,16 @@ mod answer_is_verified {
         let absent = (139..149).map(|i| [key(i), b"~".to_vec()].concat());
         for k in (0..150).map(key).chain(absent) {
             let shown = String::from_utf8_lossy(&k).into_owned();
-            let honest = store.raw_get_trace(&k).unwrap();
+            store.get(&k).unwrap();
+            let honest = host.last_get();
             for (name, mutate) in &get_mutators {
                 let mut trace = honest.clone();
                 mutate(&mut trace);
-                match store.verify_get_trace(&k, &trace) {
+                match replayed_get(&store, &host, &k, trace.clone()) {
                     Err(_) => refused += 1,
                     Ok(answer) => {
-                        let answer = answer.filter(|v| v.record.kind.is_value());
                         if let Some(v) = &answer {
-                            assert_eq!(v.record.key, k, "{name}: another key's record verified");
+                            assert_eq!(v.key(), k, "{name}: another key's record verified");
                         }
                         assert_eq!(
                             answer.map(|v| v.value().to_vec()).as_ref(),
@@ -794,13 +836,14 @@ mod answer_is_verified {
         let (mut refused, mut unharmed, mut end_paths_refused) = (0, 0, 0);
         for (lo, hi) in [(0u32, 10), (35, 50), (70, 80), (110, 125), (140, 160), (0, 160)] {
             let (from, to) = (key(lo), key(hi));
-            let honest = store.raw_scan_trace(&from, &to).unwrap();
+            store.scan(&from, &to).unwrap();
+            let honest = host.last_scan();
             let expect: Vec<(&[u8], &[u8])> =
                 model.range(from.clone()..=to.clone()).map(|(k, v)| (&k[..], &v[..])).collect();
             for (name, mutate) in &scan_mutators {
                 let mut trace = honest.clone();
                 mutate(&mut trace);
-                match store.verify_scan_trace(&from, &to, &trace) {
+                match replayed_scan(&store, &host, &from, &to, trace) {
                     Err(failure) => {
                         // A sibling the derived proof uses: the range does
                         // not reach the root (or the crown row).
@@ -817,12 +860,8 @@ mod answer_is_verified {
                         end_paths_refused += usize::from(*name == "corrupt_scan_end_path");
                     }
                     Ok(verified) => {
-                        let values: Vec<_> = verified.iter().map(|v| v.value()).collect();
-                        let got: Vec<(&[u8], &[u8])> = verified
-                            .iter()
-                            .zip(&values)
-                            .map(|(v, b)| (&v.record.key[..], &b[..]))
-                            .collect();
+                        let got: Vec<(&[u8], &[u8])> =
+                            verified.iter().map(|v| (v.key(), v.value())).collect();
                         assert_eq!(got, expect, "{name} on {lo}..={hi}: verified, not the model's");
                         unharmed += 1;
                     }
@@ -917,21 +956,23 @@ mod answer_is_verified {
     #[test]
     fn evidence_at_a_fenced_level_is_refused() {
         let store = fresh_disjoint_store();
+        let host = HostileHost::install(store.db());
         let k = key(5);
-        let honest = store.raw_get_trace(&k).unwrap();
-        assert_eq!(get_levels(&honest), [2], "level 1 is passed over");
         let before = store.verify_stats();
-        let got = store.verify_get_trace(&k, &honest).unwrap().expect("present");
+        let got = store.get(&k).unwrap().expect("present");
+        let honest = host.last_get();
+        assert_eq!(get_levels(&honest), [2], "level 1 is passed over");
         assert_eq!(got.value(), &value(5)[..]);
         assert_eq!(store.verify_stats().levels_fenced - before.levels_fenced, 1);
-        assert_eq!(skipped(store.verify_get_trace(&k, &with_level1_evidence(&store, &honest))), 2);
+        let presented = with_level1_evidence(&store, &honest);
+        assert_eq!(skipped(replayed_get(&store, &host, &k, presented)), 2);
 
         let (from, to) = (key(2), key(8));
-        let honest = store.raw_scan_trace(&from, &to).unwrap();
+        assert_eq!(store.scan(&from, &to).unwrap().len(), 7);
+        let honest = host.last_scan();
         assert_eq!(scan_levels(&honest), [2, 3]);
-        assert_eq!(store.verify_scan_trace(&from, &to, &honest).unwrap().len(), 7);
         let presented = with_level1_range(&store, &honest);
-        assert_eq!(skipped(store.verify_scan_trace(&from, &to, &presented)), 2);
+        assert_eq!(skipped(replayed_scan(&store, &host, &from, &to, presented)), 2);
     }
 
     /// A level whose fence does not exclude the query must be in the trace,
@@ -940,74 +981,86 @@ mod answer_is_verified {
     #[test]
     fn an_unfenced_level_left_out_is_refused() {
         let store = fresh_disjoint_store();
+        let host = HostileHost::install(store.db());
         // Absent, inside level 1's range and past level 2's.
         let absent = [key(150), b"~".to_vec()].concat();
-        let honest = store.raw_get_trace(&absent).unwrap();
+        assert_eq!(store.get(&absent).map(|got| got.is_none()), Ok(true));
+        let honest = host.last_get();
         assert_eq!(get_levels(&honest), [1, 3]);
-        assert_eq!(store.verify_get_trace(&absent, &honest).map(|got| got.is_none()), Ok(true));
         for (drop, expected) in [(0, 1), (1, 3)] {
-            let mut trace = honest.clone();
-            trace.levels.remove(drop);
-            assert_eq!(skipped(store.verify_get_trace(&absent, &trace)), expected);
+            host.on_get(move |trace| {
+                trace.levels.remove(drop);
+            });
+            assert_eq!(skipped(adversary::verdict(store.get(&absent))), expected);
         }
         let present = key(150);
-        let mut trace = store.raw_get_trace(&present).unwrap();
-        assert_eq!(get_levels(&trace), [1]);
-        trace.levels.clear();
-        assert_eq!(skipped(store.verify_get_trace(&present, &trace)), 1);
+        host.on_get(|trace| {
+            assert_eq!(get_levels(trace), [1]);
+            trace.levels.clear();
+        });
+        assert_eq!(skipped(adversary::verdict(store.get(&present))), 1);
 
         // A range across both levels' ranges needs all three.
         let (from, to) = (key(95), key(105));
-        let honest = store.raw_scan_trace(&from, &to).unwrap();
-        assert_eq!(scan_levels(&honest), [1, 2, 3]);
-        assert_eq!(store.verify_scan_trace(&from, &to, &honest).unwrap().len(), 11);
+        assert_eq!(store.scan(&from, &to).unwrap().len(), 11);
+        assert_eq!(scan_levels(&host.last_scan()), [1, 2, 3]);
         for (drop, expected) in [(0, 1), (1, 2), (2, 3)] {
-            let mut trace = honest.clone();
-            trace.levels.remove(drop);
-            assert_eq!(skipped(store.verify_scan_trace(&from, &to, &trace)), expected);
+            host.on_scan(move |trace| {
+                trace.levels.remove(drop);
+            });
+            assert_eq!(skipped(adversary::verdict(store.scan(&from, &to))), expected);
         }
     }
 
-    /// A fence is the one of the trace's epoch: an install that moves level
-    /// 1's first key below key 50 leaves an old trace verifying against the
-    /// old fence, and the same trace named by the new epoch is missing a
-    /// level.
+    /// A fence is the one of the trace's epoch: a read under which an
+    /// install moves level 1's first key below key 50 verifies against the
+    /// old fence, and its trace — or the next read's — replayed under the
+    /// other epoch is missing a level.
     #[test]
     fn a_fence_is_its_epochs() {
-        let store = fresh_disjoint_store();
         let k = key(50);
         let (from, to) = (key(45), key(55));
-        let old_get = store.raw_get_trace(&k).unwrap();
-        let old_scan = store.raw_scan_trace(&from, &to).unwrap();
-        assert_eq!((get_levels(&old_get), scan_levels(&old_scan)), (vec![2], vec![2, 3]));
-        let _pinned = store.db().current_version();
-        // A flush merges into level 1, whose first key becomes key 40.
-        store.put(&key(40), b"newer").unwrap();
-        store.db().flush().unwrap();
-        let new_get = store.raw_get_trace(&k).unwrap();
-        let new_scan = store.raw_scan_trace(&from, &to).unwrap();
+        let store = Arc::new(fresh_disjoint_store());
+        let host = HostileHost::install(store.db());
+        host.on_get(merge_key40_under_read(&store));
+        assert_eq!(store.get(&k).unwrap().expect("present").value(), &value(50)[..]);
+        let old_get = host.last_get();
+        assert_eq!(store.get(&k).unwrap().expect("present").value(), &value(50)[..]);
+        let new_get = host.last_get();
         assert!(new_get.epoch > old_get.epoch);
-        assert_eq!((get_levels(&new_get), scan_levels(&new_scan)), (vec![1, 2], vec![1, 2, 3]));
-        for trace in [&old_get, &new_get] {
-            let got = store.verify_get_trace(&k, trace).unwrap().expect("present");
-            assert_eq!(got.value(), &value(50)[..]);
-        }
-        for trace in [&old_scan, &new_scan] {
-            assert_eq!(store.verify_scan_trace(&from, &to, trace).unwrap().len(), 11);
-        }
+        assert_eq!((get_levels(&old_get), get_levels(&new_get)), (vec![2], vec![1, 2]));
         // Each trace relabelled to the other epoch.
         let relabel = |mut trace: GetTrace, epoch| {
             trace.epoch = epoch;
-            store.verify_get_trace(&k, &trace).map(|got| got.map(|v| v.value()))
+            replayed_get(&store, &host, &k, trace).map(|got| got.map(|v| v.value().to_vec()))
         };
         assert_eq!(skipped(relabel(old_get.clone(), new_get.epoch)), 1);
-        assert_eq!(skipped(relabel(new_get.clone(), old_get.epoch)), 2);
+        assert_eq!(skipped(relabel(new_get, old_get.epoch)), 2);
+
+        let store = Arc::new(fresh_disjoint_store());
+        let host = HostileHost::install(store.db());
+        host.on_scan(merge_key40_under_read(&store));
+        assert_eq!(store.scan(&from, &to).unwrap().len(), 11);
+        let old_scan = host.last_scan();
+        assert_eq!(store.scan(&from, &to).unwrap().len(), 11);
+        let new_scan = host.last_scan();
+        assert_eq!((scan_levels(&old_scan), scan_levels(&new_scan)), (vec![2, 3], vec![1, 2, 3]));
         let relabel = |mut trace: ScanTrace, epoch| {
             trace.epoch = epoch;
-            store.verify_scan_trace(&from, &to, &trace).map(|got| got.len())
+            replayed_scan(&store, &host, &from, &to, trace).map(|got| got.len())
         };
         assert_eq!(skipped(relabel(old_scan.clone(), new_scan.epoch)), 1);
         assert_eq!(skipped(relabel(new_scan, old_scan.epoch)), 2);
+    }
+
+    /// Host code that merges a write into level 1, whose first key becomes
+    /// key 40, between a read's capture and its check.
+    fn merge_key40_under_read<T>(store: &Arc<ElsmP2>) -> impl FnOnce(&mut T) + Send + 'static {
+        let store = store.clone();
+        move |_| {
+            store.put(&key(40), b"newer").unwrap();
+            store.db().flush().unwrap();
+        }
     }
 
     /// A fence is re-derived at restart with the crown, from a rebuilt
@@ -1041,32 +1094,31 @@ mod answer_is_verified {
         file.corrupt(at + 3, 0x20);
         let store = ElsmP2::open_with(platform, fs, options, None).unwrap();
         assert_eq!(crowns(&store), (1, l2), "level 1 keeps its bare root, level 2 its crown");
+        let host = HostileHost::install(store.db());
 
         let k = key(5);
         match store.get(&k) {
             Err(ElsmError::Verification(VerificationFailure::LevelSkipped { expected: 1 })) => {}
             other => panic!("level 1 left out must be refused, got {other:?}"),
         }
-        let honest = store.raw_get_trace(&k).unwrap();
+        let honest = host.last_get();
         assert_eq!(get_levels(&honest), [2]);
         let presented = with_level1_evidence(&store, &honest);
         let forged = Err(VerificationFailure::ForgedRecord {
             level: 1,
             source: elsm_repro::merkle::VerifyError::BadAuditPath,
         });
-        assert_eq!(store.verify_get_trace(&k, &presented).map(|_| ()), forged);
+        assert_eq!(replayed_get(&store, &host, &k, presented).map(|_| ()), forged);
 
         let (from, to) = (key(2), key(8));
-        let honest = store.raw_scan_trace(&from, &to).unwrap();
-        assert_eq!(skipped(store.verify_scan_trace(&from, &to, &honest)), 1);
-        let presented = with_level1_range(&store, &honest);
-        assert_eq!(store.verify_scan_trace(&from, &to, &presented).map(|_| ()), forged);
+        assert_eq!(skipped(adversary::verdict(store.scan(&from, &to))), 1);
+        let presented = with_level1_range(&store, &host.last_scan());
+        assert_eq!(replayed_scan(&store, &host, &from, &to, presented).map(|_| ()), forged);
         // Level 2 kept its fence: the host passes it over for a miss above
         // it. No read gets past level 1 any more, though.
         let above = [key(170), b"~".to_vec()].concat();
-        let trace = store.raw_get_trace(&above).unwrap();
-        assert_eq!(get_levels(&trace), [1, 3]);
-        assert_eq!(store.verify_get_trace(&above, &trace).map(|_| ()), forged);
+        assert_eq!(adversary::verdict(store.get(&above)).map(|_| ()), forged);
+        assert_eq!(get_levels(&host.last_get()), [1, 3]);
     }
 
     /// With compaction off each flush stacks a run at the first empty
@@ -1096,14 +1148,15 @@ mod answer_is_verified {
 
         let store = ElsmP2::open_with(platform, fs, options, None).unwrap();
         assert!((1..=4).all(|level| store.trusted().crown_nodes(level) > 1), "every crown back");
+        let host = HostileHost::install(store.db());
         let k = key(5);
-        assert_eq!(get_levels(&store.raw_get_trace(&k).unwrap()), [1]);
         let before = store.verify_stats();
         assert_eq!(store.get(&k).unwrap().expect("present").value(), &value(5)[..]);
         assert_eq!(store.verify_stats().levels_fenced - before.levels_fenced, 3);
+        assert_eq!(get_levels(&host.last_get()), [1]);
         let (from, to) = (key(2), key(8));
-        assert_eq!(scan_levels(&store.raw_scan_trace(&from, &to).unwrap()), [1]);
         assert_eq!(store.scan(&from, &to).unwrap().len(), 7);
+        assert_eq!(scan_levels(&host.last_scan()), [1]);
     }
 }
 
@@ -1115,7 +1168,7 @@ mod chain {
     //! data blocks.
 
     use super::*;
-    use crate::support::adversary;
+    use crate::support::adversary::{self, replayed_get, replayed_scan, HostileHost};
     use elsm_repro::lsm_store::{LevelOutcome, Record};
     use elsm_repro::merkle::{ChainPosition, VerifyError};
 
@@ -1125,8 +1178,8 @@ mod chain {
     /// 40 keys, of which [`HOT`] is then updated to `versions` versions
     /// (200-byte values) and [`OTHER`] to a few, flushed every ten updates
     /// so the chains are compaction output, all at one level. Returns the store,
-    /// that level, and `HOT`'s stored chain, newest first.
-    fn chain_store(versions: usize) -> (ElsmP2, usize, Vec<Record>) {
+    /// its host, that level, and `HOT`'s stored chain, newest first.
+    fn chain_store(versions: usize) -> (ElsmP2, Arc<HostileHost>, usize, Vec<Record>) {
         let options = P2Options { write_buffer_bytes: 1 << 20, ..P2Options::default() };
         let store = ElsmP2::open(Platform::with_defaults(), options).unwrap();
         for i in 0..40u32 {
@@ -1153,20 +1206,22 @@ mod chain {
             .collect();
         chain.sort_by_key(|r| std::cmp::Reverse(r.ts));
         assert_eq!(chain.len(), versions);
-        (store, levels[0], chain)
+        let host = HostileHost::install(store.db());
+        (store, host, levels[0], chain)
     }
 
     #[test]
     fn chain_stale_hit_is_rejected_by_its_own_claim() {
-        let (store, level, chain) = chain_store(30);
+        let (store, host, level, chain) = chain_store(30);
         assert_eq!(store.get(HOT).unwrap().expect("present").value(), &[29u8; 200][..]);
         for position in [1usize, 7, 29] {
             // The stale version with the link it is stored with: refused
             // on what the link says, with nothing hashed.
-            let mut trace = store.raw_get_trace(HOT).unwrap();
+            store.get(HOT).unwrap();
+            let mut trace = host.last_get();
             adversary::substitute_stale(&mut trace, chain[position].clone());
             let hashed = store.platform().stats().hash_blocks;
-            match store.verify_get_trace(HOT, &trace) {
+            match replayed_get(&store, &host, HOT, trace.clone()) {
                 Err(VerificationFailure::StaleRecord { level: at, newer_versions }) => {
                     assert_eq!((at as usize, newer_versions), (level, position));
                 }
@@ -1177,7 +1232,7 @@ mod chain {
             // head's audit path: the path does not reach the root.
             let relabelled = adversary::relabel_as_newest(&chain[position], &chain[0]);
             adversary::substitute_stale(&mut trace, relabelled);
-            match store.verify_get_trace(HOT, &trace) {
+            match replayed_get(&store, &host, HOT, trace) {
                 Err(VerificationFailure::ForgedRecord {
                     source: VerifyError::BadAuditPath,
                     ..
@@ -1188,38 +1243,40 @@ mod chain {
         assert!(store.telemetry().audit_count("StaleRecord") >= 3);
     }
 
-    /// Verifies a scan over the hot key's neighbourhood after `edit`
-    /// rewrote the chain's level slice (`at` = index of the chain's head).
+    /// Verifies a scan over the hot key's neighbourhood whose host `edit`ed
+    /// the chain's level slice (`at` = index of the chain's head).
     fn scan_verdict(
         store: &ElsmP2,
+        host: &HostileHost,
         level: usize,
-        edit: impl FnOnce(&mut Vec<Record>, usize),
+        edit: impl FnOnce(&mut Vec<Record>, usize) + Send + 'static,
     ) -> Result<(), VerificationFailure> {
         let (from, to) = (b"key0005".as_slice(), b"key0025".as_slice());
-        let mut trace = store.raw_scan_trace(from, to).unwrap();
-        let slice = trace.levels.iter_mut().find(|l| l.level == level).expect("the level");
-        let at = slice.records.iter().position(|r| r.key == HOT).expect("the chain's head");
-        edit(&mut slice.records, at);
-        store.verify_scan_trace(from, to, &trace).map(drop)
+        host.on_scan(move |trace| {
+            let slice = trace.levels.iter_mut().find(|l| l.level == level).expect("the level");
+            let at = slice.records.iter().position(|r| r.key == HOT).expect("the chain's head");
+            edit(&mut slice.records, at);
+        });
+        adversary::verdict(store.scan(from, to)).map(drop)
     }
 
     #[test]
     fn chain_scan_accepts_the_chain_and_nothing_else() {
-        let (store, level, chain) = chain_store(30);
-        assert_eq!(scan_verdict(&store, level, |_, _| {}), Ok(()));
+        let (store, host, level, chain) = chain_store(30);
+        assert_eq!(scan_verdict(&store, &host, level, |_, _| {}), Ok(()));
         let broken = Err(VerificationFailure::ForgedRecord {
             level: level as u32,
             source: VerifyError::BrokenChain,
         });
         // A middle version dropped.
-        assert_eq!(scan_verdict(&store, level, |r, at| drop(r.remove(at + 12))), broken);
+        assert_eq!(scan_verdict(&store, &host, level, |r, at| drop(r.remove(at + 12))), broken);
         // One byte of one value flipped.
         let flip = |r: &mut Vec<Record>, at: usize| {
             let mut value = r[at + 5].value.to_vec();
             value[10] ^= 0x01;
             r[at + 5].value = value.into();
         };
-        assert_eq!(scan_verdict(&store, level, flip), broken);
+        assert_eq!(scan_verdict(&store, &host, level, flip), broken);
         // One link's older digest altered.
         let alter = |r: &mut Vec<Record>, at: usize| {
             let mut proof = adversary::embedded_proof(&r[at + 5]);
@@ -1229,38 +1286,37 @@ mod chain {
             *older_digest = elsm_repro::crypto::sha256(b"elsewhere");
             r[at + 5] = adversary::with_proof(&r[at + 5], &proof);
         };
-        assert_eq!(scan_verdict(&store, level, alter), broken);
+        assert_eq!(scan_verdict(&store, &host, level, alter), broken);
         // The link of another key's chain (same position) spliced in.
         let splice = |r: &mut Vec<Record>, at: usize| {
             let other = r.iter().position(|r| r.key == OTHER).expect("the other chain");
             let theirs = adversary::embedded_proof(&r[other + 2]);
             r[at + 2] = adversary::with_proof(&r[at + 2], &theirs);
         };
-        assert_eq!(scan_verdict(&store, level, splice), broken);
+        assert_eq!(scan_verdict(&store, &host, level, splice), broken);
         // A link whose leaf index disagrees with its head's.
         let relocate = |r: &mut Vec<Record>, at: usize| {
             let mut proof = adversary::embedded_proof(&r[at + 2]);
             proof.leaf_index += 1;
             r[at + 2] = adversary::with_proof(&r[at + 2], &proof);
         };
-        assert_eq!(scan_verdict(&store, level, relocate), broken);
+        assert_eq!(scan_verdict(&store, &host, level, relocate), broken);
         // Two versions swapped: the first of them arrives out of turn.
-        assert_eq!(scan_verdict(&store, level, |r, at| r.swap(at + 3, at + 4)), broken);
+        assert_eq!(scan_verdict(&store, &host, level, |r, at| r.swap(at + 3, at + 4)), broken);
         // The head missing: what leads the group is a link.
         assert_eq!(
-            scan_verdict(&store, level, |r, at| drop(r.remove(at))),
+            scan_verdict(&store, &host, level, |r, at| drop(r.remove(at))),
             Err(VerificationFailure::StaleRecord { level: level as u32, newer_versions: 1 })
         );
         // An older version relabelled as a second head inside the group.
-        let relabel = |r: &mut Vec<Record>, at: usize| {
-            r[at + 1] = adversary::relabel_as_newest(&chain[1], &chain[0]);
-        };
-        assert_eq!(scan_verdict(&store, level, relabel), broken);
+        let relabelled = adversary::relabel_as_newest(&chain[1], &chain[0]);
+        let relabel = move |r: &mut Vec<Record>, at: usize| r[at + 1] = relabelled;
+        assert_eq!(scan_verdict(&store, &host, level, relabel), broken);
     }
 
     #[test]
     fn chain_link_offered_as_neighbor_or_boundary_is_rejected() {
-        let (store, level, chain) = chain_store(30);
+        let (store, host, level, chain) = chain_store(30);
         let stale = |newer_versions| VerificationFailure::StaleRecord {
             level: level as u32,
             newer_versions,
@@ -1268,23 +1324,25 @@ mod chain {
         // Non-membership just above the hot key: the honest left neighbour
         // is the chain's head, though the chain fills several blocks.
         let absent = b"key0020x";
-        let mut trace = store.raw_get_trace(absent).unwrap();
-        assert_eq!(store.verify_get_trace(absent, &trace), Ok(None));
+        assert_eq!(store.get(absent), Ok(None));
+        let mut trace = host.last_get();
         let search = trace.levels.iter_mut().find(|l| l.level == level).expect("the level");
         let LevelOutcome::Miss { left, .. } = &mut search.outcome else { panic!("a miss") };
         assert_eq!(left.as_ref(), Some(&chain[0]), "the left neighbour is the chain head");
         *left = Some(chain[9].clone());
-        let failure = store.verify_get_trace(absent, &trace).expect_err("a link is no neighbour");
+        let failure =
+            replayed_get(&store, &host, absent, trace).expect_err("a link is no neighbour");
         assert_eq!(failure, stale(9));
         // ... and just below it, on the right.
         let absent = b"key0019x";
-        let mut trace = store.raw_get_trace(absent).unwrap();
-        assert_eq!(store.verify_get_trace(absent, &trace), Ok(None));
+        assert_eq!(store.get(absent), Ok(None));
+        let mut trace = host.last_get();
         let search = trace.levels.iter_mut().find(|l| l.level == level).expect("the level");
         let LevelOutcome::Miss { right, .. } = &mut search.outcome else { panic!("a miss") };
         assert_eq!(right.as_ref(), Some(&chain[0]));
         *right = Some(chain[29].clone());
-        let failure = store.verify_get_trace(absent, &trace).expect_err("a link is no neighbour");
+        let failure =
+            replayed_get(&store, &host, absent, trace).expect_err("a link is no neighbour");
         assert_eq!(failure, stale(29));
 
         // Range boundaries: the hot key just outside the range on either
@@ -1292,14 +1350,14 @@ mod chain {
         for (from, to, hot_is_left) in
             [(&b"key0021"[..], &b"key0025"[..], true), (&b"key0015"[..], &b"key0019"[..], false)]
         {
-            let mut trace = store.raw_scan_trace(from, to).unwrap();
-            assert_eq!(store.verify_scan_trace(from, to, &trace).map(drop), Ok(()));
+            assert_eq!(store.scan(from, to).map(drop), Ok(()));
+            let mut trace = host.last_scan();
             let slice = trace.levels.iter_mut().find(|l| l.level == level).expect("the level");
             let boundary = if hot_is_left { &mut slice.left } else { &mut slice.right };
             assert_eq!(boundary.as_ref(), Some(&chain[0]), "the boundary is the chain head");
             *boundary = Some(chain[4].clone());
             assert_eq!(
-                store.verify_scan_trace(from, to, &trace),
+                replayed_scan(&store, &host, from, to, trace).map(drop),
                 Err(VerificationFailure::StaleRecord { level: level as u32, newer_versions: 4 })
             );
         }
@@ -1311,10 +1369,9 @@ mod chain {
     #[test]
     fn chain_scan_hashes_each_version_once() {
         let blocks_for = |versions: usize| {
-            let (store, _, _) = chain_store(versions);
-            let trace = store.raw_scan_trace(HOT, HOT).unwrap();
+            let (store, _, _, _) = chain_store(versions);
             let before = store.platform().stats().hash_blocks;
-            assert_eq!(store.verify_scan_trace(HOT, HOT, &trace).map(drop), Ok(()));
+            assert_eq!(store.scan(HOT, HOT).map(drop), Ok(()));
             store.platform().stats().hash_blocks - before
         };
         let (b10, b20, b40) = (blocks_for(10), blocks_for(20), blocks_for(40));
@@ -1332,15 +1389,16 @@ mod chain {
 /// leaves still walk to the committed root, and is an incomplete range.
 mod range_ends {
     use super::*;
-    use crate::support::adversary;
+    use crate::support::adversary::{self, HostileHost};
     use elsm_repro::lsm_store::{LevelOutcome, LevelRange, Record};
 
     fn key(i: usize) -> Vec<u8> {
         format!("key{i:04}").into_bytes()
     }
 
-    /// 40 keys at one level, and its records (record `i` is leaf `i`).
-    fn one_level() -> (ElsmP2, usize, Vec<Record>) {
+    /// 40 keys at one level, its host, and its records (record `i` is leaf
+    /// `i`).
+    fn one_level() -> (ElsmP2, Arc<HostileHost>, usize, Vec<Record>) {
         let store = ElsmP2::open(Platform::with_defaults(), P2Options::default()).unwrap();
         for i in 0..40 {
             store.put(&key(i), b"v").unwrap();
@@ -1350,7 +1408,8 @@ mod range_ends {
         let level = (1..=store.trusted().max_levels()).find(|&l| !dump(l).is_empty()).unwrap();
         let records = dump(level);
         assert_eq!(records.len(), 40);
-        (store, level, records)
+        let host = HostileHost::install(store.db());
+        (store, host, level, records)
     }
 
     fn incomplete<T: std::fmt::Debug>(result: Result<T, VerificationFailure>) -> bool {
@@ -1359,14 +1418,16 @@ mod range_ends {
 
     #[test]
     fn a_present_key_cannot_be_answered_by_a_miss() {
-        let (store, level, records) = one_level();
+        let (store, host, level, records) = one_level();
         let miss = |i: usize, left: Option<usize>, right: Option<usize>| {
-            let mut trace = store.raw_get_trace(&key(i)).unwrap();
-            let search = trace.levels.iter_mut().find(|l| l.level == level).unwrap();
-            assert!(matches!(search.outcome, LevelOutcome::Hit(_)));
             let neighbour = |j: Option<usize>| j.map(|j| records[j].clone());
-            search.outcome = LevelOutcome::Miss { left: neighbour(left), right: neighbour(right) };
-            store.verify_get_trace(&key(i), &trace).map(|answer| answer.is_some())
+            let (left, right) = (neighbour(left), neighbour(right));
+            host.on_get(move |trace| {
+                let search = trace.levels.iter_mut().find(|l| l.level == level).unwrap();
+                assert!(matches!(search.outcome, LevelOutcome::Hit(_)));
+                search.outcome = LevelOutcome::Miss { left, right };
+            });
+            adversary::verdict(store.get(&key(i))).map(|answer| answer.is_some())
         };
         // One neighbour and no edge behind the other end; the key itself as
         // the neighbour, at the edge that would anchor the other end.
@@ -1378,25 +1439,26 @@ mod range_ends {
 
     #[test]
     fn a_scan_cannot_move_an_end_of_its_run() {
-        let (store, level, _) = one_level();
-        let scan = |(from, to): (usize, usize), edit: &dyn Fn(&mut LevelRange)| {
-            let mut trace = store.raw_scan_trace(&key(from), &key(to)).unwrap();
-            edit(trace.levels.iter_mut().find(|l| l.level == level).unwrap());
-            store.verify_scan_trace(&key(from), &key(to), &trace).map(|got| got.len())
+        let (store, host, level, _) = one_level();
+        let scan = |(from, to): (usize, usize), edit: fn(&mut LevelRange)| {
+            host.on_scan(move |trace| {
+                edit(trace.levels.iter_mut().find(|l| l.level == level).unwrap())
+            });
+            adversary::verdict(store.scan(&key(from), &key(to))).map(|got| got.len())
         };
-        assert_eq!(scan((10, 20), &|_| {}), Ok(11));
+        assert_eq!(scan((10, 20), |_| {}), Ok(11));
         // The first key in range offered as the left boundary.
-        assert!(incomplete(scan((10, 20), &|l| l.left = Some(l.records.remove(0)))));
+        assert!(incomplete(scan((10, 20), |l| l.left = Some(l.records.remove(0)))));
         // The start and the records after it dropped: the run starts mid-range.
-        assert!(incomplete(scan((10, 20), &|l| {
+        assert!(incomplete(scan((10, 20), |l| {
             l.left = None;
             l.records.drain(..3);
         })));
         // Leaf 0, the boundary, offered as in range: its edge anchors the run.
-        assert!(incomplete(scan((1, 5), &|l| l.records.insert(0, l.left.take().unwrap()))));
+        assert!(incomplete(scan((1, 5), |l| l.records.insert(0, l.left.take().unwrap()))));
         // The end dropped, and the last record kept relabelled as the last
         // leaf of the tree: its leaf index is no part of its leaf.
-        assert!(incomplete(scan((30, 38), &|l| {
+        assert!(incomplete(scan((30, 38), |l| {
             l.right = None;
             l.records.truncate(4);
             let last = l.records.last_mut().unwrap();
@@ -1412,7 +1474,7 @@ mod range_ends {
 /// these add what only exists with crowns.
 mod crown {
     use super::*;
-    use crate::support::adversary;
+    use crate::support::adversary::{self, replayed_get, HostileHost};
     use elsm_repro::lsm_store::{GetTrace, LevelOutcome, Record};
     use elsm_repro::merkle::{ChainPosition, VerifyError};
 
@@ -1474,11 +1536,12 @@ mod crown {
         let tree = adversary::level_tree(&store.db().level_record_dump(level as usize).unwrap());
         let forged_path =
             Err(VerificationFailure::ForgedRecord { level, source: VerifyError::BadAuditPath });
+        let host = HostileHost::install(store.db());
         for k in [0, 1, 1023, 1024, 1777, KEYS - 1] {
-            let trace = store.raw_get_trace(&key(k)).unwrap();
             let before = store.verify_stats();
-            store.verify_get_trace(&key(k), &trace).expect("honest");
+            store.get(&key(k)).expect("honest");
             let after = store.verify_stats();
+            let trace = host.last_get();
             let hashed = (after.nodes_hashed - before.nodes_hashed) as usize;
             let compared = (after.nodes_compared - before.nodes_compared) as usize;
             let hit = trace.answer().expect("hit").clone();
@@ -1505,7 +1568,7 @@ mod crown {
                     bytes[byte] ^= 0x01;
                     path[sibling] = elsm_repro::crypto::Digest::from_bytes(bytes);
                     assert_eq!(
-                        store.verify_get_trace(&key(k), &with_path(path)).map(|_| ()),
+                        replayed_get(&store, &host, &key(k), with_path(path)).map(|_| ()),
                         forged_path,
                         "key {k} sibling {sibling} byte {byte}",
                     );
@@ -1513,7 +1576,7 @@ mod crown {
             }
             for path in [whole[..3].to_vec(), whole.clone(), whole[..1].to_vec()] {
                 let len = path.len();
-                let verdict = store.verify_get_trace(&key(k), &with_path(path)).map(|_| ());
+                let verdict = replayed_get(&store, &host, &key(k), with_path(path)).map(|_| ());
                 assert_eq!(verdict, forged_path, "key {k}: a path of {len} siblings");
             }
         }
@@ -1534,13 +1597,14 @@ mod crown {
         let records = store.db().level_record_dump(level as usize).unwrap();
         assert!(records.len() <= store.trusted().crown_row_max());
         let tree = adversary::level_tree(&records);
+        let host = HostileHost::install(store.db());
         for k in [0, 150, 299] {
-            let trace = store.raw_get_trace(&key(k)).unwrap();
+            assert_eq!(store.get(&key(k)).map(|v| v.is_some()), Ok(true));
+            let trace = host.last_get();
             let hit = trace.answer().expect("hit").clone();
             let honest = adversary::embedded_proof(&hit);
             let ChainPosition::Newest { audit_path, .. } = &honest.chain else { panic!("a head") };
             assert!(audit_path.is_empty(), "key {k}");
-            assert_eq!(store.verify_get_trace(&key(k), &trace).map(|v| v.is_some()), Ok(true));
             let whole = tree.audit_path(k as usize);
             for path in [whole[..1].to_vec(), whole] {
                 let mut proof = honest.clone();
@@ -1550,7 +1614,7 @@ mod crown {
                 *audit_path = path;
                 let forged = with_hit(&trace, adversary::with_proof(&hit, &proof));
                 assert_eq!(
-                    store.verify_get_trace(&key(k), &forged).map(|_| ()),
+                    replayed_get(&store, &host, &key(k), forged).map(|_| ()),
                     Err(VerificationFailure::ForgedRecord {
                         level,
                         source: VerifyError::BadAuditPath
@@ -2372,5 +2436,123 @@ mod host_order {
         let refused = read_back(&cluster, owned_by_0.iter().copied());
         assert_eq!(refused, owned_by_0.len(), "shard 0 refuses");
         assert_eq!(read_back(&cluster, owned_by_1.into_iter()), 0, "shard 1 serves on");
+    }
+}
+
+/// Fresh, not just authentic: a verified read answers with the store's
+/// newest state, not an older one the host still holds. Each case is one
+/// host move, replayed through the read path on `attack_classes`' store
+/// (400 puts over 200 keys, a 4 KiB write buffer, one flush), and must be
+/// refused and audited once. The verifier accepts every one of them today:
+/// it opens the envelope of a write-buffer record without asking whether it
+/// is the newest or whether any is missing, and accepts any epoch whose
+/// snapshot the host keeps listed (ROADMAP item 17). The cases are the
+/// acceptance test of that change, kept here until it lands.
+mod freshness {
+    use super::*;
+    use crate::support::adversary::{verdict, HostileHost};
+    use std::fmt::Debug;
+
+    fn key(i: u32) -> Vec<u8> {
+        format!("key{i:04}").into_bytes()
+    }
+
+    fn store() -> (ElsmP2, Arc<HostileHost>) {
+        let store = ElsmP2::open(Platform::with_defaults(), opts()).unwrap();
+        for i in 0..400u32 {
+            store.put(&key(i % 200), format!("value-{i}").as_bytes()).unwrap();
+        }
+        store.db().flush().unwrap();
+        let host = HostileHost::install(store.db());
+        (store, host)
+    }
+
+    /// `read` is refused, and audited once.
+    fn assert_refused<T: Debug>(store: &ElsmP2, read: impl FnOnce() -> Result<T, ElsmError>) {
+        let audited = store.telemetry().audit_total();
+        let result = verdict(read());
+        assert!(result.is_err(), "a stale answer verified: {result:?}");
+        assert_eq!(store.telemetry().audit_total(), audited + 1, "audited once");
+    }
+
+    /// A GET's trace from before an overwrite the write buffer still holds.
+    #[test]
+    #[ignore = "ROADMAP item 17: accepted today"]
+    fn a_get_from_before_a_buffered_overwrite_is_refused() {
+        let (store, host) = store();
+        store.get(&key(8)).unwrap();
+        let before = host.last_get();
+        store.put(&key(8), b"NEW").unwrap();
+        assert_eq!(store.get(&key(8)).unwrap().expect("present").value(), b"NEW");
+        host.replay_get(before);
+        assert_refused(&store, || store.get(&key(8)));
+    }
+
+    /// A write-buffer hit of an older version of the key.
+    #[test]
+    #[ignore = "ROADMAP item 17: accepted today"]
+    fn an_older_buffered_version_is_refused() {
+        let (store, host) = store();
+        store.put(&key(9), b"v1").unwrap();
+        store.get(&key(9)).unwrap();
+        let older = host.last_get();
+        store.put(&key(9), b"v2").unwrap();
+        host.replay_get(older);
+        assert_refused(&store, || store.get(&key(9)));
+    }
+
+    /// A scan whose write-buffer part leaves out a buffered insert.
+    #[test]
+    #[ignore = "ROADMAP item 17: accepted today"]
+    fn a_scan_without_a_buffered_insert_is_refused() {
+        let (store, host) = store();
+        store.put(b"key0050a", b"inserted").unwrap();
+        let (from, to) = (key(50), key(51));
+        assert_eq!(store.scan(&from, &to).unwrap().len(), 3);
+        host.on_scan(|trace| trace.memtable.retain(|r| r.key != b"key0050a"[..]));
+        assert_refused(&store, || store.scan(&from, &to));
+    }
+
+    /// A GET's trace from an epoch an overwrite was flushed past.
+    #[test]
+    #[ignore = "ROADMAP item 17: accepted today"]
+    fn a_get_from_before_a_flushed_overwrite_is_refused() {
+        let (store, host) = store();
+        store.get(&key(8)).unwrap();
+        let before = host.last_get();
+        store.put(&key(8), b"NEW").unwrap();
+        store.db().flush().unwrap();
+        assert!(store.db().current_epoch() > before.epoch);
+        host.replay_get(before);
+        assert_refused(&store, || store.get(&key(8)));
+    }
+
+    /// A scan's trace from before a delete that was flushed.
+    #[test]
+    #[ignore = "ROADMAP item 17: accepted today"]
+    fn a_scan_from_before_a_flushed_delete_is_refused() {
+        let (store, host) = store();
+        let (from, to) = (key(100), key(102));
+        store.scan(&from, &to).unwrap();
+        let before = host.last_scan();
+        store.delete(&key(101)).unwrap();
+        store.db().flush().unwrap();
+        assert_eq!(store.scan(&from, &to).unwrap().len(), 2);
+        host.replay_scan(before);
+        assert_refused(&store, || store.scan(&from, &to));
+    }
+
+    /// A GET's trace from before a buffered insert of a key no level holds:
+    /// "absent". A sharded owner's host that answers for a key in its write
+    /// buffer with another shard's trace makes the same move.
+    #[test]
+    #[ignore = "ROADMAP item 17: accepted today"]
+    fn a_get_from_before_a_buffered_insert_is_refused() {
+        let (store, host) = store();
+        assert!(store.get(b"zzz").unwrap().is_none());
+        let before = host.last_get();
+        store.put(b"zzz", b"buffered").unwrap();
+        host.replay_get(before);
+        assert_refused(&store, || store.get(b"zzz"));
     }
 }

@@ -9,9 +9,10 @@ use std::sync::Arc;
 use elsm_repro::elsm::{AuthenticatedKv, ElsmError, P2Options, VerificationFailure};
 use elsm_repro::sgx_sim::Platform;
 use elsm_repro::shard::{ShardedKv, ShardedOptions};
+use elsm_repro::telemetry::Telemetry;
 
 pub mod support;
-use support::adversary;
+use support::adversary::{self, verdict, HostileHost};
 
 fn small_store_options() -> P2Options {
     P2Options {
@@ -129,25 +130,37 @@ fn batched_writes_split_one_ecall_per_shard() {
 
 #[test]
 fn rerouted_get_detected() {
-    let cluster = hash_cluster(3);
+    let registry = Telemetry::new();
+    let options = P2Options { telemetry: registry.clone(), ..small_store_options() };
+    let cluster =
+        ShardedKv::open(Platform::with_defaults(), ShardedOptions::hash(3, options)).unwrap();
     for i in 0..150u32 {
         cluster.put(format!("key{i:04}").as_bytes(), b"v").unwrap();
     }
-    cluster.flush().unwrap();
     let key = key_owned_by(&cluster, 0);
     cluster.put(&key, b"owned-by-0").unwrap();
+    // On the owner's disk: the same replay of a key still in the owner's
+    // write buffer is an open case (`security::freshness`).
+    cluster.flush().unwrap();
     let owner = cluster.shard_of(&key);
     assert_eq!(owner, 0);
     // Honest routing verifies.
-    let honest = cluster.shard(owner).raw_get_trace(&key).unwrap();
-    cluster.verify_routed_get(&key, owner, &honest).unwrap();
-    // The host reroutes the query to shard 1, which honestly — and
-    // verifiably, against its own commitments! — answers "absent". The
-    // only thing that catches the suppression is the shard binding.
-    let rerouted = cluster.shard(1).raw_get_trace(&key).unwrap();
-    cluster.shard(1).verify_get_trace(&key, &rerouted).unwrap(); // verifies in shard 1's domain...
-    let err = cluster.verify_routed_get(&key, 1, &rerouted).unwrap_err();
-    assert_eq!(err, VerificationFailure::WrongShard { expected: 0, got: 1 });
+    assert_eq!(cluster.get(&key).unwrap().expect("present").value(), b"owned-by-0");
+    // The owner's host answers with the trace shard 1 gives for the key:
+    // an honest — and, in shard 1's own domain, verifying — "absent". The
+    // trusted router sends the read to the owner, whose enclave checks the
+    // trace against shard 0's levels: it leaves out the level holding the
+    // key.
+    let owner_host = HostileHost::install(cluster.shard(owner).db());
+    let other_host = HostileHost::install(cluster.shard(1).db());
+    assert!(cluster.shard(1).get(&key).unwrap().is_none(), "it verifies in shard 1's domain...");
+    let rerouted = other_host.last_get();
+    owner_host.replay_get(rerouted);
+    let audited = registry.audit_total();
+    let err = verdict(cluster.get(&key)).unwrap_err();
+    assert_eq!(err, VerificationFailure::LevelSkipped { expected: 1 });
+    assert_eq!(registry.audit_total(), audited + 1, "audited once");
+    assert_eq!(registry.audit_events().last().unwrap().shard, Some(0));
 }
 
 #[test]
@@ -157,25 +170,27 @@ fn hidden_level_inside_a_shard_detected_through_the_router() {
         cluster.put(format!("key{:04}", i % 200).as_bytes(), b"v").unwrap();
     }
     cluster.flush().unwrap();
+    let hosts: Vec<_> = (0..3).map(|s| HostileHost::install(cluster.shard(s).db())).collect();
     let key = (0..200u32)
         .map(|i| format!("key{i:04}").into_bytes())
         .find(|k| {
-            let owner = cluster.shard_of(k);
-            let trace = cluster.shard(owner).raw_get_trace(k).unwrap();
+            cluster.get(k).unwrap();
+            let trace = hosts[cluster.shard_of(k)].last_get();
             trace.memtable.is_none() && trace.answer().is_some()
         })
         .expect("a key answered from disk");
     let owner = cluster.shard_of(&key);
-    let mut trace = cluster.shard(owner).raw_get_trace(&key).unwrap();
-    let hit_level = trace
-        .levels
-        .iter()
-        .find_map(|l| {
-            matches!(l.outcome, elsm_repro::lsm_store::LevelOutcome::Hit(_)).then_some(l.level)
-        })
-        .expect("a hit level");
-    adversary::hide_level(&mut trace, hit_level);
-    let err = cluster.verify_routed_get(&key, owner, &trace).unwrap_err();
+    hosts[owner].on_get(|trace| {
+        let hit_level = trace
+            .levels
+            .iter()
+            .find_map(|l| {
+                matches!(l.outcome, elsm_repro::lsm_store::LevelOutcome::Hit(_)).then_some(l.level)
+            })
+            .expect("a hit level");
+        adversary::hide_level(trace, hit_level);
+    });
+    let err = verdict(cluster.get(&key)).unwrap_err();
     assert!(matches!(err, VerificationFailure::HiddenLevel { .. }), "got {err:?}");
 }
 
@@ -186,27 +201,33 @@ fn smuggled_scan_records_detected() {
         cluster.put(format!("key{i:04}").as_bytes(), b"v").unwrap();
     }
     cluster.flush().unwrap();
+    let hosts: Vec<_> = (0..3).map(|s| HostileHost::install(cluster.shard(s).db())).collect();
     // Shard 1's honest scan segment verifies as shard 1's, and what comes
-    // back is the result the ownership check read: the verifier's.
+    // back is the result the ownership check reads: the trace's.
     let (from, to) = (b"a".as_slice(), b"z".as_slice());
-    let trace = cluster.shard(1).raw_scan_trace(from, to).unwrap();
-    let segment = cluster.verify_routed_scan(from, to, 1, &trace).unwrap();
+    let segment = cluster.shard(1).scan(from, to).unwrap();
     assert!(!segment.is_empty());
-    assert_eq!(segment.iter().map(|v| v.record).collect::<Vec<_>>(), trace.merged());
+    let trace = hosts[1].last_scan();
+    let stamped = |key: &[u8], ts| (key.to_vec(), ts);
+    assert_eq!(
+        segment.iter().map(|r| stamped(r.key(), r.ts())).collect::<Vec<_>>(),
+        trace.merged().iter().map(|r| stamped(&r.key, r.ts)).collect::<Vec<_>>()
+    );
     // Presented as shard 0's answer it is refused outright: shard 0's
     // commitments do not vouch for a record of it.
-    assert!(cluster.verify_routed_scan(from, to, 0, &trace).is_err());
+    hosts[0].replay_scan(trace);
+    assert!(verdict(cluster.scan(from, to)).is_err());
     // Smuggling that verifies: the host routes a write for a key shard 2
     // owns to shard 0, whose enclave commits it like any other. Shard 0's
     // segment then holds up against shard 0's own commitments, and only
-    // the per-record ownership check on the verified result refuses it.
+    // the router's per-record ownership check on the verified result — the
+    // stitch of a cross-shard scan — refuses it.
     let foreign = key_owned_by(&cluster, 2);
     cluster.shard(0).put(&foreign, b"smuggled").unwrap();
     cluster.shard(0).db().flush().unwrap();
-    let trace = cluster.shard(0).raw_scan_trace(from, to).unwrap();
-    let verified = cluster.shard(0).verify_scan_trace(from, to, &trace).unwrap();
-    assert!(verified.iter().any(|v| v.record.key == foreign), "it verifies in shard 0's domain");
-    let err = cluster.verify_routed_scan(from, to, 0, &trace).unwrap_err();
+    let verified = cluster.shard(0).scan(from, to).unwrap();
+    assert!(verified.iter().any(|r| r.key() == foreign), "it verifies in shard 0's domain");
+    let err = verdict(cluster.scan(from, to)).unwrap_err();
     assert_eq!(err, VerificationFailure::WrongShard { expected: 2, got: 0 });
     // Ownership checking is per record, not per segment.
     let foreign = key_owned_by(&cluster, 2);

@@ -1,18 +1,150 @@
 //! Malicious-host simulation (§3.3's threat model, made executable).
 //!
-//! The adversary controls everything outside the enclave: file bytes, the
-//! answers the storage layer returns, and — across power cycles — which
-//! (older) version of the storage it presents. This module provides
-//! helpers that mount each attack class; the security test suite asserts
-//! every one is detected by the VRFY algorithms.
+//! The adversary is the host: it runs the host's software and holds its
+//! storage. It controls file bytes, which (older) version of the storage
+//! it presents across power cycles, and — as the code on the store's read
+//! path — the trace every verified read hands the enclave. It has no other
+//! way in: [`HostileHost`] sits on the engine's one host-side seam
+//! ([`Interposer`]), and every attack on an answer is an ordinary `get`,
+//! `scan` or routed read whose trace it observed, mutated, withheld or
+//! replayed. The rest of this module builds the moves: trace mutators,
+//! proof surgery and raw rewrites of stored tables.
+
+use std::sync::{Arc, Mutex};
 
 use bytes::Bytes;
 use elsm_repro::crypto::Digest;
+use elsm_repro::elsm::{AuthenticatedKv, ElsmError, ElsmP2, VerificationFailure, VerifiedRecord};
 use elsm_repro::lsm_store::block::Block;
 use elsm_repro::lsm_store::encoding::{put_fixed_u32, put_varint_u32};
-use elsm_repro::lsm_store::{GetTrace, LevelOutcome, Record, ScanTrace};
+use elsm_repro::lsm_store::{Db, GetTrace, Interposer, LevelOutcome, Record, ScanTrace};
 use elsm_repro::merkle::{chain_digest, ChainPosition, MerkleTree, RecordProof};
 use elsm_repro::sim_disk::SimFile;
+
+/// A move armed for the next read of one kind: it gets the trace the
+/// store captured and leaves what the enclave is handed.
+type Move<T> = Box<dyn FnOnce(&mut T) + Send>;
+
+/// The host of one store, turned hostile. Installed on the store's read
+/// path, it records the trace of every verified GET and SCAN — its own
+/// history, kept one deep per kind ([`HostileHost::last_get`]) — and then
+/// applies the move armed for that kind of read, once. With no move armed
+/// it hands the trace on untouched.
+#[derive(Default)]
+pub struct HostileHost {
+    get_move: Mutex<Option<Move<GetTrace>>>,
+    scan_move: Mutex<Option<Move<ScanTrace>>>,
+    last_get: Mutex<Option<GetTrace>>,
+    last_scan: Mutex<Option<ScanTrace>>,
+}
+
+impl HostileHost {
+    /// Installs a hostile host on `db`'s read path.
+    pub fn install(db: &Db) -> Arc<HostileHost> {
+        let host = Arc::new(HostileHost::default());
+        db.interpose(host.clone());
+        host
+    }
+
+    /// Rewrites the next verified GET's trace with `edit`. The edit runs on
+    /// the host, between the capture and the check: it may also act on the
+    /// store, as a host that installs new versions under a read does.
+    pub fn on_get(&self, edit: impl FnOnce(&mut GetTrace) + Send + 'static) {
+        *self.get_move.lock().unwrap() = Some(Box::new(edit));
+    }
+
+    /// Rewrites the next verified SCAN's trace with `edit`.
+    pub fn on_scan(&self, edit: impl FnOnce(&mut ScanTrace) + Send + 'static) {
+        *self.scan_move.lock().unwrap() = Some(Box::new(edit));
+    }
+
+    /// Answers the next verified GET with `trace` in place of the one the
+    /// store captured: a replay (from this host's history or another
+    /// store's) or a fabrication.
+    pub fn replay_get(&self, trace: GetTrace) {
+        self.on_get(move |captured| *captured = trace);
+    }
+
+    /// Answers the next verified SCAN with `trace`.
+    pub fn replay_scan(&self, trace: ScanTrace) {
+        self.on_scan(move |captured| *captured = trace);
+    }
+
+    /// The trace the last verified GET captured, as captured.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no GET has passed the host yet.
+    pub fn last_get(&self) -> GetTrace {
+        self.last_get.lock().unwrap().clone().expect("a GET passed the host")
+    }
+
+    /// The trace the last verified SCAN captured, as captured.
+    ///
+    /// # Panics
+    ///
+    /// Panics if no SCAN has passed the host yet.
+    pub fn last_scan(&self) -> ScanTrace {
+        self.last_scan.lock().unwrap().clone().expect("a SCAN passed the host")
+    }
+}
+
+impl Interposer for HostileHost {
+    fn get(&self, trace: &mut GetTrace) {
+        *self.last_get.lock().unwrap() = Some(trace.clone());
+        let edit = self.get_move.lock().unwrap().take();
+        if let Some(edit) = edit {
+            edit(trace);
+        }
+    }
+
+    fn scan(&self, trace: &mut ScanTrace) {
+        *self.last_scan.lock().unwrap() = Some(trace.clone());
+        let edit = self.scan_move.lock().unwrap().take();
+        if let Some(edit) = edit {
+            edit(trace);
+        }
+    }
+}
+
+/// A read's outcome with its refusal unwrapped: `Err` holds the
+/// verification failure the store refused the read with.
+///
+/// # Panics
+///
+/// Panics on any other error: an attack on an answer is refused by
+/// verification, not by IO or poisoning.
+pub fn verdict<T>(result: Result<T, ElsmError>) -> Result<T, VerificationFailure> {
+    result.map_err(|error| match error {
+        ElsmError::Verification(failure) => failure,
+        other => panic!("a read refused by something other than verification: {other}"),
+    })
+}
+
+/// A verified GET of `key` on `store` that its host `host` answers with
+/// `trace`, with its refusal unwrapped.
+pub fn replayed_get(
+    store: &ElsmP2,
+    host: &HostileHost,
+    key: &[u8],
+    trace: GetTrace,
+) -> Result<Option<VerifiedRecord>, VerificationFailure> {
+    host.replay_get(trace);
+    verdict(store.get(key))
+}
+
+/// A verified SCAN of `[from, to]` on `store` that its host `host` answers
+/// with `trace`, with its refusal unwrapped.
+pub fn replayed_scan(
+    store: &ElsmP2,
+    host: &HostileHost,
+    from: &[u8],
+    to: &[u8],
+    trace: ScanTrace,
+) -> Result<Vec<VerifiedRecord>, VerificationFailure> {
+    host.replay_scan(trace);
+    verdict(store.scan(from, to))
+}
 
 /// Replaces the hit record's value bytes (query-integrity attack).
 pub fn forge_hit_value(trace: &mut GetTrace, forged_value: &[u8]) {

@@ -180,18 +180,20 @@ fn verification_failures_land_on_the_root_audit_stream() {
     // Each routed refusal adds exactly one event, stamped with its shard:
     // a routed GET the owner's enclave refuses for a hidden level...
     cluster.flush().unwrap();
-    let mut trace = cluster.shard(owner).raw_get_trace(b"audited").unwrap();
-    let hit = trace.levels.iter().find(|l| matches!(l.outcome, LevelOutcome::Hit(_)));
-    let hit = hit.expect("the key is on disk").level;
-    adversary::hide_level(&mut trace, hit);
-    assert!(cluster.verify_routed_get(b"audited", owner, &trace).is_err());
+    let host = adversary::HostileHost::install(cluster.shard(owner).db());
+    host.on_get(|trace| {
+        let hit = trace.levels.iter().find(|l| matches!(l.outcome, LevelOutcome::Hit(_)));
+        let hit = hit.expect("the key is on disk").level;
+        adversary::hide_level(trace, hit);
+    });
+    assert!(cluster.get(b"audited").is_err());
     let events = registry.audit_events();
     assert_eq!(events.len(), 2, "one event for the refused GET: {events:?}");
     assert_eq!((events[1].kind, events[1].shard), ("HiddenLevel", Some(owner as u32)));
-    // ...and a routed SCAN segment holding a record of another shard.
+    // ...and a cross-shard SCAN whose segment from another shard holds a
+    // record of the owner's.
     cluster.shard(wrong).put(b"audited", b"smuggled").unwrap();
-    let trace = cluster.shard(wrong).raw_scan_trace(b"a", b"z").unwrap();
-    assert!(cluster.verify_routed_scan(b"a", b"z", wrong, &trace).is_err());
+    assert!(cluster.scan(b"a", b"z").is_err());
     let events = registry.audit_events();
     assert_eq!(events.len(), 3, "one event for the refused SCAN: {events:?}");
     assert_eq!((events[2].kind, events[2].component), ("WrongShard", "router"));
