@@ -1002,6 +1002,39 @@ pub(crate) mod tests {
     }
 
     #[test]
+    fn a_rotated_log_is_mapped_by_the_manifest_write() {
+        // A commit group larger than the write buffer fills a log by
+        // itself, so every commit flushes and rotates the log. The next
+        // log is mapped in the host call that writes the freeze's
+        // manifest, as large as the closed log needed: its one frame
+        // leaves the enclave no more.
+        let mapped = crate::env::EnvConfig {
+            use_mmap: true,
+            block_cache_bytes: 0,
+            ..crate::env::EnvConfig::default()
+        };
+        let db = open_db(Options { env: mapped, compaction_enabled: false, ..small_options() });
+        let batch = |round: u8| {
+            let mut batch = WriteBatch::new();
+            for i in 0..40 {
+                batch.put(format!("r{round}k{i:02}").into_bytes(), vec![round; 128]);
+            }
+            batch
+        };
+        let ocalls = || db.env().platform().stats().ocalls;
+        let before = ocalls();
+        db.write_batch(batch(0)).unwrap();
+        assert_eq!(db.stats().flushes, 1, "the batch fills the write buffer");
+        assert_eq!(ocalls() - before, 4, "the first log's mapping, the table's, two manifests");
+        for round in 1..4 {
+            let before = ocalls();
+            db.write_batch(batch(round)).unwrap();
+            assert_eq!(ocalls() - before, 3, "the table's mapping and two manifests");
+        }
+        assert_eq!(db.stats().flushes, 4);
+    }
+
+    #[test]
     fn racing_writers_coalesce_into_groups() {
         // With many threads hammering singleton puts, followers must ride
         // leaders' commits: fewer op-base charges than records would imply

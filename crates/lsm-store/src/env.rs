@@ -4,18 +4,30 @@
 //! One [`StorageEnv`] value captures a complete configuration from the
 //! paper's design space (Table 1):
 //!
-//! | Configuration | `in_enclave` | cache placement | `use_mmap` | `sealed_files` | WAL commit |
-//! |---|---|---|---|---|---|
-//! | eLSM-P1 | yes | [`Placement::Enclave`] | no (impossible) | yes (SDK protection) | one OCall per frame |
-//! | eLSM-P2 (buffer) | yes | [`Placement::Untrusted`] | no | no (Merkle proofs instead) | one OCall per frame |
-//! | eLSM-P2 (mmap) | yes | — | yes | no | copy into the mapped log; one OCall per mapping growth |
-//! | unsecured LevelDB | no | [`Placement::Untrusted`] | either | no | no world switch |
+//! | Configuration | `in_enclave` | cache placement | `use_mmap` | `sealed_files` |
+//! |---|---|---|---|---|
+//! | eLSM-P1 | yes | [`Placement::Enclave`] | no (impossible) | yes (SDK protection) |
+//! | eLSM-P2 (buffer) | yes | [`Placement::Untrusted`] | no | no (Merkle proofs instead) |
+//! | eLSM-P2 (mmap) | yes | — | yes | no |
+//! | unsecured LevelDB | no | [`Placement::Untrusted`] | either | no |
+//!
+//! and what each of its files' IO crosses ([`MappedFile`]):
+//!
+//! | Configuration | WAL commit | value-log read | table write | table open |
+//! |---|---|---|---|---|
+//! | eLSM-P1 | one OCall per frame | one OCall per entry | one OCall per 64 KiB chunk | four OCalls |
+//! | eLSM-P2 (buffer) | one OCall per frame | one OCall per entry | one OCall per 64 KiB chunk | four OCalls |
+//! | eLSM-P2 (mmap) | copy into the log's mapping | read from the log's mapping | copy into the table's mapping | a new table: read from its mapping; an existing one: one OCall to map it |
+//! | unsecured LevelDB | no world switch | no world switch | no world switch | no world switch |
+//!
+//! A mapped file leaves the enclave only to have the host map it or grow
+//! its mapping — one OCall each, the mapping doubling — and the WAL's next
+//! mapping rides the host call of the manifest written when the log
+//! rotates. The manifest is written through the host, and file creates,
+//! renames and deletes are the host's.
 //!
 //! Every file read/write routes through here so the right OCalls, copies,
-//! paging and sealing costs are charged. A store that maps its files also
-//! appends its WAL through a mapping ([`StorageEnv::append_mapped`]);
-//! table, manifest and value-log writes go through the host
-//! ([`StorageEnv::append`]).
+//! paging and sealing costs are charged.
 
 use std::sync::Arc;
 
@@ -29,8 +41,9 @@ pub struct EnvConfig {
     /// Whether the store's code executes inside the enclave (file IO then
     /// requires OCalls).
     pub in_enclave: bool,
-    /// Read SSTables through untrusted-memory mmaps instead of buffered
-    /// reads. Incompatible with an enclave-placed cache.
+    /// Reach files through mappings in untrusted memory ([`MappedFile`])
+    /// instead of a host call per read or write. Incompatible with an
+    /// enclave-placed cache.
     pub use_mmap: bool,
     /// Placement of the block cache.
     pub cache_placement: Placement,
@@ -183,38 +196,23 @@ impl StorageEnv {
         }
     }
 
-    /// Appends to a file through the host (table and manifest writes,
-    /// value-log batches, and the WAL of a store that maps no files): one
-    /// OCall in enclave mode.
+    /// Appends to a file through the host (the manifest, and every file of
+    /// a store that maps no files — see [`MappedFile::append`]): one OCall
+    /// in enclave mode.
     pub fn append(&self, file: &SimFile, bytes: &[u8]) {
-        self.host_call(|| file.append(bytes));
+        self.append_then(file, bytes, || ());
+    }
+
+    /// [`StorageEnv::append`], running `also` in the same host call.
+    pub(crate) fn append_then(&self, file: &SimFile, bytes: &[u8], also: impl FnOnce()) {
+        self.host_call(|| {
+            file.append(bytes);
+            also();
+        });
         if self.config.in_enclave {
             // The written bytes cross the boundary from enclave to host.
             self.platform.cross_copy(bytes.len());
         }
-    }
-
-    /// Has the host create or grow the mapping of a log in untrusted
-    /// memory that [`StorageEnv::append_mapped`] writes through: one OCall
-    /// in enclave mode (`ftruncate` and `mmap` are the host's). The
-    /// mapping's tail past the written bytes is sparse — it holds no disk
-    /// blocks, and the file's length stays the bytes written.
-    pub fn map_log(&self) {
-        self.host_call(|| ());
-    }
-
-    /// Appends through a mapping of `file` in untrusted memory, which the
-    /// caller has had [`StorageEnv::map_log`] extend past the file's new
-    /// end: the enclave copies the bytes across the boundary into the
-    /// mapping and does not leave; the kernel's writeback of the dirty
-    /// pages is host time the enclave does not wait in an OCall for. Once
-    /// the copy completes the bytes are on the host, as after a `write()`.
-    pub fn append_mapped(&self, file: &SimFile, bytes: &[u8]) {
-        if self.config.in_enclave {
-            self.platform.cross_copy(bytes.len());
-        }
-        let _writeback = sgx_sim::host_scope();
-        file.append(bytes);
     }
 
     /// Reads a data block, applying (in order): block cache or mmap, OCall
@@ -328,6 +326,126 @@ impl StorageEnv {
     }
 }
 
+/// A file the store appends to and reads from inside the enclave: the
+/// WAL, a value-log file, a table. Where the environment maps files
+/// ([`EnvConfig::use_mmap`], eLSM-P2's default) it goes through one
+/// mapping of the file in untrusted memory — the host creates the mapping
+/// and grows it by doubling, one OCall each, and every append copies into
+/// it and every read dereferences it without leaving the enclave.
+/// Elsewhere (eLSM-P1's sealed files, P2 reading through a buffer) each
+/// append and each read is one host call.
+///
+/// The mapping's tail past the written bytes is sparse: it holds no disk
+/// blocks, and the file's length stays the bytes written. Clones share
+/// the file and its mapping.
+#[derive(Debug, Clone)]
+pub struct MappedFile {
+    env: Arc<StorageEnv>,
+    file: Arc<SimFile>,
+    /// The mapping, in a mapped environment: as long as the host mapped.
+    map: Option<Arc<MmapFile>>,
+    /// The first mapping's length.
+    initial: usize,
+}
+
+impl MappedFile {
+    /// A file written from its end, mapped by its first append at
+    /// `initial` bytes or the doubling of them that holds the append.
+    pub fn new(env: Arc<StorageEnv>, file: Arc<SimFile>, initial: usize) -> Self {
+        let map = env.config.use_mmap.then(|| MmapFile::map_len(file.clone(), 0));
+        MappedFile { env, file, map, initial }
+    }
+
+    /// A file the store cuts once it passed `target` bytes (a value-log
+    /// file, a merge's output table), mapped by its first append at twice
+    /// that: such a file ends past its target — by the entry or the key's
+    /// versions that crossed it, a table also by its filter, index and
+    /// footer — and only an outsized one makes the mapping grow.
+    pub fn cut_at(env: Arc<StorageEnv>, file: Arc<SimFile>, target: u64) -> Self {
+        let initial = usize::try_from(target).unwrap_or(usize::MAX).saturating_mul(2);
+        Self::new(env, file, initial)
+    }
+
+    /// An existing file, mapped whole now: one OCall in a mapped
+    /// environment (the host's `fstat` and `mmap`), nothing elsewhere.
+    pub fn open(env: Arc<StorageEnv>, file: Arc<SimFile>) -> Self {
+        let map = env.config.use_mmap.then(|| env.host_call(|| MmapFile::map(file.clone())));
+        MappedFile { env, file, map, initial: 0 }
+    }
+
+    /// The environment the file's IO is charged to.
+    pub fn env(&self) -> &Arc<StorageEnv> {
+        &self.env
+    }
+
+    /// The file.
+    pub fn file(&self) -> &Arc<SimFile> {
+        &self.file
+    }
+
+    /// The mapping, in a mapped environment.
+    pub fn mapping(&self) -> Option<&Arc<MmapFile>> {
+        self.map.as_ref()
+    }
+
+    /// Maps the file's first `initial` bytes now without an OCall of its
+    /// own: the caller runs this inside a host call it makes anyway.
+    pub(crate) fn map_in_host_call(&self) {
+        if let Some(map) = &self.map {
+            map.grow(self.initial);
+        }
+    }
+
+    /// Appends `bytes`. Through the mapping, the enclave copies them
+    /// across the boundary and does not leave — but to have the host map
+    /// the file or double its mapping when they do not fit, one OCall;
+    /// the kernel's writeback of the dirty pages is host time the enclave
+    /// does not wait in an OCall for. Once the copy completes the bytes
+    /// are on the host, as after a `write()`. Elsewhere, one host call.
+    /// Either way the append is one filesystem mutation.
+    pub fn append(&self, bytes: &[u8]) {
+        let Some(map) = &self.map else {
+            self.env.append(&self.file, bytes);
+            return;
+        };
+        let end = self.file.len() + bytes.len();
+        if end > map.len() {
+            let len = doubled(map.len().max(self.initial), end);
+            self.env.host_call(|| map.grow(len));
+        }
+        if self.env.config.in_enclave {
+            self.env.platform.cross_copy(bytes.len());
+        }
+        let _writeback = sgx_sim::host_scope();
+        self.file.append(bytes);
+    }
+
+    /// Reads `len` bytes at `offset`: through the mapping, what an SST
+    /// read through it pays (DRAM when warm, a fault per cold page);
+    /// elsewhere, one host call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError::OutOfBounds`] past the end of the mapping or of
+    /// the file.
+    pub fn read(&self, offset: usize, len: usize) -> Result<Bytes, FsError> {
+        match &self.map {
+            Some(map) => map.read(offset, len),
+            None => self.env.host_call(|| self.file.read_at(offset, len)),
+        }
+    }
+}
+
+/// `len` (at least 1), doubled until it reaches `end`: how a mapping
+/// grows.
+pub(crate) fn doubled(len: usize, end: usize) -> usize {
+    let mut len = len.max(1);
+    while len < end {
+        len = len.saturating_mul(2);
+    }
+    len
+}
+
 fn seal_aad(file_no: u64, offset: usize) -> Vec<u8> {
     let mut aad = Vec::with_capacity(16);
     aad.extend_from_slice(&file_no.to_be_bytes());
@@ -415,20 +533,45 @@ mod tests {
     }
 
     #[test]
-    fn mapped_appends_stay_in_the_enclave() {
+    fn mapped_appends_and_reads_stay_in_the_enclave() {
         let (env, fs) =
             env_with(EnvConfig { use_mmap: true, block_cache_bytes: 0, ..EnvConfig::default() });
-        let f = fs.create("log").unwrap();
+        let f = MappedFile::new(env.clone(), fs.create("log").unwrap(), 2048);
         let p = env.platform().clone();
         let before = sgx_sim::thread_charges();
+        p.ecall(|| f.append(&[5u8; 1024]));
+        assert_eq!(sgx_sim::thread_charges().since(&before).ocalls, 1, "the first append maps");
+        assert_eq!(f.mapping().unwrap().len(), 2048);
+        let before = sgx_sim::thread_charges();
         let mutations = fs.mutations();
-        p.ecall(|| env.append_mapped(&f, &[5u8; 1024]));
+        p.ecall(|| f.append(&[6u8; 1024]));
         let d = sgx_sim::thread_charges().since(&before);
         assert_eq!((d.ecalls, d.ocalls, d.cross_copy_bytes), (1, 0, 1024));
         assert!(d.host_ns > 0, "writeback is host time");
-        assert_eq!((f.len(), fs.mutations() - mutations), (1024, 1), "one append, as written");
-        p.ecall(|| env.map_log());
-        assert_eq!(sgx_sim::thread_charges().since(&before).ocalls, 1, "a mapping is one OCall");
+        assert_eq!((f.file().len(), fs.mutations() - mutations), (2048, 1), "one append");
+        p.ecall(|| f.append(&[7u8; 1]));
+        assert_eq!(f.mapping().unwrap().len(), 4096, "the mapping doubles");
+        let before = sgx_sim::thread_charges();
+        let got = p.ecall(|| f.read(1000, 48)).unwrap();
+        assert_eq!(&got[..], &[[5u8; 24], [6u8; 24]].concat()[..]);
+        let d = sgx_sim::thread_charges().since(&before);
+        assert_eq!((d.ecalls, d.ocalls), (1, 0), "a read dereferences the mapping");
+        assert!(f.read(2049, 10).is_err(), "past the file");
+        let reopened = p.ecall(|| MappedFile::open(env.clone(), f.file().clone()));
+        assert_eq!(sgx_sim::thread_charges().since(&before).ocalls, 1, "an open maps the file");
+        assert_eq!(reopened.mapping().unwrap().len(), 2049);
+    }
+
+    #[test]
+    fn unmapped_files_leave_once_per_append_and_read() {
+        let (env, fs) = env_with(EnvConfig { block_cache_bytes: 0, ..EnvConfig::default() });
+        let f = MappedFile::new(env.clone(), fs.create("log").unwrap(), 2048);
+        let ocalls0 = env.platform().stats().ocalls;
+        f.append(&[1u8; 100]);
+        f.append(&[2u8; 100]);
+        assert_eq!(&f.read(90, 20).unwrap()[..], &[[1u8; 10], [2u8; 10]].concat()[..]);
+        assert_eq!(env.platform().stats().ocalls - ocalls0, 3);
+        assert!(f.mapping().is_none());
     }
 
     #[test]

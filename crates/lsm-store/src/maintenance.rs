@@ -35,11 +35,12 @@ use sim_disk::FsError;
 
 use crate::compaction::{CompactionJob, LevelsView, VlogGcJob};
 use crate::db::{table_name, wal_name, Db, DbInner};
+use crate::env::doubled;
 use crate::events::{InputPosition, MergeJob, ReplicationEvent};
 use crate::memtable::MemTable;
 use crate::merge::{KWayMerge, MergeInput};
 use crate::record::{Record, RecordView, Timestamp, ValueKind};
-use crate::sstable::{TableBuilder, TableReader};
+use crate::sstable::TableBuilder;
 use crate::version::{Run, Version};
 use crate::vlog::{decode_pointer, encode_pointer, vlog_name};
 use crate::wal::WalWriter;
@@ -234,7 +235,11 @@ impl Db {
             self.stats.flushes.inc();
             let imm = Arc::new(std::mem::replace(&mut inner.memtable, MemTable::new()));
             let old_wal = wal_name(inner.wal_no);
-            inner.wal = WalWriter::new(self.env.clone(), wal_file, self.options.write_buffer_bytes);
+            // The next log is mapped, by the manifest write below, as a log
+            // needs to hold what the closed one holds.
+            let closed = inner.wal.file().file().len();
+            let map_initial = doubled(self.options.write_buffer_bytes, closed);
+            inner.wal = WalWriter::new(self.env.clone(), wal_file, map_initial);
             inner.wal_no = new_wal_no;
             // A commit folds its records into the listener after it let go
             // of this lock; the rotation is heard once the closed log's
@@ -247,8 +252,10 @@ impl Db {
             // Crash safety: before any writer can append to the new WAL
             // (i.e. before this lock releases), the manifest must name
             // both logs — otherwise acknowledged writes that land in the
-            // new WAL while the merge runs would be lost on recovery.
-            self.write_manifest_with(inner.wal_lo, inner.wal_no, &inner.current)?;
+            // new WAL while the merge runs would be lost on recovery. The
+            // host call that writes it also maps the new log.
+            let next_log = Some(inner.wal.file());
+            self.write_manifest_with(inner.wal_lo, inner.wal_no, &inner.current, next_log)?;
             (imm, inner.current.clone(), old_wal)
         };
         self.flush_frozen(&imm, &base, &old_wal)?;
@@ -783,9 +790,10 @@ impl Db {
             let file = self.env.fs().create(&table_name(file_no))?;
             let mut builder = TableBuilder::new(
                 self.env.clone(),
-                file.clone(),
+                file,
                 file_no,
                 self.options.table.clone(),
+                self.options.target_file_bytes,
             );
             let mut bytes = 0u64;
             while idx < survivors.len() {
@@ -800,8 +808,7 @@ impl Db {
                 bytes += (r.key.len() + stored + 24) as u64;
                 idx += 1;
             }
-            builder.finish();
-            tables.push(Arc::new(TableReader::open(self.env.clone(), file, file_no)?));
+            tables.push(Arc::new(builder.finish()?));
         }
         Ok(if tables.is_empty() { None } else { Some(Arc::new(Run::new(tables)?)) })
     }

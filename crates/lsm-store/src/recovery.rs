@@ -21,7 +21,7 @@ use sim_disk::FsError;
 
 use crate::db::{table_name, wal_name, Db, DbInner};
 use crate::encoding::{get_fixed_u64, get_varint_u64, put_fixed_u64, put_varint_u64};
-use crate::env::StorageEnv;
+use crate::env::{MappedFile, StorageEnv};
 use crate::events::StoreListener;
 use crate::memtable::MemTable;
 use crate::options::Options;
@@ -317,14 +317,18 @@ impl Db {
             let inner = self.inner.read();
             (inner.wal_lo, inner.wal_no, inner.current.clone())
         };
-        self.write_manifest_with(wal_lo, wal_no, &version)
+        self.write_manifest_with(wal_lo, wal_no, &version, None)
     }
 
+    /// Writes the manifest naming `version` and the logs `wal_lo..=wal_hi`;
+    /// the host call that writes it also maps `next_log`, a log the
+    /// rotation just created.
     pub(crate) fn write_manifest_with(
         &self,
         wal_lo: u64,
         wal_hi: u64,
         version: &Version,
+        next_log: Option<&MappedFile>,
     ) -> Result<(), FsError> {
         let head =
             [self.file_no.load(Ordering::SeqCst), self.ts.load(Ordering::SeqCst), wal_lo, wal_hi];
@@ -344,7 +348,11 @@ impl Db {
         put_manifest(&mut bytes, head, levels, vlog_next_no, &vlog_files, state);
         // Beside the old manifest, then over it in one rename.
         let file = self.env.fs().create(MANIFEST_TMP)?;
-        self.env.append(&file, &bytes);
+        self.env.append_then(&file, &bytes, || {
+            if let Some(log) = next_log {
+                log.map_in_host_call();
+            }
+        });
         self.env.fs().rename(MANIFEST_TMP, MANIFEST)
     }
 }

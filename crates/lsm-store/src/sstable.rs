@@ -17,16 +17,26 @@
 //! enclave (§5.3); the reader allocates enclave regions for them and touches
 //! the probed offsets, so metadata becomes a realistic source of EPC
 //! pressure.
+//!
+//! A table is written and read through one [`MappedFile`]. Where the
+//! environment maps files (eLSM-P2's default), a [`TableBuilder`] copies
+//! its 64 KiB chunks into a mapping of the new file, which the host makes
+//! (one OCall) at the size the caller expects and doubles if the table
+//! outgrows it; [`TableBuilder::finish`] then opens the table through that
+//! same mapping — footer, props, index and filter — without leaving the
+//! enclave. An existing table ([`TableReader::open`], e.g. at recovery) is
+//! mapped whole in one OCall. Elsewhere every chunk written and each of the
+//! four metadata reads is one host call.
 
 use std::sync::Arc;
 
 use bytes::Bytes;
-use sim_disk::{FsError, MmapFile, SimFile};
+use sim_disk::{FsError, SimFile};
 
 use crate::block::{Block, BlockBuilder, BlockIter};
 use crate::bloom::{key_hashes, BloomFilter, KeyHashes};
 use crate::encoding::{get_fixed_u64, get_length_prefixed, put_fixed_u64, put_length_prefixed};
-use crate::env::StorageEnv;
+use crate::env::{MappedFile, StorageEnv};
 use crate::record::{
     parse_internal_key, user_key_of, Record, RecordView, SeekKey, Timestamp, ValueKind,
 };
@@ -34,8 +44,8 @@ use crate::version::Walk;
 
 const FOOTER_LEN: usize = 56;
 const MAGIC: u64 = 0xe15a_5700_ab1e_d157;
-/// Builders buffer output and issue one file append (OCall) per chunk,
-/// like a buffered `fwrite`.
+/// Builders buffer output and issue one file append per chunk, like a
+/// buffered `fwrite` (an OCall each where the file is not mapped).
 const WRITE_CHUNK: usize = 64 * 1024;
 
 /// Whether a run's point lookup must resolve bounding neighbors on a miss
@@ -91,8 +101,7 @@ pub struct TableMeta {
 /// append per chunk, out of one buffer.
 #[derive(Debug)]
 struct Sink {
-    env: Arc<StorageEnv>,
-    file: Arc<SimFile>,
+    file: MappedFile,
     pending: Vec<u8>,
     /// Bytes accepted so far (the file offset of the next byte).
     offset: u64,
@@ -109,7 +118,7 @@ impl Sink {
 
     fn flush(&mut self) {
         if !self.pending.is_empty() {
-            self.env.append(&self.file, &self.pending);
+            self.file.append(&self.pending);
             self.pending.clear();
         }
     }
@@ -138,15 +147,20 @@ pub struct TableBuilder {
 }
 
 impl TableBuilder {
-    /// Starts building `file` (already created, empty).
+    /// Starts building `file` (already created, empty), which the caller
+    /// cuts once it passed `target` bytes: where the environment maps
+    /// files, it is written through a mapping sized for that
+    /// ([`MappedFile::cut_at`]).
     pub fn new(
         env: Arc<StorageEnv>,
         file: Arc<SimFile>,
         file_no: u64,
         options: TableOptions,
+        target: u64,
     ) -> Self {
+        let file = MappedFile::cut_at(env, file, target);
         TableBuilder {
-            sink: Sink { env, file, pending: Vec::new(), offset: 0 },
+            sink: Sink { file, pending: Vec::new(), offset: 0 },
             file_no,
             options,
             block: BlockBuilder::new(),
@@ -195,7 +209,7 @@ impl TableBuilder {
         }
         self.index_keys.extend_from_slice(self.block.last_key());
         let offset = self.sink.offset;
-        let stored = self.sink.env.prepare_block(
+        let stored = self.sink.file.env().prepare_block(
             self.file_no,
             offset as usize,
             self.block.finish_in_place(),
@@ -205,13 +219,19 @@ impl TableBuilder {
         self.block.reset();
     }
 
-    /// Finishes the table, writing filter, index, props and footer.
+    /// Finishes the table, writing filter, index, props and footer, and
+    /// opens it for reading through the file it was written to: a mapped
+    /// table through its own mapping, with no host call.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`FsError`] when the table does not read back.
     ///
     /// # Panics
     ///
     /// Panics if no records were added (empty tables are a logic error —
     /// callers skip creating them).
-    pub fn finish(mut self) -> TableMeta {
+    pub fn finish(mut self) -> Result<TableReader, FsError> {
         assert!(self.count > 0, "refusing to build an empty SSTable");
         self.flush_block();
         // Bloom filter (plaintext metadata: loaded into the enclave at
@@ -257,13 +277,7 @@ impl TableBuilder {
         put_fixed_u64(&mut footer, MAGIC);
         self.sink.write(&footer);
         self.sink.flush();
-        TableMeta {
-            file_no: self.file_no,
-            smallest: Bytes::from(self.smallest),
-            largest: Bytes::copy_from_slice(largest),
-            count: self.count,
-            file_size: self.sink.offset,
-        }
+        TableReader::load(self.sink.file, self.file_no, self.sink.offset as usize)
     }
 }
 
@@ -277,8 +291,7 @@ fn corrupt_table(file: &SimFile) -> FsError {
 #[derive(Debug)]
 pub struct TableReader {
     env: Arc<StorageEnv>,
-    file: Arc<SimFile>,
-    mmap: Option<Arc<MmapFile>>,
+    file: MappedFile,
     meta: TableMeta,
     index: Vec<(Vec<u8>, u64, u64)>,
     /// Bytes the index occupies as enclave metadata.
@@ -289,7 +302,9 @@ pub struct TableReader {
 }
 
 impl TableReader {
-    /// Opens a table file, loading footer, props, index and filter.
+    /// Opens a table file, loading footer, props, index and filter: where
+    /// the environment maps files, through a mapping of the whole file
+    /// (one OCall), otherwise by four host reads.
     ///
     /// # Errors
     ///
@@ -297,12 +312,18 @@ impl TableReader {
     /// without entries included: every lookup starts from a block.
     pub fn open(env: Arc<StorageEnv>, file: Arc<SimFile>, file_no: u64) -> Result<Self, FsError> {
         let file_len = file.len();
-        let corrupt = || corrupt_table(&file);
+        Self::load(MappedFile::open(env, file), file_no, file_len)
+    }
+
+    /// Loads the table of `file_len` bytes in `file`.
+    fn load(file: MappedFile, file_no: u64, file_len: usize) -> Result<Self, FsError> {
+        let env = file.env().clone();
+        let corrupt = || corrupt_table(file.file());
         if file_len < FOOTER_LEN {
             return Err(corrupt());
         }
         // Footer and metadata are read once at open (sequential IO).
-        let footer = env.host_call(|| file.read_at(file_len - FOOTER_LEN, FOOTER_LEN))?;
+        let footer = file.read(file_len - FOOTER_LEN, FOOTER_LEN)?;
         if get_fixed_u64(&footer, 48) != Some(MAGIC) {
             return Err(corrupt());
         }
@@ -313,7 +334,7 @@ impl TableReader {
         let props_offset = get_fixed_u64(&footer, 32).ok_or_else(corrupt)? as usize;
         let props_len = get_fixed_u64(&footer, 40).ok_or_else(corrupt)? as usize;
 
-        let props = env.host_call(|| file.read_at(props_offset, props_len))?;
+        let props = file.read(props_offset, props_len)?;
         let (smallest, n) = get_length_prefixed(&props).ok_or_else(corrupt)?;
         let (largest, m) = get_length_prefixed(&props[n..]).ok_or_else(corrupt)?;
         let count = get_fixed_u64(&props, n + m).ok_or_else(corrupt)?;
@@ -325,7 +346,7 @@ impl TableReader {
             file_size: file_len as u64,
         };
 
-        let index_bytes = env.host_call(|| file.read_at(index_offset, index_len))?;
+        let index_bytes = file.read(index_offset, index_len)?;
         let index_block = Block::parse(index_bytes).ok_or_else(corrupt)?;
         let mut index = Vec::new();
         for (key, value) in index_block.iter() {
@@ -338,7 +359,7 @@ impl TableReader {
         }
 
         let bloom = if bloom_len > 0 {
-            let bloom_bytes = env.host_call(|| file.read_at(bloom_offset, bloom_len))?;
+            let bloom_bytes = file.read(bloom_offset, bloom_len)?;
             BloomFilter::decode(&bloom_bytes)
         } else {
             None
@@ -360,19 +381,7 @@ impl TableReader {
             None
         };
 
-        let mmap = env.config().use_mmap.then(|| MmapFile::map(file.clone()));
-
-        Ok(TableReader {
-            env,
-            file,
-            mmap,
-            meta,
-            index,
-            index_bytes,
-            bloom,
-            bloom_region,
-            index_region,
-        })
+        Ok(TableReader { env, file, meta, index, index_bytes, bloom, bloom_region, index_region })
     }
 
     /// Table summary.
@@ -382,22 +391,23 @@ impl TableReader {
 
     /// The error for this table's bytes not holding together.
     pub(crate) fn corrupt(&self) -> FsError {
-        corrupt_table(&self.file)
+        corrupt_table(self.file.file())
     }
 
     fn read_block(&self, block_idx: usize) -> Result<Block, FsError> {
         let (_, off, len) = self.index[block_idx];
+        let file = self.file.file();
         let stored = self.env.read_block(
             self.meta.file_no,
-            &self.file,
-            self.mmap.as_ref(),
+            file,
+            self.file.mapping(),
             off as usize,
             len as usize,
         )?;
         Block::parse(stored).ok_or_else(|| FsError::OutOfBounds {
-            name: self.file.name(),
+            name: file.name(),
             requested_end: (off + len) as usize,
-            len: self.file.len(),
+            len: file.len(),
         })
     }
 
@@ -475,7 +485,7 @@ impl TableReader {
     pub fn iter(&self) -> Result<TableIter<'_>, FsError> {
         let blocks: Result<Vec<Block>, FsError> =
             (0..self.index.len()).map(|i| self.read_block(i)).collect();
-        Ok(TableIter { file: &self.file, blocks: blocks?.into_iter(), cur: None })
+        Ok(TableIter { file: self.file.file(), blocks: blocks?.into_iter(), cur: None })
     }
 }
 
@@ -761,13 +771,13 @@ mod tests {
 
     fn build_table(env: &Arc<StorageEnv>, fs: &Arc<SimFs>, records: &[Record]) -> TableReader {
         let file = fs.create("1.sst").unwrap();
-        let mut b = TableBuilder::new(env.clone(), file.clone(), 1, TableOptions::default());
+        let mut b = TableBuilder::new(env.clone(), file, 1, TableOptions::default(), 1 << 16);
         for r in records {
             b.add(r.view());
         }
-        let meta = b.finish();
-        assert_eq!(meta.count, records.len() as u64);
-        TableReader::open(env.clone(), file, 1).unwrap()
+        let reader = b.finish().unwrap();
+        assert_eq!(reader.meta().count, records.len() as u64);
+        reader
     }
 
     fn sample_records() -> Vec<Record> {

@@ -29,12 +29,11 @@ fn build_run(
     let mut tables = Vec::new();
     for (file_no, records) in (1u64..).zip(files) {
         let file = fs.create(&format!("{file_no}.sst")).unwrap();
-        let mut b = TableBuilder::new(env.clone(), file.clone(), file_no, options.clone());
+        let mut b = TableBuilder::new(env.clone(), file, file_no, options.clone(), 1 << 16);
         for r in records {
             b.add(r.view());
         }
-        b.finish();
-        tables.push(Arc::new(TableReader::open(env.clone(), file, file_no).unwrap()));
+        tables.push(Arc::new(b.finish().unwrap()));
     }
     Run::new(tables).unwrap()
 }

@@ -20,6 +20,15 @@
 //! [`StoreListener::vlog_mac`](crate::events::StoreListener::vlog_mac);
 //! the vanilla store runs with a zero MAC and only the per-entry CRC.
 //!
+//! IO: each file is one [`MappedFile`]. Where the environment maps files
+//! (eLSM-P2's default), the host maps a new file once at twice the target
+//! size and doubles the mapping should it outgrow that; [`Vlog::sync`]
+//! copies pending entries into it and [`Vlog::read`] reads an entry out of
+//! it, neither leaving the enclave. A read is bounded by the log's own
+//! length of the file, never by the host's. Files named at recovery are
+//! mapped whole, one OCall each. Elsewhere a sync and a read are one host
+//! call each.
+//!
 //! Crash story: entries are individually CRC-framed and the manifest
 //! records each file's durable length. A crash between a value-log append
 //! and the manifest write leaves an orphan tail — recovery counts those
@@ -32,13 +41,13 @@ use std::sync::Arc;
 
 use bytes::Bytes;
 use parking_lot::Mutex;
-use sim_disk::{FsError, SimFile};
+use sim_disk::FsError;
 
 use crate::encoding::{
     crc32c, get_fixed_u64, get_length_prefixed, get_varint_u64, put_fixed_u32, put_fixed_u64,
     put_length_prefixed,
 };
-use crate::env::StorageEnv;
+use crate::env::{MappedFile, StorageEnv};
 use crate::options::VlogConfig;
 use crate::record::Timestamp;
 
@@ -125,7 +134,7 @@ pub fn parse_vlog_name(name: &str) -> Option<u64> {
 
 #[derive(Debug)]
 struct VlogFile {
-    file: Arc<SimFile>,
+    file: MappedFile,
     /// Durable + pending bytes of the file (pointer space ends here).
     len: u64,
     /// Bytes belonging to dropped pointer records (GC victim metric).
@@ -184,8 +193,8 @@ impl Vlog {
         let mut files = BTreeMap::new();
         let mut active = 0;
         for &(no, valid_len, garbage) in manifest_files {
-            let file = env.fs().open(&vlog_name(no))?;
-            let physical = file.len() as u64;
+            let file = MappedFile::open(env.clone(), env.fs().open(&vlog_name(no))?);
+            let physical = file.file().len() as u64;
             let orphan_tail = physical.saturating_sub(valid_len);
             files.insert(
                 no,
@@ -221,6 +230,7 @@ impl Vlog {
             let no = s.next_no;
             s.next_no += 1;
             let file = self.env.fs().create(&vlog_name(no))?;
+            let file = MappedFile::cut_at(self.env.clone(), file, self.config.target_file_bytes);
             s.files.insert(no, VlogFile { file, len: 0, garbage: 0, removed: false });
             s.active = no;
         }
@@ -232,8 +242,10 @@ impl Vlog {
         Ok(ptr)
     }
 
-    /// Pushes buffered entries to the host in one append (one OCall in
-    /// enclave mode), mirroring the WAL writer's batching.
+    /// Pushes buffered entries to the host in one append, mirroring the
+    /// WAL writer's batching: copied into the active file's mapping where
+    /// the environment maps files, else one OCall in enclave mode
+    /// ([`MappedFile::append`]).
     pub fn sync(&self) {
         let mut s = self.state.lock();
         self.sync_locked(&mut s);
@@ -246,7 +258,7 @@ impl Vlog {
         let pending = std::mem::take(&mut s.pending);
         let active = s.active;
         if let Some(f) = s.files.get(&active) {
-            self.env.append(&f.file, &pending);
+            f.file.append(&pending);
         }
     }
 
@@ -256,6 +268,10 @@ impl Vlog {
     /// `Ok(None)` means it does not: a tampered or torn log, an entry
     /// swapped in from another record (the caller maps either to a
     /// verification failure), or a pointer into a file this log never had.
+    ///
+    /// The entry is read through the file's mapping where the environment
+    /// maps files — no OCall — and otherwise in one host call. What bounds
+    /// the read is this log's own length of the file, never the host's.
     ///
     /// # Errors
     ///
@@ -269,10 +285,12 @@ impl Vlog {
                 _ => return Ok(None),
             }
         };
-        if end > file.len() as u64 {
-            return Ok(None);
-        }
-        let bytes = self.env.host_call(|| file.read_at(ptr.offset as usize, ptr.len as usize))?;
+        let bytes = match file.read(ptr.offset as usize, ptr.len as usize) {
+            Ok(bytes) => bytes,
+            // Bytes the log wrote that the host no longer holds.
+            Err(FsError::OutOfBounds { .. }) => return Ok(None),
+            Err(e) => return Err(e),
+        };
         Ok(decode_entry(&bytes, key, ts).map(|len| bytes.slice(bytes.len() - len..)))
     }
 

@@ -17,9 +17,11 @@
 //! untrusted memory (`EnvConfig::use_mmap`, eLSM-P2's default) copies the
 //! frame into a host-provided mapping of the log and stays in the enclave;
 //! only creating or growing the mapping — geometrically, from the write
-//! buffer's size — leaves it, once (`StorageEnv::map_log`). Any other
-//! enclave store (eLSM-P1's sealed files, P2 reading through a buffer)
-//! appends each frame in one OCall.
+//! buffer's size — leaves it, once ([`MappedFile`]). A flush rotates the
+//! log: the next log is mapped — as a log needs to be to hold what the
+//! closed one holds — inside the host call that writes the rotation's
+//! manifest, so its first frame does not leave either. Any other enclave store (eLSM-P1's sealed files,
+//! P2 reading through a buffer) appends each frame in one OCall.
 //!
 //! A real mapping is preallocated, so the file holds zeros after the last
 //! frame. Recovery stops there as at a torn tail: a zero header is no
@@ -35,24 +37,17 @@ use std::sync::Arc;
 use sim_disk::{FsError, SimFile};
 
 use crate::encoding::{crc32c, get_fixed_u32, get_varint_u64, put_varint_u64};
-use crate::env::StorageEnv;
+use crate::env::{MappedFile, StorageEnv};
 use crate::record::Record;
 
 /// Appends batch-framed records to a log file.
 #[derive(Debug)]
 pub struct WalWriter {
-    env: Arc<StorageEnv>,
-    file: Arc<SimFile>,
+    file: MappedFile,
     records: u64,
     /// The frame being pushed: every frame is encoded here and pushed at
     /// once, so one buffer serves every commit of the log.
     frame: Vec<u8>,
-    /// Bytes of the log the host has mapped for the enclave to append
-    /// through (mapped environments only; 0 before the first append).
-    mapped: usize,
-    /// The first mapping's size: the write buffer's, about one log's worth
-    /// of frames (a flush rotates the log).
-    map_initial: usize,
 }
 
 /// Encodes one batch frame: `[len][crc][varint count][records…]`.
@@ -106,36 +101,30 @@ pub fn encode_frame_into(records: &[Record], out: &mut Vec<u8>) {
 
 impl WalWriter {
     /// Wraps an (empty or existing) log file for appending; in a mapped
-    /// environment its first mapping spans `map_initial` bytes (the write
-    /// buffer's size) or the doubling of it that holds the first frame.
+    /// environment its first mapping spans `map_initial` bytes (about one
+    /// log's worth of frames: a flush rotates the log) or the doubling of
+    /// them that holds the first frame.
     pub fn new(env: Arc<StorageEnv>, file: Arc<SimFile>, map_initial: usize) -> Self {
-        WalWriter { env, file, records: 0, frame: Vec::new(), mapped: 0, map_initial }
+        WalWriter { file: MappedFile::new(env, file, map_initial), records: 0, frame: Vec::new() }
+    }
+
+    /// The log file, through which it is appended.
+    pub(crate) fn file(&self) -> &MappedFile {
+        &self.file
     }
 
     /// Appends one batch as a single atomic frame and pushes it to the
-    /// host in one append — through the log's mapping when the
-    /// environment maps files (an OCall only when the mapping must grow),
-    /// otherwise one OCall in enclave mode; returns the frame's encoded
-    /// size in bytes (how the store meters WAL traffic).
+    /// host in one append ([`MappedFile::append`]: through the log's
+    /// mapping when the environment maps files, an OCall only when the
+    /// mapping must grow; otherwise one OCall in enclave mode); returns
+    /// the frame's encoded size in bytes (how the store meters WAL
+    /// traffic).
     pub fn append_batch(&mut self, records: &[Record]) -> usize {
         if records.is_empty() {
             return 0;
         }
         encode_frame_into(records, &mut self.frame);
-        if self.env.config().use_mmap {
-            let end = self.file.len() + self.frame.len();
-            if end > self.mapped {
-                let mut mapped = self.mapped.max(self.map_initial).max(1);
-                while mapped < end {
-                    mapped *= 2;
-                }
-                self.mapped = mapped;
-                self.env.map_log();
-            }
-            self.env.append_mapped(&self.file, &self.frame);
-        } else {
-            self.env.append(&self.file, &self.frame);
-        }
+        self.file.append(&self.frame);
         let frame_len = self.frame.len();
         self.frame.clear();
         self.records += records.len() as u64;

@@ -1,13 +1,16 @@
 //! Memory-mapped file views (eLSM-P2's mmap read path, §5.5.1).
 //!
-//! On the mmap path, the enclave maps an SSTable into *untrusted* memory on
-//! open and then dereferences it directly — no user-space buffer, no OCall
-//! per read, no extra copy. Reads of warm pages cost plain DRAM; cold pages
-//! fault once at disk cost (major page fault) and stay warm.
+//! On the mmap path, the enclave maps a file — a table, a value log —
+//! into *untrusted* memory and then dereferences it directly — no
+//! user-space buffer, no OCall per read, no extra copy. Reads of warm pages
+//! cost plain DRAM; cold pages fault once at disk cost (major page fault)
+//! and stay warm. A mapping covers the length it was made or last grown
+//! to; a file written through it grows into it, and a read past it fails.
 //!
 //! eLSM-P1 cannot use this path: mmap'd pages live outside the enclave, and
 //! P1 keeps all data inside (§6.3).
 
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 use bytes::Bytes;
@@ -17,7 +20,10 @@ use crate::fs::{FsError, SimFile};
 
 const MMAP_PAGE: usize = 4096;
 
-/// A read-only memory map of a [`SimFile`] in untrusted memory.
+/// A memory map of a [`SimFile`] in untrusted memory, read through
+/// [`MmapFile::read`]. It covers the bytes it was mapped with until
+/// [`MmapFile::grow`] extends it — a file that grows past its mapping is
+/// not readable there until then.
 ///
 /// # Examples
 ///
@@ -34,16 +40,44 @@ const MMAP_PAGE: usize = 4096;
 #[derive(Debug)]
 pub struct MmapFile {
     file: Arc<SimFile>,
-    /// Pages already faulted in (monotone; mmaps here are read-only and
-    /// short-lived relative to memory pressure).
+    /// Bytes mapped.
+    len: AtomicUsize,
+    /// Whether each page read so far was faulted in (monotone; mappings
+    /// here are short-lived relative to memory pressure). The flags cover
+    /// the pages up to the last one read, not the mapping: a mapping's
+    /// sparse tail costs nothing until the file grows into it.
     resident: Mutex<Vec<bool>>,
 }
 
 impl MmapFile {
-    /// Maps `file`. The mapping itself is cheap (page-table setup only).
+    /// Maps `file` as long as it is now. The mapping itself is cheap
+    /// (page-table setup only).
     pub fn map(file: Arc<SimFile>) -> Arc<Self> {
-        let pages = file.len().div_ceil(MMAP_PAGE);
-        Arc::new(MmapFile { file, resident: Mutex::new(vec![false; pages]) })
+        let len = file.len();
+        Self::map_len(file, len)
+    }
+
+    /// Maps the first `len` bytes of `file`; past its end, the room it
+    /// grows into (a file written through its mapping).
+    pub fn map_len(file: Arc<SimFile>, len: usize) -> Arc<Self> {
+        Arc::new(MmapFile { file, len: AtomicUsize::new(len), resident: Mutex::new(Vec::new()) })
+    }
+
+    /// Bytes mapped.
+    pub fn len(&self) -> usize {
+        self.len.load(Ordering::Acquire)
+    }
+
+    /// Whether nothing is mapped.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Extends the mapping to `len` bytes (`mremap`; a shorter `len` leaves
+    /// it as it is). The new pages are not resident: a cold file faults
+    /// each on its first read.
+    pub fn grow(&self, len: usize) {
+        self.len.fetch_max(len, Ordering::AcqRel);
     }
 
     /// Reads `len` bytes at `offset` through the mapping: a view of the
@@ -55,32 +89,45 @@ impl MmapFile {
     ///
     /// # Errors
     ///
-    /// Returns [`FsError::OutOfBounds`] past the end of the file.
+    /// Returns [`FsError::OutOfBounds`] past the end of the mapping or of
+    /// the file.
     pub fn read(&self, offset: usize, len: usize) -> Result<Bytes, FsError> {
         if len == 0 {
             return Ok(Bytes::new());
         }
+        let end = offset.saturating_add(len);
+        let mapped = self.len();
+        let past_mapping =
+            || FsError::OutOfBounds { name: self.file.name(), requested_end: end, len: mapped };
         if self.file.is_warm() {
+            if end > mapped {
+                return Err(past_mapping());
+            }
             // read_at charges DRAM for warm files.
             return self.file.read_at(offset, len);
         }
-        // Major-fault cold pages once.
-        let first = offset / MMAP_PAGE;
-        let last = (offset + len - 1) / MMAP_PAGE;
-        {
-            let mut resident = self.resident.lock();
-            for page in first..=last.min(resident.len().saturating_sub(1)) {
-                if !resident[page] {
-                    resident[page] = true;
-                    // One disk read per cold page, charged through the file.
-                    let start = page * MMAP_PAGE;
-                    let take = MMAP_PAGE.min(self.file.len().saturating_sub(start));
-                    self.file.charge_read(start, take);
-                }
+        // Major-fault once each cold page the read touches that the mapping
+        // and the file hold.
+        let faulted = end.min(mapped).min(self.file.len()).div_ceil(MMAP_PAGE);
+        let mut resident = self.resident.lock();
+        if resident.len() < faulted {
+            resident.resize(faulted, false);
+        }
+        for page in offset / MMAP_PAGE..faulted {
+            if !resident[page] {
+                resident[page] = true;
+                // One disk read per cold page, charged through the file.
+                let start = page * MMAP_PAGE;
+                let take = MMAP_PAGE.min(self.file.len().saturating_sub(start));
+                self.file.charge_read(start, take);
             }
         }
+        drop(resident);
         // The access itself is a DRAM read of untrusted memory.
         self.file.fs_platform().dram_access(len);
+        if end > mapped {
+            return Err(past_mapping());
+        }
         self.file.peek(offset, len)
     }
 }
@@ -133,6 +180,30 @@ mod tests {
         f.append(b"abc");
         let map = MmapFile::map(f);
         assert!(map.read(0, 10).is_err());
+    }
+
+    /// A file that grew after it was mapped is read past the mapping only
+    /// once the mapping grows, and its new pages then fault like the first.
+    #[test]
+    fn a_grown_file_is_read_through_a_grown_mapping() {
+        let fs = cold_fs();
+        let f = fs.create("t").unwrap();
+        f.append(&vec![1u8; 8 * 1024]);
+        let map = MmapFile::map(f.clone());
+        f.append(&vec![2u8; 8 * 1024]);
+        assert!(map.read(12 * 1024, 100).is_err(), "past the mapping");
+        assert!(map.read(8 * 1024 - 50, 100).is_err(), "straddling its end");
+        map.grow(16 * 1024);
+        assert_eq!(map.len(), 16 * 1024);
+        let disk = || fs.platform().stats().disk_bytes;
+        let bytes0 = disk();
+        assert_eq!(&map.read(12 * 1024, 100).unwrap()[..], &[2u8; 100][..]);
+        let bytes1 = disk();
+        assert_eq!(bytes1 - bytes0, 4096, "the new page faults in whole");
+        map.read(12 * 1024 + 200, 100).unwrap();
+        assert_eq!(disk(), bytes1, "and stays resident");
+        map.grow(4096);
+        assert_eq!(map.len(), 16 * 1024, "a mapping never shrinks");
     }
 
     #[test]

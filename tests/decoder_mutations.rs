@@ -221,11 +221,11 @@ fn write_table(
 ) -> Arc<SimFile> {
     let file = fs.create(&format!("{file_no}.sst")).unwrap();
     let options = TableOptions { block_size: 256, bloom_bits_per_key: 10 };
-    let mut table = TableBuilder::new(env.clone(), file.clone(), file_no, options);
+    let mut table = TableBuilder::new(env.clone(), file.clone(), file_no, options, 1 << 16);
     for record in records {
         table.add(record.view());
     }
-    table.finish();
+    table.finish().expect("own table opens");
     file
 }
 

@@ -303,6 +303,29 @@ fn stale_vlog_entries_are_detected() {
     assert!(store.telemetry().audit_count("VlogEntryTampered") >= 1);
 }
 
+/// A store that maps its files reads a separated value through the value
+/// log's mapping, which the host can write at any time: a byte it rewrites
+/// after the entry was served once is read by the next GET that misses the
+/// cache, and refused there — once, and audited once.
+#[test]
+fn a_mapped_vlog_entry_rewritten_after_a_read_is_refused() {
+    let options = vlog_opts(0);
+    assert_eq!(options.read_mode, ReadMode::Mmap, "P2's default maps its files");
+    let store = ElsmP2::open(Platform::with_defaults(), options).unwrap();
+    store.put(b"big", &[b'v'; 2048]).unwrap();
+    store.db().flush().unwrap();
+    assert_eq!(store.get(b"big").unwrap().expect("present").value(), &[b'v'; 2048][..]);
+    let name = store.fs().list().into_iter().find(|n| n.ends_with(".vlg")).expect("a value log");
+    let file = store.fs().open(&name).unwrap();
+    file.corrupt(file.len() / 2, 0x01);
+    match store.get(b"big") {
+        Err(ElsmError::Verification(VerificationFailure::VlogEntryTampered { .. })) => {}
+        other => panic!("a rewritten mapped entry must be refused, got {other:?}"),
+    }
+    assert_eq!(store.telemetry().audit_count("VlogEntryTampered"), 1);
+    assert_eq!(store.telemetry().audit_total(), 1, "audited once");
+}
+
 #[test]
 fn poisoned_cache_entries_are_detected_not_served() {
     // An adversary with write access to the cache memory scribbles over a
