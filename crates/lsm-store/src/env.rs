@@ -215,8 +215,10 @@ impl StorageEnv {
         }
     }
 
-    /// Reads a data block, applying (in order): block cache or mmap, OCall
-    /// charging, and unsealing for protected files.
+    /// Reads a data block of `file`, applying (in order): the block cache
+    /// on a miss of which [`MappedFile::read`] reads it (through the
+    /// mapping where the file has one, else by a host call), and unsealing
+    /// for protected files.
     ///
     /// # Errors
     ///
@@ -225,26 +227,22 @@ impl StorageEnv {
     pub fn read_block(
         &self,
         file_no: u64,
-        file: &Arc<SimFile>,
-        mmap: Option<&Arc<MmapFile>>,
+        file: &MappedFile,
         offset: usize,
         len: usize,
     ) -> Result<Bytes, FsError> {
-        let raw = if let (true, Some(map)) = (self.config.use_mmap, mmap) {
-            // mmap path: direct dereference of untrusted memory, no OCall.
-            map.read(offset, len)?
-        } else if let Some(cache) = &self.cache {
-            match cache.get(&(file_no, offset as u64)) {
+        let raw = match &self.cache {
+            Some(cache) => match cache.get(&(file_no, offset as u64)) {
                 Some(data) => data,
                 None => {
-                    let data = self.host_call(|| file.read_at(offset, len))?;
+                    let data = file.read(offset, len)?;
                     cache.insert((file_no, offset as u64), data.clone());
                     data
                 }
-            }
-        } else {
-            self.host_call(|| file.read_at(offset, len))?
+            },
+            None => file.read(offset, len)?,
         };
+        let file = file.file();
         if let Some(sealer) = self.sealer.as_ref().filter(|_| self.config.sealed_files) {
             // eLSM-P1: the SDK protected file system decrypts and verifies
             // each node inside the enclave. Charge the cryptographic work,
@@ -356,16 +354,6 @@ impl MappedFile {
         MappedFile { env, file, map, initial }
     }
 
-    /// A file the store cuts once it passed `target` bytes (a value-log
-    /// file, a merge's output table), mapped by its first append at twice
-    /// that: such a file ends past its target — by the entry or the key's
-    /// versions that crossed it, a table also by its filter, index and
-    /// footer — and only an outsized one makes the mapping grow.
-    pub fn cut_at(env: Arc<StorageEnv>, file: Arc<SimFile>, target: u64) -> Self {
-        let initial = usize::try_from(target).unwrap_or(usize::MAX).saturating_mul(2);
-        Self::new(env, file, initial)
-    }
-
     /// An existing file, mapped whole now: one OCall in a mapped
     /// environment (the host's `fstat` and `mmap`), nothing elsewhere.
     pub fn open(env: Arc<StorageEnv>, file: Arc<SimFile>) -> Self {
@@ -472,10 +460,11 @@ mod tests {
         let (env, fs) = env_with(EnvConfig::default());
         let f = fs.create("t").unwrap();
         f.append(&vec![1u8; 8192]);
+        let f = MappedFile::open(env.clone(), f);
         let ocalls0 = env.platform().stats().ocalls;
-        env.read_block(1, &f, None, 0, 4096).unwrap();
+        env.read_block(1, &f, 0, 4096).unwrap();
         assert_eq!(env.platform().stats().ocalls, ocalls0 + 1, "miss needs an OCall");
-        env.read_block(1, &f, None, 0, 4096).unwrap();
+        env.read_block(1, &f, 0, 4096).unwrap();
         assert_eq!(env.platform().stats().ocalls, ocalls0 + 1, "hit stays in enclave");
     }
 
@@ -484,8 +473,9 @@ mod tests {
         let (env, fs) = env_with(EnvConfig { in_enclave: false, ..EnvConfig::default() });
         let f = fs.create("t").unwrap();
         f.append(&vec![1u8; 8192]);
-        env.read_block(1, &f, None, 0, 4096).unwrap();
-        env.append(&f, b"more");
+        let f = MappedFile::open(env.clone(), f);
+        env.read_block(1, &f, 0, 4096).unwrap();
+        env.append(f.file(), b"more");
         let s = env.platform().stats();
         assert_eq!((s.ecalls, s.ocalls), (0, 0));
     }
@@ -501,7 +491,7 @@ mod tests {
         let sealed = env.prepare_block(9, 0, b"plain block");
         assert_ne!(&sealed[..], b"plain block");
         f.append(&sealed);
-        let got = env.read_block(9, &f, None, 0, sealed.len()).unwrap();
+        let got = env.read_block(9, &MappedFile::open(env.clone(), f), 0, sealed.len()).unwrap();
         assert_eq!(&got[..], b"plain block");
     }
 
@@ -516,7 +506,7 @@ mod tests {
         let sealed = env.prepare_block(9, 4096, b"block");
         f.append(&sealed);
         // Stored at offset 0 but sealed for offset 4096: swap detected.
-        assert!(env.read_block(9, &f, None, 0, sealed.len()).is_err());
+        assert!(env.read_block(9, &MappedFile::open(env.clone(), f), 0, sealed.len()).is_err());
     }
 
     #[test]
@@ -525,9 +515,9 @@ mod tests {
             env_with(EnvConfig { use_mmap: true, block_cache_bytes: 0, ..EnvConfig::default() });
         let f = fs.create("t").unwrap();
         f.append(&vec![7u8; 8192]);
-        let map = MmapFile::map(f.clone());
+        let f = MappedFile::open(env.clone(), f);
         let ocalls0 = env.platform().stats().ocalls;
-        let got = env.read_block(1, &f, Some(&map), 100, 50).unwrap();
+        let got = env.read_block(1, &f, 100, 50).unwrap();
         assert_eq!(got, Bytes::from(vec![7u8; 50]));
         assert_eq!(env.platform().stats().ocalls, ocalls0);
     }

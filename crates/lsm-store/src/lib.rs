@@ -54,7 +54,7 @@ pub use compaction::{
     FlushPlan, Leveled, LevelsView, Tiered, VlogGcJob,
 };
 pub use db::{Db, DbStats, DbStatsSnapshot};
-pub use env::{EnvConfig, ReadMode, StorageEnv};
+pub use env::{EnvConfig, MappedFile, ReadMode, StorageEnv};
 pub use events::{
     InputPosition, MergeJob, NoopListener, ReplicationEvent, ReplicationSink, StoreListener,
     Verbatim,

@@ -35,7 +35,7 @@ use sim_disk::FsError;
 
 use crate::compaction::{CompactionJob, LevelsView, VlogGcJob};
 use crate::db::{table_name, wal_name, Db, DbInner};
-use crate::env::doubled;
+use crate::env::{doubled, MappedFile};
 use crate::events::{InputPosition, MergeJob, ReplicationEvent};
 use crate::memtable::MemTable;
 use crate::merge::{KWayMerge, MergeInput};
@@ -788,13 +788,12 @@ impl Db {
         while idx < survivors.len() {
             let file_no = self.file_no.fetch_add(1, Ordering::SeqCst);
             let file = self.env.fs().create(&table_name(file_no))?;
-            let mut builder = TableBuilder::new(
-                self.env.clone(),
-                file,
-                file_no,
-                self.options.table.clone(),
-                self.options.target_file_bytes,
-            );
+            // A table ends past its target — by the versions of the key
+            // that crossed it, and by its filter, index and footer — so it
+            // is mapped at twice that, and only an outsized one grows.
+            let initial = usize::try_from(self.options.target_file_bytes).unwrap_or(usize::MAX);
+            let file = MappedFile::new(self.env.clone(), file, initial.saturating_mul(2));
+            let mut builder = TableBuilder::new(file, file_no, self.options.table.clone());
             let mut bytes = 0u64;
             while idx < survivors.len() {
                 let r = survivors.record(idx);

@@ -147,18 +147,10 @@ pub struct TableBuilder {
 }
 
 impl TableBuilder {
-    /// Starts building `file` (already created, empty), which the caller
-    /// cuts once it passed `target` bytes: where the environment maps
-    /// files, it is written through a mapping sized for that
-    /// ([`MappedFile::cut_at`]).
-    pub fn new(
-        env: Arc<StorageEnv>,
-        file: Arc<SimFile>,
-        file_no: u64,
-        options: TableOptions,
-        target: u64,
-    ) -> Self {
-        let file = MappedFile::cut_at(env, file, target);
+    /// Starts building `file` (already created, empty). Where the
+    /// environment maps files, the caller sizes its first mapping
+    /// ([`MappedFile::new`]) for the table it expects.
+    pub fn new(file: MappedFile, file_no: u64, options: TableOptions) -> Self {
         TableBuilder {
             sink: Sink { file, pending: Vec::new(), offset: 0 },
             file_no,
@@ -290,7 +282,6 @@ fn corrupt_table(file: &SimFile) -> FsError {
 /// memory when the environment runs in enclave mode.
 #[derive(Debug)]
 pub struct TableReader {
-    env: Arc<StorageEnv>,
     file: MappedFile,
     meta: TableMeta,
     index: Vec<(Vec<u8>, u64, u64)>,
@@ -381,7 +372,7 @@ impl TableReader {
             None
         };
 
-        Ok(TableReader { env, file, meta, index, index_bytes, bloom, bloom_region, index_region })
+        Ok(TableReader { file, meta, index, index_bytes, bloom, bloom_region, index_region })
     }
 
     /// Table summary.
@@ -396,14 +387,13 @@ impl TableReader {
 
     fn read_block(&self, block_idx: usize) -> Result<Block, FsError> {
         let (_, off, len) = self.index[block_idx];
-        let file = self.file.file();
-        let stored = self.env.read_block(
+        let stored = self.file.env().read_block(
             self.meta.file_no,
-            file,
-            self.file.mapping(),
+            &self.file,
             off as usize,
             len as usize,
         )?;
+        let file = self.file.file();
         Block::parse(stored).ok_or_else(|| FsError::OutOfBounds {
             name: file.name(),
             requested_end: (off + len) as usize,
@@ -428,13 +418,16 @@ impl TableReader {
         // (see DESIGN.md §4.1) while still faulting under EPC pollution.
         let probes = (self.index.len().max(2)).ilog2() as usize + 1;
         let off = (self.index.len() / 2) * 32 % self.index_bytes.max(1);
-        self.env.touch_metadata(self.index_region.as_ref(), [(0, 32usize), (off, probes * 32)]);
+        self.file
+            .env()
+            .touch_metadata(self.index_region.as_ref(), [(0, 32usize), (off, probes * 32)]);
     }
 
     fn charge_bloom_probe(&self, probe: crate::bloom::Probe) {
         // Same page-granularity argument: the k probed bits are charged as
         // one batch anchored at the first probed offset.
-        self.env
+        self.file
+            .env()
             .touch_metadata(self.bloom_region.as_ref(), [(probe.first_offset, probe.bits_tested)]);
     }
 
@@ -771,7 +764,8 @@ mod tests {
 
     fn build_table(env: &Arc<StorageEnv>, fs: &Arc<SimFs>, records: &[Record]) -> TableReader {
         let file = fs.create("1.sst").unwrap();
-        let mut b = TableBuilder::new(env.clone(), file, 1, TableOptions::default(), 1 << 16);
+        let file = MappedFile::new(env.clone(), file, 0);
+        let mut b = TableBuilder::new(file, 1, TableOptions::default());
         for r in records {
             b.add(r.view());
         }

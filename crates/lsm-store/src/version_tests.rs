@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 
-use crate::env::{EnvConfig, StorageEnv};
+use crate::env::{EnvConfig, MappedFile, StorageEnv};
 use crate::record::Record;
 use crate::sstable::{NeighborPolicy, TableBuilder, TableOptions, TableReader};
 use crate::version::{LevelOutcome, Run, Walk};
@@ -29,7 +29,8 @@ fn build_run(
     let mut tables = Vec::new();
     for (file_no, records) in (1u64..).zip(files) {
         let file = fs.create(&format!("{file_no}.sst")).unwrap();
-        let mut b = TableBuilder::new(env.clone(), file, file_no, options.clone(), 1 << 16);
+        let file = MappedFile::new(env.clone(), file, 0);
+        let mut b = TableBuilder::new(file, file_no, options.clone());
         for r in records {
             b.add(r.view());
         }

@@ -230,7 +230,11 @@ impl Vlog {
             let no = s.next_no;
             s.next_no += 1;
             let file = self.env.fs().create(&vlog_name(no))?;
-            let file = MappedFile::cut_at(self.env.clone(), file, self.config.target_file_bytes);
+            // A file ends past its target by the entry that crossed it,
+            // so it is mapped at twice that, and only an outsized entry
+            // makes it grow.
+            let initial = usize::try_from(self.config.target_file_bytes).unwrap_or(usize::MAX);
+            let file = MappedFile::new(self.env.clone(), file, initial.saturating_mul(2));
             s.files.insert(no, VlogFile { file, len: 0, garbage: 0, removed: false });
             s.active = no;
         }

@@ -68,7 +68,8 @@ impl MmapFile {
         self.len.load(Ordering::Acquire)
     }
 
-    /// Whether nothing is mapped.
+    /// Whether nothing is mapped (kept beside [`MmapFile::len`] for
+    /// `clippy::len_without_is_empty`).
     pub fn is_empty(&self) -> bool {
         self.len() == 0
     }

@@ -42,8 +42,8 @@ use elsm_repro::lsm_store::vlog::{
 };
 use elsm_repro::lsm_store::{
     decode_frame, decode_manifest, encode_frame, internal_cmp, CompactionJob, EnvConfig, Manifest,
-    NeighborPolicy, Record, Run, StorageEnv, TableBuilder, TableOptions, TableReader, Timestamp,
-    ValueKind, Vlog, VlogConfig, VlogGcJob, VlogPtr, Walk,
+    MappedFile, NeighborPolicy, Record, Run, StorageEnv, TableBuilder, TableOptions, TableReader,
+    Timestamp, ValueKind, Vlog, VlogConfig, VlogGcJob, VlogPtr, Walk,
 };
 use elsm_repro::replica::{decode_event, encode_event, WireEvent};
 use elsm_repro::sgx_sim::{CostModel, Platform};
@@ -221,7 +221,8 @@ fn write_table(
 ) -> Arc<SimFile> {
     let file = fs.create(&format!("{file_no}.sst")).unwrap();
     let options = TableOptions { block_size: 256, bloom_bits_per_key: 10 };
-    let mut table = TableBuilder::new(env.clone(), file.clone(), file_no, options, 1 << 16);
+    let mapped = MappedFile::new(env.clone(), file.clone(), 0);
+    let mut table = TableBuilder::new(mapped, file_no, options);
     for record in records {
         table.add(record.view());
     }

@@ -241,6 +241,7 @@ fn a_put_that_stalls_on_maintenance_explains_the_stall_in_its_tree() {
             let mark = registry.trace_records().len();
             let counted = |name| registry.counter_value(name);
             let (flushes0, waves0) = (counted("db.flushes"), counted("compaction.waves"));
+            let stats0 = platform.stats();
             store.put(format!("key{puts:05}").as_bytes(), &[0x22u8; 96]).unwrap();
             puts += 1;
             assert!(puts < 2000, "level 1 must outgrow its budget");
@@ -259,17 +260,23 @@ fn a_put_that_stalls_on_maintenance_explains_the_stall_in_its_tree() {
             for phase in ["commit.group", "flush.freeze", "flush.merge", "flush.install"] {
                 assert!(has(phase), "stalled put's tree lacks {phase}");
             }
-            // A merge outweighs the commit, except at the first stall: the
-            // write buffer is one EPC page, so the commit that fills it
-            // pages in the memtable's second, and that page-in outweighs a
-            // first flush's merge of a few KiB into one mapped table.
-            let path = tree.critical_path();
-            let first_page_in = stalls == 1 && &*path[1].name == "commit.group";
-            assert!(
-                path[1].name.ends_with(".merge") || first_page_in,
-                "a merge, not the commit, is the stall"
-            );
             let ns = |name: &str| tree.spans.iter().find(|s| &*s.name == name).unwrap().charges.ns;
+            let path = tree.critical_path();
+            if stalls == 1 && &*path[1].name == "commit.group" {
+                // The commit that first fills the write buffer pays an EPC
+                // page-in. That page-in, not the commit's own work,
+                // outweighs a first flush's merge into an empty level.
+                let page_in_ns = platform.cost().epc_page_in_ns;
+                assert_eq!(platform.stats().delta(&stats0).epc_page_ins, 1);
+                let commit = tree.spans.iter().find(|s| &*s.name == "commit.group").unwrap();
+                assert!(commit.charges.enclave_ns >= page_in_ns, "the commit paid the page-in");
+                assert!(
+                    commit.charges.ns - page_in_ns < ns("flush.merge"),
+                    "else a merge is the stall"
+                );
+            } else {
+                assert!(path[1].name.ends_with(".merge"), "a merge, not the commit, is the stall");
+            }
             for phase in ["flush.freeze", "flush.install"] {
                 assert!(ns("flush.merge") > ns(phase), "the merge outweighs {phase}");
             }
