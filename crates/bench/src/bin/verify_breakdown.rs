@@ -6,9 +6,9 @@
 //! nanoseconds per query for:
 //!
 //! * the host's capture: each level's walk timed alone through the public
-//!   run API (`Run::walk`, the records and both neighbours of a level in
-//!   one forward pass), and the whole capture (`Db::scan_with_trace` /
-//!   `Db::get_with_trace`);
+//!   run API (`Run::walk`, the records of a level and the neighbours its
+//!   unanchored ends need in one forward pass), and the whole capture
+//!   (`Db::scan_with_trace` / `Db::get_with_trace`);
 //! * the verifier as a whole (`TrustedState::verify_scan` / `verify_get`
 //!   on the trace the capture hands its check), and each kind of work it
 //!   does: envelope parse (`envelope::open_record`) and leaf hash

@@ -68,9 +68,11 @@ pub struct LevelRange {
     pub empty: bool,
     /// All records (every version) in `[from, to]` at this level.
     pub records: Vec<Record>,
-    /// Newest record of the greatest user key `< from` (completeness edge).
+    /// Newest record of the greatest user key `< from` (completeness edge);
+    /// none where the level holds `from`, which anchors that end itself.
     pub left: Option<Record>,
-    /// Newest record of the smallest user key `> to`.
+    /// Newest record of the smallest user key `> to`; none where the level
+    /// holds `to`.
     pub right: Option<Record>,
 }
 

@@ -58,7 +58,9 @@ const WRITE_CHUNK: usize = 64 * 1024;
 /// skips the neighbor block reads.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum NeighborPolicy {
-    /// Resolve both bounding neighbors (authenticated reads).
+    /// Resolve the bounding neighbors an end of the range needs: both for
+    /// a miss, none at an end the run's own key anchors (authenticated
+    /// reads).
     Required,
     /// Return misses without neighbors and without neighbor IO.
     Skip,
@@ -489,8 +491,11 @@ impl TableReader {
 /// steps on across block and table boundaries without a new search,
 /// reading each block at most once. With [`NeighborPolicy::Required`] it
 /// walks the start block from its first entry and also yields the bounding
-/// neighbours: the newest record of the greatest key below `from` and that
-/// of the smallest key above `to`, where it stops. With
+/// neighbours an end of the range needs: the newest record of the greatest
+/// key below `from` unless the run holds `from`, and that of the smallest
+/// key above `to`, where it stops, unless the run holds `to` — a stored end
+/// key anchors its end of the range itself, and a range with no record in
+/// it has both neighbours. With
 /// [`NeighborPolicy::Skip`] it seeks to `from` in the start block and reads
 /// only the blocks that hold the range, entering no table the range does
 /// not meet. `probed` is a `(table, block, bytes)` a point lookup already
@@ -518,6 +523,8 @@ pub(crate) fn walk(
     let (mut left, mut right) = (false, false);
     let mut records = RangeRecords::gather(|gathered| {
         let mut left_open = required;
+        // Whether the last record gathered in the range is `to`'s.
+        let mut at_to = false;
         let mut cursor: Option<BlockIter> = None;
         while let Some(table) = tables.get(t) {
             if !required && &table.meta.smallest[..] > to {
@@ -549,13 +556,21 @@ pub(crate) fn walk(
                     }
                     if left_open {
                         left_open = false;
-                        left = settle_left(tables, before, left, gathered)?;
+                        if r.key == from {
+                            // A stored `from` anchors the range's start itself.
+                            gathered.clear();
+                            left = false;
+                        } else {
+                            left = settle_left(tables, before, left, gathered)?;
+                        }
                     }
                     if r.key <= to {
+                        at_to = r.key == to;
                         gathered.push(r);
                         continue;
                     }
-                    if required {
+                    // ... and a stored `to` its end.
+                    if required && !at_to {
                         gathered.push(r);
                         right = true;
                     }
@@ -575,12 +590,12 @@ pub(crate) fn walk(
     Ok(Walk { left, records, right })
 }
 
-/// Settles a walk's left neighbour once it has passed `from`. The one
-/// gathered in the start block stands unless there is none or it is the
-/// key that closes the block `before` the start: that key's newest record
-/// is then read from the block the index says its versions begin in —
-/// versions straddle blocks, never tables. Says whether there is a left
-/// neighbour.
+/// Settles a walk's left neighbour once it has passed a `from` the run does
+/// not hold. The one gathered in the start block stands unless there is
+/// none or it is the key that closes the block `before` the start: that
+/// key's newest record is then read from the block the index says its
+/// versions begin in — versions straddle blocks, never tables. Says whether
+/// there is a left neighbour.
 fn settle_left(
     tables: &[Arc<TableReader>],
     before: Option<(usize, usize)>,
@@ -647,10 +662,15 @@ impl RangeRecords {
         self.rest.push((r.ts, r.kind, r.value.clone(), self.keys.len()));
     }
 
-    /// Drops what was gathered and gathers `r` alone.
-    fn restart(&mut self, r: RecordView<'_>) {
+    /// Drops what was gathered.
+    fn clear(&mut self) {
         self.keys.clear();
         self.rest.clear();
+    }
+
+    /// Drops what was gathered and gathers `r` alone.
+    fn restart(&mut self, r: RecordView<'_>) {
+        self.clear();
         self.push(r);
     }
 
@@ -869,13 +889,18 @@ mod tests {
             }
             other => panic!("expected miss: {other:?}"),
         }
+        // Each range starts or ends at a key the run does not hold: a stored
+        // end key anchors its end itself and has no neighbour there.
         let walk = |from: &[u8], to: &[u8]| run.walk(from, to, NeighborPolicy::Required).unwrap();
-        assert_eq!(walk(b"next", b"next").left, Some(head.clone()));
+        assert_eq!(walk(b"i", b"next").left, Some(head.clone()));
         assert_eq!(walk(b"zz", b"zz").left.unwrap().key, &b"next"[..]);
-        assert_eq!(walk(b"a", b"a").right, Some(head.clone()));
-        let chain = walk(b"hot", b"hot");
+        assert_eq!(walk(b"a", b"b").right, Some(head.clone()));
+        let chain = walk(b"b", b"i");
         assert_eq!(chain.records, recs[1..61].to_vec());
         assert_eq!((chain.left, chain.right), (Some(recs[0].clone()), Some(recs[61].clone())));
+        let anchored = walk(b"hot", b"hot");
+        assert_eq!(anchored.records, recs[1..61].to_vec());
+        assert_eq!((anchored.left, anchored.right), (None, None));
     }
 
     #[test]

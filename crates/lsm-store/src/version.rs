@@ -117,8 +117,9 @@ impl Run {
     /// One forward walk over the run for the records with user key in
     /// `[from, to]` (every version, their keys slices of one buffer) and,
     /// with [`NeighborPolicy::Required`], the newest records of the keys
-    /// just below `from` and just above `to` — a level's evidence for a
-    /// range (§5.4) or a miss (§5.5.1). Each block is read at most once;
+    /// just below `from` and just above `to` where the run does not hold
+    /// that end key — a level's evidence for a range (§5.4) or a miss
+    /// (§5.5.1). Each block is read at most once;
     /// with [`NeighborPolicy::Skip`] only the blocks holding the range are.
     ///
     /// # Errors
@@ -211,10 +212,12 @@ impl Version {
 /// What one walk over a run found ([`Run::walk`]).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Walk {
-    /// Newest record of the greatest user key `< from`.
+    /// Newest record of the greatest user key `< from`; none when the run
+    /// holds `from`, which anchors the range's start itself.
     pub left: Option<Record>,
     /// All records (every version) in `[from, to]`.
     pub records: Vec<Record>,
-    /// Newest record of the smallest user key `> to`.
+    /// Newest record of the smallest user key `> to`; none when the run
+    /// holds `to`.
     pub right: Option<Record>,
 }

@@ -92,15 +92,21 @@ fn all_records(run: &Run) -> Vec<Record> {
     all
 }
 
+/// Whether the run whose records are `all` holds `key`.
+fn holds(all: &[Record], key: &[u8]) -> bool {
+    all.iter().any(|r| r.key == key)
+}
+
 /// The brute-force walk: over every record of the run, the records in
 /// `[from, to]`, the first (newest) record of the greatest key below
-/// `from` and the first record above `to`.
+/// `from` unless the run holds `from`, and the first record above `to`
+/// unless it holds `to` — a stored end key anchors its end itself.
 fn reference_walk(all: &[Record], from: &[u8], to: &[u8]) -> Walk {
-    let below = all.iter().rev().find(|r| &r.key[..] < from);
+    let below = all.iter().rev().find(|r| &r.key[..] < from).filter(|_| !holds(all, from));
     Walk {
         left: below.and_then(|last| all.iter().find(|r| r.key == last.key)).cloned(),
         records: all.iter().filter(|r| from <= &r.key[..] && &r.key[..] <= to).cloned().collect(),
-        right: all.iter().find(|r| &r.key[..] > to).cloned(),
+        right: all.iter().find(|r| &r.key[..] > to).filter(|_| !holds(all, to)).cloned(),
     }
 }
 
@@ -256,9 +262,11 @@ fn reads(run: &Run, fs: &Arc<SimFs>, query: impl FnOnce(&Run)) -> (u64, u64) {
 /// block the GET's lookup read is where the walk for its neighbours starts,
 /// and the walk steps across block and table boundaries without a new
 /// search. It reads exactly the blocks holding its evidence — the left
-/// neighbour's newest record, the range, the right neighbour — and with
-/// `Skip` exactly the blocks holding the range, from the one its first
-/// record would be in to the one that ends it in each table it meets.
+/// neighbour's newest record, the range — and the record that stops it,
+/// the right neighbour or, where the run holds `to`, the first record past
+/// it; and with `Skip` exactly the blocks holding the range, from the one
+/// its first record would be in to the one that ends it in each table it
+/// meets.
 /// Every window between two keys or gaps runs, and among them these
 /// cases: the left neighbour opens its block, lies in the previous table
 /// or has a version chain that straddles blocks; the right neighbour lies
@@ -272,7 +280,7 @@ fn a_query_reads_each_block_at_most_once() {
     let position = |r: &Record| all.iter().position(|a| a == r).unwrap();
     let probes = probes(&all);
     let [mut opens, mut previous_table, mut straddles, mut next_table] = [0; 4];
-    let mut evidence_blocks = |w: &Walk, start: (usize, usize)| {
+    let mut evidence_blocks = |w: &Walk, to: &[u8], start: (usize, usize)| {
         let mut blocks: Vec<(usize, usize)> = w.records.iter().map(|r| at[position(r)]).collect();
         if let Some(left) = &w.left {
             let head = at[position(left)];
@@ -286,10 +294,9 @@ fn a_query_reads_each_block_at_most_once() {
                 },
             );
         }
-        if let Some(right) = &w.right {
-            let block = at[position(right)];
-            blocks.push(block);
-            next_table += u32::from(block.0 > start.0);
+        if let Some(stop) = all.iter().position(|r| &r.key[..] > to) {
+            blocks.push(at[stop]);
+            next_table += u32::from(w.right.is_some() && at[stop].0 > start.0);
         }
         blocks.sort();
         blocks.dedup();
@@ -311,7 +318,7 @@ fn a_query_reads_each_block_at_most_once() {
         });
         assert_eq!(twice, 0, "GET {key:?} read a block twice");
         let from = start(key).unwrap_or((usize::MAX, 0));
-        assert_eq!(distinct, evidence_blocks(&want, from), "GET {key:?}");
+        assert_eq!(distinct, evidence_blocks(&want, key, from), "GET {key:?}");
     }
     for (i, from) in probes.iter().enumerate() {
         for to in probes[i..].iter().take(6) {
@@ -321,7 +328,8 @@ fn a_query_reads_each_block_at_most_once() {
             });
             assert_eq!(twice, 0, "scan {from:?}..={to:?} read a block twice");
             let start_block = start(from).unwrap_or((usize::MAX, 0));
-            assert_eq!(distinct, evidence_blocks(&want, start_block), "scan {from:?}..={to:?}");
+            let evidence = evidence_blocks(&want, to, start_block);
+            assert_eq!(distinct, evidence, "scan {from:?}..={to:?}");
 
             let (twice, distinct) = reads(&run, &fs, |run| {
                 assert_eq!(run.walk(from, to, NeighborPolicy::Skip).unwrap().records, want.records);
@@ -351,6 +359,45 @@ fn a_query_reads_each_block_at_most_once() {
     ] {
         assert!(seen > 0, "no query had its left neighbour {case}");
     }
+}
+
+/// A walk yields a boundary only at an end of the range the run does not
+/// hold — a stored `from` or `to` anchors its end itself — over every
+/// window between two keys or gaps of a run whose version chains straddle
+/// blocks. A walk whose `from` is stored and opens its block reads no
+/// block before it: on a cold cache it reads the blocks from `from`'s to
+/// the one holding the record that stops it, each once.
+#[test]
+fn a_stored_end_key_needs_no_boundary_and_no_earlier_block() {
+    let (env, fs) = env();
+    let run = chained_run(&env, &fs);
+    let all = all_records(&run);
+    let at = record_blocks(&run);
+    let probes = probes(&all);
+    let mut opening = 0;
+    for (i, from) in probes.iter().enumerate() {
+        // Where `from`'s newest record opens a block after the run's first.
+        let first = all.iter().position(|r| r.key == *from);
+        let opens = first.filter(|&f| f > 0 && at[f - 1] != at[f]);
+        opening += u32::from(opens.is_some());
+        for to in &probes[i..] {
+            let w = run.walk(from, to, NeighborPolicy::Required).unwrap();
+            let below = all.iter().any(|r| r.key[..] < from[..]);
+            let above = all.iter().any(|r| r.key[..] > to[..]);
+            assert_eq!(w.left.is_some(), below && !holds(&all, from), "{from:?}..={to:?}");
+            assert_eq!(w.right.is_some(), above && !holds(&all, to), "{from:?}..={to:?}");
+            let Some(first) = opens else { continue };
+            let stop = all.iter().position(|r| r.key[..] > to[..]).unwrap_or(all.len() - 1);
+            let mut blocks = at[first..=stop].to_vec();
+            blocks.dedup();
+            let (twice, distinct) = reads(&run, &fs, |run| {
+                run.walk(from, to, NeighborPolicy::Required).unwrap();
+            });
+            assert_eq!(twice, 0, "scan {from:?}..={to:?} read a block twice");
+            assert_eq!(distinct, blocks.len() as u64, "scan {from:?}..={to:?}: an earlier block");
+        }
+    }
+    assert!(opening > 1, "a stored `from` opens a block");
 }
 
 #[test]

@@ -108,7 +108,13 @@ fn verified_read_charges_of_a_fixed_script_are_unchanged() {
     // and the clock fell again (30 272 → 5 472 B, 98 628 → 83 576 B,
     // 462 176 → 461 587 ns) when stored paths stopped at the crown: both
     // levels are narrower than a crown's widest row, so a proof holds no
-    // sibling. Hash blocks did not move; roots only, nothing did.
-    let pinned = [[461_587, 187, 83_576, 11, 96, 5_472], [329_904, 412, 98_628, 6, 96, 30_272]];
+    // sibling. Hash blocks did not move; roots only, nothing did. Proofs,
+    // proof bytes, hash blocks and the clock fell (96 → 86 proofs; 5 472 →
+    // 4 902 and 30 272 → 26 918 B; 187 → 167 and 412 → 384 blocks;
+    // 461 587 → 459 977 and 329 904 → 327 664 ns) when a scan level that
+    // holds `from` or `to` stopped carrying a neighbour at that end: each
+    // script scan but the one past the last key starts and ends at stored
+    // keys. DRAM bytes did not move.
+    let pinned = [[459_977, 167, 83_576, 11, 86, 4_902], [327_664, 384, 98_628, 6, 86, 26_918]];
     assert_eq!(charges, pinned, "full crowns, then roots only");
 }

@@ -1,6 +1,6 @@
-//! A reference GET verifier, written the slow way, and the property that
-//! a verified GET agrees with it: each trace is handed to an ordinary `get`
-//! by a hostile host on the store's read path.
+//! Reference GET and SCAN verifiers, written the slow way, and the
+//! property that a verified read agrees with them: each trace is handed to
+//! an ordinary `get` or `scan` by a hostile host on the store's read path.
 //!
 //! The reference rebuilds each level's Merkle tree from the records the
 //! level stores (`level_record_dump`) and keeps it only if its root and
@@ -24,11 +24,24 @@
 //! key from the records stored at its leaf 0 and its last leaf, each
 //! root-walked on its own, and passes over exactly the levels whose range
 //! does not hold the key — a trace must carry nothing for them.
+//!
+//! Scans, the slow way: at each level the reference root-walks every head —
+//! each boundary and each in-range key's newest version — on its own,
+//! checks each older version link by link down its head's chain, and asks
+//! that the heads be consecutive leaves whose two ends are each anchored by
+//! a boundary outside the range, the tree's edge, or an in-range record
+//! whose key is that end of the range. For short windows over the stored
+//! keys and the gaps between them, honest traces, each scan move of
+//! `support::adversary` and each boundary dropped or added, the two agree
+//! in verdict and records — except a flipped path sibling the scan's walk
+//! does not read, which only the reference refuses.
 
 use elsm_repro::elsm::envelope;
-use elsm_repro::elsm::{AuthenticatedKv, ElsmP2, P2Options};
-use elsm_repro::lsm_store::{CompactionStrategyKind, GetTrace, LevelOutcome, LevelSearch, Record};
-use elsm_repro::merkle::{ChainPosition, LevelCommitment, MerkleTree, RecordProof};
+use elsm_repro::elsm::{AuthenticatedKv, ElsmP2, P2Options, VerifiedRecord};
+use elsm_repro::lsm_store::{
+    CompactionStrategyKind, GetTrace, LevelOutcome, LevelRange, LevelSearch, Record, ScanTrace,
+};
+use elsm_repro::merkle::{chain_link, ChainPosition, LevelCommitment, MerkleTree, RecordProof};
 use elsm_repro::sgx_sim::Platform;
 
 pub mod support;
@@ -474,4 +487,356 @@ fn leveled_gets_under_narrow_crowns_verify_as_the_reference_does() {
     assert_eq!(store.trusted().crown_row_max(), 4);
     assert!(store.trusted().commitments().iter().any(|c| c.leaf_count > 4));
     assert_agrees_with_the_reference(&store);
+}
+
+// ----- scans --------------------------------------------------------------
+
+/// Scan windows span fewer than this many probes (keys and gaps): in
+/// debug builds, which run the same checks slower, each probe alone and
+/// with the next — every shape of a range's two ends, stored or not, at
+/// every key — and in release every range of up to six keys.
+const WINDOW_WIDTH: usize = if cfg!(debug_assertions) { 2 } else { 13 };
+
+/// The reference's answer to a scan: the verified records, or why it
+/// refused.
+type ScanVerdict<'t> = Result<Vec<&'t Record>, &'static str>;
+
+/// One level of a scan, the slow way: the boundaries and each in-range
+/// key's newest version — the heads — each root-walked on its own; the
+/// older versions of each key checked link by link down its head's chain;
+/// the heads' leaves consecutive; and each end of the run anchored by a
+/// boundary outside the range, by the tree's edge, or by an in-range record
+/// whose key is that end of the range. The in-range heads go to `answers`.
+/// Says whether an end anchored itself.
+fn reference_level<'t>(
+    level: &Level,
+    (from, to): (&[u8], &[u8]),
+    range: &'t LevelRange,
+    answers: &mut Vec<&'t Record>,
+) -> Result<bool, &'static str> {
+    let c = &level.commitment;
+    if range.empty {
+        return if c.is_empty() { Ok(false) } else { Err("hidden level") };
+    }
+    let (left, records, right) = (range.left.as_ref(), &range.records[..], range.right.as_ref());
+    if c.is_empty() {
+        return match (records, left, right) {
+            ([], None, None) => Ok(false),
+            _ => Err("records presented for an empty level"),
+        };
+    }
+    if left.is_some_and(|rec| rec.key[..] >= *from) {
+        return Err("left boundary not below the range");
+    }
+    if right.is_some_and(|rec| rec.key[..] <= *to) {
+        return Err("right boundary not above the range");
+    }
+    let mut leaves = Vec::new();
+    if let Some(rec) = left {
+        leaves.push(open_and_check(level, rec)?.leaf_index);
+    }
+    let mut at = 0;
+    while at < records.len() {
+        let head = &records[at];
+        if head.key[..] < *from || head.key[..] > *to {
+            return Err("record outside the range");
+        }
+        if at > 0 && records[at - 1].key >= head.key {
+            return Err("records not in ascending key order");
+        }
+        let proof = open_and_check(level, head)?;
+        leaves.push(proof.leaf_index);
+        answers.push(head);
+        let (mut expected, mut position) = (*proof.chain.older_digest(), 1);
+        at += 1;
+        while at < records.len() && records[at].key == head.key {
+            if records[at].ts >= records[at - 1].ts {
+                return Err("versions not in descending timestamp order");
+            }
+            let (canonical, link) = open(&records[at])?;
+            let ChainPosition::Link { position: claimed, older_digest } = link.chain else {
+                return Err("an older version claims to be its key's newest");
+            };
+            let header = (link.level, link.leaf_index, link.leaf_count);
+            if claimed != position
+                || header != (proof.level, proof.leaf_index, proof.leaf_count)
+                || chain_link(&canonical, &older_digest) != expected
+            {
+                return Err("a version is not the next link of its chain");
+            }
+            (expected, position) = (older_digest, position + 1);
+            at += 1;
+        }
+    }
+    if let Some(rec) = right {
+        leaves.push(open_and_check(level, rec)?.leaf_index);
+    }
+    let (Some(&lo), Some(&hi)) = (leaves.first(), leaves.last()) else {
+        return Err("no leaves presented for a non-empty level");
+    };
+    if leaves.windows(2).any(|pair| pair[1] != pair[0] + 1) {
+        return Err("the heads are not consecutive leaves");
+    }
+    let is_end = |record: Option<&Record>, end: &[u8]| record.is_some_and(|r| r.key[..] == *end);
+    let (lo_self, hi_self) = (is_end(records.first(), from), is_end(records.last(), to));
+    if left.is_none() && lo != 0 && !lo_self {
+        return Err("range start not anchored");
+    }
+    if right.is_none() && hi + 1 != c.leaf_count && !hi_self {
+        return Err("range end not anchored");
+    }
+    Ok((left.is_none() && lo_self) || (right.is_none() && hi_self))
+}
+
+/// The reference SCAN verifier against the store's current `levels` and
+/// the fences of `edges`: the levels in order, each whose range misses
+/// `[from, to]` passed over and carrying nothing, every other level checked
+/// by [`reference_level`]; the answer is the newest version of each key of
+/// the memtable's and the levels' records, tombstones left out. Counts the
+/// levels with an end anchored by its own key in `self_anchored`.
+fn reference_scan<'t>(
+    store: &ElsmP2,
+    (committed, edges): (&[Level], &Edges),
+    (from, to): (&[u8], &[u8]),
+    trace: &'t ScanTrace,
+    self_anchored: &mut usize,
+) -> ScanVerdict<'t> {
+    let fenced = |level: usize| {
+        let edge = edges.get(level).and_then(Option::as_ref);
+        edge.is_some_and(|(first, last)| to < &first.key[..] || from > &last.key[..])
+    };
+    let mut answers: Vec<&Record> = trace.memtable.iter().collect();
+    let mut expected = 1;
+    for range in &trace.levels {
+        while fenced(expected) {
+            expected += 1;
+        }
+        if range.level != expected {
+            return Err("level skipped, or presented though fenced");
+        }
+        let level = committed.get(expected).ok_or("a level the enclave does not track")?;
+        *self_anchored += usize::from(reference_level(level, (from, to), range, &mut answers)?);
+        expected += 1;
+    }
+    while fenced(expected) {
+        expected += 1;
+    }
+    if expected <= store.trusted().max_levels() {
+        return Err("a level was not accounted for");
+    }
+    // Trusted memory first: it wins a tie.
+    answers.sort_by(|a, b| a.key.cmp(&b.key).then(b.ts.cmp(&a.ts)));
+    answers.dedup_by(|later, first| later.key == first.key);
+    answers.retain(|record| record.kind.is_value());
+    Ok(answers)
+}
+
+/// The rows, bottom up, whose siblings `leaf`'s stored path holds: each row
+/// below the level's anchor row in which its node is paired.
+fn path_rows(level: &Level, leaf: u64) -> Vec<u32> {
+    let n = level.commitment.leaf_count;
+    (0..level.anchor_row).filter(|&h| ((leaf >> h) ^ 1) < n.div_ceil(1 << h)).collect()
+}
+
+/// Whether the scan's walk of the run `lo..=hi` reads the sibling at `row`
+/// of the path stored with the run's `end`: the left sibling of the run's
+/// first node where that node is a right child, the right sibling of its
+/// last where that is a left child (DESIGN.md §5, "The walk"). A one-leaf
+/// run's path is read whole.
+fn walk_reads(end: adversary::ScanEnd, (lo, hi): (u64, u64), row: u32) -> bool {
+    match end {
+        adversary::ScanEnd::Lo => (lo >> row) & 1 == 1 || lo == hi,
+        adversary::ScanEnd::Hi => (hi >> row) & 1 == 0 || lo == hi,
+    }
+}
+
+/// The first and last leaf of the run a level presents.
+fn run_leaves(range: &LevelRange) -> Option<(u64, u64)> {
+    let leaf = |r: &Record| adversary::embedded_proof(r).leaf_index;
+    let first = range.left.as_ref().or(range.records.first())?;
+    let last = range.right.as_ref().or(range.records.last())?;
+    Some((leaf(first), leaf(last)))
+}
+
+/// The newest records of the keys of `records` (one level's, in key order)
+/// just below `from` and just above `to`.
+fn neighbours(records: &[Record], (from, to): (&[u8], &[u8])) -> (Option<Record>, Option<Record>) {
+    let below = records.iter().rev().find(|r| &r.key[..] < from);
+    let left = below.and_then(|last| records.iter().find(|r| r.key == last.key));
+    (left.cloned(), records.iter().find(|r| &r.key[..] > to).cloned())
+}
+
+/// A scan trace move that applies `edit` to `level`'s slice.
+fn at_level(level: usize, edit: impl Fn(&mut LevelRange) + 'static) -> Box<dyn Fn(&mut ScanTrace)> {
+    Box::new(move |t| t.levels.iter_mut().filter(|l| l.level == level).for_each(&edit))
+}
+
+/// A scan mutator: what it is, and the move.
+type ScanMove = (&'static str, Box<dyn Fn(&mut ScanTrace)>);
+
+/// The moves made on an honest scan trace of `[from, to]`: each
+/// `HostileHost::on_scan` move of `support::adversary` at each level it
+/// bites — a key dropped, the run truncated, one byte flipped in each
+/// sibling of either end's stored path — and the two end-rule moves: each
+/// boundary dropped, and each honest neighbour the trace leaves out added.
+fn scan_moves(
+    honest: &ScanTrace,
+    (from, to): (&[u8], &[u8]),
+    stored: &[(usize, Vec<Record>)],
+    committed: &[Level],
+) -> Vec<ScanMove> {
+    let mut moves: Vec<ScanMove> = Vec::new();
+    for range in honest.levels.iter().filter(|range| !range.empty) {
+        let level = range.level;
+        if let Some(victim) = range.records.get(range.records.len() / 2) {
+            let key = victim.key.clone();
+            moves.push((
+                "drop_from_scan",
+                Box::new(move |t| adversary::drop_from_scan(t, level, &key)),
+            ));
+        }
+        for keep in [0, 1] {
+            moves.push((
+                "truncate_scan",
+                Box::new(move |t| adversary::truncate_scan(t, level, keep)),
+            ));
+        }
+        if let Some((lo, hi)) = run_leaves(range) {
+            for (end, leaf) in [(adversary::ScanEnd::Lo, lo), (adversary::ScanEnd::Hi, hi)] {
+                for (entry, row) in path_rows(&committed[level], leaf).into_iter().enumerate() {
+                    let name = if walk_reads(end, (lo, hi), row) {
+                        "read sibling"
+                    } else {
+                        "unread sibling"
+                    };
+                    let byte = 32 * entry + 5;
+                    moves.push((
+                        name,
+                        Box::new(move |t| adversary::corrupt_scan_end_path(t, level, end, byte)),
+                    ));
+                }
+            }
+        }
+        moves.push(("drop left", at_level(level, |l| l.left = None)));
+        moves.push(("drop right", at_level(level, |l| l.right = None)));
+        let records = &stored.iter().find(|(at, _)| *at == level).expect("a stored level").1;
+        let (left, right) = neighbours(records, (from, to));
+        if range.left.is_none() && left.is_some() {
+            moves.push(("add left", at_level(level, move |l| l.left = left.clone())));
+        }
+        if range.right.is_none() && right.is_some() {
+            moves.push(("add right", at_level(level, move |l| l.right = right.clone())));
+        }
+    }
+    moves
+}
+
+/// Every window `[a, b]` of `probes` — stored keys and the gaps between
+/// them — whose ends are fewer than `width` probes apart, and the window
+/// over all of them.
+fn windows(probes: &[Vec<u8>], width: usize) -> Vec<(&[u8], &[u8])> {
+    let mut windows: Vec<(&[u8], &[u8])> = probes
+        .iter()
+        .enumerate()
+        .flat_map(|(i, a)| probes[i..].iter().take(width).map(move |b| (&a[..], &b[..])))
+        .collect();
+    windows.push((&probes[0], &probes[probes.len() - 1]));
+    windows
+}
+
+/// Checks every scan window's honest trace and its moves against the
+/// reference; returns how many flipped siblings the scan did not read.
+fn assert_scans_agree_with_the_reference(store: &ElsmP2) -> usize {
+    let levels = store.trusted().max_levels();
+    let stored: Vec<(usize, Vec<Record>)> = (1..=levels)
+        .map(|level| (level, store.db().level_record_dump(level).unwrap()))
+        .filter(|(_, records)| !records.is_empty())
+        .collect();
+    let committed = rebuilt_levels(store);
+    assert!(
+        committed.iter().all(|level| level.commitment.is_empty() || level.tree.is_some()),
+        "every level rebuilds to its committed tree"
+    );
+    let edges = edges(store, &committed);
+    let records: Vec<Vec<Record>> = stored.iter().map(|(_, records)| records.clone()).collect();
+    let probes = probes(&records);
+    let host = adversary::HostileHost::install(store.db());
+    let (mut accepted, mut refused, mut unread) = (0, 0, 0);
+    let mut self_anchored = 0;
+    for (from, to) in windows(&probes, WINDOW_WIDTH) {
+        store.scan(from, to).unwrap();
+        let honest = host.last_scan();
+        let verdict =
+            reference_scan(store, (&committed, &edges), (from, to), &honest, &mut self_anchored);
+        let want =
+            verdict.unwrap_or_else(|why| panic!("{from:?}..={to:?}: an honest trace: {why}"));
+        let moves = scan_moves(&honest, (from, to), &stored, &committed);
+        let traces = std::iter::once(("honest", honest.clone())).chain(moves.iter().map(
+            |(name, mutate)| {
+                let mut trace = honest.clone();
+                mutate(&mut trace);
+                (*name, trace)
+            },
+        ));
+        for (name, trace) in traces {
+            let reference = reference_scan(store, (&committed, &edges), (from, to), &trace, &mut 0);
+            host.replay_scan(trace.clone());
+            let verified = adversary::verdict(store.scan(from, to));
+            let same = |got: &[VerifiedRecord], want: &[&Record]| {
+                got.len() == want.len()
+                    && got.iter().zip(want).all(|(got, want)| {
+                        let value = envelope::open(&want.value).expect("verified").value;
+                        (got.key(), got.ts(), got.value()) == (&want.key[..], want.ts, value)
+                    })
+            };
+            match (&verified, &reference) {
+                (Ok(got), Ok(want)) => {
+                    assert!(same(got, want), "{name} on {from:?}..={to:?}: {got:?} verified, the reference returns {want:?}");
+                    accepted += 1;
+                }
+                (Err(_), Err(_)) => refused += 1,
+                // The reference walks every head's whole path; the scan
+                // reads only the siblings its walk needs, and answers as
+                // the honest trace does.
+                (Ok(got), Err(_)) if name == "unread sibling" => {
+                    assert!(same(got, &want), "{name} on {from:?}..={to:?}: {got:?} verified");
+                    unread += 1;
+                }
+                _ => panic!(
+                    "{name} on {from:?}..={to:?}: scan {verified:?}, the reference {reference:?}"
+                ),
+            }
+        }
+    }
+    let layout = if store.trusted().is_stacked() { "tiered" } else { "leveled" };
+    println!(
+        "{layout} scans: accepted {accepted}, refused {refused}, \
+         self-anchored levels {self_anchored}, unread siblings {unread}"
+    );
+    assert!(self_anchored > 0, "a self-anchored end is exercised");
+    assert!(accepted > 100 && refused > 100, "accepted {accepted}, refused {refused}");
+    unread
+}
+
+#[test]
+fn leveled_scans_verify_as_the_reference_does() {
+    let store = store(CompactionStrategyKind::Leveled, 4 * 1024);
+    assert_scans_agree_with_the_reference(&store);
+}
+
+#[test]
+fn tiered_scans_verify_as_the_reference_does() {
+    let store = store(CompactionStrategyKind::Tiered, 1 << 20);
+    assert!(store.trusted().is_stacked());
+    assert_scans_agree_with_the_reference(&store);
+}
+
+/// Under crowns of rows up to 4 nodes wide the end records' stored paths
+/// hold siblings, and a flipped byte in each is a move.
+#[test]
+fn leveled_scans_under_narrow_crowns_verify_as_the_reference_does() {
+    let cost = elsm_repro::sgx_sim::CostModel::paper_defaults().with_epc_bytes(4 * 2048 * 64);
+    let store = store_on(Platform::new(cost), CompactionStrategyKind::Leveled, 4 * 1024);
+    assert_eq!(store.trusted().crown_row_max(), 4);
+    assert!(assert_scans_agree_with_the_reference(&store) > 0, "an unread sibling is flipped");
 }

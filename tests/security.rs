@@ -1369,9 +1369,10 @@ mod chain {
         assert_eq!(failure, stale(29));
 
         // Range boundaries: the hot key just outside the range on either
-        // side.
+        // side, the range's end on that side a key the level does not hold
+        // (a stored end key anchors its end and has no boundary there).
         for (from, to, hot_is_left) in
-            [(&b"key0021"[..], &b"key0025"[..], true), (&b"key0015"[..], &b"key0019"[..], false)]
+            [(&b"key0020~"[..], &b"key0025"[..], true), (&b"key0015"[..], &b"key0019~"[..], false)]
         {
             assert_eq!(store.scan(from, to).map(drop), Ok(()));
             let mut trace = host.last_scan();
@@ -1413,6 +1414,7 @@ mod chain {
 mod range_ends {
     use super::*;
     use crate::support::adversary::{self, HostileHost};
+    use elsm_repro::elsm::VerifiedRecord;
     use elsm_repro::lsm_store::{LevelOutcome, LevelRange, Record};
 
     fn key(i: usize) -> Vec<u8> {
@@ -1462,7 +1464,7 @@ mod range_ends {
 
     #[test]
     fn a_scan_cannot_move_an_end_of_its_run() {
-        let (store, host, level, _) = one_level();
+        let (store, host, level, records) = one_level();
         let scan = |(from, to): (usize, usize), edit: fn(&mut LevelRange)| {
             host.on_scan(move |trace| {
                 edit(trace.levels.iter_mut().find(|l| l.level == level).unwrap())
@@ -1477,8 +1479,14 @@ mod range_ends {
             l.left = None;
             l.records.drain(..3);
         })));
-        // Leaf 0, the boundary, offered as in range: its edge anchors the run.
-        assert!(incomplete(scan((1, 5), |l| l.records.insert(0, l.left.take().unwrap()))));
+        // Leaf 0, the record below the range, offered as in range: its edge
+        // anchors the run.
+        let leaf_0 = records[0].clone();
+        host.on_scan(move |trace| {
+            let l = trace.levels.iter_mut().find(|l| l.level == level).unwrap();
+            l.records.insert(0, leaf_0);
+        });
+        assert!(incomplete(adversary::verdict(store.scan(&key(1), &key(5)))));
         // The end dropped, and the last record kept relabelled as the last
         // leaf of the tree: its leaf index is no part of its leaf.
         assert!(incomplete(scan((30, 38), |l| {
@@ -1489,6 +1497,69 @@ mod range_ends {
             proof.leaf_index = 39;
             *last = adversary::with_proof(last, &proof);
         })));
+    }
+
+    /// A scan's level carries a boundary only at an end of the range the
+    /// level does not hold. Where `from` or `to` is absent, a host that
+    /// drops the boundary on that side is refused, and the refusal audited
+    /// once; where the level holds the end key, the honest neighbour re-added
+    /// there still verifies, with the same records — both honest shapes of
+    /// a self-anchored end are accepted.
+    #[test]
+    fn a_boundary_is_required_only_at_an_unanchored_end() {
+        let (store, host, level, records) = one_level();
+        // The key just past `key(i)`, which the level does not hold.
+        let past = |i: usize| [key(i), b"~".to_vec()].concat();
+        let answer = |got: Vec<VerifiedRecord>| -> Vec<(Vec<u8>, u64, Vec<u8>)> {
+            got.iter().map(|r| (r.key().to_vec(), r.ts(), r.value().to_vec())).collect()
+        };
+        let scan = |(from, to): (&[u8], &[u8]), edit: Box<dyn FnOnce(&mut LevelRange) + Send>| {
+            host.on_scan(move |trace| {
+                edit(trace.levels.iter_mut().find(|l| l.level == level).unwrap())
+            });
+            adversary::verdict(store.scan(from, to)).map(answer)
+        };
+        let honest = |(from, to): (&[u8], &[u8])| {
+            let got = adversary::verdict(store.scan(from, to)).map(answer).unwrap();
+            (got, host.last_scan().levels.into_iter().find(|l| l.level == level).unwrap())
+        };
+        let refused_once = |(from, to): (&[u8], &[u8]), edit| {
+            let audited = store.telemetry().audit_total();
+            let refused = incomplete(scan((from, to), edit));
+            refused && store.telemetry().audit_total() == audited + 1
+        };
+
+        // `from` absent: the key below it bounds the range, and the run
+        // without it starts unanchored.
+        let (from, to) = (past(9), key(20));
+        let (got, l) = honest((&from, &to));
+        assert_eq!(got.len(), 11);
+        assert_eq!((l.left.as_ref(), l.right.as_ref()), (Some(&records[9]), None));
+        assert!(refused_once((&from, &to), Box::new(|l| l.left = None)));
+        // `to` absent: the same on the right.
+        let (from, to) = (key(10), past(20));
+        let (got, l) = honest((&from, &to));
+        assert_eq!(got.len(), 11);
+        assert_eq!((l.left.as_ref(), l.right.as_ref()), (None, Some(&records[21])));
+        assert!(refused_once((&from, &to), Box::new(|l| l.right = None)));
+
+        // Both ends stored: no boundary, and each honest neighbour re-added
+        // still verifies to the same answer.
+        let (from, to) = (key(10), key(20));
+        let (got, l) = honest((&from, &to));
+        assert_eq!((l.left.as_ref(), l.right.as_ref()), (None, None));
+        let (left, right) = (records[9].clone(), records[21].clone());
+        for (with_left, with_right) in [(true, false), (false, true), (true, true)] {
+            let (left, right) = (left.clone(), right.clone());
+            let re_added = scan(
+                (&from, &to),
+                Box::new(move |l| {
+                    l.left = with_left.then_some(left);
+                    l.right = with_right.then_some(right);
+                }),
+            );
+            assert_eq!(re_added.as_ref(), Ok(&got), "left {with_left}, right {with_right}");
+        }
     }
 }
 
