@@ -210,17 +210,23 @@ impl ElsmP2 {
             None,
         );
         // Embedded proofs inflate stored records: a key's newest version
-        // carries its audit path up to the crown's anchor row (57 + 32·rows
-        // bytes; in a 2^15-leaf level 15 rows under a bare root, ~6x a
-        // 100-byte value, and 5 under a 1 024-wide crown, ~3x), every older
-        // version a 57-byte chain link (~1.5x). Level budgets are configured
-        // in *logical* bytes, so physical budgets scale by the
+        // carries its audit path up to the crown's anchor row (9 + 32·rows
+        // bytes; in a 2^15-leaf level 15 rows under a bare root, ~5.9x a
+        // 100-byte value, and 5 under a 1 024-wide crown, ~2.7x), every
+        // older version a chain link of at most 41 bytes. Level budgets are
+        // configured in *logical* bytes, so physical budgets scale by the
         // newest-version factor — otherwise proof bytes would trigger
         // spurious cascades, and paths cut at the crown would let a level
         // hold twice the records; update-heavy levels simply sit below
-        // budget for longer.
+        // budget for longer. The factor is the one the levels were shaped
+        // by while a proof's header took a fixed 57 bytes, ⌊(157 +
+        // 32·rows) / 100⌋, scaled by what the compact header left of that
+        // record, (109 + 32·rows) / (157 + 32·rows): 2.54 under 1 024-wide
+        // crowns, 5.54 under a bare root. The levels keep their record
+        // counts, and the bytes saved are not spent on a budget change.
         let rows = 15 - u64::from(trusted.crown_row_max().max(1).ilog2());
-        let proof_inflation = (100 + 57 + 32 * rows) / 100;
+        let (fixed, compact) = (100 + 57 + 32 * rows, 100 + 9 + 32 * rows);
+        let inflate = |bytes: u64| bytes * (fixed / 100 * compact) / fixed;
         let db_options = Options {
             wal_sync: options.wal_sync,
             env: env.config().clone(),
@@ -229,8 +235,8 @@ impl ElsmP2 {
                 bloom_bits_per_key: options.bloom_bits_per_key,
             },
             write_buffer_bytes: options.write_buffer_bytes,
-            target_file_bytes: options.target_file_bytes * proof_inflation,
-            level1_max_bytes: options.level1_max_bytes * proof_inflation,
+            target_file_bytes: inflate(options.target_file_bytes),
+            level1_max_bytes: inflate(options.level1_max_bytes),
             level_multiplier: options.level_multiplier,
             max_levels: options.max_levels,
             compaction_enabled: options.compaction_enabled,

@@ -578,6 +578,12 @@ pub(crate) fn walk(
                 }
                 b += 1;
             }
+            // Versions never straddle tables, so a `to` gathered last is
+            // whole when its table ends: the next table holds no record
+            // the walk needs.
+            if at_to {
+                return Ok(());
+            }
             (t, b) = (t + 1, 0);
         }
         if left_open {

@@ -264,7 +264,9 @@ fn reads(run: &Run, fs: &Arc<SimFs>, query: impl FnOnce(&Run)) -> (u64, u64) {
 /// search. It reads exactly the blocks holding its evidence — the left
 /// neighbour's newest record, the range — and the record that stops it,
 /// the right neighbour or, where the run holds `to`, the first record past
-/// it; and with `Skip` exactly the blocks holding the range, from the one
+/// it if `to`'s table holds one (a `to` that closes its table stops the
+/// walk there: versions never straddle tables); and with `Skip` exactly
+/// the blocks holding the range, from the one
 /// its first record would be in to the one that ends it in each table it
 /// meets.
 /// Every window between two keys or gaps runs, and among them these
@@ -280,6 +282,14 @@ fn a_query_reads_each_block_at_most_once() {
     let position = |r: &Record| all.iter().position(|a| a == r).unwrap();
     let probes = probes(&all);
     let [mut opens, mut previous_table, mut straddles, mut next_table] = [0; 4];
+    let mut closing = 0;
+    // Whether `to` is stored and the record at `stop`, the first past it,
+    // opens the next table.
+    let mut closes_its_table = |stop: usize, to: &[u8]| {
+        let closes = holds(&all, to) && at[stop - 1].0 != at[stop].0;
+        closing += u32::from(closes);
+        closes
+    };
     let mut evidence_blocks = |w: &Walk, to: &[u8], start: (usize, usize)| {
         let mut blocks: Vec<(usize, usize)> = w.records.iter().map(|r| at[position(r)]).collect();
         if let Some(left) = &w.left {
@@ -295,7 +305,9 @@ fn a_query_reads_each_block_at_most_once() {
             );
         }
         if let Some(stop) = all.iter().position(|r| &r.key[..] > to) {
-            blocks.push(at[stop]);
+            if !closes_its_table(stop, to) {
+                blocks.push(at[stop]);
+            }
             next_table += u32::from(w.right.is_some() && at[stop].0 > start.0);
         }
         blocks.sort();
@@ -352,12 +364,13 @@ fn a_query_reads_each_block_at_most_once() {
         }
     }
     for (case, seen) in [
-        ("opens its block", opens),
-        ("in the previous table", previous_table),
-        ("chain straddles blocks", straddles),
-        ("right in the next table", next_table),
+        ("left neighbour opens its block", opens),
+        ("left neighbour in the previous table", previous_table),
+        ("left neighbour's chain straddles blocks", straddles),
+        ("right neighbour in the next table", next_table),
+        ("`to` closing its table", closing),
     ] {
-        assert!(seen > 0, "no query had its left neighbour {case}");
+        assert!(seen > 0, "no query met the case: {case}");
     }
 }
 
@@ -366,7 +379,9 @@ fn a_query_reads_each_block_at_most_once() {
 /// window between two keys or gaps of a run whose version chains straddle
 /// blocks. A walk whose `from` is stored and opens its block reads no
 /// block before it: on a cold cache it reads the blocks from `from`'s to
-/// the one holding the record that stops it, each once.
+/// the one holding the record that stops it, each once — or to `to`'s last
+/// where `to` is stored and closes its table, since versions never
+/// straddle tables.
 #[test]
 fn a_stored_end_key_needs_no_boundary_and_no_earlier_block() {
     let (env, fs) = env();
@@ -387,7 +402,11 @@ fn a_stored_end_key_needs_no_boundary_and_no_earlier_block() {
             assert_eq!(w.left.is_some(), below && !holds(&all, from), "{from:?}..={to:?}");
             assert_eq!(w.right.is_some(), above && !holds(&all, to), "{from:?}..={to:?}");
             let Some(first) = opens else { continue };
-            let stop = all.iter().position(|r| r.key[..] > to[..]).unwrap_or(all.len() - 1);
+            let stop = match all.iter().position(|r| r.key[..] > to[..]) {
+                Some(past) if holds(&all, to) && at[past - 1].0 != at[past].0 => past - 1,
+                Some(past) => past,
+                None => all.len() - 1,
+            };
             let mut blocks = at[first..=stop].to_vec();
             blocks.dedup();
             let (twice, distinct) = reads(&run, &fs, |run| {

@@ -39,15 +39,15 @@
 //! records arrived.
 //! [`LevelDigest::encode_proof_into`] writes a proof's wire bytes straight
 //! from these tables: the audit path up to the crown's anchor row for a
-//! key's newest version, a fixed-size link ([`crate::proof::LINK_LEN`]) for
-//! every older one — a level's stored proof bytes are linear in its record
-//! count.
+//! key's newest version, a link of at most 41 bytes in a 2¹⁵-key level
+//! for every older one ([`crate::proof`]) — a level's stored proof bytes
+//! are linear in its record count.
 
 use elsm_crypto::Digest;
 
 use crate::chain::{chain_link, ChainPosition};
 use crate::crown::{Crown, Fence};
-use crate::proof::{encode_parts, head_encoded_len, LevelCommitment, RecordProof, LINK_LEN};
+use crate::proof::{encode_parts, encoded_len, LevelCommitment, RecordProof};
 use crate::tree::MerkleTree;
 
 /// What a builder folded for one record. A later digest of the same record
@@ -400,10 +400,12 @@ impl LevelDigest {
     ///
     /// Panics on out-of-range indices.
     pub fn proof_encoded_len(&self, crown: &Crown, leaf_idx: usize, version_idx: usize) -> usize {
-        match self.chain_parts(leaf_idx, version_idx).0 {
-            None => head_encoded_len(self.tree.siblings(leaf_idx, crown.base_height()).count()),
-            Some(_) => LINK_LEN,
-        }
+        let (link_position, older_digest) = self.chain_parts(leaf_idx, version_idx);
+        let siblings = match link_position {
+            None => self.tree.siblings(leaf_idx, crown.base_height()).count(),
+            Some(_) => 0,
+        };
+        encoded_len(self.header(leaf_idx), link_position, older_digest, siblings)
     }
 }
 
@@ -464,7 +466,9 @@ mod tests {
         let honest = l2.prove_version(index, 1);
         assert_eq!(honest.chain, ChainPosition::Link { position: 1, older_digest: Digest::ZERO });
         assert_eq!(honest.verify(&c, b"Z,6"), Err(VerifyError::NotChainHead));
-        assert_eq!(l2.proof_encoded_len(&l2.crown(1), index, 1), LINK_LEN);
+        // Level 2, leaf 1 of 2, the link tag, position 1: the oldest
+        // version stores no older digest.
+        assert_eq!(l2.proof_encoded_len(&l2.crown(1), index, 1), 5);
         // Z,6 verifies by walking down from Z,7 ...
         let (head, link) = (l2.prove_newest(index).encode(), honest.encode());
         let head = RecordProofRef::parse(&head).unwrap();

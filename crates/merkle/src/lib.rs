@@ -12,9 +12,9 @@
 //!   proof generation is linear and a merge can carry a record's digest
 //!   over instead of hashing it again,
 //! * [`proof`] — embedded record proofs (owned, and borrowed in place from
-//!   stored bytes): an audit path for a key's newest version, a fixed-size
-//!   chain link for every older one, the walk that verifies a chain from
-//!   its head, and the per-level commitments the enclave stores,
+//!   stored bytes, compactly encoded): an audit path for a key's newest
+//!   version, a chain link for every older one, the walk that verifies a
+//!   chain from its head, and the per-level commitments the enclave stores,
 //! * [`range`] — segment-tree range proofs for query completeness (§5.4),
 //!   walked with the boundary siblings read off the audit paths of a run's
 //!   two end leaves.
@@ -53,7 +53,7 @@ pub mod tree;
 pub use chain::{chain_digest, chain_link, chain_link_parts, ChainPosition};
 pub use crown::{Anchor, Crown, Work, CROWN_ROW_MAX};
 pub use level::{Folded, LevelDigest, LevelDigestBuilder, OutOfOrder};
-pub use proof::{ChainWalk, LevelCommitment, RecordProof, RecordProofRef, VerifyError, LINK_LEN};
+pub use proof::{ChainWalk, LevelCommitment, RecordProof, RecordProofRef, VerifyError};
 pub use range::{
     prove_range, verify_range, verify_range_anchored, verify_run_anchored, RangeProof,
 };

@@ -4,14 +4,18 @@
 //! Merkle root, the leaf count (needed for boundary non-membership) and
 //! the level number. A [`RecordProof`] is what travels *embedded inside a
 //! record's value* (§5.2: "each record ⟨k, v‖πᵢ⟩ is augmented with its
-//! proof"). It comes in two sizes:
+//! proof"), encoded compactly:
 //!
 //! ```text
-//! newest version  [level u32][leaf index u64][leaf count u64][0]
-//!                 [older digest 32][n u32][n × sibling 32]      57 + 32·n B
-//! older version   [level u32][leaf index u64][leaf count u64][1]
-//!                 [position u32][older digest 32]               LINK_LEN = 57 B
+//! [varint level][varint leaf index][varint leaf count][tag]
+//!   tag bit 0: the proof is a chain link
+//!   tag bit 1: the older digest is all zeros and not stored
+//! newest version  [older digest 32 unless bit 1][varint n][n × sibling 32]
+//! older version   [varint position ≥ 1][older digest 32 unless bit 1]
 //! ```
+//!
+//! In a 2¹⁵-key level a key's only version stores at most 9 + 32·n bytes,
+//! an older version at most 41 and the oldest of several at most 9.
 //!
 //! The newest version of a key — the chain head — carries the audit path
 //! from its chain head up to the anchor row of the level's crown
@@ -19,14 +23,22 @@
 //! paired in, 0 when the crown holds the whole tree. It verifies on its own
 //! against that crown (`merkle::verify_run_anchored`); against a bare root
 //! ([`RecordProofRef::verify`]) only when the crown is the root alone and the
-//! path is whole. Every older version stores one fixed-size
-//! **link**: where it sits in the chain and the digest of what is older
-//! still. A link names no newer record and has no path; alone it proves
-//! nothing ([`VerifyError::NotChainHead`]). Older versions verify by
-//! *walking*: [`RecordProofRef::walk`] starts at an authenticated head and
+//! path is whole. Every older version stores one **link**: where it sits
+//! in the chain and the digest of what is older still. A link names no
+//! newer record and has no path; alone it proves nothing
+//! ([`VerifyError::NotChainHead`]). Older versions verify by *walking*:
+//! [`RecordProofRef::walk`] starts at an authenticated head and
 //! [`ChainWalk::step`] checks, one hash per version, that each presented
 //! record is the next one the chain committed to. A key's stored proof
 //! bytes are therefore linear in its version count.
+//!
+//! Each proof has exactly one encoding: varints are minimal and fit their
+//! field, no unknown tag bit is set, and bit 1 is set exactly when the
+//! older digest is zero, so a stored all-zero digest is refused. The
+//! encoding hashes nothing and moves no hashed byte: every field keeps its
+//! value. A host that sets bit 1 on a record with older versions makes the
+//! verifier hash a zero older digest, which fails as a stored zero digest
+//! would.
 
 use elsm_crypto::{sha256_concat, Digest};
 
@@ -177,26 +189,55 @@ impl RecordProof {
 
     /// Serialized size in bytes (computed, not serialized to measure).
     pub fn encoded_len(&self) -> usize {
-        match &self.chain {
-            ChainPosition::Newest { audit_path, .. } => head_encoded_len(audit_path.len()),
-            ChainPosition::Link { .. } => LINK_LEN,
-        }
+        let (link_position, siblings) = match &self.chain {
+            ChainPosition::Newest { audit_path, .. } => (None, audit_path.len()),
+            ChainPosition::Link { position, .. } => (Some(*position), 0),
+        };
+        encoded_len(
+            (self.level, self.leaf_index, self.leaf_count),
+            link_position,
+            self.chain.older_digest(),
+            siblings,
+        )
     }
 }
 
-/// Bytes before the chain position: level, leaf index, leaf count, tag.
-const HEADER_LEN: usize = 4 + 8 + 8 + 1;
-const TAG_NEWEST: u8 = 0;
+/// Tag bit 0: the proof is a chain link, not a newest version's.
 const TAG_LINK: u8 = 1;
+/// Tag bit 1: the older digest is all zeros and is not stored.
+const TAG_NO_OLDER: u8 = 2;
 
-/// Encoded size of every older version's proof: header, position, older
-/// digest.
-pub const LINK_LEN: usize = HEADER_LEN + 4 + 32;
+/// Length of `v`'s minimal LEB128 varint.
+fn varint_len(v: u64) -> usize {
+    (64 - (v | 1).leading_zeros() as usize).div_ceil(7)
+}
 
-/// Encoded size of a newest version's proof whose audit path holds
-/// `siblings` digests.
-pub(crate) fn head_encoded_len(siblings: usize) -> usize {
-    HEADER_LEN + 32 + 4 + 32 * siblings
+/// Appends `v` as a minimal LEB128 varint.
+fn put_varint(out: &mut Vec<u8>, mut v: u64) {
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+}
+
+/// Encoded size of a proof: `link_position` selects the form as in
+/// [`encode_parts`], `siblings` is the head's path length (a link has
+/// none).
+pub(crate) fn encoded_len(
+    (level, leaf_index, leaf_count): (u32, u64, u64),
+    link_position: Option<u32>,
+    older_digest: &Digest,
+    siblings: usize,
+) -> usize {
+    let older = if *older_digest == Digest::ZERO { 0 } else { 32 };
+    let header = varint_len(level.into()) + varint_len(leaf_index) + varint_len(leaf_count) + 1;
+    header
+        + older
+        + match link_position {
+            None => varint_len(siblings as u64) + 32 * siblings,
+            Some(position) => varint_len(position.into()),
+        }
 }
 
 /// The one encoder of the proof format; [`RecordProof::encode`] and
@@ -211,22 +252,24 @@ pub(crate) fn encode_parts<'d>(
     older_digest: &Digest,
     siblings: impl Iterator<Item = &'d Digest> + Clone,
 ) {
-    out.extend_from_slice(&level.to_le_bytes());
-    out.extend_from_slice(&leaf_index.to_le_bytes());
-    out.extend_from_slice(&leaf_count.to_le_bytes());
+    put_varint(out, level.into());
+    put_varint(out, leaf_index);
+    put_varint(out, leaf_count);
+    let older: &[u8] = if *older_digest == Digest::ZERO { &[] } else { older_digest.as_bytes() };
+    let no_older = if older.is_empty() { TAG_NO_OLDER } else { 0 };
     match link_position {
         None => {
-            out.push(TAG_NEWEST);
-            out.extend_from_slice(older_digest.as_bytes());
-            out.extend_from_slice(&(siblings.clone().count() as u32).to_le_bytes());
+            out.push(no_older);
+            out.extend_from_slice(older);
+            put_varint(out, siblings.clone().count() as u64);
             for d in siblings {
                 out.extend_from_slice(d.as_bytes());
             }
         }
         Some(position) => {
-            out.push(TAG_LINK);
-            out.extend_from_slice(&position.to_le_bytes());
-            out.extend_from_slice(older_digest.as_bytes());
+            out.push(TAG_LINK | no_older);
+            put_varint(out, position.into());
+            out.extend_from_slice(older);
         }
     }
 }
@@ -273,21 +316,37 @@ pub struct RecordProofRef<'a> {
     encoded_len: usize,
 }
 
-fn split_array<const N: usize>(buf: &[u8]) -> Option<([u8; N], &[u8])> {
-    let head = buf.get(..N)?.try_into().ok()?;
-    Some((head, &buf[N..]))
+/// Reads the minimal LEB128 varint at the front of `buf`: at most ten
+/// bytes, fitting a `u64`, and no trailing zero group.
+fn split_varint(buf: &[u8]) -> Option<(u64, &[u8])> {
+    let mut value = 0u64;
+    for (i, &byte) in buf.iter().enumerate().take(10) {
+        // The tenth group holds bit 63 alone.
+        if i == 9 && byte > 1 {
+            return None;
+        }
+        value |= u64::from(byte & 0x7f) << (7 * i);
+        if byte & 0x80 == 0 {
+            return (byte != 0 || i == 0).then(|| (value, &buf[i + 1..]));
+        }
+    }
+    None
 }
 
-fn split_u32(buf: &[u8]) -> Option<(u32, &[u8])> {
-    split_array(buf).map(|(head, rest)| (u32::from_le_bytes(head), rest))
+fn split_varint_u32(buf: &[u8]) -> Option<(u32, &[u8])> {
+    let (value, rest) = split_varint(buf)?;
+    Some((u32::try_from(value).ok()?, rest))
 }
 
-fn split_u64(buf: &[u8]) -> Option<(u64, &[u8])> {
-    split_array(buf).map(|(head, rest)| (u64::from_le_bytes(head), rest))
-}
-
-fn split_digest(buf: &[u8]) -> Option<(Digest, &[u8])> {
-    split_array(buf).map(|(head, rest)| (Digest::from_bytes(head), rest))
+/// Reads the older digest: none stored under `TAG_NO_OLDER`, else 32
+/// bytes that are not all zero.
+fn split_older(tag: u8, buf: &[u8]) -> Option<(Digest, &[u8])> {
+    if tag & TAG_NO_OLDER != 0 {
+        return Some((Digest::ZERO, buf));
+    }
+    let head: [u8; 32] = buf.get(..32)?.try_into().ok()?;
+    let digest = Digest::from_bytes(head);
+    (digest != Digest::ZERO).then(|| (digest, &buf[32..]))
 }
 
 impl<'a> RecordProofRef<'a> {
@@ -295,28 +354,23 @@ impl<'a> RecordProofRef<'a> {
     /// truncated input; bytes after the proof are left to the caller
     /// ([`RecordProofRef::encoded_len`] says where it ended).
     pub fn parse(buf: &'a [u8]) -> Option<Self> {
-        let (level, rest) = split_u32(buf)?;
-        let (leaf_index, rest) = split_u64(rest)?;
-        let (leaf_count, rest) = split_u64(rest)?;
+        let (level, rest) = split_varint_u32(buf)?;
+        let (leaf_index, rest) = split_varint(rest)?;
+        let (leaf_count, rest) = split_varint(rest)?;
         let (&tag, rest) = rest.split_first()?;
-        let (link_position, older_digest, audit_path) = match tag {
-            TAG_NEWEST => {
-                let (older_digest, rest) = split_digest(rest)?;
-                let (siblings, rest) = split_u32(rest)?;
-                let path_len = (siblings as usize).checked_mul(32)?;
-                (None, older_digest, rest.get(..path_len)?)
-            }
-            TAG_LINK => {
-                // Position 0 is the head's; a link claiming it is malformed.
-                let (position, rest) = split_u32(rest).filter(|(position, _)| *position > 0)?;
-                let (older_digest, rest) = split_digest(rest)?;
-                (Some(position), older_digest, &rest[..0])
-            }
-            _ => return None,
-        };
-        let encoded_len = match link_position {
-            None => head_encoded_len(audit_path.len() / 32),
-            Some(_) => LINK_LEN,
+        if tag & !(TAG_LINK | TAG_NO_OLDER) != 0 {
+            return None;
+        }
+        let (link_position, older_digest, audit_path, rest) = if tag & TAG_LINK == 0 {
+            let (older_digest, rest) = split_older(tag, rest)?;
+            let (siblings, rest) = split_varint(rest)?;
+            let path_len = usize::try_from(siblings).ok()?.checked_mul(32)?;
+            (None, older_digest, rest.get(..path_len)?, rest.get(path_len..)?)
+        } else {
+            // Position 0 is the head's; a link claiming it is malformed.
+            let (position, rest) = split_varint_u32(rest).filter(|(position, _)| *position > 0)?;
+            let (older_digest, rest) = split_older(tag, rest)?;
+            (Some(position), older_digest, &rest[..0], rest)
         };
         Some(RecordProofRef {
             level,
@@ -325,7 +379,7 @@ impl<'a> RecordProofRef<'a> {
             link_position,
             older_digest,
             audit_path,
-            encoded_len,
+            encoded_len: buf.len() - rest.len(),
         })
     }
 
@@ -567,7 +621,9 @@ mod tests {
         let honest = link(1);
         assert_eq!(honest.verify(&c, b"k2-mid"), Err(VerifyError::NotChainHead));
         let encoded = honest.encode();
-        assert_eq!(encoded.len(), LINK_LEN);
+        // Level 2, leaf 2 of 4, the link tag, position 1: a byte each,
+        // then the older digest.
+        assert_eq!(encoded.len(), 5 + 32);
         let borrowed = RecordProofRef::parse(&encoded).unwrap();
         assert_eq!(borrowed.link_position(), Some(1));
         assert_eq!(borrowed.verify(&c, b"k2-mid"), Err(VerifyError::NotChainHead));
@@ -625,8 +681,12 @@ mod tests {
     #[test]
     fn encode_decode_round_trip() {
         let (_, p, _) = setup();
-        for proof in [p, link(1), link(2)] {
+        // A head with its older digest and two siblings; the middle link
+        // with its older digest; the oldest link, whose older digest is
+        // zero and not stored.
+        for (proof, len) in [(p, 4 + 32 + 1 + 64), (link(1), 5 + 32), (link(2), 5)] {
             let bytes = proof.encode();
+            assert_eq!(bytes.len(), len);
             assert_eq!(bytes.len(), proof.encoded_len());
             assert_eq!(RecordProof::decode(&bytes), Some((proof, bytes.len())));
         }
@@ -635,21 +695,83 @@ mod tests {
     #[test]
     fn decode_rejects_truncation() {
         let (_, p, _) = setup();
-        for bytes in [p.encode(), link(1).encode()] {
-            for cut in [0, 1, 5, 21, 25, bytes.len() - 1] {
+        for bytes in [p.encode(), link(1).encode(), link(2).encode()] {
+            for cut in 0..bytes.len() {
                 assert!(RecordProof::decode(&bytes[..cut]).is_none(), "cut={cut}");
             }
         }
     }
 
+    /// `v` as a minimal LEB128 varint.
+    fn varint(v: u64) -> Vec<u8> {
+        let mut out = Vec::new();
+        put_varint(&mut out, v);
+        out
+    }
+
+    /// A proof assembled from raw parts.
+    fn raw(parts: &[&[u8]]) -> Vec<u8> {
+        parts.concat()
+    }
+
     #[test]
-    fn decode_rejects_unknown_tags_and_position_zero() {
-        let mut bytes = link(1).encode();
-        bytes[HEADER_LEN - 1] = 2;
-        assert!(RecordProofRef::parse(&bytes).is_none(), "tag 2");
-        bytes[HEADER_LEN - 1] = TAG_LINK;
-        bytes[HEADER_LEN..HEADER_LEN + 4].fill(0);
-        assert!(RecordProofRef::parse(&bytes).is_none(), "a link cannot be version 0");
+    fn varints_are_minimal_leb128() {
+        for v in [0, 1, 0x7f, 0x80, 0x3fff, 0x4000, u64::from(u32::MAX), u64::MAX - 1, u64::MAX] {
+            let bytes = varint(v);
+            assert_eq!(bytes.len(), varint_len(v), "{v}");
+            assert_eq!(split_varint(&bytes), Some((v, &[][..])), "{v}");
+        }
+        assert_eq!(varint(u64::MAX).len(), 10);
+        assert_eq!([varint_len(0x7f), varint_len(0x80), varint_len(1 << 15)], [1, 2, 3]);
+    }
+
+    /// Every malformed or non-canonical field is refused, beside an honest
+    /// proof that differs from it in that field alone.
+    #[test]
+    fn decode_rejects_malformed_varints_and_tags() {
+        let head_tag = [TAG_NO_OLDER];
+        let sibling = [9u8; 32];
+        let honest = raw(&[&[2], &[1], &[4], &head_tag, &[1], &sibling]);
+        assert!(RecordProofRef::parse(&honest).is_some());
+        // The widest fields that fit: level u32::MAX, leaf index u64::MAX.
+        let widest =
+            raw(&[&varint(u32::MAX.into()), &varint(u64::MAX), &[4], &head_tag, &[1], &sibling]);
+        let parsed = RecordProofRef::parse(&widest).unwrap();
+        assert_eq!((parsed.level, parsed.leaf_index), (u32::MAX, u64::MAX));
+        let honest_link = raw(&[&[2], &[1], &[4], &[TAG_LINK], &[1], &[7; 32]]);
+        assert!(RecordProofRef::parse(&honest_link).is_some());
+
+        let mut eleven = vec![0xff; 10];
+        eleven.push(0x01);
+        let cases: [(&str, Vec<u8>); 12] = [
+            ("overlong level", raw(&[&[0x82, 0x00], &[1], &[4], &head_tag, &[1], &sibling])),
+            ("overlong zero", raw(&[&[2], &[0x80, 0x00], &[4], &head_tag, &[1], &sibling])),
+            ("11-byte leaf count", raw(&[&[2], &[1], &eleven, &head_tag, &[1], &sibling])),
+            (
+                "10-byte varint past u64",
+                raw(&[&[2], &[1], &[&[0xff; 9][..], &[0x02]].concat(), &head_tag, &[1], &sibling]),
+            ),
+            (
+                "level above u32::MAX",
+                raw(&[&varint(1 << 32), &[1], &[4], &head_tag, &[1], &sibling]),
+            ),
+            ("tag bit 2", raw(&[&[2], &[1], &[4], &[TAG_NO_OLDER | 4], &[1], &sibling])),
+            ("tag bit 7", raw(&[&[2], &[1], &[4], &[TAG_LINK | 0x80], &[1], &[7; 32]])),
+            // The digest the tag says is absent, read as the sibling count.
+            ("bit 1 with a digest", raw(&[&[2], &[1], &[4], &head_tag, &[5; 32], &[0]])),
+            ("stored zero head digest", raw(&[&[2], &[1], &[4], &[0], &[0; 32], &[0]])),
+            ("stored zero link digest", raw(&[&[2], &[1], &[4], &[TAG_LINK], &[1], &[0; 32]])),
+            (
+                "sibling count ×32 overflows",
+                raw(&[&[2], &[1], &[4], &head_tag, &varint(u64::MAX / 32 + 1), &sibling]),
+            ),
+            ("link position 0", raw(&[&[2], &[1], &[4], &[TAG_LINK | TAG_NO_OLDER], &[0]])),
+        ];
+        for (name, bytes) in cases {
+            assert!(RecordProofRef::parse(&bytes).is_none(), "{name}");
+        }
+        let truncated_path = raw(&[&[2], &[1], &[4], &head_tag, &[2], &sibling]);
+        assert!(RecordProofRef::parse(&truncated_path).is_none(), "truncated path");
     }
 
     #[test]

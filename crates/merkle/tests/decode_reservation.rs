@@ -2,8 +2,8 @@
 //! become a reservation. An earlier decoder checked `n > buf.len()` and
 //! then called `Vec::with_capacity(n)` for 32-byte digests, so a value
 //! could make the verifier reserve 32× its own length before the first
-//! bounds check failed. A chain link has no count at all: it is a fixed 57
-//! bytes or it is rejected.
+//! bounds check failed. A chain link has no count at all: its varint
+//! fields and digest are there, minimal and in range, or it is rejected.
 //!
 //! This file owns its process's allocator to watch for that: a small
 //! wrapper around the system allocator that records, per thread, the
@@ -65,49 +65,58 @@ fn largest_allocation<T>(f: impl FnOnce() -> T) -> (T, usize) {
     (result, seen)
 }
 
+/// `v` as a LEB128 varint.
+fn varint(mut v: u64) -> Vec<u8> {
+    let mut out = Vec::new();
+    while v >= 0x80 {
+        out.push(v as u8 | 0x80);
+        v >>= 7;
+    }
+    out.push(v as u8);
+    out
+}
+
+/// Level 3, leaf 5 of 9, and `tag` (bit 0: link; bit 1: no older digest).
 fn header(tag: u8) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&3u32.to_le_bytes()); // level
-    buf.extend_from_slice(&5u64.to_le_bytes()); // leaf index
-    buf.extend_from_slice(&9u64.to_le_bytes()); // leaf count
-    buf.push(tag);
-    buf
+    vec![3, 5, 9, tag]
+}
+
+fn concat(parts: &[&[u8]]) -> Vec<u8> {
+    parts.concat()
 }
 
 #[test]
 fn inflated_counts_are_rejected_without_reserving() {
-    // A newest-position proof claiming the maximum number of siblings,
-    // with bytes for none of them ...
-    let mut path_bomb = header(0);
-    path_bomb.extend_from_slice(&[7u8; 32]);
-    path_bomb.extend_from_slice(&u32::MAX.to_le_bytes());
-    // ... a count that passes the old `n > buf.len()` guard but still
-    // outruns the bytes (each sibling needs 32) ...
-    let mut path_guard = header(0);
-    path_guard.extend_from_slice(&[7u8; 32]);
-    path_guard.extend_from_slice(&40u32.to_le_bytes());
-    path_guard.extend_from_slice(&[0u8; 64]);
-    // ... and links: the retired tag-1 layout (`[count][len][bytes]…`)
-    // with its count at the maximum is, read as a link, a position with
-    // the digest cut short; a link claiming position 0; a link whose
-    // position is the maximum but whose digest is not all there.
-    let mut old_layout_bomb = header(1);
-    old_layout_bomb.extend_from_slice(&u32::MAX.to_le_bytes());
-    old_layout_bomb.extend_from_slice(&[0u8; 31]);
-    let mut position_zero = header(1);
-    position_zero.extend_from_slice(&0u32.to_le_bytes());
-    position_zero.extend_from_slice(&[7u8; 32]);
-    let mut short_link = header(1);
-    short_link.extend_from_slice(&u32::MAX.to_le_bytes());
-    short_link.extend_from_slice(&[7u8; 8]);
-
-    for (name, buf) in [
-        ("audit path = u32::MAX", &path_bomb),
-        ("audit path within buf.len()", &path_guard),
-        ("link position = u32::MAX, digest cut short", &old_layout_bomb),
-        ("link position = 0", &position_zero),
-        ("link truncated", &short_link),
-    ] {
+    let older = [7u8; 32];
+    let mut eleven = vec![0xff; 10];
+    eleven.push(0x01);
+    let cases: Vec<(&str, Vec<u8>)> = vec![
+        // A newest-position proof claiming the most siblings a varint can,
+        // with bytes for none of them ...
+        ("audit path = u64::MAX", concat(&[&header(0), &older, &varint(u64::MAX)])),
+        // ... a count whose bytes overflow ...
+        ("audit path ×32 overflows", concat(&[&header(2), &varint(u64::MAX / 32 + 1)])),
+        // ... a count that passes the old `n > buf.len()` guard but still
+        // outruns the bytes (each sibling needs 32) ...
+        ("audit path within buf.len()", concat(&[&header(0), &older, &varint(40), &[0u8; 64]])),
+        ("truncated path", concat(&[&header(2), &varint(3), &[4u8; 64]])),
+        // ... counts and fields no canonical proof holds ...
+        ("overlong varint", concat(&[&[3, 0x85, 0x00, 9, 2], &varint(1), &older])),
+        ("11-byte varint", concat(&[&[3, 5], &eleven, &[2], &varint(1), &older])),
+        ("level above u32::MAX", concat(&[&varint(1 << 32), &[5, 9, 2], &varint(1), &older])),
+        ("unknown tag bits", concat(&[&header(0x42), &varint(1), &older])),
+        // (the digest bit 1 says is absent, read as a sibling count)
+        ("bit 1 with a digest", concat(&[&header(2), &[40u8; 32], &varint(0)])),
+        ("stored all-zero digest", concat(&[&header(0), &[0u8; 32], &varint(0)])),
+        // ... and links: a link claiming position 0; one whose position is
+        // the maximum but whose digest is not all there; one whose position
+        // does not fit a `u32`.
+        ("link position = 0", concat(&[&header(1), &varint(0), &older])),
+        ("link truncated", concat(&[&header(1), &varint(u32::MAX.into()), &[7u8; 8]])),
+        ("link position above u32::MAX", concat(&[&header(1), &varint(1 << 32), &older])),
+        ("link with an all-zero digest", concat(&[&header(1), &varint(1), &[0u8; 32]])),
+    ];
+    for (name, buf) in &cases {
         let (parsed, largest) = largest_allocation(|| RecordProofRef::parse(buf).is_some());
         assert!(!parsed, "{name}: borrowed parser must reject");
         assert_eq!(largest, 0, "{name}: the borrowed parser allocates nothing");

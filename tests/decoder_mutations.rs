@@ -20,7 +20,8 @@
 //! on a recovered log) — and over the certificate-transparency log's stored
 //! value (`ct_log::Certificate::decode`) and a level's stored value
 //! (`envelope::open`, which parses the embedded proof in place: heads whose
-//! path stops at the crown holding no sibling, some, or all, and links).
+//! path stops at the crown holding no sibling, some, or all, and links; and
+//! by hand, each proof field no canonical encoding holds).
 //! Whatever the bytes: no panic, no
 //! single allocation beyond the input's length times a constant, and what
 //! is accepted decodes to entries that round-trip through the encoder.
@@ -774,5 +775,61 @@ proptest! {
             prop_assert_eq!(reopened.value, opened.value);
             prop_assert_eq!(reopened.proof.map(|p| p.to_owned()), proof);
         }
+    }
+}
+
+/// The proof fields no canonical encoding holds, each in a stored value
+/// beside honest ones: the envelope refuses every one in place, by the
+/// proof parser or by the rule that the proof fills the value's tail — a
+/// link whose tag says its older digest is left out but that stores one
+/// parses as a shorter link with 32 bytes after it.
+#[test]
+fn malformed_proofs_in_stored_values_are_refused() {
+    use elsm_repro::elsm::envelope::{append_with_proof, open};
+
+    let varint = |v: u64| {
+        let mut out = Vec::new();
+        put_varint_u64(&mut out, v);
+        out
+    };
+    // Level 3, leaf 5 of 9, and the tag (bit 0: link; bit 1: no older
+    // digest).
+    let proof = |tag: u8, rest: &[&[u8]]| [&[3u8, 5, 9, tag][..], &rest.concat()].concat();
+    let stored = |proof: &[u8]| {
+        let mut buf = Vec::new();
+        append_with_proof(&mut buf, b"value", |out| out.extend_from_slice(proof));
+        buf
+    };
+    let (older, sibling) = ([7u8; 32], [4u8; 32]);
+    for honest in [
+        proof(0, &[&older, &[1], &sibling]),
+        proof(2, &[&[1], &sibling]),
+        proof(1, &[&[1], &older]),
+        proof(3, &[&[2]]),
+    ] {
+        let buf = stored(&honest);
+        let opened = open(&buf).expect("an honest proof opens");
+        assert_eq!(opened.proof_bytes(), honest.len());
+    }
+    let mut eleven = vec![0xff; 10];
+    eleven.push(0x01);
+    let cases: Vec<(&str, Vec<u8>)> = vec![
+        ("overlong varint", [&[3, 0x85, 0x00, 9, 2][..], &[1], &sibling].concat()),
+        ("11-byte varint", [&[3, 5][..], &eleven, &[2, 1], &sibling].concat()),
+        ("level above u32::MAX", [&varint(1 << 32)[..], &[5, 9, 2, 1], &sibling].concat()),
+        ("unknown tag bits", proof(0x10, &[&[1], &sibling])),
+        ("head: bit 1 with a digest", proof(2, &[&older, &[1], &sibling])),
+        ("link: bit 1 with a digest", proof(3, &[&[1], &older])),
+        ("stored all-zero head digest", proof(0, &[&[0; 32], &[1], &sibling])),
+        ("stored all-zero link digest", proof(1, &[&[1], &[0; 32]])),
+        ("sibling count ×32 overflows", proof(2, &[&varint(u64::MAX / 32 + 1), &sibling])),
+        ("link position 0", proof(3, &[&[0]])),
+        ("truncated path", proof(2, &[&[2], &sibling])),
+    ];
+    for (name, bad) in &cases {
+        let buf = stored(bad);
+        let (opened, largest) = largest_allocation(|| open(&buf).is_some());
+        assert!(!opened, "{name}: a malformed proof opens");
+        assert_eq!(largest, 0, "{name}: refused in place");
     }
 }

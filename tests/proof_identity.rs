@@ -1,20 +1,23 @@
-//! Proof bytes and digests are pinned: what the store writes for a key's
-//! newest version and what it commits to must be exactly what it wrote and
-//! committed to before older versions shrank to chain links, and the bytes
-//! a level stores in proofs must be linear in its record count.
+//! Proof bytes and digests are pinned: what the store writes for each
+//! version of a key must be exactly what a plain field-by-field encoder of
+//! the compact format writes for the proof the reference builds, what it
+//! commits to must be what it committed to before older versions shrank to
+//! chain links, and the bytes a level stores in proofs must be linear in
+//! its record count.
 //!
 //! The reference side of every comparison is kept here in its plainest
 //! form: a newest-version proof's `older_digest` recomputed with
-//! `chain_digest(&chain[1..])` and serialized by the field-by-field encoder
-//! the shared one replaced (both as they were at the commit before the
-//! links went in), and a field-by-field decoder of the whole format —
-//! newest tag and link tag — for the shared parser to agree with.
+//! `chain_digest(&chain[1..])`, serialized field by field (the fields
+//! those the format held before its header was compacted, each with the
+//! value it had then), and a field-by-field decoder of the whole format —
+//! heads and links, minimal varints, the zero-digest bit — for the shared
+//! parser to agree with.
 
 use elsm_repro::crypto::{sha256, Digest};
 use elsm_repro::elsm::{AuthenticatedKv, ElsmP2, P2Options};
 use elsm_repro::merkle::{
     chain_digest, ChainPosition, LevelCommitment, LevelDigest, MerkleTree, RecordProof,
-    RecordProofRef, VerifyError, LINK_LEN,
+    RecordProofRef, VerifyError, CROWN_ROW_MAX,
 };
 use elsm_repro::sgx_sim::{CostModel, Platform};
 use proptest::prelude::*;
@@ -40,26 +43,45 @@ fn reference_head_proof(
     }
 }
 
-/// `RecordProof::encode` as it was for a newest version; a link is its
-/// header, tag 1, position and older digest.
+/// `v` in seven-bit groups, least significant first, each but the last
+/// with its top bit set.
+fn reference_varint(out: &mut Vec<u8>, mut v: u64) {
+    loop {
+        let group = (v & 0x7f) as u8;
+        v >>= 7;
+        if v == 0 {
+            out.push(group);
+            return;
+        }
+        out.push(group | 0x80);
+    }
+}
+
+/// The compact format, field by field: level, leaf index, leaf count,
+/// the tag (bit 0 link, bit 1 older digest zero and left out), then a
+/// head's older digest, sibling count and siblings, or a link's position
+/// and older digest.
 fn reference_encode(proof: &RecordProof) -> Vec<u8> {
     let mut out = Vec::new();
-    out.extend_from_slice(&proof.level.to_le_bytes());
-    out.extend_from_slice(&proof.leaf_index.to_le_bytes());
-    out.extend_from_slice(&proof.leaf_count.to_le_bytes());
+    reference_varint(&mut out, proof.level.into());
+    reference_varint(&mut out, proof.leaf_index);
+    reference_varint(&mut out, proof.leaf_count);
+    let older = proof.chain.older_digest();
+    let zero = u8::from(*older == Digest::ZERO) << 1;
+    let older: &[u8] = if zero != 0 { &[] } else { older.as_bytes() };
     match &proof.chain {
-        ChainPosition::Newest { older_digest, audit_path } => {
-            out.push(0);
-            out.extend_from_slice(older_digest.as_bytes());
-            out.extend_from_slice(&(audit_path.len() as u32).to_le_bytes());
+        ChainPosition::Newest { audit_path, .. } => {
+            out.push(zero);
+            out.extend_from_slice(older);
+            reference_varint(&mut out, audit_path.len() as u64);
             for d in audit_path {
                 out.extend_from_slice(d.as_bytes());
             }
         }
-        ChainPosition::Link { position, older_digest } => {
-            out.push(1);
-            out.extend_from_slice(&position.to_le_bytes());
-            out.extend_from_slice(older_digest.as_bytes());
+        ChainPosition::Link { position, .. } => {
+            out.push(1 | zero);
+            reference_varint(&mut out, (*position).into());
+            out.extend_from_slice(older);
         }
     }
     out
@@ -67,32 +89,50 @@ fn reference_encode(proof: &RecordProof) -> Vec<u8> {
 
 /// The format decoded field by field, reserving nothing.
 fn reference_decode(buf: &[u8]) -> Option<(RecordProof, usize)> {
-    fn u32_at(buf: &[u8], pos: &mut usize) -> Option<u32> {
-        let b = buf.get(*pos..*pos + 4)?;
-        *pos += 4;
-        Some(u32::from_le_bytes(b.try_into().unwrap()))
-    }
-    fn u64_at(buf: &[u8], pos: &mut usize) -> Option<u64> {
-        let b = buf.get(*pos..*pos + 8)?;
-        *pos += 8;
-        Some(u64::from_le_bytes(b.try_into().unwrap()))
+    /// A varint that re-encodes to the very bytes it was read from.
+    fn varint_at(buf: &[u8], pos: &mut usize) -> Option<u64> {
+        let start = *pos;
+        let mut value = 0u128;
+        loop {
+            let byte = *buf.get(*pos)?;
+            value |= u128::from(byte & 0x7f) << (7 * (*pos - start));
+            *pos += 1;
+            if byte & 0x80 == 0 {
+                break;
+            }
+            if *pos - start == 10 {
+                return None;
+            }
+        }
+        let value = u64::try_from(value).ok()?;
+        let mut again = Vec::new();
+        reference_varint(&mut again, value);
+        (again[..] == buf[start..*pos]).then_some(value)
     }
     fn digest_at(buf: &[u8], pos: &mut usize) -> Option<Digest> {
         let b = buf.get(*pos..*pos + 32)?;
         *pos += 32;
         Some(Digest::from_bytes(b.try_into().unwrap()))
     }
+    /// The older digest: zero when tag bit 1 says so, else stored and
+    /// not zero.
+    fn older_at(buf: &[u8], pos: &mut usize, tag: u8) -> Option<Digest> {
+        if tag & 2 != 0 {
+            return Some(Digest::ZERO);
+        }
+        digest_at(buf, pos).filter(|d| *d != Digest::ZERO)
+    }
     let mut pos = 0usize;
-    let level = u32_at(buf, &mut pos)?;
-    let leaf_index = u64_at(buf, &mut pos)?;
-    let leaf_count = u64_at(buf, &mut pos)?;
+    let level = u32::try_from(varint_at(buf, &mut pos)?).ok()?;
+    let leaf_index = varint_at(buf, &mut pos)?;
+    let leaf_count = varint_at(buf, &mut pos)?;
     let tag = *buf.get(pos)?;
     pos += 1;
     let chain = match tag {
-        0 => {
-            let older_digest = digest_at(buf, &mut pos)?;
-            let n = u32_at(buf, &mut pos)? as usize;
-            if n > buf.len() {
+        0 | 2 => {
+            let older_digest = older_at(buf, &mut pos, tag)?;
+            let n = varint_at(buf, &mut pos)?;
+            if n > buf.len() as u64 {
                 return None;
             }
             let mut audit_path = Vec::new();
@@ -101,12 +141,12 @@ fn reference_decode(buf: &[u8]) -> Option<(RecordProof, usize)> {
             }
             ChainPosition::Newest { older_digest, audit_path }
         }
-        1 => {
-            let position = u32_at(buf, &mut pos)?;
+        1 | 3 => {
+            let position = u32::try_from(varint_at(buf, &mut pos)?).ok()?;
             if position == 0 {
                 return None;
             }
-            ChainPosition::Link { position, older_digest: digest_at(buf, &mut pos)? }
+            ChainPosition::Link { position, older_digest: older_at(buf, &mut pos, tag)? }
         }
         _ => return None,
     };
@@ -171,6 +211,8 @@ fn assert_same_verdict(buf: &[u8]) {
         Some((owned, used)) => {
             let parsed = parsed.expect("parser rejected what the decoder accepted");
             assert_eq!(parsed.encoded_len(), used);
+            // One encoding per proof: what is accepted is what it encodes to.
+            assert_eq!(reference_encode(&owned), buf[..used]);
             assert_eq!(parsed.to_owned(), owned);
             assert_eq!(RecordProof::decode(buf), Some((owned, used)));
         }
@@ -184,8 +226,11 @@ proptest! {
     /// newest-version proof written for the one-row crown (the root) is
     /// byte for byte the reference's, and for a crown of rows up to 4 wide
     /// the reference's less the siblings at and above its anchor row; every
-    /// older version stores exactly `LINK_LEN` bytes — so the level's proof
-    /// bytes are `Σ heads + (N − K)·LINK_LEN` — the arithmetic length is
+    /// older version stores its link — 37 bytes (one byte each for level,
+    /// leaf index, leaf count, tag and position, and the older digest), 5
+    /// for a chain's oldest, whose older digest is zero — so the level's
+    /// proof bytes are `Σ heads + 37·(N − K − C) + 5·C` over `C` keys with
+    /// more than one version, linear in the records; the arithmetic length is
     /// the written length, every version verifies by walking down from its
     /// head, and neither a lone link nor a newest-claim on an older version
     /// ever verifies.
@@ -254,10 +299,11 @@ proptest! {
                 digest.encode_proof_into(&narrow, leaf, version, &mut written);
                 prop_assert_eq!(&written, &reference_encode(&owned));
                 prop_assert_eq!(&written, &owned.encode());
-                prop_assert_eq!(written.len(), LINK_LEN);
-                prop_assert_eq!(digest.proof_encoded_len(&root, leaf, version), LINK_LEN);
-                prop_assert_eq!(owned.encoded_len(), LINK_LEN);
-                stored_bytes += LINK_LEN;
+                let link_len = if version + 1 == chain.len() { 5 } else { 5 + 32 };
+                prop_assert_eq!(written.len(), link_len);
+                prop_assert_eq!(digest.proof_encoded_len(&root, leaf, version), link_len);
+                prop_assert_eq!(owned.encoded_len(), link_len);
+                stored_bytes += digest.proof_encoded_len(&narrow, leaf, version);
 
                 let link = RecordProofRef::parse(&written).expect("own encoding parses");
                 prop_assert_eq!(link.link_position(), Some(version as u32));
@@ -284,12 +330,49 @@ proptest! {
             }
         }
         let (keys, records) = (chains.len(), shape.iter().sum::<usize>());
-        prop_assert_eq!(stored_bytes, head_bytes + (records - keys) * LINK_LEN);
+        let chained = shape.iter().filter(|&&versions| versions > 1).count();
+        prop_assert_eq!(stored_bytes, head_bytes + 37 * (records - keys - chained) + 5 * chained);
+    }
+
+    /// Over random levels of up to 2 500 keys of 1–3 versions, at crown
+    /// widths 1 (the root) and 1 024: every record's stored proof is as
+    /// long as `proof_encoded_len` computes, parses over exactly those
+    /// bytes, and is the reference's encoding of the proof it parses to; a
+    /// head keeps the siblings below the crown's anchor row.
+    #[test]
+    fn proof_encoded_len_is_the_bytes_written(
+        shape in prop::collection::vec(1usize..4, 1..2500),
+        salt in any::<u8>(),
+    ) {
+        let (chains, digest) = build_level(6, &shape, salt);
+        for row_max in [1, CROWN_ROW_MAX] {
+            let crown = digest.crown(row_max);
+            let anchor_row = reference_anchor_row(chains.len(), row_max);
+            prop_assert_eq!(crown.base_height(), anchor_row);
+            let mut written = Vec::new();
+            for (leaf, chain) in chains.iter().enumerate() {
+                for version in 0..chain.len() {
+                    written.clear();
+                    digest.encode_proof_into(&crown, leaf, version, &mut written);
+                    prop_assert_eq!(digest.proof_encoded_len(&crown, leaf, version), written.len());
+                    let parsed = RecordProofRef::parse(&written).expect("own encoding parses");
+                    prop_assert_eq!(parsed.encoded_len(), written.len());
+                    let owned = parsed.to_owned();
+                    prop_assert_eq!(owned.encoded_len(), written.len());
+                    prop_assert_eq!(&reference_encode(&owned), &written);
+                    if version == 0 {
+                        let below = reference_siblings_below(chains.len(), leaf, anchor_row);
+                        prop_assert_eq!(parsed.siblings().count(), below);
+                    }
+                }
+            }
+        }
     }
 
     /// Mutate-and-splice over valid encodings, heads and links alike: the
     /// borrowed parser accepts exactly what the field-by-field decoder
-    /// accepts, with the same result.
+    /// accepts, with the same result, and what it accepts is the one
+    /// encoding of the proof it decodes to.
     #[test]
     fn parser_accepts_what_the_decoder_accepts(
         shape in prop::collection::vec(1usize..6, 1..9),
@@ -320,16 +403,24 @@ proptest! {
                     buf.truncate(at);
                     buf.extend_from_slice(&other[at.min(other.len())..]);
                 }
-                // Flip the tag, or inflate a count field to the maximum: a
-                // link's position, a head's sibling count.
-                _ => match *byte % 3 {
-                    0 => buf[20] ^= 1,
-                    1 => buf[21..25].fill(0xff),
-                    _ => {
-                        let end = buf.len().min(21 + 32 + 4);
-                        buf[end.min(21 + 32)..end].fill(0xff);
+                // Flip a tag bit, or inflate the varint after the tag or
+                // after a head's older digest to the maximum: a link's
+                // position, a head's sibling count. Level, leaf index and
+                // leaf count take a byte each in these levels.
+                _ => {
+                    let tag_at = 3;
+                    let inflate = |buf: &mut Vec<u8>, from: usize| {
+                        let from = from.min(buf.len());
+                        let end = buf.len().min(from + 10);
+                        buf[from..end].fill(0xff);
+                    };
+                    match *byte % 4 {
+                        0 => buf[tag_at] ^= 1,
+                        1 => buf[tag_at] ^= 2,
+                        2 => inflate(&mut buf, tag_at + 1),
+                        _ => inflate(&mut buf, tag_at + 1 + 32),
                     }
-                },
+                }
             }
             assert_same_verdict(&buf);
             assert_same_verdict(base);
@@ -337,9 +428,126 @@ proptest! {
     }
 }
 
+/// The stored proof bytes per record of a 2¹⁵-key level in which every
+/// fourth key holds three versions, under root-only and 1 024-wide crowns,
+/// printed beside what the 57-byte header of before stored: one-version
+/// heads, heads of chains, middle and oldest links. A one-version head
+/// stores at most 9 + 32·rows bytes for the rows below the crown's anchor
+/// row, a link at most 41. `-- --nocapture` shows the table.
+#[test]
+fn stored_proof_bytes_per_record() {
+    const KEYS: usize = 1 << 15;
+    let shape: Vec<usize> = (0..KEYS).map(|k| if k % 4 == 0 { 3 } else { 1 }).collect();
+    let records: usize = shape.iter().sum();
+    let keys: Vec<Vec<u8>> = (0..KEYS).map(|k| format!("key{k:05}").into_bytes()).collect();
+    let digest = LevelDigest::from_records(
+        4,
+        keys.iter().zip(&shape).flat_map(|(key, &versions)| {
+            (0..versions).map(move |v| (&key[..], [&key[..], &[v as u8; 100]].concat()))
+        }),
+    );
+    for (name, row_max, rows) in [("root only", 1, 15), ("1 024-wide crown", CROWN_ROW_MAX, 5)] {
+        let crown = digest.crown(row_max);
+        // [one-version heads, chain heads, middle links, oldest links]:
+        // (count, bytes, bytes with the 57-byte header).
+        let mut kinds = [(0usize, 0usize, 0usize); 4];
+        let mut stored = Vec::new();
+        for (leaf, &versions) in shape.iter().enumerate() {
+            for version in 0..versions {
+                stored.clear();
+                digest.encode_proof_into(&crown, leaf, version, &mut stored);
+                let len = stored.len();
+                let siblings = RecordProofRef::parse(&stored).unwrap().siblings().count();
+                let (kind, most) = match version {
+                    0 if versions == 1 => (0, 9 + 32 * rows),
+                    0 => (1, 41 + 32 * rows),
+                    v if v + 1 < versions => (2, 41),
+                    _ => (3, 9),
+                };
+                assert!(len <= most, "{name}: {len} B where {most} is the most");
+                let (count, bytes, was) = &mut kinds[kind];
+                (*count, *bytes, *was) = (*count + 1, *bytes + len, *was + 57 + 32 * siblings);
+            }
+        }
+        let total: usize = kinds.iter().map(|k| k.1).sum();
+        let was: usize = kinds.iter().map(|k| k.2).sum();
+        println!(
+            "stored proof bytes, 2^15-key level, {name} ({rows} rows stored): \
+             {:.1} B per record ({:.1} with the 57-byte header)",
+            total as f64 / records as f64,
+            was as f64 / records as f64,
+        );
+        for ((count, bytes, was), kind) in
+            kinds.iter().zip(["one-version head", "chain head", "middle link", "oldest link"])
+        {
+            println!(
+                "  {kind:16} {count:6} × {:6.1} B (was {:6.1})",
+                *bytes as f64 / *count as f64,
+                *was as f64 / *count as f64
+            );
+        }
+    }
+}
+
+/// P2's level budgets scale by a proof-inflation factor that shapes the
+/// levels. When the proof header went from a fixed 57 bytes to ~9, the
+/// factor was scaled by the new to the old size of the record it assumes
+/// so that the levels keep their shapes and the bytes saved show as bytes,
+/// not as a budget change. This pins, for 4 000 keys of 100-byte values in
+/// hashed order and then 2 000 overwrites, under root-only and under full
+/// crowns, each level's record count and the flush and compaction counts
+/// as the 57-byte header left them (measured at the commit before the
+/// header shrank). Leaving the factor at the old one, or taking the plain
+/// (109 + 32·rows) / 100, moves every one of the four shapes. To be
+/// replaced by a test that the shapes are equal across proof formats.
+#[test]
+fn level_shapes_are_those_of_the_fixed_header() {
+    for (platform, golden) in [
+        (root_crown_platform(), GOLDEN_SHAPES_ROOT),
+        (Platform::with_defaults(), GOLDEN_SHAPES_CROWNED),
+    ] {
+        let store = ElsmP2::open(
+            platform,
+            P2Options {
+                write_buffer_bytes: 16 << 10,
+                level1_max_bytes: 64 << 10,
+                level_multiplier: 4,
+                target_file_bytes: 32 << 10,
+                ..P2Options::default()
+            },
+        )
+        .unwrap();
+        let mut shapes = Vec::new();
+        for (from, to) in [(0u32, 4_000u32), (4_000, 6_000)] {
+            for i in from..to {
+                let key = (i % 4_000).wrapping_mul(2_654_435_761) % 1_000_003;
+                let value = vec![b'a' + (i % 26) as u8; 100];
+                store.put(format!("user{key:08}").as_bytes(), &value).unwrap();
+            }
+            let stats = store.db().stats();
+            shapes.push(format!(
+                "levels {:?} flushes {} compactions {}",
+                store.db().level_records(),
+                stats.flushes,
+                stats.compactions
+            ));
+        }
+        assert_eq!(shapes, golden);
+    }
+}
+
+const GOLDEN_SHAPES_ROOT: [&str; 2] = [
+    "levels [10, 630, 0, 3360, 0, 0, 0, 0] flushes 38 compactions 5",
+    "levels [15, 105, 2520, 3360, 0, 0, 0, 0] flushes 57 compactions 8",
+];
+const GOLDEN_SHAPES_CROWNED: [&str; 2] = [
+    "levels [10, 840, 3150, 0, 0, 0, 0, 0] flushes 38 compactions 3",
+    "levels [15, 735, 1050, 4200, 0, 0, 0, 0] flushes 57 compactions 6",
+];
+
 /// An enclave whose EPC affords crowns of the root alone (`crown_row_max`
-/// = 1, as in the figures): proofs carry their whole audit paths, the
-/// bytes the goldens below were first captured from.
+/// = 1, as in the figures): proofs carry their whole audit paths, as
+/// when the goldens below were first captured.
 fn root_crown_platform() -> Arc<Platform> {
     let platform = || Platform::new(CostModel::paper_defaults().with_epc_bytes(128 << 10));
     let probe = ElsmP2::open(platform(), P2Options::default()).unwrap();
@@ -355,16 +563,21 @@ fn root_crown_platform() -> Arc<Platform> {
 /// when older versions shrank to chain links: with fewer stored bytes the
 /// same writes trigger compactions at different points (what was L2 + L3
 /// is now all in L3). `golden_level_digest_roots` pins the digests
-/// themselves independently of that shape. Under root-only crowns the
-/// store writes the bytes it always did and the golden is that one; under
-/// full crowns (`Platform::with_defaults`) stored paths stop at the crown,
+/// themselves independently of that shape. Under root-only crowns stored
+/// paths run to the root, as they always did; under full crowns (`Platform::with_defaults`) stored paths stop at the crown,
 /// the levels hold fewer bytes and compact at other points again
 /// (`GOLDEN_LEVELS_CROWNED`, captured when paths were cut; same WAL digest).
+/// Both level goldens were re-pinned when a proof's 57-byte header became
+/// ~9 bytes of varints: the budget factor is scaled for a 2¹⁵-key level's
+/// records, and these small levels' records shrank by another share, so
+/// they compact at other points (root only: L1 + L3 → all in L3; full
+/// crowns: L1 n=136 → n=181). The WAL digest did not move.
 #[test]
 fn golden_three_level_store_digests() {
-    for (platform, golden) in
-        [(root_crown_platform(), GOLDEN_LEVELS), (Platform::with_defaults(), GOLDEN_LEVELS_CROWNED)]
-    {
+    for (platform, golden) in [
+        (root_crown_platform(), &GOLDEN_LEVELS[..]),
+        (Platform::with_defaults(), &GOLDEN_LEVELS_CROWNED),
+    ] {
         let store = ElsmP2::open(
             platform,
             P2Options {
@@ -399,13 +612,11 @@ fn golden_three_level_store_digests() {
     }
 }
 
-const GOLDEN_LEVELS: [&str; 2] = [
-    "L1 n=92 c0a212c43bf3386f2be0d7329726341e76ce0c15416201b073bb2761bc48c4ea",
-    "L3 n=300 9c5208f51ba52921d1e5fe2f49a4108bcb33cc5726ea3db5455e22bdc3f2d4fe",
-];
+const GOLDEN_LEVELS: [&str; 1] =
+    ["L3 n=300 41b00e93c9c756014d00176fd546c438b2683a769ceb4b11f3c7fed2be5ea00f"];
 const GOLDEN_LEVELS_CROWNED: [&str; 2] = [
-    "L1 n=136 cf284bb98ec5357832e04bb8d76d50ee7f346dbebaa7f36312b373dae65b7804",
-    "L3 n=300 1f3098a825c72636c08034b8d875123b849676c874d3b8b5386d6852dde22410",
+    "L1 n=181 008b57385ffc3b5a777b1da4e155a7b0d74cf685c965dc6176693553ac71523e",
+    "L3 n=300 7e71260ffe3b16a892aa58e26cb3e0f54ff23962f5cdec473b7f89eef451b066",
 ];
 const GOLDEN_WAL: &str = "27cfc90b66f695d2bc5e731a8f475fcad4418812fac6519fedc55182d1f04a24";
 
@@ -441,12 +652,18 @@ const GOLDEN_DIGEST_ROOTS: [&str; 3] = [
 /// The `MANIFEST` line pins the manifest and the state sealed into it (what
 /// a separate sealed-state file held, plus the 32-byte `wal_base` recovery
 /// folds the logs from; re-captured when the state moved into the
-/// manifest, and no other line moved). That holds under root-only crowns,
-/// whose stored proofs are byte for byte those of before, for both
-/// histories; under full crowns stored paths stop at the crown, fewer
+/// manifest, and no other line moved). That held under root-only crowns,
+/// whose stored paths run to the root as before, for both histories;
+/// under full crowns stored paths stop at the crown, fewer
 /// bytes move compactions to other points, and the lines move with them
 /// (`GOLDEN_TRUSTED_STATE_CROWNED`, `GOLDEN_PIPELINE_CROWNED`, captured
-/// when paths were cut).
+/// when paths were cut). When a proof's 57-byte header became ~9 bytes of
+/// varints every stored file's bytes moved, and with the scaled budget
+/// factor these small stores compact at other points: the `MANIFEST` and
+/// file lines were re-pinned under both crowns, the crowned history's
+/// epoch, digests and announcement too, and the pipeline's under both;
+/// the root-only history's epoch, dataset, snapshot and announcement did
+/// not move.
 #[test]
 fn golden_trusted_state_is_unmoved_by_crowns() {
     assert_eq!(trusted_state_lines(root_crown_platform()), GOLDEN_TRUSTED_STATE);
@@ -628,12 +845,12 @@ fn pipeline_fingerprint(platform: fn() -> Arc<Platform>) -> Vec<String> {
 }
 
 const GOLDEN_PIPELINE: [&str; 6] = [
-    "epoch 152",
-    "dataset 2ba7522c690256572766b340e44a54a569ced0ab6e9ffca9baf6bb1cf57d4273",
-    "announcement 193b1dc4a2cd55c6d203675c562e361b1ecddd1ee162b8c8dd579fce32e8322b",
-    "files 21 7237a6f0af26adf473fec1a99a7adfe87ae3f843d3c2eb3e2018bae3c9bf8b80",
-    "MANIFEST 401 713fe7ed0c8cb447c1be4713381e7e6e78cde2f6f5ffbf52331ddcfaaf02704a",
-    "tiered files 15 d27ce228ef6705e7b05ba4f22a8df036ab67c4d9edb89e99fe0ca33c6130dcf6",
+    "epoch 149",
+    "dataset cef71cc9e397fec3789c5b5e31f21862ae852b9aa2513735df3cc643b4eea538",
+    "announcement 457764bd4980d4735aedb5e854ce5e140e10694950ff9b5f66879d5e7c450601",
+    "files 22 704df449cffee3319072e736d34ce5c874eff3bae71d4e3c2f493f7868e3c4d6",
+    "MANIFEST 396 0e647efc0b94ffc8fc5622083587975f4c162796f8ae4dfa3abbee53bb74fc9a",
+    "tiered files 15 4a30f1a1b2ecfbbd920c3da44b5fedc521005b2dd0737c864dcc650982a36e10",
 ];
 
 const GOLDEN_TRUSTED_STATE: [&str; 5] = [
@@ -641,22 +858,22 @@ const GOLDEN_TRUSTED_STATE: [&str; 5] = [
     "dataset ad35d9f7007566cda9ec72ff688beeecf78ee66225050e44c643942654bc167f",
     "snapshot b22f147d1f68ebd23170d76a1ea810201e15ecd579ab3bf06f4f4a39b8819c43",
     "announcement df832657f793f8805f7f104c7972f583312cd7c043a0a08a1c2b677938110f15",
-    "MANIFEST 542 604b48966deb6f54dec28785c689afc0d0a03911b8ccd836d560f21296bc5e9f",
+    "MANIFEST 540 58657c48ba84fe2152a8a07c6100a6cd3caef0bf6cca3c3e16dc48b3aca419be",
 ];
 
 const GOLDEN_PIPELINE_CROWNED: [&str; 6] = [
-    "epoch 144",
-    "dataset 3822b01abf4078c3c525b9a1ef441c2c8b4425c0c3ecf589a4300940601cd5a0",
-    "announcement 19ecaa24f856b4201527c4e6c09c33a7ccc3396a99d54b56fec5bc7ce233787e",
-    "files 21 c758b6905b9512c426d89f27adb8b8029b928f6f077a51a3f21edf88552f5d77",
-    "MANIFEST 394 5b8663744d6e0877410c8505c349e968669e298b1467ffe0d05028ae29814e31",
-    "tiered files 15 570475618056a5201537dbca866eed24a20f1c0c3a042ddfd66cb224ccc67114",
+    "epoch 140",
+    "dataset 7b872118af5b4a658a02d28f09d8165108fe9a9c0e02beba03bfeac2793577e4",
+    "announcement 84c035b466fd887088dd28a7a1edf593f132d3204d7427371d107fbef3e64a7b",
+    "files 20 4682ec6ac01a3a2a60a0defcfad67627294976747b909c81d20eef386243059c",
+    "MANIFEST 393 cef0924930c6fac2ab53e869cfec84766291602a53f157b637d392b824a49fb0",
+    "tiered files 15 b2f9916268c96e4748b143626d2d80c9926891a89ddfcc423cfcd5f049132d12",
 ];
 
 const GOLDEN_TRUSTED_STATE_CROWNED: [&str; 5] = [
-    "epoch 98",
-    "dataset d05603cd24bbf239aa86bb9cb6690a02546e8f49086d5fb5c49df2aacce128fb",
-    "snapshot 780f8d1c016c7e5d3d1781087a4c138fef00896a62ebfdeee252adde93f730a3",
-    "announcement 1605035c2fcc55912b9ccaab8ec0cca70ffbeaf84327875959f705199118e2bc",
-    "MANIFEST 527 f1a88ca325bf0d1d61cfdd4cc6a5a79862fa5aaab13cf112aef3555dbeec86f4",
+    "epoch 93",
+    "dataset db4b3517e7690ba5be25b04ae42254e95871c1346b026594629918464f5f2222",
+    "snapshot 4aa3a7ccaf7e131b23debaa27a653344622c8e2a2d783b7014e1fe671c7dbd1f",
+    "announcement 6547a9737a5ef06c46f4f23ee86d610215137366455c64e9a493a228f7fd2093",
+    "MANIFEST 524 3c630f8c47a7923fe481dbd57f1404f8b56b6ebc9fa9e96f0ae385938baea59f",
 ];

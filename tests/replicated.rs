@@ -148,7 +148,8 @@ fn parallel_tiered_compaction_replays_bit_identically() {
 #[test]
 fn replicas_pass_over_the_levels_the_primary_does() {
     let g = group(2);
-    for i in 0..600u32 {
+    // Enough ordered writes to spill past level 1.
+    for i in 0..1200u32 {
         g.put(format!("key{i:04}").as_bytes(), format!("ordered-value-{i:06}").as_bytes()).unwrap();
     }
     g.flush().unwrap();
