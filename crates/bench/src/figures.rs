@@ -311,18 +311,14 @@ pub fn fig7b(scale: &Scale, opts: FigOpts) -> Table {
 /// sweeps what the compaction subsystem does about it. Each cell builds a
 /// fresh eLSM-P2 store with one [`lsm_store::CompactionStrategyKind`]
 /// (leveled vs. size-tiered) and one wave parallelism (1 vs. 4 enclave
-/// compaction slots), with incremental level-commitment recomputation
-/// ([`elsm::P2Options::incremental_commitments`]) on, then drives YCSB-A
-/// (update-heavy) and YCSB-E (scan-heavy, inserts) from 8 clients.
-/// Parallel waves overlap merge IO and hashing across compaction slots;
-/// the incremental path folds a [`elsm::CompactionDelta`] instead of
-/// re-hashing every surviving record, so the enclave's serial compaction
-/// time shrinks — which is what lets writers keep flowing.
+/// compaction slots), then drives YCSB-A (update-heavy) and YCSB-E
+/// (scan-heavy, inserts) from 8 clients. Parallel waves overlap merge IO
+/// and hashing across compaction slots, and size-tiered merges rewrite
+/// fewer records, so the enclave's serial compaction time shrinks — which
+/// is what lets writers keep flowing.
 ///
-/// The `serial_full(pre)` row is the pre-change anchor — the serial
-/// leveled compactor with full commitment recomputation, the code path
-/// before the scheduler landed — recorded in `BENCH_results.json` as
-/// `fig7_prechange`. Each row also records the store's end-of-phase
+/// The ratio columns are taken against `leveled_p1`, the serial leveled
+/// compactor. Each row also records the store's end-of-phase
 /// compaction-debt gauge ([`lsm_store::CompactionDebt`], via
 /// `debt_bytes`/`pending_jobs` in the results JSON): a configuration
 /// that wins throughput by letting debt pile up unboundedly has not
@@ -339,14 +335,12 @@ pub fn fig7(scale: &Scale, opts: FigOpts) -> Table {
     let run = |label: &str,
                strategy: lsm_store::CompactionStrategyKind,
                parallelism: usize,
-               incremental: bool,
                w: &Workload| {
         let sut = open_p2(
             scale,
             P2Options {
                 compaction_strategy: strategy,
                 compaction_parallelism: parallelism,
-                incremental_commitments: incremental,
                 ..p2_options(scale, ReadMode::Mmap)
             },
         );
@@ -362,25 +356,13 @@ pub fn fig7(scale: &Scale, opts: FigOpts) -> Table {
     };
 
     use lsm_store::CompactionStrategyKind::{Leveled, Tiered};
-    // Pre-change anchor: serial leveled compaction, full recompute.
-    set_figure("fig7_prechange");
-    let anchor: Vec<f64> =
-        workloads.iter().map(|w| run("serial_full", Leveled, 1, false, w).0).collect();
-
     set_figure("fig7_compaction");
     let mut table = Table::new(
         "Figure 7 (ext): verified write throughput vs compaction strategy & parallelism, \
          8 clients (kops/s, simulated)",
-        &["config", "ycsbA_kops", "A_vs_pre", "ycsbE_kops", "E_vs_pre", "debt_kb_A"],
+        &["config", "ycsbA_kops", "A_vs_p1", "ycsbE_kops", "E_vs_p1", "debt_kb_A"],
     );
-    table.row(vec![
-        "serial_full(pre)".into(),
-        format!("{:.1}", anchor[0]),
-        "1.00x".into(),
-        format!("{:.1}", anchor[1]),
-        "1.00x".into(),
-        "-".into(),
-    ]);
+    let mut anchor = [0.0; 2];
     let configs: [(&str, lsm_store::CompactionStrategyKind, usize); 4] = [
         ("leveled_p1", Leveled, 1),
         ("leveled_p4", Leveled, 4),
@@ -391,9 +373,12 @@ pub fn fig7(scale: &Scale, opts: FigOpts) -> Table {
         let mut row = vec![label.to_string()];
         let mut debt_a = 0u64;
         for (i, w) in workloads.iter().enumerate() {
-            let (kops, debt) = run(label, strategy.clone(), parallelism, true, w);
+            let (kops, debt) = run(label, strategy.clone(), parallelism, w);
             if i == 0 {
                 debt_a = debt;
+            }
+            if label == "leveled_p1" {
+                anchor[i] = kops;
             }
             row.push(format!("{kops:.1}"));
             row.push(format!("{:.2}x", kops / anchor[i].max(1e-9)));

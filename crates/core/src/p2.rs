@@ -52,13 +52,6 @@ pub struct P2Options {
     /// Concurrent merge jobs per scheduler wave (1 = the serial
     /// pre-subsystem behavior; up to 4 worker slots exist).
     pub compaction_parallelism: usize,
-    /// Charge a compaction output record whose key chain one input level
-    /// holds whole (and whose value and older versions the merge kept) a
-    /// 32-byte digest move instead of a rehash inside the enclave — the
-    /// incremental integrity-metadata maintenance lever. The code carries
-    /// such digests over in either mode; this selects only the charged
-    /// cost, and commitments and proofs are identical either way.
-    pub incremental_commitments: bool,
     /// State updates batched per write of the trusted monotonic counter
     /// (the paper's tunable counter write buffer, §5.6.1). Read only when
     /// [`ElsmP2::open_with`] binds a counter.
@@ -107,7 +100,6 @@ impl Default for P2Options {
             compaction_enabled: true,
             compaction_strategy: lsm_store::CompactionStrategyKind::Leveled,
             compaction_parallelism: 1,
-            incremental_commitments: false,
             counter_write_buffer: 512,
             wal_sync: lsm_store::WalSyncPolicy::Always,
             shard_id: None,
@@ -196,13 +188,8 @@ impl ElsmP2 {
                 &options.telemetry,
             )
         });
-        let listener = AuthListener::new(
-            platform.clone(),
-            trusted.clone(),
-            options.incremental_commitments,
-            cache.clone(),
-            &options.telemetry,
-        );
+        let listener =
+            AuthListener::new(platform.clone(), trusted.clone(), cache.clone(), &options.telemetry);
         let env = StorageEnv::new(
             platform.clone(),
             fs.clone(),
@@ -683,7 +670,6 @@ mod tests {
             target_file_bytes: 8 * 1024,
             compaction_strategy: strategy,
             compaction_parallelism: parallelism,
-            incremental_commitments: true,
             ..P2Options::default()
         }
     }

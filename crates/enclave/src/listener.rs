@@ -66,13 +66,6 @@ pub const OUT_OF_ORDER: &str = "stored records out of key order";
 pub struct AuthListener {
     platform: Arc<Platform>,
     trusted: Arc<TrustedState>,
-    /// Which cost the enclave is charged for a compaction output record
-    /// whose key chain one input level holds whole (no version dropped or
-    /// added) and whose value and older versions the merge kept: a 32-byte
-    /// digest move (`true`) or a rehash of its canonical bytes (`false`,
-    /// the paper's baseline). The digest is carried over in both modes —
-    /// this selects only the charge.
-    incremental: bool,
     /// Verified read cache whose keys each folded write invalidates
     /// (`None`: caching disabled).
     cache: Option<Arc<VerifiedCache>>,
@@ -92,21 +85,18 @@ pub struct AuthListener {
 }
 
 impl AuthListener {
-    /// Builds the listener around the enclave state. `incremental` selects
-    /// the charge for carried-over compaction outputs (see the field); a
-    /// `cache` sees every folded write's key, and nothing else. The merge
-    /// counters are registered in `telemetry`.
+    /// Builds the listener around the enclave state. A `cache` sees every
+    /// folded write's key, and nothing else. The merge counters are
+    /// registered in `telemetry`.
     pub fn new(
         platform: Arc<Platform>,
         trusted: Arc<TrustedState>,
-        incremental: bool,
         cache: Option<Arc<VerifiedCache>>,
         telemetry: &telemetry::Telemetry,
     ) -> Arc<Self> {
         Arc::new(AuthListener {
             platform,
             trusted,
-            incremental,
             cache,
             leaves_reused: telemetry.counter("core.compaction.leaves_reused"),
             links_hashed: telemetry.counter("core.compaction.links_hashed"),
@@ -135,12 +125,13 @@ impl AuthListener {
     fn job(&self, input_levels: &[usize], output_level: usize) -> AuthJob<'_> {
         AuthJob {
             listener: self,
-            inputs: input_levels.iter().map(|&level| (level, None)).collect(),
+            inputs: input_levels
+                .iter()
+                .map(|&level| Input { level, builder: None, last_ts: 0 })
+                .collect(),
             output_level,
             canonical: Vec::new(),
             output: LevelDigestBuilder::new(output_level as u32),
-            chain_key: Vec::new(),
-            chain: Vec::new(),
             refused: false,
             audited: false,
             digest: None,
@@ -155,10 +146,8 @@ impl AuthListener {
 /// install. Nothing of it is shared with another job.
 struct AuthJob<'a> {
     listener: &'a AuthListener,
-    /// The job's input levels, each with the tree rebuilt from the records
-    /// streamed from it (`None` before the first, and always for level 0:
-    /// the memtable is enclave memory, never streamed), until `finish`.
-    inputs: Vec<(usize, Option<LevelDigestBuilder>)>,
+    /// The job's input levels.
+    inputs: Vec<Input>,
     output_level: usize,
     /// Reused buffer for a record's canonical bytes.
     canonical: Vec<u8>,
@@ -166,11 +155,9 @@ struct AuthJob<'a> {
     /// as the merge hands them over. Each record offers the builder what
     /// its input level folded for it; the builder takes it over where the
     /// record's chain below it is unchanged, and hashes the rest — so a
-    /// merge hashes each stored record once, as an input.
+    /// merge hashes each stored record once, as an input. The enclave is
+    /// charged a rehash of every output record all the same.
     output: LevelDigestBuilder,
-    /// The key of the chain being observed, and what is charged for it.
-    chain_key: Vec<u8>,
-    chain: Vec<Observed>,
     /// An output record's envelope did not open: nothing this job produces
     /// may be signed.
     refused: bool,
@@ -186,66 +173,26 @@ struct AuthJob<'a> {
     delta: Option<CompactionDelta>,
 }
 
-/// What pass 1 knows of one record of the chain being observed.
-struct Observed {
-    /// Canonical length: what a rehash is charged for.
-    len: usize,
-    /// The merge rewrote its value.
-    rewritten: bool,
-    /// The input level it was read from, and what that level folded for it.
-    folded: Option<(usize, Folded)>,
+/// One input level of a job.
+struct Input {
+    level: usize,
+    /// The tree rebuilt from the records streamed from the level (`None`
+    /// before the first, and always for level 0: the memtable is enclave
+    /// memory, never streamed), until `finish`.
+    builder: Option<LevelDigestBuilder>,
+    /// The timestamp of the record streamed last.
+    last_ts: u64,
 }
 
 impl AuthJob<'_> {
     /// What input level `at.level` folded for its record `at.ordinal`.
-    fn folded(&mut self, at: InputPosition) -> Option<(usize, Folded)> {
-        let (_, builder) = self.inputs.iter_mut().find(|(level, _)| *level == at.level)?;
-        let builder = builder.as_mut()?;
+    fn folded(&mut self, at: InputPosition) -> Option<Folded> {
+        let input = self.inputs.iter_mut().find(|input| input.level == at.level)?;
+        let builder = input.builder.as_mut()?;
         // The merge has read every input by now, so the last chain can fold.
         builder.end_chain();
-        Some((at.level, builder.folded(at.ordinal)?))
+        builder.folded(at.ordinal)
     }
-
-    /// Charges the observed chain, as the enclave is modelled to pay for
-    /// it whatever the code hashed: in incremental mode a record of a
-    /// chain one input level holds whole pays a 32-byte digest move when
-    /// neither it nor an older version was rewritten; every other record
-    /// pays a rehash of its canonical bytes.
-    fn charge_chain(&mut self) {
-        let whole = self.listener.incremental && held_whole(&self.chain);
-        // Past the last rewritten record, none is rewritten at or below.
-        let kept_from = self.chain.iter().rposition(|r| r.rewritten).map_or(0, |last| last + 1);
-        for (i, record) in self.chain.iter().enumerate() {
-            if whole && i >= kept_from {
-                self.listener.platform.dram_access(32);
-            } else {
-                self.listener.platform.charge_hash(record.len);
-            }
-        }
-        self.chain.clear();
-    }
-}
-
-/// Whether one input level holds the observed chain whole: every record
-/// the merge read as it was is version `i` of that level's chain for the
-/// key, and that chain has exactly as many versions. (A rewritten record
-/// keeps its place: a merge rewrites values, it never moves a version.)
-fn held_whole(chain: &[Observed]) -> bool {
-    let mut held_by = None;
-    for (i, record) in chain.iter().enumerate() {
-        if record.rewritten {
-            continue;
-        }
-        let Some((level, folded)) = record.folded else { return false };
-        if folded.version != i
-            || folded.versions != chain.len()
-            || held_by.is_some_and(|l| l != level)
-        {
-            return false;
-        }
-        held_by = Some(level);
-    }
-    held_by.is_some()
 }
 
 impl MergeJob for AuthJob<'_> {
@@ -267,10 +214,15 @@ impl MergeJob for AuthJob<'_> {
                 append_canonical(record, record.value, &mut self.canonical);
             }
         }
-        if let Some((_, builder)) = self.inputs.iter_mut().find(|(l, _)| *l == level) {
-            let builder = builder.get_or_insert_with(|| LevelDigestBuilder::new(level as u32));
-            if builder.add(record.key, &self.canonical).is_err() {
-                // The host's table holds its records out of key order: the
+        if let Some(input) = self.inputs.iter_mut().find(|input| input.level == level) {
+            let builder =
+                input.builder.get_or_insert_with(|| LevelDigestBuilder::new(level as u32));
+            let added = builder.add(record.key, &self.canonical);
+            // A key's versions are stored newest first.
+            let older_first = builder.gathered() > 1 && record.ts >= input.last_ts;
+            input.last_ts = record.ts;
+            if added.is_err() || older_first {
+                // The host's table holds its records out of order: the
                 // level is no level the enclave committed to.
                 self.listener.refuse(VerificationFailure::IncompleteRange {
                     level: level as u32,
@@ -296,24 +248,18 @@ impl MergeJob for AuthJob<'_> {
             self.refused = true;
             return;
         };
-        if self.chain_key != record.key {
-            self.charge_chain();
-            self.chain_key.clear();
-            self.chain_key.extend_from_slice(record.key);
-        }
         self.canonical.clear();
         append_canonical(record, opened.value, &mut self.canonical);
+        self.listener.platform.charge_hash(self.canonical.len());
         // The record's old proof was validated in place by `open_record`
         // and is dropped.
         let folded = from.and_then(|at| self.folded(at));
-        if self.output.add_carried(record.key, &self.canonical, folded.map(|(_, f)| f)).is_err() {
+        if self.output.add_carried(record.key, &self.canonical, folded).is_err() {
             // The merge hands its survivors over strictly ascending; an
             // output out of order is refused like a malformed one.
             self.listener.trusted.poison();
             self.refused = true;
-            return;
         }
-        self.chain.push(Observed { len: self.canonical.len(), rewritten: from.is_none(), folded });
     }
 
     fn seal(&mut self) {
@@ -321,11 +267,7 @@ impl MergeJob for AuthJob<'_> {
         if self.refused {
             return;
         }
-        {
-            let _world = sgx_sim::enclave_scope();
-            self.charge_chain();
-            output.end_chain();
-        }
+        output.end_chain();
         self.listener.leaves_reused.add(output.links_carried());
         self.listener.links_hashed.add(output.links_hashed());
         let digest = output.finish();
@@ -372,7 +314,7 @@ impl MergeJob for AuthJob<'_> {
         //    commitment (Figure 4 lines 31-33). A level no record was
         //    streamed from is only legal when the enclave also believes it
         //    empty — otherwise the host hid an input level's records.
-        for (level, builder) in &mut self.inputs {
+        for Input { level, builder, .. } in &mut self.inputs {
             if *level == 0 {
                 continue; // memtable: trusted enclave memory
             }
@@ -414,7 +356,7 @@ impl MergeJob for AuthJob<'_> {
             }
             _ => delta.runs_removed.push(self.output_level as u32),
         }
-        for &(level, _) in &self.inputs {
+        for &Input { level, .. } in &self.inputs {
             if level >= 1 && level != self.output_level {
                 delta.runs_removed.push(level as u32);
             }
@@ -424,7 +366,7 @@ impl MergeJob for AuthJob<'_> {
 
     fn install(&mut self) {
         let _world = sgx_sim::enclave_scope();
-        if self.inputs.iter().any(|&(level, _)| level == 0) {
+        if self.inputs.iter().any(|input| input.level == 0) {
             // A flush: the log that covered the frozen memtable goes.
             self.listener.trusted.wal_truncated();
         }
@@ -607,27 +549,25 @@ mod tests {
     use crate::envelope::wrap_plain;
     use bytes::Bytes;
     use lsm_boundary::{GetTrace, LevelOutcome, LevelSearch};
+    use sgx_sim::CostModel;
 
     fn record(key: &str, ts: u64, value: &str) -> Record {
         Record::put(Bytes::copy_from_slice(key.as_bytes()), wrap_plain(value.as_bytes()), ts)
     }
 
     fn setup() -> (Arc<AuthListener>, Arc<TrustedState>) {
-        setup_on(Platform::with_defaults(), false)
+        setup_on(Platform::with_defaults())
     }
 
-    fn setup_on(
-        platform: Arc<Platform>,
-        incremental: bool,
-    ) -> (Arc<AuthListener>, Arc<TrustedState>) {
+    fn setup_on(platform: Arc<Platform>) -> (Arc<AuthListener>, Arc<TrustedState>) {
         let trusted = TrustedState::new(platform.clone(), 4);
         let telemetry = telemetry::Telemetry::disabled();
-        (AuthListener::new(platform, trusted.clone(), incremental, None, &telemetry), trusted)
+        (AuthListener::new(platform, trusted.clone(), None, &telemetry), trusted)
     }
 
     /// Whether a job holds no tree: no input tree, no output tree.
     fn holds_no_tree(job: &AuthJob<'_>) -> bool {
-        job.inputs.iter().all(|(_, builder)| builder.is_none()) && job.digest.is_none()
+        job.inputs.iter().all(|input| input.builder.is_none()) && job.digest.is_none()
     }
 
     /// Streams `level`'s stored records into `job` as its input; returns
@@ -883,49 +823,14 @@ mod tests {
         assert_eq!(trusted.commitment(3).leaf_count, 1, "the sibling installs what it staged");
     }
 
-    /// Incremental and full-rehash listeners must produce identical
-    /// commitments and proofs — the mode changes what the enclave is
-    /// *charged*, never what it commits to — and both carry every digest
-    /// of a level compacted whole.
-    #[test]
-    fn incremental_mode_produces_identical_digests_for_less_work() {
-        let records: Vec<Record> =
-            (0..64).map(|i| record(&format!("key{i:03}"), i + 1, "value-payload")).collect();
-        let mut outputs = Vec::new();
-        let mut commitments = Vec::new();
-        let mut hashed = Vec::new();
-        for incremental in [false, true] {
-            let platform = Platform::with_defaults();
-            let telemetry = telemetry::Telemetry::disabled();
-            let trusted = TrustedState::new(platform.clone(), 4);
-            let listener =
-                AuthListener::new(platform.clone(), trusted.clone(), incremental, None, &telemetry);
-            let level1 = flush(&listener, 1, records.clone());
-            let mut job = listener.job(&[1, 2], 2);
-            let from = feed(&mut job, 1, &level1);
-            let before = platform.stats().hash_blocks;
-            let out = write(&mut job, level1, &from);
-            hashed.push(platform.stats().hash_blocks - before);
-            job.finish();
-            job.install();
-            assert!(!trusted.is_poisoned());
-            assert_eq!(telemetry.counter("core.compaction.leaves_reused").value(), 64);
-            outputs.push(out);
-            commitments.push(trusted.commitment(2));
-        }
-        assert_eq!(outputs[0], outputs[1], "proof-carrying outputs must match");
-        assert_eq!(commitments[0], commitments[1], "commitments must match");
-        assert!(hashed[1] < hashed[0], "incremental mode must be charged less ({hashed:?})");
-    }
-
     /// Value-log GC rewrites the middle version of a three-version chain.
-    /// The two newest versions fold over a changed chain and are charged a
-    /// rehash; only the oldest is charged a digest move — and the
-    /// commitment is the digest of the records as stored.
+    /// The two newest versions fold over a changed chain, and the oldest
+    /// takes its input digest over; each of the three is charged a rehash,
+    /// and the commitment is the digest of the records as stored.
     #[test]
     fn a_rewritten_version_changes_every_newer_one() {
         let platform = Platform::with_defaults();
-        let (listener, trusted) = setup_on(platform.clone(), true);
+        let (listener, trusted) = setup_on(platform.clone());
         let chain = vec![record("k", 3, "v3"), record("k", 2, "v2"), record("k", 1, "v1")];
         let level1 = flush(&listener, 1, chain);
         let mut job = listener.job(&[1, 2], 2);
@@ -938,13 +843,12 @@ mod tests {
             append_canonical(r.view(), open_record(r.view(), 2).unwrap().value, &mut out);
             out
         };
-        let (before, dram_before) = (platform.stats().hash_blocks, platform.stats().dram_bytes);
+        let before = platform.stats().hash_blocks;
         let stored = write(&mut job, output.clone(), &from);
-        let rehash: u64 = output[..2].iter().map(|r| canonical(r).len() as u64 / 64 + 1).sum();
-        assert_eq!(platform.stats().hash_blocks - before, rehash, "the two newest are rehashed");
+        let rehash: u64 = output.iter().map(|r| CostModel::hash_blocks(canonical(r).len())).sum();
+        assert_eq!(platform.stats().hash_blocks - before, rehash, "all three are rehashed");
         job.finish();
         job.install();
-        assert!(platform.stats().dram_bytes - dram_before >= 32, "the oldest is moved");
         let reference =
             LevelDigest::from_records(2, output.iter().map(|r| (&r.key[..], canonical(r))));
         assert_eq!(trusted.commitment(2), reference.commitment());

@@ -205,6 +205,12 @@ impl LevelDigestBuilder {
         self.chain.clear();
     }
 
+    /// Versions of the chain being gathered: more than one when the record
+    /// added last is of the previous record's key.
+    pub fn gathered(&self) -> usize {
+        self.gathered.len()
+    }
+
     /// Number of records added so far.
     pub fn record_count(&self) -> usize {
         self.suffix_digests.len() + self.gathered.len()

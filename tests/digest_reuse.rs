@@ -12,7 +12,9 @@
 //! whose chain suffix (their bytes and every older version's) is the one
 //! they had in their input level (`core.compaction.leaves_reused`), and
 //! hashed every other output record and every stored input record once
-//! (`core.compaction.links_hashed`).
+//! (`core.compaction.links_hashed`). Whatever it carried, the enclave is
+//! charged one rehash of every stored input record and of every output
+//! record, plus the merge's other charges, each named in `check_merge`.
 
 use std::collections::{BTreeSet, HashMap};
 use std::sync::Arc;
@@ -23,7 +25,7 @@ use elsm_repro::lsm_store::{
     CompactionJob, Db, Options, Record, StorageEnv, Timestamp, VlogConfig, VlogGcJob,
 };
 use elsm_repro::merkle::LevelDigest;
-use elsm_repro::sgx_sim::Platform;
+use elsm_repro::sgx_sim::{CostModel, Platform};
 use elsm_repro::sim_disk::{SimDisk, SimFs};
 use elsm_repro::telemetry::Telemetry;
 use proptest::prelude::*;
@@ -31,11 +33,19 @@ use proptest::prelude::*;
 /// On-disk levels (runs stack in them: compaction is driven by hand).
 const LEVELS: usize = 4;
 
+/// Stored values of this many bytes and more move to the value log.
+const VALUE_THRESHOLD: usize = 40;
+
 struct Store {
     db: Db,
+    platform: Arc<Platform>,
     trusted: Arc<TrustedState>,
     telemetry: Telemetry,
 }
+
+/// What the counters read before a merge: carried digests, links hashed,
+/// and the SHA-256 blocks the platform charged.
+type Counters = (u64, u64, u64);
 
 impl Store {
     fn open(keep_old_versions: bool) -> Store {
@@ -44,8 +54,7 @@ impl Store {
         let telemetry = Telemetry::default();
         let trusted =
             TrustedState::with_telemetry(platform.clone(), LEVELS, None, &Telemetry::default());
-        let listener =
-            AuthListener::new(platform.clone(), trusted.clone(), false, None, &telemetry);
+        let listener = AuthListener::new(platform.clone(), trusted.clone(), None, &telemetry);
         let options = Options {
             compaction_enabled: false,
             keep_old_versions,
@@ -54,21 +63,25 @@ impl Store {
             // Small files: a chain's versions spread over several, so a
             // GC's victims re-home some versions of a chain and not others.
             vlog: Some(VlogConfig {
-                value_threshold: 40,
+                value_threshold: VALUE_THRESHOLD,
                 target_file_bytes: 300,
                 gc_garbage_ratio: 0.5,
                 gc_enabled: false,
             }),
             ..Options::default()
         };
-        let env = StorageEnv::new(platform, fs, options.env.clone(), None);
+        let env = StorageEnv::new(platform.clone(), fs, options.env.clone(), None);
         let db = Db::open(env, options, Some(listener)).unwrap();
-        Store { db, trusted, telemetry }
+        Store { db, platform, trusted, telemetry }
     }
 
-    fn counters(&self) -> (u64, u64) {
+    fn counters(&self) -> Counters {
         let counter = |name| self.telemetry.counter(name).value();
-        (counter("core.compaction.leaves_reused"), counter("core.compaction.links_hashed"))
+        (
+            counter("core.compaction.leaves_reused"),
+            counter("core.compaction.links_hashed"),
+            self.platform.stats().hash_blocks,
+        )
     }
 
     /// Every stored level's records, index = level.
@@ -98,13 +111,16 @@ struct Seen {
 }
 
 /// Checks one merge of `inputs` (stored levels; the memtable besides for
-/// a flush) into `output`, given the levels before it and the counters.
+/// a flush) into `output`, given the levels before it, the counters, and
+/// the blocks a flush's key-value separation charged for the value-log
+/// entry digests of the memtable's large values (0 for any other merge).
 fn check_merge(
     store: &Store,
     before: &[Vec<Record>],
     inputs: &[usize],
     output: usize,
-    (reused0, hashed0): (u64, u64),
+    (reused0, hashed0, blocks0): Counters,
+    entry_digests: u64,
     seen: &mut Seen,
 ) {
     assert!(!store.trusted.is_poisoned(), "an honest merge keeps the store healthy");
@@ -163,9 +179,25 @@ fn check_merge(
         }
         start = end;
     }
-    let (reused1, hashed1) = store.counters();
+    let (reused1, hashed1, blocks1) = store.counters();
     assert_eq!(reused1 - reused0, reused, "carried digests");
     assert_eq!(hashed1 - hashed0, stored_inputs + out.len() as u64 - reused, "links hashed");
+
+    // The charge: one rehash of every stored input record and of every
+    // output record, carried or not; the delta fold, 32 bytes per level it
+    // sets or clears (the output, and each other input); and the entry
+    // digests. Nothing else.
+    let rehash = |records: &[Record]| -> u64 {
+        records.iter().map(|r| CostModel::hash_blocks(canonical(r).len())).sum()
+    };
+    let inputs_rehashed: u64 = inputs.iter().map(|&level| rehash(&before[level])).sum();
+    let touched = 1 + inputs.iter().filter(|&&level| level != output).count();
+    let delta_fold = CostModel::hash_blocks(32 * touched);
+    assert_eq!(
+        blocks1 - blocks0,
+        inputs_rehashed + rehash(&out) + delta_fold + entry_digests,
+        "hash blocks charged"
+    );
     seen.reused += reused;
     for &level in inputs.iter().filter(|&&l| l != output) {
         assert!(store.db.level_record_dump(level).unwrap().is_empty(), "input {level} consumed");
@@ -177,6 +209,10 @@ fn check_merge(
 fn run(keep_old_versions: bool, script: &[(u8, u16, u16)]) -> Seen {
     let store = Store::open(keep_old_versions);
     let mut seen = Seen::default();
+    // Blocks the next flush charges for the value-log entry digests of the
+    // values it separates: every large put the memtable holds, shadowed or
+    // not (separation runs before the merge drops old versions).
+    let mut entry_digests = 0;
     for &(op, a, b) in script {
         let populated = store.populated();
         let before = store.levels();
@@ -186,6 +222,9 @@ fn run(keep_old_versions: bool, script: &[(u8, u16, u16)]) -> Seen {
                 let key = format!("key{:02}", a % 24);
                 let value = vec![b as u8; usize::from(b % 90)];
                 let (key, value) = plain_record(key.as_bytes(), &value);
+                if value.len() >= VALUE_THRESHOLD {
+                    entry_digests += CostModel::hash_blocks(key.len() + value.len() + 16);
+                }
                 store.db.put_bytes(key, value).unwrap();
             }
             4 => {
@@ -198,7 +237,8 @@ fn run(keep_old_versions: bool, script: &[(u8, u16, u16)]) -> Seen {
                     continue;
                 }
                 store.db.flush().unwrap();
-                check_merge(&store, &before, &[], target, counters, &mut seen);
+                check_merge(&store, &before, &[], target, counters, entry_digests, &mut seen);
+                entry_digests = 0;
             }
             _ => {
                 // Any non-empty set of runs, into the deepest of them.
@@ -230,7 +270,7 @@ fn run(keep_old_versions: bool, script: &[(u8, u16, u16)]) -> Seen {
                         .collect();
                     store.db.apply_vlog_gc(&VlogGcJob { job, rewrite_files }).unwrap();
                 }
-                check_merge(&store, &before, &inputs, output, counters, &mut seen);
+                check_merge(&store, &before, &inputs, output, counters, 0, &mut seen);
             }
         }
     }

@@ -760,7 +760,6 @@ fn pipeline_fingerprint(platform: fn() -> Arc<Platform>) -> Vec<String> {
         level_multiplier: 2,
         max_levels: 3,
         target_file_bytes: 8 * 1024,
-        incremental_commitments: true,
         shard_id: Some(5),
         vlog: Some(VlogConfig {
             value_threshold: 256,

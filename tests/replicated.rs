@@ -112,7 +112,6 @@ fn parallel_tiered_compaction_replays_bit_identically() {
     let options = P2Options {
         compaction_strategy: CompactionStrategyKind::Tiered,
         compaction_parallelism: 4,
-        incremental_commitments: true,
         ..small_store_options()
     };
     let g = ReplicationGroup::open(

@@ -2151,12 +2151,15 @@ mod unclean_shutdown {
 mod host_order {
     //! The host writes bytes, not through the table builder: a table whose
     //! blocks are valid but whose records are out of key order. A restart
-    //! that rebuilds the level's crown from it, and a merge that reads it,
-    //! each refuse it once on the audit stream — and neither panics.
+    //! that rebuilds the level's crown from it, and a merge that reads it
+    //! (a compaction, or a value-log GC rewriting the level), each refuse
+    //! it once on the audit stream — and neither panics.
 
     use super::*;
     use crate::support::adversary;
-    use elsm_repro::lsm_store::{Db, EnvConfig, Options, StorageEnv};
+    use elsm_repro::lsm_store::{
+        CompactionJob, Db, EnvConfig, Options, StorageEnv, VlogConfig, VlogGcJob,
+    };
     use elsm_repro::shard::{ShardedKv, ShardedOptions};
     use elsm_repro::telemetry::Telemetry;
     use std::sync::Arc;
@@ -2335,6 +2338,34 @@ mod host_order {
         assert!(read_back(&store, 0..KEYS) > 0, "the swapped key is refused");
     }
 
+    /// The same two versions swapped in a table a compaction reads: the
+    /// merge's input check refuses them as out of order, before the merged
+    /// stream fails, so the refusal is audited once.
+    #[test]
+    fn a_compaction_refuses_swapped_versions() {
+        let platform = Platform::with_defaults();
+        let fs = SimFs::new(SimDisk::new(platform.clone()));
+        let telemetry = Telemetry::new();
+        let store = ElsmP2::open_with(platform, fs.clone(), options(&telemetry), None).unwrap();
+        for i in 0..KEYS {
+            store.put(&key(i), b"an older version").unwrap();
+            store.put(&key(i), &value(i)).unwrap();
+        }
+        store.db().flush().unwrap();
+        let (epoch, files) = (store.db().current_epoch(), fs.list());
+        let commitments = store.trusted().commitments();
+        let sst = fs.list().into_iter().find(|n| n.ends_with(".sst")).expect("a table");
+        assert!(adversary::swap_adjacent_versions(&fs.open(&sst).unwrap()).is_some());
+
+        assert!(store.db().compact(1).is_err(), "the merge fails");
+        assert!(store.trusted().is_poisoned(), "and the enclave refuses service");
+        assert_audited_once(&telemetry, 1, None);
+        assert_eq!(store.db().current_epoch(), epoch, "nothing installed");
+        assert_eq!(fs.list(), files, "no output file was left behind");
+        assert_eq!(store.trusted().commitments(), commitments, "nothing new was signed");
+        assert_eq!(read_back(&store, 0..KEYS), KEYS as usize, "every read is refused");
+    }
+
     /// Options whose flush writes a level as several tables.
     fn options_in_tables(telemetry: &Telemetry) -> P2Options {
         P2Options { target_file_bytes: 4 * 1024, ..options(telemetry) }
@@ -2409,6 +2440,90 @@ mod host_order {
         assert_eq!(fs.list(), files, "no output file was left behind");
         assert_eq!(store.trusted().commitments(), commitments, "nothing new was signed");
         assert_eq!(read_back(&store, 0..KEYS), KEYS as usize, "every read is refused");
+    }
+
+    /// Options whose levels hold pointer records in several tables, the
+    /// values in a value log of several files: a value-log GC rewrites
+    /// level 1 in place.
+    fn gc_options(telemetry: &Telemetry, read_mode: ReadMode) -> P2Options {
+        P2Options {
+            read_mode,
+            vlog: Some(VlogConfig {
+                value_threshold: 32,
+                target_file_bytes: 8 * 1024,
+                gc_garbage_ratio: 0.3,
+                gc_enabled: false,
+            }),
+            ..options_in_tables(telemetry)
+        }
+    }
+
+    /// Re-homes level 1's values out of every value-log file but the one
+    /// taking appends.
+    fn gc_level1(store: &ElsmP2) -> Result<(), elsm_repro::sim_disk::FsError> {
+        let vlog = store.db().vlog().expect("separation is on");
+        let files: Vec<u64> = vlog.manifest_files().iter().map(|f| f.0).collect();
+        assert!(files.len() >= 2, "a victim besides the active file");
+        let rewrite_files = files[..files.len() - 1].to_vec();
+        let job = CompactionJob { input_levels: vec![1], output_level: 1, purge: false };
+        store.db().apply_vlog_gc(&VlogGcJob { job, rewrite_files })
+    }
+
+    /// Loads level 1 (every key twice, when `versions`), lets `host`
+    /// rewrite its tables, then runs a value-log GC of it, under each read
+    /// mode: the enclave refuses service, audits `kind` once, signs
+    /// nothing new, and every read is refused, none answered wrong.
+    fn a_gc_refuses(versions: bool, kind: &str, host: impl Fn(&SimFs)) {
+        for read_mode in READ_MODES {
+            let platform = Platform::with_defaults();
+            let fs = SimFs::new(SimDisk::new(platform.clone()));
+            let telemetry = Telemetry::new();
+            let options = gc_options(&telemetry, read_mode);
+            let store = ElsmP2::open_with(platform, fs.clone(), options, None).unwrap();
+            for i in 0..KEYS {
+                if versions {
+                    store.put(&key(i), &[0xee; 64]).unwrap();
+                }
+                store.put(&key(i), &value(i)).unwrap();
+            }
+            store.db().flush().unwrap();
+            let stored = if versions { 2 * KEYS } else { KEYS };
+            assert_eq!(store.db().level_records()[1], u64::from(stored), "one level-1 run");
+            let commitments = store.trusted().commitments();
+            host(&fs);
+
+            let _ = gc_level1(&store);
+            assert!(store.trusted().is_poisoned(), "{read_mode:?}: the enclave refuses service");
+            let events = telemetry.audit_events();
+            assert_eq!(events.len(), 1, "{read_mode:?}: audited once: {events:?}");
+            assert_eq!(events[0].kind, kind, "{read_mode:?}");
+            assert!(events[0].detail.contains("level 1"), "{:?}", events[0]);
+            assert_eq!(store.trusted().commitments(), commitments, "nothing new was signed");
+            assert_eq!(read_back(&store, 0..KEYS), KEYS as usize, "every read is refused");
+        }
+    }
+
+    #[test]
+    fn a_gc_refuses_swapped_records() {
+        a_gc_refuses(false, "IncompleteRange", swap_in_a_table);
+    }
+
+    #[test]
+    fn a_gc_refuses_a_duplicated_record() {
+        a_gc_refuses(false, "IncompleteRange", |fs| drop(duplicate_in_a_table(fs)));
+    }
+
+    #[test]
+    fn a_gc_refuses_swapped_versions() {
+        a_gc_refuses(true, "IncompleteRange", |fs| {
+            let sst = fs.list().into_iter().find(|n| n.ends_with(".sst")).expect("a table");
+            assert!(adversary::swap_adjacent_versions(&fs.open(&sst).unwrap()).is_some());
+        });
+    }
+
+    #[test]
+    fn a_gc_refuses_an_overlapping_table() {
+        a_gc_refuses(false, "IncompleteRange", overlap_in_a_level);
     }
 
     /// The engine alone: a merge whose input is out of order fails before

@@ -308,7 +308,6 @@ fn per_shard_compaction_schedulers_run_independently() {
     let store = P2Options {
         compaction_strategy: elsm_repro::lsm_store::CompactionStrategyKind::Tiered,
         compaction_parallelism: 4,
-        incremental_commitments: true,
         ..small_store_options()
     };
     let cluster =
