@@ -1,20 +1,22 @@
 //! CI perf-regression gate: diffs a freshly regenerated
 //! `BENCH_results.json` against the committed baseline and fails (exit
-//! code 1) when any configuration's throughput dropped below the
-//! tolerance band. Because throughput is measured on the deterministic
-//! virtual clock, any drop is a real code-path change, not noise — the
-//! tolerance only absorbs intentional small shifts (e.g. a few extra
-//! charged bytes on a wire format). It lists every row whose throughput
-//! moved, worst first, and ends with the counts of rows up, down,
-//! unchanged, added and missing — the declaration a change that moves
-//! rows owes.
+//! code 1) when any configuration got slower beyond the tolerance band.
+//! Because every figure is measured on the deterministic virtual clock,
+//! any move is a real code-path change, not noise — the tolerance only
+//! absorbs intentional small shifts (e.g. a few extra charged bytes on a
+//! wire format). It lists every row that moved, worst throughput first,
+//! and ends with the counts of rows up, down, unchanged, added and missing
+//! — the declaration a change that moves rows owes.
 //!
 //! A closed-loop (multi-client) row's throughput is ops over the last
 //! client's finish, so it can move with no change in the work: an inline
 //! flush charged to another client shifts the makespan. Such rows carry
-//! `charged_us_per_op` and `mean_finish_us`; for each one that moved, the
-//! gate prints how both moved and which of the two the throughput change
-//! follows — the charged time (the work moved) or only the schedule.
+//! `charged_us_per_op` and `mean_finish_us`, and one that carries them in
+//! both documents is judged by the work: it fails when its charged time
+//! per op rose by more than the tolerance, whatever its throughput did
+//! (which is printed beside the verdict, with which of the two measures
+//! the throughput followed). Every other row fails when its throughput
+//! fell by more than the tolerance ([`verdict`]).
 //!
 //! Usage:
 //! `perf_gate --baseline BENCH_baseline.json --fresh BENCH_results.json
@@ -100,10 +102,10 @@ fn parse_results(path: &str) -> Rows {
 /// What moved between two result documents.
 #[derive(Debug, Default, PartialEq)]
 struct Diff {
-    /// Rows in both whose throughput changed, as (relative change, row,
-    /// baseline, fresh), worst first.
+    /// Rows in both whose throughput or closed-loop measures changed, as
+    /// (relative throughput change, row, baseline, fresh), worst first.
     moved: Vec<(f64, Key, Row, Row)>,
-    /// Rows in both whose throughput did not change.
+    /// Rows in both where nothing changed.
     unchanged: usize,
     /// Rows only the fresh document has (not gated).
     added: Vec<Key>,
@@ -117,7 +119,7 @@ impl Diff {
         for (key, &base) in baseline {
             match fresh.get(key) {
                 None => diff.missing.push(key.clone()),
-                Some(&now) if now.ops == base.ops => diff.unchanged += 1,
+                Some(&now) if now == base => diff.unchanged += 1,
                 Some(&now) => {
                     diff.moved.push((relative(base.ops, now.ops), key.clone(), base, now))
                 }
@@ -128,11 +130,13 @@ impl Diff {
         diff
     }
 
-    /// The closing line: rows up, down, unchanged, added and missing.
+    /// The closing line: rows whose throughput went up, down or stayed,
+    /// rows added and rows missing.
     fn counts(&self) -> String {
         let down = self.moved.iter().filter(|(rel, ..)| *rel < 0.0).count();
-        let up = self.moved.len() - down;
-        let (unchanged, added, missing) = (self.unchanged, self.added.len(), self.missing.len());
+        let up = self.moved.iter().filter(|(rel, ..)| *rel > 0.0).count();
+        let unchanged = self.unchanged + self.moved.len() - up - down;
+        let (added, missing) = (self.added.len(), self.missing.len());
         format!("up {up} / down {down} / unchanged {unchanged} / added {added} / missing {missing}")
     }
 }
@@ -143,6 +147,45 @@ fn relative(base: f64, now: f64) -> f64 {
         now / base - 1.0
     } else {
         f64::INFINITY
+    }
+}
+
+/// What the gate says of a row both documents hold.
+#[derive(Debug, Clone, Copy, PartialEq)]
+enum Verdict {
+    /// Judged by throughput: it fell by no more than the tolerance.
+    ThroughputHeld,
+    /// Judged by throughput: it fell by more than the tolerance (fails).
+    ThroughputFell,
+    /// A closed-loop row judged by its charged time per op, which rose by
+    /// no more than the tolerance. Carries that time's relative change.
+    ChargeHeld(f64),
+    /// A closed-loop row whose charged time per op rose by more than the
+    /// tolerance (fails). Carries that relative change.
+    ChargeRose(f64),
+}
+
+impl Verdict {
+    fn fails(self) -> bool {
+        matches!(self, Verdict::ThroughputFell | Verdict::ChargeRose(_))
+    }
+}
+
+/// The one rule: a row whose charged time per op both documents carry (a
+/// closed-loop row) fails when that time rose by more than `tolerance`;
+/// any other row fails when its throughput fell by more than `tolerance`.
+fn verdict(base: &Row, fresh: &Row, tolerance: f64) -> Verdict {
+    match base.closed_loop.zip(fresh.closed_loop) {
+        Some(((charged0, _), (charged1, _))) => {
+            let change = if charged1 == charged0 { 0.0 } else { relative(charged0, charged1) };
+            if change > tolerance {
+                Verdict::ChargeRose(change)
+            } else {
+                Verdict::ChargeHeld(change)
+            }
+        }
+        None if relative(base.ops, fresh.ops) < -tolerance => Verdict::ThroughputFell,
+        None => Verdict::ThroughputHeld,
     }
 }
 
@@ -203,21 +246,28 @@ fn main() {
     for key in &diff.missing {
         println!("MISSING  {}/{} [{}]: row absent from {fresh_path}", key.0, key.1, key.2);
     }
+    let band = tolerance * 100.0;
     println!(
-        "perf gate: tolerance -{:.1}%; every row whose throughput moved, worst first:",
-        tolerance * 100.0
+        "perf gate: tolerance -{band:.1}% throughput, or +{band:.1}% charged time per op for a \
+         closed-loop row; every row that moved, worst throughput first:"
     );
     for (rel, key, base_row, fresh_row) in &diff.moved {
-        let verdict = if *rel < -tolerance {
-            failed = true;
-            "FAIL"
-        } else {
-            "ok  "
-        };
+        let verdict = verdict(base_row, fresh_row, tolerance);
+        failed |= verdict.fails();
+        let label = if verdict.fails() { "FAIL" } else { "ok  " };
         let ((figure, config, workload), change) = (key, rel * 100.0);
         let row = format!("{figure}/{config} [{workload}]");
         let (base, fresh) = (base_row.ops, fresh_row.ops);
-        println!("{verdict} {change:+7.2}%  {row}: {base:.1} -> {fresh:.1} ops/s");
+        let throughput = format!("{base:.1} -> {fresh:.1} ops/s");
+        match verdict {
+            Verdict::ChargeHeld(charged) | Verdict::ChargeRose(charged) => println!(
+                "{label} {:+7.2}% charged/op  {row}: throughput {change:+.2}% ({throughput})",
+                charged * 100.0
+            ),
+            Verdict::ThroughputHeld | Verdict::ThroughputFell => {
+                println!("{label} {change:+7.2}%  {row}: {throughput}")
+            }
+        }
         if let Some(note) = closed_loop_note(*rel, base_row, fresh_row) {
             println!("              {note}");
         }
@@ -227,7 +277,7 @@ fn main() {
     }
     println!("{}", diff.counts());
     if failed {
-        println!("perf gate FAILED: throughput regressed beyond tolerance (or rows vanished)");
+        println!("perf gate FAILED: a row regressed beyond tolerance (or rows vanished)");
         std::process::exit(1);
     }
     println!("perf gate passed");
@@ -326,6 +376,65 @@ mod tests {
         );
         // A single-client row (or an older baseline) carries neither.
         assert_eq!(note(990.0, ""), None);
+    }
+
+    /// A closed-loop row of `ops` ops/s charged `charged` µs per op.
+    fn closed(ops: f64, charged: f64) -> Row {
+        Row { ops, closed_loop: Some((charged, 900.0)) }
+    }
+
+    fn open(ops: f64) -> Row {
+        Row { ops, closed_loop: None }
+    }
+
+    #[test]
+    fn an_open_loop_row_within_tolerance_holds() {
+        assert_eq!(verdict(&open(200.0), &open(191.0), 0.05), Verdict::ThroughputHeld);
+        assert_eq!(verdict(&open(200.0), &open(260.0), 0.05), Verdict::ThroughputHeld);
+        assert!(!Verdict::ThroughputHeld.fails());
+    }
+
+    #[test]
+    fn an_open_loop_row_that_fell_beyond_tolerance_fails() {
+        assert_eq!(verdict(&open(200.0), &open(189.0), 0.05), Verdict::ThroughputFell);
+        assert!(Verdict::ThroughputFell.fails());
+    }
+
+    /// Throughput −10.0 % with charged time per op −0.74 % (a closed-loop
+    /// row whose schedule moved, not its work): ok.
+    #[test]
+    fn a_closed_loop_row_whose_charge_held_is_ok_whatever_its_throughput() {
+        let v = verdict(&closed(1000.0, 10.0), &closed(900.0, 9.926), 0.05);
+        let Verdict::ChargeHeld(change) = v else { panic!("{v:?}") };
+        assert!((change + 0.0074).abs() < 1e-9, "{change}");
+        assert!(!v.fails());
+    }
+
+    #[test]
+    fn a_closed_loop_row_whose_charge_rose_beyond_tolerance_fails() {
+        // Throughput up, yet every op was charged 6 % more: the work grew.
+        let v = verdict(&closed(1000.0, 10.0), &closed(1010.0, 10.6), 0.05);
+        let Verdict::ChargeRose(change) = v else { panic!("{v:?}") };
+        assert!((change - 0.06).abs() < 1e-9, "{change}");
+        assert!(v.fails());
+    }
+
+    /// A row that carries the charged time in one document only is judged
+    /// by throughput, as an open-loop row.
+    #[test]
+    fn a_row_without_charged_time_on_both_sides_is_judged_by_throughput() {
+        assert_eq!(verdict(&open(1000.0), &closed(900.0, 9.0), 0.05), Verdict::ThroughputFell);
+        assert_eq!(verdict(&closed(1000.0, 9.0), &open(990.0), 0.05), Verdict::ThroughputHeld);
+    }
+
+    #[test]
+    fn a_charge_only_move_is_listed_and_counted_unchanged() {
+        let base: Rows = [(key("fig9", "p2@8threads", "A"), closed(1000.0, 10.0))].into();
+        let fresh: Rows = [(key("fig9", "p2@8threads", "A"), closed(1000.0, 11.0))].into();
+        let diff = Diff::new(&base, &fresh);
+        assert_eq!(diff.moved.len(), 1);
+        assert!(verdict(&diff.moved[0].2, &diff.moved[0].3, 0.05).fails());
+        assert_eq!(diff.counts(), "up 0 / down 0 / unchanged 1 / added 0 / missing 0");
     }
 
     #[test]

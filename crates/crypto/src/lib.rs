@@ -15,6 +15,8 @@
 //!   kernel instead, chosen once at run time from the CPU's feature bits
 //!   ([`sha256::backend`] names the choice for logs). Digests are identical
 //!   either way and there is no option, env var or feature to set.
+//!   [`sha256::compress`] is the compression function alone, one block and
+//!   no padding: a Merkle node is one, from [`sha256::NODE_IV`],
 //! * [`hmac`] — RFC 2104 HMAC-SHA256 (RFC 4231 vectors in tests), with
 //!   [`hmac::HmacKey`] holding a long-lived key's pad midstates,
 //! * [`aead`] — encrypt-then-MAC AEAD (stream cipher from SHA-256-CTR).

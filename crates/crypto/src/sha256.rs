@@ -8,7 +8,9 @@
 //! kernel (`sha256/x86.rs`, the workspace's only `unsafe` code) replaces it.
 //! The choice is made once per process from `is_x86_feature_detected!`, never
 //! from an option. The unit tests below run the NIST vectors on each kernel
-//! directly and hold the two against each other.
+//! directly and hold the two against each other. [`compress`] exposes one
+//! kernel call on one block with no padding: a Merkle node is that, from
+//! [`NODE_IV`].
 
 use std::sync::OnceLock;
 
@@ -22,6 +24,20 @@ mod x86;
 const H0: [u32; 8] = [
     0x6a09e667, 0xbb67ae85, 0x3c6ef372, 0xa54ff53a, 0x510e527f, 0x9b05688c, 0x1f83d9ab, 0x5be0cd19,
 ];
+
+/// The state a Merkle node's compression starts from: SHA-256's initial
+/// state after one compression of a fixed domain block (`NODE_DOMAIN`),
+/// precomputed the way BIP-340's tagged hashes precompute their tag. It
+/// differs from SHA-256's initial state, so a node's compression never
+/// starts where an ordinary SHA-256 message's does (DESIGN.md §5).
+pub const NODE_IV: [u32; 8] = [
+    0x2a28a20c, 0xed879250, 0x63dd5800, 0x7a1a8fb4, 0xa2b2619e, 0x8baffe0d, 0x639fec15, 0xf8bf56c1,
+];
+
+/// The domain block [`NODE_IV`] is the compression of (a unit test derives
+/// the constant from it).
+#[cfg(test)]
+const NODE_DOMAIN: &[u8; 64] = b"elsm merkle nodeelsm merkle nodeelsm merkle nodeelsm merkle node";
 
 /// Round constants: first 32 bits of the fractional parts of the cube roots
 /// of the first 64 primes.
@@ -158,6 +174,21 @@ fn digest_of(state: &[u32; 8]) -> Digest {
         out[i * 4..i * 4 + 4].copy_from_slice(&word.to_be_bytes());
     }
     Digest::from_bytes(out)
+}
+
+/// SHA-256's compression function alone: `block` folded into `state` on the
+/// selected kernel, with no padding and no length, read out as a digest
+/// (the new state, big-endian word by word). A Merkle node is one of these
+/// from [`NODE_IV`] (`merkle::node_hash`); a message of any other shape
+/// wants [`sha256`], which pads.
+pub fn compress(state: &[u32; 8], block: &[u8; 64]) -> Digest {
+    compress_with(kernel(), state, block)
+}
+
+fn compress_with(kernel: Kernel, state: &[u32; 8], block: &[u8; 64]) -> Digest {
+    let mut state = *state;
+    kernel(&mut state, block);
+    digest_of(&state)
 }
 
 /// The portable kernel, written from FIPS 180-4 §6.2.2. It is what runs on
@@ -342,6 +373,47 @@ mod tests {
                 assert_eq!(joined_with(kernel, std::iter::once(message)), want, "{name}");
             }
         }
+    }
+
+    /// One block, padded by hand, compressed from [`H0`] is the SHA-256 of
+    /// the message it holds, for random messages up to 55 bytes.
+    #[test]
+    fn one_padded_block_compresses_to_its_sha256_on_every_kernel() {
+        let mut seed = 11u64;
+        for _ in 0..500 {
+            let len = lcg(&mut seed) as usize % 56;
+            let message: Vec<u8> = (0..len).map(|_| lcg(&mut seed) as u8).collect();
+            let mut block = [0u8; 64];
+            block[..len].copy_from_slice(&message);
+            block[len] = 0x80;
+            block[56..].copy_from_slice(&(len as u64 * 8).to_be_bytes());
+            for (name, kernel) in kernels() {
+                assert_eq!(compress_with(kernel, &H0, &block), sha256(&message), "{name}, {len} B");
+            }
+        }
+    }
+
+    /// The node function — one compression from [`NODE_IV`] — is the same
+    /// on every kernel, for random child pairs.
+    #[test]
+    fn kernels_agree_on_the_node_function() {
+        let mut seed = 13u64;
+        for round in 0..1000 {
+            let block: [u8; 64] = std::array::from_fn(|_| lcg(&mut seed) as u8);
+            let reference = compress_with(compress_scalar, &NODE_IV, &block);
+            for (name, kernel) in kernels() {
+                assert_eq!(compress_with(kernel, &NODE_IV, &block), reference, "{name}, {round}");
+            }
+            assert_eq!(compress(&NODE_IV, &block), reference, "dispatch, {round}");
+        }
+    }
+
+    #[test]
+    fn the_node_iv_is_the_compression_of_its_domain_block() {
+        for (name, kernel) in kernels() {
+            assert_eq!(compress_with(kernel, &H0, NODE_DOMAIN), digest_of(&NODE_IV), "{name}");
+        }
+        assert_ne!(NODE_IV, H0);
     }
 
     #[test]

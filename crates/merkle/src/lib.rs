@@ -2,7 +2,8 @@
 //!
 //! Authenticated data structures for the eLSM reproduction:
 //!
-//! * [`tree`] — RFC 6962-style Merkle hash trees with audit paths,
+//! * [`tree`] — Merkle hash trees of RFC 6962's shape (a node is one SHA-256
+//!   compression, not RFC 6962's node hash) with audit paths,
 //! * [`crown`] — the top rows of a tree, kept by the verifier so a proof
 //!   is hashed only up to them and compared from there on,
 //! * [`chain`] — temporal hash chains over record versions (§5.2),

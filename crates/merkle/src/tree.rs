@@ -1,13 +1,17 @@
-//! Merkle hash trees with RFC 6962 structure.
+//! Merkle hash trees with RFC 6962's shape, not its node hash.
 //!
 //! The tree over `n` leaves splits at the largest power of two below `n`
 //! (equivalently: built bottom-up, pairing nodes and promoting an unpaired
-//! trailing node). Domain separation follows RFC 6962: leaves hash with a
-//! `0x00` prefix and interior nodes with `0x01`, preventing leaf/node
-//! confusion attacks. This is the same structure Certificate Transparency
-//! uses — fitting, since CT is the paper's §5.7 case study.
+//! trailing node) — the shape Certificate Transparency uses, fitting since
+//! CT is the paper's §5.7 case study. [`leaf_hash`] keeps RFC 6962's
+//! `SHA-256(0x00 ‖ data)`. An interior node is not RFC 6962's
+//! `SHA-256(0x01 ‖ left ‖ right)`, whose 65-byte preimage pads into a second
+//! block: [`node_hash`] is one SHA-256 compression of `left ‖ right` from a
+//! node IV of its own. Leaf and node need no prefix to stay apart: the leaf
+//! count a verifier trusts fixes every position as one or the other
+//! (DESIGN.md §5). Nothing here interoperates with RFC 6962 logs.
 
-use elsm_crypto::{sha256_concat, Digest};
+use elsm_crypto::{sha256, sha256_concat, Digest};
 
 use crate::crown::{Anchor, Crown, Work};
 
@@ -16,9 +20,14 @@ pub fn leaf_hash(data: &[u8]) -> Digest {
     sha256_concat(&[&[0x00], data])
 }
 
-/// Hashes two child digests into their parent.
+/// Hashes two child digests into their parent: one SHA-256 compression of
+/// `left ‖ right` from the node IV ([`sha256::NODE_IV`]) — exactly one
+/// block, so nothing is padded (DESIGN.md §5 has why that is sound).
 pub fn node_hash(left: &Digest, right: &Digest) -> Digest {
-    sha256_concat(&[&[0x01], left.as_bytes(), right.as_bytes()])
+    let mut block = [0u8; 64];
+    block[..32].copy_from_slice(left.as_bytes());
+    block[32..].copy_from_slice(right.as_bytes());
+    sha256::compress(&sha256::NODE_IV, &block)
 }
 
 /// An immutable Merkle tree storing every internal level.
@@ -290,6 +299,17 @@ mod tests {
         let left = node_hash(&node_hash(&l[0], &l[1]), &node_hash(&l[2], &l[3]));
         let right = node_hash(&node_hash(&l[4], &l[5]), &l[6]);
         assert_eq!(t.root(), node_hash(&left, &right));
+    }
+
+    /// A known answer, so a change of node IV or node function fails here:
+    /// the children are `SHA-256("left")` and `SHA-256("right")`.
+    #[test]
+    fn node_hash_known_answer() {
+        let (left, right) = (elsm_crypto::sha256(b"left"), elsm_crypto::sha256(b"right"));
+        assert_eq!(
+            node_hash(&left, &right).to_hex(),
+            "14e82c3cead6e8cf038fca3e24e8576dff488fec66856abc4dafe182ba6a1b37"
+        );
     }
 
     #[test]

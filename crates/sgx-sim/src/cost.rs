@@ -94,13 +94,10 @@ impl CostModel {
 
     /// Cost of hashing `len` bytes with SHA-256.
     ///
-    /// Callers that verify Merkle paths pass 64 bytes per interior node
-    /// (two child digests), so the model prices a node at **one** block.
-    /// The code spends two compressions on it: RFC 6962's `0x01` domain
-    /// prefix makes the preimage 65 bytes, which pads into a second block.
-    /// The constant is kept — every committed figure row is priced with it
-    /// — and the gap is stated here: per node hashed, the model's enclave
-    /// time is half of what a block-exact count would charge.
+    /// Callers that verify Merkle paths add 64 bytes per interior node (two
+    /// child digests) to the bytes of one hash, so the model prices a node
+    /// at **one** block: the one compression `merkle::node_hash` runs
+    /// (DESIGN.md §5).
     pub fn hash_cost(&self, len: usize) -> u64 {
         Self::hash_blocks(len) * self.hash_ns_per_block
     }

@@ -4,7 +4,9 @@
 //! the trace an ordinary `get` / `scan` hands the enclave, and the files
 //! under the store.
 //!
-//! Run with: `cargo run --example adversarial_host`
+//! Run with: `cargo run --example adversarial_host`. CI diffs what it prints
+//! against `adversarial_host.expected`: each attack must be refused with the
+//! same reason.
 
 use elsm_repro::elsm::{AuthenticatedKv, ElsmError, ElsmP2, P2Options, VerificationFailure};
 use elsm_repro::sgx_sim::{MonotonicCounter, Platform};

@@ -571,7 +571,10 @@ fn root_crown_platform() -> Arc<Platform> {
 /// ~9 bytes of varints: the budget factor is scaled for a 2¹⁵-key level's
 /// records, and these small levels' records shrank by another share, so
 /// they compact at other points (root only: L1 + L3 → all in L3; full
-/// crowns: L1 n=136 → n=181). The WAL digest did not move.
+/// crowns: L1 n=136 → n=181). The WAL digest did not move. The roots
+/// were re-pinned once more when a Merkle node became one SHA-256
+/// compression from a node IV instead of RFC 6962's `0x01`-prefixed hash:
+/// the level shapes and the WAL digest did not move.
 #[test]
 fn golden_three_level_store_digests() {
     for (platform, golden) in [
@@ -613,10 +616,10 @@ fn golden_three_level_store_digests() {
 }
 
 const GOLDEN_LEVELS: [&str; 1] =
-    ["L3 n=300 41b00e93c9c756014d00176fd546c438b2683a769ceb4b11f3c7fed2be5ea00f"];
+    ["L3 n=300 4e666a3a95dd2eb1bbe64d58bffdda6c7f7e9fa8476e06dab355dad6ee173024"];
 const GOLDEN_LEVELS_CROWNED: [&str; 2] = [
-    "L1 n=181 008b57385ffc3b5a777b1da4e155a7b0d74cf685c965dc6176693553ac71523e",
-    "L3 n=300 7e71260ffe3b16a892aa58e26cb3e0f54ff23962f5cdec473b7f89eef451b066",
+    "L1 n=181 7f1551c46a93bad018d6d87bb27cd540a3cd7377e2cfa3827315bd57f5bcfc05",
+    "L3 n=300 e44d22af2f8fb715fc289c4250c321fbf17290bb43e8fc53e31f5fefc2a12b76",
 ];
 const GOLDEN_WAL: &str = "27cfc90b66f695d2bc5e731a8f475fcad4418812fac6519fedc55182d1f04a24";
 
@@ -624,7 +627,10 @@ const GOLDEN_WAL: &str = "27cfc90b66f695d2bc5e731a8f475fcad4418812fac6519fedc551
 /// lists, captured at the commit before older versions shrank to links.
 /// Unlike the store golden above these do not depend on where compaction
 /// puts a level boundary: they move only if a chain link, a leaf hash, a
-/// node hash or the order records are hashed in changes.
+/// node hash or the order records are hashed in changes. The two trees of
+/// more than one leaf were re-pinned when a node became one compression
+/// from a node IV (`merkle::node_hash`); the one-leaf root, which hashes no
+/// node, did not move.
 #[test]
 fn golden_level_digest_roots() {
     let inputs: [(u32, &[usize], u8); 3] =
@@ -641,8 +647,8 @@ fn golden_level_digest_roots() {
 
 const GOLDEN_DIGEST_ROOTS: [&str; 3] = [
     "L1 n=1 0e2fb4232ab4229c19bbce5ca6caaddc4f3aa20280aa8c8e8cea9d6e20378f54",
-    "L2 n=12 9771a5ba479d86245fcf540764437e2ae7088aab17e3f32114bf7fe948bad996",
-    "L5 n=37 b61b41aa4f076e1c33f905c12dbb389da3cbc1be6761edeeaf7a6e10704678e7",
+    "L2 n=12 25e747590f3fd26981a469fbbffdfb502c410a78224f1601ab55344df252c8a2",
+    "L5 n=37 612a7ca48a57ecde7efa5cd6b8e6d60b56a6d60fca0b16be4209a5ce90ab67b1",
 ];
 
 /// Trusted-state hygiene: crowns are derived state. For one fixed history
@@ -663,7 +669,10 @@ const GOLDEN_DIGEST_ROOTS: [&str; 3] = [
 /// file lines were re-pinned under both crowns, the crowned history's
 /// epoch, digests and announcement too, and the pipeline's under both;
 /// the root-only history's epoch, dataset, snapshot and announcement did
-/// not move.
+/// not move. When a Merkle node became one compression from a node IV,
+/// every digest, announcement, file and `MANIFEST` hash moved under both
+/// crowns (each holds level roots, or files that store audit paths); no
+/// epoch, file count or `MANIFEST` length did.
 #[test]
 fn golden_trusted_state_is_unmoved_by_crowns() {
     assert_eq!(trusted_state_lines(root_crown_platform()), GOLDEN_TRUSTED_STATE);
@@ -845,34 +854,34 @@ fn pipeline_fingerprint(platform: fn() -> Arc<Platform>) -> Vec<String> {
 
 const GOLDEN_PIPELINE: [&str; 6] = [
     "epoch 149",
-    "dataset cef71cc9e397fec3789c5b5e31f21862ae852b9aa2513735df3cc643b4eea538",
-    "announcement 457764bd4980d4735aedb5e854ce5e140e10694950ff9b5f66879d5e7c450601",
-    "files 22 704df449cffee3319072e736d34ce5c874eff3bae71d4e3c2f493f7868e3c4d6",
-    "MANIFEST 396 0e647efc0b94ffc8fc5622083587975f4c162796f8ae4dfa3abbee53bb74fc9a",
-    "tiered files 15 4a30f1a1b2ecfbbd920c3da44b5fedc521005b2dd0737c864dcc650982a36e10",
+    "dataset 81dba0d69754ad5fe08a6122f9bc962aa523bfc64050fe4ff9244c1e518dbf44",
+    "announcement b9d9749c0326bc6b9348caa6f5925724356e2eb1bf704b9c88cf2e56e963d95d",
+    "files 22 82b4add58b61c20dc2f87f4d9a050a493c2c02b80416378abcb57631bc00da0f",
+    "MANIFEST 396 67462300433cf34a5f331b37990f7b2fe4b7d022ce349b7945b01f272362214a",
+    "tiered files 15 f239169390457ca232d06ae9ff0b8679a0c49d09a1aef5bb3810cae0927438e5",
 ];
 
 const GOLDEN_TRUSTED_STATE: [&str; 5] = [
     "epoch 106",
-    "dataset ad35d9f7007566cda9ec72ff688beeecf78ee66225050e44c643942654bc167f",
-    "snapshot b22f147d1f68ebd23170d76a1ea810201e15ecd579ab3bf06f4f4a39b8819c43",
-    "announcement df832657f793f8805f7f104c7972f583312cd7c043a0a08a1c2b677938110f15",
-    "MANIFEST 540 58657c48ba84fe2152a8a07c6100a6cd3caef0bf6cca3c3e16dc48b3aca419be",
+    "dataset 8f4ed9bbe5b35d604593c5f53f3e3e184a273445fefb45994393844340bb6b87",
+    "snapshot 14666e5f60a7985e0500c9d903dca5c4b12ad6fe09ce007ab466ac08db29038b",
+    "announcement 8999bd84a32d9f42450212cef2616a5d63d0b96092734553ba3b828f5629b155",
+    "MANIFEST 540 100bf98eb87d05c2dd320393671351f96e1cb80edc01fdb66bfc723a625f6129",
 ];
 
 const GOLDEN_PIPELINE_CROWNED: [&str; 6] = [
     "epoch 140",
-    "dataset 7b872118af5b4a658a02d28f09d8165108fe9a9c0e02beba03bfeac2793577e4",
-    "announcement 84c035b466fd887088dd28a7a1edf593f132d3204d7427371d107fbef3e64a7b",
-    "files 20 4682ec6ac01a3a2a60a0defcfad67627294976747b909c81d20eef386243059c",
-    "MANIFEST 393 cef0924930c6fac2ab53e869cfec84766291602a53f157b637d392b824a49fb0",
-    "tiered files 15 b2f9916268c96e4748b143626d2d80c9926891a89ddfcc423cfcd5f049132d12",
+    "dataset 4f946a54196eec1cfbdcb82e7eb3ce1827cfa12ee352222b5786319677ee1350",
+    "announcement 8b6eb642e2f3a24e907f47fc5e56bfd4104d662d942ee82e835a179b4c4ffbb8",
+    "files 20 0fbc608fc0c767ec26283b623d39dc9c25ff54f14c580a1629dbba3b96c4a4a8",
+    "MANIFEST 393 5dc9a9af7c1bc59316e216b19f236e58df94faf820354734babbd67d864d0459",
+    "tiered files 15 89fe63278ff1f5335db3c4603f87954d15b6737b3067ad33c4a8b15c96d26a61",
 ];
 
 const GOLDEN_TRUSTED_STATE_CROWNED: [&str; 5] = [
     "epoch 93",
-    "dataset db4b3517e7690ba5be25b04ae42254e95871c1346b026594629918464f5f2222",
-    "snapshot 4aa3a7ccaf7e131b23debaa27a653344622c8e2a2d783b7014e1fe671c7dbd1f",
-    "announcement 6547a9737a5ef06c46f4f23ee86d610215137366455c64e9a493a228f7fd2093",
-    "MANIFEST 524 3c630f8c47a7923fe481dbd57f1404f8b56b6ebc9fa9e96f0ae385938baea59f",
+    "dataset 6e9dfaed590d59f9d90cb64984cd77e2bc1d075f1c32b8261451b9315fe67c9f",
+    "snapshot cbc7d6ed39ec0eb878cb791661bdaf5fbcb22a28e08107662d3b26ff72b4dda1",
+    "announcement 2b30041cecdf4a203a9f421b18ad0670d87151d5e7d01769552f045eeab21662",
+    "MANIFEST 524 fffb28c389fd23d128544219ec12e4f218a63173472040ca08728ab6cfd19470",
 ];
